@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -58,6 +61,35 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
+// checkGolden compares got against the committed golden file, or rewrites the
+// file under -update. The goldens pin output bytes across commits, where the
+// suites below only compare a run with itself. They are amd64 bytes: on other
+// architectures the compiler may fuse multiply-adds, which changes float
+// results in the last place.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Logf("skipping %s: goldens hold amd64 float bytes", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from this run (-update regenerates after an intended change)", path)
+		diffFirstLine(t, string(want), string(got))
+	}
+}
+
 // TestGoldenSuiteSerialVsParallel is the determinism invariant of DESIGN.md
 // §4d, enforced over EVERY registered experiment: the full suite run through
 // the harness with -parallel 4 must produce byte-identical reports AND
@@ -106,6 +138,11 @@ func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 	if len(serialRep) == 0 || len(serialProm) == 0 || len(serialTrace) == 0 {
 		t.Fatal("empty suite output; golden comparison is vacuous")
 	}
+	const golden = "testdata/suite_scale0.02_seed3"
+	checkGolden(t, golden+".report.golden", []byte(serialRep))
+	checkGolden(t, golden+".prom.golden", serialProm)
+	checkGolden(t, golden+".trace.golden", serialTrace)
+
 	if serialRep != parRep {
 		t.Errorf("suite report differs between serial and -parallel 4 runs")
 		diffFirstLine(t, serialRep, parRep)
