@@ -20,7 +20,7 @@ func queryFixture(t testing.TB) (lf *liteflow.Core, in, out []int64) {
 	eng := liteflow.NewEngine()
 	cfg := liteflow.DefaultConfig()
 	cfg.FlowCacheTimeout = 0
-	lf = liteflow.New(eng, nil, liteflow.DefaultCosts(), cfg)
+	lf = liteflow.NewCore(eng, nil, liteflow.DefaultCosts(), cfg)
 	net := liteflow.NewNetwork([]int{30, 32, 16, 1},
 		[]liteflow.Activation{liteflow.Tanh, liteflow.Tanh, liteflow.Tanh}, 1)
 	snap, err := liteflow.BuildSnapshot(net, liteflow.DefaultQuantConfig(), "aurora")

@@ -17,7 +17,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
 // benchCfg keeps full-suite bench runs tractable; cmd/lfbench -all uses
@@ -191,7 +190,7 @@ func BenchmarkSweepChurn(b *testing.B) {
 	eng := liteflow.NewEngine()
 	cfg := liteflow.DefaultConfig()
 	cfg.FlowCacheTimeout = liteflow.Millisecond
-	lf := liteflow.New(eng, nil, liteflow.DefaultCosts(), cfg)
+	lf := liteflow.NewCore(eng, nil, liteflow.DefaultCosts(), cfg)
 	net := liteflow.NewNetwork([]int{30, 32, 16, 1},
 		[]liteflow.Activation{liteflow.Tanh, liteflow.Tanh, liteflow.Tanh}, 1)
 	snap, err := liteflow.BuildSnapshot(net, liteflow.DefaultQuantConfig(), "aurora")
@@ -229,7 +228,7 @@ func BenchmarkTable1API(b *testing.B) {
 	eng := liteflow.NewEngine()
 	cfg := liteflow.DefaultConfig()
 	cfg.FlowCacheTimeout = 0
-	lf := liteflow.New(eng, nil, liteflow.DefaultCosts(), cfg)
+	lf := liteflow.NewCore(eng, nil, liteflow.DefaultCosts(), cfg)
 	net := liteflow.NewNetwork([]int{30, 32, 16, 1},
 		[]liteflow.Activation{liteflow.Tanh, liteflow.Tanh, liteflow.Tanh}, 1)
 	snap, err := liteflow.BuildSnapshot(net, liteflow.DefaultQuantConfig(), "aurora")
@@ -267,7 +266,7 @@ func BenchmarkFleetFanout(b *testing.B) {
 	})
 	costs := ksim.DefaultCosts()
 	for i := 0; i < 8; i++ {
-		cpu := ksim.NewCPU(eng, 4, obs.Scope{})
+		cpu := ksim.NewHostCPU(eng, 4)
 		if _, err := ctrl.AddMember(core.NewCore(eng, cpu, costs, cfg),
 			netlink.NewChannel(eng, cpu, costs, nil)); err != nil {
 			b.Fatal(err)

@@ -16,16 +16,8 @@
 // -parallel. Wall-clock timing (median/p95 across reps) goes to stderr so
 // comparable output stays comparable.
 //
-// Regression tracking:
-//
-//	lfbench -bench-out BENCH_$(git rev-parse --short HEAD).json -scale 0.05
-//	lfbench -bench-baseline BENCH_baseline.json -scale 0.05
-//
-// -bench-out snapshots ns/op and allocs/op per experiment (plus the
-// query-path micro-benchmarks) to JSON; -bench-baseline re-measures and
-// fails (exit 1) when any entry regresses more than -bench-tolerance.
-// -bench-allocs-only restricts the comparison to allocation counts, the
-// machine-independent half of the snapshot — that is what CI gates on.
+// Performance tracking lives in the repo's benchmark, not here: see
+// bench/README.md (go run ./bench, go run ./bench -compare).
 package main
 
 import (
@@ -60,39 +52,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flightEvery = fs.Duration("flight-interval", 0, "virtual-time flight-recorder sampling interval (0 = per-experiment default)")
 		cacheShards = fs.Int("cache-shards", 0, "flow-cache shard count for cache-bound experiments (0 = core default; rounded up to a power of two)")
 		simDomains  = fs.Int("sim-domains", 0, "run the experiments that support partitioned execution on a conservative-lookahead parallel engine with this many worker goroutines (0 = classic serial engine); reports are byte-identical for every value, see DESIGN.md §4h")
-
-		benchOut       = fs.String("bench-out", "", "measure ns/op + allocs/op and write a JSON snapshot to this file")
-		benchBaseline  = fs.String("bench-baseline", "", "compare a fresh measurement against this JSON snapshot; exit 1 on regression")
-		benchTolerance = fs.Float64("bench-tolerance", 0.15, "fractional regression tolerance for -bench-baseline")
-		benchAllocs    = fs.Bool("bench-allocs-only", false, "compare only allocs/op (machine-independent; what CI gates on)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *benchOut != "" || *benchBaseline != "" {
-		return runBenchMode(benchModeOptions{
-			exp: *exp, scale: *scale, seed: *seed, cacheShards: *cacheShards,
-			domains: *simDomains,
-			out:     *benchOut, baseline: *benchBaseline,
-			tolerance: *benchTolerance, allocsOnly: *benchAllocs,
-		}, stdout, stderr)
-	}
-
-	var reg *obs.Registry
-	var tracer *obs.Tracer
-	var flight *obs.FlightRecorder
+	tel := obs.NewSession(obs.Exports{Trace: *trace, Metrics: *metricsOut, Flight: *flightOut}, 0)
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, CacheShards: *cacheShards,
+		Obs: tel.Scope(), Flight: tel.Flight,
 		FlightEvery: netsim.Time(flightEvery.Nanoseconds()), Domains: *simDomains}
-	if *trace != "" || *metricsOut != "" || *flightOut != "" {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(0)
-		cfg.Obs = obs.New(reg, tracer)
-	}
-	if *flightOut != "" {
-		flight = obs.NewFlightRecorder(0)
-		cfg.Flight = flight
-	}
 	opts := experiments.SuiteOptions{Parallel: *parallel, Reps: *reps}
 
 	var runners []experiments.Runner
@@ -128,43 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if err := writeExports(*trace, *metricsOut, *flightOut, reg, tracer, flight); err != nil {
+	if err := tel.Finish("lfbench", stderr); err != nil {
 		fmt.Fprintln(stderr, "lfbench:", err)
 		return 1
 	}
-	if tracer != nil && tracer.Evicted() > 0 {
-		fmt.Fprintf(stderr, "lfbench: trace ring overflowed, %d oldest events evicted (raise the ring capacity to keep them)\n", tracer.Evicted())
-	}
 	return 0
-}
-
-// writeExports flushes telemetry to the requested files, if any.
-func writeExports(trace, metricsOut, flightOut string, reg *obs.Registry, tracer *obs.Tracer, flight *obs.FlightRecorder) error {
-	writeTo := func(path string, write func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if trace != "" {
-		if err := writeTo(trace, tracer.WriteChromeTrace); err != nil {
-			return err
-		}
-	}
-	if metricsOut != "" {
-		if err := writeTo(metricsOut, reg.WritePrometheus); err != nil {
-			return err
-		}
-	}
-	if flightOut != "" {
-		if err := writeTo(flightOut, flight.WriteJSONL); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -83,92 +82,6 @@ func TestLfbenchParallelMatchesSerial(t *testing.T) {
 	}
 	if !strings.Contains(serialRep, "aggregated over 2 reps") {
 		t.Errorf("report missing reps aggregation note:\n%s", serialRep)
-	}
-}
-
-// TestLfbenchBenchSnapshotRoundTrip drives the regression-tracking mode end
-// to end: snapshot, clean comparison, injected regression, shape mismatch.
-func TestLfbenchBenchSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "BENCH_test.json")
-
-	var stdout, stderr bytes.Buffer
-	args := []string{"-exp", "dummy", "-scale", "0.05", "-bench-out", snapPath}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("-bench-out exited %d\nstderr: %s", code, stderr.String())
-	}
-	for _, want := range []string{"exp/dummy", "micro/query_steady_state", "micro/query_model_batch64",
-		"micro/lookup_many_flows", "micro/sweep_churn", "micro/fleet_fanout"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("bench table missing %q:\n%s", want, stdout.String())
-		}
-	}
-
-	raw, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap benchSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if snap.Scale != 0.05 || len(snap.Entries) != 6 {
-		t.Fatalf("snapshot shape: scale=%g entries=%d, want 0.05/6", snap.Scale, len(snap.Entries))
-	}
-	for _, e := range snap.Entries {
-		// sweep_churn inserts fresh flows each op and fleet_fanout mints a
-		// snapshot version per op, so both allocate by design; every other
-		// micro is a steady-state hot path with a 0-alloc contract.
-		if e.Name == "micro/sweep_churn" || e.Name == "micro/fleet_fanout" {
-			continue
-		}
-		if strings.HasPrefix(e.Name, "micro/") && e.AllocsPerOp != 0 {
-			t.Errorf("%s: %d allocs/op in snapshot, want 0", e.Name, e.AllocsPerOp)
-		}
-	}
-
-	// Same workload against its own snapshot must pass (allocs are exact).
-	stdout.Reset()
-	stderr.Reset()
-	args = []string{"-exp", "dummy", "-scale", "0.05", "-bench-baseline", snapPath, "-bench-allocs-only"}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("clean -bench-baseline exited %d\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "bench comparison OK") {
-		t.Errorf("missing OK line:\n%s", stdout.String())
-	}
-
-	// A baseline that promises fewer allocations must trip the gate.
-	tampered := snap
-	tampered.Entries = append([]benchEntry(nil), snap.Entries...)
-	for i := range tampered.Entries {
-		if strings.HasPrefix(tampered.Entries[i].Name, "exp/") {
-			tampered.Entries[i].AllocsPerOp = 0
-		}
-	}
-	tamperedPath := filepath.Join(dir, "BENCH_tampered.json")
-	if err := writeSnapshot(tamperedPath, tampered); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	args = []string{"-exp", "dummy", "-scale", "0.05", "-bench-baseline", tamperedPath, "-bench-allocs-only"}
-	if code := run(args, &stdout, &stderr); code != 1 {
-		t.Fatalf("regressed -bench-baseline exited %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "REGRESSION") {
-		t.Errorf("missing REGRESSION diagnostic:\n%s", stderr.String())
-	}
-
-	// Comparing across workload shapes is refused, not silently tolerated.
-	stdout.Reset()
-	stderr.Reset()
-	args = []string{"-exp", "dummy", "-scale", "0.1", "-bench-baseline", snapPath, "-bench-allocs-only"}
-	if code := run(args, &stdout, &stderr); code != 1 {
-		t.Fatalf("shape-mismatch -bench-baseline exited %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "shape mismatch") {
-		t.Errorf("missing shape-mismatch diagnostic:\n%s", stderr.String())
 	}
 }
 

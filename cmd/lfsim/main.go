@@ -39,27 +39,21 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sync"
 	"time"
 
 	"github.com/liteflow-sim/liteflow/internal/cc"
-	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/experiments"
 	"github.com/liteflow-sim/liteflow/internal/fault"
-	"github.com/liteflow-sim/liteflow/internal/ksim"
-	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/opt"
-	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/scenario"
 	"github.com/liteflow-sim/liteflow/internal/stats"
-	"github.com/liteflow-sim/liteflow/internal/tcp"
-	"github.com/liteflow-sim/liteflow/internal/topo"
 )
 
 // options carries every flag so runs are reproducible from tests.
@@ -94,18 +88,14 @@ type options struct {
 	faultProfile string
 	faultSeed    int64
 
-	trace       string
-	traceJSONL  string
-	metricsOut  string
-	flightOut   string
+	ex          obs.Exports // -trace, -trace-jsonl, -metrics-out, -flight-out, -listen
 	flightEvery time.Duration
-	listen      string
 	traceEvents int
 }
 
 func main() {
 	var o options
-	flag.StringVar(&o.scheme, "cc", "bbr", "scheme: bbr | cubic | lf-aurora | lf-mocc | ccp-aurora | ccp-mocc")
+	flag.StringVar(&o.scheme, "cc", "bbr", "scheme: bbr | cubic | lf-aurora | lf-mocc | lf-dummy | ccp-aurora | ccp-mocc")
 	flag.IntVar(&o.fleet, "fleet", 0, "run the fleet distribution-plane scenario with this many members instead of a CC scenario (0 = off); a -fault-profile other than none selects the chaos variant")
 	flag.IntVar(&o.canary, "canary", 0, "with -fleet: stage each minted epoch on this many canary members and auto-rollback on a failed health verdict before the rest of the fleet sees it (0 = fan out everywhere at once), see DESIGN.md §4i")
 	flag.DurationVar(&o.canaryWin, "canary-window", 0, "with -canary: virtual-time observation window before the canary verdict (0 = four slow-path aggregation intervals)")
@@ -130,12 +120,12 @@ func main() {
 	flag.IntVar(&o.cacheShards, "cache-shards", 0, "lf-* schemes: flow-cache shard count (0 = default; rounded up to a power of two)")
 	flag.StringVar(&o.faultProfile, "fault-profile", "none", "fault injection profile: none | netlink | slowpath | chaos")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault injector")
-	flag.StringVar(&o.trace, "trace", "", "write Chrome trace-event JSON to this file")
-	flag.StringVar(&o.traceJSONL, "trace-jsonl", "", "write trace events as JSON lines to this file")
-	flag.StringVar(&o.metricsOut, "metrics-out", "", "write Prometheus text metrics to this file")
-	flag.StringVar(&o.flightOut, "flight-out", "", "write a flight recording (every metric sampled on a virtual-time tick) as JSON lines to this file")
+	flag.StringVar(&o.ex.Trace, "trace", "", "write Chrome trace-event JSON to this file")
+	flag.StringVar(&o.ex.TraceJSONL, "trace-jsonl", "", "write trace events as JSON lines to this file")
+	flag.StringVar(&o.ex.Metrics, "metrics-out", "", "write Prometheus text metrics to this file")
+	flag.StringVar(&o.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled on a virtual-time tick) as JSON lines to this file")
 	flag.DurationVar(&o.flightEvery, "flight-interval", time.Millisecond, "virtual-time interval between flight-recorder samples (with -flight-out or -listen)")
-	flag.StringVar(&o.listen, "listen", "", "serve /metrics and /debug/trace on this address after the run (e.g. :9090)")
+	flag.StringVar(&o.ex.Listen, "listen", "", "serve /metrics and /debug/trace on this address after the run (e.g. :9090)")
 	flag.IntVar(&o.traceEvents, "trace-events", obs.DefaultTraceCapacity, "trace ring capacity in events")
 	flag.Parse()
 
@@ -156,24 +146,51 @@ func (u staticUser) Stability() float64           { return 1 }
 func (u staticUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
 func (u staticUser) Adapt([]core.Sample)          {}
 
-// sampledBackend wraps the kernel fast path and mirrors each query into the
-// netlink batch buffer, standing in for the paper's kernel-side data
-// collector.
-type sampledBackend struct {
-	inner cc.Backend
-	ch    *netlink.Channel
-	eng   *netsim.Engine
-}
-
-func (b *sampledBackend) Query(state []float64, reply func(action float64)) {
-	b.inner.Query(state, func(a float64) {
-		b.ch.Push(core.EncodeSample(core.Sample{
-			Input: append([]float64(nil), state...),
-			Aux:   []float64{a},
-			At:    b.eng.Now(),
-		}))
-		reply(a)
-	})
+// validate rejects flag combinations that would otherwise be silently
+// ignored, naming the offending flag.
+func (o options) validate() error {
+	if o.scenario != "" {
+		// The scenario runner has no telemetry scope, no fault injector and
+		// no repetitions.
+		for _, f := range []struct {
+			flag string
+			set  bool
+		}{
+			{"-trace", o.ex.Trace != ""},
+			{"-trace-jsonl", o.ex.TraceJSONL != ""},
+			{"-metrics-out", o.ex.Metrics != ""},
+			{"-flight-out", o.ex.Flight != ""},
+			{"-listen", o.ex.Listen != ""},
+			{"-reps", o.reps > 1},
+			{"-fault-profile", o.faultProfile != "" && o.faultProfile != "none"},
+		} {
+			if f.set {
+				return fmt.Errorf("%s does not apply to -scenario runs (the scenario runner exports no telemetry, injects no faults and runs once)", f.flag)
+			}
+		}
+	}
+	if o.fleetScenario != "" && o.fleet <= 0 {
+		return fmt.Errorf("-fleet-scenario requires -fleet (it shapes fleet member query cadence)")
+	}
+	if o.canaryWin != 0 && o.canary <= 0 {
+		return fmt.Errorf("-canary-window requires -canary (it is the canary verdict's observation window)")
+	}
+	if o.canary > 0 && o.fleet <= 0 {
+		return fmt.Errorf("-canary requires -fleet (staged rollouts are a distribution-plane feature)")
+	}
+	if o.fleet > 0 && o.canary >= o.fleet {
+		return fmt.Errorf("-canary %d must leave at least one non-canary member (-fleet %d)", o.canary, o.fleet)
+	}
+	if o.fleet > 0 && o.simDomains >= 1 {
+		return fmt.Errorf("-sim-domains does not apply to -fleet scenarios (the distribution plane schedules across members and runs on the classic engine)")
+	}
+	if o.simDomains >= 1 && (o.ex.Flight != "" || o.ex.Listen != "") {
+		return fmt.Errorf("-flight-out/-listen sample fleet-wide metrics on a virtual-time tick, which would read other partitions mid-window; drop -sim-domains for flight recording")
+	}
+	if o.reps > 1 && o.ex.Any() {
+		return fmt.Errorf("-trace/-trace-jsonl/-metrics-out/-flight-out/-listen export a single run's telemetry; use -reps 1")
+	}
+	return nil
 }
 
 // run dispatches between the single-run path and the multi-rep harness. Rep
@@ -185,6 +202,9 @@ func run(o options, stdout, stderr io.Writer) error {
 	if o.scenarioList {
 		return listScenarios(stdout)
 	}
+	if err := o.validate(); err != nil {
+		return err
+	}
 	if o.scenario != "" {
 		return runScenario(o, stdout)
 	}
@@ -195,9 +215,6 @@ func run(o options, stdout, stderr io.Writer) error {
 	if reps == 1 {
 		_, err := runOnce(o, 0, stdout, stderr)
 		return err
-	}
-	if o.trace != "" || o.traceJSONL != "" || o.metricsOut != "" || o.flightOut != "" || o.listen != "" {
-		return fmt.Errorf("-trace/-trace-jsonl/-metrics-out/-flight-out/-listen export a single run's telemetry; use -reps 1")
 	}
 
 	workers := o.parallel
@@ -259,252 +276,92 @@ func run(o options, stdout, stderr io.Writer) error {
 // runOnce executes one scenario instance. rep offsets the pretraining and
 // fault seeds; the returned goodput is the aggregate across flows in Gbps.
 func runOnce(o options, rep int, stdout, stderr io.Writer) (float64, error) {
-	wantTelemetry := o.trace != "" || o.traceJSONL != "" || o.metricsOut != "" || o.flightOut != "" || o.listen != ""
-	var reg *obs.Registry
-	var tracer *obs.Tracer
-	var sc obs.Scope
-	if wantTelemetry {
-		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(o.traceEvents)
-		sc = obs.New(reg, tracer)
-	}
-	var flight *obs.FlightRecorder
-	if o.flightOut != "" || o.listen != "" {
-		flight = obs.NewFlightRecorder(0)
-	}
-
+	tel := obs.NewSession(o.ex, o.traceEvents)
 	prof, ok := fault.ByName(o.faultProfile)
 	if !ok {
 		return 0, fmt.Errorf("unknown fault profile %q (want none|netlink|slowpath|chaos)", o.faultProfile)
 	}
 	if o.fleet > 0 {
-		if o.simDomains >= 1 {
-			return 0, fmt.Errorf("-sim-domains does not apply to -fleet scenarios (the distribution plane schedules across members and runs on the classic engine)")
-		}
-		if o.canary >= o.fleet {
-			return 0, fmt.Errorf("-canary %d must leave at least one non-canary member (-fleet %d)", o.canary, o.fleet)
-		}
-		return runFleet(o, rep, prof.Active(), sc, reg, tracer, flight, stdout, stderr)
+		return runFleet(o, rep, prof.Active(), tel, stdout, stderr)
 	}
-	if o.canary > 0 {
-		return 0, fmt.Errorf("-canary requires -fleet (staged rollouts are a distribution-plane feature)")
+	sch, ok := rig.Schemes[o.scheme]
+	if !ok {
+		return 0, fmt.Errorf("unknown scheme %q", o.scheme)
 	}
-	if flight != nil && o.simDomains >= 1 {
-		return 0, fmt.Errorf("-flight-out/-listen sample fleet-wide metrics on a virtual-time tick, which would read other partitions mid-window; drop -sim-domains for flight recording")
-	}
-
-	var eng *netsim.Engine
-	if o.simDomains >= 1 {
-		eng = netsim.NewParallelEngine(o.simDomains)
-	} else {
-		eng = netsim.NewEngine()
-	}
-	opts := topo.TestbedOpts(1)
-	if !o.congested {
-		opts.BottleneckBps = 40e9
-		opts.BufferBytes = 4 << 20
-	}
-	d := topo.BuildDumbbell(eng, opts, opt.WithScope(sc))
-	costs := ksim.DefaultCosts()
-	d.ProvisionCPUs(4, costs, opt.WithScope(sc))
-	sender, receiver := d.Senders[0], d.Receivers[0]
-
-	// Everything that drives the sender — congestion controllers, the
-	// LiteFlow core, the slow path, fault injection — schedules on the sender
-	// host's partition view. On a classic engine these alias eng, so the
-	// serial schedule is untouched.
-	ctlEng := sender.Eng
-	ctlSC := sender.Eng.PartitionScope(sc)
-
-	var inj *fault.Injector
-	if prof.Active() {
-		inj = fault.New(prof, o.faultSeed+int64(rep), ctlSC)
-	}
-	if inj != nil {
-		// CPU overload spikes land on the sender host, where the fast path
-		// and the slow path both live.
-		inj.StartCPUSpikes(ctlEng, func(work int64) {
-			sender.CPU.Charge(ksim.SoftIRQ, netsim.Time(work))
-		})
-		defer inj.StopCPUSpikes()
-	}
-
-	if o.congested {
-		u := tcp.NewUDPSource(d.UDPHost, 9999, receiver.ID, 100e6)
-		u.Start()
-		defer u.Stop()
-	}
-
-	// Policy nets for the NN schemes.
-	isLF := o.scheme == "lf-aurora" || o.scheme == "lf-mocc"
-	needAurora := o.scheme == "lf-aurora" || o.scheme == "ccp-aurora"
-	needMOCC := o.scheme == "lf-mocc" || o.scheme == "ccp-mocc"
-	var lf *core.Core
-	var svc *core.Service
-	var ch *netlink.Channel
-	var policy cc.Policy
-	var macs int
-	if needAurora || needMOCC {
-		net := cc.NewAuroraNet(1)
-		if needMOCC {
-			net = cc.NewMOCCNet(1)
-		}
-		fmt.Fprintln(stderr, "pretraining policy network…")
-		cc.Pretrain(net, o.pretrain, o.seed+int64(rep))
-		policy = cc.NewNNPolicy(net)
-		macs = net.MACs()
-		if isLF {
-			cfg := core.DefaultConfig()
-			cfg.FlowCacheTimeout = netsim.Time(o.cacheTimeout.Nanoseconds())
-			cfg.FlowCacheShards = o.cacheShards
-			coreOpts := []opt.Option{opt.WithScope(ctlSC)}
-			if inj != nil && o.adapt {
-				// With faults on, arm the watchdog so a stalled slow path
-				// degrades gracefully instead of serving a half-built
-				// standby forever. Window = 3 batch intervals.
-				coreOpts = append(coreOpts, opt.WithWatchdog(opt.Watchdog{
-					Window: 3 * o.batchT.Nanoseconds(),
-				}))
-			}
-			lf = core.NewCore(ctlEng, sender.CPU, costs, cfg, coreOpts...)
-			mod, err := codegen.Build(quant.Quantize(net, cfg.Quant), "model")
-			if err != nil {
-				return 0, err
-			}
-			if _, err := lf.RegisterModel(mod); err != nil {
-				return 0, err
-			}
-			if o.adapt {
-				ch = netlink.NewChannel(ctlEng, sender.CPU, costs, nil,
-					opt.WithScope(ctlSC), opt.WithFaults(inj))
-				svc = core.NewSlowPath(lf, ch, staticUser{net}, staticUser{net}, staticUser{net},
-					opt.WithFaults(inj))
-				svc.Start(netsim.Time(o.batchT.Nanoseconds()))
-			}
-		}
-	}
-	if o.adapt && !isLF {
+	if o.adapt && !sch.LF {
 		return 0, fmt.Errorf("-adapt requires an lf-* scheme, got %q", o.scheme)
 	}
 
-	var ctrls []*cc.MIController
-	var schemeErr error
-	makeCtrl := func(flow netsim.FlowID) tcp.CongestionControl {
-		switch o.scheme {
-		case "bbr":
-			return cc.NewBBR()
-		case "cubic":
-			return cc.NewCubic()
-		case "lf-aurora", "lf-mocc":
-			var backend cc.Backend = core.NewFlowBackend(lf, flow)
-			if ch != nil {
-				backend = &sampledBackend{inner: backend, ch: ch, eng: ctlEng}
-			}
-			m := cc.NewMIController(ctlEng, backend, 500e6)
-			ctrls = append(ctrls, m)
-			return m
-		case "ccp-aurora", "ccp-mocc":
-			b := &cc.CCPBackend{Eng: ctlEng, CPU: sender.CPU, Costs: costs,
-				Policy: policy, Interval: netsim.Time(o.interval.Nanoseconds()), UserMACs: macs}
-			m := cc.NewMIController(ctlEng, b, 500e6)
-			ctrls = append(ctrls, m)
-			return m
-		}
-		schemeErr = fmt.Errorf("unknown scheme %q", o.scheme)
-		return cc.NewBBR() // placeholder; the error aborts the run below
+	do := rig.DumbbellOpts{
+		Domains: o.simDomains, FreePath: !o.congested,
+		Faults: prof, FaultSeed: o.faultSeed + int64(rep),
+		Scope: tel.Scope(), Flight: tel.Flight, FlightEvery: netsim.Time(o.flightEvery.Nanoseconds()),
 	}
+	if o.congested {
+		do.Background = rig.ConstantUDP
+	}
+	d := rig.NewDumbbell(do)
 
-	perFlow := make([]int64, o.flows)
-	measuring := false
-	var senders []*tcp.Sender
-	for i := 0; i < o.flows; i++ {
-		i := i
-		f := netsim.FlowID(i + 1)
-		s := tcp.NewSender(sender, f, receiver.ID, 0, makeCtrl(f))
-		if schemeErr != nil {
-			return 0, schemeErr
+	args := rig.SchemeArgs{Interval: netsim.Time(o.interval.Nanoseconds()), Flows: o.flows}
+	if sch.Model != "" {
+		args.Net = cc.NewAuroraNet(1)
+		if sch.Model == "mocc" {
+			args.Net = cc.NewMOCCNet(1)
 		}
-		rcv := tcp.NewReceiver(receiver, f, sender.ID)
-		rcv.OnDeliver = func(n int, now netsim.Time) {
-			if measuring {
-				perFlow[i] += int64(n)
-			}
-		}
-		s.Start()
-		senders = append(senders, s)
+		fmt.Fprintln(stderr, "pretraining policy network…")
+		cc.Pretrain(args.Net, o.pretrain, o.seed+int64(rep))
 	}
+	if sch.LF {
+		cfg := core.DefaultConfig()
+		cfg.FlowCacheTimeout = netsim.Time(o.cacheTimeout.Nanoseconds())
+		cfg.FlowCacheShards = o.cacheShards
+		var coreOpts []opt.Option
+		if d.Faults != nil && o.adapt {
+			// With faults on, arm the watchdog so a stalled slow path
+			// degrades gracefully instead of serving a half-built
+			// standby forever. Window = 3 batch intervals.
+			coreOpts = append(coreOpts, opt.WithWatchdog(opt.Watchdog{
+				Window: 3 * o.batchT.Nanoseconds(),
+			}))
+		}
+		dep := d.Deploy(cfg, rig.Build(args.Net, cfg.Quant, "model"), coreOpts...)
+		if o.adapt {
+			dep.AttachSlowPath(d.Sender.CPU, staticUser{args.Net}, netsim.Time(o.batchT.Nanoseconds()), d.Faults)
+		}
+	}
+	d.AddFlows(sch, args)
 
-	runEnd := netsim.Time((o.warmup + o.duration).Nanoseconds())
-	if flight != nil && reg != nil {
-		every := netsim.Time(o.flightEvery.Nanoseconds())
-		if every <= 0 {
-			every = netsim.Time(time.Millisecond.Nanoseconds())
-		}
-		var flightTick func()
-		flightTick = func() {
-			flight.Sample(reg, int64(eng.Now()))
-			if eng.Now() < runEnd {
-				eng.After(every, flightTick)
-			}
-		}
-		eng.After(every, flightTick)
-	}
-
-	warmup := netsim.Time(o.warmup.Nanoseconds())
-	eng.RunUntil(warmup)
-	measuring = true
-	sender.CPU.ResetAccounting()
-	eng.RunUntil(warmup + netsim.Time(o.duration.Nanoseconds()))
-	for _, m := range ctrls {
-		m.Stop()
-	}
-	if ch != nil {
-		ch.StopBatching()
-	}
-	if lf != nil {
-		lf.StopSweeper()
-		lf.StopWatchdog()
-	}
+	d.Run(netsim.Time(o.warmup.Nanoseconds()), netsim.Time(o.duration.Nanoseconds()))
 
 	secs := o.duration.Seconds()
 	var agg float64
-	for i, b := range perFlow {
-		g := float64(b*8) / secs / 1e9
+	for i, s := range d.Senders {
+		g := float64(d.Delivered(i)*8) / secs / 1e9
 		agg += g
-		fmt.Fprintf(stdout, "flow %2d: %7.3f Gbps (rtx %d, timeouts %d)\n", i+1, g,
-			senders[i].Retransmits, senders[i].Timeouts)
+		fmt.Fprintf(stdout, "flow %2d: %7.3f Gbps (rtx %d, timeouts %d)\n", i+1, g, s.Retransmits, s.Timeouts)
 	}
 	fmt.Fprintf(stdout, "aggregate: %.3f Gbps over %s\n", agg, o.scheme)
-	fmt.Fprintf(stdout, "sender CPU: %s\n", sender.CPU.Report())
-	if lf != nil {
-		st := lf.Stats()
+	fmt.Fprintf(stdout, "sender CPU: %s\n", d.Sender.CPU.Report())
+	if d.Dep != nil {
+		st := d.Dep.Core.Stats()
 		fmt.Fprintf(stdout, "liteflow core: %d queries, %d cache hits, %d models\n",
-			st.Queries, st.CacheHits, lf.Models())
+			st.Queries, st.CacheHits, d.Dep.Core.Models())
+		if d.Dep.Svc != nil {
+			st := d.Dep.Svc.Stats()
+			fmt.Fprintf(stdout, "liteflow service: %d batches, %d samples, %d fidelity checks, %d skipped, %d updates\n",
+				st.Batches, st.Samples, st.FidelityChecks, st.SkippedByNecessity, st.Updates)
+		}
 	}
-	if svc != nil {
-		st := svc.Stats()
-		fmt.Fprintf(stdout, "liteflow service: %d batches, %d samples, %d fidelity checks, %d skipped, %d updates\n",
-			st.Batches, st.Samples, st.FidelityChecks, st.SkippedByNecessity, st.Updates)
-	}
-	if inj != nil {
-		fs := inj.Stats()
+	if d.Faults != nil {
+		fs := d.Faults.Stats()
 		fmt.Fprintf(stdout, "faults injected: %d total (%d drops, %d corrupt, %d delays, %d reorders, %d build fails, %d outages, %d cpu spikes)\n",
 			fs.Total(), fs.Drops, fs.Corrupts, fs.Delays, fs.Reorders, fs.BuildFails+fs.QuantFails, fs.Outages, fs.Spikes)
-		if lf != nil {
-			st := lf.Stats()
+		if d.Dep != nil {
+			st := d.Dep.Core.Stats()
 			fmt.Fprintf(stdout, "degradation: %d degraded, %d recovered\n", st.Degraded, st.Recovered)
 		}
 	}
-
-	if err := writeExports(o, reg, tracer, flight); err != nil {
-		return 0, err
-	}
-	warnEvictions(tracer, stderr)
-	if o.listen != "" {
-		fmt.Fprintf(stderr, "serving telemetry on %s (/metrics, /debug/trace, /debug/flight) — ctrl-c to stop\n", o.listen)
-		return agg, http.ListenAndServe(o.listen, obs.NewHTTPHandler(reg, tracer, flight))
-	}
-	return agg, nil
+	return agg, tel.Finish("lfsim", stderr)
 }
 
 // runFleet executes the fleet distribution-plane scenario (-fleet N): one
@@ -513,7 +370,7 @@ func runOnce(o options, rep int, stdout, stderr io.Writer) (float64, error) {
 // odd members go dark on a jittered schedule, installs park on the degraded
 // cores, and the recovery tail must restore epoch parity. The returned
 // aggregate is the fleet-wide model-query rate in queries/s.
-func runFleet(o options, rep int, chaos bool, sc obs.Scope, reg *obs.Registry, tracer *obs.Tracer, flight *obs.FlightRecorder, stdout, stderr io.Writer) (float64, error) {
+func runFleet(o options, rep int, chaos bool, tel *obs.Session, stdout, stderr io.Writer) (float64, error) {
 	var workload *scenario.Spec
 	if o.fleetScenario != "" {
 		var err error
@@ -526,9 +383,9 @@ func runFleet(o options, rep int, chaos bool, sc obs.Scope, reg *obs.Registry, t
 		Seed:         o.seed + int64(rep),
 		Dur:          netsim.Time(o.duration.Nanoseconds()),
 		Chaos:        chaos,
-		Obs:          sc,
+		Obs:          tel.Scope(),
 		CacheShards:  o.cacheShards,
-		Flight:       flight,
+		Flight:       tel.Flight,
 		FlightEvery:  netsim.Time(o.flightEvery.Nanoseconds()),
 		CanaryCount:  o.canary,
 		CanaryWindow: netsim.Time(o.canaryWin.Nanoseconds()),
@@ -546,58 +403,5 @@ func runFleet(o options, rep int, chaos bool, sc obs.Scope, reg *obs.Registry, t
 			st.ReleasedEpoch, st.CanaryPasses, st.CanaryFails, st.Rollbacks, r.Blacklisted)
 	}
 	fmt.Fprintf(stdout, "aggregate: %.0f queries/s across %d members\n", r.GoodputQPS, r.Members)
-	if err := writeExports(o, reg, tracer, flight); err != nil {
-		return 0, err
-	}
-	warnEvictions(tracer, stderr)
-	if o.listen != "" {
-		fmt.Fprintf(stderr, "serving telemetry on %s (/metrics, /debug/trace, /debug/flight) — ctrl-c to stop\n", o.listen)
-		return r.GoodputQPS, http.ListenAndServe(o.listen, obs.NewHTTPHandler(reg, tracer, flight))
-	}
-	return r.GoodputQPS, nil
-}
-
-// warnEvictions tells the user when the trace ring wrapped: the exported
-// trace is missing its oldest events (a synthetic trace_ring_overflow event
-// marks the spot in the export itself).
-func warnEvictions(tracer *obs.Tracer, stderr io.Writer) {
-	if tracer != nil && tracer.Evicted() > 0 {
-		fmt.Fprintf(stderr, "lfsim: trace ring overflowed, %d oldest events evicted (raise -trace-events to keep them)\n", tracer.Evicted())
-	}
-}
-
-// writeExports flushes the run's telemetry to the requested files.
-func writeExports(o options, reg *obs.Registry, tracer *obs.Tracer, flight *obs.FlightRecorder) error {
-	writeTo := func(path string, write func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if o.trace != "" {
-		if err := writeTo(o.trace, tracer.WriteChromeTrace); err != nil {
-			return err
-		}
-	}
-	if o.traceJSONL != "" {
-		if err := writeTo(o.traceJSONL, tracer.WriteJSONL); err != nil {
-			return err
-		}
-	}
-	if o.metricsOut != "" {
-		if err := writeTo(o.metricsOut, reg.WritePrometheus); err != nil {
-			return err
-		}
-	}
-	if o.flightOut != "" {
-		if err := writeTo(o.flightOut, flight.WriteJSONL); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.GoodputQPS, tel.Finish("lfsim", stderr)
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
 // smokeOpts is a short congested lf-aurora run with the full slow path, sized
@@ -26,9 +28,11 @@ func smokeOpts(dir string) options {
 		batchT:    20 * time.Millisecond,
 		pretrain:  40,
 
-		trace:      filepath.Join(dir, "trace.json"),
-		traceJSONL: filepath.Join(dir, "trace.jsonl"),
-		metricsOut: filepath.Join(dir, "metrics.prom"),
+		ex: obs.Exports{
+			Trace:      filepath.Join(dir, "trace.json"),
+			TraceJSONL: filepath.Join(dir, "trace.jsonl"),
+			Metrics:    filepath.Join(dir, "metrics.prom"),
+		},
 	}
 }
 
@@ -47,7 +51,7 @@ func TestLfsimSmoke(t *testing.T) {
 		}
 	}
 
-	raw, err := os.ReadFile(o.trace)
+	raw, err := os.ReadFile(o.ex.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestLfsimSmoke(t *testing.T) {
 		t.Error("trace missing netlink/flush event")
 	}
 
-	jl, err := os.ReadFile(o.traceJSONL)
+	jl, err := os.ReadFile(o.ex.TraceJSONL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,7 @@ func TestLfsimSmoke(t *testing.T) {
 		}
 	}
 
-	prom, err := os.ReadFile(o.metricsOut)
+	prom, err := os.ReadFile(o.ex.Metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,7 @@ func TestLfsimRepsParallelMatchesSerial(t *testing.T) {
 // writing one arbitrary rep.
 func TestLfsimRepsRejectTelemetryExports(t *testing.T) {
 	o := repsOpts(1)
-	o.trace = filepath.Join(t.TempDir(), "trace.json")
+	o.ex.Trace = filepath.Join(t.TempDir(), "trace.json")
 	var stdout, stderr bytes.Buffer
 	err := run(o, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "-reps 1") {
@@ -182,7 +186,7 @@ func TestLfsimDeterminism(t *testing.T) {
 		for _, p := range []struct {
 			path string
 			dst  *[]byte
-		}{{o.trace, &trace}, {o.traceJSONL, &jsonl}, {o.metricsOut, &prom}} {
+		}{{o.ex.Trace, &trace}, {o.ex.TraceJSONL, &jsonl}, {o.ex.Metrics, &prom}} {
 			b, err := os.ReadFile(p.path)
 			if err != nil {
 				t.Fatal(err)
@@ -215,18 +219,20 @@ func TestLfsimFleetSmoke(t *testing.T) {
 			duration:     400 * time.Millisecond,
 			seed:         3,
 			faultProfile: "chaos",
-			trace:        filepath.Join(dir, "trace.json"),
-			metricsOut:   filepath.Join(dir, "metrics.prom"),
+			ex: obs.Exports{
+				Trace:   filepath.Join(dir, "trace.json"),
+				Metrics: filepath.Join(dir, "metrics.prom"),
+			},
 		}
 		var stdout, stderr bytes.Buffer
 		if err := run(o, &stdout, &stderr); err != nil {
 			t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
 		}
-		p, err := os.ReadFile(o.metricsOut)
+		p, err := os.ReadFile(o.ex.Metrics)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := os.ReadFile(o.trace)
+		tr, err := os.ReadFile(o.ex.Trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,5 +329,34 @@ func TestLfsimScenarioCLI(t *testing.T) {
 	}
 	if err := run(options{scenario: "web-baseline", scenarioCheck: true, scenarioScale: 0.5}, &stdout, io.Discard); err == nil {
 		t.Error("scenario-check at scale 0.5 should be rejected")
+	}
+
+	// Flags the scenario runner cannot honor (it has no telemetry scope, no
+	// injector, no reps) and -with flags missing their base flag must be
+	// rejected by name, not silently ignored.
+	out := filepath.Join(t.TempDir(), "out")
+	sc := options{scenario: "rpc-incast", scenarioScale: 1}
+	for _, c := range []struct {
+		flag string
+		o    options
+	}{
+		{"-trace", func() options { o := sc; o.ex.Trace = out; return o }()},
+		{"-trace-jsonl", func() options { o := sc; o.ex.TraceJSONL = out; return o }()},
+		{"-metrics-out", func() options { o := sc; o.ex.Metrics = out; return o }()},
+		{"-flight-out", func() options { o := sc; o.ex.Flight = out; return o }()},
+		{"-listen", func() options { o := sc; o.ex.Listen = "127.0.0.1:0"; return o }()},
+		{"-reps", func() options { o := sc; o.reps = 3; return o }()},
+		{"-fault-profile", func() options { o := sc; o.faultProfile = "chaos"; return o }()},
+		{"-fleet-scenario", options{scheme: "bbr", flows: 1, fleetScenario: "web-diurnal"}},
+		{"-canary-window", options{fleet: 4, duration: 10 * time.Millisecond, canaryWin: time.Millisecond}},
+	} {
+		stdout.Reset()
+		err := run(c.o, &stdout, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("%s: err = %v, want a rejection naming the flag", c.flag, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: rejected run still printed a report:\n%s", c.flag, stdout.String())
+		}
 	}
 }

@@ -14,65 +14,27 @@ package main
 
 import (
 	"fmt"
-	"log"
 
 	liteflow "github.com/liteflow-sim/liteflow"
 	"github.com/liteflow-sim/liteflow/internal/cc"
-	"github.com/liteflow-sim/liteflow/internal/ksim"
-	"github.com/liteflow-sim/liteflow/internal/netsim"
-	"github.com/liteflow-sim/liteflow/internal/tcp"
-	"github.com/liteflow-sim/liteflow/internal/topo"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 )
 
-func runScheme(name string, policy *liteflow.Network, mkCtrl func(eng *netsim.Engine, lf *liteflow.Core, cpu *ksim.CPU) tcp.CongestionControl) float64 {
-	eng := netsim.NewEngine()
-	d := topo.BuildDumbbell(eng, topo.TestbedOpts(1))
-	costs := liteflow.DefaultCosts()
-	d.ProvisionCPUs(4, costs)
-	sender, receiver := d.Senders[0], d.Receivers[0]
-
-	// Bursty background UDP keeps the bottleneck congested and moving
-	// (paper §2.2 setup; mean 0.1 Gbps).
-	udp := tcp.NewBurstyUDP(tcp.NewUDPSource(d.UDPHost, 99, receiver.ID, 100e6),
-		20e6, 180e6, 200*liteflow.Millisecond)
-	udp.Start()
-	defer udp.Stop()
-
-	var lf *liteflow.Core
-	if policy != nil {
+// runScheme runs one entry of the scheme table (the one fig11 and lfsim -cc
+// use) on the congested testbed rig: bursty background UDP keeps the
+// bottleneck congested and moving (paper §2.2 setup; mean 0.1 Gbps).
+func runScheme(name, key string, args rig.SchemeArgs) float64 {
+	d := rig.NewDumbbell(rig.DumbbellOpts{Background: rig.BurstyUDP})
+	sch := rig.Schemes[key]
+	if sch.LF {
 		cfg := liteflow.DefaultConfig()
 		cfg.FlowCacheTimeout = 0
-		lf = liteflow.NewCore(eng, sender.CPU, costs, cfg)
-		snap, err := liteflow.BuildSnapshot(policy, liteflow.DefaultQuantConfig(), "aurora")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := lf.RegisterModel(snap); err != nil {
-			log.Fatal(err)
-		}
+		d.Deploy(cfg, rig.Build(args.Net, cfg.Quant, "aurora"))
 	}
-
-	ctrl := mkCtrl(eng, lf, sender.CPU)
-	s := tcp.NewSender(sender, 1, receiver.ID, 0, ctrl)
-	r := tcp.NewReceiver(receiver, 1, sender.ID)
-	var bytes int64
-	measuring := false
-	r.OnDeliver = func(n int, now netsim.Time) {
-		if measuring {
-			bytes += int64(n)
-		}
-	}
-	s.Start()
-	eng.RunUntil(3 * liteflow.Second)
-	measuring = true
-	eng.RunUntil(8 * liteflow.Second)
-	if m, ok := ctrl.(*cc.MIController); ok {
-		m.Stop()
-	}
-	if lf != nil {
-		lf.StopSweeper()
-	}
-	g := float64(bytes*8) / 5e9
+	args.Flows = 1
+	d.AddFlows(sch, args)
+	d.Run(3*liteflow.Second, 5*liteflow.Second)
+	g := float64(d.Delivered(0)*8) / 5e9
 	fmt.Printf("%-18s %6.3f Gbps\n", name, g)
 	return g
 }
@@ -83,18 +45,10 @@ func main() {
 	cc.Pretrain(aurora, 400, 2)
 
 	fmt.Println("\ngoodput of one flow on the congested testbed:")
-	lfG := runScheme("LF-Aurora", aurora, func(eng *netsim.Engine, lf *liteflow.Core, cpu *ksim.CPU) tcp.CongestionControl {
-		return cc.NewMIController(eng, liteflow.NewFlowBackend(lf, 1), 500e6)
-	})
-	ccpG := runScheme("CCP-Aurora-100ms", nil, func(eng *netsim.Engine, lf *liteflow.Core, cpu *ksim.CPU) tcp.CongestionControl {
-		b := &cc.CCPBackend{Eng: eng, CPU: cpu, Costs: liteflow.DefaultCosts(),
-			Policy: cc.NewNNPolicy(aurora), Interval: 100 * liteflow.Millisecond,
-			UserMACs: aurora.MACs()}
-		return cc.NewMIController(eng, b, 500e6)
-	})
-	runScheme("kernel BBR", nil, func(eng *netsim.Engine, lf *liteflow.Core, cpu *ksim.CPU) tcp.CongestionControl {
-		return cc.NewBBR()
-	})
+	lfG := runScheme("LF-Aurora", "lf-aurora", rig.SchemeArgs{Net: aurora})
+	ccpG := runScheme("CCP-Aurora-100ms", "ccp-aurora",
+		rig.SchemeArgs{Net: aurora, Interval: 100 * liteflow.Millisecond})
+	runScheme("kernel BBR", "bbr", rig.SchemeArgs{})
 
 	fmt.Printf("\nLF-Aurora outperforms CCP-Aurora-100ms by %.1f%% — the same NN,\n"+
 		"deployed where inference belongs (paper Figure 11).\n", (lfG/ccpG-1)*100)

@@ -14,7 +14,7 @@ func dctcp() tcp.CongestionControl { return cc.NewDCTCP() }
 
 // fabric builds a small spine–leaf for actor tests: 8 hosts, DCTCP marking.
 func fabric(eng *netsim.Engine) *topo.SpineLeaf {
-	return topo.NewSpineLeaf(eng, topo.DefaultSpineLeafOpts(4))
+	return topo.BuildSpineLeaf(eng, topo.DefaultSpineLeafOpts(4))
 }
 
 func TestWebSessionRequestLoop(t *testing.T) {

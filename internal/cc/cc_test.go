@@ -259,7 +259,7 @@ func TestCCPLargeIntervalDegradesGoodput(t *testing.T) {
 
 func TestCCPPerAckChargesPerAck(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	b := &CCPBackend{Eng: eng, CPU: cpu, Costs: ksim.DefaultCosts(),
 		Policy: TeacherPolicy{}, Interval: 0, UserMACs: 1500}
 	for i := 0; i < 100; i++ {
@@ -300,7 +300,7 @@ func TestCCPBatchedCoalescesQueries(t *testing.T) {
 
 func TestDirectBackendChargesKernelCost(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	d := &DirectBackend{Policy: TeacherPolicy{}, CPU: cpu,
 		Cost: 2 * netsim.Microsecond, Cat: ksim.Kernel}
 	var acted bool

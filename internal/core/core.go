@@ -239,20 +239,8 @@ func NewCore(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, op
 	return c
 }
 
-// New is the pre-options constructor.
-//
-// Deprecated: use NewCore, which takes functional options (opt.WithScope,
-// opt.WithWatchdog).
-func New(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, sc ...obs.Scope) *Core {
-	var scope obs.Scope
-	if len(sc) > 0 {
-		scope = sc[0]
-	}
-	return NewCore(eng, cpu, costs, cfg, opt.WithScope(scope))
-}
-
 // Obs returns the core's instrumentation scope (the no-op scope when none
-// was supplied to New).
+// was supplied to NewCore).
 func (c *Core) Obs() obs.Scope { return c.sc }
 
 // SetFlowCache enables or disables flow-consistency caching (the paper lets

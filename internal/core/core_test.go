@@ -33,7 +33,7 @@ func newCore(t testing.TB) (*netsim.Engine, *Core) {
 	eng := netsim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 0 // no sweeper unless a test wants it
-	return eng, New(eng, nil, ksim.DefaultCosts(), cfg)
+	return eng, NewCore(eng, nil, ksim.DefaultCosts(), cfg)
 }
 
 func TestRegisterFirstModelBecomesActive(t *testing.T) {
@@ -119,10 +119,10 @@ func TestQueryModelWithoutModel(t *testing.T) {
 
 func TestQueryChargesKernelCPU(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 0
-	c := New(eng, cpu, ksim.DefaultCosts(), cfg)
+	c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg)
 	mod := buildModule(t, smallNet(1), "m0")
 	c.RegisterModel(mod)
 	in := make([]int64, 4)
@@ -229,7 +229,7 @@ func TestFlowCacheSweeper(t *testing.T) {
 	eng := netsim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 100 * netsim.Millisecond
-	c := New(eng, nil, ksim.DefaultCosts(), cfg)
+	c := NewCore(eng, nil, ksim.DefaultCosts(), cfg)
 	c.RegisterModel(buildModule(t, smallNet(1), "m0"))
 	in := make([]int64, 4)
 	out := make([]int64, 1)
@@ -361,15 +361,15 @@ type serviceRig struct {
 func newServiceRig(t *testing.T) *serviceRig {
 	t.Helper()
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 0
-	c := New(eng, cpu, ksim.DefaultCosts(), cfg)
+	c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg)
 	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
 	c.RegisterModel(buildModule(t, base, "m0"))
 	user := &userModel{net: base.Clone(), stability: 1}
-	ch := netlink.New(eng, cpu, ksim.DefaultCosts(), nil)
-	svc := NewService(c, ch, user, user, user)
+	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
+	svc := NewSlowPath(c, ch, user, user, user)
 	return &serviceRig{eng: eng, cpu: cpu, core: c, ch: ch, user: user, svc: svc}
 }
 
@@ -486,7 +486,7 @@ func BenchmarkQueryModel(b *testing.B) {
 	eng := netsim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 0
-	c := New(eng, nil, ksim.DefaultCosts(), cfg)
+	c := NewCore(eng, nil, ksim.DefaultCosts(), cfg)
 	net := nn.New([]int{30, 32, 16, 1}, []nn.Activation{nn.Tanh, nn.Tanh, nn.Tanh}, 1)
 	mod, err := codegen.Build(quant.Quantize(net, quant.DefaultConfig()), "aurora")
 	if err != nil {

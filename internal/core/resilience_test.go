@@ -27,7 +27,7 @@ type watchdogRig struct {
 func newWatchdogRig(t *testing.T, window netsim.Time, options ...opt.Option) *watchdogRig {
 	t.Helper()
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 0
 	c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg,

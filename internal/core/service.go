@@ -178,10 +178,10 @@ type Service struct {
 	// OnUpdate, when set, observes each snapshot install.
 	OnUpdate func(m *Model)
 
-	stabilityHist []float64
-	snapCount     int
-	installing    bool
-	parked        *Model // standby registered while degraded, awaiting recovery
+	gate       StabilityGate
+	snapCount  int
+	installing bool
+	parked     *Model // standby registered while degraded, awaiting recovery
 
 	// life is the open lifecycle span for the snapshot version currently
 	// being pooled toward: opened on the first batch after the previous
@@ -224,18 +224,6 @@ func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter
 	ch.SetDeliver(s.HandleBatch)
 	c.slowPathAttached()
 	return s
-}
-
-// NewService is the pre-options constructor.
-//
-// Deprecated: use NewSlowPath, which takes functional options
-// (opt.WithScope, opt.WithFaults, opt.WithRetry).
-func NewService(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter, sc ...obs.Scope) *Service {
-	var options []opt.Option
-	if len(sc) > 0 {
-		options = append(options, opt.WithScope(sc[0]))
-	}
-	return NewSlowPath(c, ch, f, e, a, options...)
 }
 
 // Start begins batched data delivery every interval (the paper's T,
@@ -313,7 +301,7 @@ func (s *Service) HandleBatch(batch []netlink.Message) {
 	s.Adapter.Adapt(samples)
 	s.met.lastStability.Set(s.Evaluator.Stability())
 
-	if !s.converged() {
+	if !s.gate.Converged(s.met.lastStability.Value(), s.Core.Cfg) {
 		return
 	}
 	s.met.converged.Inc()
@@ -348,19 +336,26 @@ func (s *Service) activateParked() {
 	}
 }
 
-// converged applies the correctness gate: the stability metric must stay
-// within a relative tolerance band across the configured window.
-func (s *Service) converged() bool {
-	s.stabilityHist = append(s.stabilityHist, s.met.lastStability.Value())
-	w := s.Core.Cfg.StabilityWindow
-	if len(s.stabilityHist) > w {
-		s.stabilityHist = s.stabilityHist[len(s.stabilityHist)-w:]
+// StabilityGate is the correctness gate (paper §3.3): a snapshot may only be
+// taken once the user's stability metric has stayed within a relative
+// tolerance band across a window of rounds. The single-core Service and the
+// fleet controller run the same policy over their own metric streams.
+type StabilityGate struct{ hist []float64 }
+
+// Converged records v as the latest round's stability and reports whether the
+// last cfg.StabilityWindow values lie within cfg.StabilityTolerance of each
+// other, relative to the larger magnitude.
+func (g *StabilityGate) Converged(v float64, cfg Config) bool {
+	g.hist = append(g.hist, v)
+	w := cfg.StabilityWindow
+	if len(g.hist) > w {
+		g.hist = g.hist[len(g.hist)-w:]
 	}
-	if len(s.stabilityHist) < w {
+	if len(g.hist) < w {
 		return false
 	}
-	lo, hi := s.stabilityHist[0], s.stabilityHist[0]
-	for _, v := range s.stabilityHist[1:] {
+	lo, hi := g.hist[0], g.hist[0]
+	for _, v := range g.hist[1:] {
 		if v < lo {
 			lo = v
 		}
@@ -372,8 +367,11 @@ func (s *Service) converged() bool {
 	if scale < 1e-12 {
 		return true
 	}
-	return (hi-lo)/scale <= s.Core.Cfg.StabilityTolerance
+	return (hi-lo)/scale <= cfg.StabilityTolerance
 }
+
+// Reset forgets the history, so convergence must be re-earned.
+func (g *StabilityGate) Reset() { g.hist = g.hist[:0] }
 
 // evaluateNecessity computes the minimal fidelity loss over the batch.
 // Kernel snapshot outputs must travel to userspace: the service sends the

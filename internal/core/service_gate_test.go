@@ -72,17 +72,17 @@ func (badFreezer) Freeze() *nn.Network {
 // as abandoned.
 func TestRejectedInstallCounted(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 0
-	c := New(eng, cpu, ksim.DefaultCosts(), cfg)
+	c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg)
 	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
 	if _, err := c.RegisterModel(buildModule(t, base, "m0")); err != nil {
 		t.Fatal(err)
 	}
 	user := &userModel{net: base.Clone(), stability: 0.5}
 	user.net.Layers[1].B[0] += 0.5 // diverged: the check wants an install
-	ch := netlink.New(eng, cpu, ksim.DefaultCosts(), nil)
+	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 	svc := NewSlowPath(c, ch, badFreezer{}, user, user)
 	r := &serviceRig{eng: eng, cpu: cpu, core: c, ch: ch, user: user, svc: svc}
 
@@ -169,17 +169,17 @@ func (w wideEvaluator) Infer(in []float64) []float64 {
 // input-size mismatches already are — and counted.
 func TestFidelityOutputMismatchSkipped(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 0
-	c := New(eng, cpu, ksim.DefaultCosts(), cfg)
+	c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg)
 	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
 	if _, err := c.RegisterModel(buildModule(t, base, "m0")); err != nil {
 		t.Fatal(err)
 	}
 	user := &userModel{net: base.Clone(), stability: 0.5}
 	user.net.Layers[1].B[0] += 0.5 // prefix loss would exceed the threshold
-	ch := netlink.New(eng, cpu, ksim.DefaultCosts(), nil)
+	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 	svc := NewSlowPath(c, ch, user, wideEvaluator{user}, user)
 	r := &serviceRig{eng: eng, cpu: cpu, core: c, ch: ch, user: user, svc: svc}
 
@@ -234,8 +234,7 @@ func TestConvergedWindowShrink(t *testing.T) {
 	r.core.Cfg.StabilityWindow = 4
 
 	feed := func(v float64) bool {
-		r.svc.met.lastStability.Set(v)
-		return r.svc.converged()
+		return r.svc.gate.Converged(v, r.core.Cfg)
 	}
 	for i := 0; i < 3; i++ {
 		if feed(0.5) {
@@ -255,7 +254,7 @@ func TestConvergedWindowShrink(t *testing.T) {
 	if !feed(10) {
 		t.Error("two steady values must pass the shrunken window of 2")
 	}
-	if n := len(r.svc.stabilityHist); n != 2 {
+	if n := len(r.svc.gate.hist); n != 2 {
 		t.Errorf("history must truncate to the new window, len = %d", n)
 	}
 }
@@ -268,13 +267,11 @@ func TestConvergedZeroScaleBand(t *testing.T) {
 	r := newServiceRig(t)
 	r.core.Cfg.StabilityWindow = 3
 	for i := 0; i < 2; i++ {
-		r.svc.met.lastStability.Set(0)
-		if r.svc.converged() {
+		if r.svc.gate.Converged(0, r.core.Cfg) {
 			t.Fatal("gate must not pass before the window fills")
 		}
 	}
-	r.svc.met.lastStability.Set(0)
-	if !r.svc.converged() {
+	if !r.svc.gate.Converged(0, r.core.Cfg) {
 		t.Error("an all-zero stability window must converge")
 	}
 }
@@ -307,11 +304,11 @@ func TestNecessityThresholdBoundary(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := netsim.NewEngine()
-			cpu := ksim.NewCPU(eng, 4)
+			cpu := ksim.NewHostCPU(eng, 4)
 			cfg := DefaultConfig()
 			cfg.FlowCacheTimeout = 0
 			cfg.StabilityWindow = 1
-			c := New(eng, cpu, ksim.DefaultCosts(), cfg)
+			c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg)
 			zero := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 1)
 			for _, l := range zero.Layers {
 				for i := range l.W {
@@ -325,7 +322,7 @@ func TestNecessityThresholdBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			user := &userModel{net: zero, stability: 0.5}
-			ch := netlink.New(eng, cpu, ksim.DefaultCosts(), nil)
+			ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 			svc := NewSlowPath(c, ch, user, fixedEvaluator{tc.loss}, user)
 			r := &serviceRig{eng: eng, cpu: cpu, core: c, ch: ch, user: user, svc: svc}
 			r.pushBatch(4, 1)
@@ -352,7 +349,7 @@ func TestNecessityThresholdBoundary(t *testing.T) {
 // must be counted.
 func TestSendToKernelAbortedByClose(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 	ran := false
 	if err := ch.SendToKernel(64, func() { ran = true }); err != nil {

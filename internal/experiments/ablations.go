@@ -4,14 +4,12 @@ import (
 	"fmt"
 
 	"github.com/liteflow-sim/liteflow/internal/cc"
-	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/core"
-	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
-	"github.com/liteflow-sim/liteflow/internal/topo"
 )
 
 // AblTaylor reproduces the paper's §3.1 design argument for lookup tables
@@ -66,50 +64,34 @@ func AblUpdate(cfg Config) Result {
 	const blockTime = 150 * netsim.Millisecond
 
 	run := func(blocking bool) (worstGapMs, goodGbps float64, blocked int64) {
-		eng := netsim.NewEngine()
-		opts := topo.TestbedOpts(1)
-		d := topo.NewDumbbell(eng, opts)
-		costs := ksim.DefaultCosts()
-		d.AttachCPUs(4, costs)
-		sender, receiver := d.Senders[0], d.Receivers[0]
-		u := tcp.NewBurstyUDP(tcp.NewUDPSource(d.UDPHost, 99, receiver.ID, 100e6),
-			20e6, 180e6, 200*netsim.Millisecond)
-		u.Start()
-		defer u.Stop()
+		d := rig.NewDumbbell(rig.DumbbellOpts{Background: rig.BurstyUDP})
+		eng := d.Eng
 
 		aur, _ := pretrainedNets()
-		lf := buildLFCore(eng, sender.CPU, aur, "m0")
+		ccfg := core.DefaultConfig()
+		ccfg.FlowCacheTimeout = 0 // long-lived flows; sweeper noise unwanted
+		lf := d.Deploy(ccfg, rig.Build(aur, ccfg.Quant, "m0")).Core
 		lf.SetFlowCache(false)
 
-		ctrl := cc.NewMIController(eng, core.NewFlowBackend(lf, 1), 500e6)
 		var lastDecision netsim.Time
 		var worstGap netsim.Time
-		ctrl.OnState = func(state []float64, a float64, mi cc.MISummary) {
-			now := eng.Now()
-			if lastDecision > 0 && now-lastDecision > worstGap {
-				worstGap = now - lastDecision
+		d.AddFlow(func(flow netsim.FlowID) tcp.CongestionControl {
+			ctrl := cc.NewMIController(eng, core.NewFlowBackend(lf, flow), 500e6)
+			ctrl.OnState = func(state []float64, a float64, mi cc.MISummary) {
+				now := eng.Now()
+				if lastDecision > 0 && now-lastDecision > worstGap {
+					worstGap = now - lastDecision
+				}
+				lastDecision = now
 			}
-			lastDecision = now
-		}
-		s := tcp.NewSender(sender, 1, receiver.ID, 0, ctrl)
-		rcv := tcp.NewReceiver(receiver, 1, sender.ID)
-		var bytes int64
-		measuring := false
-		rcv.OnDeliver = func(n int, now netsim.Time) {
-			if measuring {
-				bytes += int64(n)
-			}
-		}
-		s.Start()
+			return ctrl
+		})
 
 		warmup := cfg.dur(3 * netsim.Second)
 		installAt := warmup + cfg.dur(netsim.Second)
 		dur := cfg.dur(4 * netsim.Second)
 		eng.At(installAt, func() {
-			mod, err := codegen.Build(quant.Quantize(aur, core.DefaultConfig().Quant), "m1")
-			if err != nil {
-				panic(err)
-			}
+			mod := rig.Build(aur, ccfg.Quant, "m1")
 			if blocking {
 				if err := lf.InstallBlocking(mod, blockTime); err != nil {
 					panic(err)
@@ -125,12 +107,8 @@ func AblUpdate(cfg Config) Result {
 			}
 		})
 
-		eng.RunUntil(warmup)
-		measuring = true
-		eng.RunUntil(warmup + dur)
-		ctrl.Stop()
-		lf.StopSweeper()
-		return float64(worstGap) / 1e6, float64(bytes*8) / (float64(dur) / 1e9) / 1e9,
+		d.Run(warmup, dur)
+		return float64(worstGap) / 1e6, float64(d.Delivered(0)*8) / (float64(dur) / 1e9) / 1e9,
 			lf.Stats().BlockedQueries
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -36,10 +37,19 @@ func TestFleetCanaryUngatedFlagsRegression(t *testing.T) {
 // must be caught at the canary stage — the bad epoch activates on canary
 // members only, auto-rollback restores them to the prior released version,
 // and no non-canary member ever reports a blacklisted epoch in
-// MemberEpochs() at any sampled instant.
+// MemberEpochs() at any sampled instant. Members 3 is the odd case: the
+// fabric rounds it up to 4 hosts and everything must be sized from that.
 func TestFleetCanaryChaosAcceptance(t *testing.T) {
+	for _, members := range []int{4, 3} {
+		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
+			canaryChaosAcceptance(t, members)
+		})
+	}
+}
+
+func canaryChaosAcceptance(t *testing.T, members int) {
 	res := RunCanaryScenario(CanaryScenarioOpts{
-		Members: 4, CanaryCount: 1, Gate: true,
+		Members: members, CanaryCount: 1, Gate: true,
 		Seed: 1, Dur: netsim.Time(0.05 * float64(2*netsim.Second)),
 	})
 	st := res.Stats

@@ -5,59 +5,20 @@ import (
 	"sync"
 
 	"github.com/liteflow-sim/liteflow/internal/cc"
-	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/stats"
-	"github.com/liteflow-sim/liteflow/internal/tcp"
-	"github.com/liteflow-sim/liteflow/internal/topo"
 )
 
-// deployment selects how a congestion-control scheme is realized.
-type deployment int
-
-const (
-	depBBR deployment = iota
-	depCUBIC
-	depLFAurora
-	depLFMOCC
-	depLFDummy
-	depCCPAurora
-	depCCPMOCC
-)
-
-// scheme is one bar/line of the CC figures.
+// scheme is one bar/line of the CC figures: a display name over an entry of
+// the rig's scheme table.
 type scheme struct {
 	name     string
-	dep      deployment
+	key      string      // rig.Schemes key
 	interval netsim.Time // CCP exchange interval; 0 = per-ACK
-}
-
-// Per-ACK kernel compute costs of the classic controllers: BBR's max-filter
-// update is cheap; CUBIC's cube-root window computation is the expensive
-// kernel arithmetic the paper blames for CUBIC trailing the NN snapshots
-// (§5.1 "the complex CUBIC function needs to be calculated").
-const (
-	bbrAckCost   = 1 * netsim.Microsecond
-	cubicAckCost = 7 * netsim.Microsecond
-	dctcpAckCost = 1 * netsim.Microsecond
-)
-
-// ackCosted charges a fixed kernel cost per ACK around an inner controller.
-type ackCosted struct {
-	tcp.CongestionControl
-	cpu  *ksim.CPU
-	cost netsim.Time
-}
-
-func (a *ackCosted) OnAck(i tcp.AckInfo) {
-	if a.cpu != nil {
-		a.cpu.Charge(ksim.Kernel, a.cost)
-	}
-	a.CongestionControl.OnAck(i)
 }
 
 // Pretrained policy networks (deterministic). Pretraining runs once; every
@@ -81,22 +42,6 @@ func pretrainedNets() (*nn.Network, *nn.Network) {
 	return auroraNet.Clone(), moccNet.Clone()
 }
 
-// buildLFCore installs a quantized snapshot of net as a LiteFlow core module
-// on the given CPU.
-func buildLFCore(eng *netsim.Engine, cpu *ksim.CPU, net *nn.Network, name string) *core.Core {
-	cfg := core.DefaultConfig()
-	cfg.FlowCacheTimeout = 0 // long-lived flows; sweeper noise unwanted
-	c := core.New(eng, cpu, ksim.DefaultCosts(), cfg)
-	mod, err := codegen.Build(quant.Quantize(net, cfg.Quant), name)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	if _, err := c.RegisterModel(mod); err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return c
-}
-
 // ccRun configures one dumbbell run.
 type ccRun struct {
 	scheme      scheme
@@ -105,205 +50,82 @@ type ccRun struct {
 	warmup      netsim.Time
 	dur         netsim.Time
 	sampleQueue bool
-	// domains selects the engine: 0 builds the classic serial engine, ≥ 1
-	// builds a partitioned conservative-lookahead engine executing on that
-	// many worker goroutines (Config.Domains).
+	// domains selects the engine (Config.Domains).
 	domains int
 }
 
 // ccOut carries everything the CC figures read off a run.
 type ccOut struct {
-	perFlowGbps []float64
-	aggGbps     float64
+	aggGbps float64
 	// windows holds 0.1 s goodput samples of flow 0 (Gbps) — Figure 1a.
 	windows *stats.Dist
 	// queue holds (ms, bytes) bottleneck samples — Figure 1b.
 	queue *stats.TimeSeries
 	// report is the sender-host mpstat snapshot over the measured period.
 	report ksim.Report
-	// rateSeries is flow 0's goodput per 100 ms bin (Gbps) — Figure 2/12.
-	rateSeries []float64
 }
 
-// runCC executes one scheme on the §2.2 testbed analog: one sender host and
-// one receiver host (both 4-core), N flows between them, plus background UDP
+// runCC executes one scheme on the §2.2 testbed analog (rig.Dumbbell): N
+// flows between one sender and one receiver host, plus bursty background UDP
 // when congested.
-//
-// With r.domains ≥ 1 the dumbbell runs on a partitioned engine: each host and
-// switch is its own partition (BuildDumbbell), the congestion controllers and
-// the LiteFlow core live in the sender's partition, the goodput window tick
-// in the receiver's, and the queue sampler in the bottleneck's. In classic
-// mode (domains == 0) every partition view below aliases the one engine, so
-// the serial schedule — and the golden outputs — are untouched.
 func runCC(r ccRun) ccOut {
-	var eng *netsim.Engine
-	if r.domains >= 1 {
-		eng = netsim.NewParallelEngine(r.domains)
-	} else {
-		eng = netsim.NewEngine()
-	}
-	opts := topo.TestbedOpts(1)
-	if !r.congested {
-		opts.BottleneckBps = 40e9
-		opts.BufferBytes = 4 << 20
-	}
-	d := topo.NewDumbbell(eng, opts)
-	costs := ksim.DefaultCosts()
-	d.AttachCPUs(4, costs)
-	sender, receiver := d.Senders[0], d.Receivers[0]
-	cpu := sender.CPU
-
+	o := rig.DumbbellOpts{Domains: r.domains, FreePath: !r.congested}
 	if r.congested {
-		// Bursty background congestion averaging the paper's 0.1 Gbps:
-		// constant-rate backgrounds would let even 100 ms-stale control
-		// settle into a fixed point, hiding the responsiveness penalty.
-		u := tcp.NewBurstyUDP(tcp.NewUDPSource(d.UDPHost, 9999, receiver.ID, 100e6),
-			20e6, 180e6, 200*netsim.Millisecond)
-		u.Start()
-		defer u.Stop()
+		o.Background = rig.BurstyUDP
 	}
+	d := rig.NewDumbbell(o)
 
+	sch := rig.Schemes[r.scheme.key]
+	args := rig.SchemeArgs{Interval: r.scheme.interval, Flows: r.flows}
 	aur, mocc := pretrainedNets()
-
-	// Shared LiteFlow core for the LF deployments (one per host, §4.2).
-	var lfCore *core.Core
-	switch r.scheme.dep {
-	case depLFAurora, depLFDummy:
-		lfCore = buildLFCore(sender.Eng, cpu, aur, "aurora")
-	case depLFMOCC:
-		lfCore = buildLFCore(sender.Eng, cpu, mocc, "mocc")
+	switch sch.Model {
+	case "aurora":
+		args.Net = aur
+	case "mocc":
+		args.Net = mocc
 	}
-
-	var ctrls []*cc.MIController
-	makeCtrl := func(flow netsim.FlowID) tcp.CongestionControl {
-		const initRate = 500e6
-		switch r.scheme.dep {
-		case depBBR:
-			return &ackCosted{CongestionControl: cc.NewBBR(), cpu: cpu, cost: bbrAckCost}
-		case depCUBIC:
-			return &ackCosted{CongestionControl: cc.NewCubic(), cpu: cpu, cost: cubicAckCost}
-		case depLFAurora, depLFMOCC:
-			m := cc.NewMIController(sender.Eng, core.NewFlowBackend(lfCore, flow), initRate)
-			ctrls = append(ctrls, m)
-			return m
-		case depLFDummy:
-			// Same snapshot plumbing, but the generated code was edited to
-			// always emit full rate (paper §5.1): model as a constant +1
-			// action at kernel inference cost. "Line rate" in the scaled
-			// testbed is the CPU-bound ~1.6 Gbps the paper's 100 Gbps NICs
-			// correspond to (DESIGN.md §1); N flows share the NIC's pacing.
-			prog := lfCore.Active().Program()
-			inferCost := ksim.InferCost(costs.KernelInferPerMAC, prog.MACs())
-			b := &cc.DirectBackend{Policy: cc.PolicyFunc(func([]float64) float64 { return 1 }),
-				CPU: cpu, Cost: inferCost, Cat: ksim.Kernel}
-			m := cc.NewMIController(sender.Eng, b, initRate)
-			m.MaxRate = 1_600_000_000 / int64(r.flows)
-			ctrls = append(ctrls, m)
-			return m
-		case depCCPAurora, depCCPMOCC:
-			policy := cc.NewNNPolicy(aur)
-			macs := aur.MACs()
-			if r.scheme.dep == depCCPMOCC {
-				policy = cc.NewNNPolicy(mocc)
-				macs = mocc.MACs()
-			}
-			b := &cc.CCPBackend{Eng: sender.Eng, CPU: cpu, Costs: costs,
-				Policy: policy, Interval: r.scheme.interval, UserMACs: macs}
-			m := cc.NewMIController(sender.Eng, b, initRate)
-			ctrls = append(ctrls, m)
-			return m
-		}
-		panic("experiments: unknown deployment")
+	if sch.LF {
+		// Shared LiteFlow core for the LF deployments (one per host, §4.2).
+		cfg := core.DefaultConfig()
+		cfg.FlowCacheTimeout = 0 // long-lived flows; sweeper noise unwanted
+		d.Deploy(cfg, rig.Build(args.Net, cfg.Quant, sch.Model))
 	}
+	d.AddFlows(sch, args)
 
-	perFlow := make([]int64, r.flows)
+	// Flow-0 goodput windows every 100 ms (the paper measures every 0.1 s),
+	// ticking in the receiver's partition, which writes the byte counts.
 	win := stats.NewDist(256)
-	rateTS := stats.NewTimeSeries(100 * netsim.Millisecond)
 	var lastWindowBytes int64
-	measuring := false
-
-	for i := 0; i < r.flows; i++ {
-		i := i
-		flow := netsim.FlowID(i + 1)
-		s := tcp.NewSender(sender, flow, receiver.ID, 0, makeCtrl(flow))
-		rcv := tcp.NewReceiver(receiver, flow, sender.ID)
-		rcv.OnDeliver = func(n int, now netsim.Time) {
-			if !measuring {
-				return
-			}
-			perFlow[i] += int64(n)
-			if i == 0 {
-				rateTS.Add(now-r.warmup, float64(n))
-			}
-		}
-		s.Start()
-	}
-
-	// Flow-0 goodput windows every 100 ms (the paper measures every 0.1 s).
-	// The tick runs in the receiver's partition: perFlow is written by the
-	// receiver's OnDeliver, so sampling it anywhere else would race under
-	// windowed execution.
-	var windowTick func()
-	windowTick = func() {
-		receiver.Eng.After(100*netsim.Millisecond, func() {
-			if measuring {
-				delta := perFlow[0] - lastWindowBytes
-				lastWindowBytes = perFlow[0]
-				win.Add(float64(delta*8) / 0.1 / 1e9) // Gbps
-			}
-			windowTick()
-		})
-	}
-	windowTick()
+	d.Sample(d.Receiver.Eng, 100*netsim.Millisecond, func(netsim.Time) {
+		delta := d.Delivered(0) - lastWindowBytes
+		lastWindowBytes = d.Delivered(0)
+		win.Add(float64(delta*8) / 0.1 / 1e9) // Gbps
+	})
 
 	var queueTS *stats.TimeSeries
 	if r.sampleQueue {
 		queueTS = stats.NewTimeSeries(10 * netsim.Millisecond)
 		// The bottleneck queue belongs to the left switch's partition.
-		qEng := d.Bottleneck.Engine()
-		var qTick func()
-		qTick = func() {
-			qEng.After(10*netsim.Millisecond, func() {
-				if measuring {
-					queueTS.Add(qEng.Now()-r.warmup, float64(d.QueueBytes()))
-				}
-				qTick()
-			})
-		}
-		qTick()
+		d.Sample(d.Topo.Bottleneck.Engine(), 10*netsim.Millisecond, func(since netsim.Time) {
+			queueTS.Add(since, float64(d.Topo.QueueBytes()))
+		})
 	}
 
-	eng.RunUntil(r.warmup)
-	measuring = true
-	cpu.ResetAccounting()
-	receiver.CPU.ResetAccounting()
-	eng.RunUntil(r.warmup + r.dur)
-	measuring = false
-	for _, m := range ctrls {
-		m.Stop()
-	}
-	if lfCore != nil {
-		lfCore.StopSweeper()
-	}
+	d.Run(r.warmup, r.dur)
 
-	out := ccOut{windows: win, queue: queueTS, report: cpu.Report(), rateSeries: rateTS.RatePerSecond()}
+	out := ccOut{windows: win, queue: queueTS, report: d.Sender.CPU.Report()}
 	secs := float64(r.dur) / 1e9
-	for _, b := range perFlow {
-		g := float64(b*8) / secs / 1e9
-		out.perFlowGbps = append(out.perFlowGbps, g)
-		out.aggGbps += g
-	}
-	for i := range out.rateSeries {
-		out.rateSeries[i] = out.rateSeries[i] * 8 / 1e9 // bytes/s → Gbps
+	for i := 0; i < r.flows; i++ {
+		out.aggGbps += float64(d.Delivered(i)*8) / secs / 1e9
 	}
 	return out
 }
 
-// ccSchemes builds the named scheme list used across figures.
-func ccpScheme(dep deployment, label string, interval netsim.Time) scheme {
+// ccpScheme names one CCP line by its exchange interval.
+func ccpScheme(key, label string, interval netsim.Time) scheme {
 	suffix := "ACK"
 	if interval > 0 {
 		suffix = fmt.Sprintf("%dms", interval/netsim.Millisecond)
 	}
-	return scheme{name: label + "-" + suffix, dep: dep, interval: interval}
+	return scheme{name: label + "-" + suffix, key: key, interval: interval}
 }

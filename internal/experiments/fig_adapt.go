@@ -4,19 +4,15 @@ import (
 	"fmt"
 
 	"github.com/liteflow-sim/liteflow/internal/cc"
-	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
-	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/opt"
-	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/stats"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
-	"github.com/liteflow-sim/liteflow/internal/topo"
-	"github.com/liteflow-sim/liteflow/internal/workload"
 )
 
 // alphaUser is the user-provided implementation of the three LiteFlow
@@ -167,43 +163,16 @@ type adaptOut struct {
 func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 	switchPeriod netsim.Time, flows int) adaptOut {
 
-	eng := netsim.NewEngine()
-	opts := topo.TestbedOpts(1)
-	d := topo.BuildDumbbell(eng, opts, opt.WithScope(cfg.Obs))
-	costs := ksim.DefaultCosts()
-	d.ProvisionCPUs(4, costs, opt.WithScope(cfg.Obs))
-	sender, receiver := d.Senders[0], d.Receivers[0]
-	cpu := sender.CPU
-
-	// Deterministic fault injector: the decision streams derive from the
-	// experiment seed, so faulted runs are as reproducible as clean ones.
-	var inj *fault.Injector
-	if v.faults.Active() {
-		inj = fault.New(v.faults, cfg.Seed+11, cfg.Obs)
-		inj.StartCPUSpikes(eng, func(work int64) {
-			cpu.Charge(ksim.SoftIRQ, netsim.Time(work))
-		})
-		defer inj.StopCPUSpikes()
-	}
-
-	// Background UDP with a switching pattern: available bandwidth moves
-	// among 0.9, 0.6 and 0.3 Gbps.
-	udp := tcp.NewUDPSource(d.UDPHost, 9999, receiver.ID, 100e6)
-	udp.Start()
-	defer udp.Stop()
-	// The first rate is the model's training pattern (heavy background,
-	// 0.3 Gbps available); later patterns free up bandwidth a frozen model
-	// cannot claim.
-	var sw *workload.PatternSwitcher
-	if switchPeriod > 0 {
-		sw = workload.NewPatternSwitcher(eng, udp, switchPeriod,
-			[]int64{700e6, 100e6, 400e6}, cfg.Seed+7)
-		sw.StartAt(0) // pinned: the experiment premise needs this exact start
-
-		defer sw.Stop()
-	} else {
-		udp.SetRate(700e6)
-	}
+	// The first background pattern is the model's training pattern (0.3 Gbps
+	// available); later ones free up bandwidth a frozen model cannot claim.
+	// Fault decision streams derive from the experiment seed, so faulted runs
+	// are as reproducible as clean ones.
+	d := rig.NewDumbbell(rig.DumbbellOpts{
+		Background: rig.SwitchedUDP, SwitchPeriod: switchPeriod, SwitchSeed: cfg.Seed + 7,
+		Faults: v.faults, FaultSeed: cfg.Seed + 11,
+		Scope: cfg.Obs,
+	})
+	eng, cpu := d.Eng, d.Sender.CPU
 
 	// Userspace model, pre-trained for the 0.1 Gbps background pattern
 	// (α ≈ 0.88 of the 1 Gbps line).
@@ -220,109 +189,87 @@ func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 
 	// Kernel core + snapshot. Long-lived CC flows disable the flow cache
 	// so snapshot updates take effect mid-flow (paper §3.4 footnote).
-	coreCfg := core.DefaultConfig()
-	coreCfg.OutMin, coreCfg.OutMax = 0, 1
+	coreCfg := adaptiveCoreConfig()
 	coreCfg.FlowCacheTimeout = 0
-	// React within a few batches of a pattern change: a short stability
-	// window with a loose tolerance (self-supervised regression losses are
-	// noisy at 10-sample batches).
-	coreCfg.StabilityWindow = 2
-	coreCfg.StabilityTolerance = 1.0
-	coreOpts := []opt.Option{opt.WithScope(cfg.Obs)}
+	var coreOpts []opt.Option
 	if v.watchdog {
 		coreOpts = append(coreOpts, opt.WithWatchdog(opt.Watchdog{Window: int64(v.wdWindow)}))
 	}
-	lf := core.NewCore(eng, cpu, costs, coreCfg, coreOpts...)
+	dep := d.Deploy(coreCfg, rig.Build(userNet, coreCfg.Quant, "alpha0"), coreOpts...)
+	lf := dep.Core
 	lf.SetFlowCache(false)
-	mod, err := codegen.Build(quant.Quantize(userNet, coreCfg.Quant), "alpha0")
-	if err != nil {
-		panic(err)
-	}
-	if _, err := lf.RegisterModel(mod); err != nil {
-		panic(err)
-	}
 
 	// Slow path.
-	var svc *core.Service
-	var ch *netlink.Channel
 	user := newAlphaUser(userNet, 1e-2, cpu)
 	user.probeGain = probeGain
 	if v.adapt {
-		ch = netlink.NewChannel(eng, cpu, costs, nil,
-			opt.WithScope(cfg.Obs), opt.WithFaults(inj))
-		svc = core.NewSlowPath(lf, ch, user, user, user, opt.WithFaults(inj))
-		svc.Start(T)
+		dep.AttachSlowPath(cpu, user, T, d.Faults)
 	}
 
 	// Flows.
-	var ctrls []*cc.AlphaController
-	perFlow := make([]int64, flows)
 	ts := stats.NewTimeSeries(500 * netsim.Millisecond)
+	d.OnDeliver = func(flow, n int, since netsim.Time) {
+		if flow == 0 {
+			ts.Add(since, float64(n))
+		}
+	}
 	for i := 0; i < flows; i++ {
-		i := i
-		flow := netsim.FlowID(i + 1)
-		ctrl := cc.NewAlphaController(eng, core.NewFlowBackend(lf, flow), opts.BottleneckBps, 0.28)
-		if v.adapt {
-			ctrl.OnState = func(state []float64, alpha float64, mi cc.MISummary) {
-				durMI := mi.End - mi.Start
-				if durMI <= 0 {
-					return
+		d.AddFlow(func(flow netsim.FlowID) tcp.CongestionControl {
+			ctrl := cc.NewAlphaController(eng, core.NewFlowBackend(lf, flow), d.BottleneckBps, 0.28)
+			if v.adapt {
+				ctrl.OnState = func(state []float64, alpha float64, mi cc.MISummary) {
+					durMI := mi.End - mi.Start
+					if durMI <= 0 {
+						return
+					}
+					delivered := float64(mi.AckedBytes) * 8 / (float64(durMI) / 1e9) / float64(d.BottleneckBps)
+					latRatio := 0.0
+					if mi.MinRTT > 0 && mi.MinRTT < 1<<62 && mi.AvgRTT > 0 {
+						latRatio = float64(mi.AvgRTT)/float64(mi.MinRTT) - 1
+					}
+					lossFrac := 0.0
+					if mi.AckedBytes+mi.LostBytes > 0 {
+						lossFrac = float64(mi.LostBytes) / float64(mi.AckedBytes+mi.LostBytes)
+					}
+					dep.Chan.Push(core.EncodeSample(core.Sample{
+						Input: append([]float64(nil), state...),
+						Aux:   []float64{alpha, delivered, latRatio, lossFrac},
+						At:    eng.Now(),
+					}))
 				}
-				delivered := float64(mi.AckedBytes) * 8 / (float64(durMI) / 1e9) / float64(opts.BottleneckBps)
-				latRatio := 0.0
-				if mi.MinRTT > 0 && mi.MinRTT < 1<<62 && mi.AvgRTT > 0 {
-					latRatio = float64(mi.AvgRTT)/float64(mi.MinRTT) - 1
-				}
-				lossFrac := 0.0
-				if mi.AckedBytes+mi.LostBytes > 0 {
-					lossFrac = float64(mi.LostBytes) / float64(mi.AckedBytes+mi.LostBytes)
-				}
-				ch.Push(core.EncodeSample(core.Sample{
-					Input: append([]float64(nil), state...),
-					Aux:   []float64{alpha, delivered, latRatio, lossFrac},
-					At:    eng.Now(),
-				}))
 			}
-		}
-		ctrls = append(ctrls, ctrl)
-		s := tcp.NewSender(sender, flow, receiver.ID, 0, ctrl)
-		rcv := tcp.NewReceiver(receiver, flow, sender.ID)
-		rcv.OnDeliver = func(n int, now netsim.Time) {
-			perFlow[i] += int64(n)
-			if i == 0 {
-				ts.Add(now, float64(n))
-			}
-		}
-		s.Start()
+			return ctrl
+		})
 	}
 
-	cpu.ResetAccounting()
-	eng.RunUntil(dur)
-	for _, c := range ctrls {
-		c.Stop()
-	}
-	if ch != nil {
-		ch.StopBatching()
-	}
-	lf.StopSweeper()
-	lf.StopWatchdog()
+	d.Run(0, dur)
 
 	out := adaptOut{report: cpu.Report(), coreStats: lf.Stats()}
-	if svc != nil {
-		out.updates = svc.Stats().Updates
-		out.svcStats = svc.Stats()
+	if dep.Svc != nil {
+		out.updates = dep.Svc.Stats().Updates
+		out.svcStats = dep.Svc.Stats()
 	}
-	if inj != nil {
-		out.faultStats = inj.Stats()
+	if d.Faults != nil {
+		out.faultStats = d.Faults.Stats()
 	}
-	if sw != nil {
-		out.switches = sw.Switches
+	if d.Switcher != nil {
+		out.switches = d.Switcher.Switches
 	}
 	for _, v := range ts.RatePerSecond() {
 		out.rateGbps = append(out.rateGbps, v*8/1e9)
 	}
-	out.meanGbps = float64(perFlow[0]*8) / (float64(dur) / 1e9) / 1e9
+	out.meanGbps = float64(d.Delivered(0)*8) / (float64(dur) / 1e9) / 1e9
 	return out
+}
+
+// series renders the run's 500 ms goodput bins as one figure line.
+func (o adaptOut) series(name string) Series {
+	s := Series{Name: name}
+	for i, g := range o.rateGbps {
+		s.X = append(s.X, float64(i)*0.5)
+		s.Y = append(s.Y, g)
+	}
+	return s
 }
 
 // Fig05 reproduces Figure 5: a one-time quantized kernel model performs well
@@ -336,17 +283,7 @@ func Fig05(cfg Config) Result {
 	static := runAdaptation(cfg, adaptVariant{name: "static", adapt: false}, 0, dur, period, 1)
 	adapted := runAdaptation(cfg, adaptVariant{name: "adapted", adapt: true},
 		100*netsim.Millisecond, dur, period, 1)
-	for _, v := range []struct {
-		name string
-		out  adaptOut
-	}{{"kernel-static-Aurora", static}, {"adaptive-reference", adapted}} {
-		s := Series{Name: v.name}
-		for i, g := range v.out.rateGbps {
-			s.X = append(s.X, float64(i)*0.5)
-			s.Y = append(s.Y, g)
-		}
-		res.Series = append(res.Series, s)
-	}
+	res.Series = append(res.Series, static.series("kernel-static-Aurora"), adapted.series("adaptive-reference"))
 	// Quantify: in the training pattern both match; once the environment
 	// changes the frozen snapshot leaves the freed bandwidth unclaimed.
 	n := len(static.rateGbps)
@@ -376,12 +313,7 @@ func Fig12(cfg Config) Result {
 	}
 	for _, v := range variants {
 		out := runAdaptation(cfg, v, 100*netsim.Millisecond, dur, period, 1)
-		s := Series{Name: v.name}
-		for i, g := range out.rateGbps {
-			s.X = append(s.X, float64(i)*0.5)
-			s.Y = append(s.Y, g)
-		}
-		res.Series = append(res.Series, s)
+		res.Series = append(res.Series, out.series(v.name))
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s: mean %.3f Gbps, %d snapshot updates, %d pattern switches (batches %d, converged %d, fidelity checks %d, skipped %d)",
 			v.name, out.meanGbps, out.updates, out.switches,

@@ -2,43 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/fleet"
-	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
-	"github.com/liteflow-sim/liteflow/internal/topo"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 )
-
-// canaryUser is the canary experiment's slow-path model. It drifts like
-// fleetDriftUser to keep epochs minting, and at a scheduled virtual time it is
-// swapped to a deliberately bloated network (same input/output dims, huge
-// hidden layer) — a "bad push" whose next minted epoch carries ~250× the
-// MACs, so every member that installs it pays a visibly larger kernel
-// inference cost.
-type canaryUser struct {
-	net        *nn.Network
-	driftEvery int
-	rounds     int
-	sign       float64
-}
-
-func (u *canaryUser) Freeze() *nn.Network          { return u.net }
-func (u *canaryUser) Stability() float64           { return 0.5 }
-func (u *canaryUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
-func (u *canaryUser) Adapt([]core.Sample) {
-	u.rounds++
-	if u.driftEvery > 0 && u.rounds%u.driftEvery == 0 {
-		out := u.net.Layers[len(u.net.Layers)-1]
-		out.B[0] += u.sign * 0.5
-		u.sign = -u.sign
-	}
-}
 
 // bloat returns a functionally offset copy of base with its hidden layer
 // padded to the given width: the original hidden units (weights and biases)
@@ -126,11 +97,7 @@ func (r CanaryScenarioResult) LatencyRatio() float64 {
 // the cohort on its goodput collapse, rolls it back, and blacklists the epoch
 // — non-canary members never see it.
 func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
-	const (
-		aggDivisor = 40
-		driftEvery = 6
-		flowLen    = 16
-	)
+	const aggDivisor = 40
 	if o.Members <= 0 {
 		o.Members = 4
 	}
@@ -147,55 +114,24 @@ func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
 		agg = 200 * netsim.Microsecond
 	}
 
-	// The flight recorder needs a live registry to sample. Use the caller's
-	// when observability is on; otherwise run a private one — the simulation
-	// is identical either way, obs is passive.
-	sc := o.Obs
-	reg := sc.Registry()
-	if reg == nil {
-		reg = obs.NewRegistry()
-		sc = obs.New(reg, nil)
-	}
-	fr := o.Flight
-	if fr == nil {
-		fr = obs.NewFlightRecorder(0)
-	}
-	flightEvery := o.FlightEvery
-	if flightEvery <= 0 {
-		flightEvery = agg / 2
-	}
-
-	eng := netsim.NewEngine()
-	fabric := topo.BuildSpineLeaf(eng, topo.DefaultSpineLeafOpts((o.Members+1)/2), opt.WithScope(sc))
-	costs := ksim.DefaultCosts()
-	fabric.ProvisionCPUs(4, costs, opt.WithScope(sc))
-
-	user := &canaryUser{
-		net:        nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, o.Seed),
-		driftEvery: driftEvery,
-		sign:       1,
-	}
-	ccfg := core.DefaultConfig()
-	ccfg.FlowCacheShards = o.CacheShards
-	fcfg := fleet.Config{
-		BatchInterval:         agg,
-		AggregationInterval:   agg,
-		MaxConcurrentInstalls: 2,
+	// The figure reads the flight recording even ungated, so the rig runs a
+	// private registry/recorder when the caller's scope has none. Gated, the
+	// verdict window is the rig's default 4 aggregation rounds: long enough
+	// for the recorder (sampling at agg/2) to hold several points in both the
+	// baseline and observation windows, short enough that a bad epoch is
+	// caught within a fraction of the run.
+	ro := rig.FleetOpts{
+		Members: o.Members, Seed: o.Seed, Agg: agg, Dur: dur, End: end,
+		CacheShards: o.CacheShards,
+		ReadsFlight: true,
+		Scope:       o.Obs, Flight: o.Flight, FlightEvery: o.FlightEvery,
+		Stream: rig.Stream{Every: 5 * netsim.Microsecond, ClosedLoop: true, FlowLen: 16},
 	}
 	if o.Gate {
-		// The verdict window is 4 aggregation rounds: long enough for the
-		// flight recorder (sampling at agg/2) to hold several points in both
-		// the baseline and observation windows, short enough that a bad epoch
-		// is caught within a fraction of the run.
-		fcfg.CanaryCount = o.CanaryCount
-		fcfg.CanaryWindow = 4 * agg
-		fcfg.Flight = fr
+		ro.CanaryCount = o.CanaryCount
 	}
-	spec := topo.FleetSpec{Costs: costs, Core: ccfg, Fleet: fcfg}
-	ctrl := fabric.ProvisionFleet(spec, user, user, user, opt.WithScope(sc))
-	if err := ctrl.Start(); err != nil {
-		panic("experiments: fleet canary: " + err.Error())
-	}
+	f := rig.NewFleet(ro)
+	eng, ctrl, fr := f.Eng, f.Ctrl, f.Flight
 
 	// The bad push: swap the slow-path model for the bloated network and stop
 	// drifting. Ungated, exactly one degraded epoch is minted and the
@@ -203,79 +139,26 @@ func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
 	// still-bloated model is caught at the canary stage in turn. Hidden-layer
 	// growth is legal for RegisterModel (input/output dims are pinned).
 	eng.At(dur, func() {
-		user.net = bloat(user.net, 2048, 1.0, o.Seed+7)
-		user.driftEvery = 0
+		f.User.Net = bloat(f.User.Net, 2048, 1.0, o.Seed+7)
+		f.User.DriftEvery = 0
 	})
-
-	// Closed-loop per-member query stream. Flows are short-lived (flowLen
-	// queries, then FIN + a fresh flow) — snapshots pin per flow at first use
-	// (§3.4 flow consistency), so churn is what lets new flows pick up a
-	// freshly activated version.
-	queryEvery := 5 * netsim.Microsecond
-	for i, m := range ctrl.Members() {
-		i, m := i, m
-		rng := rand.New(rand.NewSource(o.Seed + 31*int64(i)))
-		in := make([]int64, 4)
-		out := make([]int64, 1)
-		flow := netsim.FlowID(i*1_000_000 + 1)
-		sent := 0
-		var tick func()
-		tick = func() {
-			sample := core.Sample{Input: make([]float64, 4), At: eng.Now()}
-			for k := range in {
-				sample.Input[k] = rng.Float64()*2 - 1
-				in[k] = int64(sample.Input[k] * 100)
-			}
-			m.Core.QueryModel(flow, in, out)
-			m.Chan.Push(core.EncodeSample(sample))
-			if sent++; sent%flowLen == 0 {
-				m.Core.FlowFinished(flow)
-				flow++
-			}
-			next := queryEvery
-			if act := m.Core.Active(); act != nil {
-				next += ksim.InferCost(costs.KernelInferPerMAC, act.Program().MACs())
-			}
-			if eng.Now() < end {
-				eng.After(next, tick)
-			}
-		}
-		eng.After(queryEvery, tick)
-	}
-
-	// Flight-recorder tick: snapshot every series in the registry. The gated
-	// controller's verdict reads these same samples.
-	var flightTick func()
-	flightTick = func() {
-		fr.Sample(reg, int64(eng.Now()))
-		if eng.Now() < end {
-			eng.After(flightEvery, flightTick)
-		}
-	}
-	eng.After(flightEvery, flightTick)
 
 	// Epoch-history tick: record each member's active epoch 4× per
 	// aggregation round, so the acceptance test can prove a blacklisted epoch
 	// was never live on a non-canary member at any sampled instant.
-	seen := make([][]int64, o.Members)
-	var epochTick func()
-	epochTick = func() {
+	seen := make([][]int64, len(ctrl.Members()))
+	epochTick := func() {
 		for i, e := range ctrl.MemberEpochs() {
 			if n := len(seen[i]); n == 0 || seen[i][n-1] != e {
 				seen[i] = append(seen[i], e)
 			}
 		}
-		if eng.Now() < end {
-			eng.After(agg/4, epochTick)
-		}
 	}
 	epochTick()
+	rig.Every(eng, agg/4, end, epochTick)
 
 	eng.RunUntil(end)
-	ctrl.Stop()
-	for _, m := range ctrl.Members() {
-		m.Core.StopSweeper()
-	}
+	f.Stop()
 
 	// Compare the steady window before the bad push against the window after
 	// the rollout (or the gate's block) settles. [dur, 3dur/2] is left out as

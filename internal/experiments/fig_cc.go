@@ -15,18 +15,18 @@ func Fig11(cfg Config) Result {
 	res := Result{ID: "fig11", Title: "CC goodput across deployments (1 flow, congested)",
 		XLabel: "scheme idx", YLabel: "goodput Gbps"}
 	schemes := []scheme{
-		{name: "LF-Aurora", dep: depLFAurora},
-		ccpScheme(depCCPAurora, "CCP-Aurora", 0),
-		ccpScheme(depCCPAurora, "CCP-Aurora", netsim.Millisecond),
-		ccpScheme(depCCPAurora, "CCP-Aurora", 10*netsim.Millisecond),
-		ccpScheme(depCCPAurora, "CCP-Aurora", 100*netsim.Millisecond),
-		{name: "LF-MOCC", dep: depLFMOCC},
-		ccpScheme(depCCPMOCC, "CCP-MOCC", 0),
-		ccpScheme(depCCPMOCC, "CCP-MOCC", netsim.Millisecond),
-		ccpScheme(depCCPMOCC, "CCP-MOCC", 10*netsim.Millisecond),
-		ccpScheme(depCCPMOCC, "CCP-MOCC", 100*netsim.Millisecond),
-		{name: "BBR", dep: depBBR},
-		{name: "CUBIC", dep: depCUBIC},
+		{name: "LF-Aurora", key: "lf-aurora"},
+		ccpScheme("ccp-aurora", "CCP-Aurora", 0),
+		ccpScheme("ccp-aurora", "CCP-Aurora", netsim.Millisecond),
+		ccpScheme("ccp-aurora", "CCP-Aurora", 10*netsim.Millisecond),
+		ccpScheme("ccp-aurora", "CCP-Aurora", 100*netsim.Millisecond),
+		{name: "LF-MOCC", key: "lf-mocc"},
+		ccpScheme("ccp-mocc", "CCP-MOCC", 0),
+		ccpScheme("ccp-mocc", "CCP-MOCC", netsim.Millisecond),
+		ccpScheme("ccp-mocc", "CCP-MOCC", 10*netsim.Millisecond),
+		ccpScheme("ccp-mocc", "CCP-MOCC", 100*netsim.Millisecond),
+		{name: "BBR", key: "bbr"},
+		{name: "CUBIC", key: "cubic"},
 	}
 	mean := Series{Name: "goodput"}
 	for i, sc := range schemes {
@@ -51,33 +51,16 @@ func Fig11(cfg Config) Result {
 func Fig13(cfg Config) Result {
 	res := Result{ID: "fig13", Title: "Deployment overhead: normalized aggregate throughput",
 		XLabel: "flows N", YLabel: "throughput / BBR"}
-	ns := []int{2, 4, 6, 8, 10}
-	schemes := []scheme{
-		{name: "BBR", dep: depBBR},
-		{name: "CUBIC", dep: depCUBIC},
-		{name: "LF-Aurora", dep: depLFAurora},
-		{name: "LF-MOCC", dep: depLFMOCC},
-		ccpScheme(depCCPAurora, "CCP-Aurora", netsim.Millisecond),
-		ccpScheme(depCCPMOCC, "CCP-MOCC", netsim.Millisecond),
-	}
-	base := make(map[int]float64)
-	for _, sc := range schemes {
-		s := Series{Name: sc.name}
-		for _, n := range ns {
-			out := runCC(ccRun{scheme: sc, flows: n, congested: false,
-				warmup: cfg.dur(2 * netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains})
-			if sc.dep == depBBR {
-				base[n] = out.aggGbps
-				res.Notes = append(res.Notes, fmt.Sprintf("BBR N=%d aggregate %.2f Gbps", n, out.aggGbps))
-			}
-			norm := 0.0
-			if base[n] > 0 {
-				norm = out.aggGbps / base[n]
-			}
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, norm)
-		}
-		res.Series = append(res.Series, s)
+	series, bbr := normalizedToBBR(cfg, []scheme{
+		{name: "CUBIC", key: "cubic"},
+		{name: "LF-Aurora", key: "lf-aurora"},
+		{name: "LF-MOCC", key: "lf-mocc"},
+		ccpScheme("ccp-aurora", "CCP-Aurora", netsim.Millisecond),
+		ccpScheme("ccp-mocc", "CCP-MOCC", netsim.Millisecond),
+	})
+	res.Series = series
+	for _, n := range []int{2, 4, 6, 8, 10} {
+		res.Notes = append(res.Notes, fmt.Sprintf("BBR N=%d aggregate %.2f Gbps", n, bbr[n]))
 	}
 	return res
 }
@@ -92,9 +75,9 @@ func FigDummy(cfg Config) Result {
 	ns := []int{2, 4, 6}
 	s := Series{Name: "LF-Dummy-NN"}
 	for _, n := range ns {
-		bbr := runCC(ccRun{scheme: scheme{name: "BBR", dep: depBBR}, flows: n, congested: false,
+		bbr := runCC(ccRun{scheme: scheme{name: "BBR", key: "bbr"}, flows: n, congested: false,
 			warmup: cfg.dur(netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains})
-		dummy := runCC(ccRun{scheme: scheme{name: "LF-Dummy", dep: depLFDummy}, flows: n, congested: false,
+		dummy := runCC(ccRun{scheme: scheme{name: "LF-Dummy", key: "lf-dummy"}, flows: n, congested: false,
 			warmup: cfg.dur(netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains})
 		norm := 0.0
 		if bbr.aggGbps > 0 {

@@ -2,44 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
-	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/fleet"
-	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
-	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/scenario"
-	"github.com/liteflow-sim/liteflow/internal/topo"
 )
-
-// fleetDriftUser is the fleet scenario's slow-path model: stability is
-// constant (the correctness gate opens after one window), and every
-// driftEvery pooled adaptation rounds the output bias jumps by ±0.5 — a
-// traffic-dynamics step large enough to trip the necessity gate and mint a
-// new fleet epoch, after which the rebuilt snapshot tracks the drifted net
-// and the gate goes quiet until the next jump.
-type fleetDriftUser struct {
-	net        *nn.Network
-	driftEvery int // 0 disables drift
-	rounds     int
-	sign       float64
-}
-
-func (u *fleetDriftUser) Freeze() *nn.Network          { return u.net }
-func (u *fleetDriftUser) Stability() float64           { return 0.5 }
-func (u *fleetDriftUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
-func (u *fleetDriftUser) Adapt([]core.Sample) {
-	u.rounds++
-	if u.driftEvery > 0 && u.rounds%u.driftEvery == 0 {
-		out := u.net.Layers[len(u.net.Layers)-1]
-		out.B[0] += u.sign * 0.5
-		u.sign = -u.sign
-	}
-}
 
 // FleetScenarioOpts parameterizes one fleet distribution-plane run. The same
 // scenario backs the fleet-scale experiment, cmd/lfsim -fleet, and the
@@ -91,10 +61,7 @@ type FleetScenarioResult struct {
 // the core, installs park, and the recovery tail (Dur..2×Dur, drift off)
 // must bring every member back to epoch parity.
 func RunFleetScenario(o FleetScenarioOpts) FleetScenarioResult {
-	const (
-		aggDivisor = 100 // aggregation rounds per measured window
-		driftEvery = 6   // pooled rounds between traffic-dynamics steps
-	)
+	const aggDivisor = 100 // aggregation rounds per measured window
 	dur := o.Dur
 	agg := dur / aggDivisor
 	if agg < 200*netsim.Microsecond {
@@ -102,173 +69,53 @@ func RunFleetScenario(o FleetScenarioOpts) FleetScenarioResult {
 	}
 	end := 2 * dur
 
-	// Canary gating needs flight-recorder evidence: when the caller brought
-	// no registry or recorder, provision private ones so the gate can see.
-	// Telemetry is passive either way — the simulation is identical.
-	if o.CanaryCount > 0 {
-		if o.Obs.Registry() == nil {
-			o.Obs = obs.New(obs.NewRegistry(), nil)
-		}
-		if o.Flight == nil {
-			o.Flight = obs.NewFlightRecorder(0)
-		}
+	// Feeding continues through the recovery tail so parked members have
+	// batches to catch up on.
+	stream := rig.Stream{Every: agg / 8}
+	if stream.Every < 10*netsim.Microsecond {
+		stream.Every = 10 * netsim.Microsecond
 	}
-
-	eng := netsim.NewEngine()
-	hostsPerLeaf := (o.Members + 1) / 2
-	if hostsPerLeaf < 1 {
-		hostsPerLeaf = 1
+	if o.Workload != nil {
+		stream.Density = o.Workload.ArrivalDensity
 	}
-	fabric := topo.BuildSpineLeaf(eng, topo.DefaultSpineLeafOpts(hostsPerLeaf), opt.WithScope(o.Obs))
-	fabric.ProvisionCPUs(4, ksim.DefaultCosts(), opt.WithScope(o.Obs))
-	members := len(fabric.Hosts)
-
-	user := &fleetDriftUser{
-		net:        nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, o.Seed),
-		driftEvery: driftEvery,
-		sign:       1,
-	}
-	ccfg := core.DefaultConfig()
-	ccfg.FlowCacheShards = o.CacheShards
-	spec := topo.FleetSpec{
-		Costs: ksim.DefaultCosts(),
-		Core:  ccfg,
-		Fleet: fleet.Config{
-			BatchInterval:         agg,
-			AggregationInterval:   agg,
-			MaxConcurrentInstalls: 2,
-		},
-		CoreOptions: nil, // set below
-	}
-	if o.CanaryCount > 0 {
-		win := o.CanaryWindow
-		if win <= 0 {
-			win = 4 * agg
-		}
-		spec.Fleet.CanaryCount = o.CanaryCount
-		spec.Fleet.CanaryWindow = win
-		spec.Fleet.Flight = o.Flight
-	}
-	spec.CoreOptions = func(host int) []opt.Option {
-		// Watchdog window: a few missed batch intervals mean the slow
-		// path is dark for this member; degrade instead of waiting on a
-		// half-installed standby.
-		return []opt.Option{opt.WithWatchdog(opt.Watchdog{Window: int64(4 * agg)})}
+	ro := rig.FleetOpts{
+		Members: o.Members, Seed: o.Seed, Agg: agg, Dur: dur, End: end,
+		CacheShards: o.CacheShards,
+		CanaryCount: o.CanaryCount, CanaryWindow: o.CanaryWindow,
+		Scope: o.Obs, Flight: o.Flight, FlightEvery: o.FlightEvery,
+		Stream: stream,
 	}
 	if o.Chaos {
-		spec.MemberOptions = func(host int) []opt.Option {
-			if host%2 == 0 {
-				return nil
-			}
-			inj := fault.New(fault.Profile{
-				OutagePeriod:   int64(dur / 4),
-				OutageDuration: int64(dur / 10),
-			}, o.Seed*1009+int64(host), o.Obs)
-			return []opt.Option{opt.WithFaults(inj)}
-		}
+		ro.OddFaults = fault.Profile{OutagePeriod: int64(dur / 4), OutageDuration: int64(dur / 10)}
 	}
-	ctrl := fabric.ProvisionFleet(spec, user, user, user, opt.WithScope(o.Obs))
-	if err := ctrl.Start(); err != nil {
-		panic("experiments: fleet scenario: " + err.Error())
-	}
-
-	// Per-member datapath: a seeded query stream against the member core,
-	// with every query mirrored into the member's sample batch (the paper's
-	// kernel-side collector). Feeding continues through the recovery tail so
-	// parked members have batches to catch up on.
-	var queries int64
-	measuring := true
-	queryEvery := agg / 8
-	if queryEvery < 10*netsim.Microsecond {
-		queryEvery = 10 * netsim.Microsecond
-	}
-	// nextGap is the inter-query gap: flat by default, or thinned/bunched by
-	// the workload scenario's arrival density at the current point of the
-	// run. Density is floored so a zero-trough diurnal never stalls a member.
-	nextGap := func() netsim.Time { return queryEvery }
-	if o.Workload != nil {
-		nextGap = func() netsim.Time {
-			den := o.Workload.ArrivalDensity(float64(eng.Now()) / float64(end))
-			if den < 0.05 {
-				den = 0.05
-			}
-			return netsim.Time(float64(queryEvery) / den)
-		}
-	}
-	for i, m := range ctrl.Members() {
-		i, m := i, m
-		rng := rand.New(rand.NewSource(o.Seed + 31*int64(i)))
-		in := make([]int64, 4)
-		out := make([]int64, 1)
-		flow := netsim.FlowID(i + 1)
-		var tick func()
-		tick = func() {
-			sample := core.Sample{Input: make([]float64, 4), At: eng.Now()}
-			for k := range in {
-				sample.Input[k] = rng.Float64()*2 - 1
-				in[k] = int64(sample.Input[k] * 100)
-			}
-			if err := m.Core.QueryModel(flow, in, out); err == nil && measuring {
-				queries++
-			}
-			m.Chan.Push(core.EncodeSample(sample))
-			if eng.Now() < end {
-				eng.After(nextGap(), tick)
-			}
-		}
-		eng.After(nextGap(), tick)
-	}
-
-	// Flight recorder: snapshot every registry series on a virtual-time tick.
-	if o.Flight != nil && o.Obs.Registry() != nil {
-		freg := o.Obs.Registry()
-		every := o.FlightEvery
-		if every <= 0 {
-			every = agg / 2
-		}
-		var flightTick func()
-		flightTick = func() {
-			o.Flight.Sample(freg, int64(eng.Now()))
-			if eng.Now() < end {
-				eng.After(every, flightTick)
-			}
-		}
-		eng.After(every, flightTick)
-	}
+	f := rig.NewFleet(ro)
+	eng, ctrl := f.Eng, f.Ctrl
 
 	// Staleness integral: sample the lag gauge on a fixed cadence.
 	staleSum, staleSamples, peakStale := 0.0, 0, 0
-	var sampleStale func()
-	sampleStale = func() {
+	rig.Every(eng, agg/2, end, func() {
 		s := ctrl.StaleMembers()
 		staleSum += float64(s)
 		staleSamples++
 		if s > peakStale {
 			peakStale = s
 		}
-		if eng.Now() < end {
-			eng.After(agg/2, sampleStale)
-		}
-	}
-	eng.After(agg/2, sampleStale)
+	})
 
 	// Drift stops at the end of the measured window; the tail is pure
 	// distribution-plane recovery (outage gaps let dark members catch up).
-	eng.At(dur, func() { user.driftEvery = 0; measuring = false })
+	eng.At(dur, func() { f.User.DriftEvery = 0 })
 
 	eng.RunUntil(dur)
 	for eng.Now() < end && ctrl.StaleMembers() > 0 {
 		eng.RunUntil(eng.Now() + agg)
 	}
-	ctrl.Stop()
-	for _, m := range ctrl.Members() {
-		m.Core.StopSweeper()
-	}
+	f.Stop()
 
 	return FleetScenarioResult{
-		Members:     members,
-		Queries:     queries,
-		GoodputQPS:  float64(queries) / (float64(dur) / 1e9),
+		Members:     len(ctrl.Members()),
+		Queries:     f.Queries,
+		GoodputQPS:  float64(f.Queries) / (float64(dur) / 1e9),
 		MeanStale:   staleSum / float64(staleSamples),
 		PeakStale:   peakStale,
 		Epochs:      ctrl.MemberEpochs(),
@@ -293,30 +140,22 @@ func FigFleetScale(cfg Config) Result {
 	const baseDur = 4 * netsim.Second
 	dur := cfg.dur(baseDur)
 
-	goodputClean := Series{Name: "goodput-clean"}
-	goodputChaos := Series{Name: "goodput-chaos"}
-	staleClean := Series{Name: "stale-clean"}
-	staleChaos := Series{Name: "stale-chaos"}
+	// Indexed by variant: 0 clean, 1 chaos.
+	goodput := [2]Series{{Name: "goodput-clean"}, {Name: "goodput-chaos"}}
+	stale := [2]Series{{Name: "stale-clean"}, {Name: "stale-chaos"}}
 
 	for _, members := range []int{2, 4, 8} {
-		for _, chaos := range []bool{false, true} {
+		for v, chaos := range []bool{false, true} {
 			r := RunFleetScenario(FleetScenarioOpts{
 				Members: members, Seed: cfg.Seed, Dur: dur, Chaos: chaos,
 				Obs: cfg.Obs, CacheShards: cfg.CacheShards,
 				Flight: cfg.Flight, FlightEvery: cfg.FlightEvery,
 			})
 			x := float64(r.Members)
-			if chaos {
-				goodputChaos.X = append(goodputChaos.X, x)
-				goodputChaos.Y = append(goodputChaos.Y, r.GoodputQPS)
-				staleChaos.X = append(staleChaos.X, x)
-				staleChaos.Y = append(staleChaos.Y, r.MeanStale)
-			} else {
-				goodputClean.X = append(goodputClean.X, x)
-				goodputClean.Y = append(goodputClean.Y, r.GoodputQPS)
-				staleClean.X = append(staleClean.X, x)
-				staleClean.Y = append(staleClean.Y, r.MeanStale)
-			}
+			goodput[v].X = append(goodput[v].X, x)
+			goodput[v].Y = append(goodput[v].Y, r.GoodputQPS)
+			stale[v].X = append(stale[v].X, x)
+			stale[v].Y = append(stale[v].Y, r.MeanStale)
 			variant := "clean"
 			if chaos {
 				variant = "chaos"
@@ -328,6 +167,6 @@ func FigFleetScale(cfg Config) Result {
 				r.Stats.OutageDrops, r.PeakStale, r.Stats.StaleMembers))
 		}
 	}
-	res.Series = append(res.Series, goodputClean, goodputChaos, staleClean, staleChaos)
+	res.Series = append(res.Series, goodput[0], goodput[1], stale[0], stale[1])
 	return res
 }

@@ -10,7 +10,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/opt"
-	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/workload"
 )
 
@@ -47,23 +47,16 @@ func FigFlowChurn(cfg Config) Result {
 	ccfg := core.DefaultConfig()
 	ccfg.FlowCacheTimeout = cacheTO
 	ccfg.FlowCacheShards = cfg.CacheShards
-	lf := core.NewCore(eng, nil, ksim.DefaultCosts(), ccfg, opt.WithScope(cfg.Obs))
-
 	// Pre-build a few interchangeable snapshot payloads outside the event
 	// loop (codegen is the expensive part); the adaptation loop re-registers
 	// them round-robin, each registration becoming a fresh Model generation.
 	mods := make([]*codegen.Module, prebuiltMod)
 	for i := range mods {
 		net := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Tanh}, cfg.Seed+int64(i))
-		mod, err := codegen.Build(quant.Quantize(net, ccfg.Quant), fmt.Sprintf("churn%d", i))
-		if err != nil {
-			panic("experiments: " + err.Error())
-		}
-		mods[i] = mod
+		mods[i] = rig.Build(net, ccfg.Quant, fmt.Sprintf("churn%d", i))
 	}
-	if _, err := lf.RegisterModel(mods[0]); err != nil {
-		panic("experiments: " + err.Error())
-	}
+	dep := rig.Deploy(eng, nil, ksim.DefaultCosts(), ccfg, mods[0], opt.WithScope(cfg.Obs))
+	lf := dep.Core
 
 	// Long-lived adaptation loop: a new snapshot activates every dur/adaptGens.
 	installs := 0
@@ -148,7 +141,7 @@ func FigFlowChurn(cfg Config) Result {
 	// Drain: let the longest-lived flows finish and idle entries expire, so
 	// refcounts return to zero and retired snapshots unload.
 	eng.Run()
-	lf.StopSweeper()
+	dep.Stop()
 	res.Series = append(res.Series, cached, depth)
 
 	st := lf.Stats()

@@ -1,52 +1,20 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/liteflow-sim/liteflow/internal/cc"
-	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/lb"
-	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/obs"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 	"github.com/liteflow-sim/liteflow/internal/topo"
 	"github.com/liteflow-sim/liteflow/internal/workload"
 )
-
-// mlpUser implements the LiteFlow userspace interfaces for the LB MLP: the
-// adapter fits one-hot path labels produced by the congestion oracle on the
-// features observed in each batch. Aux layout: one-hot best path.
-type mlpUser struct {
-	net      *nn.Network
-	opt      nn.Optimizer
-	lastLoss float64
-}
-
-func (u *mlpUser) Freeze() *nn.Network          { return u.net }
-func (u *mlpUser) Stability() float64           { return u.lastLoss }
-func (u *mlpUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
-func (u *mlpUser) Adapt(batch []core.Sample) {
-	x := make([][]float64, 0, len(batch))
-	y := make([][]float64, 0, len(batch))
-	for _, s := range batch {
-		if len(s.Aux) != u.net.OutputSize() {
-			continue
-		}
-		x = append(x, s.Input)
-		y = append(y, s.Aux)
-	}
-	if len(x) == 0 {
-		return
-	}
-	for e := 0; e < 30; e++ {
-		u.lastLoss = nn.TrainBatch(u.net, u.opt, x, y, 5)
-	}
-}
 
 // dctcpFeedback wraps DCTCP and accumulates the flow's ECN echo fraction and
 // average RTT — the congestion signals the path selection module collects.
@@ -82,23 +50,14 @@ func Fig17(cfg Config) Result {
 		XLabel: "class (0=short 1=mid 2=long)", YLabel: "avg FCT µs"}
 	numFlows := cfg.count(3000)
 	for _, name := range []string{"LF-MLP", "char-MLP", "ECMP", "LF-MLP-N-O-A"} {
-		b := runFig17Scheme(cfg, name, numFlows)
-		s := Series{Name: name}
-		for c := 0; c < 3; c++ {
-			s.X = append(s.X, float64(c))
-			s.Y = append(s.Y, b.dists[c].Mean())
-		}
+		s, note := runFig17Scheme(cfg, name, numFlows).row(name)
 		res.Series = append(res.Series, s)
-		res.Notes = append(res.Notes, fmt.Sprintf("%s: mean short %.0fµs mid %.0fµs long %.0fµs | median %.0f/%.0f/%.0fµs (n=%d/%d/%d)",
-			name, b.dists[0].Mean(), b.dists[1].Mean(), b.dists[2].Mean(),
-			b.dists[0].Median(), b.dists[1].Median(), b.dists[2].Median(),
-			b.dists[0].N(), b.dists[1].N(), b.dists[2].N()))
+		res.Notes = append(res.Notes, note)
 	}
 	return res
 }
 
 func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
-	eng := netsim.NewEngine()
 	opts := topo.DefaultSpineLeafOpts(4) // 8 hosts
 	// A congestible fabric with asymmetric path quality: spine 0's links
 	// run degraded at 3 Gbps (a part-failed LAG, a common data-center
@@ -106,7 +65,8 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	// matters exactly when paths are unequal; under symmetric paths ECMP
 	// is already near-optimal and the comparison is vacuous.
 	opts.FabricLinkBps = 10e9
-	sl := topo.NewSpineLeaf(eng, opts)
+	sl := rig.NewFabric(0, opts, 8, obs.Scope{})
+	eng := sl.Eng
 	for _, leaf := range sl.Leaves {
 		leaf.Port(topo.SpineIDBase).SetRate(3e9)
 	}
@@ -114,29 +74,21 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 		sl.Spines[0].Port(topo.LeafIDBase + l).SetRate(3e9)
 	}
 	costs := ksim.DefaultCosts()
-	sl.AttachCPUs(8, costs)
 	paths := len(sl.Spines)
 
 	r := rand.New(rand.NewSource(cfg.Seed + 30))
 	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.15, opts.HostLinkBps, workload.WebSearch())
 	shiftAt := flows[numFlows/2].At
-	batchT := flows[len(flows)-1].At / 20
-	if batchT < 5*netsim.Millisecond {
-		batchT = 5 * netsim.Millisecond
-	}
-	if batchT > 100*netsim.Millisecond {
-		batchT = 100 * netsim.Millisecond
-	}
+	batchT := batchIntervalFor(flows)
 
 	// The userspace model, trained in the ECN-visible regime.
 	net := lb.NewMLP(paths, cfg.Seed+31)
 	lb.Train(net, paths, 400, 1e-2, 1.0, cfg.Seed+32)
-	user := &mlpUser{net: net, opt: nn.NewAdam(1e-2), lastLoss: 1}
+	user := newLabelUser(net)
 
 	monitor := lb.NewPathMonitor(paths)
 
-	var lf *core.Core
-	var ch *netlink.Channel
+	var dep *rig.Deployment
 	var kernelSel func(feats []float64, reply func(int))
 	var userSel *lb.UserSelector
 	ecmp := &lb.ECMPSelector{Paths: paths}
@@ -144,20 +96,11 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 
 	switch name {
 	case "LF-MLP", "LF-MLP-N-O-A":
-		coreCfg := core.DefaultConfig()
-		coreCfg.OutMin, coreCfg.OutMax = 0, 1
-		coreCfg.StabilityWindow = 2
-		coreCfg.StabilityTolerance = 1.0
-		lf = core.New(eng, nil, costs, coreCfg)
+		coreCfg := adaptiveCoreConfig()
+		dep = rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net.Clone(), coreCfg.Quant, "lbmlp0"))
+		lf := dep.Core
 		// Per-flow decisions are one-shot: the flow cache adds nothing.
 		lf.SetFlowCache(false)
-		mod, err := codegen.Build(quant.Quantize(net.Clone(), coreCfg.Quant), "lbmlp0")
-		if err != nil {
-			panic(err)
-		}
-		if _, err := lf.RegisterModel(mod); err != nil {
-			panic(err)
-		}
 		in := make([]int64, lb.InputDim(paths))
 		out := make([]int64, paths)
 		jit := rand.New(rand.NewSource(cfg.Seed + 33))
@@ -178,10 +121,7 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 			eng.After(cost+netsim.Time(jit.Int63n(int64(cost)+1)), func() { reply(best) })
 		}
 		if name == "LF-MLP" {
-			ch = netlink.New(eng, sl.Hosts[0].CPU, costs, nil)
-			_ = ch
-			svc := core.NewService(lf, ch, user, user, user)
-			svc.Start(batchT)
+			dep.AttachSlowPath(sl.Hosts[0].CPU, user, batchT, nil)
 		}
 	case "char-MLP":
 		// Selector latency only; the per-host cost is the continuous
@@ -283,7 +223,7 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 					case "LF-MLP":
 						oneHot := make([]float64, paths)
 						oneHot[best] = 1
-						ch.Push(core.EncodeSample(core.Sample{Input: feats, Aux: oneHot, At: eng.Now()}))
+						dep.Chan.Push(core.EncodeSample(core.Sample{Input: feats, Aux: oneHot, At: eng.Now()}))
 					case "char-MLP":
 						charBatch = append(charBatch, lb.Sample{Features: feats, Best: best})
 					}
@@ -308,11 +248,6 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	for eng.Now() < deadline && done() < numFlows {
 		eng.RunUntil(eng.Now() + netsim.Second)
 	}
-	if ch != nil {
-		ch.StopBatching()
-	}
-	if lf != nil {
-		lf.StopSweeper()
-	}
+	dep.Stop()
 	return buckets
 }

@@ -18,7 +18,7 @@ func Fig01a(cfg Config) Result {
 		XLabel: "goodput Gbps", YLabel: "CDF"}
 	for _, iv := range []netsim.Time{netsim.Millisecond, 10 * netsim.Millisecond, 100 * netsim.Millisecond} {
 		out := runCC(ccRun{
-			scheme:    ccpScheme(depCCPAurora, "CCP-Aurora", iv),
+			scheme:    ccpScheme("ccp-aurora", "CCP-Aurora", iv),
 			flows:     1,
 			congested: true,
 			warmup:    cfg.dur(3 * netsim.Second),
@@ -46,7 +46,7 @@ func Fig01b(cfg Config) Result {
 		XLabel: "time s", YLabel: "queue KB"}
 	for _, iv := range []netsim.Time{netsim.Millisecond, 10 * netsim.Millisecond, 100 * netsim.Millisecond} {
 		out := runCC(ccRun{
-			scheme:      ccpScheme(depCCPAurora, "CCP-Aurora", iv),
+			scheme:      ccpScheme("ccp-aurora", "CCP-Aurora", iv),
 			flows:       1,
 			congested:   true,
 			warmup:      cfg.dur(3 * netsim.Second),
@@ -141,32 +141,38 @@ func Fig02(cfg Config) Result {
 func Fig03(cfg Config) Result {
 	res := Result{ID: "fig3", Title: "Normalized aggregate throughput vs N (CCP overhead)",
 		XLabel: "flows N", YLabel: "throughput / BBR"}
-	ns := []int{2, 4, 6, 8, 10}
-	schemes := []scheme{
-		{name: "BBR", dep: depBBR},
-		ccpScheme(depCCPAurora, "CCP-Aurora", 100*netsim.Millisecond),
-		ccpScheme(depCCPAurora, "CCP-Aurora", 10*netsim.Millisecond),
-		ccpScheme(depCCPAurora, "CCP-Aurora", netsim.Millisecond),
-	}
+	res.Series, _ = normalizedToBBR(cfg, []scheme{
+		ccpScheme("ccp-aurora", "CCP-Aurora", 100*netsim.Millisecond),
+		ccpScheme("ccp-aurora", "CCP-Aurora", 10*netsim.Millisecond),
+		ccpScheme("ccp-aurora", "CCP-Aurora", netsim.Millisecond),
+	})
+	return res
+}
+
+// normalizedToBBR runs BBR and then each scheme with N = 2…10 concurrent
+// flows on the free path, and returns one series per scheme (BBR first) of
+// aggregate throughput over BBR's at the same N, plus BBR's absolute Gbps.
+func normalizedToBBR(cfg Config, schemes []scheme) ([]Series, map[int]float64) {
+	var out []Series
 	base := make(map[int]float64)
-	for _, sc := range schemes {
+	for _, sc := range append([]scheme{{name: "BBR", key: "bbr"}}, schemes...) {
 		s := Series{Name: sc.name}
-		for _, n := range ns {
-			out := runCC(ccRun{scheme: sc, flows: n, congested: false,
-				warmup: cfg.dur(2 * netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains})
-			if sc.dep == depBBR {
-				base[n] = out.aggGbps
+		for _, n := range []int{2, 4, 6, 8, 10} {
+			agg := runCC(ccRun{scheme: sc, flows: n, congested: false,
+				warmup: cfg.dur(2 * netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains}).aggGbps
+			if sc.key == "bbr" {
+				base[n] = agg
 			}
 			norm := 0.0
 			if base[n] > 0 {
-				norm = out.aggGbps / base[n]
+				norm = agg / base[n]
 			}
 			s.X = append(s.X, float64(n))
 			s.Y = append(s.Y, norm)
 		}
-		res.Series = append(res.Series, s)
+		out = append(out, s)
 	}
-	return res
+	return out, base
 }
 
 // Fig04 reproduces Figure 4: mpstat softirq time for BBR vs CCP-Aurora at
@@ -176,10 +182,10 @@ func Fig04(cfg Config) Result {
 	res := Result{ID: "fig4", Title: "Softirq CPU time, 10 flows (mpstat)",
 		XLabel: "scheme idx", YLabel: "softirq ms / share %"}
 	schemes := []scheme{
-		{name: "BBR", dep: depBBR},
-		ccpScheme(depCCPAurora, "CCP-Aurora", 100*netsim.Millisecond),
-		ccpScheme(depCCPAurora, "CCP-Aurora", 10*netsim.Millisecond),
-		ccpScheme(depCCPAurora, "CCP-Aurora", netsim.Millisecond),
+		{name: "BBR", key: "bbr"},
+		ccpScheme("ccp-aurora", "CCP-Aurora", 100*netsim.Millisecond),
+		ccpScheme("ccp-aurora", "CCP-Aurora", 10*netsim.Millisecond),
+		ccpScheme("ccp-aurora", "CCP-Aurora", netsim.Millisecond),
 	}
 	ms := Series{Name: "softirq-ms"}
 	share := Series{Name: "softirq-share-%"}

@@ -32,17 +32,7 @@ func FigResilience(cfg Config) Result {
 		watchdog: true, wdWindow: 3 * T,
 	}, T, dur, period, 1)
 
-	for _, v := range []struct {
-		name string
-		out  adaptOut
-	}{{"clean", clean}, {"chaos+watchdog", chaos}} {
-		s := Series{Name: v.name}
-		for i, g := range v.out.rateGbps {
-			s.X = append(s.X, float64(i)*0.5)
-			s.Y = append(s.Y, g)
-		}
-		res.Series = append(res.Series, s)
-	}
+	res.Series = append(res.Series, clean.series("clean"), chaos.series("chaos+watchdog"))
 
 	fs := chaos.faultStats
 	cs := chaos.coreStats

@@ -5,13 +5,13 @@ import (
 	"math/rand"
 
 	"github.com/liteflow-sim/liteflow/internal/cc"
-	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
-	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
+	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/sched"
 	"github.com/liteflow-sim/liteflow/internal/stats"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
@@ -79,27 +79,32 @@ func trainedFFNN(cfg Config) *nn.Network {
 	return net
 }
 
-// ffnnUser implements the LiteFlow userspace interfaces for the FFNN: the
-// adapter regresses on (features → log size) samples collected from
-// completed flows. Aux layout: [Target(size)].
-type ffnnUser struct {
+// labelUser implements the LiteFlow userspace interfaces for the supervised
+// models: the adapter fits the labels each sample carries in Aux — the FFNN's
+// [Target(size)] from completed flows, the LB MLP's one-hot best path from
+// the congestion oracle — on the features observed in the batch.
+type labelUser struct {
 	net      *nn.Network
 	opt      nn.Optimizer
 	lastLoss float64
 }
 
-func (u *ffnnUser) Freeze() *nn.Network          { return u.net }
-func (u *ffnnUser) Stability() float64           { return u.lastLoss }
-func (u *ffnnUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
-func (u *ffnnUser) Adapt(batch []core.Sample) {
+func newLabelUser(net *nn.Network) *labelUser {
+	return &labelUser{net: net, opt: nn.NewAdam(1e-2), lastLoss: 1}
+}
+
+func (u *labelUser) Freeze() *nn.Network          { return u.net }
+func (u *labelUser) Stability() float64           { return u.lastLoss }
+func (u *labelUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
+func (u *labelUser) Adapt(batch []core.Sample) {
 	x := make([][]float64, 0, len(batch))
 	y := make([][]float64, 0, len(batch))
 	for _, s := range batch {
-		if len(s.Aux) < 1 {
+		if len(s.Aux) < u.net.OutputSize() {
 			continue
 		}
 		x = append(x, s.Input)
-		y = append(y, []float64{s.Aux[0]})
+		y = append(y, s.Aux[:u.net.OutputSize()])
 	}
 	if len(x) == 0 {
 		return
@@ -141,6 +146,32 @@ func (p *corePredictor) PredictFlow(flow netsim.FlowID, features []float64, repl
 	return lat
 }
 
+// batchIntervalFor scales the slow path's T to the workload rather than
+// wall-clock: batch delivery must complete several adaptation rounds within
+// the arrival span.
+func batchIntervalFor(flows []workload.FlowSpec) netsim.Time {
+	T := flows[len(flows)-1].At / 20
+	if T < 5*netsim.Millisecond {
+		T = 5 * netsim.Millisecond
+	}
+	if T > 100*netsim.Millisecond {
+		T = 100 * netsim.Millisecond
+	}
+	return T
+}
+
+// adaptiveCoreConfig is the core config of every experiment with a live slow
+// path: outputs in [0,1], and a short stability window with a loose tolerance
+// so the gate reacts within a few batches of a change (self-supervised and
+// small-batch losses are noisy).
+func adaptiveCoreConfig() core.Config {
+	c := core.DefaultConfig()
+	c.OutMin, c.OutMax = 0, 1
+	c.StabilityWindow = 2
+	c.StabilityTolerance = 1.0
+	return c
+}
+
 // fctBuckets accumulates FCT per flow class, with a separate post-drift view
 // (the adaptation comparison only differs after the workload shifts).
 type fctBuckets struct {
@@ -162,6 +193,20 @@ func (f *fctBuckets) add(size int64, fct netsim.Time) {
 	f.dists[workload.ClassOf(size)].Add(float64(fct) / 1e3) // µs
 }
 
+// row renders the per-class mean series and the mean/median/count note that
+// fig16 and fig17 print per scheme.
+func (f *fctBuckets) row(name string) (Series, string) {
+	s := Series{Name: name}
+	for c := 0; c < 3; c++ {
+		s.X = append(s.X, float64(c))
+		s.Y = append(s.Y, f.dists[c].Mean())
+	}
+	return s, fmt.Sprintf("%s: mean short %.0fµs mid %.0fµs long %.0fµs | median %.0f/%.0f/%.0fµs (n=%d/%d/%d)",
+		name, f.dists[0].Mean(), f.dists[1].Mean(), f.dists[2].Mean(),
+		f.dists[0].Median(), f.dists[1].Median(), f.dists[2].Median(),
+		f.dists[0].N(), f.dists[1].N(), f.dists[2].N())
+}
+
 func (f *fctBuckets) addPost(size int64, fct netsim.Time) {
 	f.post[workload.ClassOf(size)].Add(float64(fct) / 1e3)
 }
@@ -174,35 +219,10 @@ func Fig16(cfg Config) Result {
 	res := Result{ID: "fig16", Title: "Flow scheduling FCT by class (µs)",
 		XLabel: "class (0=short 1=mid 2=long)", YLabel: "avg FCT µs"}
 	numFlows := cfg.count(4000)
-	type schemeKind int
-	const (
-		lfFFNN schemeKind = iota
-		charFFNN
-		netlinkFFNN
-		lfNOA
-	)
-	type schemeDef struct {
-		name string
-		kind schemeKind
-	}
-	for _, sd := range []schemeDef{
-		{"LF-FFNN", lfFFNN},
-		{"char-FFNN", charFFNN},
-		{"netlink-FFNN", netlinkFFNN},
-		{"LF-FFNN-N-O-A", lfNOA},
-	} {
-		buckets := runFig16Scheme(cfg, sd.kind == charFFNN, sd.kind == netlinkFFNN,
-			sd.kind == lfFFNN, sd.kind == lfNOA, numFlows)
-		s := Series{Name: sd.name}
-		for c := 0; c < 3; c++ {
-			s.X = append(s.X, float64(c))
-			s.Y = append(s.Y, buckets.dists[c].Mean())
-		}
+	for _, name := range []string{"LF-FFNN", "char-FFNN", "netlink-FFNN", "LF-FFNN-N-O-A"} {
+		buckets := runFig16Scheme(cfg, name, numFlows)
+		s, note := buckets.row(name)
 		res.Series = append(res.Series, s)
-		note := fmt.Sprintf("%s: mean short %.0fµs mid %.0fµs long %.0fµs | median %.0f/%.0f/%.0fµs (n=%d/%d/%d)",
-			sd.name, buckets.dists[0].Mean(), buckets.dists[1].Mean(), buckets.dists[2].Mean(),
-			buckets.dists[0].Median(), buckets.dists[1].Median(), buckets.dists[2].Median(),
-			buckets.dists[0].N(), buckets.dists[1].N(), buckets.dists[2].N())
 		note += fmt.Sprintf(" | post-drift median %.0f/%.0f/%.0fµs",
 			buckets.post[0].Median(), buckets.post[1].Median(), buckets.post[2].Median())
 		if buckets.note != "" {
@@ -214,60 +234,39 @@ func Fig16(cfg Config) Result {
 }
 
 // runFig16Scheme runs one deployment over the identical drifting workload.
-func runFig16Scheme(cfg Config, isChar, isNetlink, isLF, isNOA bool, numFlows int) *fctBuckets {
-	eng := netsim.NewEngine()
+func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
+	isLF, isNOA := name == "LF-FFNN", name == "LF-FFNN-N-O-A"
+	isChar, isNetlink := name == "char-FFNN", name == "netlink-FFNN"
 	opts := topo.DefaultSpineLeafOpts(16) // 32 hosts
 	opts.UsePrioQueues = true
-	sl := topo.NewSpineLeaf(eng, opts)
+	sl := rig.NewFabric(0, opts, 32, obs.Scope{}) // server-class hosts for the 10G fabric
+	eng := sl.Eng
 	costs := ksim.DefaultCosts()
-	sl.AttachCPUs(32, costs) // server-class hosts for the 10G fabric
 
 	// Identical workload for every scheme.
 	r := rand.New(rand.NewSource(cfg.Seed + 20))
 	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.55, opts.HostLinkBps, workload.WebSearch())
 	fm := sched.NewFeatureModel(cfg.Seed + 21)
 	driftAt := flows[numFlows/2].At // feature mapping drifts mid-run
-	// Batch delivery must complete several adaptation rounds within the
-	// arrival span; scale T to the workload rather than wall-clock.
-	batchT := flows[len(flows)-1].At / 20
-	if batchT < 5*netsim.Millisecond {
-		batchT = 5 * netsim.Millisecond
-	}
-	if batchT > 100*netsim.Millisecond {
-		batchT = 100 * netsim.Millisecond
-	}
+	batchT := batchIntervalFor(flows)
 
 	net := trainedFFNN(cfg)
-	user := &ffnnUser{net: net, opt: nn.NewAdam(1e-2), lastLoss: 1}
+	user := newLabelUser(net)
 
 	// predict resolves one flow's priority under the scheme's deployment.
 	var predict func(flow netsim.FlowID, feats []float64, reply func(int))
-	var lf *core.Core
-	var svc *core.Service
-	var ch *netlink.Channel
+	var dep *rig.Deployment
 	switch {
 	case isLF || isNOA:
-		coreCfg := core.DefaultConfig()
-		coreCfg.OutMin, coreCfg.OutMax = 0, 1
-		coreCfg.StabilityWindow = 2
-		coreCfg.StabilityTolerance = 1.0
-		lf = core.New(eng, nil, costs, coreCfg)
-		mod, err := codegen.Build(quant.Quantize(net.Clone(), coreCfg.Quant), "ffnn0")
-		if err != nil {
-			panic(err)
-		}
-		if _, err := lf.RegisterModel(mod); err != nil {
-			panic(err)
-		}
-		cp := &corePredictor{eng: eng, c: lf, cost: costs,
+		coreCfg := adaptiveCoreConfig()
+		dep = rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net.Clone(), coreCfg.Quant, "ffnn0"))
+		cp := &corePredictor{eng: eng, c: dep.Core, cost: costs,
 			jit: rand.New(rand.NewSource(cfg.Seed + 22))}
 		predict = func(flow netsim.FlowID, feats []float64, reply func(int)) {
 			cp.PredictFlow(flow, feats, reply)
 		}
 		if isLF {
-			ch = netlink.New(eng, sl.Hosts[0].CPU, costs, nil)
-			svc = core.NewService(lf, ch, user, user, user)
-			svc.Start(batchT)
+			dep.AttachSlowPath(sl.Hosts[0].CPU, user, batchT, nil)
 		}
 	case isChar:
 		up := sched.NewUserPredictor(eng, nil, costs, net, sched.CharDev)
@@ -311,8 +310,8 @@ func runFig16Scheme(cfg Config, isChar, isNetlink, isLF, isNOA bool, numFlows in
 			snd := tcp.NewSender(src, flowID, dst.ID, fs.Size, ctrl)
 			snd.Prio = netsim.NumPrioBands - 1 // untagged until the prediction lands
 			rcv := tcp.NewReceiver(dst, flowID, src.ID)
-			if lf != nil {
-				rcv.OnFIN = func(f netsim.FlowID) { lf.FlowFinished(f) }
+			if dep != nil {
+				rcv.OnFIN = func(f netsim.FlowID) { dep.Core.FlowFinished(f) }
 			}
 			snd.OnComplete = func(fct netsim.Time) {
 				buckets.add(fs.Size, fct)
@@ -320,8 +319,8 @@ func runFig16Scheme(cfg Config, isChar, isNetlink, isLF, isNOA bool, numFlows in
 					buckets.addPost(fs.Size, fct)
 				}
 				// Completed flows yield labeled training data.
-				if isLF && ch != nil {
-					ch.Push(core.EncodeSample(core.Sample{
+				if isLF {
+					dep.Chan.Push(core.EncodeSample(core.Sample{
 						Input: feats, Aux: []float64{sched.Target(fs.Size)}, At: eng.Now(),
 					}))
 				}
@@ -342,14 +341,9 @@ func runFig16Scheme(cfg Config, isChar, isNetlink, isLF, isNOA bool, numFlows in
 
 	horizon := flows[len(flows)-1].At + 20*netsim.Second
 	eng.RunUntil(horizon)
-	if ch != nil {
-		ch.StopBatching()
-	}
-	if lf != nil {
-		lf.StopSweeper()
-	}
-	if svc != nil {
-		st := svc.Stats()
+	dep.Stop()
+	if isLF {
+		st := dep.Svc.Stats()
 		buckets.note = fmt.Sprintf("batches %d converged %d checks %d updates %d skipped %d lastFid %.3f",
 			st.Batches, st.Converged, st.FidelityChecks, st.Updates, st.SkippedByNecessity, st.LastFidelity)
 	}

@@ -16,7 +16,7 @@ func (r *fleetRig) addLateMember(t *testing.T) *Member {
 	t.Helper()
 	ccfg := core.DefaultConfig()
 	ccfg.FlowCacheTimeout = 0
-	cpu := ksim.NewCPU(r.eng, 4)
+	cpu := ksim.NewHostCPU(r.eng, 4)
 	c := core.NewCore(r.eng, cpu, ksim.DefaultCosts(), ccfg)
 	ch := netlink.NewChannel(r.eng, cpu, ksim.DefaultCosts(), nil)
 	m, err := r.ctrl.AddMember(c, ch)

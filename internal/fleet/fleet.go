@@ -308,10 +308,10 @@ type Controller struct {
 	lastMinted int64   // monotonic epoch allocator (blacklisted epochs not reused)
 	blacklist  []int64 // epochs rejected by canary verdicts, in mint order
 
-	stabilityHist []float64
-	queue         []installJob
-	inFlight      int
-	running       bool
+	gate     core.StabilityGate
+	queue    []installJob
+	inFlight int
+	running  bool
 
 	phase    wavePhase
 	canaries []*Member   // cohort of the staged wave in flight
@@ -641,39 +641,13 @@ func (c *Controller) aggregate() {
 	c.adapter.Adapt(pool)
 	c.met.lastStability.Set(c.evaluator.Stability())
 
-	if !c.converged() {
+	// The correctness gate on the pooled stability metric — identical policy
+	// to the single-core service (paper §3.2), run once for the whole fleet.
+	if !c.gate.Converged(c.met.lastStability.Value(), c.coreCfg) {
 		return
 	}
 	c.met.converged.Inc()
 	c.evaluateNecessity(pool)
-}
-
-// converged applies the correctness gate to the pooled stability metric —
-// identical policy to the single-core service (paper §3.2), run once for the
-// whole fleet.
-func (c *Controller) converged() bool {
-	c.stabilityHist = append(c.stabilityHist, c.met.lastStability.Value())
-	w := c.coreCfg.StabilityWindow
-	if len(c.stabilityHist) > w {
-		c.stabilityHist = c.stabilityHist[len(c.stabilityHist)-w:]
-	}
-	if len(c.stabilityHist) < w {
-		return false
-	}
-	lo, hi := c.stabilityHist[0], c.stabilityHist[0]
-	for _, v := range c.stabilityHist[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	scale := math.Max(math.Abs(hi), math.Abs(lo))
-	if scale < 1e-12 {
-		return true
-	}
-	return (hi-lo)/scale <= c.coreCfg.StabilityTolerance
 }
 
 // evaluateNecessity computes the minimal fidelity loss of the pooled batch
@@ -751,7 +725,7 @@ func (c *Controller) buildAndFanOut() {
 	// Re-seed the correctness gate: the window that justified this mint is
 	// spent. Without this a single stable stretch could re-pass instantly on
 	// the next round and mint back-to-back epochs off stale history.
-	c.stabilityHist = c.stabilityHist[:0]
+	c.gate.Reset()
 	c.lastMinted = next
 	c.cur = version{epoch: next, mod: mod, prog: prog}
 	c.met.versions.Inc()

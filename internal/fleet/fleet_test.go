@@ -56,7 +56,7 @@ func newFleetRig(t *testing.T, n int, cfg Config, memberOptions func(i int) (cor
 		if memberOptions != nil {
 			co, mo = memberOptions(i)
 		}
-		cpu := ksim.NewCPU(eng, 4)
+		cpu := ksim.NewHostCPU(eng, 4)
 		c := core.NewCore(eng, cpu, ksim.DefaultCosts(), ccfg, co...)
 		ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 		if _, err := ctrl.AddMember(c, ch, mo...); err != nil {

@@ -74,20 +74,11 @@ const DefaultMaxBacklog = 5 * netsim.Millisecond
 // panics if cores is not positive. opt.WithScope exports per-category busy
 // time and charge trace events; omitted, telemetry is a no-op.
 func NewHostCPU(eng *netsim.Engine, cores int, options ...opt.Option) *CPU {
-	return NewCPU(eng, cores, opt.Resolve(options).Scope)
-}
-
-// NewCPU is the pre-options constructor.
-//
-// Deprecated: use NewHostCPU, which takes functional options (opt.WithScope).
-func NewCPU(eng *netsim.Engine, cores int, sc ...obs.Scope) *CPU {
 	if cores <= 0 {
 		panic("ksim: cores must be positive")
 	}
-	c := &CPU{eng: eng, cores: cores, MaxBacklog: DefaultMaxBacklog, started: eng.Now()}
-	if len(sc) > 0 {
-		c.sc = sc[0]
-	}
+	c := &CPU{eng: eng, cores: cores, MaxBacklog: DefaultMaxBacklog, started: eng.Now(),
+		sc: opt.Resolve(options).Scope}
 	for cat := Category(0); cat < numCategories; cat++ {
 		c.busyNS[cat] = c.sc.Counter("liteflow_cpu_busy_ns_total",
 			"raw CPU time consumed, by mpstat category",

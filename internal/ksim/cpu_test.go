@@ -8,7 +8,7 @@ import (
 
 func TestSubmitSerializesWork(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 1)
+	c := NewHostCPU(e, 1)
 	var done []netsim.Time
 	c.Submit(Kernel, 100, func() { done = append(done, e.Now()) })
 	c.Submit(Kernel, 100, func() { done = append(done, e.Now()) })
@@ -20,7 +20,7 @@ func TestSubmitSerializesWork(t *testing.T) {
 
 func TestMultiCoreSpeedsUpWallTime(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 4)
+	c := NewHostCPU(e, 4)
 	var at netsim.Time
 	c.Submit(Kernel, 400, func() { at = e.Now() })
 	e.Run()
@@ -35,7 +35,7 @@ func TestMultiCoreSpeedsUpWallTime(t *testing.T) {
 
 func TestBacklogRejection(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 1)
+	c := NewHostCPU(e, 1)
 	c.MaxBacklog = 1000
 	if !c.Submit(SoftIRQ, 900, nil) {
 		t.Fatal("first submit must fit")
@@ -53,7 +53,7 @@ func TestBacklogRejection(t *testing.T) {
 
 func TestBacklogDrainsOverTime(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 1)
+	c := NewHostCPU(e, 1)
 	c.MaxBacklog = 100
 	c.Submit(Kernel, 200, nil)
 	if c.Submit(Kernel, 100, nil) {
@@ -67,7 +67,7 @@ func TestBacklogDrainsOverTime(t *testing.T) {
 
 func TestAccountingSharesAndReport(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 2)
+	c := NewHostCPU(e, 2)
 	c.Submit(User, 100, nil)
 	c.Submit(Kernel, 300, nil)
 	c.Submit(SoftIRQ, 600, nil)
@@ -88,7 +88,7 @@ func TestAccountingSharesAndReport(t *testing.T) {
 
 func TestUtilizationWindow(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 1)
+	c := NewHostCPU(e, 1)
 	c.Submit(Kernel, 500, nil)
 	e.RunUntil(1000)
 	if got := c.Utilization(); got != 0.5 {
@@ -107,7 +107,7 @@ func TestUtilizationWindow(t *testing.T) {
 
 func TestIdleCPUShareIsZero(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 1)
+	c := NewHostCPU(e, 1)
 	if c.Share(SoftIRQ) != 0 || c.Utilization() != 0 {
 		t.Error("idle CPU must report zero shares")
 	}
@@ -115,7 +115,7 @@ func TestIdleCPUShareIsZero(t *testing.T) {
 
 func TestChargeDoesNotReject(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 1)
+	c := NewHostCPU(e, 1)
 	c.MaxBacklog = 10
 	c.Charge(User, 1_000_000)
 	c.Charge(User, 1_000_000)
@@ -126,7 +126,7 @@ func TestChargeDoesNotReject(t *testing.T) {
 
 func TestQueueDelay(t *testing.T) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 1)
+	c := NewHostCPU(e, 1)
 	if c.QueueDelay() != 0 {
 		t.Error("idle CPU queue delay must be 0")
 	}
@@ -143,10 +143,10 @@ func TestQueueDelay(t *testing.T) {
 func TestZeroCoresPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewCPU(0 cores) must panic")
+			t.Error("NewHostCPU(0 cores) must panic")
 		}
 	}()
-	NewCPU(netsim.NewEngine(), 0)
+	NewHostCPU(netsim.NewEngine(), 0)
 }
 
 func TestCategoryString(t *testing.T) {
@@ -179,7 +179,7 @@ func TestDefaultCostsSane(t *testing.T) {
 
 func BenchmarkSubmit(b *testing.B) {
 	e := netsim.NewEngine()
-	c := NewCPU(e, 4)
+	c := NewHostCPU(e, 4)
 	c.MaxBacklog = 1 << 60
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

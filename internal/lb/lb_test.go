@@ -129,7 +129,7 @@ func TestSelectorLatencyOrdering(t *testing.T) {
 
 func TestUserSelectorMonitoringOverhead(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	us := NewUserSelector(eng, cpu, ksim.DefaultCosts(), NewMLP(2, 1))
 	us.MonitorInterval = netsim.Millisecond
 	us.StartMonitoring()

@@ -18,7 +18,7 @@ import (
 // delivers to a stale callback.
 func TestSetDeliverReplacementAppliesToInFlightBatches(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	oldCalls, newCalls := 0, 0
 	ch := NewChannel(eng, cpu, ksim.DefaultCosts(), func([]Message) { oldCalls++ })
 	ch.Push(Message{Data: []float64{1}})
@@ -35,7 +35,7 @@ func TestSetDeliverReplacementAppliesToInFlightBatches(t *testing.T) {
 // is a counted discard (liteflow_netlink_undelivered_total), never a panic.
 func TestNilDeliverIsCountedNotPanic(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	ch := NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 	ch.Push(Message{Data: []float64{1}})
 	ch.Push(Message{Data: []float64{2}})
@@ -48,7 +48,7 @@ func TestNilDeliverIsCountedNotPanic(t *testing.T) {
 
 func TestCloseSemantics(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	delivered := 0
 	ch := NewChannel(eng, cpu, ksim.DefaultCosts(), func([]Message) { delivered++ })
 	ch.Push(Message{Data: []float64{1}})
@@ -84,7 +84,7 @@ func TestCloseSemantics(t *testing.T) {
 // but still arrive.
 func TestFlushFaults(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	dropAll := fault.New(fault.Profile{MsgDropP: 1}, 1, obs.Scope{})
 	delivered := 0
 	ch := NewChannel(eng, cpu, ksim.DefaultCosts(), func(b []Message) { delivered += len(b) },

@@ -125,18 +125,6 @@ func NewChannel(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, deliver fun
 	return c
 }
 
-// New is the pre-options constructor.
-//
-// Deprecated: use NewChannel, which takes functional options (opt.WithScope,
-// opt.WithFaults).
-func New(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, deliver func(batch []Message), sc ...obs.Scope) *Channel {
-	var scope obs.Scope
-	if len(sc) > 0 {
-		scope = sc[0]
-	}
-	return NewChannel(eng, cpu, costs, deliver, opt.WithScope(scope))
-}
-
 // Stats returns a snapshot of the channel's counters.
 func (c *Channel) Stats() Stats {
 	return Stats{

@@ -9,8 +9,8 @@ import (
 
 func newTestChannel(deliver func([]Message)) (*netsim.Engine, *ksim.CPU, *Channel) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
-	ch := New(eng, cpu, ksim.DefaultCosts(), deliver)
+	cpu := ksim.NewHostCPU(eng, 4)
+	ch := NewChannel(eng, cpu, ksim.DefaultCosts(), deliver)
 	return eng, cpu, ch
 }
 

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
 )
 
 // Handler consumes packets at the far end of a link. Hosts and switches
@@ -49,18 +48,11 @@ type Link struct {
 	lossC *obs.Counter
 }
 
-// Connect creates a link with transmission rate rateBps (bits/second),
-// one-way propagation delay, and buffering discipline q. It panics on a
-// non-positive rate: a zero-rate link would never drain and silently hang
-// the simulation. opt.WithScope exports queue drop and ECN mark telemetry;
-// omitted, telemetry is a no-op.
-func Connect(eng *Engine, to Handler, rateBps int64, delay Time, q Queue, options ...opt.Option) *Link {
-	return NewLink(eng, to, rateBps, delay, q, opt.Resolve(options).Scope)
-}
-
-// NewLink is the pre-options constructor.
-//
-// Deprecated: use Connect, which takes functional options (opt.WithScope).
+// NewLink creates a link with transmission rate rateBps (bits/second),
+// one-way propagation delay, and buffering discipline q (nil = an effectively
+// unbounded drop-tail). It panics on a non-positive rate: a zero-rate link
+// would never drain and silently hang the simulation. An optional scope
+// exports queue drop and ECN mark telemetry; omitted, telemetry is a no-op.
 func NewLink(eng *Engine, to Handler, rateBps int64, delay Time, q Queue, sc ...obs.Scope) *Link {
 	if rateBps <= 0 {
 		panic("netsim: link rate must be positive")

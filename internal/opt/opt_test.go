@@ -1,23 +1,16 @@
 package opt_test
 
 // Tests for the functional-options package and its consumers: option
-// application/ignoring per constructor, nil-safety, and behavioral
-// equivalence of the deprecated trailing-Scope wrappers with the options
-// form (compared via registry-export bytes after identical activity).
+// application/ignoring per constructor and nil-safety.
 
 import (
 	"testing"
 
-	"github.com/liteflow-sim/liteflow/internal/codegen"
-	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
-	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/opt"
-	"github.com/liteflow-sim/liteflow/internal/quant"
-	"github.com/liteflow-sim/liteflow/internal/topo"
 )
 
 func TestResolveEmpty(t *testing.T) {
@@ -108,205 +101,6 @@ func TestWithWatchdogCopiesValue(t *testing.T) {
 	}
 }
 
-// export renders a registry to its canonical Prometheus bytes.
-func export(reg *obs.Registry) string { return string(reg.PrometheusText()) }
-
-// tinyNet builds a deterministic 4→8→1 policy network for core rigs.
-func tinyNet() *nn.Network {
-	return nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Tanh}, 3)
-}
-
-// coreRig builds a core with one registered model using either the
-// deprecated trailing-scope form or the options form, then drives identical
-// query traffic against it.
-func coreRig(t *testing.T, sc obs.Scope, deprecated bool) *core.Core {
-	t.Helper()
-	eng := netsim.NewEngine()
-	cpu := ksim.NewHostCPU(eng, 2)
-	cfg := core.DefaultConfig()
-	cfg.FlowCacheTimeout = 0
-	var c *core.Core
-	if deprecated {
-		c = core.New(eng, cpu, ksim.DefaultCosts(), cfg, sc)
-	} else {
-		c = core.NewCore(eng, cpu, ksim.DefaultCosts(), cfg, opt.WithScope(sc))
-	}
-	mod, err := codegen.Build(quant.Quantize(tinyNet(), cfg.Quant), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RegisterModel(mod); err != nil {
-		t.Fatal(err)
-	}
-	in := make([]int64, 4)
-	out := make([]int64, 1)
-	for i := 0; i < 10; i++ {
-		if err := c.QueryModel(1, in, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c
-}
-
-func TestDeprecatedCoreWrapperEquivalence(t *testing.T) {
-	regOld := obs.NewRegistry()
-	coreRig(t, obs.New(regOld, nil), true)
-	regNew := obs.NewRegistry()
-	coreRig(t, obs.New(regNew, nil), false)
-	if export(regOld) != export(regNew) {
-		t.Errorf("core.New and core.NewCore diverge:\n--- deprecated ---\n%s\n--- options ---\n%s",
-			export(regOld), export(regNew))
-	}
-	// The deprecated form with no scope at all must also work (nil-safety).
-	coreRig(t, obs.Nop(), true)
-}
-
-func TestDeprecatedCPUWrapperEquivalence(t *testing.T) {
-	drive := func(cpu *ksim.CPU) {
-		cpu.Charge(ksim.Kernel, 5000)
-		cpu.Charge(ksim.SoftIRQ, 2500)
-	}
-	regOld := obs.NewRegistry()
-	drive(ksim.NewCPU(netsim.NewEngine(), 2, obs.New(regOld, nil)))
-	regNew := obs.NewRegistry()
-	drive(ksim.NewHostCPU(netsim.NewEngine(), 2, opt.WithScope(obs.New(regNew, nil))))
-	if export(regOld) != export(regNew) {
-		t.Errorf("ksim.NewCPU and ksim.NewHostCPU diverge:\n--- deprecated ---\n%s\n--- options ---\n%s",
-			export(regOld), export(regNew))
-	}
-	// No-scope calls of both forms must be valid.
-	ksim.NewCPU(netsim.NewEngine(), 1)
-	ksim.NewHostCPU(netsim.NewEngine(), 1)
-}
-
-func TestDeprecatedChannelWrapperEquivalence(t *testing.T) {
-	drive := func(eng *netsim.Engine, ch *netlink.Channel) {
-		for i := 0; i < 4; i++ {
-			ch.Push(netlink.Message{Kind: netlink.KindSample, Data: []float64{1, float64(i)}})
-		}
-		ch.Flush()
-		eng.RunUntil(1e9)
-	}
-	engOld := netsim.NewEngine()
-	regOld := obs.NewRegistry()
-	drive(engOld, netlink.New(engOld, ksim.NewHostCPU(engOld, 1), ksim.DefaultCosts(),
-		func([]netlink.Message) {}, obs.New(regOld, nil)))
-	engNew := netsim.NewEngine()
-	regNew := obs.NewRegistry()
-	drive(engNew, netlink.NewChannel(engNew, ksim.NewHostCPU(engNew, 1), ksim.DefaultCosts(),
-		func([]netlink.Message) {}, opt.WithScope(obs.New(regNew, nil))))
-	if export(regOld) != export(regNew) {
-		t.Errorf("netlink.New and netlink.NewChannel diverge:\n--- deprecated ---\n%s\n--- options ---\n%s",
-			export(regOld), export(regNew))
-	}
-}
-
-func TestDeprecatedLinkWrapperEquivalence(t *testing.T) {
-	drive := func(eng *netsim.Engine, l *netsim.Link) {
-		for i := 0; i < 3; i++ {
-			l.Send(&netsim.Packet{Flow: 1, Size: 1500, Seq: int64(i) * 1500})
-		}
-		eng.RunUntil(1e9)
-	}
-	engOld := netsim.NewEngine()
-	regOld := obs.NewRegistry()
-	drive(engOld, netsim.NewLink(engOld, netsim.HandlerFunc(func(*netsim.Packet) {}),
-		1e9, 1e6, netsim.NewDropTail(64<<10), obs.New(regOld, nil)))
-	engNew := netsim.NewEngine()
-	regNew := obs.NewRegistry()
-	drive(engNew, netsim.Connect(engNew, netsim.HandlerFunc(func(*netsim.Packet) {}),
-		1e9, 1e6, netsim.NewDropTail(64<<10), opt.WithScope(obs.New(regNew, nil))))
-	if export(regOld) != export(regNew) {
-		t.Errorf("netsim.NewLink and netsim.Connect diverge:\n--- deprecated ---\n%s\n--- options ---\n%s",
-			export(regOld), export(regNew))
-	}
-}
-
-func TestDeprecatedTopoWrappersEquivalence(t *testing.T) {
-	opts := topo.TestbedOpts(2)
-	engOld := netsim.NewEngine()
-	regOld := obs.NewRegistry()
-	dOld := topo.NewDumbbell(engOld, opts, obs.New(regOld, nil))
-	dOld.AttachCPUs(2, ksim.DefaultCosts(), obs.New(regOld, nil))
-	engNew := netsim.NewEngine()
-	regNew := obs.NewRegistry()
-	dNew := topo.BuildDumbbell(engNew, opts, opt.WithScope(obs.New(regNew, nil)))
-	dNew.ProvisionCPUs(2, ksim.DefaultCosts(), opt.WithScope(obs.New(regNew, nil)))
-
-	if len(dOld.Senders) != len(dNew.Senders) || len(dOld.Receivers) != len(dNew.Receivers) {
-		t.Fatalf("topologies differ structurally: %d/%d senders, %d/%d receivers",
-			len(dOld.Senders), len(dNew.Senders), len(dOld.Receivers), len(dNew.Receivers))
-	}
-	for i := range dOld.Senders {
-		if (dOld.Senders[i].CPU == nil) != (dNew.Senders[i].CPU == nil) {
-			t.Errorf("sender %d CPU provisioning differs", i)
-		}
-	}
-	if export(regOld) != export(regNew) {
-		t.Errorf("topo deprecated wrappers diverge:\n--- deprecated ---\n%s\n--- options ---\n%s",
-			export(regOld), export(regNew))
-	}
-}
-
-// staticUser implements Freezer/Evaluator/Adapter with a fixed network.
-type staticUser struct{ net *nn.Network }
-
-func (u staticUser) Freeze() *nn.Network          { return u.net }
-func (u staticUser) Stability() float64           { return 1 }
-func (u staticUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
-func (u staticUser) Adapt([]core.Sample)          {}
-
-// serviceRig wires a full slow path and pushes one batch through it.
-func serviceRig(t *testing.T, reg *obs.Registry, deprecated bool) core.ServiceStats {
-	t.Helper()
-	sc := obs.New(reg, nil)
-	eng := netsim.NewEngine()
-	cpu := ksim.NewHostCPU(eng, 2)
-	cfg := core.DefaultConfig()
-	cfg.FlowCacheTimeout = 0
-	c := core.NewCore(eng, cpu, ksim.DefaultCosts(), cfg, opt.WithScope(sc))
-	net := tinyNet()
-	mod, err := codegen.Build(quant.Quantize(net, cfg.Quant), "m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RegisterModel(mod); err != nil {
-		t.Fatal(err)
-	}
-	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil, opt.WithScope(sc))
-	u := staticUser{net}
-	var svc *core.Service
-	if deprecated {
-		svc = core.NewService(c, ch, u, u, u, sc)
-	} else {
-		svc = core.NewSlowPath(c, ch, u, u, u, opt.WithScope(sc))
-	}
-	svc.Start(100e6)
-	for i := 0; i < 8; i++ {
-		ch.Push(core.EncodeSample(core.Sample{Input: []float64{0.1, 0.2, 0.3, 0.4}, Aux: []float64{1}, At: eng.Now()}))
-	}
-	eng.RunUntil(1e9)
-	ch.StopBatching()
-	c.StopSweeper()
-	return svc.Stats()
-}
-
-func TestDeprecatedServiceWrapperEquivalence(t *testing.T) {
-	regOld := obs.NewRegistry()
-	statsOld := serviceRig(t, regOld, true)
-	regNew := obs.NewRegistry()
-	statsNew := serviceRig(t, regNew, false)
-	if statsOld != statsNew {
-		t.Errorf("service stats diverge:\ndeprecated: %+v\noptions:    %+v", statsOld, statsNew)
-	}
-	if export(regOld) != export(regNew) {
-		t.Errorf("core.NewService and core.NewSlowPath diverge in telemetry")
-	}
-	if statsOld.Batches == 0 {
-		t.Error("rig produced no batches; equivalence test is vacuous")
-	}
-}
-
 // TestConstructorsIgnoreIrrelevantOptions verifies constructors tolerate
 // options they do not consume instead of misbehaving: a CPU does not use a
 // watchdog, a channel does not use a retry policy.
@@ -320,10 +114,5 @@ func TestConstructorsIgnoreIrrelevantOptions(t *testing.T) {
 		opt.WithWatchdog(opt.Watchdog{Window: 1}), opt.WithFaults(nil))
 	if ch == nil {
 		t.Fatal("channel constructor rejected irrelevant options")
-	}
-	l := netsim.Connect(eng, netsim.HandlerFunc(func(*netsim.Packet) {}), 1e9, 0,
-		netsim.NewDropTail(1<<16), opt.WithRetry(opt.Retry{Max: 1}))
-	if l == nil {
-		t.Fatal("link constructor rejected irrelevant options")
 	}
 }

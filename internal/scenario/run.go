@@ -9,6 +9,8 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/actor"
 	"github.com/liteflow-sim/liteflow/internal/cc"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
+	"github.com/liteflow-sim/liteflow/internal/obs"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 	"github.com/liteflow-sim/liteflow/internal/topo"
 	"github.com/liteflow-sim/liteflow/internal/workload"
@@ -215,13 +217,6 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 		return v
 	}
 
-	var eng *netsim.Engine
-	if o.Domains >= 1 {
-		eng = netsim.NewParallelEngine(o.Domains)
-	} else {
-		eng = netsim.NewEngine()
-	}
-
 	topoOpts := topo.DefaultSpineLeafOpts(s.Fabric.HostsPerLeaf)
 	ccName := s.CC
 	if s.Fabric.Profile == "wan" {
@@ -245,8 +240,8 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 	case "bbr":
 		ccFn = func() tcp.CongestionControl { return cc.NewBBR() }
 	}
-	fabric := topo.NewSpineLeaf(eng, topoOpts)
-	hosts := fabric.Hosts
+	fabric := rig.NewFabric(o.Domains, topoOpts, 0, obs.Scope{})
+	eng, hosts := fabric.Eng, fabric.Hosts
 	rng := newXRNG(s.Seed + o.SeedOffset)
 
 	var lossLinks []*netsim.Link

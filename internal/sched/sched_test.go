@@ -171,7 +171,7 @@ func TestPredictorsAgreeOnPriority(t *testing.T) {
 
 func TestUserPredictorChargesCPU(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewCPU(eng, 4)
+	cpu := ksim.NewHostCPU(eng, 4)
 	costs := ksim.DefaultCosts()
 	up := NewUserPredictor(eng, cpu, costs, NewFFNN(1), CharDev)
 	up.Predict(make([]float64, NumFeatures), func(int) {})

@@ -184,8 +184,8 @@ func TestHostCPUSaturationDegradesGoodput(t *testing.T) {
 		a, b := pair(eng, 2_000_000_000, netsim.Millisecond, 1<<22)
 		costs := ksim.DefaultCosts()
 		if withCPU {
-			a.AttachCPU(ksim.NewCPU(eng, 1), costs)
-			b.AttachCPU(ksim.NewCPU(eng, 1), costs)
+			a.AttachCPU(ksim.NewHostCPU(eng, 1), costs)
+			b.AttachCPU(ksim.NewHostCPU(eng, 1), costs)
 		}
 		if crossLoad {
 			// A hostile busy-loop: burn the sender CPU with softirq work,

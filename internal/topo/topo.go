@@ -65,21 +65,12 @@ type SpineLeaf struct {
 	Spines []*netsim.Switch
 }
 
-// BuildSpineLeaf builds and wires the fabric. Options are accepted for
-// signature symmetry with BuildDumbbell; the fabric itself has no scoped
-// telemetry today (per-host CPU scopes come from ProvisionCPUs).
-func BuildSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts, options ...opt.Option) *SpineLeaf {
-	_ = opt.Resolve(options)
-	return NewSpineLeaf(eng, opts)
-}
-
-// NewSpineLeaf builds and wires the fabric. Like BuildDumbbell, every node
+// BuildSpineLeaf builds and wires the fabric. Like BuildDumbbell, every node
 // gets its own partition and every link is bound to its receiving partition —
 // no-ops on a classic engine, a conservative lookahead of the host/fabric
-// link delay on a partitioned one.
-//
-// Deprecated: use BuildSpineLeaf, which takes functional options.
-func NewSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts) *SpineLeaf {
+// link delay on a partitioned one. The fabric itself has no scoped telemetry
+// (per-host CPU scopes come from ProvisionCPUs).
+func BuildSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts) *SpineLeaf {
 	t := &SpineLeaf{Eng: eng, Opts: opts}
 
 	newQueue := func() netsim.Queue {
@@ -171,19 +162,8 @@ func (t *SpineLeaf) ProvisionCPUs(cores int, costs ksim.Costs, options ...opt.Op
 	scope := opt.Resolve(options).Scope
 	for i, h := range t.Hosts {
 		hsc := h.Eng.PartitionScope(scope.With(obs.Label{Key: "host", Value: strconv.Itoa(i)}))
-		h.AttachCPU(ksim.NewCPU(h.Eng, cores, hsc), costs)
+		h.AttachCPU(ksim.NewHostCPU(h.Eng, cores, opt.WithScope(hsc)), costs)
 	}
-}
-
-// AttachCPUs is the pre-options form of ProvisionCPUs.
-//
-// Deprecated: use ProvisionCPUs with opt.WithScope.
-func (t *SpineLeaf) AttachCPUs(cores int, costs ksim.Costs, sc ...obs.Scope) {
-	var scope obs.Scope
-	if len(sc) > 0 {
-		scope = sc[0]
-	}
-	t.ProvisionCPUs(cores, costs, opt.WithScope(scope))
 }
 
 // FleetSpec configures ProvisionFleet: one fleet.Controller slow path serving
@@ -332,44 +312,23 @@ func BuildDumbbell(eng *netsim.Engine, opts DumbbellOpts, options ...opt.Option)
 	return d
 }
 
-// NewDumbbell is the pre-options form of BuildDumbbell.
-//
-// Deprecated: use BuildDumbbell with opt.WithScope.
-func NewDumbbell(eng *netsim.Engine, opts DumbbellOpts, sc ...obs.Scope) *Dumbbell {
-	var scope obs.Scope
-	if len(sc) > 0 {
-		scope = sc[0]
-	}
-	return BuildDumbbell(eng, opts, opt.WithScope(scope))
-}
-
 // ProvisionCPUs gives every dumbbell host a CPU (the paper's 4-core servers).
 // opt.WithScope labels each host's CPU telemetry with host="<id>". Each CPU
 // is attached to its host's own partition view so completions execute in the
 // host's partition; trace emission goes through the partition's shard.
 func (d *Dumbbell) ProvisionCPUs(cores int, costs ksim.Costs, options ...opt.Option) {
 	scope := opt.Resolve(options).Scope
-	hostScope := func(h *tcp.Host) obs.Scope {
-		return h.Eng.PartitionScope(scope.With(obs.Label{Key: "host", Value: strconv.Itoa(h.ID)}))
+	attach := func(h *tcp.Host) {
+		hsc := h.Eng.PartitionScope(scope.With(obs.Label{Key: "host", Value: strconv.Itoa(h.ID)}))
+		h.AttachCPU(ksim.NewHostCPU(h.Eng, cores, opt.WithScope(hsc)), costs)
 	}
 	for _, h := range d.Senders {
-		h.AttachCPU(ksim.NewCPU(h.Eng, cores, hostScope(h)), costs)
+		attach(h)
 	}
 	for _, h := range d.Receivers {
-		h.AttachCPU(ksim.NewCPU(h.Eng, cores, hostScope(h)), costs)
+		attach(h)
 	}
-	d.UDPHost.AttachCPU(ksim.NewCPU(d.UDPHost.Eng, cores, hostScope(d.UDPHost)), costs)
-}
-
-// AttachCPUs is the pre-options form of ProvisionCPUs.
-//
-// Deprecated: use ProvisionCPUs with opt.WithScope.
-func (d *Dumbbell) AttachCPUs(cores int, costs ksim.Costs, sc ...obs.Scope) {
-	var scope obs.Scope
-	if len(sc) > 0 {
-		scope = sc[0]
-	}
-	d.ProvisionCPUs(cores, costs, opt.WithScope(scope))
+	attach(d.UDPHost)
 }
 
 // QueueBytes returns the bottleneck's current backlog — the Figure 1b

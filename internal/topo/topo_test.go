@@ -13,7 +13,7 @@ import (
 
 func TestSpineLeafWiring(t *testing.T) {
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(16)) // 32 hosts
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(16)) // 32 hosts
 	if len(sl.Hosts) != 32 || len(sl.Leaves) != 2 || len(sl.Spines) != 2 {
 		t.Fatalf("fabric = %d hosts / %d leaves / %d spines", len(sl.Hosts), len(sl.Leaves), len(sl.Spines))
 	}
@@ -28,7 +28,7 @@ func TestSpineLeafWiring(t *testing.T) {
 func TestSpineLeafDelivery(t *testing.T) {
 	// A flow between hosts on different leaves must complete.
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(4))
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(4))
 	src, dst := sl.Hosts[0], sl.Hosts[7] // leaf 0 → leaf 1
 	var fct netsim.Time
 	s := tcp.NewSender(src, 1, dst.ID, 100_000, tcp.NewFixedRate(5e9))
@@ -46,7 +46,7 @@ func TestSpineLeafDelivery(t *testing.T) {
 
 func TestSpineLeafSameLeafDelivery(t *testing.T) {
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(4))
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(4))
 	src, dst := sl.Hosts[1], sl.Hosts[2]
 	s := tcp.NewSender(src, 1, dst.ID, 50_000, tcp.NewFixedRate(5e9))
 	tcp.NewReceiver(dst, 1, src.ID)
@@ -67,7 +67,7 @@ func TestSpineLeafSameLeafDelivery(t *testing.T) {
 
 func TestSpineLeafExplicitPath(t *testing.T) {
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(4))
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(4))
 	src, dst := sl.Hosts[0], sl.Hosts[7]
 
 	// Pin everything through spine 1 and verify spine 0 carries nothing.
@@ -94,7 +94,7 @@ func TestSpineLeafExplicitPath(t *testing.T) {
 
 func TestSpineLeafSameLeafPathIsNil(t *testing.T) {
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(4))
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(4))
 	if sl.PathVia(0, 1, 0) != nil {
 		t.Error("same-leaf path must be nil")
 	}
@@ -102,7 +102,7 @@ func TestSpineLeafSameLeafPathIsNil(t *testing.T) {
 
 func TestSpineLeafECMPSpreadsFlows(t *testing.T) {
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(8))
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(8))
 	src := sl.Hosts[0]
 	for f := 0; f < 64; f++ {
 		src.Transmit(&netsim.Packet{Flow: netsim.FlowID(f), Src: 0, Dst: 12, Size: 500})
@@ -120,8 +120,8 @@ func TestSpineLeafECMPSpreadsFlows(t *testing.T) {
 
 func TestSpineLeafAttachCPUs(t *testing.T) {
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(2))
-	sl.AttachCPUs(4, ksim.DefaultCosts())
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(2))
+	sl.ProvisionCPUs(4, ksim.DefaultCosts())
 	for _, h := range sl.Hosts {
 		if h.CPU == nil || h.CPU.Cores() != 4 {
 			t.Fatal("host missing CPU")
@@ -133,7 +133,7 @@ func TestSpineLeafPrioQueues(t *testing.T) {
 	eng := netsim.NewEngine()
 	opts := DefaultSpineLeafOpts(2)
 	opts.UsePrioQueues = true
-	sl := NewSpineLeaf(eng, opts)
+	sl := BuildSpineLeaf(eng, opts)
 	if _, ok := sl.Leaves[0].Port(0).Queue().(*netsim.PrioQueue); !ok {
 		t.Error("prio-queue option must install PrioQueue on ports")
 	}
@@ -141,7 +141,7 @@ func TestSpineLeafPrioQueues(t *testing.T) {
 
 func TestDumbbellWiring(t *testing.T) {
 	eng := netsim.NewEngine()
-	d := NewDumbbell(eng, TestbedOpts(3))
+	d := BuildDumbbell(eng, TestbedOpts(3))
 	if len(d.Senders) != 3 || len(d.Receivers) != 3 {
 		t.Fatal("dumbbell host counts wrong")
 	}
@@ -163,7 +163,7 @@ func TestDumbbellWiring(t *testing.T) {
 
 func TestDumbbellRTT(t *testing.T) {
 	eng := netsim.NewEngine()
-	d := NewDumbbell(eng, TestbedOpts(1))
+	d := BuildDumbbell(eng, TestbedOpts(1))
 	s := tcp.NewSender(d.Senders[0], 1, d.Receivers[0].ID, 0, tcp.NewFixedRate(100e6))
 	tcp.NewReceiver(d.Receivers[0], 1, d.Senders[0].ID)
 	s.Start()
@@ -177,7 +177,7 @@ func TestDumbbellRTT(t *testing.T) {
 func TestDumbbellUDPBackgroundShares(t *testing.T) {
 	run := func(withUDP bool) float64 {
 		eng := netsim.NewEngine()
-		d := NewDumbbell(eng, TestbedOpts(1))
+		d := BuildDumbbell(eng, TestbedOpts(1))
 		if withUDP {
 			u := tcp.NewUDPSource(d.UDPHost, 99, d.Receivers[0].ID, 100e6)
 			u.Start()
@@ -203,8 +203,8 @@ func TestDumbbellUDPBackgroundShares(t *testing.T) {
 
 func TestDumbbellAttachCPUs(t *testing.T) {
 	eng := netsim.NewEngine()
-	d := NewDumbbell(eng, TestbedOpts(2))
-	d.AttachCPUs(4, ksim.DefaultCosts())
+	d := BuildDumbbell(eng, TestbedOpts(2))
+	d.ProvisionCPUs(4, ksim.DefaultCosts())
 	if d.Senders[0].CPU == nil || d.UDPHost.CPU == nil {
 		t.Error("CPUs not attached")
 	}
@@ -220,7 +220,7 @@ func (u fleetTestUser) Adapt([]core.Sample)          {}
 
 func TestProvisionFleet(t *testing.T) {
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(2)) // 4 hosts
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(2)) // 4 hosts
 	sl.ProvisionCPUs(4, ksim.DefaultCosts())
 	u := fleetTestUser{nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 7)}
 	ctrl := sl.ProvisionFleet(FleetSpec{
@@ -255,7 +255,7 @@ func TestProvisionFleet(t *testing.T) {
 
 func TestProvisionFleetRequiresCPUs(t *testing.T) {
 	eng := netsim.NewEngine()
-	sl := NewSpineLeaf(eng, DefaultSpineLeafOpts(1))
+	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ProvisionFleet without CPUs must panic")

@@ -200,11 +200,6 @@ func NewHostCPU(eng *Engine, cores int, options ...Option) *CPU {
 	return ksim.NewHostCPU(eng, cores, options...)
 }
 
-// NewCPU is the pre-options form of NewHostCPU.
-//
-// Deprecated: use NewHostCPU with WithScope.
-func NewCPU(eng *Engine, cores int, sc ...Scope) *CPU { return ksim.NewCPU(eng, cores, sc...) }
-
 // DefaultCosts returns the calibrated CPU cost table (see internal/ksim).
 func DefaultCosts() Costs { return ksim.DefaultCosts() }
 
@@ -221,13 +216,6 @@ func DefaultQuantConfig() QuantConfig { return quant.DefaultConfig() }
 // arms graceful degradation when the slow path stalls.
 func NewCore(eng *Engine, cpu *CPU, costs Costs, cfg Config, options ...Option) *Core {
 	return core.NewCore(eng, cpu, costs, cfg, options...)
-}
-
-// New is the pre-options form of NewCore.
-//
-// Deprecated: use NewCore with WithScope.
-func New(eng *Engine, cpu *CPU, costs Costs, cfg Config, sc ...Scope) *Core {
-	return core.New(eng, cpu, costs, cfg, sc...)
 }
 
 // NewNetwork builds a float userspace network with the given layer sizes and
@@ -271,13 +259,6 @@ func NewNetlinkChannel(eng *Engine, cpu *CPU, costs Costs, deliver func([]netlin
 	return netlink.NewChannel(eng, cpu, costs, deliver, options...)
 }
 
-// NewChannel is the pre-options form of NewNetlinkChannel.
-//
-// Deprecated: use NewNetlinkChannel with WithScope.
-func NewChannel(eng *Engine, cpu *CPU, costs Costs, deliver func([]netlink.Message), sc ...Scope) *Channel {
-	return netlink.New(eng, cpu, costs, deliver, sc...)
-}
-
 // Message is one netlink record; EncodeSample/DecodeSample convert samples.
 type Message = netlink.Message
 
@@ -297,13 +278,6 @@ func ParseSample(m Message) (Sample, error) { return core.ParseSample(m) }
 // install retry policy.
 func NewSlowPath(c *Core, ch *Channel, f Freezer, e Evaluator, a Adapter, options ...Option) *Service {
 	return core.NewSlowPath(c, ch, f, e, a, options...)
-}
-
-// NewService is the pre-options form of NewSlowPath.
-//
-// Deprecated: use NewSlowPath with WithScope.
-func NewService(c *Core, ch *Channel, f Freezer, e Evaluator, a Adapter, sc ...Scope) *Service {
-	return core.NewService(c, ch, f, e, a, sc...)
 }
 
 // NewFlowBackend returns a fast-path inference backend for one flow,

@@ -13,7 +13,7 @@ import (
 // semantics through the public package only.
 func TestPublicAPILifecycle(t *testing.T) {
 	eng := liteflow.NewEngine()
-	cpu := liteflow.NewCPU(eng, 4)
+	cpu := liteflow.NewHostCPU(eng, 4)
 	costs := liteflow.DefaultCosts()
 
 	net := liteflow.NewNetwork([]int{4, 6, 1},
@@ -29,7 +29,7 @@ func TestPublicAPILifecycle(t *testing.T) {
 	cfg := liteflow.DefaultConfig()
 	cfg.OutMin, cfg.OutMax = 0, 1
 	cfg.FlowCacheTimeout = 0
-	lf := liteflow.New(eng, cpu, costs, cfg)
+	lf := liteflow.NewCore(eng, cpu, costs, cfg)
 	if _, err := lf.RegisterModel(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +48,8 @@ func TestPublicAPILifecycle(t *testing.T) {
 	// Slow path through the facade.
 	u := &apiUser{net: net.Clone()}
 	u.net.Layers[1].B[0] += 2 // diverge so an update becomes necessary
-	ch := liteflow.NewChannel(eng, cpu, costs, nil)
-	svc := liteflow.NewService(lf, ch, u, u, u)
+	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil)
+	svc := liteflow.NewSlowPath(lf, ch, u, u, u)
 	updated := false
 	svc.OnUpdate = func(m *liteflow.Model) { updated = true }
 	svc.Start(50 * liteflow.Millisecond)
