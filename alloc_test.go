@@ -1,15 +1,14 @@
 package liteflow_test
 
-// Allocation guards for the inference hot path. cmd/lfbench's regression
-// mode snapshots allocs/op into BENCH_<rev>.json; these tests are the
-// stricter, always-on gate: steady-state lf_query_model and the batched
-// variant must not touch the heap at all. Run in CI's bench-smoke job next
-// to the -race suite.
+// Allocation guards, always on and run again in CI's bench-smoke job:
+// steady-state lf_query_model and the batched variant must not touch the
+// heap at all, and a slow-path snapshot build stays within a fixed budget.
 
 import (
 	"testing"
 
 	liteflow "github.com/liteflow-sim/liteflow"
+	"github.com/liteflow-sim/liteflow/internal/cc"
 )
 
 // queryFixture builds the Table-1 rig: a registered 30→32→16→1 snapshot on a
@@ -110,5 +109,28 @@ func TestQuerySteadyStateZeroAllocsWithSampler(t *testing.T) {
 	}
 	if fr.Ticks() != 2 || fr.Len() == 0 {
 		t.Fatalf("flight recorder did not record: ticks=%d series=%d", fr.Ticks(), fr.Len())
+	}
+}
+
+// TestSnapshotBuildAllocBound guards the slow path's per-install host cost.
+// Once the process has seen an architecture under a quant config, a retuned
+// snapshot pays for its weights only: Quantize rounds them (the activation
+// tables are shared), Build emits and parses the model unit (the activation
+// unit is memoised). What remains, ≈ 14.7k allocations, is go/parser on the
+// model unit; a build that regenerates or re-parses a table again costs 55k.
+func TestSnapshotBuildAllocBound(t *testing.T) {
+	net := cc.NewAuroraAlphaNet(1)
+	cfg := liteflow.DefaultQuantConfig()
+	build := func() {
+		if _, err := liteflow.BuildSnapshot(net, cfg, "alpha"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // warm: tables and activation unit memoised
+	if allocs := testing.AllocsPerRun(10, build); allocs > 20000 {
+		t.Errorf("warm Quantize + Build of Aurora-α allocates %.0f allocs/op, want ≤ 20000", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { liteflow.Quantize(net, cfg) }); allocs > 80 {
+		t.Errorf("warm Quantize of Aurora-α allocates %.0f allocs/op, want ≤ 80", allocs)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	liteflow "github.com/liteflow-sim/liteflow"
+	"github.com/liteflow-sim/liteflow/internal/cc"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/experiments"
 	"github.com/liteflow-sim/liteflow/internal/fleet"
@@ -152,6 +153,29 @@ func BenchmarkQueryModelBatch(b *testing.B) {
 		if err := lf.QueryModelBatch(1, ins, outs, n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSnapshotBuild measures what one slow-path install pays on the
+// host: Quantize + Build of a retuned network whose architecture and quant
+// config the process has already seen (every install after the first).
+func BenchmarkSnapshotBuild(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		net  *nn.Network
+	}{
+		{"aurora-alpha", cc.NewAuroraAlphaNet(1)},
+		{"mocc", cc.NewMOCCNet(1)},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			cfg := liteflow.DefaultQuantConfig()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := liteflow.BuildSnapshot(m.net, cfg, "snap"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

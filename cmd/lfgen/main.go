@@ -95,7 +95,7 @@ func run(in io.Reader, out io.Writer, emitRuntime bool) error {
 	if emitRuntime {
 		fmt.Fprintln(out, codegen.RuntimeSource())
 	}
-	_, err = fmt.Fprint(out, mod.Source)
+	_, err = fmt.Fprint(out, mod.Source())
 	return err
 }
 

@@ -1,8 +1,15 @@
 package main
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
+
+	"github.com/liteflow-sim/liteflow/internal/codegen"
 )
 
 func TestRunGeneratesValidModule(t *testing.T) {
@@ -13,10 +20,32 @@ func TestRunGeneratesValidModule(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := out.String()
-	for _, want := range []string{"package snapshot", "Infer_aurora", "lut_0"} {
+	// The two hidden tanh layers share one table, the output layer (scale
+	// 1000) has its own; both are named by what determines their content.
+	for _, want := range []string{"package snapshot", "Infer_aurora",
+		"var lut_tanh_a16777216_o4096_n4096_r8 ", "var lut_tanh_a16777216_o1000_n4096_r8 "} {
 		if !strings.Contains(src, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+	if n := strings.Count(src, "var lut_"); n != 2 {
+		t.Errorf("output declares %d tables, want 2", n)
+	}
+
+	// One self-contained file: with the runtime support source it compiles
+	// as a package.
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for name, s := range map[string]string{"snapshot.go": src, "runtime.go": codegen.RuntimeSource()} {
+		f, err := parser.ParseFile(fset, name, s, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", name, err)
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: importer.Default()}
+	if _, err := conf.Check("snapshot", fset, files, nil); err != nil {
+		t.Fatalf("lfgen output fails type check: %v", err)
 	}
 }
 

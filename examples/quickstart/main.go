@@ -50,7 +50,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("generated snapshot %q: %d bytes of integer-only source\n",
-		snap.Name, len(snap.Source))
+		snap.Name, len(snap.Source()))
 
 	// 3. The kernel core module.
 	cfg := liteflow.DefaultConfig()

@@ -1,15 +1,16 @@
 package codegen
 
 import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"math/rand"
+	"errors"
+	"fmt"
+	"go/scanner"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/quant"
@@ -23,53 +24,245 @@ func auroraProgram(t *testing.T) (*nn.Network, *quant.Program) {
 
 func TestGenerateProducesValidGo(t *testing.T) {
 	_, p := auroraProgram(t)
-	src, err := Generate(p, "aurora")
+	mod, err := Build(p, "aurora")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(src); err != nil {
-		t.Fatalf("generated source does not parse: %v\n%s", err, src)
+	src := mod.Source()
+	for name, text := range map[string]string{"activation": mod.Activation, "model": mod.Model, "source": src} {
+		if err := Validate(text); err != nil {
+			t.Fatalf("%s does not parse: %v\n%s", name, err, text)
+		}
 	}
 	for _, want := range []string{
 		"func fc_0_comp", "func fc_1_comp", "func fc_2_comp",
-		"func Infer_aurora", "lut_0", "registerModel(\"aurora\"",
+		"func Infer_aurora", "var lut_tanh_", "func rescale", "registerModel(\"aurora\"",
 		"DO NOT EDIT",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated source missing %q", want)
 		}
 	}
+	if strings.Count(src, "package snapshot") != 1 {
+		t.Error("assembled source must have exactly one package clause")
+	}
+	if strings.Contains(mod.Model, "lut_") || strings.Contains(mod.Activation, "fc_0_comp") {
+		t.Error("tables belong to the activation unit and layer functions to the model unit")
+	}
 }
 
-func TestGeneratedModuleTypeChecks(t *testing.T) {
-	// Compile-analog: the generated module plus the runtime support source
-	// must form a type-correct package, like a .ko linking against the
-	// LiteFlow core module's exported symbols.
-	_, p := auroraProgram(t)
-	src, err := Generate(p, "aurora")
+// TestActivationUnitSharedByContent: layers with one ActID share one helper,
+// and retuned weights reuse the memoised unit text instead of regenerating it.
+func TestActivationUnitSharedByContent(t *testing.T) {
+	cfg := quant.DefaultConfig()
+	acts := []nn.Activation{nn.Tanh, nn.Tanh, nn.Linear}
+	a, err := Build(quant.Quantize(nn.New([]int{30, 32, 16, 1}, acts, 1), cfg), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for name, s := range map[string]string{"snapshot.go": src, "runtime.go": RuntimeSource()} {
-		f, err := parser.ParseFile(fset, name, s, 0)
-		if err != nil {
-			t.Fatalf("parse %s: %v", name, err)
-		}
-		files = append(files, f)
+	b, err := Build(quant.Quantize(nn.New([]int{30, 32, 16, 1}, acts, 2), cfg), "b")
+	if err != nil {
+		t.Fatal(err)
 	}
-	conf := types.Config{Importer: importer.Default()}
-	if _, err := conf.Check("snapshot", fset, files, nil); err != nil {
-		t.Fatalf("generated module fails type check: %v", err)
+	if n := strings.Count(a.Activation, "var lut_"); n != 1 {
+		t.Errorf("two tanh layers at one scale declare %d tables, want 1 shared", n)
+	}
+	if unsafe.StringData(a.Activation) != unsafe.StringData(b.Activation) {
+		t.Error("modules of one architecture and config must share the memoised activation unit")
+	}
+	if a.Model == b.Model {
+		t.Error("model units of differently seeded nets must differ")
+	}
+}
+
+// TestModelUnitMatchesListing2 pins the per-install emitter against a
+// fmt-based rendering of the Listing 2 row form, byte for byte.
+func TestModelUnitMatchesListing2(t *testing.T) {
+	_, p := auroraProgram(t)
+	model, err := Generate(p, "aurora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, l := range p.Layers {
+		var want strings.Builder
+		fmt.Fprintf(&want, "// fc_%d_comp computes dense layer %d (%dx%d, %s).\n", li, li, l.In, l.Out, l.Act)
+		fmt.Fprintf(&want, "func fc_%d_comp(input []int64, output []int64) {\n", li)
+		for i := 0; i < l.Out; i++ {
+			fmt.Fprintf(&want, "\toutput[%d] = actv_%s(", i, l.ActID())
+			for j := 0; j < l.In; j++ {
+				if j > 0 {
+					want.WriteString(" + ")
+				}
+				fmt.Fprintf(&want, "input[%d]*%d", j, l.W[i][j])
+			}
+			fmt.Fprintf(&want, " + %d)\n", l.B[i])
+		}
+		want.WriteString("}\n")
+		if !strings.Contains(model, want.String()) {
+			t.Errorf("layer %d function differs from the reference rendering:\n%s", li, want.String())
+		}
 	}
 }
 
 func TestBuildRejectsBadName(t *testing.T) {
 	_, p := auroraProgram(t)
 	for _, bad := range []string{"", "1abc", "has space", "semi;colon", "dash-ed"} {
-		if _, err := Build(p, bad); err == nil {
-			t.Errorf("Build(%q) must fail", bad)
+		if _, err := Build(p, bad); !errors.Is(err, ErrSnapshotBuild) {
+			t.Errorf("Build(%q) = %v, want ErrSnapshotBuild", bad, err)
+		}
+	}
+}
+
+// brokenProgram returns a program whose first layer carries an activation
+// outside the known four: its ActID is not an identifier, so both the
+// activation unit declaring actv_<id> and the model unit calling it are
+// syntactically broken.
+func brokenProgram(t *testing.T) *quant.Program {
+	t.Helper()
+	_, p := auroraProgram(t)
+	p.Layers[0].Act = nn.Activation(99)
+	return p
+}
+
+// unitKey is the memo key activationUnit derives for p.
+func unitKey(p *quant.Program) string {
+	var ids []string
+	for _, l := range p.Layers {
+		if id := l.ActID(); !slices.Contains(ids, id) {
+			ids = append(ids, id)
+		}
+	}
+	return strings.Join(ids, " ")
+}
+
+// memoSize returns the activation-unit memo's entry count and arranges for
+// the memo to be put back as the test found it.
+func memoSize(t *testing.T) int {
+	t.Helper()
+	unitMemo.Lock()
+	defer unitMemo.Unlock()
+	m, n := maps.Clone(unitMemo.m), unitMemo.bytes
+	t.Cleanup(func() {
+		unitMemo.Lock()
+		unitMemo.m, unitMemo.bytes = m, n
+		unitMemo.Unlock()
+	})
+	return len(m)
+}
+
+// requireBuildFailure asserts the full error chain of a unit that does not
+// parse: classified as ErrSnapshotBuild, the parser's error list kept.
+func requireBuildFailure(t *testing.T, err error, unit string) {
+	t.Helper()
+	var list scanner.ErrorList
+	if !errors.Is(err, ErrSnapshotBuild) || !errors.As(err, &list) || !strings.Contains(err.Error(), unit) {
+		t.Fatalf("Build = %v, want ErrSnapshotBuild wrapping the parser's ErrorList of the %s", err, unit)
+	}
+}
+
+func TestBuildRejectsBrokenActivationUnit(t *testing.T) {
+	before := memoSize(t)
+	_, err := Build(brokenProgram(t), "broken")
+	requireBuildFailure(t, err, "activation unit")
+	if memoSize(t) != before {
+		t.Error("an activation unit that does not parse must not be memoised")
+	}
+}
+
+// TestBuildRejectsBrokenModelUnit: a memoised activation unit does not
+// launder the model unit — it is parsed on every build on its own.
+func TestBuildRejectsBrokenModelUnit(t *testing.T) {
+	_, good := auroraProgram(t)
+	mod, err := Build(good, "good")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := brokenProgram(t)
+	memoSize(t)
+	unitMemo.Lock()
+	unitMemo.m[unitKey(p)] = mod.Activation
+	unitMemo.Unlock()
+	_, err = Build(p, "broken")
+	requireBuildFailure(t, err, "model unit")
+}
+
+// TestMemoCapKeepsResultsCorrect: with the memo full, a new activation unit
+// is still generated, parsed and returned — only not stored.
+func TestMemoCapKeepsResultsCorrect(t *testing.T) {
+	cfg := quant.DefaultConfig()
+	cfg.OutputScale = 777 // a key no other test builds
+	net := nn.New([]int{4, 3, 1}, []nn.Activation{nn.Tanh, nn.Sigmoid}, 5)
+	p := quant.Quantize(net, cfg)
+
+	before := memoSize(t)
+	unitMemo.Lock()
+	saved := unitMemo.bytes
+	unitMemo.bytes = maxMemoBytes
+	unitMemo.Unlock()
+	capped, err := Build(p, "capped")
+	unitMemo.Lock()
+	unitMemo.bytes = saved
+	unitMemo.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memoSize(t) != before {
+		t.Fatal("a unit past the cap must not be stored")
+	}
+	memoised, err := Build(p, "capped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memoSize(t) != before+1 {
+		t.Fatal("a unit within the cap must be stored")
+	}
+	if capped.Activation != memoised.Activation || capped.Model != memoised.Model {
+		t.Error("units built past the cap differ from memoised ones")
+	}
+	if err := Validate(capped.Source()); err != nil {
+		t.Errorf("source built past the cap does not parse: %v", err)
+	}
+}
+
+// TestConcurrentBuildsMatchSerial: the experiment harness's -parallel makes
+// concurrent Quantize + Build a real path. Distinct nets under two configs
+// from 8 goroutines must return units byte-identical to a serial run (run
+// under -race in CI).
+func TestConcurrentBuildsMatchSerial(t *testing.T) {
+	type job struct {
+		net *nn.Network
+		cfg quant.Config
+	}
+	var jobs []job
+	for i := 0; i < 8; i++ {
+		cfg := quant.DefaultConfig()
+		if i%2 == 1 {
+			cfg.OutputScale = 4242
+		}
+		jobs = append(jobs, job{nn.New([]int{10, 8, 4, 1}, []nn.Activation{nn.Tanh, nn.Tanh, nn.Sigmoid}, int64(100+i)), cfg})
+	}
+	build := func(j job) *Module {
+		mod, err := Build(quant.Quantize(j.net, j.cfg), "conc")
+		if err != nil {
+			t.Error(err)
+			return &Module{}
+		}
+		return mod
+	}
+	got := make([]*Module, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = build(j)
+		}()
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		want := build(j)
+		if got[i].Activation != want.Activation || got[i].Model != want.Model {
+			t.Errorf("job %d: concurrent build differs from the serial one", i)
 		}
 	}
 }
@@ -86,162 +279,6 @@ func TestBuildAcceptsValidNames(t *testing.T) {
 func TestValidateCatchesSyntaxErrors(t *testing.T) {
 	if err := Validate("package snapshot\nfunc broken( {"); err == nil {
 		t.Error("Validate must reject broken source")
-	}
-}
-
-// evalExpr evaluates the restricted expression language emitted by rowExpr:
-// integer literals, input[i] indexing, +, *, unary minus, and actv_<k>(...)
-// calls resolved through the quantized program's layers.
-func evalExpr(t *testing.T, e ast.Expr, input []int64, p *quant.Program) int64 {
-	t.Helper()
-	switch v := e.(type) {
-	case *ast.BasicLit:
-		n, err := strconv.ParseInt(v.Value, 10, 64)
-		if err != nil {
-			t.Fatalf("bad literal %q: %v", v.Value, err)
-		}
-		return n
-	case *ast.ParenExpr:
-		return evalExpr(t, v.X, input, p)
-	case *ast.UnaryExpr:
-		x := evalExpr(t, v.X, input, p)
-		if v.Op.String() == "-" {
-			return -x
-		}
-		t.Fatalf("unsupported unary op %s", v.Op)
-	case *ast.IndexExpr:
-		idx := evalExpr(t, v.Index, input, p)
-		return input[idx]
-	case *ast.BinaryExpr:
-		x := evalExpr(t, v.X, input, p)
-		y := evalExpr(t, v.Y, input, p)
-		switch v.Op.String() {
-		case "+":
-			return x + y
-		case "*":
-			return x * y
-		}
-		t.Fatalf("unsupported binary op %s", v.Op)
-	case *ast.CallExpr:
-		name := v.Fun.(*ast.Ident).Name
-		if !strings.HasPrefix(name, "actv_") {
-			t.Fatalf("unsupported call %s", name)
-		}
-		li, err := strconv.Atoi(strings.TrimPrefix(name, "actv_"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := evalExpr(t, v.Args[0], input, p)
-		return applyActivation(p.Layers[li], acc)
-	}
-	t.Fatalf("unsupported expr %T", e)
-	return 0
-}
-
-// applyActivation reimplements the generated actv_<k> helpers using the
-// layer's exported table/scale data, so the test checks the *inlined
-// parameters* of the generated source independently.
-func applyActivation(l *quant.Layer, acc int64) int64 {
-	rescale := func(v, from, to int64) int64 {
-		if from == to {
-			return v
-		}
-		n := v * to
-		if n >= 0 {
-			return (n + from/2) / from
-		}
-		return (n - from/2) / from
-	}
-	switch l.Act {
-	case nn.Tanh, nn.Sigmoid:
-		tbl, lo, hi := l.TableData()
-		if acc <= lo {
-			return tbl[0]
-		}
-		if acc >= hi {
-			return tbl[len(tbl)-1]
-		}
-		span := hi - lo
-		num := (acc - lo) * int64(len(tbl)-1)
-		idx := num / span
-		rem := num % span
-		return tbl[idx] + (tbl[idx+1]-tbl[idx])*rem/span
-	case nn.ReLU:
-		if acc < 0 {
-			return 0
-		}
-		return rescale(acc, l.AccScale(), l.OutScale())
-	default:
-		return rescale(acc, l.AccScale(), l.OutScale())
-	}
-}
-
-// TestGeneratedSourceMatchesProgram interprets the generated per-layer
-// assignments and checks that, chained together, they reproduce the
-// in-memory Program's inference exactly on random inputs. This is the
-// "generated module computes what the snapshot computes" guarantee.
-func TestGeneratedSourceMatchesProgram(t *testing.T) {
-	_, p := auroraProgram(t)
-	src, err := Generate(p, "aurora")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "snapshot.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Collect the assignment expressions of each fc_<k>_comp function.
-	layerExprs := make(map[int][]ast.Expr)
-	for _, d := range file.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || !strings.HasPrefix(fd.Name.Name, "fc_") {
-			continue
-		}
-		parts := strings.Split(fd.Name.Name, "_")
-		li, err := strconv.Atoi(parts[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, stmt := range fd.Body.List {
-			as, ok := stmt.(*ast.AssignStmt)
-			if !ok {
-				continue
-			}
-			layerExprs[li] = append(layerExprs[li], as.Rhs[0])
-		}
-	}
-	if len(layerExprs) != len(p.Layers) {
-		t.Fatalf("found %d generated layers, want %d", len(layerExprs), len(p.Layers))
-	}
-
-	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 25; trial++ {
-		in := make([]float64, p.InputSize())
-		for i := range in {
-			in[i] = r.Float64()*2 - 1
-		}
-		qin := p.QuantizeInput(in, nil)
-
-		// Interpret the generated source layer by layer.
-		cur := qin
-		for li := 0; li < len(p.Layers); li++ {
-			next := make([]int64, len(layerExprs[li]))
-			for i, e := range layerExprs[li] {
-				next[i] = evalExpr(t, e, cur, p)
-			}
-			cur = next
-		}
-
-		// Run the in-memory program.
-		want := make([]int64, p.OutputSize())
-		p.Infer(qin, want)
-
-		for i := range want {
-			if cur[i] != want[i] {
-				t.Fatalf("trial %d output %d: generated source = %d, program = %d", trial, i, cur[i], want[i])
-			}
-		}
 	}
 }
 
@@ -273,7 +310,7 @@ func TestModuleFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name != "snap1" || m.Program != p || m.Source == "" {
+	if m.Name != "snap1" || m.Program != p || m.Activation == "" || m.Model == "" {
 		t.Errorf("module fields wrong: %+v", m.Name)
 	}
 }

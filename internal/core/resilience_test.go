@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"go/scanner"
 	"math"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/opt"
+	"github.com/liteflow-sim/liteflow/internal/quant"
 )
 
 // watchdogRig is a serviceRig variant with the slow-path watchdog armed.
@@ -278,5 +280,14 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := codegen.Generate(nil, "not an ident"); !errors.Is(err, codegen.ErrSnapshotBuild) {
 		t.Errorf("Generate = %v, want ErrSnapshotBuild", err)
+	}
+	// A unit that does not parse (here: an activation the generator cannot
+	// name) is the same class of failure, and keeps the parser's error list
+	// as its cause.
+	prog := quant.Quantize(nn.New([]int{2, 1}, []nn.Activation{nn.Activation(99)}, 1), quant.DefaultConfig())
+	_, err := codegen.Build(prog, "broken")
+	var list scanner.ErrorList
+	if !errors.Is(err, codegen.ErrSnapshotBuild) || !errors.As(err, &list) {
+		t.Errorf("Build = %v, want ErrSnapshotBuild wrapping a scanner.ErrorList", err)
 	}
 }

@@ -267,7 +267,7 @@ func FuzzLookupClamp(f *testing.F) {
 	f.Add(int64(math.MinInt64 / 2))
 	f.Add(int64(-1))
 	l := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
-	buildTable(l, nn.Tanh, DefaultConfig())
+	l.useTable(DefaultConfig().TableSize, DefaultConfig().TableRange)
 	f.Fuzz(func(t *testing.T, acc int64) {
 		v := l.lookup(acc)
 		if v < -(1<<12) || v > 1<<12 {

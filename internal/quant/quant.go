@@ -15,11 +15,19 @@
 //     space; Taylor approximations lose precision outside a narrow range and
 //     cost more for higher degrees. A bounded LUT with linear interpolation
 //     gives constant-time, uniformly accurate evaluation.
+//
+// A table follows from the activation, the table size and range and the
+// layer's two scales — never from a weight — so tables are memoised
+// process-wide by those values and shared, read-only, between layers and
+// Programs: re-quantizing a retuned network only rounds its weights.
 package quant
 
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
+	"sync"
 
 	"github.com/liteflow-sim/liteflow/internal/nn"
 )
@@ -69,11 +77,13 @@ type Layer struct {
 	accScale int64 // inScale·weightScale: scale of the accumulator
 	outScale int64 // scale of this layer's outputs
 
-	// LUT for tanh/sigmoid: maps accumulator values in
-	// [-tblMin, +tblMin]... entries are at outScale.
-	table  []int64
-	tblMin int64 // accumulator value of table[0]
-	tblMax int64 // accumulator value of table[len-1]
+	// LUT for tanh/sigmoid: entry i is the activation, at outScale, of the
+	// accumulator value tblMin + i·(tblMax-tblMin)/(len-1). The array is
+	// shared with every layer of the same tableKey and never written.
+	table    []int64
+	tblRange float64 // Config.TableRange the table was built over
+	tblMin   int64   // accumulator value of table[0]
+	tblMax   int64   // accumulator value of table[len-1]
 }
 
 // InScale returns the fixed-point scale of the layer's inputs.
@@ -88,10 +98,26 @@ func (l *Layer) OutScale() int64 { return l.outScale }
 
 // TableData exposes the activation lookup table and the accumulator values
 // of its first and last entries; the table is nil for layers that need none.
-// Code generation inlines this data into the emitted module.
+// Code generation inlines this data into the emitted module. The slice is
+// shared between layers and Programs: callers must not write to it.
 func (l *Layer) TableData() (table []int64, tblMin, tblMax int64) {
 	return l.table, l.tblMin, l.tblMax
 }
+
+// ActID spells out, in identifier characters, everything the layer's
+// activation step depends on: activation, accumulator and output scale, and
+// for LUT layers table size and range (shortest exact decimal, "." as p, "-"
+// as m). Layers with equal IDs activate identically and can share a helper.
+func (l *Layer) ActID() string {
+	id := fmt.Sprintf("%s_a%d_o%d", l.Act, l.accScale, l.outScale)
+	if l.table != nil {
+		r := strconv.FormatFloat(l.tblRange, 'g', -1, 64)
+		id += fmt.Sprintf("_n%d_r%s", len(l.table), identChars.Replace(r))
+	}
+	return id
+}
+
+var identChars = strings.NewReplacer(".", "p", "-", "m", "+", "")
 
 // Program is an executable integer snapshot of a float network. The struct
 // itself is immutable after Quantize; all mutable execution state lives in an
@@ -169,7 +195,7 @@ func Quantize(net *nn.Network, cfg Config) *Program {
 			l.B[i] = roundToInt(fl.B[i] * float64(l.accScale))
 		}
 		if fl.Act == nn.Tanh || fl.Act == nn.Sigmoid {
-			buildTable(l, fl.Act, cfg)
+			l.useTable(cfg.TableSize, cfg.TableRange)
 		}
 		p.Layers = append(p.Layers, l)
 		p.macs += fl.In * fl.Out
@@ -190,19 +216,55 @@ func roundToInt(x float64) int64 {
 	return int64(math.Round(x))
 }
 
-// buildTable fills the layer's activation LUT. Entries map accumulator
-// values (scale accScale) over [-R, R] in pre-activation units to activated
-// outputs at outScale.
-func buildTable(l *Layer, act nn.Activation, cfg Config) {
-	l.table = make([]int64, cfg.TableSize)
-	l.tblMin = -roundToInt(cfg.TableRange * float64(l.accScale))
-	l.tblMax = roundToInt(cfg.TableRange * float64(l.accScale))
-	for i := range l.table {
-		// Pre-activation value represented by entry i, in float.
-		frac := float64(i) / float64(cfg.TableSize-1)
-		x := -cfg.TableRange + 2*cfg.TableRange*frac
-		l.table[i] = roundToInt(act.Apply(x) * float64(l.outScale))
+// useTable attaches the shared LUT for l's activation and scales, covering
+// pre-activation values in [-tblRange, tblRange].
+func (l *Layer) useTable(size int, tblRange float64) {
+	l.table = sharedTable(tableKey{l.Act, size, tblRange, l.accScale, l.outScale})
+	l.tblRange = tblRange
+	l.tblMax = roundToInt(tblRange * float64(l.accScale))
+	l.tblMin = -l.tblMax
+}
+
+// tableKey is everything an activation table's content depends on.
+type tableKey struct {
+	act                nn.Activation
+	size               int
+	tblRange           float64
+	accScale, outScale int64
+}
+
+// maxMemoEntries bounds the table memo at 2 MB (64 tables of the default
+// size). A run meets a handful of keys — one per (activation, output scale)
+// of its model zoo — so the bound only stops a caller that invents configs
+// without end; a table that does not fit is computed for its Program alone.
+const maxMemoEntries = 1 << 18
+
+var tableMemo = struct {
+	sync.Mutex
+	m       map[tableKey][]int64
+	entries int
+}{m: map[tableKey][]int64{}}
+
+// sharedTable returns the LUT for k: entry i maps the pre-activation value
+// -R + 2R·i/(size-1) to the activated output at outScale. It is computed
+// under the lock, so concurrent Quantize calls of one key share one array.
+func sharedTable(k tableKey) []int64 {
+	tableMemo.Lock()
+	defer tableMemo.Unlock()
+	if t, ok := tableMemo.m[k]; ok {
+		return t
 	}
+	t := make([]int64, k.size)
+	for i := range t {
+		frac := float64(i) / float64(k.size-1)
+		x := -k.tblRange + 2*k.tblRange*frac
+		t[i] = roundToInt(k.act.Apply(x) * float64(k.outScale))
+	}
+	if tableMemo.entries+k.size <= maxMemoEntries {
+		tableMemo.m[k] = t
+		tableMemo.entries += k.size
+	}
+	return t
 }
 
 // InputSize returns the program's input dimension.

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +257,112 @@ func BenchmarkInferMOCCSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Infer(in, out)
+	}
+}
+
+// freshTable computes an activation LUT straight from its definition, without
+// the memo.
+func freshTable(k tableKey) []int64 {
+	t := make([]int64, k.size)
+	for i := range t {
+		x := -k.tblRange + 2*k.tblRange*float64(i)/float64(k.size-1)
+		t[i] = int64(math.Round(k.act.Apply(x) * float64(k.outScale)))
+	}
+	return t
+}
+
+// TestSharedTablesEqualFreshOnes: the memo is invisible. For every table key
+// the model zoo's activation patterns produce under fig7's sweep of C, the
+// shared table equals a freshly computed one element for element, and two
+// Programs quantized under one Config share one backing array.
+func TestSharedTablesEqualFreshOnes(t *testing.T) {
+	zoo := [][]nn.Activation{
+		{nn.Tanh, nn.Tanh, nn.Tanh},      // Aurora, MOCC
+		{nn.Tanh, nn.Tanh, nn.Sigmoid},   // the α heads
+		{nn.ReLU, nn.ReLU, nn.Linear},    // FFNN, LB MLP: no table
+		{nn.Sigmoid, nn.ReLU, nn.Linear}, // sigmoid at the hidden scale
+	}
+	for _, c := range []int64{1, 10, 100, 1000, 10000} {
+		cfg := DefaultConfig()
+		cfg.OutputScale = c
+		for zi, acts := range zoo {
+			p := Quantize(nn.New([]int{6, 5, 4, 1}, acts, 1), cfg)
+			q := Quantize(nn.New([]int{6, 5, 4, 1}, acts, 2), cfg)
+			for li, l := range p.Layers {
+				if l.Act != nn.Tanh && l.Act != nn.Sigmoid {
+					if l.table != nil {
+						t.Errorf("C=%d zoo %d layer %d: %v layer has a table", c, zi, li, l.Act)
+					}
+					continue
+				}
+				want := freshTable(tableKey{l.Act, cfg.TableSize, cfg.TableRange, l.accScale, l.outScale})
+				if !slices.Equal(l.table, want) {
+					t.Errorf("C=%d zoo %d layer %d: shared %v table differs from a fresh one", c, zi, li, l.Act)
+				}
+				if &l.table[0] != &q.Layers[li].table[0] {
+					t.Errorf("C=%d zoo %d layer %d: two Programs under one Config do not share the table", c, zi, li)
+				}
+			}
+		}
+	}
+}
+
+// TestTableMemoCap: with the memo full a table is computed for its Program
+// alone — still correct, not stored, not shared.
+func TestTableMemoCap(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.OutputScale = 31337 // a key no other test quantizes under
+	net := nn.New([]int{3, 1}, []nn.Activation{nn.Sigmoid}, 1)
+
+	tableMemo.Lock()
+	saved := tableMemo.entries
+	tableMemo.entries = maxMemoEntries
+	tableMemo.Unlock()
+	p, q := Quantize(net, cfg), Quantize(net, cfg)
+	tableMemo.Lock()
+	tableMemo.entries = saved
+	l := p.Layers[0]
+	key := tableKey{l.Act, cfg.TableSize, cfg.TableRange, l.accScale, l.outScale}
+	_, stored := tableMemo.m[key]
+	tableMemo.Unlock()
+
+	if stored {
+		t.Error("a table past the cap must not be stored")
+	}
+	if &l.table[0] == &q.Layers[0].table[0] {
+		t.Error("tables past the cap must not be shared")
+	}
+	if !slices.Equal(l.table, freshTable(key)) || !slices.Equal(q.Layers[0].table, freshTable(key)) {
+		t.Error("table computed past the cap is wrong")
+	}
+}
+
+// TestActIDSeparatesWhatDiffers: equal IDs must mean equal activation
+// behaviour, so every input of the table key shows up in the ID.
+func TestActIDSeparatesWhatDiffers(t *testing.T) {
+	net := nn.New([]int{2, 2, 1}, []nn.Activation{nn.Tanh, nn.Tanh}, 1)
+	base := DefaultConfig()
+	ids := map[string]string{}
+	for name, mut := range map[string]func(*Config){
+		"base":        func(*Config) {},
+		"OutputScale": func(c *Config) { c.OutputScale = 10 },
+		"TableSize":   func(c *Config) { c.TableSize = 1024 },
+		"TableRange":  func(c *Config) { c.TableRange = 7.5 },
+		"ActScale":    func(c *Config) { c.ActScale = 1 << 10 },
+		"InputScale":  func(c *Config) { c.InputScale = 1 << 10 },
+	} {
+		cfg := base
+		mut(&cfg)
+		p := Quantize(net, cfg)
+		id := p.Layers[0].ActID() + " " + p.Layers[1].ActID()
+		for other, oid := range ids {
+			if oid == id {
+				t.Errorf("configs %q and %q yield the same ActIDs %q", name, other, id)
+			}
+		}
+		ids[name] = id
+	}
+	if got, want := Quantize(net, base).Layers[0].ActID(), "tanh_a16777216_o4096_n4096_r8"; got != want {
+		t.Errorf("ActID = %q, want %q", got, want)
 	}
 }

@@ -88,7 +88,7 @@ func ApproxError(act nn.Activation, approx func(x float64) float64, limit float6
 // dequantizes.
 func LUTApprox(act nn.Activation, tableSize int, tableRange float64, scale int64) func(x float64) float64 {
 	l := &Layer{Act: act, accScale: scale, outScale: scale}
-	buildTable(l, act, Config{TableSize: tableSize, TableRange: tableRange})
+	l.useTable(tableSize, tableRange)
 	return func(x float64) float64 {
 		acc := roundToInt(x * float64(scale))
 		return float64(l.lookup(acc)) / float64(scale)

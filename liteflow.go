@@ -177,7 +177,9 @@ type (
 	QuantConfig = quant.Config
 	// Program is an integer-only executable snapshot.
 	Program = quant.Program
-	// Snapshot is a generated module: source artifact plus executable.
+	// Snapshot is a generated module: source artifact (an activation unit
+	// and a model unit; Source() assembles them into one file) plus
+	// executable.
 	Snapshot = codegen.Module
 )
 
@@ -245,10 +247,14 @@ func BuildSnapshot(net *Network, cfg QuantConfig, name string) (*Snapshot, error
 	return codegen.Build(quant.Quantize(net, cfg), name)
 }
 
-// GenerateSource renders the snapshot module source for a quantized program
-// without building the executable wrapper (the lfgen tool's core).
+// GenerateSource renders the snapshot module of a quantized program as one
+// self-contained, parser-checked source file (the lfgen tool's core).
 func GenerateSource(p *Program, name string) (string, error) {
-	return codegen.Generate(p, name)
+	mod, err := codegen.Build(p, name)
+	if err != nil {
+		return "", err
+	}
+	return mod.Source(), nil
 }
 
 // NewNetlinkChannel creates a batched netlink channel on the given host CPU.

@@ -22,7 +22,7 @@ func TestPublicAPILifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(snap.Source, "Infer_api_test") {
+	if !strings.Contains(snap.Source(), "Infer_api_test") {
 		t.Error("generated source must expose the inference entry point")
 	}
 
