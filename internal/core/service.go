@@ -373,6 +373,45 @@ func (g *StabilityGate) Converged(v float64, cfg Config) bool {
 // Reset forgets the history, so convergence must be re-earned.
 func (g *StabilityGate) Reset() { g.hist = g.hist[:0] }
 
+// MinFidelityLoss is the necessity gate's measurement (paper §3.4): the
+// smallest L1 distance, over samples, between the snapshot's output f'(x) and
+// the userspace model's f(x). Samples whose input does not fit prog are
+// passed over; so are those where the two outputs differ in size — a
+// truncated partial sum would understate the loss and mask real divergence —
+// and these are counted in mismatched. beforeInfer, when not nil, runs before
+// each snapshot inference (the service charges kernel CPU there). minLoss is
+// +Inf when no sample could be compared.
+func MinFidelityLoss(prog *quant.Program, user Evaluator, samples []Sample, beforeInfer func()) (minLoss float64, mismatched int) {
+	minLoss = math.Inf(1)
+	in := make([]int64, prog.InputSize())
+	out := make([]int64, prog.OutputSize())
+	kernelOut := make([]float64, prog.OutputSize())
+	for _, sm := range samples {
+		if len(sm.Input) != len(in) {
+			continue
+		}
+		prog.QuantizeInput(sm.Input, in)
+		if beforeInfer != nil {
+			beforeInfer()
+		}
+		prog.Infer(in, out)
+		prog.DequantizeOutput(out, kernelOut)
+		userOut := user.Infer(sm.Input)
+		if len(userOut) != len(kernelOut) {
+			mismatched++
+			continue
+		}
+		l := 0.0
+		for i := range userOut {
+			l += math.Abs(kernelOut[i] - userOut[i])
+		}
+		if l < minLoss {
+			minLoss = l
+		}
+	}
+	return minLoss, mismatched
+}
+
 // evaluateNecessity computes the minimal fidelity loss over the batch.
 // Kernel snapshot outputs must travel to userspace: the service sends the
 // inputs down and the outputs come back, both charged as cross-space work
@@ -396,44 +435,19 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 		payload += 8 * len(sm.Input)
 	}
 	sendErr := s.Chan.SendToKernel(payload, func() {
-		minLoss := math.Inf(1)
 		active := s.Core.Active()
 		if active == nil {
 			s.installing = false
 			return
 		}
 		prog := active.Program()
-		in := make([]int64, prog.InputSize())
-		out := make([]int64, prog.OutputSize())
-		for _, sm := range samples {
-			if len(sm.Input) != prog.InputSize() {
-				continue
-			}
-			// Kernel-side snapshot output f'(x).
-			prog.QuantizeInput(sm.Input, in)
-			if s.Core.CPU != nil {
-				s.Core.CPU.Charge(ksim.Kernel, ksim.InferCost(s.Core.Costs.KernelInferPerMAC, prog.MACs()))
-			}
-			prog.Infer(in, out)
-			kernelOut := prog.DequantizeOutput(out, nil)
-			// Userspace output f(x).
-			userOut := s.Evaluator.Infer(sm.Input)
-			if len(userOut) != len(kernelOut) {
-				// Mismatched output shapes make the L1 distance meaningless;
-				// a truncated partial sum would understate the loss and mask
-				// real divergence. Skip the sample, mirroring the input-size
-				// skip above, and count it.
-				s.met.mismatched.Inc()
-				continue
-			}
-			l := 0.0
-			for i := range userOut {
-				l += math.Abs(kernelOut[i] - userOut[i])
-			}
-			if l < minLoss {
-				minLoss = l
-			}
+		var charge func()
+		if s.Core.CPU != nil {
+			cost := ksim.InferCost(s.Core.Costs.KernelInferPerMAC, prog.MACs())
+			charge = func() { s.Core.CPU.Charge(ksim.Kernel, cost) }
 		}
+		minLoss, mismatched := MinFidelityLoss(prog, s.Evaluator, samples, charge)
+		s.met.mismatched.Add(int64(mismatched))
 		if math.IsInf(minLoss, 1) {
 			s.installing = false
 			return

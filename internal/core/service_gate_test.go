@@ -13,6 +13,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
+	"github.com/liteflow-sim/liteflow/internal/quant"
 )
 
 // fillWindow pushes enough faithful batches for the stability history to
@@ -198,6 +199,42 @@ func TestFidelityOutputMismatchSkipped(t *testing.T) {
 	}
 	if r.svc.installing {
 		t.Error("an all-mismatched check must release the install pipeline")
+	}
+}
+
+// TestMinFidelityLoss pins the measurement the service and the fleet
+// controller share: the minimum is over comparable samples only, a sample of
+// the wrong input size costs no inference, an output-size mismatch costs one
+// and is counted, and the loop allocates its buffers once, not per sample.
+func TestMinFidelityLoss(t *testing.T) {
+	net := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
+	prog := quant.Quantize(net, quant.DefaultConfig())
+	user := &userModel{net: net.Clone()}
+	user.net.Layers[1].B[0] += 0.25
+	samples := []Sample{
+		{Input: []float64{0.1, 0.2, 0.3, 0.4}},
+		{Input: []float64{1, 2, 3}}, // wrong input size
+		{Input: []float64{-0.5, 0.5, 0, 1}},
+	}
+	inferred := 0
+	loss, mismatched := MinFidelityLoss(prog, user, samples, func() { inferred++ })
+	if math.Abs(loss-0.25) > 0.01 || mismatched != 0 || inferred != 2 {
+		t.Errorf("loss %.4f (want ≈ 0.25), mismatched %d (want 0), inferences %d (want 2)", loss, mismatched, inferred)
+	}
+	loss, mismatched = MinFidelityLoss(prog, wideEvaluator{user}, samples, nil)
+	if !math.IsInf(loss, 1) || mismatched != 2 {
+		t.Errorf("all outputs mismatched: loss %v (want +Inf), mismatched %d (want 2)", loss, mismatched)
+	}
+
+	many := make([]Sample, 64)
+	for i := range many {
+		many[i] = samples[0]
+	}
+	fixed := fixedEvaluator{out: 1}
+	few := testing.AllocsPerRun(10, func() { MinFidelityLoss(prog, fixed, many[:1], nil) })
+	all := testing.AllocsPerRun(10, func() { MinFidelityLoss(prog, fixed, many, nil) })
+	if perSample := (all - few) / 63; perSample > 1 { // fixedEvaluator.Infer's own result
+		t.Errorf("%.1f allocations per sample beyond the first, want ≤ 1", perSample)
 	}
 }
 

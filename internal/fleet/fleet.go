@@ -661,30 +661,8 @@ func (c *Controller) evaluateNecessity(pool []core.Sample) {
 		return
 	}
 	c.met.fidelityChecks.Inc()
-	prog := c.cur.prog
-	in := make([]int64, prog.InputSize())
-	out := make([]int64, prog.OutputSize())
-	minLoss := math.Inf(1)
-	for _, sm := range pool {
-		if len(sm.Input) != prog.InputSize() {
-			continue
-		}
-		prog.QuantizeInput(sm.Input, in)
-		prog.Infer(in, out)
-		kernelOut := prog.DequantizeOutput(out, nil)
-		userOut := c.evaluator.Infer(sm.Input)
-		if len(userOut) != len(kernelOut) {
-			c.met.mismatched.Inc()
-			continue
-		}
-		l := 0.0
-		for i := range userOut {
-			l += math.Abs(kernelOut[i] - userOut[i])
-		}
-		if l < minLoss {
-			minLoss = l
-		}
-	}
+	minLoss, mismatched := core.MinFidelityLoss(c.cur.prog, c.evaluator, pool, nil)
+	c.met.mismatched.Add(int64(mismatched))
 	if math.IsInf(minLoss, 1) {
 		return
 	}

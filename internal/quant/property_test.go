@@ -219,12 +219,14 @@ func TestTaylorErrorBoundsExtremeInputs(t *testing.T) {
 }
 
 // FuzzQuantizeExecute derives a random network and input from the fuzz
-// corpus and checks the quantize→execute error bound plus batch/sequential
-// agreement — the two properties above, driven by arbitrary bytes.
+// corpus and checks a quantize→execute absolute error bound plus agreement of
+// Infer, InferWith and InferBatch with the reference loop — under the default
+// config and, for the kernel only, one whose LUT spans make lookup divide.
 func FuzzQuantizeExecute(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(5), uint8(3))
 	f.Add(int64(99), uint8(3), uint8(24), uint8(0))
 	f.Add(int64(-7), uint8(1), uint8(1), uint8(255))
+	f.Add(int64(54), uint8(16), uint8(62), uint8(41)) // 16-1-2: both outputs saturate, 3e-7 apart
 	f.Fuzz(func(t *testing.T, seed int64, depthB, widthB, actB uint8) {
 		r := rand.New(rand.NewSource(seed))
 		depth := 1 + int(depthB)%3
@@ -240,38 +242,50 @@ func FuzzQuantizeExecute(f *testing.F) {
 		net := nn.New(sizes, acts, seed)
 		p := Quantize(net, DefaultConfig())
 
+		// The bound is on the absolute error: AccuracyLoss divides by the
+		// observed output range, which for one input is the distance between
+		// two outputs and can be arbitrarily small.
 		in := randomInput(r, net.InputSize())
-		if loss := AccuracyLoss(net, p, [][]float64{in}); loss > 0.10 {
-			t.Errorf("quantization loss %.4f on %v", loss, sizes)
-		}
-
-		qi := p.QuantizeInput(in, nil)
-		single := make([]int64, p.OutputSize())
-		p.Infer(qi, single)
-		batch := make([]int64, p.OutputSize())
-		p.InferBatch(p.NewArena(), qi, batch, 1)
-		for i := range single {
-			if single[i] != batch[i] {
-				t.Errorf("batch[%d] = %d, single = %d", i, batch[i], single[i])
+		want, got := net.Infer(in), p.InferFloat(in)
+		for i := range want {
+			if e := math.Abs(got[i] - want[i]); e > 0.02 {
+				t.Errorf("output %d of %v: quantized %.5f, float %.5f (error %.5f)", i, sizes, got[i], want[i], e)
 			}
 		}
+
+		checkAgainstReference(t, p, p.QuantizeInput(in, nil), "default config")
+		q := Quantize(net, nonPow2Config())
+		checkAgainstReference(t, q, q.QuantizeInput(in, nil), "non-power-of-two spans")
 	})
 }
 
 // FuzzLookupClamp drives raw accumulator values, including extremes, through
-// the LUT: the result must stay within the activation's output range at
-// outScale and never panic.
+// the LUT of a layer on each interpolation arm: the result must stay within
+// the activation's output range at outScale, equal the reference lookup and
+// never panic.
 func FuzzLookupClamp(f *testing.F) {
 	f.Add(int64(0))
 	f.Add(int64(math.MaxInt64 / 2))
 	f.Add(int64(math.MinInt64 / 2))
 	f.Add(int64(-1))
-	l := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
-	l.useTable(DefaultConfig().TableSize, DefaultConfig().TableRange)
+	f.Add(int64(5999))
+	shifting := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
+	shifting.useTable(DefaultConfig().TableSize, DefaultConfig().TableRange)
+	dividing := &Layer{Act: nn.Tanh, accScale: 1000, outScale: 1 << 12}
+	dividing.useTable(DefaultConfig().TableSize, 6)
+	if shifting.tblShift == 0 || dividing.tblShift != 0 {
+		f.Fatalf("tblShift = %d and %d: the two layers must take different arms", shifting.tblShift, dividing.tblShift)
+	}
 	f.Fuzz(func(t *testing.T, acc int64) {
-		v := l.lookup(acc)
-		if v < -(1<<12) || v > 1<<12 {
-			t.Errorf("lookup(%d) = %d outside tanh range at scale %d", acc, v, 1<<12)
+		for _, l := range []*Layer{shifting, dividing} {
+			v := []int64{acc}
+			l.lookup(v)
+			if v[0] < -(1<<12) || v[0] > 1<<12 {
+				t.Errorf("lookup(%d) = %d outside tanh range at scale %d", acc, v[0], 1<<12)
+			}
+			if want := referenceLookup(l, acc); v[0] != want {
+				t.Errorf("lookup(%d) = %d, reference = %d (span %d)", acc, v[0], want, l.tblMax-l.tblMin)
+			}
 		}
 	})
 }

@@ -20,11 +20,17 @@
 // layer's two scales — never from a weight — so tables are memoised
 // process-wide by those values and shared, read-only, between layers and
 // Programs: re-quantizing a retuned network only rounds its weights.
+//
+// Inference is one kernel (inferInto): per layer a dense step over a
+// contiguous weight slab, four rows at a time, then one activation pass over
+// the finished accumulators. DESIGN.md §4k "Snapshot execution" says why it
+// computes, bit for bit, what the plain loop kept in reference_test.go does.
 package quant
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,11 +73,17 @@ func DefaultConfig() Config {
 // Layer is one quantized dense layer. Weights are at WeightScale; biases are
 // pre-scaled to inScale·WeightScale so they add directly into the
 // accumulator.
+//
+// The weights live in one row-major slab, which is what inference reads; W[i]
+// is a view of row i of it. Writing W[i][j] changes the layer, pointing W[i]
+// at another slice does not.
 type Layer struct {
 	In, Out int
 	W       [][]int64 // [Out][In], scale = weightScale
 	B       []int64   // [Out], scale = inScale·weightScale
 	Act     nn.Activation
+
+	w []int64 // the slab: row i is w[i*In : (i+1)*In]
 
 	inScale  int64 // scale of this layer's inputs
 	accScale int64 // inScale·weightScale: scale of the accumulator
@@ -84,6 +96,10 @@ type Layer struct {
 	tblRange float64 // Config.TableRange the table was built over
 	tblMin   int64   // accumulator value of table[0]
 	tblMax   int64   // accumulator value of table[len-1]
+	// tblShift is log2(tblMax-tblMin) when that span is a power of two — it
+	// is whenever the accumulator scale and the table range are — and 0
+	// otherwise; interpolation then shifts and masks instead of dividing.
+	tblShift uint
 }
 
 // InScale returns the fixed-point scale of the layer's inputs.
@@ -163,7 +179,10 @@ func (p *Program) NewArena() *Arena {
 }
 
 // Quantize converts net into an integer Program under cfg. It panics on
-// non-positive scales, which would be silent precision bugs otherwise.
+// non-positive scales and on scales so large that a unit value no longer fits
+// the 63-bit products inference forms (accumulator scale × output scale in
+// rescale, table span × table size in the LUT), which would be silent
+// precision bugs otherwise.
 func Quantize(net *nn.Network, cfg Config) *Program {
 	if cfg.InputScale <= 0 || cfg.WeightScale <= 0 || cfg.ActScale <= 0 || cfg.OutputScale <= 0 {
 		panic("quant: scales must be positive")
@@ -179,19 +198,28 @@ func Quantize(net *nn.Network, cfg Config) *Program {
 		if li == len(net.Layers)-1 {
 			outScale = cfg.OutputScale
 		}
+		accScale, ok := mul63(inScale, cfg.WeightScale)
+		if ok {
+			_, ok = mul63(accScale, outScale)
+		}
+		if !ok {
+			panic(fmt.Sprintf("quant: layer %d scales %d·%d·%d overflow 63 bits", li, inScale, cfg.WeightScale, outScale))
+		}
 		l := &Layer{
 			In: fl.In, Out: fl.Out, Act: fl.Act,
 			inScale:  inScale,
-			accScale: inScale * cfg.WeightScale,
+			accScale: accScale,
 			outScale: outScale,
 		}
+		l.w = make([]int64, fl.Out*fl.In)
 		l.W = make([][]int64, fl.Out)
 		l.B = make([]int64, fl.Out)
 		for i := range fl.W {
-			l.W[i] = make([]int64, fl.In)
+			row := l.w[i*fl.In : (i+1)*fl.In : (i+1)*fl.In]
 			for j, w := range fl.W[i] {
-				l.W[i][j] = roundToInt(w * float64(cfg.WeightScale))
+				row[j] = roundToInt(w * float64(cfg.WeightScale))
 			}
+			l.W[i] = row
 			l.B[i] = roundToInt(fl.B[i] * float64(l.accScale))
 		}
 		if fl.Act == nn.Tanh || fl.Act == nn.Sigmoid {
@@ -216,13 +244,30 @@ func roundToInt(x float64) int64 {
 	return int64(math.Round(x))
 }
 
+// mul63 returns a·b for positive a and b and whether it fits in 63 bits.
+func mul63(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	return int64(lo), hi == 0 && lo <= math.MaxInt64
+}
+
 // useTable attaches the shared LUT for l's activation and scales, covering
-// pre-activation values in [-tblRange, tblRange].
+// pre-activation values in [-tblRange, tblRange]. It panics unless the two
+// products lookup forms over the table span 2·tblMax — span·(size-1) for the
+// index, span·(hi-lo) ≤ span·2·outScale for the interpolation — fit in 63
+// bits; the check keeps a factor of two inside that so its own float rounding
+// cannot matter.
 func (l *Layer) useTable(size int, tblRange float64) {
+	span := 2 * tblRange * float64(l.accScale)
+	if !(span*math.Max(float64(size-1), 2*float64(l.outScale)) < 1<<62) {
+		panic(fmt.Sprintf("quant: table range %g at scales %d→%d with %d entries overflows 63 bits", tblRange, l.accScale, l.outScale, size))
+	}
 	l.table = sharedTable(tableKey{l.Act, size, tblRange, l.accScale, l.outScale})
 	l.tblRange = tblRange
 	l.tblMax = roundToInt(tblRange * float64(l.accScale))
 	l.tblMin = -l.tblMax
+	if s := uint64(l.tblMax - l.tblMin); bits.OnesCount64(s) == 1 {
+		l.tblShift = uint(bits.TrailingZeros64(s))
+	}
 }
 
 // tableKey is everything an activation table's content depends on.
@@ -317,16 +362,54 @@ func (p *Program) inferInto(a *Arena, in, out []int64) {
 		if li == len(p.Layers)-1 {
 			dst = out
 		}
-		for i := 0; i < l.Out; i++ {
-			acc := l.B[i]
-			w := l.W[i]
-			for j := 0; j < l.In; j++ {
-				acc += w[j] * cur[j]
-			}
-			dst[i] = l.activate(acc)
-		}
+		l.dense(cur, dst)
+		l.activate(dst)
 		cur = dst
 	}
+}
+
+// dense writes the accumulators B + W·x into dst (len Out); x has len In. It
+// walks the slab four rows at a time (dot4), then one row at a time for the
+// Out%4 that remain. The sums are the ones a plain row-by-row loop forms:
+// each accumulator adds its own row's products in order, and two's-complement
+// addition is associative and commutative, so adding the bias last and
+// interleaving four rows changes no bit.
+func (l *Layer) dense(x, dst []int64) {
+	n := len(x)
+	w, b := l.w, l.B[:len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		a0, a1, a2, a3 := dot4(w[:4*n], x)
+		w = w[4*n:]
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = b[i]+a0, b[i+1]+a1, b[i+2]+a2, b[i+3]+a3
+	}
+	for ; i < len(dst); i++ {
+		r := w[:n]
+		w = w[n:]
+		acc := b[i]
+		for j, xj := range x[:len(r)] {
+			acc += r[j] * xj
+		}
+		dst[i] = acc
+	}
+}
+
+// dot4 returns the dot products of x with the four consecutive rows held in
+// rows. Each x[j] is loaded once for four multiply-adds on independent
+// accumulators, and every row is cut to one common length before the loop,
+// which therefore compiles without a bounds check. It is a function of its
+// own so that nothing but the loop's operands competes for registers.
+func dot4(rows, x []int64) (a0, a1, a2, a3 int64) {
+	n := len(x)
+	r0, r1, r2, r3 := rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:4*n]
+	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+	for j, xj := range x[:len(r0)] {
+		a0 += r0[j] * xj
+		a1 += r1[j] * xj
+		a2 += r2[j] * xj
+		a3 += r3[j] * xj
+	}
+	return
 }
 
 // InferBatch runs n inferences over densely packed rows: in holds n
@@ -349,25 +432,32 @@ func (p *Program) InferBatch(a *Arena, in, out []int64, n int) {
 	}
 }
 
-// activate converts an accumulator value (scale accScale) to the layer's
-// output scale through the activation, using integer arithmetic only.
-func (l *Layer) activate(acc int64) int64 {
+// activate converts, in place, a layer's finished accumulators (scale
+// accScale) to its output scale through the activation, using integer
+// arithmetic only.
+func (l *Layer) activate(v []int64) {
 	switch l.Act {
 	case nn.ReLU:
-		if acc < 0 {
-			return 0
+		for i, acc := range v {
+			if acc < 0 {
+				v[i] = 0
+			} else {
+				v[i] = rescale(acc, l.accScale, l.outScale)
+			}
 		}
-		return rescale(acc, l.accScale, l.outScale)
 	case nn.Tanh, nn.Sigmoid:
-		return l.lookup(acc)
+		l.lookup(v)
 	default: // Linear
-		return rescale(acc, l.accScale, l.outScale)
+		for i, acc := range v {
+			v[i] = rescale(acc, l.accScale, l.outScale)
+		}
 	}
 }
 
 // rescale converts v from scale `from` to scale `to` with rounding, in
-// integer arithmetic. Callers guarantee |v|·to stays within int64 (enforced
-// by the bounded scales in Config).
+// integer arithmetic. Callers guarantee |v|·to stays within int64: Quantize
+// admits only scales whose product from·to does, which covers accumulators of
+// magnitude up to 1.
 func rescale(v, from, to int64) int64 {
 	if from == to {
 		return v
@@ -379,23 +469,39 @@ func rescale(v, from, to int64) int64 {
 	return (n - from/2) / from
 }
 
-// lookup evaluates the layer's LUT at accumulator value acc with linear
-// interpolation, clamping outside the covered range (where tanh/sigmoid are
-// saturated anyway).
-func (l *Layer) lookup(acc int64) int64 {
-	if acc <= l.tblMin {
-		return l.table[0]
+// lookup replaces each accumulator value in v by the layer's LUT evaluated
+// there with linear interpolation, clamping outside the covered range (where
+// tanh/sigmoid are saturated anyway). With a power-of-two span the two
+// divisions become a shift and a mask, which equal Go's truncating / and %
+// on non-negative numerators; the index numerator always is one, the
+// interpolation numerator is wherever the table does not fall.
+func (l *Layer) lookup(v []int64) {
+	table, tblMin, tblMax := l.table, l.tblMin, l.tblMax
+	last := int64(len(table) - 1)
+	span, shift := tblMax-tblMin, l.tblShift
+	for i, acc := range v {
+		if acc <= tblMin {
+			v[i] = table[0]
+			continue
+		}
+		if acc >= tblMax {
+			v[i] = table[last]
+			continue
+		}
+		num := (acc - tblMin) * last
+		var idx, rem int64
+		if shift != 0 {
+			idx, rem = num>>shift, num&(span-1)
+		} else {
+			idx, rem = num/span, num%span
+		}
+		lo, hi := table[idx], table[idx+1]
+		if d := (hi - lo) * rem; shift != 0 && d >= 0 {
+			v[i] = lo + d>>shift
+		} else {
+			v[i] = lo + d/span
+		}
 	}
-	if acc >= l.tblMax {
-		return l.table[len(l.table)-1]
-	}
-	span := l.tblMax - l.tblMin
-	num := (acc - l.tblMin) * int64(len(l.table)-1)
-	idx := num / span
-	rem := num % span
-	lo := l.table[idx]
-	hi := l.table[idx+1]
-	return lo + (hi-lo)*rem/span
 }
 
 // QuantizeInput converts float inputs to fixed point at InputScale, writing

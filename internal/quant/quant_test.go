@@ -105,22 +105,38 @@ func TestInferSizePanics(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	net := nn.New([]int{2, 2}, []nn.Activation{nn.Linear}, 1)
-	bad := []Config{
-		{InputScale: 0, WeightScale: 1, ActScale: 1, OutputScale: 1, TableSize: 4},
-		{InputScale: 1, WeightScale: 1, ActScale: 1, OutputScale: -5, TableSize: 4},
-		{InputScale: 1, WeightScale: 1, ActScale: 1, OutputScale: 1, TableSize: 1},
+	lin := nn.New([]int{2, 2}, []nn.Activation{nn.Linear}, 1)
+	tanh := nn.New([]int{2, 2, 2}, []nn.Activation{nn.Tanh, nn.Tanh}, 1)
+	bad := []struct {
+		why string
+		net *nn.Network
+		cfg Config
+	}{
+		{"zero scale", lin, Config{InputScale: 0, WeightScale: 1, ActScale: 1, OutputScale: 1, TableSize: 4}},
+		{"negative scale", lin, Config{InputScale: 1, WeightScale: 1, ActScale: 1, OutputScale: -5, TableSize: 4}},
+		{"one-entry table", lin, Config{InputScale: 1, WeightScale: 1, ActScale: 1, OutputScale: 1, TableSize: 1}},
+		// InputScale·WeightScale is the accumulator scale: 2⁶³ does not fit.
+		{"accumulator scale", lin, Config{InputScale: 1 << 32, WeightScale: 1 << 31, ActScale: 1, OutputScale: 1, TableSize: 4}},
+		// rescale multiplies accumulators by the output scale: 2²⁴·2⁴⁰ > 2⁶³.
+		{"accumulator × output scale", lin, Config{InputScale: 1 << 12, WeightScale: 1 << 12, ActScale: 1, OutputScale: 1 << 40, TableSize: 4}},
+		// The same product one layer on, where the input scale is ActScale.
+		{"hidden accumulator × output scale", tanh, Config{InputScale: 1, WeightScale: 1 << 12, ActScale: 1 << 30, OutputScale: 1 << 30, TableSize: 4, TableRange: 1}},
+		// lookup multiplies the table span 2·8·2⁵³ by up to TableSize-1.
+		{"table span × size", tanh, Config{InputScale: 1 << 41, WeightScale: 1 << 12, ActScale: 1, OutputScale: 1, TableSize: 33, TableRange: 8}},
 	}
-	for i, cfg := range bad {
+	for _, c := range bad {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("config %d must panic", i)
+					t.Errorf("%s: Quantize must panic", c.why)
 				}
 			}()
-			Quantize(net, cfg)
+			Quantize(c.net, c.cfg)
 		}()
 	}
+	// Just inside the bounds: a 2⁶² scale product, a 2⁶¹ table product.
+	Quantize(lin, Config{InputScale: 1 << 31, WeightScale: 1 << 31, ActScale: 1, OutputScale: 1, TableSize: 4})
+	Quantize(tanh, Config{InputScale: 1 << 41, WeightScale: 1 << 12, ActScale: 1, OutputScale: 1, TableSize: 17, TableRange: 8})
 }
 
 func TestRescaleRounding(t *testing.T) {
@@ -238,26 +254,33 @@ func TestInferNoAlloc(t *testing.T) {
 	}
 }
 
-func BenchmarkInferAuroraSnapshot(b *testing.B) {
-	net := nn.New([]int{30, 32, 16, 1}, []nn.Activation{nn.Tanh, nn.Tanh, nn.Linear}, 1)
-	p := Quantize(net, DefaultConfig())
-	in := make([]int64, 30)
-	out := make([]int64, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Infer(in, out)
+// benchInfer times Program.Infer on a zoo architecture over seeded inputs in
+// the operating range, so accumulators land across the tables' interpolated
+// part as they do behind a live datapath, and reports the kernel's unit cost.
+func benchInfer(b *testing.B, sizes []int, acts []nn.Activation) {
+	p := Quantize(nn.New(sizes, acts, 1), DefaultConfig())
+	r := rand.New(rand.NewSource(1))
+	ins := make([][]int64, 64)
+	for i := range ins {
+		ins[i] = p.QuantizeInput(randomInput(r, sizes[0]), nil)
 	}
+	out := make([]int64, p.OutputSize())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Infer(ins[i%len(ins)], out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.MACs()), "ns/MAC")
 }
 
-func BenchmarkInferMOCCSnapshot(b *testing.B) {
-	net := nn.New([]int{30, 64, 32, 1}, []nn.Activation{nn.Tanh, nn.Tanh, nn.Linear}, 1)
-	p := Quantize(net, DefaultConfig())
-	in := make([]int64, 30)
-	out := make([]int64, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Infer(in, out)
-	}
+var tanhHead = []nn.Activation{nn.Tanh, nn.Tanh, nn.Tanh}
+
+func BenchmarkInferAuroraSnapshot(b *testing.B) { benchInfer(b, []int{30, 32, 16, 1}, tanhHead) }
+
+func BenchmarkInferMOCCSnapshot(b *testing.B) { benchInfer(b, []int{30, 64, 32, 1}, tanhHead) }
+
+func BenchmarkInferFFNNSnapshot(b *testing.B) {
+	benchInfer(b, []int{4, 5, 5, 1}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Linear})
 }
 
 // freshTable computes an activation LUT straight from its definition, without

@@ -90,7 +90,8 @@ func LUTApprox(act nn.Activation, tableSize int, tableRange float64, scale int64
 	l := &Layer{Act: act, accScale: scale, outScale: scale}
 	l.useTable(tableSize, tableRange)
 	return func(x float64) float64 {
-		acc := roundToInt(x * float64(scale))
-		return float64(l.lookup(acc)) / float64(scale)
+		v := [1]int64{roundToInt(x * float64(scale))}
+		l.lookup(v[:])
+		return float64(v[0]) / float64(scale)
 	}
 }
