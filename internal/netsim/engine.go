@@ -20,12 +20,16 @@
 // drain order and per-partition event order are all independent of how many
 // goroutines execute the windows, a partitioned run is byte-identical for
 // every domain count.
+//
+// In both modes a link's packets in propagation wait in the link's own ring
+// and only the ring's head occupies the owning partition's heap (see land).
 package netsim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -61,10 +65,11 @@ func pastEventError(at, now Time, partition int) error {
 // completion) is expressed as a typed kind plus operands instead of a
 // closure, so steady-state scheduling allocates nothing.
 const (
-	evFunc     uint8 = iota // fn()
-	evPacketFn              // pfn(p)
-	evDeliver               // l.to.HandlePacket(p) — link propagation done
-	evTxDone                // l.txDone(p) — link serialization done
+	evFunc       uint8 = iota // fn()
+	evPacketFn                // pfn(p)
+	evDeliver                 // l.fly's head has propagated: re-arm, then l.to.HandlePacket
+	evDeliverPkt              // l.to.HandlePacket(p) — a delivery that overtook l.fly's tail
+	evTxDone                  // l.txDone(p) — link serialization done
 )
 
 type event struct {
@@ -157,11 +162,41 @@ type coordinator struct {
 	domains     int  // worker goroutines for window execution
 	lookahead   Time // min cross-partition link delay; 0 = no cross links yet
 	running     bool
-	inWindow    bool // workers may be executing partitions concurrently
+	// guarded arms checkOwner: true for the length of a Run/RunUntil call on
+	// a partitioned engine, whatever its domain count. Workers read it on
+	// every schedule, so it changes once per call, not once per window, and
+	// shares its cache line with nothing a window writes.
+	guarded bool
 
 	// foldInto receives partition trace shards (see PartitionScope), merged
 	// in partition order at the end of every Run/RunUntil.
 	foldInto *obs.Tracer
+
+	// The window barrier (see window). The coordinator publishes a window by
+	// writing end and bumping gen; each worker reports completion by bumping
+	// done. gen (with end and stop, which travel with it) and done sit on
+	// cache lines of their own: both are written once per window by one side
+	// while the other side polls, and anything sharing their lines — the
+	// read-mostly fields above, the parking state below — would bounce with
+	// them.
+	_   [64]byte
+	gen atomic.Uint64
+	end Time // exclusive bound of the published window
+	// stop tells workers to exit at the next generation. Atomic because a
+	// run dying on a panic sets it while a worker may be picking up the
+	// window published just before.
+	stop atomic.Bool
+	_    [40]byte
+	done atomic.Uint64 // workers finished with the published window
+	_    [56]byte
+
+	// Waiters that outlast their spin and yield budgets park on cond; parked
+	// counts them so the other side pays for the lock only when someone sleeps.
+	mu      sync.Mutex
+	cond    sync.Cond
+	parked  atomic.Int32
+	workers sync.WaitGroup
+	started bool // workers are running for the current Run/RunUntil call
 }
 
 // Engine is one partition's view of the simulation: a private event queue,
@@ -178,18 +213,32 @@ type Engine struct {
 	seq    uint64
 	q      eventQueue
 	outbox []handoff
+	// flying counts packets waiting in the rings of links this partition
+	// receives from, behind each ring's head (the head is in q).
+	flying int
 	// active is true while this partition's events are executing on its
 	// worker. checkOwner reads it from other workers to diagnose ownership
 	// violations, hence atomic (the store is per window, not per event).
 	active atomic.Bool
 	tracer *obs.Tracer
+
+	// Partitions are allocated back to back and each is written by its own
+	// worker on every event (now, seq, q); the pad keeps two partitions' hot
+	// fields off one cache line wherever the allocator places them.
+	_ [64]byte
 }
 
 // NewEngine returns a classic single-partition engine with time 0 and an
 // empty event queue. AddPartition on it returns the engine itself, so
 // topology builders can place entities unconditionally.
 func NewEngine() *Engine {
-	co := &coordinator{domains: 1}
+	return newRoot(false, 1)
+}
+
+// newRoot builds a coordinator and returns its first partition's view.
+func newRoot(partitioned bool, domains int) *Engine {
+	co := &coordinator{partitioned: partitioned, domains: domains}
+	co.cond.L = &co.mu
 	e := &Engine{co: co}
 	co.parts = []*Engine{e}
 	return e
@@ -205,10 +254,7 @@ func NewParallelEngine(domains int) *Engine {
 	if domains < 1 {
 		domains = 1
 	}
-	co := &coordinator{partitioned: true, domains: domains}
-	e := &Engine{co: co}
-	co.parts = []*Engine{e}
-	return e
+	return newRoot(true, domains)
 }
 
 // AddPartition mints a new partition view on a partitioned engine. On a
@@ -279,11 +325,12 @@ func (e *Engine) push(ev event) {
 }
 
 // checkOwner panics when an event executing in another partition schedules
-// onto this one mid-window: that is a data race in windowed mode. (The
-// co.inWindow short-circuit keeps the e.active read on the owning worker in
-// race-free programs.)
+// onto this one mid-window: that is a data race in windowed mode, and the
+// same program must fail the same way at every domain count. (The co.guarded
+// short-circuit keeps the e.active read on the owning worker in race-free
+// programs.)
 func (e *Engine) checkOwner() {
-	if e.co.inWindow && !e.active.Load() {
+	if e.co.guarded && !e.active.Load() {
 		panic("netsim: cross-partition schedule during a window; hand off through a Link (mailbox) instead")
 	}
 }
@@ -332,13 +379,41 @@ func (e *Engine) After(d Time, fn func()) {
 }
 
 // Pending returns the number of scheduled events across all partitions,
-// including cross-partition handoffs awaiting a window barrier.
+// including packets in propagation on a link and cross-partition handoffs
+// awaiting a window barrier.
 func (e *Engine) Pending() int {
 	n := 0
 	for _, p := range e.co.parts {
-		n += p.q.len() + len(p.outbox)
+		n += p.q.len() + p.flying + len(p.outbox)
 	}
 	return n
+}
+
+// land schedules p's arrival at the far end of l at time at; e is the
+// partition l delivers into. A link's deliveries leave in the order they
+// entered, so they wait in the link's ring l.fly and only the ring's head has
+// an event in e.q: the heap holds one delivery per link instead of one per
+// packet in propagation.
+//
+// Every delivery draws its sequence number here, ring or not, and the ring's
+// head is re-armed (exec) under the number it drew — so the (at, seq) keys
+// are those of a plain push per delivery. A ring is sorted by that key (at
+// checked below, seq by the counter) and its minimum is in the heap; hence
+// the heap's minimum, and with it the execution order, is that of the plain
+// push as well. A delivery that would precede the ring's tail — the link's
+// delay was lowered under packets in flight — is pushed on its own.
+func (e *Engine) land(l *Link, p *Packet, at Time) {
+	e.seq++
+	switch f := &l.fly; {
+	case f.n == 0:
+		f.push(flight{at: at, seq: e.seq, p: p})
+		e.q.push(event{at: at, seq: e.seq, kind: evDeliver, l: l})
+	case at >= f.tail().at:
+		f.push(flight{at: at, seq: e.seq, p: p})
+		e.flying++
+	default:
+		e.q.push(event{at: at, seq: e.seq, kind: evDeliverPkt, l: l, p: p})
+	}
 }
 
 // exec dispatches one event.
@@ -349,6 +424,15 @@ func (e *Engine) exec(ev *event) {
 	case evPacketFn:
 		ev.pfn(ev.p)
 	case evDeliver:
+		l := ev.l
+		p := l.fly.pop()
+		if l.fly.n > 0 {
+			next := l.fly.head()
+			e.q.push(event{at: next.at, seq: next.seq, kind: evDeliver, l: l})
+			e.flying--
+		}
+		l.to.HandlePacket(p)
+	case evDeliverPkt:
 		ev.l.to.HandlePacket(ev.p)
 	case evTxDone:
 		ev.l.txDone(ev.p)
@@ -376,6 +460,9 @@ func (e *Engine) Step() bool {
 // runTo executes this partition's events strictly before end (the exclusive
 // window bound), advancing the partition clock as it goes.
 func (e *Engine) runTo(end Time) {
+	if len(e.q.ev) == 0 || e.q.ev[0].at >= end {
+		return
+	}
 	e.active.Store(true)
 	for len(e.q.ev) > 0 && e.q.ev[0].at < end {
 		ev := e.q.pop()
@@ -416,7 +503,13 @@ func (co *coordinator) run(deadline Time) {
 		panic("netsim: Run/RunUntil re-entered from inside an event")
 	}
 	co.running = true
-	defer func() { co.running = false }()
+	co.guarded = co.partitioned
+	defer func() {
+		// Also on a panicking event: no worker outlives the call.
+		co.stopWorkers()
+		co.guarded = false
+		co.running = false
+	}()
 
 	for {
 		t := co.nextTime()
@@ -460,36 +553,143 @@ func (co *coordinator) run(deadline Time) {
 	co.foldShards()
 }
 
-// window executes [*, end) on every partition. Partition i runs on worker
-// i mod domains; with one domain (or one partition) everything runs on the
-// calling goroutine with zero synchronization.
+// window executes [*, end) on every partition. Partition i belongs to worker
+// i mod d, d = min(domains, partitions), worker 0 being the calling
+// goroutine. The d-1 others are started by the first window of a
+// Run/RunUntil call that needs them and are joined before the call returns;
+// between windows they wait on gen, and the caller waits on done. A window
+// whose work all belongs to one worker has nothing to overlap, so it runs on
+// the calling goroutine without a barrier — which partition executes where
+// is invisible to results, and checkOwner stays armed.
 func (co *coordinator) window(end Time) {
-	if co.domains <= 1 || len(co.parts) == 1 {
+	d := co.domains
+	if d > len(co.parts) {
+		d = len(co.parts)
+	}
+	if d <= 1 || !co.spansWorkers(end, d) {
 		for _, p := range co.parts {
 			p.runTo(end)
 		}
 		return
 	}
-	d := co.domains
-	if d > len(co.parts) {
-		d = len(co.parts)
+	if !co.started {
+		co.startWorkers(d)
 	}
-	co.inWindow = true
-	var wg sync.WaitGroup
-	for w := 1; w < d; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(co.parts); i += d {
-				co.parts[i].runTo(end)
-			}
-		}(w)
-	}
+	co.end = end
+	co.done.Store(0)
+	co.publish()
 	for i := 0; i < len(co.parts); i += d {
 		co.parts[i].runTo(end)
 	}
-	wg.Wait()
-	co.inWindow = false
+	co.await(&co.done, uint64(d-1))
+}
+
+// spansWorkers reports whether partitions of two different workers have
+// events before end.
+func (co *coordinator) spansWorkers(end Time, d int) bool {
+	first := -1
+	for i, p := range co.parts {
+		if len(p.q.ev) == 0 || p.q.ev[0].at >= end {
+			continue
+		}
+		switch w := i % d; {
+		case first < 0:
+			first = w
+		case w != first:
+			return true
+		}
+	}
+	return false
+}
+
+func (co *coordinator) startWorkers(d int) {
+	co.started = true
+	co.workers.Add(d - 1)
+	gen := co.gen.Load()
+	for w := 1; w < d; w++ {
+		go co.work(w, d, gen)
+	}
+}
+
+// work is worker w's loop: wait for the generation after the last one seen,
+// run this worker's partitions to the published bound, report.
+func (co *coordinator) work(w, d int, gen uint64) {
+	defer co.workers.Done()
+	for {
+		gen++
+		co.await(&co.gen, gen)
+		if co.stop.Load() {
+			return
+		}
+		for i := w; i < len(co.parts); i += d {
+			co.parts[i].runTo(co.end)
+		}
+		co.done.Add(1)
+		co.wake()
+	}
+}
+
+// stopWorkers publishes the exit generation and joins the workers.
+func (co *coordinator) stopWorkers() {
+	if !co.started {
+		return
+	}
+	co.stop.Store(true)
+	co.publish()
+	co.workers.Wait()
+	co.stop.Store(false)
+	co.started = false
+}
+
+// publish makes end and stop visible to the workers as a new generation.
+func (co *coordinator) publish() {
+	co.gen.Add(1)
+	co.wake()
+}
+
+// Waiting budgets of await. The other side is usually a few microseconds
+// from done, so a short poll wins when it has a CPU of its own; yielding
+// lets it run when it has not (GOMAXPROCS < domains, a busy host); parking
+// bounds what a long one-sided window costs the waiter.
+const (
+	awaitSpins  = 128
+	awaitYields = 256
+)
+
+// await returns once v has reached want. (Reached, not equals: a run that
+// dies on a panicking event publishes the exit generation on top of a window
+// a worker may not have picked up yet.)
+func (co *coordinator) await(v *atomic.Uint64, want uint64) {
+	for i := 0; i < awaitSpins; i++ {
+		if v.Load() >= want {
+			return
+		}
+	}
+	for i := 0; i < awaitYields; i++ {
+		runtime.Gosched()
+		if v.Load() >= want {
+			return
+		}
+	}
+	co.mu.Lock()
+	// parked is raised before the re-check: the side that moves v reads
+	// parked afterwards (wake), so either this load sees the new value or
+	// that side sees parked and takes the lock to broadcast.
+	co.parked.Add(1)
+	for v.Load() < want {
+		co.cond.Wait()
+	}
+	co.parked.Add(-1)
+	co.mu.Unlock()
+}
+
+// wake rouses parked waiters after gen or done moved.
+func (co *coordinator) wake() {
+	if co.parked.Load() > 0 {
+		co.mu.Lock()
+		co.cond.Broadcast()
+		co.mu.Unlock()
+	}
 }
 
 // drain moves cross-partition handoffs from source outboxes into destination
@@ -510,7 +710,7 @@ func (co *coordinator) drain() {
 				// below the registered lookahead.
 				panic(pastEventError(h.at, dst.now, dst.id))
 			}
-			dst.push(event{at: h.at, kind: evDeliver, l: h.l, p: h.p})
+			dst.land(h.l, h.p, h.at)
 			h.p = nil
 			h.l = nil
 		}

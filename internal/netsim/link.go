@@ -22,8 +22,7 @@ func (f HandlerFunc) HandlePacket(p *Packet) { f(p) }
 type Link struct {
 	eng   *Engine
 	rem   *Engine // destination partition when ≠ eng's (BindRemote)
-	to    Handler
-	rate  int64 // bits per second
+	rate  int64   // bits per second
 	delay Time
 	queue Queue
 
@@ -46,6 +45,54 @@ type Link struct {
 	drops *obs.Counter
 	marks *obs.Counter
 	lossC *obs.Counter
+
+	// The receiving end: what the destination partition touches on every
+	// delivery. On a cross-partition link the fields above are written by the
+	// source partition's worker per packet; the pad keeps the two ends on
+	// separate cache lines.
+	_   [64]byte
+	to  Handler
+	fly flightRing // packets in propagation, in delivery order (Engine.land)
+}
+
+// flight is one packet in propagation: its arrival time and the sequence
+// number the destination partition drew for it.
+type flight struct {
+	at  Time
+	seq uint64
+	p   *Packet
+}
+
+// flightRing is a FIFO of flights in a power-of-two circular buffer that
+// doubles when full, so a link in steady state allocates nothing.
+type flightRing struct {
+	buf   []flight
+	first int // index of the head
+	n     int
+}
+
+func (r *flightRing) head() *flight { return &r.buf[r.first] }
+
+func (r *flightRing) tail() *flight { return &r.buf[(r.first+r.n-1)&(len(r.buf)-1)] }
+
+func (r *flightRing) push(f flight) {
+	if r.n == len(r.buf) {
+		grown := make([]flight, max(8, 2*len(r.buf)))
+		k := copy(grown, r.buf[r.first:])
+		copy(grown[k:], r.buf[:r.first])
+		r.buf, r.first = grown, 0
+	}
+	r.buf[(r.first+r.n)&(len(r.buf)-1)] = f
+	r.n++
+}
+
+func (r *flightRing) pop() *Packet {
+	f := &r.buf[r.first]
+	p := f.p
+	f.p = nil // the ring must not keep a delivered packet reachable
+	r.first = (r.first + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
 }
 
 // NewLink creates a link with transmission rate rateBps (bits/second),
@@ -135,6 +182,10 @@ func (l *Link) BindRemote(dst *Engine) *Link {
 	if l.delay <= 0 {
 		panic("netsim: cross-partition link must have positive delay (conservative lookahead)")
 	}
+	if l.fly.n > 0 {
+		// The ring's head is armed in the old destination's heap.
+		panic("netsim: BindRemote with packets in propagation")
+	}
 	l.rem = dst
 	co := l.eng.co
 	if co.lookahead == 0 || l.delay < co.lookahead {
@@ -214,9 +265,9 @@ func (l *Link) startNext() {
 
 // txDone retires one serialization: account the transmit, launch propagation
 // (in parallel with the next serialization) and start the next packet.
-// Local deliveries are typed evDeliver events; cross-partition deliveries go
-// to the outbox, drained into the destination partition at the next window
-// barrier.
+// Local deliveries join the link's ring at once (Engine.land);
+// cross-partition deliveries go to the outbox, and join it when the
+// destination partition drains the outbox at the next window barrier.
 func (l *Link) txDone(p *Packet) {
 	l.txPackets++
 	l.txBytes += int64(p.Size)
@@ -232,7 +283,7 @@ func (l *Link) txDone(p *Packet) {
 	if l.rem != nil {
 		l.eng.outbox = append(l.eng.outbox, handoff{l: l, p: p, at: at})
 	} else {
-		l.eng.push(event{at: at, kind: evDeliver, l: l, p: p})
+		l.eng.land(l, p, at)
 	}
 	l.startNext()
 }

@@ -6,7 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
@@ -15,10 +18,14 @@ import (
 // Typed event queue vs container/heap oracle
 // ---------------------------------------------------------------------------
 
-// oracleItem mirrors event ordering: (at, seq) with FIFO tie-break.
+// oracleItem mirrors event ordering: (at, seq) with FIFO tie-break. The
+// payload fields are for the link reference in flight_test.go.
 type oracleItem struct {
 	at  Time
 	seq uint64
+
+	kind, link int
+	pkt        refPkt
 }
 
 type oracleHeap []oracleItem
@@ -174,18 +181,70 @@ func TestBindRemoteForeignEnginePanics(t *testing.T) {
 	l.BindRemote(other)
 }
 
+// TestCrossPartitionSchedulePanicsMidWindow: an event that schedules onto
+// another partition must panic at every domain count — domains 1 included,
+// which used to let it through — whether its window ran behind the barrier
+// or inline on the calling goroutine. The victim partition is idle in every
+// case: the check reads the victim's active flag, so only an idle victim
+// makes the panic certain rather than likely.
 func TestCrossPartitionSchedulePanicsMidWindow(t *testing.T) {
-	e := NewParallelEngine(2)
-	p1 := e.AddPartition()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling onto another partition mid-window must panic")
+	cases := []struct {
+		name             string
+		offender, victim int
+		// bystander, when ≥ 0, is a partition of another worker with an
+		// event in the offender's window, so that at domains ≥ 2 the window
+		// goes through the barrier instead of running inline.
+		bystander int
+	}{
+		// Partition 0 always executes on the calling goroutine, so its
+		// panic is recoverable here even behind the barrier.
+		{"barrier", 0, 2, 3},
+		{"inline", 0, 2, -1},
+		// Partition 1 belongs to a worker; alone in its window it runs
+		// inline, and the panic surfaces on the caller.
+		{"inline-foreign", 1, 2, -1},
+	}
+	for _, tc := range cases {
+		for _, domains := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/domains=%d", tc.name, domains), func(t *testing.T) {
+				root := NewParallelEngine(domains)
+				parts := []*Engine{root, root.AddPartition(), root.AddPartition(), root.AddPartition()}
+				off, vic := parts[tc.offender], parts[tc.victim]
+				off.At(10, func() { vic.At(20, func() {}) })
+				if tc.bystander >= 0 {
+					parts[tc.bystander].At(10, func() {})
+				}
+				before := runtime.NumGoroutine()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatal("scheduling onto another partition mid-window must panic")
+						}
+					}()
+					root.RunUntil(100)
+				}()
+				if published := root.co.gen.Load() > 0; published != (tc.bystander >= 0 && domains > 1) {
+					t.Errorf("window went through the barrier = %v, want %v", published, !published)
+				}
+				expectGoroutines(t, before)
+			})
 		}
-	}()
-	// The offending event sits in partition 0, which windowed execution runs
-	// on the calling goroutine — so the ownership panic is recoverable here.
-	e.At(10, func() { p1.At(20, func() {}) })
-	e.RunUntil(100)
+	}
+}
+
+// expectGoroutines fails if more than limit goroutines are left. A joined
+// worker has called Done but may not have finished exiting, so the count is
+// given a bounded number of yields to settle.
+func expectGoroutines(t *testing.T, limit int) {
+	t.Helper()
+	got := runtime.NumGoroutine()
+	for i := 0; i < 1000 && got > limit; i++ {
+		runtime.Gosched()
+		got = runtime.NumGoroutine()
+	}
+	if got > limit {
+		t.Errorf("%d goroutines after the run, %d before: a worker outlived the call", got, limit)
+	}
 }
 
 // ringLog is one partition's private arrival record; partitions never share
@@ -269,6 +328,95 @@ func TestParallelRingByteIdenticalAcrossDomains(t *testing.T) {
 				t.Fatalf("domains=%d: arrival %d = %q, want %q", domains, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// ringArrivals runs the ring to 200 ms in 1 ms slices and returns the
+// arrival logs joined, plus how many windows went through the barrier.
+func ringArrivals(domains int) (string, uint64) {
+	eng, logs := buildRing(domains, 5, 12)
+	for deadline := Millisecond; deadline <= 200*Millisecond; deadline += Millisecond {
+		eng.RunUntil(deadline)
+	}
+	var sb strings.Builder
+	for _, lg := range logs {
+		sb.WriteString(strings.Join(lg.arrivals, "\n"))
+	}
+	return sb.String(), eng.co.gen.Load()
+}
+
+// TestBarrierLeavesNoGoroutineBehind: the workers of a Run/RunUntil call are
+// joined before it returns, so 200 calls later the process has as many
+// goroutines as before the first.
+func TestBarrierLeavesNoGoroutineBehind(t *testing.T) {
+	for _, domains := range []int{2, 4} {
+		before := runtime.NumGoroutine()
+		if _, published := ringArrivals(domains); published == 0 {
+			t.Fatalf("domains=%d: no window went through the barrier", domains)
+		}
+		expectGoroutines(t, before)
+	}
+}
+
+// TestBarrierWithFewerProcsThanDomains: four workers on one P can only make
+// progress by yielding to each other, which is what the wait does after its
+// spin; the run must complete and match domains 1 byte for byte.
+func TestBarrierWithFewerProcsThanDomains(t *testing.T) {
+	want, _ := ringArrivals(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got, published := ringArrivals(4)
+	if published == 0 {
+		t.Fatal("no window went through the barrier")
+	}
+	if got != want {
+		t.Fatal("domains=4 at GOMAXPROCS=1: arrivals differ from domains=1")
+	}
+}
+
+// TestBarrierFieldsKeepTheirCacheLines pins the padding the barrier's cost
+// depends on, so a field added in the wrong place fails here and not in a
+// profile: gen and done a line apart and a line clear of their neighbours,
+// and no two partitions' hot fields within a line of each other.
+func TestBarrierFieldsKeepTheirCacheLines(t *testing.T) {
+	const line = 64
+	var co coordinator
+	foldInto, gen, done, mu := unsafe.Offsetof(co.foldInto), unsafe.Offsetof(co.gen), unsafe.Offsetof(co.done), unsafe.Offsetof(co.mu)
+	if gen-foldInto < line || done-gen < line || mu-done < line {
+		t.Errorf("coordinator offsets foldInto=%d gen=%d done=%d mu=%d: want ≥ %d between each", foldInto, gen, done, mu, line)
+	}
+	var e Engine
+	if hot := unsafe.Offsetof(e.tracer) + unsafe.Sizeof(e.tracer); unsafe.Sizeof(e)-hot < line {
+		t.Errorf("Engine is %d bytes with fields to %d: want ≥ %d of tail padding", unsafe.Sizeof(e), hot, line)
+	}
+}
+
+// TestBarrierAllocsDoNotGrowWithWindows: a RunUntil call may allocate to
+// start its workers, but a window must not. The ring's handlers allocate
+// (they format log lines), identically at every domain count, so the barrier's
+// share is the difference between domains 2 and domains 1 over the same run —
+// thousands of published windows, against a bound that would not cover a
+// tenth of them at one allocation per window.
+func TestBarrierAllocsDoNotGrowWithWindows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; guard runs in the plain job")
+	}
+	run := func(domains int) (mallocs, published uint64) {
+		eng, _ := buildRing(domains, 5, 12)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		eng.RunUntil(200 * Millisecond)
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs, eng.co.gen.Load()
+	}
+	base, _ := run(1)
+	got, published := run(2)
+	if published < 1000 {
+		t.Fatalf("only %d windows went through the barrier; the guard needs thousands", published)
+	}
+	const bound = 64 // goroutine start, the runtime's parking bookkeeping
+	if got > base+bound {
+		t.Errorf("domains=2 allocates %d more than domains=1 over %d published windows, want ≤ %d",
+			got-base, published, bound)
 	}
 }
 
@@ -455,24 +603,35 @@ func TestCrossDomainPacketConservation(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // TestEngineSteadyStateZeroAllocs pins the zero-allocation contract of the
-// windowless hot path: a self-rescheduling timer plus a pooled packet ping
-// over a link must not touch the heap once queues and pools are warm.
+// windowless hot path: a self-rescheduling timer plus pooled packets over a
+// short link and over a 10 ms one that keeps a thousand in propagation (its
+// ring wraps ten times during the measurement) must not touch the heap once
+// queues, rings and pools are warm.
 func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; guard runs in the plain job")
 	}
 	e := NewEngine()
 	sink := HandlerFunc(func(p *Packet) { FreePacket(p) })
-	l := NewLink(e, sink, 1e9, 10*Microsecond, NewDropTail(1<<20))
+	near := NewLink(e, sink, 1e9, 10*Microsecond, NewDropTail(1<<20))
+	far := NewLink(e, sink, 1e9, 10*Millisecond, NewDropTail(1<<20))
+	ticks := 0
 	var tick func()
 	tick = func() {
 		p := AllocPacket()
 		p.Size = 1000
-		l.Send(p)
-		e.After(100*Microsecond, tick)
+		if ticks++; ticks%10 == 0 {
+			near.Send(p)
+		} else {
+			far.Send(p)
+		}
+		e.After(10*Microsecond, tick)
 	}
 	e.After(0, tick)
-	e.RunUntil(10 * Millisecond) // warm: pool populated, heap array sized
+	e.RunUntil(30 * Millisecond) // warm: pool populated, heap and rings sized
+	if e.flying < 800 {
+		t.Fatalf("%d packets in propagation behind ring heads, want hundreds", e.flying)
+	}
 	deadline := e.Now()
 	allocs := testing.AllocsPerRun(100, func() {
 		deadline += Millisecond

@@ -407,15 +407,21 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 }
 
 // detectLoss marks outstanding segments that precede the just-acked segment
-// by more than DupThresh segments (and were sent earlier) as lost.
+// by more than DupThresh segments (and were sent earlier) as lost. The walk
+// stops at the first segment at or past the threshold: outstanding is
+// ordered by seq (a retransmission keeps its segment's slot), so no later
+// one can qualify.
 func (s *Sender) detectLoss(acked *segment) {
 	threshold := s.highestAck - int64(s.DupThresh*netsim.MSS)
 	lost := 0
 	for _, seg := range s.outstanding[s.outHead:] {
+		if seg.seq >= threshold {
+			break
+		}
 		if seg.acked || seg.lost {
 			continue
 		}
-		if seg.seq < threshold && seg.sentAt <= acked.sentAt {
+		if seg.sentAt <= acked.sentAt {
 			seg.lost = true
 			s.inflight -= seg.size
 			lost += seg.size

@@ -110,6 +110,38 @@ func TestLossRecoveryUnderOverload(t *testing.T) {
 	}
 }
 
+// TestOutstandingStaysOrderedAcrossRetransmits pins what detectLoss's early
+// exit relies on: the live region of s.outstanding is strictly increasing in
+// seq at every ACK, because a retransmission reuses its segment's slot and
+// only new data is appended.
+func TestOutstandingStaysOrderedAcrossRetransmits(t *testing.T) {
+	eng := netsim.NewEngine()
+	a, b := pair(eng, 10_000_000, 2*netsim.Millisecond, 30_000)
+	cc := &recordingCC{FixedRate: FixedRate{Bps: 50_000_000, Wnd: 1 << 30}}
+	s := NewSender(a, 1, b.ID, 500_000, cc)
+	NewReceiver(b, 1, a.ID)
+	retxInPlace := 0
+	s.OnAcked = func(int64, netsim.Time) {
+		live := s.outstanding[s.outHead:]
+		for i := 1; i < len(live); i++ {
+			if live[i].seq <= live[i-1].seq {
+				t.Fatalf("outstanding out of order at %d: seq %d after %d", i, live[i].seq, live[i-1].seq)
+			}
+			if live[i-1].rtx > 0 {
+				retxInPlace++
+			}
+		}
+	}
+	s.Start()
+	eng.RunUntil(30 * netsim.Second)
+	if !s.Completed() || s.Retransmits == 0 {
+		t.Fatalf("need a completed flow with retransmissions; completed=%v rtx=%d", s.Completed(), s.Retransmits)
+	}
+	if retxInPlace == 0 {
+		t.Error("no retransmitted segment was seen ahead of newer ones: the case under test never arose")
+	}
+}
+
 func TestReceiverDeduplicates(t *testing.T) {
 	eng := netsim.NewEngine()
 	a, b := pair(eng, 1_000_000_000, netsim.Millisecond, 1<<20)
