@@ -146,6 +146,10 @@ func (u staticUser) Stability() float64           { return 1 }
 func (u staticUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
 func (u staticUser) Adapt([]core.Sample)          {}
 
+// OutputSize and InferBatch make staticUser a core.BatchEvaluator.
+func (u staticUser) OutputSize() int                         { return u.net.OutputSize() }
+func (u staticUser) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
+
 // validate rejects flag combinations that would otherwise be silently
 // ignored, naming the offending flag.
 func (o options) validate() error {

@@ -27,6 +27,12 @@ type user struct {
 func (u *user) Freeze() *liteflow.Network    { return u.net }
 func (u *user) Stability() float64           { return u.loss }
 func (u *user) Infer(in []float64) []float64 { return u.net.Infer(in) }
+
+// OutputSize and InferBatch are the optional liteflow.BatchEvaluator: the
+// necessity gate then asks for a block of f(x) at a time.
+func (u *user) OutputSize() int                         { return u.net.OutputSize() }
+func (u *user) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
+
 func (u *user) Adapt(batch []liteflow.Sample) {
 	// A real adapter would train here; the quickstart just notes receipt
 	// and pretends training converged.

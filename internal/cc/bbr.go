@@ -41,36 +41,50 @@ func NewBBR() *BBR {
 	return &BBR{pacingGain: bbrStartupGain, rate: bbrInitialRate, rtProp: 1 << 62}
 }
 
-// maxFilter is a windowed max over (time, value) samples.
+// maxFilter is a windowed max over (time, value) samples added in time
+// order: the max of the samples no older than the window before the latest.
+// It keeps a monotonic deque in a power-of-two ring — a sample that arrives
+// with a value at least as large makes every older, smaller-or-equal one
+// irrelevant (it would expire first and never be the max meanwhile), so add
+// drops those from the back, expires from the front, and the front is the
+// max. Both are O(1) amortised; nothing scans a window of per-ACK samples.
 type maxFilter struct {
 	window  netsim.Time
-	samples []struct {
-		at netsim.Time
-		v  int64
-	}
+	ring    []bwSample
+	head, n int
+}
+
+type bwSample struct {
+	at netsim.Time
+	v  int64
 }
 
 func (f *maxFilter) add(at netsim.Time, v int64) {
-	f.samples = append(f.samples, struct {
-		at netsim.Time
-		v  int64
-	}{at, v})
-	cutoff := at - f.window
-	i := 0
-	for i < len(f.samples) && f.samples[i].at < cutoff {
-		i++
+	mask := len(f.ring) - 1
+	for f.n > 0 && f.ring[(f.head+f.n-1)&mask].v <= v {
+		f.n--
 	}
-	f.samples = f.samples[i:]
+	if f.n == len(f.ring) {
+		grown := make([]bwSample, max(8, 2*len(f.ring)))
+		for i := 0; i < f.n; i++ {
+			grown[i] = f.ring[(f.head+i)&mask]
+		}
+		f.ring, f.head, mask = grown, 0, len(grown)-1
+	}
+	f.ring[(f.head+f.n)&mask] = bwSample{at, v}
+	f.n++
+	for cutoff := at - f.window; f.n > 0 && f.ring[f.head].at < cutoff; f.n-- {
+		f.head = (f.head + 1) & mask
+	}
 }
 
+// max returns the window's largest value, 0 when it is empty or holds only
+// negative values.
 func (f *maxFilter) max() int64 {
-	var m int64
-	for _, s := range f.samples {
-		if s.v > m {
-			m = s.v
-		}
+	if f.n == 0 || f.ring[f.head].v < 0 {
+		return 0
 	}
-	return m
+	return f.ring[f.head].v
 }
 
 // Start implements tcp.CongestionControl.

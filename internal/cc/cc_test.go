@@ -126,6 +126,77 @@ func TestBBRExitsStartup(t *testing.T) {
 	}
 }
 
+// scanFilter is the windowed max maxFilter replaced — keep every sample, drop
+// the expired prefix on add, scan on max — kept as its oracle.
+type scanFilter struct {
+	window  netsim.Time
+	samples []bwSample
+}
+
+func (f *scanFilter) add(at netsim.Time, v int64) {
+	f.samples = append(f.samples, bwSample{at, v})
+	i := 0
+	for i < len(f.samples) && f.samples[i].at < at-f.window {
+		i++
+	}
+	f.samples = f.samples[i:]
+}
+
+func (f *scanFilter) max() int64 {
+	var m int64
+	for _, s := range f.samples {
+		if s.v > m {
+			m = s.v
+		}
+	}
+	return m
+}
+
+func TestMaxFilterMatchesScan(t *testing.T) {
+	var empty maxFilter
+	if empty.max() != 0 {
+		t.Errorf("empty filter: max %d, want 0", empty.max())
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		// A short window expires often; a long one lets a falling stretch,
+		// where nothing is dominated, grow the ring past its first size.
+		window := netsim.Time(1 + r.Intn(50))
+		if seed%2 == 0 {
+			window = 400
+		}
+		got, want := maxFilter{window: window}, scanFilter{window: window}
+		var at netsim.Time
+		for i := 0; i < 2000; i++ {
+			// Bursts at one instant, small steps, and gaps up to three windows
+			// (which expire the current max, or everything but the new sample);
+			// few distinct values, so equal ones are common. Every 500th
+			// sample starts a falling stretch of 100.
+			v := int64(r.Intn(12)) - 2
+			if i%500 >= 400 {
+				at, v = at+1, int64(1000-i)
+			} else {
+				switch r.Intn(4) {
+				case 1:
+					at += netsim.Time(r.Intn(4))
+				case 2:
+					at += window / 2
+				case 3:
+					at += netsim.Time(r.Intn(int(3 * window)))
+				}
+			}
+			got.add(at, v)
+			want.add(at, v)
+			if got.max() != want.max() {
+				t.Fatalf("seed %d, sample %d (at %d, v %d): max %d, scan says %d", seed, i, at, v, got.max(), want.max())
+			}
+		}
+		if window == 400 && len(got.ring) < 128 {
+			t.Errorf("seed %d: ring never grew past %d; the falling stretches should fill 100 slots", seed, len(got.ring))
+		}
+	}
+}
+
 func TestDCTCPKeepsQueuesShortWithECN(t *testing.T) {
 	// DCTCP against an ECN-marking bottleneck must hold utilization with
 	// minimal drops.

@@ -43,31 +43,72 @@ func EncodeSample(s Sample) netlink.Message {
 // payload; the range check runs in float space because a huge float→int
 // conversion is implementation-defined) and every payload value (finite).
 func ParseSample(m netlink.Message) (Sample, error) {
+	n, err := sampleInputLen(m)
+	if err != nil {
+		return Sample{}, err
+	}
+	return cutSample(make([]float64, len(m.Data)-1), m, n), nil
+}
+
+// ParseBatch is ParseSample over one delivered batch: the samples of every
+// KindSample message that validates are appended to dst in order, and the
+// messages that do not are counted in malformed. The batch's accepted
+// payloads share one slab instead of two allocations per sample.
+func ParseBatch(dst []Sample, batch []netlink.Message) (samples []Sample, malformed int) {
+	size := 0
+	for _, m := range batch {
+		if m.Kind == netlink.KindSample && len(m.Data) > 0 {
+			size += len(m.Data) - 1
+		}
+	}
+	slab := make([]float64, size)
+	for _, m := range batch {
+		if m.Kind != netlink.KindSample {
+			continue
+		}
+		n, err := sampleInputLen(m)
+		if err != nil {
+			malformed++
+			continue
+		}
+		payload := len(m.Data) - 1
+		dst = append(dst, cutSample(slab[:payload], m, n))
+		slab = slab[payload:]
+	}
+	return dst, malformed
+}
+
+// sampleInputLen validates m as ParseSample documents and returns its input
+// length.
+func sampleInputLen(m netlink.Message) (int, error) {
 	if len(m.Data) < 1 {
-		return Sample{}, fmt.Errorf("%w: empty payload", ErrMalformedSample)
+		return 0, fmt.Errorf("%w: empty payload", ErrMalformedSample)
 	}
 	h := m.Data[0]
 	if math.IsNaN(h) || math.IsInf(h, 0) || h != math.Trunc(h) ||
 		h < 0 || h > float64(len(m.Data)-1) {
-		return Sample{}, fmt.Errorf("%w: input-length header %v outside [0, %d]",
+		return 0, fmt.Errorf("%w: input-length header %v outside [0, %d]",
 			ErrMalformedSample, h, len(m.Data)-1)
 	}
 	for i, v := range m.Data[1:] {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return Sample{}, fmt.Errorf("%w: non-finite value at offset %d",
+			return 0, fmt.Errorf("%w: non-finite value at offset %d",
 				ErrMalformedSample, i+1)
 		}
 	}
-	n := int(h)
-	// Copy out of the message's backing array: the channel (and a fault
-	// injector corrupting queued payloads) retains m.Data, and adapters may
-	// mutate the samples they are handed — shared backing would let either
-	// side rewrite the other's history.
-	in := make([]float64, n)
-	copy(in, m.Data[1:1+n])
-	aux := make([]float64, len(m.Data)-1-n)
-	copy(aux, m.Data[1+n:])
-	return Sample{Input: in, Aux: aux, At: m.At}, nil
+	return int(h), nil
+}
+
+// cutSample copies m's payload into buf (exactly its size) and returns the
+// sample viewing it: n input values, then the aux values. The copy takes the
+// sample out of the message's backing array — the channel (and a fault
+// injector corrupting queued payloads) retains m.Data, and adapters may
+// mutate the samples they are handed, so shared backing would let either side
+// rewrite the other's history. Both views are capacity-limited, so an
+// adapter's append cannot reach what follows buf in a shared slab.
+func cutSample(buf []float64, m netlink.Message, n int) Sample {
+	copy(buf, m.Data[1:])
+	return Sample{Input: buf[:n:n], Aux: buf[n:len(buf):len(buf)], At: m.At}
 }
 
 // DecodeSample is ParseSample with a boolean verdict, for callers that do
@@ -93,6 +134,18 @@ type Freezer interface {
 type Evaluator interface {
 	Stability() float64
 	Infer(in []float64) []float64
+}
+
+// BatchEvaluator is an Evaluator that can also answer a block of inputs in
+// one call: InferBatch writes f(xs[k]) to ys[k·OutputSize() : (k+1)·
+// OutputSize()], as nn.Network.InferBatch does. It is optional — Evaluator is
+// the paper's interface and all a user has to implement — and the necessity
+// gate uses it when present, because a model that sees a block at a time can
+// run it as a kernel where Infer pays per call.
+type BatchEvaluator interface {
+	Evaluator
+	OutputSize() int
+	InferBatch(xs [][]float64, ys []float64)
 }
 
 // Adapter is the NN Online Adaptation Interface: tune the userspace model
@@ -276,18 +329,10 @@ func (s *Service) HandleBatch(batch []netlink.Message) {
 	}
 	s.Core.NoteSlowPathAlive()
 	s.activateParked()
-	samples := make([]Sample, 0, len(batch))
-	for _, m := range batch {
-		if m.Kind != netlink.KindSample {
-			continue
-		}
-		sm, err := ParseSample(m)
-		if err != nil {
-			s.met.malformed.Inc()
-			s.sc.Event("service", "malformed", now)
-			continue
-		}
-		samples = append(samples, sm)
+	samples, malformed := ParseBatch(make([]Sample, 0, len(batch)), batch)
+	for ; malformed > 0; malformed-- {
+		s.met.malformed.Inc()
+		s.sc.Event("service", "malformed", now)
 	}
 	if len(samples) == 0 {
 		return
@@ -373,6 +418,12 @@ func (g *StabilityGate) Converged(v float64, cfg Config) bool {
 // Reset forgets the history, so convergence must be re-earned.
 func (g *StabilityGate) Reset() { g.hist = g.hist[:0] }
 
+// fidelityBlock is how many samples MinFidelityLoss gathers before it asks the
+// user model for their outputs: enough to amortise a call and keep a batched
+// model's four-sample passes full, small enough that the block's buffers stay
+// in cache.
+const fidelityBlock = 64
+
 // MinFidelityLoss is the necessity gate's measurement (paper §3.4): the
 // smallest L1 distance, over samples, between the snapshot's output f'(x) and
 // the userspace model's f(x). Samples whose input does not fit prog are
@@ -381,32 +432,70 @@ func (g *StabilityGate) Reset() { g.hist = g.hist[:0] }
 // and these are counted in mismatched. beforeInfer, when not nil, runs before
 // each snapshot inference (the service charges kernel CPU there). minLoss is
 // +Inf when no sample could be compared.
+//
+// The samples that fit are taken fidelityBlock at a time: the snapshot
+// answers each as it is gathered, the user model answers the block — in one
+// InferBatch when it is a BatchEvaluator, one Infer per sample otherwise —
+// and one loop compares the two.
 func MinFidelityLoss(prog *quant.Program, user Evaluator, samples []Sample, beforeInfer func()) (minLoss float64, mismatched int) {
 	minLoss = math.Inf(1)
 	in := make([]int64, prog.InputSize())
 	out := make([]int64, prog.OutputSize())
-	kernelOut := make([]float64, prog.OutputSize())
-	for _, sm := range samples {
-		if len(sm.Input) != len(in) {
-			continue
+	// A service at a short batch interval calls this with a sample or two:
+	// the block's buffers are no larger than the pool.
+	block := min(len(samples), fidelityBlock)
+	kernelOut := make([]float64, block*len(out))
+	xs := make([][]float64, block)
+	var userOut [fidelityBlock][]float64
+	batch, _ := user.(BatchEvaluator)
+	var ys []float64 // a BatchEvaluator's outputs for one block, w per sample
+	w := 0
+	if batch != nil {
+		w = batch.OutputSize()
+		ys = make([]float64, block*w)
+	}
+	for len(samples) > 0 {
+		n := 0
+		for len(samples) > 0 && n < block {
+			sm := samples[0]
+			samples = samples[1:]
+			if len(sm.Input) != len(in) {
+				continue
+			}
+			prog.QuantizeInput(sm.Input, in)
+			if beforeInfer != nil {
+				beforeInfer()
+			}
+			prog.Infer(in, out)
+			prog.DequantizeOutput(out, kernelOut[n*len(out):(n+1)*len(out)])
+			xs[n] = sm.Input
+			n++
 		}
-		prog.QuantizeInput(sm.Input, in)
-		if beforeInfer != nil {
-			beforeInfer()
+		if n == 0 {
+			break // nothing left that fits
 		}
-		prog.Infer(in, out)
-		prog.DequantizeOutput(out, kernelOut)
-		userOut := user.Infer(sm.Input)
-		if len(userOut) != len(kernelOut) {
-			mismatched++
-			continue
+		if batch != nil {
+			batch.InferBatch(xs[:n], ys[:n*w])
+			for k := range userOut[:n] {
+				userOut[k] = ys[k*w : (k+1)*w]
+			}
+		} else {
+			for k, x := range xs[:n] {
+				userOut[k] = user.Infer(x)
+			}
 		}
-		l := 0.0
-		for i := range userOut {
-			l += math.Abs(kernelOut[i] - userOut[i])
-		}
-		if l < minLoss {
-			minLoss = l
+		for k, u := range userOut[:n] {
+			if len(u) != len(out) {
+				mismatched++
+				continue
+			}
+			l := 0.0
+			for i, v := range kernelOut[k*len(out) : (k+1)*len(out)] {
+				l += math.Abs(v - u[i])
+			}
+			if l < minLoss {
+				minLoss = l
+			}
 		}
 	}
 	return minLoss, mismatched

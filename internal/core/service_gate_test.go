@@ -7,6 +7,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/ksim"
@@ -202,10 +203,40 @@ func TestFidelityOutputMismatchSkipped(t *testing.T) {
 	}
 }
 
+// batchUser is userModel with the optional block form, counting how each was
+// reached.
+type batchUser struct {
+	*userModel
+	width         int // OutputSize; the net's own when 0
+	infers, calls int
+}
+
+func (u *batchUser) Infer(in []float64) []float64 {
+	u.infers++
+	return u.userModel.Infer(in)
+}
+
+func (u *batchUser) OutputSize() int {
+	if u.width != 0 {
+		return u.width
+	}
+	return u.net.OutputSize()
+}
+
+func (u *batchUser) InferBatch(xs [][]float64, ys []float64) {
+	u.calls++
+	if u.width != 0 {
+		return // a deliberately wrong width: nothing the gate may compare
+	}
+	u.net.InferBatch(xs, ys)
+}
+
 // TestMinFidelityLoss pins the measurement the service and the fleet
 // controller share: the minimum is over comparable samples only, a sample of
 // the wrong input size costs no inference, an output-size mismatch costs one
-// and is counted, and the loop allocates its buffers once, not per sample.
+// and is counted, an empty pool measures +Inf, the loop allocates its buffers
+// once, not per sample — and a user gives the same answer through the plain
+// Evaluator and through the block form, whatever the pool size.
 func TestMinFidelityLoss(t *testing.T) {
 	net := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
 	prog := quant.Quantize(net, quant.DefaultConfig())
@@ -226,15 +257,118 @@ func TestMinFidelityLoss(t *testing.T) {
 		t.Errorf("all outputs mismatched: loss %v (want +Inf), mismatched %d (want 2)", loss, mismatched)
 	}
 
-	many := make([]Sample, 64)
+	// Plain against block form over pools around the block size, every fifth
+	// sample of the wrong input size. The user model drifts along the first
+	// input, so the minimum sits at one particular sample.
+	user.net.Layers[0].W[0][0] += 0.5
+	r := rand.New(rand.NewSource(18))
+	pool := make([]Sample, 3*fidelityBlock+5)
+	for i := range pool {
+		pool[i].Input = make([]float64, 4)
+		if i%5 == 4 {
+			pool[i].Input = make([]float64, 3)
+		}
+		for j := range pool[i].Input {
+			pool[i].Input[j] = r.Float64()*2 - 1
+		}
+	}
+	for _, n := range []int{0, 1, 4, fidelityBlock - 1, fidelityBlock, fidelityBlock + 1, fidelityBlock + fidelityBlock/4, len(pool)} {
+		fits := n - n/5
+		plainCharged, batchCharged := 0, 0
+		plainLoss, plainMis := MinFidelityLoss(prog, user, pool[:n], func() { plainCharged++ })
+		bu := &batchUser{userModel: user}
+		batchLoss, batchMis := MinFidelityLoss(prog, bu, pool[:n], func() { batchCharged++ })
+		if math.Float64bits(plainLoss) != math.Float64bits(batchLoss) || plainMis != 0 || batchMis != 0 {
+			t.Errorf("%d samples: plain (%v, %d), batch (%v, %d)", n, plainLoss, plainMis, batchLoss, batchMis)
+		}
+		if math.IsInf(plainLoss, 1) != (fits == 0) {
+			t.Errorf("%d samples, %d that fit: loss %v", n, fits, plainLoss)
+		}
+		if plainCharged != fits || batchCharged != fits {
+			t.Errorf("%d samples: beforeInfer ran %d and %d times, want %d", n, plainCharged, batchCharged, fits)
+		}
+		if wantCalls := (fits + fidelityBlock - 1) / fidelityBlock; bu.infers != 0 || bu.calls != wantCalls {
+			t.Errorf("%d samples: %d Infer and %d InferBatch calls, want 0 and %d", n, bu.infers, bu.calls, wantCalls)
+		}
+		// A block form of the wrong width is a mismatch on every sample that
+		// fits, exactly as wideEvaluator's is one by one.
+		wide := &batchUser{userModel: user, width: 2}
+		wideLoss, wideMis := MinFidelityLoss(prog, wide, pool[:n], nil)
+		_, plainWideMis := MinFidelityLoss(prog, wideEvaluator{user}, pool[:n], nil)
+		if !math.IsInf(wideLoss, 1) || wideMis != fits || plainWideMis != fits {
+			t.Errorf("%d samples, wrong width: loss %v, mismatched %d (block) and %d (plain), want +Inf and %d",
+				n, wideLoss, wideMis, plainWideMis, fits)
+		}
+	}
+
+	many := make([]Sample, 4*fidelityBlock)
 	for i := range many {
 		many[i] = samples[0]
 	}
 	fixed := fixedEvaluator{out: 1}
 	few := testing.AllocsPerRun(10, func() { MinFidelityLoss(prog, fixed, many[:1], nil) })
 	all := testing.AllocsPerRun(10, func() { MinFidelityLoss(prog, fixed, many, nil) })
-	if perSample := (all - few) / 63; perSample > 1 { // fixedEvaluator.Infer's own result
+	if perSample := (all - few) / float64(len(many)-1); perSample > 1 { // fixedEvaluator.Infer's own result
 		t.Errorf("%.1f allocations per sample beyond the first, want ≤ 1", perSample)
+	}
+	bu := &batchUser{userModel: user}
+	MinFidelityLoss(prog, bu, many, nil) // the net's inference buffers
+	few = testing.AllocsPerRun(10, func() { MinFidelityLoss(prog, bu, many[:1], nil) })
+	all = testing.AllocsPerRun(10, func() { MinFidelityLoss(prog, bu, many, nil) })
+	if all != few {
+		t.Errorf("block form: %v allocations for %d samples, %v for one; the count must not grow", all, len(many), few)
+	}
+}
+
+// TestParseBatchMatchesParseSample: the batch form accepts, rejects and
+// decodes exactly as ParseSample does message by message, and its samples —
+// views of one slab — cannot reach each other or the messages.
+func TestParseBatchMatchesParseSample(t *testing.T) {
+	batch := []netlink.Message{
+		EncodeSample(Sample{Input: []float64{1, 2, 3}, Aux: []float64{4, 5}, At: 7}),
+		{Kind: netlink.KindSample, Data: []float64{5, 1}, At: 8}, // header past the payload
+		{Kind: netlink.KindSample + 1, Data: []float64{1, 9}},    // not a sample: skipped, not counted
+		EncodeSample(Sample{At: 9}),                              // no input, no aux
+		{Kind: netlink.KindSample, At: 10},                       // empty payload
+		EncodeSample(Sample{Input: []float64{6}, At: 11}),
+		{Kind: netlink.KindSample, Data: []float64{1, math.NaN()}, At: 12},
+		EncodeSample(Sample{Aux: []float64{7, 8}, At: 13}),
+	}
+	var want []Sample
+	wantMalformed := 0
+	for _, m := range batch {
+		if m.Kind != netlink.KindSample {
+			continue
+		}
+		sm, err := ParseSample(m)
+		if err != nil {
+			wantMalformed++
+			continue
+		}
+		want = append(want, sm)
+	}
+	first := Sample{Input: []float64{42}}
+	got, malformed := ParseBatch([]Sample{first}, batch)
+	if malformed != wantMalformed || len(got) != 1+len(want) || got[0].Input[0] != 42 {
+		t.Fatalf("%d samples after the one passed in, %d malformed; want %d and %d", len(got)-1, malformed, len(want), wantMalformed)
+	}
+	got = got[1:]
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("sample %d: %+v, ParseSample gives %+v", i, got[i], want[i])
+		}
+		if cap(got[i].Input) != len(got[i].Input) || cap(got[i].Aux) != len(got[i].Aux) {
+			t.Errorf("sample %d: views must be capacity-limited, cap %d/%d for len %d/%d",
+				i, cap(got[i].Input), cap(got[i].Aux), len(got[i].Input), len(got[i].Aux))
+		}
+	}
+	// An adapter that appends to, or writes through, one sample reaches
+	// neither its own aux, nor the next sample, nor the message.
+	_ = append(got[0].Input, -1)
+	_ = append(got[0].Aux, -2)
+	got[0].Input[0] = 99
+	if got[0].Aux[0] != 4 || got[2].Input[0] != 6 || batch[0].Data[1] != 1 {
+		t.Errorf("a write escaped its sample: aux %v, later input %v, message %v", got[0].Aux, got[2].Input, batch[0].Data)
 	}
 }
 

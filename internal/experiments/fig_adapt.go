@@ -53,6 +53,10 @@ func (a *alphaUser) Stability() float64 { return a.lastLoss }
 // Infer implements core.Evaluator.
 func (a *alphaUser) Infer(in []float64) []float64 { return a.net.Infer(in) }
 
+// OutputSize and InferBatch implement core.BatchEvaluator.
+func (a *alphaUser) OutputSize() int                         { return a.net.OutputSize() }
+func (a *alphaUser) InferBatch(xs [][]float64, ys []float64) { a.net.InferBatch(xs, ys) }
+
 // Adapt implements core.Adapter. Aux layout (from the kernel collector):
 // [alpha, deliveredFrac, latRatio, lossFrac].
 func (a *alphaUser) Adapt(batch []core.Sample) {

@@ -96,6 +96,11 @@ func newLabelUser(net *nn.Network) *labelUser {
 func (u *labelUser) Freeze() *nn.Network          { return u.net }
 func (u *labelUser) Stability() float64           { return u.lastLoss }
 func (u *labelUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
+
+// OutputSize and InferBatch implement core.BatchEvaluator.
+func (u *labelUser) OutputSize() int                         { return u.net.OutputSize() }
+func (u *labelUser) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
+
 func (u *labelUser) Adapt(batch []core.Sample) {
 	x := make([][]float64, 0, len(batch))
 	y := make([][]float64, 0, len(batch))

@@ -77,20 +77,22 @@ func memberSeriesMatcher(m *Member) func(string) bool {
 	}
 }
 
-// memberHealth evaluates one canary against the verdict criteria. Criteria
-// with no data in both windows (N == 0, e.g. a nil recorder or a sampling
-// period longer than the window) are inconclusive and skipped — the gate
-// fails closed only on evidence, never on blindness.
-func (c *Controller) memberHealth(m *Member, before, after obs.TimeWindow) canaryHealth {
+// memberHealth evaluates one canary against the verdict criteria, each a
+// selector over deltas — the flight recorder's per-series comparison of the
+// baseline and observation windows, computed once per verdict. Criteria with
+// no data in both windows (N == 0, e.g. a nil recorder or a sampling period
+// longer than the window) are inconclusive and skipped — the gate fails
+// closed only on evidence, never on blindness.
+func (c *Controller) memberHealth(m *Member, deltas []obs.SeriesDelta) canaryHealth {
 	match := memberSeriesMatcher(m)
 	h := canaryHealth{member: m.Index, healthy: true}
-	h.goodput = c.cfg.Flight.CompareWindows(before, after, obs.AggSum, func(d obs.SeriesDelta) bool {
+	h.goodput = obs.CompareDeltas(deltas, obs.AggSum, func(d obs.SeriesDelta) bool {
 		return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_queries_total") && match(d.Name)
 	})
-	h.latency = c.cfg.Flight.CompareWindows(before, after, obs.AggMean, func(d obs.SeriesDelta) bool {
+	h.latency = obs.CompareDeltas(deltas, obs.AggMean, func(d obs.SeriesDelta) bool {
 		return !d.Cumulative && strings.HasPrefix(d.Name, "liteflow_query_ns") && strings.HasSuffix(d.Name, "_p99") && match(d.Name)
 	})
-	h.degraded = c.cfg.Flight.CompareWindows(before, after, obs.AggSum, func(d obs.SeriesDelta) bool {
+	h.degraded = obs.CompareDeltas(deltas, obs.AggSum, func(d obs.SeriesDelta) bool {
 		return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_degraded_total") && match(d.Name)
 	})
 	switch {
@@ -122,12 +124,15 @@ func (c *Controller) canaryVerdict(epoch int64) {
 		before.From = 0
 	}
 	pass, reason, activated := true, "", 0
+	var deltas []obs.SeriesDelta
 	for _, m := range c.canaries {
 		if m.epoch != epoch {
 			continue // parked or never activated: no evidence from this one
 		}
-		activated++
-		h := c.memberHealth(m, before, after)
+		if activated++; activated == 1 {
+			deltas = c.cfg.Flight.Delta(before, after)
+		}
+		h := c.memberHealth(m, deltas)
 		c.sc.EventMix("fleet", "canary_health", now,
 			"member", int64(m.Index), "healthy", boolStr(h.healthy))
 		if c.wave != nil {

@@ -545,17 +545,9 @@ func (c *Controller) handleMemberBatch(m *Member, batch []netlink.Message) {
 	}
 	m.Core.NoteSlowPathAlive()
 	c.catchUp(m)
-	for _, msg := range batch {
-		if msg.Kind != netlink.KindSample {
-			continue
-		}
-		sm, err := core.ParseSample(msg)
-		if err != nil {
-			c.met.malformed.Inc()
-			continue
-		}
-		m.pending = append(m.pending, sm)
-	}
+	var malformed int
+	m.pending, malformed = core.ParseBatch(m.pending, batch)
+	c.met.malformed.Add(int64(malformed))
 	c.met.batches.Inc()
 }
 

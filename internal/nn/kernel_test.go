@@ -1,0 +1,274 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// kernelZoo is the shapes the kernels are checked on: the paper's models,
+// the fleet scenario's 4→8→1 and its bloated 4→2048→1, and an odd-sized net
+// so every Out%4 remainder and a multi-output last layer are exercised.
+var kernelZoo = []struct {
+	name  string
+	sizes []int
+}{
+	{"aurora", []int{30, 32, 16, 1}},
+	{"mocc", []int{30, 64, 32, 1}},
+	{"ffnn", []int{8, 5, 5, 1}},
+	{"fleet", []int{4, 8, 1}},
+	{"bloated", []int{4, 2048, 1}},
+	{"odd", []int{5, 7, 3}},
+}
+
+// kernelInputs returns n inputs of the given width that between them reach
+// both arms of math.Tanh (|x| < 0.625 and beyond) in the first layer, plus an
+// all-zero one.
+func kernelInputs(r *rand.Rand, n, width int) [][]float64 {
+	xs := make([][]float64, n)
+	for k := range xs {
+		xs[k] = make([]float64, width)
+		scale := []float64{0, 0.05, 1, 8}[k%4]
+		for j := range xs[k] {
+			xs[k][j] = (r.Float64()*2 - 1) * scale
+		}
+	}
+	return xs
+}
+
+// checkInferBatch compares InferBatch (and Infer) with Forward, bit for bit,
+// at every batch size 1–9.
+func checkInferBatch(t *testing.T, name string, n *Network, r *rand.Rand) {
+	t.Helper()
+	os := n.OutputSize()
+	want := make([]float64, os)
+	for size := 1; size <= 9; size++ {
+		xs := kernelInputs(r, size, n.InputSize())
+		ys := make([]float64, size*os)
+		n.InferBatch(xs, ys)
+		for k, x := range xs {
+			n.Forward(x, want)
+			got := n.Infer(x)
+			for i := range want {
+				if math.Float64bits(ys[k*os+i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: batch of %d, sample %d, output %d: InferBatch %x, Forward %x",
+						name, size, k, i, ys[k*os+i], want[i])
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: sample %d, output %d: Infer %x, Forward %x", name, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestInferBatchMatchesForward(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	for _, z := range kernelZoo {
+		for _, hidden := range []Activation{Linear, ReLU, Tanh, Sigmoid} {
+			acts := make([]Activation, len(z.sizes)-1)
+			for i := range acts {
+				acts[i] = hidden
+			}
+			// The last layer cycles too, so each activation also runs as the
+			// layer that writes the caller's buffer.
+			acts[len(acts)-1] = (hidden + 1) % 4
+			n := New(z.sizes, acts, 18)
+			name := z.name + "/" + hidden.String()
+			checkInferBatch(t, name, n, r)
+
+			// The kernels read the slab training writes: interleave steps.
+			opt := NewAdam(0.01)
+			for step := 0; step < 3; step++ {
+				x := kernelInputs(r, 6, n.InputSize())
+				y := kernelInputs(r, 6, n.OutputSize())
+				TrainBatch(n, opt, x, y, 1)
+				checkInferBatch(t, name+"/trained", n, r)
+			}
+		}
+	}
+}
+
+func TestInferBatchSizePanics(t *testing.T) {
+	n := New([]int{2, 3, 2}, []Activation{Tanh, Linear}, 1)
+	for name, fn := range map[string]func(){
+		"short output": func() { n.InferBatch([][]float64{{1, 2}}, make([]float64, 1)) },
+		"short input":  func() { n.InferBatch([][]float64{{1, 2}, {1}}, make([]float64, 4)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s must panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+func TestInferBatchNoAllocAfterFirst(t *testing.T) {
+	n := New([]int{4, 2048, 1}, []Activation{Tanh, Linear}, 1)
+	xs := kernelInputs(rand.New(rand.NewSource(1)), 7, 4)
+	ys := make([]float64, 7)
+	n.InferBatch(xs, ys)
+	if allocs := testing.AllocsPerRun(20, func() { n.InferBatch(xs, ys) }); allocs != 0 {
+		t.Errorf("InferBatch allocates %v times per call after the first, want 0", allocs)
+	}
+}
+
+// TestInferLeavesTrainingCaches: an inference between a Forward and its
+// Backward must not change the gradients that Backward accumulates.
+func TestInferLeavesTrainingCaches(t *testing.T) {
+	build := func() *Network { return New([]int{5, 7, 3}, []Activation{Tanh, Sigmoid}, 9) }
+	r := rand.New(rand.NewSource(9))
+	in := kernelInputs(r, 2, 5)[1]
+	others := kernelInputs(r, 5, 5)
+	gradOut := []float64{0.3, -0.2, 0.1}
+	out := make([]float64, 3)
+
+	want := build()
+	want.Forward(in, out)
+	want.Backward(gradOut)
+
+	got := build()
+	got.Forward(in, out)
+	got.Infer(others[0])
+	got.InferBatch(others, make([]float64, len(others)*3))
+	got.Backward(gradOut)
+
+	for li, l := range got.Layers {
+		wl := want.Layers[li]
+		for i := range l.GW {
+			for j := range l.GW[i] {
+				if l.GW[i][j] != wl.GW[i][j] {
+					t.Fatalf("layer %d GW[%d][%d] = %v after an interleaved inference, want %v",
+						li, i, j, l.GW[i][j], wl.GW[i][j])
+				}
+			}
+			if l.GB[i] != wl.GB[i] {
+				t.Fatalf("layer %d GB[%d] = %v after an interleaved inference, want %v", li, i, l.GB[i], wl.GB[i])
+			}
+		}
+	}
+}
+
+// pinnedLosses trains a net whose layers have every Out%4 and every
+// activation for 50 steps and returns each step's loss.
+func pinnedLosses(opt Optimizer) []float64 {
+	n := New([]int{6, 9, 7, 5, 3}, []Activation{Tanh, ReLU, Sigmoid, Linear}, 11)
+	r := rand.New(rand.NewSource(12))
+	x := make([][]float64, 8)
+	y := make([][]float64, 8)
+	for k := range x {
+		x[k] = make([]float64, 6)
+		for j := range x[k] {
+			x[k][j] = r.Float64()*2 - 1
+		}
+		y[k] = []float64{r.Float64(), r.Float64(), r.Float64()}
+	}
+	losses := make([]float64, 50)
+	for s := range losses {
+		losses[s] = TrainBatch(n, opt, x, y, 1)
+	}
+	return losses
+}
+
+func TestWeightRowsViewTheSlab(t *testing.T) {
+	in := []float64{0.3, -0.7, 0.2, 0.9}
+	infer := func(n *Network) float64 {
+		ys := make([]float64, 4)
+		n.InferBatch([][]float64{in, in, in, in}, ys)
+		if one := n.Infer(in)[0]; one != ys[0] || one != ys[3] {
+			t.Fatalf("Infer %v, InferBatch %v", one, ys)
+		}
+		return ys[0]
+	}
+	n := New([]int{4, 6, 1}, []Activation{Tanh, Linear}, 5)
+	before := infer(n)
+
+	// A write through a row is a write to the slab the kernels read.
+	n.Layers[0].W[2][1] += 0.5
+	written := infer(n)
+	if written == before {
+		t.Error("a write through W[i][j] did not reach the kernel")
+	}
+	// A row cannot grow into its neighbour.
+	row := n.Layers[0].W[2]
+	next := n.Layers[0].W[3][0]
+	_ = append(row, 42)
+	if n.Layers[0].W[3][0] != next {
+		t.Error("append to a row view overwrote the next row")
+	}
+
+	c := n.Clone()
+	if infer(c) != written {
+		t.Error("Clone's kernel does not see the copied weights")
+	}
+	c.Layers[1].W[0][3] -= 0.25
+	if infer(c) == written || infer(n) != written {
+		t.Error("Clone must have a slab of its own")
+	}
+	fresh := New([]int{4, 6, 1}, []Activation{Tanh, Linear}, 6)
+	fresh.CopyParamsFrom(c)
+	if infer(fresh) != infer(c) {
+		t.Error("CopyParamsFrom's weights are not the ones the kernel reads")
+	}
+	fresh.Layers[0].GW[1][1] = 3
+	fresh.ZeroGrad()
+	if fresh.Layers[0].GW[1][1] != 0 {
+		t.Error("GW rows do not view the gradient slab ZeroGrad clears")
+	}
+
+	// Training on the slab is training on the rows: the losses are the ones
+	// the [][]float64 layout gave (recorded at the commit before the slab, on
+	// amd64, where the compiler fuses no multiply-add).
+	pinned := map[int]struct{ adam, sgd float64 }{
+		0:  {0x1.df3a57224ce8cp-02, 0x1.df3a57224ce8cp-02},
+		1:  {0x1.9e387f35c2ac9p-02, 0x1.a7e8714791619p-02},
+		9:  {0x1.1476d087e6595p-03, 0x1.5e38c7495aa32p-03},
+		49: {0x1.45dbd9bfa71e1p-06, 0x1.8005a797a691cp-05},
+	}
+	adam, sgd := pinnedLosses(NewAdam(0.01)), pinnedLosses(NewSGD(0.05, 0.9))
+	for step, want := range pinned {
+		if adam[step] != want.adam {
+			t.Errorf("Adam step %d: loss %x, want %x", step+1, adam[step], want.adam)
+		}
+		if sgd[step] != want.sgd {
+			t.Errorf("SGD step %d: loss %x, want %x", step+1, sgd[step], want.sgd)
+		}
+	}
+}
+
+func benchInferBatch(b *testing.B, sizes []int) {
+	acts := make([]Activation, len(sizes)-1)
+	for i := range acts {
+		acts[i] = Tanh
+	}
+	acts[len(acts)-1] = Linear
+	n := New(sizes, acts, 1)
+	const batch = 64
+	xs := kernelInputs(rand.New(rand.NewSource(1)), batch, sizes[0])
+	ys := make([]float64, batch*n.OutputSize())
+	n.InferBatch(xs, ys)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.InferBatch(xs, ys)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/sample")
+}
+
+func BenchmarkInferBatchAurora(b *testing.B)  { benchInferBatch(b, []int{30, 32, 16, 1}) }
+func BenchmarkInferBatchBloated(b *testing.B) { benchInferBatch(b, []int{4, 2048, 1}) }
+
+// BenchmarkInferBloated is the per-sample path InferBatch replaces in the
+// fleet's necessity gate.
+func BenchmarkInferBloated(b *testing.B) {
+	n := New([]int{4, 2048, 1}, []Activation{Tanh, Linear}, 1)
+	xs := kernelInputs(rand.New(rand.NewSource(1)), 64, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Infer(xs[i%len(xs)])
+	}
+}

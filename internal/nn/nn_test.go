@@ -92,9 +92,10 @@ func TestDeterministicInit(t *testing.T) {
 func TestForwardKnownValues(t *testing.T) {
 	// Hand-build a 2→2→1 net with known weights.
 	n := New([]int{2, 2, 1}, []Activation{ReLU, Linear}, 1)
-	n.Layers[0].W = [][]float64{{1, 1}, {1, -1}}
+	copy(n.Layers[0].W[0], []float64{1, 1})
+	copy(n.Layers[0].W[1], []float64{1, -1})
 	n.Layers[0].B = []float64{0, 0}
-	n.Layers[1].W = [][]float64{{2, 3}}
+	copy(n.Layers[1].W[0], []float64{2, 3})
 	n.Layers[1].B = []float64{-1}
 	out := n.Infer([]float64{3, 1})
 	// hidden = relu([4, 2]) = [4, 2]; out = 2·4 + 3·2 − 1 = 13
@@ -347,11 +348,13 @@ func BenchmarkForwardAurora(b *testing.B) {
 	}
 }
 
-func BenchmarkTrainBatchAurora(b *testing.B) {
+// benchTrainAurora times one TrainBatch (Adam, clipped) on a batch of the
+// given size.
+func benchTrainAurora(b *testing.B, batch int) {
 	n := New([]int{30, 32, 16, 1}, []Activation{Tanh, Tanh, Linear}, 1)
 	opt := NewAdam(0.001)
-	x := make([][]float64, 32)
-	y := make([][]float64, 32)
+	x := make([][]float64, batch)
+	y := make([][]float64, batch)
 	r := rand.New(rand.NewSource(1))
 	for i := range x {
 		x[i] = make([]float64, 30)
@@ -366,3 +369,9 @@ func BenchmarkTrainBatchAurora(b *testing.B) {
 		TrainBatch(n, opt, x, y, 1)
 	}
 }
+
+func BenchmarkTrainBatchAurora(b *testing.B) { benchTrainAurora(b, 32) }
+
+// BenchmarkTrainStepAurora is the slow path's usual step: a handful of
+// monitor intervals per batch.
+func BenchmarkTrainStepAurora(b *testing.B) { benchTrainAurora(b, 8) }

@@ -12,37 +12,35 @@ type SGD struct {
 	LR       float64
 	Momentum float64
 
-	vW map[*Dense][][]float64
-	vB map[*Dense][]float64
+	v map[*Dense]*sgdState
 }
+
+// sgdState is one layer's velocity, laid out like the layer's slab and bias.
+type sgdState struct{ w, b []float64 }
 
 // NewSGD returns an SGD optimizer with the given learning rate and momentum.
 func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum,
-		vW: make(map[*Dense][][]float64), vB: make(map[*Dense][]float64)}
+	return &SGD{LR: lr, Momentum: momentum, v: make(map[*Dense]*sgdState)}
 }
 
 // Step applies one update using the gradients accumulated in n.
 func (o *SGD) Step(n *Network) {
 	for _, l := range n.Layers {
-		vw, ok := o.vW[l]
+		st, ok := o.v[l]
 		if !ok {
-			vw = make([][]float64, l.Out)
-			for i := range vw {
-				vw[i] = make([]float64, l.In)
-			}
-			o.vW[l] = vw
-			o.vB[l] = make([]float64, l.Out)
+			st = &sgdState{w: make([]float64, len(l.w)), b: make([]float64, l.Out)}
+			o.v[l] = st
 		}
-		vb := o.vB[l]
-		for i := range l.W {
-			for j := range l.W[i] {
-				vw[i][j] = o.Momentum*vw[i][j] - o.LR*l.GW[i][j]
-				l.W[i][j] += vw[i][j]
-			}
-			vb[i] = o.Momentum*vb[i] - o.LR*l.GB[i]
-			l.B[i] += vb[i]
-		}
+		o.step(l.w, l.gw, st.w)
+		o.step(l.B, l.GB, st.b)
+	}
+}
+
+func (o *SGD) step(p, g, v []float64) {
+	g, v = g[:len(p)], v[:len(p)]
+	for k := range p {
+		v[k] = o.Momentum*v[k] - o.LR*g[k]
+		p[k] += v[k]
 	}
 }
 
@@ -55,17 +53,16 @@ type Adam struct {
 	Epsilon float64
 
 	t  int
-	mW map[*Dense][][]float64
-	vW map[*Dense][][]float64
-	mB map[*Dense][]float64
-	vB map[*Dense][]float64
+	mv map[*Dense]*adamState
 }
+
+// adamState is one layer's first and second moments, laid out like the
+// layer's slab and bias.
+type adamState struct{ mW, vW, mB, vB []float64 }
 
 // NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8,
-		mW: make(map[*Dense][][]float64), vW: make(map[*Dense][][]float64),
-		mB: make(map[*Dense][]float64), vB: make(map[*Dense][]float64)}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8, mv: make(map[*Dense]*adamState)}
 }
 
 // Step applies one Adam update using the gradients accumulated in n.
@@ -74,31 +71,25 @@ func (o *Adam) Step(n *Network) {
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	for _, l := range n.Layers {
-		mw, ok := o.mW[l]
+		st, ok := o.mv[l]
 		if !ok {
-			mw = make([][]float64, l.Out)
-			vw := make([][]float64, l.Out)
-			for i := range mw {
-				mw[i] = make([]float64, l.In)
-				vw[i] = make([]float64, l.In)
+			st = &adamState{
+				mW: make([]float64, len(l.w)), vW: make([]float64, len(l.w)),
+				mB: make([]float64, l.Out), vB: make([]float64, l.Out),
 			}
-			o.mW[l], o.vW[l] = mw, vw
-			o.mB[l] = make([]float64, l.Out)
-			o.vB[l] = make([]float64, l.Out)
+			o.mv[l] = st
 		}
-		vw, mb, vb := o.vW[l], o.mB[l], o.vB[l]
-		for i := range l.W {
-			for j := range l.W[i] {
-				g := l.GW[i][j]
-				mw[i][j] = o.Beta1*mw[i][j] + (1-o.Beta1)*g
-				vw[i][j] = o.Beta2*vw[i][j] + (1-o.Beta2)*g*g
-				l.W[i][j] -= o.LR * (mw[i][j] / bc1) / (math.Sqrt(vw[i][j]/bc2) + o.Epsilon)
-			}
-			g := l.GB[i]
-			mb[i] = o.Beta1*mb[i] + (1-o.Beta1)*g
-			vb[i] = o.Beta2*vb[i] + (1-o.Beta2)*g*g
-			l.B[i] -= o.LR * (mb[i] / bc1) / (math.Sqrt(vb[i]/bc2) + o.Epsilon)
-		}
+		o.step(l.w, l.gw, st.mW, st.vW, bc1, bc2)
+		o.step(l.B, l.GB, st.mB, st.vB, bc1, bc2)
+	}
+}
+
+func (o *Adam) step(p, grad, m, v []float64, bc1, bc2 float64) {
+	grad, m, v = grad[:len(p)], m[:len(p)], v[:len(p)]
+	for k, g := range grad {
+		m[k] = o.Beta1*m[k] + (1-o.Beta1)*g
+		v[k] = o.Beta2*v[k] + (1-o.Beta2)*g*g
+		p[k] -= o.LR * (m[k] / bc1) / (math.Sqrt(v[k]/bc2) + o.Epsilon)
 	}
 }
 

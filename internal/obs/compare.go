@@ -47,11 +47,14 @@ func (d DeltaStat) Ratio() float64 {
 // selectors usually also test SeriesDelta.Cumulative. The nil recorder
 // returns the zero DeltaStat.
 func (fr *FlightRecorder) CompareWindows(before, after TimeWindow, mode AggMode, sel func(SeriesDelta) bool) DeltaStat {
-	if fr == nil {
-		return DeltaStat{}
-	}
+	return CompareDeltas(fr.Delta(before, after), mode, sel)
+}
+
+// CompareDeltas is CompareWindows over deltas already computed: a caller that
+// puts several selectors to one window pair pays for one Delta.
+func CompareDeltas(deltas []SeriesDelta, mode AggMode, sel func(SeriesDelta) bool) DeltaStat {
 	var out DeltaStat
-	for _, d := range fr.Delta(before, after) {
+	for _, d := range deltas {
 		if sel != nil && !sel(d) {
 			continue
 		}

@@ -57,12 +57,48 @@ func (s *flightSeries) push(p Point) {
 	}
 }
 
+// at returns the i-th retained point in recording order.
+func (s *flightSeries) at(i int) Point { return s.pts[(s.start+i)%len(s.pts)] }
+
 func (s *flightSeries) points() []Point {
 	out := make([]Point, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.pts[(s.start+i)%len(s.pts)]
+	for i := range out {
+		out[i] = s.at(i)
 	}
 	return out
+}
+
+// stat reduces the points with w.From <= At <= w.To, read in place, to the
+// window's statistic: rate per second between the first and last of them for
+// a cumulative series (two points at least, the last later than the first),
+// their mean for a level series (one at least).
+func (s *flightSeries) stat(w TimeWindow) (float64, bool) {
+	var first, last Point
+	var sum float64
+	n := 0
+	for i := 0; i < s.n; i++ {
+		p := s.at(i)
+		if p.At < w.From || p.At > w.To {
+			continue
+		}
+		if n == 0 {
+			first = p
+		}
+		last = p
+		sum += p.V
+		n++
+	}
+	if s.cumulative {
+		span := last.At - first.At
+		if n < 2 || span <= 0 {
+			return 0, false
+		}
+		return (last.V - first.V) / float64(span) * 1e9, true
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
 }
 
 // FlightRecorder records registry samples over virtual time. Construct with
@@ -199,8 +235,8 @@ func (fr *FlightRecorder) Window(from, to int64) []SeriesWindow {
 	out := make([]SeriesWindow, 0, len(fr.series))
 	for name, s := range fr.series {
 		var pts []Point
-		for _, p := range s.points() {
-			if p.At >= from && p.At <= to {
+		for i := 0; i < s.n; i++ {
+			if p := s.at(i); p.At >= from && p.At <= to {
 				pts = append(pts, p)
 			}
 		}
@@ -234,29 +270,24 @@ type SeriesDelta struct {
 // series that has enough data in both (cumulative series need >= 2 points
 // per window to form a rate; level series need >= 1), sorted by name. This
 // is the canary-gate primitive: sample around an install, then ask which
-// series' rates moved.
+// series' rates moved. The rings are read in place: what a call allocates is
+// the sorted names and the result.
 func (fr *FlightRecorder) Delta(before, after TimeWindow) []SeriesDelta {
 	if fr == nil {
 		return nil
 	}
-	b := fr.Window(before.From, before.To)
-	a := fr.Window(after.From, after.To)
-	bi := make(map[string]SeriesWindow, len(b))
-	for _, w := range b {
-		bi[w.Name] = w
-	}
-	out := make([]SeriesDelta, 0, len(a))
-	for _, aw := range a {
-		bw, ok := bi[aw.Name]
-		if !ok {
-			continue
-		}
-		bv, bok := windowStat(bw)
-		av, aok := windowStat(aw)
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	names := fr.sortedNames()
+	out := make([]SeriesDelta, 0, len(names))
+	for _, name := range names {
+		s := fr.series[name]
+		bv, bok := s.stat(before)
+		av, aok := s.stat(after)
 		if !bok || !aok {
 			continue
 		}
-		d := SeriesDelta{Name: aw.Name, Cumulative: aw.Cumulative,
+		d := SeriesDelta{Name: name, Cumulative: s.cumulative,
 			Before: bv, After: av, Delta: av - bv}
 		if bv != 0 {
 			d.Ratio = av / bv
@@ -266,28 +297,15 @@ func (fr *FlightRecorder) Delta(before, after TimeWindow) []SeriesDelta {
 	return out
 }
 
-// windowStat reduces a window to its statistic: rate per second for
-// cumulative series, mean for level series.
-func windowStat(w SeriesWindow) (float64, bool) {
-	if w.Cumulative {
-		if len(w.Points) < 2 {
-			return 0, false
-		}
-		first, last := w.Points[0], w.Points[len(w.Points)-1]
-		span := last.At - first.At
-		if span <= 0 {
-			return 0, false
-		}
-		return (last.V - first.V) / float64(span) * 1e9, true
+// sortedNames returns the recorded series names in sorted order. Callers
+// hold fr.mu.
+func (fr *FlightRecorder) sortedNames() []string {
+	names := make([]string, 0, len(fr.series))
+	for name := range fr.series {
+		names = append(names, name)
 	}
-	if len(w.Points) == 0 {
-		return 0, false
-	}
-	var sum float64
-	for _, p := range w.Points {
-		sum += p.V
-	}
-	return sum / float64(len(w.Points)), true
+	sort.Strings(names)
+	return names
 }
 
 // Merge folds src's recorded points into fr in sorted series order, appending
@@ -333,11 +351,7 @@ func (fr *FlightRecorder) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	fr.mu.Lock()
-	names := make([]string, 0, len(fr.series))
-	for name := range fr.series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := fr.sortedNames()
 	type dump struct {
 		name       string
 		cumulative bool

@@ -42,6 +42,11 @@ type DriftUser struct {
 func (u *DriftUser) Freeze() *nn.Network          { return u.Net }
 func (u *DriftUser) Stability() float64           { return 0.5 }
 func (u *DriftUser) Infer(in []float64) []float64 { return u.Net.Infer(in) }
+
+// OutputSize and InferBatch implement core.BatchEvaluator.
+func (u *DriftUser) OutputSize() int                         { return u.Net.OutputSize() }
+func (u *DriftUser) InferBatch(xs [][]float64, ys []float64) { u.Net.InferBatch(xs, ys) }
+
 func (u *DriftUser) Adapt([]core.Sample) {
 	u.rounds++
 	if u.DriftEvery > 0 && u.rounds%u.DriftEvery == 0 {

@@ -152,6 +152,9 @@ type (
 	Freezer   = core.Freezer
 	Evaluator = core.Evaluator
 	Adapter   = core.Adapter
+	// BatchEvaluator is the optional block form of Evaluator the necessity
+	// gate prefers; a user delegates it to Network.InferBatch.
+	BatchEvaluator = core.BatchEvaluator
 	// Stats counts core-module activity; ServiceStats the slow path's.
 	Stats        = core.Stats
 	ServiceStats = core.ServiceStats
