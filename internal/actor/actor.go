@@ -63,13 +63,16 @@ func (c Class) String() string {
 	}
 }
 
-// prng is an 8-byte xorshift64* generator. Sessions cannot afford a
+// PRNG is an 8-byte xorshift64* generator. Sessions cannot afford a
 // math/rand.Rand (its source alone is ~5 KB — at a million sessions that is
 // gigabytes); this provides the few uniform/exponential draws a session
-// needs with per-session determinism.
-type prng uint64
+// needs with per-session determinism. The scenario harness draws its setup
+// choices (hosts, launch offsets, session seeds) from one too.
+type PRNG uint64
 
-func newPRNG(seed uint64) prng {
+// NewPRNG seeds a generator through one splitmix64 step, so neighbouring
+// seeds give unrelated streams.
+func NewPRNG(seed uint64) PRNG {
 	z := seed + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -77,24 +80,28 @@ func newPRNG(seed uint64) prng {
 	if z == 0 {
 		z = 0x9e3779b97f4a7c15
 	}
-	return prng(z)
+	return PRNG(z)
 }
 
-func (p *prng) next() uint64 {
+// Next returns the next 64 bits.
+func (p *PRNG) Next() uint64 {
 	x := uint64(*p)
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	*p = prng(x)
+	*p = PRNG(x)
 	return x
 }
 
-// f64 returns a uniform draw in [0, 1).
-func (p *prng) f64() float64 { return float64(p.next()>>11) / (1 << 53) }
+// F64 returns a uniform draw in [0, 1).
+func (p *PRNG) F64() float64 { return float64(p.Next()>>11) / (1 << 53) }
+
+// Intn returns a draw in [0, n).
+func (p *PRNG) Intn(n int) int { return int(p.Next() % uint64(n)) }
 
 // expTime returns an exponential draw with the given mean.
-func (p *prng) expTime(mean netsim.Time) netsim.Time {
-	u := p.f64()
+func (p *PRNG) expTime(mean netsim.Time) netsim.Time {
+	u := p.F64()
 	if u <= 0 {
 		u = 1.0 / (1 << 53)
 	}
@@ -169,7 +176,7 @@ type Opts struct {
 	// uses BaseFlow+1 .. BaseFlow+2·len(Servers) (an up/down pair per
 	// server).
 	BaseFlow netsim.FlowID
-	// Seed drives the session-private prng.
+	// Seed drives the session-private PRNG.
 	Seed uint64
 	// CC constructs a fresh congestion controller per flow.
 	CC func() tcp.CongestionControl
@@ -198,7 +205,7 @@ type Opts struct {
 type Session struct {
 	cls Class
 	eng *netsim.Engine
-	rng prng
+	rng PRNG
 	m   *Metrics
 
 	conns []Conn
@@ -246,7 +253,7 @@ func New(o Opts) *Session {
 		panic("actor: nil Metrics")
 	}
 	s := &Session{
-		cls: o.Class, eng: o.Client.Eng, rng: newPRNG(o.Seed), m: o.Metrics,
+		cls: o.Class, eng: o.Client.Eng, rng: NewPRNG(o.Seed), m: o.Metrics,
 		think: o.ThinkMean, reqBytes: o.ReqBytes, respDist: o.RespDist,
 		respBytes: o.RespBytes, chunkDur: o.ChunkDur, ladder: o.Ladder,
 	}
@@ -309,7 +316,7 @@ func (s *Session) issueRequest() {
 	s.m.Requests++
 	switch s.cls {
 	case Web:
-		size := s.respDist.SampleU(s.rng.f64())
+		size := s.respDist.SampleU(s.rng.F64())
 		s.conns[0].remain = size
 		s.conns[0].up.Push(s.reqBytes, size)
 	case Video:

@@ -351,6 +351,26 @@ func (c *Core) Activate() error {
 	return nil
 }
 
+// Install is the kernel half of a snapshot install, the insmod of §3.4: the
+// module load is charged per parameter to the kernel CPU while the active
+// snapshot keeps serving, then RegisterModel and Activate run the
+// active-standby switch. The error says how it ended: nil, the switch is done;
+// ErrDegraded, the module stays registered as the standby, parked until the
+// slow path is heard from again (Activate then switches to it); anything else,
+// the module was rejected — m is nil when RegisterModel refused it.
+func (c *Core) Install(mod *codegen.Module) (m *Model, err error) {
+	if mod == nil || mod.Program == nil {
+		return nil, ErrNilModule
+	}
+	if c.CPU != nil {
+		c.CPU.Charge(ksim.Kernel, c.Costs.SnapshotInstallPerParam*netsim.Time(mod.Program.NumParams()))
+	}
+	if m, err = c.RegisterModel(mod); err != nil {
+		return nil, err
+	}
+	return m, c.Activate()
+}
+
 // InstallBlocking replaces the active snapshot the naive way the paper warns
 // against (§3.4): one lock held across the entire parameter transfer and
 // module initialization, stalling every fast-path query for installTime.
@@ -428,14 +448,28 @@ func (c *Core) QueryModel(flow netsim.FlowID, in, out []int64) error {
 	if m == nil {
 		return ErrNoModel
 	}
-	c.met.queries.Inc()
-	cost := ksim.InferCost(c.Costs.KernelInferPerMAC, m.prog.MACs())
-	c.met.queryNS.Observe(float64(cost))
-	if c.CPU != nil {
-		c.CPU.Charge(ksim.Kernel, cost)
-	}
-	m.prog.InferWith(&c.arena, in, out)
+	c.infer(m, in, out, 1)
 	return nil
+}
+
+// infer runs n ≥ 1 inferences on m and accounts for them: the query counter,
+// the modeled per-query cost in liteflow_query_ns, one kernel CPU charge of
+// n×cost. in and out hold n densely packed rows.
+func (c *Core) infer(m *Model, in, out []int64, n int) {
+	c.met.queries.Add(int64(n))
+	cost := ksim.InferCost(c.Costs.KernelInferPerMAC, m.prog.MACs())
+	if c.CPU != nil {
+		c.CPU.Charge(ksim.Kernel, netsim.Time(n)*cost)
+	}
+	if n == 1 {
+		// Not ObserveN(cost, 1): the running summary adds one sample and
+		// merges n, and the two differ in the last bit.
+		c.met.queryNS.Observe(float64(cost))
+		m.prog.InferWith(&c.arena, in, out)
+	} else {
+		c.met.queryNS.ObserveN(float64(cost), int64(n))
+		m.prog.InferBatch(&c.arena, in, out, n)
+	}
 }
 
 // QueryModelBatch runs n inferences against the flow's pinned snapshot in one
@@ -456,13 +490,7 @@ func (c *Core) QueryModelBatch(flow netsim.FlowID, in, out []int64, n int) error
 	if n == 0 {
 		return nil
 	}
-	c.met.queries.Add(int64(n))
-	cost := ksim.InferCost(c.Costs.KernelInferPerMAC, m.prog.MACs())
-	c.met.queryNS.ObserveN(float64(cost), int64(n))
-	if c.CPU != nil {
-		c.CPU.Charge(ksim.Kernel, netsim.Time(n)*cost)
-	}
-	m.prog.InferBatch(&c.arena, in, out, n)
+	c.infer(m, in, out, n)
 	return nil
 }
 
@@ -733,13 +761,7 @@ func (b *FlowBackend) query(state []float64, reply func(action float64), stallSt
 	for i, x := range state {
 		b.in[i] = int64(x * float64(prog.InputScale))
 	}
-	c.met.queries.Inc()
-	cost := ksim.InferCost(b.Core.Costs.KernelInferPerMAC, prog.MACs())
-	c.met.queryNS.Observe(float64(cost))
-	if b.Core.CPU != nil {
-		b.Core.CPU.Charge(ksim.Kernel, cost)
-	}
-	prog.InferWith(&c.arena, b.in, b.out[:prog.OutputSize()])
+	c.infer(m, b.in, b.out[:prog.OutputSize()], 1)
 	a := float64(b.out[0]) / float64(prog.OutputScale)
 	if a > 1 {
 		a = 1

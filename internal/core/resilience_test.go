@@ -160,7 +160,7 @@ func TestInstallRetrySucceedsAfterTransientFailure(t *testing.T) {
 	r := newWatchdogRig(t, netsim.Second)
 	defer r.core.StopWatchdog()
 	r.svc.NamePrefix = "bad name" // invalid identifier → codegen failure
-	r.svc.installSnapshot()
+	r.svc.tryInstall(0)
 	st := r.svc.Stats()
 	if st.BuildFailures != 1 || st.InstallRetries != 1 {
 		t.Fatalf("want 1 failure + 1 scheduled retry, got %+v", st)
@@ -185,7 +185,7 @@ func TestInstallAbandonedAfterRetryBudget(t *testing.T) {
 		opt.WithFaults(inj),
 		opt.WithRetry(opt.Retry{Max: 3, Base: int64(10 * netsim.Millisecond), Cap: int64(netsim.Second)}))
 	defer r.core.StopWatchdog()
-	r.svc.installSnapshot()
+	r.svc.tryInstall(0)
 	r.eng.RunUntil(r.eng.Now() + 5*netsim.Second)
 	st := r.svc.Stats()
 	if st.BuildFailures != 3 || st.InstallRetries != 2 || st.InstallsAbandoned != 1 {

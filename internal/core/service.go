@@ -233,8 +233,9 @@ type Service struct {
 
 	gate       StabilityGate
 	snapCount  int
-	installing bool
+	installing bool   // a fidelity check or install is in flight; settle clears it
 	parked     *Model // standby registered while degraded, awaiting recovery
+	rows       [displaced + 1]outcomeRow
 
 	// life is the open lifecycle span for the snapshot version currently
 	// being pooled toward: opened on the first batch after the previous
@@ -273,6 +274,7 @@ func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter
 		s.retry = *o.Retry
 	}
 	s.met = newServiceMetrics(s.sc)
+	s.rows = outcomeTable(&s.met)
 	s.spans = obs.NewSpanTracer(s.sc)
 	ch.SetDeliver(s.HandleBatch)
 	c.slowPathAttached()
@@ -364,21 +366,11 @@ func (s *Service) activateParked() {
 	m := s.parked
 	s.parked = nil
 	if err := s.Core.Activate(); err != nil {
-		// The standby was displaced while parked (a newer install already
-		// took its place); nothing left to recover.
-		s.life.EndFailed(s.Core.Eng.Now(), "displaced")
-		s.closeLife()
+		s.settle(displaced, nil, "", 0)
 		return
 	}
-	s.met.updates.Inc()
-	now := s.Core.Eng.Now()
-	s.sc.EventStr("snapshot", "parked_activate", now, "model", m.Name)
-	s.life.Child("parked_activate", now, 0)
-	s.life.End(now)
-	s.closeLife()
-	if s.OnUpdate != nil {
-		s.OnUpdate(m)
-	}
+	s.life.Child("parked_activate", s.Core.Eng.Now(), 0)
+	s.settle(recovered, m, m.Name, 0)
 }
 
 // StabilityGate is the correctness gate (paper §3.3): a snapshot may only be
@@ -501,6 +493,80 @@ func MinFidelityLoss(prog *quant.Program, user Evaluator, samples []Sample, befo
 	return minLoss, mismatched
 }
 
+// outcome is how one round of the snapshot pipeline — fidelity check, build,
+// install — ended. Every round that set Service.installing ends in exactly one
+// settle, and so does the catch-up activation of a parked standby.
+type outcome uint8
+
+const (
+	installed         outcome = iota // the standby was registered and switched in
+	recovered                        // a parked standby was switched in after recovery
+	parked                           // registered on a degraded core; activateParked finishes it
+	skipped                          // fidelity loss within α·(Omax−Omin): nothing to update
+	nothingComparable                // no active snapshot, or no sample both models could answer
+	channelClosed                    // the fidelity query could not be sent
+	abandoned                        // build retries exhausted, or no channel left to install over
+	rejected                         // the core refused the module or the switch
+	displaced                        // the parked standby was gone when recovery came
+)
+
+// outcomeRow is what settle does for one outcome: the counter it feeds, the
+// trace event that announces it — carrying the module name, the attempt count
+// or nothing — and what becomes of the open lifecycle span. A live outcome ends
+// it and fires OnUpdate, a failed one ends it with that reason, and the rest
+// leave it open for the next round of the same lifecycle.
+type outcomeRow struct {
+	counter    *obs.Counter
+	cat, event string
+	arg        string // "model", "attempts" or ""
+	live       bool
+	failed     string
+}
+
+func outcomeTable(met *serviceMetrics) [displaced + 1]outcomeRow {
+	return [...]outcomeRow{
+		installed:         {counter: met.updates, live: true},
+		recovered:         {counter: met.updates, cat: "snapshot", event: "parked_activate", arg: "model", live: true},
+		parked:            {counter: met.parked, cat: "snapshot", event: "install_parked", arg: "model"},
+		skipped:           {counter: met.skipped, cat: "service", event: "necessity_skip"},
+		nothingComparable: {},
+		channelClosed:     {},
+		abandoned:         {counter: met.abandoned, cat: "snapshot", event: "install_abandoned", arg: "attempts", failed: "abandoned"},
+		rejected:          {counter: met.abandoned, cat: "snapshot", event: "install_rejected", arg: "model", failed: "rejected"},
+		displaced:         {failed: "displaced"},
+	}
+}
+
+// settle ends a round with outcome o: it is the only place the pipeline is
+// marked free again and the only place a lifecycle closes. m is the model an
+// install produced (nil when none), name the module's, attempts how many
+// builds an abandoned install made.
+func (s *Service) settle(o outcome, m *Model, name string, attempts int) {
+	row := &s.rows[o]
+	now := s.Core.Eng.Now()
+	row.counter.Inc()
+	switch {
+	case row.arg == "model":
+		s.sc.EventStr(row.cat, row.event, now, "model", name)
+	case row.arg == "attempts":
+		s.sc.Event1(row.cat, row.event, now, "attempts", int64(attempts))
+	case row.event != "":
+		s.sc.Event(row.cat, row.event, now)
+	}
+	if row.live || row.failed != "" {
+		if row.live {
+			s.life.End(now)
+		} else {
+			s.life.EndFailed(now, row.failed)
+		}
+		s.closeLife()
+	}
+	s.installing = false
+	if row.live && s.OnUpdate != nil {
+		s.OnUpdate(m)
+	}
+}
+
 // evaluateNecessity computes the minimal fidelity loss over the batch.
 // Kernel snapshot outputs must travel to userspace: the service sends the
 // inputs down and the outputs come back, both charged as cross-space work
@@ -514,7 +580,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 	// callbacks: the fidelity round trip spends a full cross-space RTT in
 	// flight, and a second batch arriving inside that window must not launch
 	// a concurrent check — overlapping installs race for the standby slot and
-	// double-ship parameters. Every terminal path below clears the flag.
+	// double-ship parameters. settle clears the flag.
 	s.installing = true
 	s.met.fidelityChecks.Inc()
 	necStart := s.Core.Eng.Now()
@@ -526,7 +592,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 	sendErr := s.Chan.SendToKernel(payload, func() {
 		active := s.Core.Active()
 		if active == nil {
-			s.installing = false
+			s.settle(nothingComparable, nil, "", 0)
 			return
 		}
 		prog := active.Program()
@@ -538,7 +604,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 		minLoss, mismatched := MinFidelityLoss(prog, s.Evaluator, samples, charge)
 		s.met.mismatched.Add(int64(mismatched))
 		if math.IsInf(minLoss, 1) {
-			s.installing = false
+			s.settle(nothingComparable, nil, "", 0)
 			return
 		}
 		// Response crosses back to userspace.
@@ -549,9 +615,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 			s.met.lastFidelity.Set(minLoss)
 			threshold := s.Core.Cfg.Alpha * (s.Core.Cfg.OutMax - s.Core.Cfg.OutMin)
 			if minLoss <= threshold {
-				s.met.skipped.Inc()
-				s.sc.Event("service", "necessity_skip", s.Core.Eng.Now())
-				s.installing = false
+				s.settle(skipped, nil, "", 0)
 				return
 			}
 			// The gate passed: stage the lifecycle children. Pooling and the
@@ -565,23 +629,12 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 				s.life.Child("correctness_gate", necStart, 0)
 			}
 			s.life.Child("necessity_gate", necStart, decided-necStart)
-			s.installSnapshot()
+			s.tryInstall(0)
 		})
 	})
 	if sendErr != nil {
-		s.installing = false // channel closed; no kernel to query
+		s.settle(channelClosed, nil, "", 0)
 	}
-}
-
-// installSnapshot freezes the userspace model, generates a quantized module,
-// ships it to the kernel as the standby snapshot, and switches roles — the
-// active-standby-switch of §3.4. The datapath keeps using the old active
-// snapshot for the whole install. A failed build is retried with bounded
-// backoff in virtual time (see opt.Retry); the fast path is never touched
-// by a failed attempt.
-func (s *Service) installSnapshot() {
-	s.installing = true
-	s.tryInstall(0)
 }
 
 // backoff returns the wait before retry attempt n: min(Base<<n, Cap).
@@ -593,11 +646,15 @@ func (s *Service) backoff(attempt int) netsim.Time {
 	return netsim.Time(b)
 }
 
-// tryInstall runs one install attempt (0-based). Build failures — real
-// codegen errors or injected build/quantization faults, both wrapping
-// codegen.ErrSnapshotBuild — schedule a retry after backoff until the
-// attempt budget is exhausted; then the install is abandoned and the
-// service keeps adapting with the current snapshot.
+// tryInstall runs one install attempt (0-based): it freezes the userspace
+// model, generates a quantized module, ships it to the kernel as the standby
+// snapshot and switches roles — the active-standby-switch of §3.4. The
+// datapath keeps using the old active snapshot for the whole install. Build
+// failures — real codegen errors or injected build/quantization faults, both
+// wrapping codegen.ErrSnapshotBuild — schedule a retry after bounded backoff
+// in virtual time (see opt.Retry) until the attempt budget is exhausted; then
+// the install is abandoned and the service keeps adapting with the current
+// snapshot. The fast path is never touched by a failed attempt.
 func (s *Service) tryInstall(attempt int) {
 	now := s.Core.Eng.Now()
 	net := s.Freezer.Freeze()
@@ -605,13 +662,11 @@ func (s *Service) tryInstall(attempt int) {
 	name := s.NamePrefix + "_" + strconv.Itoa(s.snapCount)
 
 	var mod *codegen.Module
-	var prog *quant.Program
 	var err error
 	if reason, fail := s.inj.FailSnapshot(int64(now)); fail {
 		err = fmt.Errorf("%w: injected %s failure", codegen.ErrSnapshotBuild, reason)
 	} else {
-		prog = quant.Quantize(net, s.Core.Cfg.Quant)
-		mod, err = codegen.Build(prog, name)
+		mod, err = codegen.Build(quant.Quantize(net, s.Core.Cfg.Quant), name)
 	}
 	if err != nil {
 		// A bad user network (or injected fault) must not take down the
@@ -621,11 +676,7 @@ func (s *Service) tryInstall(attempt int) {
 		s.sc.EventMix("snapshot", "build_failure", now, "attempt", int64(attempt+1), "model", name)
 		s.life.Mark("build_failure", now, "attempt", int64(attempt+1))
 		if attempt+1 >= s.retry.Max {
-			s.met.abandoned.Inc()
-			s.sc.Event1("snapshot", "install_abandoned", now, "attempts", int64(attempt+1))
-			s.life.EndFailed(now, "abandoned")
-			s.closeLife()
-			s.installing = false
+			s.settle(abandoned, nil, "", attempt+1)
 			return
 		}
 		wait := s.backoff(attempt)
@@ -637,63 +688,30 @@ func (s *Service) tryInstall(attempt int) {
 	s.life.SetVersion(int64(s.snapCount))
 	s.life.Child("quantize", now, 0)
 	s.life.Child("build", now, 0)
-	paramBytes := prog.NumParams() * 8
-	installStart := now
-	sendErr := s.Chan.SendToKernel(paramBytes, func() {
-		// Kernel-side module install (insmod): charged per parameter, but
-		// the active snapshot keeps serving inference throughout.
-		if s.Core.CPU != nil {
-			s.Core.CPU.Charge(ksim.Kernel,
-				s.Core.Costs.SnapshotInstallPerParam*netsim.Time(prog.NumParams()))
-		}
-		m, err := s.Core.RegisterModel(mod)
-		if err != nil {
+	sendErr := s.Chan.SendToKernel(mod.Program.NumParams()*8, func() {
+		m, err := s.Core.Install(mod)
+		done := s.Core.Eng.Now()
+		switch {
+		case err == nil:
+			s.life.Child("install", now, done-now)
+			s.life.Child("activate", done, 0)
+			s.settle(installed, m, name, 0)
+		case errors.Is(err, ErrDegraded):
+			// The module is registered: the degraded core holds it as the
+			// standby, and activateParked switches to it on the first
+			// post-recovery batch instead of rebuilding. The lifecycle stays
+			// open until that catch-up activation.
+			s.parked = m
+			s.life.Mark("install_parked", done, "version", int64(s.snapCount))
+			s.settle(parked, m, name, 0)
+		default:
 			// A rejected module (dimension change, nil program) cannot retry
 			// into success; count the loss instead of dropping it silently.
-			s.met.abandoned.Inc()
-			s.sc.EventStr("snapshot", "install_rejected", s.Core.Eng.Now(), "model", name)
-			s.life.EndFailed(s.Core.Eng.Now(), "rejected")
-			s.closeLife()
-			s.installing = false
-			return
-		}
-		if err := s.Core.Activate(); err != nil {
-			if errors.Is(err, ErrDegraded) {
-				// The module is already registered: the degraded core parks
-				// it as standby, and activateParked switches to it on the
-				// first post-recovery batch instead of rebuilding. The
-				// lifecycle stays open until that catch-up activation.
-				s.parked = m
-				s.met.parked.Inc()
-				s.sc.EventStr("snapshot", "install_parked", s.Core.Eng.Now(), "model", name)
-				s.life.Mark("install_parked", s.Core.Eng.Now(), "version", int64(s.snapCount))
-			} else {
-				s.met.abandoned.Inc()
-				s.sc.EventStr("snapshot", "install_rejected", s.Core.Eng.Now(), "model", name)
-				s.life.EndFailed(s.Core.Eng.Now(), "rejected")
-				s.closeLife()
-			}
-			s.installing = false
-			return
-		}
-		s.met.updates.Inc()
-		done := s.Core.Eng.Now()
-		s.life.Child("install", installStart, done-installStart)
-		s.life.Child("activate", done, 0)
-		s.life.End(done)
-		s.closeLife()
-		s.installing = false
-		if s.OnUpdate != nil {
-			s.OnUpdate(m)
+			s.settle(rejected, nil, name, 0)
 		}
 	})
 	if sendErr != nil {
-		// The channel is gone; no kernel to install into.
-		s.met.abandoned.Inc()
-		s.sc.Event1("snapshot", "install_abandoned", now, "attempts", int64(attempt+1))
-		s.life.EndFailed(now, "abandoned")
-		s.closeLife()
-		s.installing = false
+		s.settle(abandoned, nil, "", attempt+1) // the channel is gone
 	}
 }
 

@@ -123,7 +123,8 @@ func TestDegradedInstallParksAndRecovers(t *testing.T) {
 	// An install pipeline that was already past its netlink send completes
 	// now: RegisterModel parks the standby, Activate is refused.
 	r.user.net.Layers[1].B[0] += 0.5
-	r.svc.installSnapshot()
+	r.svc.installing = true // as evaluateNecessity leaves it
+	r.svc.tryInstall(0)
 	r.eng.RunUntil(r.eng.Now() + 10*netsim.Millisecond)
 
 	st := r.svc.Stats()
@@ -152,6 +153,53 @@ func TestDegradedInstallParksAndRecovers(t *testing.T) {
 	}
 	if r.core.Active() == pinned {
 		t.Error("recovery must switch to the parked snapshot")
+	}
+}
+
+// TestParkedStandbyDisplaced: a parked standby that something else switched in
+// before the service's catch-up leaves nothing to activate; the lifecycle
+// closes as displaced, nothing counts as an update, and the pipeline is free.
+func TestParkedStandbyDisplaced(t *testing.T) {
+	window := 100 * netsim.Millisecond
+	r := newWatchdogRig(t, window)
+	defer r.core.StopWatchdog()
+	r.pushBatch(4)
+	r.eng.RunUntil(r.eng.Now() + 5*window)
+	r.user.net.Layers[1].B[0] += 0.5
+	r.svc.installing = true
+	r.svc.tryInstall(0)
+	r.eng.RunUntil(r.eng.Now() + 10*netsim.Millisecond)
+	if r.svc.parked == nil {
+		t.Fatal("install on a degraded core must park")
+	}
+	r.core.NoteSlowPathAlive()
+	if err := r.core.Activate(); err != nil {
+		t.Fatal(err)
+	}
+	r.pushBatch(4)
+	if st := r.svc.Stats(); st.Updates != 0 || st.InstallsAbandoned != 0 {
+		t.Errorf("a displaced standby is neither an update nor an abandoned install: %+v", st)
+	}
+	if r.svc.parked != nil || r.svc.installing {
+		t.Errorf("displaced must settle: parked=%v installing=%v", r.svc.parked != nil, r.svc.installing)
+	}
+}
+
+// TestClosedChannelSettles: with the channel closed there is no kernel to ask
+// or install into. The fidelity round ends without a verdict, an install ends
+// abandoned, and both leave the pipeline free.
+func TestClosedChannelSettles(t *testing.T) {
+	r := newWatchdogRig(t, netsim.Second)
+	defer r.core.StopWatchdog()
+	r.ch.Close()
+	r.svc.evaluateNecessity([]Sample{{Input: []float64{0.1, 0.2, 0.3, 0.4}}})
+	if st := r.svc.Stats(); r.svc.installing || st.FidelityChecks != 1 || st.InstallsAbandoned != 0 {
+		t.Errorf("a fidelity query that cannot be sent must settle quietly: installing=%v %+v", r.svc.installing, st)
+	}
+	r.svc.installing = true
+	r.svc.tryInstall(0)
+	if st := r.svc.Stats(); r.svc.installing || st.InstallsAbandoned != 1 {
+		t.Errorf("an install with no channel must be abandoned: installing=%v %+v", r.svc.installing, st)
 	}
 }
 

@@ -163,7 +163,7 @@ func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 // byte-identical Prometheus text and a byte-identical trace JSONL stream. The
 // windowed single-domain run (Domains=1) is the reference; higher domain
 // counts only change which worker executes a partition, never the schedule.
-// Experiments outside SupportsDomains ignore Config.Domains entirely, so for
+// Experiments that are not Partitioned ignore Config.Domains entirely, so for
 // them the sweep degenerates to verifying the knob is inert end-to-end — they
 // run at domains 1 and 8 only, which keeps the quadruple-suite run tractable
 // without shrinking coverage.
@@ -176,7 +176,7 @@ func TestEngineSerialVsParallelByteIdentical(t *testing.T) {
 		prom   []byte
 		trace  []byte
 	}
-	runAt := func(r Runner, domains int) export {
+	runAt := func(t *testing.T, r Runner, domains int) export {
 		reg := obs.NewRegistry()
 		tr := obs.NewTracer(0)
 		cfg := Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr), Domains: domains}
@@ -190,19 +190,21 @@ func TestEngineSerialVsParallelByteIdentical(t *testing.T) {
 	partitioned := 0
 	for _, r := range All() {
 		r := r
+		if r.Partitioned {
+			partitioned++
+		}
 		t.Run(r.ID, func(t *testing.T) {
+			t.Parallel() // every run builds a private engine, registry and tracer
 			sweep := []int{2, 4, 8}
-			if !SupportsDomains(r.ID) {
+			if !r.Partitioned {
 				sweep = []int{8}
-			} else {
-				partitioned++
 			}
-			base := runAt(r, 1)
+			base := runAt(t, r, 1)
 			if base.report == "" {
 				t.Fatal("empty report; golden comparison is vacuous")
 			}
 			for _, d := range sweep {
-				got := runAt(r, d)
+				got := runAt(t, r, d)
 				if got.report != base.report {
 					t.Errorf("report differs between domains=1 and domains=%d", d)
 					diffFirstLine(t, base.report, got.report)

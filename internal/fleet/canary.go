@@ -8,6 +8,7 @@ package fleet
 
 import (
 	"math"
+	"strconv"
 	"strings"
 
 	"github.com/liteflow-sim/liteflow/internal/netsim"
@@ -39,18 +40,6 @@ func (c *Controller) canaryCohort() []*Member {
 	return eligible[:k]
 }
 
-// canaryHealth is one canary's verdict input: goodput (query rate), latency
-// (p99 estimate), and degradation deltas between the pre-install baseline
-// window and the observation window.
-type canaryHealth struct {
-	member   int
-	goodput  obs.DeltaStat
-	latency  obs.DeltaStat
-	degraded obs.DeltaStat
-	healthy  bool
-	reason   string
-}
-
 // memberSeriesMatcher returns a predicate selecting flight-recorder series
 // that belong to m's core scope: every base label of the scope must appear
 // in the series' exposition name as a `k="v"` fragment (the closing quote
@@ -77,33 +66,34 @@ func memberSeriesMatcher(m *Member) func(string) bool {
 	}
 }
 
-// memberHealth evaluates one canary against the verdict criteria, each a
-// selector over deltas — the flight recorder's per-series comparison of the
-// baseline and observation windows, computed once per verdict. Criteria with
-// no data in both windows (N == 0, e.g. a nil recorder or a sampling period
-// longer than the window) are inconclusive and skipped — the gate fails
-// closed only on evidence, never on blindness.
-func (c *Controller) memberHealth(m *Member, deltas []obs.SeriesDelta) canaryHealth {
+// memberHealth evaluates one canary against the verdict criteria and returns
+// "ok" or the criterion that failed. Each criterion is a selector over deltas —
+// the flight recorder's per-series comparison of the baseline and observation
+// windows, computed once per verdict: goodput is the query rate, latency the
+// p99 estimate, degraded the watchdog's count. Criteria with no data in both
+// windows (N == 0, e.g. a nil recorder or a sampling period longer than the
+// window) are inconclusive and skipped — the gate fails closed only on
+// evidence, never on blindness.
+func (c *Controller) memberHealth(m *Member, deltas []obs.SeriesDelta) string {
 	match := memberSeriesMatcher(m)
-	h := canaryHealth{member: m.Index, healthy: true}
-	h.goodput = obs.CompareDeltas(deltas, obs.AggSum, func(d obs.SeriesDelta) bool {
+	goodput := obs.CompareDeltas(deltas, obs.AggSum, func(d obs.SeriesDelta) bool {
 		return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_queries_total") && match(d.Name)
 	})
-	h.latency = obs.CompareDeltas(deltas, obs.AggMean, func(d obs.SeriesDelta) bool {
+	latency := obs.CompareDeltas(deltas, obs.AggMean, func(d obs.SeriesDelta) bool {
 		return !d.Cumulative && strings.HasPrefix(d.Name, "liteflow_query_ns") && strings.HasSuffix(d.Name, "_p99") && match(d.Name)
 	})
-	h.degraded = obs.CompareDeltas(deltas, obs.AggSum, func(d obs.SeriesDelta) bool {
+	degraded := obs.CompareDeltas(deltas, obs.AggSum, func(d obs.SeriesDelta) bool {
 		return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_degraded_total") && match(d.Name)
 	})
 	switch {
-	case h.goodput.N > 0 && h.goodput.Before > 0 && h.goodput.After/h.goodput.Before < c.cfg.CanaryMinGoodputRatio:
-		h.healthy, h.reason = false, "goodput"
-	case h.latency.N > 0 && h.latency.Before > 0 && h.latency.After/h.latency.Before > c.cfg.CanaryMaxLatencyRatio:
-		h.healthy, h.reason = false, "latency"
-	case h.degraded.N > 0 && h.degraded.After > h.degraded.Before:
-		h.healthy, h.reason = false, "degraded"
+	case goodput.N > 0 && goodput.Before > 0 && goodput.After/goodput.Before < c.cfg.CanaryMinGoodputRatio:
+		return "goodput"
+	case latency.N > 0 && latency.Before > 0 && latency.After/latency.Before > c.cfg.CanaryMaxLatencyRatio:
+		return "latency"
+	case degraded.N > 0 && degraded.After > degraded.Before:
+		return "degraded"
 	}
-	return h
+	return "ok"
 }
 
 // canaryVerdict fires CanaryWindow after the cohort's installs drained. It
@@ -118,11 +108,8 @@ func (c *Controller) canaryVerdict(epoch int64) {
 	}
 	now := c.eng.Now()
 	win := int64(c.cfg.CanaryWindow)
-	before := obs.TimeWindow{From: int64(c.segStart) - win, To: int64(c.segStart)}
+	before := obs.TimeWindow{From: max(0, int64(c.segStart)-win), To: int64(c.segStart)}
 	after := obs.TimeWindow{From: int64(c.obsStart), To: int64(now)}
-	if before.From < 0 {
-		before.From = 0
-	}
 	pass, reason, activated := true, "", 0
 	var deltas []obs.SeriesDelta
 	for _, m := range c.canaries {
@@ -132,41 +119,23 @@ func (c *Controller) canaryVerdict(epoch int64) {
 		if activated++; activated == 1 {
 			deltas = c.cfg.Flight.Delta(before, after)
 		}
-		h := c.memberHealth(m, deltas)
+		health := c.memberHealth(m, deltas)
 		c.sc.EventMix("fleet", "canary_health", now,
-			"member", int64(m.Index), "healthy", boolStr(h.healthy))
-		if c.wave != nil {
-			c.wave.MarkMember("canary_health_"+healthStr(h), int64(m.Index), now)
-		}
-		if !h.healthy && pass {
-			pass, reason = false, h.reason
+			"member", int64(m.Index), "healthy", strconv.FormatBool(health == "ok"))
+		c.wave.MarkMember("canary_health_"+health, int64(m.Index), now)
+		if health != "ok" && pass {
+			pass, reason = false, health
 		}
 	}
 	if activated == 0 {
 		pass, reason = false, "no_canary_activated"
 	}
-	if c.wave != nil {
-		c.wave.Child("canary_observe", c.obsStart, now-c.obsStart)
-	}
+	c.wave.Child("canary_observe", c.obsStart, now-c.obsStart)
 	if pass {
 		c.releaseWave(now)
 	} else {
 		c.rollbackWave(now, reason)
 	}
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
-
-func healthStr(h canaryHealth) string {
-	if h.healthy {
-		return "ok"
-	}
-	return h.reason
 }
 
 // releaseWave promotes the observed epoch to the released version and fans
@@ -175,22 +144,16 @@ func healthStr(h canaryHealth) string {
 func (c *Controller) releaseWave(now netsim.Time) {
 	c.met.canaryPass.Inc()
 	c.sc.Event2("fleet", "canary_pass", now, "epoch", c.cur.epoch, "canaries", int64(len(c.canaries)))
-	if c.wave != nil {
-		c.wave.Mark("canary_pass", now, "epoch", c.cur.epoch)
-	}
-	c.rel = c.cur
-	c.met.releasedEpoch.Set(float64(c.rel.epoch))
-	c.phase = phaseRelease
-	c.segStart = now
-	c.fanStart = now
+	c.wave.Mark("canary_pass", now, "epoch", c.cur.epoch)
+	c.release(now)
+	jobs := make([]installJob, 0, len(c.members))
 	for _, m := range c.members {
-		if m.pinned || m.epoch >= c.cur.epoch || m.parkedEpoch == c.cur.epoch || m.installing || c.queuedFor(m) {
+		if m.pinned || m.epoch >= c.cur.epoch || m.parkedEpoch == c.cur.epoch || m.installing {
 			continue
 		}
-		c.enqueue(installJob{m: m, mod: c.cur.mod, prog: c.cur.prog, epoch: c.cur.epoch})
+		jobs = append(jobs, installJob{m: m, version: c.cur})
 	}
-	c.updateStale()
-	c.onDrained() // nothing to release (e.g. cohort was everyone unpinned): close now
+	c.enter(phaseRelease, now, jobs)
 }
 
 // rollbackWave blacklists the failed epoch and restores every canary that
@@ -201,21 +164,16 @@ func (c *Controller) rollbackWave(now netsim.Time, reason string) {
 	c.met.canaryFail.Inc()
 	c.blacklist = append(c.blacklist, bad)
 	c.sc.EventMix("fleet", "canary_fail", now, "epoch", bad, "reason", reason)
-	if c.wave != nil {
-		c.wave.Mark("canary_fail", now, "epoch", bad)
-	}
+	c.wave.Mark("canary_fail", now, "epoch", bad)
 	c.cur = c.rel
-	c.phase = phaseRollback
-	c.segStart = now
+	jobs := make([]installJob, 0, len(c.canaries))
 	for _, m := range c.canaries {
 		if m.parkedEpoch == bad {
 			m.parkedEpoch = 0
 		}
-		if m.epoch != bad {
-			continue
+		if m.epoch == bad {
+			jobs = append(jobs, installJob{m: m, version: c.rel, rollback: true})
 		}
-		c.enqueue(installJob{m: m, mod: c.rel.mod, prog: c.rel.prog, epoch: c.rel.epoch, rollback: true})
 	}
-	c.updateStale()
-	c.onDrained() // no canary activated the bad epoch: nothing to roll back
+	c.enter(phaseRollback, now, jobs)
 }

@@ -44,7 +44,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/fault"
-	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
@@ -215,7 +214,7 @@ type Member struct {
 
 	epoch       int64 // last activated fleet epoch
 	parkedEpoch int64 // epoch of a standby parked by degradation (0 = none)
-	installing  bool
+	installing  bool  // an install is queued or in flight
 	pinned      bool
 	pending     []core.Sample
 
@@ -259,28 +258,27 @@ func (m *Member) Unpin() {
 	m.ctrl.updateStale()
 }
 
-// installJob is one queued member install of a specific version. rollback
-// jobs re-install the retained previous version after a failed canary.
-type installJob struct {
-	m        *Member
-	mod      *codegen.Module
-	prog     *quant.Program
-	epoch    int64
-	rollback bool
-}
-
-// version ties an epoch to its built module and the userspace reference
-// program. The controller retains the released version (rel) alongside the
-// latest minted one (cur) so a failed canary has something to roll back to.
+// version ties an epoch to its built module, whose Program is also the
+// userspace reference the necessity gate compares against. The controller
+// retains the released version (rel) alongside the latest minted one (cur) so
+// a failed canary has something to roll back to.
 type version struct {
 	epoch int64
 	mod   *codegen.Module
-	prog  *quant.Program
 }
 
-// wavePhase is the rollout state machine (DESIGN.md §4i). Transitions happen
-// either when the install queue drains (onDrained) or when the canary
-// observation timer fires (canaryVerdict).
+// installJob is one queued install of a version on a member. rollback jobs
+// re-install the retained previous version after a failed canary.
+type installJob struct {
+	m *Member
+	version
+	rollback bool
+}
+
+// wavePhase is the rollout state machine (DESIGN.md §4i). enter is its one
+// transition function: buildAndFanOut and the canary verdict enter the four
+// install-burst phases, and a burst that drains enters the phase the rollout
+// table names.
 type wavePhase int
 
 const (
@@ -291,6 +289,22 @@ const (
 	phaseRelease                   // verdict passed; installing the rest
 	phaseRollback                  // verdict failed; restoring the cohort
 )
+
+// rollout says what a drained install burst does, by the phase that ran it:
+// the span child that records the burst, the phase that follows, and whether
+// the rollout span then ends — failed with a reason, or successfully. Idle and
+// observe run no burst; observe is left by the verdict timer.
+var rollout = [...]struct {
+	child  string
+	next   wavePhase
+	ends   bool
+	failed string
+}{
+	phaseFanOut:   {child: "install_wave", next: phaseIdle, ends: true},
+	phaseCanary:   {child: "canary_install_wave", next: phaseObserve},
+	phaseRelease:  {child: "release_wave", next: phaseIdle, ends: true},
+	phaseRollback: {child: "rollback_wave", next: phaseIdle, ends: true, failed: "canary_failed"},
+}
 
 // Controller is the fleet's single slow path.
 type Controller struct {
@@ -319,15 +333,13 @@ type Controller struct {
 
 	// wave is the open rollout span: rooted at the first pooled aggregation
 	// after the previous wave drained, versioned when buildAndFanOut mints
-	// the epoch (waveEpoch), ended when the rollout resolves (released or
-	// rolled back). Member installs emit as standalone spans keyed by the
-	// same epoch pid, so the whole rollout renders as one tree across all
-	// member tracks.
-	spans     *obs.SpanTracer
-	wave      *obs.Span
-	waveEpoch int64
-	fanStart  netsim.Time // fan-out instant of the released version (catch-up replay anchor)
-	segStart  netsim.Time // start of the current enqueue burst (span children)
+	// the epoch, ended when the rollout resolves (released or rolled back).
+	// Member installs emit as standalone spans keyed by the same epoch pid,
+	// so the whole rollout renders as one tree across all member tracks.
+	spans    *obs.SpanTracer
+	wave     *obs.Span
+	fanStart netsim.Time // fan-out instant of the released version (catch-up replay anchor)
+	segStart netsim.Time // start of the current enqueue burst (span children)
 
 	sc  obs.Scope
 	met fleetMetrics
@@ -396,15 +408,6 @@ func (c *Controller) Released() int64 { return c.rel.epoch }
 // Blacklisted returns the epochs rejected by canary verdicts, in mint order.
 func (c *Controller) Blacklisted() []int64 { return append([]int64(nil), c.blacklist...) }
 
-func (c *Controller) isBlacklisted(epoch int64) bool {
-	for _, e := range c.blacklist {
-		if e == epoch {
-			return true
-		}
-	}
-	return false
-}
-
 // StaleMembers returns how many members lag the released epoch. Canaries
 // running ahead of the release and pinned members are not stale.
 func (c *Controller) StaleMembers() int {
@@ -437,13 +440,12 @@ func (c *Controller) Start() error {
 	if len(c.members) == 0 {
 		return fmt.Errorf("fleet: no members enrolled")
 	}
-	prog := quant.Quantize(c.freezer.Freeze(), c.coreCfg.Quant)
-	mod, err := codegen.Build(prog, c.cfg.NamePrefix+"_1")
+	mod, err := codegen.Build(quant.Quantize(c.freezer.Freeze(), c.coreCfg.Quant), c.cfg.NamePrefix+"_1")
 	if err != nil {
 		return fmt.Errorf("fleet: initial snapshot: %w", err)
 	}
 	c.lastMinted = 1
-	c.cur = version{epoch: 1, mod: mod, prog: prog}
+	c.cur = version{epoch: 1, mod: mod}
 	c.rel = c.cur
 	c.met.releasedEpoch.Set(1)
 	for _, m := range c.members {
@@ -475,14 +477,13 @@ func (c *Controller) Stop() {
 	if n := len(c.queue); n > 0 {
 		c.met.abandoned.Add(int64(n))
 		c.sc.Event1("fleet", "stop_abandons_queue", c.eng.Now(), "jobs", int64(n))
+		for _, j := range c.queue {
+			j.m.installing = false
+		}
 		c.queue = nil
 	}
-	if c.wave != nil {
-		c.wave.EndFailed(c.eng.Now(), "stopped")
-		c.wave, c.waveEpoch = nil, 0
-	}
-	c.phase = phaseIdle
-	c.canaries = nil
+	c.closeWave(c.eng.Now(), "stopped")
+	c.enter(phaseIdle, c.eng.Now(), nil)
 	for _, m := range c.members {
 		m.Chan.StopBatching()
 		m.Core.StopWatchdog()
@@ -491,18 +492,12 @@ func (c *Controller) Stop() {
 
 // Stats returns a snapshot of the controller's counters.
 func (c *Controller) Stats() Stats {
-	pinned := 0
-	for _, m := range c.members {
-		if m.pinned {
-			pinned++
-		}
-	}
 	return Stats{
 		Members:            len(c.members),
 		Epoch:              c.cur.epoch,
 		ReleasedEpoch:      c.rel.epoch,
 		StaleMembers:       c.StaleMembers(),
-		PinnedMembers:      pinned,
+		PinnedMembers:      c.pinnedMembers(),
 		Aggregations:       c.met.aggregations.Value(),
 		Batches:            c.met.batches.Value(),
 		Samples:            c.met.samples.Value(),
@@ -553,8 +548,10 @@ func (c *Controller) handleMemberBatch(m *Member, batch []netlink.Message) {
 
 // catchUp brings a just-proven-alive member back to parity with the released
 // epoch. A standby parked at the released epoch activates in place; a parked
-// or missed epoch that was superseded (or blacklisted) re-enqueues an install
-// of the released version. Pinned members hold their version.
+// or missed epoch that was superseded (or blacklisted — a failed verdict
+// reverts to the released version, so a blacklisted epoch is never the
+// released one) re-enqueues an install of the released version. Pinned members
+// hold their version.
 func (c *Controller) catchUp(m *Member) {
 	if m.pinned {
 		return
@@ -562,7 +559,7 @@ func (c *Controller) catchUp(m *Member) {
 	if m.parkedEpoch != 0 {
 		target := m.parkedEpoch
 		m.parkedEpoch = 0
-		if target == c.rel.epoch && !c.isBlacklisted(target) && !m.Core.Degraded() {
+		if target == c.rel.epoch && !m.Core.Degraded() {
 			if err := m.Core.Activate(); err == nil {
 				m.epoch = target
 				m.epochGauge.Set(float64(target))
@@ -573,33 +570,21 @@ func (c *Controller) catchUp(m *Member) {
 				return
 			}
 		}
-		// Superseded, blacklisted, or activation still refused: fall through
-		// and re-enqueue the released version below.
+		// Superseded, or activation still refused: fall through and
+		// re-enqueue the released version below.
 	}
-	if m.epoch < c.rel.epoch && !m.installing && !c.queuedFor(m) {
-		job := installJob{m: m, mod: c.rel.mod, prog: c.rel.prog, epoch: c.rel.epoch}
+	if m.epoch < c.rel.epoch && !m.installing {
+		job := installJob{m: m, version: c.rel}
 		// Replay the missed wave: ideally the member's install would slot in
 		// at the epoch's original fan-out instant, but a catching-up member
 		// is by definition past it. TryAt reports the stale clock as a typed
 		// ErrPastEvent (instead of the engine's scheduling panic), and the
 		// install falls back to joining the queue immediately.
 		if err := c.eng.TryAt(c.fanStart, func() { c.enqueue(job) }); err != nil {
-			if !errors.Is(err, netsim.ErrPastEvent) {
-				panic(err)
-			}
 			c.met.lateCatchUps.Inc()
 			c.enqueue(job)
 		}
 	}
-}
-
-func (c *Controller) queuedFor(m *Member) bool {
-	for _, j := range c.queue {
-		if j.m == m {
-			return true
-		}
-	}
-	return false
 }
 
 func (c *Controller) scheduleAggregation() {
@@ -649,11 +634,11 @@ func (c *Controller) aggregate() {
 // worth of queries down and back would multiply cross-space cost by the
 // fleet size for an answer the reference program gives bit-identically.
 func (c *Controller) evaluateNecessity(pool []core.Sample) {
-	if c.cur.prog == nil {
+	if c.cur.mod == nil {
 		return
 	}
 	c.met.fidelityChecks.Inc()
-	minLoss, mismatched := core.MinFidelityLoss(c.cur.prog, c.evaluator, pool, nil)
+	minLoss, mismatched := core.MinFidelityLoss(c.cur.mod.Program, c.evaluator, pool, nil)
 	c.met.mismatched.Add(int64(mismatched))
 	if math.IsInf(minLoss, 1) {
 		return
@@ -675,16 +660,15 @@ func (c *Controller) evaluateNecessity(pool []core.Sample) {
 // phase) defers the build: overlapping waves would ship distinct versions to
 // different members and break epoch monotonicity.
 func (c *Controller) buildAndFanOut() {
+	now := c.eng.Now()
 	if c.phase != phaseIdle || c.inFlight > 0 || len(c.queue) > 0 {
 		c.met.deferred.Inc()
-		c.wave.Mark("install_deferred", c.eng.Now(), "queued", int64(len(c.queue)))
+		c.wave.Mark("install_deferred", now, "queued", int64(len(c.queue)))
 		return
 	}
-	now := c.eng.Now()
 	next := c.lastMinted + 1
 	name := c.cfg.NamePrefix + "_" + strconv.FormatInt(next, 10)
-	prog := quant.Quantize(c.freezer.Freeze(), c.coreCfg.Quant)
-	mod, err := codegen.Build(prog, name)
+	mod, err := codegen.Build(quant.Quantize(c.freezer.Freeze(), c.coreCfg.Quant), name)
 	if err != nil {
 		// The next converged round retries with a fresh freeze.
 		c.met.buildFailures.Inc()
@@ -697,50 +681,95 @@ func (c *Controller) buildAndFanOut() {
 	// the next round and mint back-to-back epochs off stale history.
 	c.gate.Reset()
 	c.lastMinted = next
-	c.cur = version{epoch: next, mod: mod, prog: prog}
+	c.cur = version{epoch: next, mod: mod}
 	c.met.versions.Inc()
 	c.sc.Event2("fleet", "version", now, "epoch", next, "members", int64(len(c.members)))
-	if c.wave != nil {
-		// The epoch exists now: stage the rollout's controller-side children.
-		// Pooling covers root-open to this build; the gates and build are
-		// synchronous in virtual time, so they render as instants.
-		c.wave.SetVersion(next)
-		c.waveEpoch = next
-		c.wave.Child("pool", c.wave.Start(), now-c.wave.Start())
-		c.wave.Child("correctness_gate", now, 0)
-		c.wave.Child("necessity_gate", now, 0)
-		c.wave.Child("quantize", now, 0)
-		c.wave.Child("build", now, 0)
-	}
-	c.segStart = now
+	// The epoch exists now: stage the rollout's controller-side children.
+	// Pooling covers root-open to this build; the gates and build are
+	// synchronous in virtual time, so they render as instants.
+	c.wave.SetVersion(next)
+	c.wave.Child("pool", c.wave.Start(), now-c.wave.Start())
+	c.wave.Child("correctness_gate", now, 0)
+	c.wave.Child("necessity_gate", now, 0)
+	c.wave.Child("quantize", now, 0)
+	c.wave.Child("build", now, 0)
+	phase, targets := phaseFanOut, c.members
 	if cohort := c.canaryCohort(); len(cohort) > 0 {
-		c.phase = phaseCanary
+		phase, targets = phaseCanary, cohort
 		c.canaries = cohort
 		c.sc.Event2("fleet", "canary_stage", now, "epoch", next, "canaries", int64(len(cohort)))
-		if c.wave != nil {
-			c.wave.Mark("canary_stage", now, "canaries", int64(len(cohort)))
-		}
-		for _, m := range cohort {
-			c.enqueue(installJob{m: m, mod: mod, prog: prog, epoch: next})
-		}
+		c.wave.Mark("canary_stage", now, "canaries", int64(len(cohort)))
 	} else {
-		c.phase = phaseFanOut
-		c.rel = c.cur
-		c.met.releasedEpoch.Set(float64(next))
-		c.fanStart = now
-		for _, m := range c.members {
-			if m.pinned {
-				continue
-			}
-			c.enqueue(installJob{m: m, mod: mod, prog: prog, epoch: next})
+		c.release(now)
+	}
+	jobs := make([]installJob, 0, len(targets))
+	for _, m := range targets {
+		if !m.pinned {
+			jobs = append(jobs, installJob{m: m, version: c.cur})
 		}
 	}
-	c.updateStale()
-	c.onDrained() // all members pinned (or no installs enqueued): resolve now
+	c.enter(phase, now, jobs)
+}
+
+// release makes the latest minted version the released one, as of now.
+func (c *Controller) release(now netsim.Time) {
+	c.rel = c.cur
+	c.met.releasedEpoch.Set(float64(c.rel.epoch))
+	c.fanStart = now
+}
+
+// enter is the rollout's one transition: the only place the phase changes.
+// Entering an install-burst phase stamps the burst and enqueues its jobs —
+// none at all (every member pinned, nothing left to release or roll back)
+// drains on the spot, and drained enters the next phase from here.
+func (c *Controller) enter(p wavePhase, now netsim.Time, jobs []installJob) {
+	c.phase = p
+	switch p {
+	case phaseIdle:
+		c.canaries = nil
+	case phaseObserve:
+		c.obsStart = now
+		epoch := c.cur.epoch
+		c.eng.After(c.cfg.CanaryWindow, func() { c.canaryVerdict(epoch) })
+	default:
+		c.segStart = now
+		for _, j := range jobs {
+			c.enqueue(j)
+		}
+		c.updateStale()
+		c.drained()
+	}
+}
+
+// drained advances the rollout once no install is queued or in flight, by the
+// rollout table's row for the phase whose burst that was.
+func (c *Controller) drained() {
+	row := rollout[c.phase]
+	if c.inFlight > 0 || len(c.queue) > 0 || row.child == "" {
+		return
+	}
+	now := c.eng.Now()
+	c.wave.Child(row.child, c.segStart, now-c.segStart)
+	if row.ends {
+		c.closeWave(now, row.failed)
+	}
+	c.enter(row.next, now, nil)
+}
+
+// closeWave ends the open rollout span — failed, when a reason is given — and
+// frees the slot for the next aggregation round's root.
+func (c *Controller) closeWave(now netsim.Time, failed string) {
+	if failed != "" {
+		c.wave.EndFailed(now, failed)
+	} else {
+		c.wave.End(now)
+	}
+	c.wave = nil
 }
 
 // enqueue adds one member install and pumps the bounded-concurrency queue.
 func (c *Controller) enqueue(j installJob) {
+	j.m.installing = true
 	c.queue = append(c.queue, j)
 	c.pump()
 }
@@ -758,136 +787,83 @@ func (c *Controller) pump() {
 	}
 }
 
-// install ships one version to one member over its netlink channel: the
-// parameter transfer is charged to the member's kernel CPU, then
-// RegisterModel+Activate run the active-standby switch. ErrDegraded parks
-// the registered standby for catchUp; other failures count as abandoned.
+// install ships one version to one member over its netlink channel; the
+// kernel half is core.Core.Install, and landed books how it ended.
 func (c *Controller) install(j installJob) {
-	m := j.m
-	m.installing = true
 	c.inFlight++
 	start := c.eng.Now()
-	finish := func() {
-		m.installing = false
-		c.inFlight--
-		c.updateStale()
-		c.pump()
-		c.onDrained()
-	}
-	sendErr := m.Chan.SendToKernel(j.prog.NumParams()*8, func() {
-		now := c.eng.Now()
+	err := j.m.Chan.SendToKernel(j.mod.Program.NumParams()*8, func() {
 		if !c.running {
 			// Stop raced the transfer: a dead controller must not keep
 			// registering and activating models on member cores.
-			m.installing = false
+			j.m.installing = false
 			c.inFlight--
 			c.met.abandoned.Inc()
-			c.sc.Event2("fleet", "install_aborted", now, "member", int64(m.Index), "epoch", j.epoch)
+			c.sc.Event2("fleet", "install_aborted", c.eng.Now(), "member", int64(j.m.Index), "epoch", j.epoch)
 			return
 		}
-		if m.Core.CPU != nil {
-			m.Core.CPU.Charge(ksim.Kernel,
-				m.Core.Costs.SnapshotInstallPerParam*netsim.Time(j.prog.NumParams()))
-		}
-		if _, err := m.Core.RegisterModel(j.mod); err != nil {
-			c.met.abandoned.Inc()
-			c.sc.Event2("fleet", "install_rejected", now, "member", int64(m.Index), "epoch", j.epoch)
-			finish()
-			return
-		}
-		if err := m.Core.Activate(); err != nil {
-			// ErrDegraded keeps the standby parked in the member core;
-			// anything else means the switch is genuinely lost.
-			if errors.Is(err, core.ErrDegraded) {
-				m.parkedEpoch = j.epoch
-				c.met.parked.Inc()
-				c.sc.Event2("fleet", "install_parked", now, "member", int64(m.Index), "epoch", j.epoch)
-				if c.wave != nil && c.waveEpoch == j.epoch {
-					c.wave.MarkMember("install_parked", int64(m.Index), now)
-				}
-			} else {
-				c.met.abandoned.Inc()
-				c.sc.Event2("fleet", "install_rejected", now, "member", int64(m.Index), "epoch", j.epoch)
-			}
-			finish()
-			return
-		}
+		_, err := j.m.Core.Install(j.mod)
+		c.landed(j, start, err)
+	})
+	if err != nil {
+		c.landed(j, start, err)
+	}
+}
+
+// landed books one member install that began at start and ended with err:
+// nil, the member runs j's version; core.ErrDegraded, the member core holds
+// it as the parked standby for catchUp; anything else — a rejected module, a
+// closed channel — the install is lost and counts as abandoned. Either way
+// the slot is free, and the wave may have drained.
+func (c *Controller) landed(j installJob, start netsim.Time, err error) {
+	m, member, now := j.m, int64(j.m.Index), c.eng.Now()
+	switch {
+	case err == nil:
 		m.epoch = j.epoch
 		m.epochGauge.Set(float64(j.epoch))
 		if j.rollback {
 			c.met.rollbacks.Inc()
-			c.sc.Event2("fleet", "rollback", now, "member", int64(m.Index), "epoch", j.epoch)
-			c.spans.Lone("snapshot", "member_rollback", j.epoch, int64(m.Index), start, now-start)
+			c.sc.Event2("fleet", "rollback", now, "member", member, "epoch", j.epoch)
+			c.spans.Lone("snapshot", "member_rollback", j.epoch, member, start, now-start)
 		} else {
 			c.met.installs.Inc()
-			c.sc.Event2("fleet", "install", now, "member", int64(m.Index), "epoch", j.epoch)
-			// Standalone span keyed by the epoch pid: catch-up installs of an
+			c.sc.Event2("fleet", "install", now, "member", member, "epoch", j.epoch)
+			// Standalone spans keyed by the epoch pid: catch-up installs of an
 			// already-drained wave still join that version's tree.
-			c.spans.Lone("snapshot", "member_install", j.epoch, int64(m.Index), start, now-start)
-			c.spans.Lone("snapshot", "member_activate", j.epoch, int64(m.Index), now, 0)
+			c.spans.Lone("snapshot", "member_install", j.epoch, member, start, now-start)
+			c.spans.Lone("snapshot", "member_activate", j.epoch, member, now, 0)
 		}
-		finish()
-	})
-	if sendErr != nil {
+	case errors.Is(err, core.ErrDegraded):
+		m.parkedEpoch = j.epoch
+		c.met.parked.Inc()
+		c.sc.Event2("fleet", "install_parked", now, "member", member, "epoch", j.epoch)
+		if c.wave.Version() == j.epoch {
+			c.wave.MarkMember("install_parked", member, now)
+		}
+	default:
 		c.met.abandoned.Inc()
-		c.sc.Event2("fleet", "install_rejected", c.eng.Now(), "member", int64(m.Index), "epoch", j.epoch)
-		finish()
+		c.sc.Event2("fleet", "install_rejected", now, "member", member, "epoch", j.epoch)
 	}
+	m.installing = false
+	c.inFlight--
+	c.updateStale()
+	c.pump()
+	c.drained()
 }
 
-// onDrained advances the rollout state machine once the install queue fully
-// drains. An unstaged wave (or the release burst of a staged one) closes the
-// rollout span; a staged wave's canary burst opens the observation window and
-// arms the verdict timer; a rollback burst closes the span as failed.
-func (c *Controller) onDrained() {
-	if c.inFlight > 0 || len(c.queue) > 0 {
-		return
-	}
-	now := c.eng.Now()
-	switch c.phase {
-	case phaseFanOut:
-		if c.wave != nil {
-			c.wave.Child("install_wave", c.segStart, now-c.segStart)
-			c.wave.End(now)
-		}
-		c.wave, c.waveEpoch = nil, 0
-		c.phase = phaseIdle
-	case phaseCanary:
-		if c.wave != nil {
-			c.wave.Child("canary_install_wave", c.segStart, now-c.segStart)
-		}
-		c.phase = phaseObserve
-		c.obsStart = now
-		epoch := c.cur.epoch
-		c.eng.After(c.cfg.CanaryWindow, func() { c.canaryVerdict(epoch) })
-	case phaseRelease:
-		if c.wave != nil {
-			c.wave.Child("release_wave", c.segStart, now-c.segStart)
-			c.wave.End(now)
-		}
-		c.wave, c.waveEpoch = nil, 0
-		c.phase = phaseIdle
-		c.canaries = nil
-	case phaseRollback:
-		if c.wave != nil {
-			c.wave.Child("rollback_wave", c.segStart, now-c.segStart)
-			c.wave.EndFailed(now, "canary_failed")
-		}
-		c.wave, c.waveEpoch = nil, 0
-		c.phase = phaseIdle
-		c.canaries = nil
-	}
-}
-
-// updateStale refreshes the staleness and pinned gauges after any epoch or
-// pin movement.
-func (c *Controller) updateStale() {
-	c.met.staleMembers.Set(float64(c.StaleMembers()))
+func (c *Controller) pinnedMembers() int {
 	pinned := 0
 	for _, m := range c.members {
 		if m.pinned {
 			pinned++
 		}
 	}
-	c.met.pinnedMembers.Set(float64(pinned))
+	return pinned
+}
+
+// updateStale refreshes the staleness and pinned gauges after any epoch or
+// pin movement.
+func (c *Controller) updateStale() {
+	c.met.staleMembers.Set(float64(c.StaleMembers()))
+	c.met.pinnedMembers.Set(float64(c.pinnedMembers()))
 }

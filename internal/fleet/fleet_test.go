@@ -41,15 +41,16 @@ type fleetRig struct {
 }
 
 // newFleetRig builds an n-member fleet. memberOptions(i) supplies per-member
-// core/controller options (watchdog, faults); nil means none.
-func newFleetRig(t *testing.T, n int, cfg Config, memberOptions func(i int) (coreOpts, memberOpts []opt.Option)) *fleetRig {
+// core/controller options (watchdog, faults); nil means none. ctrlOptions
+// reach New.
+func newFleetRig(t *testing.T, n int, cfg Config, memberOptions func(i int) (coreOpts, memberOpts []opt.Option), ctrlOptions ...opt.Option) *fleetRig {
 	t.Helper()
 	eng := netsim.NewEngine()
 	ccfg := core.DefaultConfig()
 	ccfg.FlowCacheTimeout = 0
 	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
 	user := &fleetUser{net: base, stability: 0.5}
-	ctrl := New(eng, ccfg, user, user, user, cfg)
+	ctrl := New(eng, ccfg, user, user, user, cfg, ctrlOptions...)
 	r := &fleetRig{eng: eng, ctrl: ctrl, user: user}
 	for i := 0; i < n; i++ {
 		var co, mo []opt.Option

@@ -117,34 +117,6 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// xrng is the harness PRNG (xorshift64*, like the per-session generators):
-// every draw happens at setup time in spec order, so runs are deterministic
-// for any engine layout.
-type xrng uint64
-
-func newXRNG(seed uint64) xrng {
-	z := seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	if z == 0 {
-		z = 0x9e3779b97f4a7c15
-	}
-	return xrng(z)
-}
-
-func (p *xrng) next() uint64 {
-	x := uint64(*p)
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*p = xrng(x)
-	return x
-}
-
-func (p *xrng) f64() float64   { return float64(p.next()>>11) / (1 << 53) }
-func (p *xrng) intn(n int) int { return int(p.next() % uint64(n)) }
-
 // ArrivalDensity returns the scenario's relative arrival density at fraction
 // frac ∈ [0,1] of its ramp window: 1 everywhere for flat arrivals, and the
 // day/night curve (MinFrac at the troughs, 1 at the peaks) when a diurnal
@@ -242,7 +214,9 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 	}
 	fabric := rig.NewFabric(o.Domains, topoOpts, 0, obs.Scope{})
 	eng, hosts := fabric.Eng, fabric.Hosts
-	rng := newXRNG(s.Seed + o.SeedOffset)
+	// Every draw happens at setup time in spec order, so runs are
+	// deterministic for any engine layout.
+	rng := actor.NewPRNG(s.Seed + o.SeedOffset)
 
 	var lossLinks []*netsim.Link
 	if s.Fabric.Profile == "wireless" {
@@ -285,7 +259,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 		if s.Arrival.Process == "uniform" || s.Arrival.Process == "" {
 			u = (float64(launched) + 0.5) / float64(totalPlanned)
 		} else {
-			u = rng.f64()
+			u = rng.F64()
 		}
 		launched++
 		if diurnal != nil {
@@ -305,7 +279,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 			f = g.fanout()
 		}
 		servers := make([]*tcp.Host, f)
-		off := rng.intn(len(hosts) - 1)
+		off := rng.Intn(len(hosts) - 1)
 		for j := 0; j < f; j++ {
 			servers[j] = hosts[(client+1+(off+j)%(len(hosts)-1))%len(hosts)]
 		}
@@ -313,7 +287,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 			Client:   hosts[client],
 			Servers:  servers,
 			BaseFlow: flow,
-			Seed:     rng.next(),
+			Seed:     rng.Next(),
 			CC:       ccFn,
 			ReqBytes: g.ReqBytes,
 		}
@@ -390,7 +364,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 			}
 			for k := scaleCount(e.Sessions); k > 0; k-- {
 				sess := build(tmpl)
-				sess.Launch(at + netsim.Time(rng.f64()*e.SpanMs*1e6))
+				sess.Launch(at + netsim.Time(rng.F64()*e.SpanMs*1e6))
 			}
 		case "incast-burst":
 			for _, sess := range byClass["rpc"] {
@@ -411,8 +385,8 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 			s.Churn.FinFrac, flow, 0)
 		churnFlows = int64(len(churn))
 		for _, cf := range churn {
-			src := rng.intn(len(hosts))
-			dst := (src + 1 + rng.intn(len(hosts)-1)) % len(hosts)
+			src := rng.Intn(len(hosts))
+			dst := (src + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
 			size := int64(cf.Queries) * netsim.MSS
 			snd := tcp.NewSender(hosts[src], cf.ID, hosts[dst].ID, size, ccFn())
 			rcv := tcp.NewReceiver(hosts[dst], cf.ID, hosts[src].ID)

@@ -73,6 +73,7 @@ func TestScenarioEnvelopes(t *testing.T) {
 		}
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel() // every run builds a private fabric and engine
 			r, err := Run(s, RunOpts{})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -105,6 +106,7 @@ func TestScenarioByteIdenticalAcrossDomains(t *testing.T) {
 			scale = 0.002
 		}
 		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel() // every run builds a private fabric and engine
 			var want string
 			for _, domains := range []int{1, 2, 4, 8} {
 				r, err := Run(s, RunOpts{Domains: domains, Scale: scale})

@@ -11,7 +11,7 @@
 // A minimal deployment looks like:
 //
 //	eng := liteflow.NewEngine()
-//	lf := liteflow.New(eng, nil, liteflow.DefaultCosts(), liteflow.DefaultConfig())
+//	lf := liteflow.NewCore(eng, nil, liteflow.DefaultCosts(), liteflow.DefaultConfig())
 //	snap, _ := liteflow.BuildSnapshot(trainedNet, liteflow.DefaultQuantConfig(), "model0")
 //	lf.RegisterModel(snap)                  // lf_register_model
 //	lf.QueryModel(flowID, input, output)    // lf_query_model
@@ -38,8 +38,9 @@
 // (counted in liteflow_core_degraded_total) instead of serving stale standby
 // state; while degraded, Activate is rejected with ErrDegraded so the
 // last-good snapshot stays pinned until the slow path recovers. WithRetry
-// bounds the slow path's snapshot-install retry/backoff policy. The pre-options constructors (New, NewCPU, NewChannel, NewService)
-// remain as deprecated thin wrappers.
+// bounds the slow path's snapshot-install retry/backoff policy. Each
+// component has this one constructor (NewCore, NewHostCPU,
+// NewNetlinkChannel, NewSlowPath).
 //
 // # Errors
 //
