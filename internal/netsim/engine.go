@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -89,61 +90,126 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// eventQueue is a typed 4-ary min-heap ordered by (at, seq). Unlike the old
-// container/heap implementation it never boxes events through interface{},
-// so push/pop allocate only on backing-array growth.
-type eventQueue struct {
-	ev []event
+// precedes is before as a number, 1 or 0, computed without a branch: the
+// borrow out of the 128-bit subtraction (a.at:a.seq) − (b.at:b.seq). Flipping
+// the sign bit maps int64 order onto uint64 order, so it holds for every Time.
+func precedes(a, b *event) int {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^sign, uint64(b.at)^sign, borrow)
+	return int(borrow)
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
+// eventQueue is a typed 4-ary min-heap ordered by (at, seq), the events
+// themselves in the array: no interface boxing, and push/pop allocate only on
+// backing-array growth.
+//
+// Sifting moves a hole, not an event: the event on the move stays in a local
+// and each level is written once. pop goes one further and leaves the hole at
+// the root (open): the event just popped nearly always schedules its successor
+// at once — a ring re-arm, the next serialization — and that push sinks from
+// the root in one pass instead of a sift down for pop plus a sift up for
+// push. Whoever next needs the minimum while the hole is open (pop, minTime,
+// settle) fills it with the last leaf first. Only the methods below index ev.
+type eventQueue struct {
+	ev   []event
+	open bool // ev[0] was popped and nothing has taken its place yet
+}
+
+func (q *eventQueue) len() int {
+	if q.open {
+		return len(q.ev) - 1
+	}
+	return len(q.ev)
+}
 
 func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
-	i := len(q.ev) - 1
+	if q.open {
+		q.open = false
+		q.sink(e)
+		return
+	}
+	q.ev = append(q.ev, event{}) // a hole at the end, moved up to where e belongs
+	h := q.ev
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !q.ev[i].before(&q.ev[parent]) {
+		if !e.before(&h[parent]) {
 			break
 		}
-		q.ev[i], q.ev[parent] = q.ev[parent], q.ev[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
+// pop removes and returns the minimum. The queue must not be empty.
 func (q *eventQueue) pop() event {
+	q.settle()
 	top := q.ev[0]
-	n := len(q.ev) - 1
-	q.ev[0] = q.ev[n]
-	q.ev[n] = event{} // clear pointers so the GC can reclaim operands
-	q.ev = q.ev[:n]
-	q.siftDown(0)
+	q.open = true
 	return top
 }
 
-func (q *eventQueue) siftDown(i int) {
-	n := len(q.ev)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if q.ev[c].before(&q.ev[min]) {
-				min = c
-			}
-		}
-		if !q.ev[min].before(&q.ev[i]) {
-			return
-		}
-		q.ev[i], q.ev[min] = q.ev[min], q.ev[i]
-		i = min
+// minTime returns the time of the earliest event, never for an empty queue.
+func (q *eventQueue) minTime() Time {
+	q.settle()
+	if len(q.ev) == 0 {
+		return never
 	}
+	return q.ev[0].at
+}
+
+// settle fills an open hole with the last leaf.
+func (q *eventQueue) settle() {
+	if q.open {
+		q.fill()
+	}
+}
+
+// fill is settle's slow path, apart so that settle inlines into the event loop.
+func (q *eventQueue) fill() {
+	q.open = false
+	n := len(q.ev) - 1
+	last := q.ev[n]
+	q.ev[n] = event{} // clear pointers so the GC can reclaim operands
+	q.ev = q.ev[:n]
+	if n > 0 {
+		q.sink(last)
+	}
+}
+
+// sink stores e in the hole at the root, first moving the hole down past
+// every descendant that precedes e. The smallest of a full group of four
+// children is picked arithmetically: which child wins is a coin toss the
+// branch predictor loses, level after level.
+func (q *eventQueue) sink(e event) {
+	h := q.ev
+	i := 0
+	for {
+		c := 4*i + 1
+		if c+4 <= len(h) {
+			g := (*[4]event)(h[c : c+4])
+			m01 := precedes(&g[1], &g[0])
+			m23 := 2 + precedes(&g[3], &g[2])
+			// m01 if it wins, else m23. (&3 spares the bounds checks.)
+			c += m01 ^ (m01^m23)&-precedes(&g[m23&3], &g[m01&3])
+		} else if c < len(h) {
+			for j := c + 1; j < len(h); j++ {
+				if h[j].before(&h[c]) {
+					c = j
+				}
+			}
+		} else {
+			break
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // handoff is one cross-partition packet delivery awaiting the window barrier.
@@ -454,17 +520,19 @@ func (e *Engine) Step() bool {
 	ev := p.q.pop()
 	p.now = ev.at
 	p.exec(&ev)
+	p.q.settle()
 	return true
 }
 
 // runTo executes this partition's events strictly before end (the exclusive
 // window bound), advancing the partition clock as it goes.
 func (e *Engine) runTo(end Time) {
-	if len(e.q.ev) == 0 || e.q.ev[0].at >= end {
+	if e.q.minTime() >= end {
 		return
 	}
 	e.active.Store(true)
-	for len(e.q.ev) > 0 && e.q.ev[0].at < end {
+	// minTime settles the queue, so the loop exits with no hole open.
+	for e.q.minTime() < end {
 		ev := e.q.pop()
 		e.now = ev.at
 		e.exec(&ev)
@@ -485,8 +553,8 @@ func (e *Engine) Run() { e.co.run(never) }
 func (co *coordinator) nextTime() Time {
 	t := never
 	for _, p := range co.parts {
-		if len(p.q.ev) > 0 && p.q.ev[0].at < t {
-			t = p.q.ev[0].at
+		if at := p.q.minTime(); at < t {
+			t = at
 		}
 	}
 	return t
@@ -505,8 +573,15 @@ func (co *coordinator) run(deadline Time) {
 	co.running = true
 	co.guarded = co.partitioned
 	defer func() {
-		// Also on a panicking event: no worker outlives the call.
+		// Also on a panicking event: no worker outlives the call, and the
+		// partition it ran in is left as between windows — no hole in its
+		// queue, and not active, or checkOwner would wave through the next
+		// run's cross-partition schedules onto it.
 		co.stopWorkers()
+		for _, p := range co.parts {
+			p.q.settle()
+			p.active.Store(false)
+		}
 		co.guarded = false
 		co.running = false
 	}()
@@ -589,7 +664,7 @@ func (co *coordinator) window(end Time) {
 func (co *coordinator) spansWorkers(end Time, d int) bool {
 	first := -1
 	for i, p := range co.parts {
-		if len(p.q.ev) == 0 || p.q.ev[0].at >= end {
+		if p.q.minTime() >= end {
 			continue
 		}
 		switch w := i % d; {

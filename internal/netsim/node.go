@@ -15,8 +15,11 @@ package netsim
 type Switch struct {
 	ID int
 
-	ports    map[int]*Link   // neighbor node ID → egress link
-	routes   map[int][]*Link // destination node ID → ECMP group
+	ports map[int]*Link // neighbor node ID → egress link
+	// routes[dst] is the ECMP group for destination node ID dst. It is
+	// consulted once per packet, hence a slice and not a map; an ID beyond
+	// it has no route, like an ID within it whose group is empty.
+	routes   [][]*Link
 	defRoute []*Link
 	unrouted int64
 	hashSalt uint64
@@ -24,11 +27,7 @@ type Switch struct {
 
 // NewSwitch returns an empty switch with the given node ID.
 func NewSwitch(id int) *Switch {
-	return &Switch{
-		ID:     id,
-		ports:  make(map[int]*Link),
-		routes: make(map[int][]*Link),
-	}
+	return &Switch{ID: id, ports: make(map[int]*Link)}
 }
 
 // AddPort registers the egress link towards neighbor node ID.
@@ -39,8 +38,14 @@ func (s *Switch) Port(neighbor int) *Link { return s.ports[neighbor] }
 
 // AddRoute appends the ports reaching the given neighbors to the ECMP group
 // for destination dst. Unknown neighbors panic: a route through a missing
-// port is a topology construction bug.
+// port is a topology construction bug, and so is a negative destination.
 func (s *Switch) AddRoute(dst int, viaNeighbors ...int) {
+	if dst < 0 {
+		panic("netsim: route to a negative node ID")
+	}
+	if dst >= len(s.routes) {
+		s.routes = append(s.routes, make([][]*Link, dst+1-len(s.routes))...)
+	}
 	for _, n := range viaNeighbors {
 		l, ok := s.ports[n]
 		if !ok {
@@ -95,7 +100,10 @@ func (s *Switch) HandlePacket(p *Packet) {
 		// Fall through to table routing if the pinned hop is unknown.
 	}
 	// Mode 2: destination routes.
-	group := s.routes[p.Dst]
+	var group []*Link
+	if uint(p.Dst) < uint(len(s.routes)) {
+		group = s.routes[p.Dst]
+	}
 	if len(group) == 0 {
 		group = s.defRoute
 	}

@@ -27,21 +27,33 @@ func TestSwitchDestinationRouting(t *testing.T) {
 	}
 }
 
+// noRouteDsts are destinations the table of a switch with one route, to node
+// 5, does not cover: beyond it, in a gap inside it, and negative.
+var noRouteDsts = []int{99, 3, -1}
+
 func TestSwitchDefaultRoute(t *testing.T) {
-	e, s, sink1, _ := buildY(t)
+	e, s, sink1, sink2 := buildY(t)
+	s.AddRoute(5, 2)
 	s.SetDefaultRoute(1)
-	s.HandlePacket(&Packet{Dst: 99, Size: 100})
+	for _, dst := range noRouteDsts {
+		s.HandlePacket(&Packet{Dst: dst, Size: 100})
+	}
+	s.HandlePacket(&Packet{Dst: 5, Size: 100})
 	e.Run()
-	if sink1.Packets != 1 {
-		t.Errorf("default route not used, sink1=%d", sink1.Packets)
+	if sink1.Packets != int64(len(noRouteDsts)) || sink2.Packets != 1 || s.Unrouted() != 0 {
+		t.Errorf("default route took %d packets, the route to 5 %d, unrouted %d; want %d, 1, 0",
+			sink1.Packets, sink2.Packets, s.Unrouted(), len(noRouteDsts))
 	}
 }
 
 func TestSwitchUnroutedCounted(t *testing.T) {
 	_, s, _, _ := buildY(t)
-	s.HandlePacket(&Packet{Dst: 42, Size: 100})
-	if s.Unrouted() != 1 {
-		t.Errorf("Unrouted = %d, want 1", s.Unrouted())
+	s.AddRoute(5, 2)
+	for _, dst := range noRouteDsts {
+		s.HandlePacket(&Packet{Dst: dst, Size: 100})
+	}
+	if s.Unrouted() != int64(len(noRouteDsts)) {
+		t.Errorf("Unrouted = %d, want %d", s.Unrouted(), len(noRouteDsts))
 	}
 }
 
@@ -141,6 +153,16 @@ func TestSwitchRouteViaUnknownPortPanics(t *testing.T) {
 		}
 	}()
 	s.AddRoute(5, 99)
+}
+
+func TestSwitchRouteToNegativeNodePanics(t *testing.T) {
+	_, s, _, _ := buildY(t)
+	defer func() {
+		if recover() == nil {
+			t.Error("AddRoute to a negative node ID must panic")
+		}
+	}()
+	s.AddRoute(-1, 1)
 }
 
 func TestPacketPayloadBytes(t *testing.T) {

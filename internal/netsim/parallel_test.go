@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -48,42 +49,148 @@ func (h *oracleHeap) Pop() interface{} {
 }
 
 // FuzzEventQueue drives the typed 4-ary queue and a container/heap oracle
-// with the same interleaved push/pop sequence and requires identical pop
-// order — including the FIFO tie-break among same-time events.
+// with the same interleaved sequence of pushes (any other byte), pops (0) and
+// peeks at the minimum (255), comparing lengths after every step, and
+// requires identical pop order — including the FIFO tie-break among
+// same-time events. A pop leaves the root open, so the sequences decide who
+// finds it so: the next push, pop or peek, or the final drain.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 4, 0, 0, 5, 5, 5, 0, 0, 0})
 	f.Add([]byte{0})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 1, 2, 0, 9, 0, 1, 0, 5})              // pop → push: the push fills the root
+	f.Add([]byte{4, 3, 2, 1, 5, 6, 0, 0, 0, 0, 0, 0})     // pop → pop: the pop fills it
+	f.Add([]byte{2, 8, 4, 6, 0, 255, 1, 0, 255, 255, 3})  // pop → peek → push
+	f.Add([]byte{5, 0, 255, 0, 6, 0, 0, 255, 7, 255, 0})  // through empty, open and closed
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 0, 12}) // ends open with a ragged last group
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q eventQueue
 		var o oracleHeap
 		var seq uint64
-		for _, b := range data {
-			if b == 0 && q.len() > 0 {
-				got := q.pop()
-				want := heap.Pop(&o).(oracleItem)
-				if got.at != want.at || got.seq != want.seq {
-					t.Fatalf("pop order diverged: got (at=%d seq=%d), oracle (at=%d seq=%d)",
-						got.at, got.seq, want.at, want.seq)
-				}
-				continue
-			}
-			seq++
-			at := Time(b % 16) // coarse times force plenty of ties
-			q.push(event{at: at, seq: seq})
-			heap.Push(&o, oracleItem{at: at, seq: seq})
-		}
-		for q.len() > 0 {
+		pop := func(when string) {
 			got := q.pop()
 			want := heap.Pop(&o).(oracleItem)
 			if got.at != want.at || got.seq != want.seq {
-				t.Fatalf("drain order diverged: got (at=%d seq=%d), oracle (at=%d seq=%d)",
-					got.at, got.seq, want.at, want.seq)
+				t.Fatalf("%s order diverged: got (at=%d seq=%d), oracle (at=%d seq=%d)",
+					when, got.at, got.seq, want.at, want.seq)
 			}
+		}
+		for i, b := range data {
+			switch {
+			case b == 0 && q.len() > 0:
+				pop("pop")
+			case b == 255:
+				want := never
+				if o.Len() > 0 {
+					want = o[0].at
+				}
+				if got := q.minTime(); got != want {
+					t.Fatalf("step %d: minTime = %d, oracle's minimum is at %d", i, got, want)
+				}
+			default:
+				seq++
+				at := Time(b % 16) // coarse times force plenty of ties
+				q.push(event{at: at, seq: seq})
+				heap.Push(&o, oracleItem{at: at, seq: seq})
+			}
+			if q.len() != o.Len() {
+				t.Fatalf("step %d (byte %d): len = %d, oracle holds %d", i, b, q.len(), o.Len())
+			}
+		}
+		for q.len() > 0 {
+			pop("drain")
 		}
 		if o.Len() != 0 {
 			t.Fatalf("oracle retains %d items after queue drained", o.Len())
 		}
+		if q.settle(); len(q.ev) != 0 || q.open {
+			t.Fatalf("drained and settled queue still has %d slots (open = %v)", len(q.ev), q.open)
+		}
+	})
+}
+
+// TestEventQueueRootHole pins who closes the hole a pop leaves at the root —
+// the next push, pop, minTime or settle — and that len never counts it.
+func TestEventQueueRootHole(t *testing.T) {
+	var q eventQueue
+	for i, at := range []Time{50, 10, 40, 20, 30, 60} {
+		q.push(event{at: at, seq: uint64(i + 1)})
+	}
+	expect := func(step string, open bool, n int) {
+		t.Helper()
+		if q.open != open || q.len() != n {
+			t.Fatalf("after %s: open = %v, len = %d; want %v, %d", step, q.open, q.len(), open, n)
+		}
+	}
+	popAt := func(step string, at Time) {
+		t.Helper()
+		if got := q.pop().at; got != at {
+			t.Fatalf("%s returned the event at %d, want %d", step, got, at)
+		}
+	}
+	expect("pushes", false, 6)
+	popAt("pop", 10)
+	expect("pop", true, 5)
+	q.push(event{at: 35, seq: 7})
+	expect("pop → push", false, 6)
+	popAt("pop", 20)
+	popAt("pop → pop", 30)
+	expect("pop → pop", true, 4)
+	if at := q.minTime(); at != 35 {
+		t.Fatalf("minTime = %d, want 35", at)
+	}
+	expect("pop → minTime", false, 4)
+	popAt("pop", 35)
+	q.settle()
+	expect("pop → settle", false, 3)
+	popAt("pop", 40)
+	popAt("pop", 50)
+	popAt("pop", 60)
+	expect("the last pop", true, 0)
+	if at := q.minTime(); at != never || len(q.ev) != 0 {
+		t.Fatalf("empty queue: minTime = %d with %d slots, want never and none", at, len(q.ev))
+	}
+}
+
+// precedesLikeBefore fails unless the branch-free comparison and the plain
+// one agree on (a, b) and on (b, a).
+func precedesLikeBefore(t *testing.T, a, b event) {
+	t.Helper()
+	for _, pair := range [][2]*event{{&a, &b}, {&b, &a}} {
+		want := 0
+		if pair[0].before(pair[1]) {
+			want = 1
+		}
+		if got := precedes(pair[0], pair[1]); got != want {
+			t.Fatalf("precedes((at=%d seq=%d), (at=%d seq=%d)) = %d, before says %d",
+				pair[0].at, pair[0].seq, pair[1].at, pair[1].seq, got, want)
+		}
+	}
+}
+
+// TestPrecedesMatchesBefore walks the edges of both key halves: times around
+// zero and at the top of the range (never is a legal key), sequence numbers
+// at both ends, every pair including equal keys.
+func TestPrecedesMatchesBefore(t *testing.T) {
+	var keys []event
+	for _, at := range []Time{math.MinInt64, -1, 0, 1, never - 1, never} {
+		for _, seq := range []uint64{0, 1, math.MaxUint64} {
+			keys = append(keys, event{at: at, seq: seq})
+		}
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			precedesLikeBefore(t, a, b)
+		}
+	}
+}
+
+func FuzzPrecedesMatchesBefore(f *testing.F) {
+	f.Add(int64(0), uint64(0), int64(0), uint64(1))
+	f.Add(int64(-1), uint64(math.MaxUint64), int64(0), uint64(0))
+	f.Add(int64(never), uint64(3), int64(never-1), uint64(4))
+	f.Fuzz(func(t *testing.T, at1 int64, seq1 uint64, at2 int64, seq2 uint64) {
+		precedesLikeBefore(t, event{at: at1, seq: seq1}, event{at: at2, seq: seq2})
 	})
 }
 
@@ -229,6 +336,80 @@ func TestCrossPartitionSchedulePanicsMidWindow(t *testing.T) {
 				expectGoroutines(t, before)
 			})
 		}
+	}
+}
+
+// TestPanickingEventLeavesEngineRunnable: a run that dies on a panicking
+// event must leave every partition as between windows. After recover, Pending
+// counts exactly the events that did not run, a second run executes them in
+// (at, seq) order, and the partition that panicked is again refused as the
+// target of a cross-partition schedule — it used to stay marked active, which
+// let the next run's offenders through.
+func TestPanickingEventLeavesEngineRunnable(t *testing.T) {
+	// Scheduled in this order, so (at, seq) order is 1 2 5 0 3 4.
+	times := []Time{30, 10, 20, 30, 40, 20}
+	order := []int{1, 2, 5, 0, 3, 4}
+	for _, domains := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("domains=%d", domains), func(t *testing.T) {
+			root := NewParallelEngine(domains)
+			parts := []*Engine{root, root.AddPartition(), root.AddPartition(), root.AddPartition()}
+			ran := make([][]int, len(parts)) // per partition, so windows share nothing
+			for pi, p := range parts {
+				for id, at := range times {
+					pi, id := pi, id
+					p.At(at, func() {
+						ran[pi] = append(ran[pi], id)
+						if pi == 0 && id == 2 {
+							panic("boom") // partition 0 runs on the calling goroutine
+						}
+					})
+				}
+			}
+			mustPanic := func(what string) {
+				t.Helper()
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s did not panic", what)
+					}
+				}()
+				root.RunUntil(100)
+			}
+			before := runtime.NumGoroutine()
+			mustPanic("the run with the panicking event")
+			expectGoroutines(t, before)
+
+			// Whether another worker's partitions ran their window before the
+			// run died is the scheduler's business; each ran all of it or none.
+			left := len(parts) * len(times)
+			for pi, p := range parts {
+				left -= len(ran[pi])
+				if pi > 0 && len(ran[pi]) != 0 && len(ran[pi]) != len(times) {
+					t.Errorf("partition %d ran %d of its %d events", pi, len(ran[pi]), len(times))
+				}
+				if p.q.open || p.active.Load() {
+					t.Errorf("partition %d left with hole open = %v, active = %v", pi, p.q.open, p.active.Load())
+				}
+			}
+			if len(ran[0]) != 2 {
+				t.Fatalf("partition 0 ran %v before the panic, want [1 2]", ran[0])
+			}
+			if got := root.Pending(); got != left {
+				t.Fatalf("Pending = %d after the panic, want the %d events that did not run", got, left)
+			}
+
+			root.RunUntil(100)
+			for pi := range parts {
+				if fmt.Sprint(ran[pi]) != fmt.Sprint(order) {
+					t.Errorf("partition %d ran %v over both runs, want %v", pi, ran[pi], order)
+				}
+			}
+			if got := root.Pending(); got != 0 {
+				t.Errorf("Pending = %d after the second run, want 0", got)
+			}
+
+			parts[1].At(100, func() { parts[0].At(100, func() {}) })
+			mustPanic("scheduling onto the partition that had panicked")
+		})
 	}
 }
 
@@ -654,6 +835,51 @@ func BenchmarkEngineStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
+	}
+}
+
+// BenchmarkEventQueueHold is the hold model, the classic load for a pending
+// event set: with N events pending, pop the minimum and push it back δ later.
+// δ comes from a fixed seeded table mixing what a packet simulation schedules
+// — a segment's serialization, CPU work, propagation, the odd RTO — so new
+// events land at every depth of the heap, ties included. (BenchmarkEngineStep
+// keeps one event pending and never sifts.)
+func BenchmarkEventQueueHold(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var delta [1024]Time
+	for i := range delta {
+		switch r := rng.Intn(100); {
+		case r < 40:
+			delta[i] = 12 * Microsecond // 1500 B at 1 Gbps: ties galore
+		case r < 70:
+			delta[i] = Time(rng.Intn(50)) * Microsecond
+		case r < 97:
+			delta[i] = 5*Millisecond + Time(rng.Intn(100))*Microsecond
+		default:
+			delta[i] = 200 * Millisecond
+		}
+	}
+	for _, n := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", n), func(b *testing.B) {
+			var q eventQueue
+			var seq uint64
+			for i := 0; i < n; i++ {
+				seq++
+				q.push(event{at: delta[i%len(delta)], seq: seq})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := q.pop()
+				seq++
+				ev.at += delta[i%len(delta)]
+				ev.seq = seq
+				q.push(ev)
+			}
+			if q.len() != n {
+				b.Fatalf("%d events pending after the run, want %d", q.len(), n)
+			}
+		})
 	}
 }
 
