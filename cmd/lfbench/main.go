@@ -51,9 +51,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		flightOut   = fs.String("flight-out", "", "write the flight recording as JSON lines to this file (recorded by experiments that drive a flight recorder, e.g. the fleet scenarios)")
 		flightEvery = fs.Duration("flight-interval", 0, "virtual-time flight-recorder sampling interval (0 = per-experiment default)")
 		cacheShards = fs.Int("cache-shards", 0, "flow-cache shard count for cache-bound experiments (0 = core default; rounded up to a power of two)")
-		simDomains  = fs.Int("sim-domains", 0, "run the experiments that support partitioned execution on a conservative-lookahead parallel engine with this many worker goroutines (0 = classic serial engine); reports are byte-identical for every value, see DESIGN.md §4h")
+		simDomains  = fs.Int("sim-domains", 0, "engine of the experiments that support partitioned execution: 0 = classic engine; ≥ 1 = partitioned engine, one tie-break family whatever the number (reports are byte-identical for every value ≥ 1), see DESIGN.md §4h")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *simDomains < 0 {
+		fmt.Fprintf(stderr, "lfbench: -sim-domains %d: want 0 (classic engine) or ≥ 1 (partitioned engine)\n", *simDomains)
 		return 2
 	}
 

@@ -110,7 +110,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 2, "base random seed; rep r runs at seed+r (and fault-seed+r)")
 	flag.IntVar(&o.reps, "reps", 1, "repetitions of the scenario; reports median/p95 aggregate goodput")
 	flag.IntVar(&o.parallel, "parallel", 1, "worker-pool size for -reps (each rep owns a private engine)")
-	flag.IntVar(&o.simDomains, "sim-domains", 0, "run the CC scenario on a conservative-lookahead parallel engine with this many worker goroutines (0 = classic serial engine); reports are byte-identical for every value, see DESIGN.md §4h")
+	flag.IntVar(&o.simDomains, "sim-domains", 0, "engine of the CC scenario: 0 = classic engine; ≥ 1 = partitioned engine, one tie-break family whatever the number (reports are byte-identical for every value ≥ 1, and differ from 0's where same-time events tie), see DESIGN.md §4h")
 	flag.StringVar(&o.scenario, "scenario", "", "run an actor scenario instead of a CC scenario: an embedded corpus name (see -scenario-list) or a path to a scenario JSON file; honors -sim-domains, see DESIGN.md §4j")
 	flag.BoolVar(&o.scenarioList, "scenario-list", false, "list the embedded scenario corpus and exit")
 	flag.BoolVar(&o.scenarioCheck, "scenario-check", false, "with -scenario: exit non-zero if the run violates the scenario's acceptance envelope")
@@ -123,7 +123,7 @@ func main() {
 	flag.StringVar(&o.ex.Trace, "trace", "", "write Chrome trace-event JSON to this file")
 	flag.StringVar(&o.ex.TraceJSONL, "trace-jsonl", "", "write trace events as JSON lines to this file")
 	flag.StringVar(&o.ex.Metrics, "metrics-out", "", "write Prometheus text metrics to this file")
-	flag.StringVar(&o.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled on a virtual-time tick) as JSON lines to this file")
+	flag.StringVar(&o.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled on a virtual-time tick) as JSON lines to this file; with -sim-domains ≥ 1 a sample sees every partition at a time within one lookahead of the tick")
 	flag.DurationVar(&o.flightEvery, "flight-interval", time.Millisecond, "virtual-time interval between flight-recorder samples (with -flight-out or -listen)")
 	flag.StringVar(&o.ex.Listen, "listen", "", "serve /metrics and /debug/trace on this address after the run (e.g. :9090)")
 	flag.IntVar(&o.traceEvents, "trace-events", obs.DefaultTraceCapacity, "trace ring capacity in events")
@@ -188,8 +188,8 @@ func (o options) validate() error {
 	if o.fleet > 0 && o.simDomains >= 1 {
 		return fmt.Errorf("-sim-domains does not apply to -fleet scenarios (the distribution plane schedules across members and runs on the classic engine)")
 	}
-	if o.simDomains >= 1 && (o.ex.Flight != "" || o.ex.Listen != "") {
-		return fmt.Errorf("-flight-out/-listen sample fleet-wide metrics on a virtual-time tick, which would read other partitions mid-window; drop -sim-domains for flight recording")
+	if o.simDomains < 0 {
+		return fmt.Errorf("-sim-domains %d: want 0 (classic engine) or ≥ 1 (partitioned engine)", o.simDomains)
 	}
 	if o.reps > 1 && o.ex.Any() {
 		return fmt.Errorf("-trace/-trace-jsonl/-metrics-out/-flight-out/-listen export a single run's telemetry; use -reps 1")

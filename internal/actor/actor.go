@@ -9,8 +9,8 @@
 // partition (receiver delivery, think-time timers). The server half is a
 // dumb Responder whose state lives on the server host and is touched only
 // from that partition (request arrival). The two halves communicate solely
-// through tcp flows over links, so scenarios run unchanged — and
-// byte-identical — on a classic engine and on any -sim-domains partitioning.
+// through tcp flows over links, so scenarios run unchanged on a classic
+// engine and on a partitioned one (nothing schedules across partitions).
 //
 // Mechanically a session pre-creates its connections at setup time (flow
 // registration is partition-safe before Run starts): one up flow

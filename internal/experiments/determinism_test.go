@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"runtime"
 	"strings"
@@ -157,71 +159,84 @@ func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 	}
 }
 
-// TestEngineSerialVsParallelByteIdentical is the golden invariant of the
-// conservative-lookahead engine (DESIGN.md §4h): every registered experiment,
-// run with -sim-domains 1, 2, 4 and 8, must produce byte-identical reports,
-// byte-identical Prometheus text and a byte-identical trace JSONL stream. The
-// windowed single-domain run (Domains=1) is the reference; higher domain
-// counts only change which worker executes a partition, never the schedule.
-// Experiments that are not Partitioned ignore Config.Domains entirely, so for
-// them the sweep degenerates to verifying the knob is inert end-to-end — they
-// run at domains 1 and 8 only, which keeps the quadruple-suite run tractable
-// without shrinking coverage.
+// TestEngineSerialVsParallelByteIdentical pins the bytes of the windowed
+// engine (DESIGN.md §4h), which the suite goldens above do not: they run on
+// the classic engine, whose tie-break differs. Every Partitioned experiment
+// runs once with Domains 1 and must reproduce its line of the golden file — a
+// digest each of its report, its Prometheus text and its trace JSONL. The
+// number behind -sim-domains selects nothing beyond the engine family, so one
+// value covers them all. The other experiments never see an engine built from
+// Config.Domains; their subtests only check that the golden file holds no line
+// for them, so an experiment that gains or loses Partitioned must be re-pinned.
 func TestEngineSerialVsParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-domain full-suite golden run is slow; skipped with -short")
+		t.Skip("windowed golden run is slow; skipped with -short")
 	}
-	type export struct {
-		report string
-		prom   []byte
-		trace  []byte
-	}
-	runAt := func(t *testing.T, r Runner, domains int) export {
-		reg := obs.NewRegistry()
-		tr := obs.NewTracer(0)
-		cfg := Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr), Domains: domains}
-		rep := r.Run(cfg).String()
-		var tb bytes.Buffer
-		if err := tr.WriteJSONL(&tb); err != nil {
-			t.Fatal(err)
+	const golden = "testdata/windowed_scale0.02_seed3.golden"
+	pinned := map[string]string{} // experiment ID → its committed line
+	if !*update {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
 		}
-		return export{report: rep, prom: reg.PrometheusText(), trace: tb.Bytes()}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			id, _, _ := strings.Cut(line, " ")
+			pinned[id] = line
+		}
 	}
+	digest := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	lines := make([]string, len(All())) // by registry position; "" = not Partitioned
 	partitioned := 0
-	for _, r := range All() {
-		r := r
+	for i, r := range All() {
+		i, r := i, r
 		if r.Partitioned {
 			partitioned++
 		}
 		t.Run(r.ID, func(t *testing.T) {
-			t.Parallel() // every run builds a private engine, registry and tracer
-			sweep := []int{2, 4, 8}
-			if !r.Partitioned {
-				sweep = []int{8}
+			want, ok := pinned[r.ID]
+			if !*update && ok != r.Partitioned {
+				t.Fatalf("%s holds a line for %s = %v, Partitioned = %v", golden, r.ID, ok, r.Partitioned)
 			}
-			base := runAt(t, r, 1)
-			if base.report == "" {
+			if !r.Partitioned {
+				return
+			}
+			t.Parallel() // every run builds a private engine, registry and tracer
+			reg := obs.NewRegistry()
+			tr := obs.NewTracer(0)
+			rep := r.Run(Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr), Domains: 1}).String()
+			var tb bytes.Buffer
+			if err := tr.WriteJSONL(&tb); err != nil {
+				t.Fatal(err)
+			}
+			if rep == "" {
 				t.Fatal("empty report; golden comparison is vacuous")
 			}
-			for _, d := range sweep {
-				got := runAt(t, r, d)
-				if got.report != base.report {
-					t.Errorf("report differs between domains=1 and domains=%d", d)
-					diffFirstLine(t, base.report, got.report)
-				}
-				if !bytes.Equal(got.prom, base.prom) {
-					t.Errorf("Prometheus export differs between domains=1 and domains=%d", d)
-					diffFirstLine(t, string(base.prom), string(got.prom))
-				}
-				if !bytes.Equal(got.trace, base.trace) {
-					t.Errorf("trace JSONL differs between domains=1 and domains=%d (%d vs %d bytes)",
-						d, len(base.trace), len(got.trace))
-				}
+			lines[i] = fmt.Sprintf("%s report=%016x prom=%016x trace=%016x",
+				r.ID, digest([]byte(rep)), digest(reg.PrometheusText()), digest(tb.Bytes()))
+			if !*update && runtime.GOARCH == "amd64" && lines[i] != want {
+				t.Errorf("windowed output moved (-update regenerates after an intended change):\n got %s\nwant %s", lines[i], want)
 			}
 		})
 	}
 	if partitioned == 0 {
-		t.Error("no experiment supports domains; the sweep tested nothing")
+		t.Error("no experiment is Partitioned; the windowed goldens pin nothing")
+	}
+	if *update {
+		t.Cleanup(func() { // after the parallel subtests
+			var b strings.Builder
+			for _, line := range lines {
+				if line != "" {
+					b.WriteString(line + "\n")
+				}
+			}
+			if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -36,11 +36,10 @@ type Config struct {
 	// FlightEvery is the flight-recorder sampling tick (0 = per-experiment
 	// default).
 	FlightEvery netsim.Time
-	// Domains, when ≥ 1, runs the experiments that support partitioned
-	// execution (Runner.Partitioned) on a conservative-lookahead parallel
-	// engine with that many worker goroutines. 0 keeps the classic serial
-	// engine. Partitioned output is byte-identical for every Domains value;
-	// see DESIGN.md §4h. Set by -sim-domains on both CLIs.
+	// Domains picks the engine of the experiments that support partitioned
+	// execution (Runner.Partitioned): 0 = classic engine; ≥ 1 = partitioned
+	// engine, one tie-break family whatever the number (DESIGN.md §4h). Set
+	// by -sim-domains on both CLIs.
 	Domains int
 }
 

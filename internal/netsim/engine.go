@@ -5,24 +5,24 @@
 // ACK clocking, queue build-up, ECN marking, loss — that make the placement
 // of an adaptive NN's control path matter.
 //
-// The engine comes in two modes. NewEngine builds the classic single-threaded
-// engine: all state mutation happens inside event callbacks, entities need no
-// locks, and runs are reproducible. NewParallelEngine builds a partitioned
-// conservative-lookahead engine (DESIGN.md §4h): entities are placed into
-// partitions (AddPartition), each partition owns a private event queue and
-// virtual clock, and execution proceeds in windows bounded by the minimum
-// cross-partition link delay — the safe lookahead of conservative parallel
-// discrete-event simulation. Within a window partitions share no state, so
-// they may execute on separate goroutines; at the window barrier,
-// cross-partition packet handoffs are drained from per-partition mailboxes in
-// partition-index order, the same merge-in-deterministic-order rule the
-// experiment harness and fleet plane use (§4d). Because window boundaries,
-// drain order and per-partition event order are all independent of how many
-// goroutines execute the windows, a partitioned run is byte-identical for
-// every domain count.
+// The engine is single-threaded — all state mutation happens inside event
+// callbacks on the goroutine that called Run, entities need no locks, and runs
+// are reproducible — and comes in two families that differ in how same-time
+// events tie-break. NewEngine builds the classic engine: one event queue.
+// NewParallelEngine builds the partitioned conservative-lookahead engine
+// (DESIGN.md §4h): entities are placed into partitions (AddPartition), each
+// partition owns a private event queue and virtual clock, and execution
+// proceeds in windows bounded by the minimum cross-partition link delay — the
+// safe lookahead of conservative parallel discrete-event simulation. A window
+// runs the partitions one after another, in index order; within it they share
+// no state, and at the window barrier cross-partition packet handoffs are
+// drained from per-partition mailboxes in partition-index order, the same
+// merge-in-deterministic-order rule the experiment harness and fleet plane use
+// (§4d). The small private heaps are what the family is kept for.
 //
-// In both modes a link's packets in propagation wait in the link's own ring
-// and only the ring's head occupies the owning partition's heap (see land).
+// In both families a link's packets in propagation wait in the link's own
+// ring and only the ring's head occupies the owning partition's heap (see
+// land).
 package netsim
 
 import (
@@ -30,9 +30,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
@@ -220,49 +217,19 @@ type handoff struct {
 }
 
 // coordinator is the shared state behind every partition view of one
-// simulation: the partition list, the conservative lookahead, and the
-// window/barrier machinery.
+// simulation: the partition list and the conservative lookahead.
 type coordinator struct {
 	parts       []*Engine
 	partitioned bool // built by NewParallelEngine
-	domains     int  // worker goroutines for window execution
 	lookahead   Time // min cross-partition link delay; 0 = no cross links yet
 	running     bool
 	// guarded arms checkOwner: true for the length of a Run/RunUntil call on
-	// a partitioned engine, whatever its domain count. Workers read it on
-	// every schedule, so it changes once per call, not once per window, and
-	// shares its cache line with nothing a window writes.
+	// a partitioned engine.
 	guarded bool
 
 	// foldInto receives partition trace shards (see PartitionScope), merged
 	// in partition order at the end of every Run/RunUntil.
 	foldInto *obs.Tracer
-
-	// The window barrier (see window). The coordinator publishes a window by
-	// writing end and bumping gen; each worker reports completion by bumping
-	// done. gen (with end and stop, which travel with it) and done sit on
-	// cache lines of their own: both are written once per window by one side
-	// while the other side polls, and anything sharing their lines — the
-	// read-mostly fields above, the parking state below — would bounce with
-	// them.
-	_   [64]byte
-	gen atomic.Uint64
-	end Time // exclusive bound of the published window
-	// stop tells workers to exit at the next generation. Atomic because a
-	// run dying on a panic sets it while a worker may be picking up the
-	// window published just before.
-	stop atomic.Bool
-	_    [40]byte
-	done atomic.Uint64 // workers finished with the published window
-	_    [56]byte
-
-	// Waiters that outlast their spin and yield budgets park on cond; parked
-	// counts them so the other side pays for the lock only when someone sleeps.
-	mu      sync.Mutex
-	cond    sync.Cond
-	parked  atomic.Int32
-	workers sync.WaitGroup
-	started bool // workers are running for the current Run/RunUntil call
 }
 
 // Engine is one partition's view of the simulation: a private event queue,
@@ -282,45 +249,33 @@ type Engine struct {
 	// flying counts packets waiting in the rings of links this partition
 	// receives from, behind each ring's head (the head is in q).
 	flying int
-	// active is true while this partition's events are executing on its
-	// worker. checkOwner reads it from other workers to diagnose ownership
-	// violations, hence atomic (the store is per window, not per event).
-	active atomic.Bool
+	// active is true while this partition's events are executing; checkOwner
+	// reads it to diagnose a schedule that comes from another partition.
+	active bool
 	tracer *obs.Tracer
-
-	// Partitions are allocated back to back and each is written by its own
-	// worker on every event (now, seq, q); the pad keeps two partitions' hot
-	// fields off one cache line wherever the allocator places them.
-	_ [64]byte
 }
 
 // NewEngine returns a classic single-partition engine with time 0 and an
 // empty event queue. AddPartition on it returns the engine itself, so
 // topology builders can place entities unconditionally.
 func NewEngine() *Engine {
-	return newRoot(false, 1)
+	return newRoot(false)
 }
 
 // newRoot builds a coordinator and returns its first partition's view.
-func newRoot(partitioned bool, domains int) *Engine {
-	co := &coordinator{partitioned: partitioned, domains: domains}
-	co.cond.L = &co.mu
+func newRoot(partitioned bool) *Engine {
+	co := &coordinator{partitioned: partitioned}
 	e := &Engine{co: co}
 	co.parts = []*Engine{e}
 	return e
 }
 
 // NewParallelEngine returns the root view of a partitioned
-// conservative-lookahead engine executing windows on the given number of
-// domains (worker goroutines; values < 1 are clamped to 1). Partition count
-// and domain count are independent: partitions fix the event ordering —
-// output is byte-identical for every domain count — while domains only map
-// partitions onto workers (partition i runs on worker i mod domains).
-func NewParallelEngine(domains int) *Engine {
-	if domains < 1 {
-		domains = 1
-	}
-	return newRoot(true, domains)
+// conservative-lookahead engine. The argument is what callers were given as
+// -sim-domains; the family is the only thing it ever chose (DESIGN.md §4h),
+// so it is not looked at.
+func NewParallelEngine(int) *Engine {
+	return newRoot(true)
 }
 
 // AddPartition mints a new partition view on a partitioned engine. On a
@@ -344,15 +299,6 @@ func (e *Engine) Partition() int { return e.id }
 // Partitions returns the number of partitions.
 func (e *Engine) Partitions() int { return len(e.co.parts) }
 
-// Domains returns the worker-goroutine count of a partitioned engine, and 0
-// for a classic engine.
-func (e *Engine) Domains() int {
-	if !e.co.partitioned {
-		return 0
-	}
-	return e.co.domains
-}
-
 // Lookahead returns the conservative window width: the minimum
 // cross-partition link delay, or 0 when no cross-partition link exists.
 func (e *Engine) Lookahead() Time { return e.co.lookahead }
@@ -361,12 +307,11 @@ func (e *Engine) Lookahead() Time { return e.co.lookahead }
 func (e *Engine) Now() Time { return e.now }
 
 // PartitionScope returns sc with its tracer swapped for this partition's
-// private shard, minting the shard on first use. During windowed execution
-// partitions must not share a trace ring (emission order would depend on the
-// worker schedule); shards are folded back into sc's original tracer in
-// partition order at the end of every Run/RunUntil, so exports are
-// byte-identical for every domain count. On a classic engine, or when sc
-// does not trace, sc is returned unchanged.
+// private shard, minting the shard on first use. Shards are folded back into
+// sc's original tracer in partition order at the end of every Run/RunUntil:
+// a call's events export partition by partition, not window by window, and
+// the windowed goldens pin that order. On a classic engine, or when sc does
+// not trace, sc is returned unchanged.
 func (e *Engine) PartitionScope(sc obs.Scope) obs.Scope {
 	base := sc.Tracer()
 	if base == nil || !e.co.partitioned {
@@ -391,12 +336,13 @@ func (e *Engine) push(ev event) {
 }
 
 // checkOwner panics when an event executing in another partition schedules
-// onto this one mid-window: that is a data race in windowed mode, and the
-// same program must fail the same way at every domain count. (The co.guarded
-// short-circuit keeps the e.active read on the owning worker in race-free
-// programs.)
+// onto this one mid-window. Partitions run their windows one after another,
+// so the event would land ahead of this partition's clock or behind it
+// depending on which of the two has the lower index — not on anything the
+// model says — and the lookahead argument (see run) covers only what goes
+// through a mailbox.
 func (e *Engine) checkOwner() {
-	if e.co.guarded && !e.active.Load() {
+	if e.co.guarded && !e.active {
 		panic("netsim: cross-partition schedule during a window; hand off through a Link (mailbox) instead")
 	}
 }
@@ -530,14 +476,14 @@ func (e *Engine) runTo(end Time) {
 	if e.q.minTime() >= end {
 		return
 	}
-	e.active.Store(true)
+	e.active = true
 	// minTime settles the queue, so the loop exits with no hole open.
 	for e.q.minTime() < end {
 		ev := e.q.pop()
 		e.now = ev.at
 		e.exec(&ev)
 	}
-	e.active.Store(false)
+	e.active = false
 }
 
 // RunUntil executes events until every queue is empty or the next event is
@@ -561,8 +507,8 @@ func (co *coordinator) nextTime() Time {
 }
 
 // run is the window loop. Each iteration finds the global minimum event time
-// T, executes the window [T, T+lookahead) on every partition (concurrently
-// when domains > 1), then drains cross-partition mailboxes at the barrier.
+// T, executes the window [T, T+lookahead) on every partition in index order,
+// then drains cross-partition mailboxes at the barrier.
 // Conservative correctness: any packet handed off during the window arrives
 // at ≥ T + link delay ≥ T + lookahead, i.e. strictly after the window, so no
 // partition can receive work for a time it already executed past.
@@ -573,14 +519,13 @@ func (co *coordinator) run(deadline Time) {
 	co.running = true
 	co.guarded = co.partitioned
 	defer func() {
-		// Also on a panicking event: no worker outlives the call, and the
-		// partition it ran in is left as between windows — no hole in its
-		// queue, and not active, or checkOwner would wave through the next
-		// run's cross-partition schedules onto it.
-		co.stopWorkers()
+		// Also on a panicking event: the partition it ran in is left as
+		// between windows — no hole in its queue, and not active, or
+		// checkOwner would wave through the next run's cross-partition
+		// schedules onto it.
 		for _, p := range co.parts {
 			p.q.settle()
-			p.active.Store(false)
+			p.active = false
 		}
 		co.guarded = false
 		co.running = false
@@ -600,7 +545,9 @@ func (co *coordinator) run(deadline Time) {
 				end = we
 			}
 		}
-		co.window(end)
+		for _, p := range co.parts {
+			p.runTo(end)
+		}
 		co.drain()
 	}
 
@@ -628,151 +575,10 @@ func (co *coordinator) run(deadline Time) {
 	co.foldShards()
 }
 
-// window executes [*, end) on every partition. Partition i belongs to worker
-// i mod d, d = min(domains, partitions), worker 0 being the calling
-// goroutine. The d-1 others are started by the first window of a
-// Run/RunUntil call that needs them and are joined before the call returns;
-// between windows they wait on gen, and the caller waits on done. A window
-// whose work all belongs to one worker has nothing to overlap, so it runs on
-// the calling goroutine without a barrier — which partition executes where
-// is invisible to results, and checkOwner stays armed.
-func (co *coordinator) window(end Time) {
-	d := co.domains
-	if d > len(co.parts) {
-		d = len(co.parts)
-	}
-	if d <= 1 || !co.spansWorkers(end, d) {
-		for _, p := range co.parts {
-			p.runTo(end)
-		}
-		return
-	}
-	if !co.started {
-		co.startWorkers(d)
-	}
-	co.end = end
-	co.done.Store(0)
-	co.publish()
-	for i := 0; i < len(co.parts); i += d {
-		co.parts[i].runTo(end)
-	}
-	co.await(&co.done, uint64(d-1))
-}
-
-// spansWorkers reports whether partitions of two different workers have
-// events before end.
-func (co *coordinator) spansWorkers(end Time, d int) bool {
-	first := -1
-	for i, p := range co.parts {
-		if p.q.minTime() >= end {
-			continue
-		}
-		switch w := i % d; {
-		case first < 0:
-			first = w
-		case w != first:
-			return true
-		}
-	}
-	return false
-}
-
-func (co *coordinator) startWorkers(d int) {
-	co.started = true
-	co.workers.Add(d - 1)
-	gen := co.gen.Load()
-	for w := 1; w < d; w++ {
-		go co.work(w, d, gen)
-	}
-}
-
-// work is worker w's loop: wait for the generation after the last one seen,
-// run this worker's partitions to the published bound, report.
-func (co *coordinator) work(w, d int, gen uint64) {
-	defer co.workers.Done()
-	for {
-		gen++
-		co.await(&co.gen, gen)
-		if co.stop.Load() {
-			return
-		}
-		for i := w; i < len(co.parts); i += d {
-			co.parts[i].runTo(co.end)
-		}
-		co.done.Add(1)
-		co.wake()
-	}
-}
-
-// stopWorkers publishes the exit generation and joins the workers.
-func (co *coordinator) stopWorkers() {
-	if !co.started {
-		return
-	}
-	co.stop.Store(true)
-	co.publish()
-	co.workers.Wait()
-	co.stop.Store(false)
-	co.started = false
-}
-
-// publish makes end and stop visible to the workers as a new generation.
-func (co *coordinator) publish() {
-	co.gen.Add(1)
-	co.wake()
-}
-
-// Waiting budgets of await. The other side is usually a few microseconds
-// from done, so a short poll wins when it has a CPU of its own; yielding
-// lets it run when it has not (GOMAXPROCS < domains, a busy host); parking
-// bounds what a long one-sided window costs the waiter.
-const (
-	awaitSpins  = 128
-	awaitYields = 256
-)
-
-// await returns once v has reached want. (Reached, not equals: a run that
-// dies on a panicking event publishes the exit generation on top of a window
-// a worker may not have picked up yet.)
-func (co *coordinator) await(v *atomic.Uint64, want uint64) {
-	for i := 0; i < awaitSpins; i++ {
-		if v.Load() >= want {
-			return
-		}
-	}
-	for i := 0; i < awaitYields; i++ {
-		runtime.Gosched()
-		if v.Load() >= want {
-			return
-		}
-	}
-	co.mu.Lock()
-	// parked is raised before the re-check: the side that moves v reads
-	// parked afterwards (wake), so either this load sees the new value or
-	// that side sees parked and takes the lock to broadcast.
-	co.parked.Add(1)
-	for v.Load() < want {
-		co.cond.Wait()
-	}
-	co.parked.Add(-1)
-	co.mu.Unlock()
-}
-
-// wake rouses parked waiters after gen or done moved.
-func (co *coordinator) wake() {
-	if co.parked.Load() > 0 {
-		co.mu.Lock()
-		co.cond.Broadcast()
-		co.mu.Unlock()
-	}
-}
-
 // drain moves cross-partition handoffs from source outboxes into destination
 // queues. Iteration is source-partition-index order, then send order within
 // a source; destination FIFO sequence numbers are assigned in that drain
-// order. Both orders are fixed by the partitioning alone — not by the domain
-// count or worker schedule — which is what keeps partitioned runs
-// byte-identical under any parallelism.
+// order. Both orders are fixed by the partitioning alone.
 func (co *coordinator) drain() {
 	for _, src := range co.parts {
 		for i := range src.outbox {

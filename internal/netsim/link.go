@@ -32,7 +32,7 @@ type Link struct {
 	// corrupted (dropped before propagation) with probability lossRate.
 	// lossRNG is a private xorshift so the draw sequence depends only on
 	// this link's own packet order — deterministic per §4d under any
-	// domain count.
+	// partitioning.
 	lossRate  float64
 	lossRNG   uint64
 	lossDrops int64
@@ -47,10 +47,7 @@ type Link struct {
 	lossC *obs.Counter
 
 	// The receiving end: what the destination partition touches on every
-	// delivery. On a cross-partition link the fields above are written by the
-	// source partition's worker per packet; the pad keeps the two ends on
-	// separate cache lines.
-	_   [64]byte
+	// delivery.
 	to  Handler
 	fly flightRing // packets in propagation, in delivery order (Engine.land)
 }

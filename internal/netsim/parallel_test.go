@@ -1,16 +1,14 @@
 package netsim
 
 import (
-	"bytes"
 	"container/heap"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
-	"runtime"
-	"strings"
 	"testing"
-	"unsafe"
 
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
@@ -259,9 +257,6 @@ func TestAddPartitionOnClassicEngineReturnsSelf(t *testing.T) {
 	if p := e.AddPartition(); p != e {
 		t.Fatal("classic AddPartition must return the engine itself")
 	}
-	if e.Domains() != 0 {
-		t.Fatalf("classic Domains() = %d, want 0", e.Domains())
-	}
 }
 
 func TestBindRemoteZeroDelayPanics(t *testing.T) {
@@ -289,27 +284,20 @@ func TestBindRemoteForeignEnginePanics(t *testing.T) {
 }
 
 // TestCrossPartitionSchedulePanicsMidWindow: an event that schedules onto
-// another partition must panic at every domain count — domains 1 included,
-// which used to let it through — whether its window ran behind the barrier
-// or inline on the calling goroutine. The victim partition is idle in every
-// case: the check reads the victim's active flag, so only an idle victim
-// makes the panic certain rather than likely.
+// another partition must panic — whether the victim's turn in the window is
+// still to come (the event would land ahead of its clock) or is over (behind
+// it), and whatever number the engine was built with.
 func TestCrossPartitionSchedulePanicsMidWindow(t *testing.T) {
 	cases := []struct {
 		name             string
 		offender, victim int
-		// bystander, when ≥ 0, is a partition of another worker with an
-		// event in the offender's window, so that at domains ≥ 2 the window
-		// goes through the barrier instead of running inline.
-		bystander int
+		bystander        int // when ≥ 0, a partition with an event of its own in the window
 	}{
-		// Partition 0 always executes on the calling goroutine, so its
-		// panic is recoverable here even behind the barrier.
 		{"barrier", 0, 2, 3},
 		{"inline", 0, 2, -1},
-		// Partition 1 belongs to a worker; alone in its window it runs
-		// inline, and the panic surfaces on the caller.
 		{"inline-foreign", 1, 2, -1},
+		{"victim-next", 0, 2, 2},
+		{"victim-done", 2, 0, 0},
 	}
 	for _, tc := range cases {
 		for _, domains := range []int{1, 2, 4} {
@@ -321,19 +309,12 @@ func TestCrossPartitionSchedulePanicsMidWindow(t *testing.T) {
 				if tc.bystander >= 0 {
 					parts[tc.bystander].At(10, func() {})
 				}
-				before := runtime.NumGoroutine()
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatal("scheduling onto another partition mid-window must panic")
-						}
-					}()
-					root.RunUntil(100)
+				defer func() {
+					if recover() == nil {
+						t.Fatal("scheduling onto another partition mid-window must panic")
+					}
 				}()
-				if published := root.co.gen.Load() > 0; published != (tc.bystander >= 0 && domains > 1) {
-					t.Errorf("window went through the barrier = %v, want %v", published, !published)
-				}
-				expectGoroutines(t, before)
+				root.RunUntil(100)
 			})
 		}
 	}
@@ -344,7 +325,8 @@ func TestCrossPartitionSchedulePanicsMidWindow(t *testing.T) {
 // counts exactly the events that did not run, a second run executes them in
 // (at, seq) order, and the partition that panicked is again refused as the
 // target of a cross-partition schedule — it used to stay marked active, which
-// let the next run's offenders through.
+// let the next run's offenders through. The number the engine is built with
+// selects nothing, here as anywhere.
 func TestPanickingEventLeavesEngineRunnable(t *testing.T) {
 	// Scheduled in this order, so (at, seq) order is 1 2 5 0 3 4.
 	times := []Time{30, 10, 20, 30, 40, 20}
@@ -353,14 +335,14 @@ func TestPanickingEventLeavesEngineRunnable(t *testing.T) {
 		t.Run(fmt.Sprintf("domains=%d", domains), func(t *testing.T) {
 			root := NewParallelEngine(domains)
 			parts := []*Engine{root, root.AddPartition(), root.AddPartition(), root.AddPartition()}
-			ran := make([][]int, len(parts)) // per partition, so windows share nothing
+			ran := make([][]int, len(parts))
 			for pi, p := range parts {
 				for id, at := range times {
 					pi, id := pi, id
 					p.At(at, func() {
 						ran[pi] = append(ran[pi], id)
 						if pi == 0 && id == 2 {
-							panic("boom") // partition 0 runs on the calling goroutine
+							panic("boom")
 						}
 					})
 				}
@@ -374,20 +356,18 @@ func TestPanickingEventLeavesEngineRunnable(t *testing.T) {
 				}()
 				root.RunUntil(100)
 			}
-			before := runtime.NumGoroutine()
 			mustPanic("the run with the panicking event")
-			expectGoroutines(t, before)
 
-			// Whether another worker's partitions ran their window before the
-			// run died is the scheduler's business; each ran all of it or none.
+			// No link crosses partitions, so the run is one window, and
+			// partition 0 died in it before any other had its turn.
 			left := len(parts) * len(times)
 			for pi, p := range parts {
 				left -= len(ran[pi])
-				if pi > 0 && len(ran[pi]) != 0 && len(ran[pi]) != len(times) {
-					t.Errorf("partition %d ran %d of its %d events", pi, len(ran[pi]), len(times))
+				if pi > 0 && len(ran[pi]) != 0 {
+					t.Errorf("partition %d ran %d events after partition 0 panicked", pi, len(ran[pi]))
 				}
-				if p.q.open || p.active.Load() {
-					t.Errorf("partition %d left with hole open = %v, active = %v", pi, p.q.open, p.active.Load())
+				if p.q.open || p.active {
+					t.Errorf("partition %d left with hole open = %v, active = %v", pi, p.q.open, p.active)
 				}
 			}
 			if len(ran[0]) != 2 {
@@ -413,23 +393,7 @@ func TestPanickingEventLeavesEngineRunnable(t *testing.T) {
 	}
 }
 
-// expectGoroutines fails if more than limit goroutines are left. A joined
-// worker has called Done but may not have finished exiting, so the count is
-// given a bounded number of yields to settle.
-func expectGoroutines(t *testing.T, limit int) {
-	t.Helper()
-	got := runtime.NumGoroutine()
-	for i := 0; i < 1000 && got > limit; i++ {
-		runtime.Gosched()
-		got = runtime.NumGoroutine()
-	}
-	if got > limit {
-		t.Errorf("%d goroutines after the run, %d before: a worker outlived the call", got, limit)
-	}
-}
-
-// ringLog is one partition's private arrival record; partitions never share
-// a log, so windowed execution stays race-free.
+// ringLog is one partition's private arrival record.
 type ringLog struct {
 	arrivals []string
 }
@@ -437,8 +401,8 @@ type ringLog struct {
 // buildRing wires partitions 0..n-1 in a ring of cross-partition links. Each
 // arrival is recorded with virtual time and forwarded after a local delay.
 // It returns the per-partition logs and the engine.
-func buildRing(domains, parts, hops int) (*Engine, []*ringLog) {
-	root := NewParallelEngine(domains)
+func buildRing(parts, hops int) (*Engine, []*ringLog) {
+	root := NewParallelEngine(1)
 	engs := []*Engine{root}
 	for i := 1; i < parts; i++ {
 		engs = append(engs, root.AddPartition())
@@ -481,169 +445,59 @@ func buildRing(domains, parts, hops int) (*Engine, []*ringLog) {
 	return root, logs
 }
 
-// TestParallelRingByteIdenticalAcrossDomains runs the same ring with 1, 2, 4
-// and 8 domains and demands identical per-partition arrival logs: the worker
-// count must be invisible in results.
+// TestParallelRingByteIdenticalAcrossDomains runs the ring and demands the
+// per-partition arrival logs recorded at d5da1b5, where 1, 2, 4 and 8 worker
+// domains all produced them.
 func TestParallelRingByteIdenticalAcrossDomains(t *testing.T) {
-	const parts, hops = 5, 12
-	var want []string
-	for _, domains := range []int{1, 2, 4, 8} {
-		eng, logs := buildRing(domains, parts, hops)
-		eng.RunUntil(200 * Millisecond)
-		var got []string
-		for _, lg := range logs {
-			got = append(got, lg.arrivals...)
-		}
-		if want == nil {
-			want = got
-			if len(want) == 0 {
-				t.Fatal("ring produced no arrivals")
-			}
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("domains=%d: %d arrivals, want %d", domains, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("domains=%d: arrival %d = %q, want %q", domains, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// ringArrivals runs the ring to 200 ms in 1 ms slices and returns the
-// arrival logs joined, plus how many windows went through the barrier.
-func ringArrivals(domains int) (string, uint64) {
-	eng, logs := buildRing(domains, 5, 12)
-	for deadline := Millisecond; deadline <= 200*Millisecond; deadline += Millisecond {
-		eng.RunUntil(deadline)
-	}
-	var sb strings.Builder
+	eng, logs := buildRing(5, 12)
+	eng.RunUntil(200 * Millisecond)
+	h := fnv.New64a()
+	n := 0
 	for _, lg := range logs {
-		sb.WriteString(strings.Join(lg.arrivals, "\n"))
-	}
-	return sb.String(), eng.co.gen.Load()
-}
-
-// TestBarrierLeavesNoGoroutineBehind: the workers of a Run/RunUntil call are
-// joined before it returns, so 200 calls later the process has as many
-// goroutines as before the first.
-func TestBarrierLeavesNoGoroutineBehind(t *testing.T) {
-	for _, domains := range []int{2, 4} {
-		before := runtime.NumGoroutine()
-		if _, published := ringArrivals(domains); published == 0 {
-			t.Fatalf("domains=%d: no window went through the barrier", domains)
+		for _, a := range lg.arrivals {
+			io.WriteString(h, a+"\n")
+			n++
 		}
-		expectGoroutines(t, before)
 	}
-}
-
-// TestBarrierWithFewerProcsThanDomains: four workers on one P can only make
-// progress by yielding to each other, which is what the wait does after its
-// spin; the run must complete and match domains 1 byte for byte.
-func TestBarrierWithFewerProcsThanDomains(t *testing.T) {
-	want, _ := ringArrivals(1)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	got, published := ringArrivals(4)
-	if published == 0 {
-		t.Fatal("no window went through the barrier")
-	}
-	if got != want {
-		t.Fatal("domains=4 at GOMAXPROCS=1: arrivals differ from domains=1")
-	}
-}
-
-// TestBarrierFieldsKeepTheirCacheLines pins the padding the barrier's cost
-// depends on, so a field added in the wrong place fails here and not in a
-// profile: gen and done a line apart and a line clear of their neighbours,
-// and no two partitions' hot fields within a line of each other.
-func TestBarrierFieldsKeepTheirCacheLines(t *testing.T) {
-	const line = 64
-	var co coordinator
-	foldInto, gen, done, mu := unsafe.Offsetof(co.foldInto), unsafe.Offsetof(co.gen), unsafe.Offsetof(co.done), unsafe.Offsetof(co.mu)
-	if gen-foldInto < line || done-gen < line || mu-done < line {
-		t.Errorf("coordinator offsets foldInto=%d gen=%d done=%d mu=%d: want ≥ %d between each", foldInto, gen, done, mu, line)
-	}
-	var e Engine
-	if hot := unsafe.Offsetof(e.tracer) + unsafe.Sizeof(e.tracer); unsafe.Sizeof(e)-hot < line {
-		t.Errorf("Engine is %d bytes with fields to %d: want ≥ %d of tail padding", unsafe.Sizeof(e), hot, line)
-	}
-}
-
-// TestBarrierAllocsDoNotGrowWithWindows: a RunUntil call may allocate to
-// start its workers, but a window must not. The ring's handlers allocate
-// (they format log lines), identically at every domain count, so the barrier's
-// share is the difference between domains 2 and domains 1 over the same run —
-// thousands of published windows, against a bound that would not cover a
-// tenth of them at one allocation per window.
-func TestBarrierAllocsDoNotGrowWithWindows(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instrumentation allocates; guard runs in the plain job")
-	}
-	run := func(domains int) (mallocs, published uint64) {
-		eng, _ := buildRing(domains, 5, 12)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		eng.RunUntil(200 * Millisecond)
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs, eng.co.gen.Load()
-	}
-	base, _ := run(1)
-	got, published := run(2)
-	if published < 1000 {
-		t.Fatalf("only %d windows went through the barrier; the guard needs thousands", published)
-	}
-	const bound = 64 // goroutine start, the runtime's parking bookkeeping
-	if got > base+bound {
-		t.Errorf("domains=2 allocates %d more than domains=1 over %d published windows, want ≤ %d",
-			got-base, published, bound)
+	if got := h.Sum64(); n != 12012 || got != 0xa9c0e4feb79b72ec {
+		t.Fatalf("%d arrivals with fnv64a %#016x, recorded 12012 with 0xa9c0e4feb79b72ec", n, got)
 	}
 }
 
 // TestPartitionScopeTracesByteIdenticalAcrossDomains drives drops through
-// partition-scoped links and requires the folded trace export to be
-// byte-identical for every domain count.
+// partition-scoped links and requires the folded trace export recorded at
+// d5da1b5, where 1, 2, 4 and 8 worker domains all produced it.
 func TestPartitionScopeTracesByteIdenticalAcrossDomains(t *testing.T) {
-	run := func(domains int) []byte {
-		tr := obs.NewTracer(4096)
-		sc := obs.New(nil, tr)
-		root := NewParallelEngine(domains)
-		p1 := root.AddPartition()
-		p2 := root.AddPartition()
-		// Tiny queues force drops, which emit trace events in each source
-		// partition concurrently. Each link drains into its destination
-		// partition's own sink (a sink is partition-local state).
-		l1 := NewLink(p1, &Sink{}, 1e6, Millisecond, NewDropTail(600), p1.PartitionScope(sc)).BindRemote(p2)
-		l2 := NewLink(p2, &Sink{}, 1e6, Millisecond, NewDropTail(600), p2.PartitionScope(sc)).BindRemote(p1)
-		for i := 0; i < 50; i++ {
-			at := Time(i) * 10 * Microsecond
-			p1.At(at, func() {
-				p := AllocPacket()
-				p.Size = 500
-				l1.Send(p)
-			})
-			p2.At(at, func() {
-				p := AllocPacket()
-				p.Size = 500
-				l2.Send(p)
-			})
-		}
-		root.RunUntil(Second)
-		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if tr.Len() == 0 {
-			t.Fatal("expected drop events in the folded tracer")
-		}
-		return buf.Bytes()
+	tr := obs.NewTracer(4096)
+	sc := obs.New(nil, tr)
+	root := NewParallelEngine(1)
+	p1 := root.AddPartition()
+	p2 := root.AddPartition()
+	// Tiny queues force drops, which emit trace events in each source
+	// partition's shard. Each link drains into its destination partition's
+	// own sink (a sink is partition-local state).
+	l1 := NewLink(p1, &Sink{}, 1e6, Millisecond, NewDropTail(600), p1.PartitionScope(sc)).BindRemote(p2)
+	l2 := NewLink(p2, &Sink{}, 1e6, Millisecond, NewDropTail(600), p2.PartitionScope(sc)).BindRemote(p1)
+	for i := 0; i < 50; i++ {
+		at := Time(i) * 10 * Microsecond
+		p1.At(at, func() {
+			p := AllocPacket()
+			p.Size = 500
+			l1.Send(p)
+		})
+		p2.At(at, func() {
+			p := AllocPacket()
+			p.Size = 500
+			l2.Send(p)
+		})
 	}
-	want := run(1)
-	for _, domains := range []int{2, 4} {
-		if got := run(domains); !bytes.Equal(got, want) {
-			t.Fatalf("domains=%d: trace export differs from domains=1", domains)
-		}
+	root.RunUntil(Second)
+	h := fnv.New64a()
+	if err := tr.WriteJSONL(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Sum64(); tr.Len() != 96 || got != 0x3e860fe0b37122f5 {
+		t.Fatalf("%d folded drop events with fnv64a %#016x, recorded 96 with 0x3e860fe0b37122f5", tr.Len(), got)
 	}
 }
 
@@ -656,15 +510,15 @@ func TestPartitionScopeTracesByteIdenticalAcrossDomains(t *testing.T) {
 // sink partitions, with precomputed mid-run rate faults on the delivery
 // links. It returns (injected, delivered, dropped) plus a canonical
 // description of all counters.
-func starRun(t *testing.T, domains int, seed int64) (int64, int64, int64, string) {
+func starRun(t *testing.T, seed int64) (int64, int64, int64, string) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	nSrc := 2 + r.Intn(3)
 	nDst := 2 + r.Intn(3)
 	nPkts := 50 + r.Intn(200)
 
-	// Precompute every random value before the engine starts: event
-	// callbacks must not consume shared randomness during parallel windows.
+	// Precompute every random value before the engine starts: a draw made
+	// inside an event would depend on the order partitions run in.
 	type injection struct {
 		src, dst, size int
 		at             Time
@@ -693,7 +547,7 @@ func starRun(t *testing.T, domains int, seed int64) (int64, int64, int64, string
 	}
 	queueCap := 2000 + r.Intn(4000) // tiny: force drops
 
-	root := NewParallelEngine(domains)
+	root := NewParallelEngine(1)
 	swEng := root.AddPartition()
 	sw := NewSwitch(500)
 	srcEng := make([]*Engine, nSrc)
@@ -758,23 +612,14 @@ func starRun(t *testing.T, domains int, seed int64) (int64, int64, int64, string
 }
 
 // TestCrossDomainPacketConservation checks, for randomized star topologies
-// with injected rate faults, that (a) every injected packet is delivered or
-// dropped once the engine drains and (b) all counters are identical for
-// every domain count.
+// with injected rate faults, that every injected packet is delivered or
+// dropped once the engine drains.
 func TestCrossDomainPacketConservation(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		var want string
-		for _, domains := range []int{1, 2, 4} {
-			injected, delivered, dropped, desc := starRun(t, domains, seed)
-			if injected != delivered+dropped {
-				t.Fatalf("seed=%d domains=%d: conservation violated: %s (injected=%d, accounted=%d)",
-					seed, domains, desc, injected, delivered+dropped)
-			}
-			if want == "" {
-				want = desc
-			} else if desc != want {
-				t.Fatalf("seed=%d domains=%d: counters differ:\n got %s\nwant %s", seed, domains, desc, want)
-			}
+		injected, delivered, dropped, desc := starRun(t, seed)
+		if injected != delivered+dropped {
+			t.Fatalf("seed=%d: conservation violated: %s (injected=%d, accounted=%d)",
+				seed, desc, injected, delivered+dropped)
 		}
 	}
 }
@@ -886,16 +731,12 @@ func BenchmarkEventQueueHold(b *testing.B) {
 // BenchmarkParallelWindowLoop measures windowed execution overhead on the
 // ring topology (cross-partition handoffs every window).
 func BenchmarkParallelWindowLoop(b *testing.B) {
-	for _, domains := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("domains=%d", domains), func(b *testing.B) {
-			eng, _ := buildRing(domains, 5, 12)
-			b.ReportAllocs()
-			b.ResetTimer()
-			deadline := Time(0)
-			for i := 0; i < b.N; i++ {
-				deadline += Millisecond
-				eng.RunUntil(deadline)
-			}
-		})
+	eng, _ := buildRing(5, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	deadline := Time(0)
+	for i := 0; i < b.N; i++ {
+		deadline += Millisecond
+		eng.RunUntil(deadline)
 	}
 }

@@ -3,8 +3,8 @@ package netsim
 import "sync"
 
 // packetPool recycles Packet objects across the whole process. Packets are
-// zeroed on allocation, so pool reuse order (which varies under parallel
-// windows) cannot leak state between uses and never affects results.
+// zeroed on allocation, so pool reuse order (which varies when the harness
+// runs experiments in parallel) cannot leak state between uses.
 var packetPool = sync.Pool{New: func() interface{} { return new(Packet) }}
 
 // AllocPacket returns a zeroed packet, reusing a freed one when available.

@@ -22,8 +22,8 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/quant"
 )
 
-// newEngine picks the engine by domain count: 0 is the classic serial
-// engine, ≥ 1 a partitioned one on that many workers (DESIGN.md §4a).
+// newEngine picks the engine family: 0 is the classic engine, ≥ 1 the
+// partitioned one, whatever the number (DESIGN.md §4a, §4h).
 func newEngine(domains int) *netsim.Engine {
 	if domains >= 1 {
 		return netsim.NewParallelEngine(domains)

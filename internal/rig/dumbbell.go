@@ -33,7 +33,7 @@ const (
 
 // DumbbellOpts configures the §2.2 testbed analog.
 type DumbbellOpts struct {
-	Domains int // engine: 0 classic, ≥ 1 partitioned on that many workers
+	Domains int // 0 = classic engine; ≥ 1 = partitioned engine, one tie-break family whatever the number
 	// FreePath swaps the 1 Gbps / 150 KB bottleneck for a 40 Gbps / 4 MB
 	// one, so hosts rather than the network bound throughput.
 	FreePath     bool

@@ -14,7 +14,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/topo"
 )
 
-// NewFabric builds a spine–leaf fabric on an engine picked by domain count
+// NewFabric builds a spine–leaf fabric on the engine newEngine(domains) picks
 // and, when cores > 0, gives every host a CPU with the default cost table.
 // The engine is the fabric's Eng.
 func NewFabric(domains int, o topo.SpineLeafOpts, cores int, sc obs.Scope) *topo.SpineLeaf {

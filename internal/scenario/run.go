@@ -18,9 +18,8 @@ import (
 
 // RunOpts configure one scenario run.
 type RunOpts struct {
-	// Domains ≥ 1 runs on a conservative-lookahead parallel engine with that
-	// many workers; 0 keeps the classic serial engine. The report is
-	// byte-identical for every value.
+	// Domains: 0 = classic engine; ≥ 1 = partitioned engine, one tie-break
+	// family whatever the number.
 	Domains int
 	// Scale multiplies session and churn counts (floor 1 per group); 0 means
 	// natural scale. The acceptance envelope is only checked at natural
@@ -31,8 +30,8 @@ type RunOpts struct {
 }
 
 // Report is one scenario run's deterministic outcome. String() must not
-// include anything host- or domains-dependent: the golden tests compare its
-// bytes across -sim-domains 1/2/4/8.
+// include anything host-dependent: the golden test pins a digest of its
+// bytes.
 type Report struct {
 	Name  string
 	Scale float64

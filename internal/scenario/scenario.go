@@ -5,8 +5,8 @@
 // (data-center, WAN-RTT, wireless-loss) and an acceptance envelope. Run
 // builds the fabric, populates it with sessions, plays the scenario on a
 // classic or partitioned engine and renders a deterministic Report — the
-// same bytes for every -sim-domains value, so every named scenario doubles
-// as a regression test (DESIGN.md §4j).
+// same bytes for every -sim-domains value ≥ 1, pinned by digest, so every
+// named scenario doubles as a regression test (DESIGN.md §4j).
 package scenario
 
 import (

@@ -130,7 +130,6 @@ func BuildSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts) *SpineLeaf {
 				leaf.AddRoute(hid, spineIDs...)
 			}
 		}
-		_ = leaf
 	}
 	for _, spine := range t.Spines {
 		for hid := range t.Hosts {
@@ -190,7 +189,7 @@ type FleetSpec struct {
 // work to them. Per-host telemetry is labelled host="<id>" like the CPU
 // scopes. The caller starts the plane with Controller.Start.
 func (t *SpineLeaf) ProvisionFleet(spec FleetSpec, f core.Freezer, e core.Evaluator, a core.Adapter, options ...opt.Option) *fleet.Controller {
-	if t.Eng.Domains() > 0 {
+	if t.Eng.Partitions() > 1 {
 		// The fleet plane schedules onto member CPUs from the controller's
 		// partition (install callbacks, aggregation ticks); that cross-
 		// partition scheduling is exactly what windowed execution forbids.
@@ -265,9 +264,7 @@ func TestbedOpts(flows int) DumbbellOpts {
 // every link is bound to its receiving partition, unconditionally: on a
 // classic engine both calls are no-ops, and on a partitioned engine
 // (netsim.NewParallelEngine) the builder yields a conservative lookahead of
-// the access-link delay. The partition layout depends only on the topology,
-// never on the domain count, so partitioned runs are byte-identical for any
-// parallelism.
+// the access-link delay. The partition layout depends only on the topology.
 func BuildDumbbell(eng *netsim.Engine, opts DumbbellOpts, options ...opt.Option) *Dumbbell {
 	scope := opt.Resolve(options).Scope
 	d := &Dumbbell{Eng: eng}
