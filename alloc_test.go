@@ -1,8 +1,8 @@
 package liteflow_test
 
 // Allocation guards, always on and run again in CI's bench-smoke job:
-// steady-state lf_query_model and the batched variant must not touch the
-// heap at all, and a slow-path snapshot build stays within a fixed budget.
+// steady-state lf_query_model must not touch the heap at all, and a slow-path
+// snapshot build stays within a fixed budget.
 
 import (
 	"testing"
@@ -47,26 +47,6 @@ func TestQuerySteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state QueryModel allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestQueryModelBatchZeroAllocs extends the contract to the strided batch
-// entry point used by the experiment harness's inner loops.
-func TestQueryModelBatchZeroAllocs(t *testing.T) {
-	lf, _, _ := queryFixture(t)
-	const n = 64
-	ins := make([]int64, n*30)
-	outs := make([]int64, n*1)
-	if err := lf.QueryModelBatch(1, ins, outs, n); err != nil { // warm
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := lf.QueryModelBatch(1, ins, outs, n); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state QueryModelBatch allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

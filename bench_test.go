@@ -137,25 +137,6 @@ func BenchmarkQuerySteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryModelBatch measures the strided batch entry point at batch
-// 64; allocs/op must stay 0 (one arena per core, reused across calls).
-func BenchmarkQueryModelBatch(b *testing.B) {
-	lf, _, _ := queryFixture(b)
-	const n = 64
-	ins := make([]int64, n*30)
-	outs := make([]int64, n*1)
-	if err := lf.QueryModelBatch(1, ins, outs, n); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := lf.QueryModelBatch(1, ins, outs, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSnapshotBuild measures what one slow-path install pays on the
 // host: Quantize + Build of a retuned network whose architecture and quant
 // config the process has already seen (every install after the first).

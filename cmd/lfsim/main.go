@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"github.com/liteflow-sim/liteflow/internal/cc"
@@ -154,8 +153,8 @@ func (u staticUser) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(
 // ignored, naming the offending flag.
 func (o options) validate() error {
 	if o.scenario != "" {
-		// The scenario runner has no telemetry scope, no fault injector and
-		// no repetitions.
+		// The scenario runner has no telemetry scope, no fault injector, no
+		// repetitions and no fleet plane.
 		for _, f := range []struct {
 			flag string
 			set  bool
@@ -167,11 +166,15 @@ func (o options) validate() error {
 			{"-listen", o.ex.Listen != ""},
 			{"-reps", o.reps > 1},
 			{"-fault-profile", o.faultProfile != "" && o.faultProfile != "none"},
+			{"-fleet", o.fleet > 0},
 		} {
 			if f.set {
-				return fmt.Errorf("%s does not apply to -scenario runs (the scenario runner exports no telemetry, injects no faults and runs once)", f.flag)
+				return fmt.Errorf("%s does not apply to -scenario runs (the scenario runner exports no telemetry, injects no faults, runs once and has no fleet plane)", f.flag)
 			}
 		}
+	}
+	if o.scenarioCheck && o.scenario == "" {
+		return fmt.Errorf("-scenario-check requires -scenario (it enforces that scenario's acceptance envelope)")
 	}
 	if o.fleetScenario != "" && o.fleet <= 0 {
 		return fmt.Errorf("-fleet-scenario requires -fleet (it shapes fleet member query cadence)")
@@ -221,13 +224,6 @@ func run(o options, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	workers := o.parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > reps {
-		workers = reps
-	}
 	type repOut struct {
 		stdout, stderr bytes.Buffer
 		goodput        float64
@@ -235,24 +231,11 @@ func run(o options, stdout, stderr io.Writer) error {
 		err            error
 	}
 	outs := make([]repOut, reps)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range next {
-				start := time.Now()
-				outs[r].goodput, outs[r].err = runOnce(o, r, &outs[r].stdout, &outs[r].stderr)
-				outs[r].wall = time.Since(start)
-			}
-		}()
-	}
-	for r := 0; r < reps; r++ {
-		next <- r
-	}
-	close(next)
-	wg.Wait()
+	experiments.Pool(reps, o.parallel, func(r int) {
+		start := time.Now()
+		outs[r].goodput, outs[r].err = runOnce(o, r, &outs[r].stdout, &outs[r].stderr)
+		outs[r].wall = time.Since(start)
+	})
 
 	goodput := stats.NewDist(reps)
 	wall := stats.NewDist(reps)

@@ -389,6 +389,8 @@ func TestLfsimScenarioCLI(t *testing.T) {
 		{"-listen", func() options { o := sc; o.ex.Listen = "127.0.0.1:0"; return o }()},
 		{"-reps", func() options { o := sc; o.reps = 3; return o }()},
 		{"-fault-profile", func() options { o := sc; o.faultProfile = "chaos"; return o }()},
+		{"-fleet", func() options { o := sc; o.fleet, o.canary = 4, 1; return o }()},
+		{"-scenario-check", options{scheme: "bbr", flows: 1, scenarioCheck: true}},
 		{"-fleet-scenario", options{scheme: "bbr", flows: 1, fleetScenario: "web-diurnal"}},
 		{"-canary-window", options{fleet: 4, duration: 10 * time.Millisecond, canaryWin: time.Millisecond}},
 		{"-sim-domains", options{scheme: "bbr", flows: 1, simDomains: -1}},

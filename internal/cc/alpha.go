@@ -16,167 +16,38 @@ import (
 // traffic pattern misbehaves under another, which is what the online
 // adaptation experiments (Figures 5 and 12) exercise.
 type AlphaController struct {
-	Eng      *netsim.Engine
-	Backend  Backend
+	monitor
+
 	LineRate int64
-	MinMI    netsim.Time
 	MinAlpha float64
 
-	// OnState observes (state, α, MI summary) for the slow path.
-	OnState func(state []float64, alpha float64, mi MISummary)
-
 	curAlpha float64
-	srtt     netsim.Time
-
-	history [StateDim]float64
-	state   [StateDim]float64
-
-	minRTT     netsim.Time
-	miStart    netsim.Time
-	rttSum     netsim.Time
-	rttCount   int
-	ackedBytes int
-	lostBytes  int
-	prevAvgRTT netsim.Time
-	running    bool
-
-	// MIs counts completed monitor intervals.
-	MIs int64
 }
 
 // NewAlphaController returns a controller pacing at initialAlpha of
 // lineRate until the first decision.
 func NewAlphaController(eng *netsim.Engine, backend Backend, lineRate int64, initialAlpha float64) *AlphaController {
-	return &AlphaController{
-		Eng: eng, Backend: backend, LineRate: lineRate,
-		MinMI: 2 * netsim.Millisecond, MinAlpha: 0.01,
-		curAlpha: initialAlpha,
-		minRTT:   1 << 62,
-	}
+	m := &AlphaController{LineRate: lineRate, MinAlpha: 0.01, curAlpha: initialAlpha}
+	m.monitor = newMonitor(eng, backend, m, m.alphaRate())
+	return m
 }
-
-// Start implements tcp.CongestionControl.
-func (m *AlphaController) Start(now netsim.Time) {
-	m.running = true
-	m.miStart = now
-	m.schedule()
-}
-
-// Stop halts the MI timer.
-func (m *AlphaController) Stop() { m.running = false }
 
 // Alpha returns the current line-rate fraction.
 func (m *AlphaController) Alpha() float64 { return m.curAlpha }
 
-func (m *AlphaController) schedule() {
-	if !m.running {
-		return
-	}
-	d := m.srtt
-	if d < m.MinMI {
-		d = m.MinMI
-	}
-	m.Eng.After(d, m.endMI)
+// decide is the absolute law: the output is α, and OnState sees it clipped.
+func (m *AlphaController) decide(alpha float64) (int64, float64) {
+	m.curAlpha = clip(alpha, m.MinAlpha, 1)
+	return m.alphaRate(), m.curAlpha
 }
 
-// OnAck implements tcp.CongestionControl.
-func (m *AlphaController) OnAck(a tcp.AckInfo) {
-	m.srtt = a.SRTT
-	if a.RTT > 0 {
-		m.rttSum += a.RTT
-		m.rttCount++
-		if a.RTT < m.minRTT {
-			m.minRTT = a.RTT
-		}
-	}
-	m.ackedBytes += a.AckedBytes
-	if obs, ok := m.Backend.(AckObserver); ok {
-		obs.OnAckEvent()
-	}
-}
-
-// OnLoss implements tcp.CongestionControl.
-func (m *AlphaController) OnLoss(l tcp.LossInfo) { m.lostBytes += l.LostBytes }
-
-func (m *AlphaController) endMI() {
-	if !m.running {
-		return
-	}
-	now := m.Eng.Now()
-	dur := now - m.miStart
-	if dur <= 0 {
-		dur = 1
-	}
-	avgRTT := m.prevAvgRTT
-	if m.rttCount > 0 {
-		avgRTT = m.rttSum / netsim.Time(m.rttCount)
-	}
-	var latGrad float64
-	if m.prevAvgRTT > 0 && avgRTT > 0 {
-		latGrad = float64(avgRTT-m.prevAvgRTT) / float64(dur)
-	}
-	latRatio := 0.0
-	if m.minRTT < 1<<62 && avgRTT > 0 {
-		latRatio = float64(avgRTT)/float64(m.minRTT) - 1
-	}
-	sent := float64(m.PacingRate()) * float64(dur) / 1e9 / 8
-	acked := float64(m.ackedBytes)
-	sendRatio := 0.0
-	if acked > 1 {
-		sendRatio = sent/acked - 1
-	} else if sent > float64(netsim.MSS) {
-		sendRatio = 5
-	}
-	copy(m.history[:], m.history[FeatureDim:])
-	m.history[StateDim-3] = clip(latGrad*20, -1, 1)
-	m.history[StateDim-2] = clip(latRatio, -1, 5)
-	m.history[StateDim-1] = clip(sendRatio, -1, 5)
-	copy(m.state[:], m.history[:])
-
-	summary := MISummary{
-		Start: m.miStart, End: now, AvgRTT: avgRTT, MinRTT: m.minRTT,
-		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes, Rate: m.PacingRate(),
-	}
-	if summary.Rate > 0 {
-		summary.Utilization = acked * 8 / (float64(summary.Rate) * float64(dur) / 1e9)
-	}
-
-	m.prevAvgRTT = avgRTT
-	m.miStart = now
-	m.rttSum, m.rttCount = 0, 0
-	m.ackedBytes, m.lostBytes = 0, 0
-	m.MIs++
-
-	state := m.state[:]
-	m.Backend.Query(state, func(alpha float64) {
-		m.curAlpha = clip(alpha, m.MinAlpha, 1)
-		if m.OnState != nil {
-			m.OnState(state, m.curAlpha, summary)
-		}
-	})
-	m.schedule()
-}
-
-// PacingRate implements tcp.CongestionControl.
-func (m *AlphaController) PacingRate() int64 {
+// alphaRate is α of the line rate, floored at 1 Mbps.
+func (m *AlphaController) alphaRate() int64 {
 	r := int64(m.curAlpha * float64(m.LineRate))
 	if r < 1_000_000 {
 		r = 1_000_000
 	}
 	return r
-}
-
-// CwndBytes implements tcp.CongestionControl: 2 × rate·SRTT, floored.
-func (m *AlphaController) CwndBytes() int {
-	rtt := m.srtt
-	if rtt == 0 {
-		rtt = m.MinMI
-	}
-	w := int(2 * float64(m.PacingRate()) / 8 * float64(rtt) / 1e9)
-	if w < 10*netsim.MSS {
-		w = 10 * netsim.MSS
-	}
-	return w
 }
 
 // NewAuroraAlphaNet returns the Aurora architecture with a sigmoid output

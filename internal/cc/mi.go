@@ -46,37 +46,31 @@ type AckObserver interface {
 	OnAckEvent()
 }
 
-// MIController is the monitor-interval rate controller used by Aurora and
-// MOCC: once per MI it summarizes congestion signals into features, asks the
-// policy for an action through its deployment backend, and applies
-//
-//	rate ← rate·(1+δa)   if a ≥ 0
-//	rate ← rate/(1+δ|a|) if a < 0
-//
-// It implements tcp.CongestionControl.
-type MIController struct {
+// monitor is the monitor-interval loop both NN rate controllers run (paper
+// §3.1): per-ACK accumulators, the interval timer, feature derivation over a
+// sliding history, the backend query and the slow path's OnState tap. It
+// implements tcp.CongestionControl for the controller that embeds it; what it
+// does not know is how a policy output becomes a pacing rate, which is the
+// embedding controller's law.
+type monitor struct {
 	Eng *netsim.Engine
 
 	// Backend performs policy inference. Required.
 	Backend Backend
-	// Delta is the per-MI rate step δ. Defaults to 0.05.
-	Delta float64
 	// MinMI floors the monitor interval. Defaults to 2 ms.
 	MinMI netsim.Time
 	// FixedMI, when positive, pins the monitor interval to a constant
 	// instead of tracking the RTT — the UDT-Aurora mode of the Figure 2
 	// toy experiment, where the communication interval is the MI.
 	FixedMI netsim.Time
-	// MinRate/MaxRate clamp the pacing rate (bits/sec).
-	MinRate, MaxRate int64
-	// InitialRate is the rate before the first MI decision.
-	InitialRate int64
 
 	// OnState, when set, observes each (state, action, MI summary) — the
-	// paper's NN input collector feeding the slow path.
+	// paper's NN input collector feeding the slow path. Which value the law
+	// reports as the action is the law's to say.
 	OnState func(state []float64, action float64, mi MISummary)
 
-	rate int64
+	law  law
+	rate int64 // pacing rate in bits/sec; after construction only the law's result is stored here
 	srtt netsim.Time
 
 	history [StateDim]float64
@@ -95,6 +89,15 @@ type MIController struct {
 	MIs int64
 }
 
+// law is the part of a monitor-interval controller that is its own. decide
+// turns the policy's output for the interval just closed into the pacing rate
+// (bits/sec) of the next, and returns the value OnState is shown beside the
+// state: the raw action under the rate-step law, the clipped α under the
+// absolute one. It runs once per interval, never per ACK.
+type law interface {
+	decide(out float64) (rate int64, shown float64)
+}
+
 // MISummary carries the per-MI aggregates alongside the derived features.
 type MISummary struct {
 	Start, End  netsim.Time
@@ -106,23 +109,20 @@ type MISummary struct {
 	Utilization float64 // acked throughput / rate
 }
 
-// NewMIController returns a controller with paper-calibrated defaults.
-func NewMIController(eng *netsim.Engine, backend Backend, initialRate int64) *MIController {
-	return &MIController{
-		Eng:         eng,
-		Backend:     backend,
-		Delta:       0.05,
-		MinMI:       2 * netsim.Millisecond,
-		MinRate:     1_000_000,
-		MaxRate:     100_000_000_000,
-		InitialRate: initialRate,
-		rate:        initialRate,
-		minRTT:      1 << 62,
+// newMonitor returns the loop pacing at rate until l's first decision.
+func newMonitor(eng *netsim.Engine, backend Backend, l law, rate int64) monitor {
+	return monitor{
+		Eng:     eng,
+		Backend: backend,
+		MinMI:   2 * netsim.Millisecond,
+		law:     l,
+		rate:    rate,
+		minRTT:  1 << 62,
 	}
 }
 
 // Start implements tcp.CongestionControl.
-func (m *MIController) Start(now netsim.Time) {
+func (m *monitor) Start(now netsim.Time) {
 	m.running = true
 	m.miStart = now
 	m.scheduleMI()
@@ -130,9 +130,9 @@ func (m *MIController) Start(now netsim.Time) {
 
 // Stop halts the MI timer (flows that complete stop naturally; this is for
 // experiment teardown).
-func (m *MIController) Stop() { m.running = false }
+func (m *monitor) Stop() { m.running = false }
 
-func (m *MIController) miDuration() netsim.Time {
+func (m *monitor) miDuration() netsim.Time {
 	if m.FixedMI > 0 {
 		return m.FixedMI
 	}
@@ -143,7 +143,7 @@ func (m *MIController) miDuration() netsim.Time {
 	return d
 }
 
-func (m *MIController) scheduleMI() {
+func (m *monitor) scheduleMI() {
 	if !m.running {
 		return
 	}
@@ -151,7 +151,7 @@ func (m *MIController) scheduleMI() {
 }
 
 // OnAck implements tcp.CongestionControl.
-func (m *MIController) OnAck(a tcp.AckInfo) {
+func (m *monitor) OnAck(a tcp.AckInfo) {
 	m.srtt = a.SRTT
 	if a.RTT > 0 {
 		m.rttSum += a.RTT
@@ -167,13 +167,13 @@ func (m *MIController) OnAck(a tcp.AckInfo) {
 }
 
 // OnLoss implements tcp.CongestionControl.
-func (m *MIController) OnLoss(l tcp.LossInfo) {
+func (m *monitor) OnLoss(l tcp.LossInfo) {
 	m.lostBytes += l.LostBytes
 }
 
 // endMI closes the current monitor interval, derives features, and queries
 // the backend.
-func (m *MIController) endMI() {
+func (m *monitor) endMI() {
 	if !m.running {
 		return
 	}
@@ -237,37 +237,21 @@ func (m *MIController) endMI() {
 	m.MIs++
 
 	state := m.state[:]
-	m.Backend.Query(state, func(action float64) {
-		m.applyAction(action)
+	m.Backend.Query(state, func(out float64) {
+		var shown float64
+		m.rate, shown = m.law.decide(out)
 		if m.OnState != nil {
-			m.OnState(state, action, summary)
+			m.OnState(state, shown, summary)
 		}
 	})
 	m.scheduleMI()
 }
 
-func (m *MIController) applyAction(a float64) {
-	a = clip(a, -1, 1)
-	r := float64(m.rate)
-	if a >= 0 {
-		r *= 1 + m.Delta*a
-	} else {
-		r /= 1 + m.Delta*(-a)
-	}
-	m.rate = int64(r)
-	if m.rate < m.MinRate {
-		m.rate = m.MinRate
-	}
-	if m.rate > m.MaxRate {
-		m.rate = m.MaxRate
-	}
-}
-
 // PacingRate implements tcp.CongestionControl.
-func (m *MIController) PacingRate() int64 { return m.rate }
+func (m *monitor) PacingRate() int64 { return m.rate }
 
 // CwndBytes implements tcp.CongestionControl: 2 × rate·SRTT, floored.
-func (m *MIController) CwndBytes() int {
+func (m *monitor) CwndBytes() int {
 	rtt := m.srtt
 	if rtt == 0 {
 		rtt = m.MinMI
@@ -277,6 +261,56 @@ func (m *MIController) CwndBytes() int {
 		w = 10 * netsim.MSS
 	}
 	return w
+}
+
+// MIController is the monitor-interval rate controller used by Aurora and
+// MOCC: once per MI it summarizes congestion signals into features, asks the
+// policy for an action through its deployment backend, and applies
+//
+//	rate ← rate·(1+δa)   if a ≥ 0
+//	rate ← rate/(1+δ|a|) if a < 0
+//
+// It implements tcp.CongestionControl.
+type MIController struct {
+	monitor
+
+	// Delta is the per-MI rate step δ. Defaults to 0.05.
+	Delta float64
+	// MinRate/MaxRate clamp the pacing rate (bits/sec).
+	MinRate, MaxRate int64
+	// InitialRate is the rate before the first MI decision.
+	InitialRate int64
+}
+
+// NewMIController returns a controller with paper-calibrated defaults.
+func NewMIController(eng *netsim.Engine, backend Backend, initialRate int64) *MIController {
+	m := &MIController{
+		Delta:       0.05,
+		MinRate:     1_000_000,
+		MaxRate:     100_000_000_000,
+		InitialRate: initialRate,
+	}
+	m.monitor = newMonitor(eng, backend, m, initialRate)
+	return m
+}
+
+// decide is the rate-step law; OnState sees the action as the policy gave it.
+func (m *MIController) decide(action float64) (int64, float64) {
+	a := clip(action, -1, 1)
+	r := float64(m.rate)
+	if a >= 0 {
+		r *= 1 + m.Delta*a
+	} else {
+		r /= 1 + m.Delta*(-a)
+	}
+	rate := int64(r)
+	if rate < m.MinRate {
+		rate = m.MinRate
+	}
+	if rate > m.MaxRate {
+		rate = m.MaxRate
+	}
+	return rate, action
 }
 
 var _ tcp.CongestionControl = (*MIController)(nil)

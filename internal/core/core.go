@@ -448,50 +448,20 @@ func (c *Core) QueryModel(flow netsim.FlowID, in, out []int64) error {
 	if m == nil {
 		return ErrNoModel
 	}
-	c.infer(m, in, out, 1)
+	c.infer(m, in, out)
 	return nil
 }
 
-// infer runs n ≥ 1 inferences on m and accounts for them: the query counter,
-// the modeled per-query cost in liteflow_query_ns, one kernel CPU charge of
-// n×cost. in and out hold n densely packed rows.
-func (c *Core) infer(m *Model, in, out []int64, n int) {
-	c.met.queries.Add(int64(n))
+// infer runs one inference on m and accounts for it: the query counter, the
+// modeled per-query cost in liteflow_query_ns, the kernel CPU charge.
+func (c *Core) infer(m *Model, in, out []int64) {
+	c.met.queries.Inc()
 	cost := ksim.InferCost(c.Costs.KernelInferPerMAC, m.prog.MACs())
 	if c.CPU != nil {
-		c.CPU.Charge(ksim.Kernel, netsim.Time(n)*cost)
+		c.CPU.Charge(ksim.Kernel, cost)
 	}
-	if n == 1 {
-		// Not ObserveN(cost, 1): the running summary adds one sample and
-		// merges n, and the two differ in the last bit.
-		c.met.queryNS.Observe(float64(cost))
-		m.prog.InferWith(&c.arena, in, out)
-	} else {
-		c.met.queryNS.ObserveN(float64(cost), int64(n))
-		m.prog.InferBatch(&c.arena, in, out, n)
-	}
-}
-
-// QueryModelBatch runs n inferences against the flow's pinned snapshot in one
-// router transaction: one flow-cache lookup, one CPU charge of n×InferCost,
-// and densely packed rows (in stride InputSize, out stride OutputSize).
-// Results are identical to n QueryModel calls; the batch form exists for
-// datapath functions that score many candidates per decision — per-packet
-// load balancing over k paths, flow-scheduling sweeps — where per-query
-// router overhead would dominate. Zero heap allocations in steady state.
-func (c *Core) QueryModelBatch(flow netsim.FlowID, in, out []int64, n int) error {
-	if n < 0 {
-		return fmt.Errorf("core: negative batch size %d", n)
-	}
-	m := c.lookup(flow)
-	if m == nil {
-		return ErrNoModel
-	}
-	if n == 0 {
-		return nil
-	}
-	c.infer(m, in, out, n)
-	return nil
+	c.met.queryNS.Observe(float64(cost))
+	m.prog.InferWith(&c.arena, in, out)
 }
 
 // lookup resolves the model serving a flow, maintaining the flow cache and
@@ -761,7 +731,7 @@ func (b *FlowBackend) query(state []float64, reply func(action float64), stallSt
 	for i, x := range state {
 		b.in[i] = int64(x * float64(prog.InputScale))
 	}
-	c.infer(m, b.in, b.out[:prog.OutputSize()], 1)
+	c.infer(m, b.in, b.out[:prog.OutputSize()])
 	a := float64(b.out[0]) / float64(prog.OutputScale)
 	if a > 1 {
 		a = 1

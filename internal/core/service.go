@@ -381,10 +381,14 @@ type StabilityGate struct{ hist []float64 }
 
 // Converged records v as the latest round's stability and reports whether the
 // last cfg.StabilityWindow values lie within cfg.StabilityTolerance of each
-// other, relative to the larger magnitude.
+// other, relative to the larger magnitude. A window below 1 is 1: any single
+// value is stable.
 func (g *StabilityGate) Converged(v float64, cfg Config) bool {
 	g.hist = append(g.hist, v)
 	w := cfg.StabilityWindow
+	if w < 1 {
+		w = 1
+	}
 	if len(g.hist) > w {
 		g.hist = g.hist[len(g.hist)-w:]
 	}

@@ -476,6 +476,19 @@ func TestConvergedWindowShrink(t *testing.T) {
 	if n := len(r.svc.gate.hist); n != 2 {
 		t.Errorf("history must truncate to the new window, len = %d", n)
 	}
+
+	// A window below 1 (a hand-built Config) is a window of 1, through the
+	// service as a caller reaches it: each batch converges on its own value,
+	// however far from the last.
+	for i, w := range []int{0, -3} {
+		r.core.Cfg.StabilityWindow = w
+		r.user.stability = float64(100 * (i + 1))
+		before := r.svc.Stats().Converged
+		r.pushBatch(4, int64(i))
+		if got := r.svc.Stats().Converged - before; got != 1 {
+			t.Errorf("StabilityWindow %d: %d batches converged, want 1", w, got)
+		}
+	}
 }
 
 // TestConvergedZeroScaleBand covers the zero-scale special case: a stability

@@ -46,9 +46,6 @@ type Config struct {
 // DefaultConfig returns the full-scale configuration.
 func DefaultConfig() Config { return Config{Scale: 1, Seed: 1} }
 
-// FastConfig returns a configuration suitable for unit tests.
-func FastConfig() Config { return Config{Scale: 0.25, Seed: 1} }
-
 // dur scales a base duration by the config.
 func (c Config) dur(base netsim.Time) netsim.Time {
 	d := netsim.Time(float64(base) * c.Scale)

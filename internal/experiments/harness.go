@@ -61,6 +61,35 @@ func (s SuiteResult) WallQuantile(q float64) time.Duration {
 	return time.Duration(d.Quantile(q))
 }
 
+// Pool runs job(0) … job(n−1) on a bounded set of goroutines — workers,
+// clamped to [1, n] — and returns once every job has returned. A job reports
+// through its index (a slot of a slice the caller owns), so results sit in
+// job order whichever worker finished when.
+func Pool(n, workers int, job func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				job(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+}
+
 // RunSuite runs every runner for opts.Reps repetitions over a bounded worker
 // pool and returns one aggregated SuiteResult per runner, in runner order.
 // cfg.Seed seeds rep 0; rep r uses cfg.Seed+r. If cfg.Obs is enabled, each
@@ -71,14 +100,7 @@ func RunSuite(runners []Runner, cfg Config, opts SuiteOptions) []SuiteResult {
 	if reps < 1 {
 		reps = 1
 	}
-	workers := opts.Parallel
-	if workers < 1 {
-		workers = 1
-	}
 	nJobs := len(runners) * reps
-	if workers > nJobs {
-		workers = nJobs
-	}
 
 	baseReg := cfg.Obs.Registry()
 	baseTracer := cfg.Obs.Tracer()
@@ -92,44 +114,31 @@ func RunSuite(runners []Runner, cfg Config, opts SuiteOptions) []SuiteResult {
 	}
 	outs := make([]jobOut, nJobs)
 
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range next {
-				e, r := j/reps, j%reps
-				c := cfg
-				c.Seed = cfg.Seed + int64(r)
-				c.Obs = obs.Nop()
-				c.Flight = nil
-				if baseReg != nil || baseTracer != nil {
-					o := &outs[j]
-					if baseReg != nil {
-						o.reg = obs.NewRegistry()
-					}
-					if baseTracer != nil {
-						o.tracer = obs.NewTracer(baseTracer.Cap())
-					}
-					c.Obs = obs.New(o.reg, o.tracer)
-				}
-				if baseFlight != nil {
-					outs[j].flight = obs.NewFlightRecorder(baseFlight.Cap())
-					c.Flight = outs[j].flight
-				}
-				start := time.Now()
-				res := runners[e].Run(c)
-				outs[j].res = res
-				outs[j].wall = time.Since(start)
+	Pool(nJobs, opts.Parallel, func(j int) {
+		e, r := j/reps, j%reps
+		c := cfg
+		c.Seed = cfg.Seed + int64(r)
+		c.Obs = obs.Nop()
+		c.Flight = nil
+		if baseReg != nil || baseTracer != nil {
+			o := &outs[j]
+			if baseReg != nil {
+				o.reg = obs.NewRegistry()
 			}
-		}()
-	}
-	for j := 0; j < nJobs; j++ {
-		next <- j
-	}
-	close(next)
-	wg.Wait()
+			if baseTracer != nil {
+				o.tracer = obs.NewTracer(baseTracer.Cap())
+			}
+			c.Obs = obs.New(o.reg, o.tracer)
+		}
+		if baseFlight != nil {
+			outs[j].flight = obs.NewFlightRecorder(baseFlight.Cap())
+			c.Flight = outs[j].flight
+		}
+		start := time.Now()
+		res := runners[e].Run(c)
+		outs[j].res = res
+		outs[j].wall = time.Since(start)
+	})
 
 	// Fold per-job telemetry in job order — deterministic regardless of
 	// which worker finished when.

@@ -7,7 +7,6 @@
 package fleet
 
 import (
-	"math"
 	"strconv"
 	"strings"
 
@@ -31,10 +30,7 @@ func (c *Controller) canaryCohort() []*Member {
 		}
 	}
 	k := c.cfg.CanaryCount
-	if k <= 0 {
-		k = int(math.Ceil(c.cfg.CanaryFraction * float64(len(eligible))))
-	}
-	if k <= 0 || k >= len(eligible) {
+	if k >= len(eligible) {
 		return nil
 	}
 	return eligible[:k]
@@ -86,9 +82,9 @@ func (c *Controller) memberHealth(m *Member, deltas []obs.SeriesDelta) string {
 		return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_degraded_total") && match(d.Name)
 	})
 	switch {
-	case goodput.N > 0 && goodput.Before > 0 && goodput.After/goodput.Before < c.cfg.CanaryMinGoodputRatio:
+	case goodput.N > 0 && goodput.Before > 0 && goodput.After/goodput.Before < canaryMinGoodputRatio:
 		return "goodput"
-	case latency.N > 0 && latency.Before > 0 && latency.After/latency.Before > c.cfg.CanaryMaxLatencyRatio:
+	case latency.N > 0 && latency.Before > 0 && latency.After/latency.Before > canaryMaxLatencyRatio:
 		return "latency"
 	case degraded.N > 0 && degraded.After > degraded.Before:
 		return "degraded"

@@ -62,18 +62,12 @@ type Config struct {
 	// MaxConcurrentInstalls bounds how many member installs may be in
 	// flight simultaneously during a fan-out wave. Zero means 4.
 	MaxConcurrentInstalls int
-	// NamePrefix names generated snapshot modules (suffix is the epoch).
-	// Zero means "fleet".
-	NamePrefix string
 
 	// CanaryCount stages each minted epoch to the first CanaryCount
 	// non-pinned members (lowest indices — deterministic per §4d) before
-	// releasing the rest. Zero defers to CanaryFraction; if both are zero,
-	// or the cohort would cover the whole fleet, epochs fan out unstaged.
+	// releasing the rest. If it is zero, or the cohort would cover the whole
+	// fleet, epochs fan out unstaged.
 	CanaryCount int
-	// CanaryFraction stages ceil(fraction × eligible members) canaries when
-	// CanaryCount is zero.
-	CanaryFraction float64
 	// CanaryWindow is how long the controller observes the canary cohort
 	// before the verdict, and how far back the pre-install baseline window
 	// reaches. Zero disables staging entirely.
@@ -82,15 +76,19 @@ type Config struct {
 	// recorder (or one with no matching series) makes verdicts pass
 	// fail-open — the gate cannot see, so it does not block.
 	Flight *obs.FlightRecorder
-	// CanaryMinGoodputRatio fails the verdict when a canary's query rate
-	// over the observation window drops below this fraction of its
-	// pre-install rate. Zero means 0.9.
-	CanaryMinGoodputRatio float64
-	// CanaryMaxLatencyRatio fails the verdict when a canary's query-latency
-	// p99 estimate grows beyond this multiple of its pre-install value.
-	// Zero means 1.5.
-	CanaryMaxLatencyRatio float64
 }
+
+const (
+	// namePrefix names generated snapshot modules (suffix is the epoch).
+	namePrefix = "fleet"
+	// canaryMinGoodputRatio fails the verdict when a canary's query rate
+	// over the observation window drops below this fraction of its
+	// pre-install rate.
+	canaryMinGoodputRatio = 0.9
+	// canaryMaxLatencyRatio fails the verdict when a canary's query-latency
+	// p99 estimate grows beyond this multiple of its pre-install value.
+	canaryMaxLatencyRatio = 1.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.BatchInterval <= 0 {
@@ -102,22 +100,13 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrentInstalls <= 0 {
 		c.MaxConcurrentInstalls = 4
 	}
-	if c.NamePrefix == "" {
-		c.NamePrefix = "fleet"
-	}
-	if c.CanaryMinGoodputRatio <= 0 {
-		c.CanaryMinGoodputRatio = 0.9
-	}
-	if c.CanaryMaxLatencyRatio <= 0 {
-		c.CanaryMaxLatencyRatio = 1.5
-	}
 	return c
 }
 
 // staged reports whether canary gating is configured at all (the per-wave
 // cohort can still degenerate to unstaged when it would cover the fleet).
 func (c Config) staged() bool {
-	return c.CanaryWindow > 0 && (c.CanaryCount > 0 || c.CanaryFraction > 0)
+	return c.CanaryWindow > 0 && c.CanaryCount > 0
 }
 
 // Stats is a snapshot of the controller's counters.
@@ -440,7 +429,7 @@ func (c *Controller) Start() error {
 	if len(c.members) == 0 {
 		return fmt.Errorf("fleet: no members enrolled")
 	}
-	mod, err := codegen.Build(quant.Quantize(c.freezer.Freeze(), c.coreCfg.Quant), c.cfg.NamePrefix+"_1")
+	mod, err := codegen.Build(quant.Quantize(c.freezer.Freeze(), c.coreCfg.Quant), namePrefix+"_1")
 	if err != nil {
 		return fmt.Errorf("fleet: initial snapshot: %w", err)
 	}
@@ -667,7 +656,7 @@ func (c *Controller) buildAndFanOut() {
 		return
 	}
 	next := c.lastMinted + 1
-	name := c.cfg.NamePrefix + "_" + strconv.FormatInt(next, 10)
+	name := namePrefix + "_" + strconv.FormatInt(next, 10)
 	mod, err := codegen.Build(quant.Quantize(c.freezer.Freeze(), c.coreCfg.Quant), name)
 	if err != nil {
 		// The next converged round retries with a fresh freeze.

@@ -25,17 +25,11 @@ import (
 // with errors.Is.
 var ErrChannelClosed = errors.New("netlink: channel closed")
 
-// MsgKind distinguishes the two record types the paper sends over netlink.
+// MsgKind is the record type of a kernel→userspace message.
 type MsgKind int
 
-// Message kinds (paper §4.2: "two types of messages are transferred").
-const (
-	// KindSample carries newly collected training data for online
-	// adaptation.
-	KindSample MsgKind = iota
-	// KindFidelity carries snapshot outputs for necessity evaluation.
-	KindFidelity
-)
+// KindSample carries newly collected training data for online adaptation.
+const KindSample MsgKind = 0
 
 // Message is one record crossing the boundary.
 type Message struct {
@@ -299,7 +293,10 @@ func (c *Channel) tick() {
 // SendToKernel models a userspace→kernel transfer of payloadBytes (snapshot
 // parameters, evaluation queries), invoking done in the kernel after costs
 // and latency. The transition is softirq work; the copy is kernel work. It
-// returns ErrChannelClosed (and never invokes done) after Close.
+// returns ErrChannelClosed (and never invokes done) after Close. The second
+// of the paper's netlink message types (§4.2: "two types of messages are
+// transferred"), snapshot outputs for necessity evaluation, is this downcall
+// and its reply, not a Message kind.
 func (c *Channel) SendToKernel(payloadBytes int, done func()) error {
 	if c.closed {
 		return ErrChannelClosed

@@ -293,9 +293,6 @@ func (e *Engine) AddPartition() *Engine {
 	return p
 }
 
-// Partition returns this view's partition index (0 for the root view).
-func (e *Engine) Partition() int { return e.id }
-
 // Partitions returns the number of partitions.
 func (e *Engine) Partitions() int { return len(e.co.parts) }
 

@@ -204,9 +204,6 @@ func (l *Link) SetRate(bps int64) {
 	l.rate = bps
 }
 
-// Delay returns the one-way propagation delay.
-func (l *Link) Delay() Time { return l.delay }
-
 // Queue returns the attached queueing discipline, for inspection (queue
 // length sampling in the Figure 1b experiment) or reconfiguration.
 func (l *Link) Queue() Queue { return l.queue }

@@ -107,25 +107,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// ObserveN records n identical samples in one locked update — O(1) in n.
-// QueryModelBatch uses it so telemetry for an n-query batch costs the same
-// as for a single query. Bucket counts and the exact sum match n Observe
-// calls; the running summary matches up to float association (stats.AddN).
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if h == nil || n <= 0 {
-		return
-	}
-	h.mu.Lock()
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i] += n
-	h.sum += v * float64(n)
-	h.summary.AddN(v, int(n))
-	h.mu.Unlock()
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -277,23 +277,18 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 }
 
 // TestEvictionCounterAndWarning: satellite contract — ring overflow is
-// visible as liteflow_trace_evicted_total, the one-time callback fires on
-// first eviction only, and exports prepend a single synthetic warning event.
+// visible as liteflow_trace_evicted_total, and exports prepend a single
+// synthetic warning event.
 func TestEvictionCounterAndWarning(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(4)
 	sc := obs.New(reg, tr)
 
-	var warnings int
-	tr.SetOnFirstEviction(func() { warnings++ })
 	for i := 0; i < 10; i++ {
 		sc.Event("c", "n", int64(i))
 	}
 	if tr.Evicted() != 6 {
 		t.Fatalf("evicted = %d, want 6", tr.Evicted())
-	}
-	if warnings != 1 {
-		t.Fatalf("first-eviction callback fired %d times, want 1", warnings)
 	}
 	if !strings.Contains(string(reg.PrometheusText()), "liteflow_trace_evicted_total 6") {
 		t.Fatalf("eviction counter missing from exposition:\n%s", reg.PrometheusText())

@@ -53,10 +53,6 @@ type Tracer struct {
 	// (liteflow_trace_evicted_total) when the tracer is bound to one via
 	// New, so silent ring overflow is visible in /metrics.
 	evictedCounter *Counter
-	// onFirstEvict fires once, the first time this tracer evicts — the
-	// CLIs use it to warn on stderr the moment history starts being lost.
-	onFirstEvict func()
-	evictWarned  bool
 }
 
 // NewTracer returns a tracer retaining up to capacity events
@@ -74,7 +70,6 @@ func (t *Tracer) Emit(e Event) {
 		return
 	}
 	t.mu.Lock()
-	var firstEvict func()
 	if t.n < len(t.buf) {
 		t.buf[(t.start+t.n)%len(t.buf)] = e
 		t.n++
@@ -83,15 +78,8 @@ func (t *Tracer) Emit(e Event) {
 		t.start = (t.start + 1) % len(t.buf)
 		t.evicted++
 		t.evictedCounter.Inc()
-		if !t.evictWarned {
-			t.evictWarned = true
-			firstEvict = t.onFirstEvict
-		}
 	}
 	t.mu.Unlock()
-	if firstEvict != nil {
-		firstEvict()
-	}
 }
 
 // bindEvictedCounter mirrors the eviction count into c from now on, seeding
@@ -103,17 +91,6 @@ func (t *Tracer) bindEvictedCounter(c *Counter) {
 	t.mu.Lock()
 	t.evictedCounter = c
 	c.Add(t.evicted)
-	t.mu.Unlock()
-}
-
-// SetOnFirstEviction registers fn to run once, when the tracer first evicts
-// an event. The callback runs outside the tracer lock and must not Emit.
-func (t *Tracer) SetOnFirstEviction(fn func()) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.onFirstEvict = fn
 	t.mu.Unlock()
 }
 
@@ -168,7 +145,6 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	t.start, t.n, t.evicted = 0, 0, 0
-	t.evictWarned = false
 	t.mu.Unlock()
 }
 

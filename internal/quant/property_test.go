@@ -99,51 +99,6 @@ func TestInferWithMatchesInfer(t *testing.T) {
 	}
 }
 
-// TestInferBatchMatchesSequential: the strided batch path must equal n
-// sequential Infer calls exactly, for any batch size.
-func TestInferBatchMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
-		net := randomNet(r)
-		p := Quantize(net, DefaultConfig())
-		is, os := p.InputSize(), p.OutputSize()
-		n := 1 + r.Intn(17)
-		ins := make([]int64, n*is)
-		for q := 0; q < n; q++ {
-			p.QuantizeInput(randomInput(r, is), ins[q*is:(q+1)*is])
-		}
-		want := make([]int64, n*os)
-		for q := 0; q < n; q++ {
-			p.Infer(ins[q*is:(q+1)*is], want[q*os:(q+1)*os])
-		}
-		got := make([]int64, n*os)
-		p.InferBatch(p.NewArena(), ins, got, n)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("trial %d (batch %d): out[%d] = %d, sequential = %d", trial, n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestInferBatchSizePanics: mis-sized batch buffers must panic like the
-// single-shot path, not read out of bounds.
-func TestInferBatchSizePanics(t *testing.T) {
-	net := nn.New([]int{3, 4, 2}, []nn.Activation{nn.Tanh, nn.Linear}, 1)
-	p := Quantize(net, DefaultConfig())
-	a := p.NewArena()
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanic("short input", func() { p.InferBatch(a, make([]int64, 3), make([]int64, 4), 2) })
-	expectPanic("short output", func() { p.InferBatch(a, make([]int64, 6), make([]int64, 2), 2) })
-}
-
 // TestConcurrentInferWithPrivateArenas: one immutable Program, many
 // goroutines, one arena each — results must equal the serial ones. Run under
 // -race in CI, this is the quant half of the parallel-harness guarantee.
@@ -220,7 +175,7 @@ func TestTaylorErrorBoundsExtremeInputs(t *testing.T) {
 
 // FuzzQuantizeExecute derives a random network and input from the fuzz
 // corpus and checks a quantize→execute absolute error bound plus agreement of
-// Infer, InferWith and InferBatch with the reference loop — under the default
+// Infer and InferWith with the reference loop — under the default
 // config and, for the kernel only, one whose LUT spans make lookup divide.
 func FuzzQuantizeExecute(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(5), uint8(3))

@@ -21,7 +21,7 @@
 // process-wide by those values and shared, read-only, between layers and
 // Programs: re-quantizing a retuned network only rounds its weights.
 //
-// Inference is one kernel (inferInto): per layer a dense step over a
+// Inference is one kernel (InferWith): per layer a dense step over a
 // contiguous weight slab, four rows at a time, then one activation pass over
 // the finished accumulators. DESIGN.md §4k "Snapshot execution" says why it
 // computes, bit for bit, what the plain loop kept in reference_test.go does.
@@ -85,8 +85,7 @@ type Layer struct {
 
 	w []int64 // the slab: row i is w[i*In : (i+1)*In]
 
-	inScale  int64 // scale of this layer's inputs
-	accScale int64 // inScale·weightScale: scale of the accumulator
+	accScale int64 // input scale · weightScale: scale of the accumulator
 	outScale int64 // scale of this layer's outputs
 
 	// LUT for tanh/sigmoid: entry i is the activation, at outScale, of the
@@ -101,9 +100,6 @@ type Layer struct {
 	// otherwise; interpolation then shifts and masks instead of dividing.
 	tblShift uint
 }
-
-// InScale returns the fixed-point scale of the layer's inputs.
-func (l *Layer) InScale() int64 { return l.inScale }
 
 // AccScale returns the fixed-point scale of the layer's accumulator
 // (inScale · weightScale).
@@ -138,8 +134,8 @@ var identChars = strings.NewReplacer(".", "p", "-", "m", "+", "")
 // Program is an executable integer snapshot of a float network. The struct
 // itself is immutable after Quantize; all mutable execution state lives in an
 // Arena, so one Program can serve many goroutines concurrently as long as
-// each supplies its own Arena (InferWith/InferBatch). The convenience Infer
-// method uses a Program-owned arena and therefore remains single-threaded.
+// each supplies its own Arena (InferWith). The convenience Infer method uses
+// a Program-owned arena and therefore remains single-threaded.
 type Program struct {
 	Layers      []*Layer
 	InputScale  int64
@@ -147,7 +143,7 @@ type Program struct {
 
 	macs     int
 	maxWidth int
-	arena    Arena // backs Infer; not used by InferWith/InferBatch
+	arena    Arena // backs Infer; not used by InferWith
 }
 
 // Arena is the reusable scratch an inference needs: two ping-pong activation
@@ -207,7 +203,6 @@ func Quantize(net *nn.Network, cfg Config) *Program {
 		}
 		l := &Layer{
 			In: fl.In, Out: fl.Out, Act: fl.Act,
-			inScale:  inScale,
 			accScale: accScale,
 			outScale: outScale,
 		}
@@ -351,11 +346,6 @@ func (p *Program) InferWith(a *Arena, in, out []int64) {
 		panic(fmt.Sprintf("quant: output size %d, want %d", len(out), p.OutputSize()))
 	}
 	a.Reserve(p.maxWidth)
-	p.inferInto(a, in, out)
-}
-
-// inferInto is the validated inner loop; a must already cover maxWidth.
-func (p *Program) inferInto(a *Arena, in, out []int64) {
 	cur := in
 	for li, l := range p.Layers {
 		dst := a.bufs[li%2][:l.Out]
@@ -410,26 +400,6 @@ func dot4(rows, x []int64) (a0, a1, a2, a3 int64) {
 		a3 += r3[j] * xj
 	}
 	return
-}
-
-// InferBatch runs n inferences over densely packed rows: in holds n
-// consecutive input vectors (stride InputSize) and out receives n consecutive
-// output vectors (stride OutputSize). Results are identical to n sequential
-// Infer calls; the batch form exists so datapath callers amortize the lookup
-// and CPU-accounting overhead per batch instead of per query, and performs
-// zero heap allocations in steady state.
-func (p *Program) InferBatch(a *Arena, in, out []int64, n int) {
-	is, os := p.InputSize(), p.OutputSize()
-	if len(in) != n*is {
-		panic(fmt.Sprintf("quant: batch input len %d, want %d×%d", len(in), n, is))
-	}
-	if len(out) != n*os {
-		panic(fmt.Sprintf("quant: batch output len %d, want %d×%d", len(out), n, os))
-	}
-	a.Reserve(p.maxWidth)
-	for q := 0; q < n; q++ {
-		p.inferInto(a, in[q*is:(q+1)*is], out[q*os:(q+1)*os])
-	}
 }
 
 // activate converts, in place, a layer's finished accumulators (scale

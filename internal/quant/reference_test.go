@@ -73,14 +73,12 @@ func nonPow2Config() Config {
 	return cfg
 }
 
-// checkAgainstReference runs in through Infer, InferWith (fresh arena) and
-// InferBatch (the input three times over) and requires all of them to equal
-// referenceInfer.
+// checkAgainstReference runs in through Infer and InferWith (fresh arena) and
+// requires both to equal referenceInfer.
 func checkAgainstReference(t *testing.T, p *Program, in []int64, what string) {
 	t.Helper()
 	want := referenceInfer(p, in)
-	os := p.OutputSize()
-	got := make([]int64, os)
+	got := make([]int64, p.OutputSize())
 	p.Infer(in, got)
 	if !slices.Equal(got, want) {
 		t.Errorf("%s: Infer = %v, reference = %v", what, got, want)
@@ -89,14 +87,6 @@ func checkAgainstReference(t *testing.T, p *Program, in []int64, what string) {
 	p.InferWith(&Arena{}, in, got)
 	if !slices.Equal(got, want) {
 		t.Errorf("%s: InferWith = %v, reference = %v", what, got, want)
-	}
-	const n = 3
-	batch := make([]int64, n*os)
-	p.InferBatch(p.NewArena(), slices.Concat(in, in, in), batch, n)
-	for q := 0; q < n; q++ {
-		if !slices.Equal(batch[q*os:(q+1)*os], want) {
-			t.Errorf("%s: InferBatch row %d = %v, reference = %v", what, q, batch[q*os:(q+1)*os], want)
-		}
 	}
 }
 

@@ -2,11 +2,13 @@ package rig
 
 import (
 	"math/rand"
+	"strconv"
 
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/fleet"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
+	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
@@ -131,6 +133,9 @@ func NewFleet(o FleetOpts) *Fleet {
 	if hostsPerLeaf < 1 {
 		hostsPerLeaf = 1
 	}
+	// One partition: the controller schedules install callbacks and
+	// aggregation ticks straight onto member CPUs, which is exactly the
+	// cross-partition scheduling a windowed run forbids (DESIGN.md §4h).
 	fabric := NewFabric(0, topo.DefaultSpineLeafOpts(hostsPerLeaf), 4, sc)
 	eng := fabric.Eng
 	costs := ksim.DefaultCosts()
@@ -142,34 +147,38 @@ func NewFleet(o FleetOpts) *Fleet {
 	}}
 	ccfg := core.DefaultConfig()
 	ccfg.FlowCacheShards = o.CacheShards
-	spec := topo.FleetSpec{Costs: costs, Core: ccfg, Fleet: fleet.Config{
+	fcfg := fleet.Config{
 		BatchInterval:         o.Agg,
 		AggregationInterval:   o.Agg,
 		MaxConcurrentInstalls: 2,
-	}}
+	}
 	if o.CanaryCount > 0 {
-		spec.Fleet.CanaryCount = o.CanaryCount
-		spec.Fleet.CanaryWindow = o.CanaryWindow
-		if spec.Fleet.CanaryWindow <= 0 {
-			spec.Fleet.CanaryWindow = 4 * o.Agg
+		fcfg.CanaryCount = o.CanaryCount
+		fcfg.CanaryWindow = o.CanaryWindow
+		if fcfg.CanaryWindow <= 0 {
+			fcfg.CanaryWindow = 4 * o.Agg
 		}
-		spec.Fleet.Flight = fr
+		fcfg.Flight = fr
 	}
-	// Every member core's watchdog: a few missed batch intervals mean the slow
-	// path is dark for this member, so degrade instead of waiting on a
-	// half-installed standby.
-	spec.CoreOptions = func(int) []opt.Option {
-		return []opt.Option{opt.WithWatchdog(opt.Watchdog{Window: int64(4 * o.Agg)})}
-	}
-	if o.OddFaults.Active() {
-		spec.MemberOptions = func(host int) []opt.Option {
-			if host%2 == 0 {
-				return nil
-			}
-			return []opt.Option{opt.WithFaults(fault.New(o.OddFaults, o.Seed*1009+int64(host), sc))}
+	f.Ctrl = fleet.New(eng, ccfg, f.User, f.User, f.User, fcfg, opt.WithScope(sc))
+	// Every host gets a core.Core + netlink.Channel pair on its own CPU,
+	// enrolled in ascending host order (the deterministic merge order of
+	// DESIGN.md §4d), its telemetry labelled host="<i>" like the CPU scopes.
+	for i, h := range fabric.Hosts {
+		hsc := opt.WithScope(sc.With(obs.Label{Key: "host", Value: strconv.Itoa(i)}))
+		// The member core's watchdog: a few missed batch intervals mean the
+		// slow path is dark for this member, so degrade instead of waiting on
+		// a half-installed standby.
+		co := core.NewCore(eng, h.CPU, costs, ccfg, hsc, opt.WithWatchdog(opt.Watchdog{Window: int64(4 * o.Agg)}))
+		ch := netlink.NewChannel(eng, h.CPU, costs, nil, hsc)
+		var memberOpts []opt.Option
+		if o.OddFaults.Active() && i%2 == 1 {
+			memberOpts = []opt.Option{opt.WithFaults(fault.New(o.OddFaults, o.Seed*1009+int64(i), sc))}
+		}
+		if _, err := f.Ctrl.AddMember(co, ch, memberOpts...); err != nil {
+			panic("rig: fleet member " + strconv.Itoa(i) + ": " + err.Error())
 		}
 	}
-	f.Ctrl = fabric.ProvisionFleet(spec, f.User, f.User, f.User, opt.WithScope(sc))
 	if err := f.Ctrl.Start(); err != nil {
 		panic("rig: fleet: " + err.Error())
 	}

@@ -41,19 +41,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// AddN records n identical samples in O(1), equivalent (up to float
-// association) to calling Add(x) n times. It exists for batch telemetry:
-// a batch of n queries sharing one modeled cost observes the histogram once
-// instead of n times.
-func (s *Summary) AddN(x float64, n int) {
-	if n <= 0 {
-		return
-	}
-	// A run of n identical samples is a summary with zero variance; folding
-	// it in via the parallel Welford combination handles the cross terms.
-	s.Merge(Summary{n: n, mean: x, m2: 0, min: x, max: x})
-}
-
 // Merge folds another summary into s using the parallel Welford combination
 // (Chan et al.), as if every sample of o had been Add-ed to s. Merging in a
 // fixed order is deterministic, which the telemetry merge relies on.
@@ -241,9 +228,6 @@ func (ts *TimeSeries) Add(t int64, v float64) {
 
 // NumBins returns the number of bins touched so far.
 func (ts *TimeSeries) NumBins() int { return len(ts.bins) }
-
-// BinWidth returns the configured bin width in nanoseconds.
-func (ts *TimeSeries) BinWidth() int64 { return ts.binWidth }
 
 // Sum returns the accumulated value of bin i (0 for untouched bins in range).
 func (ts *TimeSeries) Sum(i int) float64 {

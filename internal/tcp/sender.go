@@ -179,9 +179,6 @@ func (s *Sender) Push(n int64, tag int64) {
 	}
 }
 
-// Pushed returns the cumulative bytes handed to an app-limited sender.
-func (s *Sender) Pushed() int64 { return s.appBytes }
-
 // AckedBytes returns the cumulative payload bytes acknowledged.
 func (s *Sender) AckedBytes() int64 { return s.ackedBytes }
 

@@ -7,10 +7,7 @@ package topo
 import (
 	"strconv"
 
-	"github.com/liteflow-sim/liteflow/internal/core"
-	"github.com/liteflow-sim/liteflow/internal/fleet"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
-	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/opt"
@@ -163,60 +160,6 @@ func (t *SpineLeaf) ProvisionCPUs(cores int, costs ksim.Costs, options ...opt.Op
 		hsc := h.Eng.PartitionScope(scope.With(obs.Label{Key: "host", Value: strconv.Itoa(i)}))
 		h.AttachCPU(ksim.NewHostCPU(h.Eng, cores, opt.WithScope(hsc)), costs)
 	}
-}
-
-// FleetSpec configures ProvisionFleet: one fleet.Controller slow path serving
-// a per-host kernel datapath on every fabric host.
-type FleetSpec struct {
-	Costs ksim.Costs
-	// Core is the per-member datapath config; its gate parameters also drive
-	// the controller (see fleet.New).
-	Core core.Config
-	// Fleet tunes the distribution plane (batch/aggregation cadence, install
-	// concurrency).
-	Fleet fleet.Config
-	// CoreOptions, when non-nil, supplies extra per-host options for the
-	// member core (e.g. opt.WithWatchdog). MemberOptions, when non-nil,
-	// supplies per-member enrollment options (e.g. opt.WithFaults).
-	CoreOptions   func(host int) []opt.Option
-	MemberOptions func(host int) []opt.Option
-}
-
-// ProvisionFleet builds a fleet.Controller over the fabric: every host gets a
-// core.Core + netlink.Channel pair on its own CPU, enrolled in ascending host
-// order (the deterministic merge order of DESIGN.md §4d). Hosts must already
-// have CPUs — call ProvisionCPUs first; the netlink channel charges kernel
-// work to them. Per-host telemetry is labelled host="<id>" like the CPU
-// scopes. The caller starts the plane with Controller.Start.
-func (t *SpineLeaf) ProvisionFleet(spec FleetSpec, f core.Freezer, e core.Evaluator, a core.Adapter, options ...opt.Option) *fleet.Controller {
-	if t.Eng.Partitions() > 1 {
-		// The fleet plane schedules onto member CPUs from the controller's
-		// partition (install callbacks, aggregation ticks); that cross-
-		// partition scheduling is exactly what windowed execution forbids.
-		panic("topo: ProvisionFleet requires a classic engine (netsim.NewEngine), not a partitioned one")
-	}
-	scope := opt.Resolve(options).Scope
-	ctrl := fleet.New(t.Eng, spec.Core, f, e, a, spec.Fleet, opt.WithScope(scope))
-	for i, h := range t.Hosts {
-		if h.CPU == nil {
-			panic("topo: ProvisionFleet host " + strconv.Itoa(i) + " has no CPU; call ProvisionCPUs first")
-		}
-		hsc := scope.With(obs.Label{Key: "host", Value: strconv.Itoa(i)})
-		coreOpts := []opt.Option{opt.WithScope(hsc)}
-		if spec.CoreOptions != nil {
-			coreOpts = append(coreOpts, spec.CoreOptions(i)...)
-		}
-		co := core.NewCore(t.Eng, h.CPU, spec.Costs, spec.Core, coreOpts...)
-		ch := netlink.NewChannel(t.Eng, h.CPU, spec.Costs, nil, opt.WithScope(hsc))
-		var memberOpts []opt.Option
-		if spec.MemberOptions != nil {
-			memberOpts = spec.MemberOptions(i)
-		}
-		if _, err := ctrl.AddMember(co, ch, memberOpts...); err != nil {
-			panic("topo: ProvisionFleet member " + strconv.Itoa(i) + ": " + err.Error())
-		}
-	}
-	return ctrl
 }
 
 // Dumbbell is the testbed analog used by the CC experiments: sender hosts

@@ -3,11 +3,8 @@ package topo
 import (
 	"testing"
 
-	"github.com/liteflow-sim/liteflow/internal/core"
-	"github.com/liteflow-sim/liteflow/internal/fleet"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
-	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 )
 
@@ -208,59 +205,4 @@ func TestDumbbellAttachCPUs(t *testing.T) {
 	if d.Senders[0].CPU == nil || d.UDPHost.CPU == nil {
 		t.Error("CPUs not attached")
 	}
-}
-
-// fleetTestUser is a minimal Freezer/Evaluator/Adapter for ProvisionFleet.
-type fleetTestUser struct{ net *nn.Network }
-
-func (u fleetTestUser) Freeze() *nn.Network          { return u.net }
-func (u fleetTestUser) Stability() float64           { return 1 }
-func (u fleetTestUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
-func (u fleetTestUser) Adapt([]core.Sample)          {}
-
-func TestProvisionFleet(t *testing.T) {
-	eng := netsim.NewEngine()
-	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(2)) // 4 hosts
-	sl.ProvisionCPUs(4, ksim.DefaultCosts())
-	u := fleetTestUser{nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 7)}
-	ctrl := sl.ProvisionFleet(FleetSpec{
-		Costs: ksim.DefaultCosts(),
-		Core:  core.DefaultConfig(),
-		Fleet: fleet.Config{BatchInterval: 10 * netsim.Millisecond},
-	}, u, u, u)
-	if err := ctrl.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Stop()
-	if got := len(ctrl.Members()); got != len(sl.Hosts) {
-		t.Fatalf("members = %d, want one per host (%d)", got, len(sl.Hosts))
-	}
-	for i, m := range ctrl.Members() {
-		if m.Core.Models() != 1 {
-			t.Errorf("member %d: %d models resident, want the provisioned snapshot", i, m.Core.Models())
-		}
-		if m.Epoch() != 1 {
-			t.Errorf("member %d: epoch %d, want 1", i, m.Epoch())
-		}
-	}
-	// A sample pushed on a member channel must reach the controller's pool.
-	ctrl.Members()[2].Chan.Push(core.EncodeSample(core.Sample{
-		Input: []float64{0.1, 0.2, 0.3, 0.4}, At: eng.Now(),
-	}))
-	eng.RunUntil(25 * netsim.Millisecond)
-	if st := ctrl.Stats(); st.Batches != 1 || st.Samples != 1 {
-		t.Errorf("controller saw %d batches / %d samples, want 1/1", st.Batches, st.Samples)
-	}
-}
-
-func TestProvisionFleetRequiresCPUs(t *testing.T) {
-	eng := netsim.NewEngine()
-	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ProvisionFleet without CPUs must panic")
-		}
-	}()
-	u := fleetTestUser{nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 7)}
-	sl.ProvisionFleet(FleetSpec{Costs: ksim.DefaultCosts(), Core: core.DefaultConfig()}, u, u, u)
 }
