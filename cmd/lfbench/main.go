@@ -13,8 +13,10 @@
 //
 // Reports and telemetry are deterministic: for a fixed -seed/-scale the
 // stdout bytes and -trace/-metrics-out exports are identical regardless of
-// -parallel. Wall-clock timing (median/p95 across reps) goes to stderr so
-// comparable output stays comparable.
+// -parallel, and the stdout bytes do not depend on whether
+// -trace/-metrics-out/-flight-out is given either. Wall-clock timing
+// (median/p95 across reps) goes to stderr so comparable output stays
+// comparable.
 //
 // Performance tracking lives in the repo's benchmark, not here: see
 // bench/README.md (go run ./bench, go run ./bench -compare).

@@ -109,6 +109,26 @@ func TestLfbenchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestLfbenchTelemetryIsPassive is the CLI twin of the experiments package's
+// TestTelemetryIsPassive: asking for an export changes no report byte. fig14
+// builds ten adaptation rigs under one scope and reports each one's update
+// count, which used to be the running total of all rigs before it.
+func TestLfbenchTelemetryIsPassive(t *testing.T) {
+	report := func(extra ...string) string {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-exp", "fig14", "-scale", "0.02", "-seed", "3"}, extra...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run %v exited %d\nstderr: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	without := report()
+	with := report("-metrics-out", filepath.Join(t.TempDir(), "metrics.prom"))
+	if without == "" || without != with {
+		t.Errorf("stdout differs with -metrics-out:\n--- without\n%s\n--- with\n%s", without, with)
+	}
+}
+
 // TestLfbenchFlightParallelMatchesSerial: the flight recording (and the span
 // trace it rides with) must be byte-identical regardless of -parallel — the
 // §4d obligation extended to -flight-out.

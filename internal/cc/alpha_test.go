@@ -295,7 +295,6 @@ func (m *oracleAlpha) CwndBytes() int {
 type oracleMI struct {
 	oracleAcc
 	delta            float64
-	fixedMI          netsim.Time
 	minRate, maxRate int64
 	rate             int64
 }
@@ -307,9 +306,6 @@ func (m *oracleMI) Start(now netsim.Time) {
 }
 
 func (m *oracleMI) miDuration() netsim.Time {
-	if m.fixedMI > 0 {
-		return m.fixedMI
-	}
 	d := m.srtt
 	if d < m.minMI {
 		d = m.minMI
@@ -531,34 +527,32 @@ func TestAlphaControllerMatchesFrozenOracle(t *testing.T) {
 }
 
 // TestMIControllerMatchesFrozenOracle is the same script under the rate-step
-// law, RTT-tracking and with FixedMI, with MinRate and MaxRate both reached.
+// law, with MinRate and MaxRate both reached.
 func TestMIControllerMatchesFrozenOracle(t *testing.T) {
 	actions := []float64{0.7, 1, 2, -0.5, -2, -1, -1, 0, 1, 0.3}
-	for _, fixed := range []netsim.Time{0, 3 * netsim.Millisecond} {
-		var product *MIController
-		got := miScript(actions, func(eng *netsim.Engine, b Backend, on func([]float64, float64, MISummary)) tcp.CongestionControl {
-			product = NewMIController(eng, b, 100_000_000)
-			product.Delta, product.MinRate, product.MaxRate, product.FixedMI = 0.25, 90_000_000, 160_000_000, fixed
-			product.OnState = on
-			return product
-		})
-		var oracle *oracleMI
-		want := miScript(actions, func(eng *netsim.Engine, b Backend, on func([]float64, float64, MISummary)) tcp.CongestionControl {
-			oracle = &oracleMI{delta: 0.25, minRate: 90_000_000, maxRate: 160_000_000, fixedMI: fixed, rate: 100_000_000,
-				oracleAcc: oracleAcc{eng: eng, backend: b, minMI: 2 * netsim.Millisecond, minRTT: 1 << 62, onState: on}}
-			return oracle
-		})
-		compareMIRecords(t, got, want)
-		if product.MIs != oracle.mis {
-			t.Errorf("FixedMI %d: %d MIs, oracle %d", fixed, product.MIs, oracle.mis)
-		}
-		var sawLo, sawHi bool
-		for _, r := range got {
-			sawLo = sawLo || r.rate == 90_000_000
-			sawHi = sawHi || r.rate == 160_000_000
-		}
-		if !sawLo || !sawHi {
-			t.Errorf("FixedMI %d: script must reach MinRate and MaxRate (low %v, high %v)", fixed, sawLo, sawHi)
-		}
+	var product *MIController
+	got := miScript(actions, func(eng *netsim.Engine, b Backend, on func([]float64, float64, MISummary)) tcp.CongestionControl {
+		product = NewMIController(eng, b, 100_000_000)
+		product.Delta, product.MinRate, product.MaxRate = 0.25, 90_000_000, 160_000_000
+		product.OnState = on
+		return product
+	})
+	var oracle *oracleMI
+	want := miScript(actions, func(eng *netsim.Engine, b Backend, on func([]float64, float64, MISummary)) tcp.CongestionControl {
+		oracle = &oracleMI{delta: 0.25, minRate: 90_000_000, maxRate: 160_000_000, rate: 100_000_000,
+			oracleAcc: oracleAcc{eng: eng, backend: b, minMI: 2 * netsim.Millisecond, minRTT: 1 << 62, onState: on}}
+		return oracle
+	})
+	compareMIRecords(t, got, want)
+	if product.MIs != oracle.mis {
+		t.Errorf("%d MIs, oracle %d", product.MIs, oracle.mis)
+	}
+	var sawLo, sawHi bool
+	for _, r := range got {
+		sawLo = sawLo || r.rate == 90_000_000
+		sawHi = sawHi || r.rate == 160_000_000
+	}
+	if !sawLo || !sawHi {
+		t.Errorf("script must reach MinRate and MaxRate (low %v, high %v)", sawLo, sawHi)
 	}
 }

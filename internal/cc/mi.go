@@ -59,10 +59,6 @@ type monitor struct {
 	Backend Backend
 	// MinMI floors the monitor interval. Defaults to 2 ms.
 	MinMI netsim.Time
-	// FixedMI, when positive, pins the monitor interval to a constant
-	// instead of tracking the RTT — the UDT-Aurora mode of the Figure 2
-	// toy experiment, where the communication interval is the MI.
-	FixedMI netsim.Time
 
 	// OnState, when set, observes each (state, action, MI summary) — the
 	// paper's NN input collector feeding the slow path. Which value the law
@@ -133,9 +129,6 @@ func (m *monitor) Start(now netsim.Time) {
 func (m *monitor) Stop() { m.running = false }
 
 func (m *monitor) miDuration() netsim.Time {
-	if m.FixedMI > 0 {
-		return m.FixedMI
-	}
 	d := m.srtt
 	if d < m.MinMI {
 		d = m.MinMI
@@ -278,17 +271,14 @@ type MIController struct {
 	Delta float64
 	// MinRate/MaxRate clamp the pacing rate (bits/sec).
 	MinRate, MaxRate int64
-	// InitialRate is the rate before the first MI decision.
-	InitialRate int64
 }
 
 // NewMIController returns a controller with paper-calibrated defaults.
 func NewMIController(eng *netsim.Engine, backend Backend, initialRate int64) *MIController {
 	m := &MIController{
-		Delta:       0.05,
-		MinRate:     1_000_000,
-		MaxRate:     100_000_000_000,
-		InitialRate: initialRate,
+		Delta:   0.05,
+		MinRate: 1_000_000,
+		MaxRate: 100_000_000_000,
 	}
 	m.monitor = newMonitor(eng, backend, m, initialRate)
 	return m

@@ -436,9 +436,6 @@ func (c *Core) UnregisterIO(name string) error {
 	return nil
 }
 
-// IOModules returns the number of registered IO modules.
-func (c *Core) IOModules() int { return len(c.ios) }
-
 // QueryModel is lf_query_model, the unified inference interface: it resolves
 // the snapshot for the flow through the router (honoring the flow cache),
 // charges the kernel inference cost, and runs integer inference in to out.

@@ -266,8 +266,8 @@ func TestRegisterIOValidation(t *testing.T) {
 	if err := c.RegisterIO(testIO{name: "bad", in: 7, out: 1}); err == nil {
 		t.Error("dimension-mismatched IO must fail")
 	}
-	if c.IOModules() != 1 {
-		t.Errorf("IOModules = %d", c.IOModules())
+	if len(c.ios) != 1 {
+		t.Errorf("registered IO modules = %d", len(c.ios))
 	}
 	if err := c.UnregisterIO("cc"); err != nil {
 		t.Fatal(err)

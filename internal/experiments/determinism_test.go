@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/netsim"
@@ -92,70 +93,110 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	}
 }
 
+// suiteRun is one pass of every registered experiment at the golden
+// configuration, scale 0.02 and seed 3: the results in registry order and, for
+// a pass under live telemetry, the exports. Scale 0.02 keeps several
+// full-suite passes tractable in CI while still executing every experiment's
+// complete code path.
+type suiteRun struct {
+	results     []SuiteResult
+	prom, trace []byte
+}
+
+func goldenSuite(parallel int, live bool) suiteRun {
+	cfg := Config{Scale: 0.02, Seed: 3}
+	reg, tr := obs.NewRegistry(), obs.NewTracer(0)
+	if live {
+		cfg.Obs = obs.New(reg, tr)
+	}
+	run := suiteRun{results: RunSuite(All(), cfg, SuiteOptions{Parallel: parallel})}
+	if live {
+		var tb bytes.Buffer
+		tr.WriteChromeTrace(&tb)
+		run.prom, run.trace = reg.PrometheusText(), tb.Bytes()
+	}
+	return run
+}
+
+func (s suiteRun) report() string {
+	var b strings.Builder
+	for _, sr := range s.results {
+		b.WriteString(sr.Result.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// referenceSuite is the serial pass under a live registry and tracer, made
+// once for every suite-wide test that reads it.
+var referenceSuite = sync.OnceValue(func() suiteRun { return goldenSuite(1, true) })
+
 // TestGoldenSuiteSerialVsParallel is the determinism invariant of DESIGN.md
 // §4d, enforced over EVERY registered experiment: the full suite run through
 // the harness with -parallel 4 must produce byte-identical reports AND
 // byte-identical telemetry exports (Prometheus text + Chrome trace) to the
-// serial run. Scale 0.02 keeps the double full-suite run tractable in CI
-// while still executing every experiment's complete code path.
+// serial run.
 func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite golden run is slow; skipped with -short")
 	}
+	serial, par := referenceSuite(), goldenSuite(4, true)
 	// The suite must include the flow-churn experiment (#20) — its sharded
 	// cache and timing-wheel sweeper are exactly the structures whose
 	// iteration order could silently go nondeterministic — and the
 	// fleet-scale experiment (#21), whose index-ordered batch merge and
 	// bounded install queue are the distribution plane's §4d obligations.
+	covered := map[string]bool{}
+	for _, sr := range serial.results {
+		covered[sr.Result.ID] = true
+	}
 	for _, id := range []string{"flow-churn", "fleet-scale"} {
-		if _, ok := ByID(id); !ok {
-			t.Fatalf("%s missing from the registry; golden coverage would silently shrink", id)
+		if !covered[id] {
+			t.Fatalf("suite run did not execute %s; golden coverage would silently shrink", id)
 		}
 	}
-	runSuite := func(parallel int) (report string, prom, trace []byte) {
-		reg := obs.NewRegistry()
-		tr := obs.NewTracer(0)
-		cfg := Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr)}
-		var b bytes.Buffer
-		covered := map[string]bool{}
-		for _, sr := range RunSuite(All(), cfg, SuiteOptions{Parallel: parallel}) {
-			covered[sr.Result.ID] = true
-			b.WriteString(sr.Result.String())
-			b.WriteByte('\n')
-		}
-		for _, id := range []string{"flow-churn", "fleet-scale"} {
-			if !covered[id] {
-				t.Fatalf("suite run did not execute %s", id)
-			}
-		}
-		var tb bytes.Buffer
-		if err := tr.WriteChromeTrace(&tb); err != nil {
-			t.Fatal(err)
-		}
-		return b.String(), reg.PrometheusText(), tb.Bytes()
-	}
-	serialRep, serialProm, serialTrace := runSuite(1)
-	parRep, parProm, parTrace := runSuite(4)
-
-	if len(serialRep) == 0 || len(serialProm) == 0 || len(serialTrace) == 0 {
+	serialRep, parRep := serial.report(), par.report()
+	if len(serialRep) == 0 || len(serial.prom) == 0 || len(serial.trace) == 0 {
 		t.Fatal("empty suite output; golden comparison is vacuous")
 	}
 	const golden = "testdata/suite_scale0.02_seed3"
 	checkGolden(t, golden+".report.golden", []byte(serialRep))
-	checkGolden(t, golden+".prom.golden", serialProm)
-	checkGolden(t, golden+".trace.golden", serialTrace)
+	checkGolden(t, golden+".prom.golden", serial.prom)
+	checkGolden(t, golden+".trace.golden", serial.trace)
 
 	if serialRep != parRep {
 		t.Errorf("suite report differs between serial and -parallel 4 runs")
 		diffFirstLine(t, serialRep, parRep)
 	}
-	if !bytes.Equal(serialProm, parProm) {
+	if !bytes.Equal(serial.prom, par.prom) {
 		t.Errorf("Prometheus export differs between serial and -parallel 4 runs")
-		diffFirstLine(t, string(serialProm), string(parProm))
+		diffFirstLine(t, string(serial.prom), string(par.prom))
 	}
-	if !bytes.Equal(serialTrace, parTrace) {
+	if !bytes.Equal(serial.trace, par.trace) {
 		t.Errorf("Chrome trace differs between serial and -parallel 4 runs (%d vs %d bytes)",
-			len(serialTrace), len(parTrace))
+			len(serial.trace), len(par.trace))
+	}
+}
+
+// TestTelemetryIsPassive: attaching a registry and a tracer changes no
+// report. Every registered experiment renders the same Result under obs.Nop()
+// as in the reference pass under live telemetry — which holds only if every
+// rig a figure builds counts into instruments of its own (obs.Fork), since
+// each component's Stats() reads the instruments it was handed.
+func TestTelemetryIsPassive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-suite run is slow; skipped with -short")
+	}
+	live, nop := referenceSuite(), goldenSuite(4, false)
+	if len(live.results) != len(All()) || len(nop.results) != len(All()) {
+		t.Fatalf("suite ran %d live and %d no-op experiments, registry has %d",
+			len(live.results), len(nop.results), len(All()))
+	}
+	for i, sr := range live.results {
+		if with, without := sr.Result.String(), nop.results[i].Result.String(); with != without {
+			t.Errorf("%s reports differently with telemetry attached", sr.Runner.ID)
+			diffFirstLine(t, without, with)
+		}
 	}
 }
 

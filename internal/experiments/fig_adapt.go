@@ -9,6 +9,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
+	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/opt"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/stats"
@@ -170,11 +171,15 @@ func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 	// The first background pattern is the model's training pattern (0.3 Gbps
 	// available); later ones free up bandwidth a frozen model cannot claim.
 	// Fault decision streams derive from the experiment seed, so faulted runs
-	// are as reproducible as clean ones.
+	// are as reproducible as clean ones. A figure runs several of these rigs
+	// under one cfg.Obs; each counts into a child of its own, so the stats it
+	// reports are its own (TestTelemetryIsPassive).
+	sc, _, join := obs.Fork(cfg.Obs, nil)
+	defer join()
 	d := rig.NewDumbbell(rig.DumbbellOpts{
 		Background: rig.SwitchedUDP, SwitchPeriod: switchPeriod, SwitchSeed: cfg.Seed + 7,
 		Faults: v.faults, FaultSeed: cfg.Seed + 11,
-		Scope: cfg.Obs,
+		Scope: sc,
 	})
 	eng, cpu := d.Eng, d.Sender.CPU
 

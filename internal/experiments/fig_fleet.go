@@ -146,11 +146,17 @@ func FigFleetScale(cfg Config) Result {
 
 	for _, members := range []int{2, 4, 8} {
 		for v, chaos := range []bool{false, true} {
+			// Six fleets under one cfg.Obs: each counts into a child of its
+			// own, so the stats it reports are its own
+			// (TestTelemetryIsPassive). They share the flight recorder, which
+			// samples whichever child is running.
+			sc, _, join := obs.Fork(cfg.Obs, nil)
 			r := RunFleetScenario(FleetScenarioOpts{
 				Members: members, Seed: cfg.Seed, Dur: dur, Chaos: chaos,
-				Obs: cfg.Obs, CacheShards: cfg.CacheShards,
+				Obs: sc, CacheShards: cfg.CacheShards,
 				Flight: cfg.Flight, FlightEvery: cfg.FlightEvery,
 			})
+			join()
 			x := float64(r.Members)
 			goodput[v].X = append(goodput[v].X, x)
 			goodput[v].Y = append(goodput[v].Y, r.GoodputQPS)

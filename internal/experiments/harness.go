@@ -16,10 +16,10 @@ import (
 // state. Determinism is preserved by construction:
 //
 //   - result slots are indexed by job, never by completion order;
-//   - telemetry is recorded into a private Registry/Tracer per job and folded
-//     into the caller's exporters in fixed job order after every job
-//     finished (see obs.Registry.Merge), so exported bytes are identical to
-//     a serial run of the same jobs;
+//   - telemetry is recorded into a private child of cfg.Obs/cfg.Flight per
+//     job and joined into the caller's exporters in fixed job order after
+//     every job finished (see obs.Fork), so exported bytes are identical to a
+//     serial run of the same jobs;
 //   - only wall-clock durations differ between runs, and callers are
 //     expected to keep those out of comparable output (cmd/lfbench prints
 //     them to stderr).
@@ -92,9 +92,9 @@ func Pool(n, workers int, job func(i int)) {
 
 // RunSuite runs every runner for opts.Reps repetitions over a bounded worker
 // pool and returns one aggregated SuiteResult per runner, in runner order.
-// cfg.Seed seeds rep 0; rep r uses cfg.Seed+r. If cfg.Obs is enabled, each
-// job records into a private registry/tracer and the harness folds them into
-// cfg.Obs's exporters in job order once all jobs are done.
+// cfg.Seed seeds rep 0; rep r uses cfg.Seed+r. Each job records into a
+// private child of cfg.Obs and cfg.Flight, and the harness joins the children
+// in job order once all jobs are done.
 func RunSuite(runners []Runner, cfg Config, opts SuiteOptions) []SuiteResult {
 	reps := opts.Reps
 	if reps < 1 {
@@ -102,15 +102,10 @@ func RunSuite(runners []Runner, cfg Config, opts SuiteOptions) []SuiteResult {
 	}
 	nJobs := len(runners) * reps
 
-	baseReg := cfg.Obs.Registry()
-	baseTracer := cfg.Obs.Tracer()
-	baseFlight := cfg.Flight
 	type jobOut struct {
-		res    Result
-		wall   time.Duration
-		reg    *obs.Registry
-		tracer *obs.Tracer
-		flight *obs.FlightRecorder
+		res  Result
+		wall time.Duration
+		join func()
 	}
 	outs := make([]jobOut, nJobs)
 
@@ -118,40 +113,17 @@ func RunSuite(runners []Runner, cfg Config, opts SuiteOptions) []SuiteResult {
 		e, r := j/reps, j%reps
 		c := cfg
 		c.Seed = cfg.Seed + int64(r)
-		c.Obs = obs.Nop()
-		c.Flight = nil
-		if baseReg != nil || baseTracer != nil {
-			o := &outs[j]
-			if baseReg != nil {
-				o.reg = obs.NewRegistry()
-			}
-			if baseTracer != nil {
-				o.tracer = obs.NewTracer(baseTracer.Cap())
-			}
-			c.Obs = obs.New(o.reg, o.tracer)
-		}
-		if baseFlight != nil {
-			outs[j].flight = obs.NewFlightRecorder(baseFlight.Cap())
-			c.Flight = outs[j].flight
-		}
+		c.Obs, c.Flight, outs[j].join = obs.Fork(cfg.Obs, cfg.Flight)
 		start := time.Now()
 		res := runners[e].Run(c)
 		outs[j].res = res
 		outs[j].wall = time.Since(start)
 	})
 
-	// Fold per-job telemetry in job order — deterministic regardless of
+	// Join per-job telemetry in job order — deterministic regardless of
 	// which worker finished when.
 	for j := range outs {
-		if baseReg != nil {
-			baseReg.Merge(outs[j].reg)
-		}
-		if baseTracer != nil {
-			baseTracer.Merge(outs[j].tracer)
-		}
-		if baseFlight != nil {
-			baseFlight.Merge(outs[j].flight)
-		}
+		outs[j].join()
 	}
 
 	results := make([]SuiteResult, len(runners))

@@ -89,9 +89,6 @@ func NewHostCPU(eng *netsim.Engine, cores int, options ...opt.Option) *CPU {
 	return c
 }
 
-// Cores returns the configured core count.
-func (c *CPU) Cores() int { return c.cores }
-
 // Rejected returns how many submissions were refused due to backlog.
 func (c *CPU) Rejected() int64 { return c.rejected }
 

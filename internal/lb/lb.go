@@ -237,58 +237,26 @@ func (k *KernelSelector) Select(features []float64, reply func(int)) netsim.Time
 }
 
 // UserSelector runs the float MLP in userspace behind a char device
-// (char-MLP): each decision costs a cross-space round trip, and keeping the
+// (char-MLP): each decision costs a cross-space round trip. Keeping the
 // userspace model's view of path state fresh costs a continuous stream of
-// monitor updates — the overhead that makes char-MLP lose to plain ECMP in
-// the paper.
+// monitor updates on top — the overhead that makes char-MLP lose to plain
+// ECMP in the paper — which the experiment that deploys the selector charges
+// per host (experiments.Fig17).
 type UserSelector struct {
 	Eng   *netsim.Engine
 	CPU   *ksim.CPU
 	Costs ksim.Costs
 	Net   *nn.Network
-	// MonitorInterval is the period of the kernel→user path-state sync;
-	// zero disables the background stream.
-	MonitorInterval netsim.Time
 
-	out     []float64
-	jit     *rand.Rand
-	running bool
-	// SyncMessages counts background monitor updates (overhead driver).
-	SyncMessages int64
+	out []float64
+	jit *rand.Rand
 }
 
 // NewUserSelector wraps a float MLP behind a char-device exchange.
 func NewUserSelector(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, net *nn.Network) *UserSelector {
 	return &UserSelector{Eng: eng, CPU: cpu, Costs: costs, Net: net,
-		MonitorInterval: netsim.Millisecond,
-		out:             make([]float64, net.OutputSize()),
-		jit:             rand.New(rand.NewSource(4))}
-}
-
-// StartMonitoring begins the background path-state sync stream.
-func (u *UserSelector) StartMonitoring() {
-	if u.running || u.MonitorInterval <= 0 {
-		return
-	}
-	u.running = true
-	u.tick()
-}
-
-// StopMonitoring halts the stream after the pending tick.
-func (u *UserSelector) StopMonitoring() { u.running = false }
-
-func (u *UserSelector) tick() {
-	u.Eng.After(u.MonitorInterval, func() {
-		if !u.running {
-			return
-		}
-		u.SyncMessages++
-		if u.CPU != nil {
-			u.CPU.Charge(ksim.SoftIRQ, u.Costs.CrossSpace)
-			u.CPU.Charge(ksim.Kernel, u.Costs.CharDevPerMsg)
-		}
-		u.tick()
-	})
+		out: make([]float64, net.OutputSize()),
+		jit: rand.New(rand.NewSource(4))}
 }
 
 // Select implements Selector.

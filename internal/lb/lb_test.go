@@ -127,25 +127,6 @@ func TestSelectorLatencyOrdering(t *testing.T) {
 	}
 }
 
-func TestUserSelectorMonitoringOverhead(t *testing.T) {
-	eng := netsim.NewEngine()
-	cpu := ksim.NewHostCPU(eng, 4)
-	us := NewUserSelector(eng, cpu, ksim.DefaultCosts(), NewMLP(2, 1))
-	us.MonitorInterval = netsim.Millisecond
-	us.StartMonitoring()
-	eng.RunUntil(netsim.Second)
-	us.StopMonitoring()
-	if us.SyncMessages < 900 {
-		t.Errorf("SyncMessages = %d, want ≈ 1000", us.SyncMessages)
-	}
-	if cpu.BusyTime(ksim.SoftIRQ) < 100*netsim.Millisecond {
-		t.Errorf("monitoring stream must burn softirq time, got %v", cpu.BusyTime(ksim.SoftIRQ))
-	}
-	// Restarting while running is a no-op.
-	us.running = true
-	us.StartMonitoring()
-}
-
 func TestECMPSelectorSpreads(t *testing.T) {
 	e := &ECMPSelector{Paths: 2}
 	counts := [2]int{}

@@ -54,10 +54,10 @@ func TestCloseSemantics(t *testing.T) {
 	ch.Push(Message{Data: []float64{1}})
 	ch.Close()
 	ch.Close() // idempotent
-	if !ch.Closed() {
-		t.Fatal("Closed() must report true after Close")
+	if !ch.closed {
+		t.Fatal("channel must be closed after Close")
 	}
-	if ch.Buffered() != 0 {
+	if len(ch.buf) != 0 {
 		t.Error("Close must discard buffered messages")
 	}
 	if ch.Stats().Dropped != 1 {

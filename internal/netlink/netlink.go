@@ -159,12 +159,6 @@ func (c *Channel) Close() {
 	c.sc.Event("netlink", "close", c.eng.Now())
 }
 
-// Closed reports whether Close has been called.
-func (c *Channel) Closed() bool { return c.closed }
-
-// Buffered returns the number of kernel-side messages awaiting flush.
-func (c *Channel) Buffered() int { return len(c.buf) }
-
 // Push appends a message to the kernel-side batch buffer. Buffer appends are
 // in-kernel memory writes: free in this model (their cost is subsumed by the
 // per-packet processing charge already paid by the datapath).

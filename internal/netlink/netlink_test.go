@@ -27,7 +27,7 @@ func TestFlushDeliversBatch(t *testing.T) {
 	if got[0].Data[0] != 1 || got[1].Data[0] != 3 {
 		t.Error("batch order wrong")
 	}
-	if ch.Buffered() != 0 {
+	if len(ch.buf) != 0 {
 		t.Error("buffer must be empty after flush")
 	}
 }

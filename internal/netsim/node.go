@@ -22,7 +22,6 @@ type Switch struct {
 	routes   [][]*Link
 	defRoute []*Link
 	unrouted int64
-	hashSalt uint64
 }
 
 // NewSwitch returns an empty switch with the given node ID.
@@ -67,17 +66,13 @@ func (s *Switch) SetDefaultRoute(viaNeighbors ...int) {
 	}
 }
 
-// SetHashSalt perturbs the ECMP hash, letting experiments decorrelate hash
-// collisions across trials.
-func (s *Switch) SetHashSalt(salt uint64) { s.hashSalt = salt }
-
 // Unrouted returns the number of packets dropped for lack of a route.
 func (s *Switch) Unrouted() int64 { return s.unrouted }
 
 // ecmpHash hashes the flow ID symmetrically so both directions of a flow pick
 // the same member index given the same group size.
 func (s *Switch) ecmpHash(f FlowID) uint64 {
-	x := uint64(f) + s.hashSalt
+	x := uint64(f)
 	// SplitMix64 finalizer: cheap, well-distributed, deterministic.
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -82,33 +82,6 @@ func TestSwitchECMPFlowSticky(t *testing.T) {
 	}
 }
 
-func TestSwitchECMPSaltChangesMapping(t *testing.T) {
-	// With different salts, at least one of a handful of flows should map
-	// to a different port.
-	pick := func(salt uint64) [8]int {
-		var out [8]int
-		e := NewEngine()
-		s := NewSwitch(0)
-		s1, s2 := &Sink{}, &Sink{}
-		s.AddPort(1, NewLink(e, s1, 1e9, 0, nil))
-		s.AddPort(2, NewLink(e, s2, 1e9, 0, nil))
-		s.AddRoute(5, 1, 2)
-		s.SetHashSalt(salt)
-		for f := 0; f < 8; f++ {
-			before := s1.Packets
-			s.HandlePacket(&Packet{Dst: 5, Flow: FlowID(f), Size: 1})
-			e.Run()
-			if s1.Packets > before {
-				out[f] = 1
-			}
-		}
-		return out
-	}
-	if pick(0) == pick(12345) {
-		t.Error("different salts should remap at least one of 8 flows")
-	}
-}
-
 func TestSwitchExplicitPath(t *testing.T) {
 	e, s, sink1, sink2 := buildY(t)
 	s.AddRoute(5, 2) // table says port 2 ...

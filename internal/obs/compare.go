@@ -1,16 +1,15 @@
 package obs
 
 // This file implements the window-comparison helper on top of the flight
-// recorder's Delta primitive: CompareWindows reduces the per-series deltas of
+// recorder's Delta primitive: CompareDeltas reduces the per-series deltas of
 // a before/after window pair to one aggregate statistic over a caller-chosen
 // subset of series. It is the building block a canary gate needs — "sum the
-// query rates of this member's series before and after the install, and give
-// me the ratio" — without the caller re-implementing window slicing, rate
-// derivation, or series iteration order. Like Delta, the reduction iterates
-// series in sorted-name order, so aggregates are byte-deterministic across
-// same-seed runs.
+// query rates of this member's series before and after the install" —
+// without the caller re-implementing window slicing, rate derivation, or
+// series iteration order. Delta returns series in sorted-name order, so
+// aggregates are byte-deterministic across same-seed runs.
 
-// AggMode selects how CompareWindows combines matching series.
+// AggMode selects how CompareDeltas combines matching series.
 type AggMode int
 
 const (
@@ -31,27 +30,14 @@ type DeltaStat struct {
 	N             int
 }
 
-// Ratio returns After/Before, or 0 when Before is 0 (no rate to compare
-// against — callers must check N and Before before trusting it).
-func (d DeltaStat) Ratio() float64 {
-	if d.Before == 0 {
-		return 0
-	}
-	return d.After / d.Before
-}
-
-// CompareWindows reduces Delta(before, after) over the series accepted by
-// sel (nil accepts every series) using the given aggregation mode. Cumulative
-// series contribute rates per second, level series contribute window means —
-// mixing kinds under one selector is legal but rarely meaningful, so
-// selectors usually also test SeriesDelta.Cumulative. The nil recorder
-// returns the zero DeltaStat.
-func (fr *FlightRecorder) CompareWindows(before, after TimeWindow, mode AggMode, sel func(SeriesDelta) bool) DeltaStat {
-	return CompareDeltas(fr.Delta(before, after), mode, sel)
-}
-
-// CompareDeltas is CompareWindows over deltas already computed: a caller that
-// puts several selectors to one window pair pays for one Delta.
+// CompareDeltas reduces deltas (one FlightRecorder.Delta result; a caller
+// that puts several selectors to one window pair pays for one Delta) over the
+// series accepted by sel (nil accepts every series) using the given
+// aggregation mode. Cumulative series contribute rates per second, level
+// series contribute window means — mixing kinds under one selector is legal
+// but rarely meaningful, so selectors usually also test
+// SeriesDelta.Cumulative. No deltas, as from the nil recorder, give the zero
+// DeltaStat.
 func CompareDeltas(deltas []SeriesDelta, mode AggMode, sel func(SeriesDelta) bool) DeltaStat {
 	var out DeltaStat
 	for _, d := range deltas {

@@ -2,7 +2,7 @@ package obs
 
 import "testing"
 
-func TestCompareWindowsSumAndMean(t *testing.T) {
+func TestCompareDeltasSumAndMean(t *testing.T) {
 	reg := NewRegistry()
 	sc := New(reg, nil)
 	c1 := sc.Counter("q_total", "queries", Label{Key: "host", Value: "0"})
@@ -31,18 +31,16 @@ func TestCompareWindowsSumAndMean(t *testing.T) {
 	before := TimeWindow{From: 1e9, To: 4e9}
 	after := TimeWindow{From: 5e9, To: 8e9}
 
-	sum := fr.CompareWindows(before, after, AggSum, func(d SeriesDelta) bool { return d.Cumulative })
+	deltas := fr.Delta(before, after)
+	sum := CompareDeltas(deltas, AggSum, func(d SeriesDelta) bool { return d.Cumulative })
 	if sum.N != 2 {
 		t.Fatalf("cumulative series matched = %d, want 2", sum.N)
 	}
 	if sum.Before != 30 || sum.After != 15 {
 		t.Errorf("summed rates = %g -> %g, want 30 -> 15", sum.Before, sum.After)
 	}
-	if r := sum.Ratio(); r != 0.5 {
-		t.Errorf("Ratio = %g, want 0.5", r)
-	}
 
-	mean := fr.CompareWindows(before, after, AggMean, func(d SeriesDelta) bool { return !d.Cumulative })
+	mean := CompareDeltas(deltas, AggMean, func(d SeriesDelta) bool { return !d.Cumulative })
 	if mean.N != 1 {
 		t.Fatalf("level series matched = %d, want 1", mean.N)
 	}
@@ -51,15 +49,15 @@ func TestCompareWindowsSumAndMean(t *testing.T) {
 	}
 
 	// A selector nobody matches is inconclusive, not zero-valued evidence.
-	none := fr.CompareWindows(before, after, AggSum, func(SeriesDelta) bool { return false })
-	if none.N != 0 || none.Ratio() != 0 {
+	none := CompareDeltas(deltas, AggSum, func(SeriesDelta) bool { return false })
+	if none.N != 0 || none.Before != 0 || none.After != 0 {
 		t.Errorf("empty selection: %+v", none)
 	}
 }
 
-func TestCompareWindowsNilRecorder(t *testing.T) {
+func TestCompareDeltasNilRecorder(t *testing.T) {
 	var fr *FlightRecorder
-	got := fr.CompareWindows(TimeWindow{0, 1}, TimeWindow{1, 2}, AggSum, nil)
+	got := CompareDeltas(fr.Delta(TimeWindow{0, 1}, TimeWindow{1, 2}), AggSum, nil)
 	if got.N != 0 || got.Before != 0 || got.After != 0 {
 		t.Errorf("nil recorder must return the zero DeltaStat: %+v", got)
 	}

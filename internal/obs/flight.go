@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -43,29 +44,7 @@ type Point struct {
 // flightSeries is one recorded series: a bounded ring of points.
 type flightSeries struct {
 	cumulative bool
-	pts        []Point
-	start, n   int
-}
-
-func (s *flightSeries) push(p Point) {
-	if s.n < len(s.pts) {
-		s.pts[(s.start+s.n)%len(s.pts)] = p
-		s.n++
-	} else {
-		s.pts[s.start] = p
-		s.start = (s.start + 1) % len(s.pts)
-	}
-}
-
-// at returns the i-th retained point in recording order.
-func (s *flightSeries) at(i int) Point { return s.pts[(s.start+i)%len(s.pts)] }
-
-func (s *flightSeries) points() []Point {
-	out := make([]Point, s.n)
-	for i := range out {
-		out[i] = s.at(i)
-	}
-	return out
+	pts        ring[Point]
 }
 
 // stat reduces the points with w.From <= At <= w.To, read in place, to the
@@ -76,8 +55,8 @@ func (s *flightSeries) stat(w TimeWindow) (float64, bool) {
 	var first, last Point
 	var sum float64
 	n := 0
-	for i := 0; i < s.n; i++ {
-		p := s.at(i)
+	for i := 0; i < s.pts.n; i++ {
+		p := s.pts.at(i)
 		if p.At < w.From || p.At > w.To {
 			continue
 		}
@@ -119,14 +98,6 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{cap: capacity, series: make(map[string]*flightSeries)}
 }
 
-// Cap returns the per-series ring capacity.
-func (fr *FlightRecorder) Cap() int {
-	if fr == nil {
-		return 0
-	}
-	return fr.cap
-}
-
 // Ticks returns how many Sample calls the recorder has absorbed.
 func (fr *FlightRecorder) Ticks() int64 {
 	if fr == nil {
@@ -151,10 +122,11 @@ func (fr *FlightRecorder) Len() int {
 func (fr *FlightRecorder) record(name string, cumulative bool, at int64, v float64) {
 	s, ok := fr.series[name]
 	if !ok {
-		s = &flightSeries{cumulative: cumulative, pts: make([]Point, fr.cap)}
+		s = &flightSeries{cumulative: cumulative, pts: newRing[Point](fr.cap)}
 		fr.series[name] = s
 	}
-	s.push(Point{At: at, V: v})
+	slot, _ := s.pts.next()
+	*slot = Point{At: at, V: v}
 }
 
 // Sample snapshots every series of reg at virtual time at: counter and gauge
@@ -235,8 +207,8 @@ func (fr *FlightRecorder) Window(from, to int64) []SeriesWindow {
 	out := make([]SeriesWindow, 0, len(fr.series))
 	for name, s := range fr.series {
 		var pts []Point
-		for i := 0; i < s.n; i++ {
-			if p := s.at(i); p.At >= from && p.At <= to {
+		for i := 0; i < s.pts.n; i++ {
+			if p := s.pts.at(i); p.At >= from && p.At <= to {
 				pts = append(pts, p)
 			}
 		}
@@ -308,9 +280,12 @@ func (fr *FlightRecorder) sortedNames() []string {
 	return names
 }
 
+// all returns every recorded point of every series, sorted by series name.
+func (fr *FlightRecorder) all() []SeriesWindow { return fr.Window(math.MinInt64, math.MaxInt64) }
+
 // Merge folds src's recorded points into fr in sorted series order, appending
-// after fr's own points (ring eviction applies). The parallel harness folds
-// per-job recorders in job order, so merged recordings are byte-identical to
+// after fr's own points (ring eviction applies). Fork's join folds a child
+// recorder this way, in job order, so merged recordings are byte-identical to
 // a serial run's.
 func (fr *FlightRecorder) Merge(src *FlightRecorder) {
 	if fr == nil || src == nil {
@@ -319,26 +294,14 @@ func (fr *FlightRecorder) Merge(src *FlightRecorder) {
 	if fr == src {
 		panic("obs: cannot merge a flight recorder into itself")
 	}
-	type part struct {
-		name       string
-		cumulative bool
-		pts        []Point
-	}
-	src.mu.Lock()
-	parts := make([]part, 0, len(src.series))
-	for name, s := range src.series {
-		parts = append(parts, part{name: name, cumulative: s.cumulative, pts: s.points()})
-	}
-	ticks := src.ticks
-	src.mu.Unlock()
-	sort.Slice(parts, func(i, j int) bool { return parts[i].name < parts[j].name })
+	parts, ticks := src.all(), src.Ticks()
 
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
 	fr.ticks += ticks
 	for _, p := range parts {
-		for _, pt := range p.pts {
-			fr.record(p.name, p.cumulative, pt.At, pt.V)
+		for _, pt := range p.Points {
+			fr.record(p.Name, p.Cumulative, pt.At, pt.V)
 		}
 	}
 }
@@ -347,32 +310,15 @@ func (fr *FlightRecorder) Merge(src *FlightRecorder) {
 // sorted series order then recording order — byte-identical across same-seed
 // runs.
 func (fr *FlightRecorder) WriteJSONL(w io.Writer) error {
-	if fr == nil {
-		return nil
-	}
-	fr.mu.Lock()
-	names := fr.sortedNames()
-	type dump struct {
-		name       string
-		cumulative bool
-		pts        []Point
-	}
-	dumps := make([]dump, 0, len(names))
-	for _, name := range names {
-		s := fr.series[name]
-		dumps = append(dumps, dump{name: name, cumulative: s.cumulative, pts: s.points()})
-	}
-	fr.mu.Unlock()
-
 	bw := bufio.NewWriter(w)
-	for _, d := range dumps {
+	for _, d := range fr.all() {
 		kind := `"level"`
-		if d.cumulative {
+		if d.Cumulative {
 			kind = `"cumulative"`
 		}
-		for _, p := range d.pts {
+		for _, p := range d.Points {
 			bw.WriteString(`{"series":`)
-			bw.Write(strconv.AppendQuote(nil, d.name))
+			bw.Write(strconv.AppendQuote(nil, d.Name))
 			bw.WriteString(`,"kind":`)
 			bw.WriteString(kind)
 			bw.WriteString(`,"at":`)

@@ -1,57 +1,41 @@
 package obs
 
-import "net/http"
+import (
+	"io"
+	"net/http"
+)
 
 // NewHTTPHandler returns an http.Handler exposing the registry at /metrics
 // (Prometheus text format), the tracer at /debug/trace (Chrome trace JSON by
-// default, JSON lines with ?format=jsonl) and /debug/trace.jsonl (JSON
-// lines), and — when a recorder is supplied — the flight recording at
+// default, JSON lines with ?format=jsonl) and the flight recording at
 // /debug/flight (JSON lines). Nil arguments make the corresponding endpoints
 // report 404. The handler is safe to serve from a goroutine while the
 // simulation writes: the registry, tracer and recorder synchronize
 // internally.
-func NewHTTPHandler(reg *Registry, tr *Tracer, flight ...*FlightRecorder) http.Handler {
-	var fr *FlightRecorder
-	if len(flight) > 0 {
-		fr = flight[0]
+func NewHTTPHandler(reg *Registry, tr *Tracer, fr *FlightRecorder) http.Handler {
+	// serve answers with write's bytes as ctype, or 404 when the exporter
+	// behind write is absent.
+	serve := func(w http.ResponseWriter, present bool, ctype string, write func(io.Writer) error) {
+		if !present {
+			http.NotFound(w, nil)
+			return
+		}
+		w.Header().Set("Content-Type", ctype)
+		write(w)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		if reg == nil {
-			http.NotFound(w, nil)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
+		serve(w, reg != nil, "text/plain; version=0.0.4; charset=utf-8", reg.WritePrometheus)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		if tr == nil {
-			http.NotFound(w, nil)
-			return
-		}
 		if r.URL.Query().Get("format") == "jsonl" {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			tr.WriteJSONL(w)
+			serve(w, tr != nil, "application/x-ndjson", tr.WriteJSONL)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		tr.WriteChromeTrace(w)
-	})
-	mux.HandleFunc("/debug/trace.jsonl", func(w http.ResponseWriter, _ *http.Request) {
-		if tr == nil {
-			http.NotFound(w, nil)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		tr.WriteJSONL(w)
+		serve(w, tr != nil, "application/json", tr.WriteChromeTrace)
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
-		if fr == nil {
-			http.NotFound(w, nil)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fr.WriteJSONL(w)
+		serve(w, fr != nil, "application/x-ndjson", fr.WriteJSONL)
 	})
 	return mux
 }

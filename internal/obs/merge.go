@@ -2,13 +2,46 @@ package obs
 
 import "fmt"
 
-// This file implements deterministic telemetry folding for the parallel
-// experiment harness: each worker runs with a private Registry and Tracer
-// (the simulation stack itself is single-threaded per engine), and the
-// harness merges them into the caller's exporters in a fixed order — job
-// registration order, never completion order. Because every fold below is
-// order-deterministic, a parallel run exports byte-identical Prometheus text
-// and trace JSON to a serial run of the same jobs.
+// This file implements deterministic telemetry folding: whoever runs several
+// pieces of work under one scope — the experiment harness its jobs, a figure
+// its rigs — gives each a private child (Fork) and joins the children back in
+// a fixed order, registration order and never completion order. Every fold
+// below is order-deterministic, so a parallel run exports byte-identical
+// Prometheus text and trace JSON to a serial run of the same jobs; and every
+// piece of work counts into instruments of its own, so what its components
+// report about themselves does not depend on what else ran under the scope.
+
+// Fork returns a private child of sc — a registry and a tracer of its own
+// (the tracer of the parent's capacity, so a join retains exactly the events a
+// shared tracer would) wherever sc has one, under sc's labels and tid — a
+// private child of fr likewise (nil stays nil), and the join that folds both
+// back. The simulation stack is single-threaded per engine, so children may
+// run on separate goroutines; joins must be called one at a time, in the
+// order the work would have run serially, each after its child's work is
+// done.
+func Fork(sc Scope, fr *FlightRecorder) (Scope, *FlightRecorder, func()) {
+	var reg *Registry
+	var tr *Tracer
+	var cfr *FlightRecorder
+	if sc.reg != nil {
+		reg = NewRegistry()
+	}
+	if sc.tracer != nil {
+		tr = NewTracer(sc.tracer.Cap())
+	}
+	if fr != nil {
+		cfr = NewFlightRecorder(fr.cap)
+	}
+	child := New(reg, tr)
+	child.labels, child.tid = sc.labels, sc.tid
+	// A half the parent lacks is nil in the child, and every Merge ignores a
+	// nil source.
+	return child, cfr, func() {
+		sc.reg.Merge(reg)
+		sc.tracer.Merge(tr)
+		fr.Merge(cfr)
+	}
+}
 
 // Merge folds src into r: counters add, gauges take src's value when src has
 // observed one (last-merged-wins, mirroring last-write-wins of a shared
@@ -36,52 +69,18 @@ func (r *Registry) Merge(src *Registry) {
 	defer r.mu.Unlock()
 	for _, f := range fams {
 		for key, s := range f.series {
-			dst := r.lookupRendered(f.name, f.help, f.kind, key)
+			dst := r.lookup(f.name, f.help, f.kind, key)
 			switch f.kind {
 			case kindCounter:
-				if s.counter != nil {
-					if dst.counter == nil {
-						dst.counter = &Counter{}
-					}
-					dst.counter.Add(s.counter.Value())
-				}
+				dst.counter.Add(s.counter.Value())
 			case kindGauge:
-				if s.gauge != nil {
-					if dst.gauge == nil {
-						dst.gauge = &Gauge{}
-					}
-					dst.gauge.Set(s.gauge.Value())
-				}
+				dst.gauge.Set(s.gauge.Value())
 			case kindHistogram:
-				if s.hist != nil {
-					if dst.hist == nil {
-						bounds, _, _ := s.hist.snapshot()
-						dst.hist = newHistogram(append([]float64(nil), bounds...))
-					}
-					dst.hist.merge(s.hist)
-				}
+				bounds, _, _ := s.hist.snapshot()
+				dst.histOf(bounds).merge(s.hist)
 			}
 		}
 	}
-}
-
-// lookupRendered is Registry.lookup keyed by an already-rendered label
-// string. Caller holds r.mu.
-func (r *Registry) lookupRendered(name, help string, kind metricKind, key string) *series {
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
-		r.families[name] = f
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("obs: metric %q registered as %s, merged as %s", name, f.kind, kind))
-	}
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key}
-		f.series[key] = s
-	}
-	return s
 }
 
 // merge folds src's buckets, sum and summary into h. Bucket bounds must

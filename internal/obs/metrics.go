@@ -50,19 +50,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increases the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -194,12 +181,23 @@ func (k metricKind) String() string {
 	}
 }
 
-// series is one label combination of a family.
+// series is one label combination of a family, holding the instrument of the
+// family's kind: counter and gauge in place, the histogram once its first
+// registration has brought the bounds.
 type series struct {
 	labels  string // rendered `k="v",…` form, "" for unlabeled
-	counter *Counter
-	gauge   *Gauge
+	counter Counter
+	gauge   Gauge
 	hist    *Histogram
+}
+
+// histOf returns the series' histogram, creating it over a copy of bounds on
+// first use.
+func (s *series) histOf(bounds []float64) *Histogram {
+	if s.hist == nil {
+		s.hist = newHistogram(append([]float64(nil), bounds...))
+	}
+	return s.hist
 }
 
 // family groups every label combination of one metric name.
@@ -249,10 +247,10 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-// lookup finds or creates the series for name+labels, enforcing kind
-// consistency. A kind mismatch is a programming error and panics. The caller
-// must hold r.mu.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *series {
+// lookup finds or creates the series for name plus rendered labels (key),
+// enforcing kind consistency. A kind mismatch is a programming error and
+// panics. The caller must hold r.mu.
+func (r *Registry) lookup(name, help string, kind metricKind, key string) *series {
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
@@ -261,7 +259,6 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *s
 	if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.kind, kind))
 	}
-	key := renderLabels(labels)
 	s, ok := f.series[key]
 	if !ok {
 		s = &series{labels: key}
@@ -274,22 +271,14 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []Label) *s
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return &r.lookup(name, help, kindCounter, renderLabels(labels)).counter
 }
 
 // Gauge returns the gauge for name+labels, registering it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return &r.lookup(name, help, kindGauge, renderLabels(labels)).gauge
 }
 
 // Histogram returns the histogram for name+labels, registering it on first
@@ -298,11 +287,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.lookup(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		s.hist = newHistogram(append([]float64(nil), bounds...))
-	}
-	return s.hist
+	return r.lookup(name, help, kindHistogram, renderLabels(labels)).histOf(bounds)
 }
 
 // sortedFamilies returns families ordered by name, each with its series

@@ -56,10 +56,8 @@ func New(reg *Registry, tr *Tracer) Scope {
 // With returns a scope whose instruments carry the additional base labels
 // (prepended before per-instrument labels, in order).
 func (s Scope) With(labels ...Label) Scope {
-	merged := make([]Label, 0, len(s.labels)+len(labels))
-	merged = append(merged, s.labels...)
-	merged = append(merged, labels...)
-	return Scope{reg: s.reg, tracer: s.tracer, labels: merged, tid: s.tid}
+	s.labels = s.merged(labels)
+	return s
 }
 
 // WithTracer returns a scope emitting trace events to tr instead of the
@@ -81,15 +79,6 @@ func (s Scope) WithTid(tid int64) Scope {
 	s.tid = tid
 	return s
 }
-
-// Tid returns the scope's thread-track ID (0 unless set with WithTid).
-func (s Scope) Tid() int64 { return s.tid }
-
-// Enabled reports whether the scope exports anywhere.
-func (s Scope) Enabled() bool { return s.reg != nil || s.tracer != nil }
-
-// Tracing reports whether the scope records trace events.
-func (s Scope) Tracing() bool { return s.tracer != nil }
 
 // Registry returns the backing registry (nil for a no-op scope).
 func (s Scope) Registry() *Registry { return s.reg }
@@ -141,68 +130,43 @@ func (s Scope) Histogram(name, help string, bounds []float64, labels ...Label) *
 }
 
 // The fixed-arity event helpers below exist so hot paths can emit without
-// constructing argument slices: on a no-op scope they return immediately and
-// allocate nothing.
+// constructing argument slices: Tracer.emit, the one body under all of them,
+// takes the two arguments as scalars, so on a no-op scope it returns before
+// anything is built and allocates nothing.
 
 // Event records an instant event at virtual time at (nanoseconds).
 func (s Scope) Event(cat, name string, at int64) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit(Event{At: at, Tid: s.tid, Cat: cat, Name: name})
+	s.tracer.emit(s.tid, cat, name, at, 0, 0, "", 0, "", "", 0, "")
 }
 
 // Event1 records an instant event with one integer argument.
 func (s Scope) Event1(cat, name string, at int64, k string, v int64) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit(Event{At: at, Tid: s.tid, Cat: cat, Name: name, NArgs: 1,
-		Args: [2]Arg{{Key: k, Val: v}}})
+	s.tracer.emit(s.tid, cat, name, at, 0, 1, k, v, "", "", 0, "")
 }
 
 // Event2 records an instant event with two integer arguments.
 func (s Scope) Event2(cat, name string, at int64, k1 string, v1 int64, k2 string, v2 int64) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit(Event{At: at, Tid: s.tid, Cat: cat, Name: name, NArgs: 2,
-		Args: [2]Arg{{Key: k1, Val: v1}, {Key: k2, Val: v2}}})
+	s.tracer.emit(s.tid, cat, name, at, 0, 2, k1, v1, "", k2, v2, "")
 }
 
 // EventStr records an instant event with one string argument.
 func (s Scope) EventStr(cat, name string, at int64, k, v string) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit(Event{At: at, Tid: s.tid, Cat: cat, Name: name, NArgs: 1,
-		Args: [2]Arg{{Key: k, Str: v}}})
+	s.tracer.emit(s.tid, cat, name, at, 0, 1, k, 0, v, "", 0, "")
 }
 
 // EventMix records an instant event with one integer and one string
 // argument — the mixed shape resilience events need (e.g. a retry attempt
 // number plus the failing model's name).
 func (s Scope) EventMix(cat, name string, at int64, k1 string, v1 int64, k2, v2 string) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit(Event{At: at, Tid: s.tid, Cat: cat, Name: name, NArgs: 2,
-		Args: [2]Arg{{Key: k1, Val: v1}, {Key: k2, Str: v2}}})
+	s.tracer.emit(s.tid, cat, name, at, 0, 2, k1, v1, "", k2, 0, v2)
 }
 
 // Span records a complete event covering [at, at+dur).
 func (s Scope) Span(cat, name string, at, dur int64) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit(Event{At: at, Dur: dur, Tid: s.tid, Cat: cat, Name: name})
+	s.tracer.emit(s.tid, cat, name, at, dur, 0, "", 0, "", "", 0, "")
 }
 
 // Span1 records a complete event with one integer argument.
 func (s Scope) Span1(cat, name string, at, dur int64, k string, v int64) {
-	if s.tracer == nil {
-		return
-	}
-	s.tracer.Emit(Event{At: at, Dur: dur, Tid: s.tid, Cat: cat, Name: name, NArgs: 1,
-		Args: [2]Arg{{Key: k, Val: v}}})
+	s.tracer.emit(s.tid, cat, name, at, dur, 1, k, v, "", "", 0, "")
 }

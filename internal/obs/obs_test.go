@@ -34,7 +34,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := sc.Gauge("liteflow_test_level", "level")
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
 	}
@@ -115,7 +115,7 @@ func TestKindMismatchPanics(t *testing.T) {
 
 func TestNopScopeStillCounts(t *testing.T) {
 	sc := obs.Nop()
-	if sc.Enabled() || sc.Tracing() {
+	if sc.Registry() != nil || sc.Tracer() != nil {
 		t.Fatal("nop scope claims to be enabled")
 	}
 	c := sc.Counter("x", "")
@@ -238,7 +238,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1024)
 	sc := obs.New(reg, tr)
-	h := obs.NewHTTPHandler(reg, tr)
+	h := obs.NewHTTPHandler(reg, tr, nil)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -263,7 +263,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 20; i++ {
-		for _, path := range []string{"/metrics", "/debug/trace", "/debug/trace.jsonl"} {
+		for _, path := range []string{"/metrics", "/debug/trace", "/debug/trace?format=jsonl"} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 			if rec.Code != 200 {
@@ -340,7 +340,6 @@ func TestHTTPEndpointsContentTypes(t *testing.T) {
 		{"/metrics", "text/plain; version=0.0.4; charset=utf-8", "liteflow_test_n_total 1"},
 		{"/debug/trace", "application/json", `"traceEvents"`},
 		{"/debug/trace?format=jsonl", "application/x-ndjson", `"name":"n"`},
-		{"/debug/trace.jsonl", "application/x-ndjson", `"name":"n"`},
 		{"/debug/flight", "application/x-ndjson", `"series":"liteflow_test_n_total"`},
 	}
 	for _, c := range cases {
@@ -358,7 +357,7 @@ func TestHTTPEndpointsContentTypes(t *testing.T) {
 	}
 
 	// Without a recorder, /debug/flight 404s like the other nil halves.
-	h2 := obs.NewHTTPHandler(reg, tr)
+	h2 := obs.NewHTTPHandler(reg, tr, nil)
 	rec := httptest.NewRecorder()
 	h2.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/flight", nil))
 	if rec.Code != 404 {

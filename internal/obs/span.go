@@ -73,8 +73,8 @@ type Span struct {
 }
 
 // Root opens a lifecycle root span at virtual time at. Call SetVersion once
-// the snapshot version is minted, then End/EndFailed to flush (or Discard to
-// drop). Returns a no-op span when st is nil.
+// the snapshot version is minted, then End/EndFailed to flush; a root that
+// is never ended emits nothing. Returns a no-op span when st is nil.
 func (st *SpanTracer) Root(cat, name string, at int64) *Span {
 	if st == nil {
 		return nil
@@ -84,23 +84,27 @@ func (st *SpanTracer) Root(cat, name string, at int64) *Span {
 
 // Lone emits one already-completed stage span immediately, outside any root —
 // used for stages whose version is already known (per-member installs of a
-// minted epoch, catch-up activations). dur 0 renders as an instant. member <
-// 0 targets the fleet-wide track.
+// minted epoch, catch-up activations) — on member's track. dur 0 renders as
+// an instant.
 func (st *SpanTracer) Lone(cat, stage string, version, member, at, dur int64) {
 	if st == nil {
 		return
 	}
 	st.stage(stage).Observe(float64(dur))
-	if !st.sc.Tracing() {
+	if st.sc.tracer == nil {
 		return
 	}
-	e := Event{At: at, Dur: dur, Pid: version, Cat: cat, Name: stage}
-	if member >= 0 {
-		e.Tid = member + 1
-		e.NArgs = 1
-		e.Args[0] = Arg{Key: "member", Val: member}
-	}
-	st.sc.Tracer().Emit(e)
+	st.sc.tracer.Emit(onMemberTrack(
+		Event{At: at, Dur: dur, Pid: version, Cat: cat, Name: stage}, member))
+}
+
+// onMemberTrack moves e to a fleet member's thread track (tid = member index
+// + 1; tid 0 is the fleet-wide track) and tags it with the member index.
+func onMemberTrack(e Event, member int64) Event {
+	e.Tid = member + 1
+	e.NArgs = 1
+	e.Args[0] = Arg{Key: "member", Val: member}
+	return e
 }
 
 // Start returns the root's opening timestamp.
@@ -132,35 +136,20 @@ func (sp *Span) Version() int64 {
 // root's track. dur 0 renders as an instant event. The stage histogram is fed
 // immediately; the trace event is buffered until the root ends.
 func (sp *Span) Child(stage string, at, dur int64) {
-	sp.child(stage, -1, at, dur)
-}
-
-// ChildMember records a completed stage on a member's track.
-func (sp *Span) ChildMember(stage string, member, at, dur int64) {
-	sp.child(stage, member, at, dur)
-}
-
-func (sp *Span) child(stage string, member, at, dur int64) {
 	if sp == nil || sp.ended {
 		return
 	}
 	sp.st.stage(stage).Observe(float64(dur))
-	if !sp.st.sc.Tracing() {
+	if sp.st.sc.tracer == nil {
 		return
 	}
-	e := Event{At: at, Dur: dur, Cat: sp.cat, Name: stage}
-	if member >= 0 {
-		e.Tid = member + 1
-		e.NArgs = 1
-		e.Args[0] = Arg{Key: "member", Val: member}
-	}
-	sp.buf = append(sp.buf, e)
+	sp.buf = append(sp.buf, Event{At: at, Dur: dur, Cat: sp.cat, Name: stage})
 }
 
 // Mark records an instant edge event (park, retry, defer, …) with one
 // integer argument on the root's track.
 func (sp *Span) Mark(name string, at int64, k string, v int64) {
-	if sp == nil || sp.ended || !sp.st.sc.Tracing() {
+	if sp == nil || sp.ended || sp.st.sc.tracer == nil {
 		return
 	}
 	sp.buf = append(sp.buf, Event{At: at, Cat: sp.cat, Name: name, NArgs: 1,
@@ -169,11 +158,10 @@ func (sp *Span) Mark(name string, at int64, k string, v int64) {
 
 // MarkMember records an instant edge event on a member's track.
 func (sp *Span) MarkMember(name string, member, at int64) {
-	if sp == nil || sp.ended || !sp.st.sc.Tracing() {
+	if sp == nil || sp.ended || sp.st.sc.tracer == nil {
 		return
 	}
-	sp.buf = append(sp.buf, Event{At: at, Tid: member + 1, Cat: sp.cat, Name: name,
-		NArgs: 1, Args: [2]Arg{{Key: "member", Val: member}}})
+	sp.buf = append(sp.buf, onMemberTrack(Event{At: at, Cat: sp.cat, Name: name}, member))
 }
 
 // End closes a successful lifecycle at virtual time at: the root event plus
@@ -200,18 +188,9 @@ func (sp *Span) EndFailed(at int64, outcome string) {
 	sp.flush(at, outcome)
 }
 
-// Discard drops the span and its buffered children without emitting.
-func (sp *Span) Discard() {
-	if sp == nil {
-		return
-	}
-	sp.ended = true
-	sp.buf = nil
-}
-
 func (sp *Span) flush(at int64, outcome string) {
 	sp.ended = true
-	tr := sp.st.sc.Tracer()
+	tr := sp.st.sc.tracer
 	if tr == nil {
 		sp.buf = nil
 		return

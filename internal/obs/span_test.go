@@ -22,7 +22,7 @@ func TestSpanLifecycleTree(t *testing.T) {
 	sp.Child("pool", 1000, 4000)
 	sp.SetVersion(17)
 	sp.Child("build", 5000, 0)
-	sp.ChildMember("member_install", 2, 5000, 1500)
+	sp.MarkMember("install_parked", 2, 5000)
 	sp.Mark("install_deferred", 6000, "queued", 3)
 	sp.End(9000)
 
@@ -41,12 +41,12 @@ func TestSpanLifecycleTree(t *testing.T) {
 	}
 	var member obs.Event
 	for _, e := range ev {
-		if e.Name == "member_install" {
+		if e.Name == "install_parked" {
 			member = e
 		}
 	}
 	if member.Tid != 3 {
-		t.Fatalf("member child not on member track: %+v", member)
+		t.Fatalf("member mark not on member track: %+v", member)
 	}
 
 	if got := sc.Histogram("liteflow_snapshot_e2e_ns", "", obs.DurationBuckets()).Count(); got != 1 {
@@ -75,7 +75,7 @@ func TestSpanLifecycleTree(t *testing.T) {
 }
 
 // TestSpanFailedAndDiscard: EndFailed flushes without feeding the e2e
-// histogram; Discard drops everything.
+// histogram; a root that is never ended is discarded with its children.
 func TestSpanFailedAndDiscard(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(64)
@@ -100,9 +100,8 @@ func TestSpanFailedAndDiscard(t *testing.T) {
 	tr.Reset()
 	dp := st.Root("snapshot", "snapshot_lifecycle", 0)
 	dp.Child("pool", 0, 100)
-	dp.Discard()
 	if tr.Len() != 0 {
-		t.Fatalf("discarded span emitted %d events", tr.Len())
+		t.Fatalf("un-ended span emitted %d events", tr.Len())
 	}
 }
 

@@ -45,9 +45,7 @@ const DefaultTraceCapacity = 1 << 16
 // exported bytes stay reproducible. A nil Tracer is a valid no-op.
 type Tracer struct {
 	mu      sync.Mutex
-	buf     []Event
-	start   int
-	n       int
+	ring    ring[Event]
 	evicted int64
 	// evictedCounter mirrors evicted into a registry counter
 	// (liteflow_trace_evicted_total) when the tracer is bound to one via
@@ -61,7 +59,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{ring: newRing[Event](capacity)}
 }
 
 // Emit records one event, evicting the oldest when the ring is full.
@@ -70,24 +68,38 @@ func (t *Tracer) Emit(e Event) {
 		return
 	}
 	t.mu.Lock()
-	if t.n < len(t.buf) {
-		t.buf[(t.start+t.n)%len(t.buf)] = e
-		t.n++
-	} else {
-		t.buf[t.start] = e
-		t.start = (t.start + 1) % len(t.buf)
+	*t.next() = e
+	t.mu.Unlock()
+}
+
+// emit is Emit for the Scope helpers: an event at virtual time at on thread
+// track tid, a span covering [at, at+dur) when dur > 0, its nargs arguments
+// spelled out as key, integer value, string value.
+func (t *Tracer) emit(tid int64, cat, name string, at, dur int64, nargs int,
+	k0 string, v0 int64, s0 string, k1 string, v1 int64, s1 string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	*t.next() = Event{At: at, Dur: dur, Tid: tid, Cat: cat, Name: name, NArgs: nargs,
+		Args: [2]Arg{{Key: k0, Val: v0, Str: s0}, {Key: k1, Val: v1, Str: s1}}}
+	t.mu.Unlock()
+}
+
+// next returns the ring slot of the event being recorded, counting the
+// eviction when the ring is full. The caller holds t.mu.
+func (t *Tracer) next() *Event {
+	slot, evicted := t.ring.next()
+	if evicted {
 		t.evicted++
 		t.evictedCounter.Inc()
 	}
-	t.mu.Unlock()
+	return slot
 }
 
 // bindEvictedCounter mirrors the eviction count into c from now on, seeding
 // it with evictions that happened before binding.
 func (t *Tracer) bindEvictedCounter(c *Counter) {
-	if t == nil || c == nil {
-		return
-	}
 	t.mu.Lock()
 	t.evictedCounter = c
 	c.Add(t.evicted)
@@ -101,7 +113,7 @@ func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.buf)
+	return len(t.ring.buf)
 }
 
 // Len returns the number of retained events.
@@ -111,7 +123,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return t.ring.n
 }
 
 // Evicted returns how many events were displaced by ring overflow.
@@ -131,11 +143,7 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.buf[(t.start+i)%len(t.buf)]
-	}
-	return out
+	return t.ring.slice()
 }
 
 // Reset discards all retained events.
@@ -144,7 +152,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.start, t.n, t.evicted = 0, 0, 0
+	t.ring.start, t.ring.n, t.evicted = 0, 0, 0
 	t.mu.Unlock()
 }
 

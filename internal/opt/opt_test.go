@@ -18,7 +18,7 @@ func TestResolveEmpty(t *testing.T) {
 	if o.HasScope || o.Faults != nil || o.Watchdog != nil || o.Retry != nil {
 		t.Errorf("zero Options expected, got %+v", o)
 	}
-	if o.Scope.Enabled() {
+	if o.Scope.Registry() != nil || o.Scope.Tracer() != nil {
 		t.Error("default scope must be the no-op scope")
 	}
 }

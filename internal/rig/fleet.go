@@ -118,8 +118,9 @@ type Fleet struct {
 // NewFleet builds the fabric, provisions and starts the fleet plane, and
 // arms the member query streams and the flight tick.
 func NewFleet(o FleetOpts) *Fleet {
-	// Telemetry is passive, so a run that reads its own flight recording
-	// simulates the same thing on private telemetry as on the caller's.
+	// Telemetry is passive (experiments.TestTelemetryIsPassive holds every
+	// report to it), so a run that reads its own flight recording simulates
+	// the same thing on private telemetry as on the caller's.
 	sc, fr := o.Scope, o.Flight
 	if o.CanaryCount > 0 || o.ReadsFlight {
 		if sc.Registry() == nil {

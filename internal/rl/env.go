@@ -30,7 +30,7 @@ type LinkEnv struct {
 	// Delta is the per-step multiplicative rate step (matches the
 	// controller's δ).
 	Delta float64
-	// Reward shapes the per-step reward (Aurora or MOCC).
+	// Reward shapes the per-step reward.
 	Reward Reward
 	// RandomizeBandwidth, when set, draws a fresh bandwidth uniformly from
 	// [Bandwidth/2, 2·Bandwidth] each episode, the domain-randomization
@@ -137,8 +137,5 @@ func (e *LinkEnv) Utilization() float64 {
 	}
 	return u
 }
-
-// QueueSeconds returns the current queueing delay.
-func (e *LinkEnv) QueueSeconds() float64 { return e.queue }
 
 var _ Env = (*LinkEnv)(nil)

@@ -1,7 +1,7 @@
 // Package rl implements the reinforcement-learning machinery behind Aurora
-// and MOCC: a gym-style environment interface, a Gaussian-policy REINFORCE
+// and MOCC: a gym-style environment interface and a Gaussian-policy REINFORCE
 // learner with a moving baseline (the policy-gradient family Aurora's
-// PCC-RL training uses), and the multi-objective reward shaping MOCC adds.
+// PCC-RL training uses).
 //
 // The paper tunes its NNs in userspace with TensorFlow/GYM; this package is
 // the stdlib equivalent used by the online-adaptation experiments (Figures
@@ -25,7 +25,7 @@ type Env interface {
 }
 
 // Reward computes a scalar reward from per-step link statistics. Aurora and
-// MOCC differ exactly here.
+// MOCC differ exactly here; the experiments train under Aurora's.
 type Reward interface {
 	Score(throughput, latency, loss float64) float64
 }
@@ -39,26 +39,6 @@ type AuroraReward struct{}
 // Score implements Reward.
 func (AuroraReward) Score(throughput, latency, loss float64) float64 {
 	return 10*throughput - 20*latency - 30*loss
-}
-
-// MOCCReward is MOCC's multi-objective reward: a weighted combination whose
-// weights express operator priorities; the defaults emphasize latency more
-// than Aurora does, which is what gives MOCC its faster reconvergence under
-// dynamics (paper §5.1).
-type MOCCReward struct {
-	WThroughput float64
-	WLatency    float64
-	WLoss       float64
-}
-
-// NewMOCCReward returns the default multi-objective weighting.
-func NewMOCCReward() MOCCReward {
-	return MOCCReward{WThroughput: 10, WLatency: 40, WLoss: 30}
-}
-
-// Score implements Reward.
-func (m MOCCReward) Score(throughput, latency, loss float64) float64 {
-	return m.WThroughput*throughput - m.WLatency*latency - m.WLoss*loss
 }
 
 // REINFORCE is a Gaussian-policy Monte-Carlo policy-gradient learner: the
@@ -109,18 +89,6 @@ type step struct {
 	obs    []float64
 	action float64
 	reward float64
-}
-
-// RunEpisode plays env to completion (or maxSteps) with exploration and
-// applies one policy-gradient update from that single trajectory. For
-// environments whose rewards trend within an episode (queues building up),
-// prefer RunBatch: its per-time-index baseline removes the trend.
-func (r *REINFORCE) RunEpisode(env Env, maxSteps int) float64 {
-	traj, total := r.collect(env, maxSteps)
-	r.update([][]step{traj})
-	r.Episodes++
-	r.decaySigma()
-	return total
 }
 
 // RunBatch plays `episodes` episodes, then applies one policy-gradient

@@ -264,19 +264,6 @@ func (ts *TimeSeries) RatePerSecond() []float64 {
 	return out
 }
 
-// Normalize divides each value by base, returning a new slice. Values are 0
-// when base is 0, which keeps downstream table formatting total.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
 // MeanOf returns the mean of xs, or 0 when empty.
 func MeanOf(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -202,20 +202,6 @@ func TestTimeSeriesOutOfRangeQueries(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Normalize = %v, want %v", got, want)
-		}
-	}
-	zero := Normalize([]float64{1, 2}, 0)
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Normalize by 0 must zero out, got %v", zero)
-	}
-}
-
 func TestMeanOf(t *testing.T) {
 	if MeanOf(nil) != 0 {
 		t.Error("MeanOf(nil) must be 0")

@@ -120,8 +120,17 @@ func TestSpineLeafAttachCPUs(t *testing.T) {
 	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(2))
 	sl.ProvisionCPUs(4, ksim.DefaultCosts())
 	for _, h := range sl.Hosts {
-		if h.CPU == nil || h.CPU.Cores() != 4 {
+		if h.CPU == nil {
 			t.Fatal("host missing CPU")
+		}
+		// A millisecond of work inside a millisecond of wall time keeps one
+		// core of four busy.
+		h.CPU.Charge(ksim.Kernel, netsim.Millisecond)
+	}
+	eng.RunUntil(netsim.Millisecond)
+	for i, h := range sl.Hosts {
+		if u := h.CPU.Utilization(); u != 0.25 {
+			t.Errorf("host %d: utilization %v, want 0.25 of 4 cores", i, u)
 		}
 	}
 }

@@ -339,9 +339,9 @@ func NewFlightRecorder(capacity int) *FlightRecorder { return obs.NewFlightRecor
 func NewScope(reg *MetricsRegistry, tr *Tracer) Scope { return obs.New(reg, tr) }
 
 // NewTelemetryHandler serves /metrics (Prometheus text format),
-// /debug/trace (Chrome trace-event JSON; ?format=jsonl for JSON lines) and —
-// when a flight recorder is supplied — /debug/flight (JSON lines) for the
-// given registry and tracer; any argument may be nil.
-func NewTelemetryHandler(reg *MetricsRegistry, tr *Tracer, flight ...*FlightRecorder) http.Handler {
-	return obs.NewHTTPHandler(reg, tr, flight...)
+// /debug/trace (Chrome trace-event JSON; ?format=jsonl for JSON lines) and
+// /debug/flight (JSON lines) for the given registry, tracer and flight
+// recorder; any argument may be nil, and its endpoint then reports 404.
+func NewTelemetryHandler(reg *MetricsRegistry, tr *Tracer, flight *FlightRecorder) http.Handler {
+	return obs.NewHTTPHandler(reg, tr, flight)
 }
