@@ -104,11 +104,12 @@ type suiteRun struct {
 }
 
 func goldenSuite(parallel int, live bool) suiteRun {
-	cfg := Config{Scale: 0.02, Seed: 3}
-	reg, tr := obs.NewRegistry(), obs.NewTracer(0)
+	var reg *obs.Registry
+	var tr *obs.Tracer
 	if live {
-		cfg.Obs = obs.New(reg, tr)
+		reg, tr = obs.NewRegistry(), obs.NewTracer(0)
 	}
+	cfg := Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr)} // neither is obs.Nop()
 	run := suiteRun{results: RunSuite(All(), cfg, SuiteOptions{Parallel: parallel})}
 	if live {
 		var tb bytes.Buffer
