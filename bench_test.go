@@ -161,8 +161,8 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 }
 
 // BenchmarkLookupManyFlows measures steady-state QueryModel with 100k flows
-// resident in the cache: sharding keeps each map small, and the hit path must
-// stay allocation-free regardless of cache population.
+// resident in the cache's one map: a hit is a map read and a timestamp
+// store, so it must stay allocation-free regardless of cache population.
 func BenchmarkLookupManyFlows(b *testing.B) {
 	lf, in, out := queryFixture(b)
 	const resident = 100_000

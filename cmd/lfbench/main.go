@@ -29,7 +29,6 @@ import (
 	"os"
 
 	"github.com/liteflow-sim/liteflow/internal/experiments"
-	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
@@ -41,19 +40,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp         = fs.String("exp", "", "experiment ID to run (see -list)")
-		all         = fs.Bool("all", false, "run every experiment in paper order")
-		list        = fs.Bool("list", false, "list available experiments")
-		scale       = fs.Float64("scale", 1.0, "duration/size scale factor (1.0 = paper shape)")
-		seed        = fs.Int64("seed", 1, "random seed (rep r runs at seed+r)")
-		parallel    = fs.Int("parallel", 1, "worker-pool size for independent experiments/reps")
-		reps        = fs.Int("reps", 1, "repetitions per experiment; results aggregate to the per-point median")
-		trace       = fs.String("trace", "", "write Chrome trace-event JSON to this file")
-		metricsOut  = fs.String("metrics-out", "", "write Prometheus text metrics to this file")
-		flightOut   = fs.String("flight-out", "", "write the flight recording as JSON lines to this file (recorded by experiments that drive a flight recorder, e.g. the fleet scenarios)")
-		flightEvery = fs.Duration("flight-interval", 0, "virtual-time flight-recorder sampling interval (0 = per-experiment default)")
-		cacheShards = fs.Int("cache-shards", 0, "flow-cache shard count for cache-bound experiments (0 = core default; rounded up to a power of two)")
-		simDomains  = fs.Int("sim-domains", 0, "engine of the experiments that support partitioned execution: 0 = classic engine; ≥ 1 = partitioned engine, one tie-break family whatever the number (reports are byte-identical for every value ≥ 1), see DESIGN.md §4h")
+		exp        = fs.String("exp", "", "experiment ID to run (see -list)")
+		all        = fs.Bool("all", false, "run every experiment in paper order")
+		list       = fs.Bool("list", false, "list available experiments")
+		scale      = fs.Float64("scale", 1.0, "duration/size scale factor (1.0 = paper shape)")
+		seed       = fs.Int64("seed", 1, "random seed (rep r runs at seed+r)")
+		parallel   = fs.Int("parallel", 1, "worker-pool size for independent experiments/reps")
+		reps       = fs.Int("reps", 1, "repetitions per experiment; results aggregate to the per-point median")
+		trace      = fs.String("trace", "", "write Chrome trace-event JSON to this file")
+		metricsOut = fs.String("metrics-out", "", "write Prometheus text metrics to this file")
+		flightOut  = fs.String("flight-out", "", "write the flight recording as JSON lines to this file (recorded by experiments that drive a flight recorder, e.g. the fleet scenarios)")
+		simDomains = fs.Int("sim-domains", 0, "engine of the experiments that support partitioned execution: 0 = classic engine; ≥ 1 = partitioned engine, one tie-break family whatever the number (reports are byte-identical for every value ≥ 1), see DESIGN.md §4h")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -63,10 +60,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	tel := obs.NewSession(obs.Exports{Trace: *trace, Metrics: *metricsOut, Flight: *flightOut}, 0)
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, CacheShards: *cacheShards,
-		Obs: tel.Scope(), Flight: tel.Flight,
-		FlightEvery: netsim.Time(flightEvery.Nanoseconds()), Domains: *simDomains}
+	tel := obs.NewSession(obs.Exports{Trace: *trace, Metrics: *metricsOut, Flight: *flightOut})
+	cfg := experiments.Config{Scale: *scale, Seed: *seed,
+		Obs: tel.Scope(), Flight: tel.Flight, Domains: *simDomains}
 	opts := experiments.SuiteOptions{Parallel: *parallel, Reps: *reps}
 
 	var runners []experiments.Runner

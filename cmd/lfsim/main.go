@@ -81,16 +81,15 @@ type options struct {
 	scenarioScale float64
 	fleetScenario string
 
-	cacheTimeout time.Duration
-	cacheShards  int
-
 	faultProfile string
 	faultSeed    int64
 
-	ex          obs.Exports // -trace, -trace-jsonl, -metrics-out, -flight-out, -listen
-	flightEvery time.Duration
-	traceEvents int
+	ex obs.Exports // -trace, -trace-jsonl, -metrics-out, -flight-out, -listen
 }
+
+// flightEvery is the virtual-time interval between flight-recorder samples
+// (with -flight-out or -listen).
+const flightEvery = netsim.Millisecond
 
 func main() {
 	var o options
@@ -115,17 +114,13 @@ func main() {
 	flag.BoolVar(&o.scenarioCheck, "scenario-check", false, "with -scenario: exit non-zero if the run violates the scenario's acceptance envelope")
 	flag.Float64Var(&o.scenarioScale, "scenario-scale", 1, "with -scenario: scale the session population (envelopes only apply at 1)")
 	flag.StringVar(&o.fleetScenario, "fleet-scenario", "", "with -fleet: shape member query cadence by this scenario's arrival process (name or JSON path; diurnal scenarios make fleet load breathe day/night)")
-	flag.DurationVar(&o.cacheTimeout, "cache-timeout", 0, "lf-* schemes: flow-cache idle timeout (0 = entries pinned for the whole run)")
-	flag.IntVar(&o.cacheShards, "cache-shards", 0, "lf-* schemes: flow-cache shard count (0 = default; rounded up to a power of two)")
 	flag.StringVar(&o.faultProfile, "fault-profile", "none", "fault injection profile: none | netlink | slowpath | chaos")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault injector")
 	flag.StringVar(&o.ex.Trace, "trace", "", "write Chrome trace-event JSON to this file")
 	flag.StringVar(&o.ex.TraceJSONL, "trace-jsonl", "", "write trace events as JSON lines to this file")
 	flag.StringVar(&o.ex.Metrics, "metrics-out", "", "write Prometheus text metrics to this file")
-	flag.StringVar(&o.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled on a virtual-time tick) as JSON lines to this file; with -sim-domains ≥ 1 a sample sees every partition at a time within one lookahead of the tick")
-	flag.DurationVar(&o.flightEvery, "flight-interval", time.Millisecond, "virtual-time interval between flight-recorder samples (with -flight-out or -listen)")
+	flag.StringVar(&o.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled each millisecond of virtual time) as JSON lines to this file; with -sim-domains ≥ 1 a sample sees every partition at a time within one lookahead of the tick")
 	flag.StringVar(&o.ex.Listen, "listen", "", "serve /metrics and /debug/trace on this address after the run (e.g. :9090)")
-	flag.IntVar(&o.traceEvents, "trace-events", obs.DefaultTraceCapacity, "trace ring capacity in events")
 	flag.Parse()
 
 	if err := run(o, os.Stdout, os.Stderr); err != nil {
@@ -150,7 +145,8 @@ func (u staticUser) OutputSize() int                         { return u.net.Outp
 func (u staticUser) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
 
 // validate rejects flag combinations that would otherwise be silently
-// ignored, naming the offending flag.
+// ignored, and run lengths and flow counts no report can divide by, naming
+// the offending flag.
 func (o options) validate() error {
 	if o.scenario != "" {
 		// The scenario runner has no telemetry scope, no fault injector, no
@@ -196,6 +192,15 @@ func (o options) validate() error {
 	}
 	if o.reps > 1 && o.ex.Any() {
 		return fmt.Errorf("-trace/-trace-jsonl/-metrics-out/-flight-out/-listen export a single run's telemetry; use -reps 1")
+	}
+	if o.scenario == "" && o.duration <= 0 {
+		return fmt.Errorf("-duration %v: want a positive measured duration (rates divide by it)", o.duration)
+	}
+	if o.scenario == "" && o.warmup < 0 {
+		return fmt.Errorf("-warmup %v: want 0 or more", o.warmup)
+	}
+	if o.scenario == "" && o.fleet <= 0 && o.flows < 1 {
+		return fmt.Errorf("-flows %d: want at least one flow", o.flows)
 	}
 	return nil
 }
@@ -263,7 +268,7 @@ func run(o options, stdout, stderr io.Writer) error {
 // runOnce executes one scenario instance. rep offsets the pretraining and
 // fault seeds; the returned goodput is the aggregate across flows in Gbps.
 func runOnce(o options, rep int, stdout, stderr io.Writer) (float64, error) {
-	tel := obs.NewSession(o.ex, o.traceEvents)
+	tel := obs.NewSession(o.ex)
 	prof, ok := fault.ByName(o.faultProfile)
 	if !ok {
 		return 0, fmt.Errorf("unknown fault profile %q (want none|netlink|slowpath|chaos)", o.faultProfile)
@@ -282,7 +287,7 @@ func runOnce(o options, rep int, stdout, stderr io.Writer) (float64, error) {
 	do := rig.DumbbellOpts{
 		Domains: o.simDomains, FreePath: !o.congested,
 		Faults: prof, FaultSeed: o.faultSeed + int64(rep),
-		Scope: tel.Scope(), Flight: tel.Flight, FlightEvery: netsim.Time(o.flightEvery.Nanoseconds()),
+		Scope: tel.Scope(), Flight: tel.Flight,
 	}
 	if o.congested {
 		do.Background = rig.ConstantUDP
@@ -300,8 +305,7 @@ func runOnce(o options, rep int, stdout, stderr io.Writer) (float64, error) {
 	}
 	if sch.LF {
 		cfg := core.DefaultConfig()
-		cfg.FlowCacheTimeout = netsim.Time(o.cacheTimeout.Nanoseconds())
-		cfg.FlowCacheShards = o.cacheShards
+		cfg.FlowCacheTimeout = 0 // long-lived flows: entries stay pinned for the whole run
 		var coreOpts []opt.Option
 		if d.Faults != nil && o.adapt {
 			// With faults on, arm the watchdog so a stalled slow path
@@ -371,9 +375,8 @@ func runFleet(o options, rep int, chaos bool, tel *obs.Session, stdout, stderr i
 		Dur:          netsim.Time(o.duration.Nanoseconds()),
 		Chaos:        chaos,
 		Obs:          tel.Scope(),
-		CacheShards:  o.cacheShards,
 		Flight:       tel.Flight,
-		FlightEvery:  netsim.Time(o.flightEvery.Nanoseconds()),
+		FlightEvery:  flightEvery,
 		CanaryCount:  o.canary,
 		CanaryWindow: netsim.Time(o.canaryWin.Nanoseconds()),
 		Workload:     workload,

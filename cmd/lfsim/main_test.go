@@ -216,7 +216,7 @@ func TestLfsimSimDomains(t *testing.T) {
 	for _, flight := range []bool{false, true} {
 		runAt := func(domains int) (string, []byte) {
 			o := repsOpts(1)
-			o.reps, o.simDomains, o.flightEvery = 1, domains, time.Millisecond
+			o.reps, o.simDomains = 1, domains
 			if flight {
 				o.ex.Flight = filepath.Join(t.TempDir(), "flight.jsonl")
 			}
@@ -395,6 +395,10 @@ func TestLfsimScenarioCLI(t *testing.T) {
 		{"-canary-window", options{fleet: 4, duration: 10 * time.Millisecond, canaryWin: time.Millisecond}},
 		{"-sim-domains", options{scheme: "bbr", flows: 1, simDomains: -1}},
 		{"-sim-domains", options{fleet: 4, duration: 10 * time.Millisecond, simDomains: 1}},
+		{"-duration", options{scheme: "bbr", flows: 1, warmup: time.Millisecond}},
+		{"-duration", options{fleet: 2}},
+		{"-warmup", options{scheme: "bbr", flows: 1, duration: time.Millisecond, warmup: -time.Millisecond}},
+		{"-flows", options{scheme: "bbr", duration: time.Millisecond}},
 	} {
 		stdout.Reset()
 		err := run(c.o, &stdout, io.Discard)

@@ -46,6 +46,9 @@ type AckObserver interface {
 	OnAckEvent()
 }
 
+// minMI floors the monitor interval.
+const minMI = 2 * netsim.Millisecond
+
 // monitor is the monitor-interval loop both NN rate controllers run (paper
 // §3.1): per-ACK accumulators, the interval timer, feature derivation over a
 // sliding history, the backend query and the slow path's OnState tap. It
@@ -57,9 +60,6 @@ type monitor struct {
 
 	// Backend performs policy inference. Required.
 	Backend Backend
-	// MinMI floors the monitor interval. Defaults to 2 ms.
-	MinMI netsim.Time
-
 	// OnState, when set, observes each (state, action, MI summary) — the
 	// paper's NN input collector feeding the slow path. Which value the law
 	// reports as the action is the law's to say.
@@ -110,7 +110,6 @@ func newMonitor(eng *netsim.Engine, backend Backend, l law, rate int64) monitor 
 	return monitor{
 		Eng:     eng,
 		Backend: backend,
-		MinMI:   2 * netsim.Millisecond,
 		law:     l,
 		rate:    rate,
 		minRTT:  1 << 62,
@@ -130,8 +129,8 @@ func (m *monitor) Stop() { m.running = false }
 
 func (m *monitor) miDuration() netsim.Time {
 	d := m.srtt
-	if d < m.MinMI {
-		d = m.MinMI
+	if d < minMI {
+		d = minMI
 	}
 	return d
 }
@@ -247,7 +246,7 @@ func (m *monitor) PacingRate() int64 { return m.rate }
 func (m *monitor) CwndBytes() int {
 	rtt := m.srtt
 	if rtt == 0 {
-		rtt = m.MinMI
+		rtt = minMI
 	}
 	w := int(2 * float64(m.rate) / 8 * float64(rtt) / 1e9)
 	if w < 10*netsim.MSS {

@@ -70,15 +70,10 @@ type Config struct {
 	StabilityTolerance float64
 	// FlowCacheTimeout evicts idle flow-cache entries. Zero disables the
 	// sweeper. Expiry runs on a hashed timing wheel of sweepWheelSlots
-	// ticks, so an idle entry is evicted within one tick
-	// (FlowCacheTimeout/64) after its deadline and each tick's work is
+	// ticks, so an idle entry is evicted less than two ticks
+	// (FlowCacheTimeout/64 each) after its deadline and each tick's work is
 	// proportional to the entries expiring, not to the cache size.
 	FlowCacheTimeout netsim.Time
-	// FlowCacheShards is the flow-cache shard count, rounded up to a power
-	// of two (0 = 16). More shards bound per-map depth when caching
-	// hundreds of thousands of concurrent flows; see
-	// liteflow_core_shard_depth.
-	FlowCacheShards int
 	// Quant configures snapshot generation.
 	Quant quant.Config
 }
@@ -124,7 +119,6 @@ type coreMetrics struct {
 	unloads     *obs.Counter
 	swept       *obs.Counter
 	sweepScans  *obs.Counter
-	shardDepth  *obs.Gauge
 	blocked     *obs.Counter
 	degraded    *obs.Counter
 	recovered   *obs.Counter
@@ -142,7 +136,6 @@ func newCoreMetrics(sc obs.Scope) coreMetrics {
 		unloads:     sc.Counter("liteflow_core_snapshot_unloads_total", "retired snapshots removed at refcount 0"),
 		swept:       sc.Counter("liteflow_core_flow_cache_swept_total", "idle flow-cache entries evicted by the sweeper"),
 		sweepScans:  sc.Counter("liteflow_core_sweep_scan_total", "flow-cache entries examined by sweep ticks (incremental eviction work)"),
-		shardDepth:  sc.Gauge("liteflow_core_shard_depth", "entries in the deepest flow-cache shard"),
 		blocked:     sc.Counter("liteflow_core_blocked_queries_total", "distinct fast-path queries stalled by a blocking install"),
 		degraded:    sc.Counter("liteflow_core_degraded_total", "watchdog degradations to the last-good snapshot after slow-path silence"),
 		recovered:   sc.Counter("liteflow_core_recovered_total", "recoveries from degraded mode after the slow path resumed"),
@@ -168,8 +161,8 @@ type Core struct {
 	active  *Model
 	standby *Model
 
-	// Flow cache: flow ID → snapshot pinned for that flow, sharded with an
-	// expiry timing wheel (flowcache.go).
+	// Flow cache: flow ID → snapshot pinned for that flow, with an expiry
+	// timing wheel (flowcache.go).
 	cacheEnabled bool
 	fc           *flowCache
 
@@ -224,7 +217,7 @@ func NewCore(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, op
 	c := &Core{
 		Eng: eng, CPU: cpu, Costs: costs, Cfg: cfg,
 		cacheEnabled: true,
-		fc:           newFlowCache(cfg.FlowCacheShards, cfg.FlowCacheTimeout),
+		fc:           newFlowCache(cfg.FlowCacheTimeout),
 		ios:          make(map[string]IOModule),
 		sc:           o.Scope,
 	}
@@ -482,10 +475,7 @@ func (c *Core) lookup(flow netsim.FlowID) *Model {
 	c.met.cacheMisses.Inc()
 	c.sc.Event1("flowcache", "miss", c.Eng.Now(), "flow", int64(flow))
 	c.active.refs++
-	d := c.fc.insert(flow, &cacheEntry{model: c.active, lastUsed: c.Eng.Now()})
-	if float64(d) > c.met.shardDepth.Value() {
-		c.met.shardDepth.Set(float64(d))
-	}
+	c.fc.insert(flow, &cacheEntry{model: c.active, lastUsed: c.Eng.Now()})
 	c.armSweeper()
 	return c.active
 }
@@ -506,13 +496,7 @@ func (c *Core) dropEntry(flow netsim.FlowID) {
 }
 
 // CachedFlows returns the number of live flow-cache entries.
-func (c *Core) CachedFlows() int { return c.fc.count }
-
-// CacheShards returns the flow cache's shard count.
-func (c *Core) CacheShards() int { return len(c.fc.shards) }
-
-// ShardDepth returns the current depth of the deepest flow-cache shard.
-func (c *Core) ShardDepth() int { return c.fc.deepest() }
+func (c *Core) CachedFlows() int { return len(c.fc.entries) }
 
 // MaxSweepTickScan returns the largest number of wheel references any single
 // sweep tick has examined — the per-tick work bound the incremental sweeper
@@ -594,7 +578,6 @@ func (c *Core) sweepTick(gen uint64) {
 	if swept > 0 {
 		c.sc.Event1("flowcache", "sweep", now, "swept", swept)
 	}
-	c.met.shardDepth.Set(float64(fc.deepest()))
 	if fc.parked == 0 {
 		// Wheel drained: nothing left to expire. The next cache insert
 		// re-arms the tick chain.
@@ -618,14 +601,14 @@ func (c *Core) slowPathAttached() {
 	c.scheduleWatchdog()
 }
 
-// scheduleWatchdog ticks every wd.Check: if the slow path has been silent
-// longer than wd.Window, the core degrades gracefully — it pins the
+// scheduleWatchdog ticks every wd.Window/2: if the slow path has been
+// silent longer than wd.Window, the core degrades gracefully — it pins the
 // last-good (current active) snapshot by discarding any pending standby, so
 // a half-delivered update from the stalled service can never be activated,
 // and keeps serving fast-path queries throughout. Degradation is visible in
 // liteflow_core_degraded_total and a "core/degrade" trace event.
 func (c *Core) scheduleWatchdog() {
-	c.Eng.After(netsim.Time(c.wd.Check), func() {
+	c.Eng.After(netsim.Time(c.wd.Window/2), func() {
 		if !c.wdRunning {
 			return
 		}

@@ -6,26 +6,18 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 )
 
-// This file implements the router's flow-consistency cache (paper §3.4) as a
-// sharded map with amortized incremental eviction, replacing the original
-// single map + stop-the-world sorted sweep. Two structures cooperate:
-//
-//   - Shards: a power-of-two array of maps keyed by a mixed FlowID hash.
-//     Sharding bounds the per-map size (liteflow_core_shard_depth) and gives
-//     bulk operations a deterministic iteration order — shards are visited
-//     by index, never by Go map order, so eviction telemetry stays
-//     byte-identical across same-seed runs (DESIGN.md §4d).
-//
-//   - A hashed timing wheel (Varghese & Lauck) for idle expiry: the timeout
-//     horizon is divided into sweepWheelSlots ticks, and every cached entry
-//     parks a reference in the ring bucket of its expiry deadline. A sweep
-//     tick inspects only the bucket(s) that just came due, so per-tick work
-//     is proportional to the entries expiring around that tick — not to the
-//     cache size. Renewal is lazy: a cache hit only refreshes lastUsed; the
-//     wheel reference stays where it is, and when its bucket comes due the
-//     still-fresh entry is re-parked at its new deadline. Stale references
-//     (flow finished, or re-cached after a drop) are recognized by a slot
-//     mismatch and discarded in O(1).
+// This file implements the router's flow-consistency cache (paper §3.4): one
+// flow → entry map, the paper's structure, with amortized incremental
+// eviction. Idle expiry runs on a hashed timing wheel (Varghese & Lauck): the
+// timeout horizon is divided into sweepWheelSlots ticks, and every cached
+// entry parks a reference in the ring bucket of its expiry deadline. A sweep
+// tick inspects only the bucket(s) that just came due, so per-tick work is
+// proportional to the entries expiring around that tick — not to the cache
+// size. Renewal is lazy: a cache hit only refreshes lastUsed; the wheel
+// reference stays where it is, and when its bucket comes due the still-fresh
+// entry is re-parked at its new deadline. Stale references (flow finished, or
+// re-cached after a drop) are recognized by a slot mismatch and discarded in
+// O(1).
 //
 // The wheel ring is sized timeout/tick+3: deadlines reach at most one full
 // timeout past now, and placement rounds one slot up, so at most
@@ -33,16 +25,12 @@ import (
 // strictly larger than that span, two live slots can never alias the same
 // bucket; only stale references ever share one.
 
-const (
-	// defaultFlowCacheShards is used when Config.FlowCacheShards is zero.
-	defaultFlowCacheShards = 16
-	// maxFlowCacheShards caps user-provided shard counts.
-	maxFlowCacheShards = 1 << 16
-	// sweepWheelSlots is how many ticks the timeout horizon is divided into:
-	// the sweeper fires every FlowCacheTimeout/sweepWheelSlots and an idle
-	// entry is evicted at most one tick after its deadline.
-	sweepWheelSlots = 64
-)
+// sweepWheelSlots is how many ticks the timeout horizon is divided into: the
+// sweeper fires every FlowCacheTimeout/sweepWheelSlots, and an idle entry is
+// evicted less than two ticks after its deadline (slotFor rounds the
+// deadline up to a slot boundary; the ticks keep the phase of the moment the
+// sweeper armed, so the boundary's slot is processed up to one tick later).
+const sweepWheelSlots = 64
 
 // cacheEntry pins a snapshot for one flow. slot is the absolute wheel slot
 // holding this entry's current expiry reference (-1 when the sweeper is
@@ -53,11 +41,9 @@ type cacheEntry struct {
 	slot     int64
 }
 
-// flowCache is the sharded flow → entry map plus the expiry wheel.
+// flowCache is the flow → entry map plus the expiry wheel.
 type flowCache struct {
-	shards []map[netsim.FlowID]*cacheEntry
-	mask   uint64
-	count  int
+	entries map[netsim.FlowID]*cacheEntry
 
 	timeout netsim.Time
 	tick    netsim.Time // slot width; 0 disables the wheel
@@ -65,36 +51,11 @@ type flowCache struct {
 	next    int64 // first absolute slot not yet processed
 	parked  int   // references (live + stale) currently in the ring
 
-	depthHW int // deepest shard seen since the last exact recompute
-
 	scratch []netsim.FlowID // bucket-processing buffer, reused per tick
 }
 
-// shardCount normalizes a configured shard count to a power of two.
-func shardCount(n int) int {
-	if n <= 0 {
-		return defaultFlowCacheShards
-	}
-	if n > maxFlowCacheShards {
-		n = maxFlowCacheShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-func newFlowCache(shards int, timeout netsim.Time) *flowCache {
-	n := shardCount(shards)
-	fc := &flowCache{
-		shards:  make([]map[netsim.FlowID]*cacheEntry, n),
-		mask:    uint64(n - 1),
-		timeout: timeout,
-	}
-	for i := range fc.shards {
-		fc.shards[i] = make(map[netsim.FlowID]*cacheEntry)
-	}
+func newFlowCache(timeout netsim.Time) *flowCache {
+	fc := &flowCache{entries: make(map[netsim.FlowID]*cacheEntry), timeout: timeout}
 	if timeout > 0 {
 		fc.tick = timeout / sweepWheelSlots
 		if fc.tick <= 0 {
@@ -105,59 +66,30 @@ func newFlowCache(shards int, timeout netsim.Time) *flowCache {
 	return fc
 }
 
-// hashFlow mixes a FlowID with the splitmix64 finalizer so sequential IDs
-// (the common case in the simulator) spread evenly across shards.
-func hashFlow(f netsim.FlowID) uint64 {
-	x := uint64(f)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func (fc *flowCache) shard(f netsim.FlowID) map[netsim.FlowID]*cacheEntry {
-	return fc.shards[hashFlow(f)&fc.mask]
-}
-
 // get returns the entry for f, or nil. Zero allocations.
 func (fc *flowCache) get(f netsim.FlowID) *cacheEntry {
-	return fc.shard(f)[f]
+	return fc.entries[f]
 }
 
 // insert adds a new entry and parks its expiry reference. The caller
-// guarantees f is not present. It returns the depth of the shard the entry
-// landed in, for the shard-depth gauge.
-func (fc *flowCache) insert(f netsim.FlowID, e *cacheEntry) int {
-	s := fc.shard(f)
-	s[f] = e
-	fc.count++
+// guarantees f is not present.
+func (fc *flowCache) insert(f netsim.FlowID, e *cacheEntry) {
+	fc.entries[f] = e
 	fc.park(f, e)
-	d := len(s)
-	if d > fc.depthHW {
-		fc.depthHW = d
-	}
-	return d
 }
 
-// remove deletes f's entry from its shard. The wheel reference, if any, goes
-// stale and is discarded when its bucket comes due.
+// remove deletes f's entry. The wheel reference, if any, goes stale and is
+// discarded when its bucket comes due.
 func (fc *flowCache) remove(f netsim.FlowID) (*cacheEntry, bool) {
-	s := fc.shard(f)
-	e, ok := s[f]
-	if !ok {
-		return nil, false
-	}
-	delete(s, f)
-	fc.count--
-	return e, true
+	e, ok := fc.entries[f]
+	delete(fc.entries, f)
+	return e, ok
 }
 
 // slotFor maps an expiry deadline to the first absolute slot whose tick time
 // is strictly past it: processing slot s happens at the first tick with
 // now >= s*tick, so rounding one slot up guarantees the entry is due (never
-// scanned early, evicted at most one tick late).
+// scanned early; sweepWheelSlots says how late).
 func (fc *flowCache) slotFor(deadline netsim.Time) int64 {
 	return int64(deadline/fc.tick) + 1
 }
@@ -200,29 +132,14 @@ func (fc *flowCache) resetWheel() {
 	fc.parked = 0
 }
 
-// deepest returns the exact depth of the deepest shard and refreshes the
-// high-water mark the insert path compares against.
-func (fc *flowCache) deepest() int {
-	d := 0
-	for _, s := range fc.shards {
-		if len(s) > d {
-			d = len(s)
-		}
-	}
-	fc.depthHW = d
-	return d
-}
-
 // appendSortedFlows appends every cached flow ID to buf in ascending order.
 // Bulk drops iterate this — never Go map order — so eviction telemetry is
 // identical between same-seed runs (the determinism invariant, DESIGN.md
 // §4d). Sorting is O(n log n) but only runs on rare bulk operations; the
 // periodic sweep path does not use it.
 func (fc *flowCache) appendSortedFlows(buf []netsim.FlowID) []netsim.FlowID {
-	for _, s := range fc.shards {
-		for f := range s {
-			buf = append(buf, f)
-		}
+	for f := range fc.entries {
+		buf = append(buf, f)
 	}
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
 	return buf

@@ -8,14 +8,13 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 )
 
-// newShardedCore returns a core with the sweeper enabled at the given
-// timeout and shard count, one registered model, and no CPU accounting.
-func newShardedCore(t testing.TB, timeout netsim.Time, shards int) (*netsim.Engine, *Core) {
+// newCacheCore returns a core with the sweeper enabled at the given timeout,
+// one registered model, and no CPU accounting.
+func newCacheCore(t testing.TB, timeout netsim.Time) (*netsim.Engine, *Core) {
 	t.Helper()
 	eng := netsim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = timeout
-	cfg.FlowCacheShards = shards
 	c := NewCore(eng, nil, ksim.DefaultCosts(), cfg)
 	if _, err := c.RegisterModel(buildModule(t, smallNet(1), "m0")); err != nil {
 		t.Fatal(err)
@@ -23,53 +22,12 @@ func newShardedCore(t testing.TB, timeout netsim.Time, shards int) (*netsim.Engi
 	return eng, c
 }
 
-func TestShardCountNormalization(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, defaultFlowCacheShards},
-		{-3, defaultFlowCacheShards},
-		{1, 1},
-		{2, 2},
-		{3, 4},
-		{16, 16},
-		{17, 32},
-		{maxFlowCacheShards + 1, maxFlowCacheShards},
-	} {
-		if got := shardCount(tc.in); got != tc.want {
-			t.Errorf("shardCount(%d) = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestShardingSpreadsSequentialFlows: sequential flow IDs (the simulator's
-// common case) must not pile into one shard.
-func TestShardingSpreadsSequentialFlows(t *testing.T) {
-	_, c := newShardedCore(t, 0, 16)
-	in := make([]int64, 4)
-	out := make([]int64, 1)
-	const n = 4096
-	for f := 1; f <= n; f++ {
-		if err := c.QueryModel(netsim.FlowID(f), in, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.CachedFlows() != n {
-		t.Fatalf("CachedFlows = %d, want %d", c.CachedFlows(), n)
-	}
-	if got := c.CacheShards(); got != 16 {
-		t.Fatalf("CacheShards = %d, want 16", got)
-	}
-	// Perfectly uniform would be n/16 = 256 per shard; allow 2x skew.
-	if d := c.ShardDepth(); d > 2*n/16 {
-		t.Errorf("deepest shard holds %d of %d entries — hash is not spreading", d, n)
-	}
-}
-
 // TestSweepEvictionBoundary pins the <= boundary fix: an entry idle for
 // exactly FlowCacheTimeout is evicted by the tick at its deadline, not one
 // full timeout later.
 func TestSweepEvictionBoundary(t *testing.T) {
 	timeout := 64 * netsim.Millisecond // tick = 1ms exactly
-	eng, c := newShardedCore(t, timeout, 4)
+	eng, c := newCacheCore(t, timeout)
 	in := make([]int64, 4)
 	out := make([]int64, 1)
 	if err := c.QueryModel(7, in, out); err != nil {
@@ -91,7 +49,7 @@ func TestSweepEvictionBoundary(t *testing.T) {
 // drains the tick chain stops. Re-inserting re-arms it.
 func TestSweeperIdleDisarm(t *testing.T) {
 	timeout := 10 * netsim.Millisecond
-	eng, c := newShardedCore(t, timeout, 4)
+	eng, c := newCacheCore(t, timeout)
 
 	// Never populated: no sweep event may be scheduled at all.
 	if eng.Pending() != 0 {
@@ -139,7 +97,7 @@ func TestSweeperIdleDisarm(t *testing.T) {
 // must survive sweeps indefinitely (lazy renewal re-parks it).
 func TestSweepRenewalKeepsHotFlows(t *testing.T) {
 	timeout := 10 * netsim.Millisecond
-	eng, c := newShardedCore(t, timeout, 4)
+	eng, c := newCacheCore(t, timeout)
 	in := make([]int64, 4)
 	out := make([]int64, 1)
 	step := timeout / 3
@@ -178,7 +136,7 @@ func TestSweepTickScanProportional(t *testing.T) {
 		n = 200_000
 	}
 	timeout := 100 * netsim.Millisecond
-	eng, c := newShardedCore(t, timeout, 256)
+	eng, c := newCacheCore(t, timeout)
 	in := make([]int64, 4)
 	out := make([]int64, 1)
 
@@ -258,7 +216,6 @@ func TestFlowCacheRefcountInvariant(t *testing.T) {
 		eng := netsim.NewEngine()
 		cfg := DefaultConfig()
 		cfg.FlowCacheTimeout = timeout
-		cfg.FlowCacheShards = 4
 		c := NewCore(eng, nil, ksim.DefaultCosts(), cfg)
 
 		// Seed the NN manager with a few snapshot generations up front.
@@ -330,10 +287,10 @@ func TestFlowCacheRefcountInvariant(t *testing.T) {
 }
 
 // TestBulkDropDeterministicOrder: disabling the cache drops entries in
-// ascending flow order regardless of shard layout — the eviction telemetry
-// order the determinism invariant (DESIGN.md §4d) relies on.
+// ascending flow order regardless of map iteration order — the eviction
+// telemetry order the determinism invariant (DESIGN.md §4d) relies on.
 func TestBulkDropDeterministicOrder(t *testing.T) {
-	_, c := newShardedCore(t, 0, 8)
+	_, c := newCacheCore(t, 0)
 	in := make([]int64, 4)
 	out := make([]int64, 1)
 	flows := []netsim.FlowID{99, 3, 1024, 7, 500, 2, 77, 41}

@@ -182,8 +182,7 @@ func TestInstallRetrySucceedsAfterTransientFailure(t *testing.T) {
 func TestInstallAbandonedAfterRetryBudget(t *testing.T) {
 	inj := fault.New(fault.Profile{BuildFailP: 1}, 3, obs.Scope{})
 	r := newWatchdogRig(t, netsim.Second,
-		opt.WithFaults(inj),
-		opt.WithRetry(opt.Retry{Max: 3, Base: int64(10 * netsim.Millisecond), Cap: int64(netsim.Second)}))
+		opt.WithFaults(inj))
 	defer r.core.StopWatchdog()
 	r.svc.tryInstall(0)
 	r.eng.RunUntil(r.eng.Now() + 5*netsim.Second)

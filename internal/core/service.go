@@ -246,8 +246,7 @@ type Service struct {
 	life       *obs.Span
 	lifeStaged bool
 
-	inj   *fault.Injector
-	retry opt.Retry
+	inj *fault.Injector
 
 	sc  obs.Scope
 	met serviceMetrics
@@ -258,8 +257,8 @@ type Service struct {
 // (or Service.Start) to begin periodic delivery. Options: opt.WithScope
 // overrides the scope (otherwise the service inherits the core's);
 // opt.WithFaults subjects the service to injected outages and snapshot
-// failures; opt.WithRetry tunes the install retry-with-backoff policy.
-// Attaching a service arms the core's watchdog when one was configured.
+// failures. Attaching a service arms the core's watchdog when one was
+// configured.
 func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter, options ...opt.Option) *Service {
 	o := opt.Resolve(options)
 	s := &Service{Core: c, Chan: ch, Freezer: f, Evaluator: e, Adapter: a, NamePrefix: "snapshot"}
@@ -269,10 +268,6 @@ func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter
 		s.sc = c.Obs()
 	}
 	s.inj = o.Faults
-	s.retry = opt.DefaultRetry()
-	if o.Retry != nil {
-		s.retry = *o.Retry
-	}
 	s.met = newServiceMetrics(s.sc)
 	s.rows = outcomeTable(&s.met)
 	s.spans = obs.NewSpanTracer(s.sc)
@@ -641,13 +636,22 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 	}
 }
 
-// backoff returns the wait before retry attempt n: min(Base<<n, Cap).
-func (s *Service) backoff(attempt int) netsim.Time {
-	b := s.retry.Base << uint(attempt)
-	if b <= 0 || b > s.retry.Cap {
-		b = s.retry.Cap
+// The install retry policy: an attempt that fails to build waits
+// min(installRetryBase<<n, installRetryCap) of virtual time before attempt
+// n+1, up to installAttempts attempts in total.
+const (
+	installAttempts  = 3
+	installRetryBase = 50 * netsim.Millisecond
+	installRetryCap  = netsim.Second
+)
+
+// backoff returns the wait before retry attempt n.
+func backoff(attempt int) netsim.Time {
+	b := installRetryBase << uint(attempt)
+	if b > installRetryCap {
+		b = installRetryCap
 	}
-	return netsim.Time(b)
+	return b
 }
 
 // tryInstall runs one install attempt (0-based): it freezes the userspace
@@ -656,7 +660,7 @@ func (s *Service) backoff(attempt int) netsim.Time {
 // datapath keeps using the old active snapshot for the whole install. Build
 // failures — real codegen errors or injected build/quantization faults, both
 // wrapping codegen.ErrSnapshotBuild — schedule a retry after bounded backoff
-// in virtual time (see opt.Retry) until the attempt budget is exhausted; then
+// in virtual time (see backoff) until the attempt budget is exhausted; then
 // the install is abandoned and the service keeps adapting with the current
 // snapshot. The fast path is never touched by a failed attempt.
 func (s *Service) tryInstall(attempt int) {
@@ -679,11 +683,11 @@ func (s *Service) tryInstall(attempt int) {
 		s.met.buildFailures.Inc()
 		s.sc.EventMix("snapshot", "build_failure", now, "attempt", int64(attempt+1), "model", name)
 		s.life.Mark("build_failure", now, "attempt", int64(attempt+1))
-		if attempt+1 >= s.retry.Max {
+		if attempt+1 >= installAttempts {
 			s.settle(abandoned, nil, "", attempt+1)
 			return
 		}
-		wait := s.backoff(attempt)
+		wait := backoff(attempt)
 		s.met.retries.Inc()
 		s.sc.Event2("snapshot", "install_retry", now, "attempt", int64(attempt+1), "backoff_ns", int64(wait))
 		s.Core.Eng.After(wait, func() { s.tryInstall(attempt + 1) })

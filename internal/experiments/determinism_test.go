@@ -142,8 +142,8 @@ func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 		t.Skip("full-suite golden run is slow; skipped with -short")
 	}
 	serial, par := referenceSuite(), goldenSuite(4, true)
-	// The suite must include the flow-churn experiment (#20) — its sharded
-	// cache and timing-wheel sweeper are exactly the structures whose
+	// The suite must include the flow-churn experiment (#20) — its cache
+	// map and timing-wheel sweeper are exactly the structures whose
 	// iteration order could silently go nondeterministic — and the
 	// fleet-scale experiment (#21), whose index-ordered batch merge and
 	// bounded install queue are the distribution plane's §4d obligations.

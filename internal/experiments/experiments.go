@@ -24,18 +24,11 @@ type Config struct {
 	// Obs, when non-zero, exports metrics and trace events from the
 	// simulated components (threaded through core, netlink, topo, ksim).
 	Obs obs.Scope
-	// CacheShards overrides the core flow-cache shard count for experiments
-	// that exercise the cache (0 = the core default). Set by lfbench
-	// -cache-shards.
-	CacheShards int
 	// Flight, when non-nil, receives virtual-time registry samples from
 	// experiments that drive a flight recorder (the fleet scenarios). RunSuite
 	// gives each job a private recorder and folds them into Flight in job
 	// order, so recordings are byte-identical serial vs parallel.
 	Flight *obs.FlightRecorder
-	// FlightEvery is the flight-recorder sampling tick (0 = per-experiment
-	// default).
-	FlightEvery netsim.Time
 	// Domains picks the engine of the experiments that support partitioned
 	// execution (Runner.Partitioned): 0 = classic engine; ≥ 1 = partitioned
 	// engine, one tie-break family whatever the number (DESIGN.md §4h). Set

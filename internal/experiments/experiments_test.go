@@ -365,35 +365,27 @@ func TestFlowChurnIncrementalSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res := FigFlowChurn(Config{Scale: 0.2, Seed: 1, CacheShards: 64})
+	res := FigFlowChurn(Config{Scale: 0.2, Seed: 1})
 	cached := res.Get("cached-flows")
-	depth := res.Get("shard-depth")
-	if cached == nil || depth == nil || len(cached.Y) < 10 {
+	if cached == nil || len(cached.Y) < 10 {
 		t.Fatal("missing time series")
 	}
-	peakCached, peakDepth := 0.0, 0.0
-	for i := range cached.Y {
-		if cached.Y[i] > peakCached {
-			peakCached = cached.Y[i]
-		}
-		if depth.Y[i] > peakDepth {
-			peakDepth = depth.Y[i]
+	peakCached := 0.0
+	for _, y := range cached.Y {
+		if y > peakCached {
+			peakCached = y
 		}
 	}
 	if peakCached < 100 {
 		t.Fatalf("peak cached = %.0f — churn never filled the cache", peakCached)
 	}
-	// 64 shards must keep the deepest shard a small fraction of the total.
-	if peakDepth > peakCached/8 {
-		t.Errorf("deepest shard %.0f of %.0f cached — sharding is not spreading", peakDepth, peakCached)
-	}
 	// The incremental-sweep bound, as reported in the notes: no single tick
 	// scanned anything close to the peak cache population.
-	var maxTick, peak, scans, shards int64
+	var maxTick, peak, scans int64
 	found := false
 	for _, n := range res.Notes {
-		if _, err := fmt.Sscanf(n, "incremental sweep: max tick scan %d of peak %d cached (%d scans total over %d shards)",
-			&maxTick, &peak, &scans, &shards); err == nil {
+		if _, err := fmt.Sscanf(n, "incremental sweep: max tick scan %d of peak %d cached (%d scans total)",
+			&maxTick, &peak, &scans); err == nil {
 			found = true
 			break
 		}

@@ -49,9 +49,9 @@ type CanaryScenarioOpts struct {
 	Seed        int64       // rng seed for traffic and model init
 	Dur         netsim.Time // bad push at Dur; the run ends at 2×Dur
 	Obs         obs.Scope   // telemetry scope; a private registry is used when it has none
-	CacheShards int
-	Flight      *obs.FlightRecorder // recorder to sample into (private one when nil)
-	FlightEvery netsim.Time         // sampling period (default aggregation/2)
+	// Flight is the recorder to sample into every aggregation/2 (a private
+	// one when nil).
+	Flight *obs.FlightRecorder
 }
 
 // CanaryScenarioResult is everything the acceptance tests and the experiment
@@ -122,9 +122,8 @@ func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
 	// caught within a fraction of the run.
 	ro := rig.FleetOpts{
 		Members: o.Members, Seed: o.Seed, Agg: agg, Dur: dur, End: end,
-		CacheShards: o.CacheShards,
 		ReadsFlight: true,
-		Scope:       o.Obs, Flight: o.Flight, FlightEvery: o.FlightEvery,
+		Scope:       o.Obs, Flight: o.Flight,
 		Stream: rig.Stream{Every: 5 * netsim.Microsecond, ClosedLoop: true, FlowLen: 16},
 	}
 	if o.Gate {
@@ -216,12 +215,11 @@ func FigFleetCanary(cfg Config) Result {
 	// aggregates. The gated run gets the caller's scope and flight recorder,
 	// so the exported artifacts show the blocked rollout.
 	ungated := RunCanaryScenario(CanaryScenarioOpts{
-		Members: members, Seed: cfg.Seed, Dur: dur, CacheShards: cfg.CacheShards,
+		Members: members, Seed: cfg.Seed, Dur: dur,
 	})
 	gated := RunCanaryScenario(CanaryScenarioOpts{
 		Members: members, CanaryCount: 1, Gate: true,
-		Seed: cfg.Seed, Dur: dur, CacheShards: cfg.CacheShards,
-		Obs: cfg.Obs, Flight: cfg.Flight, FlightEvery: cfg.FlightEvery,
+		Seed: cfg.Seed, Dur: dur, Obs: cfg.Obs, Flight: cfg.Flight,
 	})
 
 	res.Series = append(res.Series,

@@ -15,12 +15,11 @@ import (
 // scenario backs the fleet-scale experiment, cmd/lfsim -fleet, and the
 // chaos-recovery acceptance test.
 type FleetScenarioOpts struct {
-	Members     int // fabric hosts = fleet members (rounded up to even)
-	Seed        int64
-	Dur         netsim.Time // drift-active window; the run continues to 2×Dur as a recovery tail
-	Chaos       bool        // odd members suffer injected slow-path outages
-	Obs         obs.Scope
-	CacheShards int
+	Members int // fabric hosts = fleet members (rounded up to even)
+	Seed    int64
+	Dur     netsim.Time // drift-active window; the run continues to 2×Dur as a recovery tail
+	Chaos   bool        // odd members suffer injected slow-path outages
+	Obs     obs.Scope
 	// Flight, when non-nil, is sampled from Obs's registry every FlightEvery
 	// of virtual time (default agg/2) for the whole run.
 	Flight      *obs.FlightRecorder
@@ -80,7 +79,6 @@ func RunFleetScenario(o FleetScenarioOpts) FleetScenarioResult {
 	}
 	ro := rig.FleetOpts{
 		Members: o.Members, Seed: o.Seed, Agg: agg, Dur: dur, End: end,
-		CacheShards: o.CacheShards,
 		CanaryCount: o.CanaryCount, CanaryWindow: o.CanaryWindow,
 		Scope: o.Obs, Flight: o.Flight, FlightEvery: o.FlightEvery,
 		Stream: stream,
@@ -153,8 +151,7 @@ func FigFleetScale(cfg Config) Result {
 			sc, _, join := obs.Fork(cfg.Obs, nil)
 			r := RunFleetScenario(FleetScenarioOpts{
 				Members: members, Seed: cfg.Seed, Dur: dur, Chaos: chaos,
-				Obs: sc, CacheShards: cfg.CacheShards,
-				Flight: cfg.Flight, FlightEvery: cfg.FlightEvery,
+				Obs: sc, Flight: cfg.Flight,
 			})
 			join()
 			x := float64(r.Members)

@@ -15,19 +15,19 @@ import (
 )
 
 // FigFlowChurn (experiment #20, beyond the paper) stresses the router's
-// sharded flow cache the way the ROADMAP's "millions of users" target would:
+// flow cache the way the ROADMAP's "millions of users" target would:
 // hundreds of thousands of short flows churn through the cache — arriving,
 // querying a few times, then FINing or going silent — while a long-lived
 // adaptation loop keeps installing and activating new snapshots, so flow
 // consistency (paper §3.4) must pin old snapshots until their last flow
-// drains. The figure reports the live cache population and deepest-shard
-// depth over time; the notes quantify the incremental sweeper's per-tick
-// work bound (liteflow_core_sweep_scan_total): the largest single sweep tick
-// must stay far below the peak cache size, where the pre-sharded
-// implementation walked the whole cache every period.
+// drains. The figure reports the live cache population over time; the notes
+// quantify the incremental sweeper's per-tick work bound
+// (liteflow_core_sweep_scan_total): the largest single sweep tick must stay
+// far below the peak cache size, where a full sweep would walk the whole
+// cache every period.
 func FigFlowChurn(cfg Config) Result {
-	res := Result{ID: "flow-churn", Title: "Flow-cache churn at scale (sharded cache + incremental sweep)",
-		XLabel: "time ms", YLabel: "flows / shard depth"}
+	res := Result{ID: "flow-churn", Title: "Flow-cache churn at scale (incremental sweep)",
+		XLabel: "time ms", YLabel: "flows"}
 
 	const (
 		baseFlows   = 250_000
@@ -46,7 +46,6 @@ func FigFlowChurn(cfg Config) Result {
 	eng := netsim.NewEngine()
 	ccfg := core.DefaultConfig()
 	ccfg.FlowCacheTimeout = cacheTO
-	ccfg.FlowCacheShards = cfg.CacheShards
 	// Pre-build a few interchangeable snapshot payloads outside the event
 	// loop (codegen is the expensive part); the adaptation loop re-registers
 	// them round-robin, each registration becoming a fresh Model generation.
@@ -114,17 +113,14 @@ func FigFlowChurn(cfg Config) Result {
 		eng.At(f.Open, func() { run(f.Queries) })
 	}
 
-	// Sample the cache population and deepest shard on a fixed cadence.
+	// Sample the cache population on a fixed cadence.
 	cached := Series{Name: "cached-flows"}
-	depth := Series{Name: "shard-depth"}
 	sampleEvery := dur / 50
 	var sample func()
 	sample = func() {
 		ms := float64(eng.Now()) / 1e6
 		cached.X = append(cached.X, ms)
 		cached.Y = append(cached.Y, float64(lf.CachedFlows()))
-		depth.X = append(depth.X, ms)
-		depth.Y = append(depth.Y, float64(lf.ShardDepth()))
 		if eng.Now() < dur {
 			eng.After(sampleEvery, sample)
 		}
@@ -142,14 +138,14 @@ func FigFlowChurn(cfg Config) Result {
 	// refcounts return to zero and retired snapshots unload.
 	eng.Run()
 	dep.Stop()
-	res.Series = append(res.Series, cached, depth)
+	res.Series = append(res.Series, cached)
 
 	st := lf.Stats()
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("churned %d flows (%.0f/s, mean life %dms): %d queries, %d FIN drops, %d idle-swept",
 			nFlows, ratePerSec, meanLife/netsim.Millisecond, st.Queries, fins, st.SweptEntries),
-		fmt.Sprintf("incremental sweep: max tick scan %d of peak %d cached (%d scans total over %d shards)",
-			lf.MaxSweepTickScan(), peak, st.SweepScans, lf.CacheShards()),
+		fmt.Sprintf("incremental sweep: max tick scan %d of peak %d cached (%d scans total)",
+			lf.MaxSweepTickScan(), peak, st.SweepScans),
 		fmt.Sprintf("adaptation: %d installs, %d switches, %d snapshot unloads, %d models resident, %d flows cached after drain",
 			st.Installs, st.Switches, st.Unloads, lf.Models(), lf.CachedFlows()))
 	return res

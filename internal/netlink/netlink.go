@@ -80,16 +80,16 @@ func newChanMetrics(sc obs.Scope) chanMetrics {
 	}
 }
 
+// maxBuffer bounds the kernel-side accumulation buffer in messages; overflow
+// drops the oldest data first (the kernel cannot block the datapath on a slow
+// consumer).
+const maxBuffer = 4096
+
 // Channel is a simulated netlink socket pair bound to one host CPU.
 type Channel struct {
 	eng   *netsim.Engine
 	cpu   *ksim.CPU
 	costs ksim.Costs
-
-	// MaxBuffer bounds the kernel-side accumulation buffer in messages;
-	// overflow drops the oldest data first (the kernel cannot block the
-	// datapath on a slow consumer). Zero means 4096.
-	MaxBuffer int
 
 	buf     []Message
 	deliver func(batch []Message)
@@ -113,7 +113,7 @@ type Channel struct {
 // injects message drop/corruption and batch delay/reorder at flush time.
 func NewChannel(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, deliver func(batch []Message), options ...opt.Option) *Channel {
 	o := opt.Resolve(options)
-	c := &Channel{eng: eng, cpu: cpu, costs: costs, MaxBuffer: 4096, deliver: deliver,
+	c := &Channel{eng: eng, cpu: cpu, costs: costs, deliver: deliver,
 		inj: o.Faults, sc: o.Scope}
 	c.met = newChanMetrics(c.sc)
 	return c
@@ -167,11 +167,7 @@ func (c *Channel) Push(m Message) {
 		c.met.dropped.Inc()
 		return
 	}
-	max := c.MaxBuffer
-	if max <= 0 {
-		max = 4096
-	}
-	if len(c.buf) >= max {
+	if len(c.buf) >= maxBuffer {
 		// Drop oldest: adaptation prefers fresh signal.
 		copy(c.buf, c.buf[1:])
 		c.buf = c.buf[:len(c.buf)-1]

@@ -114,8 +114,7 @@ func TestStartBatchingValidation(t *testing.T) {
 func TestBufferBoundDropsOldest(t *testing.T) {
 	var got []Message
 	eng, _, ch := newTestChannel(func(b []Message) { got = b })
-	ch.MaxBuffer = 3
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxBuffer+2; i++ {
 		ch.Push(Message{Data: []float64{float64(i)}})
 	}
 	if ch.Stats().Dropped != 2 {
@@ -123,7 +122,7 @@ func TestBufferBoundDropsOldest(t *testing.T) {
 	}
 	ch.Flush()
 	eng.Run()
-	if len(got) != 3 || got[0].Data[0] != 2 {
+	if len(got) != maxBuffer || got[0].Data[0] != 2 || got[maxBuffer-1].Data[0] != maxBuffer+1 {
 		t.Errorf("buffer must keep newest; got %v", got)
 	}
 }

@@ -32,13 +32,13 @@ type Session struct {
 	ex     Exports
 }
 
-// NewSession provisions what ex needs; traceCap sizes the trace ring
-// (≤ 0 = DefaultTraceCapacity).
-func NewSession(ex Exports, traceCap int) *Session {
+// NewSession provisions what ex needs, with a DefaultTraceCapacity trace
+// ring.
+func NewSession(ex Exports) *Session {
 	s := &Session{ex: ex}
 	if ex.Any() {
 		s.Reg = NewRegistry()
-		s.Tracer = NewTracer(traceCap)
+		s.Tracer = NewTracer(0)
 	}
 	if ex.Flight != "" || ex.Listen != "" {
 		s.Flight = NewFlightRecorder(0)
@@ -71,7 +71,7 @@ func (s *Session) Finish(prog string, stderr io.Writer) error {
 		}
 	}
 	if n := s.Tracer.Evicted(); n > 0 {
-		fmt.Fprintf(stderr, "%s: trace ring overflowed, %d oldest events evicted (raise the ring capacity to keep them)\n", prog, n)
+		fmt.Fprintf(stderr, "%s: trace ring overflowed, %d oldest events evicted (it keeps the newest %d)\n", prog, n, s.Tracer.Cap())
 	}
 	if s.ex.Listen != "" {
 		fmt.Fprintf(stderr, "serving telemetry on %s (/metrics, /debug/trace, /debug/flight) — ctrl-c to stop\n", s.ex.Listen)

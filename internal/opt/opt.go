@@ -1,7 +1,7 @@
 // Package opt defines the functional-options pattern shared by every
 // component constructor (core, netlink, ksim, netsim, topo). It replaces the
 // old trailing-variadic `sc ...obs.Scope` convention: options compose, new
-// knobs (fault injection, watchdog, install retry) ride the same parameter,
+// knobs (fault injection, watchdog) ride the same parameter,
 // and call sites read as configuration rather than positional magic.
 //
 // The package sits just above obs and fault in the import graph so every
@@ -16,13 +16,12 @@ import (
 // Watchdog configures the core's slow-path liveness watchdog: if no batch
 // reaches the userspace service within Window, the core degrades gracefully
 // to the last-good snapshot (pending standby discarded) and counts
-// liteflow_core_degraded_total. All times are virtual nanoseconds.
+// liteflow_core_degraded_total. The watchdog checks every Window/2. All
+// times are virtual nanoseconds.
 type Watchdog struct {
 	// Window is the maximum silence tolerated before degrading.
 	// Zero selects DefaultWatchdogWindow.
 	Window int64
-	// Check is the watchdog tick period. Zero selects Window/2.
-	Check int64
 }
 
 // DefaultWatchdogWindow tolerates one second of slow-path silence — ten
@@ -34,37 +33,7 @@ func (w Watchdog) withDefaults() Watchdog {
 	if w.Window <= 0 {
 		w.Window = DefaultWatchdogWindow
 	}
-	if w.Check <= 0 {
-		w.Check = w.Window / 2
-	}
 	return w
-}
-
-// Retry bounds the slow path's retry-with-backoff for failed snapshot
-// installs: attempt n waits min(Base<<n, Cap) of virtual time before
-// retrying, up to Max attempts total.
-type Retry struct {
-	Max  int   // total attempts (including the first); <=0 selects 3
-	Base int64 // first backoff, ns; <=0 selects 50 ms
-	Cap  int64 // backoff ceiling, ns; <=0 selects 1 s
-}
-
-// DefaultRetry returns the default install-retry policy: 3 attempts,
-// 50 ms base backoff, 1 s cap.
-func DefaultRetry() Retry { return Retry{Max: 3, Base: 50e6, Cap: 1e9} }
-
-func (r Retry) withDefaults() Retry {
-	d := DefaultRetry()
-	if r.Max <= 0 {
-		r.Max = d.Max
-	}
-	if r.Base <= 0 {
-		r.Base = d.Base
-	}
-	if r.Cap <= 0 {
-		r.Cap = d.Cap
-	}
-	return r
 }
 
 // Options is the resolved option set a constructor consumes.
@@ -79,8 +48,6 @@ type Options struct {
 	Faults *fault.Injector
 	// Watchdog, when non-nil, enables the core's slow-path watchdog.
 	Watchdog *Watchdog
-	// Retry, when non-nil, overrides the install retry policy.
-	Retry *Retry
 }
 
 // Option mutates an Options during Resolve.
@@ -108,16 +75,9 @@ func WithFaults(inj *fault.Injector) Option {
 	return func(o *Options) { o.Faults = inj }
 }
 
-// WithWatchdog enables the core's slow-path liveness watchdog. Zero fields
-// take defaults (1 s window, window/2 check period).
+// WithWatchdog enables the core's slow-path liveness watchdog. A zero
+// Window takes the default (1 s).
 func WithWatchdog(w Watchdog) Option {
 	w = w.withDefaults()
 	return func(o *Options) { o.Watchdog = &w }
-}
-
-// WithRetry overrides the slow path's snapshot-install retry policy. Zero
-// fields take defaults (3 attempts, 50 ms base, 1 s cap).
-func WithRetry(r Retry) Option {
-	r = r.withDefaults()
-	return func(o *Options) { o.Retry = &r }
 }

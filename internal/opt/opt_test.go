@@ -15,7 +15,7 @@ import (
 
 func TestResolveEmpty(t *testing.T) {
 	o := opt.Resolve(nil)
-	if o.HasScope || o.Faults != nil || o.Watchdog != nil || o.Retry != nil {
+	if o.HasScope || o.Faults != nil || o.Watchdog != nil {
 		t.Errorf("zero Options expected, got %+v", o)
 	}
 	if o.Scope.Registry() != nil || o.Scope.Tracer() != nil {
@@ -66,28 +66,10 @@ func TestWithWatchdogDefaults(t *testing.T) {
 	if o.Watchdog.Window != opt.DefaultWatchdogWindow {
 		t.Errorf("zero Window: got %d, want default %d", o.Watchdog.Window, opt.DefaultWatchdogWindow)
 	}
-	if o.Watchdog.Check != opt.DefaultWatchdogWindow/2 {
-		t.Errorf("zero Check: got %d, want window/2 = %d", o.Watchdog.Check, opt.DefaultWatchdogWindow/2)
-	}
 
-	o = opt.Resolve([]opt.Option{opt.WithWatchdog(opt.Watchdog{Window: 7e9, Check: 1e9})})
-	if o.Watchdog.Window != 7e9 || o.Watchdog.Check != 1e9 {
+	o = opt.Resolve([]opt.Option{opt.WithWatchdog(opt.Watchdog{Window: 7e9})})
+	if o.Watchdog.Window != 7e9 {
 		t.Errorf("explicit fields must be preserved, got %+v", *o.Watchdog)
-	}
-}
-
-func TestWithRetryDefaults(t *testing.T) {
-	d := opt.DefaultRetry()
-	o := opt.Resolve([]opt.Option{opt.WithRetry(opt.Retry{})})
-	if o.Retry == nil {
-		t.Fatal("WithRetry must set Options.Retry")
-	}
-	if *o.Retry != d {
-		t.Errorf("zero Retry: got %+v, want defaults %+v", *o.Retry, d)
-	}
-	o = opt.Resolve([]opt.Option{opt.WithRetry(opt.Retry{Max: 9, Base: 1e6, Cap: 2e6})})
-	if o.Retry.Max != 9 || o.Retry.Base != 1e6 || o.Retry.Cap != 2e6 {
-		t.Errorf("explicit fields must be preserved, got %+v", *o.Retry)
 	}
 }
 
@@ -102,11 +84,11 @@ func TestWithWatchdogCopiesValue(t *testing.T) {
 }
 
 // TestConstructorsIgnoreIrrelevantOptions verifies constructors tolerate
-// options they do not consume instead of misbehaving: a CPU does not use a
-// watchdog, a channel does not use a retry policy.
+// options they do not consume instead of misbehaving: a CPU uses neither a
+// watchdog nor a fault injector, a channel no watchdog.
 func TestConstructorsIgnoreIrrelevantOptions(t *testing.T) {
 	eng := netsim.NewEngine()
-	cpu := ksim.NewHostCPU(eng, 1, opt.WithWatchdog(opt.Watchdog{}), opt.WithRetry(opt.Retry{}))
+	cpu := ksim.NewHostCPU(eng, 1, opt.WithWatchdog(opt.Watchdog{}), opt.WithFaults(nil))
 	if cpu == nil {
 		t.Fatal("CPU constructor rejected irrelevant options")
 	}

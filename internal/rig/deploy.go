@@ -106,14 +106,10 @@ func Every(eng *netsim.Engine, period, end netsim.Time, fn func()) {
 }
 
 // flightTick arms the flight recorder when there is one and a registry to
-// read: every series is sampled into fr each `every` (fallback when ≤ 0),
-// until end.
-func flightTick(eng *netsim.Engine, fr *obs.FlightRecorder, reg *obs.Registry, every, fallback, end netsim.Time) {
+// read: every series is sampled into fr each `every`, until end.
+func flightTick(eng *netsim.Engine, fr *obs.FlightRecorder, reg *obs.Registry, every, end netsim.Time) {
 	if fr == nil || reg == nil {
 		return
-	}
-	if every <= 0 {
-		every = fallback
 	}
 	Every(eng, every, end, func() { fr.Sample(reg, int64(eng.Now())) })
 }

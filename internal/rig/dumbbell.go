@@ -46,9 +46,8 @@ type DumbbellOpts struct {
 	Faults    fault.Profile
 	FaultSeed int64
 	Scope     obs.Scope // links, CPUs, core and slow path export under it
-	// Flight, when non-nil, samples Scope's registry every FlightEvery.
-	Flight      *obs.FlightRecorder
-	FlightEvery netsim.Time
+	// Flight, when non-nil, samples Scope's registry every millisecond.
+	Flight *obs.FlightRecorder
 }
 
 // Dumbbell is one sender host and one receiver host (both 4-core) across one
@@ -189,7 +188,7 @@ func (d *Dumbbell) Sample(eng *netsim.Engine, period netsim.Time, fn func(sinceW
 func (d *Dumbbell) Run(warmup, dur netsim.Time) {
 	d.warmup = warmup
 	end := warmup + dur
-	flightTick(d.Eng, d.opts.Flight, d.opts.Scope.Registry(), d.opts.FlightEvery, netsim.Millisecond, end)
+	flightTick(d.Eng, d.opts.Flight, d.opts.Scope.Registry(), netsim.Millisecond, end)
 	// Without a warm-up the window opens before the first event, so work
 	// charged at t = 0 is part of the measurement.
 	if warmup > 0 {

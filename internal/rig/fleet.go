@@ -85,7 +85,6 @@ type FleetOpts struct {
 	// Agg is the member batch interval and the controller's aggregation
 	// interval. Queries counts inside [0, Dur); streams and ticks run to End.
 	Agg, Dur, End netsim.Time
-	CacheShards   int
 	// CanaryCount > 0 stages every minted epoch through that many canary
 	// members for CanaryWindow (0 = 4 aggregation intervals) before release.
 	CanaryCount  int
@@ -147,7 +146,6 @@ func NewFleet(o FleetOpts) *Fleet {
 		sign:       1,
 	}}
 	ccfg := core.DefaultConfig()
-	ccfg.FlowCacheShards = o.CacheShards
 	fcfg := fleet.Config{
 		BatchInterval:         o.Agg,
 		AggregationInterval:   o.Agg,
@@ -187,7 +185,11 @@ func NewFleet(o FleetOpts) *Fleet {
 	for _, m := range f.Ctrl.Members() {
 		f.stream(m, o, costs)
 	}
-	flightTick(eng, fr, sc.Registry(), o.FlightEvery, o.Agg/2, o.End)
+	every := o.FlightEvery
+	if every <= 0 {
+		every = o.Agg / 2
+	}
+	flightTick(eng, fr, sc.Registry(), every, o.End)
 	return f
 }
 

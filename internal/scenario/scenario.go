@@ -156,6 +156,14 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
+// maxMs bounds every millisecond field (one year) and maxRespBytes every
+// response size, so Run's conversions to nanoseconds and byte counts cannot
+// overflow into negative times and sizes.
+const (
+	maxMs        = 365 * 24 * 3600 * 1e3
+	maxRespBytes = 1 << 40
+)
+
 // Validate checks the spec against the constraints Run assumes.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
@@ -181,8 +189,8 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("unknown cc %q (want dctcp|cubic|bbr)", s.CC)
 	}
-	if s.DurationMs <= 0 {
-		return fmt.Errorf("durationMs must be positive")
+	if s.DurationMs <= 0 || s.DurationMs > maxMs {
+		return fmt.Errorf("durationMs must be in (0, 1 year]")
 	}
 	if len(s.Actors) == 0 {
 		return fmt.Errorf("need at least one actor group")
@@ -195,6 +203,9 @@ func (s *Spec) Validate() error {
 		}
 		if g.ReqBytes < 0 || g.ReqBytes > netsim.MSS {
 			return fmt.Errorf("actors[%d]: reqBytes must be in 0..MSS", i)
+		}
+		if g.RespBytes > maxRespBytes || g.ThinkMs > maxMs || g.ChunkMs > maxMs {
+			return fmt.Errorf("actors[%d]: respBytes must be at most 1 TiB, thinkMs and chunkMs at most a year", i)
 		}
 		switch g.Class {
 		case "web":
@@ -248,8 +259,8 @@ func (s *Spec) Validate() error {
 			if e.Sessions < 1 {
 				return fmt.Errorf("events[%d]: flash-crowd needs sessions ≥ 1", i)
 			}
-			if e.SpanMs < 0 {
-				return fmt.Errorf("events[%d]: spanMs must be ≥ 0", i)
+			if e.SpanMs < 0 || e.SpanMs > maxMs {
+				return fmt.Errorf("events[%d]: spanMs must be in 0..1 year", i)
 			}
 			found := false
 			for j := range s.Actors {
@@ -275,8 +286,8 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if c := s.Churn; c != nil {
-		if c.Flows < 1 || c.RatePerSec <= 0 || c.MeanLifeMs <= 0 || c.FinFrac < 0 || c.FinFrac > 1 {
-			return fmt.Errorf("churn needs flows ≥ 1, ratePerSec > 0, meanLifeMs > 0, finFrac in [0,1]")
+		if c.Flows < 1 || c.RatePerSec*maxMs/1e3 < 1 || c.MeanLifeMs < 1e-6 || c.MeanLifeMs > maxMs || c.FinFrac < 0 || c.FinFrac > 1 {
+			return fmt.Errorf("churn needs flows ≥ 1, ratePerSec of one a year or more, meanLifeMs in [1 ns, 1 year], finFrac in [0,1]")
 		}
 	}
 	return nil

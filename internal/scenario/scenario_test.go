@@ -65,6 +65,17 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParseRejectsOverflowingDuration: a duration past a year of virtual
+// time wrapped negative in nanoseconds, so a flash crowd inside it was
+// scheduled in the past and Run panicked.
+func TestParseRejectsOverflowingDuration(t *testing.T) {
+	_, err := Parse([]byte(`{"name":"x","fabric":{"profile":"dc","hostsPerLeaf":2},"durationMs":1e300,
+		"actors":[{"class":"web","count":1}],"events":[{"kind":"flash-crowd","atMs":1e299,"class":"web","sessions":1}]}`))
+	if err == nil || !strings.Contains(err.Error(), "durationMs") {
+		t.Fatalf("Parse with durationMs 1e300: err = %v, want a durationMs rejection", err)
+	}
+}
+
 // TestScenarioEnvelopes runs every small scenario at natural scale on the
 // serial engine and requires a clean acceptance envelope. This is the same
 // check CI's scenario job applies through lfsim -scenario-check.

@@ -184,7 +184,9 @@ func GenerateChurn(r *rand.Rand, n int, ratePerSec float64, meanLife netsim.Time
 // GenerateChurnAt is GenerateChurn with a composition base: flow IDs start
 // at baseID+1 and arrivals at baseTime, so several populations can be layered
 // in one experiment (scenario churn over session actors) without colliding on
-// FlowID(i+1) or restarting the clock at zero.
+// FlowID(i+1) or restarting the clock at zero. An arrival later than 2^62 ns
+// (≈ 146 years, past any run) opens at that horizon instead of overflowing
+// into a negative time.
 func GenerateChurnAt(r *rand.Rand, n int, ratePerSec float64, meanLife netsim.Time, finFrac float64, baseID netsim.FlowID, baseTime netsim.Time) []ChurnFlow {
 	if n < 0 || ratePerSec <= 0 || meanLife <= 0 {
 		panic("workload: GenerateChurn needs n >= 0, ratePerSec > 0, meanLife > 0")
@@ -194,7 +196,7 @@ func GenerateChurnAt(r *rand.Rand, n int, ratePerSec float64, meanLife netsim.Ti
 	for i := 0; i < n; i++ {
 		t += r.ExpFloat64() / ratePerSec
 		life := netsim.Time(r.ExpFloat64() * float64(meanLife))
-		open := baseTime + netsim.Time(t*1e9)
+		open := baseTime + netsim.Time(math.Min(t*1e9, 1<<62))
 		out = append(out, ChurnFlow{
 			ID:      baseID + netsim.FlowID(i+1),
 			Open:    open,

@@ -357,6 +357,17 @@ func TestGenerateChurnValidation(t *testing.T) {
 	GenerateChurn(rand.New(rand.NewSource(1)), 1, 0, netsim.Millisecond, 0.5)
 }
 
+// TestGenerateChurnLateArrivalsStayPositive: at one arrival per ~30,000 years
+// the open times pass int64 nanoseconds; they must stop at the horizon, not
+// wrap negative (a negative open is an event scheduled in the past).
+func TestGenerateChurnLateArrivalsStayPositive(t *testing.T) {
+	for _, f := range GenerateChurn(rand.New(rand.NewSource(1)), 3, 1e-12, netsim.Millisecond, 0.5) {
+		if f.Open <= 0 || f.Close < f.Open {
+			t.Fatalf("flow %d opens at %d, closes at %d", f.ID, f.Open, f.Close)
+		}
+	}
+}
+
 func BenchmarkSample(b *testing.B) {
 	d := WebSearch()
 	r := rand.New(rand.NewSource(1))

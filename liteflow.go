@@ -37,8 +37,7 @@
 // configured window the core degrades gracefully to its last-good snapshot
 // (counted in liteflow_core_degraded_total) instead of serving stale standby
 // state; while degraded, Activate is rejected with ErrDegraded so the
-// last-good snapshot stays pinned until the slow path recovers. WithRetry
-// bounds the slow path's snapshot-install retry/backoff policy. Each
+// last-good snapshot stays pinned until the slow path recovers. Each
 // component has this one constructor (NewCore, NewHostCPU,
 // NewNetlinkChannel, NewSlowPath).
 //
@@ -83,12 +82,9 @@ type (
 	FaultProfile = fault.Profile
 	// FaultStats counts injected faults by kind.
 	FaultStats = fault.Stats
-	// WatchdogConfig tunes the core's slow-path watchdog (zero fields pick
-	// defaults: 1 s window, window/2 check interval).
+	// WatchdogConfig tunes the core's slow-path watchdog (a zero Window
+	// picks 1 s; the watchdog checks every Window/2).
 	WatchdogConfig = opt.Watchdog
-	// RetryConfig bounds snapshot-install retries (zero fields pick
-	// defaults: 3 attempts, 50 ms base backoff, 1 s cap).
-	RetryConfig = opt.Retry
 )
 
 // WithScope attaches an observability Scope to a constructor.
@@ -102,9 +98,6 @@ func WithFaults(inj *FaultInjector) Option { return opt.WithFaults(inj) }
 // WithWatchdog arms the core's slow-path watchdog with the given
 // configuration (zero value selects defaults).
 func WithWatchdog(w WatchdogConfig) Option { return opt.WithWatchdog(w) }
-
-// WithRetry sets the slow path's snapshot-install retry policy.
-func WithRetry(r RetryConfig) Option { return opt.WithRetry(r) }
 
 // NewFaultInjector builds a deterministic fault injector for profile p,
 // seeded with seed. Same profile + seed ⇒ identical fault decisions, so
@@ -284,8 +277,8 @@ func ParseSample(m Message) (Sample, error) { return core.ParseSample(m) }
 
 // NewSlowPath wires the userspace slow path to a core and its channel. The
 // service inherits the core's Scope unless WithScope overrides it; WithFaults
-// injects snapshot build failures and service outages; WithRetry bounds the
-// install retry policy.
+// injects snapshot build failures and service outages. A failed build is
+// retried twice, after 50 ms and then 100 ms of virtual time.
 func NewSlowPath(c *Core, ch *Channel, f Freezer, e Evaluator, a Adapter, options ...Option) *Service {
 	return core.NewSlowPath(c, ch, f, e, a, options...)
 }

@@ -140,9 +140,7 @@ func TestOptionsAPILifecycle(t *testing.T) {
 	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil,
 		liteflow.WithScope(sc), liteflow.WithFaults(inj))
 	svc := liteflow.NewSlowPath(lf, ch, u, u, u,
-		liteflow.WithScope(sc), liteflow.WithFaults(inj),
-		liteflow.WithRetry(liteflow.RetryConfig{
-			Max: 2, Base: int64(10 * liteflow.Millisecond), Cap: int64(liteflow.Second)}))
+		liteflow.WithScope(sc), liteflow.WithFaults(inj))
 	svc.Start(50 * liteflow.Millisecond)
 	for i := 0; i < 60; i++ {
 		ch.Push(liteflow.EncodeSample(liteflow.Sample{
