@@ -139,7 +139,9 @@ func BenchmarkQuerySteadyState(b *testing.B) {
 
 // BenchmarkSnapshotBuild measures what one slow-path install pays on the
 // host: Quantize + Build of a retuned network whose architecture and quant
-// config the process has already seen (every install after the first).
+// config the process has already seen (every install after the first), so
+// the activation unit and the model frame are memoised and what is left is
+// quantizing, emitting the model unit and one pass to derive its frame.
 func BenchmarkSnapshotBuild(b *testing.B) {
 	for _, m := range []struct {
 		name string

@@ -73,7 +73,12 @@ func TestActivationUnitSharedByContent(t *testing.T) {
 	if a.Model == b.Model {
 		t.Error("model units of differently seeded nets must differ")
 	}
+	if frameOf(a.Model) != frameOf(b.Model) {
+		t.Error("retuned snapshots of one architecture must share one model frame, whatever their names")
+	}
 }
+
+func frameOf(model string) string { return string(appendFrame(nil, model)) }
 
 // TestModelUnitMatchesListing2 pins the per-install emitter against a
 // fmt-based rendering of the Listing 2 row form, byte for byte.
@@ -135,8 +140,8 @@ func unitKey(p *quant.Program) string {
 	return strings.Join(ids, " ")
 }
 
-// memoSize returns the activation-unit memo's entry count and arranges for
-// the memo to be put back as the test found it.
+// memoSize returns the unit memo's entry count (activation units and model
+// frames) and arranges for the memo to be put back as the test found it.
 func memoSize(t *testing.T) int {
 	t.Helper()
 	unitMemo.Lock()
@@ -170,7 +175,9 @@ func TestBuildRejectsBrokenActivationUnit(t *testing.T) {
 }
 
 // TestBuildRejectsBrokenModelUnit: a memoised activation unit does not
-// launder the model unit — it is parsed on every build on its own.
+// launder the model unit — every build checks the unit's own frame, and a
+// frame that does not parse sends the unit itself to the parser, whose
+// error list the build returns.
 func TestBuildRejectsBrokenModelUnit(t *testing.T) {
 	_, good := auroraProgram(t)
 	mod, err := Build(good, "good")
@@ -186,11 +193,20 @@ func TestBuildRejectsBrokenModelUnit(t *testing.T) {
 	requireBuildFailure(t, err, "model unit")
 }
 
+// memoHas reports whether key is in the unit memo.
+func memoHas(key string) bool {
+	unitMemo.Lock()
+	defer unitMemo.Unlock()
+	_, ok := unitMemo.m[key]
+	return ok
+}
+
 // TestMemoCapKeepsResultsCorrect: with the memo full, a new activation unit
-// is still generated, parsed and returned — only not stored.
+// is still generated, parsed and returned, and a new model frame is still
+// parsed for its own build — only neither is stored.
 func TestMemoCapKeepsResultsCorrect(t *testing.T) {
 	cfg := quant.DefaultConfig()
-	cfg.OutputScale = 777 // a key no other test builds
+	cfg.OutputScale = 777 // a key and a frame no other test builds
 	net := nn.New([]int{4, 3, 1}, []nn.Activation{nn.Tanh, nn.Sigmoid}, 5)
 	p := quant.Quantize(net, cfg)
 
@@ -200,21 +216,27 @@ func TestMemoCapKeepsResultsCorrect(t *testing.T) {
 	unitMemo.bytes = maxMemoBytes
 	unitMemo.Unlock()
 	capped, err := Build(p, "capped")
+	// Past the cap the frame is parsed, not assumed: a broken one is refused.
+	brokenParses := capped != nil && frameParses(strings.Replace(capped.Model, "func init()", "func init(", 1))
 	unitMemo.Lock()
 	unitMemo.bytes = saved
 	unitMemo.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memoSize(t) != before {
-		t.Fatal("a unit past the cap must not be stored")
+	if brokenParses {
+		t.Error("past the cap, the frame of a broken model unit was accepted")
+	}
+	frame := frameOf(capped.Model)
+	if memoSize(t) != before || memoHas(frame) {
+		t.Fatal("a unit or frame past the cap must not be stored")
 	}
 	memoised, err := Build(p, "capped")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memoSize(t) != before+1 {
-		t.Fatal("a unit within the cap must be stored")
+	if memoSize(t) != before+2 || !memoHas(frame) {
+		t.Fatal("an activation unit and a model frame within the cap must both be stored")
 	}
 	if capped.Activation != memoised.Activation || capped.Model != memoised.Model {
 		t.Error("units built past the cap differ from memoised ones")

@@ -23,14 +23,15 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/sched"
 )
 
-// zooModules builds every evaluated architecture (paper §5.1) at two output
-// scales, plus a one-layer net (the degenerate call chain).
-func zooModules(t *testing.T) []*codegen.Module {
-	t.Helper()
-	nets := []struct {
-		name string
-		net  *nn.Network
-	}{
+type zooNet struct {
+	name string
+	net  *nn.Network
+}
+
+// zooNets returns every evaluated architecture (paper §5.1), plus a
+// one-layer net (the degenerate call chain).
+func zooNets() []zooNet {
+	return []zooNet{
 		{"aurora", cc.NewAuroraNet(1)},
 		{"aurora_alpha", cc.NewAuroraAlphaNet(2)},
 		{"mocc", cc.NewMOCCNet(3)},
@@ -38,8 +39,13 @@ func zooModules(t *testing.T) []*codegen.Module {
 		{"lbmlp", lb.NewMLP(2, 5)},
 		{"single", nn.New([]int{3, 2}, []nn.Activation{nn.Sigmoid}, 6)},
 	}
+}
+
+// zooModules builds every zoo net at two output scales.
+func zooModules(t *testing.T) []*codegen.Module {
+	t.Helper()
 	var mods []*codegen.Module
-	for _, n := range nets {
+	for _, n := range zooNets() {
 		for _, c := range []int64{10, 1000} {
 			cfg := quant.DefaultConfig()
 			cfg.OutputScale = c

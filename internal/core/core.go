@@ -55,11 +55,12 @@ type IOModule interface {
 	OutputSize() int
 }
 
+// Alpha scales the necessity threshold: update only when the minimal
+// fidelity loss exceeds Alpha·(Omax−Omin). Paper value: 5%.
+const Alpha = 0.05
+
 // Config tunes the framework's update policy.
 type Config struct {
-	// Alpha scales the necessity threshold: update only when the minimal
-	// fidelity loss exceeds Alpha·(Omax−Omin). Paper value: 5%.
-	Alpha float64
 	// OutMin/OutMax are the model's output range (Omax, Omin in the
 	// paper; for Aurora these are −1 and 1).
 	OutMin, OutMax float64
@@ -81,7 +82,6 @@ type Config struct {
 // DefaultConfig returns the paper-calibrated configuration.
 func DefaultConfig() Config {
 	return Config{
-		Alpha:              0.05,
 		OutMin:             -1,
 		OutMax:             1,
 		StabilityWindow:    5,

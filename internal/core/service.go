@@ -612,7 +612,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 		}
 		s.Core.Eng.After(s.Core.Costs.CrossSpaceLatency, func() {
 			s.met.lastFidelity.Set(minLoss)
-			threshold := s.Core.Cfg.Alpha * (s.Core.Cfg.OutMax - s.Core.Cfg.OutMin)
+			threshold := Alpha * (s.Core.Cfg.OutMax - s.Core.Cfg.OutMin)
 			if minLoss <= threshold {
 				s.settle(skipped, nil, "", 0)
 				return

@@ -334,10 +334,11 @@ type Controller struct {
 	met fleetMetrics
 }
 
-// New returns a controller. coreCfg supplies the gate parameters (Alpha,
-// OutMin/OutMax, StabilityWindow/Tolerance) and the quantization config used
-// for snapshot generation; members keep their own core.Config for datapath
-// concerns. opt.WithScope attaches telemetry.
+// New returns a controller. coreCfg supplies the gate parameters
+// (OutMin/OutMax, StabilityWindow/Tolerance; the threshold's scale is
+// core.Alpha) and the quantization config used for snapshot generation;
+// members keep their own core.Config for datapath concerns. opt.WithScope
+// attaches telemetry.
 func New(eng *netsim.Engine, coreCfg core.Config, f core.Freezer, e core.Evaluator, a core.Adapter, cfg Config, options ...opt.Option) *Controller {
 	o := opt.Resolve(options)
 	c := &Controller{
@@ -633,7 +634,7 @@ func (c *Controller) evaluateNecessity(pool []core.Sample) {
 		return
 	}
 	c.met.lastFidelity.Set(minLoss)
-	threshold := c.coreCfg.Alpha * (c.coreCfg.OutMax - c.coreCfg.OutMin)
+	threshold := core.Alpha * (c.coreCfg.OutMax - c.coreCfg.OutMin)
 	if minLoss <= threshold {
 		c.met.skipped.Inc()
 		return
