@@ -7,9 +7,9 @@
 //
 // The model is a single logical work-conserving server whose capacity scales
 // with the configured core count. Work items are serialized FIFO; each item
-// charges its duration to an accounting category. When the backlog exceeds a
-// bound the submission is rejected — the analog of NIC ring overflow under
-// overload.
+// charges its duration to an accounting category. When the backlog exceeds
+// maxBacklog the submission is rejected — the analog of NIC ring overflow
+// under overload.
 package ksim
 
 import (
@@ -50,14 +50,9 @@ type CPU struct {
 	eng   *netsim.Engine
 	cores int
 
-	busyUntil netsim.Time
+	busyUntil netsim.Time                // never decreases
 	acct      [numCategories]netsim.Time // raw CPU-time consumed per category
-
-	// MaxBacklog bounds how far work may queue ahead of the current time
-	// (in wall time). Submissions beyond it are rejected. This models the
-	// finite NIC ring / softirq budget: an overloaded kernel drops packets
-	// rather than queueing them forever.
-	MaxBacklog netsim.Time
+	done      netsim.Ring                // SubmitPacket's completions, FIFO like busyUntil
 
 	rejected int64
 	started  netsim.Time
@@ -67,8 +62,11 @@ type CPU struct {
 	rejects *obs.Counter
 }
 
-// DefaultMaxBacklog is the default bound on queued work, in wall time.
-const DefaultMaxBacklog = 5 * netsim.Millisecond
+// maxBacklog bounds how far work may queue ahead of the current time, in
+// wall time; submissions beyond it are rejected. This models the finite NIC
+// ring / softirq budget: an overloaded kernel drops packets rather than
+// queueing them forever.
+const maxBacklog = 5 * netsim.Millisecond
 
 // NewHostCPU returns a CPU with the given core count attached to eng. It
 // panics if cores is not positive. opt.WithScope exports per-category busy
@@ -77,8 +75,8 @@ func NewHostCPU(eng *netsim.Engine, cores int, options ...opt.Option) *CPU {
 	if cores <= 0 {
 		panic("ksim: cores must be positive")
 	}
-	c := &CPU{eng: eng, cores: cores, MaxBacklog: DefaultMaxBacklog, started: eng.Now(),
-		sc: opt.Resolve(options).Scope}
+	c := &CPU{eng: eng, cores: cores, started: eng.Now(), sc: opt.Resolve(options).Scope}
+	c.done.Init(eng)
 	for cat := Category(0); cat < numCategories; cat++ {
 		c.busyNS[cat] = c.sc.Counter("liteflow_cpu_busy_ns_total",
 			"raw CPU time consumed, by mpstat category",
@@ -106,48 +104,39 @@ func (c *CPU) wallTime(work netsim.Time) netsim.Time {
 // invoking done (which may be nil) when the work retires. It reports false —
 // and drops the work — when the backlog bound is exceeded.
 func (c *CPU) Submit(cat Category, work netsim.Time, done func()) bool {
-	now := c.eng.Now()
-	if c.busyUntil < now {
-		c.busyUntil = now
-	}
-	if c.busyUntil-now > c.MaxBacklog {
-		c.rejected++
-		c.rejects.Inc()
-		c.sc.Event1("cpu", "reject", now, "ns", int64(work))
+	if !c.admit(cat, work) {
 		return false
 	}
-	c.acct[cat] += work
-	c.busyUntil += c.wallTime(work)
-	c.busyNS[cat].Add(int64(work))
-	c.sc.Event1("cpu", cat.String(), now, "ns", int64(work))
 	if done != nil {
-		at := c.busyUntil
-		c.eng.At(at, done)
+		c.eng.At(c.busyUntil, done)
 	}
 	return true
 }
 
 // SubmitPacket is the closure-free Submit for per-packet work: when the work
-// retires, fn(p) runs — the packet rides in the engine's typed event, so the
-// steady-state packet datapath schedules CPU completions without allocating.
-// Backlog rejection matches Submit; the caller owns (and frees) the packet
-// on rejection.
+// retires, fn(p) runs. busyUntil never decreases, so completions leave in the
+// order they were submitted and wait in the CPU's ring, like a link's packets
+// in propagation: the steady-state packet datapath schedules them without
+// allocating. Backlog rejection matches Submit; the caller owns (and frees)
+// the packet on rejection.
 func (c *CPU) SubmitPacket(cat Category, work netsim.Time, fn func(*netsim.Packet), p *netsim.Packet) bool {
-	now := c.eng.Now()
-	if c.busyUntil < now {
-		c.busyUntil = now
+	if !c.admit(cat, work) {
+		return false
 	}
-	if c.busyUntil-now > c.MaxBacklog {
+	c.done.At(c.busyUntil, fn, p)
+	return true
+}
+
+// admit charges work unless the backlog is over the bound, in which case it
+// counts a rejection and reports false.
+func (c *CPU) admit(cat Category, work netsim.Time) bool {
+	if now := c.eng.Now(); c.busyUntil-now > maxBacklog {
 		c.rejected++
 		c.rejects.Inc()
 		c.sc.Event1("cpu", "reject", now, "ns", int64(work))
 		return false
 	}
-	c.acct[cat] += work
-	c.busyUntil += c.wallTime(work)
-	c.busyNS[cat].Add(int64(work))
-	c.sc.Event1("cpu", cat.String(), now, "ns", int64(work))
-	c.eng.AtPacket(c.busyUntil, fn, p)
+	c.Charge(cat, work)
 	return true
 }
 

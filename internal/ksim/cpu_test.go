@@ -1,6 +1,8 @@
 package ksim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/netsim"
@@ -15,6 +17,52 @@ func TestSubmitSerializesWork(t *testing.T) {
 	e.Run()
 	if len(done) != 2 || done[0] != 100 || done[1] != 200 {
 		t.Errorf("completions = %v, want [100 200]", done)
+	}
+}
+
+// TestCompletionsFireAsIfPushedEach mixes SubmitPacket (its completions wait
+// in the CPU's ring), Submit (each a plain event) and Charge (no completion)
+// at tied times, on one and two cores, with zero-work items among them. Every
+// completion must run at the busyUntil it was given, and in the order one
+// push per completion gives: by time, then by submission.
+func TestCompletionsFireAsIfPushedEach(t *testing.T) {
+	type done struct {
+		id int
+		at netsim.Time
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		e := netsim.NewEngine()
+		c := NewHostCPU(e, 1+r.Intn(2))
+		var want, got []done
+		record := func(id int) { got = append(got, done{id, e.Now()}) }
+		retire := func(p *netsim.Packet) { record(int(p.Seq)) }
+		for i := 0; i < 300; i++ {
+			id, kind := i, r.Intn(3)
+			work := netsim.Time(r.Intn(3)) * netsim.Microsecond
+			e.At(netsim.Time(r.Intn(200))*netsim.Microsecond, func() {
+				switch kind {
+				case 0:
+					c.SubmitPacket(SoftIRQ, work, retire, &netsim.Packet{Seq: int64(id)})
+				case 1:
+					c.Submit(Kernel, work, func() { record(id) })
+				default:
+					c.Charge(User, work)
+					return
+				}
+				want = append(want, done{id, c.busyUntil})
+			})
+		}
+		e.Run()
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d completions ran, %d were submitted", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: completion %d = %+v, want %+v", seed, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -36,12 +84,11 @@ func TestMultiCoreSpeedsUpWallTime(t *testing.T) {
 func TestBacklogRejection(t *testing.T) {
 	e := netsim.NewEngine()
 	c := NewHostCPU(e, 1)
-	c.MaxBacklog = 1000
-	if !c.Submit(SoftIRQ, 900, nil) {
+	if !c.Submit(SoftIRQ, 4500*netsim.Microsecond, nil) {
 		t.Fatal("first submit must fit")
 	}
-	if !c.Submit(SoftIRQ, 500, nil) {
-		t.Fatal("second submit must fit (backlog 900 ≤ 1000)")
+	if !c.Submit(SoftIRQ, 2500*netsim.Microsecond, nil) {
+		t.Fatal("second submit must fit (backlog 4.5 ms ≤ 5 ms)")
 	}
 	if c.Submit(SoftIRQ, 1, nil) {
 		t.Error("submit beyond backlog bound must be rejected")
@@ -54,12 +101,11 @@ func TestBacklogRejection(t *testing.T) {
 func TestBacklogDrainsOverTime(t *testing.T) {
 	e := netsim.NewEngine()
 	c := NewHostCPU(e, 1)
-	c.MaxBacklog = 100
-	c.Submit(Kernel, 200, nil)
+	c.Submit(Kernel, 6*netsim.Millisecond, nil)
 	if c.Submit(Kernel, 100, nil) {
 		t.Fatal("must reject while backlog exceeds bound")
 	}
-	e.RunUntil(150)
+	e.RunUntil(1500 * netsim.Microsecond)
 	if !c.Submit(Kernel, 100, nil) {
 		t.Error("must accept after backlog drained below bound")
 	}
@@ -116,11 +162,13 @@ func TestIdleCPUShareIsZero(t *testing.T) {
 func TestChargeDoesNotReject(t *testing.T) {
 	e := netsim.NewEngine()
 	c := NewHostCPU(e, 1)
-	c.MaxBacklog = 10
-	c.Charge(User, 1_000_000)
-	c.Charge(User, 1_000_000)
-	if c.BusyTime(User) != 2_000_000 {
+	c.Charge(User, 4*netsim.Millisecond)
+	c.Charge(User, 4*netsim.Millisecond) // backlog 4 ms → 8 ms, past the bound
+	if c.BusyTime(User) != 8*netsim.Millisecond {
 		t.Errorf("Charge must always account, got %d", c.BusyTime(User))
+	}
+	if c.Submit(User, 1, nil) || c.Rejected() != 1 {
+		t.Error("a Submit behind an 8 ms backlog must be rejected")
 	}
 }
 
@@ -180,9 +228,14 @@ func TestDefaultCostsSane(t *testing.T) {
 func BenchmarkSubmit(b *testing.B) {
 	e := netsim.NewEngine()
 	c := NewHostCPU(e, 4)
-	c.MaxBacklog = 1 << 60
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		if c.QueueDelay() >= maxBacklog {
+			e.RunUntil(e.Now() + maxBacklog) // drain: Submit(nil) schedules nothing
+		}
 		c.Submit(SoftIRQ, 100, nil)
+	}
+	if c.Rejected() != 0 {
+		b.Fatalf("%d submissions rejected; the drain no longer keeps the backlog under the bound", c.Rejected())
 	}
 }

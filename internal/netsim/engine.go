@@ -20,9 +20,9 @@
 // merge-in-deterministic-order rule the experiment harness and fleet plane use
 // (§4d). The small private heaps are what the family is kept for.
 //
-// In both families a link's packets in propagation wait in the link's own
-// ring and only the ring's head occupies the owning partition's heap (see
-// land).
+// In both families the completions of a FIFO server — a link's packets in
+// propagation, a CPU's per-packet work — wait in the server's own Ring and
+// only the ring's head occupies the owning partition's heap.
 package netsim
 
 import (
@@ -59,25 +59,15 @@ func pastEventError(at, now Time, partition int) error {
 	return fmt.Errorf("%w (at=%d now=%d partition=%d)", ErrPastEvent, at, now, partition)
 }
 
-// Event kinds. Hot-path work (packet delivery, link serialization, CPU
-// completion) is expressed as a typed kind plus operands instead of a
-// closure, so steady-state scheduling allocates nothing.
-const (
-	evFunc       uint8 = iota // fn()
-	evPacketFn                // pfn(p)
-	evDeliver                 // l.fly's head has propagated: re-arm, then l.to.HandlePacket
-	evDeliverPkt              // l.to.HandlePacket(p) — a delivery that overtook l.fly's tail
-	evTxDone                  // l.txDone(p) — link serialization done
-)
-
+// event is one heap entry: a time, the partition-local sequence number that
+// breaks its ties, and what to run. Whatever else an event needs waits on the
+// entity that scheduled it — the packet in serialization on its Link, a FIFO
+// server's completions in its Ring — so an event is 24 bytes and dispatch is
+// one indirect call.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among same-time events in one partition
-	kind uint8
-	fn   func()
-	pfn  func(*Packet)
-	l    *Link
-	p    *Packet
+	at  Time
+	seq uint64 // tie-breaker: FIFO among same-time events in one partition
+	fn  func()
 }
 
 func (e *event) before(o *event) bool {
@@ -169,7 +159,7 @@ func (q *eventQueue) fill() {
 	q.open = false
 	n := len(q.ev) - 1
 	last := q.ev[n]
-	q.ev[n] = event{} // clear pointers so the GC can reclaim operands
+	q.ev[n] = event{} // clear fn so the GC can reclaim what it closes over
 	q.ev = q.ev[:n]
 	if n > 0 {
 		q.sink(last)
@@ -246,8 +236,8 @@ type Engine struct {
 	seq    uint64
 	q      eventQueue
 	outbox []handoff
-	// flying counts packets waiting in the rings of links this partition
-	// receives from, behind each ring's head (the head is in q).
+	// flying counts completions waiting in the rings armed in this
+	// partition, behind each ring's head (the head is in q).
 	flying int
 	// active is true while this partition's events are executing; checkOwner
 	// reads it to diagnose a schedule that comes from another partition.
@@ -363,19 +353,8 @@ func (e *Engine) TryAt(t Time, fn func()) error {
 		return pastEventError(t, e.now, e.id)
 	}
 	e.checkOwner()
-	e.push(event{at: t, kind: evFunc, fn: fn})
+	e.push(event{at: t, fn: fn})
 	return nil
-}
-
-// AtPacket schedules fn(p) at absolute time t. It is the closure-free
-// variant of At for per-packet completions (CPU work retiring a packet): the
-// packet rides in the event, so steady-state scheduling allocates nothing.
-func (e *Engine) AtPacket(t Time, fn func(*Packet), p *Packet) {
-	if t < e.now {
-		panic(pastEventError(t, e.now, e.id))
-	}
-	e.checkOwner()
-	e.push(event{at: t, kind: evPacketFn, pfn: fn, p: p})
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d is clamped to
@@ -388,64 +367,14 @@ func (e *Engine) After(d Time, fn func()) {
 }
 
 // Pending returns the number of scheduled events across all partitions,
-// including packets in propagation on a link and cross-partition handoffs
-// awaiting a window barrier.
+// including completions waiting in a Ring behind its head and
+// cross-partition handoffs awaiting a window barrier.
 func (e *Engine) Pending() int {
 	n := 0
 	for _, p := range e.co.parts {
 		n += p.q.len() + p.flying + len(p.outbox)
 	}
 	return n
-}
-
-// land schedules p's arrival at the far end of l at time at; e is the
-// partition l delivers into. A link's deliveries leave in the order they
-// entered, so they wait in the link's ring l.fly and only the ring's head has
-// an event in e.q: the heap holds one delivery per link instead of one per
-// packet in propagation.
-//
-// Every delivery draws its sequence number here, ring or not, and the ring's
-// head is re-armed (exec) under the number it drew — so the (at, seq) keys
-// are those of a plain push per delivery. A ring is sorted by that key (at
-// checked below, seq by the counter) and its minimum is in the heap; hence
-// the heap's minimum, and with it the execution order, is that of the plain
-// push as well. A delivery that would precede the ring's tail — the link's
-// delay was lowered under packets in flight — is pushed on its own.
-func (e *Engine) land(l *Link, p *Packet, at Time) {
-	e.seq++
-	switch f := &l.fly; {
-	case f.n == 0:
-		f.push(flight{at: at, seq: e.seq, p: p})
-		e.q.push(event{at: at, seq: e.seq, kind: evDeliver, l: l})
-	case at >= f.tail().at:
-		f.push(flight{at: at, seq: e.seq, p: p})
-		e.flying++
-	default:
-		e.q.push(event{at: at, seq: e.seq, kind: evDeliverPkt, l: l, p: p})
-	}
-}
-
-// exec dispatches one event.
-func (e *Engine) exec(ev *event) {
-	switch ev.kind {
-	case evFunc:
-		ev.fn()
-	case evPacketFn:
-		ev.pfn(ev.p)
-	case evDeliver:
-		l := ev.l
-		p := l.fly.pop()
-		if l.fly.n > 0 {
-			next := l.fly.head()
-			e.q.push(event{at: next.at, seq: next.seq, kind: evDeliver, l: l})
-			e.flying--
-		}
-		l.to.HandlePacket(p)
-	case evDeliverPkt:
-		ev.l.to.HandlePacket(ev.p)
-	case evTxDone:
-		ev.l.txDone(ev.p)
-	}
 }
 
 // Step executes the earliest event. It returns false when the queue is
@@ -462,7 +391,7 @@ func (e *Engine) Step() bool {
 	}
 	ev := p.q.pop()
 	p.now = ev.at
-	p.exec(&ev)
+	ev.fn()
 	p.q.settle()
 	return true
 }
@@ -478,7 +407,7 @@ func (e *Engine) runTo(end Time) {
 	for e.q.minTime() < end {
 		ev := e.q.pop()
 		e.now = ev.at
-		e.exec(&ev)
+		ev.fn()
 	}
 	e.active = false
 }
@@ -580,7 +509,7 @@ func (co *coordinator) drain() {
 	for _, src := range co.parts {
 		for i := range src.outbox {
 			h := &src.outbox[i]
-			dst := h.l.rem
+			dst := h.l.fly.eng
 			if h.at < dst.now {
 				// Lookahead violation: a cross-partition link delivered
 				// into a window the destination already executed. The link
@@ -588,7 +517,7 @@ func (co *coordinator) drain() {
 				// below the registered lookahead.
 				panic(pastEventError(h.at, dst.now, dst.id))
 			}
-			dst.land(h.l, h.p, h.at)
+			h.l.fly.land(h.at, nil, h.p)
 			h.p = nil
 			h.l = nil
 		}

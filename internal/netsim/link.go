@@ -21,12 +21,11 @@ func (f HandlerFunc) HandlePacket(p *Packet) { f(p) }
 // transmitting wait in the attached Queue.
 type Link struct {
 	eng   *Engine
-	rem   *Engine // destination partition when ≠ eng's (BindRemote)
-	rate  int64   // bits per second
+	rate  int64 // bits per second
 	delay Time
 	queue Queue
 
-	busy bool
+	txPkt *Packet // the packet in serialization; nil while the link is idle
 
 	// Wireless-style random loss: a packet that finishes serialization is
 	// corrupted (dropped before propagation) with probability lossRate.
@@ -46,50 +45,13 @@ type Link struct {
 	marks *obs.Counter
 	lossC *obs.Counter
 
-	// The receiving end: what the destination partition touches on every
-	// delivery.
-	to  Handler
-	fly flightRing // packets in propagation, in delivery order (Engine.land)
-}
+	txDoneFn func() // bound once in NewLink, so serialization allocates nothing
 
-// flight is one packet in propagation: its arrival time and the sequence
-// number the destination partition drew for it.
-type flight struct {
-	at  Time
-	seq uint64
-	p   *Packet
-}
-
-// flightRing is a FIFO of flights in a power-of-two circular buffer that
-// doubles when full, so a link in steady state allocates nothing.
-type flightRing struct {
-	buf   []flight
-	first int // index of the head
-	n     int
-}
-
-func (r *flightRing) head() *flight { return &r.buf[r.first] }
-
-func (r *flightRing) tail() *flight { return &r.buf[(r.first+r.n-1)&(len(r.buf)-1)] }
-
-func (r *flightRing) push(f flight) {
-	if r.n == len(r.buf) {
-		grown := make([]flight, max(8, 2*len(r.buf)))
-		k := copy(grown, r.buf[r.first:])
-		copy(grown[k:], r.buf[:r.first])
-		r.buf, r.first = grown, 0
-	}
-	r.buf[(r.first+r.n)&(len(r.buf)-1)] = f
-	r.n++
-}
-
-func (r *flightRing) pop() *Packet {
-	f := &r.buf[r.first]
-	p := f.p
-	f.p = nil // the ring must not keep a delivered packet reachable
-	r.first = (r.first + 1) & (len(r.buf) - 1)
-	r.n--
-	return p
+	// The receiving end, what the destination partition touches on every
+	// delivery: packets in propagation, in delivery order, and the target
+	// (fly.to). fly's partition is the one the link delivers into; it differs
+	// from eng exactly when the link crosses partitions (BindRemote).
+	fly Ring
 }
 
 // NewLink creates a link with transmission rate rateBps (bits/second),
@@ -104,7 +66,10 @@ func NewLink(eng *Engine, to Handler, rateBps int64, delay Time, q Queue, sc ...
 	if q == nil {
 		q = NewDropTail(1 << 30)
 	}
-	l := &Link{eng: eng, to: to, rate: rateBps, delay: delay, queue: q}
+	l := &Link{eng: eng, rate: rateBps, delay: delay, queue: q}
+	l.txDoneFn = l.txDone
+	l.fly.Init(eng)
+	l.fly.to = to
 	if len(sc) > 0 {
 		l.sc = sc[0]
 	}
@@ -183,7 +148,7 @@ func (l *Link) BindRemote(dst *Engine) *Link {
 		// The ring's head is armed in the old destination's heap.
 		panic("netsim: BindRemote with packets in propagation")
 	}
-	l.rem = dst
+	l.fly.eng = dst
 	co := l.eng.co
 	if co.lookahead == 0 || l.delay < co.lookahead {
 		co.lookahead = l.delay
@@ -208,9 +173,9 @@ func (l *Link) SetRate(bps int64) {
 // length sampling in the Figure 1b experiment) or reconfiguration.
 func (l *Link) Queue() Queue { return l.queue }
 
-// SetTarget redirects delivered packets to h. Used by topology builders that
-// wire links before all nodes exist.
-func (l *Link) SetTarget(h Handler) { l.to = h }
+// SetTarget redirects delivered packets, those in propagation included, to h.
+// Used by topology builders that wire links before all nodes exist.
+func (l *Link) SetTarget(h Handler) { l.fly.to = h }
 
 // TxBytes returns the cumulative bytes fully serialized onto the wire.
 func (l *Link) TxBytes() int64 { return l.txBytes }
@@ -240,29 +205,25 @@ func (l *Link) Send(p *Packet) {
 		l.marks.Inc()
 		l.sc.Event1("net", "ecn_mark", p.EnqAt, "flow", int64(p.Flow))
 	}
-	if !l.busy {
+	if l.txPkt == nil {
 		l.startNext()
 	}
 }
 
-// startNext begins serializing the head-of-queue packet. Serialization
-// completion is a typed evTxDone event (no closure, no allocation).
+// startNext begins serializing the head-of-queue packet, if any.
 func (l *Link) startNext() {
-	p := l.queue.Dequeue()
-	if p == nil {
-		l.busy = false
-		return
+	if l.txPkt = l.queue.Dequeue(); l.txPkt != nil {
+		l.eng.push(event{at: l.eng.now + l.TxTime(l.txPkt.Size), fn: l.txDoneFn})
 	}
-	l.busy = true
-	l.eng.push(event{at: l.eng.now + l.TxTime(p.Size), kind: evTxDone, l: l, p: p})
 }
 
 // txDone retires one serialization: account the transmit, launch propagation
 // (in parallel with the next serialization) and start the next packet.
-// Local deliveries join the link's ring at once (Engine.land);
-// cross-partition deliveries go to the outbox, and join it when the
-// destination partition drains the outbox at the next window barrier.
-func (l *Link) txDone(p *Packet) {
+// Local deliveries join the link's ring at once; cross-partition deliveries
+// go to the outbox, and join it when the destination partition drains the
+// outbox at the next window barrier.
+func (l *Link) txDone() {
+	p := l.txPkt
 	l.txPackets++
 	l.txBytes += int64(p.Size)
 	if l.lose() {
@@ -274,10 +235,10 @@ func (l *Link) txDone(p *Packet) {
 		return
 	}
 	at := l.eng.now + l.delay
-	if l.rem != nil {
+	if l.fly.eng != l.eng {
 		l.eng.outbox = append(l.eng.outbox, handoff{l: l, p: p, at: at})
 	} else {
-		l.eng.land(l, p, at)
+		l.fly.land(at, nil, p)
 	}
 	l.startNext()
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
@@ -150,6 +151,17 @@ func TestEventQueueRootHole(t *testing.T) {
 	}
 }
 
+// TestEventIs24Bytes pins the heap entry's size. The sift moves events, not
+// pointers to them, so every byte is copied at each level of every push and
+// pop: an event is its key (at, seq) and one func, and whatever else it needs
+// waits on the entity that scheduled it (a Link's txPkt, a Ring's entries).
+// A field added here costs every event in the simulation.
+func TestEventIs24Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 24 {
+		t.Fatalf("event is %d bytes, want 24", n)
+	}
+}
+
 // precedesLikeBefore fails unless the branch-free comparison and the plain
 // one agree on (a, b) and on (b, a).
 func precedesLikeBefore(t *testing.T, a, b event) {
@@ -223,18 +235,26 @@ func TestAtPanicsWithErrPastEvent(t *testing.T) {
 	e.At(50, func() {})
 }
 
-func TestAtPacketPanicsWithErrPastEvent(t *testing.T) {
+// A ring's schedule is At's: a time before the partition's clock panics, and
+// the ring is left as it was.
+func TestRingAtPanicsWithErrPastEvent(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {})
-	e.Run()
+	var r Ring
+	r.Init(e)
+	r.At(100, func(*Packet) {}, &Packet{})
+	r.At(150, func(*Packet) {}, &Packet{})
+	e.RunUntil(120)
 	defer func() {
-		r := recover()
-		err, ok := r.(error)
+		rec := recover()
+		err, ok := rec.(error)
 		if !ok || !errors.Is(err, ErrPastEvent) {
-			t.Fatalf("AtPacket in the past: panic = %v, want error wrapping ErrPastEvent", r)
+			t.Fatalf("Ring.At in the past: panic = %v, want error wrapping ErrPastEvent", rec)
+		}
+		if r.n != 1 || e.Pending() != 1 {
+			t.Fatalf("after the refused schedule: ring holds %d, Pending %d; want 1, 1", r.n, e.Pending())
 		}
 	}()
-	e.AtPacket(50, func(*Packet) {}, &Packet{})
+	r.At(110, func(*Packet) {}, &Packet{})
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package tcp
 import (
 	"testing"
 
+	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 )
 
@@ -14,11 +15,26 @@ import (
 // deliberately outside this contract; it allocates proportionally to loss
 // events, which steady state does not have.
 func TestFlowSteadyStateZeroAllocs(t *testing.T) {
+	flowSteadyStateZeroAllocs(t, false)
+}
+
+// TestFlowSteadyStateZeroAllocsWithCPU is the same contract with a CPU on both
+// hosts: every segment and ACK is charged on transmit and receive, and its
+// completion waits in the CPU's ring (ksim.CPU.SubmitPacket).
+func TestFlowSteadyStateZeroAllocsWithCPU(t *testing.T) {
+	flowSteadyStateZeroAllocs(t, true)
+}
+
+func flowSteadyStateZeroAllocs(t *testing.T, withCPU bool) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; guard runs in the plain job")
 	}
 	eng := netsim.NewEngine()
 	a, b := pair(eng, 1_000_000_000, netsim.Millisecond, 1<<20)
+	if withCPU {
+		a.AttachCPU(ksim.NewHostCPU(eng, 1), ksim.DefaultCosts())
+		b.AttachCPU(ksim.NewHostCPU(eng, 1), ksim.DefaultCosts())
+	}
 	s := NewSender(a, 1, b.ID, 0, NewFixedRate(200_000_000))
 	r := NewReceiver(b, 1, a.ID)
 	var delivered int64
@@ -38,5 +54,11 @@ func TestFlowSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if s.Retransmits != 0 {
 		t.Errorf("clean pipe retransmitted %d segments; rig no longer isolates the no-loss path", s.Retransmits)
+	}
+	if withCPU && (a.CPU.TotalBusy() == 0 || b.CPU.TotalBusy() == 0) {
+		t.Error("a CPU was never charged; the CPU path went unmeasured")
+	}
+	if withCPU && a.TxDropped+a.RxDropped+b.TxDropped+b.RxDropped != 0 {
+		t.Error("a CPU rejected packets; rig no longer isolates the unsaturated path")
 	}
 }
