@@ -19,15 +19,17 @@ type AlphaController struct {
 	monitor
 
 	LineRate int64
-	MinAlpha float64
 
 	curAlpha float64
 }
 
+// minAlpha is the floor decide clips α to.
+const minAlpha = 0.01
+
 // NewAlphaController returns a controller pacing at initialAlpha of
 // lineRate until the first decision.
 func NewAlphaController(eng *netsim.Engine, backend Backend, lineRate int64, initialAlpha float64) *AlphaController {
-	m := &AlphaController{LineRate: lineRate, MinAlpha: 0.01, curAlpha: initialAlpha}
+	m := &AlphaController{LineRate: lineRate, curAlpha: initialAlpha}
 	m.monitor = newMonitor(eng, backend, m, m.alphaRate())
 	return m
 }
@@ -37,7 +39,7 @@ func (m *AlphaController) Alpha() float64 { return m.curAlpha }
 
 // decide is the absolute law: the output is α, and OnState sees it clipped.
 func (m *AlphaController) decide(alpha float64) (int64, float64) {
-	m.curAlpha = clip(alpha, m.MinAlpha, 1)
+	m.curAlpha = clip(alpha, minAlpha, 1)
 	return m.alphaRate(), m.curAlpha
 }
 

@@ -40,8 +40,8 @@ func TestAlphaControllerClamps(t *testing.T) {
 	lo.Start(eng.Now())
 	eng.RunUntil(eng.Now() + 20*netsim.Millisecond)
 	lo.Stop()
-	if lo.Alpha() != lo.MinAlpha {
-		t.Errorf("alpha must clamp to MinAlpha, got %v", lo.Alpha())
+	if lo.Alpha() != minAlpha {
+		t.Errorf("alpha must clamp to minAlpha, got %v", lo.Alpha())
 	}
 	// The pacing rate itself floors at 1 Mbps.
 	if lo.PacingRate() < 1_000_000 {

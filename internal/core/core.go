@@ -91,8 +91,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats counts core-module activity. It is a snapshot view over the core's
-// registry-backed counters (see coreMetrics).
+// Stats counts core-module activity. The core counts into its own Stats, and
+// its scope exports each field as a counter view.
 type Stats struct {
 	Queries        int64
 	CacheHits      int64
@@ -107,41 +107,22 @@ type Stats struct {
 	Recovered      int64 // recoveries after the slow path came back
 }
 
-// coreMetrics holds the core's registry-backed instruments. With a no-op
-// scope the instruments are live but unregistered, so the Stats view keeps
-// returning exact counts at zero export cost.
-type coreMetrics struct {
-	queries     *obs.Counter
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	switches    *obs.Counter
-	installs    *obs.Counter
-	unloads     *obs.Counter
-	swept       *obs.Counter
-	sweepScans  *obs.Counter
-	blocked     *obs.Counter
-	degraded    *obs.Counter
-	recovered   *obs.Counter
-	stallNS     *obs.Histogram
-	queryNS     *obs.Histogram
-}
-
-func newCoreMetrics(sc obs.Scope) coreMetrics {
-	return coreMetrics{
-		queries:     sc.Counter("liteflow_core_queries_total", "lf_query_model invocations"),
-		cacheHits:   sc.Counter("liteflow_core_flow_cache_hits_total", "flow-cache lookups served by a pinned snapshot"),
-		cacheMisses: sc.Counter("liteflow_core_flow_cache_misses_total", "flow-cache lookups that pinned the active snapshot"),
-		switches:    sc.Counter("liteflow_core_snapshot_switches_total", "active/standby role switches"),
-		installs:    sc.Counter("liteflow_core_snapshot_installs_total", "snapshot modules loaded into the NN manager"),
-		unloads:     sc.Counter("liteflow_core_snapshot_unloads_total", "retired snapshots removed at refcount 0"),
-		swept:       sc.Counter("liteflow_core_flow_cache_swept_total", "idle flow-cache entries evicted by the sweeper"),
-		sweepScans:  sc.Counter("liteflow_core_sweep_scan_total", "flow-cache entries examined by sweep ticks (incremental eviction work)"),
-		blocked:     sc.Counter("liteflow_core_blocked_queries_total", "distinct fast-path queries stalled by a blocking install"),
-		degraded:    sc.Counter("liteflow_core_degraded_total", "watchdog degradations to the last-good snapshot after slow-path silence"),
-		recovered:   sc.Counter("liteflow_core_recovered_total", "recoveries from degraded mode after the slow path resumed"),
-		stallNS:     sc.Histogram("liteflow_core_stall_ns", "per-query stall caused by blocking installs", obs.DurationBuckets()),
-		queryNS:     sc.Histogram("liteflow_query_ns", "modeled kernel fast-path cost of one lf_query_model inference", obs.QueryBuckets()),
-	}
+// register exports the core's counts and histograms on sc.
+func (c *Core) register(sc obs.Scope) {
+	st := &c.st
+	sc.CounterOf("liteflow_core_queries_total", "lf_query_model invocations", &st.Queries)
+	sc.CounterOf("liteflow_core_flow_cache_hits_total", "flow-cache lookups served by a pinned snapshot", &st.CacheHits)
+	sc.CounterOf("liteflow_core_flow_cache_misses_total", "flow-cache lookups that pinned the active snapshot", &st.CacheMisses)
+	sc.CounterOf("liteflow_core_snapshot_switches_total", "active/standby role switches", &st.Switches)
+	sc.CounterOf("liteflow_core_snapshot_installs_total", "snapshot modules loaded into the NN manager", &st.Installs)
+	sc.CounterOf("liteflow_core_snapshot_unloads_total", "retired snapshots removed at refcount 0", &st.Unloads)
+	sc.CounterOf("liteflow_core_flow_cache_swept_total", "idle flow-cache entries evicted by the sweeper", &st.SweptEntries)
+	sc.CounterOf("liteflow_core_sweep_scan_total", "flow-cache entries examined by sweep ticks (incremental eviction work)", &st.SweepScans)
+	sc.CounterOf("liteflow_core_blocked_queries_total", "distinct fast-path queries stalled by a blocking install", &st.BlockedQueries)
+	sc.CounterOf("liteflow_core_degraded_total", "watchdog degradations to the last-good snapshot after slow-path silence", &st.Degraded)
+	sc.CounterOf("liteflow_core_recovered_total", "recoveries from degraded mode after the slow path resumed", &st.Recovered)
+	c.stallNS = sc.Histogram("liteflow_core_stall_ns", "per-query stall caused by blocking installs", obs.DurationBuckets())
+	c.queryNS = sc.Histogram("liteflow_query_ns", "modeled kernel fast-path cost of one lf_query_model inference", obs.QueryBuckets())
 }
 
 // Core is the kernel-space LiteFlow core module.
@@ -172,8 +153,9 @@ type Core struct {
 	// while set in the future, fast-path queries stall until release.
 	lockedUntil netsim.Time
 
-	sc  obs.Scope
-	met coreMetrics
+	sc               obs.Scope
+	st               Stats
+	stallNS, queryNS *obs.Histogram
 
 	// Sweeper lifecycle: sweeping is the configuration switch (timeout > 0
 	// and StopSweeper not called); sweepArmed is whether a tick is actually
@@ -209,7 +191,7 @@ type Core struct {
 // NewCore returns a core module bound to eng. cpu may be nil to disable CPU
 // accounting (pure-algorithm tests). Options: opt.WithScope exports the
 // core's counters to a metrics registry and its datapath events to a tracer
-// (omitted, telemetry is a no-op but the Stats view still counts);
+// (omitted, telemetry is a no-op but Stats still counts);
 // opt.WithWatchdog enables graceful degradation when the slow path stalls —
 // the watchdog arms once a Service attaches.
 func NewCore(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, options ...opt.Option) *Core {
@@ -221,7 +203,7 @@ func NewCore(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, op
 		ios:          make(map[string]IOModule),
 		sc:           o.Scope,
 	}
-	c.met = newCoreMetrics(c.sc)
+	c.register(c.sc)
 	if o.Watchdog != nil {
 		c.wd = *o.Watchdog
 		c.wdEnabled = true
@@ -261,22 +243,8 @@ func (c *Core) sortedCachedFlows() []netsim.FlowID {
 	return c.flowScratch
 }
 
-// Stats returns a snapshot of the core's counters.
-func (c *Core) Stats() Stats {
-	return Stats{
-		Queries:        c.met.queries.Value(),
-		CacheHits:      c.met.cacheHits.Value(),
-		CacheMisses:    c.met.cacheMisses.Value(),
-		Switches:       c.met.switches.Value(),
-		Installs:       c.met.installs.Value(),
-		Unloads:        c.met.unloads.Value(),
-		SweptEntries:   c.met.swept.Value(),
-		SweepScans:     c.met.sweepScans.Value(),
-		BlockedQueries: c.met.blocked.Value(),
-		Degraded:       c.met.degraded.Value(),
-		Recovered:      c.met.recovered.Value(),
-	}
-}
+// Stats returns a copy of the core's counters.
+func (c *Core) Stats() Stats { return c.st }
 
 // Models returns the number of loaded snapshot modules.
 func (c *Core) Models() int { return len(c.models) }
@@ -302,7 +270,7 @@ func (c *Core) RegisterModel(mod *codegen.Module) (*Model, error) {
 	}
 	m := &Model{Name: mod.Name, Module: mod, prog: mod.Program}
 	c.models = append(c.models, m)
-	c.met.installs.Inc()
+	c.st.Installs++
 	c.sc.EventStr("snapshot", "install", c.Eng.Now(), "model", mod.Name)
 	if c.active == nil {
 		c.active = m
@@ -338,7 +306,7 @@ func (c *Core) Activate() error {
 	if old != nil {
 		old.retired = true
 	}
-	c.met.switches.Inc()
+	c.st.Switches++
 	c.sc.EventStr("snapshot", "activate", c.Eng.Now(), "model", c.active.Name)
 	c.unloadDead()
 	return nil
@@ -445,12 +413,12 @@ func (c *Core) QueryModel(flow netsim.FlowID, in, out []int64) error {
 // infer runs one inference on m and accounts for it: the query counter, the
 // modeled per-query cost in liteflow_query_ns, the kernel CPU charge.
 func (c *Core) infer(m *Model, in, out []int64) {
-	c.met.queries.Inc()
+	c.st.Queries++
 	cost := ksim.InferCost(c.Costs.KernelInferPerMAC, m.prog.MACs())
 	if c.CPU != nil {
 		c.CPU.Charge(ksim.Kernel, cost)
 	}
-	c.met.queryNS.Observe(float64(cost))
+	c.queryNS.Observe(float64(cost))
 	m.prog.InferWith(&c.arena, in, out)
 }
 
@@ -461,7 +429,7 @@ func (c *Core) lookup(flow netsim.FlowID) *Model {
 		return c.active
 	}
 	if e := c.fc.get(flow); e != nil {
-		c.met.cacheHits.Inc()
+		c.st.CacheHits++
 		c.sc.Event1("flowcache", "hit", c.Eng.Now(), "flow", int64(flow))
 		// Lazy renewal: only the timestamp moves. The entry's wheel
 		// reference stays parked and is re-parked when its bucket comes
@@ -472,7 +440,7 @@ func (c *Core) lookup(flow netsim.FlowID) *Model {
 	if c.active == nil {
 		return nil
 	}
-	c.met.cacheMisses.Inc()
+	c.st.CacheMisses++
 	c.sc.Event1("flowcache", "miss", c.Eng.Now(), "flow", int64(flow))
 	c.active.refs++
 	c.fc.insert(flow, &cacheEntry{model: c.active, lastUsed: c.Eng.Now()})
@@ -509,7 +477,7 @@ func (c *Core) unloadDead() {
 	kept := c.models[:0]
 	for _, m := range c.models {
 		if m.retired && m.refs <= 0 && m != c.active && m != c.standby {
-			c.met.unloads.Inc()
+			c.st.Unloads++
 			c.sc.EventStr("snapshot", "unload", c.Eng.Now(), "model", m.Name)
 			continue
 		}
@@ -570,11 +538,11 @@ func (c *Core) sweepTick(gen uint64) {
 		}
 	}
 	fc.next = cur + 1
-	c.met.sweepScans.Add(scanned)
+	c.st.SweepScans += scanned
 	if scanned > c.maxTickScan {
 		c.maxTickScan = scanned
 	}
-	c.met.swept.Add(swept)
+	c.st.SweptEntries += swept
 	if swept > 0 {
 		c.sc.Event1("flowcache", "sweep", now, "swept", swept)
 	}
@@ -615,7 +583,7 @@ func (c *Core) scheduleWatchdog() {
 		now := c.Eng.Now()
 		if !c.degraded && now-c.lastAlive > netsim.Time(c.wd.Window) {
 			c.degraded = true
-			c.met.degraded.Inc()
+			c.st.Degraded++
 			if c.standby != nil {
 				c.standby.retired = true
 				c.standby = nil
@@ -639,7 +607,7 @@ func (c *Core) NoteSlowPathAlive() {
 	c.lastAlive = c.Eng.Now()
 	if c.degraded {
 		c.degraded = false
-		c.met.recovered.Inc()
+		c.st.Recovered++
 		now := c.Eng.Now()
 		c.sc.Event("core", "recover", now)
 		// The whole degraded window as one span: how long the core served
@@ -687,14 +655,14 @@ func (b *FlowBackend) query(state []float64, reply func(action float64), stallSt
 	if rem := c.LockRemaining(); rem > 0 {
 		if stallStart < 0 {
 			stallStart = c.Eng.Now()
-			c.met.blocked.Inc()
+			c.st.BlockedQueries++
 		}
 		c.Eng.After(rem, func() { b.query(state, reply, stallStart) })
 		return
 	}
 	if stallStart >= 0 {
 		stall := c.Eng.Now() - stallStart
-		c.met.stallNS.Observe(float64(stall))
+		c.stallNS.Observe(float64(stall))
 		c.sc.Span1("snapshot", "stall", stallStart, stall, "flow", int64(b.Flow))
 	}
 	m := c.lookup(b.Flow)

@@ -154,8 +154,8 @@ type Adapter interface {
 	Adapt(batch []Sample)
 }
 
-// ServiceStats counts slow-path activity. It is a snapshot view over the
-// service's registry-backed instruments.
+// ServiceStats counts slow-path activity. The service counts into its own
+// ServiceStats, and its scope exports each field as a counter or gauge view.
 type ServiceStats struct {
 	Batches            int64
 	Samples            int64
@@ -174,43 +174,24 @@ type ServiceStats struct {
 	LastStability      float64
 }
 
-// serviceMetrics holds the service's registry-backed instruments.
-type serviceMetrics struct {
-	batches        *obs.Counter
-	samples        *obs.Counter
-	converged      *obs.Counter
-	fidelityChecks *obs.Counter
-	updates        *obs.Counter
-	skipped        *obs.Counter
-	buildFailures  *obs.Counter
-	retries        *obs.Counter
-	abandoned      *obs.Counter
-	parked         *obs.Counter
-	outageDrops    *obs.Counter
-	malformed      *obs.Counter
-	mismatched     *obs.Counter
-	lastFidelity   *obs.Gauge
-	lastStability  *obs.Gauge
-}
-
-func newServiceMetrics(sc obs.Scope) serviceMetrics {
-	return serviceMetrics{
-		batches:        sc.Counter("liteflow_service_batches_total", "sample batches processed by the slow path"),
-		samples:        sc.Counter("liteflow_service_samples_total", "training samples processed by the slow path"),
-		converged:      sc.Counter("liteflow_service_converged_total", "batches that passed the correctness gate"),
-		fidelityChecks: sc.Counter("liteflow_service_fidelity_checks_total", "necessity evaluations performed"),
-		updates:        sc.Counter("liteflow_service_updates_total", "snapshots installed into the kernel"),
-		skipped:        sc.Counter("liteflow_service_skipped_by_necessity_total", "installs skipped because fidelity loss was below threshold"),
-		buildFailures:  sc.Counter("liteflow_snapshot_build_failures_total", "snapshot build failures; the install is retried with backoff"),
-		retries:        sc.Counter("liteflow_snapshot_install_retries_total", "snapshot install retry attempts after build failures"),
-		abandoned:      sc.Counter("liteflow_snapshot_installs_abandoned_total", "snapshot installs dropped: retry budget exhausted, module rejected, or channel closed"),
-		parked:         sc.Counter("liteflow_snapshot_installs_parked_total", "snapshot installs parked on a degraded core until recovery"),
-		outageDrops:    sc.Counter("liteflow_service_outage_drops_total", "batches dropped because the service was inside an injected outage"),
-		malformed:      sc.Counter("liteflow_service_malformed_total", "netlink messages rejected by sample validation"),
-		mismatched:     sc.Counter("liteflow_service_fidelity_size_mismatch_total", "fidelity samples skipped because kernel and user output sizes disagreed"),
-		lastFidelity:   sc.Gauge("liteflow_service_last_fidelity", "minimal fidelity loss from the latest necessity check"),
-		lastStability:  sc.Gauge("liteflow_service_last_stability", "stability metric from the latest batch"),
-	}
+// register exports the service's counts on sc.
+func (s *Service) register(sc obs.Scope) {
+	st := &s.st
+	sc.CounterOf("liteflow_service_batches_total", "sample batches processed by the slow path", &st.Batches)
+	sc.CounterOf("liteflow_service_samples_total", "training samples processed by the slow path", &st.Samples)
+	sc.CounterOf("liteflow_service_converged_total", "batches that passed the correctness gate", &st.Converged)
+	sc.CounterOf("liteflow_service_fidelity_checks_total", "necessity evaluations performed", &st.FidelityChecks)
+	sc.CounterOf("liteflow_service_updates_total", "snapshots installed into the kernel", &st.Updates)
+	sc.CounterOf("liteflow_service_skipped_by_necessity_total", "installs skipped because fidelity loss was below threshold", &st.SkippedByNecessity)
+	sc.CounterOf("liteflow_snapshot_build_failures_total", "snapshot build failures; the install is retried with backoff", &st.BuildFailures)
+	sc.CounterOf("liteflow_snapshot_install_retries_total", "snapshot install retry attempts after build failures", &st.InstallRetries)
+	sc.CounterOf("liteflow_snapshot_installs_abandoned_total", "snapshot installs dropped: retry budget exhausted, module rejected, or channel closed", &st.InstallsAbandoned)
+	sc.CounterOf("liteflow_snapshot_installs_parked_total", "snapshot installs parked on a degraded core until recovery", &st.InstallsParked)
+	sc.CounterOf("liteflow_service_outage_drops_total", "batches dropped because the service was inside an injected outage", &st.OutageDrops)
+	sc.CounterOf("liteflow_service_malformed_total", "netlink messages rejected by sample validation", &st.Malformed)
+	sc.CounterOf("liteflow_service_fidelity_size_mismatch_total", "fidelity samples skipped because kernel and user output sizes disagreed", &st.FidelityMismatches)
+	obs.GaugeOf(sc, "liteflow_service_last_fidelity", "minimal fidelity loss from the latest necessity check", &st.LastFidelity)
+	obs.GaugeOf(sc, "liteflow_service_last_stability", "stability metric from the latest batch", &st.LastStability)
 }
 
 // Service is the LiteFlow userspace service: it receives batched training
@@ -248,8 +229,8 @@ type Service struct {
 
 	inj *fault.Injector
 
-	sc  obs.Scope
-	met serviceMetrics
+	sc obs.Scope
+	st ServiceStats
 }
 
 // NewSlowPath wires a service to the core and its netlink channel. The
@@ -268,8 +249,8 @@ func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter
 		s.sc = c.Obs()
 	}
 	s.inj = o.Faults
-	s.met = newServiceMetrics(s.sc)
-	s.rows = outcomeTable(&s.met)
+	s.register(s.sc)
+	s.rows = outcomeTable(&s.st)
 	s.spans = obs.NewSpanTracer(s.sc)
 	ch.SetDeliver(s.HandleBatch)
 	c.slowPathAttached()
@@ -282,26 +263,8 @@ func (s *Service) Start(interval netsim.Time) {
 	s.Chan.StartBatching(interval)
 }
 
-// Stats returns a snapshot of the service's counters.
-func (s *Service) Stats() ServiceStats {
-	return ServiceStats{
-		Batches:            s.met.batches.Value(),
-		Samples:            s.met.samples.Value(),
-		Converged:          s.met.converged.Value(),
-		FidelityChecks:     s.met.fidelityChecks.Value(),
-		Updates:            s.met.updates.Value(),
-		SkippedByNecessity: s.met.skipped.Value(),
-		BuildFailures:      s.met.buildFailures.Value(),
-		InstallRetries:     s.met.retries.Value(),
-		InstallsAbandoned:  s.met.abandoned.Value(),
-		InstallsParked:     s.met.parked.Value(),
-		OutageDrops:        s.met.outageDrops.Value(),
-		Malformed:          s.met.malformed.Value(),
-		FidelityMismatches: s.met.mismatched.Value(),
-		LastFidelity:       s.met.lastFidelity.Value(),
-		LastStability:      s.met.lastStability.Value(),
-	}
-}
+// Stats returns a copy of the service's counters.
+func (s *Service) Stats() ServiceStats { return s.st }
 
 // Healthy reports whether the service is currently able to process batches.
 // Inside an injected crash/restart window it returns ErrServiceDown.
@@ -320,7 +283,7 @@ func (s *Service) Healthy() error {
 func (s *Service) HandleBatch(batch []netlink.Message) {
 	now := s.Core.Eng.Now()
 	if s.inj.ServiceDown(int64(now)) {
-		s.met.outageDrops.Inc()
+		s.st.OutageDrops++
 		s.sc.Event1("service", "outage_drop", now, "msgs", int64(len(batch)))
 		return
 	}
@@ -328,25 +291,25 @@ func (s *Service) HandleBatch(batch []netlink.Message) {
 	s.activateParked()
 	samples, malformed := ParseBatch(make([]Sample, 0, len(batch)), batch)
 	for ; malformed > 0; malformed-- {
-		s.met.malformed.Inc()
+		s.st.Malformed++
 		s.sc.Event("service", "malformed", now)
 	}
 	if len(samples) == 0 {
 		return
 	}
-	s.met.batches.Inc()
-	s.met.samples.Add(int64(len(samples)))
+	s.st.Batches++
+	s.st.Samples += int64(len(samples))
 	if s.life == nil {
 		s.life = s.spans.Root("snapshot", "snapshot_lifecycle", now)
 	}
 
 	s.Adapter.Adapt(samples)
-	s.met.lastStability.Set(s.Evaluator.Stability())
+	s.st.LastStability = s.Evaluator.Stability()
 
-	if !s.gate.Converged(s.met.lastStability.Value(), s.Core.Cfg) {
+	if !s.gate.Converged(s.st.LastStability, s.Core.Cfg) {
 		return
 	}
-	s.met.converged.Inc()
+	s.st.Converged++
 	s.evaluateNecessity(samples)
 }
 
@@ -509,29 +472,29 @@ const (
 	displaced                        // the parked standby was gone when recovery came
 )
 
-// outcomeRow is what settle does for one outcome: the counter it feeds, the
+// outcomeRow is what settle does for one outcome: the count it bumps, the
 // trace event that announces it — carrying the module name, the attempt count
 // or nothing — and what becomes of the open lifecycle span. A live outcome ends
 // it and fires OnUpdate, a failed one ends it with that reason, and the rest
 // leave it open for the next round of the same lifecycle.
 type outcomeRow struct {
-	counter    *obs.Counter
+	counter    *int64 // a field of the service's ServiceStats, or nil
 	cat, event string
 	arg        string // "model", "attempts" or ""
 	live       bool
 	failed     string
 }
 
-func outcomeTable(met *serviceMetrics) [displaced + 1]outcomeRow {
+func outcomeTable(st *ServiceStats) [displaced + 1]outcomeRow {
 	return [...]outcomeRow{
-		installed:         {counter: met.updates, live: true},
-		recovered:         {counter: met.updates, cat: "snapshot", event: "parked_activate", arg: "model", live: true},
-		parked:            {counter: met.parked, cat: "snapshot", event: "install_parked", arg: "model"},
-		skipped:           {counter: met.skipped, cat: "service", event: "necessity_skip"},
+		installed:         {counter: &st.Updates, live: true},
+		recovered:         {counter: &st.Updates, cat: "snapshot", event: "parked_activate", arg: "model", live: true},
+		parked:            {counter: &st.InstallsParked, cat: "snapshot", event: "install_parked", arg: "model"},
+		skipped:           {counter: &st.SkippedByNecessity, cat: "service", event: "necessity_skip"},
 		nothingComparable: {},
 		channelClosed:     {},
-		abandoned:         {counter: met.abandoned, cat: "snapshot", event: "install_abandoned", arg: "attempts", failed: "abandoned"},
-		rejected:          {counter: met.abandoned, cat: "snapshot", event: "install_rejected", arg: "model", failed: "rejected"},
+		abandoned:         {counter: &st.InstallsAbandoned, cat: "snapshot", event: "install_abandoned", arg: "attempts", failed: "abandoned"},
+		rejected:          {counter: &st.InstallsAbandoned, cat: "snapshot", event: "install_rejected", arg: "model", failed: "rejected"},
 		displaced:         {failed: "displaced"},
 	}
 }
@@ -543,7 +506,9 @@ func outcomeTable(met *serviceMetrics) [displaced + 1]outcomeRow {
 func (s *Service) settle(o outcome, m *Model, name string, attempts int) {
 	row := &s.rows[o]
 	now := s.Core.Eng.Now()
-	row.counter.Inc()
+	if row.counter != nil {
+		*row.counter++
+	}
 	switch {
 	case row.arg == "model":
 		s.sc.EventStr(row.cat, row.event, now, "model", name)
@@ -581,7 +546,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 	// a concurrent check — overlapping installs race for the standby slot and
 	// double-ship parameters. settle clears the flag.
 	s.installing = true
-	s.met.fidelityChecks.Inc()
+	s.st.FidelityChecks++
 	necStart := s.Core.Eng.Now()
 
 	payload := 0
@@ -601,7 +566,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 			charge = func() { s.Core.CPU.Charge(ksim.Kernel, cost) }
 		}
 		minLoss, mismatched := MinFidelityLoss(prog, s.Evaluator, samples, charge)
-		s.met.mismatched.Add(int64(mismatched))
+		s.st.FidelityMismatches += int64(mismatched)
 		if math.IsInf(minLoss, 1) {
 			s.settle(nothingComparable, nil, "", 0)
 			return
@@ -611,7 +576,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 			s.Core.CPU.Charge(ksim.SoftIRQ, s.Core.Costs.CrossSpace)
 		}
 		s.Core.Eng.After(s.Core.Costs.CrossSpaceLatency, func() {
-			s.met.lastFidelity.Set(minLoss)
+			s.st.LastFidelity = minLoss
 			threshold := Alpha * (s.Core.Cfg.OutMax - s.Core.Cfg.OutMin)
 			if minLoss <= threshold {
 				s.settle(skipped, nil, "", 0)
@@ -680,7 +645,7 @@ func (s *Service) tryInstall(attempt int) {
 		// A bad user network (or injected fault) must not take down the
 		// service: count it, back off, retry. The failure chain is visible
 		// in the build-failure/retry counters and the trace.
-		s.met.buildFailures.Inc()
+		s.st.BuildFailures++
 		s.sc.EventMix("snapshot", "build_failure", now, "attempt", int64(attempt+1), "model", name)
 		s.life.Mark("build_failure", now, "attempt", int64(attempt+1))
 		if attempt+1 >= installAttempts {
@@ -688,7 +653,7 @@ func (s *Service) tryInstall(attempt int) {
 			return
 		}
 		wait := backoff(attempt)
-		s.met.retries.Inc()
+		s.st.InstallRetries++
 		s.sc.Event2("snapshot", "install_retry", now, "attempt", int64(attempt+1), "backoff_ns", int64(wait))
 		s.Core.Eng.After(wait, func() { s.tryInstall(attempt + 1) })
 		return

@@ -153,7 +153,9 @@ func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 // intn returns a uniform int64 in [0, n). n must be positive.
 func (r *rng) intn(n int64) int64 { return int64(r.next() % uint64(n)) }
 
-// Stats is a snapshot of injected-fault counts.
+// Stats counts the faults one injector injected. The injector counts into its
+// own Stats, and its scope exports each field as a counter view: injectors
+// built on one scope share the series, which exports their sum.
 type Stats struct {
 	Drops      int64
 	Corrupts   int64
@@ -171,29 +173,20 @@ func (s Stats) Total() int64 {
 		s.BuildFails + s.QuantFails + s.Outages + s.Spikes
 }
 
-// metrics holds the injector's registry-backed counters, one per fault kind.
-// All are registered eagerly so the Prometheus export is shape-identical
-// whether or not a given fault kind ever fired.
-type metrics struct {
-	drops, corrupts, delays, reorders *obs.Counter
-	buildFails, quantFails            *obs.Counter
-	outages, spikes                   *obs.Counter
-}
-
-func newMetrics(sc obs.Scope) metrics {
-	kind := func(k string) obs.Label { return obs.Label{Key: "kind", Value: k} }
-	c := func(k string) *obs.Counter {
-		return sc.Counter("liteflow_fault_injected_total", "faults injected, by kind", kind(k))
-	}
-	return metrics{
-		drops:      c("msg_drop"),
-		corrupts:   c("msg_corrupt"),
-		delays:     c("batch_delay"),
-		reorders:   c("batch_reorder"),
-		buildFails: c("build_fail"),
-		quantFails: c("quant_fail"),
-		outages:    c("service_outage"),
-		spikes:     c("cpu_spike"),
+// register exports one series per fault kind on sc, every kind eagerly, so
+// the Prometheus export is shape-identical whether or not a kind ever fired.
+func (j *Injector) register(sc obs.Scope) {
+	st := &j.st
+	for _, k := range []struct {
+		kind string
+		n    *int64
+	}{
+		{"msg_drop", &st.Drops}, {"msg_corrupt", &st.Corrupts},
+		{"batch_delay", &st.Delays}, {"batch_reorder", &st.Reorders},
+		{"build_fail", &st.BuildFails}, {"quant_fail", &st.QuantFails},
+		{"service_outage", &st.Outages}, {"cpu_spike", &st.Spikes},
+	} {
+		sc.CounterOf("liteflow_fault_injected_total", "faults injected, by kind", k.n, obs.Label{Key: "kind", Value: k.kind})
 	}
 }
 
@@ -202,7 +195,7 @@ func newMetrics(sc obs.Scope) metrics {
 type Injector struct {
 	prof Profile
 	sc   obs.Scope
-	met  metrics
+	st   Stats
 
 	// Independent decision streams so fault kinds do not perturb each other.
 	net, snap, svc, cpu rng
@@ -225,7 +218,8 @@ func New(p Profile, seed int64, sc obs.Scope) *Injector {
 		r.next() // decorrelate adjacent seeds
 		return r
 	}
-	j := &Injector{prof: p, sc: sc, met: newMetrics(sc)}
+	j := &Injector{prof: p, sc: sc}
+	j.register(sc)
 	j.net = mix(1)
 	j.snap = mix(2)
 	j.svc = mix(3)
@@ -242,21 +236,12 @@ func (j *Injector) Profile() Profile {
 	return j.prof
 }
 
-// Stats returns a snapshot of injected-fault counts (zero for nil).
+// Stats returns a copy of the injector's fault counts (zero for nil).
 func (j *Injector) Stats() Stats {
 	if j == nil {
 		return Stats{}
 	}
-	return Stats{
-		Drops:      j.met.drops.Value(),
-		Corrupts:   j.met.corrupts.Value(),
-		Delays:     j.met.delays.Value(),
-		Reorders:   j.met.reorders.Value(),
-		BuildFails: j.met.buildFails.Value(),
-		QuantFails: j.met.quantFails.Value(),
-		Outages:    j.met.outages.Value(),
-		Spikes:     j.met.spikes.Value(),
-	}
+	return j.st
 }
 
 // DropMessage decides whether one kernel→userspace message is lost at flush
@@ -268,7 +253,7 @@ func (j *Injector) DropMessage(now int64) bool {
 	if j.net.float() >= j.prof.MsgDropP {
 		return false
 	}
-	j.met.drops.Inc()
+	j.st.Drops++
 	j.sc.Event("fault", "msg_drop", now)
 	return true
 }
@@ -296,7 +281,7 @@ func (j *Injector) CorruptMessage(now int64, data []float64) bool {
 	default:
 		data[j.net.intn(int64(len(data)))] = math.NaN() // non-finite value
 	}
-	j.met.corrupts.Inc()
+	j.st.Corrupts++
 	j.sc.Event1("fault", "msg_corrupt", now, "mode", mode)
 	return true
 }
@@ -311,7 +296,7 @@ func (j *Injector) DeliveryDelay(now int64) int64 {
 		return 0
 	}
 	d := 1 + j.net.intn(j.prof.BatchDelayMax)
-	j.met.delays.Inc()
+	j.st.Delays++
 	j.sc.Event1("fault", "batch_delay", now, "ns", d)
 	return d
 }
@@ -333,7 +318,7 @@ func (j *Injector) BatchPermutation(now int64, n int) []int {
 		k := j.net.intn(int64(i + 1))
 		perm[i], perm[k] = perm[k], perm[i]
 	}
-	j.met.reorders.Inc()
+	j.st.Reorders++
 	j.sc.Event1("fault", "batch_reorder", now, "msgs", int64(n))
 	return perm
 }
@@ -345,12 +330,12 @@ func (j *Injector) FailSnapshot(now int64) (reason string, fail bool) {
 		return "", false
 	}
 	if j.prof.BuildFailP > 0 && j.snap.float() < j.prof.BuildFailP {
-		j.met.buildFails.Inc()
+		j.st.BuildFails++
 		j.sc.EventStr("fault", "snapshot_fail", now, "stage", "build")
 		return "build", true
 	}
 	if j.prof.QuantFailP > 0 && j.snap.float() < j.prof.QuantFailP {
-		j.met.quantFails.Inc()
+		j.st.QuantFails++
 		j.sc.EventStr("fault", "snapshot_fail", now, "stage", "quant")
 		return "quant", true
 	}
@@ -372,7 +357,7 @@ func (j *Injector) ServiceDown(now int64) bool {
 	}
 	if !j.outageOpen {
 		j.outageOpen = true
-		j.met.outages.Inc()
+		j.st.Outages++
 		j.sc.Span("fault", "service_outage", j.outageStart, j.prof.OutageDuration)
 	}
 	return true
@@ -416,7 +401,7 @@ func (j *Injector) scheduleSpike(clk Clock, charge func(work int64)) {
 		if !j.spiking {
 			return
 		}
-		j.met.spikes.Inc()
+		j.st.Spikes++
 		j.sc.Event1("fault", "cpu_spike", clk.Now(), "ns", j.prof.SpikeWork)
 		charge(j.prof.SpikeWork)
 		j.scheduleSpike(clk, charge)

@@ -138,7 +138,7 @@ func (c *Controller) canaryVerdict(epoch int64) {
 // it out to the remaining members. Members already at (or parked at) the
 // epoch, pinned members, and members with an install in flight are skipped.
 func (c *Controller) releaseWave(now netsim.Time) {
-	c.met.canaryPass.Inc()
+	c.st.CanaryPasses++
 	c.sc.Event2("fleet", "canary_pass", now, "epoch", c.cur.epoch, "canaries", int64(len(c.canaries)))
 	c.wave.Mark("canary_pass", now, "epoch", c.cur.epoch)
 	c.release(now)
@@ -157,7 +157,7 @@ func (c *Controller) releaseWave(now netsim.Time) {
 // epoch are discarded so catch-up cannot resurrect it.
 func (c *Controller) rollbackWave(now netsim.Time, reason string) {
 	bad := c.cur.epoch
-	c.met.canaryFail.Inc()
+	c.st.CanaryFails++
 	c.blacklist = append(c.blacklist, bad)
 	c.sc.EventMix("fleet", "canary_fail", now, "epoch", bad, "reason", reason)
 	c.wave.Mark("canary_fail", now, "epoch", bad)

@@ -109,7 +109,10 @@ func (c Config) staged() bool {
 	return c.CanaryWindow > 0 && c.CanaryCount > 0
 }
 
-// Stats is a snapshot of the controller's counters.
+// Stats counts controller activity. The controller counts into its own Stats,
+// and its scope exports the fields as counter and gauge views; Stats() fills
+// in the computed fields (Members, Epoch, ReleasedEpoch, StaleMembers,
+// PinnedMembers) on the copy it returns.
 type Stats struct {
 	Members            int
 	Epoch              int64 // latest minted epoch (may still be in canary)
@@ -139,60 +142,35 @@ type Stats struct {
 	LastFidelity       float64
 }
 
-type fleetMetrics struct {
-	aggregations   *obs.Counter
-	batches        *obs.Counter
-	samples        *obs.Counter
-	converged      *obs.Counter
-	fidelityChecks *obs.Counter
-	skipped        *obs.Counter
-	versions       *obs.Counter
-	buildFailures  *obs.Counter
-	installs       *obs.Counter
-	parked         *obs.Counter
-	abandoned      *obs.Counter
-	deferred       *obs.Counter
-	canaryPass     *obs.Counter
-	canaryFail     *obs.Counter
-	rollbacks      *obs.Counter
-	outageDrops    *obs.Counter
-	lateCatchUps   *obs.Counter
-	malformed      *obs.Counter
-	mismatched     *obs.Counter
-	staleMembers   *obs.Gauge
-	pinnedMembers  *obs.Gauge
-	releasedEpoch  *obs.Gauge
-	lastStability  *obs.Gauge
-	lastFidelity   *obs.Gauge
-}
-
-func newFleetMetrics(sc obs.Scope) fleetMetrics {
-	return fleetMetrics{
-		aggregations:   sc.Counter("liteflow_fleet_aggregations_total", "pooled adapt rounds with at least one sample"),
-		batches:        sc.Counter("liteflow_fleet_batches_total", "member sample batches accepted by the controller"),
-		samples:        sc.Counter("liteflow_fleet_samples_total", "samples pooled across all members"),
-		converged:      sc.Counter("liteflow_fleet_converged_total", "aggregation rounds that passed the correctness gate"),
-		fidelityChecks: sc.Counter("liteflow_fleet_fidelity_checks_total", "necessity evaluations on the pooled stream"),
-		skipped:        sc.Counter("liteflow_fleet_skipped_by_necessity_total", "builds skipped because pooled fidelity loss was below threshold"),
-		versions:       sc.Counter("liteflow_fleet_versions_total", "fleet snapshot epochs minted"),
-		buildFailures:  sc.Counter("liteflow_fleet_build_failures_total", "snapshot build failures (the next aggregation round retries)"),
-		installs:       sc.Counter("liteflow_fleet_member_installs_total", "per-member snapshot installs activated"),
-		parked:         sc.Counter("liteflow_fleet_installs_parked_total", "member installs parked on a degraded core until recovery"),
-		abandoned:      sc.Counter("liteflow_fleet_installs_abandoned_total", "member installs dropped: module rejected, channel closed, or controller stopped"),
-		deferred:       sc.Counter("liteflow_fleet_installs_deferred_total", "build rounds deferred because a fan-out was still in flight"),
-		canaryPass:     sc.Counter("liteflow_fleet_canary_pass_total", "staged epochs released after a healthy canary observation window"),
-		canaryFail:     sc.Counter("liteflow_fleet_canary_fail_total", "staged epochs blacklisted by a failing canary verdict"),
-		rollbacks:      sc.Counter("liteflow_fleet_rollbacks_total", "canary members rolled back to the prior released version"),
-		outageDrops:    sc.Counter("liteflow_fleet_outage_drops_total", "member batches dropped inside injected outages"),
-		lateCatchUps:   sc.Counter("liteflow_fleet_late_catchups_total", "catch-up installs enqueued immediately because the wave fan-out time had passed"),
-		malformed:      sc.Counter("liteflow_fleet_malformed_total", "member messages rejected by sample validation"),
-		mismatched:     sc.Counter("liteflow_fleet_fidelity_size_mismatch_total", "pooled fidelity samples skipped for output-size mismatch"),
-		staleMembers:   sc.Gauge("liteflow_fleet_stale_members", "members whose installed epoch lags the released epoch"),
-		pinnedMembers:  sc.Gauge("liteflow_fleet_pinned_members", "members pinned to a version and excluded from fan-outs"),
-		releasedEpoch:  sc.Gauge("liteflow_fleet_released_epoch", "latest epoch released to the whole fleet"),
-		lastStability:  sc.Gauge("liteflow_fleet_last_stability", "stability metric from the latest pooled round"),
-		lastFidelity:   sc.Gauge("liteflow_fleet_last_fidelity", "minimal pooled fidelity loss from the latest necessity check"),
-	}
+// register exports the controller's counts on sc. The stale and pinned
+// gauges read the Stats fields updateStale refreshes; the released-epoch gauge
+// reads the released version itself.
+func (c *Controller) register(sc obs.Scope) {
+	st := &c.st
+	sc.CounterOf("liteflow_fleet_aggregations_total", "pooled adapt rounds with at least one sample", &st.Aggregations)
+	sc.CounterOf("liteflow_fleet_batches_total", "member sample batches accepted by the controller", &st.Batches)
+	sc.CounterOf("liteflow_fleet_samples_total", "samples pooled across all members", &st.Samples)
+	sc.CounterOf("liteflow_fleet_converged_total", "aggregation rounds that passed the correctness gate", &st.Converged)
+	sc.CounterOf("liteflow_fleet_fidelity_checks_total", "necessity evaluations on the pooled stream", &st.FidelityChecks)
+	sc.CounterOf("liteflow_fleet_skipped_by_necessity_total", "builds skipped because pooled fidelity loss was below threshold", &st.SkippedByNecessity)
+	sc.CounterOf("liteflow_fleet_versions_total", "fleet snapshot epochs minted", &st.VersionsBuilt)
+	sc.CounterOf("liteflow_fleet_build_failures_total", "snapshot build failures (the next aggregation round retries)", &st.BuildFailures)
+	sc.CounterOf("liteflow_fleet_member_installs_total", "per-member snapshot installs activated", &st.MemberInstalls)
+	sc.CounterOf("liteflow_fleet_installs_parked_total", "member installs parked on a degraded core until recovery", &st.InstallsParked)
+	sc.CounterOf("liteflow_fleet_installs_abandoned_total", "member installs dropped: module rejected, channel closed, or controller stopped", &st.InstallsAbandoned)
+	sc.CounterOf("liteflow_fleet_installs_deferred_total", "build rounds deferred because a fan-out was still in flight", &st.InstallsDeferred)
+	sc.CounterOf("liteflow_fleet_canary_pass_total", "staged epochs released after a healthy canary observation window", &st.CanaryPasses)
+	sc.CounterOf("liteflow_fleet_canary_fail_total", "staged epochs blacklisted by a failing canary verdict", &st.CanaryFails)
+	sc.CounterOf("liteflow_fleet_rollbacks_total", "canary members rolled back to the prior released version", &st.Rollbacks)
+	sc.CounterOf("liteflow_fleet_outage_drops_total", "member batches dropped inside injected outages", &st.OutageDrops)
+	sc.CounterOf("liteflow_fleet_late_catchups_total", "catch-up installs enqueued immediately because the wave fan-out time had passed", &st.LateCatchUps)
+	sc.CounterOf("liteflow_fleet_malformed_total", "member messages rejected by sample validation", &st.Malformed)
+	sc.CounterOf("liteflow_fleet_fidelity_size_mismatch_total", "pooled fidelity samples skipped for output-size mismatch", &st.FidelityMismatches)
+	obs.GaugeOf(sc, "liteflow_fleet_stale_members", "members whose installed epoch lags the released epoch", &st.StaleMembers)
+	obs.GaugeOf(sc, "liteflow_fleet_pinned_members", "members pinned to a version and excluded from fan-outs", &st.PinnedMembers)
+	obs.GaugeOf(sc, "liteflow_fleet_released_epoch", "latest epoch released to the whole fleet", &c.rel.epoch)
+	obs.GaugeOf(sc, "liteflow_fleet_last_stability", "stability metric from the latest pooled round", &st.LastStability)
+	obs.GaugeOf(sc, "liteflow_fleet_last_fidelity", "minimal pooled fidelity loss from the latest necessity check", &st.LastFidelity)
 }
 
 // Member is one kernel datapath served by the controller.
@@ -207,9 +185,8 @@ type Member struct {
 	pinned      bool
 	pending     []core.Sample
 
-	ctrl       *Controller
-	inj        *fault.Injector
-	epochGauge *obs.Gauge
+	ctrl *Controller
+	inj  *fault.Injector
 }
 
 // Epoch returns the fleet epoch this member last activated.
@@ -330,8 +307,8 @@ type Controller struct {
 	fanStart netsim.Time // fan-out instant of the released version (catch-up replay anchor)
 	segStart netsim.Time // start of the current enqueue burst (span children)
 
-	sc  obs.Scope
-	met fleetMetrics
+	sc obs.Scope
+	st Stats
 }
 
 // New returns a controller. coreCfg supplies the gate parameters
@@ -345,7 +322,7 @@ func New(eng *netsim.Engine, coreCfg core.Config, f core.Freezer, e core.Evaluat
 		eng: eng, cfg: cfg.withDefaults(), coreCfg: coreCfg,
 		freezer: f, evaluator: e, adapter: a, sc: o.Scope,
 	}
-	c.met = newFleetMetrics(c.sc)
+	c.register(c.sc)
 	c.spans = obs.NewSpanTracer(c.sc)
 	return c
 }
@@ -366,7 +343,7 @@ func (c *Controller) AddMember(co *core.Core, ch *netlink.Channel, options ...op
 	o := opt.Resolve(options)
 	m := &Member{Index: len(c.members), Core: co, Chan: ch, ctrl: c, inj: o.Faults}
 	msc := c.sc.With(obs.Label{Key: "member", Value: strconv.Itoa(m.Index)}).WithTid(int64(m.Index) + 1)
-	m.epochGauge = msc.Gauge("liteflow_fleet_member_epoch", "fleet epoch this member last activated")
+	obs.GaugeOf(msc, "liteflow_fleet_member_epoch", "fleet epoch this member last activated", &m.epoch)
 	ch.SetDeliver(func(batch []netlink.Message) { c.handleMemberBatch(m, batch) })
 	co.AttachSlowPath()
 	if c.running {
@@ -374,7 +351,6 @@ func (c *Controller) AddMember(co *core.Core, ch *netlink.Channel, options ...op
 			return nil, fmt.Errorf("fleet: provision late member %d: %w", m.Index, err)
 		}
 		m.epoch = c.rel.epoch
-		m.epochGauge.Set(float64(m.epoch))
 		c.members = append(c.members, m)
 		ch.StartBatching(c.cfg.BatchInterval)
 		c.updateStale()
@@ -437,15 +413,13 @@ func (c *Controller) Start() error {
 	c.lastMinted = 1
 	c.cur = version{epoch: 1, mod: mod}
 	c.rel = c.cur
-	c.met.releasedEpoch.Set(1)
 	for _, m := range c.members {
 		if _, err := m.Core.RegisterModel(mod); err != nil {
 			return fmt.Errorf("fleet: provision member %d: %w", m.Index, err)
 		}
 		m.epoch = 1
-		m.epochGauge.Set(1)
 	}
-	c.met.staleMembers.Set(0)
+	c.st.StaleMembers = 0
 	c.running = true
 	for _, m := range c.members {
 		m.Chan.StartBatching(c.cfg.BatchInterval)
@@ -465,7 +439,7 @@ func (c *Controller) Stop() {
 	}
 	c.running = false
 	if n := len(c.queue); n > 0 {
-		c.met.abandoned.Add(int64(n))
+		c.st.InstallsAbandoned += int64(n)
 		c.sc.Event1("fleet", "stop_abandons_queue", c.eng.Now(), "jobs", int64(n))
 		for _, j := range c.queue {
 			j.m.installing = false
@@ -480,36 +454,13 @@ func (c *Controller) Stop() {
 	}
 }
 
-// Stats returns a snapshot of the controller's counters.
+// Stats returns a copy of the controller's counters, its computed fields
+// filled in.
 func (c *Controller) Stats() Stats {
-	return Stats{
-		Members:            len(c.members),
-		Epoch:              c.cur.epoch,
-		ReleasedEpoch:      c.rel.epoch,
-		StaleMembers:       c.StaleMembers(),
-		PinnedMembers:      c.pinnedMembers(),
-		Aggregations:       c.met.aggregations.Value(),
-		Batches:            c.met.batches.Value(),
-		Samples:            c.met.samples.Value(),
-		Converged:          c.met.converged.Value(),
-		FidelityChecks:     c.met.fidelityChecks.Value(),
-		SkippedByNecessity: c.met.skipped.Value(),
-		VersionsBuilt:      c.met.versions.Value(),
-		BuildFailures:      c.met.buildFailures.Value(),
-		MemberInstalls:     c.met.installs.Value(),
-		InstallsParked:     c.met.parked.Value(),
-		InstallsAbandoned:  c.met.abandoned.Value(),
-		InstallsDeferred:   c.met.deferred.Value(),
-		CanaryPasses:       c.met.canaryPass.Value(),
-		CanaryFails:        c.met.canaryFail.Value(),
-		Rollbacks:          c.met.rollbacks.Value(),
-		OutageDrops:        c.met.outageDrops.Value(),
-		LateCatchUps:       c.met.lateCatchUps.Value(),
-		Malformed:          c.met.malformed.Value(),
-		FidelityMismatches: c.met.mismatched.Value(),
-		LastStability:      c.met.lastStability.Value(),
-		LastFidelity:       c.met.lastFidelity.Value(),
-	}
+	st := c.st
+	st.Members, st.Epoch, st.ReleasedEpoch = len(c.members), c.cur.epoch, c.rel.epoch
+	st.StaleMembers, st.PinnedMembers = c.StaleMembers(), c.pinnedMembers()
+	return st
 }
 
 // handleMemberBatch buffers one member's delivered batch for the next
@@ -524,7 +475,7 @@ func (c *Controller) handleMemberBatch(m *Member, batch []netlink.Message) {
 	}
 	now := c.eng.Now()
 	if m.inj.ServiceDown(int64(now)) {
-		c.met.outageDrops.Inc()
+		c.st.OutageDrops++
 		c.sc.Event2("fleet", "outage_drop", now, "member", int64(m.Index), "msgs", int64(len(batch)))
 		return
 	}
@@ -532,8 +483,8 @@ func (c *Controller) handleMemberBatch(m *Member, batch []netlink.Message) {
 	c.catchUp(m)
 	var malformed int
 	m.pending, malformed = core.ParseBatch(m.pending, batch)
-	c.met.malformed.Add(int64(malformed))
-	c.met.batches.Inc()
+	c.st.Malformed += int64(malformed)
+	c.st.Batches++
 }
 
 // catchUp brings a just-proven-alive member back to parity with the released
@@ -552,8 +503,7 @@ func (c *Controller) catchUp(m *Member) {
 		if target == c.rel.epoch && !m.Core.Degraded() {
 			if err := m.Core.Activate(); err == nil {
 				m.epoch = target
-				m.epochGauge.Set(float64(target))
-				c.met.installs.Inc()
+				c.st.MemberInstalls++
 				c.sc.Event2("fleet", "parked_activate", c.eng.Now(), "member", int64(m.Index), "epoch", target)
 				c.spans.Lone("snapshot", "parked_activate", target, int64(m.Index), c.eng.Now(), 0)
 				c.updateStale()
@@ -571,7 +521,7 @@ func (c *Controller) catchUp(m *Member) {
 		// ErrPastEvent (instead of the engine's scheduling panic), and the
 		// install falls back to joining the queue immediately.
 		if err := c.eng.TryAt(c.fanStart, func() { c.enqueue(job) }); err != nil {
-			c.met.lateCatchUps.Inc()
+			c.st.LateCatchUps++
 			c.enqueue(job)
 		}
 	}
@@ -599,21 +549,21 @@ func (c *Controller) aggregate() {
 	if len(pool) == 0 {
 		return
 	}
-	c.met.aggregations.Inc()
-	c.met.samples.Add(int64(len(pool)))
+	c.st.Aggregations++
+	c.st.Samples += int64(len(pool))
 	if c.wave == nil {
 		c.wave = c.spans.Root("snapshot", "fleet_rollout", c.eng.Now())
 	}
 
 	c.adapter.Adapt(pool)
-	c.met.lastStability.Set(c.evaluator.Stability())
+	c.st.LastStability = c.evaluator.Stability()
 
 	// The correctness gate on the pooled stability metric — identical policy
 	// to the single-core service (paper §3.2), run once for the whole fleet.
-	if !c.gate.Converged(c.met.lastStability.Value(), c.coreCfg) {
+	if !c.gate.Converged(c.st.LastStability, c.coreCfg) {
 		return
 	}
-	c.met.converged.Inc()
+	c.st.Converged++
 	c.evaluateNecessity(pool)
 }
 
@@ -627,16 +577,16 @@ func (c *Controller) evaluateNecessity(pool []core.Sample) {
 	if c.cur.mod == nil {
 		return
 	}
-	c.met.fidelityChecks.Inc()
+	c.st.FidelityChecks++
 	minLoss, mismatched := core.MinFidelityLoss(c.cur.mod.Program, c.evaluator, pool, nil)
-	c.met.mismatched.Add(int64(mismatched))
+	c.st.FidelityMismatches += int64(mismatched)
 	if math.IsInf(minLoss, 1) {
 		return
 	}
-	c.met.lastFidelity.Set(minLoss)
+	c.st.LastFidelity = minLoss
 	threshold := core.Alpha * (c.coreCfg.OutMax - c.coreCfg.OutMin)
 	if minLoss <= threshold {
-		c.met.skipped.Inc()
+		c.st.SkippedByNecessity++
 		return
 	}
 	c.buildAndFanOut()
@@ -652,7 +602,7 @@ func (c *Controller) evaluateNecessity(pool []core.Sample) {
 func (c *Controller) buildAndFanOut() {
 	now := c.eng.Now()
 	if c.phase != phaseIdle || c.inFlight > 0 || len(c.queue) > 0 {
-		c.met.deferred.Inc()
+		c.st.InstallsDeferred++
 		c.wave.Mark("install_deferred", now, "queued", int64(len(c.queue)))
 		return
 	}
@@ -661,7 +611,7 @@ func (c *Controller) buildAndFanOut() {
 	mod, err := codegen.Build(quant.Quantize(c.freezer.Freeze(), c.coreCfg.Quant), name)
 	if err != nil {
 		// The next converged round retries with a fresh freeze.
-		c.met.buildFailures.Inc()
+		c.st.BuildFailures++
 		c.sc.EventStr("fleet", "build_failure", now, "model", name)
 		c.wave.Mark("build_failure", now, "epoch", next)
 		return
@@ -672,7 +622,7 @@ func (c *Controller) buildAndFanOut() {
 	c.gate.Reset()
 	c.lastMinted = next
 	c.cur = version{epoch: next, mod: mod}
-	c.met.versions.Inc()
+	c.st.VersionsBuilt++
 	c.sc.Event2("fleet", "version", now, "epoch", next, "members", int64(len(c.members)))
 	// The epoch exists now: stage the rollout's controller-side children.
 	// Pooling covers root-open to this build; the gates and build are
@@ -704,7 +654,6 @@ func (c *Controller) buildAndFanOut() {
 // release makes the latest minted version the released one, as of now.
 func (c *Controller) release(now netsim.Time) {
 	c.rel = c.cur
-	c.met.releasedEpoch.Set(float64(c.rel.epoch))
 	c.fanStart = now
 }
 
@@ -788,7 +737,7 @@ func (c *Controller) install(j installJob) {
 			// registering and activating models on member cores.
 			j.m.installing = false
 			c.inFlight--
-			c.met.abandoned.Inc()
+			c.st.InstallsAbandoned++
 			c.sc.Event2("fleet", "install_aborted", c.eng.Now(), "member", int64(j.m.Index), "epoch", j.epoch)
 			return
 		}
@@ -810,13 +759,12 @@ func (c *Controller) landed(j installJob, start netsim.Time, err error) {
 	switch {
 	case err == nil:
 		m.epoch = j.epoch
-		m.epochGauge.Set(float64(j.epoch))
 		if j.rollback {
-			c.met.rollbacks.Inc()
+			c.st.Rollbacks++
 			c.sc.Event2("fleet", "rollback", now, "member", member, "epoch", j.epoch)
 			c.spans.Lone("snapshot", "member_rollback", j.epoch, member, start, now-start)
 		} else {
-			c.met.installs.Inc()
+			c.st.MemberInstalls++
 			c.sc.Event2("fleet", "install", now, "member", member, "epoch", j.epoch)
 			// Standalone spans keyed by the epoch pid: catch-up installs of an
 			// already-drained wave still join that version's tree.
@@ -825,13 +773,13 @@ func (c *Controller) landed(j installJob, start netsim.Time, err error) {
 		}
 	case errors.Is(err, core.ErrDegraded):
 		m.parkedEpoch = j.epoch
-		c.met.parked.Inc()
+		c.st.InstallsParked++
 		c.sc.Event2("fleet", "install_parked", now, "member", member, "epoch", j.epoch)
 		if c.wave.Version() == j.epoch {
 			c.wave.MarkMember("install_parked", member, now)
 		}
 	default:
-		c.met.abandoned.Inc()
+		c.st.InstallsAbandoned++
 		c.sc.Event2("fleet", "install_rejected", now, "member", member, "epoch", j.epoch)
 	}
 	m.installing = false
@@ -854,6 +802,5 @@ func (c *Controller) pinnedMembers() int {
 // updateStale refreshes the staleness and pinned gauges after any epoch or
 // pin movement.
 func (c *Controller) updateStale() {
-	c.met.staleMembers.Set(float64(c.StaleMembers()))
-	c.met.pinnedMembers.Set(float64(c.pinnedMembers()))
+	c.st.StaleMembers, c.st.PinnedMembers = c.StaleMembers(), c.pinnedMembers()
 }

@@ -321,6 +321,42 @@ func TestOutageDropsMemberBatches(t *testing.T) {
 	}
 }
 
+// TestInjectorsOnSharedScopeCountTheirOwn: two members' injectors built on
+// one scope (as the fleet rig builds its odd members') each count only their
+// own faults — what they count on scopes of their own — while the series they
+// share exports the sum.
+func TestInjectorsOnSharedScopeCountTheirOwn(t *testing.T) {
+	run := func(sc obs.Scope) [2]fault.Stats {
+		injs := [2]*fault.Injector{
+			fault.New(fault.Profile{OutagePeriod: int64(20 * netsim.Millisecond), OutageDuration: int64(5 * netsim.Millisecond)}, 3, sc),
+			fault.New(fault.Profile{OutagePeriod: int64(60 * netsim.Millisecond), OutageDuration: int64(15 * netsim.Millisecond)}, 4, sc),
+		}
+		r := newFleetRig(t, 2, Config{
+			BatchInterval:       5 * netsim.Millisecond,
+			AggregationInterval: 5 * netsim.Millisecond,
+		}, func(i int) ([]opt.Option, []opt.Option) {
+			return nil, []opt.Option{opt.WithFaults(injs[i])}
+		})
+		defer r.ctrl.Stop()
+		r.feedAll(5*netsim.Millisecond, 400*netsim.Millisecond)
+		r.eng.RunUntil(400 * netsim.Millisecond)
+		return [2]fault.Stats{injs[0].Stats(), injs[1].Stats()}
+	}
+	own := run(obs.Nop())
+	if own[0].Outages == 0 || own[1].Outages == 0 || own[0].Outages == own[1].Outages {
+		t.Fatalf("the two injectors need distinct, non-zero outage counts: %+v", own)
+	}
+	reg := obs.NewRegistry()
+	shared := run(obs.New(reg, nil))
+	if shared != own {
+		t.Errorf("injectors on one scope count %+v, on their own %+v", shared, own)
+	}
+	if got, want := reg.Value("liteflow_fault_injected_total", obs.Label{Key: "kind", Value: "service_outage"}),
+		float64(own[0].Outages+own[1].Outages); got != want {
+		t.Errorf("shared series exports %g outages, want the sum %g", got, want)
+	}
+}
+
 // TestClosedChannelAbandonsInstall: a member whose channel died mid-rollout
 // cannot receive the version; the install counts as abandoned and the member
 // stays visibly stale rather than silently "current".

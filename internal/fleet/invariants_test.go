@@ -68,11 +68,12 @@ func TestRolloutInvariants(t *testing.T) {
 			})
 			r.eng.At(70*agg, m0.Unpin)
 			r.eng.At(50*agg, func() { r.addLateMember(t) })
-			// A bad stretch for the healthy canary: member 0's degradation
-			// counter (the instrument its core registered) climbs for twenty
-			// rounds, so its verdicts fail on evidence and the rollback jobs
-			// land on a core that can take them.
-			bad := sc.With(obs.Label{Key: "host", Value: "0"}).Counter("liteflow_core_degraded_total", "")
+			// A bad stretch for the healthy canary: a degradation series
+			// beside member 0's own (same family, same host label, which the
+			// verdict sums) climbs for twenty rounds, so its verdicts fail on
+			// evidence and the rollback jobs land on a core that can take them.
+			bad := sc.With(obs.Label{Key: "host", Value: "0"}).Counter("liteflow_core_degraded_total", "",
+				obs.Label{Key: "src", Value: "test"})
 			for at := 80 * agg; at < 100*agg; at += agg / 2 {
 				r.eng.At(at, func() { bad.Add(int64(r.eng.Now() / agg)) })
 			}
@@ -124,7 +125,7 @@ func TestRolloutInvariants(t *testing.T) {
 					t.Fatalf("t=%d: %d members marked installing, %d in flight + %d queued",
 						r.eng.Now(), busy, c.inFlight, len(c.queue))
 				}
-				if got := int(c.met.staleMembers.Value()); got != c.StaleMembers() {
+				if got := int(reg.Value("liteflow_fleet_stale_members")); got != c.StaleMembers() {
 					t.Fatalf("t=%d: stale gauge %d, recount %d", r.eng.Now(), got, c.StaleMembers())
 				}
 				// The phase against the rest of the state. Idle is not "no span

@@ -50,16 +50,17 @@ type CPU struct {
 	eng   *netsim.Engine
 	cores int
 
-	busyUntil netsim.Time                // never decreases
-	acct      [numCategories]netsim.Time // raw CPU-time consumed per category
-	done      netsim.Ring                // SubmitPacket's completions, FIFO like busyUntil
+	busyUntil netsim.Time // never decreases
+	done      netsim.Ring // SubmitPacket's completions, FIFO like busyUntil
 
-	rejected int64
-	started  netsim.Time
+	// busy (raw CPU time per category) and rejected count from construction,
+	// as the exported series do; the accessors subtract their values as of
+	// the last ResetAccounting.
+	busy, busyBase         [numCategories]netsim.Time
+	rejected, rejectedBase int64
+	started                netsim.Time
 
-	sc      obs.Scope
-	busyNS  [numCategories]*obs.Counter
-	rejects *obs.Counter
+	sc obs.Scope
 }
 
 // maxBacklog bounds how far work may queue ahead of the current time, in
@@ -78,17 +79,18 @@ func NewHostCPU(eng *netsim.Engine, cores int, options ...opt.Option) *CPU {
 	c := &CPU{eng: eng, cores: cores, started: eng.Now(), sc: opt.Resolve(options).Scope}
 	c.done.Init(eng)
 	for cat := Category(0); cat < numCategories; cat++ {
-		c.busyNS[cat] = c.sc.Counter("liteflow_cpu_busy_ns_total",
-			"raw CPU time consumed, by mpstat category",
+		c.sc.CounterOf("liteflow_cpu_busy_ns_total",
+			"raw CPU time consumed, by mpstat category", &c.busy[cat],
 			obs.Label{Key: "category", Value: cat.String()})
 	}
-	c.rejects = c.sc.Counter("liteflow_cpu_rejected_total",
-		"work submissions refused by the backlog bound")
+	c.sc.CounterOf("liteflow_cpu_rejected_total",
+		"work submissions refused by the backlog bound", &c.rejected)
 	return c
 }
 
-// Rejected returns how many submissions were refused due to backlog.
-func (c *CPU) Rejected() int64 { return c.rejected }
+// Rejected returns how many submissions were refused due to backlog since the
+// last ResetAccounting (or construction).
+func (c *CPU) Rejected() int64 { return c.rejected - c.rejectedBase }
 
 // wallTime converts raw CPU work into wall time on this CPU: n cores retire
 // work n times faster.
@@ -132,7 +134,6 @@ func (c *CPU) SubmitPacket(cat Category, work netsim.Time, fn func(*netsim.Packe
 func (c *CPU) admit(cat Category, work netsim.Time) bool {
 	if now := c.eng.Now(); c.busyUntil-now > maxBacklog {
 		c.rejected++
-		c.rejects.Inc()
 		c.sc.Event1("cpu", "reject", now, "ns", int64(work))
 		return false
 	}
@@ -148,9 +149,8 @@ func (c *CPU) Charge(cat Category, work netsim.Time) {
 	if c.busyUntil < now {
 		c.busyUntil = now
 	}
-	c.acct[cat] += work
+	c.busy[cat] += work
 	c.busyUntil += c.wallTime(work)
-	c.busyNS[cat].Add(int64(work))
 	c.sc.Event1("cpu", cat.String(), now, "ns", int64(work))
 }
 
@@ -165,13 +165,14 @@ func (c *CPU) QueueDelay() netsim.Time {
 
 // BusyTime returns the raw CPU time consumed in category cat since the last
 // ResetAccounting (or construction).
-func (c *CPU) BusyTime(cat Category) netsim.Time { return c.acct[cat] }
+func (c *CPU) BusyTime(cat Category) netsim.Time { return c.busy[cat] - c.busyBase[cat] }
 
-// TotalBusy returns the raw CPU time consumed across all categories.
+// TotalBusy returns the raw CPU time consumed across all categories since the
+// last ResetAccounting.
 func (c *CPU) TotalBusy() netsim.Time {
 	var t netsim.Time
-	for _, v := range c.acct {
-		t += v
+	for cat := range c.busy {
+		t += c.BusyTime(Category(cat))
 	}
 	return t
 }
@@ -184,7 +185,7 @@ func (c *CPU) Share(cat Category) float64 {
 	if tot == 0 {
 		return 0
 	}
-	return float64(c.acct[cat]) / float64(tot)
+	return float64(c.BusyTime(cat)) / float64(tot)
 }
 
 // Utilization returns total busy CPU time divided by available CPU time
@@ -197,11 +198,11 @@ func (c *CPU) Utilization() float64 {
 	return float64(c.TotalBusy()) / float64(elapsed*netsim.Time(c.cores))
 }
 
-// ResetAccounting zeroes the per-category counters and restarts the
-// utilization window, like re-running mpstat for a fresh interval.
+// ResetAccounting restarts the accounting window, like re-running mpstat for
+// a fresh interval: the accessors count from here. The exported series keep
+// counting from construction.
 func (c *CPU) ResetAccounting() {
-	c.acct = [numCategories]netsim.Time{}
-	c.rejected = 0
+	c.busyBase, c.rejectedBase = c.busy, c.rejected
 	c.started = c.eng.Now()
 }
 
@@ -218,12 +219,12 @@ type Report struct {
 // Report returns the current accounting snapshot.
 func (c *CPU) Report() Report {
 	return Report{
-		UserTime:    c.acct[User],
-		KernelTime:  c.acct[Kernel],
-		SoftIRQTime: c.acct[SoftIRQ],
+		UserTime:    c.BusyTime(User),
+		KernelTime:  c.BusyTime(Kernel),
+		SoftIRQTime: c.BusyTime(SoftIRQ),
 		SoftShare:   c.Share(SoftIRQ),
 		Utilization: c.Utilization(),
-		Rejected:    c.rejected,
+		Rejected:    c.Rejected(),
 	}
 }
 

@@ -42,8 +42,8 @@ type Message struct {
 // 8 bytes per value.
 func (m Message) wireBytes() int { return 16 + 8*len(m.Data) }
 
-// Stats counts channel activity for experiment reporting. It is a snapshot
-// view over the channel's registry-backed counters.
+// Stats counts channel activity for experiment reporting. The channel counts
+// into its own Stats, and its scope exports each field as a counter view.
 type Stats struct {
 	Flushes     int64
 	Messages    int64
@@ -55,29 +55,17 @@ type Stats struct {
 	Undelivered int64 // batched messages that fired with no delivery callback
 }
 
-// chanMetrics holds the channel's registry-backed instruments.
-type chanMetrics struct {
-	flushes     *obs.Counter
-	messages    *obs.Counter
-	bytes       *obs.Counter
-	dropped     *obs.Counter
-	downcalls   *obs.Counter
-	downBytes   *obs.Counter
-	downAborted *obs.Counter
-	undelivered *obs.Counter
-}
-
-func newChanMetrics(sc obs.Scope) chanMetrics {
-	return chanMetrics{
-		flushes:     sc.Counter("liteflow_netlink_flushes_total", "kernel→userspace batch deliveries"),
-		messages:    sc.Counter("liteflow_netlink_messages_total", "messages delivered to userspace"),
-		bytes:       sc.Counter("liteflow_netlink_bytes_total", "wire bytes delivered to userspace"),
-		dropped:     sc.Counter("liteflow_netlink_dropped_total", "messages displaced by the bounded kernel buffer"),
-		downcalls:   sc.Counter("liteflow_netlink_downcalls_total", "userspace→kernel transfers"),
-		downBytes:   sc.Counter("liteflow_netlink_down_bytes_total", "userspace→kernel payload bytes"),
-		downAborted: sc.Counter("liteflow_netlink_downcalls_aborted_total", "downcall completions voided because the channel closed mid-flight"),
-		undelivered: sc.Counter("liteflow_netlink_undelivered_total", "batched messages discarded because no delivery callback was installed"),
-	}
+// register exports the channel's counts on sc.
+func (c *Channel) register(sc obs.Scope) {
+	st := &c.st
+	sc.CounterOf("liteflow_netlink_flushes_total", "kernel→userspace batch deliveries", &st.Flushes)
+	sc.CounterOf("liteflow_netlink_messages_total", "messages delivered to userspace", &st.Messages)
+	sc.CounterOf("liteflow_netlink_bytes_total", "wire bytes delivered to userspace", &st.Bytes)
+	sc.CounterOf("liteflow_netlink_dropped_total", "messages displaced by the bounded kernel buffer", &st.Dropped)
+	sc.CounterOf("liteflow_netlink_downcalls_total", "userspace→kernel transfers", &st.Downcalls)
+	sc.CounterOf("liteflow_netlink_down_bytes_total", "userspace→kernel payload bytes", &st.DownBytes)
+	sc.CounterOf("liteflow_netlink_downcalls_aborted_total", "downcall completions voided because the channel closed mid-flight", &st.DownAborted)
+	sc.CounterOf("liteflow_netlink_undelivered_total", "batched messages discarded because no delivery callback was installed", &st.Undelivered)
 }
 
 // maxBuffer bounds the kernel-side accumulation buffer in messages; overflow
@@ -97,8 +85,8 @@ type Channel struct {
 	inj    *fault.Injector
 	closed bool
 
-	sc  obs.Scope
-	met chanMetrics
+	sc obs.Scope
+	st Stats
 
 	ticking  bool
 	interval netsim.Time
@@ -109,29 +97,18 @@ type Channel struct {
 // it may also be installed later with SetDeliver (batches that fire while no
 // callback is installed are counted and discarded, never a panic).
 // opt.WithScope exports channel metrics and batch-delivery trace events
-// (omitted, telemetry is a no-op but counters still count); opt.WithFaults
+// (omitted, telemetry is a no-op but Stats still counts); opt.WithFaults
 // injects message drop/corruption and batch delay/reorder at flush time.
 func NewChannel(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, deliver func(batch []Message), options ...opt.Option) *Channel {
 	o := opt.Resolve(options)
 	c := &Channel{eng: eng, cpu: cpu, costs: costs, deliver: deliver,
 		inj: o.Faults, sc: o.Scope}
-	c.met = newChanMetrics(c.sc)
+	c.register(c.sc)
 	return c
 }
 
-// Stats returns a snapshot of the channel's counters.
-func (c *Channel) Stats() Stats {
-	return Stats{
-		Flushes:     c.met.flushes.Value(),
-		Messages:    c.met.messages.Value(),
-		Bytes:       c.met.bytes.Value(),
-		Dropped:     c.met.dropped.Value(),
-		Downcalls:   c.met.downcalls.Value(),
-		DownBytes:   c.met.downBytes.Value(),
-		DownAborted: c.met.downAborted.Value(),
-		Undelivered: c.met.undelivered.Value(),
-	}
-}
+// Stats returns a copy of the channel's counters.
+func (c *Channel) Stats() Stats { return c.st }
 
 // SetDeliver replaces the kernel-batch delivery callback. The userspace
 // service installs itself here after construction.
@@ -154,7 +131,7 @@ func (c *Channel) Close() {
 	}
 	c.closed = true
 	c.ticking = false
-	c.met.dropped.Add(int64(len(c.buf)))
+	c.st.Dropped += int64(len(c.buf))
 	c.buf = nil
 	c.sc.Event("netlink", "close", c.eng.Now())
 }
@@ -164,14 +141,14 @@ func (c *Channel) Close() {
 // per-packet processing charge already paid by the datapath).
 func (c *Channel) Push(m Message) {
 	if c.closed {
-		c.met.dropped.Inc()
+		c.st.Dropped++
 		return
 	}
 	if len(c.buf) >= maxBuffer {
 		// Drop oldest: adaptation prefers fresh signal.
 		copy(c.buf, c.buf[1:])
 		c.buf = c.buf[:len(c.buf)-1]
-		c.met.dropped.Inc()
+		c.st.Dropped++
 		c.sc.Event("netlink", "drop", c.eng.Now())
 	}
 	c.buf = append(c.buf, m)
@@ -217,9 +194,9 @@ func (c *Channel) Flush() {
 	for _, m := range batch {
 		bytes += m.wireBytes()
 	}
-	c.met.flushes.Inc()
-	c.met.messages.Add(int64(len(batch)))
-	c.met.bytes.Add(int64(bytes))
+	c.st.Flushes++
+	c.st.Messages += int64(len(batch))
+	c.st.Bytes += int64(bytes)
 	c.sc.Event2("netlink", "flush", now, "msgs", int64(len(batch)), "bytes", int64(bytes))
 
 	// One softirq-visible wakeup per flush; copy work scales with volume.
@@ -241,7 +218,7 @@ func (c *Channel) Flush() {
 			fn(batch)
 			return
 		}
-		c.met.undelivered.Add(int64(len(batch)))
+		c.st.Undelivered += int64(len(batch))
 		c.sc.Event1("netlink", "undelivered", c.eng.Now(), "msgs", int64(len(batch)))
 	})
 }
@@ -291,8 +268,8 @@ func (c *Channel) SendToKernel(payloadBytes int, done func()) error {
 	if c.closed {
 		return ErrChannelClosed
 	}
-	c.met.downcalls.Inc()
-	c.met.downBytes.Add(int64(payloadBytes))
+	c.st.Downcalls++
+	c.st.DownBytes += int64(payloadBytes)
 	c.sc.Event1("netlink", "downcall", c.eng.Now(), "bytes", int64(payloadBytes))
 	c.cpu.Charge(ksim.SoftIRQ, c.costs.CrossSpace)
 	c.cpu.Charge(ksim.Kernel, c.costs.NetlinkPerMsg+netsim.Time(payloadBytes)*c.costs.NetlinkPerByte)
@@ -305,7 +282,7 @@ func (c *Channel) SendToKernel(payloadBytes int, done func()) error {
 			// so the completion must not run against it. Counted so callers
 			// can see the loss (the doc contract is "never invokes done
 			// after Close").
-			c.met.downAborted.Inc()
+			c.st.DownAborted++
 			c.sc.Event("netlink", "downcall_aborted", c.eng.Now())
 			return
 		}

@@ -32,18 +32,15 @@ type Link struct {
 	// lossRNG is a private xorshift so the draw sequence depends only on
 	// this link's own packet order — deterministic per §4d under any
 	// partitioning.
-	lossRate  float64
-	lossRNG   uint64
-	lossDrops int64
+	lossRate float64
+	lossRNG  uint64
 
-	// Cumulative counters for experiment accounting.
-	txPackets int64
-	txBytes   int64
+	// Cumulative counters for experiment accounting; the scope exports the
+	// last three.
+	txPackets, txBytes              int64
+	lossDrops, queueDrops, ecnMarks int64
 
-	sc    obs.Scope
-	drops *obs.Counter
-	marks *obs.Counter
-	lossC *obs.Counter
+	sc obs.Scope
 
 	txDoneFn func() // bound once in NewLink, so serialization allocates nothing
 
@@ -73,12 +70,12 @@ func NewLink(eng *Engine, to Handler, rateBps int64, delay Time, q Queue, sc ...
 	if len(sc) > 0 {
 		l.sc = sc[0]
 	}
-	l.drops = l.sc.Counter("liteflow_net_queue_drops_total",
-		"packets rejected by a full egress queue")
-	l.marks = l.sc.Counter("liteflow_net_ecn_marks_total",
-		"packets CE-marked on enqueue")
-	l.lossC = l.sc.Counter("liteflow_net_loss_drops_total",
-		"packets corrupted by configured link loss")
+	l.sc.CounterOf("liteflow_net_queue_drops_total",
+		"packets rejected by a full egress queue", &l.queueDrops)
+	l.sc.CounterOf("liteflow_net_ecn_marks_total",
+		"packets CE-marked on enqueue", &l.ecnMarks)
+	l.sc.CounterOf("liteflow_net_loss_drops_total",
+		"packets corrupted by configured link loss", &l.lossDrops)
 	return l
 }
 
@@ -196,13 +193,13 @@ func (l *Link) Send(p *Packet) {
 	p.EnqAt = l.eng.Now()
 	ceBefore := p.CE
 	if !l.queue.Enqueue(p) {
-		l.drops.Inc()
+		l.queueDrops++
 		l.sc.Event2("net", "drop", p.EnqAt, "flow", int64(p.Flow), "bytes", int64(p.Size))
 		FreePacket(p) // dropped
 		return
 	}
 	if p.CE && !ceBefore {
-		l.marks.Inc()
+		l.ecnMarks++
 		l.sc.Event1("net", "ecn_mark", p.EnqAt, "flow", int64(p.Flow))
 	}
 	if l.txPkt == nil {
@@ -228,7 +225,6 @@ func (l *Link) txDone() {
 	l.txBytes += int64(p.Size)
 	if l.lose() {
 		l.lossDrops++
-		l.lossC.Inc()
 		l.sc.Event2("net", "loss", l.eng.now, "flow", int64(p.Flow), "bytes", int64(p.Size))
 		FreePacket(p)
 		l.startNext()

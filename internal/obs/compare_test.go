@@ -7,7 +7,8 @@ func TestCompareDeltasSumAndMean(t *testing.T) {
 	sc := New(reg, nil)
 	c1 := sc.Counter("q_total", "queries", Label{Key: "host", Value: "0"})
 	c2 := sc.Counter("q_total", "queries", Label{Key: "host", Value: "1"})
-	g := sc.Gauge("depth", "queue depth")
+	var depth float64
+	GaugeOf(sc, "depth", "queue depth", &depth)
 
 	fr := NewFlightRecorder(0)
 	// Before window [0,4s]: c1 at 10/s, c2 at 20/s, gauge at 5.
@@ -17,11 +18,11 @@ func TestCompareDeltasSumAndMean(t *testing.T) {
 			if s <= 4 {
 				c1.Add(10)
 				c2.Add(20)
-				g.Set(5)
+				depth = 5
 			} else {
 				c1.Add(5)
 				c2.Add(10)
-				g.Set(9)
+				depth = 9
 			}
 		}
 		fr.Sample(reg, s*1e9)

@@ -25,8 +25,9 @@ import (
 // crosses the quantile (the +Inf bucket reports the observed max) — coarse,
 // but deterministic and monotone in the underlying distribution.
 //
-// Like the rest of obs, the recorder is goroutine-safe and wall-clock-free:
-// callers drive Sample from their simulation engine, so recordings are
+// The recorder is wall-clock-free, and a lock guards its recorded points.
+// Sample, though, reads view-backed series, so it runs on the goroutine of
+// the components it samples, driven from their simulation engine. Recordings are
 // byte-identical across same-seed runs, and the parallel experiment harness
 // gives each job a private recorder and folds them in job order (Merge),
 // keeping -parallel exports byte-identical to serial ones.
@@ -147,10 +148,8 @@ func (fr *FlightRecorder) Sample(reg *Registry, at int64) {
 				key = f.name + "{" + s.labels + "}"
 			}
 			switch f.kind {
-			case kindCounter:
-				fr.record(key, true, at, float64(s.counter.Value()))
-			case kindGauge:
-				fr.record(key, false, at, s.gauge.Value())
+			case kindCounter, kindGauge:
+				fr.record(key, f.kind == kindCounter, at, s.value(f.kind))
 			case kindHistogram:
 				bounds, counts, sum := s.hist.snapshot()
 				var total int64

@@ -9,19 +9,20 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
-// TestFlightRecorderSampleAndWindow: counters/gauges record directly,
+// TestFlightRecorderSampleAndWindow: counters and gauge views record directly,
 // histograms expand into _count/_sum/_p50/_p99 sub-series, and Window slices
 // by virtual time.
 func TestFlightRecorderSampleAndWindow(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("liteflow_test_q_total", "")
-	g := reg.Gauge("liteflow_test_depth", "")
+	var depth float64
+	obs.GaugeOf(obs.New(reg, nil), "liteflow_test_depth", "", &depth)
 	h := reg.Histogram("liteflow_test_ns", "", []float64{100, 1000, 10000})
 
 	fr := obs.NewFlightRecorder(16)
 	for i := 1; i <= 4; i++ {
 		c.Add(10)
-		g.Set(float64(i))
+		depth = float64(i)
 		h.Observe(float64(i) * 200)
 		fr.Sample(reg, int64(i)*1000)
 	}
@@ -63,20 +64,21 @@ func names(ws []obs.SeriesWindow) []string {
 func TestFlightRecorderDelta(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := reg.Counter("liteflow_test_goodput_total", "")
-	g := reg.Gauge("liteflow_test_lat", "")
+	var lat float64
+	obs.GaugeOf(obs.New(reg, nil), "liteflow_test_lat", "", &lat)
 
 	fr := obs.NewFlightRecorder(64)
 	// Before: 10 units per 1000 ns tick. After: 5 per tick, latency doubles.
 	at := int64(0)
 	for i := 0; i < 5; i++ {
 		c.Add(10)
-		g.Set(100)
+		lat = 100
 		at += 1000
 		fr.Sample(reg, at)
 	}
 	for i := 0; i < 5; i++ {
 		c.Add(5)
-		g.Set(200)
+		lat = 200
 		at += 1000
 		fr.Sample(reg, at)
 	}
@@ -167,7 +169,8 @@ func TestFlightRecorderJSONL(t *testing.T) {
 	build := func() string {
 		reg := obs.NewRegistry()
 		reg.Counter("liteflow_test_n_total", "", obs.Label{Key: "job", Value: "a"}).Add(3)
-		reg.Gauge("liteflow_test_lvl", "").Set(1.5)
+		lvl := 1.5
+		obs.GaugeOf(obs.New(reg, nil), "liteflow_test_lvl", "", &lvl)
 		fr := obs.NewFlightRecorder(8)
 		fr.Sample(reg, 42)
 		var b bytes.Buffer

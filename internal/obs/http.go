@@ -9,9 +9,9 @@ import (
 // (Prometheus text format), the tracer at /debug/trace (Chrome trace JSON by
 // default, JSON lines with ?format=jsonl) and the flight recording at
 // /debug/flight (JSON lines). Nil arguments make the corresponding endpoints
-// report 404. The handler is safe to serve from a goroutine while the
-// simulation writes: the registry, tracer and recorder synchronize
-// internally.
+// report 404. Component series are views over plain fields, so serve
+// /metrics only after the components' run has returned; the tracer and the
+// flight recording synchronize internally and may be served during it.
 func NewHTTPHandler(reg *Registry, tr *Tracer, fr *FlightRecorder) http.Handler {
 	// serve answers with write's bytes as ctype, or 404 when the exporter
 	// behind write is absent.

@@ -1,6 +1,9 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file implements deterministic telemetry folding: whoever runs several
 // pieces of work under one scope — the experiment harness its jobs, a figure
@@ -72,9 +75,9 @@ func (r *Registry) Merge(src *Registry) {
 			dst := r.lookup(f.name, f.help, f.kind, key)
 			switch f.kind {
 			case kindCounter:
-				dst.counter.Add(s.counter.Value())
+				dst.counter.Add(int64(s.value(kindCounter)))
 			case kindGauge:
-				dst.gauge.Set(s.gauge.Value())
+				dst.gauge.Store(math.Float64bits(s.value(kindGauge)))
 			case kindHistogram:
 				bounds, _, _ := s.hist.snapshot()
 				dst.histOf(bounds).merge(s.hist)

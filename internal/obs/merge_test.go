@@ -8,30 +8,43 @@ import (
 )
 
 // populate records the same instrument shapes a worker scope would: a
-// counter, a gauge and a histogram, all with a label distinguishing the
-// logical job.
-func populate(r *Registry, job string, base float64) {
+// counter and a histogram labelled with the logical job, and a write to
+// *last, the field behind the job's last_value gauge view.
+func populate(r *Registry, job string, base float64, last *float64) {
 	c := r.Counter("jobs_total", "jobs", Label{Key: "job", Value: job})
 	c.Add(int64(base))
-	g := r.Gauge("last_value", "last observed", Label{Key: "job", Value: job})
-	g.Set(base * 2)
+	*last = base * 2
 	h := r.Histogram("latency_ns", "latency", ExpBuckets(10, 10, 4), Label{Key: "job", Value: job})
 	h.Observe(base)
 	h.Observe(base * 3)
 }
 
 func TestRegistryMergeMatchesSequential(t *testing.T) {
-	// Sequential reference: everything recorded against one registry.
-	seq := NewRegistry()
-	populate(seq, "a", 5)
-	populate(seq, "b", 50)
-	populate(seq, "a", 7) // second batch against the same series
+	batches := []struct {
+		job  string
+		base float64
+	}{{"a", 5}, {"b", 50}, {"a", 7}} // the third batch hits job a's series again
 
-	// Parallel shape: three private registries merged in job order.
-	parts := []*Registry{NewRegistry(), NewRegistry(), NewRegistry()}
-	populate(parts[0], "a", 5)
-	populate(parts[1], "b", 50)
-	populate(parts[2], "a", 7)
+	// Sequential reference: everything recorded against one registry, one
+	// gauge view per job, so job a's gauge exports its last write (14).
+	seq := NewRegistry()
+	seqLast := map[string]*float64{"a": new(float64), "b": new(float64)}
+	for _, job := range []string{"a", "b"} {
+		GaugeOf(New(seq, nil), "last_value", "last observed", seqLast[job], Label{Key: "job", Value: job})
+	}
+	for _, b := range batches {
+		populate(seq, b.job, b.base, seqLast[b.job])
+	}
+
+	// Parallel shape: three private registries, each with its own view on
+	// its job's gauge, merged in job order; parts 0 and 2 collide on job a.
+	parts := make([]*Registry, len(batches))
+	lasts := make([]float64, len(batches))
+	for i, b := range batches {
+		parts[i] = NewRegistry()
+		GaugeOf(New(parts[i], nil), "last_value", "last observed", &lasts[i], Label{Key: "job", Value: b.job})
+		populate(parts[i], b.job, b.base, &lasts[i])
+	}
 	dst := NewRegistry()
 	for _, p := range parts {
 		dst.Merge(p)
@@ -44,6 +57,9 @@ func TestRegistryMergeMatchesSequential(t *testing.T) {
 	}
 	if !strings.Contains(got, "jobs_total") {
 		t.Fatalf("export missing expected family:\n%s", got)
+	}
+	if v := dst.Value("last_value", Label{Key: "job", Value: "a"}); v != 14 {
+		t.Fatalf(`merged last_value{job="a"} = %v, want the last-merged 14`, v)
 	}
 }
 
@@ -166,10 +182,9 @@ func combine(a, b *Registry) *Registry {
 
 // randomPart populates r (and mirror, when non-nil) with a random workload:
 // counter adds and histogram observations on shared series, plus one gauge
-// owned exclusively by this part (one-writer-per-gauge is the harness
-// invariant that makes gauge merging order-insensitive). Values are integers,
-// which float64 represents exactly, so histogram sums are associative at the
-// bit level.
+// view owned exclusively by this part (one view per gauge series is what
+// makes gauge merging order-insensitive). Values are integers, which float64
+// represents exactly, so histogram sums are associative at the bit level.
 func randomPart(rng *rand.Rand, r, mirror *Registry, part int) {
 	apply := func(f func(*Registry)) {
 		f(r)
@@ -177,6 +192,7 @@ func randomPart(rng *rand.Rand, r, mirror *Registry, part int) {
 			f(mirror)
 		}
 	}
+	level, viewed := 0.0, false
 	nOps := 1 + rng.Intn(8)
 	for i := 0; i < nOps; i++ {
 		switch rng.Intn(3) {
@@ -190,9 +206,12 @@ func randomPart(rng *rand.Rand, r, mirror *Registry, part int) {
 				reg.Histogram("lat_ns", "", ExpBuckets(10, 10, 5)).Observe(v)
 			})
 		default:
-			v := float64(rng.Intn(1000))
-			lbl := Label{Key: "part", Value: strconv.Itoa(part)}
-			apply(func(reg *Registry) { reg.Gauge("level", "", lbl).Set(v) })
+			level = float64(rng.Intn(1000))
+			if !viewed {
+				lbl := Label{Key: "part", Value: strconv.Itoa(part)}
+				apply(func(reg *Registry) { GaugeOf(New(reg, nil), "level", "", &level, lbl) })
+				viewed = true
+			}
 		}
 	}
 }

@@ -37,27 +37,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a float metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket distribution metric. It reuses stats.Summary
 // for mean/min/max/stddev, adding cumulative bucket counts and an exact sum
 // for the Prometheus exposition. All methods are goroutine-safe.
@@ -181,14 +160,33 @@ func (k metricKind) String() string {
 	}
 }
 
-// series is one label combination of a family, holding the instrument of the
-// family's kind: counter and gauge in place, the histogram once its first
-// registration has brought the bounds.
+// series is one label combination of a family: an owned instrument or views
+// over fields components keep (Scope.CounterOf, GaugeOf).
 type series struct {
-	labels  string // rendered `k="v",…` form, "" for unlabeled
-	counter Counter
-	gauge   Gauge
+	labels  string        // rendered `k="v",…` form, "" for unlabeled
+	counter Counter       // the owned counter, and what Merge folds counters into
+	gauge   atomic.Uint64 // bits of the value Merge folds a gauge into
+	owned   bool          // Counter has handed out the owned counter
+	views   []*int64
+	gview   func() float64
 	hist    *Histogram
+}
+
+// value is the series' counter or gauge value, the one read behind
+// Prometheus export, FlightRecorder.Sample, Registry.Merge and Registry.Value:
+// the owned counter plus the sum of the counter views, or the gauge view.
+func (s *series) value(kind metricKind) float64 {
+	if kind == kindGauge {
+		if s.gview != nil {
+			return s.gview()
+		}
+		return math.Float64frombits(s.gauge.Load())
+	}
+	n := s.counter.Value()
+	for _, v := range s.views {
+		n += *v
+	}
+	return float64(n)
 }
 
 // histOf returns the series' histogram, creating it over a copy of bounds on
@@ -208,8 +206,10 @@ type family struct {
 	series map[string]*series
 }
 
-// Registry holds named metric families. It is goroutine-safe; the zero value
-// is not usable — construct with NewRegistry.
+// Registry holds named metric families; the zero value is not usable —
+// construct with NewRegistry. Registration and owned instruments are
+// goroutine-safe, but a view-backed series is read (export, Sample, Merge,
+// Value) on its components' goroutine or after their run has returned.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -267,18 +267,47 @@ func (r *Registry) lookup(name, help string, kind metricKind, key string) *serie
 	return s
 }
 
-// Counter returns the counter for name+labels, registering it on first use.
+// Counter returns the owned counter for name+labels, registering it on first
+// use. It panics if the series has views.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return &r.lookup(name, help, kindCounter, renderLabels(labels)).counter
+	s := r.lookup(name, help, kindCounter, renderLabels(labels))
+	if len(s.views) > 0 {
+		panic(fmt.Sprintf("obs: series %s{%s} mixes views and an owned counter", name, s.labels))
+	}
+	s.owned = true
+	return &s.counter
 }
 
-// Gauge returns the gauge for name+labels, registering it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+// view adds a counter view c, or sets the gauge view g, on name+labels. Counter
+// views on one series sum; a second gauge view, or a view beside an owned
+// counter, panics.
+func (r *Registry) view(name, help string, kind metricKind, labels []Label, c *int64, g func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return &r.lookup(name, help, kindGauge, renderLabels(labels)).gauge
+	s := r.lookup(name, help, kind, renderLabels(labels))
+	if s.owned || s.gview != nil {
+		panic(fmt.Sprintf("obs: series %s{%s} already has an owned counter or a gauge view", name, s.labels))
+	}
+	if kind == kindGauge {
+		s.gview = g
+	} else {
+		s.views = append(s.views, c)
+	}
+}
+
+// Value reads counter or gauge series name+labels as an export does; a
+// histogram or a series that does not exist reads 0.
+func (r *Registry) Value(name string, labels ...Label) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.families[name]; ok && f.kind != kindHistogram {
+		if s, ok := f.series[renderLabels(labels)]; ok {
+			return s.value(f.kind)
+		}
+	}
+	return 0
 }
 
 // Histogram returns the histogram for name+labels, registering it on first

@@ -13,14 +13,16 @@
 // just debugging aids.
 //
 // Instrumented components receive a Scope, a cheap value handle bundling a
-// *Registry and a *Tracer plus base labels. The zero Scope (or Nop()) is a
-// valid no-op: instruments resolved through it still count — so stats
-// accessors keep returning correct values — but register nowhere and trace
-// nothing, and the fast path performs no allocations (guarded by a benchmark
-// in this package).
+// *Registry and a *Tracer plus base labels. A component counts into fields of
+// its own Stats and registers read-only views over them (Scope.CounterOf,
+// GaugeOf); histograms and the tracer's eviction counter are owned
+// instruments. The zero Scope (or Nop()) is a valid no-op: registering a view
+// on it returns at once and allocates nothing, and it traces nothing.
 //
-// Unlike the rest of the simulator, obs is goroutine-safe: the HTTP exporter
-// reads snapshots while the simulation writes.
+// Owned instruments, registration and the tracer are goroutine-safe. Views
+// are not: a registry is read on the goroutine that runs its components (a
+// flight tick) or after their run has returned (file exports, /metrics, a
+// Fork join).
 package obs
 
 // Label is one name/value pair qualifying a metric or a scope.
@@ -102,9 +104,8 @@ func (s Scope) merged(labels []Label) []Label {
 	return out
 }
 
-// Counter resolves (registering on first use) a counter. On a no-op scope it
-// returns a live but unregistered counter, so callers can still read back
-// exact counts through their own accessors.
+// Counter resolves (registering on first use) an owned counter. On a no-op
+// scope it returns a live but unregistered counter.
 func (s Scope) Counter(name, help string, labels ...Label) *Counter {
 	if s.reg == nil {
 		return &Counter{}
@@ -112,12 +113,20 @@ func (s Scope) Counter(name, help string, labels ...Label) *Counter {
 	return s.reg.Counter(name, help, s.merged(labels)...)
 }
 
-// Gauge resolves (registering on first use) a gauge.
-func (s Scope) Gauge(name, help string, labels ...Label) *Gauge {
-	if s.reg == nil {
-		return &Gauge{}
+// CounterOf registers a counter view: the series exports *v, a field its
+// component increments itself, summed with the series' other views.
+func (s Scope) CounterOf(name, help string, v *int64, labels ...Label) {
+	if s.reg != nil {
+		s.reg.view(name, help, kindCounter, s.merged(labels), v, nil)
 	}
-	return s.reg.Gauge(name, help, s.merged(labels)...)
+}
+
+// GaugeOf registers a gauge view: the series exports *v, a field its component
+// keeps.
+func GaugeOf[T int | int64 | float64](s Scope, name, help string, v *T, labels ...Label) {
+	if s.reg != nil {
+		s.reg.view(name, help, kindGauge, s.merged(labels), nil, func() float64 { return float64(*v) })
+	}
 }
 
 // Histogram resolves (registering on first use) a fixed-bucket histogram.

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -32,11 +33,116 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("labeled series aliases the unlabeled one")
 	}
 
-	g := sc.Gauge("liteflow_test_level", "level")
-	g.Set(2.5)
-	g.Set(1.5)
-	if got := g.Value(); got != 1.5 {
+	// A gauge view reads its field when the registry is read.
+	level := 2.5
+	obs.GaugeOf(sc, "liteflow_test_level", "level", &level)
+	level = 1.5
+	if got := reg.Value("liteflow_test_level"); got != 1.5 {
 		t.Fatalf("gauge = %g, want 1.5", got)
+	}
+	if got := reg.Value("liteflow_test_ops_total", obs.Label{Key: "k", Value: "v"}); got != 0 {
+		t.Fatalf("untouched series = %g, want 0", got)
+	}
+	if got := reg.Value("liteflow_test_missing"); got != 0 {
+		t.Fatalf("missing series = %g, want 0", got)
+	}
+}
+
+// TestCounterViewsSum: counter views on one series export their sum — the
+// bytes one shared owned counter exported for the same counts — and
+// Registry.Value reads that sum.
+func TestCounterViewsSum(t *testing.T) {
+	views, owned := obs.NewRegistry(), obs.NewRegistry()
+	a, b := int64(0), int64(0)
+	vsc := obs.New(views, nil).With(obs.Label{Key: "host", Value: "0"})
+	vsc.CounterOf("liteflow_test_n_total", "n", &a, obs.Label{Key: "kind", Value: "x"})
+	vsc.CounterOf("liteflow_test_n_total", "n", &b, obs.Label{Key: "kind", Value: "x"})
+	shared := obs.New(owned, nil).With(obs.Label{Key: "host", Value: "0"}).
+		Counter("liteflow_test_n_total", "n", obs.Label{Key: "kind", Value: "x"})
+	a, b = 3, 4
+	shared.Add(7)
+	if got, want := string(views.PrometheusText()), string(owned.PrometheusText()); got != want {
+		t.Fatalf("views export\n%s\nowned counter exports\n%s", got, want)
+	}
+	lbl := []obs.Label{{Key: "host", Value: "0"}, {Key: "kind", Value: "x"}}
+	if got := views.Value("liteflow_test_n_total", lbl...); got != 7 {
+		t.Fatalf("Value = %g, want 7", got)
+	}
+}
+
+// TestViewMixingPanics: a series is either an owned counter or views, and it
+// has at most one gauge view; either panic names the series.
+func TestViewMixingPanics(t *testing.T) {
+	var n int64
+	var g float64
+	for name, mix := range map[string]func(sc obs.Scope){
+		"second gauge view": func(sc obs.Scope) {
+			obs.GaugeOf(sc, "liteflow_test_g", "", &g)
+			obs.GaugeOf(sc, "liteflow_test_g", "", &g)
+		},
+		"view after owned": func(sc obs.Scope) {
+			sc.Counter("liteflow_test_c_total", "")
+			sc.CounterOf("liteflow_test_c_total", "", &n)
+		},
+		"owned after view": func(sc obs.Scope) {
+			sc.CounterOf("liteflow_test_c_total", "", &n)
+			sc.Counter("liteflow_test_c_total", "")
+		},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "liteflow_test_") {
+					t.Errorf("%s: recovered %v, want a panic naming the series", name, r)
+				}
+			}()
+			mix(obs.New(obs.NewRegistry(), nil))
+		}()
+	}
+}
+
+// TestNopScopeViewsAllocateNothing: registering views on the no-op scope
+// returns at once.
+func TestNopScopeViewsAllocateNothing(t *testing.T) {
+	type fields struct {
+		n int64
+		g float64
+		e int
+	}
+	f := &fields{}
+	sc := obs.Nop()
+	allocs := testing.AllocsPerRun(1000, func() {
+		sc.CounterOf("liteflow_test_n_total", "n", &f.n, obs.Label{Key: "kind", Value: "x"})
+		obs.GaugeOf(sc, "liteflow_test_g", "g", &f.g)
+		obs.GaugeOf(sc, "liteflow_test_e", "e", &f.e, obs.Label{Key: "member", Value: "1"})
+	})
+	if allocs != 0 {
+		t.Fatalf("registering on the no-op scope allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestForkViewsMatchOwned: a child whose counter is a view, folded through a
+// Fork join, exports the bytes of a child whose counter is an owned
+// instrument.
+func TestForkViewsMatchOwned(t *testing.T) {
+	run := func(views bool) string {
+		reg := obs.NewRegistry()
+		parent := obs.New(reg, nil).With(obs.Label{Key: "host", Value: "1"})
+		for job := int64(1); job <= 2; job++ {
+			child, _, join := obs.Fork(parent, nil)
+			n, level := 10*job, float64(job)/4
+			if views {
+				child.CounterOf("liteflow_test_n_total", "n", &n)
+			} else {
+				child.Counter("liteflow_test_n_total", "n").Add(n)
+			}
+			obs.GaugeOf(child, "liteflow_test_level", "level", &level)
+			child.Histogram("liteflow_test_ns", "ns", obs.DurationBuckets()).Observe(float64(job) * 1e4)
+			join()
+		}
+		return string(reg.PrometheusText())
+	}
+	if v, o := run(true), run(false); v != o {
+		t.Fatalf("view-backed fold\n%s\ninstrument-backed fold\n%s", v, o)
 	}
 }
 
@@ -81,7 +187,8 @@ func TestPrometheusFormat(t *testing.T) {
 	reg := obs.NewRegistry()
 	sc := obs.New(reg, nil).With(obs.Label{Key: "host", Value: "0"})
 	sc.Counter("liteflow_test_b_total", "bees", obs.Label{Key: "kind", Value: "x"}).Add(7)
-	sc.Gauge("liteflow_test_a_level", "level").Set(3)
+	level := 3.0
+	obs.GaugeOf(sc, "liteflow_test_a_level", "level", &level)
 
 	out := string(reg.PrometheusText())
 	// Families sorted by name; scope labels precede instrument labels.
@@ -110,7 +217,8 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	reg.Gauge("liteflow_test_x", "")
+	var level float64
+	obs.GaugeOf(obs.New(reg, nil), "liteflow_test_x", "", &level)
 }
 
 func TestNopScopeStillCounts(t *testing.T) {
@@ -131,8 +239,6 @@ func TestNopScopeStillCounts(t *testing.T) {
 	// Nil instruments (fields never wired) must be safe no-ops.
 	var nc *obs.Counter
 	nc.Inc()
-	var ng *obs.Gauge
-	ng.Set(1)
 	var nh *obs.Histogram
 	nh.Observe(1)
 	sc.Event("a", "b", 0)
@@ -231,9 +337,10 @@ func TestExportDeterminism(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersAndWriters exercises the goroutine-safety contract
-// under -race: the HTTP exporter reads snapshots while writers hammer the
-// instruments and the tracer.
+// TestConcurrentReadersAndWriters exercises the goroutine-safety contract of
+// owned instruments under -race: the HTTP exporter reads snapshots while
+// writers hammer the instruments and the tracer. (Views are outside it: they
+// are read on their components' goroutine or after the run.)
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1024)
@@ -247,7 +354,6 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := sc.Counter("liteflow_test_w_total", "")
-			g := sc.Gauge("liteflow_test_w_level", "")
 			hi := sc.Histogram("liteflow_test_w_ns", "", obs.DurationBuckets())
 			for i := 0; ; i++ {
 				select {
@@ -256,7 +362,6 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Set(float64(i))
 				hi.Observe(float64(i))
 				sc.Event1("w", "tick", int64(i), "w", int64(w))
 			}

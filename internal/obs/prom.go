@@ -29,10 +29,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteByte('\n')
 		for _, s := range f.sortedSeries() {
 			switch f.kind {
-			case kindCounter:
-				writeSample(bw, f.name, "", s.labels, "", float64(s.counter.Value()))
-			case kindGauge:
-				writeSample(bw, f.name, "", s.labels, "", s.gauge.Value())
+			case kindCounter, kindGauge:
+				writeSample(bw, f.name, "", s.labels, "", s.value(f.kind))
 			case kindHistogram:
 				writeHistogram(bw, f.name, s)
 			}

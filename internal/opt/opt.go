@@ -65,6 +65,8 @@ func Resolve(opts []Option) Options {
 }
 
 // WithScope attaches a telemetry scope (metrics registry + tracer + labels).
+// Components that export gauges and share one scope need their own label
+// sets (or their own obs.Fork): a second gauge view on one series panics.
 func WithScope(sc obs.Scope) Option {
 	return func(o *Options) { o.Scope = sc; o.HasScope = true }
 }

@@ -87,7 +87,9 @@ type (
 	WatchdogConfig = opt.Watchdog
 )
 
-// WithScope attaches an observability Scope to a constructor.
+// WithScope attaches an observability Scope to a constructor. Components
+// that export gauges and share one scope need their own label sets (or their
+// own obs.Fork): registering a second gauge view on one series panics.
 func WithScope(sc Scope) Option { return opt.WithScope(sc) }
 
 // WithFaults attaches a fault injector to a constructor. The same injector
@@ -335,6 +337,8 @@ func NewScope(reg *MetricsRegistry, tr *Tracer) Scope { return obs.New(reg, tr) 
 // /debug/trace (Chrome trace-event JSON; ?format=jsonl for JSON lines) and
 // /debug/flight (JSON lines) for the given registry, tracer and flight
 // recorder; any argument may be nil, and its endpoint then reports 404.
+// Component metrics are read from the components' own fields without
+// synchronization, so serve /metrics only after the simulation run returns.
 func NewTelemetryHandler(reg *MetricsRegistry, tr *Tracer, flight *FlightRecorder) http.Handler {
 	return obs.NewHTTPHandler(reg, tr, flight)
 }
