@@ -65,7 +65,7 @@ func AblUpdate(cfg Config) Result {
 
 	run := func(blocking bool) (worstGapMs, goodGbps float64, blocked int64) {
 		d := rig.NewDumbbell(rig.DumbbellOpts{Background: rig.BurstyUDP})
-		eng := d.Eng
+		eng := d.Sender.Eng
 
 		aur, _ := pretrainedNets()
 		ccfg := core.DefaultConfig()

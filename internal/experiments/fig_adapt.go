@@ -181,7 +181,7 @@ func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 		Faults: v.faults, FaultSeed: cfg.Seed + 11,
 		Scope: sc,
 	})
-	eng, cpu := d.Eng, d.Sender.CPU
+	eng, cpu := d.Sender.Eng, d.Sender.CPU
 
 	// Userspace model, pre-trained for the 0.1 Gbps background pattern
 	// (α ≈ 0.88 of the 1 Gbps line).

@@ -80,7 +80,7 @@ type Dumbbell struct {
 
 // NewDumbbell builds the testbed up to and including background traffic.
 func NewDumbbell(o DumbbellOpts) *Dumbbell {
-	eng := newEngine(o.Domains)
+	eng := netsim.NewParallelEngine(1)
 	to := topo.TestbedOpts(1)
 	if o.FreePath {
 		to.BottleneckBps = 40e9

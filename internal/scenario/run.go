@@ -211,7 +211,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 	case "bbr":
 		ccFn = func() tcp.CongestionControl { return cc.NewBBR() }
 	}
-	fabric := rig.NewFabric(o.Domains, topoOpts, 0, obs.Scope{})
+	fabric := rig.NewFabric(1, topoOpts, 0, obs.Scope{})
 	eng, hosts := fabric.Eng, fabric.Hosts
 	// Every draw happens at setup time in spec order, so runs are
 	// deterministic for any engine layout.
