@@ -50,19 +50,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trace      = fs.String("trace", "", "write Chrome trace-event JSON to this file")
 		metricsOut = fs.String("metrics-out", "", "write Prometheus text metrics to this file")
 		flightOut  = fs.String("flight-out", "", "write the flight recording as JSON lines to this file (recorded by experiments that drive a flight recorder, e.g. the fleet scenarios)")
-		simDomains = fs.Int("sim-domains", 0, "engine of the experiments that support partitioned execution: 0 = classic engine; ≥ 1 = partitioned engine, one tie-break family whatever the number (reports are byte-identical for every value ≥ 1), see DESIGN.md §4h")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *simDomains < 0 {
-		fmt.Fprintf(stderr, "lfbench: -sim-domains %d: want 0 (classic engine) or ≥ 1 (partitioned engine)\n", *simDomains)
-		return 2
-	}
 
 	tel := obs.NewSession(obs.Exports{Trace: *trace, Metrics: *metricsOut, Flight: *flightOut})
-	cfg := experiments.Config{Scale: *scale, Seed: *seed,
-		Obs: tel.Scope(), Flight: tel.Flight, Domains: *simDomains}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Obs: tel.Scope(), Flight: tel.Flight}
 	opts := experiments.SuiteOptions{Parallel: *parallel, Reps: *reps}
 
 	var runners []experiments.Runner

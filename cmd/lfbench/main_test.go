@@ -41,30 +41,6 @@ func TestLfbenchNoArgs(t *testing.T) {
 	}
 }
 
-// TestLfbenchSimDomains: -sim-domains picks the partitioned engine for an
-// experiment that supports it, the number picks nothing, and a negative one
-// is refused by name.
-func TestLfbenchSimDomains(t *testing.T) {
-	report := func(domains string) string {
-		var stdout, stderr bytes.Buffer
-		args := []string{"-exp", "dummy", "-scale", "0.02", "-sim-domains", domains}
-		if code := run(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("run -sim-domains %s exited %d\nstderr: %s", domains, code, stderr.String())
-		}
-		return stdout.String()
-	}
-	if one, two := report("1"), report("2"); one == "" || one != two {
-		t.Errorf("stdout differs between -sim-domains 1 and 2:\n--- 1\n%s\n--- 2\n%s", one, two)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "dummy", "-sim-domains", "-1"}, &stdout, &stderr); code != 2 {
-		t.Errorf("-sim-domains -1 exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "-sim-domains -1") || stdout.Len() != 0 {
-		t.Errorf("-sim-domains -1: stderr %q, stdout %q; want a refusal naming the flag and no report", stderr.String(), stdout.String())
-	}
-}
-
 // TestLfbenchParallelMatchesSerial asserts the CLI contract documented in the
 // package comment: for a fixed -seed/-scale, stdout and the telemetry exports
 // are byte-identical regardless of -parallel, including under -reps.

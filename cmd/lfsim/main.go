@@ -31,7 +31,6 @@
 //
 //	lfsim -scenario-list
 //	lfsim -scenario rpc-incast -scenario-check
-//	lfsim -scenario web-baseline -sim-domains 4
 package main
 
 import (
@@ -73,8 +72,6 @@ type options struct {
 	reps      int
 	parallel  int
 
-	simDomains int
-
 	scenario      string
 	scenarioList  bool
 	scenarioCheck bool
@@ -91,9 +88,12 @@ type options struct {
 // (with -flight-out or -listen).
 const flightEvery = netsim.Millisecond
 
+// schemes lists the rig.Schemes keys -cc accepts.
+const schemes = "bbr | cubic | lf-aurora | lf-mocc | lf-dummy | ccp-aurora | ccp-mocc"
+
 func main() {
 	var o options
-	flag.StringVar(&o.scheme, "cc", "bbr", "scheme: bbr | cubic | lf-aurora | lf-mocc | lf-dummy | ccp-aurora | ccp-mocc")
+	flag.StringVar(&o.scheme, "cc", "bbr", "scheme: "+schemes)
 	flag.IntVar(&o.fleet, "fleet", 0, "run the fleet distribution-plane scenario with this many members instead of a CC scenario (0 = off); a -fault-profile other than none selects the chaos variant")
 	flag.IntVar(&o.canary, "canary", 0, "with -fleet: stage each minted epoch on this many canary members and auto-rollback on a failed health verdict before the rest of the fleet sees it (0 = fan out everywhere at once), see DESIGN.md §4i")
 	flag.DurationVar(&o.canaryWin, "canary-window", 0, "with -canary: virtual-time observation window before the canary verdict (0 = four slow-path aggregation intervals)")
@@ -108,8 +108,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 2, "base random seed; rep r runs at seed+r (and fault-seed+r)")
 	flag.IntVar(&o.reps, "reps", 1, "repetitions of the scenario; reports median/p95 aggregate goodput")
 	flag.IntVar(&o.parallel, "parallel", 1, "worker-pool size for -reps (each rep owns a private engine)")
-	flag.IntVar(&o.simDomains, "sim-domains", 0, "engine of the CC scenario: 0 = classic engine; ≥ 1 = partitioned engine, one tie-break family whatever the number (reports are byte-identical for every value ≥ 1, and differ from 0's where same-time events tie), see DESIGN.md §4h")
-	flag.StringVar(&o.scenario, "scenario", "", "run an actor scenario instead of a CC scenario: an embedded corpus name (see -scenario-list) or a path to a scenario JSON file; honors -sim-domains, see DESIGN.md §4j")
+	flag.StringVar(&o.scenario, "scenario", "", "run an actor scenario instead of a CC scenario: an embedded corpus name (see -scenario-list) or a path to a scenario JSON file, see DESIGN.md §4j")
 	flag.BoolVar(&o.scenarioList, "scenario-list", false, "list the embedded scenario corpus and exit")
 	flag.BoolVar(&o.scenarioCheck, "scenario-check", false, "with -scenario: exit non-zero if the run violates the scenario's acceptance envelope")
 	flag.Float64Var(&o.scenarioScale, "scenario-scale", 1, "with -scenario: scale the session population (envelopes only apply at 1)")
@@ -119,7 +118,7 @@ func main() {
 	flag.StringVar(&o.ex.Trace, "trace", "", "write Chrome trace-event JSON to this file")
 	flag.StringVar(&o.ex.TraceJSONL, "trace-jsonl", "", "write trace events as JSON lines to this file")
 	flag.StringVar(&o.ex.Metrics, "metrics-out", "", "write Prometheus text metrics to this file")
-	flag.StringVar(&o.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled each millisecond of virtual time) as JSON lines to this file; with -sim-domains ≥ 1 a sample sees every partition at a time within one lookahead of the tick")
+	flag.StringVar(&o.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled each millisecond of virtual time) as JSON lines to this file; on the CC dumbbell a sample sees every partition at a time within one lookahead of the tick")
 	flag.StringVar(&o.ex.Listen, "listen", "", "serve /metrics and /debug/trace on this address after the run (e.g. :9090)")
 	flag.Parse()
 
@@ -145,8 +144,9 @@ func (u staticUser) OutputSize() int                         { return u.net.Outp
 func (u staticUser) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
 
 // validate rejects flag combinations that would otherwise be silently
-// ignored, and run lengths and flow counts no report can divide by, naming
-// the offending flag.
+// ignored, unknown scheme and profile names, and run lengths and flow counts
+// no report can divide by, naming the offending flag. It runs before any
+// output, so a refused run prints nothing.
 func (o options) validate() error {
 	if o.scenario != "" {
 		// The scenario runner has no telemetry scope, no fault injector, no
@@ -184,23 +184,36 @@ func (o options) validate() error {
 	if o.fleet > 0 && o.canary >= o.fleet {
 		return fmt.Errorf("-canary %d must leave at least one non-canary member (-fleet %d)", o.canary, o.fleet)
 	}
-	if o.fleet > 0 && o.simDomains >= 1 {
-		return fmt.Errorf("-sim-domains does not apply to -fleet scenarios (the distribution plane schedules across members and runs on the classic engine)")
-	}
-	if o.simDomains < 0 {
-		return fmt.Errorf("-sim-domains %d: want 0 (classic engine) or ≥ 1 (partitioned engine)", o.simDomains)
+	if _, ok := fault.ByName(o.faultProfile); !ok {
+		return fmt.Errorf("-fault-profile %q: want none | netlink | slowpath | chaos", o.faultProfile)
 	}
 	if o.reps > 1 && o.ex.Any() {
 		return fmt.Errorf("-trace/-trace-jsonl/-metrics-out/-flight-out/-listen export a single run's telemetry; use -reps 1")
 	}
-	if o.scenario == "" && o.duration <= 0 {
+	if o.scenario != "" {
+		if o.scenarioScale < 0 {
+			return fmt.Errorf("-scenario-scale %g: want 0 or more (0 and 1 are natural scale)", o.scenarioScale)
+		}
+		return nil
+	}
+	if o.duration <= 0 {
 		return fmt.Errorf("-duration %v: want a positive measured duration (rates divide by it)", o.duration)
 	}
-	if o.scenario == "" && o.warmup < 0 {
+	if o.warmup < 0 {
 		return fmt.Errorf("-warmup %v: want 0 or more", o.warmup)
 	}
-	if o.scenario == "" && o.fleet <= 0 && o.flows < 1 {
+	if o.fleet > 0 {
+		return nil
+	}
+	if o.flows < 1 {
 		return fmt.Errorf("-flows %d: want at least one flow", o.flows)
+	}
+	sch, ok := rig.Schemes[o.scheme]
+	if !ok {
+		return fmt.Errorf("-cc %q: want %s", o.scheme, schemes)
+	}
+	if o.adapt && !sch.LF {
+		return fmt.Errorf("-adapt wires the LiteFlow slow path, which -cc %q does not have: want an lf-* scheme", o.scheme)
 	}
 	return nil
 }
@@ -269,24 +282,14 @@ func run(o options, stdout, stderr io.Writer) error {
 // fault seeds; the returned goodput is the aggregate across flows in Gbps.
 func runOnce(o options, rep int, stdout, stderr io.Writer) (float64, error) {
 	tel := obs.NewSession(o.ex)
-	prof, ok := fault.ByName(o.faultProfile)
-	if !ok {
-		return 0, fmt.Errorf("unknown fault profile %q (want none|netlink|slowpath|chaos)", o.faultProfile)
-	}
+	prof, _ := fault.ByName(o.faultProfile) // validate refused unknown names
 	if o.fleet > 0 {
 		return runFleet(o, rep, prof.Active(), tel, stdout, stderr)
 	}
-	sch, ok := rig.Schemes[o.scheme]
-	if !ok {
-		return 0, fmt.Errorf("unknown scheme %q", o.scheme)
-	}
-	if o.adapt && !sch.LF {
-		return 0, fmt.Errorf("-adapt requires an lf-* scheme, got %q", o.scheme)
-	}
+	sch := rig.Schemes[o.scheme]
 
 	do := rig.DumbbellOpts{
-		Domains: o.simDomains, FreePath: !o.congested,
-		Faults: prof, FaultSeed: o.faultSeed + int64(rep),
+		FreePath: !o.congested, Faults: prof, FaultSeed: o.faultSeed + int64(rep),
 		Scope: tel.Scope(), Flight: tel.Flight,
 	}
 	if o.congested {

@@ -208,48 +208,6 @@ func TestLfsimDeterminism(t *testing.T) {
 	}
 }
 
-// TestLfsimSimDomains: the number behind -sim-domains selects the partitioned
-// engine and nothing else, so 1 and 4 print the same report — and, with
-// -flight-out, write the same recording, whose ticks read other partitions
-// between their windows.
-func TestLfsimSimDomains(t *testing.T) {
-	for _, flight := range []bool{false, true} {
-		runAt := func(domains int) (string, []byte) {
-			o := repsOpts(1)
-			o.reps, o.simDomains = 1, domains
-			if flight {
-				o.ex.Flight = filepath.Join(t.TempDir(), "flight.jsonl")
-			}
-			var stdout bytes.Buffer
-			if err := run(o, &stdout, io.Discard); err != nil {
-				t.Fatalf("run -sim-domains %d: %v", domains, err)
-			}
-			if !flight {
-				return stdout.String(), nil
-			}
-			rec, err := os.ReadFile(o.ex.Flight)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rec) == 0 {
-				t.Fatal("flight recording is empty")
-			}
-			return stdout.String(), rec
-		}
-		rep1, rec1 := runAt(1)
-		rep4, rec4 := runAt(4)
-		if !strings.Contains(rep1, "aggregate:") {
-			t.Fatalf("no report:\n%s", rep1)
-		}
-		if rep1 != rep4 {
-			t.Errorf("flight=%v: stdout differs between -sim-domains 1 and 4:\n--- 1\n%s\n--- 4\n%s", flight, rep1, rep4)
-		}
-		if !bytes.Equal(rec1, rec4) {
-			t.Errorf("flight recording differs between -sim-domains 1 and 4 (%d vs %d bytes)", len(rec1), len(rec4))
-		}
-	}
-}
-
 // TestLfsimFleetSmoke runs the -fleet scenario in chaos mode with telemetry
 // exports and checks the report, the fleet metric families, and run-to-run
 // byte-identical exports (the determinism contract extends to the
@@ -374,8 +332,8 @@ func TestLfsimScenarioCLI(t *testing.T) {
 	}
 
 	// Flags the scenario runner cannot honor (it has no telemetry scope, no
-	// injector, no reps) and -with flags missing their base flag must be
-	// rejected by name, not silently ignored.
+	// injector, no reps), -with flags missing their base flag and values no
+	// run can use must be rejected by name, not silently ignored.
 	out := filepath.Join(t.TempDir(), "out")
 	sc := options{scenario: "rpc-incast", scenarioScale: 1}
 	for _, c := range []struct {
@@ -393,12 +351,17 @@ func TestLfsimScenarioCLI(t *testing.T) {
 		{"-scenario-check", options{scheme: "bbr", flows: 1, scenarioCheck: true}},
 		{"-fleet-scenario", options{scheme: "bbr", flows: 1, fleetScenario: "web-diurnal"}},
 		{"-canary-window", options{fleet: 4, duration: 10 * time.Millisecond, canaryWin: time.Millisecond}},
-		{"-sim-domains", options{scheme: "bbr", flows: 1, simDomains: -1}},
-		{"-sim-domains", options{fleet: 4, duration: 10 * time.Millisecond, simDomains: 1}},
 		{"-duration", options{scheme: "bbr", flows: 1, warmup: time.Millisecond}},
 		{"-duration", options{fleet: 2}},
 		{"-warmup", options{scheme: "bbr", flows: 1, duration: time.Millisecond, warmup: -time.Millisecond}},
 		{"-flows", options{scheme: "bbr", duration: time.Millisecond}},
+		// Unknown names and a negative scale are refused before any output,
+		// not by the first rep once its header is printed.
+		{"-cc", options{scheme: "nope", flows: 1, duration: time.Millisecond, reps: 2}},
+		{"-adapt", options{scheme: "bbr", flows: 1, duration: time.Millisecond, adapt: true, reps: 2}},
+		{"-fault-profile", options{scheme: "bbr", flows: 1, duration: time.Millisecond, faultProfile: "nope", reps: 2}},
+		{"-fault-profile", options{fleet: 4, duration: time.Millisecond, faultProfile: "nope"}},
+		{"-scenario-scale", options{scenario: "rpc-incast", scenarioScale: -1}},
 	} {
 		stdout.Reset()
 		err := run(c.o, &stdout, io.Discard)

@@ -71,10 +71,7 @@ func runScenario(o options, stdout io.Writer) error {
 	if o.scenarioCheck && o.scenarioScale != 0 && o.scenarioScale != 1 {
 		return fmt.Errorf("-scenario-check enforces the envelope, which is only defined at -scenario-scale 1 (got %g)", o.scenarioScale)
 	}
-	r, err := scenario.Run(s, scenario.RunOpts{
-		Domains: o.simDomains,
-		Scale:   o.scenarioScale,
-	})
+	r, err := scenario.Run(s, scenario.RunOpts{Scale: o.scenarioScale})
 	if err != nil {
 		return err
 	}

@@ -50,8 +50,6 @@ type ccRun struct {
 	warmup      netsim.Time
 	dur         netsim.Time
 	sampleQueue bool
-	// domains selects the engine (Config.Domains).
-	domains int
 }
 
 // ccOut carries everything the CC figures read off a run.
@@ -69,7 +67,7 @@ type ccOut struct {
 // flows between one sender and one receiver host, plus bursty background UDP
 // when congested.
 func runCC(r ccRun) ccOut {
-	o := rig.DumbbellOpts{Domains: r.domains, FreePath: !r.congested}
+	o := rig.DumbbellOpts{FreePath: !r.congested}
 	if r.congested {
 		o.Background = rig.BurstyUDP
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"flag"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"runtime"
 	"strings"
@@ -198,87 +196,6 @@ func TestTelemetryIsPassive(t *testing.T) {
 			t.Errorf("%s reports differently with telemetry attached", sr.Runner.ID)
 			diffFirstLine(t, without, with)
 		}
-	}
-}
-
-// TestEngineSerialVsParallelByteIdentical pins the bytes of the windowed
-// engine (DESIGN.md §4h), which the suite goldens above do not: they run on
-// the classic engine, whose tie-break differs. Every Partitioned experiment
-// runs once with Domains 1 and must reproduce its line of the golden file — a
-// digest each of its report, its Prometheus text and its trace JSONL. The
-// number behind -sim-domains selects nothing beyond the engine family, so one
-// value covers them all. The other experiments never see an engine built from
-// Config.Domains; their subtests only check that the golden file holds no line
-// for them, so an experiment that gains or loses Partitioned must be re-pinned.
-func TestEngineSerialVsParallelByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("windowed golden run is slow; skipped with -short")
-	}
-	const golden = "testdata/windowed_scale0.02_seed3.golden"
-	pinned := map[string]string{} // experiment ID → its committed line
-	if !*update {
-		data, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create it)", err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			id, _, _ := strings.Cut(line, " ")
-			pinned[id] = line
-		}
-	}
-	digest := func(b []byte) uint64 {
-		h := fnv.New64a()
-		h.Write(b)
-		return h.Sum64()
-	}
-	lines := make([]string, len(All())) // by registry position; "" = not Partitioned
-	partitioned := 0
-	for i, r := range All() {
-		i, r := i, r
-		if r.Partitioned {
-			partitioned++
-		}
-		t.Run(r.ID, func(t *testing.T) {
-			want, ok := pinned[r.ID]
-			if !*update && ok != r.Partitioned {
-				t.Fatalf("%s holds a line for %s = %v, Partitioned = %v", golden, r.ID, ok, r.Partitioned)
-			}
-			if !r.Partitioned {
-				return
-			}
-			t.Parallel() // every run builds a private engine, registry and tracer
-			reg := obs.NewRegistry()
-			tr := obs.NewTracer(0)
-			rep := r.Run(Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr), Domains: 1}).String()
-			var tb bytes.Buffer
-			if err := tr.WriteJSONL(&tb); err != nil {
-				t.Fatal(err)
-			}
-			if rep == "" {
-				t.Fatal("empty report; golden comparison is vacuous")
-			}
-			lines[i] = fmt.Sprintf("%s report=%016x prom=%016x trace=%016x",
-				r.ID, digest([]byte(rep)), digest(reg.PrometheusText()), digest(tb.Bytes()))
-			if !*update && runtime.GOARCH == "amd64" && lines[i] != want {
-				t.Errorf("windowed output moved (-update regenerates after an intended change):\n got %s\nwant %s", lines[i], want)
-			}
-		})
-	}
-	if partitioned == 0 {
-		t.Error("no experiment is Partitioned; the windowed goldens pin nothing")
-	}
-	if *update {
-		t.Cleanup(func() { // after the parallel subtests
-			var b strings.Builder
-			for _, line := range lines {
-				if line != "" {
-					b.WriteString(line + "\n")
-				}
-			}
-			if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
-				t.Error(err)
-			}
-		})
 	}
 }
 

@@ -29,11 +29,6 @@ type Config struct {
 	// gives each job a private recorder and folds them into Flight in job
 	// order, so recordings are byte-identical serial vs parallel.
 	Flight *obs.FlightRecorder
-	// Domains picks the engine of the experiments that support partitioned
-	// execution (Runner.Partitioned): 0 = classic engine; ≥ 1 = partitioned
-	// engine, one tie-break family whatever the number (DESIGN.md §4h). Set
-	// by -sim-domains on both CLIs.
-	Domains int
 }
 
 // DefaultConfig returns the full-scale configuration.
@@ -143,41 +138,34 @@ type Runner struct {
 	ID    string
 	Title string
 	Run   func(Config) Result
-	// Partitioned reports whether Run honors Config.Domains. Today that is
-	// the dumbbell family — the experiments whose event rate dominates the
-	// benchmark suite — plus the actor scenario corpus, which partitions its
-	// spine-leaf fabric per host; the remaining experiments build topologies
-	// (fleet provisioning, toy links) that schedule across entities and stay
-	// on the classic engine regardless of Domains.
-	Partitioned bool
 }
 
 // All returns every experiment in paper order.
 func All() []Runner {
 	return []Runner{
-		{"fig1a", "Goodput CDF vs CCP communication interval", Fig01a, true},
-		{"fig1b", "Bottleneck queue length vs CCP interval", Fig01b, true},
-		{"fig2", "Toy link convergence, 10ms vs 2.5ms interval", Fig02, false},
-		{"fig3", "Normalized aggregate throughput vs flow count (CCP overhead)", Fig03, true},
-		{"fig4", "Softirq CPU time vs CCP interval (mpstat)", Fig04, true},
-		{"fig5", "Static snapshot vs traffic dynamics", Fig05, false},
-		{"fig7", "Quantization accuracy loss vs scaling factor", Fig07, false},
-		{"fig8", "Online adaptation convergence vs snapshot goodput", Fig08, false},
-		{"fig11", "Congestion control goodput across deployments", Fig11, true},
-		{"fig12", "Online adaptation under traffic dynamics", Fig12, false},
-		{"fig13", "Deployment overhead: normalized aggregate throughput", Fig13, true},
-		{"fig14", "Batch data delivery interval micro-benchmark", Fig14, false},
-		{"dummy", "LF-Dummy-NN at high throughput & low latency (§5.1)", FigDummy, true},
-		{"fig15", "Flow-size prediction latency CDF", Fig15, false},
-		{"fig16", "Flow scheduling FCT by flow class", Fig16, false},
-		{"fig17", "Load balancing FCT by flow class", Fig17, false},
-		{"abl-taylor", "Ablation: LUT vs Taylor activation approximation (§3.1)", AblTaylor, false},
-		{"abl-update", "Ablation: active-standby switch vs blocking install (§3.4)", AblUpdate, false},
-		{"resilience", "Goodput under injected faults (graceful degradation)", FigResilience, false},
-		{"flow-churn", "Flow-cache churn at scale: sharded cache + incremental sweep", FigFlowChurn, false},
-		{"fleet-scale", "Fleet snapshot distribution: goodput + staleness vs member count", FigFleetScale, false},
-		{"fleet-canary", "Canary gate: flight-recorder delta flags a degraded snapshot install", FigFleetCanary, false},
-		{"scenarios", "Actor scenario corpus: per-scenario goodput, tail latency, responses", FigScenarios, true},
+		{"fig1a", "Goodput CDF vs CCP communication interval", Fig01a},
+		{"fig1b", "Bottleneck queue length vs CCP interval", Fig01b},
+		{"fig2", "Toy link convergence, 10ms vs 2.5ms interval", Fig02},
+		{"fig3", "Normalized aggregate throughput vs flow count (CCP overhead)", Fig03},
+		{"fig4", "Softirq CPU time vs CCP interval (mpstat)", Fig04},
+		{"fig5", "Static snapshot vs traffic dynamics", Fig05},
+		{"fig7", "Quantization accuracy loss vs scaling factor", Fig07},
+		{"fig8", "Online adaptation convergence vs snapshot goodput", Fig08},
+		{"fig11", "Congestion control goodput across deployments", Fig11},
+		{"fig12", "Online adaptation under traffic dynamics", Fig12},
+		{"fig13", "Deployment overhead: normalized aggregate throughput", Fig13},
+		{"fig14", "Batch data delivery interval micro-benchmark", Fig14},
+		{"dummy", "LF-Dummy-NN at high throughput & low latency (§5.1)", FigDummy},
+		{"fig15", "Flow-size prediction latency CDF", Fig15},
+		{"fig16", "Flow scheduling FCT by flow class", Fig16},
+		{"fig17", "Load balancing FCT by flow class", Fig17},
+		{"abl-taylor", "Ablation: LUT vs Taylor activation approximation (§3.1)", AblTaylor},
+		{"abl-update", "Ablation: active-standby switch vs blocking install (§3.4)", AblUpdate},
+		{"resilience", "Goodput under injected faults (graceful degradation)", FigResilience},
+		{"flow-churn", "Flow-cache churn at scale: sharded cache + incremental sweep", FigFlowChurn},
+		{"fleet-scale", "Fleet snapshot distribution: goodput + staleness vs member count", FigFleetScale},
+		{"fleet-canary", "Canary gate: flight-recorder delta flags a degraded snapshot install", FigFleetCanary},
+		{"scenarios", "Actor scenario corpus: per-scenario goodput, tail latency, responses", FigScenarios},
 	}
 }
 

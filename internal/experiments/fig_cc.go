@@ -31,7 +31,7 @@ func Fig11(cfg Config) Result {
 	mean := Series{Name: "goodput"}
 	for i, sc := range schemes {
 		out := runCC(ccRun{scheme: sc, flows: 1, congested: true,
-			warmup: cfg.dur(3 * netsim.Second), dur: cfg.dur(8 * netsim.Second), domains: cfg.Domains})
+			warmup: cfg.dur(3 * netsim.Second), dur: cfg.dur(8 * netsim.Second)})
 		m := out.windows.Mean()
 		std := out.windows.Quantile(0.84) - out.windows.Quantile(0.16)
 		mean.X = append(mean.X, float64(i))
@@ -76,9 +76,9 @@ func FigDummy(cfg Config) Result {
 	s := Series{Name: "LF-Dummy-NN"}
 	for _, n := range ns {
 		bbr := runCC(ccRun{scheme: scheme{name: "BBR", key: "bbr"}, flows: n, congested: false,
-			warmup: cfg.dur(netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains})
+			warmup: cfg.dur(netsim.Second), dur: cfg.dur(2 * netsim.Second)})
 		dummy := runCC(ccRun{scheme: scheme{name: "LF-Dummy", key: "lf-dummy"}, flows: n, congested: false,
-			warmup: cfg.dur(netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains})
+			warmup: cfg.dur(netsim.Second), dur: cfg.dur(2 * netsim.Second)})
 		norm := 0.0
 		if bbr.aggGbps > 0 {
 			norm = dummy.aggGbps / bbr.aggGbps

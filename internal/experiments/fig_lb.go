@@ -65,7 +65,9 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	// matters exactly when paths are unequal; under symmetric paths ECMP
 	// is already near-optimal and the comparison is vacuous.
 	opts.FabricLinkBps = 10e9
-	sl := rig.NewFabric(0, opts, 8, obs.Scope{})
+	// One partition: every host queries the one core, which schedules on the
+	// root view.
+	sl := rig.NewFabric(netsim.NewEngine(), opts, 8, obs.Scope{})
 	eng := sl.Eng
 	for _, leaf := range sl.Leaves {
 		leaf.Port(topo.SpineIDBase).SetRate(3e9)

@@ -23,7 +23,6 @@ func Fig01a(cfg Config) Result {
 			congested: true,
 			warmup:    cfg.dur(3 * netsim.Second),
 			dur:       cfg.dur(10 * netsim.Second),
-			domains:   cfg.Domains,
 		})
 		pts := out.windows.CDF(20)
 		s := Series{Name: fmt.Sprintf("%dms", iv/netsim.Millisecond)}
@@ -52,7 +51,6 @@ func Fig01b(cfg Config) Result {
 			warmup:      cfg.dur(3 * netsim.Second),
 			dur:         cfg.dur(6 * netsim.Second),
 			sampleQueue: true,
-			domains:     cfg.Domains,
 		})
 		s := Series{Name: fmt.Sprintf("%dms", iv/netsim.Millisecond)}
 		var qsum stats.Summary
@@ -159,7 +157,7 @@ func normalizedToBBR(cfg Config, schemes []scheme) ([]Series, map[int]float64) {
 		s := Series{Name: sc.name}
 		for _, n := range []int{2, 4, 6, 8, 10} {
 			agg := runCC(ccRun{scheme: sc, flows: n, congested: false,
-				warmup: cfg.dur(2 * netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains}).aggGbps
+				warmup: cfg.dur(2 * netsim.Second), dur: cfg.dur(2 * netsim.Second)}).aggGbps
 			if sc.key == "bbr" {
 				base[n] = agg
 			}
@@ -191,7 +189,7 @@ func Fig04(cfg Config) Result {
 	share := Series{Name: "softirq-share-%"}
 	for i, sc := range schemes {
 		out := runCC(ccRun{scheme: sc, flows: 10, congested: false,
-			warmup: cfg.dur(2 * netsim.Second), dur: cfg.dur(2 * netsim.Second), domains: cfg.Domains})
+			warmup: cfg.dur(2 * netsim.Second), dur: cfg.dur(2 * netsim.Second)})
 		ms.X = append(ms.X, float64(i))
 		ms.Y = append(ms.Y, float64(out.report.SoftIRQTime)/1e6)
 		share.X = append(share.X, float64(i))

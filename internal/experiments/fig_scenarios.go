@@ -14,10 +14,9 @@ import (
 // re-run inside every suite sweep; TestMegaWebMillionFlows covers it.
 //
 // cfg.Seed offsets every scenario's base seed relative to the calibrated
-// corpus (Seed 1 == the shipped seeds), cfg.Scale scales the session
-// population, and cfg.Domains selects the partitioned engine, so the golden
-// suite exercises serial-vs-parallel and cross-domain byte-identity for the
-// whole corpus through this one runner.
+// corpus (Seed 1 == the shipped seeds) and cfg.Scale scales the session
+// population, so the golden suite pins serial-vs-parallel byte-identity for
+// the whole corpus through this one runner.
 func FigScenarios(cfg Config) Result {
 	specs, err := scenario.LoadCorpus(scenarios.FS)
 	if err != nil {
@@ -33,7 +32,6 @@ func FigScenarios(cfg Config) Result {
 	p99 := Series{Name: "p99-ms"}
 	responses := Series{Name: "responses"}
 	opts := scenario.RunOpts{
-		Domains:    cfg.Domains,
 		Scale:      cfg.Scale,
 		SeedOffset: uint64(cfg.Seed - 1),
 	}

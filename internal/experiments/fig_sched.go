@@ -244,7 +244,9 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	isChar, isNetlink := name == "char-FFNN", name == "netlink-FFNN"
 	opts := topo.DefaultSpineLeafOpts(16) // 32 hosts
 	opts.UsePrioQueues = true
-	sl := rig.NewFabric(0, opts, 32, obs.Scope{}) // server-class hosts for the 10G fabric
+	// Server-class hosts for the 10G fabric. One partition: every host
+	// queries the one core, which schedules on the root view.
+	sl := rig.NewFabric(netsim.NewEngine(), opts, 32, obs.Scope{})
 	eng := sl.Eng
 	costs := ksim.DefaultCosts()
 

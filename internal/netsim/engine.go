@@ -261,9 +261,9 @@ func newRoot(partitioned bool) *Engine {
 }
 
 // NewParallelEngine returns the root view of a partitioned
-// conservative-lookahead engine. The argument is what callers were given as
-// -sim-domains; the family is the only thing it ever chose (DESIGN.md §4h),
-// so it is not looked at.
+// conservative-lookahead engine (DESIGN.md §4h). Its windows run on the
+// calling goroutine, so there is no worker count to give: the argument is not
+// looked at, and remains only because bench/ still passes one.
 func NewParallelEngine(int) *Engine {
 	return newRoot(true)
 }

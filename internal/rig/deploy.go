@@ -1,5 +1,5 @@
 // Package rig is the one place the reproduction wires a testbed: engine
-// choice, topology and CPUs, snapshot deployment, slow path, flight tick, stop
+// family, topology and CPUs, snapshot deployment, slow path, flight tick, stop
 // sequence. Experiments, the scenario runner and lfsim all build through it,
 // so two bars of a figure — or a figure and an lfsim run — differ only in
 // what they compare, never in how the harness was put together.
@@ -21,15 +21,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/opt"
 	"github.com/liteflow-sim/liteflow/internal/quant"
 )
-
-// newEngine picks the engine family: 0 is the classic engine, ≥ 1 the
-// partitioned one, whatever the number (DESIGN.md §4a, §4h).
-func newEngine(domains int) *netsim.Engine {
-	if domains >= 1 {
-		return netsim.NewParallelEngine(domains)
-	}
-	return netsim.NewEngine()
-}
 
 // Build quantizes net and generates its snapshot module. A failure here is a
 // bug in an in-tree network or in codegen, not an input error, so it panics.

@@ -33,7 +33,6 @@ const (
 
 // DumbbellOpts configures the §2.2 testbed analog.
 type DumbbellOpts struct {
-	Domains int // 0 = classic engine; ≥ 1 = partitioned engine, one tie-break family whatever the number
 	// FreePath swaps the 1 Gbps / 150 KB bottleneck for a 40 Gbps / 4 MB
 	// one, so hosts rather than the network bound throughput.
 	FreePath     bool
@@ -51,11 +50,14 @@ type DumbbellOpts struct {
 }
 
 // Dumbbell is one sender host and one receiver host (both 4-core) across one
-// bottleneck, with N flows between them. Everything that drives the sender —
+// bottleneck, with N flows between them, on the partitioned engine: every
+// host and switch is a partition, and nothing schedules across them except
+// through a link (DESIGN.md §4a). Everything that drives the sender —
 // congestion controllers, the LiteFlow core, the slow path, fault injection —
-// lives in the sender host's partition; on a classic engine every partition
-// view aliases the one engine.
+// lives in the sender host's partition and schedules on Sender.Eng.
 type Dumbbell struct {
+	// Eng is the root view. No node lives there: only the flight tick
+	// schedules on it, and Run drives the whole simulation through it.
 	Eng              *netsim.Engine
 	Topo             *topo.Dumbbell
 	Sender, Receiver *tcp.Host

@@ -16,11 +16,13 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/topo"
 )
 
-// NewFabric builds a spine–leaf fabric on the engine newEngine(domains) picks
+// NewFabric builds a spine–leaf fabric on eng, which becomes the fabric's Eng,
 // and, when cores > 0, gives every host a CPU with the default cost table.
-// The engine is the fabric's Eng.
-func NewFabric(domains int, o topo.SpineLeafOpts, cores int, sc obs.Scope) *topo.SpineLeaf {
-	f := topo.BuildSpineLeaf(newEngine(domains), o)
+// The caller names the family: netsim.NewParallelEngine when every schedule
+// stays inside a host or goes through a link, netsim.NewEngine when something
+// schedules across hosts directly (DESIGN.md §4a).
+func NewFabric(eng *netsim.Engine, o topo.SpineLeafOpts, cores int, sc obs.Scope) *topo.SpineLeaf {
+	f := topo.BuildSpineLeaf(eng, o)
 	if cores > 0 {
 		f.ProvisionCPUs(cores, ksim.DefaultCosts(), opt.WithScope(sc))
 	}
@@ -136,7 +138,7 @@ func NewFleet(o FleetOpts) *Fleet {
 	// One partition: the controller schedules install callbacks and
 	// aggregation ticks straight onto member CPUs, which is exactly the
 	// cross-partition scheduling a windowed run forbids (DESIGN.md §4h).
-	fabric := NewFabric(0, topo.DefaultSpineLeafOpts(hostsPerLeaf), 4, sc)
+	fabric := NewFabric(netsim.NewEngine(), topo.DefaultSpineLeafOpts(hostsPerLeaf), 4, sc)
 	eng := fabric.Eng
 	costs := ksim.DefaultCosts()
 

@@ -18,8 +18,9 @@ import (
 
 // RunOpts configure one scenario run.
 type RunOpts struct {
-	// Domains: 0 = classic engine; ≥ 1 = partitioned engine, one tie-break
-	// family whatever the number.
+	// Domains is ignored: Run always builds the partitioned engine. It
+	// remains only because bench/ still sets it, and goes with the
+	// benchmark's next revision (ROADMAP item 1(b)).
 	Domains int
 	// Scale multiplies session and churn counts (floor 1 per group); 0 means
 	// natural scale. The acceptance envelope is only checked at natural
@@ -211,10 +212,12 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 	case "bbr":
 		ccFn = func() tcp.CongestionControl { return cc.NewBBR() }
 	}
-	fabric := rig.NewFabric(1, topoOpts, 0, obs.Scope{})
+	// Partitioned: a session schedules only on its client host, and its
+	// flows reach servers through links (§4j).
+	fabric := rig.NewFabric(netsim.NewParallelEngine(1), topoOpts, 0, obs.Scope{})
 	eng, hosts := fabric.Eng, fabric.Hosts
-	// Every draw happens at setup time in spec order, so runs are
-	// deterministic for any engine layout.
+	// Every draw happens at setup time in spec order, before any event
+	// runs.
 	rng := actor.NewPRNG(s.Seed + o.SeedOffset)
 
 	var lossLinks []*netsim.Link
@@ -237,7 +240,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 
 	// One metrics collector per (host, class): sessions only ever share a
 	// collector within their client host's partition (§4j), and the post-run
-	// merge walks hosts then classes — a fixed order for any domain count.
+	// merge walks hosts then classes — a fixed order.
 	coll := make([][4]*actor.Metrics, len(hosts))
 	metricsFor := func(host int, cls actor.Class) *actor.Metrics {
 		if coll[host][cls] == nil {
@@ -397,7 +400,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 
 	eng.RunUntil(dur)
 
-	// Merge host-major, class-minor — deterministic for any domain count.
+	// Merge host-major, class-minor.
 	perClass := make([]*actor.Metrics, len(classes))
 	for _, c := range classes {
 		perClass[c] = actor.NewMetrics()

@@ -3,10 +3,9 @@
 // from package actor), an arrival process with optional diurnal modulation,
 // disruption events (flash crowds, incast bursts), a fabric profile
 // (data-center, WAN-RTT, wireless-loss) and an acceptance envelope. Run
-// builds the fabric, populates it with sessions, plays the scenario on a
-// classic or partitioned engine and renders a deterministic Report — the
-// same bytes for every -sim-domains value ≥ 1, pinned by digest, so every
-// named scenario doubles as a regression test (DESIGN.md §4j).
+// builds the fabric, populates it with sessions, plays the scenario on the
+// partitioned engine and renders a deterministic Report, pinned by digest, so
+// every named scenario doubles as a regression test (DESIGN.md §4j).
 package scenario
 
 import (

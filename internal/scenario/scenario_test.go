@@ -109,14 +109,12 @@ func TestScenarioEnvelopes(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
-// TestScenarioByteIdenticalAcrossDomains pins the §4j contract for the
-// scenario harness itself: every corpus scenario, run on the partitioned
-// engine, reproduces the committed digest of its report. The number behind
-// -sim-domains selects nothing beyond the engine family, so Domains 1 covers
-// every value. Reduced scale keeps the corpus tractable. The digests are
-// amd64 bytes: elsewhere the compiler may fuse multiply-adds, which moves
+// TestScenarioCorpusMatchesPinnedDigests pins the §4j contract for the
+// scenario harness itself: every corpus scenario reproduces the committed
+// digest of its report. Reduced scale keeps the corpus tractable. The digests
+// are amd64 bytes: elsewhere the compiler may fuse multiply-adds, which moves
 // float results in the last place.
-func TestScenarioByteIdenticalAcrossDomains(t *testing.T) {
+func TestScenarioCorpusMatchesPinnedDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("windowed corpus golden run is a long test")
 	}
@@ -142,7 +140,7 @@ func TestScenarioByteIdenticalAcrossDomains(t *testing.T) {
 		}
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel() // every run builds a private fabric and engine
-			r, err := Run(s, RunOpts{Domains: 1, Scale: scale})
+			r, err := Run(s, RunOpts{Scale: scale})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
