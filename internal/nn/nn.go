@@ -52,12 +52,44 @@ func (a Activation) Apply(x float64) float64 {
 		}
 		return x
 	case Tanh:
+		if y, ok := tanhArm(x); ok {
+			return y
+		}
 		return math.Tanh(x)
 	case Sigmoid:
 		return 1 / (1 + math.Exp(-x))
 	default:
 		return x
 	}
+}
+
+// The coefficients of tanh's rational arm, copied from Go's math/tanh.go,
+// which takes them from the Cephes Math Library (Stephen L. Moshier; BSD
+// licence, as is Go).
+const (
+	tanhP0 = -9.64399179425052238628e-1
+	tanhP1 = -9.92877231001918586564e1
+	tanhP2 = -1.61468768441708447952e3
+	tanhQ0 = 1.12811678491632931402e2
+	tanhQ1 = 2.23548839060100448583e3
+	tanhQ2 = 4.84406305325125486048e3
+)
+
+// tanhArm returns math.Tanh(x), ok for 0 < |x| < 0.625, the arm most hidden
+// units take (the rational function x + x³·P(x²)/Q(x²)), and ok = false for
+// every other x: zero of either sign, |x| ≥ 0.625, ±Inf and NaN, which the
+// caller hands to math.Tanh. It inlines, so a layer pays no call for a small
+// value. The expression is math.Tanh's own in math.Tanh's operation order, and
+// on every GOARCH but s390x math.Tanh is that pure-Go code, so the same
+// compiler emits the same operations (a multiply-add it fuses there it fuses
+// here). On s390x math.Tanh is assembly and the two may differ in the last
+// bit.
+func tanhArm(x float64) (float64, bool) {
+	if math.Abs(x) < 0.625 && x != 0 {
+		s := x * x
+		return x + x*s*((tanhP0*s+tanhP1)*s+tanhP2)/(((s+tanhQ0)*s+tanhQ1)*s+tanhQ2), true
+	}
+	return 0, false
 }
 
 // Deriv computes the activation derivative given the activation output y.
@@ -89,7 +121,11 @@ func (a Activation) applyAll(v []float64) {
 		}
 	case Tanh:
 		for i, x := range v {
-			v[i] = math.Tanh(x)
+			if y, ok := tanhArm(x); ok {
+				v[i] = y
+			} else {
+				v[i] = math.Tanh(x)
+			}
 		}
 	case Sigmoid:
 		for i, x := range v {
@@ -235,10 +271,28 @@ func (a Activation) applyAll4(v []lanes) {
 			}
 		}
 	case Tanh:
+		// The four lanes' arms first, then math.Tanh for each lane the arm
+		// leaves: with no loop over the lanes and no call between them, the
+		// four divisions overlap (DESIGN.md §4k has the measurement).
 		for i := range v {
-			for k, x := range v[i] {
-				v[i][k] = math.Tanh(x)
+			x := &v[i]
+			y0, ok0 := tanhArm(x[0])
+			y1, ok1 := tanhArm(x[1])
+			y2, ok2 := tanhArm(x[2])
+			y3, ok3 := tanhArm(x[3])
+			if !ok0 {
+				y0 = math.Tanh(x[0])
 			}
+			if !ok1 {
+				y1 = math.Tanh(x[1])
+			}
+			if !ok2 {
+				y2 = math.Tanh(x[2])
+			}
+			if !ok3 {
+				y3 = math.Tanh(x[3])
+			}
+			*x = lanes{y0, y1, y2, y3}
 		}
 	case Sigmoid:
 		for i := range v {
