@@ -2,12 +2,52 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/netsim"
+	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
+
+// TestBloatOffsetsBaseWithinRounding pins what bloat's doc promises on the
+// scenario's own nets (the fleet's 4→8→1 at seed 1, bloated at seed 8 by 1.0):
+// bloated(x) − (base(x)+off) stays within the summation bound, and is not
+// always zero.
+func TestBloatOffsetsBaseWithinRounding(t *testing.T) {
+	const off = 1.0
+	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 1)
+	bloated := bloat(base, 2048, off, 8)
+	out := base.Layers[1]
+	m := math.Abs(out.B[0]) + off // |tanh| ≤ 1 bounds each |w·h| by |w|
+	for _, w := range out.W[0] {
+		m += math.Abs(w)
+	}
+	bound := float64(out.In+2) * 0x1p-52 * m
+
+	r := rand.New(rand.NewSource(1))
+	differ := 0
+	const n = 10000
+	for k := 0; k < n; k++ {
+		x := make([]float64, 4)
+		for j := range x {
+			x[j] = r.NormFloat64() * 2
+		}
+		want := base.Infer(x)[0] + off
+		got := bloated.Infer(x)[0]
+		if d := math.Abs(got - want); d > bound {
+			t.Fatalf("input %v: bloated %v, base+off %v: differ by %g > bound %g", x, got, want, d, bound)
+		} else if d != 0 {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Errorf("bloated(x) == base(x)+off on all %d inputs; bloat's doc says they differ in the last bits", n)
+	}
+	t.Logf("%d of %d inputs differ, bound %g", differ, n, bound)
+}
 
 // TestFleetCanaryUngatedFlagsRegression: without the gate, installing the
 // deliberately bloated snapshot must show up in the flight-recorder delta as

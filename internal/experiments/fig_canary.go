@@ -14,8 +14,13 @@ import (
 // bloat returns a functionally offset copy of base with its hidden layer
 // padded to the given width: the original hidden units (weights and biases)
 // are embedded verbatim, the padding units get random input weights but zero
-// output weights, and the output bias shifts by off — so bloated(x) ==
-// base(x) + off exactly. The constant offset keeps the fleet necessity gate's
+// output weights, and the output bias shifts by off — so bloated(x) equals
+// base(x) + off up to rounding, not exactly: the output sum starts from the
+// bias B+off rather than B, so its partial sums round at another magnitude,
+// and the two often differ in the last bits (the padding's zero weights add
+// exact zeros). Both sum the same terms, so for a base of n tanh hidden units
+// with output bias B and weights w they are within (n+2)·ε·(|B|+|off|+Σ|w|)
+// of each other, ε = 2⁻⁵². The offset keeps the fleet necessity gate's
 // min-loss strictly above threshold (a fresh random net would cross the old
 // function somewhere and let the minimum collapse to ~0), while the padding
 // inflates the MAC count ~250× — the degradation the canary must catch.
