@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -137,17 +139,14 @@ func checkTanh(t testing.TB, xs []float64) {
 	for i, x := range xs {
 		all4[i/4][i%4] = x
 	}
-	Tanh.applyAll4(all4)
+	Tanh.applyAll4(all4, make([]uint8, len(all4)))
 	for i, x := range xs {
 		want := math.Tanh(x)
 		for _, got := range [...]struct {
 			via string
 			y   float64
 		}{{"Apply", Tanh.Apply(x)}, {"applyAll", all[i]}, {"applyAll4", all4[i/4][i%4]}} {
-			if math.IsNaN(want) && math.IsNaN(got.y) {
-				continue
-			}
-			if math.Float64bits(got.y) != math.Float64bits(want) {
+			if !sameBits(got.y, want) {
 				t.Fatalf("tanh(%x) via %s = %x, math.Tanh %x", x, got.via, got.y, want)
 			}
 		}
@@ -230,6 +229,120 @@ func TestKernelInputsReachBothArms(t *testing.T) {
 			t.Errorf("%s: first-layer sums: %d zero, %d inline, %d math.Tanh; want each > 0", z.name, zero, inline, call)
 		}
 	}
+}
+
+// sameBits reports whether a and b are the same float64, NaN matching any NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// laneEdges returns groups of four lanes that mix tanhEdges and an arm value
+// of either sign within one group: every window of four consecutive values,
+// so each value takes every lane, then random picks.
+func laneEdges(r *rand.Rand) []lanes {
+	e := append(tanhEdges(), 0.3, -0.3)
+	var v []lanes
+	for i := range e {
+		v = append(v, lanes{e[i], e[(i+1)%len(e)], e[(i+2)%len(e)], e[(i+3)%len(e)]})
+	}
+	for range 256 {
+		v = append(v, lanes{e[r.Intn(len(e))], e[r.Intn(len(e))], e[r.Intn(len(e))], e[r.Intn(len(e))]})
+	}
+	return v
+}
+
+// TestLaneKernelsMatchGo runs sumLanes and tanhLanes, the assembly on amd64,
+// against sumLanesGo and tanhLanesGo, bit for bit (NaN only as NaN), on
+// kernelInputs and on laneEdges, for every In × rows below.
+func TestLaneKernelsMatchGo(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("sumLanes and tanhLanes are the Go kernels on " + runtime.GOARCH)
+	}
+	r := rand.New(rand.NewSource(31))
+	same := func(what string, got, want []lanes) {
+		t.Helper()
+		for i := range got {
+			for k := range got[i] {
+				if !sameBits(got[i][k], want[i][k]) {
+					t.Fatalf("%s: group %d lane %d = %x, Go kernel %x", what, i, k, got[i][k], want[i][k])
+				}
+			}
+		}
+	}
+	tanhBoth := func(what string, v []lanes) {
+		t.Helper()
+		got, want := append([]lanes(nil), v...), append([]lanes(nil), v...)
+		tanhLanes(got, make([]uint8, len(got)+1))
+		tanhLanesGo(want)
+		same("tanh of "+what, got, want)
+	}
+	edges := laneEdges(r)
+	tanhBoth("laneEdges", edges)
+	for _, in := range []int{0, 1, 3, 4, 5, 30, 2048} {
+		for _, rows := range []int{0, 1, 3, 4, 7, 2048} {
+			w, b := make([]float64, rows*in), make([]float64, rows)
+			for k := range w {
+				w[k] = r.Float64()*2 - 1
+			}
+			for k := range b {
+				b[k] = r.Float64()*2 - 1
+			}
+			samples := kernelInputs(r, 4, in)
+			x, xe := make([]lanes, in), make([]lanes, in)
+			for j := range x {
+				x[j] = lanes{samples[0][j], samples[1][j], samples[2][j], samples[3][j]}
+				xe[j] = edges[j%len(edges)]
+			}
+			for _, c := range []struct {
+				name string
+				x    []lanes
+			}{{"kernelInputs", x}, {"laneEdges", xe}} {
+				got, want := make([]lanes, rows), make([]lanes, rows)
+				sumLanes(w, b, c.x, got)
+				sumLanesGo(w, b, c.x, want)
+				what := fmt.Sprintf("%s, %d×%d sums", c.name, rows, in)
+				same(what, got, want)
+				tanhBoth(what, got)
+			}
+		}
+	}
+}
+
+// TestInferBatchConcurrentNetworks: distinct networks infer on distinct
+// goroutines at once, each getting what it gets alone, so inference keeps no
+// state outside its Network (run it under -race).
+func TestInferBatchConcurrentNetworks(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	nets := []*Network{
+		New([]int{4, 2048, 1}, []Activation{Tanh, Linear}, 1),
+		New([]int{30, 32, 16, 1}, []Activation{Tanh, Tanh, Linear}, 2),
+	}
+	xs := make([][][]float64, len(nets))
+	want := make([][]float64, len(nets))
+	for i, n := range nets {
+		xs[i] = kernelInputs(r, 63, n.InputSize())
+		want[i] = make([]float64, len(xs[i])*n.OutputSize())
+		n.InferBatch(xs[i], want[i])
+	}
+	var wg sync.WaitGroup
+	for i, n := range nets {
+		c := n.Clone() // no buffers yet: its first InferBatch allocates them concurrently
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]float64, len(want[i]))
+			for round := 0; round < 10; round++ {
+				c.InferBatch(xs[i], got)
+				for k := range got {
+					if math.Float64bits(got[k]) != math.Float64bits(want[i][k]) {
+						t.Errorf("network %d, round %d, output %d: %x concurrently, %x alone", i, round, k, got[k], want[i][k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestInferBatchSizePanics(t *testing.T) {
@@ -382,7 +495,7 @@ func TestWeightRowsViewTheSlab(t *testing.T) {
 	}
 }
 
-func benchInferBatch(b *testing.B, sizes []int) {
+func benchInferBatch(b *testing.B, sizes []int, inputs func(*rand.Rand, int, int) [][]float64) {
 	acts := make([]Activation, len(sizes)-1)
 	for i := range acts {
 		acts[i] = Tanh
@@ -390,7 +503,7 @@ func benchInferBatch(b *testing.B, sizes []int) {
 	acts[len(acts)-1] = Linear
 	n := New(sizes, acts, 1)
 	const batch = 64
-	xs := kernelInputs(rand.New(rand.NewSource(1)), batch, sizes[0])
+	xs := inputs(rand.New(rand.NewSource(1)), batch, sizes[0])
 	ys := make([]float64, batch*n.OutputSize())
 	n.InferBatch(xs, ys)
 	b.ReportAllocs()
@@ -401,8 +514,31 @@ func benchInferBatch(b *testing.B, sizes []int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/sample")
 }
 
-func BenchmarkInferBatchAurora(b *testing.B)  { benchInferBatch(b, []int{30, 32, 16, 1}) }
-func BenchmarkInferBatchBloated(b *testing.B) { benchInferBatch(b, []int{4, 2048, 1}) }
+// uniformInputs returns n inputs of the given width drawn uniformly from
+// [−1, 1), as the fleet's datapaths draw the samples its fidelity pass runs
+// through the bloated net.
+func uniformInputs(r *rand.Rand, n, width int) [][]float64 {
+	xs := make([][]float64, n)
+	for k := range xs {
+		xs[k] = make([]float64, width)
+		for j := range xs[k] {
+			xs[k][j] = r.Float64()*2 - 1
+		}
+	}
+	return xs
+}
+
+func BenchmarkInferBatchAurora(b *testing.B) {
+	benchInferBatch(b, []int{30, 32, 16, 1}, kernelInputs)
+}
+
+// BenchmarkInferBatchBloated runs kernelInputs, whose zero and scale-8
+// samples cover tanh's edges; BenchmarkInferBatchBloatedUniform runs the
+// input distribution of fleet-rollout's fidelity pass.
+func BenchmarkInferBatchBloated(b *testing.B) { benchInferBatch(b, []int{4, 2048, 1}, kernelInputs) }
+func BenchmarkInferBatchBloatedUniform(b *testing.B) {
+	benchInferBatch(b, []int{4, 2048, 1}, uniformInputs)
+}
 
 // BenchmarkTanh times applyAll's tanh (tanhArm, math.Tanh for the rest)
 // against the same loop calling math.Tanh alone, per value, on values that

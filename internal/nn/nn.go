@@ -238,16 +238,24 @@ func dot4(rows, x []float64, s0, s1, s2, s3 float64) (float64, float64, float64,
 type lanes [4]float64
 
 // sums4 is sums for four samples at once: x[j] holds input j of each, dst[i]
-// receives row i's four sums. Each weight is loaded once for four
-// multiply-adds, and each lane's sum is the one sums forms for that sample.
+// receives row i's four sums. Each lane's sum is the one sums forms for that
+// sample. The slicing here is what sumLanes's assembly relies on to stay in
+// bounds.
 func (l *Dense) sums4(x, dst []lanes) {
-	n := l.In
-	x = x[:n]
-	w := l.w
-	for i, b := range l.B[:len(dst)] {
+	x = x[:l.In]
+	sumLanes(l.w[:len(dst)*len(x)], l.B[:len(dst)], x, dst)
+}
+
+// sumLanesGo writes b[i] + Σ_j w[i·len(x)+j]·x[j] into dst[i], lane by lane,
+// for every row i < len(dst). Each weight is loaded once for four
+// multiply-adds. It is sumLanes off amd64, and on amd64 the reference its
+// assembly is tested against.
+func sumLanesGo(w, b []float64, x, dst []lanes) {
+	n := len(x)
+	for i, bi := range b[:len(dst)] {
 		r := w[:n]
 		w = w[n:]
-		s0, s1, s2, s3 := b, b, b, b
+		s0, s1, s2, s3 := bi, bi, bi, bi
 		for j, wj := range r[:len(x)] {
 			xj := &x[j]
 			s0 += wj * xj[0]
@@ -259,8 +267,9 @@ func (l *Dense) sums4(x, dst []lanes) {
 	}
 }
 
-// applyAll4 is applyAll over four-sample lanes.
-func (a Activation) applyAll4(v []lanes) {
+// applyAll4 is applyAll over four-sample lanes. left is tanh's scratch, one
+// byte per element of v (tanhLanes).
+func (a Activation) applyAll4(v []lanes, left []uint8) {
 	switch a {
 	case ReLU:
 		for i := range v {
@@ -271,35 +280,41 @@ func (a Activation) applyAll4(v []lanes) {
 			}
 		}
 	case Tanh:
-		// The four lanes' arms first, then math.Tanh for each lane the arm
-		// leaves: with no loop over the lanes and no call between them, the
-		// four divisions overlap (DESIGN.md §4k has the measurement).
-		for i := range v {
-			x := &v[i]
-			y0, ok0 := tanhArm(x[0])
-			y1, ok1 := tanhArm(x[1])
-			y2, ok2 := tanhArm(x[2])
-			y3, ok3 := tanhArm(x[3])
-			if !ok0 {
-				y0 = math.Tanh(x[0])
-			}
-			if !ok1 {
-				y1 = math.Tanh(x[1])
-			}
-			if !ok2 {
-				y2 = math.Tanh(x[2])
-			}
-			if !ok3 {
-				y3 = math.Tanh(x[3])
-			}
-			*x = lanes{y0, y1, y2, y3}
-		}
+		tanhLanes(v, left)
 	case Sigmoid:
 		for i := range v {
 			for k, x := range v[i] {
 				v[i][k] = 1 / (1 + math.Exp(-x))
 			}
 		}
+	}
+}
+
+// tanhLanesGo replaces every value in v with its tanh. It is tanhLanes off
+// amd64, and on amd64 the reference its assembly is tested against.
+func tanhLanesGo(v []lanes) {
+	// The four lanes' arms first, then math.Tanh for each lane the arm
+	// leaves: with no loop over the lanes and no call between them, the four
+	// divisions overlap (DESIGN.md §4k has the measurement).
+	for i := range v {
+		x := &v[i]
+		y0, ok0 := tanhArm(x[0])
+		y1, ok1 := tanhArm(x[1])
+		y2, ok2 := tanhArm(x[2])
+		y3, ok3 := tanhArm(x[3])
+		if !ok0 {
+			y0 = math.Tanh(x[0])
+		}
+		if !ok1 {
+			y1 = math.Tanh(x[1])
+		}
+		if !ok2 {
+			y2 = math.Tanh(x[2])
+		}
+		if !ok3 {
+			y3 = math.Tanh(x[3])
+		}
+		*x = lanes{y0, y1, y2, y3}
 	}
 }
 
@@ -313,6 +328,9 @@ type Network struct {
 	// so inference leaves the training caches alone.
 	vec  [2][]float64
 	vec4 [2][]lanes
+	// left is tanhLanes's per-group mask, allocated with vec4. It is the
+	// Network's, not the package's, so distinct networks infer concurrently.
+	left []uint8
 }
 
 // New builds a network with the given layer sizes (inputs first) and one
@@ -448,6 +466,7 @@ func (n *Network) infer4(xs [][]float64, out []float64) {
 	if n.vec4[0] == nil {
 		w := n.maxWidth()
 		n.vec4[0], n.vec4[1] = make([]lanes, w), make([]lanes, w)
+		n.left = make([]uint8, w)
 	}
 	cur := n.vec4[1][:n.InputSize()]
 	for j := range cur {
@@ -456,7 +475,7 @@ func (n *Network) infer4(xs [][]float64, out []float64) {
 	for li, l := range n.Layers {
 		dst := n.vec4[li&1][:l.Out]
 		l.sums4(cur, dst)
-		l.Act.applyAll4(dst)
+		l.Act.applyAll4(dst, n.left)
 		cur = dst
 	}
 	os := len(cur)
