@@ -11,32 +11,16 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/liteflow-sim/liteflow/internal/cc"
+	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/lb"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
-	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/stats"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 	"github.com/liteflow-sim/liteflow/internal/topo"
 	"github.com/liteflow-sim/liteflow/internal/workload"
 )
-
-// feedbackCC wraps DCTCP and measures the flow's ECN fraction and mean RTT.
-type feedbackCC struct {
-	*cc.DCTCP
-	acks, eces int
-	rttSum     netsim.Time
-}
-
-func (d *feedbackCC) OnAck(a tcp.AckInfo) {
-	d.acks++
-	if a.ECE {
-		d.eces++
-	}
-	d.rttSum += a.RTT
-	d.DCTCP.OnAck(a)
-}
 
 func run(name string, useMLP bool) {
 	eng := netsim.NewEngine()
@@ -49,8 +33,10 @@ func run(name string, useMLP bool) {
 	// quantized into a kernel snapshot (LF-MLP).
 	net := lb.NewMLP(paths, 1)
 	lb.Train(net, paths, 400, 1e-2, 1.0, 2)
-	kernel := lb.NewKernelSelector(eng, nil, ksim.DefaultCosts(),
-		quant.Quantize(net, quant.DefaultConfig()))
+	coreCfg := core.DefaultConfig()
+	lf := rig.Deploy(eng, nil, ksim.DefaultCosts(), coreCfg, rig.Build(net, coreCfg.Quant, "lbmlp")).Core
+	lf.SetFlowCache(false) // one query per flow: nothing to keep consistent
+	kernel := rig.KernelDecider(lf, 3, 0, lb.Argmax)
 	ecmp := &lb.ECMPSelector{Paths: paths}
 	monitor := lb.NewPathMonitor(paths)
 
@@ -77,38 +63,34 @@ func run(name string, useMLP bool) {
 		dst := sl.Hosts[4+r.Intn(3)]
 		flowID := netsim.FlowID(i + 1)
 		eng.At(t, func() {
-			ctrl := &feedbackCC{DCTCP: cc.NewDCTCP()}
+			ctrl := lb.NewFlowFeedback()
 			snd := tcp.NewSender(src, flowID, dst.ID, size, ctrl)
 			tcp.NewReceiver(dst, flowID, src.ID)
 			norm := float64(size) / 1e7
 			if norm > 1 {
 				norm = 1
 			}
-			feats := monitor.Features(norm)
-			sel := lb.Selector(ecmp)
-			if useMLP {
-				sel = kernel
-			}
-			sel.Select(feats, func(path int) {
+			start := func(path int) {
 				viaSpine[path]++
 				snd.Path = sl.PathVia(src.ID, dst.ID, path)
 				snd.OnComplete = func(d netsim.Time) {
 					fct.Add(float64(d) / 1e3)
-					ecn := 0.0
-					if ctrl.acks > 0 {
-						ecn = float64(ctrl.eces) / float64(ctrl.acks)
-					}
-					var avgRTT netsim.Time
-					if ctrl.acks > 0 {
-						avgRTT = ctrl.rttSum / netsim.Time(ctrl.acks)
-					}
+					ecn, avgRTT := ctrl.Stats()
 					monitor.Observe(path, ecn, avgRTT)
 				}
 				snd.Start()
-			})
+			}
+			if useMLP {
+				kernel(flowID, monitor.Features(norm), start)
+			} else {
+				start(ecmp.Path())
+			}
 		})
 	}
-	eng.RunUntil(t + 20*netsim.Second)
+	// The elephant never finishes; stop once every foreground flow has.
+	for deadline := t + 20*netsim.Second; eng.Now() < deadline && fct.N() < flows; {
+		eng.RunUntil(min(eng.Now()+100*netsim.Millisecond, deadline))
+	}
 
 	fmt.Printf("%-8s FCT mean %7.0fµs p99 %8.0fµs | spine split %d/%d | spine0 ECN %.2f spine1 ECN %.2f\n",
 		name, fct.Mean(), fct.Quantile(0.99), viaSpine[0], viaSpine[1],

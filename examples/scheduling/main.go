@@ -12,9 +12,10 @@ import (
 	"math/rand"
 
 	"github.com/liteflow-sim/liteflow/internal/cc"
+	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
-	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/sched"
 	"github.com/liteflow-sim/liteflow/internal/stats"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
@@ -43,12 +44,14 @@ func run(name string, useKernel bool) {
 	}
 	sched.Train(net, feats, sizes, 600, 1e-2)
 
-	var predictor sched.Predictor
+	var decide rig.Decider
 	if useKernel {
-		predictor = sched.NewKernelPredictor(eng, nil, costs,
-			quant.Quantize(net, quant.DefaultConfig()))
+		coreCfg := core.DefaultConfig()
+		lf := rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net, coreCfg.Quant, "ffnn")).Core
+		lf.SetFlowCache(false) // one query per flow: nothing to keep consistent
+		decide = rig.KernelDecider(lf, 1, sched.PrioOf(1e6), sched.Decode)
 	} else {
-		predictor = sched.NewUserPredictor(eng, nil, costs, net, sched.Netlink)
+		decide = rig.UserDecider(eng, costs, net, rig.Netlink, 2, sched.Decode)
 	}
 
 	// Workload.
@@ -67,7 +70,7 @@ func run(name string, useKernel bool) {
 			snd.OnComplete = func(fct netsim.Time) {
 				dists[workload.ClassOf(fs.Size)].Add(float64(fct) / 1e3)
 			}
-			lat := predictor.Predict(fm.Features(fs.Size), func(prio int) {
+			lat := decide(flowID, fm.Features(fs.Size), func(prio int) {
 				snd.Prio = prio
 				snd.Start()
 			})

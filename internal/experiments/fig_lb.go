@@ -3,7 +3,6 @@ package experiments
 import (
 	"math/rand"
 
-	"github.com/liteflow-sim/liteflow/internal/cc"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/lb"
@@ -15,30 +14,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/topo"
 	"github.com/liteflow-sim/liteflow/internal/workload"
 )
-
-// dctcpFeedback wraps DCTCP and accumulates the flow's ECN echo fraction and
-// average RTT — the congestion signals the path selection module collects.
-type dctcpFeedback struct {
-	*cc.DCTCP
-	acks, eces int
-	rttSum     netsim.Time
-}
-
-func (d *dctcpFeedback) OnAck(a tcp.AckInfo) {
-	d.acks++
-	if a.ECE {
-		d.eces++
-	}
-	d.rttSum += a.RTT
-	d.DCTCP.OnAck(a)
-}
-
-func (d *dctcpFeedback) stats() (ecnFrac float64, avgRTT netsim.Time) {
-	if d.acks == 0 {
-		return 0, 0
-	}
-	return float64(d.eces) / float64(d.acks), d.rttSum / netsim.Time(d.acks)
-}
 
 // Fig17 reproduces Figure 17: FCT by flow class on the 2×2 spine–leaf fabric
 // (8 hosts) under LF-MLP, char-MLP, ECMP, and LF-MLP-N-O-A. Mid-run the
@@ -90,9 +65,10 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 
 	monitor := lb.NewPathMonitor(paths)
 
+	deadline := flows[len(flows)-1].At + 60*netsim.Second
+
 	var dep *rig.Deployment
-	var kernelSel func(feats []float64, reply func(int))
-	var userSel *lb.UserSelector
+	var decide rig.Decider // nil under ECMP
 	ecmp := &lb.ECMPSelector{Paths: paths}
 	var charBatch []lb.Sample // char-MLP's userspace adaptation buffer
 
@@ -100,28 +76,9 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	case "LF-MLP", "LF-MLP-N-O-A":
 		coreCfg := adaptiveCoreConfig()
 		dep = rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net.Clone(), coreCfg.Quant, "lbmlp0"))
-		lf := dep.Core
 		// Per-flow decisions are one-shot: the flow cache adds nothing.
-		lf.SetFlowCache(false)
-		in := make([]int64, lb.InputDim(paths))
-		out := make([]int64, paths)
-		jit := rand.New(rand.NewSource(cfg.Seed + 33))
-		kernelSel = func(feats []float64, reply func(int)) {
-			prog := lf.Active().Program()
-			prog.QuantizeInput(feats, in)
-			if err := lf.QueryModel(0, in, out); err != nil {
-				reply(0)
-				return
-			}
-			best := 0
-			for i := range out {
-				if out[i] > out[best] {
-					best = i
-				}
-			}
-			cost := ksim.InferCost(costs.KernelInferPerMAC, prog.MACs())
-			eng.After(cost+netsim.Time(jit.Int63n(int64(cost)+1)), func() { reply(best) })
-		}
+		dep.Core.SetFlowCache(false)
+		decide = rig.KernelDecider(dep.Core, cfg.Seed+33, 0, lb.Argmax)
 		if name == "LF-MLP" {
 			dep.AttachSlowPath(sl.Hosts[0].CPU, user, batchT, nil)
 		}
@@ -129,42 +86,33 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 		// Selector latency only; the per-host cost is the continuous
 		// kernel→user path-state sync every host pays (the overhead that
 		// drops char-MLP below plain ECMP in the paper).
-		userSel = lb.NewUserSelector(eng, nil, costs, net)
+		decide = rig.UserDecider(eng, costs, net, rig.CharDev, 4, lb.Argmax)
 		for _, h := range sl.Hosts {
 			h := h
-			var monitorTick func()
-			monitorTick = func() {
-				eng.After(200*netsim.Microsecond, func() {
-					h.CPU.Charge(ksim.SoftIRQ, costs.CrossSpace)
-					h.CPU.Charge(ksim.Kernel, costs.CharDevPerMsg)
-					monitorTick()
-				})
-			}
-			monitorTick()
+			rig.Every(eng, 200*netsim.Microsecond, deadline, func() {
+				h.CPU.Charge(ksim.SoftIRQ, costs.CrossSpace)
+				h.CPU.Charge(ksim.Kernel, costs.CharDevPerMsg)
+			})
 		}
 		// char-MLP adapts its userspace model directly.
 		opt := nn.NewAdam(1e-2)
-		var retrain func()
-		retrain = func() {
-			eng.After(batchT, func() {
-				if len(charBatch) > 0 {
-					x := make([][]float64, len(charBatch))
-					y := make([][]float64, len(charBatch))
-					for i, s := range charBatch {
-						x[i] = s.Features
-						t := make([]float64, paths)
-						t[s.Best] = 1
-						y[i] = t
-					}
-					for e := 0; e < 30; e++ {
-						nn.TrainBatch(net, opt, x, y, 5)
-					}
-					charBatch = charBatch[:0]
-				}
-				retrain()
-			})
-		}
-		retrain()
+		rig.Every(eng, batchT, deadline, func() {
+			if len(charBatch) == 0 {
+				return
+			}
+			x := make([][]float64, len(charBatch))
+			y := make([][]float64, len(charBatch))
+			for i, s := range charBatch {
+				x[i] = s.Features
+				t := make([]float64, paths)
+				t[s.Best] = 1
+				y[i] = t
+			}
+			for e := 0; e < 30; e++ {
+				nn.TrainBatch(net, opt, x, y, 5)
+			}
+			charBatch = charBatch[:0]
+		})
 	}
 
 	// Regime shift: disable ECN marking fabric-wide. Congestion then shows
@@ -208,16 +156,15 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 				sizeNorm = 1
 			}
 			feats := monitor.Features(sizeNorm)
-			ctrl := &dctcpFeedback{DCTCP: cc.NewDCTCP()}
+			ctrl := lb.NewFlowFeedback()
 			snd := tcp.NewSender(src, flowID, dst.ID, fs.Size, ctrl)
-			rcv := tcp.NewReceiver(dst, flowID, src.ID)
-			_ = rcv
+			tcp.NewReceiver(dst, flowID, src.ID)
 
 			start := func(path int) {
 				snd.Path = sl.PathVia(src.ID, dst.ID, path)
 				snd.OnComplete = func(fct netsim.Time) {
 					buckets.add(fs.Size, fct)
-					ecnFrac, avgRTT := ctrl.stats()
+					ecnFrac, avgRTT := ctrl.Stats()
 					monitor.Observe(path, ecnFrac, avgRTT)
 					// Feed the adaptation loop with oracle-labeled data.
 					best := lb.BestPath(monitor.Features(sizeNorm), paths)
@@ -233,20 +180,16 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 				snd.Start()
 			}
 
-			switch name {
-			case "LF-MLP", "LF-MLP-N-O-A":
-				kernelSel(feats, start)
-			case "char-MLP":
-				userSel.Select(feats, start)
-			default:
-				ecmp.Select(feats, start)
+			if decide != nil {
+				decide(0, feats, start)
+			} else {
+				start(ecmp.Path())
 			}
 		})
 	}
 
 	// Run until the workload drains (or a generous cap).
 	done := func() int { return buckets.dists[0].N() + buckets.dists[1].N() + buckets.dists[2].N() }
-	deadline := flows[len(flows)-1].At + 60*netsim.Second
 	for eng.Now() < deadline && done() < numFlows {
 		eng.RunUntil(eng.Now() + netsim.Second)
 	}

@@ -10,7 +10,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/quant"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/sched"
 	"github.com/liteflow-sim/liteflow/internal/stats"
@@ -28,15 +27,19 @@ func Fig15(cfg Config) Result {
 	eng := netsim.NewEngine()
 	costs := ksim.DefaultCosts()
 	net := trainedFFNN(cfg)
-	prog := quant.Quantize(net, quant.DefaultConfig())
+	// The kernel arm queries a deployed snapshot like fig16's; its latency
+	// depends only on the MACs and the jitter stream.
+	coreCfg := core.DefaultConfig()
+	lf := rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net, coreCfg.Quant, "ffnn")).Core
+	lf.SetFlowCache(false)
 
 	preds := []struct {
-		name string
-		p    sched.Predictor
+		name   string
+		decide rig.Decider
 	}{
-		{"LF-FFNN", sched.NewKernelPredictor(eng, nil, costs, prog)},
-		{"char-FFNN", sched.NewUserPredictor(eng, nil, costs, net, sched.CharDev)},
-		{"netlink-FFNN", sched.NewUserPredictor(eng, nil, costs, net, sched.Netlink)},
+		{"LF-FFNN", rig.KernelDecider(lf, 1, sched.PrioOf(1e6), sched.Decode)},
+		{"char-FFNN", rig.UserDecider(eng, costs, net, rig.CharDev, 2, sched.Decode)},
+		{"netlink-FFNN", rig.UserDecider(eng, costs, net, rig.Netlink, 2, sched.Decode)},
 	}
 	fm := sched.NewFeatureModel(cfg.Seed + 9)
 	dist := workload.WebSearch()
@@ -45,7 +48,7 @@ func Fig15(cfg Config) Result {
 	for _, pr := range preds {
 		d := stats.NewDist(n)
 		for i := 0; i < n; i++ {
-			lat := pr.p.Predict(fm.Features(dist.Sample(r)), func(int) {})
+			lat := pr.decide(0, fm.Features(dist.Sample(r)), func(int) {})
 			d.Add(float64(lat) / 1e3)
 		}
 		eng.Run()
@@ -117,38 +120,6 @@ func (u *labelUser) Adapt(batch []core.Sample) {
 	for e := 0; e < 30; e++ {
 		u.lastLoss = nn.TrainBatch(u.net, u.opt, x, y, 5)
 	}
-}
-
-// corePredictor resolves priorities through the LiteFlow core module
-// (lf_query_model), so snapshot updates and the flow cache are exercised.
-type corePredictor struct {
-	eng  *netsim.Engine
-	c    *core.Core
-	in   []int64
-	out  []int64
-	jit  *rand.Rand
-	cost ksim.Costs
-}
-
-// PredictFlow resolves a priority for one flow through lf_query_model; the
-// flow ID drives the flow cache so a flow's packets stay consistent with the
-// snapshot that first served it.
-func (p *corePredictor) PredictFlow(flow netsim.FlowID, features []float64, reply func(int)) netsim.Time {
-	prog := p.c.Active().Program()
-	if cap(p.in) < len(features) {
-		p.in = make([]int64, len(features))
-		p.out = make([]int64, prog.OutputSize())
-	}
-	prog.QuantizeInput(features, p.in[:len(features)])
-	if err := p.c.QueryModel(flow, p.in[:len(features)], p.out[:1]); err != nil {
-		reply(sched.PrioOf(1e6))
-		return 0
-	}
-	cost := ksim.InferCost(p.cost.KernelInferPerMAC, prog.MACs())
-	lat := cost + netsim.Time(p.jit.Int63n(int64(cost)+1))
-	prio := sched.PrioOf(sched.PredictedBytes(float64(p.out[0]) / float64(prog.OutputScale)))
-	p.eng.After(lat, func() { reply(prio) })
-	return lat
 }
 
 // batchIntervalFor scales the slow path's T to the workload rather than
@@ -260,46 +231,38 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	net := trainedFFNN(cfg)
 	user := newLabelUser(net)
 
-	// predict resolves one flow's priority under the scheme's deployment.
-	var predict func(flow netsim.FlowID, feats []float64, reply func(int))
+	horizon := flows[len(flows)-1].At + 20*netsim.Second
+
+	// decide resolves one flow's priority under the scheme's deployment; a
+	// failed kernel query tags the flow as a 1 MB one.
+	var decide rig.Decider
 	var dep *rig.Deployment
 	switch {
 	case isLF || isNOA:
 		coreCfg := adaptiveCoreConfig()
 		dep = rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net.Clone(), coreCfg.Quant, "ffnn0"))
-		cp := &corePredictor{eng: eng, c: dep.Core, cost: costs,
-			jit: rand.New(rand.NewSource(cfg.Seed + 22))}
-		predict = func(flow netsim.FlowID, feats []float64, reply func(int)) {
-			cp.PredictFlow(flow, feats, reply)
-		}
+		decide = rig.KernelDecider(dep.Core, cfg.Seed+22, sched.PrioOf(1e6), sched.Decode)
 		if isLF {
 			dep.AttachSlowPath(sl.Hosts[0].CPU, user, batchT, nil)
 		}
 	case isChar:
-		up := sched.NewUserPredictor(eng, nil, costs, net, sched.CharDev)
-		predict = func(_ netsim.FlowID, feats []float64, reply func(int)) { up.Predict(feats, reply) }
+		decide = rig.UserDecider(eng, costs, net, rig.CharDev, 2, sched.Decode)
 	case isNetlink:
-		up := sched.NewUserPredictor(eng, nil, costs, net, sched.Netlink)
-		predict = func(_ netsim.FlowID, feats []float64, reply func(int)) { up.Predict(feats, reply) }
+		decide = rig.UserDecider(eng, costs, net, rig.Netlink, 2, sched.Decode)
 	}
 
 	// Userspace deployments adapt their model directly (it already lives
-	// in userspace); collect and retrain every 100 ms.
+	// in userspace); collect and retrain every batch interval.
 	var userspaceBatchX [][]float64
 	var userspaceBatchY []int64
 	if isChar || isNetlink {
-		var retrain func()
-		retrain = func() {
-			eng.After(batchT, func() {
-				if len(userspaceBatchX) > 0 {
-					sched.Train(net, userspaceBatchX, userspaceBatchY, 30, 1e-2)
-					userspaceBatchX = userspaceBatchX[:0]
-					userspaceBatchY = userspaceBatchY[:0]
-				}
-				retrain()
-			})
-		}
-		retrain()
+		rig.Every(eng, batchT, horizon, func() {
+			if len(userspaceBatchX) > 0 {
+				sched.Train(net, userspaceBatchX, userspaceBatchY, 30, 1e-2)
+				userspaceBatchX = userspaceBatchX[:0]
+				userspaceBatchY = userspaceBatchY[:0]
+			}
+		})
 	}
 
 	buckets := newFCTBuckets()
@@ -339,14 +302,13 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 			// FLUX tags at flow admission: the flow starts once the
 			// prediction lands, so deployment latency directly delays
 			// every flow's first packet.
-			predict(flowID, feats, func(prio int) {
+			decide(flowID, feats, func(prio int) {
 				snd.Prio = prio
 				snd.Start()
 			})
 		})
 	}
 
-	horizon := flows[len(flows)-1].At + 20*netsim.Second
 	eng.RunUntil(horizon)
 	dep.Stop()
 	if isLF {

@@ -1,17 +1,18 @@
 // Package lb implements NN-driven load balancing (paper §5.3): a per-flow
 // MLP path selector over the spine–leaf fabric with XPath-style explicit
 // path control, the per-path congestion monitor feeding it, ECMP as the
-// baseline, and the kernel/userspace deployment split whose overhead gap
-// Figure 17 measures.
+// baseline. Where the selector runs — a kernel snapshot or a userspace
+// service behind a char device, the overhead gap Figure 17 measures — is
+// rig's KernelDecider and UserDecider, with Argmax as the decision.
 package lb
 
 import (
 	"math/rand"
 
-	"github.com/liteflow-sim/liteflow/internal/ksim"
+	"github.com/liteflow-sim/liteflow/internal/cc"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/quant"
+	"github.com/liteflow-sim/liteflow/internal/tcp"
 )
 
 // InputDim returns the MLP input width for the given path count: per path an
@@ -84,6 +85,36 @@ func (m *PathMonitor) Features(sizeNorm float64) []float64 {
 
 // ECN returns the EWMA mark fraction of a path (test/diagnostic accessor).
 func (m *PathMonitor) ECN(path int) float64 { return m.ecn[path] }
+
+// FlowFeedback wraps a flow's DCTCP and accumulates its ECN echo fraction
+// and average RTT — the per-flow signals a PathMonitor folds in.
+type FlowFeedback struct {
+	*cc.DCTCP
+	acks, eces int
+	rttSum     netsim.Time
+}
+
+// NewFlowFeedback returns a DCTCP controller that records its feedback.
+func NewFlowFeedback() *FlowFeedback { return &FlowFeedback{DCTCP: cc.NewDCTCP()} }
+
+// OnAck records the ACK's ECN echo and RTT, then runs DCTCP.
+func (f *FlowFeedback) OnAck(a tcp.AckInfo) {
+	f.acks++
+	if a.ECE {
+		f.eces++
+	}
+	f.rttSum += a.RTT
+	f.DCTCP.OnAck(a)
+}
+
+// Stats returns the flow's ECN echo fraction and average RTT (0, 0 before
+// its first ACK).
+func (f *FlowFeedback) Stats() (ecnFrac float64, avgRTT netsim.Time) {
+	if f.acks == 0 {
+		return 0, 0
+	}
+	return float64(f.eces) / float64(f.acks), f.rttSum / netsim.Time(f.acks)
+}
 
 // BestPath is the supervision teacher: the least congested path by a
 // weighted score of marks and latency. Ties resolve to the lowest index.
@@ -196,114 +227,17 @@ func Argmax(xs []float64) int {
 	return best
 }
 
-// Selector decides a path for a new flow; deployments differ in latency and
-// CPU cost, exactly as the sched predictors do.
-type Selector interface {
-	Select(features []float64, reply func(path int)) netsim.Time
-}
-
-// KernelSelector runs the quantized MLP snapshot in the kernel (LF-MLP).
-type KernelSelector struct {
-	Eng   *netsim.Engine
-	CPU   *ksim.CPU
-	Costs ksim.Costs
-	Prog  *quant.Program
-
-	in  []int64
-	out []int64
-	jit *rand.Rand
-}
-
-// NewKernelSelector wraps a quantized snapshot.
-func NewKernelSelector(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, prog *quant.Program) *KernelSelector {
-	return &KernelSelector{Eng: eng, CPU: cpu, Costs: costs, Prog: prog,
-		in: make([]int64, prog.InputSize()), out: make([]int64, prog.OutputSize()),
-		jit: rand.New(rand.NewSource(3))}
-}
-
-// Select implements Selector.
-func (k *KernelSelector) Select(features []float64, reply func(int)) netsim.Time {
-	cost := ksim.InferCost(k.Costs.KernelInferPerMAC, k.Prog.MACs())
-	lat := cost + netsim.Time(k.jit.Int63n(int64(cost)+1))
-	if k.CPU != nil {
-		k.CPU.Charge(ksim.Kernel, cost)
-		lat += k.CPU.QueueDelay()
-	}
-	k.Prog.QuantizeInput(features, k.in)
-	k.Prog.Infer(k.in, k.out)
-	path := argmax64(k.out)
-	k.Eng.After(lat, func() { reply(path) })
-	return lat
-}
-
-// UserSelector runs the float MLP in userspace behind a char device
-// (char-MLP): each decision costs a cross-space round trip. Keeping the
-// userspace model's view of path state fresh costs a continuous stream of
-// monitor updates on top — the overhead that makes char-MLP lose to plain
-// ECMP in the paper — which the experiment that deploys the selector charges
-// per host (experiments.Fig17).
-type UserSelector struct {
-	Eng   *netsim.Engine
-	CPU   *ksim.CPU
-	Costs ksim.Costs
-	Net   *nn.Network
-
-	out []float64
-	jit *rand.Rand
-}
-
-// NewUserSelector wraps a float MLP behind a char-device exchange.
-func NewUserSelector(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, net *nn.Network) *UserSelector {
-	return &UserSelector{Eng: eng, CPU: cpu, Costs: costs, Net: net,
-		out: make([]float64, net.OutputSize()),
-		jit: rand.New(rand.NewSource(4))}
-}
-
-// Select implements Selector.
-func (u *UserSelector) Select(features []float64, reply func(int)) netsim.Time {
-	infer := ksim.InferCost(u.Costs.UserInferPerMAC, u.Net.MACs())
-	lat := 2*u.Costs.CharDevLatency + infer
-	lat += netsim.Time(u.jit.Int63n(int64(u.Costs.CharDevLatency) + 1))
-	if u.CPU != nil {
-		u.CPU.Charge(ksim.SoftIRQ, 2*u.Costs.CrossSpace)
-		u.CPU.Charge(ksim.Kernel, 2*u.Costs.CharDevPerMsg)
-		u.CPU.Charge(ksim.User, infer)
-		lat += u.CPU.QueueDelay()
-	}
-	u.Net.Forward(features, u.out)
-	path := Argmax(u.out)
-	u.Eng.After(lat, func() { reply(path) })
-	return lat
-}
-
-// ECMPSelector hashes the flow onto a path immediately — the baseline. It
-// carries its own counter so experiments can draw per-flow IDs through it.
+// ECMPSelector hashes each new flow onto a path — the baseline. It carries
+// its own counter so experiments can draw per-flow IDs through it.
 type ECMPSelector struct {
 	Paths int
 	next  uint64
 }
 
-// Select implements Selector: zero latency, hash-spread decisions.
-func (e *ECMPSelector) Select(features []float64, reply func(int)) netsim.Time {
+// Path returns the next flow's path.
+func (e *ECMPSelector) Path() int {
 	e.next++
 	x := e.next * 0x9e3779b97f4a7c15
 	x ^= x >> 29
-	reply(int(x % uint64(e.Paths)))
-	return 0
-}
-
-var (
-	_ Selector = (*KernelSelector)(nil)
-	_ Selector = (*UserSelector)(nil)
-	_ Selector = (*ECMPSelector)(nil)
-)
-
-func argmax64(xs []int64) int {
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
+	return int(x % uint64(e.Paths))
 }

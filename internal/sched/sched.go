@@ -1,19 +1,16 @@
 // Package sched implements NN-driven flow scheduling (paper §5.2): FLUX's
-// FFNN flow-size predictor, the priority tagger that maps predicted sizes to
-// strict-priority bands (pFabric-style), and the three prediction
-// deployments the paper compares — the LiteFlow kernel snapshot, a
-// char-device userspace service, and a per-message netlink userspace
-// service — each with its own latency and CPU cost profile (Figure 15).
+// FFNN flow-size predictor, its features and labels, and the priority tagger
+// that maps predicted sizes to strict-priority bands (pFabric-style). Where
+// the predictor runs — the LiteFlow kernel snapshot or a userspace service
+// behind a char-device or netlink round trip (Figure 15) — is rig's
+// KernelDecider and UserDecider, with Decode as the decision.
 package sched
 
 import (
 	"math"
 	"math/rand"
 
-	"github.com/liteflow-sim/liteflow/internal/ksim"
-	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/quant"
 )
 
 // NumFeatures is the FFNN input width: the flow metadata FLUX collects at
@@ -113,119 +110,6 @@ func PrioOf(predictedBytes float64) int {
 	return len(PrioThresholds)
 }
 
-// Predictor resolves a flow's priority asynchronously; the three deployment
-// variants differ in where the NN runs and what the exchange costs.
-type Predictor interface {
-	// Predict computes a priority for the feature vector and delivers it
-	// via reply, after the deployment's latency. It returns the latency
-	// charged for this prediction (for Figure 15's CDF).
-	Predict(features []float64, reply func(prio int)) netsim.Time
-}
-
-// KernelPredictor runs the quantized FFNN snapshot in the kernel — the
-// LF-FFNN deployment: inference cost only, no boundary crossing.
-type KernelPredictor struct {
-	Eng   *netsim.Engine
-	CPU   *ksim.CPU // optional
-	Costs ksim.Costs
-	Prog  *quant.Program
-
-	in  []int64
-	out []int64
-	jit *rand.Rand
-}
-
-// NewKernelPredictor wraps a quantized snapshot.
-func NewKernelPredictor(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, prog *quant.Program) *KernelPredictor {
-	return &KernelPredictor{Eng: eng, CPU: cpu, Costs: costs, Prog: prog,
-		in: make([]int64, prog.InputSize()), out: make([]int64, prog.OutputSize()),
-		jit: rand.New(rand.NewSource(1))}
-}
-
-// Predict implements Predictor.
-func (k *KernelPredictor) Predict(features []float64, reply func(int)) netsim.Time {
-	cost := ksim.InferCost(k.Costs.KernelInferPerMAC, k.Prog.MACs())
-	lat := cost + netsim.Time(k.jit.Int63n(int64(cost)+1)) // cache/pipeline jitter
-	if k.CPU != nil {
-		k.CPU.Charge(ksim.Kernel, cost)
-		lat += k.CPU.QueueDelay()
-	}
-	k.Prog.QuantizeInput(features, k.in)
-	k.Prog.Infer(k.in, k.out)
-	bytes := PredictedBytes(float64(k.out[0]) / float64(k.Prog.OutputScale))
-	prio := PrioOf(bytes)
-	k.Eng.After(lat, func() { reply(prio) })
-	return lat
-}
-
-// Transport selects the userspace exchange mechanism.
-type Transport int
-
-// Userspace transports the paper compares against.
-const (
-	CharDev Transport = iota
-	Netlink
-)
-
-// UserPredictor runs the float FFNN in userspace behind a per-prediction
-// kernel↔user exchange — char-FFNN and netlink-FFNN.
-type UserPredictor struct {
-	Eng       *netsim.Engine
-	CPU       *ksim.CPU // optional
-	Costs     ksim.Costs
-	Net       *nn.Network
-	Transport Transport
-
-	out []float64
-	jit *rand.Rand
-}
-
-// NewUserPredictor wraps a float network behind the given transport.
-func NewUserPredictor(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, net *nn.Network, tr Transport) *UserPredictor {
-	return &UserPredictor{Eng: eng, CPU: cpu, Costs: costs, Net: net, Transport: tr,
-		out: make([]float64, 1), jit: rand.New(rand.NewSource(2))}
-}
-
-// Predict implements Predictor.
-func (u *UserPredictor) Predict(features []float64, reply func(int)) netsim.Time {
-	var oneWay netsim.Time
-	var perMsg netsim.Time
-	switch u.Transport {
-	case CharDev:
-		oneWay, perMsg = u.Costs.CharDevLatency, u.Costs.CharDevPerMsg
-	default:
-		oneWay, perMsg = u.Costs.NetlinkLatency, u.Costs.NetlinkPerMsg
-	}
-	infer := ksim.InferCost(u.Costs.UserInferPerMAC, u.Net.MACs())
-	lat := 2*oneWay + infer
-	lat += netsim.Time(u.jit.Int63n(int64(oneWay) + 1)) // scheduling jitter
-	if u.CPU != nil {
-		u.CPU.Charge(ksim.SoftIRQ, 2*u.Costs.CrossSpace)
-		u.CPU.Charge(ksim.Kernel, 2*perMsg)
-		u.CPU.Charge(ksim.User, infer)
-		lat += u.CPU.QueueDelay()
-	}
-	u.Net.Forward(features, u.out)
-	prio := PrioOf(PredictedBytes(u.out[0]))
-	u.Eng.After(lat, func() { reply(prio) })
-	return lat
-}
-
-var (
-	_ Predictor = (*KernelPredictor)(nil)
-	_ Predictor = (*UserPredictor)(nil)
-)
-
-// OraclePredictor tags flows with their true size instantly — the "advance
-// knowledge" upper bound FLUX argues for.
-type OraclePredictor struct {
-	// SizeOf maps a feature vector back to the true size; experiments
-	// capture the true size in a closure.
-	SizeOf func(features []float64) int64
-}
-
-// Predict implements Predictor with zero latency.
-func (o *OraclePredictor) Predict(features []float64, reply func(int)) netsim.Time {
-	reply(PrioOf(float64(o.SizeOf(features))))
-	return 0
-}
+// Decode is the scheduler's decision from a model output: the priority band
+// of the predicted flow size.
+func Decode(out []float64) int { return PrioOf(PredictedBytes(out[0])) }
