@@ -15,7 +15,8 @@
 //	}
 //
 // Weights are initialized deterministically from the seed; pass "weights"
-// and "biases" arrays to supply trained parameters instead.
+// and "biases" arrays to supply trained parameters instead. A spec whose
+// arrays do not match its sizes is rejected before anything is built.
 package main
 
 import (
@@ -54,10 +55,71 @@ func parseAct(s string) (nn.Activation, error) {
 	return 0, fmt.Errorf("unknown activation %q", s)
 }
 
+// maxWeights bounds a spec's weight count, Σ sizes[i]·sizes[i+1] (Aurora
+// has 1,488), and with it every layer width, so a spec cannot ask for more
+// memory or generated source than a kernel snapshot needs. maxOutputScale
+// bounds outputScale below the 63-bit products quantization forms.
+const (
+	maxWeights     = 1 << 16
+	maxOutputScale = 1 << 24
+)
+
+// validate checks the spec's shape against its sizes: nn.New and the weight
+// copy below assume it.
+func (sp *spec) validate() error {
+	if len(sp.Sizes) < 2 {
+		return fmt.Errorf("sizes: got %d entries, want at least 2", len(sp.Sizes))
+	}
+	layers := len(sp.Sizes) - 1
+	if len(sp.Activations) != layers {
+		return fmt.Errorf("activations: got %d, want one per layer (%d)", len(sp.Activations), layers)
+	}
+	weights := 0
+	for i, n := range sp.Sizes {
+		if n < 1 || n > maxWeights {
+			return fmt.Errorf("sizes[%d] = %d, want 1..%d", i, n, maxWeights)
+		}
+		if i > 0 {
+			if weights += sp.Sizes[i-1] * n; weights > maxWeights {
+				return fmt.Errorf("sizes: more than %d weights", maxWeights)
+			}
+		}
+	}
+	if sp.OutputScale > maxOutputScale {
+		return fmt.Errorf("outputScale %d exceeds %d", sp.OutputScale, maxOutputScale)
+	}
+	if sp.Weights != nil && len(sp.Weights) != layers {
+		return fmt.Errorf("weights: got %d layers, want %d", len(sp.Weights), layers)
+	}
+	if sp.Biases != nil && len(sp.Biases) != layers {
+		return fmt.Errorf("biases: got %d layers, want %d", len(sp.Biases), layers)
+	}
+	for li := 0; li < layers; li++ {
+		in, out := sp.Sizes[li], sp.Sizes[li+1]
+		if sp.Weights != nil {
+			if len(sp.Weights[li]) != out {
+				return fmt.Errorf("weights[%d]: got %d rows, want %d", li, len(sp.Weights[li]), out)
+			}
+			for i, row := range sp.Weights[li] {
+				if len(row) != in {
+					return fmt.Errorf("weights[%d][%d]: got %d values, want %d", li, i, len(row), in)
+				}
+			}
+		}
+		if sp.Biases != nil && len(sp.Biases[li]) != out {
+			return fmt.Errorf("biases[%d]: got %d values, want %d", li, len(sp.Biases[li]), out)
+		}
+	}
+	return nil
+}
+
 func run(in io.Reader, out io.Writer, emitRuntime bool) error {
 	var sp spec
 	if err := json.NewDecoder(in).Decode(&sp); err != nil {
 		return fmt.Errorf("parse spec: %w", err)
+	}
+	if err := sp.validate(); err != nil {
+		return err
 	}
 	if sp.Name == "" {
 		sp.Name = "model"
@@ -71,17 +133,14 @@ func run(in io.Reader, out io.Writer, emitRuntime bool) error {
 		acts = append(acts, act)
 	}
 	net := nn.New(sp.Sizes, acts, sp.Seed)
-	if sp.Weights != nil {
-		if len(sp.Weights) != len(net.Layers) {
-			return fmt.Errorf("weights: got %d layers, want %d", len(sp.Weights), len(net.Layers))
-		}
-		for li, l := range net.Layers {
+	for li, l := range net.Layers {
+		if sp.Weights != nil {
 			for i := range l.W {
 				copy(l.W[i], sp.Weights[li][i])
 			}
-			if sp.Biases != nil {
-				copy(l.B, sp.Biases[li])
-			}
+		}
+		if sp.Biases != nil {
+			copy(l.B, sp.Biases[li])
 		}
 	}
 	qc := quant.DefaultConfig()

@@ -77,16 +77,51 @@ func TestRunWithExplicitWeights(t *testing.T) {
 	}
 }
 
+// badSpecs are specs run must reject with an error, not a panic or a module.
+var badSpecs = []string{
+	`not json`,
+	`{"sizes":[2,1],"activations":["nope"]}`,
+	`{"sizes":[2,1],"activations":["linear"],"weights":[[[1]],[[2]]]}`,
+	`{"sizes":[2,3],"activations":["linear"],"weights":[[[1,1]]]}`,                                 // fewer rows than outputs
+	`{"sizes":[2,1],"activations":["linear"],"weights":[[[1]]]}`,                                   // a short row
+	`{"sizes":[2,1,1],"activations":["linear","linear"],"weights":[[[1,1]],[[1]]],"biases":[[0]]}`, // fewer bias layers
+	`{"sizes":[2,1],"activations":["linear"],"biases":[[0,0]]}`,                                    // a long bias row
+	`{"sizes":[2],"activations":[]}`,
+	`{"sizes":[],"activations":[]}`,
+	`{"sizes":[2,-1],"activations":["linear"]}`,
+	`{"sizes":[2,0],"activations":["linear"]}`,
+	`{"sizes":[2,1],"activations":["linear","linear"]}`,
+	`{"sizes":[2,1,1],"activations":["linear"]}`,
+	`{"sizes":[65537,1],"activations":["linear"]}`,
+	`{"sizes":[300,300],"activations":["linear"]}`, // more than maxWeights weights
+	`{"sizes":[2,1],"activations":["linear"],"outputScale":1000000000000000}`,
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"sizes":[2,1],"activations":["nope"]}`,
-		`{"sizes":[2,1],"activations":["linear"],"weights":[[[1]],[[2]]]}`,
-	}
-	for _, c := range cases {
+	for _, c := range badSpecs {
 		var out strings.Builder
 		if err := run(strings.NewReader(c), &out, false); err == nil {
 			t.Errorf("spec %q must be rejected", c)
 		}
 	}
+}
+
+// FuzzLfgenSpec: whatever the bytes, run returns an error or writes a module
+// that parses as Go.
+func FuzzLfgenSpec(f *testing.F) {
+	f.Add(`{"name":"aurora","sizes":[30,32,16,1],"activations":["tanh","tanh","tanh"],"seed":1,"outputScale":1000}`)
+	f.Add(`{"name":"w","sizes":[2,1],"activations":["linear"],"weights":[[[1.0, -1.0]]],"biases":[[0.5]]}`)
+	f.Add(`{"sizes":[3,2,1],"activations":["relu","sigmoid"],"biases":[[1,2],[3]]}`)
+	for _, c := range badSpecs {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		var out strings.Builder
+		if err := run(strings.NewReader(spec), &out, false); err != nil {
+			return
+		}
+		if err := codegen.Validate(out.String()); err != nil {
+			t.Fatalf("accepted spec %q gave a module that does not parse: %v", spec, err)
+		}
+	})
 }

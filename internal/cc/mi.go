@@ -4,7 +4,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/quant"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 )
 
@@ -348,31 +347,6 @@ func NewNNPolicy(net *nn.Network) *NNPolicy {
 func (p *NNPolicy) Act(state []float64) float64 {
 	p.Net.Forward(state, p.out)
 	return clip(p.out[0], -1, 1)
-}
-
-// SnapshotPolicy wraps an integer-quantized snapshot (the kernel fast-path
-// model); inference is integer-only.
-type SnapshotPolicy struct {
-	Prog *quant.Program
-	in   []int64
-	out  []int64
-}
-
-// NewSnapshotPolicy returns a policy backed by prog (StateDim → 1).
-func NewSnapshotPolicy(prog *quant.Program) *SnapshotPolicy {
-	if prog.InputSize() != StateDim || prog.OutputSize() != 1 {
-		panic("cc: snapshot must map StateDim -> 1")
-	}
-	return &SnapshotPolicy{Prog: prog, in: make([]int64, StateDim), out: make([]int64, 1)}
-}
-
-// Act implements Policy.
-func (p *SnapshotPolicy) Act(state []float64) float64 {
-	for i, x := range state {
-		p.in[i] = int64(x * float64(p.Prog.InputScale))
-	}
-	p.Prog.Infer(p.in, p.out)
-	return clip(float64(p.out[0])/float64(p.Prog.OutputScale), -1, 1)
 }
 
 // DirectBackend answers queries synchronously — in-kernel inference. The

@@ -1,16 +1,17 @@
 // Package core implements LiteFlow itself (paper §3–§4): the kernel-space
 // core module — NN manager, inference router with active/standby snapshot
-// switching and a flow-consistency cache, and the collector/enforcer (IO
-// module) registry — plus the userspace service that drives the slow path:
-// batched online adaptation, convergence ("correctness") detection, fidelity
-// ("necessity") evaluation, and conservative snapshot installation.
+// switching and a flow-consistency cache — plus the userspace service that
+// drives the slow path: batched online adaptation, convergence
+// ("correctness") detection, fidelity ("necessity") evaluation, and
+// conservative snapshot installation.
 //
 // The paper's Table 1 API maps onto this package as:
 //
 //	lf_register_model → (*Core).RegisterModel
-//	lf_register_io    → (*Core).RegisterIO
-//	lf_unregister_io  → (*Core).UnregisterIO
 //	lf_query_model    → (*Core).QueryModel
+//
+// lf_register_io/lf_unregister_io are not modelled: a datapath function here
+// calls QueryModel directly, with no collector/enforcer module in between.
 package core
 
 import (
@@ -45,15 +46,6 @@ func (m *Model) Program() *quant.Program { return m.prog }
 
 // Refs returns the flow-cache reference count.
 func (m *Model) Refs() int { return m.refs }
-
-// IOModule describes a user-provided input collector & output enforcer
-// (paper §4.2): the kernel-side glue between a datapath function and the NN.
-// RegisterIO validates its declared dimensions against the installed model.
-type IOModule interface {
-	Name() string
-	InputSize() int
-	OutputSize() int
-}
 
 // Alpha scales the necessity threshold: update only when the minimal
 // fidelity loss exceeds Alpha·(Omax−Omin). Paper value: 5%.
@@ -147,8 +139,6 @@ type Core struct {
 	cacheEnabled bool
 	fc           *flowCache
 
-	ios map[string]IOModule
-
 	// lockedUntil models the naive blocking-install alternative (§3.4):
 	// while set in the future, fast-path queries stall until release.
 	lockedUntil netsim.Time
@@ -200,7 +190,6 @@ func NewCore(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, op
 		Eng: eng, CPU: cpu, Costs: costs, Cfg: cfg,
 		cacheEnabled: true,
 		fc:           newFlowCache(cfg.FlowCacheTimeout),
-		ios:          make(map[string]IOModule),
 		sc:           o.Scope,
 	}
 	c.register(c.sc)
@@ -363,38 +352,6 @@ func (c *Core) LockRemaining() netsim.Time {
 		return rem
 	}
 	return 0
-}
-
-// RegisterIO is lf_register_io: it attaches an input collector & output
-// enforcer module after validating its declared NN dimensions against the
-// installed model (paper §4.2).
-func (c *Core) RegisterIO(io IOModule) error {
-	if io == nil {
-		return fmt.Errorf("core: nil IO module")
-	}
-	if _, dup := c.ios[io.Name()]; dup {
-		return fmt.Errorf("core: IO module %q already registered", io.Name())
-	}
-	if c.active == nil {
-		return ErrNoModel
-	}
-	if io.InputSize() != c.active.InputSize() || io.OutputSize() != c.active.OutputSize() {
-		return fmt.Errorf("%w: IO module %q requires %dx%d, model is %dx%d",
-			ErrDimensionMismatch,
-			io.Name(), io.InputSize(), io.OutputSize(),
-			c.active.InputSize(), c.active.OutputSize())
-	}
-	c.ios[io.Name()] = io
-	return nil
-}
-
-// UnregisterIO is lf_unregister_io.
-func (c *Core) UnregisterIO(name string) error {
-	if _, ok := c.ios[name]; !ok {
-		return fmt.Errorf("core: IO module %q not registered", name)
-	}
-	delete(c.ios, name)
-	return nil
 }
 
 // QueryModel is lf_query_model, the unified inference interface: it resolves

@@ -247,45 +247,6 @@ func TestFlowCacheSweeper(t *testing.T) {
 	c.StopSweeper()
 }
 
-func TestRegisterIOValidation(t *testing.T) {
-	_, c := newCore(t)
-	io := testIO{name: "cc", in: 4, out: 1}
-	if err := c.RegisterIO(io); err == nil {
-		t.Error("IO registration before any model must fail")
-	}
-	c.RegisterModel(buildModule(t, smallNet(1), "m0"))
-	if err := c.RegisterIO(nil); err == nil {
-		t.Error("nil IO must fail")
-	}
-	if err := c.RegisterIO(io); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterIO(io); err == nil {
-		t.Error("duplicate IO must fail")
-	}
-	if err := c.RegisterIO(testIO{name: "bad", in: 7, out: 1}); err == nil {
-		t.Error("dimension-mismatched IO must fail")
-	}
-	if len(c.ios) != 1 {
-		t.Errorf("registered IO modules = %d", len(c.ios))
-	}
-	if err := c.UnregisterIO("cc"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.UnregisterIO("cc"); err == nil {
-		t.Error("double unregister must fail")
-	}
-}
-
-type testIO struct {
-	name    string
-	in, out int
-}
-
-func (io testIO) Name() string    { return io.name }
-func (io testIO) InputSize() int  { return io.in }
-func (io testIO) OutputSize() int { return io.out }
-
 func TestFlowBackendQuery(t *testing.T) {
 	_, c := newCore(t)
 	net := smallNet(1)

@@ -5,8 +5,7 @@ import "errors"
 // Sentinel errors of the core module and the userspace service. All error
 // returns in this package either are one of these values or wrap one, so
 // callers classify failures with errors.Is instead of string matching.
-// codegen.ErrSnapshotBuild plays the same role for snapshot generation and
-// netlink.ErrChannelClosed for the channel.
+// codegen.ErrSnapshotBuild plays the same role for snapshot generation.
 var (
 	// ErrNoModel: the fast path was queried before any snapshot was
 	// registered.
@@ -15,12 +14,9 @@ var (
 	ErrNoStandby = errors.New("core: no standby snapshot to activate")
 	// ErrNilModule: RegisterModel was handed a nil or program-less module.
 	ErrNilModule = errors.New("core: nil module")
-	// ErrDimensionMismatch: a module or IO module declares NN dimensions
-	// incompatible with the installed model.
+	// ErrDimensionMismatch: a module declares NN dimensions incompatible
+	// with the installed model.
 	ErrDimensionMismatch = errors.New("core: dimension mismatch")
-	// ErrServiceDown: the userspace service is inside an injected
-	// crash/restart window (see Service.Healthy).
-	ErrServiceDown = errors.New("core: slow-path service down")
 	// ErrMalformedSample: a netlink payload failed validation in
 	// ParseSample — wrong length header, non-finite values, or an empty
 	// record. The kernel boundary rejects such data instead of misparsing.

@@ -165,7 +165,7 @@ type ServiceStats struct {
 	SkippedByNecessity int64
 	BuildFailures      int64 // snapshot codegen failures (install retried)
 	InstallRetries     int64 // retry-with-backoff attempts after failures
-	InstallsAbandoned  int64 // installs dropped: retry budget, rejection, or closed channel
+	InstallsAbandoned  int64 // installs dropped: retry budget or rejection
 	InstallsParked     int64 // installs parked on a degraded core, awaiting recovery
 	OutageDrops        int64 // batches dropped inside injected outages
 	Malformed          int64 // messages rejected by ParseSample
@@ -265,15 +265,6 @@ func (s *Service) Start(interval netsim.Time) {
 
 // Stats returns a copy of the service's counters.
 func (s *Service) Stats() ServiceStats { return s.st }
-
-// Healthy reports whether the service is currently able to process batches.
-// Inside an injected crash/restart window it returns ErrServiceDown.
-func (s *Service) Healthy() error {
-	if s.inj.ServiceDown(int64(s.Core.Eng.Now())) {
-		return ErrServiceDown
-	}
-	return nil
-}
 
 // HandleBatch processes one delivered batch: adapt, then evaluate
 // synchronization. It is exposed so hosts can wire it as the channel's
@@ -466,8 +457,7 @@ const (
 	parked                           // registered on a degraded core; activateParked finishes it
 	skipped                          // fidelity loss within α·(Omax−Omin): nothing to update
 	nothingComparable                // no active snapshot, or no sample both models could answer
-	channelClosed                    // the fidelity query could not be sent
-	abandoned                        // build retries exhausted, or no channel left to install over
+	abandoned                        // build retries exhausted
 	rejected                         // the core refused the module or the switch
 	displaced                        // the parked standby was gone when recovery came
 )
@@ -492,7 +482,6 @@ func outcomeTable(st *ServiceStats) [displaced + 1]outcomeRow {
 		parked:            {counter: &st.InstallsParked, cat: "snapshot", event: "install_parked", arg: "model"},
 		skipped:           {counter: &st.SkippedByNecessity, cat: "service", event: "necessity_skip"},
 		nothingComparable: {},
-		channelClosed:     {},
 		abandoned:         {counter: &st.InstallsAbandoned, cat: "snapshot", event: "install_abandoned", arg: "attempts", failed: "abandoned"},
 		rejected:          {counter: &st.InstallsAbandoned, cat: "snapshot", event: "install_rejected", arg: "model", failed: "rejected"},
 		displaced:         {failed: "displaced"},
@@ -553,7 +542,7 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 	for _, sm := range samples {
 		payload += 8 * len(sm.Input)
 	}
-	sendErr := s.Chan.SendToKernel(payload, func() {
+	s.Chan.SendToKernel(payload, func() {
 		active := s.Core.Active()
 		if active == nil {
 			s.settle(nothingComparable, nil, "", 0)
@@ -596,9 +585,6 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 			s.tryInstall(0)
 		})
 	})
-	if sendErr != nil {
-		s.settle(channelClosed, nil, "", 0)
-	}
 }
 
 // The install retry policy: an attempt that fails to build waits
@@ -661,7 +647,7 @@ func (s *Service) tryInstall(attempt int) {
 	s.life.SetVersion(int64(s.snapCount))
 	s.life.Child("quantize", now, 0)
 	s.life.Child("build", now, 0)
-	sendErr := s.Chan.SendToKernel(mod.Program.NumParams()*8, func() {
+	s.Chan.SendToKernel(mod.Program.NumParams()*8, func() {
 		m, err := s.Core.Install(mod)
 		done := s.Core.Eng.Now()
 		switch {
@@ -683,9 +669,6 @@ func (s *Service) tryInstall(attempt int) {
 			s.settle(rejected, nil, name, 0)
 		}
 	})
-	if sendErr != nil {
-		s.settle(abandoned, nil, "", attempt+1) // the channel is gone
-	}
 }
 
 // closeLife resets the lifecycle span slot after the open root ended; the

@@ -185,24 +185,6 @@ func TestParkedStandbyDisplaced(t *testing.T) {
 	}
 }
 
-// TestClosedChannelSettles: with the channel closed there is no kernel to ask
-// or install into. The fidelity round ends without a verdict, an install ends
-// abandoned, and both leave the pipeline free.
-func TestClosedChannelSettles(t *testing.T) {
-	r := newWatchdogRig(t, netsim.Second)
-	defer r.core.StopWatchdog()
-	r.ch.Close()
-	r.svc.evaluateNecessity([]Sample{{Input: []float64{0.1, 0.2, 0.3, 0.4}}})
-	if st := r.svc.Stats(); r.svc.installing || st.FidelityChecks != 1 || st.InstallsAbandoned != 0 {
-		t.Errorf("a fidelity query that cannot be sent must settle quietly: installing=%v %+v", r.svc.installing, st)
-	}
-	r.svc.installing = true
-	r.svc.tryInstall(0)
-	if st := r.svc.Stats(); r.svc.installing || st.InstallsAbandoned != 1 {
-		t.Errorf("an install with no channel must be abandoned: installing=%v %+v", r.svc.installing, st)
-	}
-}
-
 // wideEvaluator wraps an Evaluator and appends one extra output element, so
 // userspace and kernel output sizes disagree on every fidelity sample.
 type wideEvaluator struct{ inner *userModel }
@@ -572,27 +554,5 @@ func TestNecessityThresholdBoundary(t *testing.T) {
 				t.Errorf("LastFidelity = %v, want exact %v", st.LastFidelity, tc.loss)
 			}
 		})
-	}
-}
-
-// TestSendToKernelAbortedByClose covers the netlink side of the install
-// pipeline: a downcall in flight when the channel closes must not run its
-// kernel-side completion (the contract says done never runs after Close) and
-// must be counted.
-func TestSendToKernelAbortedByClose(t *testing.T) {
-	eng := netsim.NewEngine()
-	cpu := ksim.NewHostCPU(eng, 4)
-	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
-	ran := false
-	if err := ch.SendToKernel(64, func() { ran = true }); err != nil {
-		t.Fatal(err)
-	}
-	ch.Close()
-	eng.Run()
-	if ran {
-		t.Error("done must not run when Close races the downcall")
-	}
-	if got := ch.Stats().DownAborted; got != 1 {
-		t.Errorf("DownAborted = %d, want 1", got)
 	}
 }

@@ -107,7 +107,7 @@ func goldenSuite(parallel int, live bool) suiteRun {
 	if live {
 		reg, tr = obs.NewRegistry(), obs.NewTracer(0)
 	}
-	cfg := Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr)} // neither is obs.Nop()
+	cfg := Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr)} // neither is obs.Scope{}
 	run := suiteRun{results: RunSuite(All(), cfg, SuiteOptions{Parallel: parallel})}
 	if live {
 		var tb bytes.Buffer
@@ -178,7 +178,7 @@ func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 }
 
 // TestTelemetryIsPassive: attaching a registry and a tracer changes no
-// report. Every registered experiment renders the same Result under obs.Nop()
+// report. Every registered experiment renders the same Result under obs.Scope{}
 // as in the reference pass under live telemetry — which holds only if every
 // rig a figure builds counts into instruments of its own (obs.Fork), since
 // each component's Stats() reads the instruments it was handed.

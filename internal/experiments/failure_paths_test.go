@@ -6,13 +6,9 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/fault"
-	"github.com/liteflow-sim/liteflow/internal/ksim"
-	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 )
 
@@ -23,7 +19,7 @@ import (
 var failurePathEvents = []string{
 	"install_parked", "parked_activate", "install_retry", "install_abandoned",
 	"build_failure", "outage_drop", "necessity_skip", "install_deferred",
-	"late_join", "snapshot_lifecycle",
+	"snapshot_lifecycle",
 	"canary_fail", "rollback_wave", "member_rollback",
 }
 
@@ -51,38 +47,20 @@ func failureAdaptRun(sc obs.Scope) {
 }
 
 // failureFleetRun is a chaos fleet whose every epoch stages through a
-// one-member canary cohort for eight aggregation rounds (so the next drift
-// finds the wave still open), which enrolls one more member mid-run and pins
-// member 0 for the middle half: fleet.Controller's parked installs, catch-up,
-// deferred builds, failed verdicts, rollbacks and late joiner.
-func failureFleetRun(t *testing.T, sc obs.Scope) {
+// two-member canary cohort for eight aggregation rounds (so the next drift
+// finds the wave still open); member 1 of the cohort has faults:
+// fleet.Controller's parked installs, catch-up, deferred builds, failed
+// verdicts and rollbacks.
+func failureFleetRun(sc obs.Scope) {
 	const agg = 2 * netsim.Millisecond
 	const dur = 200 * netsim.Millisecond
 	f := rig.NewFleet(rig.FleetOpts{
 		Members: 4, Seed: 1, Agg: agg, Dur: dur, End: 2 * dur,
-		CanaryCount: 1, CanaryWindow: 8 * agg,
+		CanaryCount: 2, CanaryWindow: 8 * agg,
 		OddFaults: chaosWithOutages(dur/4, dur/10),
 		Scope:     sc,
 		Stream:    rig.Stream{Every: agg / 8},
 	})
-	f.Eng.At(dur/2, func() {
-		cpu := ksim.NewHostCPU(f.Eng, 4)
-		costs := ksim.DefaultCosts()
-		late := sc.With(obs.Label{Key: "host", Value: "late"})
-		co := core.NewCore(f.Eng, cpu, costs, core.DefaultConfig(), opt.WithScope(late))
-		ch := netlink.NewChannel(f.Eng, cpu, costs, nil, opt.WithScope(late))
-		if _, err := f.Ctrl.AddMember(co, ch); err != nil {
-			t.Errorf("enrolling a member after Start: %v", err)
-		}
-	})
-	// While member 0 is pinned the cohort is member 1, which has faults.
-	m0 := f.Ctrl.Members()[0]
-	f.Eng.At(dur/4, func() {
-		if err := m0.Pin(m0.Epoch()); err != nil {
-			t.Error(err)
-		}
-	})
-	f.Eng.At(3*dur/4, m0.Unpin)
 	f.Eng.At(dur, func() { f.User.DriftEvery = 0 })
 	f.Eng.RunUntil(2 * dur)
 	f.Stop()
@@ -122,7 +100,7 @@ func TestGoldenFailurePaths(t *testing.T) {
 		return b.Bytes(), reg.PrometheusText()
 	}
 	adaptTrace, adaptProm := export(failureAdaptRun)
-	fleetTrace, fleetProm := export(func(sc obs.Scope) { failureFleetRun(t, sc) })
+	fleetTrace, fleetProm := export(failureFleetRun)
 
 	for _, name := range failurePathEvents {
 		key := []byte(`"name":"` + name + `"`)

@@ -1,5 +1,5 @@
 // Canary gating for staged fleet rollouts (DESIGN.md §4i). The cohort is the
-// deterministic prefix of non-pinned members (lowest indices, §4d); the
+// deterministic prefix of members (lowest indices, §4d); the
 // verdict compares each canary's flight-recorder series over the observation
 // window against the same-length window that ended at the mint instant. A
 // pass releases the remaining members; a fail blacklists the epoch and rolls
@@ -15,25 +15,16 @@ import (
 )
 
 // canaryCohort returns the members a freshly minted epoch stages to, or nil
-// for an unstaged fan-out. The cohort is the first k non-pinned members in
-// index order — deterministic across runs (§4d). Staging degenerates to a
-// full fan-out when the cohort would cover every eligible member: observing
-// the whole fleet protects nobody.
+// for an unstaged fan-out. The cohort is the first k members in index order —
+// deterministic across runs (§4d). Staging degenerates to a full fan-out when
+// the cohort would cover every member: observing the whole fleet protects
+// nobody.
 func (c *Controller) canaryCohort() []*Member {
-	if !c.cfg.staged() {
-		return nil
-	}
-	eligible := make([]*Member, 0, len(c.members))
-	for _, m := range c.members {
-		if !m.pinned {
-			eligible = append(eligible, m)
-		}
-	}
 	k := c.cfg.CanaryCount
-	if k >= len(eligible) {
+	if !c.cfg.staged() || k >= len(c.members) {
 		return nil
 	}
-	return eligible[:k]
+	return c.members[:k]
 }
 
 // memberSeriesMatcher returns a predicate selecting flight-recorder series
@@ -136,15 +127,15 @@ func (c *Controller) canaryVerdict(epoch int64) {
 
 // releaseWave promotes the observed epoch to the released version and fans
 // it out to the remaining members. Members already at (or parked at) the
-// epoch, pinned members, and members with an install in flight are skipped.
+// epoch and members with an install in flight are skipped.
 func (c *Controller) releaseWave(now netsim.Time) {
 	c.st.CanaryPasses++
 	c.sc.Event2("fleet", "canary_pass", now, "epoch", c.cur.epoch, "canaries", int64(len(c.canaries)))
 	c.wave.Mark("canary_pass", now, "epoch", c.cur.epoch)
-	c.release(now)
+	c.rel = c.cur
 	jobs := make([]installJob, 0, len(c.members))
 	for _, m := range c.members {
-		if m.pinned || m.epoch >= c.cur.epoch || m.parkedEpoch == c.cur.epoch || m.installing {
+		if m.epoch >= c.cur.epoch || m.parkedEpoch == c.cur.epoch || m.installing {
 			continue
 		}
 		jobs = append(jobs, installJob{m: m, version: c.cur})

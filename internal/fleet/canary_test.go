@@ -10,24 +10,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
-// addLateMember enrolls one more member on an already-started rig, mirroring
-// newFleetRig's member construction.
-func (r *fleetRig) addLateMember(t *testing.T) *Member {
-	t.Helper()
-	ccfg := core.DefaultConfig()
-	ccfg.FlowCacheTimeout = 0
-	cpu := ksim.NewHostCPU(r.eng, 4)
-	c := core.NewCore(r.eng, cpu, ksim.DefaultCosts(), ccfg)
-	ch := netlink.NewChannel(r.eng, cpu, ksim.DefaultCosts(), nil)
-	m, err := r.ctrl.AddMember(c, ch)
-	if err != nil {
-		t.Fatalf("AddMember after Start: %v", err)
-	}
-	r.cores = append(r.cores, c)
-	r.chans = append(r.chans, ch)
-	return m
-}
-
 // stagedRig is newFleetRig plus a canary-gated config: epoch mints install to
 // the first CanaryCount members, observe for CanaryWindow, then release or
 // roll back.
@@ -152,57 +134,36 @@ func TestCanaryFailRollsBackAndBlacklists(t *testing.T) {
 	}
 }
 
-// TestPinnedMemberSkipsFanOut: a pinned member holds its version through a
-// fan-out (counted in the pinned gauge, excluded from staleness), and on
-// unpin catches up through the ErrPastEvent late path — the wave's fan-out
-// instant is long past, so the catch-up install joins the queue immediately
-// and the late-catch-up counter ticks.
-func TestPinnedMemberSkipsFanOut(t *testing.T) {
+// TestLaggingMemberCatchesUp: a member behind the released epoch with no
+// parked standby — it missed the wave — is brought to parity by its next
+// batch, through one more install of the released version.
+func TestLaggingMemberCatchesUp(t *testing.T) {
 	r := newFleetRig(t, 3, Config{
 		BatchInterval:       10 * netsim.Millisecond,
 		AggregationInterval: 10 * netsim.Millisecond,
 	}, nil)
 	defer r.ctrl.Stop()
-	pinned := r.ctrl.Members()[2]
-	if err := pinned.Pin(7); err == nil {
-		t.Fatal("Pin must reject an epoch the member does not have installed")
-	}
-	if err := pinned.Pin(1); err != nil {
-		t.Fatalf("Pin(current epoch) failed: %v", err)
-	}
-	if !pinned.Pinned() {
-		t.Fatal("member not pinned after Pin")
-	}
-
 	r.feedAll(10*netsim.Millisecond, 500*netsim.Millisecond)
 	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
 	r.eng.RunUntil(300 * netsim.Millisecond)
+	if got := r.ctrl.Released(); got != 2 {
+		t.Fatalf("drift must release epoch 2, got %d (stats %+v)", got, r.ctrl.Stats())
+	}
 
+	// Rewind member 2 to before the epoch-2 wave.
+	m := r.ctrl.members[2]
+	m.epoch = 1
 	st := r.ctrl.Stats()
-	if st.Epoch != 2 {
-		t.Fatalf("drift must mint epoch 2: %+v", st)
+	if st.StaleMembers != 1 {
+		t.Fatalf("the lagging member must count stale: %+v", st)
 	}
-	if got := r.ctrl.MemberEpochs(); got[0] != 2 || got[1] != 2 || got[2] != 1 {
-		t.Fatalf("pinned member must hold epoch 1: %v", got)
-	}
-	if st.PinnedMembers != 1 {
-		t.Errorf("PinnedMembers = %d, want 1", st.PinnedMembers)
-	}
-	if st.StaleMembers != 0 {
-		t.Errorf("pinned member counted stale: %+v", st)
-	}
-
-	pinned.Unpin()
 	r.eng.RunUntil(500 * netsim.Millisecond)
-	st = r.ctrl.Stats()
-	if got := r.ctrl.MemberEpochs(); got[2] != 2 {
-		t.Fatalf("unpinned member must catch up: %v", got)
+	if m.epoch != 2 {
+		t.Fatalf("lagging member must catch up to the released epoch 2, at %d", m.epoch)
 	}
-	if st.LateCatchUps < 1 {
-		t.Errorf("catch-up after the wave drained must take the ErrPastEvent late path: %+v", st)
-	}
-	if st.PinnedMembers != 0 {
-		t.Errorf("PinnedMembers = %d after Unpin, want 0", st.PinnedMembers)
+	if got := r.ctrl.Stats(); got.MemberInstalls != st.MemberInstalls+1 || got.StaleMembers != 0 {
+		t.Errorf("catch-up must take one install and leave nobody stale: installs %d -> %d, %+v",
+			st.MemberInstalls, got.MemberInstalls, got)
 	}
 }
 
@@ -269,7 +230,7 @@ func equalEpochs(a, b []int64) bool {
 // TestCatchUpSupersededParkedEpoch: a member that parked epoch N while the
 // fleet went on to release N+1 must never activate the stale N — its first
 // post-recovery batch discards the parked target and re-enqueues an install
-// of the released version, through the late-catch-up path.
+// of the released version.
 func TestCatchUpSupersededParkedEpoch(t *testing.T) {
 	r := newFleetRig(t, 3, Config{
 		BatchInterval:       10 * netsim.Millisecond,
@@ -289,7 +250,7 @@ func TestCatchUpSupersededParkedEpoch(t *testing.T) {
 	m := r.ctrl.members[2]
 	m.epoch = 2
 	m.parkedEpoch = 2
-	late := r.ctrl.Stats().LateCatchUps
+	installs := r.ctrl.Stats().MemberInstalls
 
 	epochs := map[int64]bool{}
 	var probe func()
@@ -302,8 +263,8 @@ func TestCatchUpSupersededParkedEpoch(t *testing.T) {
 	probe()
 	r.eng.RunUntil(600 * netsim.Millisecond)
 
-	if m.Epoch() != 3 {
-		t.Fatalf("member must catch up to the released epoch 3, at %d", m.Epoch())
+	if m.epoch != 3 {
+		t.Fatalf("member must catch up to the released epoch 3, at %d", m.epoch)
 	}
 	if m.parkedEpoch != 0 {
 		t.Errorf("superseded parked epoch not discarded: %d", m.parkedEpoch)
@@ -311,42 +272,39 @@ func TestCatchUpSupersededParkedEpoch(t *testing.T) {
 	if epochs[1] {
 		t.Error("member regressed to epoch 1 during catch-up")
 	}
-	if got := r.ctrl.Stats().LateCatchUps; got <= late {
-		t.Errorf("superseded catch-up must take the ErrPastEvent late path: %d -> %d", late, got)
+	if got := r.ctrl.Stats().MemberInstalls; got != installs+1 {
+		t.Errorf("superseded catch-up must take one install of the released version: %d -> %d", installs, got)
 	}
 }
 
-// TestAddMemberAfterStartJoinsLive: a member enrolled after Start must be
-// provisioned with the released version and start batching immediately — not
-// sit at epoch 0 inflating the staleness gauge (the old zombie-member bug).
-func TestAddMemberAfterStartJoinsLive(t *testing.T) {
+// TestAddMemberAfterStartIsRefused: members join before Start. One offered
+// afterwards is refused: it is not enrolled, its core gets no model, and its
+// channel never batches.
+func TestAddMemberAfterStartIsRefused(t *testing.T) {
 	r := newFleetRig(t, 2, Config{
 		BatchInterval:       10 * netsim.Millisecond,
 		AggregationInterval: 10 * netsim.Millisecond,
 	}, nil)
 	defer r.ctrl.Stop()
 
-	m := r.addLateMember(t)
-	if got := m.Epoch(); got != 1 {
-		t.Fatalf("late joiner epoch = %d, want the released epoch 1", got)
+	cpu := ksim.NewHostCPU(r.eng, 4)
+	c := core.NewCore(r.eng, cpu, ksim.DefaultCosts(), core.DefaultConfig())
+	ch := netlink.NewChannel(r.eng, cpu, ksim.DefaultCosts(), nil)
+	if m, err := r.ctrl.AddMember(c, ch); err == nil || m != nil {
+		t.Fatalf("AddMember after Start = (%v, %v), want an error", m, err)
 	}
-	if st := r.ctrl.Stats(); st.StaleMembers != 0 {
-		t.Fatalf("late joiner counted stale: %+v", st)
+	if n := len(r.ctrl.Members()); n != 2 {
+		t.Errorf("%d members enrolled, want the 2 from before Start", n)
 	}
-
-	// Its batches must flow (StartBatching was called for it) and it must
-	// ride the next fan-out to parity like everyone else.
-	r.feedAll(10*netsim.Millisecond, 400*netsim.Millisecond)
-	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
-	r.eng.RunUntil(500 * netsim.Millisecond)
-
-	st := r.ctrl.Stats()
-	if st.Epoch != 2 {
-		t.Fatalf("drift must mint epoch 2: %+v", st)
+	if c.Active() != nil {
+		t.Error("the refused member's core was given a model")
 	}
-	for i, e := range r.ctrl.MemberEpochs() {
-		if e != 2 {
-			t.Errorf("member %d epoch = %d, want 2 (late joiner must ride fan-outs)", i, e)
-		}
+	ch.Push(core.EncodeSample(core.Sample{Input: []float64{0.1, 0.2, 0.3, 0.4}, At: r.eng.Now()}))
+	r.eng.RunUntil(100 * netsim.Millisecond)
+	if st := ch.Stats(); st.Flushes != 0 {
+		t.Errorf("the refused member's channel batched: %+v", st)
+	}
+	if st := r.ctrl.Stats(); st.Members != 2 || st.StaleMembers != 0 {
+		t.Errorf("the refused member shows in the controller's stats: %+v", st)
 	}
 }

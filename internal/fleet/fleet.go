@@ -19,13 +19,12 @@
 // (superseded meanwhile).
 //
 // Staged rollouts (DESIGN.md §4i): with canary gating enabled, a minted
-// epoch first installs only to a deterministic cohort (the lowest non-pinned
-// member indices), the controller observes per-member flight-recorder deltas
+// epoch first installs only to a deterministic cohort (the lowest member
+// indices), the controller observes per-member flight-recorder deltas
 // over Config.CanaryWindow against the pre-install window, and only a
 // passing verdict releases the remaining members. A failing verdict rolls
 // the canaries back to the retained previous version, blacklists the epoch,
-// and the next aggregation rounds mint a fresh candidate. Members may also be
-// pinned (Member.Pin) to opt out of fan-outs entirely.
+// and the next aggregation rounds mint a fresh candidate.
 //
 // Determinism (DESIGN.md §4d): member batches are pooled in ascending member
 // index order on every aggregation tick, the fan-out queue and the canary
@@ -64,7 +63,7 @@ type Config struct {
 	MaxConcurrentInstalls int
 
 	// CanaryCount stages each minted epoch to the first CanaryCount
-	// non-pinned members (lowest indices — deterministic per §4d) before
+	// members (lowest indices — deterministic per §4d) before
 	// releasing the rest. If it is zero, or the cohort would cover the whole
 	// fleet, epochs fan out unstaged.
 	CanaryCount int
@@ -111,14 +110,13 @@ func (c Config) staged() bool {
 
 // Stats counts controller activity. The controller counts into its own Stats,
 // and its scope exports the fields as counter and gauge views; Stats() fills
-// in the computed fields (Members, Epoch, ReleasedEpoch, StaleMembers,
-// PinnedMembers) on the copy it returns.
+// in the computed fields (Members, Epoch, ReleasedEpoch, StaleMembers) on the
+// copy it returns.
 type Stats struct {
 	Members            int
 	Epoch              int64 // latest minted epoch (may still be in canary)
 	ReleasedEpoch      int64 // latest epoch released to the whole fleet
 	StaleMembers       int
-	PinnedMembers      int
 	Aggregations       int64 // pooled adapt rounds with at least one sample
 	Batches            int64 // member batches accepted
 	Samples            int64 // samples pooled across all members
@@ -129,21 +127,20 @@ type Stats struct {
 	BuildFailures      int64
 	MemberInstalls     int64 // per-member installs activated
 	InstallsParked     int64 // member installs parked on a degraded core
-	InstallsAbandoned  int64 // member installs dropped (rejection, closed channel, Stop)
+	InstallsAbandoned  int64 // member installs dropped (rejection, Stop)
 	InstallsDeferred   int64 // build rounds deferred because a fan-out was in flight
 	CanaryPasses       int64 // staged epochs released after a healthy observation window
 	CanaryFails        int64 // staged epochs blacklisted by the verdict
 	Rollbacks          int64 // canary members rolled back to the prior version
 	OutageDrops        int64 // member batches dropped inside injected outages
-	LateCatchUps       int64 // catch-up installs enqueued after the wave fan-out time passed
 	Malformed          int64
 	FidelityMismatches int64
 	LastStability      float64
 	LastFidelity       float64
 }
 
-// register exports the controller's counts on sc. The stale and pinned
-// gauges read the Stats fields updateStale refreshes; the released-epoch gauge
+// register exports the controller's counts on sc. The stale gauge reads the
+// Stats field updateStale refreshes; the released-epoch gauge
 // reads the released version itself.
 func (c *Controller) register(sc obs.Scope) {
 	st := &c.st
@@ -163,11 +160,9 @@ func (c *Controller) register(sc obs.Scope) {
 	sc.CounterOf("liteflow_fleet_canary_fail_total", "staged epochs blacklisted by a failing canary verdict", &st.CanaryFails)
 	sc.CounterOf("liteflow_fleet_rollbacks_total", "canary members rolled back to the prior released version", &st.Rollbacks)
 	sc.CounterOf("liteflow_fleet_outage_drops_total", "member batches dropped inside injected outages", &st.OutageDrops)
-	sc.CounterOf("liteflow_fleet_late_catchups_total", "catch-up installs enqueued immediately because the wave fan-out time had passed", &st.LateCatchUps)
 	sc.CounterOf("liteflow_fleet_malformed_total", "member messages rejected by sample validation", &st.Malformed)
 	sc.CounterOf("liteflow_fleet_fidelity_size_mismatch_total", "pooled fidelity samples skipped for output-size mismatch", &st.FidelityMismatches)
 	obs.GaugeOf(sc, "liteflow_fleet_stale_members", "members whose installed epoch lags the released epoch", &st.StaleMembers)
-	obs.GaugeOf(sc, "liteflow_fleet_pinned_members", "members pinned to a version and excluded from fan-outs", &st.PinnedMembers)
 	obs.GaugeOf(sc, "liteflow_fleet_released_epoch", "latest epoch released to the whole fleet", &c.rel.epoch)
 	obs.GaugeOf(sc, "liteflow_fleet_last_stability", "stability metric from the latest pooled round", &st.LastStability)
 	obs.GaugeOf(sc, "liteflow_fleet_last_fidelity", "minimal pooled fidelity loss from the latest necessity check", &st.LastFidelity)
@@ -182,46 +177,10 @@ type Member struct {
 	epoch       int64 // last activated fleet epoch
 	parkedEpoch int64 // epoch of a standby parked by degradation (0 = none)
 	installing  bool  // an install is queued or in flight
-	pinned      bool
 	pending     []core.Sample
 
 	ctrl *Controller
 	inj  *fault.Injector
-}
-
-// Epoch returns the fleet epoch this member last activated.
-func (m *Member) Epoch() int64 { return m.epoch }
-
-// Pinned reports whether the member is pinned to its installed version.
-func (m *Member) Pinned() bool { return m.pinned }
-
-// Pin freezes the member at epoch, which must be the version it currently
-// has installed — pinning is "hold what you have", not a request to install
-// something else. Pinned members are skipped by fan-outs, canary cohorts,
-// releases, and catch-up, and are not counted stale; they keep sampling (their
-// traffic still informs adaptation). Returns an error if epoch is not the
-// member's installed epoch.
-func (m *Member) Pin(epoch int64) error {
-	if epoch != m.epoch {
-		return fmt.Errorf("fleet: member %d is at epoch %d, cannot pin epoch %d", m.Index, m.epoch, epoch)
-	}
-	if !m.pinned {
-		m.pinned = true
-		m.ctrl.sc.Event2("fleet", "pin", m.ctrl.eng.Now(), "member", int64(m.Index), "epoch", epoch)
-		m.ctrl.updateStale()
-	}
-	return nil
-}
-
-// Unpin re-enrolls the member in fan-outs. It rejoins at its next catch-up
-// (or the next minted wave) rather than being installed synchronously.
-func (m *Member) Unpin() {
-	if !m.pinned {
-		return
-	}
-	m.pinned = false
-	m.ctrl.sc.Event2("fleet", "unpin", m.ctrl.eng.Now(), "member", int64(m.Index), "epoch", m.epoch)
-	m.ctrl.updateStale()
 }
 
 // version ties an epoch to its built module, whose Program is also the
@@ -304,7 +263,6 @@ type Controller struct {
 	// so the whole rollout renders as one tree across all member tracks.
 	spans    *obs.SpanTracer
 	wave     *obs.Span
-	fanStart netsim.Time // fan-out instant of the released version (catch-up replay anchor)
 	segStart netsim.Time // start of the current enqueue burst (span children)
 
 	sc obs.Scope
@@ -332,31 +290,18 @@ func New(eng *netsim.Engine, coreCfg core.Config, f core.Freezer, e core.Evaluat
 // core's watchdog (when configured) is armed — the controller is its slow
 // path now. opt.WithFaults subjects this member's batch stream to injected
 // outages (the controller drops its batches inside outage windows, which is
-// the silence the member's watchdog detects).
-//
-// Members added after Start are provisioned as late joiners: the released
-// version is registered and activated directly and batching begins
-// immediately, so the member enters at epoch parity instead of sitting at
-// epoch 0 inflating the staleness gauge. A late joiner whose core rejects the
-// released module returns an error and is not enrolled.
+// the silence the member's watchdog detects). Members join before Start:
+// after it AddMember returns an error and enrolls nothing.
 func (c *Controller) AddMember(co *core.Core, ch *netlink.Channel, options ...opt.Option) (*Member, error) {
+	if c.running {
+		return nil, fmt.Errorf("fleet: member %d added after Start", len(c.members))
+	}
 	o := opt.Resolve(options)
 	m := &Member{Index: len(c.members), Core: co, Chan: ch, ctrl: c, inj: o.Faults}
 	msc := c.sc.With(obs.Label{Key: "member", Value: strconv.Itoa(m.Index)}).WithTid(int64(m.Index) + 1)
 	obs.GaugeOf(msc, "liteflow_fleet_member_epoch", "fleet epoch this member last activated", &m.epoch)
 	ch.SetDeliver(func(batch []netlink.Message) { c.handleMemberBatch(m, batch) })
 	co.AttachSlowPath()
-	if c.running {
-		if _, err := co.RegisterModel(c.rel.mod); err != nil {
-			return nil, fmt.Errorf("fleet: provision late member %d: %w", m.Index, err)
-		}
-		m.epoch = c.rel.epoch
-		c.members = append(c.members, m)
-		ch.StartBatching(c.cfg.BatchInterval)
-		c.updateStale()
-		c.sc.Event2("fleet", "late_join", c.eng.Now(), "member", int64(m.Index), "epoch", m.epoch)
-		return m, nil
-	}
 	c.members = append(c.members, m)
 	return m, nil
 }
@@ -375,11 +320,11 @@ func (c *Controller) Released() int64 { return c.rel.epoch }
 func (c *Controller) Blacklisted() []int64 { return append([]int64(nil), c.blacklist...) }
 
 // StaleMembers returns how many members lag the released epoch. Canaries
-// running ahead of the release and pinned members are not stale.
+// running ahead of the release are not stale.
 func (c *Controller) StaleMembers() int {
 	stale := 0
 	for _, m := range c.members {
-		if m.epoch < c.rel.epoch && !m.pinned {
+		if m.epoch < c.rel.epoch {
 			stale++
 		}
 	}
@@ -459,7 +404,7 @@ func (c *Controller) Stop() {
 func (c *Controller) Stats() Stats {
 	st := c.st
 	st.Members, st.Epoch, st.ReleasedEpoch = len(c.members), c.cur.epoch, c.rel.epoch
-	st.StaleMembers, st.PinnedMembers = c.StaleMembers(), c.pinnedMembers()
+	st.StaleMembers = c.StaleMembers()
 	return st
 }
 
@@ -491,12 +436,8 @@ func (c *Controller) handleMemberBatch(m *Member, batch []netlink.Message) {
 // epoch. A standby parked at the released epoch activates in place; a parked
 // or missed epoch that was superseded (or blacklisted — a failed verdict
 // reverts to the released version, so a blacklisted epoch is never the
-// released one) re-enqueues an install of the released version. Pinned members
-// hold their version.
+// released one) re-enqueues an install of the released version.
 func (c *Controller) catchUp(m *Member) {
-	if m.pinned {
-		return
-	}
 	if m.parkedEpoch != 0 {
 		target := m.parkedEpoch
 		m.parkedEpoch = 0
@@ -514,16 +455,7 @@ func (c *Controller) catchUp(m *Member) {
 		// re-enqueue the released version below.
 	}
 	if m.epoch < c.rel.epoch && !m.installing {
-		job := installJob{m: m, version: c.rel}
-		// Replay the missed wave: ideally the member's install would slot in
-		// at the epoch's original fan-out instant, but a catching-up member
-		// is by definition past it. TryAt reports the stale clock as a typed
-		// ErrPastEvent (instead of the engine's scheduling panic), and the
-		// install falls back to joining the queue immediately.
-		if err := c.eng.TryAt(c.fanStart, func() { c.enqueue(job) }); err != nil {
-			c.st.LateCatchUps++
-			c.enqueue(job)
-		}
+		c.enqueue(installJob{m: m, version: c.rel})
 	}
 }
 
@@ -596,7 +528,7 @@ func (c *Controller) evaluateNecessity(pool []core.Sample) {
 // codegen — and starts its rollout. With canary gating configured the new
 // version installs only to the cohort and the wave enters the observation
 // phase when those installs drain; otherwise it enqueues an install for every
-// non-pinned member in index order. A wave still in flight (any non-idle
+// member in index order. A wave still in flight (any non-idle
 // phase) defers the build: overlapping waves would ship distinct versions to
 // different members and break epoch monotonicity.
 func (c *Controller) buildAndFanOut() {
@@ -640,27 +572,18 @@ func (c *Controller) buildAndFanOut() {
 		c.sc.Event2("fleet", "canary_stage", now, "epoch", next, "canaries", int64(len(cohort)))
 		c.wave.Mark("canary_stage", now, "canaries", int64(len(cohort)))
 	} else {
-		c.release(now)
+		c.rel = c.cur
 	}
-	jobs := make([]installJob, 0, len(targets))
-	for _, m := range targets {
-		if !m.pinned {
-			jobs = append(jobs, installJob{m: m, version: c.cur})
-		}
+	jobs := make([]installJob, len(targets))
+	for i, m := range targets {
+		jobs[i] = installJob{m: m, version: c.cur}
 	}
 	c.enter(phase, now, jobs)
 }
 
-// release makes the latest minted version the released one, as of now.
-func (c *Controller) release(now netsim.Time) {
-	c.rel = c.cur
-	c.fanStart = now
-}
-
 // enter is the rollout's one transition: the only place the phase changes.
 // Entering an install-burst phase stamps the burst and enqueues its jobs —
-// none at all (every member pinned, nothing left to release or roll back)
-// drains on the spot, and drained enters the next phase from here.
+// none at all (nothing left to release or roll back) drains on the spot, and drained enters the next phase from here.
 func (c *Controller) enter(p wavePhase, now netsim.Time, jobs []installJob) {
 	c.phase = p
 	switch p {
@@ -731,7 +654,7 @@ func (c *Controller) pump() {
 func (c *Controller) install(j installJob) {
 	c.inFlight++
 	start := c.eng.Now()
-	err := j.m.Chan.SendToKernel(j.mod.Program.NumParams()*8, func() {
+	j.m.Chan.SendToKernel(j.mod.Program.NumParams()*8, func() {
 		if !c.running {
 			// Stop raced the transfer: a dead controller must not keep
 			// registering and activating models on member cores.
@@ -744,15 +667,12 @@ func (c *Controller) install(j installJob) {
 		_, err := j.m.Core.Install(j.mod)
 		c.landed(j, start, err)
 	})
-	if err != nil {
-		c.landed(j, start, err)
-	}
 }
 
 // landed books one member install that began at start and ended with err:
 // nil, the member runs j's version; core.ErrDegraded, the member core holds
-// it as the parked standby for catchUp; anything else — a rejected module, a
-// closed channel — the install is lost and counts as abandoned. Either way
+// it as the parked standby for catchUp; anything else — a rejected module —
+// the install is lost and counts as abandoned. Either way
 // the slot is free, and the wave may have drained.
 func (c *Controller) landed(j installJob, start netsim.Time, err error) {
 	m, member, now := j.m, int64(j.m.Index), c.eng.Now()
@@ -789,18 +709,7 @@ func (c *Controller) landed(j installJob, start netsim.Time, err error) {
 	c.drained()
 }
 
-func (c *Controller) pinnedMembers() int {
-	pinned := 0
-	for _, m := range c.members {
-		if m.pinned {
-			pinned++
-		}
-	}
-	return pinned
-}
-
-// updateStale refreshes the staleness and pinned gauges after any epoch or
-// pin movement.
+// updateStale refreshes the staleness gauge after any epoch movement.
 func (c *Controller) updateStale() {
-	c.st.StaleMembers, c.st.PinnedMembers = c.StaleMembers(), c.pinnedMembers()
+	c.st.StaleMembers = c.StaleMembers()
 }

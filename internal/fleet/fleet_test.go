@@ -265,7 +265,7 @@ func TestStragglerParksAndCatchesUp(t *testing.T) {
 	if st.StaleMembers != 1 {
 		t.Fatalf("StaleMembers = %d, want 1 during the outage", st.StaleMembers)
 	}
-	if got := r.ctrl.Members()[2].Epoch(); got != 1 {
+	if got := r.ctrl.Members()[2].epoch; got != 1 {
 		t.Fatalf("straggler epoch = %d, want 1 while parked", got)
 	}
 
@@ -342,7 +342,7 @@ func TestInjectorsOnSharedScopeCountTheirOwn(t *testing.T) {
 		r.eng.RunUntil(400 * netsim.Millisecond)
 		return [2]fault.Stats{injs[0].Stats(), injs[1].Stats()}
 	}
-	own := run(obs.Nop())
+	own := run(obs.Scope{})
 	if own[0].Outages == 0 || own[1].Outages == 0 || own[0].Outages == own[1].Outages {
 		t.Fatalf("the two injectors need distinct, non-zero outage counts: %+v", own)
 	}
@@ -354,34 +354,5 @@ func TestInjectorsOnSharedScopeCountTheirOwn(t *testing.T) {
 	if got, want := reg.Value("liteflow_fault_injected_total", obs.Label{Key: "kind", Value: "service_outage"}),
 		float64(own[0].Outages+own[1].Outages); got != want {
 		t.Errorf("shared series exports %g outages, want the sum %g", got, want)
-	}
-}
-
-// TestClosedChannelAbandonsInstall: a member whose channel died mid-rollout
-// cannot receive the version; the install counts as abandoned and the member
-// stays visibly stale rather than silently "current".
-func TestClosedChannelAbandonsInstall(t *testing.T) {
-	r := newFleetRig(t, 3, Config{
-		BatchInterval:       10 * netsim.Millisecond,
-		AggregationInterval: 10 * netsim.Millisecond,
-	}, nil)
-	defer r.ctrl.Stop()
-	r.feedAll(10*netsim.Millisecond, 300*netsim.Millisecond)
-	r.eng.At(140*netsim.Millisecond, func() { r.chans[2].Close() })
-	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
-	r.eng.RunUntil(400 * netsim.Millisecond)
-
-	st := r.ctrl.Stats()
-	if st.Epoch != 2 {
-		t.Fatalf("fleet epoch = %d, want 2", st.Epoch)
-	}
-	if st.InstallsAbandoned != 1 {
-		t.Errorf("closed channel must abandon the install: %+v", st)
-	}
-	if st.StaleMembers != 1 {
-		t.Errorf("StaleMembers = %d, want the dead member visible as stale", st.StaleMembers)
-	}
-	if got := r.ctrl.MemberEpochs()[2]; got != 1 {
-		t.Errorf("dead member epoch = %d, want 1", got)
 	}
 }

@@ -1,7 +1,6 @@
 package netlink
 
 import (
-	"errors"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/fault"
@@ -43,39 +42,6 @@ func TestNilDeliverIsCountedNotPanic(t *testing.T) {
 	eng.Run()
 	if got := ch.Stats().Undelivered; got != 2 {
 		t.Errorf("Undelivered = %d, want 2", got)
-	}
-}
-
-func TestCloseSemantics(t *testing.T) {
-	eng := netsim.NewEngine()
-	cpu := ksim.NewHostCPU(eng, 4)
-	delivered := 0
-	ch := NewChannel(eng, cpu, ksim.DefaultCosts(), func([]Message) { delivered++ })
-	ch.Push(Message{Data: []float64{1}})
-	ch.Close()
-	ch.Close() // idempotent
-	if !ch.closed {
-		t.Fatal("channel must be closed after Close")
-	}
-	if len(ch.buf) != 0 {
-		t.Error("Close must discard buffered messages")
-	}
-	if ch.Stats().Dropped != 1 {
-		t.Errorf("Dropped = %d, want the buffered message counted", ch.Stats().Dropped)
-	}
-	ch.Push(Message{Data: []float64{2}}) // rejected, counted
-	if ch.Stats().Dropped != 2 {
-		t.Errorf("post-close Push must count as dropped, got %d", ch.Stats().Dropped)
-	}
-	ch.Flush()
-	ch.StartBatching(netsim.Millisecond)
-	err := ch.SendToKernel(8, func() { t.Error("done must not run on a closed channel") })
-	if !errors.Is(err, ErrChannelClosed) {
-		t.Errorf("SendToKernel after Close = %v, want ErrChannelClosed", err)
-	}
-	eng.Run()
-	if delivered != 0 {
-		t.Error("closed channel must not deliver")
 	}
 }
 

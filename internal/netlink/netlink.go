@@ -12,18 +12,12 @@
 package netlink
 
 import (
-	"errors"
-
 	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/opt"
 )
-
-// ErrChannelClosed is returned by operations on a channel after Close. Test
-// with errors.Is.
-var ErrChannelClosed = errors.New("netlink: channel closed")
 
 // MsgKind is the record type of a kernel→userspace message.
 type MsgKind int
@@ -51,7 +45,6 @@ type Stats struct {
 	Dropped     int64 // messages discarded by the bounded kernel buffer
 	Downcalls   int64 // userspace→kernel deliveries
 	DownBytes   int64
-	DownAborted int64 // downcalls whose completion was voided by a mid-flight Close
 	Undelivered int64 // batched messages that fired with no delivery callback
 }
 
@@ -64,7 +57,6 @@ func (c *Channel) register(sc obs.Scope) {
 	sc.CounterOf("liteflow_netlink_dropped_total", "messages displaced by the bounded kernel buffer", &st.Dropped)
 	sc.CounterOf("liteflow_netlink_downcalls_total", "userspace→kernel transfers", &st.Downcalls)
 	sc.CounterOf("liteflow_netlink_down_bytes_total", "userspace→kernel payload bytes", &st.DownBytes)
-	sc.CounterOf("liteflow_netlink_downcalls_aborted_total", "downcall completions voided because the channel closed mid-flight", &st.DownAborted)
 	sc.CounterOf("liteflow_netlink_undelivered_total", "batched messages discarded because no delivery callback was installed", &st.Undelivered)
 }
 
@@ -82,8 +74,7 @@ type Channel struct {
 	buf     []Message
 	deliver func(batch []Message)
 
-	inj    *fault.Injector
-	closed bool
+	inj *fault.Injector
 
 	sc obs.Scope
 	st Stats
@@ -122,28 +113,10 @@ func (c *Channel) Stats() Stats { return c.st }
 // must be called from simulation context (a test asserts this contract).
 func (c *Channel) SetDeliver(fn func(batch []Message)) { c.deliver = fn }
 
-// Close shuts the channel down: pending buffered messages are discarded,
-// periodic batching stops, and subsequent Push/Flush/SendToKernel calls are
-// rejected. Close is idempotent.
-func (c *Channel) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.ticking = false
-	c.st.Dropped += int64(len(c.buf))
-	c.buf = nil
-	c.sc.Event("netlink", "close", c.eng.Now())
-}
-
 // Push appends a message to the kernel-side batch buffer. Buffer appends are
 // in-kernel memory writes: free in this model (their cost is subsumed by the
 // per-packet processing charge already paid by the datapath).
 func (c *Channel) Push(m Message) {
-	if c.closed {
-		c.st.Dropped++
-		return
-	}
 	if len(c.buf) >= maxBuffer {
 		// Drop oldest: adaptation prefers fresh signal.
 		copy(c.buf, c.buf[1:])
@@ -161,7 +134,7 @@ func (c *Channel) Push(m Message) {
 // reorder/extra-delay faults apply here — after the kernel has paid the
 // flush costs, like a lossy boundary would behave.
 func (c *Channel) Flush() {
-	if c.closed || len(c.buf) == 0 {
+	if len(c.buf) == 0 {
 		return
 	}
 	batch := c.buf
@@ -230,9 +203,6 @@ func (c *Channel) StartBatching(interval netsim.Time) {
 	if interval <= 0 {
 		panic("netlink: batch interval must be positive")
 	}
-	if c.closed {
-		return
-	}
 	c.interval = interval
 	if c.ticking {
 		return
@@ -259,15 +229,11 @@ func (c *Channel) tick() {
 
 // SendToKernel models a userspace→kernel transfer of payloadBytes (snapshot
 // parameters, evaluation queries), invoking done in the kernel after costs
-// and latency. The transition is softirq work; the copy is kernel work. It
-// returns ErrChannelClosed (and never invokes done) after Close. The second
-// of the paper's netlink message types (§4.2: "two types of messages are
+// and latency. The transition is softirq work; the copy is kernel work. The
+// second of the paper's netlink message types (§4.2: "two types of messages are
 // transferred"), snapshot outputs for necessity evaluation, is this downcall
 // and its reply, not a Message kind.
-func (c *Channel) SendToKernel(payloadBytes int, done func()) error {
-	if c.closed {
-		return ErrChannelClosed
-	}
+func (c *Channel) SendToKernel(payloadBytes int, done func()) {
 	c.st.Downcalls++
 	c.st.DownBytes += int64(payloadBytes)
 	c.sc.Event1("netlink", "downcall", c.eng.Now(), "bytes", int64(payloadBytes))
@@ -277,18 +243,8 @@ func (c *Channel) SendToKernel(payloadBytes int, done func()) error {
 	// The user→kernel flight as a span: downcall to kernel-side completion.
 	c.sc.Span1("netlink", "downcall_flight", c.eng.Now(), int64(delay), "bytes", int64(payloadBytes))
 	c.eng.After(delay, func() {
-		if c.closed {
-			// Close raced the downcall mid-flight: the kernel side is gone,
-			// so the completion must not run against it. Counted so callers
-			// can see the loss (the doc contract is "never invokes done
-			// after Close").
-			c.st.DownAborted++
-			c.sc.Event("netlink", "downcall_aborted", c.eng.Now())
-			return
-		}
 		if done != nil {
 			done()
 		}
 	})
-	return nil
 }

@@ -48,13 +48,10 @@ const (
 const never = Time(math.MaxInt64)
 
 // ErrPastEvent reports an attempt to schedule an event before the scheduling
-// partition's current virtual time. At panics with an error wrapping it;
-// TryAt returns it, letting replay-style callers (a parked fleet member
-// catching up at a stale clock) fall back instead of crashing.
+// partition's current virtual time. At panics with an error wrapping it.
 var ErrPastEvent = errors.New("netsim: event scheduled in the past")
 
-// pastEventError decorates ErrPastEvent with the offending times. It is the
-// panic value of At and the return value of TryAt.
+// pastEventError decorates ErrPastEvent with the offending times.
 func pastEventError(at, now Time, partition int) error {
 	return fmt.Errorf("%w (at=%d now=%d partition=%d)", ErrPastEvent, at, now, partition)
 }
@@ -337,24 +334,13 @@ func (e *Engine) checkOwner() {
 // At schedules fn to run at absolute time t in this partition. Scheduling in
 // the past is a programming error and panics (with an error wrapping
 // ErrPastEvent): silently reordering events would corrupt causality in every
-// experiment built on top. Callers that legitimately race a moving clock —
-// replaying at a possibly stale time — use TryAt.
+// experiment built on top.
 func (e *Engine) At(t Time, fn func()) {
-	if err := e.TryAt(t, fn); err != nil {
-		panic(err)
-	}
-}
-
-// TryAt schedules fn at absolute time t, returning an error wrapping
-// ErrPastEvent (instead of panicking) when t is before this partition's
-// clock.
-func (e *Engine) TryAt(t Time, fn func()) error {
 	if t < e.now {
-		return pastEventError(t, e.now, e.id)
+		panic(pastEventError(t, e.now, e.id))
 	}
 	e.checkOwner()
 	e.push(event{at: t, fn: fn})
-	return nil
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d is clamped to

@@ -238,19 +238,3 @@ func (l *Link) txDone() {
 	}
 	l.startNext()
 }
-
-// Pipe is a bidirectional connection built from two independent links. It is
-// a convenience for dumbbell topologies and host attachments.
-type Pipe struct {
-	AtoB *Link
-	BtoA *Link
-}
-
-// NewPipe wires a ↔ b with symmetric rate, delay and fresh drop-tail queues
-// of capBytes each.
-func NewPipe(eng *Engine, a, b Handler, rateBps int64, delay Time, capBytes int) *Pipe {
-	return &Pipe{
-		AtoB: NewLink(eng, b, rateBps, delay, NewDropTail(capBytes)),
-		BtoA: NewLink(eng, a, rateBps, delay, NewDropTail(capBytes)),
-	}
-}

@@ -95,9 +95,10 @@ func TestPipeBidirectional(t *testing.T) {
 	var aGot, bGot int
 	a := HandlerFunc(func(p *Packet) { aGot++ })
 	b := HandlerFunc(func(p *Packet) { bGot++ })
-	pipe := NewPipe(e, a, b, 1_000_000_000, Millisecond, 1<<20)
-	pipe.AtoB.Send(&Packet{Size: 100})
-	pipe.BtoA.Send(&Packet{Size: 100})
+	aToB := NewLink(e, b, 1_000_000_000, Millisecond, NewDropTail(1<<20))
+	bToA := NewLink(e, a, 1_000_000_000, Millisecond, NewDropTail(1<<20))
+	aToB.Send(&Packet{Size: 100})
+	bToA.Send(&Packet{Size: 100})
 	e.Run()
 	if aGot != 1 || bGot != 1 {
 		t.Errorf("aGot=%d bGot=%d, want 1/1", aGot, bGot)

@@ -1,6 +1,6 @@
 package netsim
 
-// Switch forwards packets between links. It supports three forwarding modes,
+// Switch forwards packets between links. It supports two forwarding modes,
 // checked in order:
 //
 //  1. Explicit paths (XPath analog): when a packet carries a Path, the switch
@@ -8,7 +8,6 @@ package netsim
 //  2. Destination routes: exact-match routing table from destination node ID
 //     to an ECMP group of ports; multi-port groups are sprayed per-flow with
 //     a symmetric hash (gopacket FastHash idiom) so a flow sticks to a path.
-//  3. Default route, if configured.
 //
 // Packets with no matching route are counted and dropped — a loud counter
 // rather than a silent loss, so topology bugs surface in tests.
@@ -20,7 +19,6 @@ type Switch struct {
 	// consulted once per packet, hence a slice and not a map; an ID beyond
 	// it has no route, like an ID within it whose group is empty.
 	routes   [][]*Link
-	defRoute []*Link
 	unrouted int64
 }
 
@@ -51,18 +49,6 @@ func (s *Switch) AddRoute(dst int, viaNeighbors ...int) {
 			panic("netsim: route via unknown neighbor port")
 		}
 		s.routes[dst] = append(s.routes[dst], l)
-	}
-}
-
-// SetDefaultRoute sets the ECMP group used when no destination route matches.
-func (s *Switch) SetDefaultRoute(viaNeighbors ...int) {
-	s.defRoute = s.defRoute[:0]
-	for _, n := range viaNeighbors {
-		l, ok := s.ports[n]
-		if !ok {
-			panic("netsim: default route via unknown neighbor port")
-		}
-		s.defRoute = append(s.defRoute, l)
 	}
 }
 
@@ -98,9 +84,6 @@ func (s *Switch) HandlePacket(p *Packet) {
 	var group []*Link
 	if uint(p.Dst) < uint(len(s.routes)) {
 		group = s.routes[p.Dst]
-	}
-	if len(group) == 0 {
-		group = s.defRoute
 	}
 	if len(group) == 0 {
 		s.unrouted++

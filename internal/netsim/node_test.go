@@ -31,21 +31,6 @@ func TestSwitchDestinationRouting(t *testing.T) {
 // 5, does not cover: beyond it, in a gap inside it, and negative.
 var noRouteDsts = []int{99, 3, -1}
 
-func TestSwitchDefaultRoute(t *testing.T) {
-	e, s, sink1, sink2 := buildY(t)
-	s.AddRoute(5, 2)
-	s.SetDefaultRoute(1)
-	for _, dst := range noRouteDsts {
-		s.HandlePacket(&Packet{Dst: dst, Size: 100})
-	}
-	s.HandlePacket(&Packet{Dst: 5, Size: 100})
-	e.Run()
-	if sink1.Packets != int64(len(noRouteDsts)) || sink2.Packets != 1 || s.Unrouted() != 0 {
-		t.Errorf("default route took %d packets, the route to 5 %d, unrouted %d; want %d, 1, 0",
-			sink1.Packets, sink2.Packets, s.Unrouted(), len(noRouteDsts))
-	}
-}
-
 func TestSwitchUnroutedCounted(t *testing.T) {
 	_, s, _, _ := buildY(t)
 	s.AddRoute(5, 2)

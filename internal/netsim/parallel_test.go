@@ -208,19 +208,6 @@ func FuzzPrecedesMatchesBefore(f *testing.F) {
 // Typed past-event errors
 // ---------------------------------------------------------------------------
 
-func TestTryAtReturnsErrPastEvent(t *testing.T) {
-	e := NewEngine()
-	e.At(100, func() {})
-	e.Run()
-	err := e.TryAt(50, func() {})
-	if !errors.Is(err, ErrPastEvent) {
-		t.Fatalf("TryAt in the past: err = %v, want errors.Is(_, ErrPastEvent)", err)
-	}
-	if err := e.TryAt(100, func() {}); err != nil {
-		t.Fatalf("TryAt at the current time must succeed, got %v", err)
-	}
-}
-
 func TestAtPanicsWithErrPastEvent(t *testing.T) {
 	e := NewEngine()
 	e.At(100, func() {})

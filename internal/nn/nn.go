@@ -1,7 +1,7 @@
 // Package nn implements the small float64 multilayer perceptrons used by the
 // LiteFlow experiments: Aurora (32/16), MOCC (64/32), FLUX's FFNN (5/5) and
-// the load-balancing MLP (12/12). It provides forward/backward passes, SGD
-// and Adam optimizers, and deterministic initialization — the userspace
+// the load-balancing MLP (12/12). It provides forward/backward passes, the
+// Adam optimizer, and deterministic initialization — the userspace
 // "slow path" half of the system. The kernel "fast path" half is its
 // integer-quantized counterpart in package quant.
 //
@@ -597,20 +597,4 @@ func (n *Network) Clone() *Network {
 		c.scratch = append(c.scratch, make([]float64, l.In))
 	}
 	return c
-}
-
-// CopyParamsFrom copies weights and biases from src (architectures must
-// match) without touching gradients or optimizer state.
-func (n *Network) CopyParamsFrom(src *Network) {
-	if len(n.Layers) != len(src.Layers) {
-		panic("nn: architecture mismatch")
-	}
-	for li, l := range n.Layers {
-		s := src.Layers[li]
-		if l.In != s.In || l.Out != s.Out {
-			panic("nn: layer shape mismatch")
-		}
-		copy(l.w, s.w)
-		copy(l.B, s.B)
-	}
 }

@@ -237,52 +237,31 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCopyParamsFrom(t *testing.T) {
-	a := New([]int{2, 3, 1}, []Activation{Tanh, Linear}, 1)
-	b := New([]int{2, 3, 1}, []Activation{Tanh, Linear}, 2)
-	b.CopyParamsFrom(a)
-	in := []float64{0.5, 0.5}
-	if a.Infer(in)[0] != b.Infer(in)[0] {
-		t.Error("CopyParamsFrom must make outputs identical")
-	}
-	mismatch := New([]int{2, 4, 1}, []Activation{Tanh, Linear}, 3)
-	defer func() {
-		if recover() == nil {
-			t.Error("shape mismatch must panic")
-		}
-	}()
-	mismatch.CopyParamsFrom(a)
-}
-
 // Training must fit a simple function (XOR) — an end-to-end check of
-// forward, backward, and both optimizers.
+// forward, backward, and the optimizer.
 func TestTrainXOR(t *testing.T) {
 	x := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	y := [][]float64{{0}, {1}, {1}, {0}}
-	for name, opt := range map[string]Optimizer{
-		"adam": NewAdam(0.05),
-		"sgd":  NewSGD(0.5, 0.9),
-	} {
-		n := New([]int{2, 8, 1}, []Activation{Tanh, Sigmoid}, 3)
-		var loss float64
-		for epoch := 0; epoch < 2000; epoch++ {
-			loss = TrainBatch(n, opt, x, y, 0)
-		}
-		if loss > 0.01 {
-			t.Errorf("%s: XOR loss after training = %v, want < 0.01", name, loss)
-		}
-		for i := range x {
-			p := n.Infer(x[i])[0]
-			if math.Abs(p-y[i][0]) > 0.2 {
-				t.Errorf("%s: XOR(%v) = %v, want %v", name, x[i], p, y[i][0])
-			}
+	n := New([]int{2, 8, 1}, []Activation{Tanh, Sigmoid}, 3)
+	opt := NewAdam(0.05)
+	var loss float64
+	for epoch := 0; epoch < 2000; epoch++ {
+		loss = TrainBatch(n, opt, x, y, 0)
+	}
+	if loss > 0.01 {
+		t.Errorf("XOR loss after training = %v, want < 0.01", loss)
+	}
+	for i := range x {
+		p := n.Infer(x[i])[0]
+		if math.Abs(p-y[i][0]) > 0.2 {
+			t.Errorf("XOR(%v) = %v, want %v", x[i], p, y[i][0])
 		}
 	}
 }
 
 func TestTrainBatchValidation(t *testing.T) {
 	n := New([]int{1, 1}, []Activation{Linear}, 1)
-	if got := TrainBatch(n, NewSGD(0.1, 0), nil, nil, 0); got != 0 {
+	if got := TrainBatch(n, NewAdam(0.1), nil, nil, 0); got != 0 {
 		t.Error("empty batch must return 0 loss")
 	}
 	defer func() {
@@ -290,7 +269,7 @@ func TestTrainBatchValidation(t *testing.T) {
 			t.Error("mismatched batch must panic")
 		}
 	}()
-	TrainBatch(n, NewSGD(0.1, 0), [][]float64{{1}}, nil, 0)
+	TrainBatch(n, NewAdam(0.1), [][]float64{{1}}, nil, 0)
 }
 
 func TestMSE(t *testing.T) {

@@ -7,43 +7,6 @@ type Optimizer interface {
 	Step(n *Network)
 }
 
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	v map[*Dense]*sgdState
-}
-
-// sgdState is one layer's velocity, laid out like the layer's slab and bias.
-type sgdState struct{ w, b []float64 }
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, v: make(map[*Dense]*sgdState)}
-}
-
-// Step applies one update using the gradients accumulated in n.
-func (o *SGD) Step(n *Network) {
-	for _, l := range n.Layers {
-		st, ok := o.v[l]
-		if !ok {
-			st = &sgdState{w: make([]float64, len(l.w)), b: make([]float64, l.Out)}
-			o.v[l] = st
-		}
-		o.step(l.w, l.gw, st.w)
-		o.step(l.B, l.GB, st.b)
-	}
-}
-
-func (o *SGD) step(p, g, v []float64) {
-	g, v = g[:len(p)], v[:len(p)]
-	for k := range p {
-		v[k] = o.Momentum*v[k] - o.LR*g[k]
-		p[k] += v[k]
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba), the tuner the paper cites for
 // userspace model optimization.
 type Adam struct {

@@ -24,7 +24,7 @@ func fastPath(sc obs.Scope) func(i int) {
 }
 
 func BenchmarkNopScopeFastPath(b *testing.B) {
-	query := fastPath(obs.Nop())
+	query := fastPath(obs.Scope{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,7 +44,7 @@ func BenchmarkEnabledScopeFastPath(b *testing.B) {
 // TestNopScopeFastPathAllocs enforces the zero-allocation contract in the
 // regular test run, not just under -bench.
 func TestNopScopeFastPathAllocs(t *testing.T) {
-	sc := obs.Nop()
+	sc := obs.Scope{}
 	query := fastPath(sc)
 	h := sc.Histogram("liteflow_core_stall_ns", "", obs.DurationBuckets())
 	at := 0

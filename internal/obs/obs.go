@@ -16,7 +16,7 @@
 // *Registry and a *Tracer plus base labels. A component counts into fields of
 // its own Stats and registers read-only views over them (Scope.CounterOf,
 // GaugeOf); histograms and the tracer's eviction counter are owned
-// instruments. The zero Scope (or Nop()) is a valid no-op: registering a view
+// instruments. The zero Scope is a valid no-op: registering a view
 // on it returns at once and allocates nothing, and it traces nothing.
 //
 // Owned instruments, registration and the tracer are goroutine-safe. Views
@@ -39,9 +39,6 @@ type Scope struct {
 	labels []Label
 	tid    int64
 }
-
-// Nop returns the no-op scope. Identical to the zero value.
-func Nop() Scope { return Scope{} }
 
 // New returns a scope exporting metrics to reg and events to tr. Either may
 // be nil to disable that half. When both halves are live the tracer's

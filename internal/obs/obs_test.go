@@ -109,7 +109,7 @@ func TestNopScopeViewsAllocateNothing(t *testing.T) {
 		e int
 	}
 	f := &fields{}
-	sc := obs.Nop()
+	sc := obs.Scope{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		sc.CounterOf("liteflow_test_n_total", "n", &f.n, obs.Label{Key: "kind", Value: "x"})
 		obs.GaugeOf(sc, "liteflow_test_g", "g", &f.g)
@@ -222,7 +222,7 @@ func TestKindMismatchPanics(t *testing.T) {
 }
 
 func TestNopScopeStillCounts(t *testing.T) {
-	sc := obs.Nop()
+	sc := obs.Scope{}
 	if sc.Registry() != nil || sc.Tracer() != nil {
 		t.Fatal("nop scope claims to be enabled")
 	}

@@ -41,7 +41,7 @@ func TestWithScopeSetsHasScope(t *testing.T) {
 		t.Error("WithScope must carry the scope through Resolve")
 	}
 	// Even an explicit no-op scope counts as "explicitly set".
-	o = opt.Resolve([]opt.Option{opt.WithScope(obs.Nop())})
+	o = opt.Resolve([]opt.Option{opt.WithScope(obs.Scope{})})
 	if !o.HasScope {
 		t.Error("WithScope(Nop) must still set HasScope")
 	}

@@ -77,7 +77,8 @@ func TestInferWithMatchesInfer(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		net := randomNet(r)
 		p := Quantize(net, DefaultConfig())
-		a := p.NewArena()
+		a := &Arena{}
+		a.Reserve(p.MaxWidth())
 		in := p.QuantizeInput(randomInput(r, net.InputSize()), nil)
 		want := make([]int64, p.OutputSize())
 		got := make([]int64, p.OutputSize())
@@ -123,7 +124,8 @@ func TestConcurrentInferWithPrivateArenas(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			a := p.NewArena()
+			a := &Arena{}
+			a.Reserve(p.MaxWidth())
 			out := make([]int64, os)
 			for k := 0; k < perWorker; k++ {
 				i := w*perWorker + k

@@ -167,13 +167,6 @@ func (a *Arena) Reserve(width int) {
 // requires.
 func (p *Program) MaxWidth() int { return p.maxWidth }
 
-// NewArena returns an arena pre-sized for this program.
-func (p *Program) NewArena() *Arena {
-	a := &Arena{}
-	a.Reserve(p.maxWidth)
-	return a
-}
-
 // Quantize converts net into an integer Program under cfg. It panics on
 // non-positive scales and on scales so large that a unit value no longer fits
 // the 63-bit products inference forms (accumulator scale × output scale in

@@ -34,8 +34,8 @@ func TestNewFleet(t *testing.T) {
 			if m.Index != i || !reflect.DeepEqual(m.Core.Obs().Labels(), host) {
 				t.Errorf("member %d: index %d, core labels %v, want host order", i, m.Index, m.Core.Obs().Labels())
 			}
-			if m.Core.Models() != 1 || m.Epoch() != 1 {
-				t.Errorf("member %d: %d models resident at epoch %d, want the provisioned snapshot at epoch 1", i, m.Core.Models(), m.Epoch())
+			if e := f.Ctrl.MemberEpochs()[i]; m.Core.Models() != 1 || e != 1 {
+				t.Errorf("member %d: %d models resident at epoch %d, want the provisioned snapshot at epoch 1", i, m.Core.Models(), e)
 			}
 		}
 

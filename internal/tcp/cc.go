@@ -46,8 +46,10 @@ type CongestionControl interface {
 	CwndBytes() int
 }
 
-// FixedRate is a trivial controller pinned at a constant rate — the
-// LF-Dummy-NN of §5.1's high-throughput experiment and a useful test double.
+// FixedRate is a trivial controller pinned at a constant rate: the elephant
+// flow of examples/loadbalance, and a test double. (LF-Dummy-NN of §5.1 is
+// not this: it is rig's newDummy, an MI controller with a constant +1 policy
+// capped at 1.6 Gbps over the flow count.)
 type FixedRate struct {
 	Bps int64
 	Wnd int

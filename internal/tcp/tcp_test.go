@@ -7,13 +7,12 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 )
 
-// pair builds two hosts joined by a symmetric pipe.
+// pair builds two hosts joined by a symmetric pair of links.
 func pair(eng *netsim.Engine, rateBps int64, delay netsim.Time, bufBytes int) (*Host, *Host) {
 	a := NewHost(eng, 1)
 	b := NewHost(eng, 2)
-	p := netsim.NewPipe(eng, a, b, rateBps, delay, bufBytes)
-	a.SetEgress(p.AtoB)
-	b.SetEgress(p.BtoA)
+	a.SetEgress(netsim.NewLink(eng, b, rateBps, delay, netsim.NewDropTail(bufBytes)))
+	b.SetEgress(netsim.NewLink(eng, a, rateBps, delay, netsim.NewDropTail(bufBytes)))
 	return a, b
 }
 

@@ -45,10 +45,8 @@
 //
 // Failures are classified with wrapped sentinel errors, tested via
 // errors.Is: ErrSnapshotBuild (snapshot generation/validation failed, the
-// install is retried with backoff), ErrChannelClosed (netlink channel used
-// after Close), ErrServiceDown (slow-path service inside an injected outage
-// window), ErrMalformedSample (a netlink payload failed validation at the
-// kernel boundary and was rejected).
+// install is retried with backoff), ErrMalformedSample (a netlink payload
+// failed validation at the kernel boundary and was rejected).
 package liteflow
 
 import (
@@ -118,8 +116,6 @@ func FaultProfileByName(name string) (FaultProfile, bool) { return fault.ByName(
 // errors.Is (see the package doc's "Errors" section).
 var (
 	ErrSnapshotBuild     = codegen.ErrSnapshotBuild
-	ErrChannelClosed     = netlink.ErrChannelClosed
-	ErrServiceDown       = core.ErrServiceDown
 	ErrMalformedSample   = core.ErrMalformedSample
 	ErrNoModel           = core.ErrNoModel
 	ErrDimensionMismatch = core.ErrDimensionMismatch
@@ -127,8 +123,8 @@ var (
 )
 
 // Core framework types (paper Table 1 and §4). Core's methods map onto the
-// paper's API: RegisterModel = lf_register_model, RegisterIO/UnregisterIO =
-// lf_register_io/lf_unregister_io, QueryModel = lf_query_model.
+// paper's API: RegisterModel = lf_register_model, QueryModel = lf_query_model
+// (lf_register_io/lf_unregister_io are not modelled; see README).
 type (
 	// Core is the kernel-space LiteFlow core module.
 	Core = core.Core
@@ -137,8 +133,6 @@ type (
 	Config = core.Config
 	// Model is an installed NN snapshot with its router state.
 	Model = core.Model
-	// IOModule is a user input collector & output enforcer.
-	IOModule = core.IOModule
 	// Service is the userspace slow-path service.
 	Service = core.Service
 	// Sample is one kernel-collected training record.

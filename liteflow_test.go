@@ -170,10 +170,6 @@ func TestOptionsAPILifecycle(t *testing.T) {
 	if _, err := lf.RegisterModel(badSnap); !errors.Is(err, liteflow.ErrDimensionMismatch) {
 		t.Errorf("want ErrDimensionMismatch, got %v", err)
 	}
-	ch.Close()
-	if err := ch.SendToKernel(8, nil); !errors.Is(err, liteflow.ErrChannelClosed) {
-		t.Errorf("want ErrChannelClosed, got %v", err)
-	}
 	if _, err := liteflow.ParseSample(liteflow.Message{Data: []float64{-1, 1}}); !errors.Is(err, liteflow.ErrMalformedSample) {
 		t.Errorf("want ErrMalformedSample, got %v", err)
 	}
