@@ -98,7 +98,7 @@ func TestModelUnitMatchesListing2(t *testing.T) {
 				if j > 0 {
 					want.WriteString(" + ")
 				}
-				fmt.Fprintf(&want, "input[%d]*%d", j, l.W[i][j])
+				fmt.Fprintf(&want, "input[%d]*%d", j, l.Weight(i, j))
 			}
 			fmt.Fprintf(&want, " + %d)\n", l.B[i])
 		}

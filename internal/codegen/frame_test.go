@@ -63,10 +63,10 @@ func fuzzProgram(zoo uint8, arch, weights []byte) *quant.Program {
 		return int64(binary.LittleEndian.Uint64(raw[:])), true
 	}
 	for _, l := range p.Layers {
-		for i := range l.W {
-			for j := range l.W[i] {
+		for i := 0; i < l.Out; i++ {
+			for j := 0; j < l.In; j++ {
 				if v, ok := next(); ok {
-					l.W[i][j] = v
+					l.SetWeight(i, j, v)
 				}
 			}
 			if v, ok := next(); ok {

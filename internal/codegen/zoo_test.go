@@ -124,10 +124,10 @@ func saturates(p *quant.Program, in []int64) bool {
 	if tbl == nil {
 		return false
 	}
-	for i := range l.W {
+	for i := 0; i < l.Out; i++ {
 		acc := l.B[i]
-		for j, w := range l.W[i] {
-			acc += w * in[j]
+		for j, x := range in {
+			acc += l.Weight(i, j) * x
 		}
 		if acc < tblMin || acc > tblMax {
 			return true

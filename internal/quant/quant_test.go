@@ -258,11 +258,14 @@ func TestInferNoAlloc(t *testing.T) {
 // the operating range, so accumulators land across the tables' interpolated
 // part as they do behind a live datapath, and reports the kernel's unit cost.
 func benchInfer(b *testing.B, sizes []int, acts []nn.Activation) {
-	p := Quantize(nn.New(sizes, acts, 1), DefaultConfig())
+	benchProgram(b, Quantize(nn.New(sizes, acts, 1), DefaultConfig()))
+}
+
+func benchProgram(b *testing.B, p *Program) {
 	r := rand.New(rand.NewSource(1))
 	ins := make([][]int64, 64)
 	for i := range ins {
-		ins[i] = p.QuantizeInput(randomInput(r, sizes[0]), nil)
+		ins[i] = p.QuantizeInput(randomInput(r, p.InputSize()), nil)
 	}
 	out := make([]int64, p.OutputSize())
 	b.ReportAllocs()
@@ -276,6 +279,19 @@ func benchInfer(b *testing.B, sizes []int, acts []nn.Activation) {
 var tanhHead = []nn.Activation{nn.Tanh, nn.Tanh, nn.Tanh}
 
 func BenchmarkInferAuroraSnapshot(b *testing.B) { benchInfer(b, []int{30, 32, 16, 1}, tanhHead) }
+
+// BenchmarkInferAuroraSnapshotWide is BenchmarkInferAuroraSnapshot on dot4:
+// a write outside int32, then one restoring the weight, leaves every layer
+// wide with the weights it had, so only the kernel differs.
+func BenchmarkInferAuroraSnapshotWide(b *testing.B) {
+	p := Quantize(nn.New([]int{30, 32, 16, 1}, tanhHead, 1), DefaultConfig())
+	for _, l := range p.Layers {
+		w := l.Weight(0, 0)
+		l.SetWeight(0, 0, 1<<40)
+		l.SetWeight(0, 0, w)
+	}
+	benchProgram(b, p)
+}
 
 func BenchmarkInferMOCCSnapshot(b *testing.B) { benchInfer(b, []int{30, 64, 32, 1}, tanhHead) }
 

@@ -15,8 +15,8 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/nn"
 )
 
-// referenceInfer computes p's output for in with no blocking, no slab and no
-// shift: W[i][j] row by row, one activation per neuron.
+// referenceInfer computes p's output for in with no blocking, no packed
+// multiply and no shift: Weight(i, j) row by row, one activation per neuron.
 func referenceInfer(p *Program, in []int64) []int64 {
 	cur := in
 	for _, l := range p.Layers {
@@ -24,7 +24,7 @@ func referenceInfer(p *Program, in []int64) []int64 {
 		for i := 0; i < l.Out; i++ {
 			acc := l.B[i]
 			for j := 0; j < l.In; j++ {
-				acc += l.W[i][j] * cur[j]
+				acc += l.Weight(i, j) * cur[j]
 			}
 			dst[i] = referenceActivate(l, acc)
 		}
@@ -161,25 +161,44 @@ func TestLookupMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWeightRowsViewTheSlab: W[i] is row i of the slab the kernel reads, so a
-// weight written through W is the weight inferred with, and a row cannot be
-// appended into its neighbour.
+// TestWeightRowsViewTheSlab: SetWeight writes the slab the kernel reads, so
+// a weight written is the weight inferred with. A write outside int32 marks
+// its layer wide for good and an input outside int32 keeps its step off
+// dot4n; on either trigger the output still equals the reference.
 func TestWeightRowsViewTheSlab(t *testing.T) {
-	p := Quantize(nn.New([]int{3, 5, 2}, []nn.Activation{nn.ReLU, nn.Linear}, 1), DefaultConfig())
+	net := nn.New([]int{6, 8, 4}, []nn.Activation{nn.Linear, nn.Linear}, 1)
+	p := Quantize(net, DefaultConfig())
 	for li, l := range p.Layers {
-		if len(l.w) != l.In*l.Out {
-			t.Fatalf("layer %d: slab holds %d weights, want %d", li, len(l.w), l.In*l.Out)
-		}
-		for i, row := range l.W {
-			if len(row) != l.In || cap(row) != l.In || &row[0] != &l.w[i*l.In] {
-				t.Errorf("layer %d row %d is not a full-slice view of the slab", li, i)
-			}
+		if len(l.w) != l.In*l.Out || l.wide {
+			t.Fatalf("layer %d: slab holds %d weights (want %d), wide = %v", li, len(l.w), l.In*l.Out, l.wide)
 		}
 	}
-	in := p.QuantizeInput([]float64{0.5, -0.25, 1}, nil)
-	p.Layers[0].W[4][1] += 1 << 10
-	p.Layers[1].W[1][4] -= 1 << 10
-	checkAgainstReference(t, p, in, "after writing through W")
+	in := p.QuantizeInput([]float64{0.5, -0.25, 1, 0.125, 0.75, -1}, nil)
+	l0, l1 := p.Layers[0], p.Layers[1]
+	l0.SetWeight(4, 1, l0.Weight(4, 1)+1<<10)
+	l1.SetWeight(1, 7, l1.Weight(1, 7)-1<<10)
+	if l0.w[4*l0.In+1] != l0.Weight(4, 1) || l1.w[1*l1.In+7] != l1.Weight(1, 7) {
+		t.Fatal("SetWeight did not write the slab at row·In + column")
+	}
+	if l0.wide || l1.wide {
+		t.Fatal("a write inside int32 marked a layer wide")
+	}
+	checkAgainstReference(t, p, in, "after SetWeight inside int32")
+
+	l0.SetWeight(2, 0, 1<<40)
+	if !l0.wide || l1.wide {
+		t.Fatalf("after writing 1<<40 into layer 0: wide = %v, %v; want true, false", l0.wide, l1.wide)
+	}
+	checkAgainstReference(t, p, in, "wide weight")
+	l0.SetWeight(2, 0, 1)
+	if !l0.wide {
+		t.Error("a narrow write cleared the wide mark")
+	}
+
+	q := Quantize(net, DefaultConfig())
+	big := slices.Clone(in)
+	big[0] = 1 << 31
+	checkAgainstReference(t, q, big, "input outside int32")
 }
 
 // TestFloatVsQuantizedZoo executes both sides of the paper's central
