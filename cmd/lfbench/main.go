@@ -54,6 +54,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 || *list && (*all || *exp != "") || *all && *exp != "" {
+		fmt.Fprintln(stderr, "lfbench: give one of -list, -all and -exp, and no arguments")
+		return 2
+	}
 
 	tel := obs.NewSession(obs.Exports{Trace: *trace, Metrics: *metricsOut, Flight: *flightOut})
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Obs: tel.Scope(), Flight: tel.Flight}

@@ -34,10 +34,26 @@ func TestLfbenchUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestLfbenchNoArgs: a command line that picks no single run — none, more
+// than one of -list/-all/-exp, or a stray argument — exits 2 before any
+// output.
 func TestLfbenchNoArgs(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(nil, &stdout, &stderr); code != 2 {
-		t.Fatalf("no-arg run exited %d, want 2", code)
+	for _, args := range [][]string{
+		nil,
+		{"-list", "-exp", "nope", "-all"},
+		{"-list", "-exp", "fig14"},
+		{"-list", "-all"},
+		{"-exp", "fig14", "-all"},
+		{"-list", "stray"},
+		{"-exp", "fig14", "stray"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("lfbench %s exited %d, want 2", strings.Join(args, " "), code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("lfbench %s printed on stdout:\n%s", strings.Join(args, " "), stdout.String())
+		}
 	}
 }
 

@@ -1,40 +1,24 @@
-// Command lfsim runs ad-hoc congestion-control scenarios on the simulated
-// testbed: one dumbbell, N flows under a chosen scheme, with goodput,
-// retransmission and CPU reports. It is the quick-look companion to the
-// structured experiments in cmd/lfbench.
+// Command lfsim runs one simulation, the quick-look companion to the
+// experiments in cmd/lfbench. Each run kind is a subcommand that takes only
+// the flags its runner reads; -h after the kind lists them.
 //
-// Example:
+//	lfsim cc -cc lf-aurora -flows 4 -congested  # a dumbbell under one scheme (paper §5.1)
+//	lfsim fleet -members 8 -duration 2s -chaos  # one fleet controller, N datapaths (DESIGN.md §4f, §4i)
+//	lfsim scenario                              # list the actor-scenario corpus (DESIGN.md §4j)
+//	lfsim scenario -check rpc-incast            # run one; exit 1 if its envelope fails
 //
-//	lfsim -cc lf-aurora -flows 4 -duration 5s -congested
-//	lfsim -cc ccp-aurora -interval 10ms -flows 10
-//	lfsim -cc bbr -flows 10
-//
-// Telemetry: -trace writes a Chrome trace-event JSON (load it in Perfetto or
-// chrome://tracing; snapshot versions render as per-pid span trees),
-// -metrics-out writes Prometheus text exposition, -flight-out records every
-// metric on a virtual-time tick as JSON lines, and -listen serves them live
-// on /metrics, /debug/trace and /debug/flight after the run.
-//
-//	lfsim -cc lf-aurora -adapt -congested -trace trace.json -metrics-out metrics.prom
-//
-// -fleet N switches to the snapshot distribution-plane scenario: one fleet
-// controller serving N kernel datapaths on a spine–leaf fabric under a
-// drifting model. A fault profile other than none enables the chaos variant
-// (injected slow-path outages on odd members).
-//
-//	lfsim -fleet 8 -duration 2s -fault-profile chaos
-//
-// -scenario runs a named actor scenario from the embedded corpus (or a JSON
-// file): persistent per-user session state machines — web, video-ABR, RPC
-// fan-out, bulk — on a spine–leaf fabric, with an acceptance envelope that
-// -scenario-check turns into an exit code. See DESIGN.md §4j.
-//
-//	lfsim -scenario-list
-//	lfsim -scenario rpc-incast -scenario-check
+// cc and fleet share -duration, -seed, -reps, -parallel and the telemetry
+// exports: -trace (Chrome trace-event JSON for Perfetto), -trace-jsonl,
+// -metrics-out (Prometheus text), -flight-out (every metric on a 1 ms
+// virtual-time tick) and -listen (serves them on /metrics, /debug/trace and
+// /debug/flight after the run). A flag the run kind does not take, or a stray
+// argument, exits 2; a value no run can use exits 1 naming the flag. Neither
+// prints on stdout.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,78 +38,188 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/stats"
 )
 
-// options carries every flag so runs are reproducible from tests.
-type options struct {
-	scheme    string
-	fleet     int
-	canary    int
-	canaryWin time.Duration
-	flows     int
-	duration  time.Duration
-	warmup    time.Duration
-	interval  time.Duration
-	congested bool
-	adapt     bool
-	batchT    time.Duration
-	pretrain  int
-	seed      int64
-	reps      int
-	parallel  int
-
-	scenario      string
-	scenarioList  bool
-	scenarioCheck bool
-	scenarioScale float64
-	fleetScenario string
-
-	faultProfile string
-	faultSeed    int64
-
-	ex obs.Exports // -trace, -trace-jsonl, -metrics-out, -flight-out, -listen
-}
-
-// flightEvery is the virtual-time interval between flight-recorder samples
-// (with -flight-out or -listen).
-const flightEvery = netsim.Millisecond
-
 // schemes lists the rig.Schemes keys -cc accepts.
 const schemes = "bbr | cubic | lf-aurora | lf-mocc | lf-dummy | ccp-aurora | ccp-mocc"
 
 func main() {
-	var o options
-	flag.StringVar(&o.scheme, "cc", "bbr", "scheme: "+schemes)
-	flag.IntVar(&o.fleet, "fleet", 0, "run the fleet distribution-plane scenario with this many members instead of a CC scenario (0 = off); a -fault-profile other than none selects the chaos variant")
-	flag.IntVar(&o.canary, "canary", 0, "with -fleet: stage each minted epoch on this many canary members and auto-rollback on a failed health verdict before the rest of the fleet sees it (0 = fan out everywhere at once), see DESIGN.md §4i")
-	flag.DurationVar(&o.canaryWin, "canary-window", 0, "with -canary: virtual-time observation window before the canary verdict (0 = four slow-path aggregation intervals)")
-	flag.IntVar(&o.flows, "flows", 1, "concurrent flows")
-	flag.DurationVar(&o.duration, "duration", 5*time.Second, "measured duration (after warmup)")
-	flag.DurationVar(&o.warmup, "warmup", 2*time.Second, "warmup before measurement starts")
-	flag.DurationVar(&o.interval, "interval", 10*time.Millisecond, "CCP communication interval (0 = per-ACK)")
-	flag.BoolVar(&o.congested, "congested", false, "1 Gbps bottleneck + 0.1 Gbps UDP background")
-	flag.BoolVar(&o.adapt, "adapt", false, "lf-* schemes: wire the userspace slow path (netlink batching + service)")
-	flag.DurationVar(&o.batchT, "batch-interval", 100*time.Millisecond, "slow-path batch delivery interval T (with -adapt)")
-	flag.IntVar(&o.pretrain, "pretrain", 400, "policy pretraining iterations for NN schemes")
-	flag.Int64Var(&o.seed, "seed", 2, "base random seed; rep r runs at seed+r (and fault-seed+r)")
-	flag.IntVar(&o.reps, "reps", 1, "repetitions of the scenario; reports median/p95 aggregate goodput")
-	flag.IntVar(&o.parallel, "parallel", 1, "worker-pool size for -reps (each rep owns a private engine)")
-	flag.StringVar(&o.scenario, "scenario", "", "run an actor scenario instead of a CC scenario: an embedded corpus name (see -scenario-list) or a path to a scenario JSON file, see DESIGN.md §4j")
-	flag.BoolVar(&o.scenarioList, "scenario-list", false, "list the embedded scenario corpus and exit")
-	flag.BoolVar(&o.scenarioCheck, "scenario-check", false, "with -scenario: exit non-zero if the run violates the scenario's acceptance envelope")
-	flag.Float64Var(&o.scenarioScale, "scenario-scale", 1, "with -scenario: scale the session population (envelopes only apply at 1)")
-	flag.StringVar(&o.fleetScenario, "fleet-scenario", "", "with -fleet: shape member query cadence by this scenario's arrival process (name or JSON path; diurnal scenarios make fleet load breathe day/night)")
-	flag.StringVar(&o.faultProfile, "fault-profile", "none", "fault injection profile: none | netlink | slowpath | chaos")
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault injector")
-	flag.StringVar(&o.ex.Trace, "trace", "", "write Chrome trace-event JSON to this file")
-	flag.StringVar(&o.ex.TraceJSONL, "trace-jsonl", "", "write trace events as JSON lines to this file")
-	flag.StringVar(&o.ex.Metrics, "metrics-out", "", "write Prometheus text metrics to this file")
-	flag.StringVar(&o.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled each millisecond of virtual time) as JSON lines to this file; on the CC dumbbell a sample sees every partition at a time within one lookahead of the tick")
-	flag.StringVar(&o.ex.Listen, "listen", "", "serve /metrics and /debug/trace on this address after the run (e.g. :9090)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := run(o, os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "lfsim:", err)
-		os.Exit(1)
+// errUsage is a malformed command line, already explained on stderr.
+var errUsage = errors.New("usage")
+
+// command is a parsed and checked invocation, ready to run.
+type command func(stdout, stderr io.Writer) error
+
+// run parses args and runs the command. It returns the exit code: 2 for a
+// malformed command line, 1 for a value no run can use or a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmd, err := parse(args, stderr)
+	if err == nil {
+		err = cmd(stdout, stderr)
 	}
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	}
+	fmt.Fprintln(stderr, "lfsim:", err)
+	return 1
+}
+
+// parse reads args[0] as the run kind and the rest with that kind's flag
+// set. It runs nothing, so a command line can be checked on its own.
+func parse(args []string, stderr io.Writer) (command, error) {
+	kinds := map[string]func(*flag.FlagSet, []string) (command, error){
+		"cc": parseCC, "fleet": parseFleet, "scenario": parseScenario,
+	}
+	if len(args) == 0 || kinds[args[0]] == nil {
+		fmt.Fprintln(stderr, "usage: lfsim cc|fleet|scenario [flags] (lfsim KIND -h lists a kind's flags)")
+		return nil, errUsage
+	}
+	fs := flag.NewFlagSet("lfsim "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return kinds[args[0]](fs, args[1:])
+}
+
+// parseArgs parses args into fs and refuses more than max positional
+// arguments, as fs itself refuses an unknown flag.
+func parseArgs(fs *flag.FlagSet, args []string, max int) error {
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
+	if fs.NArg() > max {
+		fmt.Fprintf(fs.Output(), "argument provided but not expected: %q (-h lists the flags)\n", fs.Arg(max))
+		return errUsage
+	}
+	return nil
+}
+
+// runFlags are the flags cc and fleet share: the measured duration, the base
+// seed, repetitions and one run's telemetry exports.
+type runFlags struct {
+	duration       time.Duration
+	seed           int64
+	reps, parallel int
+	ex             obs.Exports
+}
+
+// register defines the shared flags on fs; durationHelp says what the run
+// kind measures.
+func (f *runFlags) register(fs *flag.FlagSet, durationHelp string) {
+	fs.DurationVar(&f.duration, "duration", 5*time.Second, durationHelp)
+	fs.Int64Var(&f.seed, "seed", 2, "base random seed; rep r runs at seed+r")
+	fs.IntVar(&f.reps, "reps", 1, "repetitions of the run; reports median/p95 aggregate goodput")
+	fs.IntVar(&f.parallel, "parallel", 1, "worker-pool size for -reps (each rep owns a private engine)")
+	fs.StringVar(&f.ex.Trace, "trace", "", "write Chrome trace-event JSON to this file")
+	fs.StringVar(&f.ex.TraceJSONL, "trace-jsonl", "", "write trace events as JSON lines to this file")
+	fs.StringVar(&f.ex.Metrics, "metrics-out", "", "write Prometheus text metrics to this file")
+	fs.StringVar(&f.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled each millisecond of virtual time) as JSON lines to this file; on the cc dumbbell a sample sees every partition at a time within one lookahead of the tick")
+	fs.StringVar(&f.ex.Listen, "listen", "", "serve /metrics and /debug/trace on this address after the run (e.g. :9090)")
+}
+
+// parse parses a cc or fleet command line, which takes no arguments, and
+// checks the shared flags' values.
+func (f *runFlags) parse(fs *flag.FlagSet, args []string) error {
+	if err := parseArgs(fs, args, 0); err != nil {
+		return err
+	}
+	switch {
+	case f.duration <= 0:
+		return fmt.Errorf("-duration %v: want a positive measured duration (rates divide by it)", f.duration)
+	case f.reps > 1 && f.ex.Any():
+		return fmt.Errorf("-trace/-trace-jsonl/-metrics-out/-flight-out/-listen export a single run's telemetry; use -reps 1")
+	}
+	return nil
+}
+
+// command runs once f.reps times, rep r at seed+r on a private engine,
+// optionally across a bounded worker pool; per-rep reports print in rep
+// order followed by a median/p95 summary of the returned aggregates in unit.
+// Wall-clock timing goes to stderr.
+func (f *runFlags) command(unit string, once func(rep int, stdout, stderr io.Writer) (float64, error)) command {
+	return func(stdout, stderr io.Writer) error {
+		reps := f.reps
+		if reps <= 1 {
+			_, err := once(0, stdout, stderr)
+			return err
+		}
+
+		type repOut struct {
+			stdout, stderr bytes.Buffer
+			agg            float64
+			wall           time.Duration
+			err            error
+		}
+		outs := make([]repOut, reps)
+		experiments.Pool(reps, f.parallel, func(r int) {
+			start := time.Now()
+			outs[r].agg, outs[r].err = once(r, &outs[r].stdout, &outs[r].stderr)
+			outs[r].wall = time.Since(start)
+		})
+
+		agg := stats.NewDist(reps)
+		wall := stats.NewDist(reps)
+		for r := range outs {
+			fmt.Fprintf(stdout, "--- rep %d (seed %d) ---\n", r, f.seed+int64(r))
+			io.Copy(stdout, &outs[r].stdout)
+			io.Copy(stderr, &outs[r].stderr)
+			if outs[r].err != nil {
+				return fmt.Errorf("rep %d: %w", r, outs[r].err)
+			}
+			agg.Add(outs[r].agg)
+			wall.Add(float64(outs[r].wall))
+		}
+		fmt.Fprintf(stdout, "reps summary: aggregate goodput median %.3f %s, p95 %.3f %s over %d reps (seeds %d..%d)\n",
+			agg.Median(), unit, agg.Quantile(0.95), unit, reps, f.seed, f.seed+int64(reps-1))
+		fmt.Fprintf(stderr, "(wall: median %.1fs, p95 %.1fs)\n",
+			time.Duration(wall.Median()).Seconds(), time.Duration(wall.Quantile(0.95)).Seconds())
+		return nil
+	}
+}
+
+// ccRun is one lfsim cc command line.
+type ccRun struct {
+	runFlags
+	scheme, faultProfile     string
+	flows, pretrain          int
+	warmup, interval, batchT time.Duration
+	congested, adapt         bool
+	faultSeed                int64
+}
+
+func parseCC(fs *flag.FlagSet, args []string) (command, error) {
+	var o ccRun
+	fs.StringVar(&o.scheme, "cc", "bbr", "scheme: "+schemes)
+	fs.IntVar(&o.flows, "flows", 1, "concurrent flows")
+	fs.DurationVar(&o.warmup, "warmup", 2*time.Second, "warmup before measurement starts")
+	fs.DurationVar(&o.interval, "interval", 10*time.Millisecond, "CCP communication interval (0 = per-ACK)")
+	fs.BoolVar(&o.congested, "congested", false, "1 Gbps bottleneck + 0.1 Gbps UDP background")
+	fs.BoolVar(&o.adapt, "adapt", false, "lf-* schemes: wire the userspace slow path (netlink batching + service)")
+	fs.DurationVar(&o.batchT, "batch-interval", 100*time.Millisecond, "slow-path batch delivery interval T (with -adapt)")
+	fs.IntVar(&o.pretrain, "pretrain", 400, "policy pretraining iterations for NN schemes")
+	fs.StringVar(&o.faultProfile, "fault-profile", "none", "fault injection profile: none | netlink | slowpath | chaos")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the deterministic fault injector; rep r runs at fault-seed+r")
+	o.register(fs, "measured duration (after warmup)")
+	if err := o.parse(fs, args); err != nil {
+		return nil, err
+	}
+	sch, ok := rig.Schemes[o.scheme]
+	_, known := fault.ByName(o.faultProfile)
+	switch {
+	case !known:
+		return nil, fmt.Errorf("-fault-profile %q: want none | netlink | slowpath | chaos", o.faultProfile)
+	case o.warmup < 0:
+		return nil, fmt.Errorf("-warmup %v: want 0 or more", o.warmup)
+	case o.flows < 1:
+		return nil, fmt.Errorf("-flows %d: want at least one flow", o.flows)
+	case !ok:
+		return nil, fmt.Errorf("-cc %q: want %s", o.scheme, schemes)
+	case o.adapt && !sch.LF:
+		return nil, fmt.Errorf("-adapt wires the LiteFlow slow path, which -cc %q does not have: want an lf-* scheme", o.scheme)
+	}
+	return o.command("Gbps", o.run), nil
 }
 
 // staticUser is the slow-path user for -adapt runs: it never retunes the
@@ -143,150 +237,12 @@ func (u staticUser) Adapt([]core.Sample)          {}
 func (u staticUser) OutputSize() int                         { return u.net.OutputSize() }
 func (u staticUser) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
 
-// validate rejects flag combinations that would otherwise be silently
-// ignored, unknown scheme and profile names, and run lengths and flow counts
-// no report can divide by, naming the offending flag. It runs before any
-// output, so a refused run prints nothing.
-func (o options) validate() error {
-	if o.scenario != "" {
-		// The scenario runner has no telemetry scope, no fault injector, no
-		// repetitions and no fleet plane.
-		for _, f := range []struct {
-			flag string
-			set  bool
-		}{
-			{"-trace", o.ex.Trace != ""},
-			{"-trace-jsonl", o.ex.TraceJSONL != ""},
-			{"-metrics-out", o.ex.Metrics != ""},
-			{"-flight-out", o.ex.Flight != ""},
-			{"-listen", o.ex.Listen != ""},
-			{"-reps", o.reps > 1},
-			{"-fault-profile", o.faultProfile != "" && o.faultProfile != "none"},
-			{"-fleet", o.fleet > 0},
-		} {
-			if f.set {
-				return fmt.Errorf("%s does not apply to -scenario runs (the scenario runner exports no telemetry, injects no faults, runs once and has no fleet plane)", f.flag)
-			}
-		}
-	}
-	if o.scenarioCheck && o.scenario == "" {
-		return fmt.Errorf("-scenario-check requires -scenario (it enforces that scenario's acceptance envelope)")
-	}
-	if o.fleetScenario != "" && o.fleet <= 0 {
-		return fmt.Errorf("-fleet-scenario requires -fleet (it shapes fleet member query cadence)")
-	}
-	if o.canaryWin != 0 && o.canary <= 0 {
-		return fmt.Errorf("-canary-window requires -canary (it is the canary verdict's observation window)")
-	}
-	if o.canary > 0 && o.fleet <= 0 {
-		return fmt.Errorf("-canary requires -fleet (staged rollouts are a distribution-plane feature)")
-	}
-	if o.fleet > 0 && o.canary >= o.fleet {
-		return fmt.Errorf("-canary %d must leave at least one non-canary member (-fleet %d)", o.canary, o.fleet)
-	}
-	if _, ok := fault.ByName(o.faultProfile); !ok {
-		return fmt.Errorf("-fault-profile %q: want none | netlink | slowpath | chaos", o.faultProfile)
-	}
-	if o.reps > 1 && o.ex.Any() {
-		return fmt.Errorf("-trace/-trace-jsonl/-metrics-out/-flight-out/-listen export a single run's telemetry; use -reps 1")
-	}
-	if o.scenario != "" {
-		if o.scenarioScale < 0 {
-			return fmt.Errorf("-scenario-scale %g: want 0 or more (0 and 1 are natural scale)", o.scenarioScale)
-		}
-		return nil
-	}
-	if o.duration <= 0 {
-		return fmt.Errorf("-duration %v: want a positive measured duration (rates divide by it)", o.duration)
-	}
-	if o.warmup < 0 {
-		return fmt.Errorf("-warmup %v: want 0 or more", o.warmup)
-	}
-	if o.fleet > 0 {
-		return nil
-	}
-	if o.flows < 1 {
-		return fmt.Errorf("-flows %d: want at least one flow", o.flows)
-	}
-	sch, ok := rig.Schemes[o.scheme]
-	if !ok {
-		return fmt.Errorf("-cc %q: want %s", o.scheme, schemes)
-	}
-	if o.adapt && !sch.LF {
-		return fmt.Errorf("-adapt wires the LiteFlow slow path, which -cc %q does not have: want an lf-* scheme", o.scheme)
-	}
-	return nil
-}
-
-// run dispatches between the single-run path and the multi-rep harness. Rep
-// r re-runs the identical scenario with seed+r (and fault-seed+r), each rep
-// on a private engine, optionally across a bounded worker pool; per-rep
-// reports print in rep order followed by a median/p95 aggregate-goodput
-// summary. Wall-clock timing goes to stderr.
-func run(o options, stdout, stderr io.Writer) error {
-	if o.scenarioList {
-		return listScenarios(stdout)
-	}
-	if err := o.validate(); err != nil {
-		return err
-	}
-	if o.scenario != "" {
-		return runScenario(o, stdout)
-	}
-	reps := o.reps
-	if reps < 1 {
-		reps = 1
-	}
-	if reps == 1 {
-		_, err := runOnce(o, 0, stdout, stderr)
-		return err
-	}
-
-	type repOut struct {
-		stdout, stderr bytes.Buffer
-		goodput        float64
-		wall           time.Duration
-		err            error
-	}
-	outs := make([]repOut, reps)
-	experiments.Pool(reps, o.parallel, func(r int) {
-		start := time.Now()
-		outs[r].goodput, outs[r].err = runOnce(o, r, &outs[r].stdout, &outs[r].stderr)
-		outs[r].wall = time.Since(start)
-	})
-
-	goodput := stats.NewDist(reps)
-	wall := stats.NewDist(reps)
-	for r := range outs {
-		fmt.Fprintf(stdout, "--- rep %d (seed %d) ---\n", r, o.seed+int64(r))
-		io.Copy(stdout, &outs[r].stdout)
-		io.Copy(stderr, &outs[r].stderr)
-		if outs[r].err != nil {
-			return fmt.Errorf("rep %d: %w", r, outs[r].err)
-		}
-		goodput.Add(outs[r].goodput)
-		wall.Add(float64(outs[r].wall))
-	}
-	unit := "Gbps"
-	if o.fleet > 0 {
-		unit = "queries/s" // fleet runs report model-query throughput
-	}
-	fmt.Fprintf(stdout, "reps summary: aggregate goodput median %.3f %s, p95 %.3f %s over %d reps (seeds %d..%d)\n",
-		goodput.Median(), unit, goodput.Quantile(0.95), unit, reps, o.seed, o.seed+int64(reps-1))
-	fmt.Fprintf(stderr, "(wall: median %.1fs, p95 %.1fs)\n",
-		time.Duration(wall.Median()).Seconds(), time.Duration(wall.Quantile(0.95)).Seconds())
-	return nil
-}
-
-// runOnce executes one scenario instance. rep offsets the pretraining and
-// fault seeds; the returned goodput is the aggregate across flows in Gbps.
-func runOnce(o options, rep int, stdout, stderr io.Writer) (float64, error) {
+// run executes one dumbbell run. rep offsets the pretraining and fault
+// seeds; the returned goodput is the aggregate across flows in Gbps.
+func (o *ccRun) run(rep int, stdout, stderr io.Writer) (float64, error) {
 	tel := obs.NewSession(o.ex)
-	prof, _ := fault.ByName(o.faultProfile) // validate refused unknown names
-	if o.fleet > 0 {
-		return runFleet(o, rep, prof.Active(), tel, stdout, stderr)
-	}
 	sch := rig.Schemes[o.scheme]
+	prof, _ := fault.ByName(o.faultProfile) // parseCC refused unknown names
 
 	do := rig.DumbbellOpts{
 		FreePath: !o.congested, Faults: prof, FaultSeed: o.faultSeed + int64(rep),
@@ -358,31 +314,55 @@ func runOnce(o options, rep int, stdout, stderr io.Writer) (float64, error) {
 	return agg, tel.Finish("lfsim", stderr)
 }
 
-// runFleet executes the fleet distribution-plane scenario (-fleet N): one
-// controller slow path serving N kernel datapaths on a spine–leaf fabric,
-// under a drifting model that keeps minting snapshot versions. With chaos,
-// odd members go dark on a jittered schedule, installs park on the degraded
+// fleetRun is one lfsim fleet command line.
+type fleetRun struct {
+	runFlags
+	members, canary int
+	chaos           bool
+	workload        string
+}
+
+func parseFleet(fs *flag.FlagSet, args []string) (command, error) {
+	var o fleetRun
+	fs.IntVar(&o.members, "members", 8, "fleet members: kernel datapaths, one per fabric host (rounded up to even)")
+	fs.IntVar(&o.canary, "canary", 0, "stage each minted epoch on this many canary members and auto-rollback on a failed health verdict before the rest of the fleet sees it (0 = fan out everywhere at once), see DESIGN.md §4i")
+	fs.BoolVar(&o.chaos, "chaos", false, "odd members suffer injected slow-path outages; the recovery tail must restore epoch parity")
+	fs.StringVar(&o.workload, "workload", "", "shape member query cadence by this scenario's arrival process (name or JSON path; diurnal scenarios make fleet load breathe day/night)")
+	o.register(fs, "drift-active window; a recovery tail of up to as long again follows")
+	if err := o.parse(fs, args); err != nil {
+		return nil, err
+	}
+	if o.canary < 0 || o.canary >= o.members {
+		return nil, fmt.Errorf("-canary %d -members %d: want 0 ≤ canary < members (at least one member outside the canary cohort)", o.canary, o.members)
+	}
+	return o.command("queries/s", o.run), nil
+}
+
+// run executes the fleet distribution-plane scenario: one controller slow
+// path serving the members' kernel datapaths on a spine–leaf fabric, under a
+// drifting model that keeps minting snapshot versions. With -chaos, odd
+// members go dark on a jittered schedule, installs park on the degraded
 // cores, and the recovery tail must restore epoch parity. The returned
 // aggregate is the fleet-wide model-query rate in queries/s.
-func runFleet(o options, rep int, chaos bool, tel *obs.Session, stdout, stderr io.Writer) (float64, error) {
+func (o *fleetRun) run(rep int, stdout, stderr io.Writer) (float64, error) {
+	tel := obs.NewSession(o.ex)
 	var workload *scenario.Spec
-	if o.fleetScenario != "" {
+	if o.workload != "" {
 		var err error
-		if workload, err = loadScenario(o.fleetScenario); err != nil {
+		if workload, err = loadScenario(o.workload); err != nil {
 			return 0, err
 		}
 	}
 	r := experiments.RunFleetScenario(experiments.FleetScenarioOpts{
-		Members:      o.fleet,
-		Seed:         o.seed + int64(rep),
-		Dur:          netsim.Time(o.duration.Nanoseconds()),
-		Chaos:        chaos,
-		Obs:          tel.Scope(),
-		Flight:       tel.Flight,
-		FlightEvery:  flightEvery,
-		CanaryCount:  o.canary,
-		CanaryWindow: netsim.Time(o.canaryWin.Nanoseconds()),
-		Workload:     workload,
+		Members:     o.members,
+		Seed:        o.seed + int64(rep),
+		Dur:         netsim.Time(o.duration.Nanoseconds()),
+		Chaos:       o.chaos,
+		Obs:         tel.Scope(),
+		Flight:      tel.Flight,
+		FlightEvery: netsim.Millisecond,
+		CanaryCount: o.canary,
+		Workload:    workload,
 	})
 	st := r.Stats
 	fmt.Fprintf(stdout, "fleet: %d members, epoch %d, %d member installs (%d parked, %d abandoned, %d deferred)\n",

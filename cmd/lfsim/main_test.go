@@ -3,55 +3,45 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
-
-	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
-// smokeOpts is a short congested lf-aurora run with the full slow path, sized
-// so the whole test finishes in a couple of seconds.
-func smokeOpts(dir string) options {
-	return options{
-		scheme:    "lf-aurora",
-		flows:     1,
-		duration:  100 * time.Millisecond,
-		warmup:    50 * time.Millisecond,
-		interval:  10 * time.Millisecond,
-		congested: true,
-		adapt:     true,
-		batchT:    20 * time.Millisecond,
-		pretrain:  40,
+// lfsim runs one command line and returns its exit code, stdout and stderr.
+func lfsim(args ...string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
+}
 
-		ex: obs.Exports{
-			Trace:      filepath.Join(dir, "trace.json"),
-			TraceJSONL: filepath.Join(dir, "trace.jsonl"),
-			Metrics:    filepath.Join(dir, "metrics.prom"),
-		},
-	}
+// smokeArgs is a short congested lf-aurora run with the full slow path, sized
+// so the whole test finishes in a couple of seconds.
+func smokeArgs(dir string) []string {
+	return []string{"cc", "-cc", "lf-aurora", "-flows", "1",
+		"-duration", "100ms", "-warmup", "50ms", "-interval", "10ms",
+		"-congested", "-adapt", "-batch-interval", "20ms", "-pretrain", "40", "-seed", "0",
+		"-trace", filepath.Join(dir, "trace.json"),
+		"-trace-jsonl", filepath.Join(dir, "trace.jsonl"),
+		"-metrics-out", filepath.Join(dir, "metrics.prom")}
 }
 
 func TestLfsimSmoke(t *testing.T) {
 	dir := t.TempDir()
-	o := smokeOpts(dir)
-	var stdout, stderr bytes.Buffer
-	if err := run(o, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	code, report, stderr := lfsim(smokeArgs(dir)...)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
 	}
 
-	report := stdout.String()
 	for _, want := range []string{"aggregate:", "sender CPU:", "liteflow core:", "liteflow service:"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
 		}
 	}
 
-	raw, err := os.ReadFile(o.ex.Trace)
+	raw, err := os.ReadFile(filepath.Join(dir, "trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +78,7 @@ func TestLfsimSmoke(t *testing.T) {
 		t.Error("trace missing netlink/flush event")
 	}
 
-	jl, err := os.ReadFile(o.ex.TraceJSONL)
+	jl, err := os.ReadFile(filepath.Join(dir, "trace.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +88,7 @@ func TestLfsimSmoke(t *testing.T) {
 		}
 	}
 
-	prom, err := os.ReadFile(o.ex.Metrics)
+	prom, err := os.ReadFile(filepath.Join(dir, "metrics.prom"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,22 +104,14 @@ func TestLfsimSmoke(t *testing.T) {
 	}
 }
 
-// repsOpts is a short lf-aurora run without the slow path, repeated 3 times:
+// repsArgs is a short lf-aurora run without the slow path, repeated 3 times:
 // each rep pretrains at seed+rep, so the reps genuinely differ and the
 // median/p95 summary aggregates distinct values.
-func repsOpts(parallel int) options {
-	return options{
-		scheme:    "lf-aurora",
-		flows:     1,
-		duration:  100 * time.Millisecond,
-		warmup:    50 * time.Millisecond,
-		interval:  10 * time.Millisecond,
-		congested: true,
-		pretrain:  40,
-		seed:      2,
-		reps:      3,
-		parallel:  parallel,
-	}
+func repsArgs(parallel int, extra ...string) []string {
+	return append([]string{"cc", "-cc", "lf-aurora", "-flows", "1",
+		"-duration", "100ms", "-warmup", "50ms", "-interval", "10ms",
+		"-congested", "-pretrain", "40", "-seed", "2",
+		"-reps", "3", "-parallel", strconv.Itoa(parallel)}, extra...)
 }
 
 // TestLfsimRepsParallelMatchesSerial: the multi-rep harness must print the
@@ -137,11 +119,11 @@ func repsOpts(parallel int) options {
 // rep order plus the aggregate summary.
 func TestLfsimRepsParallelMatchesSerial(t *testing.T) {
 	runReps := func(parallel int) string {
-		var stdout, stderr bytes.Buffer
-		if err := run(repsOpts(parallel), &stdout, &stderr); err != nil {
-			t.Fatalf("run -parallel %d: %v\nstderr: %s", parallel, err, stderr.String())
+		code, stdout, stderr := lfsim(repsArgs(parallel)...)
+		if code != 0 {
+			t.Fatalf("-parallel %d: exit %d\nstderr: %s", parallel, code, stderr)
 		}
-		return stdout.String()
+		return stdout
 	}
 	serial := runReps(1)
 	parallel := runReps(3)
@@ -164,12 +146,12 @@ func TestLfsimRepsParallelMatchesSerial(t *testing.T) {
 // telemetry; combining them with -reps must fail loudly instead of silently
 // writing one arbitrary rep.
 func TestLfsimRepsRejectTelemetryExports(t *testing.T) {
-	o := repsOpts(1)
-	o.ex.Trace = filepath.Join(t.TempDir(), "trace.json")
-	var stdout, stderr bytes.Buffer
-	err := run(o, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "-reps 1") {
-		t.Fatalf("expected export/reps conflict error, got %v", err)
+	code, stdout, stderr := lfsim(repsArgs(1, "-trace", filepath.Join(t.TempDir(), "trace.json"))...)
+	if code != 1 || !strings.Contains(stderr, "-reps 1") {
+		t.Fatalf("exit %d, stderr %q: want exit 1 and an export/reps conflict error", code, stderr)
+	}
+	if stdout != "" {
+		t.Errorf("rejected run still printed a report:\n%s", stdout)
 	}
 }
 
@@ -178,16 +160,14 @@ func TestLfsimRepsRejectTelemetryExports(t *testing.T) {
 // simulated-time tracing.
 func TestLfsimDeterminism(t *testing.T) {
 	read := func(dir string) (trace, jsonl, prom []byte) {
-		o := smokeOpts(dir)
-		var stdout, stderr bytes.Buffer
-		if err := run(o, &stdout, &stderr); err != nil {
-			t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+		if code, _, stderr := lfsim(smokeArgs(dir)...); code != 0 {
+			t.Fatalf("exit %d\nstderr: %s", code, stderr)
 		}
 		for _, p := range []struct {
-			path string
+			name string
 			dst  *[]byte
-		}{{o.ex.Trace, &trace}, {o.ex.TraceJSONL, &jsonl}, {o.ex.Metrics, &prom}} {
-			b, err := os.ReadFile(p.path)
+		}{{"trace.json", &trace}, {"trace.jsonl", &jsonl}, {"metrics.prom", &prom}} {
+			b, err := os.ReadFile(filepath.Join(dir, p.name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,35 +188,26 @@ func TestLfsimDeterminism(t *testing.T) {
 	}
 }
 
-// TestLfsimFleetSmoke runs the -fleet scenario in chaos mode with telemetry
-// exports and checks the report, the fleet metric families, and run-to-run
+// TestLfsimFleetSmoke runs lfsim fleet with -chaos and telemetry exports and
+// checks the report, the fleet metric families, and run-to-run
 // byte-identical exports (the determinism contract extends to the
 // distribution plane).
 func TestLfsimFleetSmoke(t *testing.T) {
 	runFleetOnce := func(dir string) (report string, prom, trace []byte) {
-		o := options{
-			fleet:        4,
-			duration:     400 * time.Millisecond,
-			seed:         3,
-			faultProfile: "chaos",
-			ex: obs.Exports{
-				Trace:   filepath.Join(dir, "trace.json"),
-				Metrics: filepath.Join(dir, "metrics.prom"),
-			},
+		code, stdout, stderr := lfsim("fleet", "-members", "4", "-duration", "400ms", "-seed", "3", "-chaos",
+			"-trace", filepath.Join(dir, "trace.json"), "-metrics-out", filepath.Join(dir, "metrics.prom"))
+		if code != 0 {
+			t.Fatalf("exit %d\nstderr: %s", code, stderr)
 		}
-		var stdout, stderr bytes.Buffer
-		if err := run(o, &stdout, &stderr); err != nil {
-			t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
-		}
-		p, err := os.ReadFile(o.ex.Metrics)
+		p, err := os.ReadFile(filepath.Join(dir, "metrics.prom"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := os.ReadFile(o.ex.Trace)
+		tr, err := os.ReadFile(filepath.Join(dir, "trace.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stdout.String(), p, tr
+		return stdout, p, tr
 	}
 
 	r1, p1, t1 := runFleetOnce(t.TempDir())
@@ -271,30 +242,29 @@ func TestLfsimFleetSmoke(t *testing.T) {
 	}
 }
 
-// TestLfsimScenarioCLI covers the -scenario surface: corpus listing, a
-// checked run from the embedded corpus, loading a spec from a JSON file, the
-// envelope exit path, and the unknown-name error.
+// TestLfsimScenarioCLI covers lfsim scenario: corpus listing, a checked run
+// from the embedded corpus, loading a spec from a JSON file, the envelope
+// exit path, and the unknown-name error.
 func TestLfsimScenarioCLI(t *testing.T) {
-	var stdout bytes.Buffer
-	if err := run(options{scenarioList: true}, &stdout, io.Discard); err != nil {
-		t.Fatalf("scenario-list: %v", err)
+	code, stdout, _ := lfsim("scenario")
+	if code != 0 {
+		t.Fatalf("listing: exit %d", code)
 	}
 	for _, want := range []string{"web-baseline", "rpc-incast", "mega-web-1m"} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("-scenario-list output missing %q:\n%s", want, stdout.String())
+		if !strings.Contains(stdout, want) {
+			t.Errorf("corpus listing missing %q:\n%s", want, stdout)
 		}
 	}
 
-	stdout.Reset()
-	o := options{scenario: "rpc-incast", scenarioCheck: true, scenarioScale: 1}
-	if err := run(o, &stdout, io.Discard); err != nil {
-		t.Fatalf("scenario rpc-incast: %v\n%s", err, stdout.String())
+	code, stdout, stderr := lfsim("scenario", "-check", "rpc-incast")
+	if code != 0 {
+		t.Fatalf("scenario rpc-incast: exit %d\n%s%s", code, stdout, stderr)
 	}
-	if !strings.Contains(stdout.String(), "envelope: OK") {
-		t.Errorf("checked run did not report envelope OK:\n%s", stdout.String())
+	if !strings.Contains(stdout, "envelope: OK") {
+		t.Errorf("checked run did not report envelope OK:\n%s", stdout)
 	}
 
-	// A file-backed spec with an impossible envelope must trip -scenario-check.
+	// A file-backed spec with an impossible envelope must trip -check.
 	spec := `{
 		"name": "impossible",
 		"description": "file-backed spec for the CLI test",
@@ -309,67 +279,97 @@ func TestLfsimScenarioCLI(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stdout.Reset()
-	err := run(options{scenario: path, scenarioCheck: true, scenarioScale: 1}, &stdout, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "envelope violated") {
-		t.Errorf("impossible envelope: err = %v, want envelope violation", err)
+	if code, _, stderr := lfsim("scenario", "-check", path); code != 1 || !strings.Contains(stderr, "envelope violated") {
+		t.Errorf("impossible envelope: exit %d, stderr %q, want exit 1 and an envelope violation", code, stderr)
 	}
-	// Without -scenario-check the same run succeeds but reports violations.
-	stdout.Reset()
-	if err := run(options{scenario: path, scenarioScale: 1}, &stdout, io.Discard); err != nil {
-		t.Fatalf("unchecked run: %v", err)
+	// Without -check the same run succeeds but reports violations.
+	code, stdout, stderr = lfsim("scenario", path)
+	if code != 0 {
+		t.Fatalf("unchecked run: exit %d\n%s", code, stderr)
 	}
-	if !strings.Contains(stdout.String(), "envelope: 1 violations") {
-		t.Errorf("unchecked run did not print violations:\n%s", stdout.String())
+	if !strings.Contains(stdout, "envelope: 1 violations") {
+		t.Errorf("unchecked run did not print violations:\n%s", stdout)
 	}
 
-	if err := run(options{scenario: "no-such-scenario", scenarioScale: 1}, &stdout, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "unknown scenario") {
-		t.Errorf("unknown name: err = %v, want unknown-scenario error", err)
+	if code, _, stderr := lfsim("scenario", "no-such-scenario"); code != 1 || !strings.Contains(stderr, "unknown scenario") {
+		t.Errorf("unknown name: exit %d, stderr %q, want exit 1 and an unknown-scenario error", code, stderr)
 	}
-	if err := run(options{scenario: "web-baseline", scenarioCheck: true, scenarioScale: 0.5}, &stdout, io.Discard); err == nil {
-		t.Error("scenario-check at scale 0.5 should be rejected")
+	if code, stdout, _ := lfsim("scenario", "-check", "-scale", "0.5", "web-baseline"); code != 1 || stdout != "" {
+		t.Errorf("-check at -scale 0.5: exit %d, stdout %q, want exit 1 and no report", code, stdout)
 	}
+}
 
-	// Flags the scenario runner cannot honor (it has no telemetry scope, no
-	// injector, no reps), -with flags missing their base flag and values no
-	// run can use must be rejected by name, not silently ignored.
+// TestLfsimRejectsBeforeAnyOutput: a flag the run kind does not take, a stray
+// argument or an old-syntax line is the flag package's error (exit 2); a
+// value no run can use names its flag (exit 1). Both refuse before any
+// output, not from the first rep once its header is printed.
+func TestLfsimRejectsBeforeAnyOutput(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out")
-	sc := options{scenario: "rpc-incast", scenarioScale: 1}
+	fleet := []string{"fleet", "-members", "2", "-duration", "50ms"}
+	scen := []string{"scenario"}
+	with := func(base []string, args ...string) []string {
+		return append(append([]string{}, base...), args...)
+	}
 	for _, c := range []struct {
-		flag string
-		o    options
+		args []string
+		code int
+		want string
 	}{
-		{"-trace", func() options { o := sc; o.ex.Trace = out; return o }()},
-		{"-trace-jsonl", func() options { o := sc; o.ex.TraceJSONL = out; return o }()},
-		{"-metrics-out", func() options { o := sc; o.ex.Metrics = out; return o }()},
-		{"-flight-out", func() options { o := sc; o.ex.Flight = out; return o }()},
-		{"-listen", func() options { o := sc; o.ex.Listen = "127.0.0.1:0"; return o }()},
-		{"-reps", func() options { o := sc; o.reps = 3; return o }()},
-		{"-fault-profile", func() options { o := sc; o.faultProfile = "chaos"; return o }()},
-		{"-fleet", func() options { o := sc; o.fleet, o.canary = 4, 1; return o }()},
-		{"-scenario-check", options{scheme: "bbr", flows: 1, scenarioCheck: true}},
-		{"-fleet-scenario", options{scheme: "bbr", flows: 1, fleetScenario: "web-diurnal"}},
-		{"-canary-window", options{fleet: 4, duration: 10 * time.Millisecond, canaryWin: time.Millisecond}},
-		{"-duration", options{scheme: "bbr", flows: 1, warmup: time.Millisecond}},
-		{"-duration", options{fleet: 2}},
-		{"-warmup", options{scheme: "bbr", flows: 1, duration: time.Millisecond, warmup: -time.Millisecond}},
-		{"-flows", options{scheme: "bbr", duration: time.Millisecond}},
-		// Unknown names and a negative scale are refused before any output,
-		// not by the first rep once its header is printed.
-		{"-cc", options{scheme: "nope", flows: 1, duration: time.Millisecond, reps: 2}},
-		{"-adapt", options{scheme: "bbr", flows: 1, duration: time.Millisecond, adapt: true, reps: 2}},
-		{"-fault-profile", options{scheme: "bbr", flows: 1, duration: time.Millisecond, faultProfile: "nope", reps: 2}},
-		{"-fault-profile", options{fleet: 4, duration: time.Millisecond, faultProfile: "nope"}},
-		{"-scenario-scale", options{scenario: "rpc-incast", scenarioScale: -1}},
+		// Flags another run kind takes: the scenario runner has no
+		// telemetry scope, no injector, no reps and no fleet plane; the
+		// fleet runner has no scheme, dumbbell or per-host injector.
+		{with(scen, "-trace", out, "rpc-incast"), 2, "not defined: -trace"},
+		{with(scen, "-trace-jsonl", out, "rpc-incast"), 2, "not defined: -trace-jsonl"},
+		{with(scen, "-metrics-out", out, "rpc-incast"), 2, "not defined: -metrics-out"},
+		{with(scen, "-flight-out", out, "rpc-incast"), 2, "not defined: -flight-out"},
+		{with(scen, "-listen", "127.0.0.1:0", "rpc-incast"), 2, "not defined: -listen"},
+		{with(scen, "-reps", "3", "rpc-incast"), 2, "not defined: -reps"},
+		{with(scen, "-fault-profile", "chaos", "rpc-incast"), 2, "not defined: -fault-profile"},
+		{with(scen, "-members", "4", "rpc-incast"), 2, "not defined: -members"},
+		{with(scen, "-duration", "1ms", "web-baseline"), 2, "not defined: -duration"},
+		{with(scen, "-seed", "99", "web-baseline"), 2, "not defined: -seed"},
+		{with(scen, "-cc", "nonsense", "web-baseline"), 2, "not defined: -cc"},
+		{with(scen, "-flows", "0", "web-baseline"), 2, "not defined: -flows"},
+		{[]string{"cc", "-check"}, 2, "not defined: -check"},
+		{[]string{"cc", "-workload", "web-diurnal"}, 2, "not defined: -workload"},
+		{with(fleet, "-fault-profile", "chaos"), 2, "not defined: -fault-profile"},
+		{with(fleet, "-cc", "nonsense"), 2, "not defined: -cc"},
+		{with(fleet, "-flows", "0"), 2, "not defined: -flows"},
+		{with(fleet, "-adapt"), 2, "not defined: -adapt"},
+		{with(fleet, "-fault-seed", "9"), 2, "not defined: -fault-seed"},
+		{with(fleet, "-warmup", "3s"), 2, "not defined: -warmup"},
+		{with(fleet, "-pretrain", "7"), 2, "not defined: -pretrain"},
+		{with(fleet, "-interval", "0"), 2, "not defined: -interval"},
+		{with(fleet, "-congested"), 2, "not defined: -congested"},
+		{with(fleet, "-batch-interval", "1ns"), 2, "not defined: -batch-interval"},
+		// Stray arguments, unknown kinds and the old flag-selected kinds.
+		{[]string{"cc", "-cc", "bbr", "stray-arg"}, 2, `not expected: "stray-arg"`},
+		{with(fleet, "stray-arg"), 2, `not expected: "stray-arg"`},
+		{[]string{"scenario", "rpc-incast", "-check"}, 2, `not expected: "-check"`},
+		{[]string{"scenario", "-check"}, 2, "name a scenario"},
+		{nil, 2, "usage: lfsim"},
+		{[]string{"nope"}, 2, "usage: lfsim"},
+		{[]string{"-cc", "bbr"}, 2, "usage: lfsim"},
+		// Values no run can use.
+		{[]string{"cc", "-duration", "0", "-warmup", "1ms"}, 1, "-duration "},
+		{[]string{"fleet", "-duration", "0"}, 1, "-duration "},
+		{[]string{"cc", "-duration", "1ms", "-warmup", "-1ms"}, 1, "-warmup "},
+		{[]string{"cc", "-duration", "1ms", "-flows", "0"}, 1, "-flows "},
+		{[]string{"cc", "-cc", "nope", "-duration", "1ms", "-reps", "2"}, 1, "-cc "},
+		{[]string{"cc", "-adapt", "-duration", "1ms", "-reps", "2"}, 1, "-adapt "},
+		{[]string{"cc", "-fault-profile", "nope", "-duration", "1ms", "-reps", "2"}, 1, "-fault-profile "},
+		{[]string{"fleet", "-members", "0"}, 1, "-members "},
+		{[]string{"fleet", "-members", "4", "-canary", "4"}, 1, "-canary "},
+		{[]string{"fleet", "-canary", "-1"}, 1, "-canary "},
+		{with(fleet, "-reps", "2", "-metrics-out", out), 1, "-reps 1"},
+		{[]string{"scenario", "-scale", "-1", "rpc-incast"}, 1, "-scale "},
 	} {
-		stdout.Reset()
-		err := run(c.o, &stdout, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), c.flag+" ") {
-			t.Errorf("%s: err = %v, want a rejection naming the flag", c.flag, err)
+		code, stdout, stderr := lfsim(c.args...)
+		if code != c.code || !strings.Contains(stderr, c.want) {
+			t.Errorf("lfsim %s: exit %d, stderr %q; want exit %d naming %q", strings.Join(c.args, " "), code, stderr, c.code, c.want)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("%s: rejected run still printed a report:\n%s", c.flag, stdout.String())
+		if stdout != "" {
+			t.Errorf("lfsim %s: rejected run still printed a report:\n%s", strings.Join(c.args, " "), stdout)
 		}
 	}
 }

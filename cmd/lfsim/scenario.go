@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -11,17 +12,48 @@ import (
 	"github.com/liteflow-sim/liteflow/scenarios"
 )
 
-// errEnvelope marks an acceptance-envelope violation under -scenario-check so
-// main can exit non-zero without treating it as a harness failure.
-type errEnvelope struct{ violations []string }
-
-func (e errEnvelope) Error() string {
-	return fmt.Sprintf("acceptance envelope violated (%d): %s",
-		len(e.violations), strings.Join(e.violations, "; "))
+// parseScenario reads lfsim scenario [-check] [-scale S] [NAME|PATH]. With
+// no name the command lists the corpus; with one it runs that scenario and
+// prints its report, and with -check a violated envelope is an error (the CI
+// acceptance-envelope job drives this path).
+func parseScenario(fs *flag.FlagSet, args []string) (command, error) {
+	check := fs.Bool("check", false, "exit 1 if the run violates the scenario's acceptance envelope (the one argument, NAME|PATH, names the scenario; none lists the corpus)")
+	scale := fs.Float64("scale", 1, "scale the session population (envelopes only apply at 1)")
+	if err := parseArgs(fs, args, 1); err != nil {
+		return nil, err
+	}
+	switch {
+	case fs.NArg() == 0 && fs.NFlag() > 0:
+		fmt.Fprintln(fs.Output(), "-check and -scale apply to a run: name a scenario")
+		return nil, errUsage
+	case fs.NArg() == 0:
+		return listScenarios, nil
+	case *scale < 0:
+		return nil, fmt.Errorf("-scale %g: want 0 or more (0 and 1 are natural scale)", *scale)
+	case *check && *scale != 0 && *scale != 1:
+		return nil, fmt.Errorf("-check enforces the envelope, which is only defined at -scale 1 (got %g)", *scale)
+	}
+	name := fs.Arg(0)
+	return func(stdout, _ io.Writer) error {
+		s, err := loadScenario(name)
+		if err != nil {
+			return err
+		}
+		r, err := scenario.Run(s, scenario.RunOpts{Scale: *scale})
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(stdout, r.String())
+		if *check && len(r.Violations) > 0 {
+			return fmt.Errorf("acceptance envelope violated (%d): %s", len(r.Violations), strings.Join(r.Violations, "; "))
+		}
+		return nil
+	}, nil
 }
 
-// loadScenario resolves -scenario: an embedded corpus name, or a filesystem
-// path when the argument looks like one (contains a separator or .json).
+// loadScenario resolves a scenario argument: an embedded corpus name, or a
+// filesystem path when the argument looks like one (contains a separator or
+// .json).
 func loadScenario(arg string) (*scenario.Spec, error) {
 	if strings.ContainsRune(arg, os.PathSeparator) || strings.HasSuffix(arg, ".json") {
 		data, err := os.ReadFile(arg)
@@ -48,7 +80,7 @@ func loadScenario(arg string) (*scenario.Spec, error) {
 }
 
 // listScenarios prints the embedded corpus, one scenario per row.
-func listScenarios(stdout io.Writer) error {
+func listScenarios(stdout, _ io.Writer) error {
 	specs, err := scenario.LoadCorpus(scenarios.FS)
 	if err != nil {
 		return err
@@ -56,28 +88,6 @@ func listScenarios(stdout io.Writer) error {
 	fmt.Fprintf(stdout, "%-20s %8s %8s  %s\n", "name", "sessions", "dur(ms)", "description")
 	for _, s := range specs {
 		fmt.Fprintf(stdout, "%-20s %8d %8g  %s\n", s.Name, s.Sessions(), s.DurationMs, s.Description)
-	}
-	return nil
-}
-
-// runScenario executes one scenario through the harness and prints its
-// report. With -scenario-check it returns errEnvelope on any violation (the
-// CI acceptance-envelope job drives this path).
-func runScenario(o options, stdout io.Writer) error {
-	s, err := loadScenario(o.scenario)
-	if err != nil {
-		return err
-	}
-	if o.scenarioCheck && o.scenarioScale != 0 && o.scenarioScale != 1 {
-		return fmt.Errorf("-scenario-check enforces the envelope, which is only defined at -scenario-scale 1 (got %g)", o.scenarioScale)
-	}
-	r, err := scenario.Run(s, scenario.RunOpts{Scale: o.scenarioScale})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, r.String())
-	if o.scenarioCheck && len(r.Violations) > 0 {
-		return errEnvelope{r.Violations}
 	}
 	return nil
 }

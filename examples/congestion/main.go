@@ -20,7 +20,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/rig"
 )
 
-// runScheme runs one entry of the scheme table (the one fig11 and lfsim -cc
+// runScheme runs one entry of the scheme table (the one fig11 and lfsim cc
 // use) on the congested testbed rig: bursty background UDP keeps the
 // bottleneck congested and moving (paper §2.2 setup; mean 0.1 Gbps).
 func runScheme(name, key string, args rig.SchemeArgs) float64 {

@@ -12,7 +12,7 @@ import (
 )
 
 // FleetScenarioOpts parameterizes one fleet distribution-plane run. The same
-// scenario backs the fleet-scale experiment, cmd/lfsim -fleet, and the
+// scenario backs the fleet-scale experiment, lfsim fleet, and the
 // chaos-recovery acceptance test.
 type FleetScenarioOpts struct {
 	Members int // fabric hosts = fleet members (rounded up to even)
@@ -25,13 +25,11 @@ type FleetScenarioOpts struct {
 	Flight      *obs.FlightRecorder
 	FlightEvery netsim.Time
 	// CanaryCount > 0 stages every minted epoch through that many canary
-	// members before release (fleet.Config canary gating). The gate reads
-	// the run's flight recorder; private telemetry is provisioned when the
-	// caller brought none.
+	// members before release (fleet.Config canary gating), each observed
+	// for four aggregation intervals. The gate reads the run's flight
+	// recorder; private telemetry is provisioned when the caller brought
+	// none.
 	CanaryCount int
-	// CanaryWindow is the verdict observation window. Zero means 4
-	// aggregation intervals.
-	CanaryWindow netsim.Time
 	// Workload, when non-nil, shapes every member's datapath query cadence
 	// by the scenario's arrival process: the inter-query gap is divided by
 	// the scenario's arrival density at the current point of the run, so a
@@ -79,9 +77,8 @@ func RunFleetScenario(o FleetScenarioOpts) FleetScenarioResult {
 	}
 	ro := rig.FleetOpts{
 		Members: o.Members, Seed: o.Seed, Agg: agg, Dur: dur, End: end,
-		CanaryCount: o.CanaryCount, CanaryWindow: o.CanaryWindow,
 		Scope: o.Obs, Flight: o.Flight, FlightEvery: o.FlightEvery,
-		Stream: stream,
+		CanaryCount: o.CanaryCount, Stream: stream,
 	}
 	if o.Chaos {
 		ro.OddFaults = fault.Profile{OutagePeriod: int64(dur / 4), OutageDuration: int64(dur / 10)}

@@ -73,7 +73,7 @@ func (p Profile) Active() bool {
 		(p.SpikePeriod > 0 && p.SpikeWork > 0)
 }
 
-// Named profiles for cmd/lfsim's -fault-profile flag.
+// Named profiles for lfsim cc's -fault-profile flag.
 const (
 	millisecond = int64(1e6)
 	second      = int64(1e9)

@@ -18,7 +18,7 @@ type Background int
 
 const (
 	NoBackground Background = iota
-	// ConstantUDP is a steady 0.1 Gbps (lfsim -congested).
+	// ConstantUDP is a steady 0.1 Gbps (lfsim cc -congested).
 	ConstantUDP
 	// BurstyUDP alternates 20 and 180 Mbps every 200 ms, averaging the
 	// paper's 0.1 Gbps: a constant background would let even 100 ms-stale

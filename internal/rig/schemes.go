@@ -59,7 +59,7 @@ type SchemeArgs struct {
 }
 
 // Scheme is one way of realizing congestion control on the dumbbell's
-// sender: the single table behind the figures' bars and lfsim -cc.
+// sender: the single table behind the figures' bars and lfsim cc.
 type Scheme struct {
 	Model string // policy network it runs: "aurora", "mocc", or "" for the classic controllers
 	// LF schemes query a kernel snapshot: the caller deploys Net's snapshot
@@ -78,7 +78,7 @@ func (d *Dumbbell) AddFlows(s Scheme, a SchemeArgs) {
 // initRate is every MI-driven controller's starting pacing rate.
 const initRate = 500e6
 
-// Schemes maps scheme names (lfsim -cc values) to their realization.
+// Schemes maps scheme names (lfsim cc's -cc values) to their realization.
 var Schemes = map[string]Scheme{
 	"bbr": {new: func(d *Dumbbell, _ SchemeArgs, _ netsim.FlowID) tcp.CongestionControl {
 		return &ackCosted{cc.NewBBR(), d.Sender.CPU, bbrAckCost}

@@ -78,7 +78,7 @@ func TestParseRejectsOverflowingDuration(t *testing.T) {
 
 // TestScenarioEnvelopes runs every small scenario at natural scale on the
 // serial engine and requires a clean acceptance envelope. This is the same
-// check CI's scenario job applies through lfsim -scenario-check.
+// check CI's scenario job applies through lfsim scenario -check.
 func TestScenarioEnvelopes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario envelope sweep is a long test")
