@@ -50,6 +50,35 @@ func TestQuerySteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestQueryMissZeroAllocs extends the contract to the miss path: once the
+// flow cache's table has grown to hold a population, pinning a new flow
+// writes an entry in place and allocates nothing.
+func TestQueryMissZeroAllocs(t *testing.T) {
+	lf, in, out := queryFixture(t)
+	const population = 1000
+	for f := liteflow.FlowID(1); f <= population; f++ {
+		if err := lf.QueryModel(f, in, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for f := liteflow.FlowID(1); f <= population; f++ {
+		lf.FlowFinished(f)
+	}
+	next := liteflow.FlowID(population)
+	allocs := testing.AllocsPerRun(200, func() {
+		next++
+		if err := lf.QueryModel(next, in, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("QueryModel on a new flow allocates %.2f allocs/op, want 0", allocs)
+	}
+	if got := lf.CachedFlows(); got != 201 {
+		t.Fatalf("CachedFlows = %d after 201 misses, want 201", got)
+	}
+}
+
 // TestQuerySteadyStateZeroAllocsWithSampler extends the contract to an
 // observability-enabled core with a flight recorder attached: metric updates
 // on the query path are atomic adds, and the sampler runs on engine ticks,

@@ -224,8 +224,8 @@ func (c *Core) SetFlowCache(enabled bool) {
 }
 
 // sortedCachedFlows returns the cached flow IDs in ascending order (see
-// flowCache.appendSortedFlows for why bulk drops must not depend on map
-// iteration order). The returned slice aliases a core-owned scratch buffer,
+// flowCache.appendSortedFlows for why bulk drops must not depend on table
+// order). The returned slice aliases a core-owned scratch buffer,
 // valid until the next call.
 func (c *Core) sortedCachedFlows() []netsim.FlowID {
 	c.flowScratch = c.fc.appendSortedFlows(c.flowScratch[:0])
@@ -400,7 +400,7 @@ func (c *Core) lookup(flow netsim.FlowID) *Model {
 	c.st.CacheMisses++
 	c.sc.Event1("flowcache", "miss", c.Eng.Now(), "flow", int64(flow))
 	c.active.refs++
-	c.fc.insert(flow, &cacheEntry{model: c.active, lastUsed: c.Eng.Now()})
+	c.fc.insert(flow, c.active, c.Eng.Now())
 	c.armSweeper()
 	return c.active
 }
@@ -411,17 +411,17 @@ func (c *Core) FlowFinished(flow netsim.FlowID) {
 }
 
 func (c *Core) dropEntry(flow netsim.FlowID) {
-	e, ok := c.fc.remove(flow)
+	m, ok := c.fc.remove(flow)
 	if !ok {
 		return
 	}
-	e.model.refs--
+	m.refs--
 	c.sc.Event1("flowcache", "evict", c.Eng.Now(), "flow", int64(flow))
 	c.unloadDead()
 }
 
 // CachedFlows returns the number of live flow-cache entries.
-func (c *Core) CachedFlows() int { return len(c.fc.entries) }
+func (c *Core) CachedFlows() int { return c.fc.n }
 
 // MaxSweepTickScan returns the largest number of wheel references any single
 // sweep tick has examined — the per-tick work bound the incremental sweeper
@@ -490,7 +490,7 @@ func (c *Core) sweepTick(gen uint64) {
 				c.dropEntry(f)
 				swept++
 			} else {
-				fc.park(f, e)
+				fc.park(e)
 			}
 		}
 	}

@@ -1,23 +1,28 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 )
 
 // This file implements the router's flow-consistency cache (paper §3.4): one
-// flow → entry map, the paper's structure, with amortized incremental
-// eviction. Idle expiry runs on a hashed timing wheel (Varghese & Lauck): the
+// open-addressing table of inline entries, linearly probed, so a miss
+// allocates nothing; removal shifts the probe run back (no tombstones). The
+// table grows 1.5× at ¾ load, so home slots scale a hash by the length.
+//
+// Idle expiry runs on a hashed timing wheel (Varghese & Lauck): the
 // timeout horizon is divided into sweepWheelSlots ticks, and every cached
 // entry parks a reference in the ring bucket of its expiry deadline. A sweep
 // tick inspects only the bucket(s) that just came due, so per-tick work is
 // proportional to the entries expiring around that tick — not to the cache
 // size. Renewal is lazy: a cache hit only refreshes lastUsed; the wheel
 // reference stays where it is, and when its bucket comes due the still-fresh
-// entry is re-parked at its new deadline. Stale references (flow finished, or
-// re-cached after a drop) are recognized by a slot mismatch and discarded in
-// O(1).
+// entry is re-parked at its new deadline. References are FlowIDs, not table
+// indices, because growth and removals move entries. Stale references (flow
+// finished, or re-cached after a drop) are recognized by a slot mismatch and
+// discarded in O(1).
 //
 // The wheel ring is sized timeout/tick+3: deadlines reach at most one full
 // timeout past now, and placement rounds one slot up, so at most
@@ -32,18 +37,21 @@ import (
 // sweeper armed, so the boundary's slot is processed up to one tick later).
 const sweepWheelSlots = 64
 
-// cacheEntry pins a snapshot for one flow. slot is the absolute wheel slot
-// holding this entry's current expiry reference (-1 when the sweeper is
-// disabled); references found under any other slot are stale.
+// cacheEntry pins a snapshot for one flow; a nil model marks an empty table
+// slot. slot is the absolute wheel slot holding this entry's current expiry
+// reference (-1 when the sweeper is disabled); references found under any
+// other slot are stale.
 type cacheEntry struct {
+	flow     netsim.FlowID
 	model    *Model
 	lastUsed netsim.Time
 	slot     int64
 }
 
-// flowCache is the flow → entry map plus the expiry wheel.
+// flowCache is the flow → entry table plus the expiry wheel.
 type flowCache struct {
-	entries map[netsim.FlowID]*cacheEntry
+	table []cacheEntry
+	n     int // live entries
 
 	timeout netsim.Time
 	tick    netsim.Time // slot width; 0 disables the wheel
@@ -55,7 +63,7 @@ type flowCache struct {
 }
 
 func newFlowCache(timeout netsim.Time) *flowCache {
-	fc := &flowCache{entries: make(map[netsim.FlowID]*cacheEntry), timeout: timeout}
+	fc := &flowCache{table: make([]cacheEntry, 16), timeout: timeout}
 	if timeout > 0 {
 		fc.tick = timeout / sweepWheelSlots
 		if fc.tick <= 0 {
@@ -66,24 +74,93 @@ func newFlowCache(timeout netsim.Time) *flowCache {
 	return fc
 }
 
-// get returns the entry for f, or nil. Zero allocations.
+// home returns f's home slot: the top bits of a Fibonacci hash, scaled to
+// the table length by a 64×64→128 multiply.
+func (fc *flowCache) home(f netsim.FlowID) int {
+	hi, _ := bits.Mul64(uint64(f)*0x9e3779b97f4a7c15, uint64(len(fc.table)))
+	return int(hi)
+}
+
+// find returns the index of f's entry and true, or the index of the empty
+// slot that ends f's probe run and false. The table is never full.
+func (fc *flowCache) find(f netsim.FlowID) (int, bool) {
+	t := fc.table
+	i := fc.home(f)
+	for t[i].model != nil {
+		if t[i].flow == f {
+			return i, true
+		}
+		if i++; i == len(t) {
+			i = 0
+		}
+	}
+	return i, false
+}
+
+// get returns the entry for f, or nil. The pointer is valid until the next
+// insert or remove. Zero allocations.
 func (fc *flowCache) get(f netsim.FlowID) *cacheEntry {
-	return fc.entries[f]
+	if i, ok := fc.find(f); ok {
+		return &fc.table[i]
+	}
+	return nil
 }
 
-// insert adds a new entry and parks its expiry reference. The caller
-// guarantees f is not present.
-func (fc *flowCache) insert(f netsim.FlowID, e *cacheEntry) {
-	fc.entries[f] = e
-	fc.park(f, e)
+// insert caches f pinned to m, last used at now, and parks its expiry
+// reference. The caller guarantees f is not present. It allocates only when
+// the table grows.
+func (fc *flowCache) insert(f netsim.FlowID, m *Model, now netsim.Time) {
+	if 4*(fc.n+1) > 3*len(fc.table) {
+		fc.grow()
+	}
+	i, _ := fc.find(f)
+	e := &fc.table[i]
+	*e = cacheEntry{flow: f, model: m, lastUsed: now}
+	fc.n++
+	fc.park(e)
 }
 
-// remove deletes f's entry. The wheel reference, if any, goes stale and is
-// discarded when its bucket comes due.
-func (fc *flowCache) remove(f netsim.FlowID) (*cacheEntry, bool) {
-	e, ok := fc.entries[f]
-	delete(fc.entries, f)
-	return e, ok
+// grow rehashes every entry into a table half as long again.
+func (fc *flowCache) grow() {
+	old := fc.table
+	fc.table = make([]cacheEntry, len(old)+len(old)/2)
+	for _, e := range old {
+		if e.model != nil {
+			i, _ := fc.find(e.flow)
+			fc.table[i] = e
+		}
+	}
+}
+
+// remove deletes f's entry and returns the model it pinned. Every later
+// entry of the probe run whose home does not lie cyclically in (hole, j]
+// moves back into the hole, so no lookup ever crosses an empty slot to reach
+// its entry. The wheel reference, if any, goes stale and is discarded when
+// its bucket comes due.
+func (fc *flowCache) remove(f netsim.FlowID) (*Model, bool) {
+	hole, ok := fc.find(f)
+	if !ok {
+		return nil, false
+	}
+	t := fc.table
+	m := t[hole].model
+	for j := hole; ; {
+		if j++; j == len(t) {
+			j = 0
+		}
+		if t[j].model == nil {
+			break
+		}
+		h := fc.home(t[j].flow)
+		if hole < j && hole < h && h <= j || j < hole && (hole < h || h <= j) {
+			continue // home in (hole, j]: moving it back would skip it
+		}
+		t[hole] = t[j]
+		hole = j
+	}
+	t[hole] = cacheEntry{}
+	fc.n--
+	return m, true
 }
 
 // slotFor maps an expiry deadline to the first absolute slot whose tick time
@@ -94,9 +171,9 @@ func (fc *flowCache) slotFor(deadline netsim.Time) int64 {
 	return int64(deadline/fc.tick) + 1
 }
 
-// park stores f's expiry reference in the wheel bucket of its deadline and
+// park stores e's expiry reference in the wheel bucket of its deadline and
 // stamps the entry with the slot, superseding any stale reference.
-func (fc *flowCache) park(f netsim.FlowID, e *cacheEntry) {
+func (fc *flowCache) park(e *cacheEntry) {
 	if fc.tick <= 0 {
 		e.slot = -1
 		return
@@ -104,7 +181,7 @@ func (fc *flowCache) park(f netsim.FlowID, e *cacheEntry) {
 	slot := fc.slotFor(e.lastUsed + fc.timeout)
 	e.slot = slot
 	idx := int(slot % int64(len(fc.ring)))
-	fc.ring[idx] = append(fc.ring[idx], f)
+	fc.ring[idx] = append(fc.ring[idx], e.flow)
 	fc.parked++
 }
 
@@ -133,13 +210,15 @@ func (fc *flowCache) resetWheel() {
 }
 
 // appendSortedFlows appends every cached flow ID to buf in ascending order.
-// Bulk drops iterate this — never Go map order — so eviction telemetry is
+// Bulk drops iterate this — never table order — so eviction telemetry is
 // identical between same-seed runs (the determinism invariant, DESIGN.md
 // §4d). Sorting is O(n log n) but only runs on rare bulk operations; the
 // periodic sweep path does not use it.
 func (fc *flowCache) appendSortedFlows(buf []netsim.FlowID) []netsim.FlowID {
-	for f := range fc.entries {
-		buf = append(buf, f)
+	for _, e := range fc.table {
+		if e.model != nil {
+			buf = append(buf, e.flow)
+		}
 	}
 	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
 	return buf

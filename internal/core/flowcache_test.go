@@ -316,3 +316,79 @@ func TestBulkDropDeterministicOrder(t *testing.T) {
 		t.Errorf("wheel still holds %d refs after bulk drop", c.fc.parked)
 	}
 }
+
+// FuzzFlowTable holds the open-addressing table to a map oracle. Each input
+// byte is one operation on a 16-slot table with no wheel: the top two bits
+// pick insert (twice as likely), remove or get, the low six a flow out of 64.
+// Half the alphabet is small IDs, half is IDs whose hashes differ only in
+// their top five bits, so probe runs collide, wrap and are shifted back, and
+// the table grows. After every operation the table holds the oracle's flows
+// with their models, no more, and every entry is reachable from its home
+// slot without crossing an empty one.
+func FuzzFlowTable(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x20, 0x21, 0x22, 0x23, 0x24, 0xa1, 0x25, 0xa0, 0xe3})
+	f.Add([]byte{0x10, 0x20, 0x32, 0x43, 0x90}) // the removal's shift wraps from slot 0 to 15
+	seq := make([]byte, 0, 192)
+	for b := byte(0); b < 64; b++ {
+		seq = append(seq, b)
+	}
+	for b := byte(0); b < 64; b += 3 {
+		seq = append(seq, 0x80|b, 0xc0|(b+1))
+	}
+	f.Add(seq)
+	models := [2]*Model{{Name: "a"}, {Name: "b"}}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		fc := newFlowCache(0)
+		if len(fc.table) != 16 {
+			t.Fatalf("new table has %d slots, want 16", len(fc.table))
+		}
+		oracle := map[netsim.FlowID]*Model{}
+		for step, b := range ops {
+			flow := netsim.FlowID(b & 31)
+			if b&32 != 0 {
+				flow <<= 59
+			}
+			switch b >> 6 {
+			case 0, 1:
+				if _, ok := oracle[flow]; !ok {
+					m := models[b>>6]
+					fc.insert(flow, m, netsim.Time(step))
+					oracle[flow] = m
+				}
+			case 2:
+				m, ok := fc.remove(flow)
+				if want, had := oracle[flow]; ok != had || m != want {
+					t.Fatalf("step %d: remove(%#x) = %v, %v; oracle %v, %v", step, flow, m, ok, want, had)
+				}
+				delete(oracle, flow)
+			default:
+				e := fc.get(flow)
+				if want := oracle[flow]; (e == nil) != (want == nil) || e != nil && (e.flow != flow || e.model != want) {
+					t.Fatalf("step %d: get(%#x) = %+v, oracle %v", step, flow, e, want)
+				}
+			}
+			if fc.n != len(oracle) || 4*fc.n > 3*len(fc.table) {
+				t.Fatalf("step %d: %d entries in %d slots, oracle %d", step, fc.n, len(fc.table), len(oracle))
+			}
+			live := 0
+			for i, e := range fc.table {
+				if e.model == nil {
+					continue
+				}
+				live++
+				if oracle[e.flow] != e.model {
+					t.Fatalf("step %d: slot %d holds %#x → %v, oracle %v", step, i, e.flow, e.model, oracle[e.flow])
+				}
+				for j := fc.home(e.flow); j != i; j = (j + 1) % len(fc.table) {
+					if fc.table[j].model == nil {
+						t.Fatalf("step %d: %#x at slot %d is cut off from its home %d by empty slot %d", step, e.flow, i, fc.home(e.flow), j)
+					}
+				}
+			}
+			if live != len(oracle) {
+				t.Fatalf("step %d: %d live slots, oracle %d", step, live, len(oracle))
+			}
+		}
+	})
+}

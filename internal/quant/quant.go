@@ -86,13 +86,17 @@ type Layer struct {
 	// wide is set, for good, by a SetWeight of a value outside int32; it
 	// keeps the dense step on dot4 (dense_amd64.go).
 	wide bool
+	// narrowIn: the input is a LUT's output and every entry of that table
+	// fits in int32, so dense need not check x (set by Quantize).
+	narrowIn bool
 
 	accScale int64 // input scale · weightScale: scale of the accumulator
 	outScale int64 // scale of this layer's outputs
 
 	// LUT for tanh/sigmoid: entry i is the activation, at outScale, of the
 	// accumulator value tblMin + i·(tblMax-tblMin)/(len-1). The array is
-	// shared with every layer of the same tableKey and never written.
+	// shared with every layer of the same tableKey and never written; its
+	// capacity holds one more entry equal to the last (sharedTable).
 	table    []int64
 	tblRange float64 // Config.TableRange the table was built over
 	tblMin   int64   // accumulator value of table[0]
@@ -229,6 +233,10 @@ func Quantize(net *nn.Network, cfg Config) *Program {
 		if fl.Act == nn.Tanh || fl.Act == nn.Sigmoid {
 			l.useTable(cfg.TableSize, cfg.TableRange)
 		}
+		if li > 0 {
+			prev := p.Layers[li-1].table
+			l.narrowIn = prev != nil && allFitInt32(prev)
+		}
 		p.Layers = append(p.Layers, l)
 		p.macs += fl.In * fl.Out
 		if fl.In > maxWidth {
@@ -297,18 +305,21 @@ var tableMemo = struct {
 // sharedTable returns the LUT for k: entry i maps the pre-activation value
 // -R + 2R·i/(size-1) to the activated output at outScale. It is computed
 // under the lock, so concurrent Quantize calls of one key share one array.
+// One more backing entry, past its length, copies the last for lookup.
 func sharedTable(k tableKey) []int64 {
 	tableMemo.Lock()
 	defer tableMemo.Unlock()
 	if t, ok := tableMemo.m[k]; ok {
 		return t
 	}
-	t := make([]int64, k.size)
-	for i := range t {
+	t := make([]int64, k.size+1)
+	for i := range t[:k.size] {
 		frac := float64(i) / float64(k.size-1)
 		x := -k.tblRange + 2*k.tblRange*frac
 		t[i] = roundToInt(k.act.Apply(x) * float64(k.outScale))
 	}
+	t[k.size] = t[k.size-1]
+	t = t[:k.size]
 	if tableMemo.entries+k.size <= maxMemoEntries {
 		tableMemo.m[k] = t
 		tableMemo.entries += k.size
@@ -377,7 +388,7 @@ func (p *Program) InferWith(a *Arena, in, out []int64) {
 func (l *Layer) dense(x, dst []int64) {
 	n := len(x)
 	w, b := l.w, l.B[:len(dst)]
-	vec := packed && len(dst) >= 4 && !l.wide && allFitInt32(x)
+	vec := packed && len(dst) >= 4 && !l.wide && (l.narrowIn || allFitInt32(x))
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
 		var a0, a1, a2, a3 int64
@@ -467,14 +478,30 @@ func rescale(v, from, to int64) int64 {
 
 // lookup replaces each accumulator value in v by the layer's LUT evaluated
 // there with linear interpolation, clamping outside the covered range (where
-// tanh/sigmoid are saturated anyway). With a power-of-two span the two
-// divisions become a shift and a mask, which equal Go's truncating / and %
-// on non-negative numerators; the index numerator always is one, the
-// interpolation numerator is wherever the table does not fall.
+// tanh/sigmoid are saturated anyway).
+//
+// A power-of-two span takes no data-dependent branch: one pass clamps with
+// min/max (apart from the table reads, so they compile to conditional
+// moves), a second divides by shifts. At tblMax it reads the padded entry
+// with remainder 0. A negative d (a falling table) is biased by span-1 to
+// truncate as / does. Any other span divides.
 func (l *Layer) lookup(v []int64) {
 	table, tblMin, tblMax := l.table, l.tblMin, l.tblMax
 	last := int64(len(table) - 1)
-	span, shift := tblMax-tblMin, l.tblShift
+	span, shift := tblMax-tblMin, l.tblShift&63 // tblShift < 63; &63 only drops the ≥64-shift guard
+	if shift != 0 {
+		padded, mask := table[:last+2], span-1
+		for i, acc := range v {
+			v[i] = min(max(acc, tblMin), tblMax) - tblMin
+		}
+		for i, off := range v {
+			num := off * last
+			lo, hi := padded[num>>shift], padded[num>>shift+1]
+			d := (hi - lo) * (num & mask)
+			v[i] = lo + (d+d>>63&mask)>>shift
+		}
+		return
+	}
 	for i, acc := range v {
 		if acc <= tblMin {
 			v[i] = table[0]
@@ -485,18 +512,9 @@ func (l *Layer) lookup(v []int64) {
 			continue
 		}
 		num := (acc - tblMin) * last
-		var idx, rem int64
-		if shift != 0 {
-			idx, rem = num>>shift, num&(span-1)
-		} else {
-			idx, rem = num/span, num%span
-		}
+		idx, rem := num/span, num%span
 		lo, hi := table[idx], table[idx+1]
-		if d := (hi - lo) * rem; shift != 0 && d >= 0 {
-			v[i] = lo + d>>shift
-		} else {
-			v[i] = lo + d/span
-		}
+		v[i] = lo + (hi-lo)*rem/span
 	}
 }
 

@@ -128,32 +128,53 @@ func TestKernelMatchesReference(t *testing.T) {
 }
 
 // TestLookupMatchesReference walks both interpolation arms of lookup over
-// every table segment and the clamps, on the real tanh tables and on a
-// hand-built falling table — the only way the interpolation numerator goes
-// negative, which sends a power-of-two layer to the divide.
+// every table segment and the clamps, on the real tanh tables, on a table
+// too large for the memo and on a hand-built falling table — the only way
+// the interpolation numerator goes negative, which a power-of-two layer's
+// shift must round toward zero as the reference's divide does. The shifting
+// arm reads one entry past the table at tblMax, so every table, the falling
+// one too, is built with that entry, and TableData still returns TableSize.
 func TestLookupMatchesReference(t *testing.T) {
 	pow2 := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
 	pow2.useTable(4096, 8)
 	div := &Layer{Act: nn.Tanh, accScale: 1000, outScale: 1 << 12}
 	div.useTable(4096, 6)
+	unmemoised := &Layer{Act: nn.Sigmoid, accScale: 1 << 12, outScale: 1 << 12}
+	unmemoised.useTable(maxMemoEntries+1, 8)
 	falling := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
 	falling.useTable(64, 8)
-	falling.table = slices.Clone(falling.table)
-	slices.Reverse(falling.table)
-	if pow2.tblShift != 16 || div.tblShift != 0 || falling.tblShift != 16 {
-		t.Fatalf("tblShift = %d, %d, %d; want 16, 0, 16", pow2.tblShift, div.tblShift, falling.tblShift)
+	rev := slices.Clone(falling.table[:65])
+	slices.Reverse(rev[:64])
+	rev[64] = rev[63]
+	falling.table = rev[:64]
+	if pow2.tblShift != 16 || div.tblShift != 0 || falling.tblShift != 16 || unmemoised.tblShift != 16 {
+		t.Fatalf("tblShift = %d, %d, %d, %d; want 16, 0, 16, 16", pow2.tblShift, div.tblShift, falling.tblShift, unmemoised.tblShift)
 	}
-	for name, l := range map[string]*Layer{"pow2": pow2, "divide": div, "falling": falling} {
-		var accs, want []int64
+	for name, c := range map[string]struct {
+		l    *Layer
+		size int
+	}{"pow2": {pow2, 4096}, "divide": {div, 4096}, "unmemoised": {unmemoised, maxMemoEntries + 1}} {
+		tbl, _, _ := c.l.TableData()
+		if len(tbl) != c.size || cap(tbl) <= c.size || tbl[:c.size+1][c.size] != tbl[c.size-1] {
+			t.Errorf("%s: TableData has %d entries (want %d), capacity %d, no copy of the last past them", name, len(tbl), c.size, cap(tbl))
+		}
+	}
+	for name, l := range map[string]*Layer{"pow2": pow2, "divide": div, "unmemoised": unmemoised, "falling": falling} {
+		accs := []int64{l.tblMax - 1, l.tblMax, l.tblMax + 1, 1 << 62, -1 << 62}
+		var want []int64
+		for _, acc := range accs {
+			want = append(want, referenceLookup(l, acc))
+		}
 		for acc := l.tblMin - 3; acc <= l.tblMax+3; acc++ {
 			accs = append(accs, acc)
 			want = append(want, referenceLookup(l, acc))
 		}
-		l.lookup(accs)
-		if !slices.Equal(accs, want) {
-			for i := range accs {
-				if accs[i] != want[i] {
-					t.Errorf("%s: lookup(%d) = %d, reference = %d", name, l.tblMin-3+int64(i), accs[i], want[i])
+		got := slices.Clone(accs)
+		l.lookup(got)
+		if !slices.Equal(got, want) {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s: lookup(%d) = %d, reference = %d", name, accs[i], got[i], want[i])
 					break
 				}
 			}
@@ -199,6 +220,35 @@ func TestWeightRowsViewTheSlab(t *testing.T) {
 	big := slices.Clone(in)
 	big[0] = 1 << 31
 	checkAgainstReference(t, q, big, "input outside int32")
+}
+
+// TestLUTFedLayersSkipTheScan: Quantize marks a layer narrowIn, so its dense
+// step skips the int32 scan of x, only when the previous layer's table fits
+// in int32. Layer 0 and layers fed by ReLU or Linear keep the scan, and so
+// does a layer fed by a tanh at ActScale 2³², whose saturated outputs leave
+// int32: that scan must send the step to dot4, or the output differs from
+// the reference.
+func TestLUTFedLayersSkipTheScan(t *testing.T) {
+	acts := []nn.Activation{nn.Tanh, nn.ReLU, nn.Sigmoid, nn.Linear, nn.Tanh}
+	p := Quantize(nn.New([]int{6, 8, 8, 8, 8, 4}, acts, 1), DefaultConfig())
+	for li, want := range []bool{false, true, false, true, false} {
+		if p.Layers[li].narrowIn != want {
+			t.Errorf("layer %d after %v: narrowIn = %v, want %v", li, acts[max(li-1, 0)], p.Layers[li].narrowIn, want)
+		}
+	}
+	checkAgainstReference(t, p, p.QuantizeInput([]float64{0.5, -0.25, 1, 0.125, 0.75, -1}, nil), "LUT-fed layers")
+
+	cfg := DefaultConfig()
+	cfg.ActScale = 1 << 32
+	q := Quantize(nn.New([]int{6, 8, 4}, []nn.Activation{nn.Tanh, nn.Tanh}, 2), cfg)
+	if q.Layers[1].narrowIn {
+		t.Fatal("a layer fed by a table with entries outside int32 skips the scan")
+	}
+	in := make([]int64, 6)
+	for j := range in {
+		in[j] = 100 * cfg.InputScale
+	}
+	checkAgainstReference(t, q, in, "ActScale 2³², saturated hidden layer")
 }
 
 // TestFloatVsQuantizedZoo executes both sides of the paper's central
