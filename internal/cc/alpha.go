@@ -30,7 +30,7 @@ const minAlpha = 0.01
 // lineRate until the first decision.
 func NewAlphaController(eng *netsim.Engine, backend Backend, lineRate int64, initialAlpha float64) *AlphaController {
 	m := &AlphaController{LineRate: lineRate, curAlpha: initialAlpha}
-	m.monitor = newMonitor(eng, backend, m, m.alphaRate())
+	m.monitor.init(eng, backend, m, m.alphaRate())
 	return m
 }
 

@@ -79,6 +79,7 @@ type monitor struct {
 	lostBytes  int
 	prevAvgRTT netsim.Time
 	running    bool
+	endMIFn    func() // m.endMI, bound once so no interval allocates a closure
 
 	// MIs counts completed monitor intervals.
 	MIs int64
@@ -104,14 +105,15 @@ type MISummary struct {
 	Utilization float64 // acked throughput / rate
 }
 
-// newMonitor returns the loop pacing at rate until l's first decision.
-func newMonitor(eng *netsim.Engine, backend Backend, l law, rate int64) monitor {
-	return monitor{
+// init sets up the loop in place, pacing at rate until l's first decision.
+func (m *monitor) init(eng *netsim.Engine, backend Backend, l law, rate int64) {
+	*m = monitor{
 		Eng:     eng,
 		Backend: backend,
 		law:     l,
 		rate:    rate,
 		minRTT:  1 << 62,
+		endMIFn: m.endMI,
 	}
 }
 
@@ -138,7 +140,7 @@ func (m *monitor) scheduleMI() {
 	if !m.running {
 		return
 	}
-	m.Eng.After(m.miDuration(), m.endMI)
+	m.Eng.After(m.miDuration(), m.endMIFn)
 }
 
 // OnAck implements tcp.CongestionControl.
@@ -278,7 +280,7 @@ func NewMIController(eng *netsim.Engine, backend Backend, initialRate int64) *MI
 		MinRate: 1_000_000,
 		MaxRate: 100_000_000_000,
 	}
-	m.monitor = newMonitor(eng, backend, m, initialRate)
+	m.monitor.init(eng, backend, m, initialRate)
 	return m
 }
 

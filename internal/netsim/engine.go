@@ -217,6 +217,7 @@ type coordinator struct {
 	// foldInto receives partition trace shards (see PartitionScope), merged
 	// in partition order at the end of every Run/RunUntil.
 	foldInto *obs.Tracer
+	free     []*Packet // the packet free list (AllocPacket, FreePacket)
 }
 
 // Engine is one partition's view of the simulation: a private event queue,

@@ -106,7 +106,7 @@ type Sink struct {
 	Bytes   int64
 }
 
-// HandlePacket counts p, recycles it into the packet pool, and drops it.
+// HandlePacket counts p, recycles it (FreePacket) and drops it.
 func (s *Sink) HandlePacket(p *Packet) {
 	s.Packets++
 	s.Bytes += int64(p.Size)

@@ -40,7 +40,8 @@ type Packet struct {
 	SentAt Time // transmission start time at the original sender
 	EnqAt  Time // last enqueue time (for per-hop queueing delay accounting)
 
-	// freed guards the pool (AllocPacket/FreePacket) against double-free.
+	home *coordinator // the simulation whose free list it returns to, if any
+	// freed guards FreePacket against a double free.
 	freed bool
 }
 

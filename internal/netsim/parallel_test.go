@@ -651,7 +651,7 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	ticks := 0
 	var tick func()
 	tick = func() {
-		p := AllocPacket()
+		p := e.AllocPacket()
 		p.Size = 1000
 		if ticks++; ticks%10 == 0 {
 			near.Send(p)

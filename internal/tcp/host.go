@@ -171,13 +171,13 @@ func (u *UDPSource) tick() {
 }
 
 // sendOne transmits one CBR packet and schedules the next. The callbacks are
-// bound once at construction, so the steady sending loop allocates only the
-// pooled packet it sends.
+// bound once at construction and packets come from the simulation's free
+// list, so the steady sending loop allocates nothing.
 func (u *UDPSource) sendOne() {
 	if !u.running {
 		return
 	}
-	p := netsim.AllocPacket()
+	p := u.Host.Eng.AllocPacket()
 	p.Flow, p.Src, p.Dst = u.Flow, u.Host.ID, u.Dst
 	p.Size = u.PktSize
 	p.SentAt = u.Host.Eng.Now()

@@ -1,6 +1,9 @@
 package tcp
 
 import (
+	"slices"
+	"sort"
+
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 )
 
@@ -33,8 +36,8 @@ type appMsg struct {
 // retransmission (per-segment ACKs, dup-threshold and RTO loss detection),
 // and SRTT/delivery-rate estimation. It is driven entirely by simulator
 // events. The steady-state send/ACK loop is allocation-free: packets come
-// from the netsim pool, segments from a per-sender freelist, and the pacing
-// and RTO callbacks are bound once at construction.
+// from the simulation's free list, segments from a per-sender freelist, and
+// the pacing and RTO callbacks are bound once at construction.
 type Sender struct {
 	Host *Host
 	Flow netsim.FlowID
@@ -79,14 +82,18 @@ type Sender struct {
 	msgHead    int
 
 	nextSeq     int64
-	outstanding []*segment // ordered by seq; live region starts at outHead
+	outstanding []*segment // ordered by seq, tiling the stream; live region starts at outHead
 	outHead     int
-	bySeq       map[int64]*segment
-	rtxQueue    []*segment
-	segFree     []*segment
-	inflight    int
-	ackedBytes  int64
-	highestAck  int64 // highest segment seq acknowledged
+	// Below scanSeq every outstanding segment is acked, lost, or in watch (in
+	// flight, sorted by seq; it leaves in the handleAck that acks it).
+	scanSeq    int64
+	watch      []*segment
+	rtxQueue   []*segment // live region starts at rtxHead
+	rtxHead    int
+	segFree    []*segment
+	inflight   int
+	ackedBytes int64
+	highestAck int64 // highest segment seq acknowledged
 
 	srtt   netsim.Time
 	rttvar netsim.Time
@@ -119,7 +126,6 @@ func NewSender(h *Host, flow netsim.FlowID, dst int, size int64, cc CongestionCo
 		Host: h, Flow: flow, Dst: dst, Size: size, CC: cc,
 		DupThresh: 3,
 		MinRTO:    200 * netsim.Millisecond,
-		bySeq:     make(map[int64]*segment),
 	}
 	s.sendLoopFn = s.sendLoop
 	s.rtoFireFn = s.fireRTO
@@ -231,7 +237,7 @@ func (s *Sender) sendLoop() {
 		return
 	}
 	// Anything to send?
-	if len(s.rtxQueue) == 0 && !s.remaining() {
+	if s.rtxHead == len(s.rtxQueue) && !s.remaining() {
 		s.pacing = false
 		return
 	}
@@ -258,9 +264,10 @@ func (s *Sender) sendLoop() {
 
 // pickSegment returns the next segment to transmit: retransmissions first.
 func (s *Sender) pickSegment() *segment {
-	for len(s.rtxQueue) > 0 {
-		seg := s.rtxQueue[0]
-		s.rtxQueue = s.rtxQueue[1:]
+	for s.rtxHead < len(s.rtxQueue) {
+		seg := s.rtxQueue[s.rtxHead]
+		s.rtxQueue[s.rtxHead] = nil
+		s.rtxQueue, s.rtxHead = compact(s.rtxQueue, s.rtxHead+1)
 		seg.inRtx = false
 		if seg.acked {
 			// Acked while waiting for retransmission; recycle if the
@@ -272,6 +279,13 @@ func (s *Sender) pickSegment() *segment {
 		}
 		seg.rtx++
 		s.Retransmits++
+		// transmit clears lost: the segment is in flight again.
+		if seg.seq < s.scanSeq {
+			i := sort.Search(len(s.watch), func(k int) bool { return s.watch[k].seq >= seg.seq })
+			if i == len(s.watch) || s.watch[i] != seg {
+				s.watch = slices.Insert(s.watch, i, seg)
+			}
+		}
 		return seg
 	}
 	if !s.remaining() {
@@ -290,12 +304,7 @@ func (s *Sender) pickSegment() *segment {
 			size = int(rem)
 		}
 		if s.nextSeq+int64(size) >= m.end {
-			s.msgHead++
-			if s.msgHead > 32 && s.msgHead*2 >= len(s.msgs) {
-				n := copy(s.msgs, s.msgs[s.msgHead:])
-				s.msgs = s.msgs[:n]
-				s.msgHead = 0
-			}
+			s.msgs, s.msgHead = compact(s.msgs, s.msgHead+1)
 		}
 	} else if s.Size > 0 && s.Size-s.nextSeq < int64(size) {
 		size = int(s.Size - s.nextSeq)
@@ -309,7 +318,6 @@ func (s *Sender) pickSegment() *segment {
 	s.nextSeq += int64(size)
 	seg.inOut = true
 	s.outstanding = append(s.outstanding, seg)
-	s.bySeq[seg.seq] = seg
 	return seg
 }
 
@@ -318,7 +326,7 @@ func (s *Sender) transmit(seg *segment) {
 	seg.sentAt = now
 	seg.lost = false
 	s.inflight += seg.size
-	p := netsim.AllocPacket()
+	p := s.Host.Eng.AllocPacket()
 	p.Flow, p.Src, p.Dst = s.Flow, s.Host.ID, s.Dst
 	p.Seq, p.Size = seg.seq, seg.size+netsim.HeaderBytes
 	p.FIN = seg.fin
@@ -334,13 +342,12 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 	if s.completed {
 		return
 	}
-	seg, ok := s.bySeq[p.AckNo]
-	if !ok || seg.acked {
+	seg := s.unacked(p.AckNo)
+	if seg == nil {
 		return
 	}
 	now := s.Host.Eng.Now()
 	seg.acked = true
-	delete(s.bySeq, seg.seq)
 	if !seg.lost {
 		s.inflight -= seg.size
 	}
@@ -403,28 +410,64 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 	s.maybeSend()
 }
 
+// find returns the index in outstanding of the first live segment at or past
+// seq. Live segments tile the stream in seq order: in a full-MSS stream one
+// sits at its offset in MSS units from the first, else the search finds it.
+func (s *Sender) find(seq int64) int {
+	live := s.outstanding[s.outHead:]
+	if len(live) == 0 || seq <= live[0].seq {
+		return s.outHead
+	}
+	if k := (seq - live[0].seq) / netsim.MSS; k < int64(len(live)) && live[k].seq == seq {
+		return s.outHead + int(k)
+	}
+	return s.outHead + sort.Search(len(live), func(k int) bool { return live[k].seq >= seq })
+}
+
+// unacked returns the unacknowledged outstanding segment starting at seq.
+func (s *Sender) unacked(seq int64) *segment {
+	if i := s.find(seq); i < len(s.outstanding) {
+		if seg := s.outstanding[i]; seg.seq == seq && !seg.acked {
+			return seg
+		}
+	}
+	return nil
+}
+
 // detectLoss marks outstanding segments that precede the just-acked segment
-// by more than DupThresh segments (and were sent earlier) as lost. The walk
-// stops at the first segment at or past the threshold: outstanding is
-// ordered by seq (a retransmission keeps its segment's slot), so no later
-// one can qualify.
+// by more than DupThresh segments (and were sent earlier) as lost, in seq
+// order: first those in watch, then a walk from scanSeq that moves scanSeq
+// past every segment it visits and adds the ones left in flight to watch. The
+// walk stops at the first segment at or past the threshold: outstanding is
+// ordered by seq (a retransmission keeps its segment's slot), so no later one
+// can qualify.
 func (s *Sender) detectLoss(acked *segment) {
 	threshold := s.highestAck - int64(s.DupThresh*netsim.MSS)
 	lost := 0
-	for _, seg := range s.outstanding[s.outHead:] {
+	watch := s.watch[:0]
+	for _, seg := range s.watch {
+		if !seg.acked && !seg.lost {
+			if seg.seq < threshold && seg.sentAt <= acked.sentAt {
+				lost += s.markLost(seg)
+			} else {
+				watch = append(watch, seg)
+			}
+		}
+	}
+	clear(s.watch[len(watch):])
+	s.watch = watch
+	for _, seg := range s.outstanding[s.find(s.scanSeq):] {
 		if seg.seq >= threshold {
 			break
 		}
-		if seg.acked || seg.lost {
-			continue
+		if !seg.acked && !seg.lost {
+			if seg.sentAt <= acked.sentAt {
+				lost += s.markLost(seg)
+			} else {
+				s.watch = append(s.watch, seg)
+			}
 		}
-		if seg.sentAt <= acked.sentAt {
-			seg.lost = true
-			s.inflight -= seg.size
-			lost += seg.size
-			seg.inRtx = true
-			s.rtxQueue = append(s.rtxQueue, seg)
-		}
+		s.scanSeq = seg.seq + int64(seg.size)
 	}
 	if lost > 0 {
 		s.CC.OnLoss(LossInfo{Now: s.Host.Eng.Now(), LostBytes: lost})
@@ -432,10 +475,17 @@ func (s *Sender) detectLoss(acked *segment) {
 	}
 }
 
+// markLost queues seg for retransmission and returns its size.
+func (s *Sender) markLost(seg *segment) int {
+	seg.lost = true
+	s.inflight -= seg.size
+	seg.inRtx = true
+	s.rtxQueue = append(s.rtxQueue, seg)
+	return seg.size
+}
+
 // pruneOutstanding drops acked segments from the front of the ordered list,
-// recycling the ones the retransmission queue no longer references. The
-// backing array is compacted once the dead prefix dominates, so steady-state
-// traffic reuses it instead of growing without bound.
+// recycling the ones the retransmission queue no longer references.
 func (s *Sender) pruneOutstanding() {
 	for s.outHead < len(s.outstanding) && s.outstanding[s.outHead].acked {
 		seg := s.outstanding[s.outHead]
@@ -446,15 +496,19 @@ func (s *Sender) pruneOutstanding() {
 			s.freeSegment(seg)
 		}
 	}
-	if s.outHead > 32 && s.outHead*2 >= len(s.outstanding) {
-		n := copy(s.outstanding, s.outstanding[s.outHead:])
-		tail := s.outstanding[n:]
-		for i := range tail {
-			tail[i] = nil
-		}
-		s.outstanding = s.outstanding[:n]
-		s.outHead = 0
+	s.outstanding, s.outHead = compact(s.outstanding, s.outHead)
+}
+
+// compact moves the live region q[head:] of a queue to the front once the
+// dead prefix dominates, so steady traffic reuses the backing array instead
+// of growing it without bound.
+func compact[T any](q []T, head int) ([]T, int) {
+	if head <= 32 || head*2 < len(q) {
+		return q, head
 	}
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n], 0
 }
 
 func (s *Sender) rto() netsim.Time {
@@ -492,7 +546,7 @@ func (s *Sender) fireRTO() {
 	}
 	// A drained app-limited stream disarms instead of re-arming forever;
 	// the next Push re-arms. Keeps idle sessions off the event heap.
-	if s.inflight == 0 && len(s.rtxQueue) == 0 && !s.remaining() {
+	if s.inflight == 0 && s.rtxHead == len(s.rtxQueue) && !s.remaining() {
 		s.rtoArm = false
 		return
 	}
@@ -502,11 +556,7 @@ func (s *Sender) fireRTO() {
 		if seg.acked || seg.lost {
 			continue
 		}
-		seg.lost = true
-		s.inflight -= seg.size
-		lost += seg.size
-		seg.inRtx = true
-		s.rtxQueue = append(s.rtxQueue, seg)
+		lost += s.markLost(seg)
 	}
 	if lost > 0 {
 		s.Timeouts++
