@@ -212,33 +212,37 @@ func rescale(v, from, to int64) int64 {
 // "+ " or "(", followed by a byte outside [0-9A-Za-z_.]. What is left
 // follows from the program's shape alone, and src parses whenever its frame
 // does (DESIGN.md §4k).
+//
+// Every edit starts right after one of the five bytes editStart marks, so
+// the scan skips all others with one table load each and looks back at a
+// byte or a suffix only at those five.
 func appendFrame(b []byte, src string) []byte {
 	done := 0 // src[:done] is in b
 	for i := 0; i < len(src); i++ {
-		n, fill := 0, byte('0')
-		head, rest, prev := src[:i+1], src[i+1:], byte(0)
-		if i > 0 {
-			prev = src[i-1]
+		if !editStart[src[i]] {
+			continue
 		}
+		n, fill := 0, byte('0')
+		rest := src[i+1:]
 		switch src[i] {
 		case '(':
 			n = literalLen(rest)
 		case '*':
-			if prev == ']' {
+			if i > 0 && src[i-1] == ']' {
 				n = literalLen(rest)
 			}
 		case ' ':
-			if prev == '+' {
+			if i > 0 && src[i-1] == '+' {
 				n = literalLen(rest)
-			} else if strings.HasSuffix(head, "// Snapshot module ") {
+			} else if strings.HasSuffix(src[:i+1], "// Snapshot module ") {
 				n, fill = identLen(rest), '_'
 			}
 		case '_':
-			if strings.HasSuffix(head, "Infer_") {
+			if strings.HasSuffix(src[:i+1], "Infer_") {
 				n, fill = identLen(rest), '_'
 			}
 		case '"':
-			if strings.HasSuffix(head, `registerModel("`) {
+			if strings.HasSuffix(src[:i+1], `registerModel("`) {
 				n, fill = identLen(rest), '_'
 			}
 		}
@@ -250,6 +254,11 @@ func appendFrame(b []byte, src string) []byte {
 	}
 	return append(b, src[done:]...)
 }
+
+// editStart marks the bytes an edit of appendFrame's can follow: the last
+// byte of "]*", "+ ", "(", "// Snapshot module ", "Infer_" and
+// `registerModel("`.
+var editStart = [256]bool{'(': true, '*': true, ' ': true, '_': true, '"': true}
 
 // literalLen returns the length of the weight literal s starts with, or 0.
 func literalLen(s string) int {

@@ -1,8 +1,10 @@
 package codegen_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/codegen"
@@ -137,6 +139,109 @@ func FuzzModelUnitCheck(f *testing.F) {
 			if v != unit[i] {
 				check(unit[:i] + string([]byte{v}) + unit[i+1:])
 			}
+		}
+	})
+}
+
+// referenceFrame is appendFrame as it was before its scan skipped bytes by
+// class (DESIGN.md §4k): at every byte it looks at the previous byte and the
+// suffixes, so it defines the bytes the frame must be.
+func referenceFrame(b []byte, src string) []byte {
+	done := 0 // src[:done] is in b
+	for i := 0; i < len(src); i++ {
+		n, fill := 0, byte('0')
+		head, rest, prev := src[:i+1], src[i+1:], byte(0)
+		if i > 0 {
+			prev = src[i-1]
+		}
+		switch src[i] {
+		case '(':
+			n = referenceLiteralLen(rest)
+		case '*':
+			if prev == ']' {
+				n = referenceLiteralLen(rest)
+			}
+		case ' ':
+			if prev == '+' {
+				n = referenceLiteralLen(rest)
+			} else if strings.HasSuffix(head, "// Snapshot module ") {
+				n, fill = referenceIdentLen(rest), '_'
+			}
+		case '_':
+			if strings.HasSuffix(head, "Infer_") {
+				n, fill = referenceIdentLen(rest), '_'
+			}
+		case '"':
+			if strings.HasSuffix(head, `registerModel("`) {
+				n, fill = referenceIdentLen(rest), '_'
+			}
+		}
+		if n > 0 {
+			b = append(append(b, src[done:i+1]...), fill)
+			i += n
+			done = i + 1
+		}
+	}
+	return append(b, src[done:]...)
+}
+
+// referenceLiteralLen is the length of the canonical decimal s starts with
+// when a byte outside [0-9A-Za-z_.] follows it, else 0.
+func referenceLiteralLen(s string) int {
+	d := 0
+	if s != "" && s[0] == '-' {
+		d = 1
+	}
+	n := d
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		n++
+	}
+	if n == d || s[d] == '0' && n > d+1 || n == len(s) || referenceWordByte(s[n]) || s[n] == '.' {
+		return 0
+	}
+	return n
+}
+
+func referenceIdentLen(s string) int {
+	n := 0
+	for n < len(s) && referenceWordByte(s[n]) {
+		n++
+	}
+	return n
+}
+
+func referenceWordByte(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_'
+}
+
+// FuzzFrameMatchesReference: the frame appendFrame emits is referenceFrame's,
+// byte for byte, for every generated unit (zoo nets and fuzzProgram's) with
+// any text spliced in at any position, so edits meet every context the
+// class table skips or stops at.
+func FuzzFrameMatchesReference(f *testing.F) {
+	for i, n := range zooNets() {
+		f.Add(uint8(i+1), []byte{byte(i)}, []byte(nil), n.name, uint32(97*i), "")
+		f.Add(uint8(0), []byte{byte(i), byte(i), byte(3 * i), byte(5 * i), byte(i), byte(7 * i), byte(i + 1)},
+			[]byte{byte(i), 1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 6, 7, 8}, "n"+n.name, uint32(300+97*i), tokenBytes)
+	}
+	// Every edit context once, each right before a literal or identifier it
+	// takes: generated units never put a literal after "(".
+	f.Add(uint8(0), []byte(nil), []byte(nil), "x", uint32(0),
+		"// Snapshot module a\nInfer_b registerModel(\"c\" f(12) + 3 x[0]*-4, g(-5.0)+ 6 (07)")
+	f.Fuzz(func(t *testing.T, zoo uint8, arch, weights []byte, name string, pos uint32, insert string) {
+		unit, err := codegen.Generate(fuzzProgram(zoo, arch, weights), fuzzName(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := int(pos % uint32(len(unit)+1))
+		src := unit[:i] + insert + unit[i:]
+		got, want := codegen.AppendFrame([]byte("prefix"), src), referenceFrame([]byte("prefix"), src)
+		if !bytes.Equal(got, want) {
+			k := 0
+			for k < min(len(got), len(want)) && got[k] == want[k] {
+				k++
+			}
+			t.Fatalf("frames differ from byte %d: got %q, reference %q", k, got[k:min(len(got), k+40)], want[k:min(len(want), k+40)])
 		}
 	})
 }

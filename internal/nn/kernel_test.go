@@ -251,13 +251,86 @@ func laneEdges(r *rand.Rand) []lanes {
 	return v
 }
 
-// TestLaneKernelsMatchGo runs sumLanes and tanhLanes, the assembly on amd64,
-// against sumLanesGo and tanhLanesGo, bit for bit (NaN only as NaN), on
-// kernelInputs and on laneEdges, for every In × rows below.
+// trainEdges are the values the training kernels are fed beside random
+// ones: ±0, the smallest and largest subnormals, ±Inf and NaN, each of
+// either sign.
+func trainEdges() []float64 {
+	xs := []float64{0, math.SmallestNonzeroFloat64, math.Float64frombits(1<<52 - 1), math.Inf(1), math.NaN()}
+	for _, x := range xs {
+		xs = append(xs, -x)
+	}
+	return xs
+}
+
+// trainValues returns n values, each random in (−1, 1) or, with
+// probability edgeFrac, one of trainEdges.
+func trainValues(r *rand.Rand, n int, edgeFrac float64) []float64 {
+	e := trainEdges()
+	v := make([]float64, n)
+	for k := range v {
+		if r.Float64() < edgeFrac {
+			v[k] = e[r.Intn(len(e))]
+		} else {
+			v[k] = r.Float64()*2 - 1
+		}
+	}
+	return v
+}
+
+// checkTrainKernels runs backRows4 and adamStep, the assembly on amd64,
+// against backRows4Go and adamStepGo, bit for bit (NaN only as NaN), on
+// every length below with no, a few, and mostly trainEdges values.
+func checkTrainKernels(t *testing.T, r *rand.Rand) {
+	t.Helper()
+	same := func(what string, n int, got, want []float64) {
+		t.Helper()
+		for k := range got {
+			if !sameBits(got[k], want[k]) {
+				t.Fatalf("%s, length %d: element %d = %x, Go kernel %x", what, n, k, got[k], want[k])
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 30, 2048} {
+		for _, frac := range []float64{0, 0.1, 0.9} {
+			x, prev, w, gw := trainValues(r, n, frac), trainValues(r, n, frac), trainValues(r, 4*n, frac), trainValues(r, 4*n, frac)
+			d := trainValues(r, 4, frac)
+			gotPrev, gotGW := append([]float64(nil), prev...), append([]float64(nil), gw...)
+			backRows4(x, gotPrev, w, gotGW, d[0], d[1], d[2], d[3])
+			backRows4Go(x, prev, w, gw, d[0], d[1], d[2], d[3])
+			what := fmt.Sprintf("backRows4, edge share %v", frac)
+			same(what+": prev", n, gotPrev, prev)
+			same(what+": gw", n, gotGW, gw)
+
+			p, g, m, v := trainValues(r, n, frac), trainValues(r, n, frac), trainValues(r, n, frac), trainValues(r, n, frac)
+			for k := range v {
+				v[k] = math.Abs(v[k]) // a second moment is a sum of squares
+			}
+			for _, c := range []adamCoefs{
+				{b1: 0.9, c1: 1 - 0.9, b2: 0.999, c2: 1 - 0.999, lr: 0.01, bc1: 0.1, bc2: 0.001, eps: 1e-8},
+				{b1: 0.5, c1: 0.5, b2: 0.25, c2: 0.75, lr: 3, bc1: 0.7, bc2: 0.3, eps: math.SmallestNonzeroFloat64},
+			} {
+				gp, gm, gv := append([]float64(nil), p...), append([]float64(nil), m...), append([]float64(nil), v...)
+				wp, wm, wv := append([]float64(nil), p...), append([]float64(nil), m...), append([]float64(nil), v...)
+				adamStep(gp, g, gm, gv, &c)
+				adamStepGo(wp, g, wm, wv, &c)
+				what := fmt.Sprintf("adamStep, lr %v, edge share %v", c.lr, frac)
+				same(what+": p", n, gp, wp)
+				same(what+": m", n, gm, wm)
+				same(what+": v", n, gv, wv)
+			}
+		}
+	}
+}
+
+// TestLaneKernelsMatchGo runs the packed kernels, the assembly on amd64,
+// against their Go references, bit for bit (NaN only as NaN): sumLanes and
+// tanhLanes on kernelInputs and on laneEdges for every In × rows below, and
+// the training kernels through checkTrainKernels.
 func TestLaneKernelsMatchGo(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skip("sumLanes and tanhLanes are the Go kernels on " + runtime.GOARCH)
+		t.Skip("the packed kernels are the Go ones on " + runtime.GOARCH)
 	}
+	checkTrainKernels(t, rand.New(rand.NewSource(38)))
 	r := rand.New(rand.NewSource(31))
 	same := func(what string, got, want []lanes) {
 		t.Helper()

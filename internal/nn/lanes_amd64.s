@@ -123,3 +123,165 @@ group:
 
 done:
 	RET
+
+// BACK does backRows4's work on the column(s) at byte offset AX: two with
+// (MOVUPD, MULPD, ADDPD), one with (MOVSD, MULSD, ADDSD). Packed memory
+// operands fault unless 16-byte aligned and a []float64 is only 8-byte
+// aligned, so every operand is loaded into a register first. g_k += dk·x for
+// k = 0…3, then p = prev, p += dk·w_k for k = 0…3 in row order, stored back.
+#define BACK(MOV, MUL, ADD) \
+	MOV (SI)(AX*1), X4 \
+	MOVAPD X4, X5 \
+	MUL X0, X5 \
+	MOV (R9)(AX*1), X6 \
+	ADD X5, X6 \
+	MOV X6, (R9)(AX*1) \
+	MOVAPD X4, X5 \
+	MUL X1, X5 \
+	MOV (R13)(AX*1), X6 \
+	ADD X5, X6 \
+	MOV X6, (R13)(AX*1) \
+	MOVAPD X4, X5 \
+	MUL X2, X5 \
+	MOV (R14)(AX*1), X6 \
+	ADD X5, X6 \
+	MOV X6, (R14)(AX*1) \
+	MUL X3, X4 \
+	MOV (BX)(AX*1), X6 \
+	ADD X4, X6 \
+	MOV X6, (BX)(AX*1) \
+	MOV (DI)(AX*1), X7 \
+	MOV (R8)(AX*1), X5 \
+	MUL X0, X5 \
+	ADD X5, X7 \
+	MOV (R10)(AX*1), X5 \
+	MUL X1, X5 \
+	ADD X5, X7 \
+	MOV (R11)(AX*1), X5 \
+	MUL X2, X5 \
+	ADD X5, X7 \
+	MOV (R12)(AX*1), X5 \
+	MUL X3, X5 \
+	ADD X5, X7 \
+	MOV X7, (DI)(AX*1)
+
+// func backRows4(x, prev, w, gw []float64, d0, d1, d2, d3 float64)
+//
+// X0–X3 hold (dk, dk). AX is the byte offset of column j in every slice, so
+// the eight row pointers stay put: w's rows in R8, R10–R12, gw's in R9,
+// R13, R14, BX. Two columns per pass, then an odd last one.
+TEXT ·backRows4(SB), NOSPLIT, $0-128
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ prev_base+24(FP), DI
+	MOVQ w_base+48(FP), R8
+	MOVQ gw_base+72(FP), R9
+	MOVSD d0+96(FP), X0
+	UNPCKLPD X0, X0
+	MOVSD d1+104(FP), X1
+	UNPCKLPD X1, X1
+	MOVSD d2+112(FP), X2
+	UNPCKLPD X2, X2
+	MOVSD d3+120(FP), X3
+	UNPCKLPD X3, X3
+	SHLQ $3, CX
+	LEAQ (R8)(CX*1), R10
+	LEAQ (R10)(CX*1), R11
+	LEAQ (R11)(CX*1), R12
+	LEAQ (R9)(CX*1), R13
+	LEAQ (R13)(CX*1), R14
+	LEAQ (R14)(CX*1), BX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	XORQ AX, AX
+	CMPQ AX, DX
+	JEQ tail
+
+pair:
+	BACK(MOVUPD, MULPD, ADDPD)
+	ADDQ $16, AX
+	CMPQ AX, DX
+	JNE pair
+
+tail:
+	CMPQ AX, CX
+	JEQ done
+	BACK(MOVSD, MULSD, ADDSD)
+
+done:
+	RET
+
+// ADAM does adamStep's work on the parameter(s) at byte offset AX, two or
+// one as BACK does, in adamStepGo's order: m = b1·m + c1·g and
+// v = b2·v + (c2·g)·g, both stored, then p -= (lr·(m/bc1)) / (√(v/bc2) + eps).
+#define ADAM(MOV, MUL, ADD, SUB, DIV, SQRT) \
+	MOV (SI)(AX*1), X8 \
+	MOV (R8)(AX*1), X9 \
+	MUL X0, X9 \
+	MOVAPD X8, X10 \
+	MUL X1, X10 \
+	ADD X10, X9 \
+	MOV X9, (R8)(AX*1) \
+	MOV (R9)(AX*1), X11 \
+	MUL X2, X11 \
+	MOVAPD X8, X10 \
+	MUL X3, X10 \
+	MUL X8, X10 \
+	ADD X10, X11 \
+	MOV X11, (R9)(AX*1) \
+	DIV X5, X9 \
+	MUL X4, X9 \
+	DIV X6, X11 \
+	SQRT X11, X11 \
+	ADD X7, X11 \
+	DIV X11, X9 \
+	MOV (DI)(AX*1), X12 \
+	SUB X9, X12 \
+	MOV X12, (DI)(AX*1)
+
+// func adamStep(p, g, m, v []float64, c *adamCoefs)
+//
+// X0–X7 hold c's eight fields, each in both halves.
+TEXT ·adamStep(SB), NOSPLIT, $0-104
+	MOVQ p_base+0(FP), DI
+	MOVQ p_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ m_base+48(FP), R8
+	MOVQ v_base+72(FP), R9
+	MOVQ c+96(FP), AX
+	MOVSD 0(AX), X0
+	UNPCKLPD X0, X0
+	MOVSD 8(AX), X1
+	UNPCKLPD X1, X1
+	MOVSD 16(AX), X2
+	UNPCKLPD X2, X2
+	MOVSD 24(AX), X3
+	UNPCKLPD X3, X3
+	MOVSD 32(AX), X4
+	UNPCKLPD X4, X4
+	MOVSD 40(AX), X5
+	UNPCKLPD X5, X5
+	MOVSD 48(AX), X6
+	UNPCKLPD X6, X6
+	MOVSD 56(AX), X7
+	UNPCKLPD X7, X7
+	SHLQ $3, CX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	XORQ AX, AX
+	CMPQ AX, DX
+	JEQ adamtail
+
+adampair:
+	ADAM(MOVUPD, MULPD, ADDPD, SUBPD, DIVPD, SQRTPD)
+	ADDQ $16, AX
+	CMPQ AX, DX
+	JNE adampair
+
+adamtail:
+	CMPQ AX, CX
+	JEQ adamdone
+	ADAM(MOVSD, MULSD, ADDSD, SUBSD, DIVSD, SQRTSD)
+
+adamdone:
+	RET

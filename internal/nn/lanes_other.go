@@ -2,8 +2,14 @@
 
 package nn
 
-// Off amd64 the four-sample kernels are the Go ones.
+// Off amd64 the packed kernels are the Go ones.
 
 func sumLanes(w, b []float64, x, dst []lanes) { sumLanesGo(w, b, x, dst) }
 
 func tanhLanes(v []lanes, _ []uint8) { tanhLanesGo(v) }
+
+func backRows4(x, prev, w, gw []float64, d0, d1, d2, d3 float64) {
+	backRows4Go(x, prev, w, gw, d0, d1, d2, d3)
+}
+
+func adamStep(p, g, m, v []float64, c *adamCoefs) { adamStepGo(p, g, m, v, c) }

@@ -267,6 +267,21 @@ func sumLanesGo(w, b []float64, x, dst []lanes) {
 	}
 }
 
+// forward4 writes the layer's activated outputs for the four samples x into
+// dst, each lane bit for bit what Forward gives for its sample. left is
+// tanh's scratch (tanhLanes).
+func (l *Dense) forward4(x, dst []lanes, left []uint8) {
+	l.sums4(x, dst)
+	l.Act.applyAll4(dst, left)
+}
+
+// load4 writes input j of the four samples xs into dst[j].
+func load4(xs [][]float64, dst []lanes) {
+	for j := range dst {
+		dst[j] = lanes{xs[0][j], xs[1][j], xs[2][j], xs[3][j]}
+	}
+}
+
 // applyAll4 is applyAll over four-sample lanes. left is tanh's scratch, one
 // byte per element of v (tanhLanes).
 func (a Activation) applyAll4(v []lanes, left []uint8) {
@@ -328,9 +343,16 @@ type Network struct {
 	// so inference leaves the training caches alone.
 	vec  [2][]float64
 	vec4 [2][]lanes
-	// left is tanhLanes's per-group mask, allocated with vec4. It is the
-	// Network's, not the package's, so distinct networks infer concurrently.
+	// left is tanhLanes's per-group mask, allocated with vec4 or act4. It is
+	// the Network's, not the package's, so distinct networks infer and train
+	// concurrently.
 	left []uint8
+	// act4 holds what TrainBatch's four-sample forward pass leaves for
+	// backprop: act4[0] the inputs, act4[li+1] layer li's activated output.
+	// out and grad are its per-sample loss buffers. All are allocated by the
+	// first TrainBatch and none is touched by inference.
+	act4      [][]lanes
+	out, grad []float64
 }
 
 // New builds a network with the given layer sizes (inputs first) and one
@@ -469,19 +491,39 @@ func (n *Network) infer4(xs [][]float64, out []float64) {
 		n.left = make([]uint8, w)
 	}
 	cur := n.vec4[1][:n.InputSize()]
-	for j := range cur {
-		cur[j] = lanes{xs[0][j], xs[1][j], xs[2][j], xs[3][j]}
-	}
+	load4(xs, cur)
 	for li, l := range n.Layers {
 		dst := n.vec4[li&1][:l.Out]
-		l.sums4(cur, dst)
-		l.Act.applyAll4(dst, n.left)
+		l.forward4(cur, dst, n.left)
 		cur = dst
 	}
 	os := len(cur)
 	for i, v := range cur {
 		out[i], out[os+i], out[2*os+i], out[3*os+i] = v[0], v[1], v[2], v[3]
 	}
+}
+
+// forwardLanes runs the four samples xs through the network for training:
+// every layer's activations stay in act4, where loadLane finds them.
+func (n *Network) forwardLanes(xs [][]float64) {
+	load4(xs, n.act4[0])
+	for li, l := range n.Layers {
+		l.forward4(n.act4[li], n.act4[li+1], n.left)
+	}
+}
+
+// loadLane leaves the caches Backward reads as Forward would leave them for
+// sample k of the last forwardLanes, and returns that sample's output.
+func (n *Network) loadLane(k int) []float64 {
+	for li, l := range n.Layers {
+		for j, v := range n.act4[li] {
+			l.input[j] = v[k]
+		}
+		for i, v := range n.act4[li+1] {
+			l.out[i] = v[k]
+		}
+	}
+	return n.Layers[len(n.Layers)-1].out
 }
 
 // Backward backpropagates dLoss/dOutput (for the most recent Forward call)
@@ -503,9 +545,8 @@ func (n *Network) Backward(gradOut []float64) {
 
 // backward accumulates the layer's parameter gradients for the output
 // gradient grad and adds the input gradient into prev. Four rows share one
-// pass over the cached input; prev[j] still receives its rows' terms one
-// after another in row order (Go adds left to right), so blocking changes no
-// bit of it.
+// pass over the cached input (backRows4); the Out%4 that remain go one row
+// at a time.
 func (l *Dense) backward(grad, prev []float64) {
 	in := l.input[:l.In]
 	prev = prev[:len(in)]
@@ -514,18 +555,8 @@ func (l *Dense) backward(grad, prev []float64) {
 	i := 0
 	for ; i+4 <= l.Out; i += 4 {
 		d0, d1, d2, d3 := l.delta(grad, i), l.delta(grad, i+1), l.delta(grad, i+2), l.delta(grad, i+3)
-		r0, r1, r2, r3 := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n]
-		g0, g1, g2, g3 := gw[:n], gw[n:2*n], gw[2*n:3*n], gw[3*n:4*n]
-		r1, r2, r3 = r1[:n], r2[:n], r3[:n]
-		g1, g2, g3 = g1[:n], g2[:n], g3[:n]
+		backRows4(in, prev, w[:4*n], gw[:4*n], d0, d1, d2, d3)
 		w, gw = w[4*n:], gw[4*n:]
-		for j, xj := range in {
-			g0[j] += d0 * xj
-			g1[j] += d1 * xj
-			g2[j] += d2 * xj
-			g3[j] += d3 * xj
-			prev[j] = prev[j] + d0*r0[j] + d1*r1[j] + d2*r2[j] + d3*r3[j]
-		}
 	}
 	for ; i < l.Out; i++ {
 		d := l.delta(grad, i)
@@ -535,6 +566,27 @@ func (l *Dense) backward(grad, prev []float64) {
 			g[j] += d * xj
 			prev[j] += d * r[j]
 		}
+	}
+}
+
+// backRows4Go adds dk·x[j] to gradient row k's element j, for the four
+// consecutive rows k held in gw, and the four rows' terms dk·w_k[j] to
+// prev[j] one after another in row order (Go adds left to right), so
+// blocking changes no bit of it. It is backRows4 off amd64, and on amd64 the
+// reference its assembly is tested against.
+func backRows4Go(x, prev, w, gw []float64, d0, d1, d2, d3 float64) {
+	n := len(x)
+	prev = prev[:n]
+	r0, r1, r2, r3 := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n]
+	g0, g1, g2, g3 := gw[:n], gw[n:2*n], gw[2*n:3*n], gw[3*n:4*n]
+	r1, r2, r3 = r1[:n], r2[:n], r3[:n]
+	g1, g2, g3 = g1[:n], g2[:n], g3[:n]
+	for j, xj := range x {
+		g0[j] += d0 * xj
+		g1[j] += d1 * xj
+		g2[j] += d2 * xj
+		g3[j] += d3 * xj
+		prev[j] = prev[j] + d0*r0[j] + d1*r1[j] + d2*r2[j] + d3*r3[j]
 	}
 }
 

@@ -260,16 +260,34 @@ func TestTrainXOR(t *testing.T) {
 }
 
 func TestTrainBatchValidation(t *testing.T) {
-	n := New([]int{1, 1}, []Activation{Linear}, 1)
+	n := New([]int{1, 2}, []Activation{Linear}, 1)
 	if got := TrainBatch(n, NewAdam(0.1), nil, nil, 0); got != 0 {
 		t.Error("empty batch must return 0 loss")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched batch must panic")
+	x := [][]float64{{1}, {2}, {3}, {4}, {5}}
+	y := [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 2}}
+	for _, c := range []struct {
+		name, want string
+		x, y       [][]float64
+	}{
+		{"mismatched batch", "nn: x/y length mismatch", [][]float64{{1}}, nil},
+		{"long input in a group of four", "nn: input size 2, want 1", [][]float64{{1}, {2}, {3, 3}, {4}, {5}}, y},
+		{"short target in a group of four", "nn: target size 1, want 2", x, [][]float64{{1, 2}, {1}, {1, 2}, {1, 2}, {1, 2}}},
+		{"long target past the groups", "nn: target size 3, want 2", x, [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 2, 3}}},
+	} {
+		before := n.Layers[0].W[0][0]
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("%s: panic %v, want %q", c.name, got, c.want)
+				}
+			}()
+			TrainBatch(n, NewAdam(0.1), c.x, c.y, 0)
+		}()
+		if n.Layers[0].W[0][0] != before {
+			t.Errorf("%s: a rejected batch changed the weights", c.name)
 		}
-	}()
-	TrainBatch(n, NewAdam(0.1), [][]float64{{1}}, nil, 0)
+	}
 }
 
 func TestMSE(t *testing.T) {

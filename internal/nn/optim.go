@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Optimizer applies accumulated gradients to a network's parameters.
 type Optimizer interface {
@@ -31,8 +34,10 @@ func NewAdam(lr float64) *Adam {
 // Step applies one Adam update using the gradients accumulated in n.
 func (o *Adam) Step(n *Network) {
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	c := adamCoefs{
+		b1: o.Beta1, c1: 1 - o.Beta1, b2: o.Beta2, c2: 1 - o.Beta2, lr: o.LR,
+		bc1: 1 - math.Pow(o.Beta1, float64(o.t)), bc2: 1 - math.Pow(o.Beta2, float64(o.t)), eps: o.Epsilon,
+	}
 	for _, l := range n.Layers {
 		st, ok := o.mv[l]
 		if !ok {
@@ -42,17 +47,24 @@ func (o *Adam) Step(n *Network) {
 			}
 			o.mv[l] = st
 		}
-		o.step(l.w, l.gw, st.mW, st.vW, bc1, bc2)
-		o.step(l.B, l.GB, st.mB, st.vB, bc1, bc2)
+		adamStep(l.w, l.gw[:len(l.w)], st.mW[:len(l.w)], st.vW[:len(l.w)], &c)
+		adamStep(l.B, l.GB[:l.Out], st.mB[:l.Out], st.vB[:l.Out], &c)
 	}
 }
 
-func (o *Adam) step(p, grad, m, v []float64, bc1, bc2 float64) {
-	grad, m, v = grad[:len(p)], m[:len(p)], v[:len(p)]
-	for k, g := range grad {
-		m[k] = o.Beta1*m[k] + (1-o.Beta1)*g
-		v[k] = o.Beta2*v[k] + (1-o.Beta2)*g*g
-		p[k] -= o.LR * (m[k] / bc1) / (math.Sqrt(v[k]/bc2) + o.Epsilon)
+// adamCoefs is one Adam step's scalars: the betas, one minus each, the
+// learning rate, the two bias corrections and epsilon.
+type adamCoefs struct{ b1, c1, b2, c2, lr, bc1, bc2, eps float64 }
+
+// adamStepGo moves every parameter p[k] by its Adam update for gradient
+// g[k], updating the moments m[k] and v[k]. It is adamStep off amd64, and on
+// amd64 the reference its assembly is tested against.
+func adamStepGo(p, g, m, v []float64, c *adamCoefs) {
+	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	for k, gk := range g {
+		m[k] = c.b1*m[k] + c.c1*gk
+		v[k] = c.b2*v[k] + c.c2*gk*gk
+		p[k] -= c.lr * (m[k] / c.bc1) / (math.Sqrt(v[k]/c.bc2) + c.eps)
 	}
 }
 
@@ -72,6 +84,12 @@ func MSE(pred, target, grad []float64) float64 {
 // TrainBatch runs one optimizer step over the (x, y) pairs with MSE loss and
 // returns the mean loss across the batch. Gradients are averaged over the
 // batch and clipped to clipNorm (0 disables clipping).
+//
+// Four samples at a time go through the forward pass together (the kernels
+// InferBatch runs); the len(x)%4 that remain go through Forward. Backward then
+// runs per sample in sample order, so every gradient accumulates as it would
+// after a Forward per sample, and the result is that loop's bit for bit. It
+// allocates nothing after the network's first TrainBatch.
 func TrainBatch(n *Network, opt Optimizer, x, y [][]float64, clipNorm float64) float64 {
 	if len(x) == 0 {
 		return 0
@@ -79,18 +97,44 @@ func TrainBatch(n *Network, opt Optimizer, x, y [][]float64, clipNorm float64) f
 	if len(x) != len(y) {
 		panic("nn: x/y length mismatch")
 	}
-	n.ZeroGrad()
-	out := make([]float64, n.OutputSize())
-	grad := make([]float64, n.OutputSize())
-	total := 0.0
+	os := n.OutputSize()
 	for k := range x {
-		n.Forward(x[k], out)
-		total += MSE(out, y[k], grad)
-		inv := 1 / float64(len(x))
-		for i := range grad {
-			grad[i] *= inv
+		n.checkInput(x[k])
+		if len(y[k]) != os {
+			panic(fmt.Sprintf("nn: target size %d, want %d", len(y[k]), os))
 		}
-		n.Backward(grad)
+	}
+	if n.act4 == nil {
+		n.act4 = make([][]lanes, len(n.Layers)+1)
+		n.act4[0] = make([]lanes, n.InputSize())
+		for li, l := range n.Layers {
+			n.act4[li+1] = make([]lanes, l.Out)
+		}
+		n.out, n.grad = make([]float64, os), make([]float64, os)
+		if n.left == nil {
+			n.left = make([]uint8, n.maxWidth())
+		}
+	}
+	n.ZeroGrad()
+	inv := 1 / float64(len(x))
+	total := 0.0
+	step := func(out, target []float64) {
+		total += MSE(out, target, n.grad)
+		for i := range n.grad {
+			n.grad[i] *= inv
+		}
+		n.Backward(n.grad)
+	}
+	k := 0
+	for ; k+4 <= len(x); k += 4 {
+		n.forwardLanes(x[k : k+4])
+		for s := range 4 {
+			step(n.loadLane(s), y[k+s])
+		}
+	}
+	for ; k < len(x); k++ {
+		n.Forward(x[k], n.out)
+		step(n.out, y[k])
 	}
 	n.ClipGrad(clipNorm)
 	opt.Step(n)
