@@ -39,7 +39,7 @@ func runExperiment(b *testing.B, id string) experiments.Result {
 
 func BenchmarkFig01a(b *testing.B) {
 	res := runExperiment(b, "fig1a")
-	if s := res.Get("100ms"); s != nil && len(s.Y) > 0 {
+	if s := series(res, "100ms"); s != nil && len(s.Y) > 0 {
 		b.ReportMetric(s.X[len(s.X)/2], "goodput-p50-100ms-Gbps")
 	}
 }
@@ -50,14 +50,14 @@ func BenchmarkFig02(b *testing.B) { runExperiment(b, "fig2") }
 
 func BenchmarkFig03(b *testing.B) {
 	res := runExperiment(b, "fig3")
-	if s := res.Get("CCP-Aurora-1ms"); s != nil && len(s.Y) > 0 {
+	if s := series(res, "CCP-Aurora-1ms"); s != nil && len(s.Y) > 0 {
 		b.ReportMetric(s.Y[len(s.Y)-1], "ccp1ms-over-bbr-at-N10")
 	}
 }
 
 func BenchmarkFig04(b *testing.B) {
 	res := runExperiment(b, "fig4")
-	if s := res.Get("softirq-share-%"); s != nil && len(s.Y) > 0 {
+	if s := series(res, "softirq-share-%"); s != nil && len(s.Y) > 0 {
 		b.ReportMetric(s.Y[0], "bbr-softirq-share-pct")
 		b.ReportMetric(s.Y[len(s.Y)-1], "ccp1ms-softirq-share-pct")
 	}
@@ -67,7 +67,7 @@ func BenchmarkFig05(b *testing.B) { runExperiment(b, "fig5") }
 
 func BenchmarkFig07(b *testing.B) {
 	res := runExperiment(b, "fig7")
-	if s := res.Get("Aurora"); s != nil && len(s.Y) >= 4 {
+	if s := series(res, "Aurora"); s != nil && len(s.Y) >= 4 {
 		b.ReportMetric(s.Y[3]*100, "aurora-loss-at-C1000-pct")
 	}
 }
@@ -76,7 +76,7 @@ func BenchmarkFig08(b *testing.B) { runExperiment(b, "fig8") }
 
 func BenchmarkFig11(b *testing.B) {
 	res := runExperiment(b, "fig11")
-	if s := res.Get("goodput"); s != nil && len(s.Y) >= 5 {
+	if s := series(res, "goodput"); s != nil && len(s.Y) >= 5 {
 		b.ReportMetric(s.Y[0], "lf-aurora-Gbps")
 		b.ReportMetric(s.Y[4], "ccp-aurora-100ms-Gbps")
 	}
@@ -86,7 +86,7 @@ func BenchmarkFig12(b *testing.B) { runExperiment(b, "fig12") }
 
 func BenchmarkFig13(b *testing.B) {
 	res := runExperiment(b, "fig13")
-	if s := res.Get("LF-Aurora"); s != nil && len(s.Y) > 0 {
+	if s := series(res, "LF-Aurora"); s != nil && len(s.Y) > 0 {
 		b.ReportMetric(s.Y[len(s.Y)-1], "lf-aurora-over-bbr-at-N10")
 	}
 }
@@ -99,7 +99,7 @@ func BenchmarkFig15(b *testing.B) { runExperiment(b, "fig15") }
 
 func BenchmarkFig16(b *testing.B) {
 	res := runExperiment(b, "fig16")
-	if s := res.Get("LF-FFNN"); s != nil && len(s.Y) >= 3 {
+	if s := series(res, "LF-FFNN"); s != nil && len(s.Y) >= 3 {
 		b.ReportMetric(s.Y[0], "lf-ffnn-short-fct-us")
 		b.ReportMetric(s.Y[2], "lf-ffnn-long-fct-us")
 	}
@@ -107,7 +107,7 @@ func BenchmarkFig16(b *testing.B) {
 
 func BenchmarkFig17(b *testing.B) {
 	res := runExperiment(b, "fig17")
-	if s := res.Get("LF-MLP"); s != nil && len(s.Y) >= 3 {
+	if s := series(res, "LF-MLP"); s != nil && len(s.Y) >= 3 {
 		b.ReportMetric(s.Y[0], "lf-mlp-short-fct-us")
 	}
 }
@@ -319,4 +319,14 @@ func (u *fanoutUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
 func (u *fanoutUser) Adapt([]core.Sample) {
 	u.net.Layers[len(u.net.Layers)-1].B[0] += u.sign
 	u.sign = -u.sign
+}
+
+// series returns res's series with the given name, or nil.
+func series(res experiments.Result, name string) *experiments.Series {
+	for i := range res.Series {
+		if res.Series[i].Name == name {
+			return &res.Series[i]
+		}
+	}
+	return nil
 }

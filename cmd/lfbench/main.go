@@ -9,14 +9,13 @@
 //	lfbench -exp fig11 -scale 0.2 # faster, smaller run
 //	lfbench -all                  # regenerate everything (EXPERIMENTS.md data)
 //	lfbench -all -parallel 4      # same bytes, bounded worker pool
-//	lfbench -exp fig11 -reps 5    # median across 5 seeds, err = std
 //
 // Reports and telemetry are deterministic: for a fixed -seed/-scale the
 // stdout bytes and -trace/-metrics-out exports are identical regardless of
 // -parallel, and the stdout bytes do not depend on whether
-// -trace/-metrics-out/-flight-out is given either. Wall-clock timing
-// (median/p95 across reps) goes to stderr so comparable output stays
-// comparable.
+// -trace/-metrics-out/-flight-out is given either. Wall-clock timing goes to
+// stderr so comparable output stays comparable. To repeat a run across
+// seeds, use lfsim cc|fleet -reps.
 //
 // Performance tracking lives in the repo's benchmark, not here: see
 // bench/README.md (go run ./bench, go run ./bench -compare).
@@ -44,9 +43,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		all        = fs.Bool("all", false, "run every experiment in paper order")
 		list       = fs.Bool("list", false, "list available experiments")
 		scale      = fs.Float64("scale", 1.0, "duration/size scale factor (1.0 = paper shape)")
-		seed       = fs.Int64("seed", 1, "random seed (rep r runs at seed+r)")
-		parallel   = fs.Int("parallel", 1, "worker-pool size for independent experiments/reps")
-		reps       = fs.Int("reps", 1, "repetitions per experiment; results aggregate to the per-point median")
+		seed       = fs.Int64("seed", 1, "random seed")
+		parallel   = fs.Int("parallel", 1, "worker-pool size for independent experiments")
 		trace      = fs.String("trace", "", "write Chrome trace-event JSON to this file")
 		metricsOut = fs.String("metrics-out", "", "write Prometheus text metrics to this file")
 		flightOut  = fs.String("flight-out", "", "write the flight recording as JSON lines to this file (recorded by experiments that drive a flight recorder, e.g. the fleet scenarios)")
@@ -58,10 +56,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lfbench: give one of -list, -all and -exp, and no arguments")
 		return 2
 	}
+	if !(*scale > 0) {
+		fmt.Fprintf(stderr, "lfbench: -scale %g: want a positive scale factor\n", *scale)
+		return 1
+	}
 
 	tel := obs.NewSession(obs.Exports{Trace: *trace, Metrics: *metricsOut, Flight: *flightOut})
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Obs: tel.Scope(), Flight: tel.Flight}
-	opts := experiments.SuiteOptions{Parallel: *parallel, Reps: *reps}
 
 	var runners []experiments.Runner
 	switch {
@@ -84,16 +85,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	for _, sr := range experiments.RunSuite(runners, cfg, opts) {
+	for _, sr := range experiments.RunSuite(runners, cfg, *parallel) {
 		fmt.Fprintln(stdout, sr.Result.String())
 		// Wall-clock is host-dependent; keep it off stdout so report bytes
 		// compare across -parallel settings and machines.
-		if len(sr.Wall) > 1 {
-			fmt.Fprintf(stderr, "(%s: median %.1fs, p95 %.1fs over %d reps)\n",
-				sr.Runner.ID, sr.WallQuantile(0.5).Seconds(), sr.WallQuantile(0.95).Seconds(), len(sr.Wall))
-		} else {
-			fmt.Fprintf(stderr, "(%s completed in %.1fs)\n", sr.Runner.ID, sr.WallQuantile(0.5).Seconds())
-		}
+		fmt.Fprintf(stderr, "(%s completed in %.1fs)\n", sr.Runner.ID, sr.Wall.Seconds())
 	}
 
 	if err := tel.Finish("lfbench", stderr); err != nil {

@@ -57,9 +57,30 @@ func TestLfbenchNoArgs(t *testing.T) {
 	}
 }
 
+// TestLfbenchRejectsNonPositiveScale: a -scale of zero or less would floor
+// every duration and count, so it exits 1 naming the flag before any output.
+func TestLfbenchRejectsNonPositiveScale(t *testing.T) {
+	for _, args := range [][]string{
+		{"-exp", "scenarios", "-scale", "-1"},
+		{"-exp", "fig7", "-scale", "0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("lfbench %s exited %d, want 1", strings.Join(args, " "), code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("lfbench %s printed on stdout:\n%s", strings.Join(args, " "), stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "-scale") {
+			t.Errorf("lfbench %s: stderr does not name -scale: %s", strings.Join(args, " "), stderr.String())
+		}
+	}
+}
+
 // TestLfbenchParallelMatchesSerial asserts the CLI contract documented in the
 // package comment: for a fixed -seed/-scale, stdout and the telemetry exports
-// are byte-identical regardless of -parallel, including under -reps.
+// are byte-identical regardless of -parallel. (Several jobs on the pool are
+// checked by the experiments package's TestRunSuiteParallelMatchesSerial.)
 func TestLfbenchParallelMatchesSerial(t *testing.T) {
 	runOnce := func(parallel int) (report string, trace, prom []byte) {
 		dir := t.TempDir()
@@ -67,7 +88,7 @@ func TestLfbenchParallelMatchesSerial(t *testing.T) {
 		promPath := filepath.Join(dir, "metrics.prom")
 		var stdout, stderr bytes.Buffer
 		args := []string{"-exp", "fig14", "-scale", "0.05", "-seed", "1",
-			"-reps", "2", "-parallel", strconv.Itoa(parallel),
+			"-parallel", strconv.Itoa(parallel),
 			"-trace", tracePath, "-metrics-out", promPath}
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("run -parallel %d exited %d\nstderr: %s", parallel, code, stderr.String())
@@ -95,9 +116,6 @@ func TestLfbenchParallelMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(serialProm, parProm) {
 		t.Errorf("metrics export differs between -parallel 1 and -parallel 4")
-	}
-	if !strings.Contains(serialRep, "aggregated over 2 reps") {
-		t.Errorf("report missing reps aggregation note:\n%s", serialRep)
 	}
 }
 
@@ -131,7 +149,7 @@ func TestLfbenchFlightParallelMatchesSerial(t *testing.T) {
 		tracePath := filepath.Join(dir, "trace.json")
 		var stdout, stderr bytes.Buffer
 		args := []string{"-exp", "fleet-canary", "-scale", "0.02", "-seed", "1",
-			"-reps", "2", "-parallel", strconv.Itoa(parallel),
+			"-parallel", strconv.Itoa(parallel),
 			"-flight-out", flightPath, "-trace", tracePath}
 		if code := run(args, &stdout, &stderr); code != 0 {
 			t.Fatalf("run -parallel %d exited %d\nstderr: %s", parallel, code, stderr.String())

@@ -116,7 +116,7 @@ func (f *runFlags) register(fs *flag.FlagSet, durationHelp string) {
 	fs.StringVar(&f.ex.TraceJSONL, "trace-jsonl", "", "write trace events as JSON lines to this file")
 	fs.StringVar(&f.ex.Metrics, "metrics-out", "", "write Prometheus text metrics to this file")
 	fs.StringVar(&f.ex.Flight, "flight-out", "", "write a flight recording (every metric sampled each millisecond of virtual time) as JSON lines to this file; on the cc dumbbell a sample sees every partition at a time within one lookahead of the tick")
-	fs.StringVar(&f.ex.Listen, "listen", "", "serve /metrics and /debug/trace on this address after the run (e.g. :9090)")
+	fs.StringVar(&f.ex.Listen, "listen", "", "serve /metrics, /debug/trace and /debug/flight on this address after the run (e.g. :9090)")
 }
 
 // parse parses a cc or fleet command line, which takes no arguments, and

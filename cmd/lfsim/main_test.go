@@ -188,6 +188,48 @@ func TestLfsimDeterminism(t *testing.T) {
 	}
 }
 
+// TestLfsimSingleClassFaultProfiles: -fault-profile netlink and slowpath each
+// fire their own fault classes from the CLI and none of the other profile's.
+// slowpath's build failures cannot fire here: lfsim's slow-path user never
+// retunes the model, so the necessity gate never lets an install start, and
+// the row pins them at 0.
+func TestLfsimSingleClassFaultProfiles(t *testing.T) {
+	for _, c := range []struct {
+		profile, duration string
+		fires, silent     []string
+	}{
+		{"netlink", "1s", []string{"drops", "corrupt", "delays", "reorders"}, []string{"build fails", "outages", "cpu spikes"}},
+		{"slowpath", "2500ms", []string{"outages"}, []string{"build fails", "drops", "corrupt", "delays", "reorders", "cpu spikes"}},
+	} {
+		code, stdout, stderr := lfsim("cc", "-cc", "lf-aurora", "-adapt", "-fault-profile", c.profile,
+			"-duration", c.duration, "-warmup", "0s", "-pretrain", "40", "-batch-interval", "20ms")
+		if code != 0 {
+			t.Fatalf("%s: exit %d\nstderr: %s", c.profile, code, stderr)
+		}
+		_, line, ok := strings.Cut(stdout, "faults injected: ")
+		line, _, _ = strings.Cut(line, "\n")
+		_, classes, ok2 := strings.Cut(strings.TrimSuffix(line, ")"), "(")
+		if !ok || !ok2 {
+			t.Fatalf("%s: no faults injected line:\n%s", c.profile, stdout)
+		}
+		count := map[string]int{}
+		for _, f := range strings.Split(classes, ", ") {
+			n, name, _ := strings.Cut(f, " ")
+			count[name], _ = strconv.Atoi(n)
+		}
+		for _, name := range c.fires {
+			if count[name] == 0 {
+				t.Errorf("%s: no %s injected: %s", c.profile, name, line)
+			}
+		}
+		for _, name := range c.silent {
+			if n, ok := count[name]; !ok || n != 0 {
+				t.Errorf("%s: %s is not 0: %s", c.profile, name, line)
+			}
+		}
+	}
+}
+
 // TestLfsimFleetSmoke runs lfsim fleet with -chaos and telemetry exports and
 // checks the report, the fleet metric families, and run-to-run
 // byte-identical exports (the determinism contract extends to the

@@ -56,7 +56,7 @@ func run(name string, useKernel bool) {
 
 	// Workload.
 	wr := rand.New(rand.NewSource(7))
-	flows := workload.Generate(wr, 800, len(sl.Hosts), 0.2, opts.HostLinkBps, dist)
+	flows := workload.Generate(wr, 800, len(sl.Hosts), 0.2, topo.HostLinkBps, dist)
 	dists := [3]*stats.Dist{stats.NewDist(64), stats.NewDist(64), stats.NewDist(64)}
 	var predLat stats.Summary
 

@@ -63,44 +63,8 @@ func (c Class) String() string {
 	}
 }
 
-// PRNG is an 8-byte xorshift64* generator. Sessions cannot afford a
-// math/rand.Rand (its source alone is ~5 KB — at a million sessions that is
-// gigabytes); this provides the few uniform/exponential draws a session
-// needs with per-session determinism. The scenario harness draws its setup
-// choices (hosts, launch offsets, session seeds) from one too.
-type PRNG uint64
-
-// NewPRNG seeds a generator through one splitmix64 step, so neighbouring
-// seeds give unrelated streams.
-func NewPRNG(seed uint64) PRNG {
-	z := seed + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	if z == 0 {
-		z = 0x9e3779b97f4a7c15
-	}
-	return PRNG(z)
-}
-
-// Next returns the next 64 bits.
-func (p *PRNG) Next() uint64 {
-	x := uint64(*p)
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*p = PRNG(x)
-	return x
-}
-
-// F64 returns a uniform draw in [0, 1).
-func (p *PRNG) F64() float64 { return float64(p.Next()>>11) / (1 << 53) }
-
-// Intn returns a draw in [0, n).
-func (p *PRNG) Intn(n int) int { return int(p.Next() % uint64(n)) }
-
 // expTime returns an exponential draw with the given mean.
-func (p *PRNG) expTime(mean netsim.Time) netsim.Time {
+func expTime(p *netsim.PRNG, mean netsim.Time) netsim.Time {
 	u := p.F64()
 	if u <= 0 {
 		u = 1.0 / (1 << 53)
@@ -205,7 +169,7 @@ type Opts struct {
 type Session struct {
 	cls Class
 	eng *netsim.Engine
-	rng PRNG
+	rng netsim.PRNG
 	m   *Metrics
 
 	conns []Conn
@@ -253,7 +217,7 @@ func New(o Opts) *Session {
 		panic("actor: nil Metrics")
 	}
 	s := &Session{
-		cls: o.Class, eng: o.Client.Eng, rng: NewPRNG(o.Seed), m: o.Metrics,
+		cls: o.Class, eng: o.Client.Eng, rng: netsim.NewPRNG(o.Seed), m: o.Metrics,
 		think: o.ThinkMean, reqBytes: o.ReqBytes, respDist: o.RespDist,
 		respBytes: o.RespBytes, chunkDur: o.ChunkDur, ladder: o.Ladder,
 	}
@@ -359,12 +323,12 @@ func (s *Session) onRespDone(now netsim.Time) {
 	s.busy = false
 	switch s.cls {
 	case Web:
-		s.eng.After(s.rng.expTime(s.think), s.issueFn)
+		s.eng.After(expTime(&s.rng, s.think), s.issueFn)
 	case RPC:
-		s.eng.After(s.rng.expTime(s.think), s.issueFn)
+		s.eng.After(expTime(&s.rng, s.think), s.issueFn)
 	case Bulk:
 		if s.think > 0 {
-			s.eng.After(s.rng.expTime(s.think), s.issueFn)
+			s.eng.After(expTime(&s.rng, s.think), s.issueFn)
 		} else {
 			s.issueRequest()
 		}

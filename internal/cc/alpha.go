@@ -34,9 +34,6 @@ func NewAlphaController(eng *netsim.Engine, backend Backend, lineRate int64, ini
 	return m
 }
 
-// Alpha returns the current line-rate fraction.
-func (m *AlphaController) Alpha() float64 { return m.curAlpha }
-
 // decide is the absolute law: the output is α, and OnState sees it clipped.
 func (m *AlphaController) decide(alpha float64) (int64, float64) {
 	m.curAlpha = clip(alpha, minAlpha, 1)

@@ -22,8 +22,8 @@ func TestAlphaControllerAppliesFraction(t *testing.T) {
 	if m.PacingRate() != 400_000_000 {
 		t.Errorf("rate = %d, want 0.4 of line after decisions", m.PacingRate())
 	}
-	if m.Alpha() != 0.4 {
-		t.Errorf("Alpha = %v", m.Alpha())
+	if m.curAlpha != 0.4 {
+		t.Errorf("Alpha = %v", m.curAlpha)
 	}
 }
 
@@ -33,15 +33,15 @@ func TestAlphaControllerClamps(t *testing.T) {
 	hi.Start(0)
 	eng.RunUntil(20 * netsim.Millisecond)
 	hi.Stop()
-	if hi.Alpha() != 1 {
-		t.Errorf("alpha must clamp to 1, got %v", hi.Alpha())
+	if hi.curAlpha != 1 {
+		t.Errorf("alpha must clamp to 1, got %v", hi.curAlpha)
 	}
 	lo := NewAlphaController(eng, &DirectBackend{Policy: PolicyFunc(func([]float64) float64 { return -3 })}, 1e9, 0.5)
 	lo.Start(eng.Now())
 	eng.RunUntil(eng.Now() + 20*netsim.Millisecond)
 	lo.Stop()
-	if lo.Alpha() != minAlpha {
-		t.Errorf("alpha must clamp to minAlpha, got %v", lo.Alpha())
+	if lo.curAlpha != minAlpha {
+		t.Errorf("alpha must clamp to minAlpha, got %v", lo.curAlpha)
 	}
 	// The pacing rate itself floors at 1 Mbps.
 	if lo.PacingRate() < 1_000_000 {
@@ -513,8 +513,8 @@ func TestAlphaControllerMatchesFrozenOracle(t *testing.T) {
 		return oracle
 	})
 	compareMIRecords(t, got, want)
-	if product.MIs != oracle.mis || math.Float64bits(product.Alpha()) != math.Float64bits(oracle.curAlpha) {
-		t.Errorf("final MIs/α = %d/%v, oracle %d/%v", product.MIs, product.Alpha(), oracle.mis, oracle.curAlpha)
+	if product.MIs != oracle.mis || math.Float64bits(product.curAlpha) != math.Float64bits(oracle.curAlpha) {
+		t.Errorf("final MIs/α = %d/%v, oracle %d/%v", product.MIs, product.curAlpha, oracle.mis, oracle.curAlpha)
 	}
 	var sawLo, sawHi bool
 	for _, r := range got {

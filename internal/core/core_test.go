@@ -276,9 +276,9 @@ func TestFlowBackendQuery(t *testing.T) {
 func TestSampleCodec(t *testing.T) {
 	s := Sample{Input: []float64{1, 2, 3}, Aux: []float64{9}, At: 77}
 	m := EncodeSample(s)
-	got, ok := DecodeSample(m)
-	if !ok {
-		t.Fatal("decode failed")
+	got, err := ParseSample(m)
+	if err != nil {
+		t.Fatalf("decode failed: %v", err)
 	}
 	if len(got.Input) != 3 || got.Input[2] != 3 || len(got.Aux) != 1 || got.Aux[0] != 9 || got.At != 77 {
 		t.Errorf("round trip mismatch: %+v", got)
@@ -289,7 +289,7 @@ func TestSampleCodec(t *testing.T) {
 		{Data: []float64{5, 1}},  // claims 5 inputs, has 1
 		{Data: []float64{-1, 1}}, // negative length
 	} {
-		if _, ok := DecodeSample(bad); ok {
+		if _, err := ParseSample(bad); err == nil {
 			t.Errorf("malformed %v must not decode", bad.Data)
 		}
 	}

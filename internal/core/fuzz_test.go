@@ -28,11 +28,10 @@ func floatsToBytes(data []float64) []byte {
 	return out
 }
 
-// FuzzDecodeSample hammers the kernel-boundary sample validator: no input
-// may panic, DecodeSample's verdict must agree with ParseSample's error, a
-// rejection must classify as ErrMalformedSample, and an accepted sample must
-// re-encode to the same payload (round trip).
-func FuzzDecodeSample(f *testing.F) {
+// FuzzParseSample hammers the kernel-boundary sample validator: no input
+// may panic, a rejection must classify as ErrMalformedSample, and an
+// accepted sample must re-encode to the same payload (round trip).
+func FuzzParseSample(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(floatsToBytes(EncodeSample(Sample{Input: []float64{1, 2}, Aux: []float64{3}}).Data))
 	f.Add(floatsToBytes([]float64{0}))
@@ -44,9 +43,6 @@ func FuzzDecodeSample(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m := netlink.Message{Kind: netlink.KindSample, Data: bytesToFloats(raw), At: 1}
 		s, err := ParseSample(m)
-		if _, ok := DecodeSample(m); ok != (err == nil) {
-			t.Fatalf("DecodeSample ok=%v disagrees with ParseSample err=%v", ok, err)
-		}
 		if err != nil {
 			if !errors.Is(err, ErrMalformedSample) {
 				t.Fatalf("rejection must wrap ErrMalformedSample, got %v", err)

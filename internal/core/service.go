@@ -111,13 +111,6 @@ func cutSample(buf []float64, m netlink.Message, n int) Sample {
 	return Sample{Input: buf[:n:n], Aux: buf[n:len(buf):len(buf)], At: m.At}
 }
 
-// DecodeSample is ParseSample with a boolean verdict, for callers that do
-// not need the rejection reason.
-func DecodeSample(m netlink.Message) (Sample, bool) {
-	s, err := ParseSample(m)
-	return s, err == nil
-}
-
 // The three user interfaces of the userspace service (paper §4.1). LiteFlow
 // is not tied to any learning framework: users implement these with whatever
 // tooling they like.

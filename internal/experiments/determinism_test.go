@@ -108,7 +108,7 @@ func goldenSuite(parallel int, live bool) suiteRun {
 		reg, tr = obs.NewRegistry(), obs.NewTracer(0)
 	}
 	cfg := Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr)} // neither is obs.Scope{}
-	run := suiteRun{results: RunSuite(All(), cfg, SuiteOptions{Parallel: parallel})}
+	run := suiteRun{results: RunSuite(All(), cfg, parallel)}
 	if live {
 		var tb bytes.Buffer
 		tr.WriteChromeTrace(&tb)

@@ -31,9 +31,6 @@ type Config struct {
 	Flight *obs.FlightRecorder
 }
 
-// DefaultConfig returns the full-scale configuration.
-func DefaultConfig() Config { return Config{Scale: 1, Seed: 1} }
-
 // dur scales a base duration by the config.
 func (c Config) dur(base netsim.Time) netsim.Time {
 	d := netsim.Time(float64(base) * c.Scale)
@@ -121,16 +118,6 @@ func lookup(s Series, x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Get returns the series with the given name, or nil.
-func (r Result) Get(name string) *Series {
-	for i := range r.Series {
-		if r.Series[i].Name == name {
-			return &r.Series[i]
-		}
-	}
-	return nil
 }
 
 // Runner is a registered experiment.

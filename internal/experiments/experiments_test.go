@@ -500,3 +500,13 @@ func TestAblUpdateShape(t *testing.T) {
 		t.Errorf("active-standby worst gap = %.1f ms, want MI-scale", standby)
 	}
 }
+
+// Get returns the series with the given name, or nil.
+func (r Result) Get(name string) *Series {
+	for i := range r.Series {
+		if r.Series[i].Name == name {
+			return &r.Series[i]
+		}
+	}
+	return nil
+}

@@ -54,7 +54,7 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	paths := len(sl.Spines)
 
 	r := rand.New(rand.NewSource(cfg.Seed + 30))
-	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.15, opts.HostLinkBps, workload.WebSearch())
+	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.15, topo.HostLinkBps, workload.WebSearch())
 	shiftAt := flows[numFlows/2].At
 	batchT := batchIntervalFor(flows)
 

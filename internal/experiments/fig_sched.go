@@ -223,7 +223,7 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 
 	// Identical workload for every scheme.
 	r := rand.New(rand.NewSource(cfg.Seed + 20))
-	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.55, opts.HostLinkBps, workload.WebSearch())
+	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.55, topo.HostLinkBps, workload.WebSearch())
 	fm := sched.NewFeatureModel(cfg.Seed + 21)
 	driftAt := flows[numFlows/2].At // feature mapping drifts mid-run
 	batchT := batchIntervalFor(flows)

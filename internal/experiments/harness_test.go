@@ -2,57 +2,60 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
-// suiteBytes runs the given runners through RunSuite and renders everything
-// comparable: the aggregated report text, the Prometheus export and the
-// Chrome trace export.
-func suiteBytes(t *testing.T, runners []Runner, cfg Config, opts SuiteOptions) (report, metrics, trace string) {
+// suiteBytes runs the given runners through RunSuite with a live registry,
+// tracer and flight recorder and renders everything comparable: the report
+// text, the Prometheus export, the Chrome trace export and the flight
+// recording.
+func suiteBytes(t *testing.T, runners []Runner, cfg Config, parallel int) (report, metrics, trace, flight string) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(0)
 	cfg.Obs = obs.New(reg, tracer)
+	cfg.Flight = obs.NewFlightRecorder(0)
 	var b strings.Builder
-	for _, sr := range RunSuite(runners, cfg, opts) {
+	for _, sr := range RunSuite(runners, cfg, parallel) {
 		b.WriteString(sr.Result.String())
 		b.WriteByte('\n')
 	}
-	var tb bytes.Buffer
+	var tb, fb bytes.Buffer
 	if err := tracer.WriteChromeTrace(&tb); err != nil {
 		t.Fatalf("trace export: %v", err)
 	}
-	return b.String(), string(reg.PrometheusText()), tb.String()
+	if err := cfg.Flight.WriteJSONL(&fb); err != nil {
+		t.Fatalf("flight export: %v", err)
+	}
+	return b.String(), string(reg.PrometheusText()), tb.String(), fb.String()
 }
 
-// fastSubset picks a few quick experiments that exercise telemetry (core,
-// netlink, topo instrumentation) without the cost of the full suite; the
-// all-experiment byte-identity check lives in determinism_test.go.
-func fastSubset(t *testing.T) []Runner {
-	t.Helper()
-	var out []Runner
-	for _, id := range []string{"fig2", "fig14", "abl-update"} {
+// TestRunSuiteParallelMatchesSerial: two different runners that each drive a
+// flight recorder, run serially and on four workers, give byte-identical
+// reports, metrics, traces and flight recordings — the per-job telemetry
+// children are joined in job order, not completion order. The
+// all-experiment check without a flight recorder lives in
+// determinism_test.go.
+func TestRunSuiteParallelMatchesSerial(t *testing.T) {
+	var runners []Runner
+	for _, id := range []string{"fleet-scale", "fleet-canary"} {
 		r, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
 		}
-		out = append(out, r)
+		runners = append(runners, r)
 	}
-	return out
-}
+	cfg := Config{Scale: 0.02, Seed: 1}
 
-func TestRunSuiteParallelMatchesSerial(t *testing.T) {
-	runners := fastSubset(t)
-	cfg := Config{Scale: 0.05, Seed: 1}
-	opts := SuiteOptions{Reps: 2}
+	serialRep, serialMet, serialTr, serialFl := suiteBytes(t, runners, cfg, 1)
+	parRep, parMet, parTr, parFl := suiteBytes(t, runners, cfg, 4)
 
-	serialRep, serialMet, serialTr := suiteBytes(t, runners, cfg, SuiteOptions{Parallel: 1, Reps: opts.Reps})
-	parRep, parMet, parTr := suiteBytes(t, runners, cfg, SuiteOptions{Parallel: 4, Reps: opts.Reps})
-
+	if serialFl == "" {
+		t.Fatal("flight recording is empty")
+	}
 	if serialRep != parRep {
 		t.Errorf("report differs between -parallel 1 and -parallel 4:\n--- serial ---\n%s\n--- parallel ---\n%s", serialRep, parRep)
 	}
@@ -62,74 +65,7 @@ func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 	if serialTr != parTr {
 		t.Errorf("trace export differs between -parallel 1 and -parallel 4")
 	}
-}
-
-func TestRunSuiteRepSeeds(t *testing.T) {
-	// A fake runner records which seeds it saw; reps must map to Seed+r in
-	// job order, independent of pool size.
-	seen := make(chan int64, 16)
-	fake := Runner{ID: "fake", Title: "fake", Run: func(c Config) Result {
-		seen <- c.Seed
-		return Result{ID: "fake", Series: []Series{{Name: "s", X: []float64{1}, Y: []float64{float64(c.Seed)}}}}
-	}}
-	res := RunSuite([]Runner{fake}, Config{Scale: 1, Seed: 10}, SuiteOptions{Parallel: 3, Reps: 3})
-	close(seen)
-	got := map[int64]bool{}
-	for s := range seen {
-		got[s] = true
-	}
-	for _, want := range []int64{10, 11, 12} {
-		if !got[want] {
-			t.Errorf("seed %d never ran (got %v)", want, got)
-		}
-	}
-	if len(res) != 1 || len(res[0].Reps) != 3 {
-		t.Fatalf("want 1 suite result with 3 reps, got %+v", res)
-	}
-	// Identical X across reps → Y is the per-point median: seeds 10,11,12.
-	if y := res[0].Result.Series[0].Y[0]; y != 11 {
-		t.Errorf("aggregated Y = %v, want median 11", y)
-	}
-}
-
-func TestAggregateCDFMedian(t *testing.T) {
-	mk := func(xs ...float64) Result {
-		return Result{Series: []Series{{Name: "cdf", X: xs, Y: []float64{0.5, 1.0}}}}
-	}
-	agg := aggregate([]Result{mk(1, 10), mk(3, 30), mk(2, 20)}, 7)
-	s := agg.Series[0]
-	if s.X[0] != 2 || s.X[1] != 20 {
-		t.Errorf("CDF aggregation: X = %v, want per-point median [2 20]", s.X)
-	}
-	if s.Y[0] != 0.5 || s.Y[1] != 1.0 {
-		t.Errorf("CDF aggregation: Y mutated: %v", s.Y)
-	}
-}
-
-func TestAggregateShapeMismatchFallsBack(t *testing.T) {
-	a := Result{Series: []Series{{Name: "s", X: []float64{1, 2}, Y: []float64{1, 2}}}}
-	b := Result{Series: []Series{{Name: "s", X: []float64{1}, Y: []float64{1}}}}
-	agg := aggregate([]Result{a, b}, 1)
-	if len(agg.Series[0].X) != 2 {
-		t.Errorf("fallback should keep rep 0, got %+v", agg.Series[0])
-	}
-	found := false
-	for _, n := range agg.Notes {
-		if strings.Contains(n, "shape differs") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("expected a shape-mismatch note, notes = %v", agg.Notes)
-	}
-}
-
-func TestRunSuiteSingleRepKeepsResultVerbatim(t *testing.T) {
-	fake := Runner{ID: "fake", Title: "fake", Run: func(c Config) Result {
-		return Result{ID: "fake", Notes: []string{fmt.Sprintf("seed=%d", c.Seed)}}
-	}}
-	res := RunSuite([]Runner{fake}, Config{Seed: 5}, SuiteOptions{})
-	if len(res[0].Result.Notes) != 1 || res[0].Result.Notes[0] != "seed=5" {
-		t.Errorf("single-rep result altered: %+v", res[0].Result)
+	if serialFl != parFl {
+		t.Errorf("flight export differs between -parallel 1 and -parallel 4 (%d vs %d bytes)", len(serialFl), len(parFl))
 	}
 }

@@ -228,14 +228,6 @@ func New(p Profile, seed int64, sc obs.Scope) *Injector {
 	return j
 }
 
-// Profile returns the injector's profile (the zero Profile for nil).
-func (j *Injector) Profile() Profile {
-	if j == nil {
-		return Profile{}
-	}
-	return j.prof
-}
-
 // Stats returns a copy of the injector's fault counts (zero for nil).
 func (j *Injector) Stats() Stats {
 	if j == nil {

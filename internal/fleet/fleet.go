@@ -309,10 +309,6 @@ func (c *Controller) AddMember(co *core.Core, ch *netlink.Channel, options ...op
 // Members returns the enrolled members in index order.
 func (c *Controller) Members() []*Member { return c.members }
 
-// Epoch returns the latest minted fleet epoch. During a staged rollout this
-// runs ahead of Released; a failed canary reverts it to the released epoch.
-func (c *Controller) Epoch() int64 { return c.cur.epoch }
-
 // Released returns the latest epoch released to the whole fleet.
 func (c *Controller) Released() int64 { return c.rel.epoch }
 

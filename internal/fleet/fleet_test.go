@@ -102,7 +102,7 @@ func (r *fleetRig) feedAll(every, stop netsim.Time) {
 func TestFleetProvisionsAllMembers(t *testing.T) {
 	r := newFleetRig(t, 4, Config{BatchInterval: 10 * netsim.Millisecond}, nil)
 	defer r.ctrl.Stop()
-	if got := r.ctrl.Epoch(); got != 1 {
+	if got := r.ctrl.Stats().Epoch; got != 1 {
 		t.Fatalf("Epoch after Start = %d, want 1", got)
 	}
 	for i, c := range r.cores {

@@ -77,13 +77,13 @@ func TestRolloutInvariants(t *testing.T) {
 				fr.Sample(reg, int64(r.eng.Now()))
 				st, black := c.Stats(), c.Blacklisted()
 
-				if !(c.Released() <= c.Epoch() && c.Epoch() <= c.lastMinted) {
+				if !(c.Released() <= c.Stats().Epoch && c.Stats().Epoch <= c.lastMinted) {
 					t.Fatalf("t=%d: released %d ≤ minted-and-live %d ≤ last minted %d does not hold",
-						r.eng.Now(), c.Released(), c.Epoch(), c.lastMinted)
+						r.eng.Now(), c.Released(), c.Stats().Epoch, c.lastMinted)
 				}
-				if slices.Contains(black, c.Released()) || slices.Contains(black, c.Epoch()) {
+				if slices.Contains(black, c.Released()) || slices.Contains(black, c.Stats().Epoch) {
 					t.Fatalf("t=%d: released %d or current %d epoch is blacklisted %v",
-						r.eng.Now(), c.Released(), c.Epoch(), black)
+						r.eng.Now(), c.Released(), c.Stats().Epoch, black)
 				}
 				if c.canaries != nil {
 					cohorts[c.lastMinted] = c.canaries

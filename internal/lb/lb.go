@@ -56,9 +56,6 @@ func NewPathMonitor(paths int) *PathMonitor {
 	}
 }
 
-// Paths returns the number of monitored paths.
-func (m *PathMonitor) Paths() int { return len(m.ecn) }
-
 // Observe folds one flow-feedback sample for a path into the EWMAs.
 func (m *PathMonitor) Observe(path int, ecnFrac float64, rtt netsim.Time) {
 	if path < 0 || path >= len(m.ecn) {
@@ -198,22 +195,6 @@ func Train(net *nn.Network, paths, iters int, lr float64, ecnVisible float64, se
 		loss = nn.TrainBatch(net, opt, x, y, 5)
 	}
 	return loss
-}
-
-// Accuracy measures how often the model picks the oracle's path on fresh
-// samples drawn in the given regime.
-func Accuracy(net *nn.Network, paths, n int, ecnVisible float64, seed int64) float64 {
-	r := rand.New(rand.NewSource(seed))
-	out := make([]float64, paths)
-	ok := 0
-	for i := 0; i < n; i++ {
-		s := SampleRegime(r, paths, ecnVisible)
-		net.Forward(s.Features, out)
-		if Argmax(out) == s.Best {
-			ok++
-		}
-	}
-	return float64(ok) / float64(n)
 }
 
 // Argmax returns the index of the largest value (lowest index on ties).

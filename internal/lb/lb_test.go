@@ -18,7 +18,7 @@ func TestMLPLearnsPathSelection(t *testing.T) {
 	if loss > 0.15 {
 		t.Fatalf("training loss = %v", loss)
 	}
-	acc := Accuracy(net, 2, 500, 1.0, 3)
+	acc := accuracy(net, 2, 500, 1.0, 3)
 	if acc < 0.80 {
 		t.Errorf("path accuracy = %.2f, want ≥ 0.80", acc)
 	}
@@ -30,13 +30,13 @@ func TestRegimeShiftHurtsFrozenSelector(t *testing.T) {
 	// the new regime recovers — the N-O-A dynamic of Figure 17.
 	net := NewMLP(2, 1)
 	Train(net, 2, 400, 1e-2, 1.0, 2)
-	clean := Accuracy(net, 2, 500, 1.0, 3)
-	shifted := Accuracy(net, 2, 500, 0.0, 3)
+	clean := accuracy(net, 2, 500, 1.0, 3)
+	shifted := accuracy(net, 2, 500, 0.0, 3)
 	if shifted >= clean-0.1 {
 		t.Errorf("regime shift must hurt: clean %.2f, shifted %.2f", clean, shifted)
 	}
 	Train(net, 2, 400, 1e-2, 0.0, 5)
-	recovered := Accuracy(net, 2, 500, 0.0, 3)
+	recovered := accuracy(net, 2, 500, 0.0, 3)
 	if recovered <= shifted+0.1 {
 		t.Errorf("retraining must recover: shifted %.2f, recovered %.2f", shifted, recovered)
 	}
@@ -57,7 +57,7 @@ func TestBestPathTeacher(t *testing.T) {
 
 func TestPathMonitorEWMA(t *testing.T) {
 	m := NewPathMonitor(2)
-	if m.Paths() != 2 {
+	if len(m.ecn) != 2 {
 		t.Fatal("paths wrong")
 	}
 	m.Observe(0, 1.0, 100*netsim.Microsecond)
@@ -191,4 +191,20 @@ func BenchmarkKernelSelect(b *testing.B) {
 			eng.Run()
 		}
 	}
+}
+
+// accuracy measures how often the model picks the oracle's path on fresh
+// samples drawn in the given regime.
+func accuracy(net *nn.Network, paths, n int, ecnVisible float64, seed int64) float64 {
+	r := rand.New(rand.NewSource(seed))
+	out := make([]float64, paths)
+	ok := 0
+	for i := 0; i < n; i++ {
+		s := SampleRegime(r, paths, ecnVisible)
+		net.Forward(s.Features, out)
+		if Argmax(out) == s.Best {
+			ok++
+		}
+	}
+	return float64(ok) / float64(n)
 }

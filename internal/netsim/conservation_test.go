@@ -62,7 +62,7 @@ func TestSwitchConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		return s.Unrouted() == 0
+		return s.unrouted == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

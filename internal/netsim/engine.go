@@ -364,25 +364,6 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// Step executes the earliest event. It returns false when the queue is
-// empty. Step is a single-partition affair; on a multi-partition engine it
-// panics — windowed execution (Run/RunUntil) is the only way to interleave
-// partitions deterministically.
-func (e *Engine) Step() bool {
-	if len(e.co.parts) > 1 {
-		panic("netsim: Step on a multi-partition engine; use Run or RunUntil")
-	}
-	p := e.co.parts[0]
-	if p.q.len() == 0 {
-		return false
-	}
-	ev := p.q.pop()
-	p.now = ev.at
-	ev.fn()
-	p.q.settle()
-	return true
-}
-
 // runTo executes this partition's events strictly before end (the exclusive
 // window bound), advancing the partition clock as it goes.
 func (e *Engine) runTo(end Time) {

@@ -130,3 +130,28 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 		e.Run()
 	}
 }
+
+// Step executes the earliest event. It returns false when the queue is
+// empty. Step is a single-partition affair; on a multi-partition engine it
+// panics — windowed execution (Run/RunUntil) is the only way to interleave
+// partitions deterministically.
+func (e *Engine) Step() bool {
+	if len(e.co.parts) > 1 {
+		panic("netsim: Step on a multi-partition engine; use Run or RunUntil")
+	}
+	p := e.co.parts[0]
+	if p.q.len() == 0 {
+		return false
+	}
+	ev := p.q.pop()
+	p.now = ev.at
+	ev.fn()
+	p.q.settle()
+	return true
+}
+
+// HandlerFunc adapts a function to the Handler interface.
+type HandlerFunc func(p *Packet)
+
+// HandlePacket calls f(p).
+func (f HandlerFunc) HandlePacket(p *Packet) { f(p) }

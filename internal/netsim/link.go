@@ -10,12 +10,6 @@ type Handler interface {
 	HandlePacket(p *Packet)
 }
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(p *Packet)
-
-// HandlePacket calls f(p).
-func (f HandlerFunc) HandlePacket(p *Packet) { f(p) }
-
 // Link is a unidirectional link: serialization at Rate, then propagation
 // Delay, feeding the remote Handler. Packets that arrive while the link is
 // transmitting wait in the attached Queue.
@@ -29,16 +23,14 @@ type Link struct {
 
 	// Wireless-style random loss: a packet that finishes serialization is
 	// corrupted (dropped before propagation) with probability lossRate.
-	// lossRNG is a private xorshift so the draw sequence depends only on
-	// this link's own packet order — deterministic per §4d under any
-	// partitioning.
+	// lossRNG is private so the draw sequence depends only on this link's
+	// own packet order — deterministic per §4d under any partitioning.
 	lossRate float64
-	lossRNG  uint64
+	lossRNG  PRNG
 
 	// Cumulative counters for experiment accounting; the scope exports the
 	// last three.
-	txPackets, txBytes              int64
-	lossDrops, queueDrops, ecnMarks int64
+	txPackets, lossDrops, queueDrops, ecnMarks int64
 
 	sc obs.Scope
 
@@ -89,34 +81,16 @@ func (l *Link) SetLoss(rate float64, seed int64) {
 		panic("netsim: loss rate must be in [0, 1)")
 	}
 	l.lossRate = rate
-	// splitmix64 of the seed so adjacent seeds give uncorrelated streams;
-	// the state must be non-zero for xorshift.
-	z := uint64(seed) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	if z == 0 {
-		z = 0x9e3779b97f4a7c15
-	}
-	l.lossRNG = z
+	l.lossRNG = NewPRNG(uint64(seed))
 }
 
 // LossDrops returns the cumulative count of packets dropped by SetLoss.
 func (l *Link) LossDrops() int64 { return l.lossDrops }
 
-// lose draws the per-packet corruption coin (xorshift64*, top 53 bits as a
-// uniform float in [0,1)). Zero-alloc and branch-cheap on loss-free links.
+// lose draws the per-packet corruption coin. Zero-alloc and branch-cheap on
+// loss-free links.
 func (l *Link) lose() bool {
-	if l.lossRate == 0 {
-		return false
-	}
-	x := l.lossRNG
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	l.lossRNG = x
-	u := float64(x>>11) / (1 << 53)
-	return u < l.lossRate
+	return l.lossRate != 0 && l.lossRNG.F64() < l.lossRate
 }
 
 // Engine returns the partition view owning this link (serialization and
@@ -153,9 +127,6 @@ func (l *Link) BindRemote(dst *Engine) *Link {
 	return l
 }
 
-// Rate returns the link rate in bits per second.
-func (l *Link) Rate() int64 { return l.rate }
-
 // SetRate changes the link rate (bits per second), effective for packets
 // serialized after the call — the mechanism for degraded-link experiments.
 // It panics on non-positive rates like NewLink.
@@ -173,9 +144,6 @@ func (l *Link) Queue() Queue { return l.queue }
 // SetTarget redirects delivered packets, those in propagation included, to h.
 // Used by topology builders that wire links before all nodes exist.
 func (l *Link) SetTarget(h Handler) { l.fly.to = h }
-
-// TxBytes returns the cumulative bytes fully serialized onto the wire.
-func (l *Link) TxBytes() int64 { return l.txBytes }
 
 // TxPackets returns the cumulative packet count serialized onto the wire.
 func (l *Link) TxPackets() int64 { return l.txPackets }
@@ -222,7 +190,6 @@ func (l *Link) startNext() {
 func (l *Link) txDone() {
 	p := l.txPkt
 	l.txPackets++
-	l.txBytes += int64(p.Size)
 	if l.lose() {
 		l.lossDrops++
 		l.sc.Event2("net", "loss", l.eng.now, "flow", int64(p.Flow), "bytes", int64(p.Size))

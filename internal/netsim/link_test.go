@@ -14,8 +14,8 @@ func TestLinkSerializationAndDelay(t *testing.T) {
 	if arrived != want {
 		t.Errorf("arrival = %d, want %d", arrived, want)
 	}
-	if l.TxPackets() != 1 || l.TxBytes() != 1000 {
-		t.Errorf("counters = %d pkts / %d bytes", l.TxPackets(), l.TxBytes())
+	if l.TxPackets() != 1 {
+		t.Errorf("counters = %d pkts", l.TxPackets())
 	}
 }
 

@@ -52,9 +52,6 @@ func (s *Switch) AddRoute(dst int, viaNeighbors ...int) {
 	}
 }
 
-// Unrouted returns the number of packets dropped for lack of a route.
-func (s *Switch) Unrouted() int64 { return s.unrouted }
-
 // ecmpHash hashes the flow ID symmetrically so both directions of a flow pick
 // the same member index given the same group size.
 func (s *Switch) ecmpHash(f FlowID) uint64 {

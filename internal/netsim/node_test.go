@@ -37,8 +37,8 @@ func TestSwitchUnroutedCounted(t *testing.T) {
 	for _, dst := range noRouteDsts {
 		s.HandlePacket(&Packet{Dst: dst, Size: 100})
 	}
-	if s.Unrouted() != int64(len(noRouteDsts)) {
-		t.Errorf("Unrouted = %d, want %d", s.Unrouted(), len(noRouteDsts))
+	if s.unrouted != int64(len(noRouteDsts)) {
+		t.Errorf("Unrouted = %d, want %d", s.unrouted, len(noRouteDsts))
 	}
 }
 

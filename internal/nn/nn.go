@@ -390,15 +390,6 @@ func (n *Network) MACs() int {
 	return m
 }
 
-// NumParams returns the total parameter count (weights + biases).
-func (n *Network) NumParams() int {
-	p := 0
-	for _, l := range n.Layers {
-		p += l.In*l.Out + l.Out
-	}
-	return p
-}
-
 func (n *Network) checkInput(in []float64) {
 	if len(in) != n.InputSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(in), n.InputSize()))

@@ -127,8 +127,15 @@ func TestMACsAndParams(t *testing.T) {
 		t.Errorf("MACs = %d, want %d", n.MACs(), wantMACs)
 	}
 	wantParams := wantMACs + 32 + 16 + 1
-	if n.NumParams() != wantParams {
-		t.Errorf("NumParams = %d, want %d", n.NumParams(), wantParams)
+	params := 0
+	for _, l := range n.Layers {
+		for _, row := range l.W {
+			params += len(row)
+		}
+		params += len(l.B)
+	}
+	if params != wantParams {
+		t.Errorf("params = %d, want %d", params, wantParams)
 	}
 }
 

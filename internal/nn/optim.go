@@ -14,9 +14,9 @@ type Optimizer interface {
 // userspace model optimization.
 type Adam struct {
 	LR      float64
-	Beta1   float64
-	Beta2   float64
-	Epsilon float64
+	beta1   float64
+	beta2   float64
+	epsilon float64
 
 	t  int
 	mv map[*Dense]*adamState
@@ -28,15 +28,15 @@ type adamState struct{ mW, vW, mB, vB []float64 }
 
 // NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8, mv: make(map[*Dense]*adamState)}
+	return &Adam{LR: lr, beta1: 0.9, beta2: 0.999, epsilon: 1e-8, mv: make(map[*Dense]*adamState)}
 }
 
 // Step applies one Adam update using the gradients accumulated in n.
 func (o *Adam) Step(n *Network) {
 	o.t++
 	c := adamCoefs{
-		b1: o.Beta1, c1: 1 - o.Beta1, b2: o.Beta2, c2: 1 - o.Beta2, lr: o.LR,
-		bc1: 1 - math.Pow(o.Beta1, float64(o.t)), bc2: 1 - math.Pow(o.Beta2, float64(o.t)), eps: o.Epsilon,
+		b1: o.beta1, c1: 1 - o.beta1, b2: o.beta2, c2: 1 - o.beta2, lr: o.LR,
+		bc1: 1 - math.Pow(o.beta1, float64(o.t)), bc2: 1 - math.Pow(o.beta2, float64(o.t)), eps: o.epsilon,
 	}
 	for _, l := range n.Layers {
 		st, ok := o.mv[l]

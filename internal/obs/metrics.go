@@ -73,30 +73,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var n int64
-	for _, c := range h.counts {
-		n += c
-	}
-	return n
-}
-
-// Sum returns the exact sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Summary returns a copy of the running summary (mean/std/min/max).
 func (h *Histogram) Summary() stats.Summary {
 	if h == nil {

@@ -211,8 +211,15 @@ func TestMACsAndParams(t *testing.T) {
 	if p.MACs() != net.MACs() {
 		t.Errorf("MACs = %d, want %d", p.MACs(), net.MACs())
 	}
-	if p.NumParams() != net.NumParams() {
-		t.Errorf("NumParams = %d, want %d", p.NumParams(), net.NumParams())
+	params := 0
+	for _, l := range net.Layers {
+		for _, row := range l.W {
+			params += len(row)
+		}
+		params += len(l.B)
+	}
+	if p.NumParams() != params {
+		t.Errorf("NumParams = %d, want %d", p.NumParams(), params)
 	}
 }
 

@@ -19,21 +19,21 @@ const (
 // It is deliberately far cheaper than the packet-level simulator so episodes
 // run fast enough for online adaptation inside experiments.
 type LinkEnv struct {
-	// Bandwidth is the bottleneck capacity in abstract rate units.
-	Bandwidth float64
-	// BaseRTT is the propagation RTT in seconds.
-	BaseRTT float64
-	// BufferSec is the buffer depth in seconds of queueing at capacity.
-	BufferSec float64
+	// bandwidth is the bottleneck capacity in abstract rate units.
+	bandwidth float64
+	// baseRTT is the propagation RTT in seconds.
+	baseRTT float64
+	// bufferSec is the buffer depth in seconds of queueing at capacity.
+	bufferSec float64
 	// Steps is the episode length in monitor intervals.
 	Steps int
-	// Delta is the per-step multiplicative rate step (matches the
+	// delta is the per-step multiplicative rate step (matches the
 	// controller's δ).
-	Delta float64
+	delta float64
 	// Reward shapes the per-step reward.
 	Reward Reward
 	// RandomizeBandwidth, when set, draws a fresh bandwidth uniformly from
-	// [Bandwidth/2, 2·Bandwidth] each episode, the domain-randomization
+	// [bandwidth/2, 2·bandwidth] each episode, the domain-randomization
 	// trick Aurora trains with.
 	RandomizeBandwidth bool
 
@@ -51,11 +51,11 @@ type LinkEnv struct {
 // RTT, half-BDP buffer, 400-step episodes.
 func NewLinkEnv(reward Reward, seed int64) *LinkEnv {
 	return &LinkEnv{
-		Bandwidth: 1.0,
-		BaseRTT:   0.01,
-		BufferSec: 0.005,
+		bandwidth: 1.0,
+		baseRTT:   0.01,
+		bufferSec: 0.005,
 		Steps:     400,
-		Delta:     0.05,
+		delta:     0.05,
 		Reward:    reward,
 		rng:       rand.New(rand.NewSource(seed)),
 	}
@@ -63,13 +63,13 @@ func NewLinkEnv(reward Reward, seed int64) *LinkEnv {
 
 // Reset implements Env.
 func (e *LinkEnv) Reset() []float64 {
-	e.bw = e.Bandwidth
+	e.bw = e.bandwidth
 	if e.RandomizeBandwidth {
-		e.bw = e.Bandwidth * (0.5 + 1.5*e.rng.Float64())
+		e.bw = e.bandwidth * (0.5 + 1.5*e.rng.Float64())
 	}
 	e.rate = e.bw * (0.3 + 0.4*e.rng.Float64())
 	e.queue = 0
-	e.prevLat = e.BaseRTT
+	e.prevLat = e.baseRTT
 	e.step = 0
 	e.history = [StateDim]float64{}
 	return append([]float64(nil), e.history[:]...)
@@ -79,28 +79,28 @@ func (e *LinkEnv) Reset() []float64 {
 func (e *LinkEnv) Step(action float64) ([]float64, float64, bool) {
 	// Apply the Aurora rate update rule.
 	if action >= 0 {
-		e.rate *= 1 + e.Delta*action
+		e.rate *= 1 + e.delta*action
 	} else {
-		e.rate /= 1 + e.Delta*(-action)
+		e.rate /= 1 + e.delta*(-action)
 	}
 
-	dt := e.BaseRTT // one MI ≈ one RTT
+	dt := e.baseRTT // one MI ≈ one RTT
 
 	// Fluid queue update: excess arrival grows the queue; deficit drains it.
 	excess := (e.rate - e.bw) / e.bw // in service-seconds per second
 	e.queue += excess * dt
 	loss := 0.0
-	if e.queue > e.BufferSec {
+	if e.queue > e.bufferSec {
 		// Overflow: everything beyond the buffer is dropped this MI.
-		dropped := e.queue - e.BufferSec
+		dropped := e.queue - e.bufferSec
 		loss = clip(dropped/(e.rate/e.bw*dt), 0, 1)
-		e.queue = e.BufferSec
+		e.queue = e.bufferSec
 	}
 	if e.queue < 0 {
 		e.queue = 0
 	}
 
-	latency := e.BaseRTT + e.queue
+	latency := e.baseRTT + e.queue
 	delivered := e.rate * (1 - loss)
 	if delivered > e.bw {
 		delivered = e.bw
@@ -109,7 +109,7 @@ func (e *LinkEnv) Step(action float64) ([]float64, float64, bool) {
 
 	// Derive the controller-compatible features.
 	latGrad := (latency - e.prevLat) / dt
-	latRatio := latency/e.BaseRTT - 1
+	latRatio := latency/e.baseRTT - 1
 	sendRatio := 0.0
 	if delivered > 1e-9 {
 		sendRatio = e.rate/delivered - 1

@@ -47,10 +47,10 @@ func (AuroraReward) Score(throughput, latency, loss float64) float64 {
 type REINFORCE struct {
 	Net        *nn.Network
 	Opt        nn.Optimizer
-	Gamma      float64 // discount
+	gamma      float64 // discount
 	Sigma      float64 // exploration stddev
-	SigmaDecay float64
-	MinSigma   float64
+	sigmaDecay float64
+	minSigma   float64
 
 	rng *rand.Rand
 	out []float64
@@ -64,10 +64,10 @@ func NewREINFORCE(net *nn.Network, lr float64, seed int64) *REINFORCE {
 	return &REINFORCE{
 		Net:        net,
 		Opt:        nn.NewAdam(lr),
-		Gamma:      0.95,
+		gamma:      0.95,
 		Sigma:      0.4,
-		SigmaDecay: 0.995,
-		MinSigma:   0.05,
+		sigmaDecay: 0.995,
+		minSigma:   0.05,
 		rng:        rand.New(rand.NewSource(seed)),
 		out:        make([]float64, 1),
 	}
@@ -131,8 +131,8 @@ func (r *REINFORCE) collect(env Env, maxSteps int) ([]step, float64) {
 }
 
 func (r *REINFORCE) decaySigma() {
-	if r.Sigma > r.MinSigma {
-		r.Sigma *= r.SigmaDecay
+	if r.Sigma > r.minSigma {
+		r.Sigma *= r.sigmaDecay
 	}
 }
 
@@ -158,7 +158,7 @@ func (r *REINFORCE) update(trajs [][]step) {
 		rs := make([]float64, len(tr))
 		g := 0.0
 		for i := len(tr) - 1; i >= 0; i-- {
-			g = tr[i].reward + r.Gamma*g
+			g = tr[i].reward + r.gamma*g
 			rs[i] = g
 		}
 		returns[k] = rs

@@ -49,10 +49,10 @@ func TestSigmaDecays(t *testing.T) {
 	if r.Sigma >= start {
 		t.Error("sigma must decay across episodes")
 	}
-	r.Sigma = r.MinSigma
+	r.Sigma = r.minSigma
 	r.RunBatch(env, 1, 10)
-	if r.Sigma < r.MinSigma*0.99 {
-		t.Error("sigma must not decay below MinSigma")
+	if r.Sigma < r.minSigma*0.99 {
+		t.Error("sigma must not decay below minSigma")
 	}
 }
 

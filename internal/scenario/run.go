@@ -218,7 +218,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 	eng, hosts := fabric.Eng, fabric.Hosts
 	// Every draw happens at setup time in spec order, before any event
 	// runs.
-	rng := actor.NewPRNG(s.Seed + o.SeedOffset)
+	rng := netsim.NewPRNG(s.Seed + o.SeedOffset)
 
 	var lossLinks []*netsim.Link
 	if s.Fabric.Profile == "wireless" {

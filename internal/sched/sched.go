@@ -43,8 +43,8 @@ func NewFFNN(seed int64) *nn.Network {
 // feature→size mapping, modelling workload changes that invalidate a frozen
 // model (the N-O-A comparisons of Figure 16).
 type FeatureModel struct {
-	// Noise is the feature noise stddev (prediction ceiling).
-	Noise float64
+	// noise is the feature noise stddev (prediction ceiling).
+	noise float64
 	// Drift offsets the informative feature; a tuned model learns it away,
 	// a frozen snapshot cannot.
 	Drift float64
@@ -54,14 +54,14 @@ type FeatureModel struct {
 
 // NewFeatureModel returns a feature synthesizer with the given seed.
 func NewFeatureModel(seed int64) *FeatureModel {
-	return &FeatureModel{Noise: 0.03, rng: rand.New(rand.NewSource(seed))}
+	return &FeatureModel{noise: 0.03, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Features produces the metadata vector observed for a flow of the given
 // size (bytes). The first dimension carries the learnable signal; the rest
 // model context of limited value.
 func (f *FeatureModel) Features(size int64) []float64 {
-	sig := math.Log10(float64(size))/LogScale + f.Drift + f.rng.NormFloat64()*f.Noise
+	sig := math.Log10(float64(size))/LogScale + f.Drift + f.rng.NormFloat64()*f.noise
 	return []float64{
 		sig,
 		f.rng.Float64() * 0.5,         // inter-arrival gap (weakly informative)

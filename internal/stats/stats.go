@@ -8,33 +8,24 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// Summary accumulates a running mean/variance/min/max without storing
-// samples, using Welford's online algorithm.
+// Summary accumulates a running mean/variance/max without storing samples,
+// using Welford's online algorithm.
 type Summary struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add records one sample.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+	if s.n == 1 || x > s.max {
+		s.max = x
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
@@ -52,9 +43,6 @@ func (s *Summary) Merge(o Summary) {
 		*s = o
 		return
 	}
-	if o.min < s.min {
-		s.min = o.min
-	}
 	if o.max > s.max {
 		s.max = o.max
 	}
@@ -64,9 +52,6 @@ func (s *Summary) Merge(o Summary) {
 	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
 	s.n = n
 }
-
-// N returns the number of samples recorded.
-func (s *Summary) N() int { return s.n }
 
 // Mean returns the arithmetic mean, or 0 if no samples were recorded.
 func (s *Summary) Mean() float64 { return s.mean }
@@ -82,16 +67,8 @@ func (s *Summary) Var() float64 {
 // Std returns the population standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest sample, or 0 if none were recorded.
-func (s *Summary) Min() float64 { return s.min }
-
 // Max returns the largest sample, or 0 if none were recorded.
 func (s *Summary) Max() float64 { return s.max }
-
-// String renders "mean=… std=… n=…" for logs and experiment rows.
-func (s *Summary) String() string {
-	return fmt.Sprintf("mean=%.3f std=%.3f min=%.3f max=%.3f n=%d", s.Mean(), s.Std(), s.Min(), s.Max(), s.n)
-}
 
 // Dist stores samples for quantile queries. It sorts lazily and caches the
 // sorted order until the next Add.
@@ -228,22 +205,6 @@ func (ts *TimeSeries) Add(t int64, v float64) {
 
 // NumBins returns the number of bins touched so far.
 func (ts *TimeSeries) NumBins() int { return len(ts.bins) }
-
-// Sum returns the accumulated value of bin i (0 for untouched bins in range).
-func (ts *TimeSeries) Sum(i int) float64 {
-	if i < 0 || i >= len(ts.bins) {
-		return 0
-	}
-	return ts.bins[i]
-}
-
-// Count returns the number of samples added to bin i.
-func (ts *TimeSeries) Count(i int) int {
-	if i < 0 || i >= len(ts.counts) {
-		return 0
-	}
-	return ts.counts[i]
-}
 
 // Avg returns the mean of the samples in bin i, or 0 for an empty bin.
 func (ts *TimeSeries) Avg(i int) float64 {

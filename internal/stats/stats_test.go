@@ -14,8 +14,8 @@ func TestSummaryBasics(t *testing.T) {
 	for _, x := range []float64{1, 2, 3, 4, 5} {
 		s.Add(x)
 	}
-	if s.N() != 5 {
-		t.Fatalf("N = %d, want 5", s.N())
+	if s.n != 5 {
+		t.Fatalf("N = %d, want 5", s.n)
 	}
 	if !almost(s.Mean(), 3, 1e-12) {
 		t.Errorf("Mean = %v, want 3", s.Mean())
@@ -23,23 +23,23 @@ func TestSummaryBasics(t *testing.T) {
 	if !almost(s.Var(), 2, 1e-12) {
 		t.Errorf("Var = %v, want 2", s.Var())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v, want 1/5", s.Min(), s.Max())
+	if s.Max() != 5 {
+		t.Errorf("Max = %v, want 5", s.Max())
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.Std() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Errorf("empty summary must report zeros, got %s", s.String())
+	if s.Mean() != 0 || s.Var() != 0 || s.Std() != 0 || s.Max() != 0 {
+		t.Errorf("empty summary must report zeros, got %+v", s)
 	}
 }
 
 func TestSummarySingleSample(t *testing.T) {
 	var s Summary
 	s.Add(42)
-	if s.Mean() != 42 || s.Var() != 0 || s.Min() != 42 || s.Max() != 42 {
-		t.Errorf("single sample summary wrong: %s", s.String())
+	if s.Mean() != 42 || s.Var() != 0 || s.Max() != 42 {
+		t.Errorf("single sample summary wrong: %+v", s)
 	}
 }
 
@@ -47,8 +47,37 @@ func TestSummaryNegativeValues(t *testing.T) {
 	var s Summary
 	s.Add(-5)
 	s.Add(5)
-	if !almost(s.Mean(), 0, 1e-12) || s.Min() != -5 || s.Max() != 5 {
-		t.Errorf("negative handling wrong: %s", s.String())
+	if !almost(s.Mean(), 0, 1e-12) || s.Max() != 5 {
+		t.Errorf("negative handling wrong: %+v", s)
+	}
+}
+
+// Merging two halves must give the summary that Add-ing every sample in
+// order gives: count and max exactly, mean and variance to rounding. The
+// empty cases cover both early returns.
+func TestSummaryMergeMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]float64, 37)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()*10 - 4
+	}
+	for _, cut := range []int{0, 1, 12, 36, 37} {
+		var seq, a, b Summary
+		for i, x := range xs {
+			seq.Add(x)
+			if i < cut {
+				a.Add(x)
+			} else {
+				b.Add(x)
+			}
+		}
+		a.Merge(b)
+		if a.n != seq.n || a.Max() != seq.Max() {
+			t.Errorf("cut %d: n/max = %d/%v, want %d/%v", cut, a.n, a.Max(), seq.n, seq.Max())
+		}
+		if !almost(a.Mean(), seq.Mean(), 1e-12) || !almost(a.Var(), seq.Var(), 1e-12) {
+			t.Errorf("cut %d: mean/var = %v/%v, want %v/%v", cut, a.Mean(), a.Var(), seq.Mean(), seq.Var())
+		}
 	}
 }
 
@@ -166,11 +195,11 @@ func TestTimeSeriesBinning(t *testing.T) {
 	if ts.NumBins() != 2 {
 		t.Fatalf("NumBins = %d, want 2", ts.NumBins())
 	}
-	if ts.Sum(0) != 30 || ts.Sum(1) != 5 {
-		t.Errorf("Sum = %v,%v want 30,5", ts.Sum(0), ts.Sum(1))
+	if ts.bins[0] != 30 || ts.bins[1] != 5 {
+		t.Errorf("Sum = %v,%v want 30,5", ts.bins[0], ts.bins[1])
 	}
-	if ts.Count(0) != 2 || ts.Avg(0) != 15 {
-		t.Errorf("Count/Avg(0) = %d/%v want 2/15", ts.Count(0), ts.Avg(0))
+	if ts.counts[0] != 2 || ts.Avg(0) != 15 {
+		t.Errorf("Count/Avg(0) = %d/%v want 2/15", ts.counts[0], ts.Avg(0))
 	}
 	rates := ts.RatePerSecond()
 	if rates[0] != 30 || rates[1] != 5 {
@@ -181,8 +210,8 @@ func TestTimeSeriesBinning(t *testing.T) {
 func TestTimeSeriesNegativeTimeClamps(t *testing.T) {
 	ts := NewTimeSeries(100)
 	ts.Add(-50, 7)
-	if ts.Sum(0) != 7 {
-		t.Errorf("negative time must land in bin 0, got %v", ts.Sum(0))
+	if ts.bins[0] != 7 {
+		t.Errorf("negative time must land in bin 0, got %v", ts.bins[0])
 	}
 }
 
@@ -197,7 +226,7 @@ func TestTimeSeriesZeroWidthPanics(t *testing.T) {
 
 func TestTimeSeriesOutOfRangeQueries(t *testing.T) {
 	ts := NewTimeSeries(10)
-	if ts.Sum(3) != 0 || ts.Count(-1) != 0 || ts.Avg(99) != 0 {
+	if ts.Avg(99) != 0 {
 		t.Error("out-of-range queries must return 0")
 	}
 }

@@ -38,8 +38,8 @@ func TestPushDeliversMessagesWithTags(t *testing.T) {
 	if r.UniqueBytes() != total {
 		t.Errorf("receiver got %d unique bytes, want %d", r.UniqueBytes(), total)
 	}
-	if s.AckedBytes() != total {
-		t.Errorf("sender acked %d bytes, want %d", s.AckedBytes(), total)
+	if s.ackedBytes != total {
+		t.Errorf("sender acked %d bytes, want %d", s.ackedBytes, total)
 	}
 }
 

@@ -165,7 +165,7 @@ func TestLossScanMatchesFullWalk(t *testing.T) {
 			unacked := map[int64]int{} // the reference: seq → size, unacknowledged
 			seen := map[int64]bool{}
 			var wire []int64 // seqs of data packets that reached the far end
-			a.SetEgress(netsim.NewLink(eng, netsim.HandlerFunc(func(p *netsim.Packet) {
+			a.SetEgress(netsim.NewLink(eng, sinkFunc(func(p *netsim.Packet) {
 				wire = append(wire, p.Seq)
 				if !seen[p.Seq] {
 					seen[p.Seq] = true
@@ -190,7 +190,7 @@ func TestLossScanMatchesFullWalk(t *testing.T) {
 			// scanSeq: every live segment below the threshold that is
 			// neither acked nor lost and was sent no later than sentAt.
 			fullWalk := func(highestAck int64, sentAt netsim.Time) (marks []int64) {
-				threshold := highestAck - int64(s.DupThresh*netsim.MSS)
+				threshold := highestAck - int64(s.dupThresh*netsim.MSS)
 				for _, seg := range s.outstanding[s.outHead:] {
 					maxRtx = max(maxRtx, seg.rtx)
 					if seg.seq >= threshold {
@@ -227,7 +227,7 @@ func TestLossScanMatchesFullWalk(t *testing.T) {
 					t.Fatalf("ACK %d: the full walk still marks %v (scanSeq %d)", seq, left, s.scanSeq)
 				}
 			}
-			for step := 0; step < 20000 && !s.Completed(); step++ {
+			for step := 0; step < 20000 && !s.completed; step++ {
 				switch r := rng.Intn(100); {
 				case r < 60 && len(wire) > 0:
 					i := rng.Intn(min(len(wire), 5)) // reorder within a few packets
@@ -253,3 +253,8 @@ func TestLossScanMatchesFullWalk(t *testing.T) {
 		})
 	}
 }
+
+// sinkFunc adapts a function to netsim.Handler.
+type sinkFunc func(p *netsim.Packet)
+
+func (f sinkFunc) HandlePacket(p *netsim.Packet) { f(p) }

@@ -55,9 +55,9 @@ type Sender struct {
 	// it to observe upload progress on the sender's own partition.
 	OnAcked func(ackedBytes int64, now netsim.Time)
 
-	// DupThresh is the reordering tolerance in segments before a hole is
-	// declared lost (fast retransmit). Defaults to 3.
-	DupThresh int
+	// dupThresh is the reordering tolerance in segments before a hole is
+	// declared lost (fast retransmit): 3, as Linux.
+	dupThresh int
 	// MinRTO bounds the retransmission timeout from below. Defaults to the
 	// Linux kernel's 200 ms; anything close to the path RTT causes
 	// spurious timeouts that collapse window-based controllers.
@@ -124,7 +124,7 @@ type Sender struct {
 func NewSender(h *Host, flow netsim.FlowID, dst int, size int64, cc CongestionControl) *Sender {
 	s := &Sender{
 		Host: h, Flow: flow, Dst: dst, Size: size, CC: cc,
-		DupThresh: 3,
+		dupThresh: 3,
 		MinRTO:    200 * netsim.Millisecond,
 	}
 	s.sendLoopFn = s.sendLoop
@@ -184,18 +184,6 @@ func (s *Sender) Push(n int64, tag int64) {
 		s.maybeSend()
 	}
 }
-
-// AckedBytes returns the cumulative payload bytes acknowledged.
-func (s *Sender) AckedBytes() int64 { return s.ackedBytes }
-
-// Completed reports whether the whole flow has been acknowledged.
-func (s *Sender) Completed() bool { return s.completed }
-
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() netsim.Time { return s.srtt }
-
-// Inflight returns the bytes currently outstanding.
-func (s *Sender) Inflight() int { return s.inflight }
 
 // remaining reports whether new (never-sent) data exists.
 func (s *Sender) remaining() bool {
@@ -435,14 +423,14 @@ func (s *Sender) unacked(seq int64) *segment {
 }
 
 // detectLoss marks outstanding segments that precede the just-acked segment
-// by more than DupThresh segments (and were sent earlier) as lost, in seq
+// by more than dupThresh segments (and were sent earlier) as lost, in seq
 // order: first those in watch, then a walk from scanSeq that moves scanSeq
 // past every segment it visits and adds the ones left in flight to watch. The
 // walk stops at the first segment at or past the threshold: outstanding is
 // ordered by seq (a retransmission keeps its segment's slot), so no later one
 // can qualify.
 func (s *Sender) detectLoss(acked *segment) {
-	threshold := s.highestAck - int64(s.DupThresh*netsim.MSS)
+	threshold := s.highestAck - int64(s.dupThresh*netsim.MSS)
 	lost := 0
 	watch := s.watch[:0]
 	for _, seg := range s.watch {

@@ -47,15 +47,15 @@ func TestFlowCompletesWithSaneFCT(t *testing.T) {
 	NewReceiver(b, 1, a.ID)
 	s.Start()
 	eng.RunUntil(10 * netsim.Second)
-	if !s.Completed() {
-		t.Fatalf("flow did not complete; acked=%d", s.AckedBytes())
+	if !s.completed {
+		t.Fatalf("flow did not complete; acked=%d", s.ackedBytes)
 	}
 	// Serialization at 80 Mbps ≈ 105 ms + 10 ms RTT; allow generous slack.
 	if fct < 100*netsim.Millisecond || fct > 300*netsim.Millisecond {
 		t.Errorf("FCT = %v ms, want ≈ 115 ms", float64(fct)/1e6)
 	}
-	if s.AckedBytes() != size {
-		t.Errorf("acked %d bytes, want %d", s.AckedBytes(), size)
+	if s.ackedBytes != size {
+		t.Errorf("acked %d bytes, want %d", s.ackedBytes, size)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestSRTTApproximatesPathRTT(t *testing.T) {
 	NewReceiver(b, 1, a.ID)
 	s.Start()
 	eng.RunUntil(500 * netsim.Millisecond)
-	if s.SRTT() < 10*netsim.Millisecond || s.SRTT() > 12*netsim.Millisecond {
-		t.Errorf("SRTT = %v ms, want ≈ 10", float64(s.SRTT())/1e6)
+	if s.srtt < 10*netsim.Millisecond || s.srtt > 12*netsim.Millisecond {
+		t.Errorf("SRTT = %v ms, want ≈ 10", float64(s.srtt)/1e6)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestLossRecoveryUnderOverload(t *testing.T) {
 	NewReceiver(b, 1, a.ID)
 	s.Start()
 	eng.RunUntil(30 * netsim.Second)
-	if !s.Completed() {
-		t.Fatalf("flow must complete despite loss; acked=%d/%d rtx=%d", s.AckedBytes(), int64(size), s.Retransmits)
+	if !s.completed {
+		t.Fatalf("flow must complete despite loss; acked=%d/%d rtx=%d", s.ackedBytes, int64(size), s.Retransmits)
 	}
 	if s.Retransmits == 0 {
 		t.Error("overdriven bottleneck must force retransmissions")
@@ -133,8 +133,8 @@ func TestOutstandingStaysOrderedAcrossRetransmits(t *testing.T) {
 	}
 	s.Start()
 	eng.RunUntil(30 * netsim.Second)
-	if !s.Completed() || s.Retransmits == 0 {
-		t.Fatalf("need a completed flow with retransmissions; completed=%v rtx=%d", s.Completed(), s.Retransmits)
+	if !s.completed || s.Retransmits == 0 {
+		t.Fatalf("need a completed flow with retransmissions; completed=%v rtx=%d", s.completed, s.Retransmits)
 	}
 	if retxInPlace == 0 {
 		t.Error("no retransmitted segment was seen ahead of newer ones: the case under test never arose")

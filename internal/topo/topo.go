@@ -22,13 +22,14 @@ const (
 	SpineIDBase = 2000
 )
 
+// HostLinkBps is the rate of every spine–leaf host link, 10 Gbps.
+const HostLinkBps int64 = 10e9
+
 // SpineLeafOpts configures a spine–leaf fabric.
 type SpineLeafOpts struct {
-	Spines       int
-	Leaves       int
-	HostsPerLeaf int
+	spines, leaves int
+	HostsPerLeaf   int
 
-	HostLinkBps   int64
 	FabricLinkBps int64
 	HostDelay     netsim.Time
 	FabricDelay   netsim.Time
@@ -46,8 +47,7 @@ type SpineLeafOpts struct {
 // buffers, ~25 µs propagation per hop (data-center scale).
 func DefaultSpineLeafOpts(hostsPerLeaf int) SpineLeafOpts {
 	return SpineLeafOpts{
-		Spines: 2, Leaves: 2, HostsPerLeaf: hostsPerLeaf,
-		HostLinkBps: 10e9, FabricLinkBps: 40e9,
+		spines: 2, leaves: 2, HostsPerLeaf: hostsPerLeaf, FabricLinkBps: 40e9,
 		HostDelay: 5 * netsim.Microsecond, FabricDelay: 5 * netsim.Microsecond,
 		QueueBytes: 400_000, ECNThresholdBytes: 90_000,
 	}
@@ -80,26 +80,26 @@ func BuildSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts) *SpineLeaf {
 		return netsim.NewDropTail(opts.QueueBytes)
 	}
 
-	leafEng := make([]*netsim.Engine, opts.Leaves)
-	spineEng := make([]*netsim.Engine, opts.Spines)
-	for l := 0; l < opts.Leaves; l++ {
+	leafEng := make([]*netsim.Engine, opts.leaves)
+	spineEng := make([]*netsim.Engine, opts.spines)
+	for l := 0; l < opts.leaves; l++ {
 		t.Leaves = append(t.Leaves, netsim.NewSwitch(LeafIDBase+l))
 		leafEng[l] = eng.AddPartition()
 	}
-	for s := 0; s < opts.Spines; s++ {
+	for s := 0; s < opts.spines; s++ {
 		t.Spines = append(t.Spines, netsim.NewSwitch(SpineIDBase+s))
 		spineEng[s] = eng.AddPartition()
 	}
 
 	// Hosts and host↔leaf links.
-	for l := 0; l < opts.Leaves; l++ {
+	for l := 0; l < opts.leaves; l++ {
 		leaf := t.Leaves[l]
 		for k := 0; k < opts.HostsPerLeaf; k++ {
 			id := l*opts.HostsPerLeaf + k
 			hEng := eng.AddPartition()
 			h := tcp.NewHost(hEng, id)
-			up := netsim.NewLink(hEng, leaf, opts.HostLinkBps, opts.HostDelay, newQueue()).BindRemote(leafEng[l])
-			down := netsim.NewLink(leafEng[l], h, opts.HostLinkBps, opts.HostDelay, newQueue()).BindRemote(hEng)
+			up := netsim.NewLink(hEng, leaf, HostLinkBps, opts.HostDelay, newQueue()).BindRemote(leafEng[l])
+			down := netsim.NewLink(leafEng[l], h, HostLinkBps, opts.HostDelay, newQueue()).BindRemote(hEng)
 			h.SetEgress(up)
 			leaf.AddPort(id, down)
 			leaf.AddRoute(id, id)
@@ -116,7 +116,7 @@ func BuildSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts) *SpineLeaf {
 			spine.AddPort(LeafIDBase+l, down)
 		}
 	}
-	spineIDs := make([]int, opts.Spines)
+	spineIDs := make([]int, opts.spines)
 	for s := range spineIDs {
 		spineIDs[s] = SpineIDBase + s
 	}
@@ -179,10 +179,10 @@ type Dumbbell struct {
 // DumbbellOpts configures the dumbbell.
 type DumbbellOpts struct {
 	Flows           int   // sender/receiver pairs
-	AccessBps       int64 // per-host access links
+	accessBps       int64 // per-host access links
 	BottleneckBps   int64
-	AccessDelay     netsim.Time // one-way, per access link
-	BottleneckDelay netsim.Time
+	accessDelay     netsim.Time // one-way, per access link
+	bottleneckDelay netsim.Time
 	BufferBytes     int // bottleneck buffer
 }
 
@@ -191,10 +191,10 @@ type DumbbellOpts struct {
 func TestbedOpts(flows int) DumbbellOpts {
 	return DumbbellOpts{
 		Flows:           flows,
-		AccessBps:       100e9, // 100 Gbps NICs
+		accessBps:       100e9, // 100 Gbps NICs
 		BottleneckBps:   1e9,
-		AccessDelay:     1250 * netsim.Microsecond,
-		BottleneckDelay: 2500 * netsim.Microsecond,
+		accessDelay:     1250 * netsim.Microsecond,
+		bottleneckDelay: 2500 * netsim.Microsecond,
 		BufferBytes:     150_000,
 	}
 }
@@ -216,10 +216,10 @@ func BuildDumbbell(eng *netsim.Engine, opts DumbbellOpts, options ...opt.Option)
 	leftEng := eng.AddPartition()
 	rightEng := eng.AddPartition()
 
-	d.Bottleneck = netsim.NewLink(leftEng, d.Right, opts.BottleneckBps, opts.BottleneckDelay,
+	d.Bottleneck = netsim.NewLink(leftEng, d.Right, opts.BottleneckBps, opts.bottleneckDelay,
 		netsim.NewDropTail(opts.BufferBytes),
 		leftEng.PartitionScope(scope.With(obs.Label{Key: "link", Value: "bottleneck"}))).BindRemote(rightEng)
-	back := netsim.NewLink(rightEng, d.Left, opts.BottleneckBps, opts.BottleneckDelay,
+	back := netsim.NewLink(rightEng, d.Left, opts.BottleneckBps, opts.bottleneckDelay,
 		netsim.NewDropTail(1<<22),
 		rightEng.PartitionScope(scope.With(obs.Label{Key: "link", Value: "back"}))).BindRemote(leftEng)
 	d.Left.AddPort(LeafIDBase+1, d.Bottleneck)
@@ -228,8 +228,8 @@ func BuildDumbbell(eng *netsim.Engine, opts DumbbellOpts, options ...opt.Option)
 	attach := func(id int, sw *netsim.Switch, swEng *netsim.Engine) *tcp.Host {
 		hEng := eng.AddPartition()
 		h := tcp.NewHost(hEng, id)
-		up := netsim.NewLink(hEng, sw, opts.AccessBps, opts.AccessDelay, netsim.NewDropTail(1<<22)).BindRemote(swEng)
-		down := netsim.NewLink(swEng, h, opts.AccessBps, opts.AccessDelay, netsim.NewDropTail(1<<22)).BindRemote(hEng)
+		up := netsim.NewLink(hEng, sw, opts.accessBps, opts.accessDelay, netsim.NewDropTail(1<<22)).BindRemote(swEng)
+		down := netsim.NewLink(swEng, h, opts.accessBps, opts.accessDelay, netsim.NewDropTail(1<<22)).BindRemote(hEng)
 		h.SetEgress(up)
 		sw.AddPort(id, down)
 		sw.AddRoute(id, id)

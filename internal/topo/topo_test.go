@@ -33,7 +33,7 @@ func TestSpineLeafDelivery(t *testing.T) {
 	tcp.NewReceiver(dst, 1, src.ID)
 	s.Start()
 	eng.RunUntil(netsim.Second)
-	if !s.Completed() {
+	if fct == 0 {
 		t.Fatal("cross-leaf flow did not complete")
 	}
 	if fct <= 0 || fct > 10*netsim.Millisecond {
@@ -46,10 +46,12 @@ func TestSpineLeafSameLeafDelivery(t *testing.T) {
 	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(4))
 	src, dst := sl.Hosts[1], sl.Hosts[2]
 	s := tcp.NewSender(src, 1, dst.ID, 50_000, tcp.NewFixedRate(5e9))
+	done := false
+	s.OnComplete = func(netsim.Time) { done = true }
 	tcp.NewReceiver(dst, 1, src.ID)
 	s.Start()
 	eng.RunUntil(netsim.Second)
-	if !s.Completed() {
+	if !done {
 		t.Fatal("same-leaf flow did not complete")
 	}
 	// Same-leaf traffic must not cross any spine.
@@ -158,7 +160,7 @@ func TestDumbbellWiring(t *testing.T) {
 	tcp.NewReceiver(d.Receivers[1], 5, d.Senders[1].ID)
 	s.Start()
 	eng.RunUntil(netsim.Second)
-	if !s.Completed() {
+	if fct == 0 {
 		t.Fatal("dumbbell flow did not complete")
 	}
 	// RTT is ~10 ms (2×(1.25+2.5+1.25) ms); FCT must exceed one RTT.
@@ -170,11 +172,12 @@ func TestDumbbellWiring(t *testing.T) {
 func TestDumbbellRTT(t *testing.T) {
 	eng := netsim.NewEngine()
 	d := BuildDumbbell(eng, TestbedOpts(1))
-	s := tcp.NewSender(d.Senders[0], 1, d.Receivers[0].ID, 0, tcp.NewFixedRate(100e6))
+	probe := &srttProbe{FixedRate: tcp.NewFixedRate(100e6)}
+	s := tcp.NewSender(d.Senders[0], 1, d.Receivers[0].ID, 0, probe)
 	tcp.NewReceiver(d.Receivers[0], 1, d.Senders[0].ID)
 	s.Start()
 	eng.RunUntil(500 * netsim.Millisecond)
-	rtt := float64(s.SRTT()) / 1e6
+	rtt := float64(probe.srtt) / 1e6
 	if rtt < 9.5 || rtt > 12 {
 		t.Errorf("dumbbell SRTT = %.2f ms, want ≈ 10", rtt)
 	}
@@ -215,3 +218,12 @@ func TestDumbbellAttachCPUs(t *testing.T) {
 		t.Error("CPUs not attached")
 	}
 }
+
+// srttProbe is a fixed-rate controller that keeps the sender's smoothed RTT
+// from the last ACK it saw.
+type srttProbe struct {
+	*tcp.FixedRate
+	srtt netsim.Time
+}
+
+func (p *srttProbe) OnAck(a tcp.AckInfo) { p.srtt = a.SRTT }

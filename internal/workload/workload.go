@@ -107,18 +107,6 @@ const (
 	Long
 )
 
-// String names the class as the figures do.
-func (c Class) String() string {
-	switch c {
-	case Short:
-		return "short(<10KB)"
-	case Middle:
-		return "mid(10-100KB)"
-	default:
-		return "long(>100KB)"
-	}
-}
-
 // ClassOf buckets a flow size.
 func ClassOf(sizeBytes int64) Class {
 	switch {
@@ -247,17 +235,6 @@ func NewPatternSwitcher(eng *netsim.Engine, target RateSetter, period netsim.Tim
 	}
 	return &PatternSwitcher{Eng: eng, Target: target, Period: period, Rates: rates,
 		rng: rand.New(rand.NewSource(seed))}
-}
-
-// Start draws the initial rate from the switcher's rng, applies it
-// immediately, and schedules periodic switches. The initial application
-// fires OnSwitch but is not counted in Switches. Use StartAt when the
-// starting pattern must be pinned (e.g. a model's training pattern).
-func (p *PatternSwitcher) Start() {
-	if p.running {
-		return
-	}
-	p.StartAt(p.rng.Intn(len(p.Rates)))
 }
 
 // StartAt starts switching from Rates[idx] as the initial pattern.

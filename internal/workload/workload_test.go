@@ -93,11 +93,6 @@ func TestClassOf(t *testing.T) {
 			t.Errorf("ClassOf(%d) = %v, want %v", size, got, want)
 		}
 	}
-	for _, c := range []Class{Short, Middle, Long} {
-		if c.String() == "" {
-			t.Error("class must render")
-		}
-	}
 }
 
 func TestGenerateFlows(t *testing.T) {
@@ -375,4 +370,15 @@ func BenchmarkSample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Sample(r)
 	}
+}
+
+// Start draws the initial rate from the switcher's rng, applies it
+// immediately, and schedules periodic switches. The initial application
+// fires OnSwitch but is not counted in Switches. Use StartAt when the
+// starting pattern must be pinned (e.g. a model's training pattern).
+func (p *PatternSwitcher) Start() {
+	if p.running {
+		return
+	}
+	p.StartAt(p.rng.Intn(len(p.Rates)))
 }

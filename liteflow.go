@@ -258,14 +258,11 @@ func NewNetlinkChannel(eng *Engine, cpu *CPU, costs Costs, deliver func([]netlin
 	return netlink.NewChannel(eng, cpu, costs, deliver, options...)
 }
 
-// Message is one netlink record; EncodeSample/DecodeSample convert samples.
+// Message is one netlink record; EncodeSample/ParseSample convert samples.
 type Message = netlink.Message
 
 // EncodeSample packs a training sample for the kernel-side batch buffer.
 func EncodeSample(s Sample) Message { return core.EncodeSample(s) }
-
-// DecodeSample unpacks a batched record; ok is false for malformed payloads.
-func DecodeSample(m Message) (Sample, bool) { return core.DecodeSample(m) }
 
 // ParseSample unpacks a batched record, returning an error wrapping
 // ErrMalformedSample for payloads that fail kernel-boundary validation.

@@ -79,8 +79,8 @@ func (u *apiUser) Adapt(batch []liteflow.Sample) {}
 
 func TestSampleCodecFacade(t *testing.T) {
 	s := liteflow.Sample{Input: []float64{1, 2}, Aux: []float64{3}, At: 9}
-	got, ok := liteflow.DecodeSample(liteflow.EncodeSample(s))
-	if !ok || got.Input[1] != 2 || got.Aux[0] != 3 || got.At != 9 {
+	got, err := liteflow.ParseSample(liteflow.EncodeSample(s))
+	if err != nil || got.Input[1] != 2 || got.Aux[0] != 3 || got.At != 9 {
 		t.Errorf("codec round trip failed: %+v", got)
 	}
 }
