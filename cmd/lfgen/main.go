@@ -41,16 +41,12 @@ type spec struct {
 	Biases      [][]float64   `json:"biases"`  // [layer][out], optional
 }
 
+// parseAct returns the activation whose String is s.
 func parseAct(s string) (nn.Activation, error) {
-	switch s {
-	case "linear":
-		return nn.Linear, nil
-	case "relu":
-		return nn.ReLU, nil
-	case "tanh":
-		return nn.Tanh, nil
-	case "sigmoid":
-		return nn.Sigmoid, nil
+	for a := nn.Linear; a <= nn.Sigmoid; a++ {
+		if a.String() == s {
+			return a, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown activation %q", s)
 }

@@ -73,10 +73,10 @@ func expTime(p *netsim.PRNG, mean netsim.Time) netsim.Time {
 	return netsim.Time(d)
 }
 
-// Metrics aggregates one actor population's client-side accounting. A
-// Metrics value must only be shared by sessions whose client hosts live in
-// the same partition (the scenario harness keeps one per host per class) and
-// merged single-threaded after the run, in deterministic order.
+// Metrics aggregates one actor population's client-side accounting. The
+// scenario harness keeps one per class, shared by that class's sessions on
+// every host; the simulation runs on one goroutine, so sharing needs no
+// synchronization.
 type Metrics struct {
 	Sessions    int64
 	Requests    int64
@@ -93,7 +93,7 @@ type Metrics struct {
 // NewMetrics returns an empty collector.
 func NewMetrics() *Metrics { return &Metrics{Lat: stats.NewDist(256)} }
 
-// Merge folds o into m. Call only after the run, in deterministic order.
+// Merge folds o into m.
 func (m *Metrics) Merge(o *Metrics) {
 	m.Sessions += o.Sessions
 	m.Requests += o.Requests
@@ -144,8 +144,8 @@ type Opts struct {
 	Seed uint64
 	// CC constructs a fresh congestion controller per flow.
 	CC func() tcp.CongestionControl
-	// Metrics receives this session's accounting; one collector may be
-	// shared by all sessions with client hosts in the same partition.
+	// Metrics receives this session's accounting; sessions may share one
+	// collector.
 	Metrics *Metrics
 
 	// ThinkMean is the mean think/inter-call time (Web, RPC; optional

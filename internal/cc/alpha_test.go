@@ -250,10 +250,10 @@ func (m *oracleAlpha) endMI() {
 
 	summary := MISummary{
 		Start: m.miStart, End: now, AvgRTT: avgRTT, MinRTT: m.minRTT,
-		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes, Rate: m.PacingRate(),
+		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes,
 	}
-	if summary.Rate > 0 {
-		summary.Utilization = acked * 8 / (float64(summary.Rate) * float64(dur) / 1e9)
+	if rate := m.PacingRate(); rate > 0 {
+		summary.Utilization = acked * 8 / (float64(rate) * float64(dur) / 1e9)
 	}
 
 	m.prevAvgRTT = avgRTT
@@ -366,7 +366,6 @@ func (m *oracleMI) endMI() {
 		Start: m.miStart, End: now,
 		AvgRTT: avgRTT, MinRTT: m.minRTT,
 		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes,
-		Rate: m.rate,
 	}
 	if m.rate > 0 {
 		summary.Utilization = acked * 8 / (float64(m.rate) * float64(dur) / 1e9)

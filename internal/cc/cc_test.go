@@ -345,11 +345,9 @@ func TestCCPPerAckChargesPerAck(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.OnAckEvent()
 	}
-	if b.RoundTrips != 100 {
-		t.Errorf("RoundTrips = %d, want 100", b.RoundTrips)
-	}
-	if cpu.BusyTime(ksim.SoftIRQ) == 0 {
-		t.Error("per-ACK exchanges must charge softirq time")
+	// Each exchange charges 2·CrossSpacePerAck of softirq time.
+	if got, want := cpu.BusyTime(ksim.SoftIRQ), 100*2*b.Costs.CrossSpacePerAck; got != want {
+		t.Errorf("softirq time = %v, want %v (100 exchanges)", got, want)
 	}
 	// Decisions themselves run the model in userspace.
 	b.Query(make([]float64, StateDim), func(float64) {})
@@ -361,7 +359,8 @@ func TestCCPPerAckChargesPerAck(t *testing.T) {
 
 func TestCCPBatchedCoalescesQueries(t *testing.T) {
 	eng := netsim.NewEngine()
-	b := &CCPBackend{Eng: eng, Costs: ksim.DefaultCosts(),
+	cpu := ksim.NewHostCPU(eng, 4)
+	b := &CCPBackend{Eng: eng, CPU: cpu, Costs: ksim.DefaultCosts(),
 		Policy:   PolicyFunc(func(s []float64) float64 { return s[0] }),
 		Interval: 50 * netsim.Millisecond}
 	var got []float64
@@ -373,8 +372,9 @@ func TestCCPBatchedCoalescesQueries(t *testing.T) {
 	if len(got) != 1 || got[0] != 3 {
 		t.Errorf("answers = %v, want just the latest query's [3]", got)
 	}
-	if b.RoundTrips != 1 {
-		t.Errorf("RoundTrips = %d, want 1", b.RoundTrips)
+	// One exchange, charging 2·CrossSpace of softirq time.
+	if got, want := cpu.BusyTime(ksim.SoftIRQ), 2*b.Costs.CrossSpace; got != want {
+		t.Errorf("softirq time = %v, want %v (one exchange)", got, want)
 	}
 }
 

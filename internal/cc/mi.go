@@ -101,8 +101,7 @@ type MISummary struct {
 	MinRTT      netsim.Time
 	AckedBytes  int
 	LostBytes   int
-	Rate        int64   // rate during the interval
-	Utilization float64 // acked throughput / rate
+	Utilization float64 // acked throughput / rate during the interval
 }
 
 // init sets up the loop in place, pacing at rate until l's first decision.
@@ -216,7 +215,6 @@ func (m *monitor) endMI() {
 		Start: m.miStart, End: now,
 		AvgRTT: avgRTT, MinRTT: m.minRTT,
 		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes,
-		Rate: m.rate,
 	}
 	if m.rate > 0 {
 		summary.Utilization = acked * 8 / (float64(m.rate) * float64(dur) / 1e9)
@@ -383,9 +381,6 @@ type CCPBackend struct {
 	pendingState []float64
 	pendingReply func(float64)
 	ticking      bool
-
-	// RoundTrips counts kernel↔userspace exchanges (the overhead driver).
-	RoundTrips int64
 }
 
 // OnAckEvent implements AckObserver: in per-ACK mode every ACK costs a
@@ -398,7 +393,6 @@ func (c *CCPBackend) OnAckEvent() {
 
 // chargePerAck books one per-ACK exchange at the unscaled transition cost.
 func (c *CCPBackend) chargePerAck() {
-	c.RoundTrips++
 	if c.CPU != nil {
 		c.CPU.Charge(ksim.SoftIRQ, 2*c.Costs.CrossSpacePerAck)
 	}
@@ -446,7 +440,6 @@ func (c *CCPBackend) tick() {
 }
 
 func (c *CCPBackend) chargeRoundTrip() {
-	c.RoundTrips++
 	if c.CPU != nil {
 		c.CPU.Charge(ksim.SoftIRQ, 2*c.Costs.CrossSpace)
 		c.CPU.Charge(ksim.User, ksim.InferCost(c.Costs.UserInferPerMAC, c.UserMACs))

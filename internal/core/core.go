@@ -515,9 +515,11 @@ func (c *Core) sweepTick(gen uint64) {
 // StopSweeper halts the idle-entry sweeper (experiment teardown).
 func (c *Core) StopSweeper() { c.sweeping = false }
 
-// slowPathAttached arms the watchdog (when enabled via opt.WithWatchdog).
-// NewSlowPath calls it, so a core without a service never degrades.
-func (c *Core) slowPathAttached() {
+// AttachSlowPath arms the watchdog (when enabled via opt.WithWatchdog).
+// NewSlowPath calls it, and so does an external slow path — such as a fleet
+// controller — that feeds liveness through NoteSlowPathAlive without
+// constructing a Service; a core with neither never degrades.
+func (c *Core) AttachSlowPath() {
 	if !c.wdEnabled || c.wdRunning {
 		return
 	}
@@ -552,11 +554,6 @@ func (c *Core) scheduleWatchdog() {
 		c.scheduleWatchdog()
 	})
 }
-
-// AttachSlowPath arms the watchdog (when one was configured) for an external
-// slow path — such as a fleet controller — that feeds liveness through
-// NoteSlowPathAlive without constructing a Service.
-func (c *Core) AttachSlowPath() { c.slowPathAttached() }
 
 // NoteSlowPathAlive records slow-path liveness (the service calls it for
 // every batch it accepts). A degraded core recovers here.

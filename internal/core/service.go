@@ -246,7 +246,7 @@ func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter
 	s.rows = outcomeTable(&s.st)
 	s.spans = obs.NewSpanTracer(s.sc)
 	ch.SetDeliver(s.HandleBatch)
-	c.slowPathAttached()
+	c.AttachSlowPath()
 	return s
 }
 

@@ -83,7 +83,7 @@ func FigFlowChurn(cfg Config) Result {
 	// Per-flow events chain lazily so the event heap stays small; query
 	// buffers are shared (the engine is single-threaded) so the steady
 	// state allocates only the scheduling closures.
-	flows := workload.GenerateChurn(rand.New(rand.NewSource(cfg.Seed)), nFlows, ratePerSec, meanLife, finFrac)
+	flows := workload.GenerateChurnAt(rand.New(rand.NewSource(cfg.Seed)), nFlows, ratePerSec, meanLife, finFrac, 0, 0)
 	in := make([]int64, 4)
 	out := make([]int64, 1)
 	query := func(f netsim.FlowID) {

@@ -87,7 +87,7 @@ func Fig08(cfg Config) Result {
 		XLabel: "iteration", YLabel: "reward / goodput Mbps"}
 	net := cc.NewAuroraNet(cfg.Seed)
 	learner := rl.NewREINFORCE(net, 5e-3, cfg.Seed+1)
-	env := rl.NewLinkEnv(rl.AuroraReward{}, cfg.Seed+2)
+	env := rl.NewLinkEnv(cfg.Seed + 2)
 	env.Steps = 120
 
 	iters := cfg.count(800)
@@ -98,7 +98,7 @@ func Fig08(cfg Config) Result {
 	// evaluate deploys the current policy deterministically on a fresh
 	// link and reports mean utilization as goodput of a 12 Mbps link.
 	evaluate := func() float64 {
-		eval := rl.NewLinkEnv(rl.AuroraReward{}, 999)
+		eval := rl.NewLinkEnv(999)
 		eval.Steps = 200
 		obs := eval.Reset()
 		var util float64

@@ -53,31 +53,49 @@ func memberSeriesMatcher(m *Member) func(string) bool {
 	}
 }
 
+// windowSum adds up the before and after statistics of the series one
+// verdict criterion selects; n counts them.
+type windowSum struct {
+	before, after float64
+	n             int
+}
+
 // memberHealth evaluates one canary against the verdict criteria and returns
-// "ok" or the criterion that failed. Each criterion is a selector over deltas —
-// the flight recorder's per-series comparison of the baseline and observation
-// windows, computed once per verdict: goodput is the query rate, latency the
-// p99 estimate, degraded the watchdog's count. Criteria with no data in both
-// windows (N == 0, e.g. a nil recorder or a sampling period longer than the
-// window) are inconclusive and skipped — the gate fails closed only on
+// "ok" or the criterion that failed. deltas is the flight recorder's
+// per-series comparison of the baseline and observation windows, computed
+// once per verdict; match selects the canary's own series. Each criterion
+// sums its series: goodput the query rates, latency the p99 estimates (taken
+// as their mean), degraded the watchdog's counts. Criteria with no series in
+// both windows (n == 0, e.g. a nil recorder or a sampling period longer than
+// the window) are inconclusive and skipped — the gate fails closed only on
 // evidence, never on blindness.
-func (c *Controller) memberHealth(m *Member, deltas []obs.SeriesDelta) string {
-	match := memberSeriesMatcher(m)
-	goodput := obs.CompareDeltas(deltas, obs.AggSum, func(d obs.SeriesDelta) bool {
-		return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_queries_total") && match(d.Name)
-	})
-	latency := obs.CompareDeltas(deltas, obs.AggMean, func(d obs.SeriesDelta) bool {
-		return !d.Cumulative && strings.HasPrefix(d.Name, "liteflow_query_ns") && strings.HasSuffix(d.Name, "_p99") && match(d.Name)
-	})
-	degraded := obs.CompareDeltas(deltas, obs.AggSum, func(d obs.SeriesDelta) bool {
-		return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_degraded_total") && match(d.Name)
-	})
+func memberHealth(deltas []obs.SeriesDelta, match func(string) bool) string {
+	var goodput, latency, degraded windowSum
+	for _, d := range deltas {
+		var s *windowSum
+		switch {
+		case !match(d.Name):
+			continue
+		case d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_queries_total"):
+			s = &goodput
+		case !d.Cumulative && strings.HasPrefix(d.Name, "liteflow_query_ns") && strings.HasSuffix(d.Name, "_p99"):
+			s = &latency
+		case d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_degraded_total"):
+			s = &degraded
+		default:
+			continue
+		}
+		s.before += d.Before
+		s.after += d.After
+		s.n++
+	}
+	n := float64(latency.n)
 	switch {
-	case goodput.N > 0 && goodput.Before > 0 && goodput.After/goodput.Before < canaryMinGoodputRatio:
+	case goodput.n > 0 && goodput.before > 0 && goodput.after/goodput.before < canaryMinGoodputRatio:
 		return "goodput"
-	case latency.N > 0 && latency.Before > 0 && latency.After/latency.Before > canaryMaxLatencyRatio:
+	case latency.n > 0 && latency.before > 0 && (latency.after/n)/(latency.before/n) > canaryMaxLatencyRatio:
 		return "latency"
-	case degraded.N > 0 && degraded.After > degraded.Before:
+	case degraded.n > 0 && degraded.after > degraded.before:
 		return "degraded"
 	}
 	return "ok"
@@ -106,7 +124,7 @@ func (c *Controller) canaryVerdict(epoch int64) {
 		if activated++; activated == 1 {
 			deltas = c.cfg.Flight.Delta(before, after)
 		}
-		health := c.memberHealth(m, deltas)
+		health := memberHealth(deltas, memberSeriesMatcher(m))
 		c.sc.EventMix("fleet", "canary_health", now,
 			"member", int64(m.Index), "healthy", strconv.FormatBool(health == "ok"))
 		c.wave.MarkMember("canary_health_"+health, int64(m.Index), now)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/core"
@@ -307,4 +308,70 @@ func TestAddMemberAfterStartIsRefused(t *testing.T) {
 	if st := r.ctrl.Stats(); st.Members != 2 || st.StaleMembers != 0 {
 		t.Errorf("the refused member shows in the controller's stats: %+v", st)
 	}
+}
+
+// memberHealthCase is one row of the memberHealth table tests: a canary's
+// deltas and the verdict they should give for host 0.
+type memberHealthCase struct {
+	name   string
+	deltas []obs.SeriesDelta
+	want   string
+}
+
+const (
+	qSeries   = "liteflow_core_queries_total"
+	latSeries = "liteflow_query_ns"
+	degSeries = "liteflow_core_degraded_total"
+)
+
+func rateDelta(name string, before, after float64) obs.SeriesDelta {
+	return obs.SeriesDelta{Name: name, Cumulative: true, Before: before, After: after}
+}
+
+func levelDelta(name string, before, after float64) obs.SeriesDelta {
+	return obs.SeriesDelta{Name: name, Before: before, After: after}
+}
+
+func checkMemberHealth(t *testing.T, cases []memberHealthCase) {
+	t.Helper()
+	host0 := func(name string) bool { return strings.Contains(name, `host="0"`) }
+	for _, tc := range cases {
+		if got := memberHealth(tc.deltas, host0); got != tc.want {
+			t.Errorf("%s: memberHealth = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestMemberHealthSumAndMean: each criterion sums the canary's own series, so
+// a fall in one query counter that another makes up for passes; latency
+// compares the mean p99 estimate.
+func TestMemberHealthSumAndMean(t *testing.T) {
+	q, lat := qSeries, latSeries
+	checkMemberHealth(t, []memberHealthCase{
+		{"query rates summed", []obs.SeriesDelta{
+			rateDelta(q+`{host="0",role="a"}`, 10, 2), rateDelta(q+`{host="0",role="b"}`, 20, 27)}, "ok"},
+		{"query rate sum falls", []obs.SeriesDelta{
+			rateDelta(q+`{host="0",role="a"}`, 10, 5), rateDelta(q+`{host="0",role="b"}`, 20, 10)}, "goodput"},
+		{"another member's fall", []obs.SeriesDelta{
+			rateDelta(q+`{host="0"}`, 10, 10), rateDelta(q+`{host="1"}`, 10, 0)}, "ok"},
+		{"mean p99 grows", []obs.SeriesDelta{
+			levelDelta(lat+`{host="0",role="a"}_p99`, 5, 9), levelDelta(lat+`{host="0",role="b"}_p99`, 5, 9)}, "latency"},
+		{"mean p99 holds", []obs.SeriesDelta{
+			levelDelta(lat+`{host="0",role="a"}_p99`, 5, 4), levelDelta(lat+`{host="0",role="b"}_p99`, 5, 10)}, "ok"},
+		{"a cumulative p99 is not a level", []obs.SeriesDelta{rateDelta(lat+`{host="0"}_p99`, 5, 50)}, "ok"},
+		{"degraded", []obs.SeriesDelta{rateDelta(degSeries+`{host="0"}`, 0, 1)}, "degraded"},
+	})
+}
+
+// TestMemberHealthNilRecorder: a criterion no series feeds (N = 0, as from a
+// nil recorder, whose Delta is nil) is inconclusive and passes.
+func TestMemberHealthNilRecorder(t *testing.T) {
+	var nilRec *obs.FlightRecorder
+	checkMemberHealth(t, []memberHealthCase{
+		{"nil recorder", nilRec.Delta(obs.TimeWindow{}, obs.TimeWindow{From: 0, To: 1}), "ok"},
+		{"no series", []obs.SeriesDelta{}, "ok"},
+		{"another member's series only", []obs.SeriesDelta{
+			rateDelta(qSeries+`{host="1"}`, 10, 0), levelDelta(latSeries+`{host="1"}_p99`, 5, 50)}, "ok"},
+		{"no baseline rate", []obs.SeriesDelta{rateDelta(qSeries+`{host="0"}`, 0, 0)}, "ok"},
+	})
 }

@@ -179,8 +179,7 @@ type Member struct {
 	installing  bool  // an install is queued or in flight
 	pending     []core.Sample
 
-	ctrl *Controller
-	inj  *fault.Injector
+	inj *fault.Injector
 }
 
 // version ties an epoch to its built module, whose Program is also the
@@ -297,8 +296,8 @@ func (c *Controller) AddMember(co *core.Core, ch *netlink.Channel, options ...op
 		return nil, fmt.Errorf("fleet: member %d added after Start", len(c.members))
 	}
 	o := opt.Resolve(options)
-	m := &Member{Index: len(c.members), Core: co, Chan: ch, ctrl: c, inj: o.Faults}
-	msc := c.sc.With(obs.Label{Key: "member", Value: strconv.Itoa(m.Index)}).WithTid(int64(m.Index) + 1)
+	m := &Member{Index: len(c.members), Core: co, Chan: ch, inj: o.Faults}
+	msc := c.sc.With(obs.Label{Key: "member", Value: strconv.Itoa(m.Index)})
 	obs.GaugeOf(msc, "liteflow_fleet_member_epoch", "fleet epoch this member last activated", &m.epoch)
 	ch.SetDeliver(func(batch []netlink.Message) { c.handleMemberBatch(m, batch) })
 	co.AttachSlowPath()

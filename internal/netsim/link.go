@@ -158,17 +158,17 @@ func (l *Link) TxTime(size int) Time {
 // partitions only by being the target of a link).
 func (l *Link) Send(p *Packet) {
 	l.eng.checkOwner()
-	p.EnqAt = l.eng.Now()
+	now := l.eng.Now()
 	ceBefore := p.CE
 	if !l.queue.Enqueue(p) {
 		l.queueDrops++
-		l.sc.Event2("net", "drop", p.EnqAt, "flow", int64(p.Flow), "bytes", int64(p.Size))
+		l.sc.Event2("net", "drop", now, "flow", int64(p.Flow), "bytes", int64(p.Size))
 		FreePacket(p) // dropped
 		return
 	}
 	if p.CE && !ceBefore {
 		l.ecnMarks++
-		l.sc.Event1("net", "ecn_mark", p.EnqAt, "flow", int64(p.Flow))
+		l.sc.Event1("net", "ecn_mark", now, "flow", int64(p.Flow))
 	}
 	if l.txPkt == nil {
 		l.startNext()

@@ -37,9 +37,6 @@ type Packet struct {
 	Path []int
 	Hop  int // index of the next entry in Path
 
-	SentAt Time // transmission start time at the original sender
-	EnqAt  Time // last enqueue time (for per-hop queueing delay accounting)
-
 	home *coordinator // the simulation whose free list it returns to, if any
 	// freed guards FreePacket against a double free.
 	freed bool

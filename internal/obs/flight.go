@@ -148,8 +148,7 @@ func (fr *FlightRecorder) Sample(reg *Registry, at int64) {
 				}
 				fr.record(key+"_count", true, at, float64(total))
 				fr.record(key+"_sum", true, at, sum)
-				summ := s.hist.Summary()
-				max := summ.Max()
+				max := s.hist.Max()
 				fr.record(key+"_p50", false, at, bucketQuantile(bounds, counts, total, max, 0.50))
 				fr.record(key+"_p99", false, at, bucketQuantile(bounds, counts, total, max, 0.99))
 			}
@@ -216,15 +215,12 @@ type TimeWindow struct {
 
 // SeriesDelta compares one series across two windows. For cumulative series
 // Before/After are rates per second over each window; for level series they
-// are window means. Delta is After-Before; Ratio is After/Before (0 when
-// Before is 0).
+// are window means.
 type SeriesDelta struct {
 	Name       string
 	Cumulative bool
 	Before     float64
 	After      float64
-	Delta      float64
-	Ratio      float64
 }
 
 // Delta compares the before and after windows and returns one entry per
@@ -248,12 +244,7 @@ func (fr *FlightRecorder) Delta(before, after TimeWindow) []SeriesDelta {
 		if !bok || !aok {
 			continue
 		}
-		d := SeriesDelta{Name: name, Cumulative: s.cumulative,
-			Before: bv, After: av, Delta: av - bv}
-		if bv != 0 {
-			d.Ratio = av / bv
-		}
-		out = append(out, d)
+		out = append(out, SeriesDelta{Name: name, Cumulative: s.cumulative, Before: bv, After: av})
 	}
 	return out
 }

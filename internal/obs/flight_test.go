@@ -97,10 +97,10 @@ func TestFlightRecorderDelta(t *testing.T) {
 		t.Fatalf("missing series in delta: %+v", deltas)
 	}
 	// 10 per 1000ns = 1e7/s before, 5e6/s after.
-	if cd.Before != 1e7 || cd.After != 5e6 || cd.Ratio != 0.5 {
+	if cd.Before != 1e7 || cd.After != 5e6 || !cd.Cumulative {
 		t.Fatalf("counter delta wrong: %+v", cd)
 	}
-	if gd.Before != 100 || gd.After != 200 || gd.Delta != 100 {
+	if gd.Before != 100 || gd.After != 200 || gd.Cumulative {
 		t.Fatalf("gauge delta wrong: %+v", gd)
 	}
 }

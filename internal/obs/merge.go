@@ -16,7 +16,7 @@ import (
 
 // Fork returns a private child of sc — a registry and a tracer of its own
 // (the tracer of the parent's capacity, so a join retains exactly the events a
-// shared tracer would) wherever sc has one, under sc's labels and tid — a
+// shared tracer would) wherever sc has one, under sc's labels — a
 // private child of fr likewise (nil stays nil), and the join that folds both
 // back. The simulation stack is single-threaded per engine, so children may
 // run on separate goroutines; joins must be called one at a time, in the
@@ -36,7 +36,7 @@ func Fork(sc Scope, fr *FlightRecorder) (Scope, *FlightRecorder, func()) {
 		cfr = NewFlightRecorder(fr.cap)
 	}
 	child := New(reg, tr)
-	child.labels, child.tid = sc.labels, sc.tid
+	child.labels = sc.labels
 	// A half the parent lacks is nil in the child, and every Merge ignores a
 	// nil source.
 	return child, cfr, func() {
@@ -86,11 +86,11 @@ func (r *Registry) Merge(src *Registry) {
 	}
 }
 
-// merge folds src's buckets, sum and summary into h. Bucket bounds must
+// merge folds src's buckets, sum and max into h. Bucket bounds must
 // match (both sides come from the same instrument definitions).
 func (h *Histogram) merge(src *Histogram) {
 	sBounds, sCounts, sSum := src.snapshot()
-	sSummary := src.Summary()
+	sMax := src.Max()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if len(h.bounds) != len(sBounds) {
@@ -105,7 +105,9 @@ func (h *Histogram) merge(src *Histogram) {
 		h.counts[i] += c
 	}
 	h.sum += sSum
-	h.summary.Merge(sSummary)
+	if sMax > h.max {
+		h.max = sMax
+	}
 }
 
 // Merge folds src's events into t in src's emission order, as if each had

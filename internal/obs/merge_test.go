@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,19 +91,20 @@ func TestRegistryMergeSummaries(t *testing.T) {
 	if hd.Sum() != hs.Sum() {
 		t.Fatalf("sum: got %v want %v", hd.Sum(), hs.Sum())
 	}
-	gs, ws := hd.Summary(), hs.Summary()
-	// The registry folds the parts' summaries as Summary.Merge does, which
-	// agrees with the sequential summary on the max.
-	want := ha.Summary()
-	want.Merge(hb.Summary())
-	if gs != want || gs.Max() != ws.Max() {
-		t.Fatalf("summary: got %+v, want %+v (sequential %+v)", gs, want, ws)
+	if hd.Max() != hs.Max() {
+		t.Fatalf("max: got %v want %v", hd.Max(), hs.Max())
 	}
-	if d := gs.Mean() - ws.Mean(); d > 1e-9 || d < -1e-9 {
-		t.Fatalf("summary mean: got %v want %v", gs.Mean(), ws.Mean())
+	_, gc, _ := hd.snapshot()
+	_, wc, _ := hs.snapshot()
+	if !reflect.DeepEqual(gc, wc) {
+		t.Fatalf("buckets: got %v want %v", gc, wc)
 	}
-	if d := gs.Var() - ws.Var(); d > 1e-9 || d < -1e-9 {
-		t.Fatalf("summary variance: got %v want %v", gs.Var(), ws.Var())
+	// An empty part leaves the max alone.
+	e := NewRegistry()
+	e.Histogram("h", "h", ExpBuckets(1, 2, 8))
+	dst.Merge(e)
+	if hd.Max() != 10 {
+		t.Fatalf("max after merging an empty histogram = %v, want 10", hd.Max())
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"github.com/liteflow-sim/liteflow/internal/stats"
 )
 
 // Counter is a monotonically increasing integer metric. The nil counter and
@@ -37,15 +35,16 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Histogram is a fixed-bucket distribution metric. It reuses stats.Summary
-// for mean/min/max/stddev, adding cumulative bucket counts and an exact sum
-// for the Prometheus exposition. All methods are goroutine-safe.
+// Histogram is a fixed-bucket distribution metric: cumulative bucket counts
+// and an exact sum for the Prometheus exposition, plus the largest sample,
+// which the flight recorder reports for a quantile in the +Inf bucket. All
+// methods are goroutine-safe.
 type Histogram struct {
-	mu      sync.Mutex
-	bounds  []float64 // ascending upper bounds; +Inf implicit
-	counts  []int64   // len(bounds)+1, last is the +Inf bucket
-	sum     float64
-	summary stats.Summary
+	mu     sync.Mutex
+	bounds []float64 // ascending upper bounds; +Inf implicit
+	counts []int64   // len(bounds)+1, last is the +Inf bucket
+	sum    float64
+	max    float64 // largest sample; -Inf until the first
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -54,7 +53,7 @@ func newHistogram(bounds []float64) *Histogram {
 			panic("obs: histogram bounds must be strictly ascending")
 		}
 	}
-	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+	return &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1), max: math.Inf(-1)}
 }
 
 // Observe records one sample.
@@ -69,18 +68,17 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[i]++
 	h.sum += v
-	h.summary.Add(v)
+	if v > h.max {
+		h.max = v
+	}
 	h.mu.Unlock()
 }
 
-// Summary returns a copy of the running summary (mean/std/min/max).
-func (h *Histogram) Summary() stats.Summary {
-	if h == nil {
-		return stats.Summary{}
-	}
+// Max returns the largest sample, or -Inf if none were recorded.
+func (h *Histogram) Max() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.summary
+	return h.max
 }
 
 // snapshot copies bucket state under the lock for export.

@@ -37,7 +37,6 @@ type Scope struct {
 	reg    *Registry
 	tracer *Tracer
 	labels []Label
-	tid    int64
 }
 
 // New returns a scope exporting metrics to reg and events to tr. Either may
@@ -60,22 +59,13 @@ func (s Scope) With(labels ...Label) Scope {
 }
 
 // WithTracer returns a scope emitting trace events to tr instead of the
-// current tracer, keeping the registry, labels and tid. The partitioned
+// current tracer, keeping the registry and labels. The partitioned
 // simulation engine uses it to route each partition's events into a private
 // shard (netsim.Engine.PartitionScope); tr is not bound to the
 // trace-eviction counter — the fold into the base tracer carries shard
 // evictions.
 func (s Scope) WithTracer(tr *Tracer) Scope {
 	s.tracer = tr
-	return s
-}
-
-// WithTid returns a scope whose trace events carry the given thread-track ID
-// (Chrome trace "tid"). Fleet provisioning sets member index + 1 so each
-// member's events render on its own track; tid 0 is the shared/controller
-// track.
-func (s Scope) WithTid(tid int64) Scope {
-	s.tid = tid
 	return s
 }
 
@@ -136,43 +126,57 @@ func (s Scope) Histogram(name, help string, bounds []float64, labels ...Label) *
 }
 
 // The fixed-arity event helpers below exist so hot paths can emit without
-// constructing argument slices: Tracer.emit, the one body under all of them,
-// takes the two arguments as scalars, so on a no-op scope it returns before
-// anything is built and allocates nothing.
+// constructing argument slices: each builds its Event only once it knows a
+// tracer is attached, so on a no-op scope it returns before anything is built
+// and allocates nothing.
 
 // Event records an instant event at virtual time at (nanoseconds).
 func (s Scope) Event(cat, name string, at int64) {
-	s.tracer.emit(s.tid, cat, name, at, 0, 0, "", 0, "", "", 0, "")
+	if s.tracer != nil {
+		s.tracer.record(&Event{At: at, Cat: cat, Name: name})
+	}
 }
 
 // Event1 records an instant event with one integer argument.
 func (s Scope) Event1(cat, name string, at int64, k string, v int64) {
-	s.tracer.emit(s.tid, cat, name, at, 0, 1, k, v, "", "", 0, "")
+	if s.tracer != nil {
+		s.tracer.record(&Event{At: at, Cat: cat, Name: name, NArgs: 1, Args: [2]Arg{{Key: k, Val: v}}})
+	}
 }
 
 // Event2 records an instant event with two integer arguments.
 func (s Scope) Event2(cat, name string, at int64, k1 string, v1 int64, k2 string, v2 int64) {
-	s.tracer.emit(s.tid, cat, name, at, 0, 2, k1, v1, "", k2, v2, "")
+	if s.tracer != nil {
+		s.tracer.record(&Event{At: at, Cat: cat, Name: name, NArgs: 2, Args: [2]Arg{{Key: k1, Val: v1}, {Key: k2, Val: v2}}})
+	}
 }
 
 // EventStr records an instant event with one string argument.
 func (s Scope) EventStr(cat, name string, at int64, k, v string) {
-	s.tracer.emit(s.tid, cat, name, at, 0, 1, k, 0, v, "", 0, "")
+	if s.tracer != nil {
+		s.tracer.record(&Event{At: at, Cat: cat, Name: name, NArgs: 1, Args: [2]Arg{{Key: k, Str: v}}})
+	}
 }
 
 // EventMix records an instant event with one integer and one string
 // argument — the mixed shape resilience events need (e.g. a retry attempt
 // number plus the failing model's name).
 func (s Scope) EventMix(cat, name string, at int64, k1 string, v1 int64, k2, v2 string) {
-	s.tracer.emit(s.tid, cat, name, at, 0, 2, k1, v1, "", k2, 0, v2)
+	if s.tracer != nil {
+		s.tracer.record(&Event{At: at, Cat: cat, Name: name, NArgs: 2, Args: [2]Arg{{Key: k1, Val: v1}, {Key: k2, Str: v2}}})
+	}
 }
 
 // Span records a complete event covering [at, at+dur).
 func (s Scope) Span(cat, name string, at, dur int64) {
-	s.tracer.emit(s.tid, cat, name, at, dur, 0, "", 0, "", "", 0, "")
+	if s.tracer != nil {
+		s.tracer.record(&Event{At: at, Dur: dur, Cat: cat, Name: name})
+	}
 }
 
 // Span1 records a complete event with one integer argument.
 func (s Scope) Span1(cat, name string, at, dur int64, k string, v int64) {
-	s.tracer.emit(s.tid, cat, name, at, dur, 1, k, v, "", "", 0, "")
+	if s.tracer != nil {
+		s.tracer.record(&Event{At: at, Dur: dur, Cat: cat, Name: name, NArgs: 1, Args: [2]Arg{{Key: k, Val: v}}})
+	}
 }

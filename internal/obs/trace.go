@@ -64,25 +64,16 @@ func NewTracer(capacity int) *Tracer {
 
 // Emit records one event, evicting the oldest when the ring is full.
 func (t *Tracer) Emit(e Event) {
-	if t == nil {
-		return
+	if t != nil {
+		t.record(&e)
 	}
-	t.mu.Lock()
-	*t.next() = e
-	t.mu.Unlock()
 }
 
-// emit is Emit for the Scope helpers: an event at virtual time at on thread
-// track tid, a span covering [at, at+dur) when dur > 0, its nargs arguments
-// spelled out as key, integer value, string value.
-func (t *Tracer) emit(tid int64, cat, name string, at, dur int64, nargs int,
-	k0 string, v0 int64, s0 string, k1 string, v1 int64, s1 string) {
-	if t == nil {
-		return
-	}
+// record is Emit for a non-nil tracer. The Scope helpers pass a pointer:
+// handing the Event over by value costs a copy of all its fields per call.
+func (t *Tracer) record(e *Event) {
 	t.mu.Lock()
-	*t.next() = Event{At: at, Dur: dur, Tid: tid, Cat: cat, Name: name, NArgs: nargs,
-		Args: [2]Arg{{Key: k0, Val: v0, Str: s0}, {Key: k1, Val: v1, Str: s1}}}
+	*t.next() = *e
 	t.mu.Unlock()
 }
 

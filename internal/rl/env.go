@@ -19,8 +19,8 @@ const (
 // It is deliberately far cheaper than the packet-level simulator so episodes
 // run fast enough for online adaptation inside experiments.
 type LinkEnv struct {
-	// bandwidth is the bottleneck capacity in abstract rate units.
-	bandwidth float64
+	// bw is the bottleneck capacity in abstract rate units.
+	bw float64
 	// baseRTT is the propagation RTT in seconds.
 	baseRTT float64
 	// bufferSec is the buffer depth in seconds of queueing at capacity.
@@ -30,16 +30,9 @@ type LinkEnv struct {
 	// delta is the per-step multiplicative rate step (matches the
 	// controller's δ).
 	delta float64
-	// Reward shapes the per-step reward.
-	Reward Reward
-	// RandomizeBandwidth, when set, draws a fresh bandwidth uniformly from
-	// [bandwidth/2, 2·bandwidth] each episode, the domain-randomization
-	// trick Aurora trains with.
-	RandomizeBandwidth bool
 
 	rng *rand.Rand
 
-	bw      float64
 	rate    float64
 	queue   float64 // seconds of queueing delay
 	prevLat float64
@@ -48,25 +41,20 @@ type LinkEnv struct {
 }
 
 // NewLinkEnv returns an Aurora-style training link: unit bandwidth, 10 ms
-// RTT, half-BDP buffer, 400-step episodes.
-func NewLinkEnv(reward Reward, seed int64) *LinkEnv {
+// RTT, half-BDP buffer, 400-step episodes, rewarded by auroraReward.
+func NewLinkEnv(seed int64) *LinkEnv {
 	return &LinkEnv{
-		bandwidth: 1.0,
+		bw:        1.0,
 		baseRTT:   0.01,
 		bufferSec: 0.005,
 		Steps:     400,
 		delta:     0.05,
-		Reward:    reward,
 		rng:       rand.New(rand.NewSource(seed)),
 	}
 }
 
 // Reset implements Env.
 func (e *LinkEnv) Reset() []float64 {
-	e.bw = e.bandwidth
-	if e.RandomizeBandwidth {
-		e.bw = e.bandwidth * (0.5 + 1.5*e.rng.Float64())
-	}
 	e.rate = e.bw * (0.3 + 0.4*e.rng.Float64())
 	e.queue = 0
 	e.prevLat = e.baseRTT
@@ -121,7 +109,7 @@ func (e *LinkEnv) Step(action float64) ([]float64, float64, bool) {
 	e.history[StateDim-2] = clip(latRatio, -1, 5)
 	e.history[StateDim-1] = clip(sendRatio, -1, 5)
 
-	reward := e.Reward.Score(throughput, latency, loss)
+	reward := auroraReward(throughput, latency, loss)
 
 	e.step++
 	done := e.step >= e.Steps
@@ -139,3 +127,11 @@ func (e *LinkEnv) Utilization() float64 {
 }
 
 var _ Env = (*LinkEnv)(nil)
+
+// auroraReward is Aurora's linear reward: 10·throughput − 1000·latency −
+// 2000·loss (throughput normalized to link capacity, latency in seconds,
+// loss as a fraction), scaled to keep magnitudes comparable across
+// environments.
+func auroraReward(throughput, latency, loss float64) float64 {
+	return 10*throughput - 20*latency - 30*loss
+}

@@ -24,23 +24,6 @@ type Env interface {
 	Step(action float64) (obs []float64, reward float64, done bool)
 }
 
-// Reward computes a scalar reward from per-step link statistics. Aurora and
-// MOCC differ exactly here; the experiments train under Aurora's.
-type Reward interface {
-	Score(throughput, latency, loss float64) float64
-}
-
-// AuroraReward is Aurora's linear reward: 10·throughput − 1000·latency −
-// 2000·loss (throughput normalized to link capacity, latency in seconds,
-// loss as a fraction), scaled to keep magnitudes comparable across
-// environments.
-type AuroraReward struct{}
-
-// Score implements Reward.
-func (AuroraReward) Score(throughput, latency, loss float64) float64 {
-	return 10*throughput - 20*latency - 30*loss
-}
-
 // REINFORCE is a Gaussian-policy Monte-Carlo policy-gradient learner: the
 // network outputs the action mean; exploration noise is Gaussian with a
 // decaying sigma; returns are discounted and baselined by their batch mean.
@@ -54,9 +37,6 @@ type REINFORCE struct {
 
 	rng *rand.Rand
 	out []float64
-
-	// Episodes counts completed training episodes.
-	Episodes int
 }
 
 // NewREINFORCE returns a learner for net with standard hyperparameters.
@@ -107,7 +87,6 @@ func (r *REINFORCE) RunBatch(env Env, episodes, maxSteps int) float64 {
 		total += ret
 	}
 	r.update(trajs)
-	r.Episodes += episodes
 	r.decaySigma()
 	return total / float64(episodes)
 }

@@ -238,15 +238,13 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 		diurnal = newDiurnalCDF(s.Arrival.Diurnal, s.Arrival.RampMs)
 	}
 
-	// One metrics collector per (host, class): sessions only ever share a
-	// collector within their client host's partition (§4j), and the post-run
-	// merge walks hosts then classes — a fixed order.
-	coll := make([][4]*actor.Metrics, len(hosts))
-	metricsFor := func(host int, cls actor.Class) *actor.Metrics {
-		if coll[host][cls] == nil {
-			coll[host][cls] = actor.NewMetrics()
-		}
-		return coll[host][cls]
+	// One metrics collector per class, shared by that class's sessions on
+	// every host: windows run one after another on one goroutine (§4h), and
+	// classStats reads only sums and quantiles, which do not depend on the
+	// order samples arrive in.
+	perClass := make([]*actor.Metrics, len(classes))
+	for _, c := range classes {
+		perClass[c] = actor.NewMetrics()
 	}
 
 	totalPlanned := 0
@@ -335,7 +333,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 			opts.RespBytes = g.RespBytes
 			opts.ThinkMean = netsim.Time(g.ThinkMs * 1e6)
 		}
-		opts.Metrics = metricsFor(client, opts.Class)
+		opts.Metrics = perClass[opts.Class]
 		sess := actor.New(opts)
 		flow += netsim.FlowID(sess.Flows())
 		byClass[g.Class] = append(byClass[g.Class], sess)
@@ -400,18 +398,6 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 
 	eng.RunUntil(dur)
 
-	// Merge host-major, class-minor.
-	perClass := make([]*actor.Metrics, len(classes))
-	for _, c := range classes {
-		perClass[c] = actor.NewMetrics()
-	}
-	for h := range coll {
-		for _, c := range classes {
-			if coll[h][c] != nil {
-				perClass[c].Merge(coll[h][c])
-			}
-		}
-	}
 	total := actor.NewMetrics()
 	for _, c := range classes {
 		total.Merge(perClass[c])

@@ -12,45 +12,20 @@ import (
 	"sort"
 )
 
-// Summary accumulates a running mean/variance/max without storing samples,
+// Summary accumulates a running mean/variance without storing samples,
 // using Welford's online algorithm.
 type Summary struct {
 	n    int
 	mean float64
 	m2   float64
-	max  float64
 }
 
 // Add records one sample.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 || x > s.max {
-		s.max = x
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-}
-
-// Merge folds another summary into s using the parallel Welford combination
-// (Chan et al.), as if every sample of o had been Add-ed to s. Merging in a
-// fixed order is deterministic, which the telemetry merge relies on.
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	s.mean += d * float64(o.n) / float64(n)
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	s.n = n
 }
 
 // Mean returns the arithmetic mean, or 0 if no samples were recorded.
@@ -66,9 +41,6 @@ func (s *Summary) Var() float64 {
 
 // Std returns the population standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Max returns the largest sample, or 0 if none were recorded.
-func (s *Summary) Max() float64 { return s.max }
 
 // Dist stores samples for quantile queries. It sorts lazily and caches the
 // sorted order until the next Add.

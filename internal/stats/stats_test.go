@@ -23,14 +23,11 @@ func TestSummaryBasics(t *testing.T) {
 	if !almost(s.Var(), 2, 1e-12) {
 		t.Errorf("Var = %v, want 2", s.Var())
 	}
-	if s.Max() != 5 {
-		t.Errorf("Max = %v, want 5", s.Max())
-	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.Var() != 0 || s.Std() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.Var() != 0 || s.Std() != 0 {
 		t.Errorf("empty summary must report zeros, got %+v", s)
 	}
 }
@@ -38,7 +35,7 @@ func TestSummaryEmpty(t *testing.T) {
 func TestSummarySingleSample(t *testing.T) {
 	var s Summary
 	s.Add(42)
-	if s.Mean() != 42 || s.Var() != 0 || s.Max() != 42 {
+	if s.Mean() != 42 || s.Var() != 0 {
 		t.Errorf("single sample summary wrong: %+v", s)
 	}
 }
@@ -47,37 +44,8 @@ func TestSummaryNegativeValues(t *testing.T) {
 	var s Summary
 	s.Add(-5)
 	s.Add(5)
-	if !almost(s.Mean(), 0, 1e-12) || s.Max() != 5 {
+	if !almost(s.Mean(), 0, 1e-12) || !almost(s.Var(), 25, 1e-12) {
 		t.Errorf("negative handling wrong: %+v", s)
-	}
-}
-
-// Merging two halves must give the summary that Add-ing every sample in
-// order gives: count and max exactly, mean and variance to rounding. The
-// empty cases cover both early returns.
-func TestSummaryMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 37)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*10 - 4
-	}
-	for _, cut := range []int{0, 1, 12, 36, 37} {
-		var seq, a, b Summary
-		for i, x := range xs {
-			seq.Add(x)
-			if i < cut {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		if a.n != seq.n || a.Max() != seq.Max() {
-			t.Errorf("cut %d: n/max = %d/%v, want %d/%v", cut, a.n, a.Max(), seq.n, seq.Max())
-		}
-		if !almost(a.Mean(), seq.Mean(), 1e-12) || !almost(a.Var(), seq.Var(), 1e-12) {
-			t.Errorf("cut %d: mean/var = %v/%v, want %v/%v", cut, a.Mean(), a.Var(), seq.Mean(), seq.Var())
-		}
 	}
 }
 

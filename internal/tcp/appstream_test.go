@@ -111,25 +111,25 @@ func TestPushTagSurvivesLoss(t *testing.T) {
 	}
 }
 
-// TestOnAckedReportsUploadProgress checks the sender-side progress hook is
-// monotone and reaches the pushed total.
+// TestOnAckedReportsUploadProgress checks the acknowledged byte count seen
+// at each ACK is monotone and reaches the pushed total.
 func TestOnAckedReportsUploadProgress(t *testing.T) {
 	eng := netsim.NewEngine()
 	a, b := pair(eng, 100_000_000, 2*netsim.Millisecond, 1<<20)
-	s := NewSender(a, 1, b.ID, 0, NewFixedRate(50_000_000))
-	NewReceiver(b, 1, a.ID)
+	var s *Sender
 	var last int64
-	s.OnAcked = func(acked int64, now netsim.Time) {
-		if acked < last {
-			t.Fatalf("OnAcked went backwards: %d after %d", acked, last)
+	s = NewSender(a, 1, b.ID, 0, ackTap{NewFixedRate(50_000_000), func(AckInfo) {
+		if s.ackedBytes < last {
+			t.Fatalf("acked bytes went backwards: %d after %d", s.ackedBytes, last)
 		}
-		last = acked
-	}
+		last = s.ackedBytes
+	}})
+	NewReceiver(b, 1, a.ID)
 	s.Push(100_000, 7)
 	s.Start()
 	eng.RunUntil(2 * netsim.Second)
 	if last != 100_000 {
-		t.Errorf("final OnAcked = %d, want 100000", last)
+		t.Errorf("final acked bytes = %d, want 100000", last)
 	}
 }
 

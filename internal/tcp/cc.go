@@ -17,7 +17,6 @@ type AckInfo struct {
 	SRTT         netsim.Time // smoothed RTT maintained by the sender
 	AckedBytes   int         // new bytes acknowledged by this ACK
 	ECE          bool        // receiver echoed an ECN mark
-	Inflight     int         // bytes outstanding after this ACK
 	DeliveryRate int64       // recent goodput estimate, bits/sec
 }
 

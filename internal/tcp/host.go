@@ -180,7 +180,6 @@ func (u *UDPSource) sendOne() {
 	p := u.Host.Eng.AllocPacket()
 	p.Flow, p.Src, p.Dst = u.Flow, u.Host.ID, u.Dst
 	p.Size = u.PktSize
-	p.SentAt = u.Host.Eng.Now()
 	u.Host.Transmit(p)
 	u.tick()
 }

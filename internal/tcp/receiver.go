@@ -94,7 +94,6 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	ack.Flow, ack.Src, ack.Dst = r.Flow, r.Host.ID, r.Src
 	ack.Ack, ack.AckNo, ack.ECE = true, p.Seq, p.CE
 	ack.Size = netsim.AckSize
-	ack.SentAt = r.Host.Eng.Now()
 	r.Host.Transmit(ack)
 }
 

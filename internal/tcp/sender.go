@@ -50,11 +50,6 @@ type Sender struct {
 	// acknowledged, with the flow completion time.
 	OnComplete func(fct netsim.Time)
 
-	// OnAcked, when set, fires on every newly acknowledged segment with the
-	// cumulative payload bytes acknowledged. App-limited senders (Push) use
-	// it to observe upload progress on the sender's own partition.
-	OnAcked func(ackedBytes int64, now netsim.Time)
-
 	// dupThresh is the reordering tolerance in segments before a hole is
 	// declared lost (fast retransmit): 3, as Linux.
 	dupThresh int
@@ -319,7 +314,6 @@ func (s *Sender) transmit(seg *segment) {
 	p.Seq, p.Size = seg.seq, seg.size+netsim.HeaderBytes
 	p.FIN = seg.fin
 	p.App = seg.tag
-	p.SentAt = now
 	p.Prio = s.Prio
 	p.Path = s.Path
 	s.Host.Transmit(p)
@@ -378,15 +372,10 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 
 	s.CC.OnAck(AckInfo{
 		Now: now, RTT: rtt, SRTT: s.srtt,
-		AckedBytes: seg.size, ECE: p.ECE,
-		Inflight: s.inflight, DeliveryRate: s.deliveryRate,
+		AckedBytes: seg.size, ECE: p.ECE, DeliveryRate: s.deliveryRate,
 	})
 
 	s.pruneOutstanding()
-
-	if s.OnAcked != nil {
-		s.OnAcked(s.ackedBytes, now)
-	}
 
 	if s.Size > 0 && s.ackedBytes >= s.Size {
 		s.completed = true

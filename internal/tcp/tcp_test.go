@@ -36,6 +36,14 @@ func (r *recordingCC) OnAck(a AckInfo) {
 }
 func (r *recordingCC) OnLoss(l LossInfo) { r.losses++ }
 
+// ackTap wraps a controller and calls fn after each ACK it sees.
+type ackTap struct {
+	CongestionControl
+	fn func(AckInfo)
+}
+
+func (k ackTap) OnAck(a AckInfo) { k.CongestionControl.OnAck(a); k.fn(a) }
+
 func TestFlowCompletesWithSaneFCT(t *testing.T) {
 	eng := netsim.NewEngine()
 	a, b := pair(eng, 100_000_000, 5*netsim.Millisecond, 1<<20) // 100 Mbps, 10 ms RTT
@@ -116,11 +124,9 @@ func TestLossRecoveryUnderOverload(t *testing.T) {
 func TestOutstandingStaysOrderedAcrossRetransmits(t *testing.T) {
 	eng := netsim.NewEngine()
 	a, b := pair(eng, 10_000_000, 2*netsim.Millisecond, 30_000)
-	cc := &recordingCC{FixedRate: FixedRate{Bps: 50_000_000, Wnd: 1 << 30}}
-	s := NewSender(a, 1, b.ID, 500_000, cc)
-	NewReceiver(b, 1, a.ID)
+	var s *Sender
 	retxInPlace := 0
-	s.OnAcked = func(int64, netsim.Time) {
+	cc := ackTap{NewFixedRate(50_000_000), func(AckInfo) {
 		live := s.outstanding[s.outHead:]
 		for i := 1; i < len(live); i++ {
 			if live[i].seq <= live[i-1].seq {
@@ -130,7 +136,9 @@ func TestOutstandingStaysOrderedAcrossRetransmits(t *testing.T) {
 				retxInPlace++
 			}
 		}
-	}
+	}}
+	s = NewSender(a, 1, b.ID, 500_000, cc)
+	NewReceiver(b, 1, a.ID)
 	s.Start()
 	eng.RunUntil(30 * netsim.Second)
 	if !s.completed || s.Retransmits == 0 {

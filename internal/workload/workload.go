@@ -158,26 +158,22 @@ type ChurnFlow struct {
 	Fin     bool        // close with FIN (explicit cache drop) vs idle out
 }
 
-// GenerateChurn produces n short flows with Poisson arrivals at ratePerSec
+// GenerateChurnAt produces n short flows with Poisson arrivals at ratePerSec
 // (aggregate flows/second) and exponentially distributed lifetimes with the
 // given mean — the churn profile that stresses a flow cache: at any instant
 // ~ratePerSec×meanLife flows are live, and the whole population turns over
 // continuously. finFrac of flows end with a FIN; the rest stop querying and
 // must be reclaimed by the cache's idle sweeper. Each flow issues 1–4
 // queries. Deterministic for a given rand source.
-func GenerateChurn(r *rand.Rand, n int, ratePerSec float64, meanLife netsim.Time, finFrac float64) []ChurnFlow {
-	return GenerateChurnAt(r, n, ratePerSec, meanLife, finFrac, 0, 0)
-}
-
-// GenerateChurnAt is GenerateChurn with a composition base: flow IDs start
-// at baseID+1 and arrivals at baseTime, so several populations can be layered
-// in one experiment (scenario churn over session actors) without colliding on
-// FlowID(i+1) or restarting the clock at zero. An arrival later than 2^62 ns
-// (≈ 146 years, past any run) opens at that horizon instead of overflowing
-// into a negative time.
+//
+// Flow IDs start at baseID+1 and arrivals at baseTime, so several
+// populations can be layered in one experiment (scenario churn over session
+// actors) without colliding on FlowID(i+1) or restarting the clock at zero.
+// An arrival later than 2^62 ns (≈ 146 years, past any run) opens at that
+// horizon instead of overflowing into a negative time.
 func GenerateChurnAt(r *rand.Rand, n int, ratePerSec float64, meanLife netsim.Time, finFrac float64, baseID netsim.FlowID, baseTime netsim.Time) []ChurnFlow {
 	if n < 0 || ratePerSec <= 0 || meanLife <= 0 {
-		panic("workload: GenerateChurn needs n >= 0, ratePerSec > 0, meanLife > 0")
+		panic("workload: GenerateChurnAt needs n >= 0, ratePerSec > 0, meanLife > 0")
 	}
 	out := make([]ChurnFlow, 0, n)
 	t := 0.0
@@ -212,8 +208,6 @@ type PatternSwitcher struct {
 	Period netsim.Time
 	// Rates to draw from (uniformly, never repeating the current one).
 	Rates []int64
-	// OnSwitch observes each change (experiment annotation).
-	OnSwitch func(at netsim.Time, bps int64)
 
 	rng     *rand.Rand
 	current int
@@ -259,9 +253,6 @@ func (p *PatternSwitcher) Stop() { p.running = false }
 func (p *PatternSwitcher) apply(idx int) {
 	p.current = idx
 	p.Target.SetRate(p.Rates[idx])
-	if p.OnSwitch != nil {
-		p.OnSwitch(p.Eng.Now(), p.Rates[idx])
-	}
 }
 
 func (p *PatternSwitcher) tick(gen int) {

@@ -136,16 +136,24 @@ func TestGenerateValidation(t *testing.T) {
 	Generate(rand.New(rand.NewSource(1)), 1, 1, 0.5, 1e9, WebSearch())
 }
 
-type fakeRate struct{ rates []int64 }
+// fakeRate records every rate it is set to and, given an engine, when.
+type fakeRate struct {
+	eng   *netsim.Engine
+	rates []int64
+	at    []netsim.Time
+}
 
-func (f *fakeRate) SetRate(bps int64) { f.rates = append(f.rates, bps) }
+func (f *fakeRate) SetRate(bps int64) {
+	f.rates = append(f.rates, bps)
+	if f.eng != nil {
+		f.at = append(f.at, f.eng.Now())
+	}
+}
 
 func TestPatternSwitcher(t *testing.T) {
 	eng := netsim.NewEngine()
-	tgt := &fakeRate{}
-	var switches []netsim.Time
+	tgt := &fakeRate{eng: eng}
 	p := NewPatternSwitcher(eng, tgt, 100*netsim.Millisecond, []int64{100, 200, 300}, 7)
-	p.OnSwitch = func(at netsim.Time, bps int64) { switches = append(switches, at) }
 	p.Start()
 	eng.RunUntil(550 * netsim.Millisecond)
 	p.Stop()
@@ -157,7 +165,7 @@ func TestPatternSwitcher(t *testing.T) {
 			t.Error("switcher must never repeat the current rate")
 		}
 	}
-	if switches[0] != 0 {
+	if tgt.at[0] != 0 {
 		t.Error("first rate applies immediately")
 	}
 }
@@ -262,7 +270,7 @@ func TestGenerateChurn(t *testing.T) {
 	const n = 20000
 	rate := 10000.0
 	meanLife := 30 * netsim.Millisecond
-	flows := GenerateChurn(r, n, rate, meanLife, 0.7)
+	flows := GenerateChurnAt(r, n, rate, meanLife, 0.7, 0, 0)
 	if len(flows) != n {
 		t.Fatalf("got %d flows, want %d", len(flows), n)
 	}
@@ -306,7 +314,7 @@ func TestGenerateChurn(t *testing.T) {
 	}
 
 	// Determinism: same seed, same flows.
-	again := GenerateChurn(rand.New(rand.NewSource(7)), n, rate, meanLife, 0.7)
+	again := GenerateChurnAt(rand.New(rand.NewSource(7)), n, rate, meanLife, 0.7, 0, 0)
 	for i := range flows {
 		if flows[i] != again[i] {
 			t.Fatalf("flow %d differs between same-seed generations", i)
@@ -334,13 +342,6 @@ func TestGenerateChurnAtOffsets(t *testing.T) {
 			t.Fatalf("flow %d opens at %v, before the base time", f.ID, f.Open)
 		}
 	}
-	// GenerateChurn must stay the zero-base special case.
-	c := GenerateChurn(rand.New(rand.NewSource(1)), 100, 1000, netsim.Millisecond, 0.5)
-	for i := range a {
-		if a[i] != c[i] {
-			t.Fatal("GenerateChurn != GenerateChurnAt(base 0)")
-		}
-	}
 }
 
 func TestGenerateChurnValidation(t *testing.T) {
@@ -349,14 +350,14 @@ func TestGenerateChurnValidation(t *testing.T) {
 			t.Error("non-positive rate must panic")
 		}
 	}()
-	GenerateChurn(rand.New(rand.NewSource(1)), 1, 0, netsim.Millisecond, 0.5)
+	GenerateChurnAt(rand.New(rand.NewSource(1)), 1, 0, netsim.Millisecond, 0.5, 0, 0)
 }
 
 // TestGenerateChurnLateArrivalsStayPositive: at one arrival per ~30,000 years
 // the open times pass int64 nanoseconds; they must stop at the horizon, not
 // wrap negative (a negative open is an event scheduled in the past).
 func TestGenerateChurnLateArrivalsStayPositive(t *testing.T) {
-	for _, f := range GenerateChurn(rand.New(rand.NewSource(1)), 3, 1e-12, netsim.Millisecond, 0.5) {
+	for _, f := range GenerateChurnAt(rand.New(rand.NewSource(1)), 3, 1e-12, netsim.Millisecond, 0.5, 0, 0) {
 		if f.Open <= 0 || f.Close < f.Open {
 			t.Fatalf("flow %d opens at %d, closes at %d", f.ID, f.Open, f.Close)
 		}
@@ -374,7 +375,7 @@ func BenchmarkSample(b *testing.B) {
 
 // Start draws the initial rate from the switcher's rng, applies it
 // immediately, and schedules periodic switches. The initial application
-// fires OnSwitch but is not counted in Switches. Use StartAt when the
+// is not counted in Switches. Use StartAt when the
 // starting pattern must be pinned (e.g. a model's training pattern).
 func (p *PatternSwitcher) Start() {
 	if p.running {
