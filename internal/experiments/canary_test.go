@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -47,6 +50,54 @@ func TestBloatOffsetsBaseWithinRounding(t *testing.T) {
 		t.Errorf("bloated(x) == base(x)+off on all %d inputs; bloat's doc says they differ in the last bits", n)
 	}
 	t.Logf("%d of %d inputs differ, bound %g", differ, n, bound)
+}
+
+// TestFleetCanarySameAtAnyCoreCount: the gated canary run is the same at
+// GOMAXPROCS 1 and 4, down to the bits of the fidelity loss and the bytes of
+// the flight recording. Its necessity checks on the bloated user model are
+// 64-sample InferBatch calls that split across the cores at 4 (≈ 90 of them
+// at this size) and never at 1. The bench's fleet-rollout digest hashes
+// counts only, so this is what shows the split moved no float.
+func TestFleetCanarySameAtAnyCoreCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) (CanaryScenarioResult, []byte) {
+		runtime.GOMAXPROCS(procs)
+		fr := obs.NewFlightRecorder(0)
+		res := RunCanaryScenario(CanaryScenarioOpts{
+			Members: 4, CanaryCount: 1, Gate: true, Seed: 1, Dur: 50 * netsim.Millisecond, Flight: fr,
+		})
+		var b bytes.Buffer
+		if err := fr.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		return res, b.Bytes()
+	}
+	one, oneFlight := run(1)
+	four, fourFlight := run(4)
+	if one.Stats.FidelityChecks == 0 || len(one.Blacklisted) == 0 {
+		t.Fatalf("the run never checked the bloated model: %+v, blacklisted %v", one.Stats, one.Blacklisted)
+	}
+	if a, b := math.Float64bits(one.Stats.LastFidelity), math.Float64bits(four.Stats.LastFidelity); a != b {
+		t.Errorf("LastFidelity %x at GOMAXPROCS 1, %x at 4", a, b)
+	}
+	if !reflect.DeepEqual(one.Stats, four.Stats) {
+		t.Errorf("fleet stats differ:\n  GOMAXPROCS 1: %+v\n  GOMAXPROCS 4: %+v", one.Stats, four.Stats)
+	}
+	for _, f := range []struct {
+		name      string
+		one, four any
+	}{
+		{"Blacklisted", one.Blacklisted, four.Blacklisted},
+		{"Final", one.Final, four.Final},
+		{"EpochsSeen", one.EpochsSeen, four.EpochsSeen},
+	} {
+		if !reflect.DeepEqual(f.one, f.four) {
+			t.Errorf("%s: %v at GOMAXPROCS 1, %v at 4", f.name, f.one, f.four)
+		}
+	}
+	if !bytes.Equal(oneFlight, fourFlight) {
+		t.Errorf("flight recordings differ: %d bytes at GOMAXPROCS 1, %d at 4", len(oneFlight), len(fourFlight))
+	}
 }
 
 // TestFleetCanaryUngatedFlagsRegression: without the gate, installing the

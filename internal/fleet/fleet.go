@@ -468,9 +468,16 @@ func (c *Controller) scheduleAggregation() {
 // buffers in index order, adapt once, run the correctness and necessity
 // gates once, and on necessity mint a new epoch and fan it out.
 func (c *Controller) aggregate() {
-	var pool []core.Sample
+	size := 0
+	for _, m := range c.members {
+		size += len(m.pending)
+	}
+	pool := make([]core.Sample, 0, size)
 	for _, m := range c.members { // ascending index: deterministic merge
 		pool = append(pool, m.pending...)
+		// Cleared before reuse: a stale Sample past len would keep its
+		// ParseBatch slab alive until the next round overwrote it.
+		clear(m.pending)
 		m.pending = m.pending[:0]
 	}
 	if len(pool) == 0 {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
 	"sync"
 	"testing"
@@ -383,7 +385,9 @@ func TestLaneKernelsMatchGo(t *testing.T) {
 
 // TestInferBatchConcurrentNetworks: distinct networks infer on distinct
 // goroutines at once, each getting what it gets alone, so inference keeps no
-// state outside its Network (run it under -race).
+// scratch outside its Network; above one core the bloated net's calls split,
+// and the two networks' callers share the package's helpers (run it under
+// -race).
 func TestInferBatchConcurrentNetworks(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	nets := []*Network{
@@ -435,13 +439,125 @@ func TestInferBatchSizePanics(t *testing.T) {
 	}
 }
 
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS 1, under
+// which InferBatch never splits: the heap allocations per call of f, counted
+// over runs calls after a warm-up. It returns the least of three such
+// counts: a parked goroutine takes a sudog from its P's cache, and the
+// runtime refills an empty cache (a new P after a GOMAXPROCS change, the
+// central cache after a GC) with a one-off allocation, while an allocation
+// of f's own recurs in every count.
+func mallocsPerRun(runs int, f func()) float64 {
+	for range 5 {
+		f()
+	}
+	least := math.Inf(1)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.Mallocs-before.Mallocs)/float64(runs))
+	}
+	return least
+}
+
 func TestInferBatchNoAllocAfterFirst(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
 	n := New([]int{4, 2048, 1}, []Activation{Tanh, Linear}, 1)
-	xs := kernelInputs(rand.New(rand.NewSource(1)), 7, 4)
+	xs := kernelInputs(r, 7, 4)
 	ys := make([]float64, 7)
 	n.InferBatch(xs, ys)
 	if allocs := testing.AllocsPerRun(20, func() { n.InferBatch(xs, ys) }); allocs != 0 {
 		t.Errorf("InferBatch allocates %v times per call after the first, want 0", allocs)
+	}
+
+	// The fleet's 64-sample block on the bloated net splits over two cores
+	// or more: the hand-off to the helpers allocates nothing either.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	split := New([]int{4, 2048, 1}, []Activation{Tanh, Linear}, 1)
+	xs = kernelInputs(r, 64, 4)
+	ys = make([]float64, 64)
+	if w := split.workers(16); w < 2 {
+		t.Fatalf("a 64-sample bloated call takes %d worker, want a split", w)
+	}
+	if allocs := mallocsPerRun(20, func() { split.InferBatch(xs, ys) }); allocs != 0 {
+		t.Errorf("a split InferBatch allocates %v times per call after the first, want 0", allocs)
+	}
+}
+
+// TestInferBatchSplitIsExact: a call spread over the cores gives every
+// sample the bits Forward gives it, at any GOMAXPROCS, at batch sizes around
+// the groups' edges and with a remainder. ys starts as a sentinel each call,
+// so a group no worker wrote fails too.
+func TestInferBatchSplitIsExact(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	r := rand.New(rand.NewSource(41))
+	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
+	for _, net := range []struct {
+		sizes []int
+		acts  []Activation
+	}{
+		{[]int{4, 2048, 1}, []Activation{Tanh, Linear}},
+		{[]int{30, 32, 16, 1}, []Activation{Tanh, Tanh, Linear}},
+	} {
+		n := New(net.sizes, net.acts, 41)
+		os := n.OutputSize()
+		splits := 0
+		for _, size := range []int{7, 8, 63, 64, 65, 257} {
+			xs := kernelInputs(r, size, n.InputSize())
+			want := make([]float64, size*os)
+			for k, x := range xs {
+				n.Forward(x, want[k*os:(k+1)*os])
+			}
+			ys := make([]float64, len(want))
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				if n.workers(size/4) > 1 {
+					splits++
+				}
+				for round := range 3 {
+					for i := range ys {
+						ys[i] = sentinel
+					}
+					n.InferBatch(xs, ys)
+					for i := range ys {
+						if math.Float64bits(ys[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%v, batch %d, GOMAXPROCS %d, round %d: output %d is %x, Forward %x",
+								net.sizes, size, procs, round, i, ys[i], want[i])
+						}
+					}
+				}
+			}
+		}
+		if splits == 0 {
+			t.Errorf("%v: no call split; the test checks nothing", net.sizes)
+		}
+	}
+}
+
+// TestInferBatchNoHelperAtOneProc: at GOMAXPROCS 1 even a call big enough to
+// split runs whole on the caller and starts no helper. It runs itself again
+// in a fresh process at GOMAXPROCS=1, where no earlier test has started one.
+func TestInferBatchNoHelperAtOneProc(t *testing.T) {
+	const child = "NN_TEST_ONE_PROC"
+	if os.Getenv(child) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestInferBatchNoHelperAtOneProc$", "-test.count=1")
+		cmd.Env = append(os.Environ(), child+"=1", "GOMAXPROCS=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("at GOMAXPROCS=1: %v\n%s", err, out)
+		}
+		return
+	}
+	if p := runtime.GOMAXPROCS(0); p != 1 {
+		t.Fatalf("GOMAXPROCS %d, want 1", p)
+	}
+	n := New([]int{4, 2048, 1}, []Activation{Tanh, Linear}, 1)
+	xs := kernelInputs(rand.New(rand.NewSource(1)), 257, 4)
+	n.InferBatch(xs, make([]float64, len(xs)))
+	if len(n.work) != 1 || helpers.started != 0 {
+		t.Errorf("at GOMAXPROCS 1: %d workers' scratch, %d helpers started; want 1 and 0", len(n.work), helpers.started)
 	}
 }
 

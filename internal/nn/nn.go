@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Activation selects a layer's nonlinearity.
@@ -338,21 +339,25 @@ type Network struct {
 	Layers []*Dense
 	// scratch holds per-layer input-gradient buffers for backprop.
 	scratch [][]float64
-	// vec and vec4 are the activations inference ping-pongs between, one
-	// sample and four samples wide; allocated on first use, never by Forward,
-	// so inference leaves the training caches alone.
-	vec  [2][]float64
-	vec4 [2][]lanes
-	// left is tanhLanes's per-group mask, allocated with vec4 or act4. It is
-	// the Network's, not the package's, so distinct networks infer and train
+	// vec holds the activations one-sample inference ping-pongs between, and
+	// work each InferBatch worker's four-sample scratch: work[0] the
+	// caller's, work[i] that of the helper running share i of a split call
+	// (split.go). Both are allocated on first use, never by Forward, so
+	// inference leaves the training caches alone, and both are the
+	// Network's, not the package's, so distinct networks infer and train
 	// concurrently.
-	left []uint8
+	vec  [2][]float64
+	work []laneScratch
+	// done counts the shares of a split InferBatch that helpers still run.
+	done sync.WaitGroup
 	// act4 holds what TrainBatch's four-sample forward pass leaves for
 	// backprop: act4[0] the inputs, act4[li+1] layer li's activated output.
-	// out and grad are its per-sample loss buffers. All are allocated by the
-	// first TrainBatch and none is touched by inference.
+	// out and grad are its per-sample loss buffers, left its tanhLanes mask.
+	// All are allocated by the first TrainBatch and none is touched by
+	// inference.
 	act4      [][]lanes
 	out, grad []float64
+	left      []uint8
 }
 
 // New builds a network with the given layer sizes (inputs first) and one
@@ -427,8 +432,10 @@ func (n *Network) Infer(in []float64) []float64 {
 // InferBatch writes f(xs[k]) into ys[k·OutputSize : (k+1)·OutputSize] for
 // every k, each bit for bit what Forward gives for that input. Four samples
 // go through a layer together (sums4), the len(xs)%4 that remain one at a
-// time. Like Infer it leaves the training caches alone; it allocates nothing
-// after the network's first inference.
+// time. A call with enough work spreads its four-sample groups over the cores
+// (split.go); the caller runs the first range and the remainder. Like Infer it
+// leaves the training caches alone; it allocates nothing after the network's
+// first inference at the current GOMAXPROCS.
 func (n *Network) InferBatch(xs [][]float64, ys []float64) {
 	os := n.OutputSize()
 	if len(ys) != len(xs)*os {
@@ -437,12 +444,22 @@ func (n *Network) InferBatch(xs [][]float64, ys []float64) {
 	for _, x := range xs {
 		n.checkInput(x)
 	}
-	k := 0
-	for ; k+4 <= len(xs); k += 4 {
-		n.infer4(xs[k:k+4], ys[k*os:(k+4)*os])
-	}
-	for ; k < len(xs); k++ {
+	groups := len(xs) / 4
+	work := n.scratch4(n.workers(groups))
+	first := 4 * n.split(xs, ys, groups, work)
+	n.inferGroups(xs[:first], ys[:first*os], &work[0])
+	for k := 4 * groups; k < len(xs); k++ {
 		n.infer1(xs[k], ys[k*os:(k+1)*os])
+	}
+	n.done.Wait()
+}
+
+// inferGroups runs xs, whole four-sample groups, through the network on the
+// scratch s and writes their outputs to ys, sample after sample.
+func (n *Network) inferGroups(xs [][]float64, ys []float64, s *laneScratch) {
+	os := n.OutputSize()
+	for k := 0; k+4 <= len(xs); k += 4 {
+		n.infer4(xs[k:k+4], ys[k*os:(k+4)*os], s)
 	}
 }
 
@@ -473,19 +490,14 @@ func (n *Network) infer1(in, out []float64) {
 	}
 }
 
-// infer4 runs the four samples xs through the network and writes their
-// outputs to out, sample after sample.
-func (n *Network) infer4(xs [][]float64, out []float64) {
-	if n.vec4[0] == nil {
-		w := n.maxWidth()
-		n.vec4[0], n.vec4[1] = make([]lanes, w), make([]lanes, w)
-		n.left = make([]uint8, w)
-	}
-	cur := n.vec4[1][:n.InputSize()]
+// infer4 runs the four samples xs through the network on the scratch s and
+// writes their outputs to out, sample after sample.
+func (n *Network) infer4(xs [][]float64, out []float64, s *laneScratch) {
+	cur := s.vec[1][:n.InputSize()]
 	load4(xs, cur)
 	for li, l := range n.Layers {
-		dst := n.vec4[li&1][:l.Out]
-		l.forward4(cur, dst, n.left)
+		dst := s.vec[li&1][:l.Out]
+		l.forward4(cur, dst, s.left)
 		cur = dst
 	}
 	os := len(cur)
