@@ -54,7 +54,8 @@ func parseAct(s string) (nn.Activation, error) {
 // maxWeights bounds a spec's weight count, Σ sizes[i]·sizes[i+1] (Aurora
 // has 1,488), and with it every layer width, so a spec cannot ask for more
 // memory or generated source than a kernel snapshot needs. maxOutputScale
-// bounds outputScale below the 63-bit products quantization forms.
+// bounds outputScale below the 63-bit products quantization forms; a
+// negative one is refused too, and 0 picks the default.
 const (
 	maxWeights     = 1 << 16
 	maxOutputScale = 1 << 24
@@ -81,8 +82,8 @@ func (sp *spec) validate() error {
 			}
 		}
 	}
-	if sp.OutputScale > maxOutputScale {
-		return fmt.Errorf("outputScale %d exceeds %d", sp.OutputScale, maxOutputScale)
+	if sp.OutputScale < 0 || sp.OutputScale > maxOutputScale {
+		return fmt.Errorf("outputScale %d: want 0 (the default, 1000) to %d", sp.OutputScale, maxOutputScale)
 	}
 	if sp.Weights != nil && len(sp.Weights) != layers {
 		return fmt.Errorf("weights: got %d layers, want %d", len(sp.Weights), layers)

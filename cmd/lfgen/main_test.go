@@ -95,6 +95,7 @@ var badSpecs = []string{
 	`{"sizes":[65537,1],"activations":["linear"]}`,
 	`{"sizes":[300,300],"activations":["linear"]}`, // more than maxWeights weights
 	`{"sizes":[2,1],"activations":["linear"],"outputScale":1000000000000000}`,
+	`{"sizes":[2,1],"activations":["linear"],"outputScale":-5}`,
 }
 
 func TestRunRejectsBadInput(t *testing.T) {

@@ -32,7 +32,7 @@ func run(name string, useMLP bool) {
 	// The learned selector, trained on the congestion oracle then
 	// quantized into a kernel snapshot (LF-MLP).
 	net := lb.NewMLP(paths, 1)
-	lb.Train(net, paths, 400, 1e-2, 1.0, 2)
+	lb.Train(net, paths, 400, 2)
 	coreCfg := core.DefaultConfig()
 	lf := rig.Deploy(eng, nil, ksim.DefaultCosts(), coreCfg, rig.Build(net, coreCfg.Quant, "lbmlp")).Core
 	lf.SetFlowCache(false) // one query per flow: nothing to keep consistent

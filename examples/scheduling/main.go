@@ -42,7 +42,7 @@ func run(name string, useKernel bool) {
 		sizes = append(sizes, s)
 		feats = append(feats, fm.Features(s))
 	}
-	sched.Train(net, feats, sizes, 600, 1e-2)
+	sched.Train(net, feats, sizes, 600)
 
 	var decide rig.Decider
 	if useKernel {
@@ -56,7 +56,7 @@ func run(name string, useKernel bool) {
 
 	// Workload.
 	wr := rand.New(rand.NewSource(7))
-	flows := workload.Generate(wr, 800, len(sl.Hosts), 0.2, topo.HostLinkBps, dist)
+	flows := workload.Generate(wr, 800, len(sl.Hosts), 0.2, dist)
 	dists := [3]*stats.Dist{stats.NewDist(64), stats.NewDist(64), stats.NewDist(64)}
 	var predLat stats.Summary
 

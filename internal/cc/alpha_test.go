@@ -252,9 +252,6 @@ func (m *oracleAlpha) endMI() {
 		Start: m.miStart, End: now, AvgRTT: avgRTT, MinRTT: m.minRTT,
 		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes,
 	}
-	if rate := m.PacingRate(); rate > 0 {
-		summary.Utilization = acked * 8 / (float64(rate) * float64(dur) / 1e9)
-	}
 
 	m.prevAvgRTT = avgRTT
 	m.miStart = now
@@ -367,9 +364,6 @@ func (m *oracleMI) endMI() {
 		AvgRTT: avgRTT, MinRTT: m.minRTT,
 		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes,
 	}
-	if m.rate > 0 {
-		summary.Utilization = acked * 8 / (float64(m.rate) * float64(dur) / 1e9)
-	}
 
 	m.prevAvgRTT = avgRTT
 	m.miStart = now
@@ -421,12 +415,11 @@ func (m *oracleMI) CwndBytes() int {
 // miRecord is everything a controller shows about one monitor interval, floats
 // as bits. rate and cwnd are read inside OnState, after the law has run.
 type miRecord struct {
-	state       [StateDim]uint64
-	shown       uint64
-	mi          MISummary
-	utilization uint64
-	rate        int64
-	cwnd        int
+	state [StateDim]uint64
+	shown uint64
+	mi    MISummary
+	rate  int64
+	cwnd  int
 }
 
 // miScript drives one controller on its own engine through a fixed ACK / loss
@@ -445,10 +438,7 @@ func miScript(actions []float64, build func(*netsim.Engine, Backend, func(state 
 		return actions[(k-1)%len(actions)]
 	})}
 	ctrl = build(eng, backend, func(state []float64, shown float64, mi MISummary) {
-		r := miRecord{shown: math.Float64bits(shown), utilization: math.Float64bits(mi.Utilization),
-			rate: ctrl.PacingRate(), cwnd: ctrl.CwndBytes()}
-		mi.Utilization = 0
-		r.mi = mi
+		r := miRecord{shown: math.Float64bits(shown), mi: mi, rate: ctrl.PacingRate(), cwnd: ctrl.CwndBytes()}
 		for i, v := range state {
 			r.state[i] = math.Float64bits(v)
 		}

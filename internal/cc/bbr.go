@@ -108,7 +108,7 @@ func (b *BBR) OnAck(a tcp.AckInfo) {
 	switch b.state {
 	case 0: // startup: exit when bandwidth stops growing for 3 round trips
 		if a.Now >= b.roundEnd { // evaluate once per RTT, not per ACK
-			b.roundEnd = a.Now + b.srttOr(10*netsim.Millisecond)
+			b.roundEnd = a.Now + b.rtt()
 			if bw > b.lastFullBw*5/4 {
 				b.lastFullBw = bw
 				b.fullBwCount = 0
@@ -122,14 +122,14 @@ func (b *BBR) OnAck(a tcp.AckInfo) {
 			}
 		}
 	case 1: // drain: one RTT at the drain gain, then cycle
-		if a.Now-b.cycleAt > b.srttOr(10*netsim.Millisecond) {
+		if a.Now-b.cycleAt > b.rtt() {
 			b.state = 2
 			b.cycleIdx = 0
 			b.pacingGain = probeBwGains[0]
 			b.cycleAt = a.Now
 		}
 	case 2: // probe_bw: advance the gain cycle once per RTT
-		if a.Now-b.cycleAt > b.srttOr(10*netsim.Millisecond) {
+		if a.Now-b.cycleAt > b.rtt() {
 			b.cycleIdx = (b.cycleIdx + 1) % len(probeBwGains)
 			b.pacingGain = probeBwGains[b.cycleIdx]
 			b.cycleAt = a.Now
@@ -143,11 +143,12 @@ func (b *BBR) OnAck(a tcp.AckInfo) {
 	}
 }
 
-func (b *BBR) srttOr(d netsim.Time) netsim.Time {
+// rtt is the smoothed RTT, or 10 ms before the first sample.
+func (b *BBR) rtt() netsim.Time {
 	if b.srtt > 0 {
 		return b.srtt
 	}
-	return d
+	return 10 * netsim.Millisecond
 }
 
 // OnLoss implements tcp.CongestionControl. BBRv1 is loss-agnostic except for
@@ -168,7 +169,7 @@ func (b *BBR) PacingRate() int64 { return b.rate }
 func (b *BBR) CwndBytes() int {
 	rtt := b.rtProp
 	if rtt >= 1<<62 {
-		rtt = b.srttOr(10 * netsim.Millisecond)
+		rtt = b.rtt()
 	}
 	bdp := float64(b.btlBw.max()) / 8 * float64(rtt) / 1e9
 	w := int(2 * bdp)

@@ -29,7 +29,7 @@ func newBottleneck(ctrl tcp.CongestionControl, withUDP bool) *bottleneckScenario
 	a := tcp.NewHost(eng, 1)
 	b := tcp.NewHost(eng, 2)
 	c := tcp.NewHost(eng, 3)
-	s := netsim.NewSwitch(10)
+	s := netsim.NewSwitch()
 
 	// Access links 10 Gbps / 2.5 ms; bottleneck 1 Gbps / 2.5 ms, 150 KB.
 	aUp := netsim.NewLink(eng, s, 10e9, 2500*netsim.Microsecond, netsim.NewDropTail(1<<22))

@@ -96,12 +96,11 @@ type law interface {
 
 // MISummary carries the per-MI aggregates alongside the derived features.
 type MISummary struct {
-	Start, End  netsim.Time
-	AvgRTT      netsim.Time
-	MinRTT      netsim.Time
-	AckedBytes  int
-	LostBytes   int
-	Utilization float64 // acked throughput / rate during the interval
+	Start, End netsim.Time
+	AvgRTT     netsim.Time
+	MinRTT     netsim.Time
+	AckedBytes int
+	LostBytes  int
 }
 
 // init sets up the loop in place, pacing at rate until l's first decision.
@@ -215,9 +214,6 @@ func (m *monitor) endMI() {
 		Start: m.miStart, End: now,
 		AvgRTT: avgRTT, MinRTT: m.minRTT,
 		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes,
-	}
-	if m.rate > 0 {
-		summary.Utilization = acked * 8 / (float64(m.rate) * float64(dur) / 1e9)
 	}
 
 	// Reset accumulators for the next MI.

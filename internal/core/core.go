@@ -29,7 +29,6 @@ import (
 // state in the NN manager (reference count from the flow cache, role flags).
 type Model struct {
 	Name    string
-	Module  *codegen.Module
 	prog    *quant.Program
 	refs    int
 	retired bool // replaced as active; unloadable once refs == 0
@@ -257,7 +256,7 @@ func (c *Core) RegisterModel(mod *codegen.Module) (*Model, error) {
 				c.active.InputSize(), c.active.OutputSize())
 		}
 	}
-	m := &Model{Name: mod.Name, Module: mod, prog: mod.Program}
+	m := &Model{Name: mod.Name, prog: mod.Program}
 	c.models = append(c.models, m)
 	c.st.Installs++
 	c.sc.EventStr("snapshot", "install", c.Eng.Now(), "model", mod.Name)

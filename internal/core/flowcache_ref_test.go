@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
@@ -86,13 +87,13 @@ func checkFlowCacheAgainstReference(t *testing.T, timeout netsim.Time, seed int6
 	cfg.FlowCacheTimeout = timeout
 	c := NewCore(eng, nil, ksim.DefaultCosts(), cfg, opt.WithScope(obs.New(nil, tr)))
 	tick := c.fc.tick
-	var mods []*Model
+	var mods []*codegen.Module
 	for i := 0; i < 4; i++ {
-		m, err := c.RegisterModel(buildModule(t, smallNet(int64(i+1)), "p"+string(rune('0'+i))))
-		if err != nil {
+		mod := buildModule(t, smallNet(int64(i+1)), "p"+string(rune('0'+i)))
+		if _, err := c.RegisterModel(mod); err != nil {
 			t.Fatal(err)
 		}
-		mods = append(mods, m)
+		mods = append(mods, mod)
 	}
 	ref := &refCache{timeout: timeout, entries: make(map[netsim.FlowID]*refEntry)}
 	in := make([]int64, 4)
@@ -169,14 +170,14 @@ func checkFlowCacheAgainstReference(t *testing.T, timeout netsim.Time, seed int6
 			eng.RunUntil(eng.Now() + netsim.Time(rng.Int63n(int64(timeout/2)+1)))
 			sweepEvictions(step)
 		default:
-			m, err := c.RegisterModel(mods[rng.Intn(len(mods))].Module)
-			if err != nil {
+			mod := mods[rng.Intn(len(mods))]
+			if _, err := c.RegisterModel(mod); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.Activate(); err != nil {
 				t.Fatal(err)
 			}
-			mods = append(mods, m)
+			mods = append(mods, mod)
 		}
 		compare(step)
 	}

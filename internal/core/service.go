@@ -284,7 +284,7 @@ func (s *Service) HandleBatch(batch []netlink.Message) {
 	s.st.Batches++
 	s.st.Samples += int64(len(samples))
 	if s.life == nil {
-		s.life = s.spans.Root("snapshot", "snapshot_lifecycle", now)
+		s.life = s.spans.Root("snapshot_lifecycle", now)
 	}
 
 	s.Adapter.Adapt(samples)

@@ -19,8 +19,6 @@ import (
 func AblTaylor(cfg Config) Result {
 	res := Result{ID: "abl-taylor", Title: "LUT vs Taylor-series activation approximation (§3.1)",
 		XLabel: "Taylor degree", YLabel: "max abs error over [-4,4] / muls"}
-	const limit, samples = 4.0, 2001
-
 	for _, act := range []nn.Activation{nn.Tanh, nn.Sigmoid} {
 		errS := Series{Name: act.String() + "-taylor-maxerr"}
 		mulS := Series{Name: act.String() + "-taylor-muls"}
@@ -31,7 +29,7 @@ func AblTaylor(cfg Config) Result {
 				y, m := quant.TaylorEval(coeffs, x)
 				muls = m
 				return y
-			}, limit, samples)
+			})
 			errS.X = append(errS.X, float64(deg))
 			errS.Y = append(errS.Y, maxErr)
 			mulS.X = append(mulS.X, float64(deg))
@@ -42,7 +40,7 @@ func AblTaylor(cfg Config) Result {
 		// The LUT the snapshots actually use: constant cost (one divide,
 		// one interpolation) and uniform accuracy.
 		lut := quant.LUTApprox(act, 4096, 8, 1<<16)
-		lutMax, lutMean := quant.ApproxError(act, lut, limit, samples)
+		lutMax, lutMean := quant.ApproxError(act, lut)
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s LUT(4096 entries): max err %.2e, mean err %.2e, constant cost; degree-9 Taylor max err %.2e",
 			act, lutMax, lutMean, errS.Y[3]))

@@ -32,7 +32,6 @@ type alphaUser struct {
 	probeGain float64
 	maxEpochs int
 	lastLoss  float64
-	adapts    int
 
 	// pending accumulates samples across deliveries so tiny batch
 	// intervals (T = 1 ms delivers 0–1 samples per flush) do not drive
@@ -40,8 +39,8 @@ type alphaUser struct {
 	pending []core.Sample
 }
 
-func newAlphaUser(net *nn.Network, lr float64, cpu *ksim.CPU) *alphaUser {
-	return &alphaUser{net: net, opt: nn.NewAdam(lr), cpu: cpu,
+func newAlphaUser(net *nn.Network, cpu *ksim.CPU) *alphaUser {
+	return &alphaUser{net: net, opt: nn.NewAdam(1e-2), cpu: cpu,
 		probeGain: 1.25, maxEpochs: 300, lastLoss: 1}
 }
 
@@ -125,7 +124,6 @@ func (a *alphaUser) Adapt(batch []core.Sample) {
 		}
 	}
 	a.lastLoss = loss
-	a.adapts++
 	if a.cpu != nil {
 		// Userspace training compute: epochs × batch × ~3 passes of MACs.
 		work := ksim.InferCost(1, a.net.MACs()) * netsim.Time(3*(epochs+1)*len(x))
@@ -209,7 +207,7 @@ func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 	lf.SetFlowCache(false)
 
 	// Slow path.
-	user := newAlphaUser(userNet, 1e-2, cpu)
+	user := newAlphaUser(userNet, cpu)
 	user.probeGain = probeGain
 	if v.adapt {
 		dep.AttachSlowPath(cpu, user, T, d.Faults)

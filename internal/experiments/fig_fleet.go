@@ -42,8 +42,7 @@ type FleetScenarioOpts struct {
 // FleetScenarioResult reports one scenario run.
 type FleetScenarioResult struct {
 	Members     int
-	Queries     int64   // member datapath queries during the measured window
-	GoodputQPS  float64 // Queries per measured second, fleet-wide
+	GoodputQPS  float64 // member datapath queries per measured second, fleet-wide
 	MeanStale   float64 // time-averaged stale-member count over the whole run
 	PeakStale   int
 	Epochs      []int64 // final per-member epochs
@@ -109,7 +108,6 @@ func RunFleetScenario(o FleetScenarioOpts) FleetScenarioResult {
 
 	return FleetScenarioResult{
 		Members:     len(ctrl.Members()),
-		Queries:     f.Queries,
 		GoodputQPS:  float64(f.Queries) / (float64(dur) / 1e9),
 		MeanStale:   staleSum / float64(staleSamples),
 		PeakStale:   peakStale,

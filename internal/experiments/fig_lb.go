@@ -54,13 +54,13 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	paths := len(sl.Spines)
 
 	r := rand.New(rand.NewSource(cfg.Seed + 30))
-	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.15, topo.HostLinkBps, workload.WebSearch())
+	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.15, workload.WebSearch())
 	shiftAt := flows[numFlows/2].At
 	batchT := batchIntervalFor(flows)
 
 	// The userspace model, trained in the ECN-visible regime.
 	net := lb.NewMLP(paths, cfg.Seed+31)
-	lb.Train(net, paths, 400, 1e-2, 1.0, cfg.Seed+32)
+	lb.Train(net, paths, 400, cfg.Seed+32)
 	user := newLabelUser(net)
 
 	monitor := lb.NewPathMonitor(paths)

@@ -24,7 +24,7 @@ func Fig01a(cfg Config) Result {
 			warmup:    cfg.dur(3 * netsim.Second),
 			dur:       cfg.dur(10 * netsim.Second),
 		})
-		pts := out.windows.CDF(20)
+		pts := out.windows.CDF()
 		s := Series{Name: fmt.Sprintf("%dms", iv/netsim.Millisecond)}
 		for _, p := range pts {
 			s.X = append(s.X, p.X)

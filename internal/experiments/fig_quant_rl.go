@@ -41,8 +41,8 @@ func Fig07(cfg Config) Result {
 		sizes = append(sizes, s)
 		feats = append(feats, fm.Features(s))
 	}
-	sched.Train(ffnn, feats, sizes, 200, 1e-2)
-	lb.Train(mlp, 2, 200, 1e-2, 1.0, cfg.Seed)
+	sched.Train(ffnn, feats, sizes, 200)
+	lb.Train(mlp, 2, 200, cfg.Seed)
 
 	ccInputs := make([][]float64, n)
 	for i := range ccInputs {
@@ -54,7 +54,7 @@ func Fig07(cfg Config) Result {
 	}
 	lbInputs := make([][]float64, n)
 	for i := range lbInputs {
-		lbInputs[i] = lb.RandomFeatures(r, 2, 1.0)
+		lbInputs[i] = lb.SampleRegime(r, 2).Features
 	}
 
 	models := []model{

@@ -53,7 +53,7 @@ func Fig15(cfg Config) Result {
 		}
 		eng.Run()
 		s := Series{Name: pr.name}
-		for _, p := range d.CDF(20) {
+		for _, p := range d.CDF() {
 			s.X = append(s.X, p.X)
 			s.Y = append(s.Y, p.F)
 		}
@@ -78,7 +78,7 @@ func trainedFFNN(cfg Config) *nn.Network {
 		sizes = append(sizes, s)
 		feats = append(feats, fm.Features(s))
 	}
-	sched.Train(net, feats, sizes, 600, 1e-2)
+	sched.Train(net, feats, sizes, 600)
 	return net
 }
 
@@ -223,7 +223,7 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 
 	// Identical workload for every scheme.
 	r := rand.New(rand.NewSource(cfg.Seed + 20))
-	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.55, topo.HostLinkBps, workload.WebSearch())
+	flows := workload.Generate(r, numFlows, len(sl.Hosts), 0.55, workload.WebSearch())
 	fm := sched.NewFeatureModel(cfg.Seed + 21)
 	driftAt := flows[numFlows/2].At // feature mapping drifts mid-run
 	batchT := batchIntervalFor(flows)
@@ -258,7 +258,7 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	if isChar || isNetlink {
 		rig.Every(eng, batchT, horizon, func() {
 			if len(userspaceBatchX) > 0 {
-				sched.Train(net, userspaceBatchX, userspaceBatchY, 30, 1e-2)
+				sched.Train(net, userspaceBatchX, userspaceBatchY, 30)
 				userspaceBatchX = userspaceBatchX[:0]
 				userspaceBatchY = userspaceBatchY[:0]
 			}

@@ -111,14 +111,14 @@ func TestFleetWorkloadShaping(t *testing.T) {
 	shaped := RunFleetScenario(shapedOpts)
 	again := RunFleetScenario(shapedOpts)
 
-	if shaped.Queries != again.Queries || shaped.MeanStale != again.MeanStale {
-		t.Errorf("shaped run not deterministic: %d/%f vs %d/%f queries/meanStale",
-			shaped.Queries, shaped.MeanStale, again.Queries, again.MeanStale)
+	if shaped.GoodputQPS != again.GoodputQPS || shaped.MeanStale != again.MeanStale {
+		t.Errorf("shaped run not deterministic: %g/%f vs %g/%f queries per second/meanStale",
+			shaped.GoodputQPS, shaped.MeanStale, again.GoodputQPS, again.MeanStale)
 	}
-	if shaped.Queries >= flat.Queries {
-		t.Errorf("diurnal shaping did not thin load: %d shaped >= %d flat queries", shaped.Queries, flat.Queries)
+	if shaped.GoodputQPS >= flat.GoodputQPS {
+		t.Errorf("diurnal shaping did not thin load: %g shaped >= %g flat queries per second", shaped.GoodputQPS, flat.GoodputQPS)
 	}
-	if shaped.Queries == 0 {
+	if shaped.GoodputQPS == 0 {
 		t.Error("shaped run made no queries; density floor failed")
 	}
 	if shaped.Stats.Epoch < 2 {

@@ -110,10 +110,9 @@ func (c Config) staged() bool {
 
 // Stats counts controller activity. The controller counts into its own Stats,
 // and its scope exports the fields as counter and gauge views; Stats() fills
-// in the computed fields (Members, Epoch, ReleasedEpoch, StaleMembers) on the
+// in the computed fields (Epoch, ReleasedEpoch, StaleMembers) on the
 // copy it returns.
 type Stats struct {
-	Members            int
 	Epoch              int64 // latest minted epoch (may still be in canary)
 	ReleasedEpoch      int64 // latest epoch released to the whole fleet
 	StaleMembers       int
@@ -398,7 +397,7 @@ func (c *Controller) Stop() {
 // filled in.
 func (c *Controller) Stats() Stats {
 	st := c.st
-	st.Members, st.Epoch, st.ReleasedEpoch = len(c.members), c.cur.epoch, c.rel.epoch
+	st.Epoch, st.ReleasedEpoch = c.cur.epoch, c.rel.epoch
 	st.StaleMembers = c.StaleMembers()
 	return st
 }
@@ -441,7 +440,7 @@ func (c *Controller) catchUp(m *Member) {
 				m.epoch = target
 				c.st.MemberInstalls++
 				c.sc.Event2("fleet", "parked_activate", c.eng.Now(), "member", int64(m.Index), "epoch", target)
-				c.spans.Lone("snapshot", "parked_activate", target, int64(m.Index), c.eng.Now(), 0)
+				c.spans.Lone("parked_activate", target, int64(m.Index), c.eng.Now(), 0)
 				c.updateStale()
 				return
 			}
@@ -486,7 +485,7 @@ func (c *Controller) aggregate() {
 	c.st.Aggregations++
 	c.st.Samples += int64(len(pool))
 	if c.wave == nil {
-		c.wave = c.spans.Root("snapshot", "fleet_rollout", c.eng.Now())
+		c.wave = c.spans.Root("fleet_rollout", c.eng.Now())
 	}
 
 	c.adapter.Adapt(pool)
@@ -684,14 +683,14 @@ func (c *Controller) landed(j installJob, start netsim.Time, err error) {
 		if j.rollback {
 			c.st.Rollbacks++
 			c.sc.Event2("fleet", "rollback", now, "member", member, "epoch", j.epoch)
-			c.spans.Lone("snapshot", "member_rollback", j.epoch, member, start, now-start)
+			c.spans.Lone("member_rollback", j.epoch, member, start, now-start)
 		} else {
 			c.st.MemberInstalls++
 			c.sc.Event2("fleet", "install", now, "member", member, "epoch", j.epoch)
 			// Standalone spans keyed by the epoch pid: catch-up installs of an
 			// already-drained wave still join that version's tree.
-			c.spans.Lone("snapshot", "member_install", j.epoch, member, start, now-start)
-			c.spans.Lone("snapshot", "member_activate", j.epoch, member, now, 0)
+			c.spans.Lone("member_install", j.epoch, member, start, now-start)
+			c.spans.Lone("member_activate", j.epoch, member, now, 0)
 		}
 	case errors.Is(err, core.ErrDegraded):
 		m.parkedEpoch = j.epoch

@@ -133,14 +133,13 @@ type Sample struct {
 	Best     int
 }
 
-// SampleRegime draws a sample under a congestion-visibility regime:
-// ecnVisible = 1 means congestion shows up as ECN marks (shallow marking
-// thresholds); ecnVisible = 0 means it shows up as RTT inflation instead
-// (deep buffers / marking disabled). The label comes from the latent
-// congestion, not from either proxy. A model trained in one regime is blind
-// in the other — the workload dynamic behind the N-O-A comparison of
-// Figure 17.
-func SampleRegime(r *rand.Rand, paths int, ecnVisible float64) Sample {
+// SampleRegime draws a sample in which congestion shows up as ECN marks
+// (shallow marking thresholds) while the RTT stays flat. The label comes
+// from the latent congestion, not from the proxy, so a model trained here is
+// blind where congestion shows as RTT inflation instead (lb's regime-shift
+// test draws that regime) — the workload dynamic behind the N-O-A comparison
+// of Figure 17.
+func SampleRegime(r *rand.Rand, paths int) Sample {
 	f := make([]float64, InputDim(paths))
 	latent := make([]float64, paths)
 	for p := 0; p < paths; p++ {
@@ -149,8 +148,8 @@ func SampleRegime(r *rand.Rand, paths int, ecnVisible float64) Sample {
 		} else {
 			latent[p] = 0.05 * r.Float64()
 		}
-		f[p] = latent[p]*0.8*ecnVisible + absn(r)*0.02
-		f[paths+p] = 0.5 + latent[p]*2*(1-ecnVisible) + absn(r)*0.05
+		f[p] = latent[p]*0.8 + absn(r)*0.02
+		f[paths+p] = 0.5 + absn(r)*0.05
 	}
 	f[2*paths] = r.Float64()
 	best, bestC := 0, latent[0]
@@ -170,23 +169,19 @@ func absn(r *rand.Rand) float64 {
 	return x
 }
 
-// RandomFeatures samples unlabeled monitor features under the given regime.
-func RandomFeatures(r *rand.Rand, paths int, ecnVisible float64) []float64 {
-	return SampleRegime(r, paths, ecnVisible).Features
-}
-
-// Train fits the MLP to imitate the congestion oracle over samples drawn in
-// the given regime (one-hot regression) and returns the final loss.
-func Train(net *nn.Network, paths, iters int, lr float64, ecnVisible float64, seed int64) float64 {
+// Train fits the MLP to imitate the congestion oracle over SampleRegime's
+// samples (one-hot regression; Adam, learning rate 0.01) and returns the
+// final loss.
+func Train(net *nn.Network, paths, iters int, seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
-	opt := nn.NewAdam(lr)
+	opt := nn.NewAdam(1e-2)
 	const batch = 64
 	x := make([][]float64, batch)
 	y := make([][]float64, batch)
 	var loss float64
 	for it := 0; it < iters; it++ {
 		for i := 0; i < batch; i++ {
-			s := SampleRegime(r, paths, ecnVisible)
+			s := SampleRegime(r, paths)
 			x[i] = s.Features
 			t := make([]float64, paths)
 			t[s.Best] = 1

@@ -14,11 +14,11 @@ import (
 
 func TestMLPLearnsPathSelection(t *testing.T) {
 	net := NewMLP(2, 1)
-	loss := Train(net, 2, 400, 1e-2, 1.0, 2)
+	loss := Train(net, 2, 400, 2)
 	if loss > 0.15 {
 		t.Fatalf("training loss = %v", loss)
 	}
-	acc := accuracy(net, 2, 500, 1.0, 3)
+	acc := accuracy(net, 2, 500, SampleRegime, 3)
 	if acc < 0.80 {
 		t.Errorf("path accuracy = %.2f, want ≥ 0.80", acc)
 	}
@@ -29,14 +29,25 @@ func TestRegimeShiftHurtsFrozenSelector(t *testing.T) {
 	// as RTT inflation instead. A frozen model goes blind; retraining on
 	// the new regime recovers — the N-O-A dynamic of Figure 17.
 	net := NewMLP(2, 1)
-	Train(net, 2, 400, 1e-2, 1.0, 2)
-	clean := accuracy(net, 2, 500, 1.0, 3)
-	shifted := accuracy(net, 2, 500, 0.0, 3)
+	Train(net, 2, 400, 2)
+	clean := accuracy(net, 2, 500, SampleRegime, 3)
+	shifted := accuracy(net, 2, 500, rttRegime, 3)
 	if shifted >= clean-0.1 {
 		t.Errorf("regime shift must hurt: clean %.2f, shifted %.2f", clean, shifted)
 	}
-	Train(net, 2, 400, 1e-2, 0.0, 5)
-	recovered := accuracy(net, 2, 500, 0.0, 3)
+	// Retrain on the shifted regime, as Figure 17's online adapter does.
+	r := rand.New(rand.NewSource(5))
+	opt := nn.NewAdam(1e-2)
+	x, y := make([][]float64, 64), make([][]float64, 64)
+	for it := 0; it < 400; it++ {
+		for i := range x {
+			s := rttRegime(r, 2)
+			x[i], y[i] = s.Features, make([]float64, 2)
+			y[i][s.Best] = 1
+		}
+		nn.TrainBatch(net, opt, x, y, 5)
+	}
+	recovered := accuracy(net, 2, 500, rttRegime, 3)
 	if recovered <= shifted+0.1 {
 		t.Errorf("retraining must recover: shifted %.2f, recovered %.2f", shifted, recovered)
 	}
@@ -99,13 +110,13 @@ func deployArms(net *nn.Network) (*netsim.Engine, [3]rig.Decider) {
 
 func TestSelectorsAgreeKernelVsUser(t *testing.T) {
 	net := NewMLP(2, 1)
-	Train(net, 2, 400, 1e-2, 1.0, 2)
+	Train(net, 2, 400, 2)
 	eng, arms := deployArms(net)
 	r := rand.New(rand.NewSource(7))
 	agree := 0
 	const n = 200
 	for i := 0; i < n; i++ {
-		f := RandomFeatures(r, 2, 1.0)
+		f := SampleRegime(r, 2).Features
 		var pk, pu int
 		arms[0](0, f, func(p int) { pk = p })
 		arms[1](0, f, func(p int) { pu = p })
@@ -123,7 +134,7 @@ func TestSelectorsAgreeKernelVsUser(t *testing.T) {
 // kernel < char < netlink, at µs scale.
 func TestSelectorLatencyOrdering(t *testing.T) {
 	eng, arms := deployArms(NewMLP(2, 1))
-	f := RandomFeatures(rand.New(rand.NewSource(1)), 2, 1.0)
+	f := SampleRegime(rand.New(rand.NewSource(1)), 2).Features
 	var mean [3]float64 // µs
 	for a, decide := range arms {
 		var sum netsim.Time
@@ -193,14 +204,38 @@ func BenchmarkKernelSelect(b *testing.B) {
 	}
 }
 
-// accuracy measures how often the model picks the oracle's path on fresh
-// samples drawn in the given regime.
-func accuracy(net *nn.Network, paths, n int, ecnVisible float64, seed int64) float64 {
+// rttRegime is SampleRegime's draw with congestion showing as RTT inflation
+// (deep buffers, marking off) instead of ECN marks.
+func rttRegime(r *rand.Rand, paths int) Sample {
+	f := make([]float64, InputDim(paths))
+	latent := make([]float64, paths)
+	for p := 0; p < paths; p++ {
+		if r.Float64() < 0.5 {
+			latent[p] = 0.2 + 0.8*r.Float64()
+		} else {
+			latent[p] = 0.05 * r.Float64()
+		}
+		f[p] = absn(r) * 0.02
+		f[paths+p] = 0.5 + latent[p]*2 + absn(r)*0.05
+	}
+	f[2*paths] = r.Float64()
+	best := 0
+	for p := 1; p < paths; p++ {
+		if latent[p] < latent[best] {
+			best = p
+		}
+	}
+	return Sample{Features: f, Best: best}
+}
+
+// accuracy measures how often the model picks the oracle's path on n fresh
+// samples from sample.
+func accuracy(net *nn.Network, paths, n int, sample func(*rand.Rand, int) Sample, seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
 	out := make([]float64, paths)
 	ok := 0
 	for i := 0; i < n; i++ {
-		s := SampleRegime(r, paths, ecnVisible)
+		s := sample(r, paths)
 		net.Forward(s.Features, out)
 		if Argmax(out) == s.Best {
 			ok++

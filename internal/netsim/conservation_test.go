@@ -41,7 +41,7 @@ func TestSwitchConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		s := NewSwitch(0)
+		s := NewSwitch()
 		const ports = 3
 		sinks := make([]*Sink, ports)
 		for p := 0; p < ports; p++ {

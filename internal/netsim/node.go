@@ -12,8 +12,6 @@ package netsim
 // Packets with no matching route are counted and dropped — a loud counter
 // rather than a silent loss, so topology bugs surface in tests.
 type Switch struct {
-	ID int
-
 	ports map[int]*Link // neighbor node ID → egress link
 	// routes[dst] is the ECMP group for destination node ID dst. It is
 	// consulted once per packet, hence a slice and not a map; an ID beyond
@@ -22,9 +20,9 @@ type Switch struct {
 	unrouted int64
 }
 
-// NewSwitch returns an empty switch with the given node ID.
-func NewSwitch(id int) *Switch {
-	return &Switch{ID: id, ports: make(map[int]*Link)}
+// NewSwitch returns an empty switch.
+func NewSwitch() *Switch {
+	return &Switch{ports: make(map[int]*Link)}
 }
 
 // AddPort registers the egress link towards neighbor node ID.
@@ -100,13 +98,11 @@ var _ Handler = (*Switch)(nil)
 // as a traffic drain and in tests.
 type Sink struct {
 	Packets int64
-	Bytes   int64
 }
 
 // HandlePacket counts p, recycles it (FreePacket) and drops it.
 func (s *Sink) HandlePacket(p *Packet) {
 	s.Packets++
-	s.Bytes += int64(p.Size)
 	FreePacket(p)
 }
 

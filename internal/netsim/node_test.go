@@ -7,7 +7,7 @@ import "testing"
 func buildY(t *testing.T) (*Engine, *Switch, *Sink, *Sink) {
 	t.Helper()
 	e := NewEngine()
-	s := NewSwitch(0)
+	s := NewSwitch()
 	sink1, sink2 := &Sink{}, &Sink{}
 	s.AddPort(1, NewLink(e, sink1, 1e9, 0, nil))
 	s.AddPort(2, NewLink(e, sink2, 1e9, 0, nil))

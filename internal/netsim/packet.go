@@ -9,7 +9,6 @@ type FlowID uint64
 // where possible; entities must not retain a packet after handing it off.
 type Packet struct {
 	Flow FlowID
-	Src  int // source node ID
 	Dst  int // destination node ID
 
 	Seq  int64 // first byte carried (data) — cumulative byte sequence space

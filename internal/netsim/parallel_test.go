@@ -556,7 +556,7 @@ func starRun(t *testing.T, seed int64) (int64, int64, int64, string) {
 
 	root := NewParallelEngine(1)
 	swEng := root.AddPartition()
-	sw := NewSwitch(500)
+	sw := NewSwitch()
 	srcEng := make([]*Engine, nSrc)
 	upLinks := make([]*Link, nSrc)
 	upQs := make([]*DropTail, nSrc)
@@ -613,7 +613,7 @@ func starRun(t *testing.T, seed int64) (int64, int64, int64, string) {
 	}
 	desc := fmt.Sprintf("injected=%v delivered=%d dropped=%d", injected, delivered, dropped)
 	for j, s := range sinks {
-		desc += fmt.Sprintf(" sink%d=%d/%dB", j, s.Packets, s.Bytes)
+		desc += fmt.Sprintf(" sink%d=%d", j, s.Packets)
 	}
 	return tot, delivered, dropped, desc
 }

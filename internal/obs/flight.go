@@ -123,35 +123,38 @@ func (fr *FlightRecorder) record(name string, cumulative bool, at int64, v float
 // Sample snapshots every series of reg at virtual time at: counter and gauge
 // values directly, histograms as _count/_sum plus _p50/_p99 estimates.
 // Series names include rendered labels (name{k="v",…}), matching the
-// Prometheus exposition identity.
+// Prometheus exposition identity; each series renders them once, when it is
+// registered. The recorder is keyed by name, so series are sampled in
+// registration order and only Window's output is sorted.
 func (fr *FlightRecorder) Sample(reg *Registry, at int64) {
 	if fr == nil || reg == nil {
 		return
 	}
+	reg.mu.Lock()
+	all := reg.all
+	reg.mu.Unlock()
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
 	fr.ticks++
-	for _, f := range reg.sortedFamilies() {
-		for _, s := range f.sortedSeries() {
-			key := f.name
-			if s.labels != "" {
-				key = f.name + "{" + s.labels + "}"
+	for _, s := range all {
+		switch s.kind {
+		case kindCounter, kindGauge:
+			fr.record(s.flight[0], s.kind == kindCounter, at, s.value(s.kind))
+		case kindHistogram:
+			h := s.hist
+			h.mu.Lock()
+			var total int64
+			for _, c := range h.counts {
+				total += c
 			}
-			switch f.kind {
-			case kindCounter, kindGauge:
-				fr.record(key, f.kind == kindCounter, at, s.value(f.kind))
-			case kindHistogram:
-				bounds, counts, sum := s.hist.snapshot()
-				var total int64
-				for _, c := range counts {
-					total += c
-				}
-				fr.record(key+"_count", true, at, float64(total))
-				fr.record(key+"_sum", true, at, sum)
-				max := s.hist.Max()
-				fr.record(key+"_p50", false, at, bucketQuantile(bounds, counts, total, max, 0.50))
-				fr.record(key+"_p99", false, at, bucketQuantile(bounds, counts, total, max, 0.99))
-			}
+			sum := h.sum
+			p50 := bucketQuantile(h.bounds, h.counts, total, h.max, 0.50)
+			p99 := bucketQuantile(h.bounds, h.counts, total, h.max, 0.99)
+			h.mu.Unlock()
+			fr.record(s.flight[0], true, at, float64(total))
+			fr.record(s.flight[1], true, at, sum)
+			fr.record(s.flight[2], false, at, p50)
+			fr.record(s.flight[3], false, at, p99)
 		}
 	}
 }

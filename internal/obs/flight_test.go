@@ -216,3 +216,24 @@ func TestFlightRecorderJSONL(t *testing.T) {
 		t.Fatal("nil recorder returned deltas")
 	}
 }
+
+// TestFlightSampleAllocatesNothing: each series renders its flight keys once,
+// when it registers, and a tick sorts nothing, so once the rings exist a
+// Sample of a labelled counter and a histogram allocates nothing.
+func TestFlightSampleAllocatesNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := reg.Counter("liteflow_test_q_total", "", obs.Label{Key: "path", Value: "fast"})
+	h := reg.Histogram("liteflow_test_ns", "", []float64{100, 1000})
+	fr := obs.NewFlightRecorder(16)
+	at := int64(0)
+	tick := func() {
+		at++
+		c.Add(1)
+		h.Observe(float64(at))
+		fr.Sample(reg, at)
+	}
+	tick()
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("Sample allocates %v per tick, want 0", n)
+	}
+}

@@ -138,6 +138,8 @@ func (k metricKind) String() string {
 // over fields components keep (Scope.CounterOf, GaugeOf).
 type series struct {
 	labels  string        // rendered `k="v",…` form, "" for unlabeled
+	kind    metricKind    // the family's
+	flight  []string      // FlightRecorder keys: name{labels}, or its _count, _sum, _p50 and _p99
 	counter Counter       // the owned counter, and what Merge folds counters into
 	gauge   atomic.Uint64 // bits of the value Merge folds a gauge into
 	owned   bool          // Counter has handed out the owned counter
@@ -187,6 +189,7 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	all      []*series // every series in creation order, for FlightRecorder.Sample
 }
 
 // NewRegistry returns an empty registry.
@@ -235,8 +238,16 @@ func (r *Registry) lookup(name, help string, kind metricKind, key string) *serie
 	}
 	s, ok := f.series[key]
 	if !ok {
-		s = &series{labels: key}
+		fk := name
+		if key != "" {
+			fk = name + "{" + key + "}"
+		}
+		s = &series{labels: key, kind: kind, flight: []string{fk}}
+		if kind == kindHistogram {
+			s.flight = []string{fk + "_count", fk + "_sum", fk + "_p50", fk + "_p99"}
+		}
 		f.series[key] = s
+		r.all = append(r.all, s)
 	}
 	return s
 }

@@ -24,6 +24,9 @@ import "sync"
 // liteflow_snapshot_e2e_ns, giving the aggregate view of where rollouts
 // spend their time.
 
+// spanCat is the trace category of every lifecycle span and stage event.
+const spanCat = "snapshot"
+
 // SpanTracer derives lifecycle spans and stage histograms from a Scope. The
 // nil SpanTracer is a valid no-op, as are spans minted from it.
 type SpanTracer struct {
@@ -64,7 +67,6 @@ func (st *SpanTracer) stage(name string) *Histogram {
 // the components it instruments, a span belongs to a single engine goroutine.
 type Span struct {
 	st      *SpanTracer
-	cat     string
 	name    string
 	start   int64
 	version int64
@@ -75,18 +77,18 @@ type Span struct {
 // Root opens a lifecycle root span at virtual time at. Call SetVersion once
 // the snapshot version is minted, then End/EndFailed to flush; a root that
 // is never ended emits nothing. Returns a no-op span when st is nil.
-func (st *SpanTracer) Root(cat, name string, at int64) *Span {
+func (st *SpanTracer) Root(name string, at int64) *Span {
 	if st == nil {
 		return nil
 	}
-	return &Span{st: st, cat: cat, name: name, start: at}
+	return &Span{st: st, name: name, start: at}
 }
 
 // Lone emits one already-completed stage span immediately, outside any root —
 // used for stages whose version is already known (per-member installs of a
 // minted epoch, catch-up activations) — on member's track. dur 0 renders as
 // an instant.
-func (st *SpanTracer) Lone(cat, stage string, version, member, at, dur int64) {
+func (st *SpanTracer) Lone(stage string, version, member, at, dur int64) {
 	if st == nil {
 		return
 	}
@@ -95,7 +97,7 @@ func (st *SpanTracer) Lone(cat, stage string, version, member, at, dur int64) {
 		return
 	}
 	st.sc.tracer.Emit(onMemberTrack(
-		Event{At: at, Dur: dur, Pid: version, Cat: cat, Name: stage}, member))
+		Event{At: at, Dur: dur, Pid: version, Cat: spanCat, Name: stage}, member))
 }
 
 // onMemberTrack moves e to a fleet member's thread track (tid = member index
@@ -143,7 +145,7 @@ func (sp *Span) Child(stage string, at, dur int64) {
 	if sp.st.sc.tracer == nil {
 		return
 	}
-	sp.buf = append(sp.buf, Event{At: at, Dur: dur, Cat: sp.cat, Name: stage})
+	sp.buf = append(sp.buf, Event{At: at, Dur: dur, Cat: spanCat, Name: stage})
 }
 
 // Mark records an instant edge event (park, retry, defer, …) with one
@@ -152,7 +154,7 @@ func (sp *Span) Mark(name string, at int64, k string, v int64) {
 	if sp == nil || sp.ended || sp.st.sc.tracer == nil {
 		return
 	}
-	sp.buf = append(sp.buf, Event{At: at, Cat: sp.cat, Name: name, NArgs: 1,
+	sp.buf = append(sp.buf, Event{At: at, Cat: spanCat, Name: name, NArgs: 1,
 		Args: [2]Arg{{Key: k, Val: v}}})
 }
 
@@ -161,7 +163,7 @@ func (sp *Span) MarkMember(name string, member, at int64) {
 	if sp == nil || sp.ended || sp.st.sc.tracer == nil {
 		return
 	}
-	sp.buf = append(sp.buf, onMemberTrack(Event{At: at, Cat: sp.cat, Name: name}, member))
+	sp.buf = append(sp.buf, onMemberTrack(Event{At: at, Cat: spanCat, Name: name}, member))
 }
 
 // End closes a successful lifecycle at virtual time at: the root event plus
@@ -201,7 +203,7 @@ func (sp *Span) flush(at int64, outcome string) {
 		// single virtual instant, so the tree still nests.
 		dur = 1
 	}
-	root := Event{At: sp.start, Dur: dur, Pid: sp.version, Cat: sp.cat,
+	root := Event{At: sp.start, Dur: dur, Pid: sp.version, Cat: spanCat,
 		Name: sp.name, NArgs: 1, Args: [2]Arg{{Key: "version", Val: sp.version}}}
 	if outcome != "" {
 		root.NArgs = 2

@@ -18,7 +18,7 @@ func TestSpanLifecycleTree(t *testing.T) {
 	sc := obs.New(reg, tr)
 	st := obs.NewSpanTracer(sc)
 
-	sp := st.Root("snapshot", "fleet_rollout", 1000)
+	sp := st.Root("fleet_rollout", 1000)
 	sp.Child("pool", 1000, 4000)
 	sp.SetVersion(17)
 	sp.Child("build", 5000, 0)
@@ -81,7 +81,7 @@ func TestSpanFailedAndDiscard(t *testing.T) {
 	tr := obs.NewTracer(64)
 	st := obs.NewSpanTracer(obs.New(reg, tr))
 
-	sp := st.Root("snapshot", "snapshot_lifecycle", 0)
+	sp := st.Root("snapshot_lifecycle", 0)
 	sp.Child("pool", 0, 100)
 	sp.EndFailed(200, "abandoned")
 	if tr.Len() != 2 {
@@ -98,7 +98,7 @@ func TestSpanFailedAndDiscard(t *testing.T) {
 	}
 
 	tr.Reset()
-	dp := st.Root("snapshot", "snapshot_lifecycle", 0)
+	dp := st.Root("snapshot_lifecycle", 0)
 	dp.Child("pool", 0, 100)
 	if tr.Len() != 0 {
 		t.Fatalf("un-ended span emitted %d events", tr.Len())
@@ -109,18 +109,18 @@ func TestSpanFailedAndDiscard(t *testing.T) {
 // no-op conventions.
 func TestSpanNilSafety(t *testing.T) {
 	var st *obs.SpanTracer
-	sp := st.Root("snapshot", "x", 0)
+	sp := st.Root("x", 0)
 	sp.Child("pool", 0, 1)
 	sp.SetVersion(1)
 	sp.Mark("m", 0, "k", 1)
 	sp.End(10)
-	st.Lone("snapshot", "member_install", 1, 0, 0, 10)
+	st.Lone("member_install", 1, 0, 0, 10)
 
 	// A span tracer over a metrics-only scope must feed histograms but emit
 	// no events (and not accumulate buffered children forever).
 	reg := obs.NewRegistry()
 	mst := obs.NewSpanTracer(obs.New(reg, nil))
-	msp := mst.Root("snapshot", "x", 0)
+	msp := mst.Root("x", 0)
 	msp.Child("pool", 0, 50)
 	msp.End(100)
 	if got := reg.Histogram("liteflow_snapshot_e2e_ns", "", obs.DurationBuckets()).Count(); got != 1 {
@@ -134,7 +134,7 @@ func TestSpanLone(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(16)
 	st := obs.NewSpanTracer(obs.New(reg, tr))
-	st.Lone("snapshot", "member_install", 9, 1, 500, 700)
+	st.Lone("member_install", 9, 1, 500, 700)
 	ev := tr.Events()
 	if len(ev) != 1 || ev[0].Pid != 9 || ev[0].Tid != 2 || ev[0].Dur != 700 {
 		t.Fatalf("lone span wrong: %+v", ev)

@@ -16,7 +16,8 @@ var packed = hasAVX2()
 //go:noescape
 func dot4n(rows, x []int64) (a0, a1, a2, a3 int64)
 
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+// cpuid runs CPUID on leaf, subleaf 0.
+func cpuid(leaf uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv returns the low half of XCR0.
 func xgetbv() (eax uint32)
@@ -25,16 +26,16 @@ func xgetbv() (eax uint32)
 // state, and CPUID.7:EBX for AVX2.
 func hasAVX2() bool {
 	const osxsave, avx, avx2 = 1 << 27, 1 << 28, 1 << 5
-	maxLeaf, _, _, _ := cpuid(0, 0)
+	maxLeaf, _, _, _ := cpuid(0)
 	if maxLeaf < 7 {
 		return false
 	}
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+	if _, _, c, _ := cpuid(1); c&osxsave == 0 || c&avx == 0 {
 		return false
 	}
 	if xgetbv()&6 != 6 {
 		return false
 	}
-	_, b, _, _ := cpuid(7, 0)
+	_, b, _, _ := cpuid(7)
 	return b&avx2 != 0
 }

@@ -81,10 +81,10 @@ done:
 	MOVQ R13, a3+72(FP)
 	RET
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+// func cpuid(leaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
+	MOVL $0, CX
 	CPUID
 	MOVL AX, eax+8(FP)
 	MOVL BX, ebx+12(FP)

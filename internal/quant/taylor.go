@@ -65,11 +65,10 @@ func TaylorEval(coeffs []float64, x float64) (y float64, muls int) {
 }
 
 // ApproxError measures the max and mean absolute error of an activation
-// approximation over [-limit, limit] at the given sampling resolution.
-func ApproxError(act nn.Activation, approx func(x float64) float64, limit float64, samples int) (maxErr, meanErr float64) {
-	if samples < 2 {
-		samples = 2
-	}
+// approximation at 2001 evenly spaced points of [-4, 4], the range the
+// §3.1 ablation compares over.
+func ApproxError(act nn.Activation, approx func(x float64) float64) (maxErr, meanErr float64) {
+	const limit, samples = 4.0, 2001
 	var sum float64
 	for i := 0; i < samples; i++ {
 		x := -limit + 2*limit*float64(i)/float64(samples-1)

@@ -49,7 +49,7 @@ func TestTaylorCoeffsValidation(t *testing.T) {
 func TestLUTApproxUniformAccuracy(t *testing.T) {
 	for _, act := range []nn.Activation{nn.Tanh, nn.Sigmoid} {
 		lut := LUTApprox(act, 4096, 8, 1<<16)
-		maxErr, meanErr := ApproxError(act, lut, 4, 2001)
+		maxErr, meanErr := ApproxError(act, lut)
 		if maxErr > 1e-3 {
 			t.Errorf("%s LUT max err %v over [-4,4], want ≤ 1e-3", act, maxErr)
 		}
@@ -64,8 +64,7 @@ func TestLUTApproxUniformAccuracy(t *testing.T) {
 }
 
 func TestApproxErrorDegenerateSamples(t *testing.T) {
-	max, mean := ApproxError(nn.Tanh, math.Tanh, 1, 1) // clamps to 2 samples
-	if max != 0 || mean != 0 {
+	if max, mean := ApproxError(nn.Tanh, math.Tanh); max != 0 || mean != 0 {
 		t.Errorf("perfect approximation must have zero error, got %v/%v", max, mean)
 	}
 }

@@ -382,7 +382,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 		churn := workload.GenerateChurnAt(
 			rand.New(rand.NewSource(int64(s.Seed+o.SeedOffset)+1)),
 			n, s.Churn.RatePerSec*scale, netsim.Time(s.Churn.MeanLifeMs*1e6),
-			s.Churn.FinFrac, flow, 0)
+			s.Churn.FinFrac, flow)
 		churnFlows = int64(len(churn))
 		for _, cf := range churn {
 			src := rng.Intn(len(hosts))

@@ -39,8 +39,8 @@ type Spec struct {
 	// Events injects disruptions mid-run.
 	Events []EventSpec `json:"events,omitempty"`
 	// Churn layers a short-lived background-mice population over the
-	// persistent sessions (workload.GenerateChurnAt keeps its flow IDs and
-	// clock clear of the actor block).
+	// persistent sessions (workload.GenerateChurnAt keeps its flow IDs
+	// clear of the actor block).
 	Churn *ChurnSpec `json:"churn,omitempty"`
 	// Envelope is the acceptance contract checked at natural scale.
 	Envelope Envelope `json:"envelope"`

@@ -76,10 +76,10 @@ func Target(size int64) float64 { return math.Log10(float64(size)) / LogScale }
 // PredictedBytes inverts a model output back to bytes.
 func PredictedBytes(out float64) float64 { return math.Pow(10, out*LogScale) }
 
-// Train fits the FFNN on (features, size) pairs for the given epochs and
-// returns the final loss. The adapter used by the online experiments calls
-// this with freshly collected batches.
-func Train(net *nn.Network, feats [][]float64, sizes []int64, epochs int, lr float64) float64 {
+// Train fits the FFNN on (features, size) pairs for the given epochs (Adam,
+// learning rate 0.01) and returns the final loss. The adapter used by the
+// online experiments calls this with freshly collected batches.
+func Train(net *nn.Network, feats [][]float64, sizes []int64, epochs int) float64 {
 	if len(feats) == 0 {
 		return 0
 	}
@@ -87,7 +87,7 @@ func Train(net *nn.Network, feats [][]float64, sizes []int64, epochs int, lr flo
 	for i, s := range sizes {
 		y[i] = []float64{Target(s)}
 	}
-	opt := nn.NewAdam(lr)
+	opt := nn.NewAdam(1e-2)
 	var loss float64
 	for e := 0; e < epochs; e++ {
 		loss = nn.TrainBatch(net, opt, feats, y, 5)

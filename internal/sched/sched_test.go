@@ -31,7 +31,7 @@ func trainSet(seed int64, n int, drift float64) ([][]float64, []int64) {
 func TestFFNNLearnsFlowSizes(t *testing.T) {
 	net := NewFFNN(1)
 	feats, sizes := trainSet(2, 512, 0)
-	loss := Train(net, feats, sizes, 600, 1e-2)
+	loss := Train(net, feats, sizes, 600)
 	if loss > 0.002 {
 		t.Fatalf("training loss = %v, want ≤ 0.002", loss)
 	}
@@ -55,7 +55,7 @@ func TestDriftDegradesFrozenModel(t *testing.T) {
 	// the premise of the N-O-A comparison — and retraining must recover.
 	net := NewFFNN(1)
 	feats, sizes := trainSet(2, 512, 0)
-	Train(net, feats, sizes, 600, 1e-2)
+	Train(net, feats, sizes, 600)
 
 	bandAcc := func(drift float64) float64 {
 		testF, testS := trainSet(9, 300, drift)
@@ -74,7 +74,7 @@ func TestDriftDegradesFrozenModel(t *testing.T) {
 	}
 	// Online adaptation: retrain on drifted data.
 	f2, s2 := trainSet(11, 512, 0.15)
-	Train(net, f2, s2, 600, 1e-2)
+	Train(net, f2, s2, 600)
 	recovered := bandAcc(0.15)
 	if recovered <= drifted {
 		t.Errorf("retraining must recover accuracy: drifted %.2f, recovered %.2f", drifted, recovered)
@@ -102,7 +102,7 @@ func TestTargetRoundTrip(t *testing.T) {
 }
 
 func TestTrainEmptySetIsSafe(t *testing.T) {
-	if got := Train(NewFFNN(1), nil, nil, 10, 1e-3); got != 0 {
+	if got := Train(NewFFNN(1), nil, nil, 10); got != 0 {
 		t.Error("empty training set must return 0")
 	}
 }
@@ -126,7 +126,7 @@ func deployArms(net *nn.Network) (*netsim.Engine, [3]rig.Decider) {
 func trainedArms() (*netsim.Engine, [3]rig.Decider) {
 	net := NewFFNN(1)
 	feats, sizes := trainSet(2, 256, 0)
-	Train(net, feats, sizes, 300, 1e-2)
+	Train(net, feats, sizes, 300)
 	return deployArms(net)
 }
 

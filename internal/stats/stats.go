@@ -123,20 +123,18 @@ type CDFPoint struct {
 	F float64 // fraction of samples ≤ X
 }
 
-// CDF returns the empirical CDF downsampled to at most points entries
-// (always including the extremes). points must be ≥ 2.
-func (d *Dist) CDF(points int) []CDFPoint {
+// CDF returns the empirical CDF downsampled to the 20 entries the paper's
+// CDF figures plot (always including the extremes).
+func (d *Dist) CDF() []CDFPoint {
+	const cdfPoints = 20
 	if len(d.xs) == 0 {
 		return nil
 	}
-	if points < 2 {
-		points = 2
-	}
 	d.sortIfNeeded()
 	n := len(d.xs)
-	out := make([]CDFPoint, 0, points)
-	for i := 0; i < points; i++ {
-		idx := i * (n - 1) / (points - 1)
+	out := make([]CDFPoint, 0, cdfPoints)
+	for i := 0; i < cdfPoints; i++ {
+		idx := i * (n - 1) / (cdfPoints - 1)
 		out = append(out, CDFPoint{X: d.xs[idx], F: float64(idx+1) / float64(n)})
 	}
 	return out

@@ -95,7 +95,7 @@ func TestDistQuantiles(t *testing.T) {
 
 func TestDistEmpty(t *testing.T) {
 	d := NewDist(0)
-	if d.Quantile(0.5) != 0 || d.Mean() != 0 || d.CDF(10) != nil {
+	if d.Quantile(0.5) != 0 || d.Mean() != 0 || d.CDF() != nil {
 		t.Error("empty Dist must return zero values and nil CDF")
 	}
 }
@@ -117,7 +117,7 @@ func TestCDFMonotone(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		d.Add(r.NormFloat64())
 	}
-	pts := d.CDF(32)
+	pts := d.CDF()
 	if len(pts) == 0 {
 		t.Fatal("no CDF points")
 	}

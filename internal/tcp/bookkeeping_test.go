@@ -83,7 +83,7 @@ func FuzzReceiverIslands(f *testing.F) {
 			s := segs[i]
 			dups, app0 := r.DupAcks, app
 			app = 0
-			r.handleData(&netsim.Packet{Flow: 1, Src: 1, Dst: 2, Seq: s.seq, Size: s.size + netsim.HeaderBytes, App: s.tag})
+			r.handleData(&netsim.Packet{Flow: 1, Dst: 2, Seq: s.seq, Size: s.size + netsim.HeaderBytes, App: s.tag})
 			wantDup := ref.handle(s.seq, s.size)
 			if dup := r.DupAcks > dups; dup != wantDup {
 				t.Fatalf("segment %d at %d: dup %v, reference %v", i, s.seq, dup, wantDup)

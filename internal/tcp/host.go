@@ -178,7 +178,7 @@ func (u *UDPSource) sendOne() {
 		return
 	}
 	p := u.Host.Eng.AllocPacket()
-	p.Flow, p.Src, p.Dst = u.Flow, u.Host.ID, u.Dst
+	p.Flow, p.Dst = u.Flow, u.Dst
 	p.Size = u.PktSize
 	u.Host.Transmit(p)
 	u.tick()

@@ -91,7 +91,7 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	}
 	// Selective ACK for this segment; echo congestion marks.
 	ack := r.Host.Eng.AllocPacket()
-	ack.Flow, ack.Src, ack.Dst = r.Flow, r.Host.ID, r.Src
+	ack.Flow, ack.Dst = r.Flow, r.Src
 	ack.Ack, ack.AckNo, ack.ECE = true, p.Seq, p.CE
 	ack.Size = netsim.AckSize
 	r.Host.Transmit(ack)

@@ -310,7 +310,7 @@ func (s *Sender) transmit(seg *segment) {
 	seg.lost = false
 	s.inflight += seg.size
 	p := s.Host.Eng.AllocPacket()
-	p.Flow, p.Src, p.Dst = s.Flow, s.Host.ID, s.Dst
+	p.Flow, p.Dst = s.Flow, s.Dst
 	p.Seq, p.Size = seg.seq, seg.size+netsim.HeaderBytes
 	p.FIN = seg.fin
 	p.App = seg.tag

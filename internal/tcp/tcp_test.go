@@ -158,7 +158,7 @@ func TestReceiverDeduplicates(t *testing.T) {
 	// Deliver the same segment twice, bypassing a sender. The duplicate is a
 	// distinct packet object, as a retransmission would be (the host recycles
 	// every packet it consumes, so re-sending the same pointer is invalid).
-	seg := netsim.Packet{Flow: 7, Src: a.ID, Dst: b.ID, Seq: 0, Size: netsim.HeaderBytes + 1000}
+	seg := netsim.Packet{Flow: 7, Dst: b.ID, Seq: 0, Size: netsim.HeaderBytes + 1000}
 	pkt, dup := seg, seg
 	b.HandlePacket(&pkt)
 	b.HandlePacket(&dup)
@@ -265,7 +265,7 @@ func TestUDPSourceRate(t *testing.T) {
 	u.Start()
 	eng.RunUntil(netsim.Second)
 	u.Stop()
-	gbps := float64(sink.Bytes*8) / 1e9
+	gbps := float64(sink.Packets*int64(u.PktSize)*8) / 1e9
 	if gbps < 0.095 || gbps > 0.105 {
 		t.Errorf("UDP rate = %.4f Gbps, want ≈ 0.1", gbps)
 	}

@@ -25,10 +25,12 @@ const (
 // HostLinkBps is the rate of every spine–leaf host link, 10 Gbps.
 const HostLinkBps int64 = 10e9
 
+// The fabric is the paper's 2×2: two spines, two leaves.
+const spines, leaves = 2, 2
+
 // SpineLeafOpts configures a spine–leaf fabric.
 type SpineLeafOpts struct {
-	spines, leaves int
-	HostsPerLeaf   int
+	HostsPerLeaf int
 
 	FabricLinkBps int64
 	HostDelay     netsim.Time
@@ -47,7 +49,7 @@ type SpineLeafOpts struct {
 // buffers, ~25 µs propagation per hop (data-center scale).
 func DefaultSpineLeafOpts(hostsPerLeaf int) SpineLeafOpts {
 	return SpineLeafOpts{
-		spines: 2, leaves: 2, HostsPerLeaf: hostsPerLeaf, FabricLinkBps: 40e9,
+		HostsPerLeaf: hostsPerLeaf, FabricLinkBps: 40e9,
 		HostDelay: 5 * netsim.Microsecond, FabricDelay: 5 * netsim.Microsecond,
 		QueueBytes: 400_000, ECNThresholdBytes: 90_000,
 	}
@@ -80,19 +82,19 @@ func BuildSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts) *SpineLeaf {
 		return netsim.NewDropTail(opts.QueueBytes)
 	}
 
-	leafEng := make([]*netsim.Engine, opts.leaves)
-	spineEng := make([]*netsim.Engine, opts.spines)
-	for l := 0; l < opts.leaves; l++ {
-		t.Leaves = append(t.Leaves, netsim.NewSwitch(LeafIDBase+l))
+	leafEng := make([]*netsim.Engine, leaves)
+	spineEng := make([]*netsim.Engine, spines)
+	for l := 0; l < leaves; l++ {
+		t.Leaves = append(t.Leaves, netsim.NewSwitch())
 		leafEng[l] = eng.AddPartition()
 	}
-	for s := 0; s < opts.spines; s++ {
-		t.Spines = append(t.Spines, netsim.NewSwitch(SpineIDBase+s))
+	for s := 0; s < spines; s++ {
+		t.Spines = append(t.Spines, netsim.NewSwitch())
 		spineEng[s] = eng.AddPartition()
 	}
 
 	// Hosts and host↔leaf links.
-	for l := 0; l < opts.leaves; l++ {
+	for l := 0; l < leaves; l++ {
 		leaf := t.Leaves[l]
 		for k := 0; k < opts.HostsPerLeaf; k++ {
 			id := l*opts.HostsPerLeaf + k
@@ -116,7 +118,7 @@ func BuildSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts) *SpineLeaf {
 			spine.AddPort(LeafIDBase+l, down)
 		}
 	}
-	spineIDs := make([]int, opts.spines)
+	spineIDs := make([]int, spines)
 	for s := range spineIDs {
 		spineIDs[s] = SpineIDBase + s
 	}
@@ -166,7 +168,6 @@ func (t *SpineLeaf) ProvisionCPUs(cores int, costs ksim.Costs, options ...opt.Op
 // and one UDP host on the left, receiver hosts on the right, all crossing
 // one bottleneck link.
 type Dumbbell struct {
-	Eng       *netsim.Engine
 	Senders   []*tcp.Host
 	Receivers []*tcp.Host
 	UDPHost   *tcp.Host
@@ -178,25 +179,23 @@ type Dumbbell struct {
 
 // DumbbellOpts configures the dumbbell.
 type DumbbellOpts struct {
-	Flows           int   // sender/receiver pairs
-	accessBps       int64 // per-host access links
-	BottleneckBps   int64
-	accessDelay     netsim.Time // one-way, per access link
-	bottleneckDelay netsim.Time
-	BufferBytes     int // bottleneck buffer
+	Flows         int // sender/receiver pairs
+	BottleneckBps int64
+	BufferBytes   int // bottleneck buffer
 }
+
+// The testbed's fixed links: 100 Gbps host NICs and one-way delays that
+// add up to a 10 ms RTT (2 × (2 access + 1 bottleneck)).
+const (
+	accessBps       int64 = 100e9
+	accessDelay           = 1250 * netsim.Microsecond // per access link
+	bottleneckDelay       = 2500 * netsim.Microsecond
+)
 
 // TestbedOpts reproduces §2.2's testbed: 1 Gbps receiver bottleneck, ~10 ms
 // RTT via netem, 150 KB buffer.
 func TestbedOpts(flows int) DumbbellOpts {
-	return DumbbellOpts{
-		Flows:           flows,
-		accessBps:       100e9, // 100 Gbps NICs
-		BottleneckBps:   1e9,
-		accessDelay:     1250 * netsim.Microsecond,
-		bottleneckDelay: 2500 * netsim.Microsecond,
-		BufferBytes:     150_000,
-	}
+	return DumbbellOpts{Flows: flows, BottleneckBps: 1e9, BufferBytes: 150_000}
 }
 
 // BuildDumbbell builds the dumbbell. Sender host IDs are 0..F−1, receivers
@@ -210,16 +209,16 @@ func TestbedOpts(flows int) DumbbellOpts {
 // the access-link delay. The partition layout depends only on the topology.
 func BuildDumbbell(eng *netsim.Engine, opts DumbbellOpts, options ...opt.Option) *Dumbbell {
 	scope := opt.Resolve(options).Scope
-	d := &Dumbbell{Eng: eng}
-	d.Left = netsim.NewSwitch(LeafIDBase)
-	d.Right = netsim.NewSwitch(LeafIDBase + 1)
+	d := &Dumbbell{}
+	d.Left = netsim.NewSwitch()
+	d.Right = netsim.NewSwitch()
 	leftEng := eng.AddPartition()
 	rightEng := eng.AddPartition()
 
-	d.Bottleneck = netsim.NewLink(leftEng, d.Right, opts.BottleneckBps, opts.bottleneckDelay,
+	d.Bottleneck = netsim.NewLink(leftEng, d.Right, opts.BottleneckBps, bottleneckDelay,
 		netsim.NewDropTail(opts.BufferBytes),
 		leftEng.PartitionScope(scope.With(obs.Label{Key: "link", Value: "bottleneck"}))).BindRemote(rightEng)
-	back := netsim.NewLink(rightEng, d.Left, opts.BottleneckBps, opts.bottleneckDelay,
+	back := netsim.NewLink(rightEng, d.Left, opts.BottleneckBps, bottleneckDelay,
 		netsim.NewDropTail(1<<22),
 		rightEng.PartitionScope(scope.With(obs.Label{Key: "link", Value: "back"}))).BindRemote(leftEng)
 	d.Left.AddPort(LeafIDBase+1, d.Bottleneck)
@@ -228,8 +227,8 @@ func BuildDumbbell(eng *netsim.Engine, opts DumbbellOpts, options ...opt.Option)
 	attach := func(id int, sw *netsim.Switch, swEng *netsim.Engine) *tcp.Host {
 		hEng := eng.AddPartition()
 		h := tcp.NewHost(hEng, id)
-		up := netsim.NewLink(hEng, sw, opts.accessBps, opts.accessDelay, netsim.NewDropTail(1<<22)).BindRemote(swEng)
-		down := netsim.NewLink(swEng, h, opts.accessBps, opts.accessDelay, netsim.NewDropTail(1<<22)).BindRemote(hEng)
+		up := netsim.NewLink(hEng, sw, accessBps, accessDelay, netsim.NewDropTail(1<<22)).BindRemote(swEng)
+		down := netsim.NewLink(swEng, h, accessBps, accessDelay, netsim.NewDropTail(1<<22)).BindRemote(hEng)
 		h.SetEgress(up)
 		sw.AddPort(id, down)
 		sw.AddRoute(id, id)

@@ -76,7 +76,7 @@ func TestSpineLeafExplicitPath(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		src.Transmit(&netsim.Packet{
-			Flow: netsim.FlowID(i), Src: src.ID, Dst: dst.ID,
+			Flow: netsim.FlowID(i), Dst: dst.ID,
 			Size: 1000, Path: append([]int(nil), path...),
 		})
 	}
@@ -104,7 +104,7 @@ func TestSpineLeafECMPSpreadsFlows(t *testing.T) {
 	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(8))
 	src := sl.Hosts[0]
 	for f := 0; f < 64; f++ {
-		src.Transmit(&netsim.Packet{Flow: netsim.FlowID(f), Src: 0, Dst: 12, Size: 500})
+		src.Transmit(&netsim.Packet{Flow: netsim.FlowID(f), Dst: 12, Size: 500})
 	}
 	eng.Run()
 	up0 := sl.Leaves[0].Port(SpineIDBase).TxPackets()

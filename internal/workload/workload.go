@@ -119,15 +119,18 @@ func ClassOf(sizeBytes int64) Class {
 	}
 }
 
+// hostLinkBps is topo.HostLinkBps (a test keeps the two equal).
+const hostLinkBps int64 = 10e9
+
 // Generate produces n flows with Poisson arrivals at the rate that loads
-// each host link to `load` of linkBps, sources and destinations drawn
+// each 10 Gbps host link to `load`, sources and destinations drawn
 // uniformly among hosts (src ≠ dst). Deterministic for a given rand source.
-func Generate(r *rand.Rand, n, hosts int, load float64, linkBps int64, dist *SizeDist) []FlowSpec {
+func Generate(r *rand.Rand, n, hosts int, load float64, dist *SizeDist) []FlowSpec {
 	if hosts < 2 {
 		panic("workload: need at least two hosts")
 	}
-	// Aggregate arrival rate: load × hosts × linkBps / (mean size in bits).
-	lambda := load * float64(hosts) * float64(linkBps) / (dist.Mean() * 8)
+	// Aggregate arrival rate: load × hosts × link rate / (mean size in bits).
+	lambda := load * float64(hosts) * float64(hostLinkBps) / (dist.Mean() * 8)
 	t := 0.0
 	out := make([]FlowSpec, 0, n)
 	for i := 0; i < n; i++ {
@@ -166,12 +169,11 @@ type ChurnFlow struct {
 // must be reclaimed by the cache's idle sweeper. Each flow issues 1–4
 // queries. Deterministic for a given rand source.
 //
-// Flow IDs start at baseID+1 and arrivals at baseTime, so several
-// populations can be layered in one experiment (scenario churn over session
-// actors) without colliding on FlowID(i+1) or restarting the clock at zero.
-// An arrival later than 2^62 ns (≈ 146 years, past any run) opens at that
-// horizon instead of overflowing into a negative time.
-func GenerateChurnAt(r *rand.Rand, n int, ratePerSec float64, meanLife netsim.Time, finFrac float64, baseID netsim.FlowID, baseTime netsim.Time) []ChurnFlow {
+// Flow IDs start at baseID+1, so several populations can be layered in one
+// experiment (scenario churn over session actors) without colliding on
+// FlowID(i+1). An arrival later than 2^62 ns (≈ 146 years, past any run)
+// opens at that horizon instead of overflowing into a negative time.
+func GenerateChurnAt(r *rand.Rand, n int, ratePerSec float64, meanLife netsim.Time, finFrac float64, baseID netsim.FlowID) []ChurnFlow {
 	if n < 0 || ratePerSec <= 0 || meanLife <= 0 {
 		panic("workload: GenerateChurnAt needs n >= 0, ratePerSec > 0, meanLife > 0")
 	}
@@ -180,7 +182,7 @@ func GenerateChurnAt(r *rand.Rand, n int, ratePerSec float64, meanLife netsim.Ti
 	for i := 0; i < n; i++ {
 		t += r.ExpFloat64() / ratePerSec
 		life := netsim.Time(r.ExpFloat64() * float64(meanLife))
-		open := baseTime + netsim.Time(math.Min(t*1e9, 1<<62))
+		open := netsim.Time(math.Min(t*1e9, 1<<62))
 		out = append(out, ChurnFlow{
 			ID:      baseID + netsim.FlowID(i+1),
 			Open:    open,

@@ -6,7 +6,15 @@ import (
 	"testing/quick"
 
 	"github.com/liteflow-sim/liteflow/internal/netsim"
+	"github.com/liteflow-sim/liteflow/internal/topo"
 )
+
+// Generate's load is a share of the fabric's host links.
+func TestHostLinkRateMatchesFabric(t *testing.T) {
+	if hostLinkBps != topo.HostLinkBps {
+		t.Errorf("workload loads %d bps host links, the fabric has %d", hostLinkBps, topo.HostLinkBps)
+	}
+}
 
 func TestWebSearchDistribution(t *testing.T) {
 	d := WebSearch()
@@ -97,7 +105,7 @@ func TestClassOf(t *testing.T) {
 
 func TestGenerateFlows(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	flows := Generate(r, 1000, 32, 0.4, 10e9, WebSearch())
+	flows := Generate(r, 1000, 32, 0.4, WebSearch())
 	if len(flows) != 1000 {
 		t.Fatalf("generated %d flows", len(flows))
 	}
@@ -133,7 +141,7 @@ func TestGenerateValidation(t *testing.T) {
 			t.Error("hosts < 2 must panic")
 		}
 	}()
-	Generate(rand.New(rand.NewSource(1)), 1, 1, 0.5, 1e9, WebSearch())
+	Generate(rand.New(rand.NewSource(1)), 1, 1, 0.5, WebSearch())
 }
 
 // fakeRate records every rate it is set to and, given an engine, when.
@@ -270,7 +278,7 @@ func TestGenerateChurn(t *testing.T) {
 	const n = 20000
 	rate := 10000.0
 	meanLife := 30 * netsim.Millisecond
-	flows := GenerateChurnAt(r, n, rate, meanLife, 0.7, 0, 0)
+	flows := GenerateChurnAt(r, n, rate, meanLife, 0.7, 0)
 	if len(flows) != n {
 		t.Fatalf("got %d flows, want %d", len(flows), n)
 	}
@@ -314,7 +322,7 @@ func TestGenerateChurn(t *testing.T) {
 	}
 
 	// Determinism: same seed, same flows.
-	again := GenerateChurnAt(rand.New(rand.NewSource(7)), n, rate, meanLife, 0.7, 0, 0)
+	again := GenerateChurnAt(rand.New(rand.NewSource(7)), n, rate, meanLife, 0.7, 0)
 	for i := range flows {
 		if flows[i] != again[i] {
 			t.Fatalf("flow %d differs between same-seed generations", i)
@@ -323,13 +331,11 @@ func TestGenerateChurn(t *testing.T) {
 }
 
 // TestGenerateChurnAtOffsets: two populations composed in one experiment
-// must not collide on flow IDs, and the second population's clock starts at
-// its base time.
+// must not collide on flow IDs.
 func TestGenerateChurnAtOffsets(t *testing.T) {
-	a := GenerateChurnAt(rand.New(rand.NewSource(1)), 100, 1000, netsim.Millisecond, 0.5, 0, 0)
+	a := GenerateChurnAt(rand.New(rand.NewSource(1)), 100, 1000, netsim.Millisecond, 0.5, 0)
 	base := a[len(a)-1].ID
-	b := GenerateChurnAt(rand.New(rand.NewSource(2)), 100, 1000, netsim.Millisecond, 0.5,
-		base, netsim.Second)
+	b := GenerateChurnAt(rand.New(rand.NewSource(2)), 100, 1000, netsim.Millisecond, 0.5, base)
 	ids := make(map[netsim.FlowID]bool)
 	for _, f := range a {
 		ids[f.ID] = true
@@ -337,9 +343,6 @@ func TestGenerateChurnAtOffsets(t *testing.T) {
 	for _, f := range b {
 		if ids[f.ID] {
 			t.Fatalf("flow ID %d collides across populations", f.ID)
-		}
-		if f.Open < netsim.Second {
-			t.Fatalf("flow %d opens at %v, before the base time", f.ID, f.Open)
 		}
 	}
 }
@@ -350,14 +353,14 @@ func TestGenerateChurnValidation(t *testing.T) {
 			t.Error("non-positive rate must panic")
 		}
 	}()
-	GenerateChurnAt(rand.New(rand.NewSource(1)), 1, 0, netsim.Millisecond, 0.5, 0, 0)
+	GenerateChurnAt(rand.New(rand.NewSource(1)), 1, 0, netsim.Millisecond, 0.5, 0)
 }
 
 // TestGenerateChurnLateArrivalsStayPositive: at one arrival per ~30,000 years
 // the open times pass int64 nanoseconds; they must stop at the horizon, not
 // wrap negative (a negative open is an event scheduled in the past).
 func TestGenerateChurnLateArrivalsStayPositive(t *testing.T) {
-	for _, f := range GenerateChurnAt(rand.New(rand.NewSource(1)), 3, 1e-12, netsim.Millisecond, 0.5, 0, 0) {
+	for _, f := range GenerateChurnAt(rand.New(rand.NewSource(1)), 3, 1e-12, netsim.Millisecond, 0.5, 0) {
 		if f.Open <= 0 || f.Close < f.Open {
 			t.Fatalf("flow %d opens at %d, closes at %d", f.ID, f.Open, f.Close)
 		}

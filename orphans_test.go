@@ -1,107 +1,539 @@
 package liteflow_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/constant"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestNoOrphanExports: every exported func, method, type, const, var and
-// struct field declared in a non-test file under internal/ is named somewhere
-// else in the module — cmd/, bench/, examples/ and tests all count (a field a
-// composite literal sets counts, so a field nothing reads can still pass).
-// The check is by name,
-// not by object, so two declarations that share a name hide each other's
-// orphans: it under-reports and never false-alarms, except for methods that
-// exist to satisfy a standard-library interface and are called only from
-// there (stdlibCalled).
+// The census tests below read one go/types load of the whole module, built
+// once per test binary (newCensus). They key what they find by object, so two
+// declarations that share a name no longer hide each other. DESIGN.md §4
+// round (t) says what each one catches.
+
+// censusPkg is one checked package and the files a census walks in it.
+type censusPkg struct {
+	rel   string // module-relative directory, "." for the root
+	files []*ast.File
+	info  *types.Info
+}
+
+type census struct {
+	fset *token.FileSet
+	root string // module root directory
+	mod  string // module path
+	pkgs []*censusPkg
+}
+
+var (
+	censusOnce sync.Once
+	censusLoad *census
+	censusErr  error
+)
+
+// loadCensus returns the module's load, built once per test binary.
+func loadCensus(t *testing.T) *census {
+	t.Helper()
+	censusOnce.Do(func() { censusLoad, censusErr = newCensus() })
+	if censusErr != nil {
+		t.Fatal(censusErr)
+	}
+	return censusLoad
+}
+
+// listed is the part of `go list -json` the load reads.
+type listed struct {
+	Dir, ImportPath                    string
+	Standard                           bool
+	Module                             *struct{ Path string }
+	GoFiles, TestGoFiles, XTestGoFiles []string
+	Imports, TestImports, XTestImports []string
+}
+
+func newCensus() (*census, error) {
+	out, err := exec.Command("go", "list", "-e", "-json", "-deps", "./...").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v", err)
+	}
+	var all []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		all = append(all, p)
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	c := &census{fset: token.NewFileSet(), root: root}
+	mod := map[string]*listed{}
+	var order []string
+	for i := range all {
+		if p := &all[i]; !p.Standard && p.Module != nil {
+			c.mod = p.Module.Path
+			mod[p.ImportPath] = p
+			order = append(order, p.ImportPath)
+		}
+	}
+	// One `go list -export` for every standard package the module imports,
+	// so the gc importer reads export data without a go command per import.
+	stdSet := map[string]bool{}
+	for _, p := range mod {
+		for _, q := range append(append(append([]string{}, p.Imports...), p.TestImports...), p.XTestImports...) {
+			if mod[q] == nil && q != "unsafe" && q != "C" {
+				stdSet[q] = true
+			}
+		}
+	}
+	var std []string
+	for q := range stdSet {
+		std = append(std, q)
+	}
+	sort.Strings(std)
+	out, err = exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, std...)...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %v", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok {
+			export[path] = file
+		}
+	}
+	stdImp := importer.ForCompiler(c.fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f, ok := export[path]; ok && f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("no export data for %s", path)
+	})
+	checked := map[string]*types.Package{}
+
+	// Two passes, as the go command builds them. First each package's own
+	// files, in -deps order. Then each package again with its in-package
+	// test files, and its external test package: both import the first
+	// pass's packages, except that the external test package imports the
+	// package it tests with that package's test files (export_test.go). The
+	// second pass's packages list only their test files, so a walk over
+	// every package's files meets each file once, and every non-test file
+	// with its first-pass info.
+	parse := func(dir string, names []string) ([]*ast.File, error) {
+		var files []*ast.File
+		for _, name := range names {
+			f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		return files, nil
+	}
+	// self, when set, is what an external test package imports for the
+	// package it tests: that package with its in-package test files.
+	check := func(p *listed, path string, files, own []*ast.File, self *types.Package) (*types.Package, error) {
+		rel, err := filepath.Rel(root, p.Dir)
+		if err != nil {
+			return nil, err
+		}
+		cp := &censusPkg{rel: filepath.ToSlash(rel), files: own}
+		cp.info = &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+			if self != nil && path == self.Path() {
+				return self, nil
+			}
+			if p := checked[path]; p != nil {
+				return p, nil
+			}
+			return stdImp.Import(path)
+		})}
+		tp, err := conf.Check(path, c.fset, files, cp.info)
+		if err != nil {
+			return nil, err
+		}
+		c.pkgs = append(c.pkgs, cp)
+		return tp, nil
+	}
+	nonTest := map[string][]*ast.File{}
+	for _, path := range order {
+		p := mod[path]
+		files, err := parse(p.Dir, p.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		nonTest[path] = files
+		if checked[path], err = check(p, path, files, files, nil); err != nil {
+			return nil, err
+		}
+	}
+	for _, path := range order {
+		p := mod[path]
+		self := checked[path]
+		for _, test := range []struct {
+			names []string
+			path  string
+			own   bool
+		}{{p.TestGoFiles, path, false}, {p.XTestGoFiles, path + "_test", true}} {
+			if len(test.names) == 0 {
+				continue
+			}
+			files, err := parse(p.Dir, test.names)
+			if err != nil {
+				return nil, err
+			}
+			all := files
+			if !test.own {
+				all = append(append([]*ast.File{}, nonTest[path]...), files...)
+			}
+			tp, err := check(p, test.path, all, files, self)
+			if err != nil {
+				return nil, err
+			}
+			self = tp
+		}
+	}
+	return c, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// position renders pos as file:line:column, the file relative to the module
+// root.
+func (c *census) position(pos token.Pos) string {
+	p := c.fset.Position(pos)
+	if rel, err := filepath.Rel(c.root, p.Filename); err == nil {
+		p.Filename = filepath.ToSlash(rel)
+	}
+	return p.String()
+}
+
+// isTest reports whether f is a _test.go file.
+func (c *census) isTest(f *ast.File) bool {
+	return strings.HasSuffix(c.fset.File(f.Pos()).Name(), "_test.go")
+}
+
+// ours reports whether obj is declared in the module (so its position is
+// in the census's file set).
+func (c *census) ours(obj types.Object) bool {
+	return obj != nil && obj.Pkg() != nil && (obj.Pkg().Path() == c.mod || strings.HasPrefix(obj.Pkg().Path(), c.mod+"/"))
+}
+
+// structDecl is one field of a struct type declared in a non-test file
+// under internal/, with its "pkg.Type.field" name.
+type structDecl struct {
+	site  string
+	typ   string // the declared type's name
+	field *types.Var
+	tag   string
+}
+
+// internalFields lists the fields of every struct type declared in a
+// non-test file under internal/, nested struct types included.
+func (c *census) internalFields() []structDecl {
+	var out []structDecl
+	for _, p := range c.pkgs {
+		if !strings.HasPrefix(p.rel, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			if c.isTest(f) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				ast.Inspect(ts.Type, func(n ast.Node) bool {
+					st, ok := n.(*ast.StructType)
+					if !ok {
+						return true
+					}
+					for _, fld := range st.Fields.List {
+						tag := ""
+						if fld.Tag != nil {
+							tag = fld.Tag.Value
+						}
+						ids := fld.Names
+						if len(ids) == 0 {
+							ids = []*ast.Ident{embeddedIdent(fld.Type)}
+						}
+						for _, id := range ids {
+							v, _ := p.info.Defs[id].(*types.Var)
+							if v == nil {
+								continue
+							}
+							out = append(out, structDecl{
+								site:  f.Name.Name + "." + ts.Name.Name + "." + id.Name,
+								typ:   ts.Name.Name,
+								field: v,
+								tag:   tag,
+							})
+						}
+					}
+					return true
+				})
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// embeddedIdent returns the identifier that names an embedded field: T in
+// T, *T, pkg.T and T[A].
+func embeddedIdent(x ast.Expr) *ast.Ident {
+	switch e := x.(type) {
+	case *ast.StarExpr:
+		return embeddedIdent(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel
+	case *ast.IndexExpr:
+		return embeddedIdent(e.X)
+	case *ast.IndexListExpr:
+		return embeddedIdent(e.X)
+	}
+	id, _ := x.(*ast.Ident)
+	return id
+}
+
+// TestNoOrphanExports: every exported func, type, const, var, method and
+// struct field declared in a non-test file under internal/ is used
+// somewhere else in the module — cmd/, bench/, examples/ and tests all
+// count, and a composite literal that sets a field counts, so a field
+// nothing reads can still pass (TestNoWriteOnlyFields catches that). A
+// method is matched by name, since a call through an interface does not
+// name the concrete method; everything else by object. stdlibCalled names
+// methods that exist to satisfy a standard-library interface and are called
+// only from there.
 func TestNoOrphanExports(t *testing.T) {
 	stdlibCalled := map[string]bool{"Len": true, "Less": true, "Swap": true}
+	c := loadCensus(t)
 
-	declared := map[string][]string{} // name → declaration sites
-	decls := map[string]int{}         // name → identifiers that are declarations
-	uses := map[string]int{}          // name → identifiers anywhere
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
-			}
-			return true
-		})
-		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		declare := func(id *ast.Ident) {
-			if id.IsExported() {
-				declared[id.Name] = append(declared[id.Name], fset.Position(id.Pos()).String())
-				decls[id.Name]++
+	used := map[token.Pos]bool{} // declarations some identifier refers to
+	named := map[string]bool{}   // names an identifier refers to, or an interface declares
+	for _, p := range c.pkgs {
+		for id, obj := range p.info.Uses {
+			named[id.Name] = true
+			if c.ours(obj) {
+				used[obj.Pos()] = true
 			}
 		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				declare(d.Name)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						declare(s.Name)
-						if st, ok := s.Type.(*ast.StructType); ok {
-							for _, f := range st.Fields.List {
-								for _, id := range f.Names {
-									declare(id)
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, id := range m.Names {
+							named[id.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var orphans []string
+	for _, p := range c.pkgs {
+		if !strings.HasPrefix(p.rel, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			if c.isTest(f) {
+				continue
+			}
+			check := func(id *ast.Ident, ok bool) {
+				if id.IsExported() && !ok {
+					orphans = append(orphans, id.Name+" ("+c.position(id.Pos())+")")
+				}
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv != nil {
+						check(d.Name, named[d.Name.Name] || stdlibCalled[d.Name.Name])
+					} else {
+						check(d.Name, used[d.Name.Pos()])
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							check(s.Name, used[s.Name.Pos()])
+							if st, ok := s.Type.(*ast.StructType); ok {
+								for _, fld := range st.Fields.List {
+									for _, id := range fld.Names {
+										check(id, used[id.Pos()])
+									}
 								}
 							}
-						}
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							declare(id)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								check(id, used[id.Pos()])
+							}
 						}
 					}
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var orphans []string
-	for name, sites := range declared {
-		if uses[name] == decls[name] && !stdlibCalled[name] {
-			orphans = append(orphans, name+" ("+strings.Join(sites, ", ")+")")
-		}
 	}
 	sort.Strings(orphans)
 	for _, o := range orphans {
-		t.Errorf("exported but named nowhere else in the module: %s", o)
+		t.Errorf("exported but used nowhere else in the module: %s", o)
 	}
 }
 
-// TestNoWriteOnlyFields: every named field of a struct declared in a non-test
+// fieldReads collects every struct field that non-test code in the module
+// reads.
+//   - A read is a selection that is not the target of an assignment (=,
+//     op=) or of ++/--, so a call through a func-typed field and &x.f both
+//     count; a composite literal key is a write. x.f += n is a write
+//     because, like x.f++, it feeds only x.f.
+//   - Every embedded field on a selection's path is read: x.f and x.M()
+//     reach f and M through it.
+//   - A field of an instance of a generic type is its origin's field.
+//   - A struct used as a map key or compared with == or != has every field
+//     read, and so has one handed whole to fmt, encoding/json or reflect.
+func (c *census) fieldReads() map[*types.Var]bool {
+	read := map[*types.Var]bool{}
+	var readAll func(t types.Type, seen map[types.Type]bool)
+	readAll = func(t types.Type, seen map[types.Type]bool) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				read[u.Field(i).Origin()] = true
+				readAll(u.Field(i).Type(), seen)
+			}
+		case *types.Array:
+			readAll(u.Elem(), seen)
+		case *types.Pointer:
+			readAll(u.Elem(), seen)
+		}
+	}
+	wholeReaders := map[string]bool{"fmt": true, "encoding/json": true, "reflect": true}
+	for _, p := range c.pkgs {
+		for _, f := range p.files {
+			if c.isTest(f) {
+				continue
+			}
+			written := map[*ast.SelectorExpr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch s := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range s.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							written[sel] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(s.X).(*ast.SelectorExpr); ok {
+						written[sel] = true
+					}
+				case *ast.SelectorExpr:
+					sel := p.info.Selections[s]
+					if sel == nil {
+						return true
+					}
+					if sel.Kind() == types.FieldVal && !written[s] {
+						read[sel.Obj().(*types.Var).Origin()] = true
+					}
+					typ := sel.Recv()
+					idx := sel.Index()
+					for _, i := range idx[:len(idx)-1] {
+						if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+							typ = ptr.Elem()
+						}
+						st, ok := typ.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						read[st.Field(i).Origin()] = true
+						typ = st.Field(i).Type()
+					}
+				case *ast.MapType:
+					if tv, ok := p.info.Types[s.Key]; ok {
+						readAll(tv.Type, map[types.Type]bool{})
+					}
+				case *ast.BinaryExpr:
+					if s.Op == token.EQL || s.Op == token.NEQ {
+						if tv, ok := p.info.Types[s.X]; ok {
+							if _, ok := tv.Type.Underlying().(*types.Struct); ok {
+								readAll(tv.Type, map[types.Type]bool{})
+							}
+						}
+					}
+				case *ast.CallExpr:
+					fn := calleeFunc(p.info, s)
+					if fn == nil || fn.Pkg() == nil || !wholeReaders[fn.Pkg().Path()] {
+						return true
+					}
+					for _, arg := range s.Args {
+						if tv, ok := p.info.Types[arg]; ok {
+							readAll(tv.Type, map[types.Type]bool{})
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return read
+}
+
+// calleeFunc returns the function or method a call names, or nil for a
+// conversion, a builtin or a call of a func value.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	var id *ast.Ident
+	switch x := fun.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// TestNoWriteOnlyFields: every field of a struct declared in a non-test
 // file under internal/ is read in some non-test file of the module, bench/
-// included. A read is a selector that is not the target of an assignment
-// (=, :=, op=) or of ++/--, so a call through a func-typed field and &x.f
-// both count; a composite literal key is a write. x.f += n counts as a write
-// because, like x.f++, it feeds only x.f. Like TestNoOrphanExports the check
-// is by name, so it under-reports. writeOnly lists the fields kept anyway,
-// each with its reason; an entry that is read, or gone, fails too.
+// included (fieldReads says what a read is). writeOnly lists the fields
+// kept anyway, each with its reason; an entry that is read, or gone, fails
+// too.
 func TestNoWriteOnlyFields(t *testing.T) {
 	writeOnly := map[string]string{
 		"netsim.Switch.unrouted": "counts packets with no route; tests assert it to prove a misroute did or did not happen",
@@ -109,77 +541,18 @@ func TestNoWriteOnlyFields(t *testing.T) {
 		"tcp.Host.TxDropped":     "counts segments the NIC refused; tests assert it to prove a drop did or did not happen",
 		"tcp.Receiver.DupAcks":   "counts duplicate ACKs sent; tests assert it to prove reordering or loss was seen",
 	}
-
-	declared := map[string][]string{} // field name → "pkg.Type.field" sites
-	read := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		written := map[*ast.SelectorExpr]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range s.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						written[sel] = true
-					}
-				}
-			case *ast.IncDecStmt:
-				if sel, ok := s.X.(*ast.SelectorExpr); ok {
-					written[sel] = true
-				}
-			case *ast.SelectorExpr:
-				if !written[s] {
-					read[s.Sel.Name] = true
-				}
-			}
-			return true
-		})
-		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-			return nil
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			ast.Inspect(ts.Type, func(n ast.Node) bool {
-				if st, ok := n.(*ast.StructType); ok {
-					for _, fld := range st.Fields.List {
-						for _, id := range fld.Names {
-							site := f.Name.Name + "." + ts.Name.Name + "." + id.Name
-							declared[id.Name] = append(declared[id.Name], site)
-						}
-					}
-				}
-				return true
-			})
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := loadCensus(t)
+	read := c.fieldReads()
 	var bad []string
 	seen := map[string]bool{}
-	for name, sites := range declared {
-		for _, site := range sites {
-			seen[site] = true
-			if _, ok := writeOnly[site]; !ok && !read[name] {
-				bad = append(bad, "written but never read: "+site)
-			} else if ok && read[name] {
-				bad = append(bad, "allow-listed but read: "+site)
-			}
+	for _, d := range c.internalFields() {
+		seen[d.site] = true
+		_, allowed := writeOnly[d.site]
+		switch r := read[d.field]; {
+		case !allowed && !r:
+			bad = append(bad, "written but never read: "+d.site)
+		case allowed && r:
+			bad = append(bad, "allow-listed but read: "+d.site)
 		}
 	}
 	for site := range writeOnly {
@@ -191,4 +564,302 @@ func TestNoWriteOnlyFields(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+// setting is what one assignment of a field or one argument of a call
+// gives: a constant, zero, or something that varies.
+type setting struct {
+	val    constant.Value // nil: zero
+	varies bool
+}
+
+// settingOf reads e's constant value: zero for nil and for a constant
+// zero, varies for anything not constant.
+func settingOf(info *types.Info, e ast.Expr) setting {
+	tv, ok := info.Types[e]
+	switch {
+	case ok && tv.IsNil():
+		return setting{}
+	case !ok || tv.Value == nil:
+		return setting{varies: true}
+	}
+	v := tv.Value
+	switch v.Kind() {
+	case constant.Bool:
+		if !constant.BoolVal(v) {
+			return setting{}
+		}
+	case constant.String:
+		if constant.StringVal(v) == "" {
+			return setting{}
+		}
+	case constant.Int, constant.Float, constant.Complex:
+		if constant.Sign(v) == 0 {
+			return setting{}
+		}
+	}
+	return setting{val: v}
+}
+
+// same reports whether two settings give the same constant.
+func (s setting) same(o setting) bool {
+	switch {
+	case s.varies || o.varies:
+		return false
+	case s.val == nil || o.val == nil:
+		return s.val == nil && o.val == nil
+	}
+	num := func(v constant.Value) bool {
+		k := v.Kind()
+		return k == constant.Int || k == constant.Float || k == constant.Complex
+	}
+	if s.val.Kind() != o.val.Kind() && !(num(s.val) && num(o.val)) {
+		return false
+	}
+	return constant.Compare(s.val, token.EQL, o.val)
+}
+
+func (s setting) String() string {
+	if s.val == nil {
+		return "zero"
+	}
+	return s.val.ExactString()
+}
+
+// TestNoConstantConfig: configuration that is the same wherever non-test
+// code sets it is a constant, not configuration (constantConfig says what
+// counts). kept lists the rows kept anyway, each with its reason; an entry
+// that no longer holds one constant, or is gone, fails too.
+func TestNoConstantConfig(t *testing.T) {
+	const frozen = "bench/ calls it with this value, and bench/ is frozen"
+	const scales = "reference_test.go and quant_test.go sweep it: the kernel's overflow checks and the reference comparison are about other values"
+	kept := map[string]string{
+		"cc.NewAlphaController(initialAlpha)":   frozen,
+		"cc.PretrainAlpha(alpha)":               frozen,
+		"core.Config.OutMax":                    "bench/ sets it to this value, and bench/ is frozen",
+		"core.Core.SetFlowCache(enabled)":       frozen,
+		"nn.TrainBatch(clipNorm)":               frozen + "; the reference test (train_test.go) sweeps 0 and 1",
+		"quant.Config.ActScale":                 scales,
+		"quant.Config.InputScale":               scales,
+		"quant.Config.TableRange":               scales,
+		"quant.Config.TableSize":                scales,
+		"quant.Config.WeightScale":              scales,
+		"rig.FleetOpts.CanaryWindow":            "TestGoldenFailurePaths stages its chaos fleet for 8 aggregation rounds so the next drift meets an open wave; its goldens pin that run byte for byte",
+		"tcp.NewBurstyUDP(halfPeriod)":          frozen,
+		"tcp.NewBurstyUDP(high)":                frozen,
+		"tcp.NewBurstyUDP(low)":                 frozen,
+		"tcp.NewUDPSource(flow)":                frozen,
+		"topo.Dumbbell.ProvisionCPUs(cores)":    frozen,
+		"workload.PatternSwitcher.StartAt(idx)": frozen,
+	}
+	found := loadCensus(t).constantConfig()
+	var bad []string
+	for site, what := range found {
+		if _, ok := kept[site]; !ok {
+			bad = append(bad, site+": "+what)
+		}
+	}
+	for site := range kept {
+		if _, ok := found[site]; !ok {
+			bad = append(bad, "allow-listed but not constant, or gone: "+site)
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// constantConfig returns, by "pkg.Type.field" or "pkg.Func(param)", the
+// configuration that non-test code gives one value everywhere:
+//   - By field: a field of an internal/ struct type named *Opts, *Config,
+//     *Spec or *Options that every non-test composite literal, var
+//     declaration and field assignment leaves at zero or sets to one
+//     constant. A field json decodes (it has a json tag) takes its value
+//     from data, so it is not counted.
+//   - By parameter: a parameter of an internal/ function that has two or
+//     more non-test call sites, is never used as a value (nor, for a method,
+//     named by any interface), and gets one constant at every call.
+func (c *census) constantConfig() map[string]string {
+	fields := map[*types.Var]*configRow{}
+	for _, d := range c.internalFields() {
+		if strings.Contains(d.tag, "json:") || d.field.Embedded() {
+			continue
+		}
+		for _, suf := range []string{"Opts", "Config", "Spec", "Options"} {
+			if strings.HasSuffix(d.typ, suf) {
+				fields[d.field] = &configRow{site: d.site}
+			}
+		}
+	}
+	set := func(v *types.Var, s setting) {
+		if r := fields[v.Origin()]; r != nil {
+			r.sets = append(r.sets, s)
+		}
+	}
+	funcs := map[*types.Func]*configRow{}
+	ifaceMethods := map[string]bool{}
+	for _, p := range c.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, id := range m.Names {
+							ifaceMethods[id.Name] = true
+						}
+					}
+				}
+				return true
+			})
+			if c.isTest(f) || !strings.HasPrefix(p.rel, "internal/") {
+				continue
+			}
+			for _, decl := range f.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok {
+					site := f.Name.Name + "." + d.Name.Name
+					if d.Recv != nil {
+						site = f.Name.Name + "." + embeddedIdent(d.Recv.List[0].Type).Name + "." + d.Name.Name
+					}
+					funcs[p.info.Defs[d.Name].(*types.Func)] = &configRow{site: site}
+				}
+			}
+		}
+	}
+
+	for _, p := range c.pkgs {
+		walked := map[*token.File]bool{}
+		callee := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			if c.isTest(f) {
+				continue
+			}
+			walked[c.fset.File(f.Pos())] = true
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch s := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := structOf(p.info.Types[s].Type)
+					if !ok {
+						return true
+					}
+					given := map[*types.Var]setting{}
+					for i, elt := range s.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if v, ok := p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								given[v] = settingOf(p.info, kv.Value)
+							}
+						} else {
+							given[st.Field(i)] = settingOf(p.info, elt)
+						}
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						set(st.Field(i), given[st.Field(i)])
+					}
+				case *ast.ValueSpec: // var x T leaves every field of T at zero
+					if st, ok := structOf(p.info.TypeOf(s.Type)); ok && len(s.Values) == 0 {
+						for i := 0; i < st.NumFields(); i++ {
+							set(st.Field(i), setting{})
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range s.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && p.info.Selections[sel] != nil {
+							v := p.info.Selections[sel].Obj().(*types.Var)
+							if s.Tok == token.ASSIGN && len(s.Lhs) == len(s.Rhs) {
+								set(v, settingOf(p.info, s.Rhs[i]))
+							} else {
+								set(v, setting{varies: true})
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := ast.Unparen(s.X).(*ast.SelectorExpr); ok && p.info.Selections[sel] != nil {
+						set(p.info.Selections[sel].Obj().(*types.Var), setting{varies: true})
+					}
+				case *ast.CallExpr:
+					switch x := ast.Unparen(s.Fun).(type) {
+					case *ast.SelectorExpr:
+						callee[x.Sel] = true
+					case *ast.Ident:
+						callee[x] = true
+					}
+					fn := calleeFunc(p.info, s)
+					if fn == nil || funcs[fn.Origin()] == nil {
+						return true
+					}
+					r := funcs[fn.Origin()]
+					sig := fn.Type().(*types.Signature)
+					r.calls++
+					for i := 0; i < sig.Params().Len(); i++ {
+						if len(r.args) <= i {
+							r.args = append(r.args, nil)
+						}
+						a := setting{varies: true}
+						if len(s.Args) == sig.Params().Len() && !(sig.Variadic() && i == sig.Params().Len()-1) {
+							a = settingOf(p.info, s.Args[i])
+						}
+						r.args[i] = append(r.args[i], a)
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && funcs[fn.Origin()] != nil && !callee[id] && walked[c.fset.File(id.Pos())] {
+				funcs[fn.Origin()].asValue = true
+			}
+		}
+	}
+
+	found := map[string]string{}
+	for _, r := range fields {
+		if v, ok := oneConstant(r.sets); ok {
+			found[r.site] = fmt.Sprintf("field is %v at all %d settings", v, len(r.sets))
+		}
+	}
+	for fn, r := range funcs {
+		if r.calls < 2 || r.asValue || fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
+			continue
+		}
+		for i, sets := range r.args {
+			if v, ok := oneConstant(sets); ok {
+				name := fn.Type().(*types.Signature).Params().At(i).Name()
+				found[r.site+"("+name+")"] = fmt.Sprintf("parameter is %v at all %d calls", v, r.calls)
+			}
+		}
+	}
+	return found
+}
+
+// configRow is one field's settings, or one function's calls and arguments.
+type configRow struct {
+	site    string
+	sets    []setting   // a field's
+	calls   int         // a function's
+	args    [][]setting // per parameter
+	asValue bool        // the function is used other than called
+}
+
+// oneConstant reports whether sets all give one constant (no sets: zero).
+func oneConstant(sets []setting) (setting, bool) {
+	if len(sets) == 0 {
+		return setting{}, true
+	}
+	for _, s := range sets {
+		if !s.same(sets[0]) {
+			return setting{}, false
+		}
+	}
+	return sets[0], true
+}
+
+// structOf returns t's struct type, through one pointer.
+func structOf(t types.Type) (*types.Struct, bool) {
+	if t == nil {
+		return nil, false
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	return st, ok
 }
