@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/netsim"
@@ -22,7 +21,7 @@ import (
 func TestBloatOffsetsBaseWithinRounding(t *testing.T) {
 	const off = 1.0
 	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 1)
-	bloated := bloat(base, 2048, off, 8)
+	bloated := bloat(base, 8)
 	out := base.Layers[1]
 	m := math.Abs(out.B[0]) + off // |tanh| ≤ 1 bounds each |w·h| by |w|
 	for _, w := range out.W[0] {
@@ -209,44 +208,5 @@ func canaryChaosAcceptance(t *testing.T, members int) {
 	// (~0.25 at these parameters).
 	if r := res.GoodputRatio(); r < 0.6 {
 		t.Errorf("gated fleet goodput collapsed anyway: ratio %.3f", r)
-	}
-}
-
-// TestFleetCanaryFigureContrast: the experiment figure must tell the story —
-// the ungated run regresses, the gated run blocks, and the gated goodput
-// ratio beats the ungated one by a wide margin.
-func TestFleetCanaryFigureContrast(t *testing.T) {
-	fr := obs.NewFlightRecorder(0)
-	res := FigFleetCanary(Config{Scale: 0.05, Seed: 1, Flight: fr})
-
-	for _, name := range []string{"goodput-qps-ungated", "goodput-qps-gated", "query-p99-ns-ungated", "query-p99-ns-gated"} {
-		if res.Get(name) == nil {
-			t.Fatalf("missing series %q: %+v", name, res.Series)
-		}
-	}
-	ug := res.Get("goodput-qps-ungated")
-	g := res.Get("goodput-qps-gated")
-	uRatio := ug.Y[1] / ug.Y[0]
-	gRatio := g.Y[1] / g.Y[0]
-	if uRatio >= 0.9 {
-		t.Errorf("ungated run did not regress: ratio %.3f", uRatio)
-	}
-	if gRatio < uRatio+0.2 {
-		t.Errorf("gate bought no goodput: gated ratio %.3f vs ungated %.3f", gRatio, uRatio)
-	}
-	var blocked, regressed bool
-	for _, n := range res.Notes {
-		if strings.Contains(n, "BLOCKED") {
-			blocked = true
-		}
-		if strings.Contains(n, "REGRESSION: degraded snapshot reached") {
-			regressed = true
-		}
-	}
-	if !blocked || !regressed {
-		t.Errorf("notes missing verdicts (blocked=%v regressed=%v): %v", blocked, regressed, res.Notes)
-	}
-	if fr.Ticks() == 0 {
-		t.Error("caller-supplied flight recorder absorbed no samples")
 	}
 }

@@ -13,25 +13,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
-// TestDeterminism asserts bit-exact reproducibility: the whole stack —
-// PRNGs, event ordering, training, quantization — is deterministic for a
-// fixed seed (DESIGN.md §4). fig7 exercises training + quantization; fig15
-// exercises the simulator's event loop and cost model.
-func TestDeterminism(t *testing.T) {
-	for _, id := range []string{"fig7", "fig15", "abl-taylor"} {
-		r, ok := ByID(id)
-		if !ok {
-			t.Fatal(id)
-		}
-		cfg := Config{Scale: 0.2, Seed: 7}
-		a := r.Run(cfg)
-		b := r.Run(cfg)
-		if a.String() != b.String() {
-			t.Errorf("%s is not deterministic for a fixed seed", id)
-		}
-	}
-}
-
 // TestTelemetryDeterminism asserts that telemetry itself is reproducible:
 // two same-seed adaptation runs must export byte-identical Chrome traces and
 // Prometheus text. Virtual-time stamps, sorted export orders and the
@@ -93,26 +74,28 @@ func checkGolden(t *testing.T, path string, got []byte) {
 
 // suiteRun is one pass of every registered experiment at the golden
 // configuration, scale 0.02 and seed 3: the results in registry order and, for
-// a pass under live telemetry, the exports. Scale 0.02 keeps several
-// full-suite passes tractable in CI while still executing every experiment's
-// complete code path.
+// a pass under live telemetry and a flight recorder, the exports. Scale 0.02
+// keeps several full-suite passes tractable in CI while still executing every
+// experiment's complete code path.
 type suiteRun struct {
-	results     []SuiteResult
-	prom, trace []byte
+	results             []SuiteResult
+	prom, trace, flight []byte
 }
 
 func goldenSuite(parallel int, live bool) suiteRun {
 	var reg *obs.Registry
 	var tr *obs.Tracer
+	cfg := Config{Scale: 0.02, Seed: 3}
 	if live {
-		reg, tr = obs.NewRegistry(), obs.NewTracer(0)
+		reg, tr, cfg.Flight = obs.NewRegistry(), obs.NewTracer(0), obs.NewFlightRecorder(0)
 	}
-	cfg := Config{Scale: 0.02, Seed: 3, Obs: obs.New(reg, tr)} // neither is obs.Scope{}
+	cfg.Obs = obs.New(reg, tr) // neither is obs.Scope{}
 	run := suiteRun{results: RunSuite(All(), cfg, parallel)}
 	if live {
-		var tb bytes.Buffer
+		var tb, fb bytes.Buffer
 		tr.WriteChromeTrace(&tb)
-		run.prom, run.trace = reg.PrometheusText(), tb.Bytes()
+		cfg.Flight.WriteJSONL(&fb)
+		run.prom, run.trace, run.flight = reg.PrometheusText(), tb.Bytes(), fb.Bytes()
 	}
 	return run
 }
@@ -133,12 +116,15 @@ var referenceSuite = sync.OnceValue(func() suiteRun { return goldenSuite(1, true
 // TestGoldenSuiteSerialVsParallel is the determinism invariant of DESIGN.md
 // §4d, enforced over EVERY registered experiment: the full suite run through
 // the harness with -parallel 4 must produce byte-identical reports AND
-// byte-identical telemetry exports (Prometheus text + Chrome trace) to the
-// serial run.
+// byte-identical telemetry exports (Prometheus text, Chrome trace and the
+// flight recording fleet-scale and fleet-canary drive) to the serial run —
+// the per-job telemetry children are joined in job order, not completion
+// order.
 func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite golden run is slow; skipped with -short")
 	}
+	t.Parallel()
 	serial, par := referenceSuite(), goldenSuite(4, true)
 	// The suite must include the flow-churn experiment (#20) — its cache
 	// map and timing-wheel sweeper are exactly the structures whose
@@ -155,7 +141,7 @@ func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 		}
 	}
 	serialRep, parRep := serial.report(), par.report()
-	if len(serialRep) == 0 || len(serial.prom) == 0 || len(serial.trace) == 0 {
+	if len(serialRep) == 0 || len(serial.prom) == 0 || len(serial.trace) == 0 || len(serial.flight) == 0 {
 		t.Fatal("empty suite output; golden comparison is vacuous")
 	}
 	const golden = "testdata/suite_scale0.02_seed3"
@@ -175,6 +161,10 @@ func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 		t.Errorf("Chrome trace differs between serial and -parallel 4 runs (%d vs %d bytes)",
 			len(serial.trace), len(par.trace))
 	}
+	if !bytes.Equal(serial.flight, par.flight) {
+		t.Errorf("flight recording differs between serial and -parallel 4 runs (%d vs %d bytes)",
+			len(serial.flight), len(par.flight))
+	}
 }
 
 // TestTelemetryIsPassive: attaching a registry and a tracer changes no
@@ -186,6 +176,7 @@ func TestTelemetryIsPassive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite run is slow; skipped with -short")
 	}
+	t.Parallel()
 	live, nop := referenceSuite(), goldenSuite(4, false)
 	if len(live.results) != len(All()) || len(nop.results) != len(All()) {
 		t.Fatalf("suite ran %d live and %d no-op experiments, registry has %d",

@@ -76,6 +76,7 @@ func TestGoldenFailurePaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full chaos runs; skipped with -short")
 	}
+	t.Parallel()
 	export := func(run func(obs.Scope)) (trace, prom []byte) {
 		reg, tr := obs.NewRegistry(), obs.NewTracer(1<<20)
 		run(obs.New(reg, tr))

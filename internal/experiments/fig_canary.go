@@ -12,20 +12,20 @@ import (
 )
 
 // bloat returns a functionally offset copy of base with its hidden layer
-// padded to the given width: the original hidden units (weights and biases)
-// are embedded verbatim, the padding units get random input weights but zero
-// output weights, and the output bias shifts by off — so bloated(x) equals
-// base(x) + off up to rounding, not exactly: the output sum starts from the
-// bias B+off rather than B, so its partial sums round at another magnitude,
+// padded to 2048 units: the original hidden units (weights and biases) are
+// embedded verbatim, the padding units get random input weights but zero
+// output weights, and the output bias shifts by 1 — so bloated(x) equals
+// base(x) + 1 up to rounding, not exactly: the output sum starts from the
+// bias B+1 rather than B, so its partial sums round at another magnitude,
 // and the two often differ in the last bits (the padding's zero weights add
 // exact zeros). Both sum the same terms, so for a base of n tanh hidden units
-// with output bias B and weights w they are within (n+2)·ε·(|B|+|off|+Σ|w|)
-// of each other, ε = 2⁻⁵². The offset keeps the fleet necessity gate's
+// with output bias B and weights w they are within (n+2)·ε·(|B|+1+Σ|w|) of
+// each other, ε = 2⁻⁵². The offset keeps the fleet necessity gate's
 // min-loss strictly above threshold (a fresh random net would cross the old
 // function somewhere and let the minimum collapse to ~0), while the padding
 // inflates the MAC count ~250× — the degradation the canary must catch.
-func bloat(base *nn.Network, hidden int, off float64, seed int64) *nn.Network {
-	n := nn.New([]int{base.InputSize(), hidden, base.OutputSize()},
+func bloat(base *nn.Network, seed int64) *nn.Network {
+	n := nn.New([]int{base.InputSize(), 2048, base.OutputSize()},
 		[]nn.Activation{nn.Tanh, nn.Linear}, seed)
 	l1, l2 := base.Layers[0], base.Layers[1]
 	b1, b2 := n.Layers[0], n.Layers[1]
@@ -41,7 +41,7 @@ func bloat(base *nn.Network, hidden int, off float64, seed int64) *nn.Network {
 				b2.W[o][j] = 0
 			}
 		}
-		b2.B[o] = l2.B[o] + off
+		b2.B[o] = l2.B[o] + 1
 	}
 	return n
 }
@@ -143,7 +143,7 @@ func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
 	// still-bloated model is caught at the canary stage in turn. Hidden-layer
 	// growth is legal for RegisterModel (input/output dims are pinned).
 	eng.At(dur, func() {
-		f.User.Net = bloat(f.User.Net, 2048, 1.0, o.Seed+7)
+		f.User.Net = bloat(f.User.Net, o.Seed+7)
 		f.User.DriftEvery = 0
 	})
 

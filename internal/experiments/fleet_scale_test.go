@@ -56,33 +56,6 @@ func TestFleetChaosRecoversToEpochParity(t *testing.T) {
 	}
 }
 
-// TestFleetScaleShape smokes the registered experiment: goodput scales with
-// member count (queries never block on the control plane) and every run
-// drains its staleness by the end of the recovery tail.
-func TestFleetScaleShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	res := FigFleetScale(Config{Scale: 0.25, Seed: 1})
-	for _, name := range []string{"goodput-clean", "goodput-chaos", "stale-clean", "stale-chaos"} {
-		s := res.Get(name)
-		if s == nil || len(s.Y) != 3 {
-			t.Fatalf("series %s missing or wrong length: %v", name, s)
-		}
-	}
-	for _, name := range []string{"goodput-clean", "goodput-chaos"} {
-		g := res.Get(name)
-		for i := 1; i < len(g.Y); i++ {
-			if g.Y[i] <= g.Y[i-1] {
-				t.Errorf("%s must grow with member count: %v", name, g.Y)
-			}
-		}
-	}
-	if len(res.Notes) != 6 {
-		t.Errorf("want one note per (count, variant) run, got %d", len(res.Notes))
-	}
-}
-
 // TestFleetWorkloadShaping checks the scenario→fleet-plane wiring: a diurnal
 // workload thins member query cadence at the troughs (fewer total queries
 // than the flat cadence at the same seed), the run stays deterministic, and
