@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,12 +77,55 @@ func TestLfbenchRejectsNonPositiveScale(t *testing.T) {
 	}
 }
 
+// TestLfbenchParallelMatchesSerial asserts the CLI contract documented in the
+// package comment: for a fixed -seed/-scale, stdout and the telemetry exports
+// are byte-identical regardless of -parallel. One -exp is one job, so the
+// pool runs it on one worker either way; several jobs on the pool are checked
+// by the experiments package's TestRunSuiteParallelMatchesSerial and golden
+// suite.
+func TestLfbenchParallelMatchesSerial(t *testing.T) {
+	runOnce := func(parallel int) (report string, trace, prom []byte) {
+		dir := t.TempDir()
+		tracePath := filepath.Join(dir, "trace.json")
+		promPath := filepath.Join(dir, "metrics.prom")
+		var stdout, stderr bytes.Buffer
+		args := []string{"-exp", "fig14", "-scale", "0.05", "-seed", "1",
+			"-parallel", strconv.Itoa(parallel),
+			"-trace", tracePath, "-metrics-out", promPath}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run -parallel %d exited %d\nstderr: %s", parallel, code, stderr.String())
+		}
+		tb, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := os.ReadFile(promPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stdout.String(), tb, pb
+	}
+	serialRep, serialTrace, serialProm := runOnce(1)
+	parRep, parTrace, parProm := runOnce(4)
+	if serialRep == "" {
+		t.Fatal("empty report")
+	}
+	if serialRep != parRep {
+		t.Errorf("stdout differs between -parallel 1 and -parallel 4:\n--- serial\n%s\n--- parallel\n%s", serialRep, parRep)
+	}
+	if !bytes.Equal(serialTrace, parTrace) {
+		t.Errorf("trace export differs between -parallel 1 and -parallel 4 (%d vs %d bytes)", len(serialTrace), len(parTrace))
+	}
+	if !bytes.Equal(serialProm, parProm) {
+		t.Errorf("metrics export differs between -parallel 1 and -parallel 4")
+	}
+}
+
 // TestLfbenchTelemetryIsPassive holds what only the CLI adds to a run:
 // stdout is the runner's Result, -trace, -metrics-out and -flight-out are
 // written, and asking for them changes no stdout byte. fleet-canary drives a
-// flight recorder, so every export has content. That exports are the same
-// bytes at any -parallel, and that no experiment's report moves under
-// telemetry, the experiments package's golden suite checks.
+// flight recorder, so every export has content. That no experiment's report
+// moves under telemetry, the experiments package's golden suite checks.
 func TestLfbenchTelemetryIsPassive(t *testing.T) {
 	args := []string{"-exp", "fleet-canary", "-scale", "0.02", "-seed", "1"}
 	report := func(extra ...string) string {
@@ -116,6 +160,53 @@ func TestLfbenchTelemetryIsPassive(t *testing.T) {
 		}
 	}
 	if b, _ := os.ReadFile(paths["-flight-out"]); !bytes.Contains(b, []byte(`"kind":"cumulative"`)) {
+		t.Error("flight recording missing cumulative series")
+	}
+}
+
+// TestLfbenchFlightParallelMatchesSerial: the flight recording (and the span
+// trace it rides with) must be byte-identical regardless of -parallel — the
+// §4d obligation extended to -flight-out.
+func TestLfbenchFlightParallelMatchesSerial(t *testing.T) {
+	runOnce := func(parallel int) (report string, flight, trace []byte) {
+		dir := t.TempDir()
+		flightPath := filepath.Join(dir, "flight.jsonl")
+		tracePath := filepath.Join(dir, "trace.json")
+		var stdout, stderr bytes.Buffer
+		args := []string{"-exp", "fleet-canary", "-scale", "0.02", "-seed", "1",
+			"-parallel", strconv.Itoa(parallel),
+			"-flight-out", flightPath, "-trace", tracePath}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run -parallel %d exited %d\nstderr: %s", parallel, code, stderr.String())
+		}
+		fb, err := os.ReadFile(flightPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stdout.String(), fb, tb
+	}
+	serialRep, serialFlight, serialTrace := runOnce(1)
+	parRep, parFlight, parTrace := runOnce(4)
+	if len(serialFlight) == 0 {
+		t.Fatal("flight recording is empty")
+	}
+	if serialRep != parRep {
+		t.Errorf("stdout differs between -parallel 1 and -parallel 4:\n--- serial\n%s\n--- parallel\n%s", serialRep, parRep)
+	}
+	if !bytes.Equal(serialFlight, parFlight) {
+		t.Errorf("flight export differs between -parallel 1 and -parallel 4 (%d vs %d bytes)", len(serialFlight), len(parFlight))
+	}
+	if !bytes.Equal(serialTrace, parTrace) {
+		t.Errorf("trace export differs between -parallel 1 and -parallel 4 (%d vs %d bytes)", len(serialTrace), len(parTrace))
+	}
+	if !strings.Contains(serialRep, "REGRESSION") {
+		t.Errorf("canary report did not flag the degraded snapshot:\n%s", serialRep)
+	}
+	if !strings.Contains(string(serialFlight), `"kind":"cumulative"`) {
 		t.Error("flight recording missing cumulative series")
 	}
 }

@@ -9,9 +9,29 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
+
+// TestDeterminism asserts bit-exact reproducibility: the whole stack —
+// PRNGs, event ordering, training, quantization — is deterministic for a
+// fixed seed (DESIGN.md §4). fig7 exercises training + quantization; fig15
+// exercises the simulator's event loop and cost model.
+func TestDeterminism(t *testing.T) {
+	for _, id := range []string{"fig7", "fig15", "abl-taylor"} {
+		r, ok := ByID(id)
+		if !ok {
+			t.Fatal(id)
+		}
+		cfg := Config{Scale: 0.2, Seed: 7}
+		a := r.Run(cfg)
+		b := r.Run(cfg)
+		if a.String() != b.String() {
+			t.Errorf("%s is not deterministic for a fixed seed", id)
+		}
+	}
+}
 
 // TestTelemetryDeterminism asserts that telemetry itself is reproducible:
 // two same-seed adaptation runs must export byte-identical Chrome traces and
@@ -40,6 +60,39 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(p1, p2) {
 		t.Errorf("Prometheus exports differ between same-seed runs:\n--- run1\n%s\n--- run2\n%s", p1, p2)
+	}
+}
+
+// TestFaultTelemetryDeterminism mirrors TestTelemetryDeterminism for faulted
+// runs: the injector derives every decision from the seed, so two same-seed
+// chaos runs must export byte-identical Chrome traces and Prometheus text.
+func TestFaultTelemetryDeterminism(t *testing.T) {
+	export := func() (trace, prom []byte) {
+		reg := obs.NewRegistry()
+		tr := obs.NewTracer(1 << 14)
+		cfg := Config{Scale: 0.2, Seed: 7, Obs: obs.New(reg, tr)}
+		prof := fault.Chaos()
+		runAdaptation(cfg, adaptVariant{
+			name: "chaos", adapt: true,
+			faults:   prof,
+			watchdog: true, wdWindow: 60 * netsim.Millisecond,
+		}, 20*netsim.Millisecond, 400*netsim.Millisecond, 0, 1)
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), reg.PrometheusText()
+	}
+	t1, p1 := export()
+	t2, p2 := export()
+	if len(t1) == 0 || len(p1) == 0 {
+		t.Fatal("empty telemetry export")
+	}
+	if !bytes.Equal(t1, t2) {
+		t.Errorf("Chrome traces differ between same-seed faulted runs (%d vs %d bytes)", len(t1), len(t2))
+	}
+	if !bytes.Equal(p1, p2) {
+		t.Errorf("Prometheus exports differ between same-seed faulted runs:\n--- run1\n%s\n--- run2\n%s", p1, p2)
 	}
 }
 

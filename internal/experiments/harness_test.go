@@ -37,7 +37,7 @@ func suiteBytes(t *testing.T, runners []Runner, cfg Config, parallel int) (repor
 // flight recorder, run serially and on four workers, give byte-identical
 // reports, metrics, traces and flight recordings — the per-job telemetry
 // children are joined in job order, not completion order. The
-// all-experiment check without a flight recorder lives in
+// all-experiment check, TestGoldenSuiteSerialVsParallel, lives in
 // determinism_test.go.
 func TestRunSuiteParallelMatchesSerial(t *testing.T) {
 	var runners []Runner

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -78,10 +77,26 @@ func TestParseRejectsOverflowingDuration(t *testing.T) {
 	}
 }
 
+// naturalRuns holds one natural-scale run per scenario name, so the
+// envelope, digest and scale tests all read the same report.
+var naturalRuns sync.Map // scenario name → func() (*Report, error)
+
+// naturalRun runs s at natural scale once per test binary and returns that
+// report to every caller.
+func naturalRun(t *testing.T, s *Spec) *Report {
+	t.Helper()
+	f, _ := naturalRuns.LoadOrStore(s.Name, sync.OnceValues(func() (*Report, error) { return Run(s, RunOpts{}) }))
+	r, err := f.(func() (*Report, error))()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return r
+}
+
 // TestScenarioEnvelopes runs every small scenario at natural scale on the
-// partitioned engine Run builds and requires a clean acceptance envelope —
-// the check CI's scenario job applies through lfsim scenario -check — and
-// the committed digest of its report.
+// partitioned engine Run builds and requires a clean acceptance envelope.
+// This is the same check CI's scenario job applies through lfsim scenario
+// -check.
 func TestScenarioEnvelopes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario envelope sweep is a long test")
@@ -93,10 +108,7 @@ func TestScenarioEnvelopes(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel() // every run builds a private fabric and engine
-			r, err := Run(s, RunOpts{})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+			r := naturalRun(t, s)
 			if !r.EnvelopeChecked {
 				t.Fatalf("envelope not checked at natural scale")
 			}
@@ -106,54 +118,55 @@ func TestScenarioEnvelopes(t *testing.T) {
 			if r.Total.Responses == 0 {
 				t.Fatalf("scenario completed zero responses")
 			}
-			checkDigest(t, r)
 		})
 	}
 }
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
 
-// golden pins the §4j contract for the scenario harness: one line per corpus
-// scenario, the digest of its natural-scale report. The digests are amd64
-// bytes: elsewhere the compiler may fuse multiply-adds, which moves float
-// results in the last place.
-const golden = "testdata/windowed_corpus.golden"
-
-var goldenMu sync.Mutex // parallel subtests share the file
-
-// checkDigest compares r's digest line with the committed one, or rewrites
-// that line under -update.
-func checkDigest(t *testing.T, r *Report) {
-	t.Helper()
-	h := fnv.New64a()
-	h.Write([]byte(r.String()))
-	line := fmt.Sprintf("%s responses=%d report=%016x", r.Name, r.Total.Responses, h.Sum64())
-	goldenMu.Lock()
-	defer goldenMu.Unlock()
-	data, err := os.ReadFile(golden)
-	if err != nil && !*update {
-		t.Fatalf("%v (run with -update to create it)", err)
+// TestScenarioCorpusMatchesPinnedDigests pins the §4j contract for the
+// scenario harness itself: every corpus scenario reproduces the committed
+// digest of its natural-scale report, the run the envelope and scale tests
+// read. The digests are amd64 bytes: elsewhere the compiler may fuse
+// multiply-adds, which moves float results in the last place.
+func TestScenarioCorpusMatchesPinnedDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("windowed corpus golden run is a long test")
 	}
+	const golden = "testdata/windowed_corpus.golden"
 	pinned := map[string]string{} // scenario name → its committed line
-	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		name, _, _ := strings.Cut(l, " ")
-		pinned[name] = l
+	if !*update {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%v (run with -update to create it)", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			name, _, _ := strings.Cut(line, " ")
+			pinned[name] = line
+		}
+	}
+	specs := corpus(t)
+	lines := make([]string, len(specs))
+	for i, s := range specs {
+		i, s := i, s
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel() // every run builds a private fabric and engine
+			r := naturalRun(t, s)
+			h := fnv.New64a()
+			h.Write([]byte(r.String()))
+			lines[i] = fmt.Sprintf("%s responses=%d report=%016x", s.Name, r.Total.Responses, h.Sum64())
+			if !*update && runtime.GOARCH == "amd64" && lines[i] != pinned[s.Name] {
+				t.Errorf("report moved (-update regenerates after an intended change):\n got %s\nwant %s\n%s",
+					lines[i], pinned[s.Name], r)
+			}
+		})
 	}
 	if *update {
-		pinned[r.Name] = line
-		lines := make([]string, 0, len(pinned))
-		for _, l := range pinned {
-			lines = append(lines, l)
-		}
-		sort.Strings(lines)
-		if err := os.WriteFile(golden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Error(err)
-		}
-		return
-	}
-	if runtime.GOARCH == "amd64" && line != pinned[r.Name] {
-		t.Errorf("report moved (-update regenerates after an intended change):\n got %s\nwant %s\n%s",
-			line, pinned[r.Name], r)
+		t.Cleanup(func() { // after the parallel subtests
+			if err := os.WriteFile(golden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -163,18 +176,13 @@ func TestMegaWebMillionFlows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-flow scale smoke is a long test")
 	}
-	s := byName(t, corpus(t), "mega-web-1m")
-	r, err := Run(s, RunOpts{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	r := naturalRun(t, byName(t, corpus(t), "mega-web-1m"))
 	if r.Flows < 1_000_000 {
 		t.Fatalf("scale smoke ran %d concurrent flows, want >= 1,000,000", r.Flows)
 	}
 	if !r.EnvelopeChecked || len(r.Violations) != 0 {
 		t.Fatalf("envelope checked=%v violations=%v", r.EnvelopeChecked, r.Violations)
 	}
-	checkDigest(t, r)
 	t.Logf("mega-web-1m: %d flows, %d responses, p99 %.3f ms",
 		r.Flows, r.Total.Responses, r.Total.P99Ms)
 }
