@@ -324,7 +324,7 @@ type fleetRun struct {
 
 func parseFleet(fs *flag.FlagSet, args []string) (command, error) {
 	var o fleetRun
-	fs.IntVar(&o.members, "members", 8, "fleet members: kernel datapaths, one per fabric host (rounded up to even)")
+	fs.IntVar(&o.members, "members", 8, "fleet members: kernel datapaths, one 4-core host each")
 	fs.IntVar(&o.canary, "canary", 0, "stage each minted epoch on this many canary members and auto-rollback on a failed health verdict before the rest of the fleet sees it (0 = fan out everywhere at once), see DESIGN.md §4i")
 	fs.BoolVar(&o.chaos, "chaos", false, "odd members suffer injected slow-path outages; the recovery tail must restore epoch parity")
 	fs.StringVar(&o.workload, "workload", "", "shape member query cadence by this scenario's arrival process (name or JSON path; diurnal scenarios make fleet load breathe day/night)")
@@ -339,7 +339,7 @@ func parseFleet(fs *flag.FlagSet, args []string) (command, error) {
 }
 
 // run executes the fleet distribution-plane scenario: one controller slow
-// path serving the members' kernel datapaths on a spine–leaf fabric, under a
+// path serving the members' kernel datapaths, one host CPU each, under a
 // drifting model that keeps minting snapshot versions. With -chaos, odd
 // members go dark on a jittered schedule, installs park on the degraded
 // cores, and the recovery tail must restore epoch parity. The returned

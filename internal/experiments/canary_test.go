@@ -127,8 +127,8 @@ func TestFleetCanaryUngatedFlagsRegression(t *testing.T) {
 // must be caught at the canary stage — the bad epoch activates on canary
 // members only, auto-rollback restores them to the prior released version,
 // and no non-canary member ever reports a blacklisted epoch in
-// MemberEpochs() at any sampled instant. Members 3 is the odd case: the
-// fabric rounds it up to 4 hosts and everything must be sized from that.
+// MemberEpochs() at any sampled instant. Members 3 is the odd case: nothing
+// may assume the fleet splits in two.
 func TestFleetCanaryChaosAcceptance(t *testing.T) {
 	for _, members := range []int{4, 3} {
 		t.Run(fmt.Sprintf("members=%d", members), func(t *testing.T) {
@@ -143,6 +143,9 @@ func canaryChaosAcceptance(t *testing.T, members int) {
 		Seed: 1, Dur: netsim.Time(0.05 * float64(2*netsim.Second)),
 	})
 	st := res.Stats
+	if len(res.Final) != members {
+		t.Fatalf("fleet has %d members, asked for %d", len(res.Final), members)
+	}
 
 	// The gate must actually have fired: at least one bad epoch blacklisted
 	// and at least one canary member rolled back.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -201,6 +202,19 @@ func TestGoldenSuiteSerialVsParallel(t *testing.T) {
 	checkGolden(t, golden+".report.golden", []byte(serialRep))
 	checkGolden(t, golden+".prom.golden", serial.prom)
 	checkGolden(t, golden+".trace.golden", serial.trace)
+	// The suite overflows its tracer, and /metrics must count every eviction
+	// the trace export reports in-band.
+	count := func(re string, b []byte) string {
+		if m := regexp.MustCompile(re).FindSubmatch(b); m != nil {
+			return string(m[1])
+		}
+		return "none"
+	}
+	promEvicted := count(`(?m)^liteflow_trace_evicted_total (\d+)$`, serial.prom)
+	traceEvicted := count(`"name":"trace_ring_overflow"[^}]*"args":\{"evicted":(\d+)\}`, serial.trace)
+	if promEvicted != traceEvicted || promEvicted == "none" {
+		t.Errorf("liteflow_trace_evicted_total is %s, the trace's trace_ring_overflow says %s evicted", promEvicted, traceEvicted)
+	}
 
 	if serialRep != parRep {
 		t.Errorf("suite report differs between serial and -parallel 4 runs")

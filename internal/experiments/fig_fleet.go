@@ -15,7 +15,7 @@ import (
 // scenario backs the fleet-scale experiment, lfsim fleet, and the
 // chaos-recovery acceptance test.
 type FleetScenarioOpts struct {
-	Members int // fabric hosts = fleet members (rounded up to even)
+	Members int // fleet members, one host CPU each
 	Seed    int64
 	Dur     netsim.Time // drift-active window; the run continues to 2×Dur as a recovery tail
 	Chaos   bool        // odd members suffer injected slow-path outages
@@ -50,8 +50,8 @@ type FleetScenarioResult struct {
 	Stats       fleet.Stats
 }
 
-// RunFleetScenario provisions a spine–leaf fabric with one kernel datapath
-// per host and a single fleet.Controller slow path, drives per-member query
+// RunFleetScenario provisions one host CPU and kernel datapath per member
+// and a single fleet.Controller slow path, drives per-member query
 // + sample streams, and lets a drifting model force versioned fan-outs. With
 // Chaos, odd members go dark on a jittered schedule: their watchdogs degrade
 // the core, installs park, and the recovery tail (Dur..2×Dur, drift off)

@@ -8,7 +8,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/lb"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 	"github.com/liteflow-sim/liteflow/internal/topo"
@@ -42,7 +41,7 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	opts.FabricLinkBps = 10e9
 	// One partition: every host queries the one core, which schedules on the
 	// root view.
-	sl := rig.NewFabric(netsim.NewEngine(), opts, 8, obs.Scope{})
+	sl := rig.NewFabric(netsim.NewEngine(), opts, 8)
 	eng := sl.Eng
 	for _, leaf := range sl.Leaves {
 		leaf.Port(topo.SpineIDBase).SetRate(3e9)

@@ -9,7 +9,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/sched"
 	"github.com/liteflow-sim/liteflow/internal/stats"
@@ -217,7 +216,7 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	opts.UsePrioQueues = true
 	// Server-class hosts for the 10G fabric. One partition: every host
 	// queries the one core, which schedules on the root view.
-	sl := rig.NewFabric(netsim.NewEngine(), opts, 32, obs.Scope{})
+	sl := rig.NewFabric(netsim.NewEngine(), opts, 32)
 	eng := sl.Eng
 	costs := ksim.DefaultCosts()
 

@@ -18,7 +18,10 @@
 // no state, and at the window barrier cross-partition packet handoffs are
 // drained from per-partition mailboxes in partition-index order, the same
 // merge-in-deterministic-order rule the experiment harness and fleet plane use
-// (§4d). The small private heaps are what the family is kept for.
+// (§4d). The small private heaps are what the family is kept for. Entities
+// trace into the scope they were given, so a partitioned run's trace is in
+// execution order: window by window, and partition by partition inside a
+// window.
 //
 // In both families the completions of a FIFO server — a link's packets in
 // propagation, a CPU's per-packet work — wait in the server's own Ring and
@@ -30,8 +33,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
 // Time is virtual simulation time in nanoseconds.
@@ -213,11 +214,7 @@ type coordinator struct {
 	// guarded arms checkOwner: true for the length of a Run/RunUntil call on
 	// a partitioned engine.
 	guarded bool
-
-	// foldInto receives partition trace shards (see PartitionScope), merged
-	// in partition order at the end of every Run/RunUntil.
-	foldInto *obs.Tracer
-	free     []*Packet // the packet free list (AllocPacket, FreePacket)
+	free    []*Packet // the packet free list (AllocPacket, FreePacket)
 }
 
 // Engine is one partition's view of the simulation: a private event queue,
@@ -240,7 +237,6 @@ type Engine struct {
 	// active is true while this partition's events are executing; checkOwner
 	// reads it to diagnose a schedule that comes from another partition.
 	active bool
-	tracer *obs.Tracer
 }
 
 // NewEngine returns a classic single-partition engine with time 0 and an
@@ -290,28 +286,6 @@ func (e *Engine) Lookahead() Time { return e.co.lookahead }
 
 // Now returns this partition's current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// PartitionScope returns sc with its tracer swapped for this partition's
-// private shard, minting the shard on first use. Shards are folded back into
-// sc's original tracer in partition order at the end of every Run/RunUntil:
-// a call's events export partition by partition, not window by window, and
-// the windowed goldens pin that order. On a classic engine, or when sc does
-// not trace, sc is returned unchanged.
-func (e *Engine) PartitionScope(sc obs.Scope) obs.Scope {
-	base := sc.Tracer()
-	if base == nil || !e.co.partitioned {
-		return sc
-	}
-	if e.co.foldInto == nil {
-		e.co.foldInto = base
-	} else if e.co.foldInto != base {
-		panic("netsim: PartitionScope called with two different tracers")
-	}
-	if e.tracer == nil {
-		e.tracer = obs.NewTracer(base.Cap())
-	}
-	return sc.WithTracer(e.tracer)
-}
 
 // push assigns the partition-local FIFO sequence and enqueues.
 func (e *Engine) push(ev event) {
@@ -466,7 +440,6 @@ func (co *coordinator) run(deadline Time) {
 			}
 		}
 	}
-	co.foldShards()
 }
 
 // drain moves cross-partition handoffs from source outboxes into destination
@@ -490,20 +463,5 @@ func (co *coordinator) drain() {
 			h.l = nil
 		}
 		src.outbox = src.outbox[:0]
-	}
-}
-
-// foldShards merges partition trace shards into the base tracer in
-// partition-index order and resets the shards, so repeated Run/RunUntil
-// calls never double-count.
-func (co *coordinator) foldShards() {
-	if co.foldInto == nil {
-		return
-	}
-	for _, p := range co.parts {
-		if p.tracer != nil && p.tracer.Len() > 0 {
-			co.foldInto.Merge(p.tracer)
-			p.tracer.Reset()
-		}
 	}
 }

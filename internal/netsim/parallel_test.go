@@ -471,40 +471,60 @@ func TestParallelRingByteIdenticalAcrossDomains(t *testing.T) {
 	}
 }
 
-// TestPartitionScopeTracesByteIdenticalAcrossDomains drives drops through
-// partition-scoped links and requires the folded trace export recorded at
-// d5da1b5, where 1, 2, 4 and 8 worker domains all produced it.
-func TestPartitionScopeTracesByteIdenticalAcrossDomains(t *testing.T) {
-	tr := obs.NewTracer(4096)
-	sc := obs.New(nil, tr)
+// TestPartitionsTraceInExecutionOrder: every partition traces straight into
+// the caller's tracer, so on overflow the ring keeps the newest Cap events in
+// execution order (window by window, interleaving the partitions) and the
+// bound liteflow_trace_evicted_total counts every eviction.
+func TestPartitionsTraceInExecutionOrder(t *testing.T) {
+	const capacity = 8
+	reg, tr := obs.NewRegistry(), obs.NewTracer(capacity)
+	sc := obs.New(reg, tr)
 	root := NewParallelEngine(1)
-	p1 := root.AddPartition()
-	p2 := root.AddPartition()
-	// Tiny queues force drops, which emit trace events in each source
-	// partition's shard. Each link drains into its destination partition's
-	// own sink (a sink is partition-local state).
-	l1 := NewLink(p1, &Sink{}, 1e6, Millisecond, NewDropTail(600), p1.PartitionScope(sc)).BindRemote(p2)
-	l2 := NewLink(p2, &Sink{}, 1e6, Millisecond, NewDropTail(600), p2.PartitionScope(sc)).BindRemote(p1)
-	for i := 0; i < 50; i++ {
-		at := Time(i) * 10 * Microsecond
-		p1.At(at, func() {
-			p := AllocPacket()
-			p.Size = 500
-			l1.Send(p)
-		})
-		p2.At(at, func() {
-			p := AllocPacket()
-			p.Size = 500
-			l2.Send(p)
-		})
+	parts := []*Engine{root.AddPartition(), root.AddPartition()}
+	var order []string // "<name> <flow>" of every traced event, as executed
+	trace := func(p *Engine, name string, flow FlowID) {
+		order = append(order, fmt.Sprintf("%s %d", name, flow))
+		sc.Event1("test", name, p.Now(), "flow", int64(flow))
 	}
-	root.RunUntil(Second)
-	h := fnv.New64a()
-	if err := tr.WriteJSONL(h); err != nil {
-		t.Fatal(err)
+	// Each partition sends to the other over a 1 ms cross link, so the 20 ms
+	// of traffic runs in about twenty windows, and both ends trace.
+	var links [2]*Link
+	for i, p := range parts {
+		dst := parts[1-i]
+		rx := HandlerFunc(func(pkt *Packet) {
+			trace(dst, "rx", pkt.Flow)
+			FreePacket(pkt)
+		})
+		links[i] = NewLink(p, rx, 1e9, Millisecond, NewDropTail(1<<20)).BindRemote(dst)
 	}
-	if got := h.Sum64(); tr.Len() != 96 || got != 0x3e860fe0b37122f5 {
-		t.Fatalf("%d folded drop events with fnv64a %#016x, recorded 96 with 0x3e860fe0b37122f5", tr.Len(), got)
+	for i, p := range parts {
+		for k := 0; k < 60; k++ {
+			flow := FlowID(1000*(i+1) + k)
+			l := links[i]
+			p.At(Time(k)*300*Microsecond+Time(i)*150*Microsecond, func() {
+				trace(p, "tx", flow)
+				pkt := AllocPacket()
+				pkt.Flow, pkt.Size = flow, 500
+				l.Send(pkt)
+			})
+		}
+	}
+	root.Run()
+	if root.Lookahead() != Millisecond {
+		t.Fatalf("lookahead %d, want the cross links' %d", root.Lookahead(), Millisecond)
+	}
+	var kept []string
+	for _, e := range tr.Events() {
+		kept = append(kept, fmt.Sprintf("%s %d", e.Name, e.Args[0].Val))
+	}
+	if want := order[len(order)-capacity:]; fmt.Sprint(kept) != fmt.Sprint(want) {
+		t.Errorf("ring kept %q, want the last %d executed %q", kept, capacity, want)
+	}
+	if got, want := tr.Evicted(), int64(len(order)-capacity); got != want {
+		t.Errorf("Evicted() = %d, want %d of %d events", got, want, len(order))
+	}
+	if got := reg.Value("liteflow_trace_evicted_total"); got != float64(tr.Evicted()) {
+		t.Errorf("liteflow_trace_evicted_total = %v, Evicted() = %d", got, tr.Evicted())
 	}
 }
 

@@ -117,8 +117,8 @@ func (h *Histogram) merge(src *Histogram) {
 // per-job tracer the destination reports exactly the evictions a shared
 // serial tracer would have (total emitted minus capacity). The fold updates
 // only t's internal count, not a bound liteflow_trace_evicted_total counter:
-// the per-job registries carry the per-job counter values and Registry.Merge
-// sums those, so adding them here too would double-count.
+// Fork binds each child tracer to its child registry, whose counter
+// Registry.Merge sums, so adding them here too would double-count.
 func (t *Tracer) Merge(src *Tracer) {
 	if t == nil || src == nil {
 		return

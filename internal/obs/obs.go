@@ -58,17 +58,6 @@ func (s Scope) With(labels ...Label) Scope {
 	return s
 }
 
-// WithTracer returns a scope emitting trace events to tr instead of the
-// current tracer, keeping the registry and labels. The partitioned
-// simulation engine uses it to route each partition's events into a private
-// shard (netsim.Engine.PartitionScope); tr is not bound to the
-// trace-eviction counter — the fold into the base tracer carries shard
-// evictions.
-func (s Scope) WithTracer(tr *Tracer) Scope {
-	s.tracer = tr
-	return s
-}
-
 // Registry returns the backing registry (nil for a no-op scope).
 func (s Scope) Registry() *Registry { return s.reg }
 

@@ -97,9 +97,9 @@ func (t *Tracer) bindEvictedCounter(c *Counter) {
 	t.mu.Unlock()
 }
 
-// Cap returns the ring capacity. Private per-job tracers in the parallel
-// experiment harness are sized to the destination's capacity so that
-// merge-after-run retains exactly the events a shared serial tracer would.
+// Cap returns the ring capacity. Fork sizes its child tracers (one per job
+// or rig) to the parent's capacity so that merge-after-run retains exactly
+// the events a shared serial tracer would.
 func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0

@@ -63,7 +63,6 @@ type Dumbbell struct {
 	Sender, Receiver *tcp.Host
 	BottleneckBps    int64
 	Costs            ksim.Costs
-	Scope            obs.Scope                 // the caller's, bound to the sender's partition
 	Faults           *fault.Injector           // nil without an active profile
 	Switcher         *workload.PatternSwitcher // nil unless SwitchedUDP with a period
 	Dep              *Deployment               // nil until Deploy
@@ -93,10 +92,9 @@ func NewDumbbell(o DumbbellOpts) *Dumbbell {
 	t.ProvisionCPUs(4, costs, opt.WithScope(o.Scope))
 	d := &Dumbbell{Eng: eng, Topo: t, Sender: t.Senders[0], Receiver: t.Receivers[0],
 		BottleneckBps: to.BottleneckBps, Costs: costs, opts: o}
-	d.Scope = d.Sender.Eng.PartitionScope(o.Scope)
 
 	if o.Faults.Active() {
-		d.Faults = fault.New(o.Faults, o.FaultSeed, d.Scope)
+		d.Faults = fault.New(o.Faults, o.FaultSeed, o.Scope)
 		d.Faults.StartCPUSpikes(d.Sender.Eng, func(work int64) {
 			d.Sender.CPU.Charge(ksim.SoftIRQ, netsim.Time(work))
 		})
@@ -131,7 +129,7 @@ func NewDumbbell(o DumbbellOpts) *Dumbbell {
 // Deploy installs mod on a core in the sender's partition, on the sender's
 // CPU and under the rig's scope. Run stops it.
 func (d *Dumbbell) Deploy(cfg core.Config, mod *codegen.Module, options ...opt.Option) *Deployment {
-	options = append([]opt.Option{opt.WithScope(d.Scope)}, options...)
+	options = append([]opt.Option{opt.WithScope(d.opts.Scope)}, options...)
 	d.Dep = Deploy(d.Sender.Eng, d.Sender.CPU, d.Costs, cfg, mod, options...)
 	return d.Dep
 }

@@ -21,10 +21,10 @@ import (
 // The caller names the family: netsim.NewParallelEngine when every schedule
 // stays inside a host or goes through a link, netsim.NewEngine when something
 // schedules across hosts directly (DESIGN.md §4a).
-func NewFabric(eng *netsim.Engine, o topo.SpineLeafOpts, cores int, sc obs.Scope) *topo.SpineLeaf {
+func NewFabric(eng *netsim.Engine, o topo.SpineLeafOpts, cores int) *topo.SpineLeaf {
 	f := topo.BuildSpineLeaf(eng, o)
 	if cores > 0 {
-		f.ProvisionCPUs(cores, ksim.DefaultCosts(), opt.WithScope(sc))
+		f.ProvisionCPUs(cores, ksim.DefaultCosts())
 	}
 	return f
 }
@@ -80,8 +80,7 @@ type Stream struct {
 
 // FleetOpts configures a fleet rig.
 type FleetOpts struct {
-	// Members is the wanted fleet size; the fabric rounds it up to an even
-	// host count and everything downstream is sized from the fabric.
+	// Members is the fleet size: one 4-core host CPU per member.
 	Members int
 	Seed    int64
 	// Agg is the member batch interval and the controller's aggregation
@@ -104,9 +103,9 @@ type FleetOpts struct {
 	Stream      Stream
 }
 
-// Fleet is one fleet.Controller slow path serving a kernel datapath on every
-// host of a spine–leaf fabric, under a drifting model and per-member query
-// streams.
+// Fleet is one fleet.Controller slow path serving a kernel datapath on each
+// member's host CPU, under a drifting model and per-member query streams.
+// Members exchange no packets, so there is no network between them.
 type Fleet struct {
 	Eng    *netsim.Engine
 	Ctrl   *fleet.Controller
@@ -116,8 +115,8 @@ type Fleet struct {
 	Queries int64
 }
 
-// NewFleet builds the fabric, provisions and starts the fleet plane, and
-// arms the member query streams and the flight tick.
+// NewFleet provisions the member CPUs, starts the fleet plane, and arms the
+// member query streams and the flight tick.
 func NewFleet(o FleetOpts) *Fleet {
 	// Telemetry is passive (experiments.TestTelemetryIsPassive holds every
 	// report to it), so a run that reads its own flight recording simulates
@@ -131,15 +130,10 @@ func NewFleet(o FleetOpts) *Fleet {
 			fr = obs.NewFlightRecorder(0)
 		}
 	}
-	hostsPerLeaf := (o.Members + 1) / 2
-	if hostsPerLeaf < 1 {
-		hostsPerLeaf = 1
-	}
 	// One partition: the controller schedules install callbacks and
 	// aggregation ticks straight onto member CPUs, which is exactly the
 	// cross-partition scheduling a windowed run forbids (DESIGN.md §4h).
-	fabric := NewFabric(netsim.NewEngine(), topo.DefaultSpineLeafOpts(hostsPerLeaf), 4, sc)
-	eng := fabric.Eng
+	eng := netsim.NewEngine()
 	costs := ksim.DefaultCosts()
 
 	f := &Fleet{Eng: eng, Flight: fr, User: &DriftUser{
@@ -162,16 +156,17 @@ func NewFleet(o FleetOpts) *Fleet {
 		fcfg.Flight = fr
 	}
 	f.Ctrl = fleet.New(eng, ccfg, f.User, f.User, f.User, fcfg, opt.WithScope(sc))
-	// Every host gets a core.Core + netlink.Channel pair on its own CPU,
+	// Every member gets a core.Core + netlink.Channel pair on its own CPU,
 	// enrolled in ascending host order (the deterministic merge order of
-	// DESIGN.md §4d), its telemetry labelled host="<i>" like the CPU scopes.
-	for i, h := range fabric.Hosts {
+	// DESIGN.md §4d), all three labelled host="<i>".
+	for i := 0; i < o.Members; i++ {
 		hsc := opt.WithScope(sc.With(obs.Label{Key: "host", Value: strconv.Itoa(i)}))
+		cpu := ksim.NewHostCPU(eng, 4, hsc)
 		// The member core's watchdog: a few missed batch intervals mean the
 		// slow path is dark for this member, so degrade instead of waiting on
 		// a half-installed standby.
-		co := core.NewCore(eng, h.CPU, costs, ccfg, hsc, opt.WithWatchdog(opt.Watchdog{Window: int64(4 * o.Agg)}))
-		ch := netlink.NewChannel(eng, h.CPU, costs, nil, hsc)
+		co := core.NewCore(eng, cpu, costs, ccfg, hsc, opt.WithWatchdog(opt.Watchdog{Window: int64(4 * o.Agg)}))
+		ch := netlink.NewChannel(eng, cpu, costs, nil, hsc)
 		var memberOpts []opt.Option
 		if o.OddFaults.Active() && i%2 == 1 {
 			memberOpts = []opt.Option{opt.WithFaults(fault.New(o.OddFaults, o.Seed*1009+int64(i), sc))}

@@ -11,7 +11,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
-// TestNewFleet: every fabric host is enrolled once, in ascending host order,
+// TestNewFleet: every member host is enrolled once, in ascending host order,
 // with host="<i>" on its core and channel telemetry; member samples reach the
 // controller's pool; every member core's watchdog is armed; and odd members,
 // and only they, get a fault injector when OddFaults is active.
@@ -27,7 +27,7 @@ func TestNewFleet(t *testing.T) {
 		})
 		members := f.Ctrl.Members()
 		if len(members) != 4 {
-			t.Fatalf("members = %d, want one per host (4)", len(members))
+			t.Fatalf("members = %d, want the 4 asked for", len(members))
 		}
 		for i, m := range members {
 			host := []obs.Label{{Key: "host", Value: fmt.Sprint(i)}}

@@ -9,7 +9,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/actor"
 	"github.com/liteflow-sim/liteflow/internal/cc"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
-	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 	"github.com/liteflow-sim/liteflow/internal/topo"
@@ -214,7 +213,7 @@ func Run(s *Spec, o RunOpts) (*Report, error) {
 	}
 	// Partitioned: a session schedules only on its client host, and its
 	// flows reach servers through links (§4j).
-	fabric := rig.NewFabric(netsim.NewParallelEngine(1), topoOpts, 0, obs.Scope{})
+	fabric := rig.NewFabric(netsim.NewParallelEngine(1), topoOpts, 0)
 	eng, hosts := fabric.Eng, fabric.Hosts
 	// Every draw happens at setup time in spec order, before any event
 	// runs.

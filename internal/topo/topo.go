@@ -67,8 +67,7 @@ type SpineLeaf struct {
 // BuildSpineLeaf builds and wires the fabric. Like BuildDumbbell, every node
 // gets its own partition and every link is bound to its receiving partition —
 // no-ops on a classic engine, a conservative lookahead of the host/fabric
-// link delay on a partitioned one. The fabric itself has no scoped telemetry
-// (per-host CPU scopes come from ProvisionCPUs).
+// link delay on a partitioned one. The fabric has no scoped telemetry.
 func BuildSpineLeaf(eng *netsim.Engine, opts SpineLeafOpts) *SpineLeaf {
 	t := &SpineLeaf{Eng: eng, Opts: opts}
 
@@ -154,13 +153,10 @@ func (t *SpineLeaf) PathVia(src, dst, spine int) []int {
 }
 
 // ProvisionCPUs gives every host a CPU with the given core count and cost
-// table, attached to the host's own partition view. opt.WithScope labels each
-// host's CPU telemetry with host="<id>".
-func (t *SpineLeaf) ProvisionCPUs(cores int, costs ksim.Costs, options ...opt.Option) {
-	scope := opt.Resolve(options).Scope
-	for i, h := range t.Hosts {
-		hsc := h.Eng.PartitionScope(scope.With(obs.Label{Key: "host", Value: strconv.Itoa(i)}))
-		h.AttachCPU(ksim.NewHostCPU(h.Eng, cores, opt.WithScope(hsc)), costs)
+// table, attached to the host's own partition view.
+func (t *SpineLeaf) ProvisionCPUs(cores int, costs ksim.Costs) {
+	for _, h := range t.Hosts {
+		h.AttachCPU(ksim.NewHostCPU(h.Eng, cores), costs)
 	}
 }
 
@@ -217,10 +213,10 @@ func BuildDumbbell(eng *netsim.Engine, opts DumbbellOpts, options ...opt.Option)
 
 	d.Bottleneck = netsim.NewLink(leftEng, d.Right, opts.BottleneckBps, bottleneckDelay,
 		netsim.NewDropTail(opts.BufferBytes),
-		leftEng.PartitionScope(scope.With(obs.Label{Key: "link", Value: "bottleneck"}))).BindRemote(rightEng)
+		scope.With(obs.Label{Key: "link", Value: "bottleneck"})).BindRemote(rightEng)
 	back := netsim.NewLink(rightEng, d.Left, opts.BottleneckBps, bottleneckDelay,
 		netsim.NewDropTail(1<<22),
-		rightEng.PartitionScope(scope.With(obs.Label{Key: "link", Value: "back"}))).BindRemote(leftEng)
+		scope.With(obs.Label{Key: "link", Value: "back"})).BindRemote(leftEng)
 	d.Left.AddPort(LeafIDBase+1, d.Bottleneck)
 	d.Right.AddPort(LeafIDBase, back)
 
@@ -254,11 +250,11 @@ func BuildDumbbell(eng *netsim.Engine, opts DumbbellOpts, options ...opt.Option)
 // ProvisionCPUs gives every dumbbell host a CPU (the paper's 4-core servers).
 // opt.WithScope labels each host's CPU telemetry with host="<id>". Each CPU
 // is attached to its host's own partition view so completions execute in the
-// host's partition; trace emission goes through the partition's shard.
+// host's partition.
 func (d *Dumbbell) ProvisionCPUs(cores int, costs ksim.Costs, options ...opt.Option) {
 	scope := opt.Resolve(options).Scope
 	attach := func(h *tcp.Host) {
-		hsc := h.Eng.PartitionScope(scope.With(obs.Label{Key: "host", Value: strconv.Itoa(h.ID)}))
+		hsc := scope.With(obs.Label{Key: "host", Value: strconv.Itoa(h.ID)})
 		h.AttachCPU(ksim.NewHostCPU(h.Eng, cores, opt.WithScope(hsc)), costs)
 	}
 	for _, h := range d.Senders {
