@@ -104,10 +104,15 @@ func checkFlowCacheAgainstReference(t *testing.T, timeout netsim.Time, seed int6
 		t.Fatalf("timeout %d seed %d step %d: "+format, append([]any{timeout, seed, step}, args...)...)
 	}
 	// sweepEvictions applies the evictions the sweeper made since the last
-	// call, checking each against the reference's deadline.
+	// call, checking each against the reference's deadline. seen counts the
+	// events already read; the ring is large enough never to evict one.
+	seen := 0
 	sweepEvictions := func(step int) {
 		t.Helper()
-		for _, e := range tr.Events() {
+		if tr.Evicted() != 0 {
+			fail(step, "the trace ring evicted %d events; the check would miss them", tr.Evicted())
+		}
+		for _, e := range tr.Events()[seen:] {
 			if e.Cat != "flowcache" || e.Name != "evict" {
 				continue
 			}
@@ -121,7 +126,7 @@ func checkFlowCacheAgainstReference(t *testing.T, timeout netsim.Time, seed int6
 			}
 			delete(ref.entries, f)
 		}
-		tr.Reset()
+		seen = tr.Len()
 	}
 	compare := func(step int) {
 		t.Helper()
@@ -165,7 +170,7 @@ func checkFlowCacheAgainstReference(t *testing.T, timeout netsim.Time, seed int6
 		case op < 7:
 			delete(ref.entries, flow)
 			c.FlowFinished(flow)
-			tr.Reset() // the FIN's own evict event
+			seen = tr.Len() // skip the FIN's own evict event
 		case op < 9:
 			eng.RunUntil(eng.Now() + netsim.Time(rng.Int63n(int64(timeout/2)+1)))
 			sweepEvictions(step)

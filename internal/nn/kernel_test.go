@@ -279,9 +279,11 @@ func trainValues(r *rand.Rand, n int, edgeFrac float64) []float64 {
 	return v
 }
 
-// checkTrainKernels runs backRows4 and adamStep, the assembly on amd64,
-// against backRows4Go and adamStepGo, bit for bit (NaN only as NaN), on
-// every length below with no, a few, and mostly trainEdges values.
+// checkTrainKernels runs backRows4 and adamStep, the assembly on an AVX
+// CPU, against backRows4Go and adamStepGo, bit for bit (NaN only as NaN), on
+// every length below with no, a few, and mostly trainEdges values: 0–9 give
+// the assembly no four-column block, one and two, each with every tail of
+// 0–3 columns.
 func checkTrainKernels(t *testing.T, r *rand.Rand) {
 	t.Helper()
 	same := func(what string, n int, got, want []float64) {
@@ -292,7 +294,7 @@ func checkTrainKernels(t *testing.T, r *rand.Rand) {
 			}
 		}
 	}
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 30, 2048} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 30, 2048} {
 		for _, frac := range []float64{0, 0.1, 0.9} {
 			x, prev, w, gw := trainValues(r, n, frac), trainValues(r, n, frac), trainValues(r, 4*n, frac), trainValues(r, 4*n, frac)
 			d := trainValues(r, 4, frac)
@@ -324,13 +326,13 @@ func checkTrainKernels(t *testing.T, r *rand.Rand) {
 	}
 }
 
-// TestLaneKernelsMatchGo runs the packed kernels, the assembly on amd64,
-// against their Go references, bit for bit (NaN only as NaN): sumLanes and
-// tanhLanes on kernelInputs and on laneEdges for every In × rows below, and
-// the training kernels through checkTrainKernels.
+// TestLaneKernelsMatchGo runs the packed kernels, the assembly on an AVX
+// CPU, against their Go references, bit for bit (NaN only as NaN): sumLanes
+// and tanhLanes on kernelInputs and on laneEdges for every In × rows below,
+// and the training kernels through checkTrainKernels.
 func TestLaneKernelsMatchGo(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("the packed kernels are the Go ones on " + runtime.GOARCH)
+	if !avx {
+		t.Skip("the packed kernels are the Go ones here: not amd64, no AVX, or no OS support for the YMM state")
 	}
 	checkTrainKernels(t, rand.New(rand.NewSource(38)))
 	r := rand.New(rand.NewSource(31))
@@ -720,6 +722,40 @@ func BenchmarkInferBatchAurora(b *testing.B) {
 func BenchmarkInferBatchBloated(b *testing.B) { benchInferBatch(b, []int{4, 2048, 1}, kernelInputs) }
 func BenchmarkInferBatchBloatedUniform(b *testing.B) {
 	benchInferBatch(b, []int{4, 2048, 1}, uniformInputs)
+}
+
+// BenchmarkLaneKernels times each inference kernel alone, one op being one
+// four-sample group through a layer: sumLanes on the bloated net's two
+// layers (4→2048, where every row is short, and 2048→1, one long row) and
+// tanhLanes on the first layer's 2048 lanes of sums, refilled by a copy
+// that the op includes. The inputs are kernelInputs, which reach both of
+// tanh's arms.
+func BenchmarkLaneKernels(b *testing.B) {
+	n := New([]int{4, 2048, 1}, []Activation{Tanh, Linear}, 1)
+	in := make([]lanes, 4)
+	load4(kernelInputs(rand.New(rand.NewSource(1)), 4, 4), in)
+	sums := make([]lanes, 2048)
+	n.Layers[0].sums4(in, sums)
+	hidden := append([]lanes(nil), sums...)
+	tanhLanes(hidden, make([]uint8, len(hidden)))
+	b.Run("sum/4x2048", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			n.Layers[0].sums4(in, sums)
+		}
+	})
+	b.Run("sum/2048x1", func(b *testing.B) {
+		out := make([]lanes, 1)
+		for i := 0; i < b.N; i++ {
+			n.Layers[1].sums4(hidden, out)
+		}
+	})
+	b.Run("tanh/2048", func(b *testing.B) {
+		v, left := make([]lanes, len(sums)), make([]uint8, len(sums))
+		for i := 0; i < b.N; i++ {
+			copy(v, sums)
+			tanhLanes(v, left)
+		}
+	})
 }
 
 // BenchmarkTanh times applyAll's tanh (tanhArm, math.Tanh for the rest)

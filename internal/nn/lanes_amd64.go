@@ -1,24 +1,43 @@
 package nn
 
-import "math"
+import (
+	"math"
 
-// On amd64 the two four-sample inference kernels and the two training
-// kernels are SSE2 assembly (lanes_amd64.s); SSE2 is the amd64 baseline, so
-// no CPU check is needed. A lanes vector is two XMM registers, and the
-// training kernels take two columns per register. Each packed MULPD, ADDPD,
-// SUBPD, DIVPD or SQRTPD computes per lane the IEEE-754 binary64 operation
-// the compiler emits as MULSD, ADDSD, SUBSD, DIVSD or SQRTSD (math.Sqrt) for
-// the Go kernels, under the same MXCSR (round to nearest, no flush-to-zero,
-// no denormals-are-zero); Go fuses no multiply-add on amd64. The assembly
-// performs each element's operations in the Go code's order, so its results
-// are the Go kernels' bit for bit. The one difference: where two NaN
-// operands meet, which payload survives may differ.
+	"github.com/liteflow-sim/liteflow/internal/cpu"
+)
 
-// sumLanes is sumLanesGo. It trusts its slices: w must hold len(dst) rows of
-// len(x) weights and b at least len(dst) biases (Dense.sums4 slices them so).
+// On amd64 with AVX the two four-sample inference kernels and the two
+// training kernels are VEX-256 assembly (lanes_amd64.s). A lanes vector is
+// one YMM register, and the training kernels take four columns per register
+// and the 0–3 left over one at a time. Each packed VMULPD, VADDPD, VSUBPD,
+// VDIVPD or VSQRTPD (and its scalar VEX form) computes per lane the IEEE-754
+// binary64 operation the compiler emits as MULSD, ADDSD, SUBSD, DIVSD or
+// SQRTSD (math.Sqrt) for the Go kernels, under the same MXCSR (round to
+// nearest, no flush-to-zero, no denormals-are-zero); no FMA is used, and Go
+// fuses no multiply-add on amd64. The assembly performs each element's
+// operations in the Go code's order, so its results are the Go kernels' bit
+// for bit. The one difference: where two NaN operands meet, which payload
+// survives may differ. Without AVX the Go kernels run, as off amd64.
+
+// avx reports whether this CPU runs the assembly: AVX, and an OS that saves
+// the YMM state (DESIGN.md §4k "Userspace model execution").
+var avx = cpu.AVX()
+
+// sumLanes is sumLanesGo. Dense.sums4 slices its operands so that the
+// assembly stays in bounds.
+func sumLanes(w, b []float64, x, dst []lanes) {
+	if avx {
+		sumLanesAVX(w, b, x, dst)
+		return
+	}
+	sumLanesGo(w, b, x, dst)
+}
+
+// sumLanesAVX is sumLanesGo. It trusts its slices: w must hold len(dst) rows
+// of len(x) weights and b at least len(dst) biases.
 //
 //go:noescape
-func sumLanes(w, b []float64, x, dst []lanes)
+func sumLanesAVX(w, b []float64, x, dst []lanes)
 
 // tanhArmLanes replaces each value x of v with tanhArm's result where
 // 0 < |x| < 0.625 and leaves every other x as it is: tanh(±0) = ±0 exactly,
@@ -29,32 +48,52 @@ func sumLanes(w, b []float64, x, dst []lanes)
 //go:noescape
 func tanhArmLanes(v []lanes, left []uint8)
 
-// backRows4 is backRows4Go. It trusts its slices: prev must hold at least
-// len(x) values, w and gw four rows of len(x) each (Dense.backward slices
-// them so).
-//
-//go:noescape
-func backRows4(x, prev, w, gw []float64, d0, d1, d2, d3 float64)
-
-// adamStep is adamStepGo. It trusts its slices: g, m and v must be at least
-// as long as p (Adam.Step slices them so).
-//
-//go:noescape
-func adamStep(p, g, m, v []float64, c *adamCoefs)
-
-// tanhConsts is what tanhArmLanes loads into X8–X15, each value in both
-// halves of a register: P0…P2, Q0…Q2, the arm's bound and the |x| mask.
-var tanhConsts = [8][2]float64{
-	{tanhP0, tanhP0}, {tanhP1, tanhP1}, {tanhP2, tanhP2},
-	{tanhQ0, tanhQ0}, {tanhQ1, tanhQ1}, {tanhQ2, tanhQ2},
-	{0.625, 0.625},
-	{math.Float64frombits(1<<63 - 1), math.Float64frombits(1<<63 - 1)},
+// backRows4 is backRows4Go. Dense.backward slices its operands so that the
+// assembly stays in bounds.
+func backRows4(x, prev, w, gw []float64, d0, d1, d2, d3 float64) {
+	if avx {
+		backRows4AVX(x, prev, w, gw, d0, d1, d2, d3)
+		return
+	}
+	backRows4Go(x, prev, w, gw, d0, d1, d2, d3)
 }
 
-// tanhLanes is tanhLanesGo: the assembly computes the arm for all four lanes
-// of a group at once, and math.Tanh takes the lanes its mask leaves. left is
-// the mask's scratch, one byte per group.
+// backRows4AVX is backRows4Go. It trusts its slices: prev must hold at least
+// len(x) values, w and gw four rows of len(x) each.
+//
+//go:noescape
+func backRows4AVX(x, prev, w, gw []float64, d0, d1, d2, d3 float64)
+
+// adamStep is adamStepGo. Adam.Step slices its operands so that the assembly
+// stays in bounds.
+func adamStep(p, g, m, v []float64, c *adamCoefs) {
+	if avx {
+		adamStepAVX(p, g, m, v, c)
+		return
+	}
+	adamStepGo(p, g, m, v, c)
+}
+
+// adamStepAVX is adamStepGo. It trusts its slices: g, m and v must be at
+// least as long as p.
+//
+//go:noescape
+func adamStepAVX(p, g, m, v []float64, c *adamCoefs)
+
+// tanhConsts is what tanhArmLanes broadcasts into Y8–Y15: P0…P2, Q0…Q2, the
+// arm's bound and the |x| mask.
+var tanhConsts = [8]float64{
+	tanhP0, tanhP1, tanhP2, tanhQ0, tanhQ1, tanhQ2, 0.625, math.Float64frombits(1<<63 - 1),
+}
+
+// tanhLanes is tanhLanesGo. With AVX the assembly computes the arm for all
+// four lanes of a group at once, and math.Tanh takes the lanes its mask
+// leaves; left is the mask's scratch, one byte per group.
 func tanhLanes(v []lanes, left []uint8) {
+	if !avx {
+		tanhLanesGo(v)
+		return
+	}
 	left = left[:len(v)]
 	tanhArmLanes(v, left)
 	for i, m := range left {

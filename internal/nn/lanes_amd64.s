@@ -1,15 +1,18 @@
 #include "textflag.h"
 
-// Each lanes vector is two XMM registers: lanes {0,1} at offset 0 and lanes
-// {2,3} at offset 16. Every load and store is MOVUPD, because a lanes slice
-// is not 16-byte aligned (packed SSE memory operands fault unless it is).
+// Each lanes vector is one YMM register. Every load and store is VMOVUPD,
+// because a lanes or float64 slice is only 8-byte aligned, and every kernel
+// clears the upper halves with VZEROUPPER before it returns, so the SSE code
+// the Go compiler emits pays no transition penalty. Operands read
+// (src2, src1, dst): VSUBPD a, b, c and VDIVPD a, b, c set c = b − a and
+// c = b / a.
 
-// func sumLanes(w, b []float64, x, dst []lanes)
+// func sumLanesAVX(w, b []float64, x, dst []lanes)
 //
-// Per row, both accumulators start at (b, b); for each j, w's element is
-// broadcast (MOVSD+UNPCKLPD: MOVDDUP is SSE3) and s_k += w·x_k runs on the
-// four lanes in index order, as in sumLanesGo.
-TEXT ·sumLanes(SB), NOSPLIT, $0-96
+// Per row, the accumulator Y0 starts at b broadcast; for each j, w's element
+// is broadcast and s_k += w·x_k runs on the four lanes in index order, as in
+// sumLanesGo.
+TEXT ·sumLanesAVX(SB), NOSPLIT, $0-96
 	MOVQ w_base+0(FP), SI
 	MOVQ b_base+24(FP), BX
 	MOVQ x_base+48(FP), DX
@@ -20,79 +23,42 @@ TEXT ·sumLanes(SB), NOSPLIT, $0-96
 	JZ done
 
 row:
-	MOVSD (BX), X0
-	UNPCKLPD X0, X0
-	MOVAPD X0, X1
+	VBROADCASTSD (BX), Y0
 	MOVQ DX, R9
 	MOVQ CX, R10
 	TESTQ R10, R10
 	JZ store
 
 col:
-	MOVSD (SI), X2
-	UNPCKLPD X2, X2
-	MOVUPD (R9), X3
-	MOVUPD 16(R9), X4
-	MULPD X2, X3
-	MULPD X2, X4
-	ADDPD X3, X0
-	ADDPD X4, X1
+	VBROADCASTSD (SI), Y1
+	VMOVUPD (R9), Y2
+	VMULPD Y2, Y1, Y2
+	VADDPD Y2, Y0, Y0
 	ADDQ $8, SI
 	ADDQ $32, R9
 	DECQ R10
 	JNZ col
 
 store:
-	MOVUPD X0, (DI)
-	MOVUPD X1, 16(DI)
+	VMOVUPD Y0, (DI)
 	ADDQ $8, BX
 	ADDQ $32, DI
 	DECQ R8
 	JNZ row
 
 done:
+	VZEROUPPER
 	RET
 
-// ARM does tanhArm on the two lanes at off(DI), in place, and leaves in mask
-// the MOVMSKPD bits of |x| < 0.625. With X8–X15 holding tanhConsts, it forms
-// s = x·x (X1), P = (P0·s+P1)·s+P2 (X2), Q = ((s+Q0)·s+Q1)·s+Q2 (X3) and
-// y = ((x·s)·P)/Q + x (X4): the operations and association the compiler emits
-// for tanhArm's expression, with commutative swaps only. Then y is kept where
-// |x| < 0.625 and x ≠ 0 (X7) and x elsewhere (ANDPD/ANDNPD/ORPD).
-#define ARM(off, mask) \
-	MOVUPD off(DI), X0 \
-	MOVAPD X0, X1 \
-	MULPD X0, X1 \
-	MOVAPD X8, X2 \
-	MULPD X1, X2 \
-	ADDPD X9, X2 \
-	MULPD X1, X2 \
-	ADDPD X10, X2 \
-	MOVAPD X1, X3 \
-	ADDPD X11, X3 \
-	MULPD X1, X3 \
-	ADDPD X12, X3 \
-	MULPD X1, X3 \
-	ADDPD X13, X3 \
-	MOVAPD X0, X4 \
-	MULPD X1, X4 \
-	MULPD X2, X4 \
-	DIVPD X3, X4 \
-	ADDPD X0, X4 \
-	MOVAPD X0, X5 \
-	ANDPD X15, X5 \
-	CMPPD X14, X5, $1 \
-	MOVMSKPD X5, mask \
-	XORPD X6, X6 \
-	MOVAPD X0, X7 \
-	CMPPD X6, X7, $4 \
-	ANDPD X5, X7 \
-	ANDPD X7, X4 \
-	ANDNPD X0, X7 \
-	ORPD X7, X4 \
-	MOVUPD X4, off(DI)
-
 // func tanhArmLanes(v []lanes, left []uint8)
+//
+// With Y8–Y15 holding tanhConsts broadcast, each group x forms s = x·x (Y1),
+// P = (P0·s+P1)·s+P2 (Y2), Q = ((s+Q0)·s+Q1)·s+Q2 (Y3) and
+// y = ((x·s)·P)/Q + x (Y4): the operations and association the compiler
+// emits for tanhArm's expression, with commutative swaps only. Y6 is
+// |x| < 0.625 (ordered, so false for NaN), Y7 that and x ≠ 0; VBLENDVPD
+// keeps y where Y7 is set and x elsewhere. The group's byte of left is the
+// complement of Y6's four sign bits.
 TEXT ·tanhArmLanes(SB), NOSPLIT, $0-48
 	MOVQ v_base+0(FP), DI
 	MOVQ v_len+8(FP), CX
@@ -100,21 +66,40 @@ TEXT ·tanhArmLanes(SB), NOSPLIT, $0-48
 	TESTQ CX, CX
 	JZ done
 	LEAQ ·tanhConsts(SB), AX
-	MOVUPD 0(AX), X8
-	MOVUPD 16(AX), X9
-	MOVUPD 32(AX), X10
-	MOVUPD 48(AX), X11
-	MOVUPD 64(AX), X12
-	MOVUPD 80(AX), X13
-	MOVUPD 96(AX), X14
-	MOVUPD 112(AX), X15
+	VBROADCASTSD 0(AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VBROADCASTSD 40(AX), Y13
+	VBROADCASTSD 48(AX), Y14
+	VBROADCASTSD 56(AX), Y15
 
 group:
-	ARM(0, AX)
-	ARM(16, DX)
-	SHLQ $2, DX
-	ORQ DX, AX
-	XORQ $15, AX
+	VMOVUPD (DI), Y0
+	VMULPD Y0, Y0, Y1
+	VMULPD Y1, Y8, Y2
+	VADDPD Y9, Y2, Y2
+	VMULPD Y1, Y2, Y2
+	VADDPD Y10, Y2, Y2
+	VADDPD Y11, Y1, Y3
+	VMULPD Y1, Y3, Y3
+	VADDPD Y12, Y3, Y3
+	VMULPD Y1, Y3, Y3
+	VADDPD Y13, Y3, Y3
+	VMULPD Y1, Y0, Y4
+	VMULPD Y2, Y4, Y4
+	VDIVPD Y3, Y4, Y4
+	VADDPD Y0, Y4, Y4
+	VANDPD Y15, Y0, Y5
+	VCMPPD $1, Y14, Y5, Y6
+	VXORPD Y7, Y7, Y7
+	VCMPPD $4, Y7, Y0, Y7
+	VANDPD Y6, Y7, Y7
+	VBLENDVPD Y7, Y4, Y0, Y0
+	VMOVUPD Y0, (DI)
+	VMOVMSKPD Y6, AX
+	XORL $15, AX
 	MOVB AX, (BX)
 	ADDQ $32, DI
 	INCQ BX
@@ -122,68 +107,62 @@ group:
 	JNZ group
 
 done:
+	VZEROUPPER
 	RET
 
-// BACK does backRows4's work on the column(s) at byte offset AX: two with
-// (MOVUPD, MULPD, ADDPD), one with (MOVSD, MULSD, ADDSD). Packed memory
-// operands fault unless 16-byte aligned and a []float64 is only 8-byte
-// aligned, so every operand is loaded into a register first. g_k += dk·x for
-// k = 0…3, then p = prev, p += dk·w_k for k = 0…3 in row order, stored back.
-#define BACK(MOV, MUL, ADD) \
-	MOV (SI)(AX*1), X4 \
-	MOVAPD X4, X5 \
-	MUL X0, X5 \
-	MOV (R9)(AX*1), X6 \
-	ADD X5, X6 \
-	MOV X6, (R9)(AX*1) \
-	MOVAPD X4, X5 \
-	MUL X1, X5 \
-	MOV (R13)(AX*1), X6 \
-	ADD X5, X6 \
-	MOV X6, (R13)(AX*1) \
-	MOVAPD X4, X5 \
-	MUL X2, X5 \
-	MOV (R14)(AX*1), X6 \
-	ADD X5, X6 \
-	MOV X6, (R14)(AX*1) \
-	MUL X3, X4 \
-	MOV (BX)(AX*1), X6 \
-	ADD X4, X6 \
-	MOV X6, (BX)(AX*1) \
-	MOV (DI)(AX*1), X7 \
-	MOV (R8)(AX*1), X5 \
-	MUL X0, X5 \
-	ADD X5, X7 \
-	MOV (R10)(AX*1), X5 \
-	MUL X1, X5 \
-	ADD X5, X7 \
-	MOV (R11)(AX*1), X5 \
-	MUL X2, X5 \
-	ADD X5, X7 \
-	MOV (R12)(AX*1), X5 \
-	MUL X3, X5 \
-	ADD X5, X7 \
-	MOV X7, (DI)(AX*1)
+// BACK does backRows4's work on the column(s) at byte offset AX: four with
+// (VMOVUPD, VMULPD, VADDPD) on Y registers, one with (VMOVSD, VMULSD,
+// VADDSD) on X registers. D0–D3 hold d0…d3, T0–T3 are scratch. g_k += dk·x
+// for k = 0…3, then p = prev, p += dk·w_k for k = 0…3 in row order, stored
+// back.
+#define BACK(MOV, MUL, ADD, D0, D1, D2, D3, T0, T1, T2, T3) \
+	MOV (SI)(AX*1), T0 \
+	MUL T0, D0, T1 \
+	MOV (R9)(AX*1), T2 \
+	ADD T1, T2, T2 \
+	MOV T2, (R9)(AX*1) \
+	MUL T0, D1, T1 \
+	MOV (R13)(AX*1), T2 \
+	ADD T1, T2, T2 \
+	MOV T2, (R13)(AX*1) \
+	MUL T0, D2, T1 \
+	MOV (R14)(AX*1), T2 \
+	ADD T1, T2, T2 \
+	MOV T2, (R14)(AX*1) \
+	MUL T0, D3, T1 \
+	MOV (BX)(AX*1), T2 \
+	ADD T1, T2, T2 \
+	MOV T2, (BX)(AX*1) \
+	MOV (DI)(AX*1), T3 \
+	MOV (R8)(AX*1), T1 \
+	MUL T1, D0, T1 \
+	ADD T1, T3, T3 \
+	MOV (R10)(AX*1), T1 \
+	MUL T1, D1, T1 \
+	ADD T1, T3, T3 \
+	MOV (R11)(AX*1), T1 \
+	MUL T1, D2, T1 \
+	ADD T1, T3, T3 \
+	MOV (R12)(AX*1), T1 \
+	MUL T1, D3, T1 \
+	ADD T1, T3, T3 \
+	MOV T3, (DI)(AX*1)
 
-// func backRows4(x, prev, w, gw []float64, d0, d1, d2, d3 float64)
+// func backRows4AVX(x, prev, w, gw []float64, d0, d1, d2, d3 float64)
 //
-// X0–X3 hold (dk, dk). AX is the byte offset of column j in every slice, so
-// the eight row pointers stay put: w's rows in R8, R10–R12, gw's in R9,
-// R13, R14, BX. Two columns per pass, then an odd last one.
-TEXT ·backRows4(SB), NOSPLIT, $0-128
+// Y0–Y3 hold dk broadcast. AX is the byte offset of column j in every slice,
+// so the eight row pointers stay put: w's rows in R8, R10–R12, gw's in R9,
+// R13, R14, BX. Four columns per pass, then the 0–3 left one at a time.
+TEXT ·backRows4AVX(SB), NOSPLIT, $0-128
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
 	MOVQ prev_base+24(FP), DI
 	MOVQ w_base+48(FP), R8
 	MOVQ gw_base+72(FP), R9
-	MOVSD d0+96(FP), X0
-	UNPCKLPD X0, X0
-	MOVSD d1+104(FP), X1
-	UNPCKLPD X1, X1
-	MOVSD d2+112(FP), X2
-	UNPCKLPD X2, X2
-	MOVSD d3+120(FP), X3
-	UNPCKLPD X3, X3
+	VBROADCASTSD d0+96(FP), Y0
+	VBROADCASTSD d1+104(FP), Y1
+	VBROADCASTSD d2+112(FP), Y2
+	VBROADCASTSD d3+120(FP), Y3
 	SHLQ $3, CX
 	LEAQ (R8)(CX*1), R10
 	LEAQ (R10)(CX*1), R11
@@ -192,96 +171,118 @@ TEXT ·backRows4(SB), NOSPLIT, $0-128
 	LEAQ (R13)(CX*1), R14
 	LEAQ (R14)(CX*1), BX
 	MOVQ CX, DX
-	ANDQ $-16, DX
+	ANDQ $-32, DX
 	XORQ AX, AX
 	CMPQ AX, DX
 	JEQ tail
 
-pair:
-	BACK(MOVUPD, MULPD, ADDPD)
-	ADDQ $16, AX
+quad:
+	BACK(VMOVUPD, VMULPD, VADDPD, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	ADDQ $32, AX
 	CMPQ AX, DX
-	JNE pair
+	JNE quad
 
 tail:
 	CMPQ AX, CX
 	JEQ done
-	BACK(MOVSD, MULSD, ADDSD)
+	BACK(VMOVSD, VMULSD, VADDSD, X0, X1, X2, X3, X4, X5, X6, X7)
+	ADDQ $8, AX
+	JMP tail
 
 done:
+	VZEROUPPER
 	RET
 
-// ADAM does adamStep's work on the parameter(s) at byte offset AX, two or
-// one as BACK does, in adamStepGo's order: m = b1·m + c1·g and
-// v = b2·v + (c2·g)·g, both stored, then p -= (lr·(m/bc1)) / (√(v/bc2) + eps).
-#define ADAM(MOV, MUL, ADD, SUB, DIV, SQRT) \
-	MOV (SI)(AX*1), X8 \
-	MOV (R8)(AX*1), X9 \
-	MUL X0, X9 \
-	MOVAPD X8, X10 \
-	MUL X1, X10 \
-	ADD X10, X9 \
-	MOV X9, (R8)(AX*1) \
-	MOV (R9)(AX*1), X11 \
-	MUL X2, X11 \
-	MOVAPD X8, X10 \
-	MUL X3, X10 \
-	MUL X8, X10 \
-	ADD X10, X11 \
-	MOV X11, (R9)(AX*1) \
-	DIV X5, X9 \
-	MUL X4, X9 \
-	DIV X6, X11 \
-	SQRT X11, X11 \
-	ADD X7, X11 \
-	DIV X11, X9 \
-	MOV (DI)(AX*1), X12 \
-	SUB X9, X12 \
-	MOV X12, (DI)(AX*1)
+// ADAM4 does adamStep's work on the four parameters at byte offset AX, in
+// adamStepGo's order: m = b1·m + c1·g and v = b2·v + (c2·g)·g, both stored,
+// then p -= (lr·(m/bc1)) / (√(v/bc2) + eps). ADAM1 is the same on the one
+// parameter there, in VEX scalar ops (VSQRTSD rounds as math.Sqrt's SQRTSD
+// does, and VSQRTPD per lane likewise).
+#define ADAM4 \
+	VMOVUPD (SI)(AX*1), Y8 \
+	VMOVUPD (R8)(AX*1), Y9 \
+	VMULPD Y9, Y0, Y9 \
+	VMULPD Y8, Y1, Y10 \
+	VADDPD Y10, Y9, Y9 \
+	VMOVUPD Y9, (R8)(AX*1) \
+	VMOVUPD (R9)(AX*1), Y11 \
+	VMULPD Y11, Y2, Y11 \
+	VMULPD Y8, Y3, Y10 \
+	VMULPD Y8, Y10, Y10 \
+	VADDPD Y10, Y11, Y11 \
+	VMOVUPD Y11, (R9)(AX*1) \
+	VDIVPD Y5, Y9, Y9 \
+	VMULPD Y9, Y4, Y9 \
+	VDIVPD Y6, Y11, Y11 \
+	VSQRTPD Y11, Y11 \
+	VADDPD Y7, Y11, Y11 \
+	VDIVPD Y11, Y9, Y9 \
+	VMOVUPD (DI)(AX*1), Y12 \
+	VSUBPD Y9, Y12, Y12 \
+	VMOVUPD Y12, (DI)(AX*1)
 
-// func adamStep(p, g, m, v []float64, c *adamCoefs)
+#define ADAM1 \
+	VMOVSD (SI)(AX*1), X8 \
+	VMOVSD (R8)(AX*1), X9 \
+	VMULSD X9, X0, X9 \
+	VMULSD X8, X1, X10 \
+	VADDSD X10, X9, X9 \
+	VMOVSD X9, (R8)(AX*1) \
+	VMOVSD (R9)(AX*1), X11 \
+	VMULSD X11, X2, X11 \
+	VMULSD X8, X3, X10 \
+	VMULSD X8, X10, X10 \
+	VADDSD X10, X11, X11 \
+	VMOVSD X11, (R9)(AX*1) \
+	VDIVSD X5, X9, X9 \
+	VMULSD X9, X4, X9 \
+	VDIVSD X6, X11, X11 \
+	VSQRTSD X11, X11, X11 \
+	VADDSD X7, X11, X11 \
+	VDIVSD X11, X9, X9 \
+	VMOVSD (DI)(AX*1), X12 \
+	VSUBSD X9, X12, X12 \
+	VMOVSD X12, (DI)(AX*1)
+
+// func adamStepAVX(p, g, m, v []float64, c *adamCoefs)
 //
-// X0–X7 hold c's eight fields, each in both halves.
-TEXT ·adamStep(SB), NOSPLIT, $0-104
+// Y0–Y7 hold c's eight fields broadcast. Four parameters per pass, then the
+// 0–3 left one at a time.
+TEXT ·adamStepAVX(SB), NOSPLIT, $0-104
 	MOVQ p_base+0(FP), DI
 	MOVQ p_len+8(FP), CX
 	MOVQ g_base+24(FP), SI
 	MOVQ m_base+48(FP), R8
 	MOVQ v_base+72(FP), R9
 	MOVQ c+96(FP), AX
-	MOVSD 0(AX), X0
-	UNPCKLPD X0, X0
-	MOVSD 8(AX), X1
-	UNPCKLPD X1, X1
-	MOVSD 16(AX), X2
-	UNPCKLPD X2, X2
-	MOVSD 24(AX), X3
-	UNPCKLPD X3, X3
-	MOVSD 32(AX), X4
-	UNPCKLPD X4, X4
-	MOVSD 40(AX), X5
-	UNPCKLPD X5, X5
-	MOVSD 48(AX), X6
-	UNPCKLPD X6, X6
-	MOVSD 56(AX), X7
-	UNPCKLPD X7, X7
+	VBROADCASTSD 0(AX), Y0
+	VBROADCASTSD 8(AX), Y1
+	VBROADCASTSD 16(AX), Y2
+	VBROADCASTSD 24(AX), Y3
+	VBROADCASTSD 32(AX), Y4
+	VBROADCASTSD 40(AX), Y5
+	VBROADCASTSD 48(AX), Y6
+	VBROADCASTSD 56(AX), Y7
 	SHLQ $3, CX
 	MOVQ CX, DX
-	ANDQ $-16, DX
+	ANDQ $-32, DX
 	XORQ AX, AX
 	CMPQ AX, DX
 	JEQ adamtail
 
-adampair:
-	ADAM(MOVUPD, MULPD, ADDPD, SUBPD, DIVPD, SQRTPD)
-	ADDQ $16, AX
+adamquad:
+	ADAM4
+	ADDQ $32, AX
 	CMPQ AX, DX
-	JNE adampair
+	JNE adamquad
 
 adamtail:
 	CMPQ AX, CX
 	JEQ adamdone
-	ADAM(MOVSD, MULSD, ADDSD, SUBSD, DIVSD, SQRTSD)
+	ADAM1
+	ADDQ $8, AX
+	JMP adamtail
 
 adamdone:
+	VZEROUPPER
 	RET

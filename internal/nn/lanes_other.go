@@ -4,6 +4,8 @@ package nn
 
 // Off amd64 the packed kernels are the Go ones.
 
+const avx = false
+
 func sumLanes(w, b []float64, x, dst []lanes) { sumLanesGo(w, b, x, dst) }
 
 func tanhLanes(v []lanes, _ []uint8) { tanhLanesGo(v) }

@@ -61,9 +61,6 @@ func (s Scope) With(labels ...Label) Scope {
 // Registry returns the backing registry (nil for a no-op scope).
 func (s Scope) Registry() *Registry { return s.reg }
 
-// Tracer returns the backing tracer (nil when tracing is off).
-func (s Scope) Tracer() *Tracer { return s.tracer }
-
 // Labels returns a copy of the scope's base labels in declaration order.
 // Callers use it to reconstruct the exposition-name fragments (`k="v"`) that
 // identify this scope's series in a flight recorder.

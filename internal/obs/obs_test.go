@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -222,8 +223,8 @@ func TestKindMismatchPanics(t *testing.T) {
 
 func TestNopScopeStillCounts(t *testing.T) {
 	sc := obs.Scope{}
-	if sc.Registry() != nil || sc.Tracer() != nil {
-		t.Fatal("nop scope claims to be enabled")
+	if !reflect.DeepEqual(obs.New(nil, nil), sc) {
+		t.Fatal("a scope with neither a registry nor a tracer is not the zero scope")
 	}
 	c := sc.Counter("x", "")
 	c.Add(3)
@@ -259,10 +260,6 @@ func TestTracerRing(t *testing.T) {
 	ev := tr.Events()
 	if ev[0].At != 2 || ev[3].At != 5 {
 		t.Fatalf("ring order wrong: %+v", ev)
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Evicted() != 0 {
-		t.Fatal("reset did not clear the ring")
 	}
 }
 

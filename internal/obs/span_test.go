@@ -97,7 +97,8 @@ func TestSpanFailedAndDiscard(t *testing.T) {
 		t.Fatal("ended span accepted more work")
 	}
 
-	tr.Reset()
+	tr = obs.NewTracer(64)
+	st = obs.NewSpanTracer(obs.New(reg, tr))
 	dp := st.Root("snapshot_lifecycle", 0)
 	dp.Child("pool", 0, 100)
 	if tr.Len() != 0 {

@@ -137,16 +137,6 @@ func (t *Tracer) Events() []Event {
 	return t.ring.slice()
 }
 
-// Reset discards all retained events.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ring.start, t.ring.n, t.evicted = 0, 0, 0
-	t.mu.Unlock()
-}
-
 // exportEvents returns the retained events for serialization. When the ring
 // has overflowed, a synthetic one-time warning event is prepended (stamped at
 // the oldest retained timestamp) so every export that lost history says so

@@ -4,6 +4,7 @@ package opt_test
 // application/ignoring per constructor and nil-safety.
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/ksim"
@@ -18,8 +19,8 @@ func TestResolveEmpty(t *testing.T) {
 	if o.HasScope || o.Faults != nil || o.Watchdog != nil {
 		t.Errorf("zero Options expected, got %+v", o)
 	}
-	if o.Scope.Registry() != nil || o.Scope.Tracer() != nil {
-		t.Error("default scope must be the no-op scope")
+	if !reflect.DeepEqual(o.Scope, obs.Scope{}) {
+		t.Errorf("default scope must be the zero (no-op) scope, got %+v", o.Scope)
 	}
 }
 
