@@ -20,8 +20,8 @@ func withoutAVX(f func()) {
 // split at 4, and TrainBatch with Adam through the real dispatch twice: once
 // on the assembly and once with the AVX flag off, on the Go kernels an amd64
 // CPU without AVX runs. Every output, loss, weight, bias and Adam moment must
-// have the same bits. The shapes give backRows4 and adamStep every tail of
-// 0–3 columns.
+// have the same bits. kernelZoo's widths give backRows4 every tail of 0–3
+// columns (checkTrainKernels gives both training kernels every tail).
 func TestGoKernelsMatchAVXDispatch(t *testing.T) {
 	if !avx {
 		t.Skip("this CPU runs the Go kernels only: no AVX or no OS support for the YMM state")
