@@ -112,7 +112,8 @@ func checkFlowCacheAgainstReference(t *testing.T, timeout netsim.Time, seed int6
 		if tr.Evicted() != 0 {
 			fail(step, "the trace ring evicted %d events; the check would miss them", tr.Evicted())
 		}
-		for _, e := range tr.Events()[seen:] {
+		evs := tr.Events()
+		for _, e := range evs[seen:] {
 			if e.Cat != "flowcache" || e.Name != "evict" {
 				continue
 			}
@@ -126,7 +127,7 @@ func checkFlowCacheAgainstReference(t *testing.T, timeout netsim.Time, seed int6
 			}
 			delete(ref.entries, f)
 		}
-		seen = tr.Len()
+		seen = len(evs)
 	}
 	compare := func(step int) {
 		t.Helper()
@@ -170,7 +171,7 @@ func checkFlowCacheAgainstReference(t *testing.T, timeout netsim.Time, seed int6
 		case op < 7:
 			delete(ref.entries, flow)
 			c.FlowFinished(flow)
-			seen = tr.Len() // skip the FIN's own evict event
+			seen = len(tr.Events()) // skip the FIN's own evict event
 		case op < 9:
 			eng.RunUntil(eng.Now() + netsim.Time(rng.Int63n(int64(timeout/2)+1)))
 			sweepEvictions(step)

@@ -228,20 +228,13 @@ type Service struct {
 
 // NewSlowPath wires a service to the core and its netlink channel. The
 // channel's delivery callback is replaced; call StartBatching on the channel
-// (or Service.Start) to begin periodic delivery. Options: opt.WithScope
-// overrides the scope (otherwise the service inherits the core's);
-// opt.WithFaults subjects the service to injected outages and snapshot
-// failures. Attaching a service arms the core's watchdog when one was
-// configured.
+// (or Service.Start) to begin periodic delivery. The service exports under
+// the core's scope; opt.WithFaults subjects it to injected outages and
+// snapshot failures. Attaching a service arms the core's watchdog when one
+// was configured.
 func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter, options ...opt.Option) *Service {
-	o := opt.Resolve(options)
-	s := &Service{Core: c, Chan: ch, Freezer: f, Evaluator: e, Adapter: a, NamePrefix: "snapshot"}
-	if o.HasScope {
-		s.sc = o.Scope
-	} else {
-		s.sc = c.Obs()
-	}
-	s.inj = o.Faults
+	s := &Service{Core: c, Chan: ch, Freezer: f, Evaluator: e, Adapter: a, NamePrefix: "snapshot",
+		sc: c.Obs(), inj: opt.Resolve(options).Faults}
 	s.register(s.sc)
 	s.rows = outcomeTable(&s.st)
 	s.spans = obs.NewSpanTracer(s.sc)

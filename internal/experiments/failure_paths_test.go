@@ -97,7 +97,7 @@ func TestGoldenFailurePaths(t *testing.T) {
 		}
 		h := fnv.New64a()
 		h.Write(full.Bytes())
-		fmt.Fprintf(&b, "# whole stream: %d events, fnv64a %016x\n", tr.Len(), h.Sum64())
+		fmt.Fprintf(&b, "# whole stream: %d events, fnv64a %016x\n", len(tr.Events()), h.Sum64())
 		return b.Bytes(), reg.PrometheusText()
 	}
 	adaptTrace, adaptProm := export(failureAdaptRun)

@@ -6,7 +6,6 @@ package netsim
 type Queue interface {
 	Enqueue(p *Packet) bool
 	Dequeue() *Packet
-	Len() int   // packets queued
 	Bytes() int // bytes queued
 }
 
@@ -89,7 +88,6 @@ type PrioQueue struct {
 
 	bands [NumPrioBands]DropTail
 	bytes int
-	drops int
 }
 
 // NewPrioQueue returns a strict-priority queue with shared capacity capBytes
@@ -107,7 +105,6 @@ func NewPrioQueue(capBytes, markBytes int) *PrioQueue {
 // Enqueue places p into its priority band unless the shared buffer is full.
 func (q *PrioQueue) Enqueue(p *Packet) bool {
 	if q.bytes+p.Size > q.CapBytes {
-		q.drops++
 		return false
 	}
 	if q.MarkBytes > 0 && q.bytes >= q.MarkBytes {
@@ -137,17 +134,5 @@ func (q *PrioQueue) Dequeue() *Packet {
 	return nil
 }
 
-// Len returns the total number of queued packets across bands.
-func (q *PrioQueue) Len() int {
-	n := 0
-	for i := range q.bands {
-		n += q.bands[i].Len()
-	}
-	return n
-}
-
 // Bytes returns the total queued bytes across bands.
 func (q *PrioQueue) Bytes() int { return q.bytes }
-
-// Drops returns the cumulative count of packets rejected by Enqueue.
-func (q *PrioQueue) Drops() int { return q.drops }

@@ -251,8 +251,8 @@ func TestTracerRing(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		tr.Emit(obs.Event{At: int64(i), Cat: "c", Name: "n"})
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d, want 4", tr.Len())
+	if len(tr.Events()) != 4 {
+		t.Fatalf("len = %d, want 4", len(tr.Events()))
 	}
 	if tr.Evicted() != 2 {
 		t.Fatalf("evicted = %d, want 2", tr.Evicted())

@@ -84,8 +84,8 @@ func TestSpanFailedAndDiscard(t *testing.T) {
 	sp := st.Root("snapshot_lifecycle", 0)
 	sp.Child("pool", 0, 100)
 	sp.EndFailed(200, "abandoned")
-	if tr.Len() != 2 {
-		t.Fatalf("failed root did not flush: %d events", tr.Len())
+	if len(tr.Events()) != 2 {
+		t.Fatalf("failed root did not flush: %d events", len(tr.Events()))
 	}
 	if got := reg.Histogram("liteflow_snapshot_e2e_ns", "", obs.DurationBuckets()).Count(); got != 0 {
 		t.Fatalf("failed lifecycle fed the e2e histogram (count=%d)", got)
@@ -93,7 +93,7 @@ func TestSpanFailedAndDiscard(t *testing.T) {
 	// Post-end operations are inert.
 	sp.Child("late", 300, 1)
 	sp.End(400)
-	if tr.Len() != 2 {
+	if len(tr.Events()) != 2 {
 		t.Fatal("ended span accepted more work")
 	}
 
@@ -101,8 +101,8 @@ func TestSpanFailedAndDiscard(t *testing.T) {
 	st = obs.NewSpanTracer(obs.New(reg, tr))
 	dp := st.Root("snapshot_lifecycle", 0)
 	dp.Child("pool", 0, 100)
-	if tr.Len() != 0 {
-		t.Fatalf("un-ended span emitted %d events", tr.Len())
+	if len(tr.Events()) != 0 {
+		t.Fatalf("un-ended span emitted %d events", len(tr.Events()))
 	}
 }
 

@@ -107,16 +107,6 @@ func (t *Tracer) Cap() int {
 	return len(t.ring.buf)
 }
 
-// Len returns the number of retained events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ring.n
-}
-
 // Evicted returns how many events were displaced by ring overflow.
 func (t *Tracer) Evicted() int64 {
 	if t == nil {

@@ -40,10 +40,6 @@ func (w Watchdog) withDefaults() Watchdog {
 type Options struct {
 	// Scope is the telemetry scope; the zero value is a valid no-op.
 	Scope obs.Scope
-	// HasScope distinguishes an explicit WithScope from the default, so
-	// components that inherit a parent's scope (the service inherits the
-	// core's) can tell the difference.
-	HasScope bool
 	// Faults is the fault injector; nil injects nothing.
 	Faults *fault.Injector
 	// Watchdog, when non-nil, enables the core's slow-path watchdog.
@@ -68,7 +64,7 @@ func Resolve(opts []Option) Options {
 // Components that export gauges and share one scope need their own label
 // sets (or their own obs.Fork): a second gauge view on one series panics.
 func WithScope(sc obs.Scope) Option {
-	return func(o *Options) { o.Scope = sc; o.HasScope = true }
+	return func(o *Options) { o.Scope = sc }
 }
 
 // WithFaults attaches a fault injector. A nil injector is valid and injects

@@ -16,7 +16,7 @@ import (
 
 func TestResolveEmpty(t *testing.T) {
 	o := opt.Resolve(nil)
-	if o.HasScope || o.Faults != nil || o.Watchdog != nil {
+	if o.Faults != nil || o.Watchdog != nil {
 		t.Errorf("zero Options expected, got %+v", o)
 	}
 	if !reflect.DeepEqual(o.Scope, obs.Scope{}) {
@@ -28,23 +28,6 @@ func TestResolveSkipsNilOptions(t *testing.T) {
 	o := opt.Resolve([]opt.Option{nil, opt.WithFaults(nil), nil})
 	if o.Faults != nil {
 		t.Errorf("nil injector must stay nil, got %v", o.Faults)
-	}
-}
-
-func TestWithScopeSetsHasScope(t *testing.T) {
-	reg := obs.NewRegistry()
-	sc := obs.New(reg, nil)
-	o := opt.Resolve([]opt.Option{opt.WithScope(sc)})
-	if !o.HasScope {
-		t.Error("WithScope must set HasScope")
-	}
-	if o.Scope.Registry() != reg {
-		t.Error("WithScope must carry the scope through Resolve")
-	}
-	// Even an explicit no-op scope counts as "explicitly set".
-	o = opt.Resolve([]opt.Option{opt.WithScope(obs.Scope{})})
-	if !o.HasScope {
-		t.Error("WithScope(Nop) must still set HasScope")
 	}
 }
 

@@ -269,8 +269,8 @@ func EncodeSample(s Sample) Message { return core.EncodeSample(s) }
 func ParseSample(m Message) (Sample, error) { return core.ParseSample(m) }
 
 // NewSlowPath wires the userspace slow path to a core and its channel. The
-// service inherits the core's Scope unless WithScope overrides it; WithFaults
-// injects snapshot build failures and service outages. A failed build is
+// service exports under the core's Scope; WithFaults injects snapshot build
+// failures and service outages. A failed build is
 // retried twice, after 50 ms and then 100 ms of virtual time.
 func NewSlowPath(c *Core, ch *Channel, f Freezer, e Evaluator, a Adapter, options ...Option) *Service {
 	return core.NewSlowPath(c, ch, f, e, a, options...)
@@ -320,8 +320,8 @@ func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 func NewFlightRecorder(capacity int) *FlightRecorder { return obs.NewFlightRecorder(capacity) }
 
 // NewScope binds a registry and tracer (either may be nil) into a Scope to
-// pass via WithScope to NewCore, NewHostCPU, NewNetlinkChannel, NewSlowPath
-// and the topology builders.
+// pass via WithScope to NewCore, NewHostCPU, NewNetlinkChannel and the
+// topology builders.
 func NewScope(reg *MetricsRegistry, tr *Tracer) Scope { return obs.New(reg, tr) }
 
 // NewTelemetryHandler serves /metrics (Prometheus text format),

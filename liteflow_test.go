@@ -139,8 +139,7 @@ func TestOptionsAPILifecycle(t *testing.T) {
 	u := &apiUser{net: net.Clone()}
 	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil,
 		liteflow.WithScope(sc), liteflow.WithFaults(inj))
-	svc := liteflow.NewSlowPath(lf, ch, u, u, u,
-		liteflow.WithScope(sc), liteflow.WithFaults(inj))
+	svc := liteflow.NewSlowPath(lf, ch, u, u, u, liteflow.WithFaults(inj))
 	svc.Start(50 * liteflow.Millisecond)
 	for i := 0; i < 60; i++ {
 		ch.Push(liteflow.EncodeSample(liteflow.Sample{

@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -22,8 +23,12 @@ import (
 
 // The census tests below read one go/types load of the whole module, built
 // once per test binary (newCensus). They key what they find by object, so two
-// declarations that share a name no longer hide each other. DESIGN.md §4
-// round (t) says what each one catches.
+// declarations that share a name never hide each other, methods included:
+// TestNoOrphanExports counts a method as used when non-test code names it or
+// calls it through an interface its receiver type satisfies
+// (types.Implements), and only non-test code counts. Its one exception list
+// is .github/census-allow.txt. DESIGN.md §4 round (t) says what each test
+// catches.
 
 // censusPkg is one checked package and the files a census walks in it.
 type censusPkg struct {
@@ -35,8 +40,11 @@ type censusPkg struct {
 type census struct {
 	fset *token.FileSet
 	root string // module root directory
-	mod  string // module path
 	pkgs []*censusPkg
+	// stdIfaces are the standard-library interfaces a type satisfies to be
+	// called from the standard library: error, fmt.Stringer, sort.Interface
+	// and http.Handler.
+	stdIfaces []types.Type
 }
 
 var (
@@ -88,14 +96,14 @@ func newCensus() (*census, error) {
 	var order []string
 	for i := range all {
 		if p := &all[i]; !p.Standard && p.Module != nil {
-			c.mod = p.Module.Path
 			mod[p.ImportPath] = p
 			order = append(order, p.ImportPath)
 		}
 	}
 	// One `go list -export` for every standard package the module imports,
-	// so the gc importer reads export data without a go command per import.
-	stdSet := map[string]bool{}
+	// and the ones that declare stdIfaces, so the gc importer reads
+	// export data without a go command per import.
+	stdSet := map[string]bool{"fmt": true, "sort": true, "net/http": true}
 	for _, p := range mod {
 		for _, q := range append(append(append([]string{}, p.Imports...), p.TestImports...), p.XTestImports...) {
 			if mod[q] == nil && q != "unsafe" && q != "C" {
@@ -124,6 +132,15 @@ func newCensus() (*census, error) {
 		}
 		return nil, fmt.Errorf("no export data for %s", path)
 	})
+	c.stdIfaces = []types.Type{types.Universe.Lookup("error").Type()}
+	for _, name := range []string{"fmt.Stringer", "sort.Interface", "net/http.Handler"} {
+		i := strings.LastIndex(name, ".")
+		pkg, err := stdImp.Import(name[:i])
+		if err != nil {
+			return nil, err
+		}
+		c.stdIfaces = append(c.stdIfaces, pkg.Scope().Lookup(name[i+1:]).Type())
+	}
 	checked := map[string]*types.Package{}
 
 	// Two passes, as the go command builds them. First each package's own
@@ -235,12 +252,6 @@ func (c *census) isTest(f *ast.File) bool {
 	return strings.HasSuffix(c.fset.File(f.Pos()).Name(), "_test.go")
 }
 
-// ours reports whether obj is declared in the module (so its position is
-// in the census's file set).
-func (c *census) ours(obj types.Object) bool {
-	return obj != nil && obj.Pkg() != nil && (obj.Pkg().Path() == c.mod || strings.HasPrefix(obj.Pkg().Path(), c.mod+"/"))
-}
-
 // structDecl is one field of a struct type declared in a non-test file
 // under internal/, with its "pkg.Type.field" name.
 type structDecl struct {
@@ -320,78 +331,211 @@ func embeddedIdent(x ast.Expr) *ast.Ident {
 	return id
 }
 
-// TestNoOrphanExports: every exported func, type, const, var, method and
-// struct field declared in a non-test file under internal/ is used
-// somewhere else in the module — cmd/, bench/, examples/ and tests all
-// count, and a composite literal that sets a field counts, so a field
-// nothing reads can still pass (TestNoWriteOnlyFields catches that). A
-// method is matched by name, since a call through an interface does not
-// name the concrete method; everything else by object. stdlibCalled names
-// methods that exist to satisfy a standard-library interface and are called
-// only from there.
+// TestNoOrphanExports: every exported func, method, type, const, var and
+// struct field declared in a non-test file under internal/ is used by
+// non-test code (orphans says what a use is). The one exception list is
+// .github/census-allow.txt, which CI's coverage census reads too: a function
+// no non-test code calls is one no driver runs.
 func TestNoOrphanExports(t *testing.T) {
-	stdlibCalled := map[string]bool{"Len": true, "Less": true, "Swap": true}
 	c := loadCensus(t)
-
-	used := map[token.Pos]bool{} // declarations some identifier refers to
-	named := map[string]bool{}   // names an identifier refers to, or an interface declares
-	for _, p := range c.pkgs {
-		for id, obj := range p.info.Uses {
-			named[id.Name] = true
-			if c.ours(obj) {
-				used[obj.Pos()] = true
-			}
-		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, id := range m.Names {
-							named[id.Name] = true
-						}
-					}
-				}
-				return true
-			})
+	data, err := os.ReadFile(filepath.Join(".github", "census-allow.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && !strings.HasPrefix(f[0], "#") {
+			allowed[f[0]] = true
 		}
 	}
-	var orphans []string
+	var bad []string
+	for key, pos := range c.orphans() {
+		if !allowed[key] {
+			bad = append(bad, key+" ("+c.position(pos)+")")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Errorf("exported but no non-test code uses it: %s", b)
+	}
+}
+
+// TestOrphanRuleMethodCases pins orphans' method cases on a fixture module:
+// a method called only from a test, or named like a sort.Interface method
+// on a type that is not one, is an orphan; one reached only through an
+// interface that non-test code calls, or a String() string, is not.
+func TestOrphanRuleMethodCases(t *testing.T) {
+	files := []struct{ name, src string }{
+		{"internal/fix/fix.go", `package fix
+
+type Shape interface{ Area() int }
+
+type Sq struct{}
+
+func (Sq) Area() int      { return 1 }
+func (Sq) String() string { return "sq" }
+func (Sq) Len() int       { return 0 }
+func (Sq) Side() int      { return 1 }
+
+func Total(s Shape) int { return s.Area() }
+`},
+		{"internal/fix/fix_test.go", `package fix
+
+var _ = Sq{}.Side() + Sq{}.Len()
+`},
+		{"cmd/fix/main.go", `package main
+
+import "fix/internal/fix"
+
+func main() { _ = fix.Total(fix.Sq{}) }
+`},
+	}
+	c := &census{fset: token.NewFileSet(), root: ".", stdIfaces: loadCensus(t).stdIfaces}
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) { return checked[path], nil })}
+	for _, dir := range []string{"internal/fix", "cmd/fix"} {
+		cp := &censusPkg{rel: dir, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+		for _, f := range files {
+			if filepath.Dir(f.name) == dir {
+				af, err := parser.ParseFile(c.fset, f.name, f.src, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cp.files = append(cp.files, af)
+			}
+		}
+		pkg, err := conf.Check("fix/"+dir, c.fset, cp.files, cp.info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked[pkg.Path()] = pkg
+		c.pkgs = append(c.pkgs, cp)
+	}
+	var got []string
+	for key := range c.orphans() {
+		got = append(got, key)
+	}
+	sort.Strings(got)
+	if want := []string{"fix.Sq.Len", "fix.Sq.Side"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("orphans = %v, want %v", got, want)
+	}
+}
+
+// ifaceMethods lists, by method name, interface types that declare it.
+type ifaceMethods map[string]map[types.Type]bool
+
+func (m ifaceMethods) add(name string, iface types.Type) {
+	if m[name] == nil {
+		m[name] = map[types.Type]bool{}
+	}
+	m[name][iface] = true
+}
+
+// implements reports whether fn is a method whose receiver type satisfies
+// an interface m lists under fn's name.
+func (m ifaceMethods) implements(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if _, ok := t.(*types.Pointer); !ok {
+		t = types.NewPointer(t) // its method set holds T's methods too
+	}
+	for iface := range m[fn.Name()] {
+		if types.Implements(t, iface.Underlying().(*types.Interface)) {
+			return true
+		}
+	}
+	return false
+}
+
+// nonTestUses returns what non-test code in the module uses: every object
+// an identifier in a non-test file refers to (a generic instance's method
+// or field by its origin), and the interfaces through which it calls
+// methods. Those are the interfaces whose methods a non-test identifier
+// refers to, plus stdIfaces whole, since the standard library calls them.
+func (c *census) nonTestUses() (map[types.Object]bool, ifaceMethods) {
+	used := map[types.Object]bool{}
+	called := ifaceMethods{}
+	for _, iface := range c.stdIfaces {
+		it := iface.Underlying().(*types.Interface)
+		for i := 0; i < it.NumMethods(); i++ {
+			called.add(it.Method(i).Name(), iface)
+		}
+	}
+	for _, p := range c.pkgs {
+		nonTest := map[*token.File]bool{}
+		for _, f := range p.files {
+			if !c.isTest(f) {
+				nonTest[c.fset.File(f.Pos())] = true
+			}
+		}
+		for id, obj := range p.info.Uses {
+			if !nonTest[c.fset.File(id.Pos())] {
+				continue
+			}
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+				if recv := o.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					called.add(o.Name(), recv.Type())
+				}
+			case *types.Var:
+				obj = o.Origin()
+			}
+			used[obj] = true
+		}
+	}
+	return used, called
+}
+
+// orphans returns every exported func, method, type, const, var and struct
+// field declared in a non-test file under internal/ that non-test code does
+// not use, keyed as census-allow.txt keys it (pkg.Name, pkg.Type.Field,
+// pkg.Recv.Method). A method is also used when its receiver type satisfies
+// an interface through which non-test code calls it (nonTestUses).
+func (c *census) orphans() map[string]token.Pos {
+	used, called := c.nonTestUses()
+	found := map[string]token.Pos{}
 	for _, p := range c.pkgs {
 		if !strings.HasPrefix(p.rel, "internal/") {
 			continue
+		}
+		pkg := strings.TrimPrefix(p.rel, "internal/")
+		check := func(key string, id *ast.Ident) {
+			obj := p.info.Defs[id]
+			if fn, ok := obj.(*types.Func); id.IsExported() && !used[obj] && !(ok && called.implements(fn)) {
+				found[pkg+"."+key] = id.Pos()
+			}
 		}
 		for _, f := range p.files {
 			if c.isTest(f) {
 				continue
 			}
-			check := func(id *ast.Ident, ok bool) {
-				if id.IsExported() && !ok {
-					orphans = append(orphans, id.Name+" ("+c.position(id.Pos())+")")
-				}
-			}
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					if d.Recv != nil {
-						check(d.Name, named[d.Name.Name] || stdlibCalled[d.Name.Name])
+						check(embeddedIdent(d.Recv.List[0].Type).Name+"."+d.Name.Name, d.Name)
 					} else {
-						check(d.Name, used[d.Name.Pos()])
+						check(d.Name.Name, d.Name)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
-							check(s.Name, used[s.Name.Pos()])
+							check(s.Name.Name, s.Name)
 							if st, ok := s.Type.(*ast.StructType); ok {
 								for _, fld := range st.Fields.List {
 									for _, id := range fld.Names {
-										check(id, used[id.Pos()])
+										check(s.Name.Name+"."+id.Name, id)
 									}
 								}
 							}
 						case *ast.ValueSpec:
 							for _, id := range s.Names {
-								check(id, used[id.Pos()])
+								check(id.Name, id)
 							}
 						}
 					}
@@ -399,10 +543,7 @@ func TestNoOrphanExports(t *testing.T) {
 			}
 		}
 	}
-	sort.Strings(orphans)
-	for _, o := range orphans {
-		t.Errorf("exported but used nowhere else in the module: %s", o)
-	}
+	return found
 }
 
 // fieldReads collects every struct field that non-test code in the module
@@ -679,8 +820,10 @@ func TestNoConstantConfig(t *testing.T) {
 //     from data, so it is not counted.
 //   - By parameter: a parameter of an internal/ function that has two or
 //     more non-test call sites, is never used as a value (nor, for a method,
-//     named by any interface), and gets one constant at every call.
+//     called through an interface, as nonTestUses finds them), and gets one
+//     constant at every call.
 func (c *census) constantConfig() map[string]string {
+	_, called := c.nonTestUses()
 	fields := map[*types.Var]*configRow{}
 	for _, d := range c.internalFields() {
 		if strings.Contains(d.tag, "json:") || d.field.Embedded() {
@@ -698,19 +841,8 @@ func (c *census) constantConfig() map[string]string {
 		}
 	}
 	funcs := map[*types.Func]*configRow{}
-	ifaceMethods := map[string]bool{}
 	for _, p := range c.pkgs {
 		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, id := range m.Names {
-							ifaceMethods[id.Name] = true
-						}
-					}
-				}
-				return true
-			})
 			if c.isTest(f) || !strings.HasPrefix(p.rel, "internal/") {
 				continue
 			}
@@ -817,7 +949,7 @@ func (c *census) constantConfig() map[string]string {
 		}
 	}
 	for fn, r := range funcs {
-		if r.calls < 2 || r.asValue || fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
+		if r.calls < 2 || r.asValue || called.implements(fn) {
 			continue
 		}
 		for i, sets := range r.args {
