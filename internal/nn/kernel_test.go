@@ -253,6 +253,18 @@ func laneEdges(r *rand.Rand) []lanes {
 	return v
 }
 
+// armLanes returns nine groups of values inside tanh's small arm, none 0:
+// the AVX kernel leaves no lane to math.Tanh.
+func armLanes(r *rand.Rand) []lanes {
+	v := make([]lanes, 9)
+	for i := range v {
+		for k := range v[i] {
+			v[i][k] = (r.Float64()*2 - 1) * 0.6
+		}
+	}
+	return v
+}
+
 // trainEdges are the values the training kernels are fed beside random
 // ones: ±0, the smallest and largest subnormals, ±Inf and NaN, each of
 // either sign.
@@ -355,6 +367,10 @@ func TestLaneKernelsMatchGo(t *testing.T) {
 	}
 	edges := laneEdges(r)
 	tanhBoth("laneEdges", edges)
+	arm := armLanes(r)
+	tanhBoth("values inside the arm", arm)
+	arm[len(arm)-1][3] = 2
+	tanhBoth("values inside the arm but one lane of the last group", arm)
 	for _, in := range []int{0, 1, 3, 4, 5, 30, 2048} {
 		for _, rows := range []int{0, 1, 3, 4, 7, 2048} {
 			w, b := make([]float64, rows*in), make([]float64, rows)

@@ -43,10 +43,11 @@ func sumLanesAVX(w, b []float64, x, dst []lanes)
 // 0 < |x| < 0.625 and leaves every other x as it is: tanh(±0) = ±0 exactly,
 // and the rest are math.Tanh's. For each group v[i] it writes to left[i] a
 // 4-bit mask of the lanes that still need math.Tanh: bit k is set where
-// |v[i][k]| < 0.625 fails, NaN included. left must be at least len(v) long.
+// |v[i][k]| < 0.625 fails, NaN included, and it reports whether any mask is
+// non-zero. left must be at least len(v) long.
 //
 //go:noescape
-func tanhArmLanes(v []lanes, left []uint8)
+func tanhArmLanes(v []lanes, left []uint8) (anyLeft bool)
 
 // backRows4 is backRows4Go. Dense.backward slices its operands so that the
 // assembly stays in bounds.
@@ -88,14 +89,17 @@ var tanhConsts = [8]float64{
 
 // tanhLanes is tanhLanesGo. With AVX the assembly computes the arm for all
 // four lanes of a group at once, and math.Tanh takes the lanes its mask
-// leaves; left is the mask's scratch, one byte per group.
+// leaves; left is the mask's scratch, one byte per group, scanned only when
+// some lane left the arm.
 func tanhLanes(v []lanes, left []uint8) {
 	if !avx {
 		tanhLanesGo(v)
 		return
 	}
 	left = left[:len(v)]
-	tanhArmLanes(v, left)
+	if !tanhArmLanes(v, left) {
+		return
+	}
 	for i, m := range left {
 		if m == 0 {
 			continue

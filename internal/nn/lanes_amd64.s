@@ -50,7 +50,7 @@ done:
 	VZEROUPPER
 	RET
 
-// func tanhArmLanes(v []lanes, left []uint8)
+// func tanhArmLanes(v []lanes, left []uint8) (anyLeft bool)
 //
 // With Y8–Y15 holding tanhConsts broadcast, each group x forms s = x·x (Y1),
 // P = (P0·s+P1)·s+P2 (Y2), Q = ((s+Q0)·s+Q1)·s+Q2 (Y3) and
@@ -58,11 +58,12 @@ done:
 // emits for tanhArm's expression, with commutative swaps only. Y6 is
 // |x| < 0.625 (ordered, so false for NaN), Y7 that and x ≠ 0; VBLENDVPD
 // keeps y where Y7 is set and x elsewhere. The group's byte of left is the
-// complement of Y6's four sign bits.
-TEXT ·tanhArmLanes(SB), NOSPLIT, $0-48
+// complement of Y6's four sign bits; DX ORs them all for anyLeft.
+TEXT ·tanhArmLanes(SB), NOSPLIT, $0-49
 	MOVQ v_base+0(FP), DI
 	MOVQ v_len+8(FP), CX
 	MOVQ left_base+24(FP), BX
+	XORL DX, DX
 	TESTQ CX, CX
 	JZ done
 	LEAQ ·tanhConsts(SB), AX
@@ -101,12 +102,15 @@ group:
 	VMOVMSKPD Y6, AX
 	XORL $15, AX
 	MOVB AX, (BX)
+	ORL AX, DX
 	ADDQ $32, DI
 	INCQ BX
 	DECQ CX
 	JNZ group
 
 done:
+	TESTL DX, DX
+	SETNE anyLeft+48(FP)
 	VZEROUPPER
 	RET
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -95,4 +96,26 @@ func sameParams(a *Network, optA *Adam, b *Network, optB *Adam) string {
 		}
 	}
 	return ""
+}
+
+// TestTanhArmLanesReportsLeft: tanhArmLanes reports a lane left for
+// math.Tanh exactly when some mask byte is set, so tanhLanes skips its scan
+// only when there is nothing to scan for: none on values all inside the arm,
+// one when a single lane of the last group is outside it.
+func TestTanhArmLanesReportsLeft(t *testing.T) {
+	if !avx {
+		t.Skip("this CPU runs the Go kernels only: no AVX or no OS support for the YMM state")
+	}
+	v := armLanes(rand.New(rand.NewSource(47)))
+	left := make([]uint8, len(v))
+	if tanhArmLanes(slices.Clone(v), left) || slices.ContainsFunc(left, func(m uint8) bool { return m != 0 }) {
+		t.Errorf("values inside the arm: anyLeft true or a mask set (%v)", left)
+	}
+	v[len(v)-1][3] = 2
+	if !tanhArmLanes(v, left) || left[len(v)-1] != 1<<3 {
+		t.Errorf("2 in lane 3 of the last group: anyLeft false or last mask %#x, want 0x8", left[len(v)-1])
+	}
+	if tanhArmLanes(nil, nil) {
+		t.Error("no groups: anyLeft true")
+	}
 }

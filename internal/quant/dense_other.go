@@ -2,8 +2,8 @@
 
 package quant
 
-// Off amd64 the dense step is dot4 alone.
+// Off amd64 the dense step is dot4 and the row loop alone.
 
 const packed = false
 
-func dot4n(rows, x []int64) (a0, a1, a2, a3 int64) { return dot4(rows, x) }
+func denseAVX2(w, b, x, dst []int64) { panic("quant: denseAVX2 off amd64") }

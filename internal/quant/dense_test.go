@@ -36,15 +36,28 @@ func TestFitsInt32Boundary(t *testing.T) {
 // either side of the int32 bounds, MinInt64, MaxInt64, a 4-byte int32 or an
 // 8-byte int64, so narrow and wide weights and inputs all occur. The inputs
 // come first, then every layer's weights and biases in order; whatever the
-// bytes do not reach keeps its quantized value.
+// bytes do not reach keeps its quantized value. A hidden byte of 0xff makes
+// the hidden layer 2048 wide, the fleet canary's, so every output row of the
+// head is 2048 wide.
 func FuzzDenseMatchesReference(f *testing.F) {
 	f.Add(uint8(7), uint8(8), uint8(0x1f), []byte{})
 	f.Add(uint8(7), uint8(8), uint8(0x1f), []byte{1})
 	f.Add(uint8(3), uint8(4), uint8(0x0c), []byte{0, 0, 0, 0, 9, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(11), uint8(5), uint8(0x22), []byte{3, 4, 8, 0x80, 0, 0, 0, 5, 6, 2})
 	f.Add(uint8(3), uint8(4), uint8(0x1c), []byte{1, 1, 1, 1, 9, 0, 0, 0, 0, 0, 1, 0, 0}) // w[0][0] = 1<<40
+	// In < 4, with Out%4 of 3 and then 2: the whole row is the masked tail.
+	f.Add(uint8(1), uint8(2), uint8(0x04), []byte{1, 2, 1, 2, 1, 2, 1, 2, 2, 2, 2, 2, 0, 1})
+	// Out%4 of 1, then of 3, on three inputs.
+	f.Add(uint8(2), uint8(4), uint8(0x1a), []byte{2, 2, 2, 7, 0xff, 0xff, 0xff, 0x7f, 1})
+	// Out%4 of 2 on one input, then a head of three rows.
+	f.Add(uint8(0), uint8(9), uint8(0x08), []byte{1, 2, 0, 1, 2, 0, 1, 2, 0, 1})
+	// One 2048-wide row: the canary's 4→2048→1 shape, tanh in both layers.
+	f.Add(uint8(3), uint8(0xff), uint8(0x02), []byte{1, 2, 1, 2})
 	f.Fuzz(func(t *testing.T, inB, hiddenB, actB uint8, data []byte) {
 		sizes := []int{1 + int(inB)%12, 1 + int(hiddenB)%12, 1 + int(actB>>2)%8}
+		if hiddenB == 0xff {
+			sizes[1] = 2048
+		}
 		act := nn.Activation(actB % 4)
 		p := Quantize(nn.New(sizes, []nn.Activation{act, act}, int64(inB)), DefaultConfig())
 

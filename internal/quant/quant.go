@@ -22,10 +22,10 @@
 // Programs: re-quantizing a retuned network only rounds its weights.
 //
 // Inference is one kernel (InferWith): per layer a dense step over a
-// contiguous weight slab, four rows at a time (packed multiplies on AVX2),
-// then one activation pass over the finished accumulators. DESIGN.md §4k
-// "Snapshot execution" says why it computes, bit for bit, what the plain loop
-// kept in reference_test.go does.
+// contiguous weight slab (one packed assembly call on AVX2, four rows at a
+// time otherwise), then one activation pass over the finished accumulators.
+// DESIGN.md §4k "Snapshot execution" says why it computes, bit for bit, what
+// the plain loop kept in reference_test.go does.
 package quant
 
 import (
@@ -84,7 +84,7 @@ type Layer struct {
 
 	w []int64 // the slab, [Out][In] at WeightScale: row i is w[i*In : (i+1)*In]
 	// wide is set, for good, by a SetWeight of a value outside int32; it
-	// keeps the dense step on dot4 (dense_amd64.go).
+	// keeps the dense step off denseAVX2 (dense_amd64.go).
 	wide bool
 	// narrowIn: the input is a LUT's output and every entry of that table
 	// fits in int32, so dense need not check x (set by Quantize).
@@ -378,25 +378,24 @@ func (p *Program) InferWith(a *Arena, in, out []int64) {
 	}
 }
 
-// dense writes the accumulators B + W·x into dst (len Out); x has len In. It
-// walks the slab four rows at a time (dot4, or dot4n where the CPU has it and
-// the layer's weights and x fit in int32), then one row at a time for the
-// Out%4 that remain. The sums are the ones a plain row-by-row loop forms:
-// each accumulator adds its own row's products, and two's-complement
-// addition is associative and commutative, so adding the bias last and
-// interleaving rows and columns changes no bit.
+// dense writes the accumulators B + W·x into dst (len Out); x has len In.
+// Where the CPU has AVX2 and the layer's weights and x fit in int32, one
+// denseAVX2 call does the whole layer. Otherwise it walks the slab four rows
+// at a time (dot4), then one row at a time for the Out%4 that remain. The
+// sums are the ones a plain row-by-row loop forms: each accumulator adds its
+// own row's products, and two's-complement addition is associative and
+// commutative, so adding the bias last and interleaving rows and columns
+// changes no bit.
 func (l *Layer) dense(x, dst []int64) {
 	n := len(x)
+	if packed && !l.wide && (l.narrowIn || allFitInt32(x)) {
+		denseAVX2(l.w[:len(dst)*n], l.B[:len(dst)], x, dst)
+		return
+	}
 	w, b := l.w, l.B[:len(dst)]
-	vec := packed && len(dst) >= 4 && !l.wide && (l.narrowIn || allFitInt32(x))
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
-		var a0, a1, a2, a3 int64
-		if vec {
-			a0, a1, a2, a3 = dot4n(w[:4*n], x)
-		} else {
-			a0, a1, a2, a3 = dot4(w[:4*n], x)
-		}
+		a0, a1, a2, a3 := dot4(w[:4*n], x)
 		w = w[4*n:]
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = b[i]+a0, b[i+1]+a1, b[i+2]+a2, b[i+3]+a3
 	}

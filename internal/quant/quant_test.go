@@ -287,6 +287,12 @@ var tanhHead = []nn.Activation{nn.Tanh, nn.Tanh, nn.Tanh}
 
 func BenchmarkInferAuroraSnapshot(b *testing.B) { benchInfer(b, []int{30, 32, 16, 1}, tanhHead) }
 
+// BenchmarkInferCanarySnapshot is the fleet canary's bloated snapshot
+// (fig_canary.go's bloat): 4→2048 tanh, then a 2048-wide linear head.
+func BenchmarkInferCanarySnapshot(b *testing.B) {
+	benchInfer(b, []int{4, 2048, 1}, []nn.Activation{nn.Tanh, nn.Linear})
+}
+
 // BenchmarkInferAuroraSnapshotWide is BenchmarkInferAuroraSnapshot on dot4:
 // a write outside int32, then one restoring the weight, leaves every layer
 // wide with the weights it had, so only the kernel differs.

@@ -185,7 +185,7 @@ func TestLookupMatchesReference(t *testing.T) {
 // TestWeightRowsViewTheSlab: SetWeight writes the slab the kernel reads, so
 // a weight written is the weight inferred with. A write outside int32 marks
 // its layer wide for good and an input outside int32 keeps its step off
-// dot4n; on either trigger the output still equals the reference.
+// denseAVX2; on either trigger the output still equals the reference.
 func TestWeightRowsViewTheSlab(t *testing.T) {
 	net := nn.New([]int{6, 8, 4}, []nn.Activation{nn.Linear, nn.Linear}, 1)
 	p := Quantize(net, DefaultConfig())
