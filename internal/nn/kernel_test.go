@@ -141,7 +141,7 @@ func checkTanh(t testing.TB, xs []float64) {
 	for i, x := range xs {
 		all4[i/4][i%4] = x
 	}
-	Tanh.applyAll4(all4, make([]uint8, len(all4)))
+	Tanh.applyAll4(all4, make([]uint32, len(all4)))
 	for i, x := range xs {
 		want := math.Tanh(x)
 		for _, got := range [...]struct {
@@ -361,7 +361,7 @@ func TestLaneKernelsMatchGo(t *testing.T) {
 	tanhBoth := func(what string, v []lanes) {
 		t.Helper()
 		got, want := append([]lanes(nil), v...), append([]lanes(nil), v...)
-		tanhLanes(got, make([]uint8, len(got)+1))
+		tanhLanes(got, make([]uint32, len(got)+1))
 		tanhLanesGo(want)
 		same("tanh of "+what, got, want)
 	}
@@ -508,11 +508,29 @@ func TestInferBatchNoAllocAfterFirst(t *testing.T) {
 // TestInferBatchSplitIsExact: a call spread over the cores gives every
 // sample the bits Forward gives it, at any GOMAXPROCS, at batch sizes around
 // the groups' edges and with a remainder. ys starts as a sentinel each call,
-// so a group no worker wrote fails too.
+// so a group no worker wrote fails too. The test counts the calls in which
+// both the caller and a helper ran groups, and fails if there were none.
 func TestInferBatchSplitIsExact(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	r := rand.New(rand.NewSource(41))
 	sentinel := math.Float64frombits(0x7ff8_0000_dead_beef)
+	shared := 0
+	infer := func(n *Network, xs [][]float64, want []float64, what string) {
+		t.Helper()
+		ys := make([]float64, len(want))
+		for i := range ys {
+			ys[i] = sentinel
+		}
+		n.InferBatch(xs, ys)
+		if d := n.call.done.Load(); d > 0 && d < int64(len(xs)/4) {
+			shared++
+		}
+		for i := range ys {
+			if math.Float64bits(ys[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: output %d is %x, Forward %x", what, i, ys[i], want[i])
+			}
+		}
+	}
 	for _, net := range []struct {
 		sizes []int
 		acts  []Activation
@@ -522,37 +540,134 @@ func TestInferBatchSplitIsExact(t *testing.T) {
 	} {
 		n := New(net.sizes, net.acts, 41)
 		os := n.OutputSize()
-		splits := 0
 		for _, size := range []int{7, 8, 63, 64, 65, 257} {
 			xs := kernelInputs(r, size, n.InputSize())
 			want := make([]float64, size*os)
 			for k, x := range xs {
 				n.Forward(x, want[k*os:(k+1)*os])
 			}
-			ys := make([]float64, len(want))
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				if n.workers(size/4) > 1 {
-					splits++
-				}
 				for round := range 3 {
-					for i := range ys {
-						ys[i] = sentinel
-					}
-					n.InferBatch(xs, ys)
-					for i := range ys {
-						if math.Float64bits(ys[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%v, batch %d, GOMAXPROCS %d, round %d: output %d is %x, Forward %x",
-								net.sizes, size, procs, round, i, ys[i], want[i])
-						}
-					}
+					infer(n, xs, want, fmt.Sprintf("%v, batch %d, GOMAXPROCS %d, round %d", net.sizes, size, procs, round))
 				}
 			}
 		}
-		if splits == 0 {
-			t.Errorf("%v: no call split; the test checks nothing", net.sizes)
+	}
+	if shared == 0 {
+		t.Error("no call ran groups on both the caller and a helper; the split went unchecked")
+	}
+}
+
+// TestInferBatchLateShareTouchesNothing: a share that runs after its call
+// has returned, or while a newer call is in progress, claims no group. It
+// leaves the counter, the done count and its scratch as they were, and the
+// calls around it still give Forward's bits. Two goroutines then run such
+// shares over and over while real calls split (run it under -race).
+func TestInferBatchLateShareTouchesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	n := New([]int{4, 2048, 1}, []Activation{Tanh, Linear}, 48)
+	xs := kernelInputs(rand.New(rand.NewSource(48)), 65, 4)
+	want := make([]float64, len(xs))
+	for k, x := range xs {
+		n.Forward(x, want[k:k+1])
+	}
+	same := func(what string, ys []float64) {
+		t.Helper()
+		for k := range ys {
+			if math.Float64bits(ys[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s: output %d is %x, Forward %x", what, k, ys[k], want[k])
+			}
 		}
 	}
+	ys := make([]float64, len(xs))
+	n.InferBatch(xs, ys)
+	same("first call", ys)
+	if len(n.work) < 2 {
+		t.Fatalf("a 65-sample bloated call takes %d worker, want a split", len(n.work))
+	}
+
+	const sentinel = 0x7ff8_0000_dead_beef
+	stale := laneScratch{vec: [2][]lanes{make([]lanes, 2048), make([]lanes, 2048)}, left: make([]uint32, 2048)}
+	for _, v := range stale.vec {
+		for i := range v {
+			v[i] = lanes{math.Float64frombits(sentinel), 0, 0, 0}
+		}
+	}
+	for i := range stale.left {
+		stale.left[i] = sentinel & 0xffff_ffff
+	}
+	untouched := func(what string) {
+		t.Helper()
+		for _, v := range stale.vec {
+			for i := range v {
+				if math.Float64bits(v[i][0]) != sentinel || v[i][1] != 0 {
+					t.Fatalf("%s: a late share wrote its scratch (group %d)", what, i)
+				}
+			}
+		}
+		for i, e := range stale.left {
+			if e != sentinel&0xffff_ffff {
+				t.Fatalf("%s: a late share wrote its tanh list (entry %d)", what, i)
+			}
+		}
+	}
+	counters := func() [2]int64 { return [2]int64{int64(n.call.left.Load()), n.call.done.Load()} }
+
+	returned := n.call.gen
+	before := counters()
+	share{n, returned, &stale}.run()
+	share{n, returned - 1, &stale}.run()
+	if after := counters(); after != before {
+		t.Errorf("shares of returned calls moved the counter and done count from %#x to %#x", before, after)
+	}
+	untouched("shares of returned calls")
+
+	// A newer call of 16 groups in progress, published as inferGroups
+	// publishes it, with every group still to claim: a share of the call
+	// before must leave it all to the newer call's workers.
+	ys = make([]float64, 64)
+	c := &n.call
+	c.xs, c.ys = xs[:64], ys
+	c.gen++
+	c.done.Store(0)
+	c.left.Store(uint64(c.gen)<<32 | 16)
+	before = counters()
+	share{n, returned, &stale}.run()
+	if after := counters(); after != before {
+		t.Errorf("a share of the call before moved the live call's counter and done count from %#x to %#x", before, after)
+	}
+	untouched("a share of the call before a live one")
+	if mine := n.claimGroups(c.gen, &n.work[0]); mine != 16 {
+		t.Errorf("the live call's caller ran %d groups, want all 16", mine)
+	}
+	c.xs, c.ys = nil, nil
+	same("the call a late share met", ys)
+	ys = make([]float64, len(xs))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					share{n, returned - uint32(g), &stale}.run()
+				}
+			}
+		}()
+	}
+	for round := range 50 {
+		n.InferBatch(xs, ys)
+		same(fmt.Sprintf("round %d beside late shares", round), ys)
+	}
+	close(stop)
+	wg.Wait()
+	untouched("late shares beside real calls")
 }
 
 // TestInferBatchNoHelperAtOneProc: at GOMAXPROCS 1 even a call big enough to
@@ -753,7 +868,7 @@ func BenchmarkLaneKernels(b *testing.B) {
 	sums := make([]lanes, 2048)
 	n.Layers[0].sums4(in, sums)
 	hidden := append([]lanes(nil), sums...)
-	tanhLanes(hidden, make([]uint8, len(hidden)))
+	tanhLanes(hidden, make([]uint32, len(hidden)))
 	b.Run("sum/4x2048", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n.Layers[0].sums4(in, sums)
@@ -766,7 +881,7 @@ func BenchmarkLaneKernels(b *testing.B) {
 		}
 	})
 	b.Run("tanh/2048", func(b *testing.B) {
-		v, left := make([]lanes, len(sums)), make([]uint8, len(sums))
+		v, left := make([]lanes, len(sums)), make([]uint32, len(sums))
 		for i := 0; i < b.N; i++ {
 			copy(v, sums)
 			tanhLanes(v, left)

@@ -41,13 +41,13 @@ func sumLanesAVX(w, b []float64, x, dst []lanes)
 
 // tanhArmLanes replaces each value x of v with tanhArm's result where
 // 0 < |x| < 0.625 and leaves every other x as it is: tanh(±0) = ±0 exactly,
-// and the rest are math.Tanh's. For each group v[i] it writes to left[i] a
-// 4-bit mask of the lanes that still need math.Tanh: bit k is set where
-// |v[i][k]| < 0.625 fails, NaN included, and it reports whether any mask is
-// non-zero. left must be at least len(v) long.
+// and the rest are math.Tanh's. It lists the groups with lanes that still
+// need math.Tanh in left[:listed], in order: group v[i] as i<<4 | m, where
+// bit k of the 4-bit mask m is set when |v[i][k]| < 0.625 fails, NaN
+// included. left must be at least len(v) long.
 //
 //go:noescape
-func tanhArmLanes(v []lanes, left []uint8) (anyLeft bool)
+func tanhArmLanes(v []lanes, left []uint32) (listed int)
 
 // backRows4 is backRows4Go. Dense.backward slices its operands so that the
 // assembly stays in bounds.
@@ -88,25 +88,18 @@ var tanhConsts = [8]float64{
 }
 
 // tanhLanes is tanhLanesGo. With AVX the assembly computes the arm for all
-// four lanes of a group at once, and math.Tanh takes the lanes its mask
-// leaves; left is the mask's scratch, one byte per group, scanned only when
-// some lane left the arm.
-func tanhLanes(v []lanes, left []uint8) {
+// four lanes of a group at once, and math.Tanh takes the lanes it lists;
+// left is the list's scratch, one entry per group, so Go visits only the
+// groups that left the arm.
+func tanhLanes(v []lanes, left []uint32) {
 	if !avx {
 		tanhLanesGo(v)
 		return
 	}
-	left = left[:len(v)]
-	if !tanhArmLanes(v, left) {
-		return
-	}
-	for i, m := range left {
-		if m == 0 {
-			continue
-		}
-		x := &v[i]
+	for _, e := range left[:tanhArmLanes(v, left[:len(v)])] {
+		x := &v[e>>4]
 		for k := range x {
-			if m>>k&1 != 0 {
+			if e>>k&1 != 0 {
 				x[k] = math.Tanh(x[k])
 			}
 		}

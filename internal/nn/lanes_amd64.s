@@ -50,20 +50,24 @@ done:
 	VZEROUPPER
 	RET
 
-// func tanhArmLanes(v []lanes, left []uint8) (anyLeft bool)
+// func tanhArmLanes(v []lanes, left []uint32) (listed int)
 //
 // With Y8–Y15 holding tanhConsts broadcast, each group x forms s = x·x (Y1),
 // P = (P0·s+P1)·s+P2 (Y2), Q = ((s+Q0)·s+Q1)·s+Q2 (Y3) and
 // y = ((x·s)·P)/Q + x (Y4): the operations and association the compiler
 // emits for tanhArm's expression, with commutative swaps only. Y6 is
 // |x| < 0.625 (ordered, so false for NaN), Y7 that and x ≠ 0; VBLENDVPD
-// keeps y where Y7 is set and x elsewhere. The group's byte of left is the
-// complement of Y6's four sign bits; DX ORs them all for anyLeft.
-TEXT ·tanhArmLanes(SB), NOSPLIT, $0-49
+// keeps y where Y7 is set and x elsewhere. The group's mask is the
+// complement of Y6's four sign bits. SI holds the group's index shifted left
+// by 4, and DX counts the entries listed: every group stores index<<4|mask
+// at left[DX], and DX moves past it only when the mask is non-zero, so the
+// store never runs ahead of the group.
+TEXT ·tanhArmLanes(SB), NOSPLIT, $0-56
 	MOVQ v_base+0(FP), DI
 	MOVQ v_len+8(FP), CX
 	MOVQ left_base+24(FP), BX
 	XORL DX, DX
+	XORL SI, SI
 	TESTQ CX, CX
 	JZ done
 	LEAQ ·tanhConsts(SB), AX
@@ -101,16 +105,18 @@ group:
 	VMOVUPD Y0, (DI)
 	VMOVMSKPD Y6, AX
 	XORL $15, AX
-	MOVB AX, (BX)
-	ORL AX, DX
+	MOVL SI, R8
+	ORL AX, R8
+	MOVL R8, (BX)(DX*4)
+	NEGL AX
+	ADCQ $0, DX
+	ADDL $16, SI
 	ADDQ $32, DI
-	INCQ BX
 	DECQ CX
 	JNZ group
 
 done:
-	TESTL DX, DX
-	SETNE anyLeft+48(FP)
+	MOVQ DX, listed+48(FP)
 	VZEROUPPER
 	RET
 

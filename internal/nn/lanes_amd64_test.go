@@ -98,24 +98,55 @@ func sameParams(a *Network, optA *Adam, b *Network, optB *Adam) string {
 	return ""
 }
 
-// TestTanhArmLanesReportsLeft: tanhArmLanes reports a lane left for
-// math.Tanh exactly when some mask byte is set, so tanhLanes skips its scan
-// only when there is nothing to scan for: none on values all inside the arm,
-// one when a single lane of the last group is outside it.
+// TestTanhArmLanesReportsLeft: tanhArmLanes lists exactly the groups with a
+// lane left for math.Tanh, in order and each with its lane mask, so tanhLanes
+// visits every such group and no other. The list must be what a Go scan of
+// the inputs finds: empty on values all inside the arm, one entry when a
+// single lane of the last group is outside it, and every group when all are.
 func TestTanhArmLanesReportsLeft(t *testing.T) {
 	if !avx {
 		t.Skip("this CPU runs the Go kernels only: no AVX or no OS support for the YMM state")
 	}
-	v := armLanes(rand.New(rand.NewSource(47)))
-	left := make([]uint8, len(v))
-	if tanhArmLanes(slices.Clone(v), left) || slices.ContainsFunc(left, func(m uint8) bool { return m != 0 }) {
-		t.Errorf("values inside the arm: anyLeft true or a mask set (%v)", left)
+	r := rand.New(rand.NewSource(47))
+	lastLane := armLanes(r)
+	lastLane[len(lastLane)-1][3] = 2
+	sparse := make([]lanes, 2048)
+	for i := range sparse {
+		sparse[i] = armLanes(r)[0]
 	}
-	v[len(v)-1][3] = 2
-	if !tanhArmLanes(v, left) || left[len(v)-1] != 1<<3 {
-		t.Errorf("2 in lane 3 of the last group: anyLeft false or last mask %#x, want 0x8", left[len(v)-1])
+	for _, i := range []int{0, 5, 6, 1000, 2047} {
+		sparse[i][r.Intn(4)] = []float64{1.5, -0.625, math.NaN(), math.Inf(-1)}[r.Intn(4)]
 	}
-	if tanhArmLanes(nil, nil) {
-		t.Error("no groups: anyLeft true")
+	allLeft := make([]lanes, 7)
+	for i := range allLeft {
+		allLeft[i] = lanes{1, -1, 0.625, math.NaN()}
+	}
+	for _, c := range []struct {
+		name string
+		v    []lanes
+	}{
+		{"no groups", nil},
+		{"values inside the arm", armLanes(r)},
+		{"2 in lane 3 of the last group", lastLane},
+		{"five groups of 2048 with one lane out", sparse},
+		{"every group", allLeft},
+		{"laneEdges", laneEdges(r)},
+	} {
+		var want []uint32
+		for i, x := range c.v {
+			var m uint32
+			for k, xk := range x {
+				if !(math.Abs(xk) < 0.625) {
+					m |= 1 << k
+				}
+			}
+			if m != 0 {
+				want = append(want, uint32(i)<<4|m)
+			}
+		}
+		left := make([]uint32, len(c.v))
+		if got := left[:tanhArmLanes(slices.Clone(c.v), left)]; !slices.Equal(got, want) {
+			t.Errorf("%s: listed %#x, want %#x", c.name, got, want)
+		}
 	}
 }

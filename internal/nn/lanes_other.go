@@ -8,7 +8,7 @@ const avx = false
 
 func sumLanes(w, b []float64, x, dst []lanes) { sumLanesGo(w, b, x, dst) }
 
-func tanhLanes(v []lanes, _ []uint8) { tanhLanesGo(v) }
+func tanhLanes(v []lanes, _ []uint32) { tanhLanesGo(v) }
 
 func backRows4(x, prev, w, gw []float64, d0, d1, d2, d3 float64) {
 	backRows4Go(x, prev, w, gw, d0, d1, d2, d3)

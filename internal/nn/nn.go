@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Activation selects a layer's nonlinearity.
@@ -271,7 +270,7 @@ func sumLanesGo(w, b []float64, x, dst []lanes) {
 // forward4 writes the layer's activated outputs for the four samples x into
 // dst, each lane bit for bit what Forward gives for its sample. left is
 // tanh's scratch (tanhLanes).
-func (l *Dense) forward4(x, dst []lanes, left []uint8) {
+func (l *Dense) forward4(x, dst []lanes, left []uint32) {
 	l.sums4(x, dst)
 	l.Act.applyAll4(dst, left)
 }
@@ -284,8 +283,8 @@ func load4(xs [][]float64, dst []lanes) {
 }
 
 // applyAll4 is applyAll over four-sample lanes. left is tanh's scratch, one
-// byte per element of v (tanhLanes).
-func (a Activation) applyAll4(v []lanes, left []uint8) {
+// entry per element of v (tanhLanes).
+func (a Activation) applyAll4(v []lanes, left []uint32) {
 	switch a {
 	case ReLU:
 		for i := range v {
@@ -341,23 +340,23 @@ type Network struct {
 	scratch [][]float64
 	// vec holds the activations one-sample inference ping-pongs between, and
 	// work each InferBatch worker's four-sample scratch: work[0] the
-	// caller's, work[i] that of the helper running share i of a split call
+	// caller's, work[i] that of the helper offered share i of a split call
 	// (split.go). Both are allocated on first use, never by Forward, so
 	// inference leaves the training caches alone, and both are the
 	// Network's, not the package's, so distinct networks infer and train
 	// concurrently.
 	vec  [2][]float64
 	work []laneScratch
-	// done counts the shares of a split InferBatch that helpers still run.
-	done sync.WaitGroup
+	// call is the InferBatch in progress, or the last one (split.go).
+	call batch
 	// act4 holds what TrainBatch's four-sample forward pass leaves for
 	// backprop: act4[0] the inputs, act4[li+1] layer li's activated output.
-	// out and grad are its per-sample loss buffers, left its tanhLanes mask.
+	// out and grad are its per-sample loss buffers, left its tanhLanes list.
 	// All are allocated by the first TrainBatch and none is touched by
 	// inference.
 	act4      [][]lanes
 	out, grad []float64
-	left      []uint8
+	left      []uint32
 }
 
 // New builds a network with the given layer sizes (inputs first) and one
@@ -433,9 +432,8 @@ func (n *Network) Infer(in []float64) []float64 {
 // every k, each bit for bit what Forward gives for that input. Four samples
 // go through a layer together (sums4), the len(xs)%4 that remain one at a
 // time. A call with enough work spreads its four-sample groups over the cores
-// (split.go); the caller runs the first range and the remainder. Like Infer it
-// leaves the training caches alone; it allocates nothing after the network's
-// first inference at the current GOMAXPROCS.
+// (split.go). Like Infer it leaves the training caches alone; it allocates
+// nothing after the network's first inference at the current GOMAXPROCS.
 func (n *Network) InferBatch(xs [][]float64, ys []float64) {
 	os := n.OutputSize()
 	if len(ys) != len(xs)*os {
@@ -444,23 +442,7 @@ func (n *Network) InferBatch(xs [][]float64, ys []float64) {
 	for _, x := range xs {
 		n.checkInput(x)
 	}
-	groups := len(xs) / 4
-	work := n.scratch4(n.workers(groups))
-	first := 4 * n.split(xs, ys, groups, work)
-	n.inferGroups(xs[:first], ys[:first*os], &work[0])
-	for k := 4 * groups; k < len(xs); k++ {
-		n.infer1(xs[k], ys[k*os:(k+1)*os])
-	}
-	n.done.Wait()
-}
-
-// inferGroups runs xs, whole four-sample groups, through the network on the
-// scratch s and writes their outputs to ys, sample after sample.
-func (n *Network) inferGroups(xs [][]float64, ys []float64, s *laneScratch) {
-	os := n.OutputSize()
-	for k := 0; k+4 <= len(xs); k += 4 {
-		n.infer4(xs[k:k+4], ys[k*os:(k+4)*os], s)
-	}
+	n.inferGroups(xs, ys, n.scratch4(n.workers(len(xs)/4)))
 }
 
 // maxWidth is the widest vector inference holds: the input or any layer's

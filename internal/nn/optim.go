@@ -111,7 +111,7 @@ func TrainBatch(n *Network, opt Optimizer, x, y [][]float64, clipNorm float64) f
 			n.act4[li+1] = make([]lanes, l.Out)
 		}
 		n.out, n.grad = make([]float64, os), make([]float64, os)
-		n.left = make([]uint8, n.maxWidth())
+		n.left = make([]uint32, n.maxWidth())
 	}
 	n.ZeroGrad()
 	inv := 1 / float64(len(x))
