@@ -19,7 +19,12 @@ import (
 //   - such a function uses a legacy SSE instruction (no V prefix) on an X
 //     or Y register;
 //   - a fused multiply-add (VFMADD, VFMSUB, VFNMADD, VFNMSUB) appears
-//     anywhere: it rounds once where the Go reference loops round twice.
+//     anywhere: it rounds once where the Go reference loops round twice;
+//   - an AVX-512 form appears anywhere: a Z or K register, X16–X31 or
+//     Y16–Y31, a masking or other EVEX suffix on the mnemonic (Go's .Z,
+//     .BCST, .SAE; Intel's {k}, {z}), or a mnemonic with no VEX encoding
+//     (asmEVEXOnly). internal/cpu checks for AVX and AVX2 only, so such a
+//     form assembles and then faults on an AVX2 host (DESIGN.md §4k).
 func TestAssemblyHygiene(t *testing.T) {
 	n := 0
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
@@ -44,15 +49,61 @@ func TestAssemblyHygiene(t *testing.T) {
 	}
 }
 
+// TestAssemblyHygieneRejectsAVX512 runs the rules on fixtures: an AVX2
+// function that passes, and that function with one AVX-512 form put in,
+// once per form, each of which must fail as AVX-512.
+func TestAssemblyHygieneRejectsAVX512(t *testing.T) {
+	const clean = `TEXT ·k(SB), NOSPLIT, $0-8
+	VMOVDQU (SI), Y0
+	VPMADDWD (DI), Y0, Y1
+	VPCMPGTQ Y1, Y0, Y2
+	%s
+	VZEROUPPER
+	RET
+`
+	if bad := asmHygiene(fmt.Sprintf(clean, "VPADDQ Y2, Y1, Y1")); len(bad) != 0 {
+		t.Fatalf("the AVX2 fixture fails: %v", bad)
+	}
+	for _, form := range []string{
+		"VPADDQ Z2, Z1, Z1",            // Z register
+		"VPADDQ Y2, Y1, K1, Y1",        // {k} masking, Go's spelling
+		"VPADDQ.Z Y2, Y1, K1, Y1",      // {z} zeroing, Go's spelling
+		"VPADDQ Y2, Y1, Y1 {k1}{z}",    // Intel's spelling
+		"VPADDQ.BCST (AX), Y1, Y1",     // embedded broadcast
+		"VPADDQ X17, X1, X1",           // X16–X31
+		"VPADDQ Y2, Y31, Y1",           // Y16–Y31
+		"VPMAXSQ Y2, Y1, Y1",           // 64-bit signed max
+		"VPMINSQ Y2, Y1, Y1",           // 64-bit signed min
+		"VPMULLQ Y2, Y1, Y1",           // 64-bit low multiply
+		"VPABSQ Y2, Y1",                // 64-bit abs
+		"VPSRAQ $3, Y2, Y1",            // 64-bit arithmetic shift
+		"VPTERNLOGQ $0x96, Y2, Y1, Y0", // ternary logic
+	} {
+		bad := asmHygiene(fmt.Sprintf(clean, form))
+		if len(bad) == 0 || !strings.Contains(strings.Join(bad, "\n"), "AVX-512") {
+			t.Errorf("%s: no AVX-512 complaint (got %v)", form, bad)
+		}
+	}
+}
+
 var (
 	asmComment = regexp.MustCompile(`//.*`)
 	asmIdent   = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 	asmFMA     = regexp.MustCompile(`\bVFN?M(ADD|SUB)`)
-	asmXY      = regexp.MustCompile(`\b[XY]([12]?[0-9]|3[01])\b`)
-	asmY       = regexp.MustCompile(`\bY([12]?[0-9]|3[01])\b`)
-	asmDefine  = regexp.MustCompile(`^#define\s+(\w+)(?:\(([^)]*)\))?\s*(.*)$`)
-	asmTEXT    = regexp.MustCompile(`^TEXT\s+[^(]*·(\w+)\(SB\)`)
-	asmLabel   = regexp.MustCompile(`^(\w+):\s*(.*)$`)
+	asmEVEXReg = regexp.MustCompile(`\b([XY](1[6-9]|2[0-9]|3[01])|Z([12]?[0-9]|3[01])|K[0-7])\b|\{[kKzZ]`)
+	// asmEVEXOnly matches the mnemonics AVX-512 added with no VEX form:
+	// 64-bit lane min, max, multiply, abs and arithmetic shift, ternary
+	// logic, two-table permutes, compress/expand, rotates, down-converting
+	// moves, conflict and lzcnt, the 14-bit estimates, the FP classify and
+	// fixup families, 64-bit-integer conversions, opmask blends and tests,
+	// element-sized moves, the 32x4-style lane moves, word variable shifts
+	// and permutes, and predicate compares.
+	asmEVEXOnly = regexp.MustCompile(`^V(P(MAX|MIN)[SU]Q|PMULLQ|PABSQ|PSRAV?Q|PTERNLOG|PERM[IT]2|P?COMPRESS|P?EXPAND|PRO[LR]V?[DQ]|PMOV(US|S)?(QB|QW|QD|DB|DW|WB)\b|PCONFLICT|PLZCNT|RCP14|RSQRT14|GETEXP|GETMANT|RNDSCALE|SCALEF|FIXUPIMM|RANGE|REDUCE|FPCLASS|CVT\w*(QQ|2U|U\w*2)|ALIGN[DQ]|P?BLENDM|PTESTN?M|MOVDQ[AU](8|16|32|64)|\w*[0-9]X[0-9]|PERMW|PS(LL|RL|RA)VW|PCMPU?[BWDQ]\b|PBROADCASTM|DBPSADBW|PMULTISHIFT|PMADD52|PSH[LR]D|PERMB|PMOVM2|PMOV[BWDQ]2M)`)
+	asmXY       = regexp.MustCompile(`\b[XY]([12]?[0-9]|3[01])\b`)
+	asmY        = regexp.MustCompile(`\bY([12]?[0-9]|3[01])\b`)
+	asmDefine   = regexp.MustCompile(`^#define\s+(\w+)(?:\(([^)]*)\))?\s*(.*)$`)
+	asmTEXT     = regexp.MustCompile(`^TEXT\s+[^(]*·(\w+)\(SB\)`)
+	asmLabel    = regexp.MustCompile(`^(\w+):\s*(.*)$`)
 )
 
 // asmInstr is one instruction of a function, macros expanded.
@@ -77,6 +128,9 @@ func asmHygiene(src string) []string {
 		lines[i] = strings.TrimSpace(asmComment.ReplaceAllString(line, ""))
 		if asmFMA.MatchString(lines[i]) {
 			bad = append(bad, fmt.Sprintf("%d: fused multiply-add: %s", i+1, lines[i]))
+		}
+		if asmEVEXReg.MatchString(lines[i]) {
+			bad = append(bad, fmt.Sprintf("%d: AVX-512 register or masking: %s", i+1, lines[i]))
 		}
 	}
 	for i := 0; i < len(lines); i++ {
@@ -148,6 +202,9 @@ func asmHygiene(src string) []string {
 		vex := false
 		for _, in := range f.code {
 			vex = vex || strings.HasPrefix(in.op, "V") || asmY.MatchString(in.args)
+			if asmEVEXOnly.MatchString(in.op) || strings.Contains(in.op, ".") {
+				bad = append(bad, fmt.Sprintf("%d: %s uses an AVX-512 form: %s %s", in.line, f.name, in.op, in.args))
+			}
 		}
 		if !vex {
 			continue

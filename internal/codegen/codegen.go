@@ -85,9 +85,11 @@ func Generate(p *quant.Program, name string) (string, error) {
 	if !validIdent(name) {
 		return "", fmt.Errorf("%w: %q is not a valid snapshot name", ErrSnapshotBuild, name)
 	}
-	// Sized so Aurora- and MOCC-class modules are emitted without regrowth:
-	// a term "input[NN]*-NNNNN + " is ~20 bytes.
-	b := make([]byte, 0, 1024+24*p.NumParams()+128*len(p.Layers))
+	// Emitted into a recycled buffer, sized so Aurora- and MOCC-class modules
+	// need no regrowth (a term "input[NN]*-NNNNN + " is ~20 bytes); the
+	// returned string is then the one allocation of the unit's size.
+	bp := unitBufs.Get().(*[]byte)
+	b := slices.Grow((*bp)[:0], 1024+24*p.NumParams()+128*len(p.Layers))
 	b = append(b, unitHeader...)
 	b = fmt.Appendf(b, "// Snapshot module %s: integer-only inference, %d layers,\n"+
 		"// input dim %d (scale %d), output dim %d (scale %d).\n",
@@ -133,8 +135,15 @@ func Generate(p *quant.Program, name string) (string, error) {
 		"// (the insmod-time lf_register_model call of the paper's NN modules).\n"+
 		"func init() {\n\tregisterModel(%q, %d, %d, Infer_%s)\n}\n",
 		name, p.InputSize(), p.OutputSize(), name)
-	return string(b), nil
+	unit := string(b)
+	*bp = b
+	unitBufs.Put(bp)
+	return unit, nil
 }
+
+// unitBufs recycles the buffers Generate emits model units into and
+// frameParses cuts frames into.
+var unitBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxMemoBytes bounds the unit memo (about 50 activation units or 170 model
 // frames of Aurora's size). Activation units and frames are both determined
@@ -293,9 +302,13 @@ func isWordByte(c byte) bool {
 // frameParses reports whether the frame of model unit src parses: because
 // an earlier build's frame was the same text, or by parsing it now and
 // memoising it within the cap. Like an activation unit, a frame is parsed
-// under the lock, so once however many builds race for it.
+// under the lock, so once however many builds race for it. The frame is cut
+// into a recycled buffer, so a hit allocates nothing.
 func frameParses(src string) bool {
-	frame := appendFrame(make([]byte, 0, len(src)), src)
+	bp := unitBufs.Get().(*[]byte)
+	defer unitBufs.Put(bp)
+	*bp = appendFrame((*bp)[:0], src)
+	frame := *bp
 	unitMemo.Lock()
 	defer unitMemo.Unlock()
 	// An activation unit is never stored under its own text.

@@ -2,20 +2,23 @@ package quant
 
 import "github.com/liteflow-sim/liteflow/internal/cpu"
 
-// On amd64 with AVX2, dense runs denseAVX2 (dense_amd64.s) in place of dot4
-// and the row loop when every weight of the layer and every input of the
-// step fits in int32. There VPMULDQ's sign-extended 32×32→64 product equals
-// Go's int64 product, and VPADDQ adds lanes mod 2⁶⁴ as ADDQ does, so with
-// two's-complement addition associative and commutative every sum is the Go
-// loop's bit for bit.
+// On amd64 with AVX2, dense runs dense16 (dense_amd64.s) in place of dot4
+// and the row loop when the layer is on the packed tier and every input of
+// the step fits in int16. There each VPMADDWD product of two int16s is exact
+// in int32, and no partial sum of a row reaches 2³¹ in magnitude (fitsPacked),
+// so VPADDD and VPHADDD never wrap: every int32 lane holds the int64 sum of
+// its products, and VPMOVSXDQ widens it unchanged before the bias is added.
 
-// packed reports whether this CPU runs denseAVX2: AVX2, and an OS that saves
+// packed reports whether this CPU runs dense16: AVX2, and an OS that saves
 // the YMM state (DESIGN.md §4k "Snapshot execution").
 var packed = cpu.AVX2()
 
-// denseAVX2 writes b[i] + w[i·n:(i+1)·n]·x into dst[i] for every i of dst,
-// n = len(x), for weights and x that fit in int32. It trusts its slices: w
-// must hold len(dst)·len(x) weights and b at least len(dst) biases.
+// dense16 packs x into x16 as int16, zeros past len(x), and reports whether
+// every x fits in int16. If so it writes b[i] + w[i·s:(i+1)·s]·x16 into dst[i]
+// for every i of dst, s = len(x16); if not it writes nothing to dst. It
+// trusts its slices: s must be a positive multiple of 16 and at least len(x),
+// w must hold len(dst)·s weights, every row fitting the packed tier, and b at
+// least len(dst) biases.
 //
 //go:noescape
-func denseAVX2(w, b, x, dst []int64)
+func dense16(w []int16, b, x []int64, x16 []int16, dst []int64) bool

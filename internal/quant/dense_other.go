@@ -6,4 +6,6 @@ package quant
 
 const packed = false
 
-func denseAVX2(w, b, x, dst []int64) { panic("quant: denseAVX2 off amd64") }
+func dense16(w []int16, b, x []int64, x16 []int16, dst []int64) bool {
+	panic("quant: dense16 off amd64")
+}

@@ -22,8 +22,9 @@
 // Programs: re-quantizing a retuned network only rounds its weights.
 //
 // Inference is one kernel (InferWith): per layer a dense step over a
-// contiguous weight slab (one packed assembly call on AVX2, four rows at a
-// time otherwise), then one activation pass over the finished accumulators.
+// contiguous weight slab (one 16-bit multiply-add assembly call on AVX2 where
+// the sums provably fit in int32, four rows at a time otherwise), then one
+// activation pass over the finished accumulators.
 // DESIGN.md §4k "Snapshot execution" says why it computes, bit for bit, what
 // the plain loop kept in reference_test.go does.
 package quant
@@ -75,20 +76,21 @@ func DefaultConfig() Config {
 // pre-scaled to inScale·WeightScale so they add directly into the
 // accumulator.
 //
-// The weights live in one row-major slab, which is what inference reads;
-// Weight reads it and SetWeight, the one write path, writes it.
+// The weights live in one row-major slab, and on the packed tier in an int16
+// copy of it, which is what inference reads; Weight reads the slab, Quantize
+// writes both, and after it SetWeight is the one write path.
 type Layer struct {
 	In, Out int
 	B       []int64 // [Out], scale = inScale·weightScale
 	Act     nn.Activation
 
 	w []int64 // the slab, [Out][In] at WeightScale: row i is w[i*In : (i+1)*In]
-	// wide is set, for good, by a SetWeight of a value outside int32; it
-	// keeps the dense step off denseAVX2 (dense_amd64.go).
-	wide bool
-	// narrowIn: the input is a LUT's output and every entry of that table
-	// fits in int32, so dense need not check x (set by Quantize).
-	narrowIn bool
+	// w16 is the slab again as int16 rows of stride16(In) entries, zeros past
+	// In, while the layer is on the packed tier: every weight fits in int16
+	// and every row's Σ|w| is below 2¹⁶ (fitsPacked). Quantize builds it, the
+	// rows of all a Program's packed layers in one allocation; a SetWeight
+	// that breaks either fact sets it to nil, for good.
+	w16 []int16
 
 	accScale int64 // input scale · weightScale: scale of the accumulator
 	outScale int64 // scale of this layer's outputs
@@ -111,18 +113,62 @@ type Layer struct {
 func (l *Layer) Weight(i, j int) int64 { return l.row(i)[j] }
 
 // SetWeight sets the weight of input j in output row i to v, at WeightScale;
-// the next inference uses it. A v outside int32 marks the layer wide.
+// the next inference uses it. A v outside int16, or one that takes row i's
+// Σ|w| to 2¹⁶ or more, takes the layer off the packed tier for good.
 func (l *Layer) SetWeight(i, j int, v int64) {
 	l.row(i)[j] = v
-	if !fitsInt32(v) {
-		l.wide = true
+	if l.w16 == nil {
+		return
 	}
+	if !fitsPacked(l.row(i)) {
+		l.w16 = nil
+		return
+	}
+	l.w16[i*stride16(l.In)+j] = int16(v)
 }
 
 func (l *Layer) row(i int) []int64 { return l.w[i*l.In : (i+1)*l.In] }
 
-// fitsInt32 reports whether v is an int32 widened.
-func fitsInt32(v int64) bool { return v == int64(int32(v)) }
+// stride16 is the length of an int16 row of n weights: n rounded up to a
+// whole number of 16-column steps, at least one.
+func stride16(n int) int { return (max(n, 1) + 15) &^ 15 }
+
+// fitsPacked reports whether a row may run on VPMADDWD: every weight fits in
+// int16 and Σ|w| < 2¹⁶. Then with every input in int16 no partial sum of the
+// row reaches 2¹⁶·2¹⁵ = 2³¹ in magnitude, so the int32 lanes never wrap.
+func fitsPacked(row []int64) bool {
+	sum := int64(0)
+	for _, w := range row {
+		if w != int64(int16(w)) {
+			return false
+		}
+		sum += max(w, -w)
+	}
+	return sum < 1<<16
+}
+
+// packedSize is the length of the layer's int16 rows when every row fits the
+// packed tier, and 0 when one does not.
+func (l *Layer) packedSize() int {
+	for i := 0; i < l.Out; i++ {
+		if !fitsPacked(l.row(i)) {
+			return 0
+		}
+	}
+	return l.Out * stride16(l.In)
+}
+
+// pack16 copies the layer's weights into w16, packedSize() zeroed entries,
+// as int16 rows of stride16(In) and puts the layer on the packed tier.
+func (l *Layer) pack16(w16 []int16) {
+	s := stride16(l.In)
+	for i := 0; i < l.Out; i++ {
+		for j, w := range l.row(i) {
+			w16[i*s+j] = int16(w)
+		}
+	}
+	l.w16 = w16
+}
 
 // AccScale returns the fixed-point scale of the layer's accumulator
 // (inScale · weightScale).
@@ -170,19 +216,22 @@ type Program struct {
 }
 
 // Arena is the reusable scratch an inference needs: two ping-pong activation
-// buffers sized to the widest layer. A zero Arena is valid and grows on first
+// buffers sized to the widest layer, and the int16 copy of a layer's input
+// that the packed tier multiplies. A zero Arena is valid and grows on first
 // use; after that, steady-state inference performs zero heap allocations
 // (guarded by testing.AllocsPerRun assertions in quant and core). Arenas are
 // not goroutine-safe — use one per worker.
 type Arena struct {
 	bufs [2][]int64
+	x16  []int16
 }
 
 // Reserve grows the arena to serve programs up to the given layer width.
 func (a *Arena) Reserve(width int) {
 	if cap(a.bufs[0]) < width {
-		a.bufs[0] = make([]int64, width)
-		a.bufs[1] = make([]int64, width)
+		bufs := make([]int64, 2*width)
+		a.bufs[0], a.bufs[1] = bufs[:width:width], bufs[width:]
+		a.x16 = make([]int16, stride16(width))
 	}
 }
 
@@ -225,17 +274,14 @@ func Quantize(net *nn.Network, cfg Config) *Program {
 		l.w = make([]int64, fl.Out*fl.In)
 		l.B = make([]int64, fl.Out)
 		for i := range fl.W {
+			row := l.row(i)
 			for j, w := range fl.W[i] {
-				l.SetWeight(i, j, roundToInt(w*float64(cfg.WeightScale)))
+				row[j] = roundToInt(w * float64(cfg.WeightScale))
 			}
 			l.B[i] = roundToInt(fl.B[i] * float64(l.accScale))
 		}
 		if fl.Act == nn.Tanh || fl.Act == nn.Sigmoid {
 			l.useTable(cfg.TableSize, cfg.TableRange)
-		}
-		if li > 0 {
-			prev := p.Layers[li-1].table
-			l.narrowIn = prev != nil && allFitInt32(prev)
 		}
 		p.Layers = append(p.Layers, l)
 		p.macs += fl.In * fl.Out
@@ -249,6 +295,17 @@ func Quantize(net *nn.Network, cfg Config) *Program {
 	}
 	p.maxWidth = maxWidth
 	p.arena.Reserve(maxWidth)
+	n := 0
+	for _, l := range p.Layers {
+		n += l.packedSize()
+	}
+	w16 := make([]int16, n) // one allocation for every packed layer
+	for _, l := range p.Layers {
+		if size := l.packedSize(); size > 0 {
+			l.pack16(w16[:size:size])
+			w16 = w16[size:]
+		}
+	}
 	return p
 }
 
@@ -372,25 +429,28 @@ func (p *Program) InferWith(a *Arena, in, out []int64) {
 		if li == len(p.Layers)-1 {
 			dst = out
 		}
-		l.dense(cur, dst)
+		l.dense(cur, a.x16, dst)
 		l.activate(dst)
 		cur = dst
 	}
 }
 
-// dense writes the accumulators B + W·x into dst (len Out); x has len In.
-// Where the CPU has AVX2 and the layer's weights and x fit in int32, one
-// denseAVX2 call does the whole layer. Otherwise it walks the slab four rows
-// at a time (dot4), then one row at a time for the Out%4 that remain. The
-// sums are the ones a plain row-by-row loop forms: each accumulator adds its
-// own row's products, and two's-complement addition is associative and
-// commutative, so adding the bias last and interleaving rows and columns
-// changes no bit.
-func (l *Layer) dense(x, dst []int64) {
+// dense writes the accumulators B + W·x into dst (len Out); x has len In and
+// x16 at least stride16(In) entries of scratch. Where the CPU has AVX2 and
+// the layer is on the packed tier, one dense16 call packs x into x16 and, if
+// every x fits in int16, does the whole layer. Otherwise it walks the slab
+// four rows at a time (dot4), then one row at a time for the Out%4 that
+// remain. The sums are the ones a plain row-by-row loop forms: each
+// accumulator adds its own row's products, and two's-complement addition is
+// associative and commutative, so adding the bias last and interleaving rows
+// and columns changes no bit.
+func (l *Layer) dense(x []int64, x16 []int16, dst []int64) {
 	n := len(x)
-	if packed && !l.wide && (l.narrowIn || allFitInt32(x)) {
-		denseAVX2(l.w[:len(dst)*n], l.B[:len(dst)], x, dst)
-		return
+	if packed && l.w16 != nil {
+		s := stride16(n)
+		if dense16(l.w16[:len(dst)*s], l.B[:len(dst)], x, x16[:s], dst) {
+			return
+		}
 	}
 	w, b := l.w, l.B[:len(dst)]
 	i := 0
@@ -426,16 +486,6 @@ func dot4(rows, x []int64) (a0, a1, a2, a3 int64) {
 		a3 += r3[j] * xj
 	}
 	return
-}
-
-// allFitInt32 reports whether every element of x fits in int32.
-func allFitInt32(x []int64) bool {
-	for _, v := range x {
-		if !fitsInt32(v) {
-			return false
-		}
-	}
-	return true
 }
 
 // activate converts, in place, a layer's finished accumulators (scale

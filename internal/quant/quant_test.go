@@ -287,15 +287,25 @@ var tanhHead = []nn.Activation{nn.Tanh, nn.Tanh, nn.Tanh}
 
 func BenchmarkInferAuroraSnapshot(b *testing.B) { benchInfer(b, []int{30, 32, 16, 1}, tanhHead) }
 
-// BenchmarkInferCanarySnapshot is the fleet canary's bloated snapshot
-// (fig_canary.go's bloat): 4→2048 tanh, then a 2048-wide linear head.
+// BenchmarkInferCanarySnapshot is the fleet canary's shape (fig_canary.go's
+// bloat): 4→2048 tanh, then a 2048-wide linear head, here with nn.New's
+// random head, whose row sums |w| past 2¹⁶: the head runs dot4.
 func BenchmarkInferCanarySnapshot(b *testing.B) {
 	benchInfer(b, []int{4, 2048, 1}, []nn.Activation{nn.Tanh, nn.Linear})
 }
 
+// BenchmarkInferCanaryBloatSnapshot is the canary as bloat builds it: the
+// head keeps 16 weights of a base net and zeros the other 2032, so both
+// layers run on the packed tier.
+func BenchmarkInferCanaryBloatSnapshot(b *testing.B) {
+	net := nn.New([]int{4, 2048, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 1)
+	clear(net.Layers[1].W[0][16:])
+	benchProgram(b, Quantize(net, DefaultConfig()))
+}
+
 // BenchmarkInferAuroraSnapshotWide is BenchmarkInferAuroraSnapshot on dot4:
-// a write outside int32, then one restoring the weight, leaves every layer
-// wide with the weights it had, so only the kernel differs.
+// a write outside int16, then one restoring the weight, takes every layer
+// off the packed tier with the weights it had, so only the kernel differs.
 func BenchmarkInferAuroraSnapshotWide(b *testing.B) {
 	p := Quantize(nn.New([]int{30, 32, 16, 1}, tanhHead, 1), DefaultConfig())
 	for _, l := range p.Layers {

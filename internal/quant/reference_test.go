@@ -182,16 +182,18 @@ func TestLookupMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWeightRowsViewTheSlab: SetWeight writes the slab the kernel reads, so
-// a weight written is the weight inferred with. A write outside int32 marks
-// its layer wide for good and an input outside int32 keeps its step off
-// denseAVX2; on either trigger the output still equals the reference.
+// TestWeightRowsViewTheSlab: SetWeight writes the slab the kernel reads, and
+// its int16 copy while the layer is on the packed tier, so a weight written
+// is the weight inferred with. A write outside int16, or one that takes its
+// row's Σ|w| to 2¹⁶, takes its layer off the tier for good, and an input
+// outside int16 keeps its step off dense16; on each trigger the output still
+// equals the reference.
 func TestWeightRowsViewTheSlab(t *testing.T) {
 	net := nn.New([]int{6, 8, 4}, []nn.Activation{nn.Linear, nn.Linear}, 1)
 	p := Quantize(net, DefaultConfig())
 	for li, l := range p.Layers {
-		if len(l.w) != l.In*l.Out || l.wide {
-			t.Fatalf("layer %d: slab holds %d weights (want %d), wide = %v", li, len(l.w), l.In*l.Out, l.wide)
+		if len(l.w) != l.In*l.Out || len(l.w16) != stride16(l.In)*l.Out {
+			t.Fatalf("layer %d: slabs hold %d and %d weights (want %d and %d)", li, len(l.w), len(l.w16), l.In*l.Out, stride16(l.In)*l.Out)
 		}
 	}
 	in := p.QuantizeInput([]float64{0.5, -0.25, 1, 0.125, 0.75, -1}, nil)
@@ -201,54 +203,64 @@ func TestWeightRowsViewTheSlab(t *testing.T) {
 	if l0.w[4*l0.In+1] != l0.Weight(4, 1) || l1.w[1*l1.In+7] != l1.Weight(1, 7) {
 		t.Fatal("SetWeight did not write the slab at row·In + column")
 	}
-	if l0.wide || l1.wide {
-		t.Fatal("a write inside int32 marked a layer wide")
+	if l0.w16 == nil || l1.w16 == nil {
+		t.Fatal("a write inside the row bound took a layer off the packed tier")
 	}
-	checkAgainstReference(t, p, in, "after SetWeight inside int32")
+	if int64(l0.w16[4*16+1]) != l0.Weight(4, 1) || int64(l1.w16[1*16+7]) != l1.Weight(1, 7) {
+		t.Fatal("SetWeight did not write the int16 slab at row·16 + column")
+	}
+	checkAgainstReference(t, p, in, "after SetWeight inside the row bound")
 
-	l0.SetWeight(2, 0, 1<<40)
-	if !l0.wide || l1.wide {
-		t.Fatalf("after writing 1<<40 into layer 0: wide = %v, %v; want true, false", l0.wide, l1.wide)
+	l0.SetWeight(2, 0, 1<<15)
+	if l0.w16 != nil || l1.w16 == nil {
+		t.Fatalf("after writing 2¹⁵ into layer 0: on the tier = %v, %v; want false, true", l0.w16 != nil, l1.w16 != nil)
 	}
-	checkAgainstReference(t, p, in, "wide weight")
+	checkAgainstReference(t, p, in, "weight outside int16")
 	l0.SetWeight(2, 0, 1)
-	if !l0.wide {
-		t.Error("a narrow write cleared the wide mark")
+	if l0.w16 != nil {
+		t.Error("a write inside int16 put the layer back on the tier")
 	}
+
+	for j := 0; j < l1.In; j++ {
+		l1.SetWeight(3, j, 0)
+	}
+	l1.SetWeight(3, 0, -1<<15)
+	l1.SetWeight(3, 5, 1<<15-1)
+	if l1.w16 == nil {
+		t.Fatal("a row of Σ|w| = 2¹⁶−1 took its layer off the tier")
+	}
+	checkAgainstReference(t, p, in, "row at Σ|w| = 2¹⁶−1")
+	l1.SetWeight(3, 2, 1)
+	if l1.w16 != nil {
+		t.Fatal("a row of Σ|w| = 2¹⁶ kept its layer on the tier")
+	}
+	checkAgainstReference(t, p, in, "row at Σ|w| = 2¹⁶")
 
 	q := Quantize(net, DefaultConfig())
-	big := slices.Clone(in)
-	big[0] = 1 << 31
-	checkAgainstReference(t, q, big, "input outside int32")
+	for _, v := range []int64{1 << 15, -1<<15 - 1, 1 << 32, math.MaxInt32} {
+		big := slices.Clone(in)
+		big[5] = v
+		checkAgainstReference(t, q, big, fmt.Sprintf("input %d", v))
+	}
 }
 
-// TestLUTFedLayersSkipTheScan: Quantize marks a layer narrowIn, so its dense
-// step skips the int32 scan of x, only when the previous layer's table fits
-// in int32. Layer 0 and layers fed by ReLU or Linear keep the scan, and so
-// does a layer fed by a tanh at ActScale 2³², whose saturated outputs leave
-// int32: that scan must send the step to dot4, or the output differs from
-// the reference.
-func TestLUTFedLayersSkipTheScan(t *testing.T) {
-	acts := []nn.Activation{nn.Tanh, nn.ReLU, nn.Sigmoid, nn.Linear, nn.Tanh}
-	p := Quantize(nn.New([]int{6, 8, 8, 8, 8, 4}, acts, 1), DefaultConfig())
-	for li, want := range []bool{false, true, false, true, false} {
-		if p.Layers[li].narrowIn != want {
-			t.Errorf("layer %d after %v: narrowIn = %v, want %v", li, acts[max(li-1, 0)], p.Layers[li].narrowIn, want)
-		}
-	}
-	checkAgainstReference(t, p, p.QuantizeInput([]float64{0.5, -0.25, 1, 0.125, 0.75, -1}, nil), "LUT-fed layers")
-
+// TestLUTFedLayersCheckTheirInput: every layer's step checks its input,
+// fused with the pack, LUT-fed layers too: a tanh at ActScale 2¹⁶ saturates
+// at ±2¹⁶, outside int16, and that check must send the next layer's step to
+// dot4, or the output differs from the reference.
+func TestLUTFedLayersCheckTheirInput(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ActScale = 1 << 32
+	cfg.ActScale = 1 << 16
+	cfg.WeightScale = 1 << 8
 	q := Quantize(nn.New([]int{6, 8, 4}, []nn.Activation{nn.Tanh, nn.Tanh}, 2), cfg)
-	if q.Layers[1].narrowIn {
-		t.Fatal("a layer fed by a table with entries outside int32 skips the scan")
+	if q.Layers[1].w16 == nil {
+		t.Fatal("the layer fed by the saturated tanh is off the packed tier: the test checks nothing")
 	}
 	in := make([]int64, 6)
 	for j := range in {
 		in[j] = 100 * cfg.InputScale
 	}
-	checkAgainstReference(t, q, in, "ActScale 2³², saturated hidden layer")
+	checkAgainstReference(t, q, in, "ActScale 2¹⁶, saturated hidden layer")
 }
 
 // TestFloatVsQuantizedZoo executes both sides of the paper's central
@@ -318,4 +330,182 @@ func miState(r *rand.Rand) []float64 {
 // flowFeatures draws the FFNN's four normalised flow-metadata features.
 func flowFeatures(r *rand.Rand) []float64 {
 	return []float64{r.Float64(), r.Float64(), r.Float64(), r.Float64()}
+}
+
+// referenceDense is one layer's accumulators for x by the plain loop.
+func referenceDense(l *Layer, x []int64) []int64 {
+	acc := make([]int64, l.Out)
+	for i := range acc {
+		acc[i] = l.B[i]
+		for j := 0; j < l.In; j++ {
+			acc[i] += l.Weight(i, j) * x[j]
+		}
+	}
+	return acc
+}
+
+// randomBiases gives every row of l an odd bias within half a unit of the
+// accumulator scale, so a bias dropped or added twice shows in the
+// accumulators (nn.New's are all zero).
+func randomBiases(r *rand.Rand, l *Layer) {
+	for i := range l.B {
+		l.B[i] = (r.Int63n(l.accScale) - l.accScale/2) | 1
+	}
+}
+
+// fitsInt16 reports whether every x is an int16 widened.
+func fitsInt16(x []int64) bool {
+	for _, v := range x {
+		if v != int64(int16(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEveryDenseTierMatchesReference forces each dense tier in turn on every
+// step of one input set and compares the accumulators with the plain loop,
+// bit for bit: dense16 by calling it (AVX2 hosts; it must take exactly the
+// steps whose inputs fit in int16), and dot4 with the row loop by running
+// dense on a copy of the layer taken off the packed tier. The programs are
+// the zoo — Aurora, MOCC, FFNN, and the fleet canary's 4→2048→1 as
+// fig_canary.go bloats it and with a random head — on their own inputs, and
+// single layers of every In%16 (In 1–17 and 33) and Out%4
+// (Out 1–8) whose first row sits at Σ|w| = 2¹⁶−1 (on the tier) or 2¹⁶ (off
+// it), fed the int16 edges ±(2¹⁵−1) and −2¹⁵ and a 2³¹−1 that no step may
+// pack. Every row has a non-zero bias. Each input also runs through
+// InferWith's own dispatch.
+func TestEveryDenseTierMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	type model struct {
+		name   string
+		p      *Program
+		inputs [][]int64
+	}
+	var models []model
+	canary := func(r *rand.Rand) []float64 { return randomInput(r, 4) }
+	for _, m := range []struct {
+		name    string
+		sizes   []int
+		acts    []nn.Activation
+		input   func(*rand.Rand) []float64
+		real    int  // hidden units whose head weights stay; the rest are zeroed
+		offHead bool // the head's Σ|w| is past the packed tier
+	}{
+		{"Aurora", []int{30, 32, 16, 1}, tanhHead, miState, 16, false},
+		{"MOCC", []int{30, 64, 32, 1}, tanhHead, miState, 32, false},
+		{"FFNN", []int{4, 5, 5, 1}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Linear}, flowFeatures, 5, false},
+		// fig_canary.go's bloat: 16 hidden units of a base net padded with
+		// 2032 whose head weights are zero.
+		{"canary", []int{4, 2048, 1}, []nn.Activation{nn.Tanh, nn.Linear}, canary, 16, false},
+		// The same shape with nn.New's whole random head: its one row sums
+		// |w| far past 2¹⁶, so the head runs dot4 only.
+		{"canary random head", []int{4, 2048, 1}, []nn.Activation{nn.Tanh, nn.Linear}, canary, 2048, true},
+	} {
+		net := nn.New(m.sizes, m.acts, 1)
+		head := net.Layers[len(net.Layers)-1]
+		for i := range head.W {
+			clear(head.W[i][m.real:])
+		}
+		p := Quantize(net, DefaultConfig())
+		for li, l := range p.Layers {
+			if off := m.offHead && li == len(p.Layers)-1; (l.w16 == nil) != off {
+				t.Fatalf("%s layer %d: on the packed tier = %v", m.name, li, l.w16 != nil)
+			}
+			randomBiases(r, l)
+		}
+		var inputs [][]int64
+		for k := 0; k < 16; k++ {
+			inputs = append(inputs, p.QuantizeInput(m.input(r), nil))
+		}
+		models = append(models, model{m.name, p, inputs})
+	}
+	edges := func(n int) [][]int64 {
+		vs := [][]int64{make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)}
+		for j := 0; j < n; j++ {
+			vs[0][j] = math.MaxInt16
+			vs[1][j] = math.MinInt16
+			vs[2][j] = math.MaxInt16 * int64(1-2*(j%2))
+			vs[3][j] = int64(int16(r.Uint32()))
+			vs[4][j] = math.MinInt16
+		}
+		vs[4][n-1] = math.MaxInt32
+		return vs
+	}
+	for _, in := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 33} {
+		for out := 1; out <= 8; out++ {
+			for _, past := range []bool{false, true} {
+				p := Quantize(nn.New([]int{in, out}, []nn.Activation{nn.Linear}, int64(in*out)), DefaultConfig())
+				l := p.Layers[0]
+				for j := 0; j < in; j++ {
+					l.SetWeight(0, j, 0)
+				}
+				row := []int64{math.MaxInt16, -math.MaxInt16, 1} // Σ|w| = 2¹⁶−1
+				switch in {
+				case 1:
+					row = []int64{math.MinInt16} // as far as one weight goes
+				case 2:
+					row = []int64{math.MinInt16, math.MaxInt16}
+				}
+				if past {
+					switch in {
+					case 1:
+						row[0] = 1 << 15
+					case 2:
+						row[1] = math.MinInt16
+					default:
+						row[2] = 2
+					}
+				}
+				for k, w := range row {
+					l.SetWeight(0, (k+out)%in, w)
+				}
+				if (l.w16 == nil) != past {
+					t.Fatalf("%d→%d, first row %v: on the packed tier = %v", in, out, row, l.w16 != nil)
+				}
+				randomBiases(r, l)
+				models = append(models, model{fmt.Sprintf("%d→%d row %v", in, out, row), p, edges(in)})
+			}
+		}
+	}
+
+	ran := 0
+	var a Arena
+	for _, m := range models {
+		a.Reserve(m.p.MaxWidth())
+		for _, in := range m.inputs {
+			cur := in
+			for li, l := range m.p.Layers {
+				want := referenceDense(l, cur)
+				off := *l
+				off.w16 = nil
+				got := make([]int64, l.Out)
+				off.dense(cur, a.x16, got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s layer %d, dot4: %v, reference %v", m.name, li, got, want)
+				}
+				if packed && l.w16 != nil {
+					clear(got)
+					ok := dense16(l.w16, l.B, cur, a.x16[:stride16(l.In)], got)
+					if ok != fitsInt16(cur) {
+						t.Fatalf("%s layer %d: dense16 took the step = %v on input %v", m.name, li, ok, cur)
+					}
+					if ok {
+						ran++
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s layer %d, dense16: %v, reference %v", m.name, li, got, want)
+						}
+					}
+				}
+				for i, acc := range want {
+					want[i] = referenceActivate(l, acc)
+				}
+				cur = want
+			}
+			checkAgainstReference(t, m.p, in, m.name)
+		}
+	}
+	if packed && ran == 0 {
+		t.Fatal("dense16 ran on no step")
+	}
 }
