@@ -9,8 +9,8 @@ import "github.com/liteflow-sim/liteflow/internal/cpu"
 // so VPADDD and VPHADDD never wrap: every int32 lane holds the int64 sum of
 // its products, and VPMOVSXDQ widens it unchanged before the bias is added.
 
-// packed reports whether this CPU runs dense16: AVX2, and an OS that saves
-// the YMM state (DESIGN.md §4k "Snapshot execution").
+// packed reports whether this CPU runs dense16 and lookupShift: AVX2, and an
+// OS that saves the YMM state (DESIGN.md §4k "Snapshot execution").
 var packed = cpu.AVX2()
 
 // dense16 packs x into x16 as int16, zeros past len(x), and reports whether
@@ -22,3 +22,13 @@ var packed = cpu.AVX2()
 //
 //go:noescape
 func dense16(w []int16, b, x []int64, x16 []int16, dst []int64) bool
+
+// lookupShift runs lookup's shifting arm (lookup_amd64.s) on the first
+// len(v) &^ 3 lanes of v, four at a time, and leaves the rest untouched.
+// padded is the table with its copy of the last entry, last+2 long; span =
+// tblMax − tblMin = 1<<shift. It is exact while span ≤ 2³¹, last < 2³² and
+// every step |table[i+1] − table[i]| < 2³¹, which lookup ensures with
+// outScale < 2³⁰.
+//
+//go:noescape
+func lookupShift(v, padded []int64, tblMin, tblMax, last int64, shift uint)

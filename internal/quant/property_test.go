@@ -9,6 +9,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -219,9 +220,12 @@ func FuzzQuantizeExecute(f *testing.F) {
 }
 
 // FuzzLookupClamp drives raw accumulator values, including extremes, through
-// the LUT of a layer on each interpolation arm: the result must stay within
-// the activation's output range at outScale, equal the reference lookup and
-// never panic.
+// the LUT of a layer on each interpolation arm, and of a falling table: the
+// fuzzed value takes every position of a nine-lane vector whose other lanes
+// are tblMin, tblMax, 0 and ±2⁶², so on AVX2 it meets both four-lane groups
+// of lookupShift and the lane the Go loop takes after them. Every lane must
+// stay within the activation's output range at outScale, equal the
+// reference lookup and never panic.
 func FuzzLookupClamp(f *testing.F) {
 	f.Add(int64(0))
 	f.Add(int64(math.MaxInt64 / 2))
@@ -232,18 +236,30 @@ func FuzzLookupClamp(f *testing.F) {
 	shifting.useTable(DefaultConfig().TableSize, DefaultConfig().TableRange)
 	dividing := &Layer{Act: nn.Tanh, accScale: 1000, outScale: 1 << 12}
 	dividing.useTable(DefaultConfig().TableSize, 6)
-	if shifting.tblShift == 0 || dividing.tblShift != 0 {
-		f.Fatalf("tblShift = %d and %d: the two layers must take different arms", shifting.tblShift, dividing.tblShift)
+	falling := fallingLayer()
+	if shifting.tblShift == 0 || dividing.tblShift != 0 || falling.tblShift == 0 {
+		f.Fatalf("tblShift = %d, %d and %d: the layers must take the shifting, dividing and shifting arm", shifting.tblShift, dividing.tblShift, falling.tblShift)
 	}
+	const lanes = 9
 	f.Fuzz(func(t *testing.T, acc int64) {
-		for _, l := range []*Layer{shifting, dividing} {
-			v := []int64{acc}
-			l.lookup(v)
-			if v[0] < -(1<<12) || v[0] > 1<<12 {
-				t.Errorf("lookup(%d) = %d outside tanh range at scale %d", acc, v[0], 1<<12)
-			}
-			if want := referenceLookup(l, acc); v[0] != want {
-				t.Errorf("lookup(%d) = %d, reference = %d (span %d)", acc, v[0], want, l.tblMax-l.tblMin)
+		for _, l := range []*Layer{shifting, dividing, falling} {
+			neighbours := []int64{l.tblMin, l.tblMax, 0, 1 << 62, -1 << 62}
+			for p := 0; p < lanes; p++ {
+				v := make([]int64, lanes)
+				for j := range v {
+					v[j] = neighbours[j%len(neighbours)]
+				}
+				v[p] = acc
+				accs := slices.Clone(v)
+				l.lookup(v)
+				for j, got := range v {
+					if got < -(1<<12) || got > 1<<12 {
+						t.Errorf("lookup(%d) = %d at lane %d outside tanh range at scale %d", accs[j], got, j, 1<<12)
+					}
+					if want := referenceLookup(l, accs[j]); got != want {
+						t.Errorf("lookup(%d) = %d at lane %d of %v, reference = %d (span %d)", accs[j], got, j, accs, want, l.tblMax-l.tblMin)
+					}
+				}
 			}
 		}
 	})

@@ -24,7 +24,8 @@
 // Inference is one kernel (InferWith): per layer a dense step over a
 // contiguous weight slab (one 16-bit multiply-add assembly call on AVX2 where
 // the sums provably fit in int32, four rows at a time otherwise), then one
-// activation pass over the finished accumulators.
+// activation pass over the finished accumulators (on AVX2, four LUT lanes
+// per step of one assembly call).
 // DESIGN.md §4k "Snapshot execution" says why it computes, bit for bit, what
 // the plain loop kept in reference_test.go does.
 package quant
@@ -533,13 +534,20 @@ func rescale(v, from, to int64) int64 {
 // min/max (apart from the table reads, so they compile to conditional
 // moves), a second divides by shifts. At tblMax it reads the padded entry
 // with remainder 0. A negative d (a falling table) is biased by span-1 to
-// truncate as / does. Any other span divides.
+// truncate as / does. On AVX2, lookupShift first runs that arm four lanes at
+// a time over len(v) &^ 3 lanes, exact while span ≤ 2³¹, last < 2³² and
+// outScale < 2³⁰ (so |hi-lo| ≤ 2·outScale < 2³¹), and the loops take the
+// lanes left. Any other span divides.
 func (l *Layer) lookup(v []int64) {
 	table, tblMin, tblMax := l.table, l.tblMin, l.tblMax
 	last := int64(len(table) - 1)
 	span, shift := tblMax-tblMin, l.tblShift&63 // tblShift < 63; &63 only drops the ≥64-shift guard
 	if shift != 0 {
 		padded, mask := table[:last+2], span-1
+		if packed && span <= 1<<31 && last < 1<<32 && l.outScale < 1<<30 {
+			lookupShift(v, padded, tblMin, tblMax, last, shift)
+			v = v[len(v)&^3:]
+		}
 		for i, acc := range v {
 			v[i] = min(max(acc, tblMin), tblMax) - tblMin
 		}

@@ -322,6 +322,37 @@ func BenchmarkInferFFNNSnapshot(b *testing.B) {
 	benchInfer(b, []int{4, 5, 5, 1}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Linear})
 }
 
+// BenchmarkLookup times the LUT pass alone on a hidden tanh layer of the
+// default config (span 2²⁸, lookupShift's arm on AVX2) over accumulators
+// drawn inside the table range: 32 of them, Aurora's first hidden width,
+// and 2,048, the fleet canary's. Each pass first copies the accumulators
+// back in, and the time per lane counts that copy.
+func BenchmarkLookup(b *testing.B) {
+	cfg := DefaultConfig()
+	l := &Layer{Act: nn.Tanh, accScale: cfg.InputScale * cfg.WeightScale, outScale: cfg.ActScale}
+	l.useTable(cfg.TableSize, cfg.TableRange)
+	for _, c := range []struct {
+		name  string
+		lanes int
+	}{{"aurora-32", 32}, {"canary-2048", 2048}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := rand.New(rand.NewSource(1))
+			accs := make([]int64, c.lanes)
+			for i := range accs {
+				accs[i] = l.tblMin + r.Int63n(l.tblMax-l.tblMin+1)
+			}
+			v := make([]int64, c.lanes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(v, accs)
+				l.lookup(v)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.lanes), "ns/lane")
+		})
+	}
+}
+
 // freshTable computes an activation LUT straight from its definition, without
 // the memo.
 func freshTable(k tableKey) []int64 {

@@ -141,12 +141,7 @@ func TestLookupMatchesReference(t *testing.T) {
 	div.useTable(4096, 6)
 	unmemoised := &Layer{Act: nn.Sigmoid, accScale: 1 << 12, outScale: 1 << 12}
 	unmemoised.useTable(maxMemoEntries+1, 8)
-	falling := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
-	falling.useTable(64, 8)
-	rev := slices.Clone(falling.table[:65])
-	slices.Reverse(rev[:64])
-	rev[64] = rev[63]
-	falling.table = rev[:64]
+	falling := fallingLayer()
 	if pow2.tblShift != 16 || div.tblShift != 0 || falling.tblShift != 16 || unmemoised.tblShift != 16 {
 		t.Fatalf("tblShift = %d, %d, %d, %d; want 16, 0, 16, 16", pow2.tblShift, div.tblShift, falling.tblShift, unmemoised.tblShift)
 	}
@@ -180,6 +175,19 @@ func TestLookupMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fallingLayer is a tanh layer at scales 2¹² (span 2¹⁶) whose 64-entry table
+// is reversed and padded again: the only way the interpolation numerator
+// goes negative.
+func fallingLayer() *Layer {
+	l := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
+	l.useTable(64, 8)
+	rev := slices.Clone(l.table[:65])
+	slices.Reverse(rev[:64])
+	rev[64] = rev[63]
+	l.table = rev[:64]
+	return l
 }
 
 // TestWeightRowsViewTheSlab: SetWeight writes the slab the kernel reads, and
