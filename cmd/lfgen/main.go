@@ -53,13 +53,8 @@ func parseAct(s string) (nn.Activation, error) {
 
 // maxWeights bounds a spec's weight count, Σ sizes[i]·sizes[i+1] (Aurora
 // has 1,488), and with it every layer width, so a spec cannot ask for more
-// memory or generated source than a kernel snapshot needs. maxOutputScale
-// bounds outputScale below the 63-bit products quantization forms; a
-// negative one is refused too, and 0 picks the default.
-const (
-	maxWeights     = 1 << 16
-	maxOutputScale = 1 << 24
-)
+// memory or generated source than a kernel snapshot needs.
+const maxWeights = 1 << 16
 
 // validate checks the spec's shape against its sizes: nn.New and the weight
 // copy below assume it.
@@ -82,8 +77,9 @@ func (sp *spec) validate() error {
 			}
 		}
 	}
-	if sp.OutputScale < 0 || sp.OutputScale > maxOutputScale {
-		return fmt.Errorf("outputScale %d: want 0 (the default, 1000) to %d", sp.OutputScale, maxOutputScale)
+	// 0 picks the default; quant.Quantize panics outside 1..MaxOutputScale.
+	if sp.OutputScale < 0 || sp.OutputScale > quant.MaxOutputScale {
+		return fmt.Errorf("outputScale %d: want 0 (the default, 1000) to %d", sp.OutputScale, quant.MaxOutputScale)
 	}
 	if sp.Weights != nil && len(sp.Weights) != layers {
 		return fmt.Errorf("weights: got %d layers, want %d", len(sp.Weights), layers)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/codegen"
+	"github.com/liteflow-sim/liteflow/internal/quant"
 )
 
 func TestRunGeneratesValidModule(t *testing.T) {
@@ -95,6 +97,7 @@ var badSpecs = []string{
 	`{"sizes":[65537,1],"activations":["linear"]}`,
 	`{"sizes":[300,300],"activations":["linear"]}`, // more than maxWeights weights
 	`{"sizes":[2,1],"activations":["linear"],"outputScale":1000000000000000}`,
+	`{"sizes":[2,1],"activations":["linear"],"outputScale":16777217}`, // quant.MaxOutputScale + 1
 	`{"sizes":[2,1],"activations":["linear"],"outputScale":-5}`,
 }
 
@@ -104,6 +107,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 		if err := run(strings.NewReader(c), &out, false); err == nil {
 			t.Errorf("spec %q must be rejected", c)
 		}
+	}
+	// The bound itself is accepted, and its one table is at that scale.
+	var out strings.Builder
+	spec := fmt.Sprintf(`{"sizes":[2,1],"activations":["sigmoid"],"outputScale":%d}`, quant.MaxOutputScale)
+	if err := run(strings.NewReader(spec), &out, false); err != nil {
+		t.Errorf("outputScale = quant.MaxOutputScale: %v", err)
+	}
+	if !strings.Contains(out.String(), "var lut_sigmoid_a16777216_o16777216_n4096_r8 ") {
+		t.Error("outputScale = quant.MaxOutputScale: no table at that scale")
 	}
 }
 

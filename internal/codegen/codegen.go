@@ -93,7 +93,7 @@ func Generate(p *quant.Program, name string) (string, error) {
 	b = append(b, unitHeader...)
 	b = fmt.Appendf(b, "// Snapshot module %s: integer-only inference, %d layers,\n"+
 		"// input dim %d (scale %d), output dim %d (scale %d).\n",
-		name, len(p.Layers), p.InputSize(), p.InputScale, p.OutputSize(), p.OutputScale)
+		name, len(p.Layers), p.InputSize(), quant.InputScale, p.OutputSize(), p.OutputScale)
 	b = append(b, pkgClause...)
 
 	for li, l := range p.Layers {
@@ -121,7 +121,7 @@ func Generate(p *quant.Program, name string) (string, error) {
 	b = fmt.Appendf(b, "// Infer_%s runs the full snapshot. input is at scale %d,\n"+
 		"// output at scale %d.\nfunc Infer_%s(input []int64, output []int64) {\n"+
 		"\tvar buf0, buf1 [%d]int64\n\t_, _ = buf0, buf1\n",
-		name, p.InputScale, p.OutputScale, name, p.MaxWidth())
+		name, quant.InputScale, p.OutputScale, name, p.MaxWidth())
 	cur := "input"
 	for li, l := range p.Layers {
 		dst := fmt.Sprintf("buf%d[:]", li%2)
@@ -364,13 +364,13 @@ func actv_%[1]s(acc int64) int64 {
 	}
 	return rescale(acc, %[2]d, %[3]d)
 }
-`, id, l.AccScale(), l.OutScale())
+`, id, quant.AccScale, l.OutScale())
 	default:
 		return fmt.Appendf(b, `// actv_%[1]s rescales the linear accumulator %[2]d -> %[3]d.
 func actv_%[1]s(acc int64) int64 {
 	return rescale(acc, %[2]d, %[3]d)
 }
-`, id, l.AccScale(), l.OutScale())
+`, id, quant.AccScale, l.OutScale())
 	}
 }
 

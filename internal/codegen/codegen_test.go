@@ -6,7 +6,6 @@ import (
 	"go/scanner"
 	"maps"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -307,14 +306,13 @@ func TestValidateCatchesSyntaxErrors(t *testing.T) {
 func TestGenerateInlinesWeights(t *testing.T) {
 	// A known weight must appear verbatim in the source (Listing 2 style).
 	net := nn.New([]int{2, 1}, []nn.Activation{nn.Linear}, 1)
-	net.Layers[0].W[0][0] = 1.0 // becomes WeightScale exactly
-	cfg := quant.DefaultConfig()
-	p := quant.Quantize(net, cfg)
+	net.Layers[0].W[0][0] = 1.0 // becomes the weight scale, 2¹², exactly
+	p := quant.Quantize(net, quant.DefaultConfig())
 	src, err := Generate(p, "tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "input[0]*" + strconv.FormatInt(cfg.WeightScale, 10)
+	want := "input[0]*4096"
 	if !strings.Contains(src, want) {
 		t.Errorf("source must inline weight as %q:\n%s", want, src)
 	}

@@ -630,7 +630,7 @@ func (b *FlowBackend) query(state []float64, reply func(action float64), stallSt
 	b.in = b.in[:len(state)]
 	prog := m.prog
 	for i, x := range state {
-		b.in[i] = int64(x * float64(prog.InputScale))
+		b.in[i] = int64(x * quant.InputScale)
 	}
 	c.infer(m, b.in, b.out[:prog.OutputSize()])
 	a := float64(b.out[0]) / float64(prog.OutputScale)

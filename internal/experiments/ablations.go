@@ -37,9 +37,9 @@ func AblTaylor(cfg Config) Result {
 		}
 		res.Series = append(res.Series, errS, mulS)
 
-		// The LUT the snapshots actually use: constant cost (one divide,
+		// The LUT the snapshots actually use: constant cost (one shift,
 		// one interpolation) and uniform accuracy.
-		lut := quant.LUTApprox(act, 4096, 8, 1<<16)
+		lut := quant.LUTApprox(act, 1<<16)
 		lutMax, lutMean := quant.ApproxError(act, lut)
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%s LUT(4096 entries): max err %.2e, mean err %.2e, constant cost; degree-9 Taylor max err %.2e",

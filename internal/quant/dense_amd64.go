@@ -23,12 +23,12 @@ var packed = cpu.AVX2()
 //go:noescape
 func dense16(w []int16, b, x []int64, x16 []int16, dst []int64) bool
 
-// lookupShift runs lookup's shifting arm (lookup_amd64.s) on the first
-// len(v) &^ 3 lanes of v, four at a time, and leaves the rest untouched.
-// padded is the table with its copy of the last entry, last+2 long; span =
-// tblMax − tblMin = 1<<shift. It is exact while span ≤ 2³¹, last < 2³² and
-// every step |table[i+1] − table[i]| < 2³¹, which lookup ensures with
-// outScale < 2³⁰.
+// lookupShift runs lookup's loops (lookup_amd64.s) on the first len(v) &^ 3
+// lanes of v, four at a time, and leaves the rest untouched. padded is the
+// table with its copy of the last entry, last+2 long; span = tblMax − tblMin
+// = 1<<shift. It is exact while span ≤ 2³¹, last < 2³² and every step
+// |table[i+1] − table[i]| < 2³¹, which quant.go asserts at compile time for
+// every table Quantize builds.
 //
 //go:noescape
 func lookupShift(v, padded []int64, tblMin, tblMax, last int64, shift uint)

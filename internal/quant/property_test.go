@@ -7,6 +7,7 @@ package quant
 // characteristics under extreme inputs.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -153,7 +154,7 @@ func TestConcurrentInferWithPrivateArenas(t *testing.T) {
 // its convergence neighborhood.
 func TestTaylorErrorBoundsExtremeInputs(t *testing.T) {
 	for _, act := range []nn.Activation{nn.Tanh, nn.Sigmoid} {
-		lut := LUTApprox(act, 4096, 8, 1<<12)
+		lut := LUTApprox(act, 1<<12)
 		// Far outside the table range the activation is saturated and the
 		// clamped LUT must stay within quantization resolution of it.
 		for _, x := range []float64{-1e12, -500, -8.01, 8.01, 500, 1e12} {
@@ -179,14 +180,15 @@ func TestTaylorErrorBoundsExtremeInputs(t *testing.T) {
 }
 
 // FuzzQuantizeExecute derives a random network and input from the fuzz
-// corpus and checks a quantize→execute absolute error bound plus agreement of
-// Infer and InferWith with the reference loop — under the default
-// config and, for the kernel only, one whose LUT spans make lookup divide.
+// corpus and checks a quantize→execute absolute error bound under the default
+// config, plus agreement of Infer and InferWith with the reference loop under
+// it and under a C from 1 to MaxOutputScale drawn from the seed.
 func FuzzQuantizeExecute(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(5), uint8(3))
 	f.Add(int64(99), uint8(3), uint8(24), uint8(0))
 	f.Add(int64(-7), uint8(1), uint8(1), uint8(255))
 	f.Add(int64(54), uint8(16), uint8(62), uint8(41)) // 16-1-2: both outputs saturate, 3e-7 apart
+	f.Add(int64(-1), uint8(2), uint8(7), uint8(2))    // C = MaxOutputScale
 	f.Fuzz(func(t *testing.T, seed int64, depthB, widthB, actB uint8) {
 		r := rand.New(rand.NewSource(seed))
 		depth := 1 + int(depthB)%3
@@ -214,36 +216,30 @@ func FuzzQuantizeExecute(f *testing.F) {
 		}
 
 		checkAgainstReference(t, p, p.QuantizeInput(in, nil), "default config")
-		q := Quantize(net, nonPow2Config())
-		checkAgainstReference(t, q, q.QuantizeInput(in, nil), "non-power-of-two spans")
+		c := 1 + int64(uint64(seed)%MaxOutputScale)
+		q := Quantize(net, Config{OutputScale: c})
+		checkAgainstReference(t, q, q.QuantizeInput(in, nil), fmt.Sprintf("C = %d", c))
 	})
 }
 
 // FuzzLookupClamp drives raw accumulator values, including extremes, through
-// the LUT of a layer on each interpolation arm, and of a falling table: the
-// fuzzed value takes every position of a nine-lane vector whose other lanes
-// are tblMin, tblMax, 0 and ±2⁶², so on AVX2 it meets both four-lane groups
-// of lookupShift and the lane the Go loop takes after them. Every lane must
-// stay within the activation's output range at outScale, equal the
-// reference lookup and never panic.
+// the LUT of the hidden layers' tanh, of a falling table and of sigmoid at
+// C = MaxOutputScale: the fuzzed value takes every position of a nine-lane
+// vector whose other lanes are tblMin, tblMax, 0 and ±2⁶², so on AVX2 it
+// meets both four-lane groups of lookupShift and the lane the Go loop takes
+// after them. Every lane must stay within the activation's output range at
+// outScale, equal the reference lookup and never panic.
 func FuzzLookupClamp(f *testing.F) {
 	f.Add(int64(0))
 	f.Add(int64(math.MaxInt64 / 2))
 	f.Add(int64(math.MinInt64 / 2))
 	f.Add(int64(-1))
 	f.Add(int64(5999))
-	shifting := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
-	shifting.useTable(DefaultConfig().TableSize, DefaultConfig().TableRange)
-	dividing := &Layer{Act: nn.Tanh, accScale: 1000, outScale: 1 << 12}
-	dividing.useTable(DefaultConfig().TableSize, 6)
-	falling := fallingLayer()
-	if shifting.tblShift == 0 || dividing.tblShift != 0 || falling.tblShift == 0 {
-		f.Fatalf("tblShift = %d, %d and %d: the layers must take the shifting, dividing and shifting arm", shifting.tblShift, dividing.tblShift, falling.tblShift)
-	}
+	layers := []*Layer{lutLayer(nn.Tanh, actScale), fallingLayer(), lutLayer(nn.Sigmoid, MaxOutputScale)}
 	const lanes = 9
 	f.Fuzz(func(t *testing.T, acc int64) {
-		for _, l := range []*Layer{shifting, dividing, falling} {
-			neighbours := []int64{l.tblMin, l.tblMax, 0, 1 << 62, -1 << 62}
+		for _, l := range layers {
+			neighbours := []int64{tblMin, tblMax, 0, 1 << 62, -1 << 62}
 			for p := 0; p < lanes; p++ {
 				v := make([]int64, lanes)
 				for j := range v {
@@ -253,11 +249,11 @@ func FuzzLookupClamp(f *testing.F) {
 				accs := slices.Clone(v)
 				l.lookup(v)
 				for j, got := range v {
-					if got < -(1<<12) || got > 1<<12 {
-						t.Errorf("lookup(%d) = %d at lane %d outside tanh range at scale %d", accs[j], got, j, 1<<12)
+					if got < -l.outScale || got > l.outScale {
+						t.Errorf("lookup(%d) = %d at lane %d outside %v's range at scale %d", accs[j], got, j, l.Act, l.outScale)
 					}
 					if want := referenceLookup(l, accs[j]); got != want {
-						t.Errorf("lookup(%d) = %d at lane %d of %v, reference = %d (span %d)", accs[j], got, j, accs, want, l.tblMax-l.tblMin)
+						t.Errorf("lookup(%d) = %d at lane %d of %v, reference = %d", accs[j], got, j, accs, want)
 					}
 				}
 			}

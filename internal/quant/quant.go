@@ -16,10 +16,10 @@
 //     cost more for higher degrees. A bounded LUT with linear interpolation
 //     gives constant-time, uniformly accurate evaluation.
 //
-// A table follows from the activation, the table size and range and the
-// layer's two scales — never from a weight — so tables are memoised
-// process-wide by those values and shared, read-only, between layers and
-// Programs: re-quantizing a retuned network only rounds its weights.
+// A table follows from the activation and the layer's output scale — never
+// from a weight — so tables are memoised process-wide by those two values and
+// shared, read-only, between layers and Programs: re-quantizing a retuned
+// network only rounds its weights.
 //
 // Inference is one kernel (InferWith): per layer a dense step over a
 // contiguous weight slab (one 16-bit multiply-add assembly call on AVX2 where
@@ -33,59 +33,80 @@ package quant
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/liteflow-sim/liteflow/internal/nn"
 )
 
-// Config controls quantization precision.
-type Config struct {
+// The fixed-point scales and the activation table are constants; the one
+// knob is the paper's scale-up factor C (Config.OutputScale).
+const (
 	// InputScale is the fixed-point scale of network inputs:
 	// x_int = round(x_float · InputScale).
-	InputScale int64
-	// WeightScale is the per-weight fixed-point scale.
-	WeightScale int64
-	// ActScale is the fixed-point scale of hidden-layer activations.
-	ActScale int64
+	InputScale = 1 << 12
+	// weightScale is the per-weight fixed-point scale.
+	weightScale = 1 << 12
+	// actScale is the scale of hidden-layer outputs, which are the next
+	// layer's inputs, so it equals InputScale.
+	actScale = InputScale
+	// AccScale is the scale of every layer's accumulator: its input scale
+	// (InputScale or actScale) times weightScale.
+	AccScale = InputScale * weightScale
+	// MaxOutputScale bounds C so that every product inference forms fits
+	// in 63 bits (the assertions below).
+	MaxOutputScale = 1 << 24
+
+	// Activation tables have tableSize entries over pre-activation values
+	// in [-tableRange, tableRange], where tanh/sigmoid saturate at float
+	// precision: accumulators tblMin to tblMax, a span of 2^tblShift.
+	tableSize  = 4096
+	tableRange = 8
+	tblMax     = tableRange * AccScale
+	tblMin     = -tblMax
+	tblShift   = 28
+)
+
+// Compile-time checks; a negative constant does not convert to uint.
+const (
+	// The table span is exactly 2^tblShift.
+	_ = uint(tblMax-tblMin-1<<tblShift) + uint(1<<tblShift-(tblMax-tblMin))
+	// rescale forms acc·C: with AccScale·C ≤ 2⁴⁸ an accumulator of up to
+	// 2¹⁵ units fits in 63 bits.
+	_ = uint(1<<48 - AccScale*MaxOutputScale)
+	// lookup forms span·(tableSize-1) for the index and span·|hi-lo| ≤
+	// span·2C for the interpolation.
+	_ = uint(1<<62 - 1 - (tblMax-tblMin)*max(tableSize-1, 2*MaxOutputScale))
+	// lookupShift is exact while span ≤ 2³¹, last < 2³² and every step
+	// |hi-lo| ≤ 2C is below 2³¹.
+	_ = uint(1<<31-(tblMax-tblMin)) + uint(1<<32-tableSize) + uint(1<<31-1-2*MaxOutputScale)
+)
+
+// Config controls quantization precision.
+type Config struct {
 	// OutputScale is the paper's scale-up factor C applied to the final
-	// layer: y_int = round(y_float · C). Sweeping C reproduces Figure 7.
+	// layer: y_int = round(y_float · C), 1 ≤ C ≤ MaxOutputScale. Sweeping
+	// C reproduces Figure 7.
 	OutputScale int64
-	// TableSize is the number of entries in activation lookup tables.
-	TableSize int
-	// TableRange bounds LUT inputs to [-TableRange, +TableRange] (pre-
-	// activation); tanh/sigmoid saturate outside ±8 at float precision.
-	TableRange float64
 }
 
-// DefaultConfig returns the configuration used by all experiments:
-// 1000× output scaling (the paper's example), 4096-entry tables.
+// DefaultConfig returns the configuration used by all experiments: 1000×
+// output scaling (the paper's example).
 func DefaultConfig() Config {
-	return Config{
-		InputScale:  1 << 12,
-		WeightScale: 1 << 12,
-		ActScale:    1 << 12,
-		OutputScale: 1000,
-		TableSize:   4096,
-		TableRange:  8,
-	}
+	return Config{OutputScale: 1000}
 }
 
-// Layer is one quantized dense layer. Weights are at WeightScale; biases are
-// pre-scaled to inScale·WeightScale so they add directly into the
-// accumulator.
+// Layer is one quantized dense layer. Weights are at weightScale; biases are
+// pre-scaled to AccScale so they add directly into the accumulator.
 //
 // The weights live in one row-major slab, and on the packed tier in an int16
 // copy of it, which is what inference reads; Weight reads the slab, Quantize
 // writes both, and after it SetWeight is the one write path.
 type Layer struct {
 	In, Out int
-	B       []int64 // [Out], scale = inScale·weightScale
+	B       []int64 // [Out], at AccScale
 	Act     nn.Activation
 
-	w []int64 // the slab, [Out][In] at WeightScale: row i is w[i*In : (i+1)*In]
+	w []int64 // the slab, [Out][In] at weightScale: row i is w[i*In : (i+1)*In]
 	// w16 is the slab again as int16 rows of stride16(In) entries, zeros past
 	// In, while the layer is on the packed tier: every weight fits in int16
 	// and every row's Σ|w| is below 2¹⁶ (fitsPacked). Quantize builds it, the
@@ -93,27 +114,19 @@ type Layer struct {
 	// that breaks either fact sets it to nil, for good.
 	w16 []int16
 
-	accScale int64 // input scale · weightScale: scale of the accumulator
 	outScale int64 // scale of this layer's outputs
 
 	// LUT for tanh/sigmoid: entry i is the activation, at outScale, of the
 	// accumulator value tblMin + i·(tblMax-tblMin)/(len-1). The array is
 	// shared with every layer of the same tableKey and never written; its
 	// capacity holds one more entry equal to the last (sharedTable).
-	table    []int64
-	tblRange float64 // Config.TableRange the table was built over
-	tblMin   int64   // accumulator value of table[0]
-	tblMax   int64   // accumulator value of table[len-1]
-	// tblShift is log2(tblMax-tblMin) when that span is a power of two — it
-	// is whenever the accumulator scale and the table range are — and 0
-	// otherwise; interpolation then shifts and masks instead of dividing.
-	tblShift uint
+	table []int64
 }
 
-// Weight returns the weight of input j in output row i, at WeightScale.
+// Weight returns the weight of input j in output row i, at weightScale.
 func (l *Layer) Weight(i, j int) int64 { return l.row(i)[j] }
 
-// SetWeight sets the weight of input j in output row i to v, at WeightScale;
+// SetWeight sets the weight of input j in output row i to v, at weightScale;
 // the next inference uses it. A v outside int16, or one that takes row i's
 // Σ|w| to 2¹⁶ or more, takes the layer off the packed tier for good.
 func (l *Layer) SetWeight(i, j int, v int64) {
@@ -171,10 +184,6 @@ func (l *Layer) pack16(w16 []int16) {
 	l.w16 = w16
 }
 
-// AccScale returns the fixed-point scale of the layer's accumulator
-// (inScale · weightScale).
-func (l *Layer) AccScale() int64 { return l.accScale }
-
 // OutScale returns the fixed-point scale of the layer's outputs.
 func (l *Layer) OutScale() int64 { return l.outScale }
 
@@ -182,24 +191,20 @@ func (l *Layer) OutScale() int64 { return l.outScale }
 // of its first and last entries; the table is nil for layers that need none.
 // Code generation inlines this data into the emitted module. The slice is
 // shared between layers and Programs: callers must not write to it.
-func (l *Layer) TableData() (table []int64, tblMin, tblMax int64) {
-	return l.table, l.tblMin, l.tblMax
+func (l *Layer) TableData() (table []int64, lo, hi int64) {
+	return l.table, tblMin, tblMax
 }
 
 // ActID spells out, in identifier characters, everything the layer's
 // activation step depends on: activation, accumulator and output scale, and
-// for LUT layers table size and range (shortest exact decimal, "." as p, "-"
-// as m). Layers with equal IDs activate identically and can share a helper.
+// for LUT layers table size and range. Layers with equal IDs activate
+// identically and can share a helper.
 func (l *Layer) ActID() string {
-	id := fmt.Sprintf("%s_a%d_o%d", l.Act, l.accScale, l.outScale)
-	if l.table != nil {
-		r := strconv.FormatFloat(l.tblRange, 'g', -1, 64)
-		id += fmt.Sprintf("_n%d_r%s", len(l.table), identChars.Replace(r))
+	if l.table == nil {
+		return fmt.Sprintf("%s_a%d_o%d", l.Act, AccScale, l.outScale)
 	}
-	return id
+	return fmt.Sprintf("%s_a%d_o%d_n%d_r%d", l.Act, AccScale, l.outScale, tableSize, tableRange)
 }
-
-var identChars = strings.NewReplacer(".", "p", "-", "m", "+", "")
 
 // Program is an executable integer snapshot of a float network. The struct
 // itself is immutable after Quantize; all mutable execution state lives in an
@@ -208,7 +213,6 @@ var identChars = strings.NewReplacer(".", "p", "-", "m", "+", "")
 // a Program-owned arena and therefore remains single-threaded.
 type Program struct {
 	Layers      []*Layer
-	InputScale  int64
 	OutputScale int64
 
 	macs     int
@@ -240,59 +244,37 @@ func (a *Arena) Reserve(width int) {
 // requires.
 func (p *Program) MaxWidth() int { return p.maxWidth }
 
-// Quantize converts net into an integer Program under cfg. It panics on
-// non-positive scales and on scales so large that a unit value no longer fits
-// the 63-bit products inference forms (accumulator scale × output scale in
-// rescale, table span × table size in the LUT), which would be silent
-// precision bugs otherwise.
+// Quantize converts net into an integer Program under cfg. It panics unless
+// 1 ≤ cfg.OutputScale ≤ MaxOutputScale, the range in which every product
+// inference forms fits in 63 bits; outside it they would be silent precision
+// bugs.
 func Quantize(net *nn.Network, cfg Config) *Program {
-	if cfg.InputScale <= 0 || cfg.WeightScale <= 0 || cfg.ActScale <= 0 || cfg.OutputScale <= 0 {
-		panic("quant: scales must be positive")
+	if cfg.OutputScale < 1 || cfg.OutputScale > MaxOutputScale {
+		panic(fmt.Sprintf("quant: output scale %d outside [1, %d]", cfg.OutputScale, MaxOutputScale))
 	}
-	if cfg.TableSize < 2 {
-		panic("quant: table size must be at least 2")
-	}
-	p := &Program{InputScale: cfg.InputScale, OutputScale: cfg.OutputScale}
-	inScale := cfg.InputScale
+	p := &Program{OutputScale: cfg.OutputScale}
 	maxWidth := 0
 	for li, fl := range net.Layers {
-		outScale := cfg.ActScale
+		outScale := int64(actScale)
 		if li == len(net.Layers)-1 {
 			outScale = cfg.OutputScale
 		}
-		accScale, ok := mul63(inScale, cfg.WeightScale)
-		if ok {
-			_, ok = mul63(accScale, outScale)
-		}
-		if !ok {
-			panic(fmt.Sprintf("quant: layer %d scales %d·%d·%d overflow 63 bits", li, inScale, cfg.WeightScale, outScale))
-		}
-		l := &Layer{
-			In: fl.In, Out: fl.Out, Act: fl.Act,
-			accScale: accScale,
-			outScale: outScale,
-		}
+		l := &Layer{In: fl.In, Out: fl.Out, Act: fl.Act, outScale: outScale}
 		l.w = make([]int64, fl.Out*fl.In)
 		l.B = make([]int64, fl.Out)
 		for i := range fl.W {
 			row := l.row(i)
 			for j, w := range fl.W[i] {
-				row[j] = roundToInt(w * float64(cfg.WeightScale))
+				row[j] = roundToInt(w * weightScale)
 			}
-			l.B[i] = roundToInt(fl.B[i] * float64(l.accScale))
+			l.B[i] = roundToInt(fl.B[i] * AccScale)
 		}
 		if fl.Act == nn.Tanh || fl.Act == nn.Sigmoid {
-			l.useTable(cfg.TableSize, cfg.TableRange)
+			l.table = sharedTable(tableKey{fl.Act, outScale})
 		}
 		p.Layers = append(p.Layers, l)
 		p.macs += fl.In * fl.Out
-		if fl.In > maxWidth {
-			maxWidth = fl.In
-		}
-		if fl.Out > maxWidth {
-			maxWidth = fl.Out
-		}
-		inScale = outScale
+		maxWidth = max(maxWidth, fl.In, fl.Out)
 	}
 	p.maxWidth = maxWidth
 	p.arena.Reserve(maxWidth)
@@ -314,44 +296,17 @@ func roundToInt(x float64) int64 {
 	return int64(math.Round(x))
 }
 
-// mul63 returns a·b for positive a and b and whether it fits in 63 bits.
-func mul63(a, b int64) (int64, bool) {
-	hi, lo := bits.Mul64(uint64(a), uint64(b))
-	return int64(lo), hi == 0 && lo <= math.MaxInt64
-}
-
-// useTable attaches the shared LUT for l's activation and scales, covering
-// pre-activation values in [-tblRange, tblRange]. It panics unless the two
-// products lookup forms over the table span 2·tblMax — span·(size-1) for the
-// index, span·(hi-lo) ≤ span·2·outScale for the interpolation — fit in 63
-// bits; the check keeps a factor of two inside that so its own float rounding
-// cannot matter.
-func (l *Layer) useTable(size int, tblRange float64) {
-	span := 2 * tblRange * float64(l.accScale)
-	if !(span*math.Max(float64(size-1), 2*float64(l.outScale)) < 1<<62) {
-		panic(fmt.Sprintf("quant: table range %g at scales %d→%d with %d entries overflows 63 bits", tblRange, l.accScale, l.outScale, size))
-	}
-	l.table = sharedTable(tableKey{l.Act, size, tblRange, l.accScale, l.outScale})
-	l.tblRange = tblRange
-	l.tblMax = roundToInt(tblRange * float64(l.accScale))
-	l.tblMin = -l.tblMax
-	if s := uint64(l.tblMax - l.tblMin); bits.OnesCount64(s) == 1 {
-		l.tblShift = uint(bits.TrailingZeros64(s))
-	}
-}
-
 // tableKey is everything an activation table's content depends on.
 type tableKey struct {
-	act                nn.Activation
-	size               int
-	tblRange           float64
-	accScale, outScale int64
+	act      nn.Activation
+	outScale int64
 }
 
-// maxMemoEntries bounds the table memo at 2 MB (64 tables of the default
-// size). A run meets a handful of keys — one per (activation, output scale)
-// of its model zoo — so the bound only stops a caller that invents configs
-// without end; a table that does not fit is computed for its Program alone.
+// maxMemoEntries bounds the table memo at 2 MB (64 tables). A run meets a
+// handful of keys — one per (activation, output scale) of its model zoo — so
+// the bound only stops a caller that invents output scales without end (lfgen
+// takes C from its input); a table that does not fit is computed for its
+// Program alone.
 const maxMemoEntries = 1 << 18
 
 var tableMemo = struct {
@@ -361,26 +316,27 @@ var tableMemo = struct {
 }{m: map[tableKey][]int64{}}
 
 // sharedTable returns the LUT for k: entry i maps the pre-activation value
-// -R + 2R·i/(size-1) to the activated output at outScale. It is computed
-// under the lock, so concurrent Quantize calls of one key share one array.
-// One more backing entry, past its length, copies the last for lookup.
+// -R + 2R·i/(tableSize-1), R = tableRange, to the activated output at
+// outScale. It is computed under the lock, so concurrent Quantize calls of
+// one key share one array. One more backing entry, past its length, copies
+// the last for lookup.
 func sharedTable(k tableKey) []int64 {
 	tableMemo.Lock()
 	defer tableMemo.Unlock()
 	if t, ok := tableMemo.m[k]; ok {
 		return t
 	}
-	t := make([]int64, k.size+1)
-	for i := range t[:k.size] {
-		frac := float64(i) / float64(k.size-1)
-		x := -k.tblRange + 2*k.tblRange*frac
+	t := make([]int64, tableSize+1)
+	for i := range t[:tableSize] {
+		frac := float64(i) / (tableSize - 1)
+		x := -tableRange + 2*tableRange*frac
 		t[i] = roundToInt(k.act.Apply(x) * float64(k.outScale))
 	}
-	t[k.size] = t[k.size-1]
-	t = t[:k.size]
-	if tableMemo.entries+k.size <= maxMemoEntries {
+	t[tableSize] = t[tableSize-1]
+	t = t[:tableSize]
+	if tableMemo.entries+tableSize <= maxMemoEntries {
 		tableMemo.m[k] = t
-		tableMemo.entries += k.size
+		tableMemo.entries += tableSize
 	}
 	return t
 }
@@ -489,8 +445,8 @@ func dot4(rows, x []int64) (a0, a1, a2, a3 int64) {
 	return
 }
 
-// activate converts, in place, a layer's finished accumulators (scale
-// accScale) to its output scale through the activation, using integer
+// activate converts, in place, a layer's finished accumulators (at
+// AccScale) to its output scale through the activation, using integer
 // arithmetic only.
 func (l *Layer) activate(v []int64) {
 	switch l.Act {
@@ -499,79 +455,60 @@ func (l *Layer) activate(v []int64) {
 			if acc < 0 {
 				v[i] = 0
 			} else {
-				v[i] = rescale(acc, l.accScale, l.outScale)
+				v[i] = rescale(acc, l.outScale)
 			}
 		}
 	case nn.Tanh, nn.Sigmoid:
 		l.lookup(v)
 	default: // Linear
 		for i, acc := range v {
-			v[i] = rescale(acc, l.accScale, l.outScale)
+			v[i] = rescale(acc, l.outScale)
 		}
 	}
 }
 
-// rescale converts v from scale `from` to scale `to` with rounding, in
-// integer arithmetic. Callers guarantee |v|·to stays within int64: Quantize
-// admits only scales whose product from·to does, which covers accumulators of
-// magnitude up to 1.
-func rescale(v, from, to int64) int64 {
-	if from == to {
+// rescale converts v from AccScale to scale `to` with rounding, in integer
+// arithmetic. |v|·to stays within int64 for accumulators of up to 2¹⁵ units:
+// Quantize admits no C above MaxOutputScale.
+func rescale(v, to int64) int64 {
+	if to == AccScale {
 		return v
 	}
 	n := v * to
 	if n >= 0 {
-		return (n + from/2) / from
+		return (n + AccScale/2) / AccScale
 	}
-	return (n - from/2) / from
+	return (n - AccScale/2) / AccScale
 }
 
 // lookup replaces each accumulator value in v by the layer's LUT evaluated
 // there with linear interpolation, clamping outside the covered range (where
 // tanh/sigmoid are saturated anyway).
 //
-// A power-of-two span takes no data-dependent branch: one pass clamps with
-// min/max (apart from the table reads, so they compile to conditional
-// moves), a second divides by shifts. At tblMax it reads the padded entry
-// with remainder 0. A negative d (a falling table) is biased by span-1 to
-// truncate as / does. On AVX2, lookupShift first runs that arm four lanes at
-// a time over len(v) &^ 3 lanes, exact while span ≤ 2³¹, last < 2³² and
-// outScale < 2³⁰ (so |hi-lo| ≤ 2·outScale < 2³¹), and the loops take the
-// lanes left. Any other span divides.
+// The span is 2^tblShift, so no lane takes a data-dependent branch: one pass
+// clamps with min/max (apart from the table reads, so they compile to
+// conditional moves), a second divides by shifts. At tblMax it reads the
+// padded entry with remainder 0. A negative d (a falling table) is biased by
+// span-1 to truncate as / does. On AVX2, lookupShift first runs that arm four
+// lanes at a time over len(v) &^ 3 lanes (exact within the bounds asserted at
+// the constants), and the loops take the lanes left.
 func (l *Layer) lookup(v []int64) {
-	table, tblMin, tblMax := l.table, l.tblMin, l.tblMax
+	table := l.table
 	last := int64(len(table) - 1)
-	span, shift := tblMax-tblMin, l.tblShift&63 // tblShift < 63; &63 only drops the ≥64-shift guard
-	if shift != 0 {
-		padded, mask := table[:last+2], span-1
-		if packed && span <= 1<<31 && last < 1<<32 && l.outScale < 1<<30 {
-			lookupShift(v, padded, tblMin, tblMax, last, shift)
-			v = v[len(v)&^3:]
-		}
-		for i, acc := range v {
-			v[i] = min(max(acc, tblMin), tblMax) - tblMin
-		}
-		for i, off := range v {
-			num := off * last
-			lo, hi := padded[num>>shift], padded[num>>shift+1]
-			d := (hi - lo) * (num & mask)
-			v[i] = lo + (d+d>>63&mask)>>shift
-		}
-		return
+	padded := table[:last+2]
+	if packed {
+		lookupShift(v, padded, tblMin, tblMax, last, tblShift)
+		v = v[len(v)&^3:]
 	}
 	for i, acc := range v {
-		if acc <= tblMin {
-			v[i] = table[0]
-			continue
-		}
-		if acc >= tblMax {
-			v[i] = table[last]
-			continue
-		}
-		num := (acc - tblMin) * last
-		idx, rem := num/span, num%span
-		lo, hi := table[idx], table[idx+1]
-		v[i] = lo + (hi-lo)*rem/span
+		v[i] = min(max(acc, tblMin), tblMax) - tblMin
+	}
+	const mask = 1<<tblShift - 1
+	for i, off := range v {
+		num := off * last
+		lo, hi := padded[num>>tblShift], padded[num>>tblShift+1]
+		d := (hi - lo) * (num & mask)
+		v[i] = lo + (d+d>>63&mask)>>tblShift
 	}
 }
 
@@ -582,7 +519,7 @@ func (p *Program) QuantizeInput(in []float64, dst []int64) []int64 {
 		dst = make([]int64, len(in))
 	}
 	for i, x := range in {
-		dst[i] = roundToInt(x * float64(p.InputScale))
+		dst[i] = roundToInt(x * InputScale)
 	}
 	return dst
 }

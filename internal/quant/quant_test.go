@@ -104,56 +104,43 @@ func TestInferSizePanics(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: Quantize takes C from 1 to MaxOutputScale and
+// panics outside, where some product inference forms could pass 63 bits.
 func TestConfigValidation(t *testing.T) {
-	lin := nn.New([]int{2, 2}, []nn.Activation{nn.Linear}, 1)
 	tanh := nn.New([]int{2, 2, 2}, []nn.Activation{nn.Tanh, nn.Tanh}, 1)
-	bad := []struct {
-		why string
-		net *nn.Network
-		cfg Config
-	}{
-		{"zero scale", lin, Config{InputScale: 0, WeightScale: 1, ActScale: 1, OutputScale: 1, TableSize: 4}},
-		{"negative scale", lin, Config{InputScale: 1, WeightScale: 1, ActScale: 1, OutputScale: -5, TableSize: 4}},
-		{"one-entry table", lin, Config{InputScale: 1, WeightScale: 1, ActScale: 1, OutputScale: 1, TableSize: 1}},
-		// InputScale·WeightScale is the accumulator scale: 2⁶³ does not fit.
-		{"accumulator scale", lin, Config{InputScale: 1 << 32, WeightScale: 1 << 31, ActScale: 1, OutputScale: 1, TableSize: 4}},
-		// rescale multiplies accumulators by the output scale: 2²⁴·2⁴⁰ > 2⁶³.
-		{"accumulator × output scale", lin, Config{InputScale: 1 << 12, WeightScale: 1 << 12, ActScale: 1, OutputScale: 1 << 40, TableSize: 4}},
-		// The same product one layer on, where the input scale is ActScale.
-		{"hidden accumulator × output scale", tanh, Config{InputScale: 1, WeightScale: 1 << 12, ActScale: 1 << 30, OutputScale: 1 << 30, TableSize: 4, TableRange: 1}},
-		// lookup multiplies the table span 2·8·2⁵³ by up to TableSize-1.
-		{"table span × size", tanh, Config{InputScale: 1 << 41, WeightScale: 1 << 12, ActScale: 1, OutputScale: 1, TableSize: 33, TableRange: 8}},
-	}
-	for _, c := range bad {
+	for _, c := range []int64{0, -1, MaxOutputScale + 1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Quantize must panic", c.why)
+					t.Errorf("C = %d: Quantize must panic", c)
 				}
 			}()
-			Quantize(c.net, c.cfg)
+			Quantize(tanh, Config{OutputScale: c})
 		}()
 	}
-	// Just inside the bounds: a 2⁶² scale product, a 2⁶¹ table product.
-	Quantize(lin, Config{InputScale: 1 << 31, WeightScale: 1 << 31, ActScale: 1, OutputScale: 1, TableSize: 4})
-	Quantize(tanh, Config{InputScale: 1 << 41, WeightScale: 1 << 12, ActScale: 1, OutputScale: 1, TableSize: 17, TableRange: 8})
+	for _, c := range []int64{1, MaxOutputScale} {
+		Quantize(tanh, Config{OutputScale: c})
+	}
 }
 
 func TestRescaleRounding(t *testing.T) {
+	const unit = AccScale >> 12 // one unit at scale 2¹²
 	cases := []struct {
-		v, from, to, want int64
+		v, to, want int64
 	}{
-		{100, 100, 1000, 1000},
-		{150, 100, 10, 15},
-		{154, 100, 10, 15}, // 15.4 rounds to 15
-		{156, 100, 10, 16}, // 15.6 rounds to 16
-		{-154, 100, 10, -15},
-		{-156, 100, 10, -16},
-		{7, 7, 7, 7}, // same scale short-circuits
+		{AccScale, 1000, 1000},
+		{AccScale / 2, 1000, 500},
+		{15*unit + unit*2/5, 1 << 12, 15}, // 15.4 rounds to 15
+		{15*unit + unit*3/5, 1 << 12, 16}, // 15.6 rounds to 16
+		{15*unit + unit/2, 1 << 12, 16},   // halves round away from zero
+		{-15*unit - unit*2/5, 1 << 12, -15},
+		{-15*unit - unit*3/5, 1 << 12, -16},
+		{-15*unit - unit/2, 1 << 12, -16},
+		{7, AccScale, 7}, // same scale short-circuits
 	}
 	for _, c := range cases {
-		if got := rescale(c.v, c.from, c.to); got != c.want {
-			t.Errorf("rescale(%d, %d, %d) = %d, want %d", c.v, c.from, c.to, got, c.want)
+		if got := rescale(c.v, c.to); got != c.want {
+			t.Errorf("rescale(%d, %d) = %d, want %d", c.v, c.to, got, c.want)
 		}
 	}
 }
@@ -193,8 +180,8 @@ func TestQuantizeInputDequantizeRoundTrip(t *testing.T) {
 	in := []float64{0.125, -0.5, 0.75}
 	q := p.QuantizeInput(in, nil)
 	for i := range in {
-		back := float64(q[i]) / float64(p.InputScale)
-		if math.Abs(back-in[i]) > 1.0/float64(p.InputScale) {
+		back := float64(q[i]) / InputScale
+		if math.Abs(back-in[i]) > 1.0/InputScale {
 			t.Errorf("round trip %v -> %v", in[i], back)
 		}
 	}
@@ -322,15 +309,13 @@ func BenchmarkInferFFNNSnapshot(b *testing.B) {
 	benchInfer(b, []int{4, 5, 5, 1}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Linear})
 }
 
-// BenchmarkLookup times the LUT pass alone on a hidden tanh layer of the
-// default config (span 2²⁸, lookupShift's arm on AVX2) over accumulators
-// drawn inside the table range: 32 of them, Aurora's first hidden width,
-// and 2,048, the fleet canary's. Each pass first copies the accumulators
-// back in, and the time per lane counts that copy.
+// BenchmarkLookup times the LUT pass alone on a hidden tanh layer
+// (lookupShift's arm on AVX2) over accumulators drawn inside the table
+// range: 32 of them, Aurora's first hidden width, and 2,048, the fleet
+// canary's. Each pass first copies the accumulators back in, and the time
+// per lane counts that copy.
 func BenchmarkLookup(b *testing.B) {
-	cfg := DefaultConfig()
-	l := &Layer{Act: nn.Tanh, accScale: cfg.InputScale * cfg.WeightScale, outScale: cfg.ActScale}
-	l.useTable(cfg.TableSize, cfg.TableRange)
+	l := lutLayer(nn.Tanh, actScale)
 	for _, c := range []struct {
 		name  string
 		lanes int
@@ -339,7 +324,7 @@ func BenchmarkLookup(b *testing.B) {
 			r := rand.New(rand.NewSource(1))
 			accs := make([]int64, c.lanes)
 			for i := range accs {
-				accs[i] = l.tblMin + r.Int63n(l.tblMax-l.tblMin+1)
+				accs[i] = tblMin + r.Int63n(tblMax-tblMin+1)
 			}
 			v := make([]int64, c.lanes)
 			b.ReportAllocs()
@@ -356,9 +341,9 @@ func BenchmarkLookup(b *testing.B) {
 // freshTable computes an activation LUT straight from its definition, without
 // the memo.
 func freshTable(k tableKey) []int64 {
-	t := make([]int64, k.size)
+	t := make([]int64, tableSize)
 	for i := range t {
-		x := -k.tblRange + 2*k.tblRange*float64(i)/float64(k.size-1)
+		x := -tableRange + 2*tableRange*float64(i)/(tableSize-1)
 		t[i] = int64(math.Round(k.act.Apply(x) * float64(k.outScale)))
 	}
 	return t
@@ -388,7 +373,7 @@ func TestSharedTablesEqualFreshOnes(t *testing.T) {
 					}
 					continue
 				}
-				want := freshTable(tableKey{l.Act, cfg.TableSize, cfg.TableRange, l.accScale, l.outScale})
+				want := freshTable(tableKey{l.Act, l.outScale})
 				if !slices.Equal(l.table, want) {
 					t.Errorf("C=%d zoo %d layer %d: shared %v table differs from a fresh one", c, zi, li, l.Act)
 				}
@@ -401,7 +386,7 @@ func TestSharedTablesEqualFreshOnes(t *testing.T) {
 }
 
 // TestTableMemoCap: with the memo full a table is computed for its Program
-// alone — still correct, not stored, not shared.
+// alone — still correct and padded, not stored, not shared.
 func TestTableMemoCap(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OutputScale = 31337 // a key no other test quantizes under
@@ -415,7 +400,7 @@ func TestTableMemoCap(t *testing.T) {
 	tableMemo.Lock()
 	tableMemo.entries = saved
 	l := p.Layers[0]
-	key := tableKey{l.Act, cfg.TableSize, cfg.TableRange, l.accScale, l.outScale}
+	key := tableKey{l.Act, l.outScale}
 	_, stored := tableMemo.m[key]
 	tableMemo.Unlock()
 
@@ -428,34 +413,31 @@ func TestTableMemoCap(t *testing.T) {
 	if !slices.Equal(l.table, freshTable(key)) || !slices.Equal(q.Layers[0].table, freshTable(key)) {
 		t.Error("table computed past the cap is wrong")
 	}
+	if padded := l.table[:tableSize+1]; padded[tableSize] != padded[tableSize-1] {
+		t.Error("a table computed past the cap has no copy of its last entry past it, which lookup reads at tblMax")
+	}
 }
 
 // TestActIDSeparatesWhatDiffers: equal IDs must mean equal activation
-// behaviour, so every input of the table key shows up in the ID.
+// behaviour, so every input of the table key shows up in the ID: the
+// activation and the output scale, C for the last layer.
 func TestActIDSeparatesWhatDiffers(t *testing.T) {
-	net := nn.New([]int{2, 2, 1}, []nn.Activation{nn.Tanh, nn.Tanh}, 1)
-	base := DefaultConfig()
-	ids := map[string]string{}
-	for name, mut := range map[string]func(*Config){
-		"base":        func(*Config) {},
-		"OutputScale": func(c *Config) { c.OutputScale = 10 },
-		"TableSize":   func(c *Config) { c.TableSize = 1024 },
-		"TableRange":  func(c *Config) { c.TableRange = 7.5 },
-		"ActScale":    func(c *Config) { c.ActScale = 1 << 10 },
-		"InputScale":  func(c *Config) { c.InputScale = 1 << 10 },
-	} {
-		cfg := base
-		mut(&cfg)
-		p := Quantize(net, cfg)
-		id := p.Layers[0].ActID() + " " + p.Layers[1].ActID()
-		for other, oid := range ids {
-			if oid == id {
-				t.Errorf("configs %q and %q yield the same ActIDs %q", name, other, id)
-			}
-		}
-		ids[name] = id
+	tanh := nn.New([]int{2, 2, 1}, []nn.Activation{nn.Tanh, nn.Tanh}, 1)
+	sigmoid := nn.New([]int{2, 2, 1}, []nn.Activation{nn.Tanh, nn.Sigmoid}, 1)
+	p := Quantize(tanh, DefaultConfig())
+	q := Quantize(tanh, Config{OutputScale: 10})
+	s := Quantize(sigmoid, DefaultConfig())
+	ids := []string{p.Layers[1].ActID(), q.Layers[1].ActID(), s.Layers[1].ActID()}
+	if ids[0] == ids[1] || ids[0] == ids[2] || ids[1] == ids[2] {
+		t.Errorf("C or the activation changed and an ActID did not: %q", ids)
 	}
-	if got, want := Quantize(net, base).Layers[0].ActID(), "tanh_a16777216_o4096_n4096_r8"; got != want {
-		t.Errorf("ActID = %q, want %q", got, want)
+	for _, c := range []struct{ got, want string }{
+		{p.Layers[0].ActID(), "tanh_a16777216_o4096_n4096_r8"},
+		{p.Layers[1].ActID(), "tanh_a16777216_o1000_n4096_r8"},
+		{Quantize(nn.New([]int{2, 1}, []nn.Activation{nn.ReLU}, 1), DefaultConfig()).Layers[0].ActID(), "relu_a16777216_o1000"},
+	} {
+		if c.got != c.want {
+			t.Errorf("ActID = %q, want %q", c.got, c.want)
+		}
 	}
 }

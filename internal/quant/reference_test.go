@@ -39,23 +39,23 @@ func referenceActivate(l *Layer, acc int64) int64 {
 		if acc < 0 {
 			return 0
 		}
-		return rescale(acc, l.accScale, l.outScale)
+		return rescale(acc, l.outScale)
 	case nn.Tanh, nn.Sigmoid:
 		return referenceLookup(l, acc)
 	default:
-		return rescale(acc, l.accScale, l.outScale)
+		return rescale(acc, l.outScale)
 	}
 }
 
 func referenceLookup(l *Layer, acc int64) int64 {
-	if acc <= l.tblMin {
+	if acc <= tblMin {
 		return l.table[0]
 	}
-	if acc >= l.tblMax {
+	if acc >= tblMax {
 		return l.table[len(l.table)-1]
 	}
-	span := l.tblMax - l.tblMin
-	num := (acc - l.tblMin) * int64(len(l.table)-1)
+	span := int64(tblMax - tblMin)
+	num := (acc - tblMin) * int64(len(l.table)-1)
 	idx := num / span
 	rem := num % span
 	lo := l.table[idx]
@@ -63,14 +63,9 @@ func referenceLookup(l *Layer, acc int64) int64 {
 	return lo + (hi-lo)*rem/span
 }
 
-// nonPow2Config has table spans that are not powers of two at both the hidden
-// scale (2·6·2²⁴) and the output layer's (2·6·1000·2¹²), so the dividing arm
-// of lookup runs.
-func nonPow2Config() Config {
-	cfg := DefaultConfig()
-	cfg.TableRange = 6
-	cfg.ActScale = 1000
-	return cfg
+// lutLayer is a bare tanh or sigmoid layer with the shared table at outScale.
+func lutLayer(act nn.Activation, outScale int64) *Layer {
+	return &Layer{Act: act, outScale: outScale, table: sharedTable(tableKey{act, outScale})}
 }
 
 // checkAgainstReference runs in through Infer and InferWith (fresh arena) and
@@ -92,101 +87,81 @@ func checkAgainstReference(t *testing.T, p *Program, in []int64, what string) {
 
 // TestKernelMatchesReference sweeps the shapes that decide which kernel loops
 // run — every Out%4, fewer than four rows, In down to 1 — across all four
-// activations, both interpolation arms and inputs that are random, zero and
-// far outside the table range.
+// activations and inputs that are random, zero and far outside the table
+// range.
 func TestKernelMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
-	for _, cfg := range []Config{DefaultConfig(), nonPow2Config()} {
-		pow2 := cfg.TableRange == DefaultConfig().TableRange
-		for _, act := range []nn.Activation{nn.Linear, nn.ReLU, nn.Tanh, nn.Sigmoid} {
-			for _, in := range []int{1, 3, 30} {
-				for _, out := range []int{1, 2, 3, 4, 5, 7, 16, 33} {
-					// The layer under test feeds a second one, so its outputs
-					// are consumed at the hidden scale and at the output scale.
-					net := nn.New([]int{in, out, out}, []nn.Activation{act, act}, r.Int63())
-					p := Quantize(net, cfg)
-					for li, l := range p.Layers {
-						if l.table != nil && (l.tblShift != 0) != pow2 {
-							t.Fatalf("layer %d span %d: tblShift = %d", li, l.tblMax-l.tblMin, l.tblShift)
-						}
-					}
-					what := fmt.Sprintf("%v %d-%d-%d pow2=%v", act, in, out, out, pow2)
-					x := make([]int64, in)
-					checkAgainstReference(t, p, x, what+" zero")
-					for trial := 0; trial < 4; trial++ {
-						p.QuantizeInput(randomInput(r, in), x)
-						checkAgainstReference(t, p, x, what+" random")
-					}
-					for j := range x {
-						x[j] = (200*r.Int63n(2) - 100) * cfg.InputScale
-					}
-					checkAgainstReference(t, p, x, what+" saturating")
+	for _, act := range []nn.Activation{nn.Linear, nn.ReLU, nn.Tanh, nn.Sigmoid} {
+		for _, in := range []int{1, 3, 30} {
+			for _, out := range []int{1, 2, 3, 4, 5, 7, 16, 33} {
+				// The layer under test feeds a second one, so its outputs
+				// are consumed at the hidden scale and at the output scale.
+				net := nn.New([]int{in, out, out}, []nn.Activation{act, act}, r.Int63())
+				p := Quantize(net, DefaultConfig())
+				what := fmt.Sprintf("%v %d-%d-%d", act, in, out, out)
+				x := make([]int64, in)
+				checkAgainstReference(t, p, x, what+" zero")
+				for trial := 0; trial < 4; trial++ {
+					p.QuantizeInput(randomInput(r, in), x)
+					checkAgainstReference(t, p, x, what+" random")
 				}
+				for j := range x {
+					x[j] = (200*r.Int63n(2) - 100) * InputScale
+				}
+				checkAgainstReference(t, p, x, what+" saturating")
 			}
 		}
 	}
 }
 
-// TestLookupMatchesReference walks both interpolation arms of lookup over
-// every table segment and the clamps, on the real tanh tables, on a table
-// too large for the memo and on a hand-built falling table — the only way
-// the interpolation numerator goes negative, which a power-of-two layer's
-// shift must round toward zero as the reference's divide does. The shifting
-// arm reads one entry past the table at tblMax, so every table, the falling
-// one too, is built with that entry, and TableData still returns TableSize.
+// TestLookupMatchesReference walks lookup over every table segment — each
+// segment's first accumulator, its neighbours and one drawn inside it — and
+// the clamps, on the hidden layers' tanh table, on sigmoid at C = 1000 and at
+// MaxOutputScale, and on a falling table: the only way the interpolation
+// numerator goes negative, which the shift must round toward zero as the
+// reference's divide does. lookup reads one entry past the table at tblMax,
+// so every table, the falling one too, is built with that entry, and
+// TableData still returns tableSize.
 func TestLookupMatchesReference(t *testing.T) {
-	pow2 := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
-	pow2.useTable(4096, 8)
-	div := &Layer{Act: nn.Tanh, accScale: 1000, outScale: 1 << 12}
-	div.useTable(4096, 6)
-	unmemoised := &Layer{Act: nn.Sigmoid, accScale: 1 << 12, outScale: 1 << 12}
-	unmemoised.useTable(maxMemoEntries+1, 8)
-	falling := fallingLayer()
-	if pow2.tblShift != 16 || div.tblShift != 0 || falling.tblShift != 16 || unmemoised.tblShift != 16 {
-		t.Fatalf("tblShift = %d, %d, %d, %d; want 16, 0, 16, 16", pow2.tblShift, div.tblShift, falling.tblShift, unmemoised.tblShift)
-	}
-	for name, c := range map[string]struct {
-		l    *Layer
-		size int
-	}{"pow2": {pow2, 4096}, "divide": {div, 4096}, "unmemoised": {unmemoised, maxMemoEntries + 1}} {
-		tbl, _, _ := c.l.TableData()
-		if len(tbl) != c.size || cap(tbl) <= c.size || tbl[:c.size+1][c.size] != tbl[c.size-1] {
-			t.Errorf("%s: TableData has %d entries (want %d), capacity %d, no copy of the last past them", name, len(tbl), c.size, cap(tbl))
+	r := rand.New(rand.NewSource(51))
+	for name, l := range map[string]*Layer{
+		"tanh hidden":   lutLayer(nn.Tanh, actScale),
+		"sigmoid C":     lutLayer(nn.Sigmoid, 1000),
+		"sigmoid max C": lutLayer(nn.Sigmoid, MaxOutputScale),
+		"falling":       fallingLayer(),
+	} {
+		if tbl, _, _ := l.TableData(); len(tbl) != tableSize || cap(tbl) <= tableSize || tbl[:tableSize+1][tableSize] != tbl[tableSize-1] {
+			t.Errorf("%s: TableData has %d entries (want %d), capacity %d, no copy of the last past them", name, len(tbl), tableSize, cap(tbl))
 		}
-	}
-	for name, l := range map[string]*Layer{"pow2": pow2, "divide": div, "unmemoised": unmemoised, "falling": falling} {
-		accs := []int64{l.tblMax - 1, l.tblMax, l.tblMax + 1, 1 << 62, -1 << 62}
+		accs := []int64{tblMin - 1, tblMax, tblMax + 1, 1 << 62, -1 << 62}
+		const last = tableSize - 1
+		for i := int64(0); i < last; i++ {
+			start := tblMin + (i*(tblMax-tblMin)+last-1)/last // first acc of segment i
+			accs = append(accs, start-1, start, start+1, start+r.Int63n((tblMax-tblMin)/last))
+		}
 		var want []int64
 		for _, acc := range accs {
 			want = append(want, referenceLookup(l, acc))
 		}
-		for acc := l.tblMin - 3; acc <= l.tblMax+3; acc++ {
-			accs = append(accs, acc)
-			want = append(want, referenceLookup(l, acc))
-		}
 		got := slices.Clone(accs)
 		l.lookup(got)
-		if !slices.Equal(got, want) {
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("%s: lookup(%d) = %d, reference = %d", name, accs[i], got[i], want[i])
-					break
-				}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: lookup(%d) = %d, reference = %d", name, accs[i], got[i], want[i])
+				break
 			}
 		}
 	}
 }
 
-// fallingLayer is a tanh layer at scales 2¹² (span 2¹⁶) whose 64-entry table
-// is reversed and padded again: the only way the interpolation numerator
-// goes negative.
+// fallingLayer is the hidden layers' tanh layer with its table reversed and
+// padded again: the only way the interpolation numerator goes negative.
 func fallingLayer() *Layer {
-	l := &Layer{Act: nn.Tanh, accScale: 1 << 12, outScale: 1 << 12}
-	l.useTable(64, 8)
-	rev := slices.Clone(l.table[:65])
-	slices.Reverse(rev[:64])
-	rev[64] = rev[63]
-	l.table = rev[:64]
+	l := lutLayer(nn.Tanh, actScale)
+	rev := slices.Clone(l.table[:tableSize+1])
+	slices.Reverse(rev[:tableSize])
+	rev[tableSize] = rev[tableSize-1]
+	l.table = rev[:tableSize]
 	return l
 }
 
@@ -250,25 +225,6 @@ func TestWeightRowsViewTheSlab(t *testing.T) {
 		big[5] = v
 		checkAgainstReference(t, q, big, fmt.Sprintf("input %d", v))
 	}
-}
-
-// TestLUTFedLayersCheckTheirInput: every layer's step checks its input,
-// fused with the pack, LUT-fed layers too: a tanh at ActScale 2¹⁶ saturates
-// at ±2¹⁶, outside int16, and that check must send the next layer's step to
-// dot4, or the output differs from the reference.
-func TestLUTFedLayersCheckTheirInput(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ActScale = 1 << 16
-	cfg.WeightScale = 1 << 8
-	q := Quantize(nn.New([]int{6, 8, 4}, []nn.Activation{nn.Tanh, nn.Tanh}, 2), cfg)
-	if q.Layers[1].w16 == nil {
-		t.Fatal("the layer fed by the saturated tanh is off the packed tier: the test checks nothing")
-	}
-	in := make([]int64, 6)
-	for j := range in {
-		in[j] = 100 * cfg.InputScale
-	}
-	checkAgainstReference(t, q, in, "ActScale 2¹⁶, saturated hidden layer")
 }
 
 // TestFloatVsQuantizedZoo executes both sides of the paper's central
@@ -357,7 +313,7 @@ func referenceDense(l *Layer, x []int64) []int64 {
 // accumulators (nn.New's are all zero).
 func randomBiases(r *rand.Rand, l *Layer) {
 	for i := range l.B {
-		l.B[i] = (r.Int63n(l.accScale) - l.accScale/2) | 1
+		l.B[i] = (r.Int63n(AccScale) - AccScale/2) | 1
 	}
 }
 

@@ -83,13 +83,15 @@ func ApproxError(act nn.Activation, approx func(x float64) float64) (maxErr, mea
 
 // LUTApprox builds an evaluation function over the same integer LUT
 // machinery the snapshots use, for apples-to-apples comparison with Taylor
-// polynomials. The returned function quantizes x at `scale`, looks up, and
-// dequantizes.
-func LUTApprox(act nn.Activation, tableSize int, tableRange float64, scale int64) func(x float64) float64 {
-	l := &Layer{Act: act, accScale: scale, outScale: scale}
-	l.useTable(tableSize, tableRange)
+// polynomials. The returned function quantizes x at `scale`, which must
+// divide AccScale, takes it to AccScale, looks up (the table at `scale`), and
+// dequantizes. x is first held to the table range, where lookup clamps
+// anyway, so that no x overflows the accumulator.
+func LUTApprox(act nn.Activation, scale int64) func(x float64) float64 {
+	l := &Layer{table: sharedTable(tableKey{act, scale})}
 	return func(x float64) float64 {
-		v := [1]int64{roundToInt(x * float64(scale))}
+		x = min(max(x, -tableRange), tableRange)
+		v := [1]int64{roundToInt(x*float64(scale)) * (AccScale / scale)}
 		l.lookup(v[:])
 		return float64(v[0]) / float64(scale)
 	}

@@ -48,7 +48,7 @@ func TestTaylorCoeffsValidation(t *testing.T) {
 
 func TestLUTApproxUniformAccuracy(t *testing.T) {
 	for _, act := range []nn.Activation{nn.Tanh, nn.Sigmoid} {
-		lut := LUTApprox(act, 4096, 8, 1<<16)
+		lut := LUTApprox(act, 1<<16)
 		maxErr, meanErr := ApproxError(act, lut)
 		if maxErr > 1e-3 {
 			t.Errorf("%s LUT max err %v over [-4,4], want ≤ 1e-3", act, maxErr)

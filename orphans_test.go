@@ -773,18 +773,12 @@ func (s setting) String() string {
 // that no longer holds one constant, or is gone, fails too.
 func TestNoConstantConfig(t *testing.T) {
 	const frozen = "bench/ calls it with this value, and bench/ is frozen"
-	const scales = "reference_test.go and quant_test.go sweep it: the kernel's overflow checks and the reference comparison are about other values"
 	kept := map[string]string{
 		"cc.NewAlphaController(initialAlpha)":   frozen,
 		"cc.PretrainAlpha(alpha)":               frozen,
 		"core.Config.OutMax":                    "bench/ sets it to this value, and bench/ is frozen",
 		"core.Core.SetFlowCache(enabled)":       frozen,
 		"nn.TrainBatch(clipNorm)":               frozen + "; the reference test (train_test.go) sweeps 0 and 1",
-		"quant.Config.ActScale":                 scales,
-		"quant.Config.InputScale":               scales,
-		"quant.Config.TableRange":               scales,
-		"quant.Config.TableSize":                scales,
-		"quant.Config.WeightScale":              scales,
 		"rig.FleetOpts.CanaryWindow":            "TestGoldenFailurePaths stages its chaos fleet for 8 aggregation rounds so the next drift meets an open wave; its goldens pin that run byte for byte",
 		"tcp.NewBurstyUDP(halfPeriod)":          frozen,
 		"tcp.NewBurstyUDP(high)":                frozen,
