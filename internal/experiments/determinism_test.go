@@ -76,7 +76,7 @@ func TestFaultTelemetryDeterminism(t *testing.T) {
 		runAdaptation(cfg, adaptVariant{
 			name: "chaos", adapt: true,
 			faults:   prof,
-			watchdog: true, wdWindow: 60 * netsim.Millisecond,
+			wdWindow: 60 * netsim.Millisecond,
 		}, 20*netsim.Millisecond, 400*netsim.Millisecond, 0, 1)
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err != nil {

@@ -42,7 +42,7 @@ func failureAdaptRun(sc obs.Scope) {
 	// 0.2 that is one install in a hundred.
 	faults.BuildFailP = 0.4
 	runAdaptation(Config{Seed: 1, Obs: sc}, adaptVariant{
-		name: "chaos", adapt: true, watchdog: true, wdWindow: 3 * T, faults: faults,
+		name: "chaos", adapt: true, wdWindow: 3 * T, faults: faults,
 	}, T, dur, dur/3, 1)
 }
 

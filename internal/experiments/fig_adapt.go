@@ -138,10 +138,8 @@ type adaptVariant struct {
 	adapt bool // false = N-O-A (frozen snapshot)
 
 	// faults enables deterministic fault injection (zero value = none);
-	// watchdog arms the core's slow-path watchdog with window wdWindow
-	// (0 = default).
+	// wdWindow > 0 arms the core's slow-path watchdog with that window.
 	faults   fault.Profile
-	watchdog bool
 	wdWindow netsim.Time
 }
 
@@ -199,7 +197,7 @@ func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 	coreCfg := adaptiveCoreConfig()
 	coreCfg.FlowCacheTimeout = 0
 	var coreOpts []opt.Option
-	if v.watchdog {
+	if v.wdWindow > 0 {
 		coreOpts = append(coreOpts, opt.WithWatchdog(opt.Watchdog{Window: int64(v.wdWindow)}))
 	}
 	dep := d.Deploy(coreCfg, rig.Build(userNet, coreCfg.Quant, "alpha0"), coreOpts...)

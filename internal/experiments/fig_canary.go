@@ -119,23 +119,29 @@ func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
 		agg = 200 * netsim.Microsecond
 	}
 
-	// The figure reads the flight recording even ungated, so the rig runs a
-	// private registry/recorder when the caller's scope has none. Gated, the
+	// The figure reads the flight recording even ungated, so it runs a
+	// private registry/recorder when the caller brings none. Gated, the
 	// verdict window is the rig's default 4 aggregation rounds: long enough
 	// for the recorder (sampling at agg/2) to hold several points in both the
 	// baseline and observation windows, short enough that a bad epoch is
 	// caught within a fraction of the run.
+	sc, fr := o.Obs, o.Flight
+	if sc.Registry() == nil {
+		sc = obs.New(obs.NewRegistry(), nil)
+	}
+	if fr == nil {
+		fr = obs.NewFlightRecorder(0)
+	}
 	ro := rig.FleetOpts{
 		Members: o.Members, Seed: o.Seed, Agg: agg, Dur: dur, End: end,
-		ReadsFlight: true,
-		Scope:       o.Obs, Flight: o.Flight,
+		Scope: sc, Flight: fr,
 		Stream: rig.Stream{Every: 5 * netsim.Microsecond, ClosedLoop: true, FlowLen: 16},
 	}
 	if o.Gate {
 		ro.CanaryCount = o.CanaryCount
 	}
 	f := rig.NewFleet(ro)
-	eng, ctrl, fr := f.Eng, f.Ctrl, f.Flight
+	eng, ctrl := f.Eng, f.Ctrl
 
 	// The bad push: swap the slow-path model for the bloated network and stop
 	// drifting. Ungated, exactly one degraded epoch is minted and the

@@ -29,7 +29,7 @@ func FigResilience(cfg Config) Result {
 	chaos := runAdaptation(cfg, adaptVariant{
 		name: "chaos", adapt: true,
 		faults:   fault.Chaos(),
-		watchdog: true, wdWindow: 3 * T,
+		wdWindow: 3 * T,
 	}, T, dur, period, 1)
 
 	res.Series = append(res.Series, clean.series("clean"), chaos.series("chaos+watchdog"))

@@ -80,9 +80,6 @@ func (m *PathMonitor) Features(sizeNorm float64) []float64 {
 	return out
 }
 
-// ECN returns the EWMA mark fraction of a path (test/diagnostic accessor).
-func (m *PathMonitor) ECN(path int) float64 { return m.ecn[path] }
-
 // FlowFeedback wraps a flow's DCTCP and accumulates its ECN echo fraction
 // and average RTT — the per-flow signals a PathMonitor folds in.
 type FlowFeedback struct {

@@ -72,14 +72,14 @@ func TestPathMonitorEWMA(t *testing.T) {
 		t.Fatal("paths wrong")
 	}
 	m.Observe(0, 1.0, 100*netsim.Microsecond)
-	if m.ECN(0) != 1.0 {
-		t.Errorf("first observation must seed the EWMA, got %v", m.ECN(0))
+	if m.ecn[0] != 1.0 {
+		t.Errorf("first observation must seed the EWMA, got %v", m.ecn[0])
 	}
 	for i := 0; i < 50; i++ {
 		m.Observe(0, 0.0, 50*netsim.Microsecond)
 	}
-	if m.ECN(0) > 0.01 {
-		t.Errorf("EWMA must decay towards new samples, got %v", m.ECN(0))
+	if m.ecn[0] > 0.01 {
+		t.Errorf("EWMA must decay towards new samples, got %v", m.ecn[0])
 	}
 	// Out-of-range paths are ignored, not panics.
 	m.Observe(-1, 1, 1)

@@ -93,10 +93,8 @@ type FleetOpts struct {
 	// OddFaults (zero = none) gives every odd-indexed member its own
 	// injector with this profile, seeded from Seed and the host index.
 	OddFaults fault.Profile
-	// ReadsFlight: the caller reads the flight recording itself. That, or a
-	// canary gate, provisions a private registry/recorder where Scope/Flight
-	// bring none.
-	ReadsFlight bool
+	// A canary gate provisions a private registry/recorder where
+	// Scope/Flight bring none.
 	Scope       obs.Scope
 	Flight      *obs.FlightRecorder // samples Scope's registry every FlightEvery (0 = Agg/2)
 	FlightEvery netsim.Time
@@ -107,10 +105,9 @@ type FleetOpts struct {
 // member's host CPU, under a drifting model and per-member query streams.
 // Members exchange no packets, so there is no network between them.
 type Fleet struct {
-	Eng    *netsim.Engine
-	Ctrl   *fleet.Controller
-	User   *DriftUser
-	Flight *obs.FlightRecorder
+	Eng  *netsim.Engine
+	Ctrl *fleet.Controller
+	User *DriftUser
 	// Queries counts successful member queries issued before Dur.
 	Queries int64
 }
@@ -119,10 +116,11 @@ type Fleet struct {
 // member query streams and the flight tick.
 func NewFleet(o FleetOpts) *Fleet {
 	// Telemetry is passive (experiments.TestTelemetryIsPassive holds every
-	// report to it), so a run that reads its own flight recording simulates
-	// the same thing on private telemetry as on the caller's.
+	// report to it), so a gated run, whose verdicts read the flight
+	// recording, simulates the same thing on private telemetry as on the
+	// caller's.
 	sc, fr := o.Scope, o.Flight
-	if o.CanaryCount > 0 || o.ReadsFlight {
+	if o.CanaryCount > 0 {
 		if sc.Registry() == nil {
 			sc = obs.New(obs.NewRegistry(), nil)
 		}
@@ -136,7 +134,7 @@ func NewFleet(o FleetOpts) *Fleet {
 	eng := netsim.NewEngine()
 	costs := ksim.DefaultCosts()
 
-	f := &Fleet{Eng: eng, Flight: fr, User: &DriftUser{
+	f := &Fleet{Eng: eng, User: &DriftUser{
 		Net:        nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, o.Seed),
 		DriftEvery: 6,
 		sign:       1,

@@ -44,31 +44,3 @@ type CongestionControl interface {
 	// CwndBytes bounds the bytes in flight.
 	CwndBytes() int
 }
-
-// FixedRate is a trivial controller pinned at a constant rate: the elephant
-// flow of examples/loadbalance, and a test double. (LF-Dummy-NN of §5.1 is
-// not this: it is rig's newDummy, an MI controller with a constant +1 policy
-// capped at 1.6 Gbps over the flow count.)
-type FixedRate struct {
-	Bps int64
-	Wnd int
-}
-
-// NewFixedRate returns a controller pacing at bps with an effectively
-// unlimited window.
-func NewFixedRate(bps int64) *FixedRate { return &FixedRate{Bps: bps, Wnd: 1 << 30} }
-
-// Start implements CongestionControl.
-func (f *FixedRate) Start(netsim.Time) {}
-
-// OnAck implements CongestionControl.
-func (f *FixedRate) OnAck(AckInfo) {}
-
-// OnLoss implements CongestionControl.
-func (f *FixedRate) OnLoss(LossInfo) {}
-
-// PacingRate implements CongestionControl.
-func (f *FixedRate) PacingRate() int64 { return f.Bps }
-
-// CwndBytes implements CongestionControl.
-func (f *FixedRate) CwndBytes() int { return f.Wnd }

@@ -28,7 +28,7 @@ func TestSpineLeafDelivery(t *testing.T) {
 	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(4))
 	src, dst := sl.Hosts[0], sl.Hosts[7] // leaf 0 → leaf 1
 	var fct netsim.Time
-	s := tcp.NewSender(src, 1, dst.ID, 100_000, tcp.NewFixedRate(5e9))
+	s := tcp.NewSender(src, 1, dst.ID, 100_000, fixedRate(5e9))
 	s.OnComplete = func(d netsim.Time) { fct = d }
 	tcp.NewReceiver(dst, 1, src.ID)
 	s.Start()
@@ -45,7 +45,7 @@ func TestSpineLeafSameLeafDelivery(t *testing.T) {
 	eng := netsim.NewEngine()
 	sl := BuildSpineLeaf(eng, DefaultSpineLeafOpts(4))
 	src, dst := sl.Hosts[1], sl.Hosts[2]
-	s := tcp.NewSender(src, 1, dst.ID, 50_000, tcp.NewFixedRate(5e9))
+	s := tcp.NewSender(src, 1, dst.ID, 50_000, fixedRate(5e9))
 	done := false
 	s.OnComplete = func(netsim.Time) { done = true }
 	tcp.NewReceiver(dst, 1, src.ID)
@@ -155,7 +155,7 @@ func TestDumbbellWiring(t *testing.T) {
 	}
 	// Flow i: sender i → receiver (3+i).
 	var fct netsim.Time
-	s := tcp.NewSender(d.Senders[1], 5, d.Receivers[1].ID, 200_000, tcp.NewFixedRate(500e6))
+	s := tcp.NewSender(d.Senders[1], 5, d.Receivers[1].ID, 200_000, fixedRate(500e6))
 	s.OnComplete = func(t netsim.Time) { fct = t }
 	tcp.NewReceiver(d.Receivers[1], 5, d.Senders[1].ID)
 	s.Start()
@@ -172,7 +172,7 @@ func TestDumbbellWiring(t *testing.T) {
 func TestDumbbellRTT(t *testing.T) {
 	eng := netsim.NewEngine()
 	d := BuildDumbbell(eng, TestbedOpts(1))
-	probe := &srttProbe{FixedRate: tcp.NewFixedRate(100e6)}
+	probe := &srttProbe{fixedRate: 100e6}
 	s := tcp.NewSender(d.Senders[0], 1, d.Receivers[0].ID, 0, probe)
 	tcp.NewReceiver(d.Receivers[0], 1, d.Senders[0].ID)
 	s.Start()
@@ -195,7 +195,7 @@ func TestDumbbellUDPBackgroundShares(t *testing.T) {
 		var got int64
 		r := tcp.NewReceiver(d.Receivers[0], 1, d.Senders[0].ID)
 		r.OnDeliver = func(n int, now netsim.Time) { got += int64(n) }
-		s := tcp.NewSender(d.Senders[0], 1, d.Receivers[0].ID, 0, tcp.NewFixedRate(950e6))
+		s := tcp.NewSender(d.Senders[0], 1, d.Receivers[0].ID, 0, fixedRate(950e6))
 		s.Start()
 		eng.RunUntil(netsim.Second)
 		if d.QueueBytes() < 0 {
@@ -219,10 +219,20 @@ func TestDumbbellAttachCPUs(t *testing.T) {
 	}
 }
 
+// fixedRate is a controller pinned at bps with an effectively unlimited
+// window.
+type fixedRate int64
+
+func (fixedRate) Start(netsim.Time)   {}
+func (fixedRate) OnAck(tcp.AckInfo)   {}
+func (fixedRate) OnLoss(tcp.LossInfo) {}
+func (f fixedRate) PacingRate() int64 { return int64(f) }
+func (fixedRate) CwndBytes() int      { return 1 << 30 }
+
 // srttProbe is a fixed-rate controller that keeps the sender's smoothed RTT
 // from the last ACK it saw.
 type srttProbe struct {
-	*tcp.FixedRate
+	fixedRate
 	srtt netsim.Time
 }
 

@@ -15,7 +15,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -357,6 +359,32 @@ func TestNoOrphanExports(t *testing.T) {
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Errorf("exported but no non-test code uses it: %s", b)
+	}
+}
+
+// TestExamplesImportNoInternal: every file of every package under examples/
+// imports only what a user of the module can import, so no path with an
+// internal element. An example that needs internal/ is a fork of an lfbench
+// experiment or an lfsim run, not an example.
+func TestExamplesImportNoInternal(t *testing.T) {
+	c := loadCensus(t)
+	seen := 0
+	for _, p := range c.pkgs {
+		if !strings.HasPrefix(p.rel, "examples/") {
+			continue
+		}
+		seen++
+		for _, f := range p.files {
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if slices.Contains(strings.Split(path, "/"), "internal") {
+					t.Errorf("%s: an example imports %s", c.position(imp.Pos()), path)
+				}
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("the census loaded no package under examples/")
 	}
 }
 
