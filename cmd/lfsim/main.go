@@ -11,9 +11,9 @@
 // exports: -trace (Chrome trace-event JSON for Perfetto), -trace-jsonl,
 // -metrics-out (Prometheus text), -flight-out (every metric on a 1 ms
 // virtual-time tick) and -listen (serves them on /metrics, /debug/trace and
-// /debug/flight after the run). A flag the run kind does not take, or a stray
-// argument, exits 2; a value no run can use exits 1 naming the flag. Neither
-// prints on stdout.
+// /debug/flight after the run, until SIGINT or SIGTERM). A flag the run kind
+// does not take, or a stray argument, exits 2; a value no run can use exits 1
+// naming the flag. Neither prints on stdout.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/scenario"
 	"github.com/liteflow-sim/liteflow/internal/stats"
@@ -265,16 +264,13 @@ func (o *ccRun) run(rep int, stdout, stderr io.Writer) (float64, error) {
 	if sch.LF {
 		cfg := core.DefaultConfig()
 		cfg.FlowCacheTimeout = 0 // long-lived flows: entries stay pinned for the whole run
-		var coreOpts []opt.Option
 		if d.Faults != nil && o.adapt {
 			// With faults on, arm the watchdog so a stalled slow path
 			// degrades gracefully instead of serving a half-built
 			// standby forever. Window = 3 batch intervals.
-			coreOpts = append(coreOpts, opt.WithWatchdog(opt.Watchdog{
-				Window: 3 * o.batchT.Nanoseconds(),
-			}))
+			cfg.WatchdogWindow = 3 * o.batchT.Nanoseconds()
 		}
-		dep := d.Deploy(cfg, rig.Build(args.Net, cfg.Quant, "model"), coreOpts...)
+		dep := d.Deploy(cfg, rig.Build(args.Net, cfg.Quant, "model"))
 		if o.adapt {
 			dep.AttachSlowPath(d.Sender.CPU, staticUser{args.Net}, netsim.Time(o.batchT.Nanoseconds()), d.Faults)
 		}

@@ -68,6 +68,12 @@ type Config struct {
 	FlowCacheTimeout netsim.Time
 	// Quant configures snapshot generation.
 	Quant quant.Config
+	// WatchdogWindow is the longest slow-path silence the core tolerates:
+	// once a slow path attaches, the watchdog checks every WatchdogWindow/2
+	// and, if no batch reached the slow path within the window, degrades to
+	// the last-good snapshot (pending standby discarded) and counts
+	// liteflow_core_degraded_total. Zero means no watchdog.
+	WatchdogWindow netsim.Time
 }
 
 // DefaultConfig returns the paper-calibrated configuration.
@@ -166,11 +172,9 @@ type Core struct {
 	// allocate per tick.
 	flowScratch []netsim.FlowID
 
-	// Slow-path watchdog state (see NewCore's opt.WithWatchdog): when armed
-	// and the service stays silent past wd.Window, the core degrades to the
+	// Slow-path watchdog state (Config.WatchdogWindow): when armed and the
+	// service stays silent past the window, the core degrades to the
 	// last-good snapshot rather than waiting on a stalled slow path forever.
-	wd           opt.Watchdog
-	wdEnabled    bool
 	wdRunning    bool
 	lastAlive    netsim.Time
 	degraded     bool
@@ -180,9 +184,9 @@ type Core struct {
 // NewCore returns a core module bound to eng. cpu may be nil to disable CPU
 // accounting (pure-algorithm tests). Options: opt.WithScope exports the
 // core's counters to a metrics registry and its datapath events to a tracer
-// (omitted, telemetry is a no-op but Stats still counts);
-// opt.WithWatchdog enables graceful degradation when the slow path stalls —
-// the watchdog arms once a Service attaches.
+// (omitted, telemetry is a no-op but Stats still counts). A nonzero
+// cfg.WatchdogWindow enables graceful degradation when the slow path stalls;
+// the watchdog arms once a slow path attaches.
 func NewCore(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, options ...opt.Option) *Core {
 	o := opt.Resolve(options)
 	c := &Core{
@@ -192,10 +196,6 @@ func NewCore(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, op
 		sc:           o.Scope,
 	}
 	c.register(c.sc)
-	if o.Watchdog != nil {
-		c.wd = *o.Watchdog
-		c.wdEnabled = true
-	}
 	// The sweeper arms lazily on the first cache insert (armSweeper), so a
 	// core whose cache is never populated schedules no sweep events.
 	c.sweeping = cfg.FlowCacheTimeout > 0
@@ -514,12 +514,12 @@ func (c *Core) sweepTick(gen uint64) {
 // StopSweeper halts the idle-entry sweeper (experiment teardown).
 func (c *Core) StopSweeper() { c.sweeping = false }
 
-// AttachSlowPath arms the watchdog (when enabled via opt.WithWatchdog).
+// AttachSlowPath arms the watchdog when Config.WatchdogWindow is nonzero.
 // NewSlowPath calls it, and so does an external slow path — such as a fleet
 // controller — that feeds liveness through NoteSlowPathAlive without
 // constructing a Service; a core with neither never degrades.
 func (c *Core) AttachSlowPath() {
-	if !c.wdEnabled || c.wdRunning {
+	if c.Cfg.WatchdogWindow <= 0 || c.wdRunning {
 		return
 	}
 	c.wdRunning = true
@@ -527,19 +527,19 @@ func (c *Core) AttachSlowPath() {
 	c.scheduleWatchdog()
 }
 
-// scheduleWatchdog ticks every wd.Window/2: if the slow path has been
-// silent longer than wd.Window, the core degrades gracefully — it pins the
+// scheduleWatchdog ticks every WatchdogWindow/2: if the slow path has been
+// silent longer than the window, the core degrades gracefully — it pins the
 // last-good (current active) snapshot by discarding any pending standby, so
 // a half-delivered update from the stalled service can never be activated,
 // and keeps serving fast-path queries throughout. Degradation is visible in
 // liteflow_core_degraded_total and a "core/degrade" trace event.
 func (c *Core) scheduleWatchdog() {
-	c.Eng.After(netsim.Time(c.wd.Window/2), func() {
+	c.Eng.After(c.Cfg.WatchdogWindow/2, func() {
 		if !c.wdRunning {
 			return
 		}
 		now := c.Eng.Now()
-		if !c.degraded && now-c.lastAlive > netsim.Time(c.wd.Window) {
+		if !c.degraded && now-c.lastAlive > c.Cfg.WatchdogWindow {
 			c.degraded = true
 			c.st.Degraded++
 			if c.standby != nil {

@@ -13,7 +13,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
 	"github.com/liteflow-sim/liteflow/internal/quant"
 )
 
@@ -26,21 +25,24 @@ type watchdogRig struct {
 	svc  *Service
 }
 
-func newWatchdogRig(t *testing.T, window netsim.Time, options ...opt.Option) *watchdogRig {
+// newWatchdogRig arms the watchdog with window; inj (nil = none) rides the
+// channel.
+func newWatchdogRig(t *testing.T, window netsim.Time, inj *fault.Injector) *watchdogRig {
 	t.Helper()
 	eng := netsim.NewEngine()
 	cpu := ksim.NewHostCPU(eng, 4)
 	cfg := DefaultConfig()
 	cfg.FlowCacheTimeout = 0
-	c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg,
-		opt.WithWatchdog(opt.Watchdog{Window: int64(window)}))
+	cfg.WatchdogWindow = window
+	c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg)
 	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
 	if _, err := c.RegisterModel(buildModule(t, base, "m0")); err != nil {
 		t.Fatal(err)
 	}
 	user := &userModel{net: base.Clone(), stability: 1}
 	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
-	svc := NewSlowPath(c, ch, user, user, user, options...)
+	ch.SetFaults(inj)
+	svc := NewSlowPath(c, ch, user, user, user)
 	return &watchdogRig{eng: eng, core: c, ch: ch, user: user, svc: svc}
 }
 
@@ -56,7 +58,7 @@ func (r *watchdogRig) pushBatch(n int) {
 
 func TestWatchdogDegradesOnSilenceAndRecovers(t *testing.T) {
 	window := 100 * netsim.Millisecond
-	r := newWatchdogRig(t, window)
+	r := newWatchdogRig(t, window, nil)
 	defer r.core.StopWatchdog()
 
 	r.pushBatch(4) // liveness signal
@@ -109,7 +111,7 @@ func TestWatchdogDegradesOnSilenceAndRecovers(t *testing.T) {
 // activatable only after the slow path proves liveness again.
 func TestActivateRejectedWhileDegraded(t *testing.T) {
 	window := 100 * netsim.Millisecond
-	r := newWatchdogRig(t, window)
+	r := newWatchdogRig(t, window, nil)
 	defer r.core.StopWatchdog()
 
 	r.pushBatch(4)
@@ -146,18 +148,18 @@ func TestActivateRejectedWhileDegraded(t *testing.T) {
 }
 
 func TestWatchdogNotArmedWithoutOption(t *testing.T) {
-	r := newServiceRig(t) // plain New/NewService: no watchdog configured
+	r := newServiceRig(t) // DefaultConfig: WatchdogWindow 0
 	r.pushBatch(4, 1)
 	r.eng.RunUntil(r.eng.Now() + 10*netsim.Second)
 	if r.core.Degraded() || r.core.Stats().Degraded != 0 {
-		t.Error("without opt.WithWatchdog the core must never degrade")
+		t.Error("with a zero WatchdogWindow the core must never degrade")
 	}
 }
 
 // TestInstallRetrySucceedsAfterTransientFailure: a failed build schedules a
 // retry with backoff; when the cause clears, the retry installs.
 func TestInstallRetrySucceedsAfterTransientFailure(t *testing.T) {
-	r := newWatchdogRig(t, netsim.Second)
+	r := newWatchdogRig(t, netsim.Second, nil)
 	defer r.core.StopWatchdog()
 	r.svc.NamePrefix = "bad name" // invalid identifier → codegen failure
 	r.svc.tryInstall(0)
@@ -181,8 +183,7 @@ func TestInstallRetrySucceedsAfterTransientFailure(t *testing.T) {
 // service keeps working.
 func TestInstallAbandonedAfterRetryBudget(t *testing.T) {
 	inj := fault.New(fault.Profile{BuildFailP: 1}, 3, obs.Scope{})
-	r := newWatchdogRig(t, netsim.Second,
-		opt.WithFaults(inj))
+	r := newWatchdogRig(t, netsim.Second, inj)
 	defer r.core.StopWatchdog()
 	r.svc.tryInstall(0)
 	r.eng.RunUntil(r.eng.Now() + 5*netsim.Second)
@@ -209,7 +210,7 @@ func TestServiceOutageDropsBatches(t *testing.T) {
 		OutagePeriod:   int64(2 * netsim.Millisecond),
 		OutageDuration: int64(10 * netsim.Second),
 	}, 1, obs.Scope{})
-	r := newWatchdogRig(t, netsim.Second, opt.WithFaults(inj))
+	r := newWatchdogRig(t, netsim.Second, inj)
 	defer r.core.StopWatchdog()
 	r.eng.RunUntil(5 * netsim.Millisecond)
 	r.pushBatch(4)
@@ -219,6 +220,34 @@ func TestServiceOutageDropsBatches(t *testing.T) {
 	}
 	if st.Batches != 0 || r.user.adapted != 0 {
 		t.Error("a crashed service must consume nothing")
+	}
+}
+
+// TestChannelInjectorReachesService: the injector set on the channel is the
+// one the service behind it reads, so one fault.Chaos() injector's Stats
+// count both netlink drops and service outages; a nil injector injects
+// nothing.
+func TestChannelInjectorReachesService(t *testing.T) {
+	run := func(inj *fault.Injector) (ServiceStats, netlink.Stats) {
+		r := newWatchdogRig(t, netsim.Second, inj)
+		defer r.core.StopWatchdog()
+		for i := 0; i < 120; i++ { // 6 s: past chaos's first outage
+			r.pushBatch(4)
+			r.eng.RunUntil(r.eng.Now() + 40*netsim.Millisecond)
+		}
+		return r.svc.Stats(), r.ch.Stats()
+	}
+	inj := fault.New(fault.Chaos(), 5, obs.Scope{})
+	svc, _ := run(inj)
+	if fs := inj.Stats(); fs.Drops == 0 || fs.Outages == 0 {
+		t.Errorf("chaos injector on the channel: want netlink drops and service outages, got %+v", fs)
+	}
+	if svc.OutageDrops == 0 {
+		t.Error("the service must read its outages from the channel's injector")
+	}
+	svc, ch := run(nil)
+	if svc.OutageDrops != 0 || svc.Malformed != 0 || ch.Messages != 120*4 {
+		t.Errorf("nil injector must inject nothing: service %+v, channel %+v", svc, ch)
 	}
 }
 

@@ -7,13 +7,11 @@ import (
 	"strconv"
 
 	"github.com/liteflow-sim/liteflow/internal/codegen"
-	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
 	"github.com/liteflow-sim/liteflow/internal/quant"
 )
 
@@ -220,8 +218,6 @@ type Service struct {
 	life       *obs.Span
 	lifeStaged bool
 
-	inj *fault.Injector
-
 	sc obs.Scope
 	st ServiceStats
 }
@@ -229,12 +225,12 @@ type Service struct {
 // NewSlowPath wires a service to the core and its netlink channel. The
 // channel's delivery callback is replaced; call StartBatching on the channel
 // (or Service.Start) to begin periodic delivery. The service exports under
-// the core's scope; opt.WithFaults subjects it to injected outages and
-// snapshot failures. Attaching a service arms the core's watchdog when one
-// was configured.
-func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter, options ...opt.Option) *Service {
+// the core's scope. The channel's fault injector (netlink.Channel.SetFaults)
+// subjects the service to injected outages and snapshot failures too.
+// Attaching a service arms the core's watchdog when one was configured.
+func NewSlowPath(c *Core, ch *netlink.Channel, f Freezer, e Evaluator, a Adapter) *Service {
 	s := &Service{Core: c, Chan: ch, Freezer: f, Evaluator: e, Adapter: a, NamePrefix: "snapshot",
-		sc: c.Obs(), inj: opt.Resolve(options).Faults}
+		sc: c.Obs()}
 	s.register(s.sc)
 	s.rows = outcomeTable(&s.st)
 	s.spans = obs.NewSpanTracer(s.sc)
@@ -259,7 +255,7 @@ func (s *Service) Stats() ServiceStats { return s.st }
 // the silence the core's watchdog detects.
 func (s *Service) HandleBatch(batch []netlink.Message) {
 	now := s.Core.Eng.Now()
-	if s.inj.ServiceDown(int64(now)) {
+	if s.Chan.Faults().ServiceDown(int64(now)) {
 		s.st.OutageDrops++
 		s.sc.Event1("service", "outage_drop", now, "msgs", int64(len(batch)))
 		return
@@ -608,7 +604,7 @@ func (s *Service) tryInstall(attempt int) {
 
 	var mod *codegen.Module
 	var err error
-	if reason, fail := s.inj.FailSnapshot(int64(now)); fail {
+	if reason, fail := s.Chan.Faults().FailSnapshot(int64(now)); fail {
 		err = fmt.Errorf("%w: injected %s failure", codegen.ErrSnapshotBuild, reason)
 	} else {
 		mod, err = codegen.Build(quant.Quantize(net, s.Core.Cfg.Quant), name)

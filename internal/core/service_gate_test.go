@@ -110,7 +110,7 @@ func TestRejectedInstallCounted(t *testing.T) {
 // first post-recovery batch rather than rebuilding from scratch.
 func TestDegradedInstallParksAndRecovers(t *testing.T) {
 	window := 100 * netsim.Millisecond
-	r := newWatchdogRig(t, window)
+	r := newWatchdogRig(t, window, nil)
 	defer r.core.StopWatchdog()
 
 	r.pushBatch(4) // liveness signal
@@ -161,7 +161,7 @@ func TestDegradedInstallParksAndRecovers(t *testing.T) {
 // closes as displaced, nothing counts as an update, and the pipeline is free.
 func TestParkedStandbyDisplaced(t *testing.T) {
 	window := 100 * netsim.Millisecond
-	r := newWatchdogRig(t, window)
+	r := newWatchdogRig(t, window, nil)
 	defer r.core.StopWatchdog()
 	r.pushBatch(4)
 	r.eng.RunUntil(r.eng.Now() + 5*window)

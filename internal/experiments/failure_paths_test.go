@@ -46,18 +46,18 @@ func failureAdaptRun(sc obs.Scope) {
 	}, T, dur, dur/3, 1)
 }
 
-// failureFleetRun is a chaos fleet whose every epoch stages through a
-// two-member canary cohort for eight aggregation rounds (so the next drift
-// finds the wave still open); member 1 of the cohort has faults:
-// fleet.Controller's parked installs, catch-up, deferred builds, failed
-// verdicts and rollbacks.
+// failureFleetRun is a fleet whose every epoch stages through a two-member
+// canary cohort for eight aggregation rounds (so the next drift finds the
+// wave still open); member 1 of the cohort has an outage clock on its
+// channel: fleet.Controller's parked installs, catch-up, deferred builds,
+// failed verdicts and rollbacks.
 func failureFleetRun(sc obs.Scope) {
 	const agg = 2 * netsim.Millisecond
 	const dur = 200 * netsim.Millisecond
 	f := rig.NewFleet(rig.FleetOpts{
 		Members: 4, Seed: 1, Agg: agg, Dur: dur, End: 2 * dur,
 		CanaryCount: 2, CanaryWindow: 8 * agg,
-		OddFaults: chaosWithOutages(dur/4, dur/10),
+		OddFaults: fault.Profile{OutagePeriod: int64(dur / 4), OutageDuration: int64(dur / 10)},
 		Scope:     sc,
 		Stream:    rig.Stream{Every: agg / 8},
 	})

@@ -10,7 +10,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/stats"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
@@ -196,11 +195,8 @@ func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 	// so snapshot updates take effect mid-flow (paper §3.4 footnote).
 	coreCfg := adaptiveCoreConfig()
 	coreCfg.FlowCacheTimeout = 0
-	var coreOpts []opt.Option
-	if v.wdWindow > 0 {
-		coreOpts = append(coreOpts, opt.WithWatchdog(opt.Watchdog{Window: int64(v.wdWindow)}))
-	}
-	dep := d.Deploy(coreCfg, rig.Build(userNet, coreCfg.Quant, "alpha0"), coreOpts...)
+	coreCfg.WatchdogWindow = v.wdWindow
+	dep := d.Deploy(coreCfg, rig.Build(userNet, coreCfg.Quant, "alpha0"))
 	lf := dep.Core
 	lf.SetFlowCache(false)
 

@@ -9,7 +9,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
-	"github.com/liteflow-sim/liteflow/internal/opt"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/workload"
 )
@@ -54,7 +53,7 @@ func FigFlowChurn(cfg Config) Result {
 		net := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Tanh}, cfg.Seed+int64(i))
 		mods[i] = rig.Build(net, ccfg.Quant, fmt.Sprintf("churn%d", i))
 	}
-	dep := rig.Deploy(eng, nil, ksim.DefaultCosts(), ccfg, mods[0], opt.WithScope(cfg.Obs))
+	dep := rig.Deploy(eng, nil, ksim.DefaultCosts(), ccfg, mods[0], cfg.Obs)
 	lf := dep.Core
 
 	// Long-lived adaptation loop: a new snapshot activates every dur/adaptGens.

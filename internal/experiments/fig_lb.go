@@ -8,6 +8,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/lb"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
+	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 	"github.com/liteflow-sim/liteflow/internal/topo"
@@ -74,7 +75,7 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	switch name {
 	case "LF-MLP", "LF-MLP-N-O-A":
 		coreCfg := adaptiveCoreConfig()
-		dep = rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net.Clone(), coreCfg.Quant, "lbmlp0"))
+		dep = rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net.Clone(), coreCfg.Quant, "lbmlp0"), obs.Scope{})
 		// Per-flow decisions are one-shot: the flow cache adds nothing.
 		dep.Core.SetFlowCache(false)
 		decide = rig.KernelDecider(dep.Core, cfg.Seed+33, 0, lb.Argmax)

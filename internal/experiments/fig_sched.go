@@ -9,6 +9,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
+	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/sched"
 	"github.com/liteflow-sim/liteflow/internal/stats"
@@ -29,7 +30,7 @@ func Fig15(cfg Config) Result {
 	// The kernel arm queries a deployed snapshot like fig16's; its latency
 	// depends only on the MACs and the jitter stream.
 	coreCfg := core.DefaultConfig()
-	lf := rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net, coreCfg.Quant, "ffnn")).Core
+	lf := rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net, coreCfg.Quant, "ffnn"), obs.Scope{}).Core
 	lf.SetFlowCache(false)
 
 	preds := []struct {
@@ -239,7 +240,7 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	switch {
 	case isLF || isNOA:
 		coreCfg := adaptiveCoreConfig()
-		dep = rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net.Clone(), coreCfg.Quant, "ffnn0"))
+		dep = rig.Deploy(eng, nil, costs, coreCfg, rig.Build(net.Clone(), coreCfg.Quant, "ffnn0"), obs.Scope{})
 		decide = rig.KernelDecider(dep.Core, cfg.Seed+22, sched.PrioOf(1e6), sched.Decode)
 		if isLF {
 			dep.AttachSlowPath(sl.Hosts[0].CPU, user, batchT, nil)

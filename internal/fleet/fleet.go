@@ -42,7 +42,6 @@ import (
 
 	"github.com/liteflow-sim/liteflow/internal/codegen"
 	"github.com/liteflow-sim/liteflow/internal/core"
-	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
@@ -177,8 +176,6 @@ type Member struct {
 	parkedEpoch int64 // epoch of a standby parked by degradation (0 = none)
 	installing  bool  // an install is queued or in flight
 	pending     []core.Sample
-
-	inj *fault.Injector
 }
 
 // version ties an epoch to its built module, whose Program is also the
@@ -286,16 +283,16 @@ func New(eng *netsim.Engine, coreCfg core.Config, f core.Freezer, e core.Evaluat
 // AddMember enrolls one (core, channel) pair. The channel's delivery
 // callback is replaced with the controller's aggregator, and the member
 // core's watchdog (when configured) is armed — the controller is its slow
-// path now. opt.WithFaults subjects this member's batch stream to injected
-// outages (the controller drops its batches inside outage windows, which is
-// the silence the member's watchdog detects). Members join before Start:
-// after it AddMember returns an error and enrolls nothing.
-func (c *Controller) AddMember(co *core.Core, ch *netlink.Channel, options ...opt.Option) (*Member, error) {
+// path now. The channel's fault injector (netlink.Channel.SetFaults)
+// subjects this member's batch stream to injected outages (the controller
+// drops its batches inside outage windows, which is the silence the member's
+// watchdog detects). Members join before Start: after it AddMember returns
+// an error and enrolls nothing.
+func (c *Controller) AddMember(co *core.Core, ch *netlink.Channel) (*Member, error) {
 	if c.running {
 		return nil, fmt.Errorf("fleet: member %d added after Start", len(c.members))
 	}
-	o := opt.Resolve(options)
-	m := &Member{Index: len(c.members), Core: co, Chan: ch, inj: o.Faults}
+	m := &Member{Index: len(c.members), Core: co, Chan: ch}
 	msc := c.sc.With(obs.Label{Key: "member", Value: strconv.Itoa(m.Index)})
 	obs.GaugeOf(msc, "liteflow_fleet_member_epoch", "fleet epoch this member last activated", &m.epoch)
 	ch.SetDeliver(func(batch []netlink.Message) { c.handleMemberBatch(m, batch) })
@@ -413,7 +410,7 @@ func (c *Controller) handleMemberBatch(m *Member, batch []netlink.Message) {
 		return
 	}
 	now := c.eng.Now()
-	if m.inj.ServiceDown(int64(now)) {
+	if m.Chan.Faults().ServiceDown(int64(now)) {
 		c.st.OutageDrops++
 		c.sc.Event2("fleet", "outage_drop", now, "member", int64(m.Index), "msgs", int64(len(batch)))
 		return

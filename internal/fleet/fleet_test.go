@@ -40,10 +40,17 @@ type fleetRig struct {
 	chans []*netlink.Channel
 }
 
-// newFleetRig builds an n-member fleet. memberOptions(i) supplies per-member
-// core/controller options (watchdog, faults); nil means none. ctrlOptions
-// reach New.
-func newFleetRig(t *testing.T, n int, cfg Config, memberOptions func(i int) (coreOpts, memberOpts []opt.Option), ctrlOptions ...opt.Option) *fleetRig {
+// memberSetup is one member's wiring in newFleetRig: its core's scope and
+// watchdog window (0 = none), and the fault injector its channel carries.
+type memberSetup struct {
+	sc     obs.Scope
+	window netsim.Time
+	inj    *fault.Injector
+}
+
+// newFleetRig builds an n-member fleet. member(i) supplies member i's
+// wiring; nil means the zero memberSetup for all. ctrlOptions reach New.
+func newFleetRig(t *testing.T, n int, cfg Config, member func(i int) memberSetup, ctrlOptions ...opt.Option) *fleetRig {
 	t.Helper()
 	eng := netsim.NewEngine()
 	ccfg := core.DefaultConfig()
@@ -53,14 +60,17 @@ func newFleetRig(t *testing.T, n int, cfg Config, memberOptions func(i int) (cor
 	ctrl := New(eng, ccfg, user, user, user, cfg, ctrlOptions...)
 	r := &fleetRig{eng: eng, ctrl: ctrl, user: user}
 	for i := 0; i < n; i++ {
-		var co, mo []opt.Option
-		if memberOptions != nil {
-			co, mo = memberOptions(i)
+		var m memberSetup
+		if member != nil {
+			m = member(i)
 		}
+		mcfg := ccfg
+		mcfg.WatchdogWindow = m.window
 		cpu := ksim.NewHostCPU(eng, 4)
-		c := core.NewCore(eng, cpu, ksim.DefaultCosts(), ccfg, co...)
+		c := core.NewCore(eng, cpu, ksim.DefaultCosts(), mcfg, opt.WithScope(m.sc))
 		ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
-		if _, err := ctrl.AddMember(c, ch, mo...); err != nil {
+		ch.SetFaults(m.inj)
+		if _, err := ctrl.AddMember(c, ch); err != nil {
 			t.Fatal(err)
 		}
 		r.cores = append(r.cores, c)
@@ -223,12 +233,11 @@ func TestBoundedInstallConcurrency(t *testing.T) {
 // install parks on its core, and the first post-recovery batch activates the
 // parked standby, restoring epoch parity without a rebuild.
 func TestStragglerParksAndCatchesUp(t *testing.T) {
-	wd := opt.WithWatchdog(opt.Watchdog{Window: int64(50 * netsim.Millisecond)})
 	r := newFleetRig(t, 3, Config{
 		BatchInterval:       10 * netsim.Millisecond,
 		AggregationInterval: 10 * netsim.Millisecond,
-	}, func(i int) ([]opt.Option, []opt.Option) {
-		return []opt.Option{wd}, nil
+	}, func(i int) memberSetup {
+		return memberSetup{window: 50 * netsim.Millisecond}
 	})
 	defer r.ctrl.Stop()
 
@@ -300,11 +309,11 @@ func TestOutageDropsMemberBatches(t *testing.T) {
 	r := newFleetRig(t, 2, Config{
 		BatchInterval:       10 * netsim.Millisecond,
 		AggregationInterval: 10 * netsim.Millisecond,
-	}, func(i int) ([]opt.Option, []opt.Option) {
+	}, func(i int) memberSetup {
 		if i == 1 {
-			return nil, []opt.Option{opt.WithFaults(inj)}
+			return memberSetup{inj: inj}
 		}
-		return nil, nil
+		return memberSetup{}
 	})
 	defer r.ctrl.Stop()
 	r.eng.RunUntil(5 * netsim.Millisecond) // inside member 1's outage window
@@ -334,8 +343,8 @@ func TestInjectorsOnSharedScopeCountTheirOwn(t *testing.T) {
 		r := newFleetRig(t, 2, Config{
 			BatchInterval:       5 * netsim.Millisecond,
 			AggregationInterval: 5 * netsim.Millisecond,
-		}, func(i int) ([]opt.Option, []opt.Option) {
-			return nil, []opt.Option{opt.WithFaults(injs[i])}
+		}, func(i int) memberSetup {
+			return memberSetup{inj: injs[i]}
 		})
 		defer r.ctrl.Stop()
 		r.feedAll(5*netsim.Millisecond, 400*netsim.Millisecond)

@@ -38,17 +38,14 @@ func TestRolloutInvariants(t *testing.T) {
 			if tc.staged {
 				cfg.CanaryCount, cfg.CanaryWindow, cfg.Flight = 1, 8*agg, fr
 			}
-			r := newFleetRig(t, 4, cfg, func(i int) (coreOpts, memberOpts []opt.Option) {
-				coreOpts = []opt.Option{
-					opt.WithScope(sc.With(obs.Label{Key: "host", Value: strconv.Itoa(i)})),
-					opt.WithWatchdog(opt.Watchdog{Window: int64(3 * agg)}),
-				}
+			r := newFleetRig(t, 4, cfg, func(i int) memberSetup {
+				m := memberSetup{sc: sc.With(obs.Label{Key: "host", Value: strconv.Itoa(i)}), window: 3 * agg}
 				if i%2 == 1 {
-					memberOpts = []opt.Option{opt.WithFaults(fault.New(fault.Profile{
+					m.inj = fault.New(fault.Profile{
 						OutagePeriod: int64(15 * agg), OutageDuration: int64(6 * agg),
-					}, int64(7+i), sc))}
+					}, int64(7+i), sc)
 				}
-				return coreOpts, memberOpts
+				return m
 			}, opt.WithScope(sc))
 			defer r.ctrl.Stop()
 			c := r.ctrl

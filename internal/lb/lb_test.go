@@ -8,6 +8,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
+	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
 )
@@ -99,7 +100,7 @@ func deployArms(net *nn.Network) (*netsim.Engine, [3]rig.Decider) {
 	eng := netsim.NewEngine()
 	costs := ksim.DefaultCosts()
 	cfg := core.DefaultConfig()
-	c := rig.Deploy(eng, nil, costs, cfg, rig.Build(net, cfg.Quant, "lbmlp")).Core
+	c := rig.Deploy(eng, nil, costs, cfg, rig.Build(net, cfg.Quant, "lbmlp"), obs.Scope{}).Core
 	c.SetFlowCache(false)
 	return eng, [3]rig.Decider{
 		rig.KernelDecider(c, 1, -1, Argmax),

@@ -7,7 +7,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
-	"github.com/liteflow-sim/liteflow/internal/opt"
 )
 
 // TestSetDeliverReplacementAppliesToInFlightBatches pins the delivery-callback
@@ -53,8 +52,8 @@ func TestFlushFaults(t *testing.T) {
 	cpu := ksim.NewHostCPU(eng, 4)
 	dropAll := fault.New(fault.Profile{MsgDropP: 1}, 1, obs.Scope{})
 	delivered := 0
-	ch := NewChannel(eng, cpu, ksim.DefaultCosts(), func(b []Message) { delivered += len(b) },
-		opt.WithFaults(dropAll))
+	ch := NewChannel(eng, cpu, ksim.DefaultCosts(), func(b []Message) { delivered += len(b) })
+	ch.SetFaults(dropAll)
 	ch.Push(Message{Data: []float64{1}})
 	ch.Push(Message{Data: []float64{2}})
 	ch.Flush()
@@ -71,8 +70,8 @@ func TestFlushFaults(t *testing.T) {
 
 	corrupt := fault.New(fault.Profile{MsgCorruptP: 1}, 1, obs.Scope{})
 	var got []Message
-	ch2 := NewChannel(eng, cpu, ksim.DefaultCosts(), func(b []Message) { got = b },
-		opt.WithFaults(corrupt))
+	ch2 := NewChannel(eng, cpu, ksim.DefaultCosts(), func(b []Message) { got = b })
+	ch2.SetFaults(corrupt)
 	ch2.Push(Message{Data: []float64{2, 7, 7}})
 	ch2.Flush()
 	eng.Run()

@@ -88,18 +88,27 @@ type Channel struct {
 // it may also be installed later with SetDeliver (batches that fire while no
 // callback is installed are counted and discarded, never a panic).
 // opt.WithScope exports channel metrics and batch-delivery trace events
-// (omitted, telemetry is a no-op but Stats still counts); opt.WithFaults
-// injects message drop/corruption and batch delay/reorder at flush time.
+// (omitted, telemetry is a no-op but Stats still counts). SetFaults attaches
+// a fault injector.
 func NewChannel(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, deliver func(batch []Message), options ...opt.Option) *Channel {
-	o := opt.Resolve(options)
 	c := &Channel{eng: eng, cpu: cpu, costs: costs, deliver: deliver,
-		inj: o.Faults, sc: o.Scope}
+		sc: opt.Resolve(options).Scope}
 	c.register(c.sc)
 	return c
 }
 
 // Stats returns a copy of the channel's counters.
 func (c *Channel) Stats() Stats { return c.st }
+
+// SetFaults attaches the one fault injector of this kernel↔userspace
+// boundary (nil injects nothing). The channel draws message drop/corruption
+// and batch delay/reorder from it at flush time; the slow path behind the
+// channel — a core.Service or a fleet member — reads its outages and
+// snapshot build failures from Faults.
+func (c *Channel) SetFaults(inj *fault.Injector) { c.inj = inj }
+
+// Faults returns the channel's fault injector (nil when none is attached).
+func (c *Channel) Faults() *fault.Injector { return c.inj }
 
 // SetDeliver replaces the kernel-batch delivery callback. The userspace
 // service installs itself here after construction.

@@ -1,10 +1,14 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 )
 
 // Exports names where one CLI run's telemetry goes. Empty fields export
@@ -52,7 +56,8 @@ func (s *Session) Scope() Scope { return New(s.Reg, s.Tracer) }
 // Finish writes the requested files, warns on stderr if the trace ring
 // wrapped (the export then lacks its oldest events; a trace_ring_overflow
 // event marks the spot), and with Listen set serves the HTTP endpoints until
-// the process is killed. prog prefixes the messages.
+// SIGINT or SIGTERM and then returns, so the process exits normally. prog
+// prefixes the messages.
 func (s *Session) Finish(prog string, stderr io.Writer) error {
 	for _, out := range []struct {
 		path  string
@@ -73,11 +78,31 @@ func (s *Session) Finish(prog string, stderr io.Writer) error {
 	if n := s.Tracer.Evicted(); n > 0 {
 		fmt.Fprintf(stderr, "%s: trace ring overflowed, %d oldest events evicted (it keeps the newest %d)\n", prog, n, s.Tracer.Cap())
 	}
-	if s.ex.Listen != "" {
-		fmt.Fprintf(stderr, "serving telemetry on %s (/metrics, /debug/trace, /debug/flight) — ctrl-c to stop\n", s.ex.Listen)
-		return http.ListenAndServe(s.ex.Listen, NewHTTPHandler(s.Reg, s.Tracer, s.Flight))
+	if s.ex.Listen == "" {
+		return nil
 	}
-	return nil
+	ln, err := net.Listen("tcp", s.ex.Listen)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	fmt.Fprintf(stderr, "serving telemetry on %s (/metrics, /debug/trace, /debug/flight) — ctrl-c to stop\n", ln.Addr())
+	return serve(ctx, ln, NewHTTPHandler(s.Reg, s.Tracer, s.Flight))
+}
+
+// serve answers h on ln until ctx ends, then shuts the server down, letting
+// requests in flight finish, and returns Shutdown's error.
+func serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	srv := &http.Server{Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+		return srv.Shutdown(context.Background())
+	}
 }
 
 func writeFile(path string, write func(io.Writer) error) error {

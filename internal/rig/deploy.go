@@ -49,9 +49,10 @@ type Deployment struct {
 }
 
 // Deploy creates a core on eng (cpu may be nil: no CPU accounting) with mod
-// as its active snapshot. options reach core.NewCore.
-func Deploy(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg core.Config, mod *codegen.Module, options ...opt.Option) *Deployment {
-	c := core.NewCore(eng, cpu, costs, cfg, options...)
+// as its active snapshot, exporting under sc (the zero scope exports
+// nothing).
+func Deploy(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg core.Config, mod *codegen.Module, sc obs.Scope) *Deployment {
+	c := core.NewCore(eng, cpu, costs, cfg, opt.WithScope(sc))
 	if _, err := c.RegisterModel(mod); err != nil {
 		panic("rig: register snapshot: " + err.Error())
 	}
@@ -61,12 +62,13 @@ func Deploy(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg core.Config
 // AttachSlowPath gives the deployment its userspace half: a netlink channel
 // charging cpu (the host whose kernel batches the samples — not always the
 // core's own CPU), a service driven by user, and batch delivery every T. The
-// channel exports under the core's scope; inj (nil = none) subjects both to
-// injected faults.
+// channel exports under the core's scope and carries inj (nil = none), which
+// subjects both the channel and the service to injected faults.
 func (d *Deployment) AttachSlowPath(cpu *ksim.CPU, user User, T netsim.Time, inj *fault.Injector) {
 	c := d.Core
-	d.Chan = netlink.NewChannel(c.Eng, cpu, c.Costs, nil, opt.WithScope(c.Obs()), opt.WithFaults(inj))
-	d.Svc = core.NewSlowPath(c, d.Chan, user, user, user, opt.WithFaults(inj))
+	d.Chan = netlink.NewChannel(c.Eng, cpu, c.Costs, nil, opt.WithScope(c.Obs()))
+	d.Chan.SetFaults(inj)
+	d.Svc = core.NewSlowPath(c, d.Chan, user, user, user)
 	d.Svc.Start(T)
 }
 

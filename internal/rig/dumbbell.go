@@ -128,9 +128,8 @@ func NewDumbbell(o DumbbellOpts) *Dumbbell {
 
 // Deploy installs mod on a core in the sender's partition, on the sender's
 // CPU and under the rig's scope. Run stops it.
-func (d *Dumbbell) Deploy(cfg core.Config, mod *codegen.Module, options ...opt.Option) *Deployment {
-	options = append([]opt.Option{opt.WithScope(d.opts.Scope)}, options...)
-	d.Dep = Deploy(d.Sender.Eng, d.Sender.CPU, d.Costs, cfg, mod, options...)
+func (d *Dumbbell) Deploy(cfg core.Config, mod *codegen.Module) *Deployment {
+	d.Dep = Deploy(d.Sender.Eng, d.Sender.CPU, d.Costs, cfg, mod, d.opts.Scope)
 	return d.Dep
 }
 

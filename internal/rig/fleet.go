@@ -90,8 +90,10 @@ type FleetOpts struct {
 	// members for CanaryWindow (0 = 4 aggregation intervals) before release.
 	CanaryCount  int
 	CanaryWindow netsim.Time
-	// OddFaults (zero = none) gives every odd-indexed member its own
-	// injector with this profile, seeded from Seed and the host index.
+	// OddFaults (zero = none) gives every odd-indexed member's netlink
+	// channel its own injector with this profile, seeded from Seed and the
+	// host index: the channel draws its netlink faults, the controller its
+	// outages.
 	OddFaults fault.Profile
 	// A canary gate provisions a private registry/recorder where
 	// Scope/Flight bring none.
@@ -140,6 +142,10 @@ func NewFleet(o FleetOpts) *Fleet {
 		sign:       1,
 	}}
 	ccfg := core.DefaultConfig()
+	// The member cores' watchdog: a few missed batch intervals mean the slow
+	// path is dark for a member, so it degrades instead of waiting on a
+	// half-installed standby. The controller reads no window.
+	ccfg.WatchdogWindow = 4 * o.Agg
 	fcfg := fleet.Config{
 		BatchInterval:         o.Agg,
 		AggregationInterval:   o.Agg,
@@ -160,16 +166,12 @@ func NewFleet(o FleetOpts) *Fleet {
 	for i := 0; i < o.Members; i++ {
 		hsc := opt.WithScope(sc.With(obs.Label{Key: "host", Value: strconv.Itoa(i)}))
 		cpu := ksim.NewHostCPU(eng, 4, hsc)
-		// The member core's watchdog: a few missed batch intervals mean the
-		// slow path is dark for this member, so degrade instead of waiting on
-		// a half-installed standby.
-		co := core.NewCore(eng, cpu, costs, ccfg, hsc, opt.WithWatchdog(opt.Watchdog{Window: int64(4 * o.Agg)}))
+		co := core.NewCore(eng, cpu, costs, ccfg, hsc)
 		ch := netlink.NewChannel(eng, cpu, costs, nil, hsc)
-		var memberOpts []opt.Option
 		if o.OddFaults.Active() && i%2 == 1 {
-			memberOpts = []opt.Option{opt.WithFaults(fault.New(o.OddFaults, o.Seed*1009+int64(i), sc))}
+			ch.SetFaults(fault.New(o.OddFaults, o.Seed*1009+int64(i), sc))
 		}
-		if _, err := f.Ctrl.AddMember(co, ch, memberOpts...); err != nil {
+		if _, err := f.Ctrl.AddMember(co, ch); err != nil {
 			panic("rig: fleet member " + strconv.Itoa(i) + ": " + err.Error())
 		}
 	}

@@ -20,26 +20,30 @@
 // implementation. See examples/quickstart for a complete program and
 // DESIGN.md for the system inventory.
 //
-// # Functional options
+// # Construction
 //
-// Constructors take variadic Option values instead of trailing positional
-// extras:
+// Each component has one constructor (NewCore, NewHostCPU,
+// NewNetlinkChannel, NewSlowPath), and each setting lives where it is read.
+// NewCore, NewHostCPU and NewNetlinkChannel take one optional Option,
+// WithScope, which attaches an observability Scope (metrics + tracing):
 //
-//	lf := liteflow.NewCore(eng, cpu, costs, cfg,
-//		liteflow.WithScope(sc),          // telemetry export
-//		liteflow.WithFaults(inj),        // deterministic fault injection
-//		liteflow.WithWatchdog(liteflow.WatchdogConfig{}))
+//	cfg := liteflow.DefaultConfig()
+//	cfg.WatchdogWindow = 300 * liteflow.Millisecond // 0: no watchdog
+//	lf := liteflow.NewCore(eng, cpu, costs, cfg, liteflow.WithScope(sc))
+//	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil, liteflow.WithScope(sc))
+//	ch.SetFaults(inj) // deterministic fault injection
+//	svc := liteflow.NewSlowPath(lf, ch, u, u, u)
 //
-// WithScope attaches an observability Scope (metrics + tracing). WithFaults
-// attaches a deterministic, seed-driven fault injector (NewFaultInjector)
-// that perturbs the netlink boundary and the slow path. WithWatchdog arms
-// the core's slow-path watchdog: if no batch reaches the service within the
-// configured window the core degrades gracefully to its last-good snapshot
-// (counted in liteflow_core_degraded_total) instead of serving stale standby
-// state; while degraded, Activate is rejected with ErrDegraded so the
-// last-good snapshot stays pinned until the slow path recovers. Each
-// component has this one constructor (NewCore, NewHostCPU,
-// NewNetlinkChannel, NewSlowPath).
+// Config.WatchdogWindow arms the core's slow-path watchdog: if no batch
+// reaches the service within the window the core degrades gracefully to its
+// last-good snapshot (counted in liteflow_core_degraded_total) instead of
+// serving stale standby state; while degraded, Activate is rejected with
+// ErrDegraded so the last-good snapshot stays pinned until the slow path
+// recovers. Channel.SetFaults attaches a deterministic, seed-driven fault
+// injector (NewFaultInjector) to the netlink boundary: the channel drops,
+// corrupts, delays and reorders messages from it, and the service behind the
+// channel reads its outages and snapshot build failures from the same
+// injector.
 //
 // # Errors
 //
@@ -64,9 +68,8 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/quant"
 )
 
-// Option configures a constructor (see the package doc's "Functional
-// options" section). Options are shared across all LiteFlow constructors;
-// each constructor applies the ones relevant to it.
+// Option configures a constructor (see the package doc's "Construction"
+// section). WithScope is the only one.
 type Option = opt.Option
 
 // Fault-injection and resilience types.
@@ -80,24 +83,12 @@ type (
 	FaultProfile = fault.Profile
 	// FaultStats counts injected faults by kind.
 	FaultStats = fault.Stats
-	// WatchdogConfig tunes the core's slow-path watchdog (a zero Window
-	// picks 1 s; the watchdog checks every Window/2).
-	WatchdogConfig = opt.Watchdog
 )
 
 // WithScope attaches an observability Scope to a constructor. Components
 // that export gauges and share one scope need their own label sets (or their
 // own obs.Fork): registering a second gauge view on one series panics.
 func WithScope(sc Scope) Option { return opt.WithScope(sc) }
-
-// WithFaults attaches a fault injector to a constructor. The same injector
-// should be shared across the channel and slow path so its deterministic
-// streams interleave reproducibly.
-func WithFaults(inj *FaultInjector) Option { return opt.WithFaults(inj) }
-
-// WithWatchdog arms the core's slow-path watchdog with the given
-// configuration (zero value selects defaults).
-func WithWatchdog(w WatchdogConfig) Option { return opt.WithWatchdog(w) }
 
 // NewFaultInjector builds a deterministic fault injector for profile p,
 // seeded with seed. Same profile + seed ⇒ identical fault decisions, so
@@ -207,8 +198,8 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 func DefaultQuantConfig() QuantConfig { return quant.DefaultConfig() }
 
 // NewCore creates a LiteFlow core module on eng. cpu may be nil to disable
-// CPU cost accounting. WithScope exports fast-path telemetry; WithWatchdog
-// arms graceful degradation when the slow path stalls.
+// CPU cost accounting. WithScope exports fast-path telemetry; a nonzero
+// cfg.WatchdogWindow arms graceful degradation when the slow path stalls.
 func NewCore(eng *Engine, cpu *CPU, costs Costs, cfg Config, options ...Option) *Core {
 	return core.NewCore(eng, cpu, costs, cfg, options...)
 }
@@ -252,8 +243,8 @@ func GenerateSource(p *Program, name string) (string, error) {
 
 // NewNetlinkChannel creates a batched netlink channel on the given host CPU.
 // Pass the service's HandleBatch (or use NewSlowPath, which wires itself).
-// WithScope exports batch-delivery telemetry; WithFaults injects message and
-// batch faults at flush time.
+// WithScope exports batch-delivery telemetry; the channel's SetFaults
+// attaches a fault injector for it and the slow path behind it.
 func NewNetlinkChannel(eng *Engine, cpu *CPU, costs Costs, deliver func([]netlink.Message), options ...Option) *Channel {
 	return netlink.NewChannel(eng, cpu, costs, deliver, options...)
 }
@@ -269,11 +260,11 @@ func EncodeSample(s Sample) Message { return core.EncodeSample(s) }
 func ParseSample(m Message) (Sample, error) { return core.ParseSample(m) }
 
 // NewSlowPath wires the userspace slow path to a core and its channel. The
-// service exports under the core's Scope; WithFaults injects snapshot build
-// failures and service outages. A failed build is
-// retried twice, after 50 ms and then 100 ms of virtual time.
-func NewSlowPath(c *Core, ch *Channel, f Freezer, e Evaluator, a Adapter, options ...Option) *Service {
-	return core.NewSlowPath(c, ch, f, e, a, options...)
+// service exports under the core's Scope; the channel's fault injector
+// (Channel.SetFaults) injects snapshot build failures and service outages. A
+// failed build is retried twice, after 50 ms and then 100 ms of virtual time.
+func NewSlowPath(c *Core, ch *Channel, f Freezer, e Evaluator, a Adapter) *Service {
+	return core.NewSlowPath(c, ch, f, e, a)
 }
 
 // NewFlowBackend returns a fast-path inference backend for one flow,

@@ -99,10 +99,10 @@ func TestGenerateSourceFacade(t *testing.T) {
 	}
 }
 
-// TestOptionsAPILifecycle exercises the redesigned functional-options
-// constructors end to end: an injected-fault run with watchdog + retry
-// policies, sentinel-error classification, and profile lookup — all through
-// the public facade.
+// TestOptionsAPILifecycle exercises the constructors end to end: an
+// injected-fault run with the watchdog window in Config and the injector on
+// the channel, retry policies, sentinel-error classification, and profile
+// lookup — all through the public facade.
 func TestOptionsAPILifecycle(t *testing.T) {
 	eng := liteflow.NewEngine()
 	cpu := liteflow.NewHostCPU(eng, 4)
@@ -128,18 +128,17 @@ func TestOptionsAPILifecycle(t *testing.T) {
 	cfg := liteflow.DefaultConfig()
 	cfg.OutMin, cfg.OutMax = 0, 1
 	cfg.FlowCacheTimeout = 0
-	lf := liteflow.NewCore(eng, cpu, costs, cfg,
-		liteflow.WithScope(sc),
-		liteflow.WithWatchdog(liteflow.WatchdogConfig{Window: int64(200 * liteflow.Millisecond)}))
+	cfg.WatchdogWindow = 200 * liteflow.Millisecond
+	lf := liteflow.NewCore(eng, cpu, costs, cfg, liteflow.WithScope(sc))
 	defer lf.StopWatchdog()
 	if _, err := lf.RegisterModel(snap); err != nil {
 		t.Fatal(err)
 	}
 
 	u := &apiUser{net: net.Clone()}
-	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil,
-		liteflow.WithScope(sc), liteflow.WithFaults(inj))
-	svc := liteflow.NewSlowPath(lf, ch, u, u, u, liteflow.WithFaults(inj))
+	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil, liteflow.WithScope(sc))
+	ch.SetFaults(inj)
+	svc := liteflow.NewSlowPath(lf, ch, u, u, u)
 	svc.Start(50 * liteflow.Millisecond)
 	for i := 0; i < 60; i++ {
 		ch.Push(liteflow.EncodeSample(liteflow.Sample{
