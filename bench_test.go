@@ -266,7 +266,7 @@ func BenchmarkFleetFanout(b *testing.B) {
 	eng := netsim.NewEngine()
 	cfg := core.DefaultConfig()
 	cfg.StabilityWindow = 1 // open the correctness gate on the first round
-	user := &fanoutUser{net: nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 1), sign: 0.5}
+	user := &fanoutUser{Network: nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 1), sign: 0.5}
 	ctrl := fleet.New(eng, cfg, user, user, user, fleet.Config{
 		BatchInterval:         netsim.Millisecond,
 		AggregationInterval:   netsim.Millisecond,
@@ -309,15 +309,13 @@ func BenchmarkFleetFanout(b *testing.B) {
 // fanoutUser flips the model every pooled adaptation round, so every
 // aggregation fails the necessity gate and mints a new epoch.
 type fanoutUser struct {
-	net  *nn.Network
+	*nn.Network
 	sign float64
 }
 
-func (u *fanoutUser) Freeze() *nn.Network          { return u.net }
-func (u *fanoutUser) Stability() float64           { return 0.5 }
-func (u *fanoutUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
+func (u *fanoutUser) Stability() float64 { return 0.5 }
 func (u *fanoutUser) Adapt([]core.Sample) {
-	u.net.Layers[len(u.net.Layers)-1].B[0] += u.sign
+	u.Layers[len(u.Layers)-1].B[0] += u.sign
 	u.sign = -u.sign
 }
 

@@ -221,20 +221,15 @@ func parseCC(fs *flag.FlagSet, args []string) (command, error) {
 	return o.command("Gbps", o.run), nil
 }
 
-// staticUser is the slow-path user for -adapt runs: it never retunes the
-// model, so the service's convergence gate opens immediately and every
-// necessity check exercises the full netlink round trip (then skips the
-// install because fidelity loss is zero).
-type staticUser struct{ net *nn.Network }
+// staticUser is the slow-path user for -adapt runs: its network answers
+// freezing and evaluation, and it never retunes the model, so the service's
+// convergence gate opens immediately and every necessity check exercises the
+// full netlink round trip (then skips the install because fidelity loss is
+// zero).
+type staticUser struct{ *nn.Network }
 
-func (u staticUser) Freeze() *nn.Network          { return u.net }
-func (u staticUser) Stability() float64           { return 1 }
-func (u staticUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
-func (u staticUser) Adapt([]core.Sample)          {}
-
-// OutputSize and InferBatch make staticUser a core.BatchEvaluator.
-func (u staticUser) OutputSize() int                         { return u.net.OutputSize() }
-func (u staticUser) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
+func (staticUser) Stability() float64  { return 1 }
+func (staticUser) Adapt([]core.Sample) {}
 
 // run executes one dumbbell run. rep offsets the pretraining and fault
 // seeds; the returned goodput is the aggregate across flows in Gbps.

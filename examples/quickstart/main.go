@@ -18,20 +18,15 @@ import (
 	liteflow "github.com/liteflow-sim/liteflow"
 )
 
-// user implements the three userspace-service interfaces around one network.
+// user implements the three userspace-service interfaces: the embedded
+// network answers freezing and evaluation (with the optional block form,
+// BatchEvaluator), so a user writes only Stability and Adapt.
 type user struct {
-	net  *liteflow.Network
+	*liteflow.Network
 	loss float64
 }
 
-func (u *user) Freeze() *liteflow.Network    { return u.net }
-func (u *user) Stability() float64           { return u.loss }
-func (u *user) Infer(in []float64) []float64 { return u.net.Infer(in) }
-
-// OutputSize and InferBatch are the optional liteflow.BatchEvaluator: the
-// necessity gate then asks for a block of f(x) at a time.
-func (u *user) OutputSize() int                         { return u.net.OutputSize() }
-func (u *user) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
+func (u *user) Stability() float64 { return u.loss }
 
 func (u *user) Adapt(batch []liteflow.Sample) {
 	// A real adapter would train here; the quickstart just notes receipt
@@ -76,9 +71,9 @@ func main() {
 		float64(output[0])/float64(snap.Program.OutputScale), output[0], snap.Program.OutputScale)
 
 	// 5. The slow path: batched kernel→user delivery plus snapshot updates.
-	u := &user{net: net.Clone(), loss: 1}
+	u := &user{Network: net.Clone(), loss: 1}
 	// Diverge the userspace model so an update becomes necessary.
-	u.net.Layers[1].B[0] += 2
+	u.Layers[1].B[0] += 2
 	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil)
 	svc := liteflow.NewSlowPath(lf, ch, u, u, u)
 	svc.OnUpdate = func(m *liteflow.Model) {

@@ -67,26 +67,15 @@ func NewMOCCAlphaNet(seed int64) *nn.Network {
 // original pattern" the adaptation experiments start from. Returns the
 // final loss.
 func PretrainAlpha(net *nn.Network, alpha float64, iters int, seed int64) float64 {
-	r := newRand(seed)
-	opt := nn.NewAdam(2e-3)
-	const batch = 64
-	x := make([][]float64, batch)
-	y := make([][]float64, batch)
-	var loss float64
-	for it := 0; it < iters; it++ {
-		for i := 0; i < batch; i++ {
-			if i%2 == 0 {
-				// Calm steady-state inputs: the states the controller
-				// actually sees at equilibrium on its training pattern.
-				x[i] = CalmState(r)
-			} else {
-				x[i] = RandomState(r)
-			}
-			y[i] = []float64{alpha}
+	r := rand.New(rand.NewSource(seed))
+	return nn.Imitate(net, 2e-3, iters, func(i int) ([]float64, []float64) {
+		if i%2 == 0 {
+			// Calm steady-state inputs: the states the controller
+			// actually sees at equilibrium on its training pattern.
+			return CalmState(r), []float64{alpha}
 		}
-		loss = nn.TrainBatch(net, opt, x, y, 5)
-	}
-	return loss
+		return RandomState(r), []float64{alpha}
+	})
 }
 
 // CalmState samples a near-equilibrium MI state: tiny latency gradients and

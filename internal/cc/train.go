@@ -54,21 +54,8 @@ func absf(x float64) float64 {
 func Pretrain(net *nn.Network, iters int, seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
 	teacher := TeacherPolicy{}
-	opt := nn.NewAdam(2e-3)
-	const batch = 64
-	x := make([][]float64, batch)
-	y := make([][]float64, batch)
-	var loss float64
-	for it := 0; it < iters; it++ {
-		for i := 0; i < batch; i++ {
-			s := RandomState(r)
-			x[i] = s
-			y[i] = []float64{teacher.Act(s)}
-		}
-		loss = nn.TrainBatch(net, opt, x, y, 5)
-	}
-	return loss
+	return nn.Imitate(net, 2e-3, iters, func(int) ([]float64, []float64) {
+		s := RandomState(r)
+		return s, []float64{teacher.Act(s)}
+	})
 }
-
-// newRand returns a deterministic source for training helpers.
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

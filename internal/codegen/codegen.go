@@ -190,16 +190,23 @@ func activationUnit(p *quant.Program) (string, error) {
 	b := append([]byte(unitHeader), `// Activation unit: the fixed-point helpers snapshot model units call. It
 // follows from quantization scales, table size and range and activations,
 // never from a weight: retuned snapshots of one architecture share this file.
-`+pkgClause+`// rescale converts v between fixed-point scales with round-half-away rounding.
-func rescale(v, from, to int64) int64 {
-	if from == to {
+`+pkgClause+`// rescale converts v from the accumulator scale to scale to, rounding half
+// away from zero, exactly: |v| splits at the accumulator scale, so no product
+// passes 2^48.
+func rescale(v, to int64) int64 {
+	const accScale = `+strconv.Itoa(quant.AccScale)+`
+	if to == accScale {
 		return v
 	}
-	n := v * to
-	if n >= 0 {
-		return (n + from/2) / from
+	m := uint64(v)
+	if v < 0 {
+		m = -m
 	}
-	return (n - from/2) / from
+	n := int64(m/accScale*uint64(to) + (m%accScale*uint64(to)+accScale/2)/accScale)
+	if v < 0 {
+		return -n
+	}
+	return n
 }
 `...)
 	for i, l := range layers {
@@ -362,13 +369,13 @@ func actv_%[1]s(acc int64) int64 {
 	if acc < 0 {
 		return 0
 	}
-	return rescale(acc, %[2]d, %[3]d)
+	return rescale(acc, %[3]d)
 }
 `, id, quant.AccScale, l.OutScale())
 	default:
 		return fmt.Appendf(b, `// actv_%[1]s rescales the linear accumulator %[2]d -> %[3]d.
 func actv_%[1]s(acc int64) int64 {
-	return rescale(acc, %[2]d, %[3]d)
+	return rescale(acc, %[3]d)
 }
 `, id, quant.AccScale, l.OutScale())
 	}

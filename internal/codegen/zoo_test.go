@@ -179,7 +179,8 @@ func main() {
 // every zoo module and a small main are written into a temporary Go module,
 // compiled and run once by the go tool, and every output is compared bit for
 // bit with quant.Program.Infer — on 256 seeded inputs per model, a quarter
-// of them saturating the activation tables.
+// of them saturating the activation tables, and on one linear output whose
+// rescale passes 2⁶³ if formed as acc·C.
 func TestGeneratedSourceMatchesProgram(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the generated modules; skipped under -short")
@@ -201,7 +202,27 @@ func TestGeneratedSourceMatchesProgram(t *testing.T) {
 	}
 
 	mods := zooModules(t)
+	inputs := make([][][]int64, len(mods))
+	for k, mod := range mods {
+		inputs[k] = zooInputs(mod.Program, 256, int64(k)+1)
+	}
+	// A 1→1 linear net of weight 1 at C = 2²⁴−1 on input 40,000: its
+	// accumulator times C passes 2⁶³, and the output is the exact 40,000·C.
+	wide := nn.New([]int{1, 1}, []nn.Activation{nn.Linear}, 1)
+	wide.Layers[0].W[0][0], wide.Layers[0].B[0] = 1, 0
+	wideMod, err := codegen.Build(quant.Quantize(wide, quant.Config{OutputScale: quant.MaxOutputScale - 1}), "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideIn := wideMod.Program.QuantizeInput([]float64{40_000}, nil)
+	wideOut := make([]int64, 1)
+	if wideMod.Program.Infer(wideIn, wideOut); wideOut[0] != 671_088_600_000 {
+		t.Fatalf("Program.Infer of the wide net = %d, want 671088600000", wideOut[0])
+	}
+	mods, inputs = append(mods, wideMod), append(inputs, [][]int64{wideIn})
+
 	var imports, table, stdin, want strings.Builder
+	var lineModel []string
 	saturated := 0
 	for k, mod := range mods {
 		pkg := fmt.Sprintf("m%d", k)
@@ -213,13 +234,14 @@ func TestGeneratedSourceMatchesProgram(t *testing.T) {
 		fmt.Fprintf(&table, "\t{%d, %d, %s.Infer_%s},\n", p.InputSize(), p.OutputSize(), pkg, mod.Name)
 
 		out := make([]int64, p.OutputSize())
-		for _, in := range zooInputs(p, 256, int64(k)+1) {
+		for i, in := range inputs[k] {
 			if saturates(p, in) {
 				saturated++
 			}
 			fmt.Fprintf(&stdin, "%d %s\n", k, strings.Trim(fmt.Sprint(in), "[]"))
 			p.Infer(in, out)
 			fmt.Fprintln(&want, out)
+			lineModel = append(lineModel, fmt.Sprintf("%s input %d", mod.Name, i))
 		}
 	}
 	if saturated == 0 {
@@ -242,11 +264,9 @@ func TestGeneratedSourceMatchesProgram(t *testing.T) {
 	if len(got) != len(exp) {
 		t.Fatalf("generated modules printed %d lines, want %d", len(got), len(exp))
 	}
-	perModel := (len(exp) - 1) / len(mods)
 	for i := range exp {
 		if got[i] != exp[i] {
-			t.Fatalf("%s input %d: generated module = %s, Program.Infer = %s",
-				mods[i/perModel].Name, i%perModel, got[i], exp[i])
+			t.Fatalf("%s: generated module = %s, Program.Infer = %s", lineModel[i], got[i], exp[i])
 		}
 	}
 }

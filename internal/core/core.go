@@ -30,6 +30,7 @@ import (
 type Model struct {
 	Name    string
 	prog    *quant.Program
+	cost    netsim.Time // modeled kernel CPU work of one query
 	refs    int
 	retired bool // replaced as active; unloadable once refs == 0
 }
@@ -42,6 +43,10 @@ func (m *Model) OutputSize() int { return m.prog.OutputSize() }
 
 // Program exposes the executable snapshot (integer-only inference).
 func (m *Model) Program() *quant.Program { return m.prog }
+
+// Cost returns the modeled kernel CPU work of one inference on the snapshot,
+// at the registering core's KernelInferPerMAC.
+func (m *Model) Cost() netsim.Time { return m.cost }
 
 // Refs returns the flow-cache reference count.
 func (m *Model) Refs() int { return m.refs }
@@ -256,7 +261,8 @@ func (c *Core) RegisterModel(mod *codegen.Module) (*Model, error) {
 				c.active.InputSize(), c.active.OutputSize())
 		}
 	}
-	m := &Model{Name: mod.Name, prog: mod.Program}
+	m := &Model{Name: mod.Name, prog: mod.Program,
+		cost: ksim.InferCost(c.Costs.KernelInferPerMAC, mod.Program.MACs())}
 	c.models = append(c.models, m)
 	c.st.Installs++
 	c.sc.EventStr("snapshot", "install", c.Eng.Now(), "model", mod.Name)
@@ -370,11 +376,10 @@ func (c *Core) QueryModel(flow netsim.FlowID, in, out []int64) error {
 // modeled per-query cost in liteflow_query_ns, the kernel CPU charge.
 func (c *Core) infer(m *Model, in, out []int64) {
 	c.st.Queries++
-	cost := ksim.InferCost(c.Costs.KernelInferPerMAC, m.prog.MACs())
 	if c.CPU != nil {
-		c.CPU.Charge(ksim.Kernel, cost)
+		c.CPU.Charge(ksim.Kernel, m.cost)
 	}
-	c.queryNS.Observe(float64(cost))
+	c.queryNS.Observe(float64(m.cost))
 	m.prog.InferWith(&c.arena, in, out)
 }
 

@@ -298,15 +298,13 @@ func TestSampleCodec(t *testing.T) {
 // userModel is a complete user implementation of the three interfaces with
 // controllable stability.
 type userModel struct {
-	net       *nn.Network
+	*nn.Network
 	stability float64
 	adapted   int
 }
 
-func (u *userModel) Freeze() *nn.Network          { return u.net }
-func (u *userModel) Stability() float64           { return u.stability }
-func (u *userModel) Infer(in []float64) []float64 { return u.net.Infer(in) }
-func (u *userModel) Adapt(batch []Sample)         { u.adapted++ }
+func (u *userModel) Stability() float64   { return u.stability }
+func (u *userModel) Adapt(batch []Sample) { u.adapted++ }
 
 // serviceRig builds a full kernel+userspace rig around a linear-output net
 // so fidelity distances are controllable.
@@ -328,7 +326,7 @@ func newServiceRig(t *testing.T) *serviceRig {
 	c := NewCore(eng, cpu, ksim.DefaultCosts(), cfg)
 	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
 	c.RegisterModel(buildModule(t, base, "m0"))
-	user := &userModel{net: base.Clone(), stability: 1}
+	user := &userModel{Network: base.Clone(), stability: 1}
 	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 	svc := NewSlowPath(c, ch, user, user, user)
 	return &serviceRig{eng: eng, cpu: cpu, core: c, ch: ch, user: user, svc: svc}
@@ -361,7 +359,7 @@ func TestServiceAdaptsOnEveryBatch(t *testing.T) {
 func TestServiceCorrectnessGateBlocksUnstableModels(t *testing.T) {
 	r := newServiceRig(t)
 	// Shift the user model so an update WOULD be necessary…
-	r.user.net.Layers[1].B[0] += 0.5
+	r.user.Layers[1].B[0] += 0.5
 	// …but keep the stability metric oscillating wildly.
 	vals := []float64{10, 1, 8, 0.5, 12, 2, 9}
 	for i, v := range vals {
@@ -400,7 +398,7 @@ func TestServiceInstallsWhenModelDiverges(t *testing.T) {
 	r := newServiceRig(t)
 	// Diverge the user model: +0.5 on the linear output bias shifts every
 	// output by 0.5 > threshold 0.1.
-	r.user.net.Layers[1].B[0] += 0.5
+	r.user.Layers[1].B[0] += 0.5
 	r.user.stability = 0.5
 	var updated *Model
 	r.svc.OnUpdate = func(m *Model) { updated = m }
@@ -417,7 +415,7 @@ func TestServiceInstallsWhenModelDiverges(t *testing.T) {
 	// The new active snapshot must now match the user model closely.
 	in := []float64{0.2, 0.4, 0.6, 0.8}
 	kernelOut := r.core.Active().Program().InferFloat(in)[0]
-	userOut := r.user.net.Infer(in)[0]
+	userOut := r.user.Infer(in)[0]
 	if math.Abs(kernelOut-userOut) > 0.02 {
 		t.Errorf("post-update fidelity gap = %v", math.Abs(kernelOut-userOut))
 	}

@@ -39,7 +39,7 @@ func newWatchdogRig(t *testing.T, window netsim.Time, inj *fault.Injector) *watc
 	if _, err := c.RegisterModel(buildModule(t, base, "m0")); err != nil {
 		t.Fatal(err)
 	}
-	user := &userModel{net: base.Clone(), stability: 1}
+	user := &userModel{Network: base.Clone(), stability: 1}
 	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 	ch.SetFaults(inj)
 	svc := NewSlowPath(c, ch, user, user, user)

@@ -530,13 +530,11 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 			s.settle(nothingComparable, nil, "", 0)
 			return
 		}
-		prog := active.Program()
 		var charge func()
 		if s.Core.CPU != nil {
-			cost := ksim.InferCost(s.Core.Costs.KernelInferPerMAC, prog.MACs())
-			charge = func() { s.Core.CPU.Charge(ksim.Kernel, cost) }
+			charge = func() { s.Core.CPU.Charge(ksim.Kernel, active.Cost()) }
 		}
-		minLoss, mismatched := MinFidelityLoss(prog, s.Evaluator, samples, charge)
+		minLoss, mismatched := MinFidelityLoss(active.Program(), s.Evaluator, samples, charge)
 		s.st.FidelityMismatches += int64(mismatched)
 		if math.IsInf(minLoss, 1) {
 			s.settle(nothingComparable, nil, "", 0)

@@ -40,7 +40,7 @@ func TestNoConcurrentFidelityChecks(t *testing.T) {
 	// Diverge the user model so the check will want an install, then deliver
 	// two batches back-to-back: both flushes happen at the same virtual
 	// instant, so both deliveries land inside the first check's RTT window.
-	r.user.net.Layers[1].B[0] += 0.5
+	r.user.Layers[1].B[0] += 0.5
 	rng := rand.New(rand.NewSource(7))
 	for b := 0; b < 2; b++ {
 		for i := 0; i < 8; i++ {
@@ -82,8 +82,8 @@ func TestRejectedInstallCounted(t *testing.T) {
 	if _, err := c.RegisterModel(buildModule(t, base, "m0")); err != nil {
 		t.Fatal(err)
 	}
-	user := &userModel{net: base.Clone(), stability: 0.5}
-	user.net.Layers[1].B[0] += 0.5 // diverged: the check wants an install
+	user := &userModel{Network: base.Clone(), stability: 0.5}
+	user.Layers[1].B[0] += 0.5 // diverged: the check wants an install
 	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 	svc := NewSlowPath(c, ch, badFreezer{}, user, user)
 	r := &serviceRig{eng: eng, cpu: cpu, core: c, ch: ch, user: user, svc: svc}
@@ -122,7 +122,7 @@ func TestDegradedInstallParksAndRecovers(t *testing.T) {
 
 	// An install pipeline that was already past its netlink send completes
 	// now: RegisterModel parks the standby, Activate is refused.
-	r.user.net.Layers[1].B[0] += 0.5
+	r.user.Layers[1].B[0] += 0.5
 	r.svc.installing = true // as evaluateNecessity leaves it
 	r.svc.tryInstall(0)
 	r.eng.RunUntil(r.eng.Now() + 10*netsim.Millisecond)
@@ -165,7 +165,7 @@ func TestParkedStandbyDisplaced(t *testing.T) {
 	defer r.core.StopWatchdog()
 	r.pushBatch(4)
 	r.eng.RunUntil(r.eng.Now() + 5*window)
-	r.user.net.Layers[1].B[0] += 0.5
+	r.user.Layers[1].B[0] += 0.5
 	r.svc.installing = true
 	r.svc.tryInstall(0)
 	r.eng.RunUntil(r.eng.Now() + 10*netsim.Millisecond)
@@ -209,8 +209,8 @@ func TestFidelityOutputMismatchSkipped(t *testing.T) {
 	if _, err := c.RegisterModel(buildModule(t, base, "m0")); err != nil {
 		t.Fatal(err)
 	}
-	user := &userModel{net: base.Clone(), stability: 0.5}
-	user.net.Layers[1].B[0] += 0.5 // prefix loss would exceed the threshold
+	user := &userModel{Network: base.Clone(), stability: 0.5}
+	user.Layers[1].B[0] += 0.5 // prefix loss would exceed the threshold
 	ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 	svc := NewSlowPath(c, ch, user, wideEvaluator{user}, user)
 	r := &serviceRig{eng: eng, cpu: cpu, core: c, ch: ch, user: user, svc: svc}
@@ -250,7 +250,7 @@ func (u *batchUser) OutputSize() int {
 	if u.width != 0 {
 		return u.width
 	}
-	return u.net.OutputSize()
+	return u.Network.OutputSize()
 }
 
 func (u *batchUser) InferBatch(xs [][]float64, ys []float64) {
@@ -258,7 +258,7 @@ func (u *batchUser) InferBatch(xs [][]float64, ys []float64) {
 	if u.width != 0 {
 		return // a deliberately wrong width: nothing the gate may compare
 	}
-	u.net.InferBatch(xs, ys)
+	u.Network.InferBatch(xs, ys)
 }
 
 // TestMinFidelityLoss pins the measurement the service and the fleet
@@ -270,8 +270,8 @@ func (u *batchUser) InferBatch(xs [][]float64, ys []float64) {
 func TestMinFidelityLoss(t *testing.T) {
 	net := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
 	prog := quant.Quantize(net, quant.DefaultConfig())
-	user := &userModel{net: net.Clone()}
-	user.net.Layers[1].B[0] += 0.25
+	user := &userModel{Network: net.Clone()}
+	user.Layers[1].B[0] += 0.25
 	samples := []Sample{
 		{Input: []float64{0.1, 0.2, 0.3, 0.4}},
 		{Input: []float64{1, 2, 3}}, // wrong input size
@@ -289,8 +289,10 @@ func TestMinFidelityLoss(t *testing.T) {
 
 	// Plain against block form over pools around the block size, every fifth
 	// sample of the wrong input size. The user model drifts along the first
-	// input, so the minimum sits at one particular sample.
-	user.net.Layers[0].W[0][0] += 0.5
+	// input, so the minimum sits at one particular sample. plain hides the
+	// block form the embedded network gives user.
+	user.Layers[0].W[0][0] += 0.5
+	plain := struct{ Evaluator }{user}
 	r := rand.New(rand.NewSource(18))
 	pool := make([]Sample, 3*fidelityBlock+5)
 	for i := range pool {
@@ -305,7 +307,7 @@ func TestMinFidelityLoss(t *testing.T) {
 	for _, n := range []int{0, 1, 4, fidelityBlock - 1, fidelityBlock, fidelityBlock + 1, fidelityBlock + fidelityBlock/4, len(pool)} {
 		fits := n - n/5
 		plainCharged, batchCharged := 0, 0
-		plainLoss, plainMis := MinFidelityLoss(prog, user, pool[:n], func() { plainCharged++ })
+		plainLoss, plainMis := MinFidelityLoss(prog, plain, pool[:n], func() { plainCharged++ })
 		bu := &batchUser{userModel: user}
 		batchLoss, batchMis := MinFidelityLoss(prog, bu, pool[:n], func() { batchCharged++ })
 		if math.Float64bits(plainLoss) != math.Float64bits(batchLoss) || plainMis != 0 || batchMis != 0 {
@@ -535,7 +537,7 @@ func TestNecessityThresholdBoundary(t *testing.T) {
 			if _, err := c.RegisterModel(buildModule(t, zero, "zero")); err != nil {
 				t.Fatal(err)
 			}
-			user := &userModel{net: zero, stability: 0.5}
+			user := &userModel{Network: zero, stability: 0.5}
 			ch := netlink.NewChannel(eng, cpu, ksim.DefaultCosts(), nil)
 			svc := NewSlowPath(c, ch, user, fixedEvaluator{tc.loss}, user)
 			r := &serviceRig{eng: eng, cpu: cpu, core: c, ch: ch, user: user, svc: svc}

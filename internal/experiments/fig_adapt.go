@@ -16,12 +16,13 @@ import (
 )
 
 // alphaUser is the user-provided implementation of the three LiteFlow
-// userspace interfaces for the α-output CC models: online adaptation is
-// self-supervised regression toward the achievable rate fraction observed in
-// each batch (increase gently when the path is clean, track delivered rate
-// down when it is congested).
+// userspace interfaces for the α-output CC models: the embedded network
+// answers freezing and evaluation, and online adaptation is self-supervised
+// regression toward the achievable rate fraction observed in each batch
+// (increase gently when the path is clean, track delivered rate down when it
+// is congested).
 type alphaUser struct {
-	net *nn.Network
+	*nn.Network
 	opt nn.Optimizer
 	cpu *ksim.CPU
 
@@ -39,22 +40,12 @@ type alphaUser struct {
 }
 
 func newAlphaUser(net *nn.Network, cpu *ksim.CPU) *alphaUser {
-	return &alphaUser{net: net, opt: nn.NewAdam(1e-2), cpu: cpu,
+	return &alphaUser{Network: net, opt: nn.NewAdam(1e-2), cpu: cpu,
 		probeGain: 1.25, maxEpochs: 300, lastLoss: 1}
 }
 
-// Freeze implements core.Freezer.
-func (a *alphaUser) Freeze() *nn.Network { return a.net }
-
 // Stability implements core.Evaluator.
 func (a *alphaUser) Stability() float64 { return a.lastLoss }
-
-// Infer implements core.Evaluator.
-func (a *alphaUser) Infer(in []float64) []float64 { return a.net.Infer(in) }
-
-// OutputSize and InferBatch implement core.BatchEvaluator.
-func (a *alphaUser) OutputSize() int                         { return a.net.OutputSize() }
-func (a *alphaUser) InferBatch(xs [][]float64, ys []float64) { a.net.InferBatch(xs, ys) }
 
 // Adapt implements core.Adapter. Aux layout (from the kernel collector):
 // [alpha, deliveredFrac, latRatio, lossFrac].
@@ -117,7 +108,7 @@ func (a *alphaUser) Adapt(batch []core.Sample) {
 	var loss float64
 	epochs := 0
 	for ; epochs < a.maxEpochs; epochs++ {
-		loss = nn.TrainBatch(a.net, a.opt, x, y, 5)
+		loss = nn.TrainBatch(a.Network, a.opt, x, y, 5)
 		if loss < 2e-4 {
 			break
 		}
@@ -125,7 +116,7 @@ func (a *alphaUser) Adapt(batch []core.Sample) {
 	a.lastLoss = loss
 	if a.cpu != nil {
 		// Userspace training compute: epochs × batch × ~3 passes of MACs.
-		work := ksim.InferCost(1, a.net.MACs()) * netsim.Time(3*(epochs+1)*len(x))
+		work := ksim.InferCost(1, a.MACs()) * netsim.Time(3*(epochs+1)*len(x))
 		a.cpu.Charge(ksim.User, work)
 	}
 }

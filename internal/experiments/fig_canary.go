@@ -149,7 +149,7 @@ func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
 	// still-bloated model is caught at the canary stage in turn. Hidden-layer
 	// growth is legal for RegisterModel (input/output dims are pinned).
 	eng.At(dur, func() {
-		f.User.Net = bloat(f.User.Net, o.Seed+7)
+		f.User.Network = bloat(f.User.Network, o.Seed+7)
 		f.User.DriftEvery = 0
 	})
 

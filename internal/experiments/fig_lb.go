@@ -7,7 +7,6 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/lb"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
-	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/rig"
 	"github.com/liteflow-sim/liteflow/internal/tcp"
@@ -70,7 +69,7 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	var dep *rig.Deployment
 	var decide rig.Decider // nil under ECMP
 	ecmp := &lb.ECMPSelector{Paths: paths}
-	var charBatch []lb.Sample // char-MLP's userspace adaptation buffer
+	var charBatch []core.Sample // char-MLP's userspace adaptation buffer
 
 	switch name {
 	case "LF-MLP", "LF-MLP-N-O-A":
@@ -94,23 +93,13 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 				h.CPU.Charge(ksim.Kernel, costs.CharDevPerMsg)
 			})
 		}
-		// char-MLP adapts its userspace model directly.
-		opt := nn.NewAdam(1e-2)
+		// char-MLP adapts its userspace model directly, through the same
+		// adapter LF-MLP's slow path runs.
 		rig.Every(eng, batchT, deadline, func() {
 			if len(charBatch) == 0 {
 				return
 			}
-			x := make([][]float64, len(charBatch))
-			y := make([][]float64, len(charBatch))
-			for i, s := range charBatch {
-				x[i] = s.Features
-				t := make([]float64, paths)
-				t[s.Best] = 1
-				y[i] = t
-			}
-			for e := 0; e < 30; e++ {
-				nn.TrainBatch(net, opt, x, y, 5)
-			}
+			user.Adapt(charBatch)
 			charBatch = charBatch[:0]
 		})
 	}
@@ -167,14 +156,13 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 					ecnFrac, avgRTT := ctrl.Stats()
 					monitor.Observe(path, ecnFrac, avgRTT)
 					// Feed the adaptation loop with oracle-labeled data.
-					best := lb.BestPath(monitor.Features(sizeNorm), paths)
+					oneHot := make([]float64, paths)
+					oneHot[lb.BestPath(monitor.Features(sizeNorm), paths)] = 1
 					switch name {
 					case "LF-MLP":
-						oneHot := make([]float64, paths)
-						oneHot[best] = 1
 						dep.Chan.Push(core.EncodeSample(core.Sample{Input: feats, Aux: oneHot, At: eng.Now()}))
 					case "char-MLP":
-						charBatch = append(charBatch, lb.Sample{Features: feats, Best: best})
+						charBatch = append(charBatch, core.Sample{Input: feats, Aux: oneHot})
 					}
 				}
 				snd.Start()

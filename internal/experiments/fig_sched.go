@@ -83,42 +83,37 @@ func trainedFFNN(cfg Config) *nn.Network {
 }
 
 // labelUser implements the LiteFlow userspace interfaces for the supervised
-// models: the adapter fits the labels each sample carries in Aux — the FFNN's
+// models: the embedded network answers freezing and evaluation, and the
+// adapter fits the labels each sample carries in Aux — the FFNN's
 // [Target(size)] from completed flows, the LB MLP's one-hot best path from
 // the congestion oracle — on the features observed in the batch.
 type labelUser struct {
-	net      *nn.Network
+	*nn.Network
 	opt      nn.Optimizer
 	lastLoss float64
 }
 
 func newLabelUser(net *nn.Network) *labelUser {
-	return &labelUser{net: net, opt: nn.NewAdam(1e-2), lastLoss: 1}
+	return &labelUser{Network: net, opt: nn.NewAdam(1e-2), lastLoss: 1}
 }
 
-func (u *labelUser) Freeze() *nn.Network          { return u.net }
-func (u *labelUser) Stability() float64           { return u.lastLoss }
-func (u *labelUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
-
-// OutputSize and InferBatch implement core.BatchEvaluator.
-func (u *labelUser) OutputSize() int                         { return u.net.OutputSize() }
-func (u *labelUser) InferBatch(xs [][]float64, ys []float64) { u.net.InferBatch(xs, ys) }
+func (u *labelUser) Stability() float64 { return u.lastLoss }
 
 func (u *labelUser) Adapt(batch []core.Sample) {
 	x := make([][]float64, 0, len(batch))
 	y := make([][]float64, 0, len(batch))
 	for _, s := range batch {
-		if len(s.Aux) < u.net.OutputSize() {
+		if len(s.Aux) < u.OutputSize() {
 			continue
 		}
 		x = append(x, s.Input)
-		y = append(y, s.Aux[:u.net.OutputSize()])
+		y = append(y, s.Aux[:u.OutputSize()])
 	}
 	if len(x) == 0 {
 		return
 	}
 	for e := 0; e < 30; e++ {
-		u.lastLoss = nn.TrainBatch(u.net, u.opt, x, y, 5)
+		u.lastLoss = nn.TrainBatch(u.Network, u.opt, x, y, 5)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestCanaryStagedReleaseFailOpen(t *testing.T) {
 	r := stagedRig(t, 3, 1, nil)
 	defer r.ctrl.Stop()
 	r.feedAll(10*netsim.Millisecond, 400*netsim.Millisecond)
-	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
+	r.eng.At(150*netsim.Millisecond, func() { r.user.Layers[1].B[0] += 0.5 })
 
 	staged := false // observed: canary ahead of a non-canary mid-rollout
 	var probe func()
@@ -97,7 +97,7 @@ func TestCanaryFailRollsBackAndBlacklists(t *testing.T) {
 	r.eng.After(5*netsim.Millisecond, degTick)
 
 	r.feedAll(10*netsim.Millisecond, 400*netsim.Millisecond)
-	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
+	r.eng.At(150*netsim.Millisecond, func() { r.user.Layers[1].B[0] += 0.5 })
 	r.eng.RunUntil(500 * netsim.Millisecond)
 
 	st := r.ctrl.Stats()
@@ -145,7 +145,7 @@ func TestLaggingMemberCatchesUp(t *testing.T) {
 	}, nil)
 	defer r.ctrl.Stop()
 	r.feedAll(10*netsim.Millisecond, 500*netsim.Millisecond)
-	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
+	r.eng.At(150*netsim.Millisecond, func() { r.user.Layers[1].B[0] += 0.5 })
 	r.eng.RunUntil(300 * netsim.Millisecond)
 	if got := r.ctrl.Released(); got != 2 {
 		t.Fatalf("drift must release epoch 2, got %d (stats %+v)", got, r.ctrl.Stats())
@@ -178,7 +178,7 @@ func TestStopAbandonsInstallMachinery(t *testing.T) {
 		MaxConcurrentInstalls: 1,
 	}, nil)
 	r.feedAll(10*netsim.Millisecond, 300*netsim.Millisecond)
-	r.eng.At(100*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
+	r.eng.At(100*netsim.Millisecond, func() { r.user.Layers[1].B[0] += 0.5 })
 
 	var epochsAtStop []int64
 	queuedAtStop, inFlightAtStop := 0, 0
@@ -239,8 +239,8 @@ func TestCatchUpSupersededParkedEpoch(t *testing.T) {
 	}, nil)
 	defer r.ctrl.Stop()
 	r.feedAll(10*netsim.Millisecond, 600*netsim.Millisecond)
-	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
-	r.eng.At(300*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] -= 0.7 })
+	r.eng.At(150*netsim.Millisecond, func() { r.user.Layers[1].B[0] += 0.5 })
+	r.eng.At(300*netsim.Millisecond, func() { r.user.Layers[1].B[0] -= 0.7 })
 	r.eng.RunUntil(450 * netsim.Millisecond)
 	if got := r.ctrl.Released(); got != 3 {
 		t.Fatalf("two drifts must release epoch 3, got %d (stats %+v)", got, r.ctrl.Stats())

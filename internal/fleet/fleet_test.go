@@ -16,14 +16,12 @@ import (
 // fleetUser implements Freezer/Evaluator/Adapter around one shared network,
 // with controllable stability and an optional record of every pooled batch.
 type fleetUser struct {
-	net       *nn.Network
+	*nn.Network
 	stability float64
 	pools     [][]core.Sample
 }
 
-func (u *fleetUser) Freeze() *nn.Network          { return u.net }
-func (u *fleetUser) Stability() float64           { return u.stability }
-func (u *fleetUser) Infer(in []float64) []float64 { return u.net.Infer(in) }
+func (u *fleetUser) Stability() float64 { return u.stability }
 func (u *fleetUser) Adapt(batch []core.Sample) {
 	cp := make([]core.Sample, len(batch))
 	copy(cp, batch)
@@ -56,7 +54,7 @@ func newFleetRig(t *testing.T, n int, cfg Config, member func(i int) memberSetup
 	ccfg := core.DefaultConfig()
 	ccfg.FlowCacheTimeout = 0
 	base := nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, 11)
-	user := &fleetUser{net: base, stability: 0.5}
+	user := &fleetUser{Network: base, stability: 0.5}
 	ctrl := New(eng, ccfg, user, user, user, cfg, ctrlOptions...)
 	r := &fleetRig{eng: eng, ctrl: ctrl, user: user}
 	for i := 0; i < n; i++ {
@@ -136,7 +134,7 @@ func TestFanOutReachesEpochParity(t *testing.T) {
 	defer r.ctrl.Stop()
 	r.feedAll(10*netsim.Millisecond, 300*netsim.Millisecond)
 	// Drift the user model once the gate has had time to converge.
-	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
+	r.eng.At(150*netsim.Millisecond, func() { r.user.Layers[1].B[0] += 0.5 })
 	r.eng.RunUntil(400 * netsim.Millisecond)
 
 	st := r.ctrl.Stats()
@@ -204,7 +202,7 @@ func TestBoundedInstallConcurrency(t *testing.T) {
 	}, nil)
 	defer r.ctrl.Stop()
 	r.feedAll(10*netsim.Millisecond, 300*netsim.Millisecond)
-	r.eng.At(100*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
+	r.eng.At(100*netsim.Millisecond, func() { r.user.Layers[1].B[0] += 0.5 })
 
 	maxInFlight := 0
 	var probe func()
@@ -258,7 +256,7 @@ func TestStragglerParksAndCatchesUp(t *testing.T) {
 	r.eng.After(10*netsim.Millisecond, tick)
 
 	// Drift while member 2 is degraded: the fan-out parks on it.
-	r.eng.At(150*netsim.Millisecond, func() { r.user.net.Layers[1].B[0] += 0.5 })
+	r.eng.At(150*netsim.Millisecond, func() { r.user.Layers[1].B[0] += 0.5 })
 
 	r.eng.RunUntil(200 * netsim.Millisecond)
 	if !r.cores[2].Degraded() {

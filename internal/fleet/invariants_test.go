@@ -53,7 +53,7 @@ func TestRolloutInvariants(t *testing.T) {
 			r.feedAll(agg, end)
 			sign := 0.5
 			for at := 6 * agg; at < end-20*agg; at += 6 * agg {
-				r.eng.At(at, func() { r.user.net.Layers[1].B[0] += sign; sign = -sign })
+				r.eng.At(at, func() { r.user.Layers[1].B[0] += sign; sign = -sign })
 			}
 			// A bad stretch for the healthy canary: a degradation series
 			// beside member 0's own (same family, same host label, which the

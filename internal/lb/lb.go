@@ -171,22 +171,12 @@ func absn(r *rand.Rand) float64 {
 // final loss.
 func Train(net *nn.Network, paths, iters int, seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
-	opt := nn.NewAdam(1e-2)
-	const batch = 64
-	x := make([][]float64, batch)
-	y := make([][]float64, batch)
-	var loss float64
-	for it := 0; it < iters; it++ {
-		for i := 0; i < batch; i++ {
-			s := SampleRegime(r, paths)
-			x[i] = s.Features
-			t := make([]float64, paths)
-			t[s.Best] = 1
-			y[i] = t
-		}
-		loss = nn.TrainBatch(net, opt, x, y, 5)
-	}
-	return loss
+	return nn.Imitate(net, 1e-2, iters, func(int) ([]float64, []float64) {
+		s := SampleRegime(r, paths)
+		t := make([]float64, paths)
+		t[s.Best] = 1
+		return s.Features, t
+	})
 }
 
 // Argmax returns the index of the largest value (lowest index on ties).

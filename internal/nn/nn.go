@@ -384,6 +384,10 @@ func (n *Network) InputSize() int { return n.Layers[0].In }
 // OutputSize returns the network's output dimension.
 func (n *Network) OutputSize() int { return n.Layers[len(n.Layers)-1].Out }
 
+// Freeze returns n itself: a network is its own snapshot source, so a
+// slow-path user that embeds one answers the freeze interface with it.
+func (n *Network) Freeze() *Network { return n }
+
 // MACs returns the multiply-accumulate count of one inference, used by the
 // CPU cost model.
 func (n *Network) MACs() int {

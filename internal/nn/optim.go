@@ -138,3 +138,21 @@ func TrainBatch(n *Network, opt Optimizer, x, y [][]float64, clipNorm float64) f
 	opt.Step(n)
 	return total / float64(len(x))
 }
+
+// Imitate fits n to a teacher: iters TrainBatch steps (clip norm 5) under one
+// Adam at rate lr, each on 64 samples that sample(i) draws for i = 0…63 in
+// order. It returns the last step's loss.
+func Imitate(n *Network, lr float64, iters int, sample func(i int) (x, y []float64)) float64 {
+	const batch = 64
+	opt := NewAdam(lr)
+	x := make([][]float64, batch)
+	y := make([][]float64, batch)
+	var loss float64
+	for range iters {
+		for i := range batch {
+			x[i], y[i] = sample(i)
+		}
+		loss = TrainBatch(n, opt, x, y, 5)
+	}
+	return loss
+}

@@ -70,9 +70,8 @@ const (
 const (
 	// The table span is exactly 2^tblShift.
 	_ = uint(tblMax-tblMin-1<<tblShift) + uint(1<<tblShift-(tblMax-tblMin))
-	// rescale forms acc·C: with AccScale·C ≤ 2⁴⁸ an accumulator of up to
-	// 2¹⁵ units fits in 63 bits.
-	_ = uint(1<<48 - AccScale*MaxOutputScale)
+	// rescale never scales up: C ≤ AccScale.
+	_ = uint(AccScale - MaxOutputScale)
 	// lookup forms span·(tableSize-1) for the index and span·|hi-lo| ≤
 	// span·2C for the interpolation.
 	_ = uint(1<<62 - 1 - (tblMax-tblMin)*max(tableSize-1, 2*MaxOutputScale))
@@ -467,18 +466,23 @@ func (l *Layer) activate(v []int64) {
 	}
 }
 
-// rescale converts v from AccScale to scale `to` with rounding, in integer
-// arithmetic. |v|·to stays within int64 for accumulators of up to 2¹⁵ units:
-// Quantize admits no C above MaxOutputScale.
+// rescale converts v from AccScale to scale `to` ≤ AccScale, rounding half
+// away from zero, exactly for every int64 v: |v| splits into a multiple of
+// AccScale and a remainder, so no product passes 2⁴⁸, and the result is at
+// most |v| in magnitude.
 func rescale(v, to int64) int64 {
 	if to == AccScale {
 		return v
 	}
-	n := v * to
-	if n >= 0 {
-		return (n + AccScale/2) / AccScale
+	m := uint64(v)
+	if v < 0 {
+		m = -m
 	}
-	return (n - AccScale/2) / AccScale
+	n := int64(m/AccScale*uint64(to) + (m%AccScale*uint64(to)+AccScale/2)/AccScale)
+	if v < 0 {
+		return -n
+	}
+	return n
 }
 
 // lookup replaces each accumulator value in v by the layer's LUT evaluated

@@ -137,11 +137,32 @@ func TestRescaleRounding(t *testing.T) {
 		{-15*unit - unit*3/5, 1 << 12, -16},
 		{-15*unit - unit/2, 1 << 12, -16},
 		{7, AccScale, 7}, // same scale short-circuits
+		// 40,000 units at C = 2²⁴−1: v·to passes 2⁶³.
+		{40_000 * AccScale, MaxOutputScale - 1, 671_088_600_000},
+		{-40_000 * AccScale, MaxOutputScale - 1, -671_088_600_000},
 	}
 	for _, c := range cases {
 		if got := rescale(c.v, c.to); got != c.want {
 			t.Errorf("rescale(%d, %d) = %d, want %d", c.v, c.to, got, c.want)
 		}
+	}
+	// Every int64 against the exact oracle, at the extremes and around the
+	// rounding half, for the scales inference uses and the largest C.
+	for _, v := range []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, -AccScale / 2, AccScale/2 - 1, 3*AccScale + AccScale/2, -1, 0} {
+		for _, to := range []int64{1, actScale, 1000, MaxOutputScale - 1, MaxOutputScale} {
+			if got, want := rescale(v, to), exactRescale(v, to); got != want {
+				t.Errorf("rescale(%d, %d) = %d, want %d", v, to, got, want)
+			}
+		}
+	}
+	// The 40,000-unit row through Program.Infer: a 1→1 linear net of weight
+	// 1 at C = 2²⁴−1.
+	net := nn.New([]int{1, 1}, []nn.Activation{nn.Linear}, 1)
+	net.Layers[0].W[0][0], net.Layers[0].B[0] = 1, 0
+	p := Quantize(net, Config{OutputScale: MaxOutputScale - 1})
+	out := make([]int64, 1)
+	if p.Infer(p.QuantizeInput([]float64{40_000}, nil), out); out[0] != 671_088_600_000 {
+		t.Errorf("Infer = %d, want 671088600000", out[0])
 	}
 }
 

@@ -8,6 +8,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,12 +40,27 @@ func referenceActivate(l *Layer, acc int64) int64 {
 		if acc < 0 {
 			return 0
 		}
-		return rescale(acc, l.outScale)
+		return exactRescale(acc, l.outScale)
 	case nn.Tanh, nn.Sigmoid:
 		return referenceLookup(l, acc)
 	default:
-		return rescale(acc, l.outScale)
+		return exactRescale(acc, l.outScale)
 	}
+}
+
+// exactRescale is what rescale must return, in arbitrary precision: v·to /
+// AccScale rounded half away from zero.
+func exactRescale(v, to int64) int64 {
+	n := new(big.Int).Mul(big.NewInt(v), big.NewInt(to))
+	neg := n.Sign() < 0
+	n.Abs(n).Add(n, big.NewInt(AccScale/2)).Quo(n, big.NewInt(AccScale))
+	if neg {
+		n.Neg(n)
+	}
+	if !n.IsInt64() {
+		panic(fmt.Sprintf("rescale(%d, %d) = %v does not fit in int64", v, to, n))
+	}
+	return n.Int64()
 }
 
 func referenceLookup(l *Layer, acc int64) int64 {

@@ -54,7 +54,7 @@ func KernelDecider(c *core.Core, seed int64, fallback int, decode func(out []flo
 		for i, v := range out {
 			outF[i] = float64(v) / float64(prog.OutputScale)
 		}
-		cost := ksim.InferCost(c.Costs.KernelInferPerMAC, prog.MACs())
+		cost := m.Cost()
 		lat := cost + netsim.Time(jit.Int63n(int64(cost)+1))
 		d := decode(outF)
 		c.Eng.After(lat, func() { reply(d) })

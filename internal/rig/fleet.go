@@ -29,32 +29,27 @@ func NewFabric(eng *netsim.Engine, o topo.SpineLeafOpts, cores int) *topo.SpineL
 	return f
 }
 
-// DriftUser is the fleet scenarios' slow-path model: stability is constant
-// (the correctness gate opens after one window), and every DriftEvery pooled
-// adaptation rounds the output bias jumps by ±0.5 — a traffic-dynamics step
-// large enough to trip the necessity gate and mint a new fleet epoch, after
-// which the rebuilt snapshot tracks the drifted net and the gate goes quiet
-// until the next jump. Callers end the drift (DriftEvery = 0) or swap Net
-// mid-run from an engine event.
+// DriftUser is the fleet scenarios' slow-path model: the embedded network
+// answers freezing and evaluation, stability is constant (the correctness
+// gate opens after one window), and every DriftEvery pooled adaptation rounds
+// the output bias jumps by ±0.5 — a traffic-dynamics step large enough to
+// trip the necessity gate and mint a new fleet epoch, after which the rebuilt
+// snapshot tracks the drifted net and the gate goes quiet until the next
+// jump. Callers end the drift (DriftEvery = 0) or swap Network mid-run from
+// an engine event.
 type DriftUser struct {
-	Net        *nn.Network
+	*nn.Network
 	DriftEvery int // 0 disables drift
 	rounds     int
 	sign       float64
 }
 
-func (u *DriftUser) Freeze() *nn.Network          { return u.Net }
-func (u *DriftUser) Stability() float64           { return 0.5 }
-func (u *DriftUser) Infer(in []float64) []float64 { return u.Net.Infer(in) }
-
-// OutputSize and InferBatch implement core.BatchEvaluator.
-func (u *DriftUser) OutputSize() int                         { return u.Net.OutputSize() }
-func (u *DriftUser) InferBatch(xs [][]float64, ys []float64) { u.Net.InferBatch(xs, ys) }
+func (u *DriftUser) Stability() float64 { return 0.5 }
 
 func (u *DriftUser) Adapt([]core.Sample) {
 	u.rounds++
 	if u.DriftEvery > 0 && u.rounds%u.DriftEvery == 0 {
-		out := u.Net.Layers[len(u.Net.Layers)-1]
+		out := u.Layers[len(u.Layers)-1]
 		out.B[0] += u.sign * 0.5
 		u.sign = -u.sign
 	}
@@ -137,7 +132,7 @@ func NewFleet(o FleetOpts) *Fleet {
 	costs := ksim.DefaultCosts()
 
 	f := &Fleet{Eng: eng, User: &DriftUser{
-		Net:        nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, o.Seed),
+		Network:    nn.New([]int{4, 8, 1}, []nn.Activation{nn.Tanh, nn.Linear}, o.Seed),
 		DriftEvery: 6,
 		sign:       1,
 	}}
@@ -180,7 +175,7 @@ func NewFleet(o FleetOpts) *Fleet {
 	}
 
 	for _, m := range f.Ctrl.Members() {
-		f.stream(m, o, costs)
+		f.stream(m, o)
 	}
 	every := o.FlightEvery
 	if every <= 0 {
@@ -192,7 +187,7 @@ func NewFleet(o FleetOpts) *Fleet {
 
 // stream arms one member's datapath: seeded queries against the member core,
 // each mirrored into its sample batch (the paper's kernel-side collector).
-func (f *Fleet) stream(m *fleet.Member, o FleetOpts, costs ksim.Costs) {
+func (f *Fleet) stream(m *fleet.Member, o FleetOpts) {
 	eng, s := f.Eng, o.Stream
 	rng := rand.New(rand.NewSource(o.Seed + 31*int64(m.Index)))
 	in := make([]int64, 4)
@@ -215,9 +210,11 @@ func (f *Fleet) stream(m *fleet.Member, o FleetOpts, costs ksim.Costs) {
 	var tick func()
 	tick = func() {
 		sample := core.Sample{Input: make([]float64, 4), At: eng.Now()}
-		for k := range in {
+		for k := range sample.Input {
 			sample.Input[k] = rng.Float64()*2 - 1
-			in[k] = int64(sample.Input[k] * 100)
+		}
+		if act := m.Core.Active(); act != nil {
+			act.Program().QuantizeInput(sample.Input, in)
 		}
 		if err := m.Core.QueryModel(flow, in, out); err == nil && eng.Now() < o.Dur {
 			f.Queries++
@@ -229,7 +226,7 @@ func (f *Fleet) stream(m *fleet.Member, o FleetOpts, costs ksim.Costs) {
 		}
 		next := gap()
 		if act := m.Core.Active(); s.ClosedLoop && act != nil {
-			next += ksim.InferCost(costs.KernelInferPerMAC, act.Program().MACs())
+			next += act.Cost()
 		}
 		if eng.Now() < o.End {
 			eng.After(next, tick)

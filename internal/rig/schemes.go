@@ -110,9 +110,8 @@ func newLF(d *Dumbbell, _ SchemeArgs, flow netsim.FlowID) tcp.CongestionControl 
 // ~1.6 Gbps the paper's 100 Gbps NICs correspond to (DESIGN.md §1); N flows
 // share the NIC's pacing.
 func newDummy(d *Dumbbell, a SchemeArgs, _ netsim.FlowID) tcp.CongestionControl {
-	macs := d.Dep.Core.Active().Program().MACs()
 	b := &cc.DirectBackend{Policy: cc.PolicyFunc(func([]float64) float64 { return 1 }),
-		CPU: d.Sender.CPU, Cost: ksim.InferCost(d.Costs.KernelInferPerMAC, macs), Cat: ksim.Kernel}
+		CPU: d.Sender.CPU, Cost: d.Dep.Core.Active().Cost(), Cat: ksim.Kernel}
 	m := cc.NewMIController(d.Sender.Eng, b, initRate)
 	m.MaxRate = 1_600_000_000 / int64(a.Flows)
 	return m

@@ -16,9 +16,18 @@
 //	lf.RegisterModel(snap)                  // lf_register_model
 //	lf.QueryModel(flowID, input, output)    // lf_query_model
 //
-// and the slow path attaches with NewSlowPath + a Freezer/Evaluator/Adapter
-// implementation. See examples/quickstart for a complete program and
-// DESIGN.md for the system inventory.
+// and the slow path attaches with NewSlowPath and the user's Freezer,
+// Evaluator and Adapter. A *Network answers Freeze, Infer and the
+// BatchEvaluator block form itself, so a user embeds its network and writes
+// only Stability and Adapt:
+//
+//	type user struct{ *liteflow.Network }
+//	func (u *user) Stability() float64            { … } // e.g. training loss
+//	func (u *user) Adapt(batch []liteflow.Sample) { … } // tune u.Network
+//	svc := liteflow.NewSlowPath(lf, ch, u, u, u)
+//
+// See examples/quickstart for a complete program and DESIGN.md for the
+// system inventory.
 //
 // # Construction
 //

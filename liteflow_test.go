@@ -46,8 +46,8 @@ func TestPublicAPILifecycle(t *testing.T) {
 	}
 
 	// Slow path through the facade.
-	u := &apiUser{net: net.Clone()}
-	u.net.Layers[1].B[0] += 2 // diverge so an update becomes necessary
+	u := &apiUser{Network: net.Clone()}
+	u.Layers[1].B[0] += 2 // diverge so an update becomes necessary
 	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil)
 	svc := liteflow.NewSlowPath(lf, ch, u, u, u)
 	updated := false
@@ -70,11 +70,9 @@ func TestPublicAPILifecycle(t *testing.T) {
 	}
 }
 
-type apiUser struct{ net *liteflow.Network }
+type apiUser struct{ *liteflow.Network }
 
-func (u *apiUser) Freeze() *liteflow.Network     { return u.net }
 func (u *apiUser) Stability() float64            { return 0.01 }
-func (u *apiUser) Infer(in []float64) []float64  { return u.net.Infer(in) }
 func (u *apiUser) Adapt(batch []liteflow.Sample) {}
 
 func TestSampleCodecFacade(t *testing.T) {
@@ -135,7 +133,7 @@ func TestOptionsAPILifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	u := &apiUser{net: net.Clone()}
+	u := &apiUser{Network: net.Clone()}
 	ch := liteflow.NewNetlinkChannel(eng, cpu, costs, nil, liteflow.WithScope(sc))
 	ch.SetFaults(inj)
 	svc := liteflow.NewSlowPath(lf, ch, u, u, u)

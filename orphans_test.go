@@ -27,8 +27,9 @@ import (
 // once per test binary (newCensus). They key what they find by object, so two
 // declarations that share a name never hide each other, methods included:
 // TestNoOrphanExports counts a method as used when non-test code names it or
-// calls it through an interface its receiver type satisfies
-// (types.Implements), and only non-test code counts. Its one exception list
+// calls it through an interface its receiver type, or a type that promotes
+// it by embedding, satisfies (types.Implements), and only non-test code
+// counts. Its one exception list
 // is .github/census-allow.txt. DESIGN.md §4 round (t) says what each test
 // catches.
 
@@ -391,7 +392,8 @@ func TestExamplesImportNoInternal(t *testing.T) {
 // TestOrphanRuleMethodCases pins orphans' method cases on a fixture module:
 // a method called only from a test, or named like a sort.Interface method
 // on a type that is not one, is an orphan; one reached only through an
-// interface that non-test code calls, or a String() string, is not.
+// interface that non-test code calls, directly or promoted through a type
+// that embeds its receiver, or a String() string, is not.
 func TestOrphanRuleMethodCases(t *testing.T) {
 	files := []struct{ name, src string }{
 		{"internal/fix/fix.go", `package fix
@@ -406,6 +408,21 @@ func (Sq) Len() int       { return 0 }
 func (Sq) Side() int      { return 1 }
 
 func Total(s Shape) int { return s.Area() }
+
+type Solid interface {
+	Volume() int
+	Depth() int
+}
+
+type Slab struct{}
+
+func (Slab) Volume() int { return 1 }
+
+type Cube struct{ Slab }
+
+func (Cube) Depth() int { return 1 }
+
+func Weigh(s Solid) int { return s.Volume() * s.Depth() }
 `},
 		{"internal/fix/fix_test.go", `package fix
 
@@ -415,7 +432,7 @@ var _ = Sq{}.Side() + Sq{}.Len()
 
 import "fix/internal/fix"
 
-func main() { _ = fix.Total(fix.Sq{}) }
+func main() { _ = fix.Total(fix.Sq{}) + fix.Weigh(fix.Cube{}) }
 `},
 	}
 	c := &census{fset: token.NewFileSet(), root: ".", stdIfaces: loadCensus(t).stdIfaces}
@@ -449,18 +466,24 @@ func main() { _ = fix.Total(fix.Sq{}) }
 	}
 }
 
-// ifaceMethods lists, by method name, interface types that declare it.
-type ifaceMethods map[string]map[types.Type]bool
-
-func (m ifaceMethods) add(name string, iface types.Type) {
-	if m[name] == nil {
-		m[name] = map[types.Type]bool{}
-	}
-	m[name][iface] = true
+// ifaceMethods lists, by method name, interface types that declare it, and
+// for each method that embedding promotes, the pointer types of the non-test
+// named types that promote it.
+type ifaceMethods struct {
+	byName   map[string]map[types.Type]bool
+	promoted map[*types.Func][]types.Type
 }
 
-// implements reports whether fn is a method whose receiver type satisfies
-// an interface m lists under fn's name.
+func (m ifaceMethods) add(name string, iface types.Type) {
+	if m.byName[name] == nil {
+		m.byName[name] = map[types.Type]bool{}
+	}
+	m.byName[name][iface] = true
+}
+
+// implements reports whether fn is a method whose receiver type, or a type
+// that promotes it by embedding, satisfies an interface m lists under fn's
+// name.
 func (m ifaceMethods) implements(fn *types.Func) bool {
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
@@ -470,9 +493,11 @@ func (m ifaceMethods) implements(fn *types.Func) bool {
 	if _, ok := t.(*types.Pointer); !ok {
 		t = types.NewPointer(t) // its method set holds T's methods too
 	}
-	for iface := range m[fn.Name()] {
-		if types.Implements(t, iface.Underlying().(*types.Interface)) {
-			return true
+	for iface := range m.byName[fn.Name()] {
+		for _, t := range append([]types.Type{t}, m.promoted[fn.Origin()]...) {
+			if types.Implements(t, iface.Underlying().(*types.Interface)) {
+				return true
+			}
 		}
 	}
 	return false
@@ -485,7 +510,7 @@ func (m ifaceMethods) implements(fn *types.Func) bool {
 // refers to, plus stdIfaces whole, since the standard library calls them.
 func (c *census) nonTestUses() (map[types.Object]bool, ifaceMethods) {
 	used := map[types.Object]bool{}
-	called := ifaceMethods{}
+	called := ifaceMethods{byName: map[string]map[types.Type]bool{}, promoted: map[*types.Func][]types.Type{}}
 	for _, iface := range c.stdIfaces {
 		it := iface.Underlying().(*types.Interface)
 		for i := 0; i < it.NumMethods(); i++ {
@@ -497,6 +522,18 @@ func (c *census) nonTestUses() (map[types.Object]bool, ifaceMethods) {
 		for _, f := range p.files {
 			if !c.isTest(f) {
 				nonTest[c.fset.File(f.Pos())] = true
+			}
+		}
+		for id, obj := range p.info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && nonTest[c.fset.File(id.Pos())] && !tn.IsAlias() {
+				t := types.NewPointer(tn.Type())
+				ms := types.NewMethodSet(t)
+				for i := 0; i < ms.Len(); i++ {
+					if sel := ms.At(i); len(sel.Index()) > 1 {
+						fn := sel.Obj().(*types.Func).Origin()
+						called.promoted[fn] = append(called.promoted[fn], t)
+					}
+				}
 			}
 		}
 		for id, obj := range p.info.Uses {
