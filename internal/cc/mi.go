@@ -78,8 +78,7 @@ type monitor struct {
 	ackedBytes int
 	lostBytes  int
 	prevAvgRTT netsim.Time
-	running    bool
-	endMIFn    func() // m.endMI, bound once so no interval allocates a closure
+	timer      *netsim.Ticker // ends each monitor interval
 
 	// MIs counts completed monitor intervals.
 	MIs int64
@@ -111,20 +110,22 @@ func (m *monitor) init(eng *netsim.Engine, backend Backend, l law, rate int64) {
 		law:     l,
 		rate:    rate,
 		minRTT:  1 << 62,
-		endMIFn: m.endMI,
+		timer:   netsim.NewTicker(eng, m.endMI),
 	}
 }
 
-// Start implements tcp.CongestionControl.
+// Start implements tcp.CongestionControl. On a running monitor it does
+// nothing.
 func (m *monitor) Start(now netsim.Time) {
-	m.running = true
-	m.miStart = now
-	m.scheduleMI()
+	if !m.timer.Running() {
+		m.miStart = now
+		m.timer.Start(m.miDuration())
+	}
 }
 
 // Stop halts the MI timer (flows that complete stop naturally; this is for
 // experiment teardown).
-func (m *monitor) Stop() { m.running = false }
+func (m *monitor) Stop() { m.timer.Stop() }
 
 func (m *monitor) miDuration() netsim.Time {
 	d := m.srtt
@@ -132,13 +133,6 @@ func (m *monitor) miDuration() netsim.Time {
 		d = minMI
 	}
 	return d
-}
-
-func (m *monitor) scheduleMI() {
-	if !m.running {
-		return
-	}
-	m.Eng.After(m.miDuration(), m.endMIFn)
 }
 
 // OnAck implements tcp.CongestionControl.
@@ -162,12 +156,9 @@ func (m *monitor) OnLoss(l tcp.LossInfo) {
 	m.lostBytes += l.LostBytes
 }
 
-// endMI closes the current monitor interval, derives features, and queries
-// the backend.
-func (m *monitor) endMI() {
-	if !m.running {
-		return
-	}
+// endMI closes the current monitor interval, derives features, queries the
+// backend and returns the next interval's length.
+func (m *monitor) endMI() (netsim.Time, bool) {
 	now := m.Eng.Now()
 	dur := now - m.miStart
 	if dur <= 0 {
@@ -231,7 +222,7 @@ func (m *monitor) endMI() {
 			m.OnState(state, shown, summary)
 		}
 	})
-	m.scheduleMI()
+	return m.miDuration(), true
 }
 
 // PacingRate implements tcp.CongestionControl.
@@ -376,7 +367,7 @@ type CCPBackend struct {
 
 	pendingState []float64
 	pendingReply func(float64)
-	ticking      bool
+	exchanges    *netsim.Ticker // one exchange every Interval, from the first query on
 }
 
 // OnAckEvent implements AckObserver: in per-ACK mode every ACK costs a
@@ -413,26 +404,24 @@ func (c *CCPBackend) Query(state []float64, reply func(float64)) {
 	// Batched mode: keep only the latest request; CCP coalesces reports.
 	c.pendingState = append(c.pendingState[:0], state...)
 	c.pendingReply = reply
-	if !c.ticking {
-		c.ticking = true
-		c.tick()
+	if c.exchanges == nil {
+		c.exchanges = netsim.NewTicker(c.Eng, c.exchange)
+		c.exchanges.Start(c.Interval)
 	}
 }
 
-func (c *CCPBackend) tick() {
-	c.Eng.After(c.Interval, func() {
-		if c.pendingReply != nil {
-			st, rp := c.pendingState, c.pendingReply
-			c.pendingReply = nil
-			c.dispatch(st, rp)
-		} else {
-			// CCP pushes a congestion report across the boundary every
-			// interval whether or not a new decision is due; the exchange
-			// cost is unconditional (§2.2).
-			c.chargeRoundTrip()
-		}
-		c.tick()
-	})
+func (c *CCPBackend) exchange() (netsim.Time, bool) {
+	if c.pendingReply != nil {
+		st, rp := c.pendingState, c.pendingReply
+		c.pendingReply = nil
+		c.dispatch(st, rp)
+	} else {
+		// CCP pushes a congestion report across the boundary every
+		// interval whether or not a new decision is due; the exchange
+		// cost is unconditional (§2.2).
+		c.chargeRoundTrip()
+	}
+	return c.Interval, true
 }
 
 func (c *CCPBackend) chargeRoundTrip() {

@@ -158,14 +158,11 @@ type Core struct {
 	stallNS, queryNS *obs.Histogram
 
 	// Sweeper lifecycle: sweeping is the configuration switch (timeout > 0
-	// and StopSweeper not called); sweepArmed is whether a tick is actually
-	// scheduled. The sweeper arms on the first cache insert and disarms when
-	// the wheel drains, so an idle core schedules no events at all.
-	// sweepGen invalidates ticks already queued in the engine when the
-	// sweeper is force-disarmed (bulk drop) and later re-armed.
+	// and StopSweeper not called); sweeper runs a tick chain while the wheel
+	// holds references. It starts on a cache insert and ends itself when the
+	// wheel drains, so an idle core schedules no events at all.
 	sweeping    bool
-	sweepArmed  bool
-	sweepGen    uint64
+	sweeper     *netsim.Ticker
 	maxTickScan int64
 
 	// arena is the core's private inference scratch (paper: per-core
@@ -180,7 +177,7 @@ type Core struct {
 	// Slow-path watchdog state (Config.WatchdogWindow): when armed and the
 	// service stays silent past the window, the core degrades to the
 	// last-good snapshot rather than waiting on a stalled slow path forever.
-	wdRunning    bool
+	watchdog     *netsim.Ticker
 	lastAlive    netsim.Time
 	degraded     bool
 	degradeStart netsim.Time
@@ -204,6 +201,8 @@ func NewCore(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, cfg Config, op
 	// The sweeper arms lazily on the first cache insert (armSweeper), so a
 	// core whose cache is never populated schedules no sweep events.
 	c.sweeping = cfg.FlowCacheTimeout > 0
+	c.sweeper = netsim.NewTicker(eng, c.sweepTick)
+	c.watchdog = netsim.NewTicker(eng, c.watchdogTick)
 	return c
 }
 
@@ -223,7 +222,7 @@ func (c *Core) SetFlowCache(enabled bool) {
 		// Every wheel reference is now stale; discard them and cancel any
 		// queued tick instead of letting the sweeper drain them one by one.
 		c.fc.resetWheel()
-		c.disarmSweeper()
+		c.sweeper.Stop()
 	}
 }
 
@@ -447,25 +446,15 @@ func (c *Core) unloadDead() {
 	c.models = kept
 }
 
-// armSweeper schedules the next sweep tick if the sweeper is enabled and no
-// tick is pending. Called on every cache insert; once the wheel drains the
-// tick chain stops rescheduling, so an idle or empty cache costs no events.
+// armSweeper starts the sweep tick chain if the sweeper is enabled and no
+// chain is live. Called on every cache insert; once the wheel drains the
+// chain ends itself, so an idle or empty cache costs no events.
 func (c *Core) armSweeper() {
-	if !c.sweeping || c.sweepArmed || c.fc.tick <= 0 {
+	if !c.sweeping || c.sweeper.Running() || c.fc.tick <= 0 {
 		return
 	}
-	c.sweepArmed = true
-	c.sweepGen++
-	gen := c.sweepGen
 	c.fc.next = c.Eng.Now()/c.fc.tick + 1
-	c.Eng.After(c.fc.tick, func() { c.sweepTick(gen) })
-}
-
-// disarmSweeper cancels the pending tick chain (if any) by bumping the
-// generation, so a tick already queued in the engine becomes a no-op.
-func (c *Core) disarmSweeper() {
-	c.sweepArmed = false
-	c.sweepGen++
+	c.sweeper.Start(c.fc.tick)
 }
 
 // sweepTick is one turn of the expiry wheel: it drains the bucket(s) whose
@@ -475,10 +464,7 @@ func (c *Core) disarmSweeper() {
 // renewed since they were parked. Work per tick is proportional to the
 // references in the due buckets, never to the cache size; the scan count
 // feeds liteflow_core_sweep_scan_total so that bound is observable.
-func (c *Core) sweepTick(gen uint64) {
-	if gen != c.sweepGen || !c.sweeping || !c.sweepArmed {
-		return
-	}
+func (c *Core) sweepTick() (netsim.Time, bool) {
 	fc := c.fc
 	now := c.Eng.Now()
 	cur := now / fc.tick
@@ -507,56 +493,49 @@ func (c *Core) sweepTick(gen uint64) {
 	if swept > 0 {
 		c.sc.Event1("flowcache", "sweep", now, "swept", swept)
 	}
-	if fc.parked == 0 {
-		// Wheel drained: nothing left to expire. The next cache insert
-		// re-arms the tick chain.
-		c.sweepArmed = false
-		return
-	}
-	c.Eng.After(fc.tick, func() { c.sweepTick(gen) })
+	// The chain ends once the wheel drains; the next cache insert starts it
+	// again.
+	return fc.tick, fc.parked > 0
 }
 
 // StopSweeper halts the idle-entry sweeper (experiment teardown).
-func (c *Core) StopSweeper() { c.sweeping = false }
+func (c *Core) StopSweeper() {
+	c.sweeping = false
+	c.sweeper.Stop()
+}
 
 // AttachSlowPath arms the watchdog when Config.WatchdogWindow is nonzero.
 // NewSlowPath calls it, and so does an external slow path — such as a fleet
 // controller — that feeds liveness through NoteSlowPathAlive without
 // constructing a Service; a core with neither never degrades.
 func (c *Core) AttachSlowPath() {
-	if c.Cfg.WatchdogWindow <= 0 || c.wdRunning {
+	if c.Cfg.WatchdogWindow <= 0 || c.watchdog.Running() {
 		return
 	}
-	c.wdRunning = true
 	c.lastAlive = c.Eng.Now()
-	c.scheduleWatchdog()
+	c.watchdog.Start(c.Cfg.WatchdogWindow / 2)
 }
 
-// scheduleWatchdog ticks every WatchdogWindow/2: if the slow path has been
-// silent longer than the window, the core degrades gracefully — it pins the
+// watchdogTick runs every WatchdogWindow/2: if the slow path has been silent
+// longer than the window, the core degrades gracefully — it pins the
 // last-good (current active) snapshot by discarding any pending standby, so
 // a half-delivered update from the stalled service can never be activated,
 // and keeps serving fast-path queries throughout. Degradation is visible in
 // liteflow_core_degraded_total and a "core/degrade" trace event.
-func (c *Core) scheduleWatchdog() {
-	c.Eng.After(c.Cfg.WatchdogWindow/2, func() {
-		if !c.wdRunning {
-			return
+func (c *Core) watchdogTick() (netsim.Time, bool) {
+	now := c.Eng.Now()
+	if !c.degraded && now-c.lastAlive > c.Cfg.WatchdogWindow {
+		c.degraded = true
+		c.st.Degraded++
+		if c.standby != nil {
+			c.standby.retired = true
+			c.standby = nil
+			c.unloadDead()
 		}
-		now := c.Eng.Now()
-		if !c.degraded && now-c.lastAlive > c.Cfg.WatchdogWindow {
-			c.degraded = true
-			c.st.Degraded++
-			if c.standby != nil {
-				c.standby.retired = true
-				c.standby = nil
-				c.unloadDead()
-			}
-			c.degradeStart = now
-			c.sc.Event1("core", "degrade", now, "silence_ns", int64(now-c.lastAlive))
-		}
-		c.scheduleWatchdog()
-	})
+		c.degradeStart = now
+		c.sc.Event1("core", "degrade", now, "silence_ns", int64(now-c.lastAlive))
+	}
+	return c.Cfg.WatchdogWindow / 2, true
 }
 
 // NoteSlowPathAlive records slow-path liveness (the service calls it for
@@ -579,7 +558,7 @@ func (c *Core) NoteSlowPathAlive() {
 func (c *Core) Degraded() bool { return c.degraded }
 
 // StopWatchdog halts the slow-path watchdog (experiment teardown).
-func (c *Core) StopWatchdog() { c.wdRunning = false }
+func (c *Core) StopWatchdog() { c.watchdog.Stop() }
 
 // FlowBackend adapts the core to the cc.Backend interface for one flow:
 // queries run through lf_query_model against the flow's pinned snapshot,

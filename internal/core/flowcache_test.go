@@ -56,7 +56,7 @@ func TestSweeperIdleDisarm(t *testing.T) {
 		t.Fatalf("empty cache scheduled %d sweep events", eng.Pending())
 	}
 	eng.RunUntil(netsim.Second)
-	if c.sweepArmed {
+	if c.sweeper.Running() {
 		t.Fatal("sweeper armed with an empty cache")
 	}
 
@@ -66,14 +66,14 @@ func TestSweeperIdleDisarm(t *testing.T) {
 	if err := c.QueryModel(1, in, out); err != nil {
 		t.Fatal(err)
 	}
-	if !c.sweepArmed {
+	if !c.sweeper.Running() {
 		t.Fatal("first insert must arm the sweeper")
 	}
 	eng.RunUntil(eng.Now() + 10*timeout)
 	if c.CachedFlows() != 0 {
 		t.Fatalf("entry not swept, CachedFlows = %d", c.CachedFlows())
 	}
-	if c.sweepArmed {
+	if c.sweeper.Running() {
 		t.Error("sweeper must disarm once the wheel drains")
 	}
 	if eng.Pending() != 0 {
@@ -84,7 +84,7 @@ func TestSweeperIdleDisarm(t *testing.T) {
 	if err := c.QueryModel(2, in, out); err != nil {
 		t.Fatal(err)
 	}
-	if !c.sweepArmed {
+	if !c.sweeper.Running() {
 		t.Fatal("insert after disarm must re-arm the sweeper")
 	}
 	eng.RunUntil(eng.Now() + 10*timeout)

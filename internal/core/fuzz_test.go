@@ -41,7 +41,7 @@ func FuzzParseSample(f *testing.F) {
 	f.Add(floatsToBytes([]float64{1.5, 1, 2}))
 	f.Add(floatsToBytes([]float64{2, math.Inf(1), 0.5}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m := netlink.Message{Kind: netlink.KindSample, Data: bytesToFloats(raw), At: 1}
+		m := netlink.Message{Data: bytesToFloats(raw), At: 1}
 		s, err := ParseSample(m)
 		if err != nil {
 			if !errors.Is(err, ErrMalformedSample) {
@@ -70,18 +70,17 @@ func FuzzParseSample(f *testing.F) {
 	})
 }
 
-// cutBatch frames fuzz bytes as a batch of messages. Each message is a kind
-// byte (0 is KindSample; 1 and 2 are other kinds, which ParseBatch skips), a
-// byte giving 0–7 payload words after the header, a header byte and then the
+// cutBatch frames fuzz bytes as a batch of messages. Each message is a byte
+// giving 0–7 payload words after the header, a header byte and then the
 // words themselves, eight raw bytes each (a short last message keeps what is
 // left). The header byte is an input length 0–15 below 240 and a malformed
 // header above: NaN, ±Inf, negative or fractional.
 func cutBatch(raw []byte) []netlink.Message {
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0.5, 1e300}
 	var batch []netlink.Message
-	for len(raw) >= 3 {
-		kind, words, h := netlink.MsgKind(raw[0]%3), int(raw[1]%8), raw[2]
-		raw = raw[3:]
+	for len(raw) >= 2 {
+		words, h := int(raw[0]%8), raw[1]
+		raw = raw[2:]
 		hdr := float64(h % 16)
 		if h >= 240 {
 			hdr = bad[int(h-240)%len(bad)]
@@ -89,7 +88,7 @@ func cutBatch(raw []byte) []netlink.Message {
 		n := min(8*words, len(raw))
 		data := append([]float64{hdr}, bytesToFloats(raw[:n])...)
 		raw = raw[n:]
-		batch = append(batch, netlink.Message{Kind: kind, Data: data, At: int64(len(batch))})
+		batch = append(batch, netlink.Message{Data: data, At: int64(len(batch))})
 	}
 	return batch
 }
@@ -114,28 +113,25 @@ func sameSample(a, b Sample) bool {
 
 // FuzzParseBatch holds batch framing to the per-message parser: ParseBatch
 // returns, after what dst held, exactly the samples ParseSample accepts, in
-// order and bit for bit; malformed is the number of sample messages
-// ParseSample rejects; other kinds are skipped. The accepted samples share
+// order and bit for bit; malformed is the number of messages ParseSample
+// rejects. The accepted samples share
 // one slab, so a write to any of them — and an append to any of their
 // slices — must leave every other sample, and the batch, as it was.
 func FuzzParseBatch(f *testing.F) {
 	one := floatsToBytes([]float64{3, 4})
 	f.Add([]byte{})
-	f.Add(append([]byte{0, 2, 1}, one...))                                                       // one sample: input [3], aux [4]
-	f.Add(append(append([]byte{0, 2, 2}, one...), append([]byte{1, 2, 0}, one...)...))           // a sample, then another kind
-	f.Add(append(append([]byte{0, 2, 3}, one...), append([]byte{0, 2, 0}, one...)...))           // header past the payload, then a good one
-	f.Add(append(append([]byte{0, 2, 1}, one...), append([]byte{0, 2, 0}, one...)...))           // two samples, adjacent in the slab
-	f.Add(append([]byte{0, 0, 0, 0, 1, 240, 2, 0, 0}, floatsToBytes([]float64{math.Inf(1)})...)) // empty, NaN header, header past the payload
-	f.Add(append([]byte{0, 1, 0}, floatsToBytes([]float64{math.NaN()})...))                      // a NaN payload value
-	f.Add([]byte{0, 7, 1, 1, 2, 3})                                                              // a short last message
+	f.Add(append([]byte{2, 1}, one...))                                                 // one sample: input [3], aux [4]
+	f.Add(append(append([]byte{2, 244}, one...), append([]byte{2, 2}, one...)...))      // a fractional header, then a sample with no aux
+	f.Add(append(append([]byte{2, 3}, one...), append([]byte{2, 0}, one...)...))        // header past the payload, then a good one
+	f.Add(append(append([]byte{2, 1}, one...), append([]byte{2, 0}, one...)...))        // two samples, adjacent in the slab
+	f.Add(append([]byte{0, 0, 1, 240, 2, 0}, floatsToBytes([]float64{math.Inf(1)})...)) // empty, NaN header, header past the payload
+	f.Add(append([]byte{1, 0}, floatsToBytes([]float64{math.NaN()})...))                // a NaN payload value
+	f.Add([]byte{7, 1, 1, 2, 3})                                                        // a short last message
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		batch := cutBatch(raw)
 		var want []Sample
 		rejected := 0
 		for _, m := range batch {
-			if m.Kind != netlink.KindSample {
-				continue
-			}
 			s, err := ParseSample(m)
 			if err != nil {
 				rejected++
@@ -146,7 +142,7 @@ func FuzzParseBatch(f *testing.F) {
 		prior := Sample{Input: []float64{-7}, At: -1}
 		got, malformed := ParseBatch([]Sample{prior}, batch)
 		if malformed != rejected {
-			t.Fatalf("malformed = %d, ParseSample rejects %d of the batch's sample messages", malformed, rejected)
+			t.Fatalf("malformed = %d, ParseSample rejects %d of the batch's messages", malformed, rejected)
 		}
 		if len(got) != 1+len(want) || !sameSample(got[0], prior) {
 			t.Fatalf("ParseBatch returned %d samples after dst's, ParseSample accepts %d (dst's kept: %v)",
@@ -187,7 +183,7 @@ func FuzzParseBatch(f *testing.F) {
 		}
 		k := 0
 		for _, m := range batch {
-			if s, err := ParseSample(m); err == nil && m.Kind == netlink.KindSample {
+			if s, err := ParseSample(m); err == nil {
 				if !sameSample(s, want[k]) {
 					t.Fatalf("message %d changed under writes to the returned samples", k)
 				}

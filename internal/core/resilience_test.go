@@ -147,6 +147,22 @@ func TestActivateRejectedWhileDegraded(t *testing.T) {
 	}
 }
 
+// TestWatchdogStopThenAttachRunsOneChain: StopWatchdog and then
+// AttachSlowPath leave one watchdog chain. The stopped chain's pending tick
+// runs nothing and does not re-arm, so one event is left pending, not two.
+func TestWatchdogStopThenAttachRunsOneChain(t *testing.T) {
+	window := 100 * netsim.Millisecond
+	r := newWatchdogRig(t, window, nil) // NewSlowPath attached it at 0
+	defer r.core.StopWatchdog()
+	r.eng.RunUntil(window / 4) // between ticks
+	r.core.StopWatchdog()
+	r.core.AttachSlowPath()
+	r.eng.RunUntil(r.eng.Now() + 3*window)
+	if n := r.eng.Pending(); n != 1 {
+		t.Errorf("%d watchdog events pending after StopWatchdog and AttachSlowPath, want 1", n)
+	}
+}
+
 func TestWatchdogNotArmedWithoutOption(t *testing.T) {
 	r := newServiceRig(t) // DefaultConfig: WatchdogWindow 0
 	r.pushBatch(4, 1)
@@ -179,13 +195,26 @@ func TestInstallRetrySucceedsAfterTransientFailure(t *testing.T) {
 }
 
 // TestInstallAbandonedAfterRetryBudget: with injected permanent build
-// failures, the install is retried Max-1 times then abandoned — and the
-// service keeps working.
+// failures, the install is retried Max-1 times, 50 ms and then 100 ms after
+// the failure before, then abandoned — and the service keeps working.
 func TestInstallAbandonedAfterRetryBudget(t *testing.T) {
 	inj := fault.New(fault.Profile{BuildFailP: 1}, 3, obs.Scope{})
 	r := newWatchdogRig(t, netsim.Second, inj)
 	defer r.core.StopWatchdog()
+	t0 := r.eng.Now()
 	r.svc.tryInstall(0)
+	for _, at := range []struct {
+		t        netsim.Time
+		failures int64
+	}{
+		{50*netsim.Millisecond - 1, 1}, {50 * netsim.Millisecond, 2},
+		{150*netsim.Millisecond - 1, 2}, {150 * netsim.Millisecond, 3},
+	} {
+		r.eng.RunUntil(t0 + at.t)
+		if got := r.svc.Stats().BuildFailures; got != at.failures {
+			t.Fatalf("%d build failures at +%v, want %d (waits of 50 ms and 100 ms)", got, at.t, at.failures)
+		}
+	}
 	r.eng.RunUntil(r.eng.Now() + 5*netsim.Second)
 	st := r.svc.Stats()
 	if st.BuildFailures != 3 || st.InstallRetries != 2 || st.InstallsAbandoned != 1 {
@@ -255,8 +284,8 @@ func TestChannelInjectorReachesService(t *testing.T) {
 // skipped; the healthy remainder still adapts.
 func TestMalformedMessagesRejected(t *testing.T) {
 	r := newServiceRig(t)
-	r.ch.Push(netlink.Message{Kind: netlink.KindSample, Data: []float64{math.NaN(), 1}})
-	r.ch.Push(netlink.Message{Kind: netlink.KindSample, Data: []float64{12, 1}})
+	r.ch.Push(netlink.Message{Data: []float64{math.NaN(), 1}})
+	r.ch.Push(netlink.Message{Data: []float64{12, 1}})
 	r.ch.Push(EncodeSample(Sample{Input: []float64{0.1, 0.2, 0.3, 0.4}}))
 	r.ch.Flush()
 	r.eng.Run()

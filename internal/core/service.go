@@ -30,7 +30,7 @@ func EncodeSample(s Sample) netlink.Message {
 	data = append(data, float64(len(s.Input)))
 	data = append(data, s.Input...)
 	data = append(data, s.Aux...)
-	return netlink.Message{Kind: netlink.KindSample, Data: data, At: s.At}
+	return netlink.Message{Data: data, At: s.At}
 }
 
 // ParseSample unpacks and validates a netlink message produced by
@@ -49,21 +49,18 @@ func ParseSample(m netlink.Message) (Sample, error) {
 }
 
 // ParseBatch is ParseSample over one delivered batch: the samples of every
-// KindSample message that validates are appended to dst in order, and the
-// messages that do not are counted in malformed. The batch's accepted
+// message that validates are appended to dst in order, and the messages that
+// do not are counted in malformed. The batch's accepted
 // payloads share one slab instead of two allocations per sample.
 func ParseBatch(dst []Sample, batch []netlink.Message) (samples []Sample, malformed int) {
 	size := 0
 	for _, m := range batch {
-		if m.Kind == netlink.KindSample && len(m.Data) > 0 {
+		if len(m.Data) > 0 {
 			size += len(m.Data) - 1
 		}
 	}
 	slab := make([]float64, size)
 	for _, m := range batch {
-		if m.Kind != netlink.KindSample {
-			continue
-		}
 		n, err := sampleInputLen(m)
 		if err != nil {
 			malformed++
@@ -568,22 +565,15 @@ func (s *Service) evaluateNecessity(samples []Sample) {
 }
 
 // The install retry policy: an attempt that fails to build waits
-// min(installRetryBase<<n, installRetryCap) of virtual time before attempt
-// n+1, up to installAttempts attempts in total.
+// installRetryBase<<n of virtual time before attempt n+1, up to
+// installAttempts attempts in total (so the waits are 50 ms and 100 ms).
 const (
 	installAttempts  = 3
 	installRetryBase = 50 * netsim.Millisecond
-	installRetryCap  = netsim.Second
 )
 
 // backoff returns the wait before retry attempt n.
-func backoff(attempt int) netsim.Time {
-	b := installRetryBase << uint(attempt)
-	if b > installRetryCap {
-		b = installRetryCap
-	}
-	return b
-}
+func backoff(attempt int) netsim.Time { return installRetryBase << attempt }
 
 // tryInstall runs one install attempt (0-based): it freezes the userspace
 // model, generates a quantized module, ships it to the kernel as the standby

@@ -358,20 +358,16 @@ func TestMinFidelityLoss(t *testing.T) {
 func TestParseBatchMatchesParseSample(t *testing.T) {
 	batch := []netlink.Message{
 		EncodeSample(Sample{Input: []float64{1, 2, 3}, Aux: []float64{4, 5}, At: 7}),
-		{Kind: netlink.KindSample, Data: []float64{5, 1}, At: 8}, // header past the payload
-		{Kind: netlink.KindSample + 1, Data: []float64{1, 9}},    // not a sample: skipped, not counted
-		EncodeSample(Sample{At: 9}),                              // no input, no aux
-		{Kind: netlink.KindSample, At: 10},                       // empty payload
+		{Data: []float64{5, 1}, At: 8}, // header past the payload
+		EncodeSample(Sample{At: 9}),    // no input, no aux
+		{At: 10},                       // empty payload
 		EncodeSample(Sample{Input: []float64{6}, At: 11}),
-		{Kind: netlink.KindSample, Data: []float64{1, math.NaN()}, At: 12},
+		{Data: []float64{1, math.NaN()}, At: 12},
 		EncodeSample(Sample{Aux: []float64{7, 8}, At: 13}),
 	}
 	var want []Sample
 	wantMalformed := 0
 	for _, m := range batch {
-		if m.Kind != netlink.KindSample {
-			continue
-		}
 		sm, err := ParseSample(m)
 		if err != nil {
 			wantMalformed++

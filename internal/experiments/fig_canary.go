@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/liteflow-sim/liteflow/internal/fleet"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
@@ -165,7 +164,10 @@ func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
 		}
 	}
 	epochTick()
-	rig.Every(eng, agg/4, end, epochTick)
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		epochTick()
+		return agg / 4, eng.Now() < end
+	}).Start(agg / 4)
 
 	eng.RunUntil(end)
 	f.Stop()
@@ -188,21 +190,12 @@ func RunCanaryScenario(o CanaryScenarioOpts) CanaryScenarioResult {
 			res.Canaries = append(res.Canaries, i)
 		}
 	}
-	var pN int
-	for _, d := range fr.Delta(before, after) {
-		switch {
-		case strings.HasPrefix(d.Name, "liteflow_core_queries_total") && d.Cumulative:
-			res.QBefore += d.Before
-			res.QAfter += d.After
-		case strings.HasPrefix(d.Name, "liteflow_query_ns") && strings.HasSuffix(d.Name, "_p99"):
-			res.PBefore += d.Before
-			res.PAfter += d.After
-			pN++
-		}
-	}
-	if pN > 0 {
-		res.PBefore /= float64(pN)
-		res.PAfter /= float64(pN)
+	deltas := fr.Delta(before, after)
+	fleetWide := func(string) bool { return true }
+	q, p := fleet.Goodput.Sum(deltas, fleetWide), fleet.Latency.Sum(deltas, fleetWide)
+	res.QBefore, res.QAfter = q.Before, q.After
+	if p.N > 0 {
+		res.PBefore, res.PAfter = p.Before/float64(p.N), p.After/float64(p.N)
 	}
 	return res
 }
@@ -241,7 +234,7 @@ func FigFleetCanary(cfg Config) Result {
 	)
 
 	uVerdict := "no regression"
-	if ungated.GoodputRatio() < 0.9 || ungated.LatencyRatio() > 1.5 {
+	if ungated.GoodputRatio() < fleet.CanaryMinGoodputRatio || ungated.LatencyRatio() > fleet.CanaryMaxLatencyRatio {
 		uVerdict = "REGRESSION: degraded snapshot reached the whole fleet"
 	}
 	gVerdict := "REGRESSION: gate failed to protect the fleet"

@@ -87,14 +87,13 @@ func RunFleetScenario(o FleetScenarioOpts) FleetScenarioResult {
 
 	// Staleness integral: sample the lag gauge on a fixed cadence.
 	staleSum, staleSamples, peakStale := 0.0, 0, 0
-	rig.Every(eng, agg/2, end, func() {
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
 		s := ctrl.StaleMembers()
 		staleSum += float64(s)
 		staleSamples++
-		if s > peakStale {
-			peakStale = s
-		}
-	})
+		peakStale = max(peakStale, s)
+		return agg / 2, eng.Now() < end
+	}).Start(agg / 2)
 
 	// Drift stops at the end of the measured window; the tail is pure
 	// distribution-plane recovery (outage gaps let dark members catch up).

@@ -59,23 +59,19 @@ func FigFlowChurn(cfg Config) Result {
 	// Long-lived adaptation loop: a new snapshot activates every dur/adaptGens.
 	installs := 0
 	adaptPeriod := dur / adaptGens
-	var adapt func()
-	adapt = func() {
-		eng.After(adaptPeriod, func() {
-			if eng.Now() >= dur {
-				return
-			}
-			installs++
-			if _, err := lf.RegisterModel(mods[installs%prebuiltMod]); err != nil {
-				panic("experiments: " + err.Error())
-			}
-			if err := lf.Activate(); err != nil {
-				panic("experiments: " + err.Error())
-			}
-			adapt()
-		})
-	}
-	adapt()
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		if eng.Now() >= dur {
+			return 0, false
+		}
+		installs++
+		if _, err := lf.RegisterModel(mods[installs%prebuiltMod]); err != nil {
+			panic("experiments: " + err.Error())
+		}
+		if err := lf.Activate(); err != nil {
+			panic("experiments: " + err.Error())
+		}
+		return adaptPeriod, true
+	}).Start(adaptPeriod)
 
 	// Churn workload: each flow opens, spreads its queries over its
 	// lifetime, then FINs or goes silent (idle-expired by the sweeper).
@@ -115,16 +111,12 @@ func FigFlowChurn(cfg Config) Result {
 	// Sample the cache population on a fixed cadence.
 	cached := Series{Name: "cached-flows"}
 	sampleEvery := dur / 50
-	var sample func()
-	sample = func() {
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
 		ms := float64(eng.Now()) / 1e6
 		cached.X = append(cached.X, ms)
 		cached.Y = append(cached.Y, float64(lf.CachedFlows()))
-		if eng.Now() < dur {
-			eng.After(sampleEvery, sample)
-		}
-	}
-	eng.After(sampleEvery, sample)
+		return sampleEvery, eng.Now() < dur
+	}).Start(sampleEvery)
 
 	eng.RunUntil(dur)
 	peak := 0

@@ -88,20 +88,21 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 		decide = rig.UserDecider(eng, costs, net, rig.CharDev, 4, lb.Argmax)
 		for _, h := range sl.Hosts {
 			h := h
-			rig.Every(eng, 200*netsim.Microsecond, deadline, func() {
+			netsim.NewTicker(eng, func() (netsim.Time, bool) {
 				h.CPU.Charge(ksim.SoftIRQ, costs.CrossSpace)
 				h.CPU.Charge(ksim.Kernel, costs.CharDevPerMsg)
-			})
+				return 200 * netsim.Microsecond, eng.Now() < deadline
+			}).Start(200 * netsim.Microsecond)
 		}
 		// char-MLP adapts its userspace model directly, through the same
 		// adapter LF-MLP's slow path runs.
-		rig.Every(eng, batchT, deadline, func() {
-			if len(charBatch) == 0 {
-				return
+		netsim.NewTicker(eng, func() (netsim.Time, bool) {
+			if len(charBatch) > 0 {
+				user.Adapt(charBatch)
+				charBatch = charBatch[:0]
 			}
-			user.Adapt(charBatch)
-			charBatch = charBatch[:0]
-		})
+			return batchT, eng.Now() < deadline
+		}).Start(batchT)
 	}
 
 	// Regime shift: disable ECN marking fabric-wide. Congestion then shows

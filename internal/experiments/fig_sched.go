@@ -251,13 +251,14 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	var userspaceBatchX [][]float64
 	var userspaceBatchY []int64
 	if isChar || isNetlink {
-		rig.Every(eng, batchT, horizon, func() {
+		netsim.NewTicker(eng, func() (netsim.Time, bool) {
 			if len(userspaceBatchX) > 0 {
 				sched.Train(net, userspaceBatchX, userspaceBatchY, 30)
 				userspaceBatchX = userspaceBatchX[:0]
 				userspaceBatchY = userspaceBatchY[:0]
 			}
-		})
+			return batchT, eng.Now() < horizon
+		}).Start(batchT)
 	}
 
 	buckets := newFCTBuckets()

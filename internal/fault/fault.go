@@ -26,17 +26,9 @@ package fault
 import (
 	"math"
 
+	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
-
-// Clock is the virtual-time surface the injector schedules against. It is
-// structurally satisfied by *netsim.Engine (netsim.Time is an int64 alias);
-// fault deliberately does not import netsim so the package sits below every
-// layer it plugs into.
-type Clock interface {
-	Now() int64
-	After(d int64, fn func())
-}
 
 // Profile declares which faults fire and how hard. Probabilities are in
 // [0, 1]; durations are virtual nanoseconds. The zero Profile injects
@@ -206,7 +198,7 @@ type Injector struct {
 	outageEnd   int64
 	outageOpen  bool
 
-	spiking bool
+	spikes *netsim.Ticker // the live CPU-spike chain, if any
 }
 
 // New returns an injector driven by profile p and the given seed. The scope
@@ -368,34 +360,32 @@ func (j *Injector) scheduleOutage(after int64) {
 	j.outageEnd = j.outageStart + j.prof.OutageDuration
 }
 
-// StartCPUSpikes schedules recurring CPU overload bursts on clk: roughly
+// StartCPUSpikes schedules recurring CPU overload bursts on eng: roughly
 // every SpikePeriod (jittered ±50%), charge is invoked with SpikeWork of
 // extra work. charge typically closes over a ksim.CPU and charges softirq
-// time. StopCPUSpikes cancels after the pending burst.
-func (j *Injector) StartCPUSpikes(clk Clock, charge func(work int64)) {
-	if j == nil || j.prof.SpikePeriod <= 0 || j.prof.SpikeWork <= 0 || j.spiking {
+// time. While spikes run it does nothing; StopCPUSpikes cancels the pending
+// burst.
+func (j *Injector) StartCPUSpikes(eng *netsim.Engine, charge func(work int64)) {
+	if j == nil || j.prof.SpikePeriod <= 0 || j.prof.SpikeWork <= 0 || j.spikes.Running() {
 		return
 	}
-	j.spiking = true
-	j.scheduleSpike(clk, charge)
+	j.spikes = netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		j.st.Spikes++
+		j.sc.Event1("fault", "cpu_spike", eng.Now(), "ns", j.prof.SpikeWork)
+		charge(j.prof.SpikeWork)
+		return j.spikeGap(), true
+	})
+	j.spikes.Start(j.spikeGap())
 }
 
 // StopCPUSpikes halts the spike generator (experiment teardown).
 func (j *Injector) StopCPUSpikes() {
-	if j != nil {
-		j.spiking = false
+	if j != nil && j.spikes != nil {
+		j.spikes.Stop()
 	}
 }
 
-func (j *Injector) scheduleSpike(clk Clock, charge func(work int64)) {
-	gap := j.prof.SpikePeriod/2 + j.cpu.intn(j.prof.SpikePeriod)
-	clk.After(gap, func() {
-		if !j.spiking {
-			return
-		}
-		j.st.Spikes++
-		j.sc.Event1("fault", "cpu_spike", clk.Now(), "ns", j.prof.SpikeWork)
-		charge(j.prof.SpikeWork)
-		j.scheduleSpike(clk, charge)
-	})
+// spikeGap draws the jittered time to the next spike.
+func (j *Injector) spikeGap() netsim.Time {
+	return j.prof.SpikePeriod/2 + j.cpu.intn(j.prof.SpikePeriod)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
@@ -49,7 +50,7 @@ func TestNilInjector(t *testing.T) {
 	if j.ServiceDown(0) {
 		t.Error("nil injector must not take the service down")
 	}
-	j.StartCPUSpikes(nil, nil) // must not dereference clk
+	j.StartCPUSpikes(nil, nil) // must not dereference eng
 	j.StopCPUSpikes()
 	if j.Stats().Total() != 0 {
 		t.Error("nil injector must report zero state")
@@ -180,49 +181,14 @@ func TestOutageWindows(t *testing.T) {
 	}
 }
 
-// fakeClock is a minimal Clock for spike tests: events run when advanced.
-type fakeClock struct {
-	now int64
-	q   []fakeEv
-}
-
-type fakeEv struct {
-	at int64
-	fn func()
-}
-
-func (c *fakeClock) Now() int64 { return c.now }
-func (c *fakeClock) After(d int64, fn func()) {
-	c.q = append(c.q, fakeEv{c.now + d, fn})
-}
-
-func (c *fakeClock) runUntil(t int64) {
-	for {
-		best := -1
-		for i, e := range c.q {
-			if e.at <= t && (best < 0 || e.at < c.q[best].at) {
-				best = i
-			}
-		}
-		if best < 0 {
-			c.now = t
-			return
-		}
-		e := c.q[best]
-		c.q = append(c.q[:best], c.q[best+1:]...)
-		c.now = e.at
-		e.fn()
-	}
-}
-
 func TestCPUSpikes(t *testing.T) {
 	p := Profile{SpikePeriod: 100 * millisecond, SpikeWork: millisecond}
 	j := New(p, 5, obs.Scope{})
-	clk := &fakeClock{}
+	eng := netsim.NewEngine()
 	var charged int64
-	j.StartCPUSpikes(clk, func(work int64) { charged += work })
-	j.StartCPUSpikes(clk, func(work int64) { charged += work }) // idempotent
-	clk.runUntil(2 * second)
+	j.StartCPUSpikes(eng, func(work int64) { charged += work })
+	j.StartCPUSpikes(eng, func(work int64) { charged += work }) // idempotent
+	eng.RunUntil(2 * second)
 	st := j.Stats()
 	if st.Spikes == 0 {
 		t.Fatal("no spikes over 2 virtual seconds")
@@ -237,7 +203,7 @@ func TestCPUSpikes(t *testing.T) {
 	}
 	j.StopCPUSpikes()
 	before := st.Spikes
-	clk.runUntil(4 * second)
+	eng.RunUntil(4 * second)
 	if j.Stats().Spikes != before {
 		t.Error("spikes must stop after StopCPUSpikes")
 	}

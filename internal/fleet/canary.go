@@ -53,49 +53,73 @@ func memberSeriesMatcher(m *Member) func(string) bool {
 	}
 }
 
-// windowSum adds up the before and after statistics of the series one
-// verdict criterion selects; n counts them.
-type windowSum struct {
-	before, after float64
-	n             int
+const (
+	// CanaryMinGoodputRatio fails the verdict when a canary's query rate
+	// over the observation window drops below this fraction of its
+	// pre-install rate.
+	CanaryMinGoodputRatio = 0.9
+	// CanaryMaxLatencyRatio fails the verdict when a canary's query-latency
+	// p99 estimate grows beyond this multiple of its pre-install value.
+	CanaryMaxLatencyRatio = 1.5
+)
+
+// Criterion is one signal of the canary verdict: the flight-recorder series
+// it reads.
+type Criterion int
+
+const (
+	Goodput  Criterion = iota // query rates, liteflow_core_queries_total
+	Latency                   // query-latency p99 levels, liteflow_query_ns…_p99
+	Degraded                  // watchdog degradations, liteflow_core_degraded_total
+)
+
+// WindowSum adds up the before and after statistics of the series one
+// criterion selects; N counts them.
+type WindowSum struct {
+	Before, After float64
+	N             int
+}
+
+// Sum adds up, in deltas' order, the statistics of every series of deltas
+// that match selects and k reads. deltas is a flight recorder's per-series
+// comparison of a baseline and an observation window (obs.FlightRecorder.Delta).
+func (k Criterion) Sum(deltas []obs.SeriesDelta, match func(string) bool) WindowSum {
+	var s WindowSum
+	for _, d := range deltas {
+		if match(d.Name) && k.reads(d) {
+			s.Before += d.Before
+			s.After += d.After
+			s.N++
+		}
+	}
+	return s
+}
+
+func (k Criterion) reads(d obs.SeriesDelta) bool {
+	switch k {
+	case Goodput:
+		return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_queries_total")
+	case Latency:
+		return !d.Cumulative && strings.HasPrefix(d.Name, "liteflow_query_ns") && strings.HasSuffix(d.Name, "_p99")
+	}
+	return d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_degraded_total")
 }
 
 // memberHealth evaluates one canary against the verdict criteria and returns
-// "ok" or the criterion that failed. deltas is the flight recorder's
-// per-series comparison of the baseline and observation windows, computed
-// once per verdict; match selects the canary's own series. Each criterion
-// sums its series: goodput the query rates, latency the p99 estimates (taken
-// as their mean), degraded the watchdog's counts. Criteria with no series in
-// both windows (n == 0, e.g. a nil recorder or a sampling period longer than
-// the window) are inconclusive and skipped — the gate fails closed only on
-// evidence, never on blindness.
+// "ok" or the criterion that failed. deltas is computed once per verdict;
+// match selects the canary's own series. Latency takes the mean of its p99
+// estimates. Criteria with no series in both windows (N == 0, e.g. a nil
+// recorder or a sampling period longer than the window) are inconclusive and
+// skipped — the gate fails closed only on evidence, never on blindness.
 func memberHealth(deltas []obs.SeriesDelta, match func(string) bool) string {
-	var goodput, latency, degraded windowSum
-	for _, d := range deltas {
-		var s *windowSum
-		switch {
-		case !match(d.Name):
-			continue
-		case d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_queries_total"):
-			s = &goodput
-		case !d.Cumulative && strings.HasPrefix(d.Name, "liteflow_query_ns") && strings.HasSuffix(d.Name, "_p99"):
-			s = &latency
-		case d.Cumulative && strings.HasPrefix(d.Name, "liteflow_core_degraded_total"):
-			s = &degraded
-		default:
-			continue
-		}
-		s.before += d.Before
-		s.after += d.After
-		s.n++
-	}
-	n := float64(latency.n)
+	goodput, latency, degraded := Goodput.Sum(deltas, match), Latency.Sum(deltas, match), Degraded.Sum(deltas, match)
+	n := float64(latency.N)
 	switch {
-	case goodput.n > 0 && goodput.before > 0 && goodput.after/goodput.before < canaryMinGoodputRatio:
+	case goodput.N > 0 && goodput.Before > 0 && goodput.After/goodput.Before < CanaryMinGoodputRatio:
 		return "goodput"
-	case latency.n > 0 && latency.before > 0 && (latency.after/n)/(latency.before/n) > canaryMaxLatencyRatio:
+	case latency.N > 0 && latency.Before > 0 && (latency.After/n)/(latency.Before/n) > CanaryMaxLatencyRatio:
 		return "latency"
-	case degraded.n > 0 && degraded.after > degraded.before:
+	case degraded.N > 0 && degraded.After > degraded.Before:
 		return "degraded"
 	}
 	return "ok"
@@ -108,7 +132,7 @@ func memberHealth(deltas []obs.SeriesDelta, match func(string) bool) string {
 // activated canaries (all parked mid-install) learned nothing about the new
 // version and fails conservatively.
 func (c *Controller) canaryVerdict(epoch int64) {
-	if !c.running || c.phase != phaseObserve || c.cur.epoch != epoch {
+	if !c.running() || c.phase != phaseObserve || c.cur.epoch != epoch {
 		return
 	}
 	now := c.eng.Now()

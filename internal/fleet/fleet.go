@@ -76,17 +76,8 @@ type Config struct {
 	Flight *obs.FlightRecorder
 }
 
-const (
-	// namePrefix names generated snapshot modules (suffix is the epoch).
-	namePrefix = "fleet"
-	// canaryMinGoodputRatio fails the verdict when a canary's query rate
-	// over the observation window drops below this fraction of its
-	// pre-install rate.
-	canaryMinGoodputRatio = 0.9
-	// canaryMaxLatencyRatio fails the verdict when a canary's query-latency
-	// p99 estimate grows beyond this multiple of its pre-install value.
-	canaryMaxLatencyRatio = 1.5
-)
+// namePrefix names generated snapshot modules (suffix is the epoch).
+const namePrefix = "fleet"
 
 func (c Config) withDefaults() Config {
 	if c.BatchInterval <= 0 {
@@ -245,7 +236,9 @@ type Controller struct {
 	gate     core.StabilityGate
 	queue    []installJob
 	inFlight int
-	running  bool
+	// aggregation runs one slow-path round every AggregationInterval from
+	// Start to Stop.
+	aggregation *netsim.Ticker
 
 	phase    wavePhase
 	canaries []*Member   // cohort of the staged wave in flight
@@ -277,6 +270,10 @@ func New(eng *netsim.Engine, coreCfg core.Config, f core.Freezer, e core.Evaluat
 	}
 	c.register(c.sc)
 	c.spans = obs.NewSpanTracer(c.sc)
+	c.aggregation = netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		c.aggregate()
+		return c.cfg.AggregationInterval, true
+	})
 	return c
 }
 
@@ -289,7 +286,7 @@ func New(eng *netsim.Engine, coreCfg core.Config, f core.Freezer, e core.Evaluat
 // watchdog detects). Members join before Start: after it AddMember returns
 // an error and enrolls nothing.
 func (c *Controller) AddMember(co *core.Core, ch *netlink.Channel) (*Member, error) {
-	if c.running {
+	if c.running() {
 		return nil, fmt.Errorf("fleet: member %d added after Start", len(c.members))
 	}
 	m := &Member{Index: len(c.members), Core: co, Chan: ch}
@@ -336,7 +333,7 @@ func (c *Controller) MemberEpochs() []int64 {
 // transfer to model), then begins per-member batching and the aggregation
 // tick chain. It returns an error if the initial snapshot cannot be built.
 func (c *Controller) Start() error {
-	if c.running {
+	if c.running() {
 		return nil
 	}
 	if len(c.members) == 0 {
@@ -356,11 +353,10 @@ func (c *Controller) Start() error {
 		m.epoch = 1
 	}
 	c.st.StaleMembers = 0
-	c.running = true
 	for _, m := range c.members {
 		m.Chan.StartBatching(c.cfg.BatchInterval)
 	}
-	c.scheduleAggregation()
+	c.aggregation.Start(c.cfg.AggregationInterval)
 	return nil
 }
 
@@ -370,10 +366,10 @@ func (c *Controller) Start() error {
 // this, in-flight SendToKernel callbacks would keep registering and
 // activating models on a controller the caller believes is dead.
 func (c *Controller) Stop() {
-	if !c.running {
+	if !c.running() {
 		return
 	}
-	c.running = false
+	c.aggregation.Stop()
 	if n := len(c.queue); n > 0 {
 		c.st.InstallsAbandoned += int64(n)
 		c.sc.Event1("fleet", "stop_abandons_queue", c.eng.Now(), "jobs", int64(n))
@@ -389,6 +385,9 @@ func (c *Controller) Stop() {
 		m.Core.StopWatchdog()
 	}
 }
+
+// running reports whether the controller is between Start and Stop.
+func (c *Controller) running() bool { return c.aggregation.Running() }
 
 // Stats returns a copy of the controller's counters, its computed fields
 // filled in.
@@ -406,7 +405,7 @@ func (c *Controller) Stats() Stats {
 // batch delivered after Stop (already in flight when the controller went
 // down) is ignored.
 func (c *Controller) handleMemberBatch(m *Member, batch []netlink.Message) {
-	if !c.running {
+	if !c.running() {
 		return
 	}
 	now := c.eng.Now()
@@ -448,16 +447,6 @@ func (c *Controller) catchUp(m *Member) {
 	if m.epoch < c.rel.epoch && !m.installing {
 		c.enqueue(installJob{m: m, version: c.rel})
 	}
-}
-
-func (c *Controller) scheduleAggregation() {
-	c.eng.After(c.cfg.AggregationInterval, func() {
-		if !c.running {
-			return
-		}
-		c.aggregate()
-		c.scheduleAggregation()
-	})
 }
 
 // aggregate is one slow-path round over the pooled stream: merge member
@@ -637,7 +626,7 @@ func (c *Controller) enqueue(j installJob) {
 // pump starts queued installs while concurrency slots are free. A stopped
 // controller leaves the queue alone — Stop abandons it.
 func (c *Controller) pump() {
-	if !c.running {
+	if !c.running() {
 		return
 	}
 	for c.inFlight < c.cfg.MaxConcurrentInstalls && len(c.queue) > 0 {
@@ -653,7 +642,7 @@ func (c *Controller) install(j installJob) {
 	c.inFlight++
 	start := c.eng.Now()
 	j.m.Chan.SendToKernel(j.mod.Program.NumParams()*8, func() {
-		if !c.running {
+		if !c.running() {
 			// Stop raced the transfer: a dead controller must not keep
 			// registering and activating models on member cores.
 			j.m.installing = false

@@ -19,15 +19,9 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/opt"
 )
 
-// MsgKind is the record type of a kernel→userspace message.
-type MsgKind int
-
-// KindSample carries newly collected training data for online adaptation.
-const KindSample MsgKind = 0
-
-// Message is one record crossing the boundary.
+// Message is one record crossing the boundary: newly collected training
+// data for online adaptation.
 type Message struct {
-	Kind MsgKind
 	Data []float64   // feature/label payload (already dequantized)
 	At   netsim.Time // kernel-side collection time
 }
@@ -79,7 +73,7 @@ type Channel struct {
 	sc obs.Scope
 	st Stats
 
-	ticking  bool
+	batching *netsim.Ticker // flushes every interval
 	interval netsim.Time
 }
 
@@ -93,6 +87,10 @@ type Channel struct {
 func NewChannel(eng *netsim.Engine, cpu *ksim.CPU, costs ksim.Costs, deliver func(batch []Message), options ...opt.Option) *Channel {
 	c := &Channel{eng: eng, cpu: cpu, costs: costs, deliver: deliver,
 		sc: opt.Resolve(options).Scope}
+	c.batching = netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		c.Flush()
+		return c.interval, true
+	})
 	c.register(c.sc)
 	return c
 }
@@ -206,42 +204,26 @@ func (c *Channel) Flush() {
 }
 
 // StartBatching schedules periodic flushes every interval — the paper's
-// batch data delivery interval T. Calling it again re-arms with the new
-// interval; StopBatching cancels.
+// batch data delivery interval T. Calling it again while batching keeps the
+// pending flush and re-arms after it with the new interval; StopBatching
+// cancels the pending flush.
 func (c *Channel) StartBatching(interval netsim.Time) {
 	if interval <= 0 {
 		panic("netlink: batch interval must be positive")
 	}
 	c.interval = interval
-	if c.ticking {
-		return
-	}
-	c.ticking = true
-	c.tick()
+	c.batching.Start(interval)
 }
 
-// StopBatching stops the periodic flushing after the current tick.
-func (c *Channel) StopBatching() { c.ticking = false }
-
-func (c *Channel) tick() {
-	if !c.ticking {
-		return
-	}
-	c.eng.After(c.interval, func() {
-		if !c.ticking {
-			return
-		}
-		c.Flush()
-		c.tick()
-	})
-}
+// StopBatching stops the periodic flushing; the pending flush does not run.
+func (c *Channel) StopBatching() { c.batching.Stop() }
 
 // SendToKernel models a userspace→kernel transfer of payloadBytes (snapshot
 // parameters, evaluation queries), invoking done in the kernel after costs
 // and latency. The transition is softirq work; the copy is kernel work. The
 // second of the paper's netlink message types (§4.2: "two types of messages are
 // transferred"), snapshot outputs for necessity evaluation, is this downcall
-// and its reply, not a Message kind.
+// and its reply; a Message is always training data.
 func (c *Channel) SendToKernel(payloadBytes int, done func()) {
 	c.st.Downcalls++
 	c.st.DownBytes += int64(payloadBytes)

@@ -17,8 +17,8 @@ func newTestChannel(deliver func([]Message)) (*netsim.Engine, *ksim.CPU, *Channe
 func TestFlushDeliversBatch(t *testing.T) {
 	var got []Message
 	eng, _, ch := newTestChannel(func(b []Message) { got = b })
-	ch.Push(Message{Kind: KindSample, Data: []float64{1, 2}})
-	ch.Push(Message{Kind: KindSample, Data: []float64{3}})
+	ch.Push(Message{Data: []float64{1, 2}})
+	ch.Push(Message{Data: []float64{3}})
 	ch.Flush()
 	eng.Run()
 	if len(got) != 2 {
@@ -98,6 +98,48 @@ func TestPeriodicBatching(t *testing.T) {
 	// Each 100 ms batch should hold ~10 samples.
 	if got := len(batches[0]); got < 8 || got > 12 {
 		t.Errorf("first batch has %d samples, want ≈10", got)
+	}
+}
+
+// TestBatchingStopStartFlushesOnce: after StopBatching and StartBatching
+// with the stopped chain's flush still pending, the channel flushes once per
+// interval, not twice: 10 flushes in 100 ms at T = 10 ms. A producer pushes
+// every millisecond, so no flush is empty.
+func TestBatchingStopStartFlushesOnce(t *testing.T) {
+	eng, _, ch := newTestChannel(func([]Message) {})
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		ch.Push(Message{Data: []float64{1}})
+		return netsim.Millisecond, true
+	}).Start(0)
+	ch.StartBatching(10 * netsim.Millisecond)
+	eng.RunUntil(15*netsim.Millisecond - 500*netsim.Microsecond) // between flushes
+	ch.StopBatching()
+	ch.StartBatching(10 * netsim.Millisecond)
+	before := ch.Stats().Flushes
+	eng.RunUntil(eng.Now() + 100*netsim.Millisecond)
+	if n := ch.Stats().Flushes - before; n != 10 {
+		t.Errorf("%d flushes in 100 ms after Stop→Start at T = 10 ms, want 10", n)
+	}
+}
+
+// TestStartBatchingWhileBatchingKeepsOneChain: StartBatching on a batching
+// channel keeps the pending flush and uses the new interval from the next
+// re-arm on.
+func TestStartBatchingWhileBatchingKeepsOneChain(t *testing.T) {
+	eng, _, ch := newTestChannel(func([]Message) {})
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		ch.Push(Message{Data: []float64{1}})
+		return netsim.Millisecond, true
+	}).Start(0)
+	ch.StartBatching(10 * netsim.Millisecond)
+	eng.At(5*netsim.Millisecond, func() { ch.StartBatching(20 * netsim.Millisecond) })
+	var flushes []int64
+	for _, ms := range []netsim.Time{10, 30, 50} {
+		eng.RunUntil(ms * netsim.Millisecond)
+		flushes = append(flushes, ch.Stats().Flushes)
+	}
+	if flushes[0] != 1 || flushes[1] != 2 || flushes[2] != 3 {
+		t.Errorf("flushes by 10, 30 and 50 ms = %v, want [1 2 3]", flushes)
 	}
 }
 

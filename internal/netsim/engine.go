@@ -26,6 +26,17 @@
 // In both families the completions of a FIFO server — a link's packets in
 // propagation, a CPU's per-packet work — wait in the server's own Ring and
 // only the ring's head occupies the owning partition's heap.
+//
+// Work that repeats in virtual time — batch delivery every T, a monitor
+// interval, a watchdog, a traffic source's next packet — runs on a Ticker.
+// Its step returns the next delay and whether to go on; the ticker re-arms
+// through After on the Engine view it was made on, only after the step
+// returns, so a chain pushes the events a hand-written self-rescheduling
+// callback would. The first step runs after the delay given to Start. Stop
+// ends exactly the chain it is called on, whose pending event then runs
+// nothing; Start on a live chain does nothing; a step allocates nothing.
+// Chains are told apart by due time, which leaves one edge case after
+// Stop→Start (see Ticker).
 package netsim
 
 import (

@@ -85,24 +85,15 @@ func (d *Deployment) Stop() {
 	d.Core.StopWatchdog()
 }
 
-// Every calls fn each period of virtual time, first at now+period and last at
-// the first tick at or past end.
-func Every(eng *netsim.Engine, period, end netsim.Time, fn func()) {
-	var tick func()
-	tick = func() {
-		fn()
-		if eng.Now() < end {
-			eng.After(period, tick)
-		}
-	}
-	eng.After(period, tick)
-}
-
 // flightTick arms the flight recorder when there is one and a registry to
-// read: every series is sampled into fr each `every`, until end.
+// read: every series is sampled into fr each `every`, until end (the last
+// sample is the first at or past end).
 func flightTick(eng *netsim.Engine, fr *obs.FlightRecorder, reg *obs.Registry, every, end netsim.Time) {
 	if fr == nil || reg == nil {
 		return
 	}
-	Every(eng, every, end, func() { fr.Sample(reg, int64(eng.Now())) })
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		fr.Sample(reg, int64(eng.Now()))
+		return every, eng.Now() < end
+	}).Start(every)
 }

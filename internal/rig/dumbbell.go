@@ -169,16 +169,12 @@ func (d *Dumbbell) Delivered(i int) int64 { return d.delivered[i] }
 // Sample calls fn every period while the measuring gate is open, passing the
 // time since it opened. eng must be the partition owning whatever fn reads.
 func (d *Dumbbell) Sample(eng *netsim.Engine, period netsim.Time, fn func(sinceWarmup netsim.Time)) {
-	var tick func()
-	tick = func() {
-		eng.After(period, func() {
-			if d.measuring {
-				fn(eng.Now() - d.warmup)
-			}
-			tick()
-		})
-	}
-	tick()
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		if d.measuring {
+			fn(eng.Now() - d.warmup)
+		}
+		return period, true
+	}).Start(period)
 }
 
 // Run executes warmup, opens the measuring gate and restarts CPU accounting

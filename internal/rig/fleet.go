@@ -207,8 +207,7 @@ func (f *Fleet) stream(m *fleet.Member, o FleetOpts) {
 		return netsim.Time(float64(s.Every) / den)
 	}
 	sent := 0
-	var tick func()
-	tick = func() {
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
 		sample := core.Sample{Input: make([]float64, 4), At: eng.Now()}
 		for k := range sample.Input {
 			sample.Input[k] = rng.Float64()*2 - 1
@@ -228,11 +227,8 @@ func (f *Fleet) stream(m *fleet.Member, o FleetOpts) {
 		if act := m.Core.Active(); s.ClosedLoop && act != nil {
 			next += act.Cost()
 		}
-		if eng.Now() < o.End {
-			eng.After(next, tick)
-		}
-	}
-	eng.After(gap(), tick)
+		return next, eng.Now() < o.End
+	}).Start(gap())
 }
 
 // Stop halts the controller and every member core's background activity.

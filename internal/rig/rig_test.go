@@ -82,23 +82,30 @@ func TestNewFleet(t *testing.T) {
 	}
 }
 
-// TestEveryBoundary: the first tick is at now+period and the last is the
-// first tick at or past end.
-func TestEveryBoundary(t *testing.T) {
+// TestFlightTickBoundary: the first sample is at now+every and the last is
+// the first at or past end.
+func TestFlightTickBoundary(t *testing.T) {
 	for _, c := range []struct {
-		start, period, end netsim.Time
-		want               []netsim.Time
+		start, every, end netsim.Time
+		want              []int64
 	}{
-		{7, 10, 35, []netsim.Time{17, 27, 37}}, // end between ticks: one tick past it
-		{0, 10, 30, []netsim.Time{10, 20, 30}}, // end on a tick: that tick is the last
-		{0, 10, 5, []netsim.Time{10}},          // end before the first tick: it still fires
+		{7, 10, 35, []int64{17, 27, 37}}, // end between samples: one past it
+		{0, 10, 30, []int64{10, 20, 30}}, // end on a sample: that sample is the last
+		{0, 10, 5, []int64{10}},          // end before the first sample: it is still taken
 	} {
 		eng := netsim.NewEngine()
-		var got []netsim.Time
-		eng.At(c.start, func() { Every(eng, c.period, c.end, func() { got = append(got, eng.Now()) }) })
+		reg, fr := obs.NewRegistry(), obs.NewFlightRecorder(0)
+		obs.New(reg, nil).Counter("liteflow_test_total", "one series to sample")
+		eng.At(c.start, func() { flightTick(eng, fr, reg, c.every, c.end) })
 		eng.RunUntil(1000)
+		var got []int64
+		for _, w := range fr.Window(0, 1000) {
+			for _, p := range w.Points {
+				got = append(got, p.At)
+			}
+		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Every from %d each %d until %d ticked at %v, want %v", c.start, c.period, c.end, got, c.want)
+			t.Errorf("flightTick from %d each %d until %d sampled at %v, want %v", c.start, c.every, c.end, got, c.want)
 		}
 	}
 }

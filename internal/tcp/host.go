@@ -126,62 +126,53 @@ type UDPSource struct {
 	Bps     int64
 	PktSize int
 
-	running bool
-	tickFn  func()
-	sendFn  func()
+	sending *netsim.Ticker
+	paused  bool // the pending step re-checks the rate instead of sending
 }
 
 // NewUDPSource returns a CBR source sending from h to dst at bps.
 func NewUDPSource(h *Host, flow netsim.FlowID, dst int, bps int64) *UDPSource {
 	u := &UDPSource{Host: h, Flow: flow, Dst: dst, Bps: bps, PktSize: netsim.HeaderBytes + netsim.MSS}
-	u.tickFn = u.tick
-	u.sendFn = u.sendOne
+	u.sending = netsim.NewTicker(h.Eng, u.send)
 	return u
 }
 
 // Start begins transmission; SetRate adjusts the rate live (used by the
 // traffic-pattern switcher in the adaptation experiments).
 func (u *UDPSource) Start() {
-	if u.running {
-		return
+	if !u.sending.Running() {
+		u.sending.Start(u.gap())
 	}
-	u.running = true
-	u.tick()
 }
 
-// Stop halts transmission after the next scheduled packet.
-func (u *UDPSource) Stop() { u.running = false }
+// Stop halts transmission; the pending packet is not sent.
+func (u *UDPSource) Stop() { u.sending.Stop() }
 
 // SetRate changes the sending rate; 0 pauses without stopping the loop.
 func (u *UDPSource) SetRate(bps int64) { u.Bps = bps }
 
-func (u *UDPSource) tick() {
-	if !u.running {
-		return
+// gap returns the time to the next step at the current rate. A paused
+// source (Bps ≤ 0) re-checks its rate every millisecond and sends nothing
+// when it does.
+func (u *UDPSource) gap() netsim.Time {
+	u.paused = u.Bps <= 0
+	if u.paused {
+		return netsim.Millisecond
 	}
-	if u.Bps <= 0 {
-		u.Host.Eng.After(netsim.Millisecond, u.tickFn)
-		return
-	}
-	interval := netsim.Time(int64(u.PktSize) * 8 * int64(netsim.Second) / u.Bps)
-	if interval < 1 {
-		interval = 1
-	}
-	u.Host.Eng.After(interval, u.sendFn)
+	return max(netsim.Time(int64(u.PktSize)*8*int64(netsim.Second)/u.Bps), 1)
 }
 
-// sendOne transmits one CBR packet and schedules the next. The callbacks are
-// bound once at construction and packets come from the simulation's free
-// list, so the steady sending loop allocates nothing.
-func (u *UDPSource) sendOne() {
-	if !u.running {
-		return
+// send transmits one CBR packet, unless the step was scheduled while the
+// source was paused. Packets come from the simulation's free list, so the
+// steady sending loop allocates nothing.
+func (u *UDPSource) send() (netsim.Time, bool) {
+	if !u.paused {
+		p := u.Host.Eng.AllocPacket()
+		p.Flow, p.Dst = u.Flow, u.Dst
+		p.Size = u.PktSize
+		u.Host.Transmit(p)
 	}
-	p := u.Host.Eng.AllocPacket()
-	p.Flow, p.Dst = u.Flow, u.Dst
-	p.Size = u.PktSize
-	u.Host.Transmit(p)
-	u.tick()
+	return u.gap(), true
 }
 
 // BurstyUDP drives a UDPSource between two rates on a fixed half-period —
@@ -193,44 +184,40 @@ type BurstyUDP struct {
 	Low, High  int64
 	HalfPeriod netsim.Time
 
-	running bool
-	high    bool
+	toggling *netsim.Ticker
+	high     bool
 }
 
 // NewBurstyUDP wraps src, toggling between low and high every halfPeriod.
 func NewBurstyUDP(src *UDPSource, low, high int64, halfPeriod netsim.Time) *BurstyUDP {
-	return &BurstyUDP{Src: src, Low: low, High: high, HalfPeriod: halfPeriod}
+	b := &BurstyUDP{Src: src, Low: low, High: high, HalfPeriod: halfPeriod}
+	b.toggling = netsim.NewTicker(src.Host.Eng, b.toggle)
+	return b
 }
 
 // Start begins in the high phase and runs until Stop.
 func (b *BurstyUDP) Start() {
-	if b.running {
+	if b.toggling.Running() {
 		return
 	}
-	b.running = true
 	b.high = true
 	b.Src.SetRate(b.High)
 	b.Src.Start()
-	b.tick()
+	b.toggling.Start(b.HalfPeriod)
 }
 
 // Stop halts toggling and the underlying source.
 func (b *BurstyUDP) Stop() {
-	b.running = false
+	b.toggling.Stop()
 	b.Src.Stop()
 }
 
-func (b *BurstyUDP) tick() {
-	b.Src.Host.Eng.After(b.HalfPeriod, func() {
-		if !b.running {
-			return
-		}
-		b.high = !b.high
-		if b.high {
-			b.Src.SetRate(b.High)
-		} else {
-			b.Src.SetRate(b.Low)
-		}
-		b.tick()
-	})
+func (b *BurstyUDP) toggle() (netsim.Time, bool) {
+	b.high = !b.high
+	if b.high {
+		b.Src.SetRate(b.High)
+	} else {
+		b.Src.SetRate(b.Low)
+	}
+	return b.HalfPeriod, true
 }

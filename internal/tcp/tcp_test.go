@@ -289,6 +289,51 @@ func TestUDPSourceSetRateAndPause(t *testing.T) {
 	}
 }
 
+// TestUDPSourceStopStartSendsOneStream: after Stop and Start with the
+// stopped chain's packet still pending, the source sends at its rate once,
+// not twice: ≈ 81 packets of 1,538 bytes in 10 ms at 100 Mbps.
+func TestUDPSourceStopStartSendsOneStream(t *testing.T) {
+	eng := netsim.NewEngine()
+	a := NewHost(eng, 1)
+	sink := &netsim.Sink{}
+	a.SetEgress(netsim.NewLink(eng, sink, 1e9, 0, nil))
+	u := NewUDPSource(a, 99, 2, 100_000_000)
+	u.Start()
+	eng.RunUntil(netsim.Millisecond + 50*netsim.Microsecond) // between packets
+	u.Stop()
+	u.Start()
+	before := sink.Packets
+	eng.RunUntil(eng.Now() + 10*netsim.Millisecond)
+	if n := sink.Packets - before; n < 78 || n > 84 {
+		t.Errorf("%d packets in 10 ms after Stop→Start at 100 Mbps, want ≈ 81", n)
+	}
+}
+
+// TestBurstyUDPStopStartTogglesOnce: after Stop and Start with the stopped
+// chain's toggle still pending, the rate flips once per half-period, not
+// twice. A 10 µs sampler counts the flips.
+func TestBurstyUDPStopStartTogglesOnce(t *testing.T) {
+	eng := netsim.NewEngine()
+	a := NewHost(eng, 1)
+	a.SetEgress(netsim.NewLink(eng, &netsim.Sink{}, 1e9, 0, nil))
+	b := NewBurstyUDP(NewUDPSource(a, 99, 2, 0), 10_000_000, 50_000_000, netsim.Millisecond)
+	b.Start()
+	eng.RunUntil(1500 * netsim.Microsecond) // between toggles
+	b.Stop()
+	b.Start()
+	flips, last := 0, b.Src.Bps
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		if b.Src.Bps != last {
+			flips, last = flips+1, b.Src.Bps
+		}
+		return 10 * netsim.Microsecond, true
+	}).Start(0)
+	eng.RunUntil(eng.Now() + 10*netsim.Millisecond)
+	if flips < 9 || flips > 11 {
+		t.Errorf("%d rate flips in 10 ms after Stop→Start at a 1 ms half-period, want ≈ 10", flips)
+	}
+}
+
 func TestFINCallbackFires(t *testing.T) {
 	eng := netsim.NewEngine()
 	a, b := pair(eng, 1_000_000_000, netsim.Millisecond, 1<<20)

@@ -204,21 +204,15 @@ type RateSetter interface {
 // period — the "randomly change the traffic pattern every 20 minutes" setup
 // of the adaptation experiments, time-scaled to the simulation.
 type PatternSwitcher struct {
-	Eng    *netsim.Engine
 	Target RateSetter
 	// Period between switches.
 	Period netsim.Time
 	// Rates to draw from (uniformly, never repeating the current one).
 	Rates []int64
 
-	rng     *rand.Rand
-	current int
-	running bool
-	// gen invalidates the pending tick of a previous run: a Stop→Start
-	// cycle would otherwise let the old callback observe running==true and
-	// re-arm, leaving two concurrent switch chains (the flowcache sweeper's
-	// generation-counter pattern).
-	gen int
+	rng       *rand.Rand
+	current   int
+	switching *netsim.Ticker
 	// Switches counts pattern *changes* applied — the initial rate is the
 	// starting pattern, not a switch.
 	Switches int
@@ -229,45 +223,40 @@ func NewPatternSwitcher(eng *netsim.Engine, target RateSetter, period netsim.Tim
 	if len(rates) < 2 {
 		panic("workload: need at least two rates to switch between")
 	}
-	return &PatternSwitcher{Eng: eng, Target: target, Period: period, Rates: rates,
+	p := &PatternSwitcher{Target: target, Period: period, Rates: rates,
 		rng: rand.New(rand.NewSource(seed))}
+	p.switching = netsim.NewTicker(eng, p.switchRate)
+	return p
 }
 
-// StartAt starts switching from Rates[idx] as the initial pattern.
+// StartAt starts switching from Rates[idx] as the initial pattern. On a
+// switcher already running it does nothing.
 func (p *PatternSwitcher) StartAt(idx int) {
-	if p.running {
+	if p.switching.Running() {
 		return
 	}
 	if idx < 0 || idx >= len(p.Rates) {
 		panic("workload: StartAt index out of range")
 	}
-	p.running = true
-	p.gen++
 	p.apply(idx)
-	p.tick(p.gen)
+	p.switching.Start(p.Period)
 }
 
-// Stop halts switching after the pending period elapses. A later Start
-// begins a fresh switch chain; the old pending tick dies on the generation
-// check instead of re-arming alongside it.
-func (p *PatternSwitcher) Stop() { p.running = false }
+// Stop halts switching; the pending switch does not run. A later StartAt
+// begins a fresh switch chain.
+func (p *PatternSwitcher) Stop() { p.switching.Stop() }
 
 func (p *PatternSwitcher) apply(idx int) {
 	p.current = idx
 	p.Target.SetRate(p.Rates[idx])
 }
 
-func (p *PatternSwitcher) tick(gen int) {
-	p.Eng.After(p.Period, func() {
-		if !p.running || p.gen != gen {
-			return
-		}
-		next := p.rng.Intn(len(p.Rates) - 1)
-		if next >= p.current {
-			next++
-		}
-		p.apply(next)
-		p.Switches++
-		p.tick(gen)
-	})
+func (p *PatternSwitcher) switchRate() (netsim.Time, bool) {
+	next := p.rng.Intn(len(p.Rates) - 1)
+	if next >= p.current {
+		next++
+	}
+	p.apply(next)
+	p.Switches++
+	return p.Period, true
 }

@@ -236,9 +236,9 @@ func TestPatternSwitcherStartAtPins(t *testing.T) {
 }
 
 // TestPatternSwitcherStopStartNoDoubleChain is the Stop→Start regression:
-// the pending tick of the stopped run must die on the generation check
-// instead of re-arming a second concurrent switch chain (which doubled
-// Switches counting and rate draws).
+// the pending tick of the stopped run must run nothing instead of re-arming
+// a second concurrent switch chain (which doubled Switches counting and rate
+// draws).
 func TestPatternSwitcherStopStartNoDoubleChain(t *testing.T) {
 	eng := netsim.NewEngine()
 	tgt := &fakeRate{}
@@ -381,7 +381,7 @@ func BenchmarkSample(b *testing.B) {
 // is not counted in Switches. Use StartAt when the
 // starting pattern must be pinned (e.g. a model's training pattern).
 func (p *PatternSwitcher) Start() {
-	if p.running {
+	if p.switching.Running() {
 		return
 	}
 	p.StartAt(p.rng.Intn(len(p.Rates)))

@@ -1054,3 +1054,137 @@ func structOf(t types.Type) (*types.Struct, bool) {
 	st, ok := t.Underlying().(*types.Struct)
 	return st, ok
 }
+
+// TestNoHandRolledRepeats: work that repeats in virtual time runs on a
+// netsim.Ticker, the one primitive with one stop discipline. The test fails
+// on a non-test function outside internal/netsim that passes itself to an
+// Engine's After or At, as a func or method value or through a func literal
+// that calls it (selfSchedulers says how a function is named). bench/ is
+// frozen and examples/ reach the engine through the root package, which
+// exports no ticker, so neither is read. kept lists the bounded
+// re-schedulers that stay, each with its reason; an entry that no longer
+// re-schedules itself, or is gone, fails too.
+func TestNoHandRolledRepeats(t *testing.T) {
+	kept := map[string]string{
+		"core.Service.tryInstall":      "a bounded retry: each attempt carries its number, and the last one abandons the install",
+		"core.FlowBackend.query":       "a stalled query re-checks the router lock once its remaining time has passed, carrying the query and its stall start",
+		"experiments.FigFlowChurn.run": "one query chain per flow, carrying the queries left, which ends with the flow",
+	}
+	found := loadCensus(t).selfSchedulers()
+	var bad []string
+	for site, pos := range found {
+		if _, ok := kept[site]; !ok {
+			bad = append(bad, site+" schedules itself at "+pos+"; run it on a netsim.Ticker")
+		}
+	}
+	for site := range kept {
+		if _, ok := found[site]; !ok {
+			bad = append(bad, "allow-listed but no longer schedules itself, or gone: "+site)
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// selfSchedulers returns, by "pkg.Func", "pkg.Type.Method" or, for a func
+// literal assigned to a variable, "pkg.Func.variable", each function outside
+// internal/netsim, bench/ and examples/ whose body hands itself to
+// (*netsim.Engine).After or At, with the position of the first such call.
+func (c *census) selfSchedulers() map[string]string {
+	found := map[string]string{}
+	for _, p := range c.pkgs {
+		if p.rel == "internal/netsim" || strings.HasPrefix(p.rel, "bench") || strings.HasPrefix(p.rel, "examples") {
+			continue
+		}
+		for _, f := range p.files {
+			if c.isTest(f) {
+				continue
+			}
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Body == nil {
+					continue
+				}
+				site := f.Name.Name + "." + d.Name.Name
+				if d.Recv != nil {
+					site = f.Name.Name + "." + embeddedIdent(d.Recv.List[0].Type).Name + "." + d.Name.Name
+				}
+				c.scanSelfSchedule(p.info, d.Body, p.info.Defs[d.Name], site, found)
+				// A func literal assigned to a variable is a function of its
+				// own, named after the variable.
+				ast.Inspect(d.Body, func(n ast.Node) bool {
+					as, ok := n.(*ast.AssignStmt)
+					if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+						return true
+					}
+					for i, lhs := range as.Lhs {
+						id, ok := lhs.(*ast.Ident)
+						lit, isLit := as.Rhs[i].(*ast.FuncLit)
+						if ok && isLit {
+							c.scanSelfSchedule(p.info, lit.Body, p.info.Uses[id], site+"."+id.Name, found)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return found
+}
+
+// scanSelfSchedule records site in found when body passes self to an
+// Engine's After or At: as the func value itself, or in a func literal that
+// calls it.
+func (c *census) scanSelfSchedule(info *types.Info, body ast.Node, self types.Object, site string, found map[string]string) {
+	if self == nil {
+		return
+	}
+	names := func(e ast.Expr) bool {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return info.Uses[x] == self
+		case *ast.SelectorExpr:
+			return info.Uses[x.Sel] == self
+		}
+		return false
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 || !isEngineSchedule(calleeFunc(info, call)) {
+			return true
+		}
+		arg := ast.Unparen(call.Args[1])
+		hit := names(arg)
+		if lit, ok := arg.(*ast.FuncLit); ok {
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				if inner, ok := n.(*ast.CallExpr); ok && names(inner.Fun) {
+					hit = true
+				}
+				return !hit
+			})
+		}
+		if _, seen := found[site]; hit && !seen {
+			found[site] = c.position(call.Pos())
+		}
+		return true
+	})
+}
+
+// isEngineSchedule reports whether fn is (*netsim.Engine).After or At.
+func isEngineSchedule(fn *types.Func) bool {
+	if fn == nil || (fn.Name() != "After" && fn.Name() != "At") {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	ptr, ok := recv.Type().(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	return ok && named.Obj().Name() == "Engine" && strings.HasSuffix(named.Obj().Pkg().Path(), "/internal/netsim")
+}
