@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/liteflow-sim/liteflow/internal/codegen"
+	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
@@ -430,6 +432,35 @@ func TestMIControllerOnStateHook(t *testing.T) {
 	m.Stop()
 	if states == 0 {
 		t.Error("OnState must fire per MI")
+	}
+}
+
+// TestMonitorIntervalZeroAllocs: one LF-Aurora monitor interval, through
+// core.FlowBackend to the integer snapshot and back through the bound reply
+// to OnState, allocates nothing once the flow is cached.
+func TestMonitorIntervalZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; guard runs in the plain job")
+	}
+	eng := netsim.NewEngine()
+	mod, err := codegen.Build(quant.Quantize(NewAuroraNet(1), quant.DefaultConfig()), "aurora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf := core.NewCore(eng, nil, ksim.DefaultCosts(), core.DefaultConfig())
+	if _, err := lf.RegisterModel(mod); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMIController(eng, core.NewFlowBackend(lf, 1), 10_000_000)
+	states := 0
+	m.OnState = func([]float64, float64, MISummary) { states++ }
+	m.endMI() // caches the flow and sizes the backend's buffers
+	allocs := testing.AllocsPerRun(100, func() { m.endMI() })
+	if allocs != 0 {
+		t.Errorf("a monitor interval allocates %.2f allocs/op, want 0", allocs)
+	}
+	if states != 102 || lf.Stats().Queries != 102 {
+		t.Errorf("OnState ran %d times and the core answered %d queries over 102 intervals", states, lf.Stats().Queries)
 	}
 }
 

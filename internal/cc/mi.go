@@ -61,7 +61,10 @@ type monitor struct {
 	Backend Backend
 	// OnState, when set, observes each (state, action, MI summary) — the
 	// paper's NN input collector feeding the slow path. Which value the law
-	// reports as the action is the law's to say.
+	// reports as the action is the law's to say. A reply a backend defers
+	// (CCPBackend, or FlowBackend while an install holds the lock) shows
+	// the latest closed interval's summary, as its aliased state already
+	// does.
 	OnState func(state []float64, action float64, mi MISummary)
 
 	law  law
@@ -78,7 +81,9 @@ type monitor struct {
 	ackedBytes int
 	lostBytes  int
 	prevAvgRTT netsim.Time
-	timer      *netsim.Ticker // ends each monitor interval
+	timer      *netsim.Ticker    // ends each monitor interval
+	summary    MISummary         // the latest closed interval's
+	reply      func(out float64) // apply, bound once
 
 	// MIs counts completed monitor intervals.
 	MIs int64
@@ -111,6 +116,7 @@ func (m *monitor) init(eng *netsim.Engine, backend Backend, l law, rate int64) {
 		rate:    rate,
 		minRTT:  1 << 62,
 		timer:   netsim.NewTicker(eng, m.endMI),
+		reply:   m.apply,
 	}
 }
 
@@ -201,7 +207,7 @@ func (m *monitor) endMI() (netsim.Time, bool) {
 	copy(m.history[StateDim-FeatureDim:], f[:])
 	copy(m.state[:], m.history[:])
 
-	summary := MISummary{
+	m.summary = MISummary{
 		Start: m.miStart, End: now,
 		AvgRTT: avgRTT, MinRTT: m.minRTT,
 		AckedBytes: m.ackedBytes, LostBytes: m.lostBytes,
@@ -214,15 +220,18 @@ func (m *monitor) endMI() (netsim.Time, bool) {
 	m.ackedBytes, m.lostBytes = 0, 0
 	m.MIs++
 
-	state := m.state[:]
-	m.Backend.Query(state, func(out float64) {
-		var shown float64
-		m.rate, shown = m.law.decide(out)
-		if m.OnState != nil {
-			m.OnState(state, shown, summary)
-		}
-	})
+	m.Backend.Query(m.state[:], m.reply)
 	return m.miDuration(), true
+}
+
+// apply is the backend's reply, bound once in init so an interval builds no
+// closure: the law turns the policy output into the next rate.
+func (m *monitor) apply(out float64) {
+	var shown float64
+	m.rate, shown = m.law.decide(out)
+	if m.OnState != nil {
+		m.OnState(m.state[:], shown, m.summary)
+	}
 }
 
 // PacingRate implements tcp.CongestionControl.

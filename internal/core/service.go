@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"github.com/liteflow-sim/liteflow/internal/codegen"
@@ -24,13 +25,17 @@ type Sample struct {
 	At    netsim.Time
 }
 
-// EncodeSample packs a sample into a netlink message.
+// AppendSample, the one encoder, appends s's netlink payload to dst: the
+// input length, the input, then the aux values. Channel.Push copies it, so a
+// pusher encoding into a scratch buffer it keeps allocates nothing per sample.
+func AppendSample(dst []float64, s Sample) []float64 {
+	dst = append(slices.Grow(dst, 1+len(s.Input)+len(s.Aux)), float64(len(s.Input)))
+	return append(append(dst, s.Input...), s.Aux...)
+}
+
+// EncodeSample packs a sample into a netlink message with its own payload.
 func EncodeSample(s Sample) netlink.Message {
-	data := make([]float64, 0, 1+len(s.Input)+len(s.Aux))
-	data = append(data, float64(len(s.Input)))
-	data = append(data, s.Input...)
-	data = append(data, s.Aux...)
-	return netlink.Message{Data: data, At: s.At}
+	return netlink.Message{Data: AppendSample(nil, s), At: s.At}
 }
 
 // ParseSample unpacks and validates a netlink message produced by

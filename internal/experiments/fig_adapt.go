@@ -7,6 +7,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
+	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
@@ -209,6 +210,7 @@ func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 		d.AddFlow(func(flow netsim.FlowID) tcp.CongestionControl {
 			ctrl := cc.NewAlphaController(eng, core.NewFlowBackend(lf, flow), d.BottleneckBps, 0.28)
 			if v.adapt {
+				var enc []float64
 				ctrl.OnState = func(state []float64, alpha float64, mi cc.MISummary) {
 					durMI := mi.End - mi.Start
 					if durMI <= 0 {
@@ -223,11 +225,11 @@ func runAdaptation(cfg Config, v adaptVariant, T netsim.Time, dur netsim.Time,
 					if mi.AckedBytes+mi.LostBytes > 0 {
 						lossFrac = float64(mi.LostBytes) / float64(mi.AckedBytes+mi.LostBytes)
 					}
-					dep.Chan.Push(core.EncodeSample(core.Sample{
-						Input: append([]float64(nil), state...),
+					enc = core.AppendSample(enc[:0], core.Sample{
+						Input: state,
 						Aux:   []float64{alpha, delivered, latRatio, lossFrac},
-						At:    eng.Now(),
-					}))
+					})
+					dep.Chan.Push(netlink.Message{Data: enc, At: eng.Now()})
 				}
 			}
 			return ctrl

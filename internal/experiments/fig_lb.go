@@ -6,6 +6,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/lb"
+	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/obs"
 	"github.com/liteflow-sim/liteflow/internal/rig"
@@ -70,6 +71,7 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	var decide rig.Decider // nil under ECMP
 	ecmp := &lb.ECMPSelector{Paths: paths}
 	var charBatch []core.Sample // char-MLP's userspace adaptation buffer
+	var enc []float64           // LF-MLP's encoded sample, reused
 
 	switch name {
 	case "LF-MLP", "LF-MLP-N-O-A":
@@ -161,7 +163,8 @@ func runFig17Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 					oneHot[lb.BestPath(monitor.Features(sizeNorm), paths)] = 1
 					switch name {
 					case "LF-MLP":
-						dep.Chan.Push(core.EncodeSample(core.Sample{Input: feats, Aux: oneHot, At: eng.Now()}))
+						enc = core.AppendSample(enc[:0], core.Sample{Input: feats, Aux: oneHot})
+						dep.Chan.Push(netlink.Message{Data: enc, At: eng.Now()})
 					case "char-MLP":
 						charBatch = append(charBatch, core.Sample{Input: feats, Aux: oneHot})
 					}

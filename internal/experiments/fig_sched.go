@@ -7,6 +7,7 @@ import (
 	"github.com/liteflow-sim/liteflow/internal/cc"
 	"github.com/liteflow-sim/liteflow/internal/core"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
+	"github.com/liteflow-sim/liteflow/internal/netlink"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
 	"github.com/liteflow-sim/liteflow/internal/nn"
 	"github.com/liteflow-sim/liteflow/internal/obs"
@@ -250,6 +251,7 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 	// in userspace); collect and retrain every batch interval.
 	var userspaceBatchX [][]float64
 	var userspaceBatchY []int64
+	var enc []float64 // LiteFlow's encoded sample, reused
 	if isChar || isNetlink {
 		netsim.NewTicker(eng, func() (netsim.Time, bool) {
 			if len(userspaceBatchX) > 0 {
@@ -286,9 +288,8 @@ func runFig16Scheme(cfg Config, name string, numFlows int) *fctBuckets {
 				}
 				// Completed flows yield labeled training data.
 				if isLF {
-					dep.Chan.Push(core.EncodeSample(core.Sample{
-						Input: feats, Aux: []float64{sched.Target(fs.Size)}, At: eng.Now(),
-					}))
+					enc = core.AppendSample(enc[:0], core.Sample{Input: feats, Aux: []float64{sched.Target(fs.Size)}})
+					dep.Chan.Push(netlink.Message{Data: enc, At: eng.Now()})
 				}
 				if isChar || isNetlink {
 					userspaceBatchX = append(userspaceBatchX, feats)

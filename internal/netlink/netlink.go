@@ -9,9 +9,15 @@
 // time). This makes the batching economics of Figure 14 measurable: small T
 // behaves like the CCP baseline's per-update switching; large T starves the
 // tuner of fresh data.
+//
+// Push copies the payload into a buffer the channel owns, and a delivered
+// batch is valid until the delivery callback returns: then the channel reuses
+// its buffers for a later batch.
 package netlink
 
 import (
+	"slices"
+
 	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
@@ -65,7 +71,9 @@ type Channel struct {
 	cpu   *ksim.CPU
 	costs ksim.Costs
 
-	buf     []Message
+	buf     []Message   // the batch being filled; each slot keeps its Data buffer
+	head    int         // a full buf is a ring, and this its oldest slot
+	free    [][]Message // delivered batches, for reuse; several may be in flight
 	deliver func(batch []Message)
 
 	inj *fault.Injector
@@ -120,18 +128,22 @@ func (c *Channel) Faults() *fault.Injector { return c.inj }
 // must be called from simulation context (a test asserts this contract).
 func (c *Channel) SetDeliver(fn func(batch []Message)) { c.deliver = fn }
 
-// Push appends a message to the kernel-side batch buffer. Buffer appends are
-// in-kernel memory writes: free in this model (their cost is subsumed by the
-// per-packet processing charge already paid by the datapath).
+// Push appends a copy of m to the kernel-side batch buffer, so the caller may
+// reuse m.Data at once. Buffer appends are in-kernel memory writes: free in
+// this model (the datapath's per-packet charge subsumes their cost).
 func (c *Channel) Push(m Message) {
-	if len(c.buf) >= maxBuffer {
-		// Drop oldest: adaptation prefers fresh signal.
-		copy(c.buf, c.buf[1:])
-		c.buf = c.buf[:len(c.buf)-1]
+	i := len(c.buf)
+	if i < maxBuffer {
+		c.buf = slices.Grow(c.buf, 1)[:i+1]
+	} else {
+		// Drop oldest: adaptation prefers fresh signal. The new message
+		// takes the oldest's slot.
+		i, c.head = c.head, (c.head+1)%maxBuffer
 		c.st.Dropped++
 		c.sc.Event("netlink", "drop", c.eng.Now())
 	}
-	c.buf = append(c.buf, m)
+	c.buf[i].Data = append(c.buf[i].Data[:0], m.Data...)
+	c.buf[i].At = m.At
 }
 
 // Flush sends the accumulated batch to userspace now, charging the CPU for
@@ -141,21 +153,31 @@ func (c *Channel) Push(m Message) {
 // reorder/extra-delay faults apply here — after the kernel has paid the
 // flush costs, like a lossy boundary would behave.
 func (c *Channel) Flush() {
-	if len(c.buf) == 0 {
+	buf := c.buf
+	if len(buf) == 0 {
 		return
 	}
-	batch := c.buf
-	c.buf = nil
+	if c.head > 0 { // a ring that dropped its oldest, rotated into order
+		slices.Reverse(buf[:c.head])
+		slices.Reverse(buf[c.head:])
+		slices.Reverse(buf)
+	}
+	c.buf, c.head = nil, 0
+	if n := len(c.free); n > 0 {
+		c.buf, c.free = c.free[n-1], c.free[:n-1]
+	}
+	batch := buf
 	now := c.eng.Now()
 
 	if c.inj != nil {
 		kept := batch[:0]
-		for _, m := range batch {
+		for i, m := range batch {
 			if c.inj.DropMessage(now) {
 				continue
 			}
 			c.inj.CorruptMessage(now, m.Data)
-			kept = append(kept, m)
+			batch[len(kept)], batch[i] = m, batch[len(kept)] // each slot keeps its own Data
+			kept = kept[:len(kept)+1]
 		}
 		batch = kept
 		if perm := c.inj.BatchPermutation(now, len(batch)); perm != nil {
@@ -166,6 +188,7 @@ func (c *Channel) Flush() {
 			batch = shuffled
 		}
 		if len(batch) == 0 {
+			c.free = append(c.free, buf[:0])
 			return // whole batch lost; the flush costs below were never paid
 		}
 	}
@@ -196,10 +219,11 @@ func (c *Channel) Flush() {
 		// counted discard instead of a panic.
 		if fn := c.deliver; fn != nil {
 			fn(batch)
-			return
+		} else {
+			c.st.Undelivered += int64(len(batch))
+			c.sc.Event1("netlink", "undelivered", c.eng.Now(), "msgs", int64(len(batch)))
 		}
-		c.st.Undelivered += int64(len(batch))
-		c.sc.Event1("netlink", "undelivered", c.eng.Now(), "msgs", int64(len(batch)))
+		c.free = append(c.free, buf[:0])
 	})
 }
 

@@ -3,8 +3,10 @@ package netlink
 import (
 	"testing"
 
+	"github.com/liteflow-sim/liteflow/internal/fault"
 	"github.com/liteflow-sim/liteflow/internal/ksim"
 	"github.com/liteflow-sim/liteflow/internal/netsim"
+	"github.com/liteflow-sim/liteflow/internal/obs"
 )
 
 func newTestChannel(deliver func([]Message)) (*netsim.Engine, *ksim.CPU, *Channel) {
@@ -169,6 +171,30 @@ func TestBufferBoundDropsOldest(t *testing.T) {
 	}
 }
 
+// TestDropOldestKeepsOrderAndPayloads: a full buffer is a ring whose new
+// message takes the oldest's slot; after it has wrapped several times, the
+// flush delivers the newest maxBuffer messages in push order, each with its
+// own payload.
+func TestDropOldestKeepsOrderAndPayloads(t *testing.T) {
+	var got []Message
+	eng, _, ch := newTestChannel(func(b []Message) { got = b })
+	const n = 3*maxBuffer + 5
+	for i := 0; i < n; i++ {
+		ch.Push(Message{Data: []float64{float64(i), float64(i)}[:1+i%2], At: netsim.Time(i)})
+	}
+	ch.Flush()
+	eng.Run()
+	if len(got) != maxBuffer || ch.Stats().Dropped != n-maxBuffer {
+		t.Fatalf("delivered %d and dropped %d of %d, want the newest %d", len(got), ch.Stats().Dropped, n, maxBuffer)
+	}
+	for k, m := range got {
+		i := n - maxBuffer + k
+		if m.At != netsim.Time(i) || len(m.Data) != 1+i%2 || m.Data[0] != float64(i) || m.Data[len(m.Data)-1] != float64(i) {
+			t.Fatalf("message %d = %+v, want message %d", k, m, i)
+		}
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	eng, _, ch := newTestChannel(func(b []Message) {})
 	ch.Push(Message{Data: make([]float64, 4)}) // 16 + 32 bytes
@@ -243,5 +269,108 @@ func BenchmarkPushFlush(b *testing.B) {
 			ch.Flush()
 			eng.Run()
 		}
+	}
+}
+
+// TestChannelPushZeroAllocs: once the batch buffers have grown, a steady
+// push, flush and delivery cycle allocates nothing per message and at most
+// one object per flush, the delivery event.
+func TestChannelPushZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; guard runs in the plain job")
+	}
+	eng, _, ch := newTestChannel(func([]Message) {})
+	data := make([]float64, 35)
+	const perFlush = 64
+	cycle := func() {
+		for i := 0; i < perFlush; i++ {
+			data[0] = float64(i)
+			ch.Push(Message{Data: data, At: eng.Now()})
+		}
+		ch.Flush()
+		eng.Run()
+	}
+	cycle() // grows the batch buffer
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 1 {
+		t.Errorf("a cycle of %d pushes and one flush allocates %.2f objects, want ≤ 1", perFlush, allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ch.Push(Message{Data: data}) }); allocs != 0 {
+		t.Errorf("Push allocates %.2f objects per message, want 0", allocs)
+	}
+}
+
+// TestPushCopiesPayload: after Push returns, the caller's buffer is its own
+// again, and overwriting it does not change what is delivered.
+func TestPushCopiesPayload(t *testing.T) {
+	var got []float64
+	eng, _, ch := newTestChannel(func(b []Message) { got = append(got, b[0].Data...) })
+	data := []float64{1, 2, 3}
+	ch.Push(Message{Data: data})
+	data[0], data[1], data[2] = -1, -1, -1
+	ch.Flush()
+	eng.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("delivered %v, want the payload as pushed, [1 2 3]", got)
+	}
+}
+
+// TestInFlightBatchesNeverShareABuffer: with injected delay, reordering and
+// message drops, several batches are in flight at once and arrive out of
+// order. Each delivery checks every message against what was pushed, then
+// poisons its batch before the buffers go back to the channel; a buffer
+// shared by two messages or batches, or reused before its delivery, shows as
+// a poisoned or overwritten payload in a later delivery.
+func TestInFlightBatchesNeverShareABuffer(t *testing.T) {
+	const poison = -1
+	seen := map[float64]bool{}
+	bad := 0
+	eng, _, ch := newTestChannel(func(b []Message) {
+		for _, m := range b {
+			if len(m.Data) == 0 {
+				bad++
+				continue
+			}
+			seq := m.Data[0]
+			if len(m.Data) != 1+int(seq)%3 || seen[seq] {
+				bad++
+			}
+			for i, v := range m.Data {
+				if v != seq+float64(i)/4 {
+					bad++
+				}
+			}
+			seen[seq] = true
+			for i := range m.Data {
+				m.Data[i] = poison
+			}
+		}
+	})
+	inj := fault.New(fault.Profile{
+		MsgDropP: 0.1, BatchDelayP: 0.5, BatchDelayMax: int64(20 * netsim.Millisecond), BatchReorderP: 0.5,
+	}, 1, obs.Scope{})
+	ch.SetFaults(inj)
+	pushed := 0
+	netsim.NewTicker(eng, func() (netsim.Time, bool) {
+		for i := 0; i < 4; i++ {
+			seq := float64(pushed)
+			data := make([]float64, 1+pushed%3)
+			for j := range data {
+				data[j] = seq + float64(j)/4
+			}
+			ch.Push(Message{Data: data})
+			pushed++
+		}
+		return 250 * netsim.Microsecond, eng.Now() < 200*netsim.Millisecond
+	}).Start(0)
+	ch.StartBatching(netsim.Millisecond)
+	eng.RunUntil(300 * netsim.Millisecond)
+	ch.StopBatching()
+	ch.Flush()
+	eng.Run()
+	if drops := int(inj.Stats().Drops); bad != 0 || drops == 0 || len(seen)+drops != pushed {
+		t.Errorf("%d bad payloads; %d of %d messages delivered once, %d dropped", bad, len(seen), pushed, drops)
+	}
+	if flushes, buffers := ch.Stats().Flushes, len(ch.free); buffers < 2 || int64(buffers) >= flushes/10 {
+		t.Errorf("%d flushes used %d buffers: want several in flight at once, and reuse", flushes, buffers)
 	}
 }

@@ -5,8 +5,6 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var n int64
 	for _, c := range h.counts {
 		n += c
@@ -19,7 +17,5 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.sum
 }

@@ -142,7 +142,6 @@ func (fr *FlightRecorder) Sample(reg *Registry, at int64) {
 			fr.record(s.flight[0], s.kind == kindCounter, at, s.value(s.kind))
 		case kindHistogram:
 			h := s.hist
-			h.mu.Lock()
 			var total int64
 			for _, c := range h.counts {
 				total += c
@@ -150,7 +149,6 @@ func (fr *FlightRecorder) Sample(reg *Registry, at int64) {
 			sum := h.sum
 			p50 := bucketQuantile(h.bounds, h.counts, total, h.max, 0.50)
 			p99 := bucketQuantile(h.bounds, h.counts, total, h.max, 0.99)
-			h.mu.Unlock()
 			fr.record(s.flight[0], true, at, float64(total))
 			fr.record(s.flight[1], true, at, sum)
 			fr.record(s.flight[2], false, at, p50)

@@ -79,8 +79,7 @@ func (r *Registry) Merge(src *Registry) {
 			case kindGauge:
 				dst.gauge.Store(math.Float64bits(s.value(kindGauge)))
 			case kindHistogram:
-				bounds, _, _ := s.hist.snapshot()
-				dst.histOf(bounds).merge(s.hist)
+				dst.histOf(s.hist.bounds).merge(s.hist)
 			}
 		}
 	}
@@ -89,24 +88,20 @@ func (r *Registry) Merge(src *Registry) {
 // merge folds src's buckets, sum and max into h. Bucket bounds must
 // match (both sides come from the same instrument definitions).
 func (h *Histogram) merge(src *Histogram) {
-	sBounds, sCounts, sSum := src.snapshot()
-	sMax := src.Max()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.bounds) != len(sBounds) {
-		panic(fmt.Sprintf("obs: merging histograms with %d vs %d buckets", len(h.bounds), len(sBounds)))
+	if len(h.bounds) != len(src.bounds) {
+		panic(fmt.Sprintf("obs: merging histograms with %d vs %d buckets", len(h.bounds), len(src.bounds)))
 	}
 	for i, b := range h.bounds {
-		if b != sBounds[i] {
+		if b != src.bounds[i] {
 			panic("obs: merging histograms with different bucket bounds")
 		}
 	}
-	for i, c := range sCounts {
+	for i, c := range src.counts {
 		h.counts[i] += c
 	}
-	h.sum += sSum
-	if sMax > h.max {
-		h.max = sMax
+	h.sum += src.sum
+	if m := src.Max(); m > h.max {
+		h.max = m
 	}
 }
 

@@ -94,10 +94,8 @@ func TestRegistryMergeSummaries(t *testing.T) {
 	if hd.Max() != hs.Max() {
 		t.Fatalf("max: got %v want %v", hd.Max(), hs.Max())
 	}
-	_, gc, _ := hd.snapshot()
-	_, wc, _ := hs.snapshot()
-	if !reflect.DeepEqual(gc, wc) {
-		t.Fatalf("buckets: got %v want %v", gc, wc)
+	if !reflect.DeepEqual(hd.counts, hs.counts) {
+		t.Fatalf("buckets: got %v want %v", hd.counts, hs.counts)
 	}
 	// An empty part leaves the max alone.
 	e := NewRegistry()

@@ -37,10 +37,12 @@ func (c *Counter) Value() int64 {
 
 // Histogram is a fixed-bucket distribution metric: cumulative bucket counts
 // and an exact sum for the Prometheus exposition, plus the largest sample,
-// which the flight recorder reports for a quantile in the +Inf bucket. All
-// methods are goroutine-safe.
+// which the flight recorder reports for a quantile in the +Inf bucket. It is
+// single-writer, like a view (DESIGN.md §4b), so Observe, which runs on every
+// query, takes no lock: in an 8 s query-mix CPU profile (2-vCPU Xeon,
+// go1.24.0) it took 0.65 s of the queries' 6.55 s with a mutex, 0.56 s of
+// that in Lock and Unlock, and 0.03 s without.
 type Histogram struct {
-	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds; +Inf implicit
 	counts []int64   // len(bounds)+1, last is the +Inf bucket
 	sum    float64
@@ -61,7 +63,6 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -71,22 +72,10 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	h.mu.Unlock()
 }
 
 // Max returns the largest sample, or -Inf if none were recorded.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// snapshot copies bucket state under the lock for export.
-func (h *Histogram) snapshot() (bounds []float64, counts []int64, sum float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.bounds, append([]int64(nil), h.counts...), h.sum
-}
+func (h *Histogram) Max() float64 { return h.max }
 
 // ExpBuckets returns n ascending bucket bounds starting at start and growing
 // by factor — the usual shape for duration histograms.

@@ -183,6 +183,24 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveZeroAllocs: Observe, which runs on every query,
+// allocates nothing, on a registered histogram and on a no-op scope's.
+func TestHistogramObserveZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; guard runs in the plain job")
+	}
+	for _, sc := range []obs.Scope{obs.New(obs.NewRegistry(), nil), {}} {
+		h := sc.Histogram("liteflow_test_query_ns", "", obs.QueryBuckets())
+		v := 0.0
+		if allocs := testing.AllocsPerRun(1000, func() { v += 97; h.Observe(v) }); allocs != 0 {
+			t.Errorf("Observe allocates %.2f allocs/op, want 0", allocs)
+		}
+		if h.Count() != 1001 {
+			t.Errorf("count = %d after 1001 observations", h.Count())
+		}
+	}
+}
+
 func TestPrometheusFormat(t *testing.T) {
 	reg := obs.NewRegistry()
 	sc := obs.New(reg, nil).With(obs.Label{Key: "host", Value: "0"})
@@ -334,14 +352,16 @@ func TestExportDeterminism(t *testing.T) {
 }
 
 // TestConcurrentReadersAndWriters exercises the goroutine-safety contract of
-// owned instruments under -race: the HTTP exporter reads snapshots while
-// writers hammer the instruments and the tracer. (Views are outside it: they
-// are read on their components' goroutine or after the run.)
+// owned counters and the tracer under -race: the HTTP exporter reads
+// snapshots while writers hammer them. (Views and histograms are outside it:
+// they are single-writer, read on their components' goroutine or after the
+// run; the histogram here is written before the readers start.)
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1024)
 	sc := obs.New(reg, tr)
 	h := obs.NewHTTPHandler(reg, tr, nil)
+	sc.Histogram("liteflow_test_w_ns", "", obs.DurationBuckets()).Observe(1)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -350,7 +370,6 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := sc.Counter("liteflow_test_w_total", "")
-			hi := sc.Histogram("liteflow_test_w_ns", "", obs.DurationBuckets())
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -358,7 +377,6 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				hi.Observe(float64(i))
 				sc.Event1("w", "tick", int64(i), "w", int64(w))
 			}
 		}(w)

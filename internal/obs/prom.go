@@ -68,15 +68,15 @@ func writeSample(bw *bufio.Writer, name, suffix, labels, extra string, v float64
 
 // writeHistogram emits the cumulative _bucket series plus _sum and _count.
 func writeHistogram(bw *bufio.Writer, name string, s *series) {
-	bounds, counts, sum := s.hist.snapshot()
+	h := s.hist
 	var cum int64
-	for i, b := range bounds {
-		cum += counts[i]
+	for i, b := range h.bounds {
+		cum += h.counts[i]
 		writeSample(bw, name, "_bucket", s.labels, `le="`+formatValue(b)+`"`, float64(cum))
 	}
-	cum += counts[len(counts)-1]
+	cum += h.counts[len(h.bounds)]
 	writeSample(bw, name, "_bucket", s.labels, `le="+Inf"`, float64(cum))
-	writeSample(bw, name, "_sum", s.labels, "", sum)
+	writeSample(bw, name, "_sum", s.labels, "", h.sum)
 	writeSample(bw, name, "_count", s.labels, "", float64(cum))
 }
 

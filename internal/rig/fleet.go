@@ -207,18 +207,20 @@ func (f *Fleet) stream(m *fleet.Member, o FleetOpts) {
 		return netsim.Time(float64(s.Every) / den)
 	}
 	sent := 0
+	input := make([]float64, 4)
+	var enc []float64
 	netsim.NewTicker(eng, func() (netsim.Time, bool) {
-		sample := core.Sample{Input: make([]float64, 4), At: eng.Now()}
-		for k := range sample.Input {
-			sample.Input[k] = rng.Float64()*2 - 1
+		for k := range input {
+			input[k] = rng.Float64()*2 - 1
 		}
 		if act := m.Core.Active(); act != nil {
-			act.Program().QuantizeInput(sample.Input, in)
+			act.Program().QuantizeInput(input, in)
 		}
 		if err := m.Core.QueryModel(flow, in, out); err == nil && eng.Now() < o.Dur {
 			f.Queries++
 		}
-		m.Chan.Push(core.EncodeSample(sample))
+		enc = core.AppendSample(enc[:0], core.Sample{Input: input})
+		m.Chan.Push(netlink.Message{Data: enc, At: eng.Now()})
 		if sent++; s.FlowLen > 0 && sent%s.FlowLen == 0 {
 			m.Core.FlowFinished(flow)
 			flow++

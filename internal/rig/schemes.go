@@ -38,15 +38,13 @@ type collector struct {
 	inner cc.Backend
 	ch    *netlink.Channel
 	eng   *netsim.Engine
+	enc   []float64 // the encoded sample, reused
 }
 
 func (b *collector) Query(state []float64, reply func(action float64)) {
 	b.inner.Query(state, func(a float64) {
-		b.ch.Push(core.EncodeSample(core.Sample{
-			Input: append([]float64(nil), state...),
-			Aux:   []float64{a},
-			At:    b.eng.Now(),
-		}))
+		b.enc = core.AppendSample(b.enc[:0], core.Sample{Input: state, Aux: []float64{a}})
+		b.ch.Push(netlink.Message{Data: b.enc, At: b.eng.Now()})
 		reply(a)
 	})
 }

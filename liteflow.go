@@ -253,12 +253,15 @@ func GenerateSource(p *Program, name string) (string, error) {
 // NewNetlinkChannel creates a batched netlink channel on the given host CPU.
 // Pass the service's HandleBatch (or use NewSlowPath, which wires itself).
 // WithScope exports batch-delivery telemetry; the channel's SetFaults
-// attaches a fault injector for it and the slow path behind it.
+// attaches a fault injector for it and the slow path behind it. Push copies
+// a Message's Data; a delivered batch and its Data are reused once deliver
+// returns, so a deliver that keeps a sample copies it, as ParseSample does.
 func NewNetlinkChannel(eng *Engine, cpu *CPU, costs Costs, deliver func([]netlink.Message), options ...Option) *Channel {
 	return netlink.NewChannel(eng, cpu, costs, deliver, options...)
 }
 
 // Message is one netlink record; EncodeSample/ParseSample convert samples.
+// A delivered Message is valid only until deliver returns (NewNetlinkChannel).
 type Message = netlink.Message
 
 // EncodeSample packs a training sample for the kernel-side batch buffer.

@@ -83,6 +83,41 @@ func TestSampleCodecFacade(t *testing.T) {
 	}
 }
 
+// TestNetlinkDeliverCopiesToKeep: Push copies the caller's payload, and a
+// deliver that keeps samples past its return copies them with ParseSample;
+// the copies hold every pushed sample, in order, after later batches reuse
+// the channel's buffers.
+func TestNetlinkDeliverCopiesToKeep(t *testing.T) {
+	eng := liteflow.NewEngine()
+	var kept []liteflow.Sample
+	ch := liteflow.NewNetlinkChannel(eng, liteflow.NewHostCPU(eng, 1), liteflow.DefaultCosts(), func(batch []liteflow.Message) {
+		for _, m := range batch {
+			s, err := liteflow.ParseSample(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, s)
+		}
+	})
+	m := liteflow.EncodeSample(liteflow.Sample{Input: []float64{0, 0}})
+	for i := range 12 {
+		m.Data[1], m.Data[2] = float64(i), float64(-i) // one payload reused for every push
+		ch.Push(m)
+		if i%3 == 2 {
+			ch.Flush()
+			eng.Run()
+		}
+	}
+	if len(kept) != 12 {
+		t.Fatalf("kept %d samples, want 12", len(kept))
+	}
+	for i, s := range kept {
+		if s.Input[0] != float64(i) || s.Input[1] != float64(-i) {
+			t.Errorf("sample %d = %v, want [%d %d]", i, s.Input, i, -i)
+		}
+	}
+}
+
 func TestGenerateSourceFacade(t *testing.T) {
 	net := liteflow.NewNetwork([]int{2, 2}, []liteflow.Activation{liteflow.ReLU}, 1)
 	src, err := liteflow.GenerateSource(liteflow.Quantize(net, liteflow.DefaultQuantConfig()), "gen")

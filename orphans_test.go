@@ -1088,16 +1088,19 @@ func TestNoHandRolledRepeats(t *testing.T) {
 	}
 }
 
-// selfSchedulers returns, by "pkg.Func", "pkg.Type.Method" or, for a func
-// literal assigned to a variable, "pkg.Func.variable", each function outside
-// internal/netsim, bench/ and examples/ whose body hands itself to
-// (*netsim.Engine).After or At, with the position of the first such call.
-func (c *census) selfSchedulers() map[string]string {
-	found := map[string]string{}
+// censusFunc is one function with a body that a non-test file declares,
+// named "pkg.Func" or "pkg.Type.Method".
+type censusFunc struct {
+	site string
+	fn   *types.Func
+	decl *ast.FuncDecl
+	pkg  *censusPkg
+}
+
+// funcs returns every censusFunc of the module, in load order.
+func (c *census) funcs() []censusFunc {
+	var out []censusFunc
 	for _, p := range c.pkgs {
-		if p.rel == "internal/netsim" || strings.HasPrefix(p.rel, "bench") || strings.HasPrefix(p.rel, "examples") {
-			continue
-		}
 		for _, f := range p.files {
 			if c.isTest(f) {
 				continue
@@ -1111,25 +1114,41 @@ func (c *census) selfSchedulers() map[string]string {
 				if d.Recv != nil {
 					site = f.Name.Name + "." + embeddedIdent(d.Recv.List[0].Type).Name + "." + d.Name.Name
 				}
-				c.scanSelfSchedule(p.info, d.Body, p.info.Defs[d.Name], site, found)
-				// A func literal assigned to a variable is a function of its
-				// own, named after the variable.
-				ast.Inspect(d.Body, func(n ast.Node) bool {
-					as, ok := n.(*ast.AssignStmt)
-					if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
-						return true
-					}
-					for i, lhs := range as.Lhs {
-						id, ok := lhs.(*ast.Ident)
-						lit, isLit := as.Rhs[i].(*ast.FuncLit)
-						if ok && isLit {
-							c.scanSelfSchedule(p.info, lit.Body, p.info.Uses[id], site+"."+id.Name, found)
-						}
-					}
-					return true
-				})
+				out = append(out, censusFunc{site, p.info.Defs[d.Name].(*types.Func), d, p})
 			}
 		}
+	}
+	return out
+}
+
+// selfSchedulers returns, by "pkg.Func", "pkg.Type.Method" or, for a func
+// literal assigned to a variable, "pkg.Func.variable", each function outside
+// internal/netsim, bench/ and examples/ whose body hands itself to
+// (*netsim.Engine).After or At, with the position of the first such call.
+func (c *census) selfSchedulers() map[string]string {
+	found := map[string]string{}
+	for _, f := range c.funcs() {
+		if rel := f.pkg.rel; rel == "internal/netsim" || strings.HasPrefix(rel, "bench") || strings.HasPrefix(rel, "examples") {
+			continue
+		}
+		info := f.pkg.info
+		c.scanSelfSchedule(info, f.decl.Body, f.fn, f.site, found)
+		// A func literal assigned to a variable is a function of its own,
+		// named after the variable.
+		ast.Inspect(f.decl.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				lit, isLit := as.Rhs[i].(*ast.FuncLit)
+				if ok && isLit {
+					c.scanSelfSchedule(info, lit.Body, info.Uses[id], f.site+"."+id.Name, found)
+				}
+			}
+			return true
+		})
 	}
 	return found
 }
@@ -1187,4 +1206,105 @@ func isEngineSchedule(fn *types.Func) bool {
 	}
 	named, ok := ptr.Elem().(*types.Named)
 	return ok && named.Obj().Name() == "Engine" && strings.HasSuffix(named.Obj().Pkg().Path(), "/internal/netsim")
+}
+
+// fastPathRoots are the datapath's entry points: lf_query_model, the CC
+// backend that quantizes around it, the integer inference, the monitor
+// interval that asks it, and the kernel-side sample push.
+var fastPathRoots = []string{
+	"core.Core.QueryModel",
+	"core.FlowBackend.Query",
+	"quant.Program.InferWith",
+	"cc.monitor.endMI",
+	"netlink.Channel.Push",
+}
+
+// TestNoFastPathLocksOrClosures: the datapath keeps the kernel's rules
+// (ROADMAP 22). In the paper lf_query_model and the sample collector run in
+// kernel context, where they may not sleep, so here the functions the
+// fastPathRoots reach by static calls inside the module take no sync lock
+// and build no closure: no func literal and no method value, each of which
+// is built on every run of the function that holds it. kept lists the
+// exceptions, each with its reason; an entry the walk no longer finds fails
+// too.
+func TestNoFastPathLocksOrClosures(t *testing.T) {
+	kept := map[string]string{
+		"core.FlowBackend.query": "a stalled query re-checks the router lock once its remaining time has passed; the closure carries the query and its stall start, and is built only while a blocking install holds the lock",
+		"obs.Tracer.record":      "the trace ring's lock, which keeps a tracer safe to read while it records; a scope with no tracer returns before it, so only a traced run takes it",
+	}
+	found := loadCensus(t).fastPathBreaks(fastPathRoots)
+	var bad []string
+	for site, why := range found {
+		if _, ok := kept[site]; !ok {
+			bad = append(bad, site+" "+why)
+		}
+	}
+	for site := range kept {
+		if _, ok := found[site]; !ok {
+			bad = append(bad, "allow-listed but reached by no fast-path root, or keeps the rules: "+site)
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// fastPathBreaks walks the static calls from roots through the module's
+// censusFuncs and returns by site what breaks the fast path's rules, with
+// where. Calls through an interface or a func value end the walk; a func
+// literal is reported and not entered.
+func (c *census) fastPathBreaks(roots []string) map[string]string {
+	decls := map[*types.Func]censusFunc{}
+	byName := map[string]*types.Func{}
+	for _, f := range c.funcs() {
+		decls[f.fn], byName[f.site] = f, f.fn
+	}
+	found := map[string]string{}
+	report := func(site string, pos token.Pos, what string) {
+		if _, seen := found[site]; !seen {
+			found[site] = what + " at " + c.position(pos)
+		}
+	}
+	var queue []*types.Func
+	seen := map[*types.Func]bool{}
+	for _, r := range roots {
+		fn := byName[r]
+		if fn == nil {
+			found[r] = "is a fast-path root that no longer exists"
+			continue
+		}
+		seen[fn], queue = true, append(queue, fn)
+	}
+	for len(queue) > 0 {
+		d := decls[queue[0]]
+		queue = queue[1:]
+		info := d.pkg.info
+		called := map[ast.Expr]bool{}
+		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncLit:
+				report(d.site, x.Pos(), "builds a func literal")
+				return false
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal && !called[x] {
+					report(d.site, x.Pos(), "builds the method value "+x.Sel.Name)
+				}
+			case *ast.CallExpr:
+				called[ast.Unparen(x.Fun)] = true
+				fn := calleeFunc(info, x)
+				if fn == nil {
+					return true
+				}
+				if fn.Pkg() != nil && fn.Pkg().Path() == "sync" && (fn.Name() == "Lock" || fn.Name() == "RLock") {
+					report(d.site, x.Pos(), "takes the lock "+fn.FullName())
+				}
+				if fn = fn.Origin(); decls[fn].decl != nil && !seen[fn] {
+					seen[fn], queue = true, append(queue, fn)
+				}
+			}
+			return true
+		})
+	}
+	return found
 }
