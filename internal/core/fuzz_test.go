@@ -140,7 +140,7 @@ func FuzzParseBatch(f *testing.F) {
 			want = append(want, s)
 		}
 		prior := Sample{Input: []float64{-7}, At: -1}
-		got, malformed := ParseBatch([]Sample{prior}, batch)
+		got, malformed := ParseBatch([]Sample{prior}, nil, batch)
 		if malformed != rejected {
 			t.Fatalf("malformed = %d, ParseSample rejects %d of the batch's messages", malformed, rejected)
 		}
@@ -153,6 +153,20 @@ func FuzzParseBatch(f *testing.F) {
 			if !sameSample(got[i], want[i]) {
 				t.Fatalf("sample %d = %+v, ParseSample gives %+v", i, got[i], want[i])
 			}
+		}
+		// Onto an arena that already holds a value: the same samples, the
+		// value kept, and the arena holding exactly the accepted payloads.
+		arena, payloads := []float64{-7}, 1
+		onArena, _ := ParseBatch(nil, &arena, batch)
+		for i := range want {
+			if !sameSample(onArena[i], want[i]) {
+				t.Fatalf("sample %d on an arena = %+v, ParseSample gives %+v", i, onArena[i], want[i])
+			}
+			payloads += len(want[i].Input) + len(want[i].Aux)
+		}
+		if len(onArena) != len(want) || arena[0] != -7 || len(arena) != payloads {
+			t.Fatalf("%d samples on an arena of %d values starting %v, want %d samples on %d values starting -7",
+				len(onArena), len(arena), arena[0], len(want), payloads)
 		}
 
 		// Mark every value with its own number, grow every slice by one, and

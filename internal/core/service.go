@@ -56,15 +56,21 @@ func ParseSample(m netlink.Message) (Sample, error) {
 // ParseBatch is ParseSample over one delivered batch: the samples of every
 // message that validates are appended to dst in order, and the messages that
 // do not are counted in malformed. The batch's accepted
-// payloads share one slab instead of two allocations per sample.
-func ParseBatch(dst []Sample, batch []netlink.Message) (samples []Sample, malformed int) {
+// payloads share one slab instead of two allocations per sample: a fresh one
+// with a nil arena, else the end of *arena, which its owner may cut back for
+// reuse once it no longer needs the samples.
+func ParseBatch(dst []Sample, arena *[]float64, batch []netlink.Message) (samples []Sample, malformed int) {
 	size := 0
 	for _, m := range batch {
 		if len(m.Data) > 0 {
 			size += len(m.Data) - 1
 		}
 	}
-	slab := make([]float64, size)
+	if arena == nil {
+		arena = new([]float64)
+	}
+	*arena = slices.Grow(*arena, size)
+	slab := (*arena)[len(*arena) : len(*arena)+size]
 	for _, m := range batch {
 		n, err := sampleInputLen(m)
 		if err != nil {
@@ -75,6 +81,7 @@ func ParseBatch(dst []Sample, batch []netlink.Message) (samples []Sample, malfor
 		dst = append(dst, cutSample(slab[:payload], m, n))
 		slab = slab[payload:]
 	}
+	*arena = (*arena)[:len(*arena)+size-len(slab)] // less what malformed messages reserved
 	return dst, malformed
 }
 
@@ -264,7 +271,8 @@ func (s *Service) HandleBatch(batch []netlink.Message) {
 	}
 	s.Core.NoteSlowPathAlive()
 	s.activateParked()
-	samples, malformed := ParseBatch(make([]Sample, 0, len(batch)), batch)
+	// A fresh slab per batch: an Adapter may keep the samples it is handed.
+	samples, malformed := ParseBatch(make([]Sample, 0, len(batch)), nil, batch)
 	for ; malformed > 0; malformed-- {
 		s.st.Malformed++
 		s.sc.Event("service", "malformed", now)
@@ -322,8 +330,8 @@ func (g *StabilityGate) Converged(v float64, cfg Config) bool {
 	if w < 1 {
 		w = 1
 	}
-	if len(g.hist) > w {
-		g.hist = g.hist[len(g.hist)-w:]
+	if len(g.hist) > w { // slid back to the array's start: append never regrows it
+		g.hist = g.hist[:copy(g.hist, g.hist[len(g.hist)-w:])]
 	}
 	if len(g.hist) < w {
 		return false

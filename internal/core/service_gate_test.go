@@ -376,7 +376,7 @@ func TestParseBatchMatchesParseSample(t *testing.T) {
 		want = append(want, sm)
 	}
 	first := Sample{Input: []float64{42}}
-	got, malformed := ParseBatch([]Sample{first}, batch)
+	got, malformed := ParseBatch([]Sample{first}, nil, batch)
 	if malformed != wantMalformed || len(got) != 1+len(want) || got[0].Input[0] != 42 {
 		t.Fatalf("%d samples after the one passed in, %d malformed; want %d and %d", len(got)-1, malformed, len(want), wantMalformed)
 	}

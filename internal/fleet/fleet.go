@@ -167,6 +167,7 @@ type Member struct {
 	parkedEpoch int64 // epoch of a standby parked by degradation (0 = none)
 	installing  bool  // an install is queued or in flight
 	pending     []core.Sample
+	arena       []float64 // pending's payloads, reused every round
 }
 
 // version ties an epoch to its built module, whose Program is also the
@@ -228,10 +229,11 @@ type Controller struct {
 	adapter   core.Adapter
 
 	members    []*Member
-	cur        version // latest minted version (may still be in canary)
-	rel        version // latest version released to the whole fleet
-	lastMinted int64   // monotonic epoch allocator (blacklisted epochs not reused)
-	blacklist  []int64 // epochs rejected by canary verdicts, in mint order
+	pool       []core.Sample // the round's pooled samples, reused every round
+	cur        version       // latest minted version (may still be in canary)
+	rel        version       // latest version released to the whole fleet
+	lastMinted int64         // monotonic epoch allocator (blacklisted epochs not reused)
+	blacklist  []int64       // epochs rejected by canary verdicts, in mint order
 
 	gate     core.StabilityGate
 	queue    []installJob
@@ -262,6 +264,11 @@ type Controller struct {
 // core.Alpha) and the quantization config used for snapshot generation;
 // members keep their own core.Config for datapath concerns. opt.WithScope
 // attaches telemetry.
+//
+// A round handed to a.Adapt is valid only until Adapt returns: the slice and
+// each sample's Input and Aux are memory the controller reuses for the next
+// round, as netlink reuses a delivered batch. An adapter that keeps samples
+// copies them.
 func New(eng *netsim.Engine, coreCfg core.Config, f core.Freezer, e core.Evaluator, a core.Adapter, cfg Config, options ...opt.Option) *Controller {
 	o := opt.Resolve(options)
 	c := &Controller{
@@ -417,7 +424,7 @@ func (c *Controller) handleMemberBatch(m *Member, batch []netlink.Message) {
 	m.Core.NoteSlowPathAlive()
 	c.catchUp(m)
 	var malformed int
-	m.pending, malformed = core.ParseBatch(m.pending, batch)
+	m.pending, malformed = core.ParseBatch(m.pending, &m.arena, batch)
 	c.st.Malformed += int64(malformed)
 	c.st.Batches++
 }
@@ -453,28 +460,20 @@ func (c *Controller) catchUp(m *Member) {
 // buffers in index order, adapt once, run the correctness and necessity
 // gates once, and on necessity mint a new epoch and fan it out.
 func (c *Controller) aggregate() {
-	size := 0
-	for _, m := range c.members {
-		size += len(m.pending)
-	}
-	pool := make([]core.Sample, 0, size)
+	defer c.endRound()
 	for _, m := range c.members { // ascending index: deterministic merge
-		pool = append(pool, m.pending...)
-		// Cleared before reuse: a stale Sample past len would keep its
-		// ParseBatch slab alive until the next round overwrote it.
-		clear(m.pending)
-		m.pending = m.pending[:0]
+		c.pool = append(c.pool, m.pending...)
 	}
-	if len(pool) == 0 {
+	if len(c.pool) == 0 {
 		return
 	}
 	c.st.Aggregations++
-	c.st.Samples += int64(len(pool))
+	c.st.Samples += int64(len(c.pool))
 	if c.wave == nil {
 		c.wave = c.spans.Root("fleet_rollout", c.eng.Now())
 	}
 
-	c.adapter.Adapt(pool)
+	c.adapter.Adapt(c.pool)
 	c.st.LastStability = c.evaluator.Stability()
 
 	// The correctness gate on the pooled stability metric — identical policy
@@ -483,7 +482,18 @@ func (c *Controller) aggregate() {
 		return
 	}
 	c.st.Converged++
-	c.evaluateNecessity(pool)
+	c.evaluateNecessity(c.pool)
+}
+
+// endRound empties the pool, the member buffers and their arenas; a sample
+// left past len would keep an arena that has since grown alive.
+func (c *Controller) endRound() {
+	clear(c.pool)
+	c.pool = c.pool[:0]
+	for _, m := range c.members {
+		clear(m.pending)
+		m.pending, m.arena = m.pending[:0], m.arena[:0]
+	}
 }
 
 // evaluateNecessity computes the minimal fidelity loss of the pooled batch

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/liteflow-sim/liteflow/internal/core"
@@ -22,9 +23,14 @@ type fleetUser struct {
 }
 
 func (u *fleetUser) Stability() float64 { return u.stability }
+
+// Adapt records a copy of the round: the controller reuses the round's
+// memory once Adapt returns.
 func (u *fleetUser) Adapt(batch []core.Sample) {
 	cp := make([]core.Sample, len(batch))
-	copy(cp, batch)
+	for i, s := range batch {
+		cp[i] = core.Sample{Input: slices.Clone(s.Input), Aux: slices.Clone(s.Aux), At: s.At}
+	}
 	u.pools = append(u.pools, cp)
 }
 

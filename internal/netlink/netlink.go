@@ -10,9 +10,9 @@
 // behaves like the CCP baseline's per-update switching; large T starves the
 // tuner of fresh data.
 //
-// Push copies the payload into a buffer the channel owns, and a delivered
-// batch is valid until the delivery callback returns: then the channel reuses
-// its buffers for a later batch.
+// Push copies the payload into the arena of the batch being filled, and a
+// delivered batch is valid until the delivery callback returns: then the
+// batch and its arena go to a free list, and a later batch reuses both.
 package netlink
 
 import (
@@ -60,6 +60,12 @@ func (c *Channel) register(sc obs.Scope) {
 	sc.CounterOf("liteflow_netlink_undelivered_total", "batched messages discarded because no delivery callback was installed", &st.Undelivered)
 }
 
+// spare is a delivered batch buffer and its arena, emptied for reuse.
+type spare struct {
+	buf   []Message
+	arena []float64
+}
+
 // maxBuffer bounds the kernel-side accumulation buffer in messages; overflow
 // drops the oldest data first (the kernel cannot block the datapath on a slow
 // consumer).
@@ -71,9 +77,10 @@ type Channel struct {
 	cpu   *ksim.CPU
 	costs ksim.Costs
 
-	buf     []Message   // the batch being filled; each slot keeps its Data buffer
-	head    int         // a full buf is a ring, and this its oldest slot
-	free    [][]Message // delivered batches, for reuse; several may be in flight
+	buf     []Message // the batch being filled
+	arena   []float64 // buf's payloads, back to back
+	head    int       // a full buf is a ring, and this its oldest slot
+	free    []spare   // delivered batches, for reuse; several may be in flight
 	deliver func(batch []Message)
 
 	inj *fault.Injector
@@ -137,13 +144,18 @@ func (c *Channel) Push(m Message) {
 		c.buf = slices.Grow(c.buf, 1)[:i+1]
 	} else {
 		// Drop oldest: adaptation prefers fresh signal. The new message
-		// takes the oldest's slot.
+		// takes the oldest's slot, and its payload room when that fits.
 		i, c.head = c.head, (c.head+1)%maxBuffer
 		c.st.Dropped++
 		c.sc.Event("netlink", "drop", c.eng.Now())
+		if old := c.buf[i].Data; cap(old) >= len(m.Data) {
+			c.buf[i] = Message{Data: append(old[:0], m.Data...), At: m.At}
+			return
+		}
 	}
-	c.buf[i].Data = append(c.buf[i].Data[:0], m.Data...)
-	c.buf[i].At = m.At
+	n := len(c.arena)
+	c.arena = append(c.arena, m.Data...)
+	c.buf[i] = Message{Data: c.arena[n:len(c.arena):len(c.arena)], At: m.At}
 }
 
 // Flush sends the accumulated batch to userspace now, charging the CPU for
@@ -153,42 +165,39 @@ func (c *Channel) Push(m Message) {
 // reorder/extra-delay faults apply here — after the kernel has paid the
 // flush costs, like a lossy boundary would behave.
 func (c *Channel) Flush() {
-	buf := c.buf
-	if len(buf) == 0 {
+	batch := c.buf
+	if len(batch) == 0 {
 		return
 	}
 	if c.head > 0 { // a ring that dropped its oldest, rotated into order
-		slices.Reverse(buf[:c.head])
-		slices.Reverse(buf[c.head:])
-		slices.Reverse(buf)
+		slices.Reverse(batch[:c.head])
+		slices.Reverse(batch[c.head:])
+		slices.Reverse(batch)
 	}
-	c.buf, c.head = nil, 0
+	arena := c.arena[:0]
+	c.buf, c.arena, c.head = nil, nil, 0
 	if n := len(c.free); n > 0 {
-		c.buf, c.free = c.free[n-1], c.free[:n-1]
+		c.buf, c.arena, c.free = c.free[n-1].buf, c.free[n-1].arena, c.free[:n-1]
 	}
-	batch := buf
 	now := c.eng.Now()
 
 	if c.inj != nil {
-		kept := batch[:0]
-		for i, m := range batch {
+		batch = slices.DeleteFunc(batch, func(m Message) bool {
 			if c.inj.DropMessage(now) {
-				continue
+				return true
 			}
 			c.inj.CorruptMessage(now, m.Data)
-			batch[len(kept)], batch[i] = m, batch[len(kept)] // each slot keeps its own Data
-			kept = kept[:len(kept)+1]
-		}
-		batch = kept
+			return false
+		})
 		if perm := c.inj.BatchPermutation(now, len(batch)); perm != nil {
 			shuffled := make([]Message, len(batch))
 			for i, p := range perm {
 				shuffled[i] = batch[p]
 			}
-			batch = shuffled
+			copy(batch, shuffled)
 		}
 		if len(batch) == 0 {
-			c.free = append(c.free, buf[:0])
+			c.free = append(c.free, spare{batch, arena})
 			return // whole batch lost; the flush costs below were never paid
 		}
 	}
@@ -213,17 +222,18 @@ func (c *Channel) Flush() {
 	// The whole kernel→user flight as a span: flush to delivery, including
 	// queueing and injected delay.
 	c.sc.Span1("netlink", "flush_flight", now, int64(delay), "msgs", int64(len(batch)))
+	used := spare{batch, arena} // the per-flush event captures only this and c
 	c.eng.After(delay, func() {
 		// Resolve the callback at delivery time so SetDeliver replacements
 		// apply to in-flight batches, and a missing callback degrades to a
 		// counted discard instead of a panic.
 		if fn := c.deliver; fn != nil {
-			fn(batch)
+			fn(used.buf)
 		} else {
-			c.st.Undelivered += int64(len(batch))
-			c.sc.Event1("netlink", "undelivered", c.eng.Now(), "msgs", int64(len(batch)))
+			c.st.Undelivered += int64(len(used.buf))
+			c.sc.Event1("netlink", "undelivered", c.eng.Now(), "msgs", int64(len(used.buf)))
 		}
-		c.free = append(c.free, buf[:0])
+		c.free = append(c.free, spare{used.buf[:0], used.arena})
 	})
 }
 

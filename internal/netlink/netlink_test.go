@@ -374,3 +374,37 @@ func TestInFlightBatchesNeverShareABuffer(t *testing.T) {
 		t.Errorf("%d flushes used %d buffers: want several in flight at once, and reuse", flushes, buffers)
 	}
 }
+
+// TestDropOldestPayloadMemoryIsBounded: under sustained drop-oldest, a new
+// message takes the evicted one's payload room whenever it fits, so once
+// every slot has held the largest payload the arena stops growing, and what
+// is delivered is still the newest messages, each with its own payload.
+func TestDropOldestPayloadMemoryIsBounded(t *testing.T) {
+	var got []Message
+	eng, _, ch := newTestChannel(func(b []Message) { got = b })
+	pushed := 0
+	push := func(n int) {
+		for range n {
+			ch.Push(Message{Data: []float64{float64(pushed), float64(pushed), float64(pushed)}[:1+pushed%3], At: netsim.Time(pushed)})
+			pushed++
+		}
+	}
+	push(4 * maxBuffer) // each slot meets every payload size while it wraps
+	warm := cap(ch.arena)
+	push(10 * maxBuffer)
+	if cap(ch.arena) != warm || warm > 4*3*maxBuffer {
+		t.Errorf("arena holds %d values after warm-up and %d after %d more drops; want no growth, within %d",
+			warm, cap(ch.arena), 10*maxBuffer, 4*3*maxBuffer)
+	}
+	ch.Flush()
+	eng.Run()
+	if len(got) != maxBuffer {
+		t.Fatalf("delivered %d, want %d", len(got), maxBuffer)
+	}
+	for k, m := range got {
+		i := pushed - maxBuffer + k
+		if m.At != netsim.Time(i) || len(m.Data) != 1+i%3 || m.Data[0] != float64(i) || m.Data[len(m.Data)-1] != float64(i) {
+			t.Fatalf("message %d = %+v, want message %d", k, m, i)
+		}
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements the flight recorder: a virtual-time sampler that
-// snapshots every registry series into fixed-capacity ring buffers on a
-// configurable tick, and answers windowed queries over the recorded history.
+// snapshots every registry series into ring buffers grown to their capacity
+// on a configurable tick, and answers windowed queries over the recorded history.
 // Window extracts each series' points inside a virtual-time range; Delta
 // compares a before-window against an after-window and reports per-series
 // rate (or level) changes — exactly the primitive a canary gate needs to
@@ -42,7 +42,7 @@ type Point struct {
 	V  float64
 }
 
-// flightSeries is one recorded series: a bounded ring of points.
+// flightSeries is one recorded series: a ring of points grown to capacity.
 type flightSeries struct {
 	cumulative bool
 	pts        ring[Point]
@@ -56,7 +56,7 @@ func (s *flightSeries) stat(w TimeWindow) (float64, bool) {
 	var first, last Point
 	var sum float64
 	n := 0
-	for i := 0; i < s.pts.n; i++ {
+	for i := range len(s.pts.buf) {
 		p := s.pts.at(i)
 		if p.At < w.From || p.At > w.To {
 			continue
@@ -196,7 +196,7 @@ func (fr *FlightRecorder) Window(from, to int64) []SeriesWindow {
 	out := make([]SeriesWindow, 0, len(fr.series))
 	for name, s := range fr.series {
 		var pts []Point
-		for i := 0; i < s.pts.n; i++ {
+		for i := range len(s.pts.buf) {
 			if p := s.pts.at(i); p.At >= from && p.At <= to {
 				pts = append(pts, p)
 			}

@@ -237,3 +237,33 @@ func TestFlightSampleAllocatesNothing(t *testing.T) {
 		t.Errorf("Sample allocates %v per tick, want 0", n)
 	}
 }
+
+// TestFlightSampleFullRingsZeroAllocs: once every series' ring has grown to
+// its capacity, a Sample that evicts the oldest point of each allocates
+// nothing.
+func TestFlightSampleFullRingsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; guard runs in the plain job")
+	}
+	reg := obs.NewRegistry()
+	c := reg.Counter("liteflow_test_q_total", "", obs.Label{Key: "path", Value: "fast"})
+	h := reg.Histogram("liteflow_test_ns", "", []float64{100, 1000})
+	const capacity = 8
+	fr := obs.NewFlightRecorder(capacity)
+	at := int64(0)
+	tick := func() {
+		at++
+		c.Add(1)
+		h.Observe(float64(at))
+		fr.Sample(reg, at)
+	}
+	for range capacity {
+		tick()
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("Sample into full rings allocates %v per tick, want 0", n)
+	}
+	if w := fr.Window(0, at); len(w) == 0 || len(w[0].Points) != capacity || w[0].Points[0].At != at-capacity+1 {
+		t.Errorf("the rings keep %v, want the newest %d points of each series", w, capacity)
+	}
+}

@@ -97,14 +97,14 @@ func (t *Tracer) bindEvictedCounter(c *Counter) {
 	t.mu.Unlock()
 }
 
-// Cap returns the ring capacity. Fork sizes its child tracers (one per job
-// or rig) to the parent's capacity so that merge-after-run retains exactly
-// the events a shared serial tracer would.
+// Cap returns the ring capacity, however few events it holds yet. Fork sizes
+// its child tracers (one per job or rig) to the parent's capacity so that
+// merge-after-run retains exactly the events a shared serial tracer would.
 func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.ring.buf)
+	return t.ring.capacity
 }
 
 // Evicted returns how many events were displaced by ring overflow.

@@ -33,20 +33,28 @@ func (a *ackCosted) OnAck(i tcp.AckInfo) {
 
 // collector wraps the kernel fast path and mirrors each query into the
 // netlink batch buffer, standing in for the paper's kernel-side data
-// collector.
+// collector. Its one monitor asks with the same state and reply every
+// interval, so a reply the inner backend defers still finds them current.
 type collector struct {
-	inner cc.Backend
-	ch    *netlink.Channel
-	eng   *netsim.Engine
-	enc   []float64 // the encoded sample, reused
+	inner  cc.Backend
+	ch     *netlink.Channel
+	eng    *netsim.Engine
+	enc    []float64 // the encoded sample, reused
+	state  []float64
+	reply  func(action float64)
+	mirror func(action float64) // record, bound once
 }
 
 func (b *collector) Query(state []float64, reply func(action float64)) {
-	b.inner.Query(state, func(a float64) {
-		b.enc = core.AppendSample(b.enc[:0], core.Sample{Input: state, Aux: []float64{a}})
-		b.ch.Push(netlink.Message{Data: b.enc, At: b.eng.Now()})
-		reply(a)
-	})
+	b.state, b.reply = state, reply
+	b.inner.Query(state, b.mirror)
+}
+
+// record pushes the answered query as a sample, then replies.
+func (b *collector) record(a float64) {
+	b.enc = core.AppendSample(b.enc[:0], core.Sample{Input: b.state, Aux: []float64{a}})
+	b.ch.Push(netlink.Message{Data: b.enc, At: b.eng.Now()})
+	b.reply(a)
 }
 
 // SchemeArgs is what a scheme's controllers are built from.
@@ -97,7 +105,9 @@ var Schemes = map[string]Scheme{
 func newLF(d *Dumbbell, _ SchemeArgs, flow netsim.FlowID) tcp.CongestionControl {
 	var b cc.Backend = core.NewFlowBackend(d.Dep.Core, flow)
 	if d.Dep.Chan != nil {
-		b = &collector{inner: b, ch: d.Dep.Chan, eng: d.Sender.Eng}
+		c := &collector{inner: b, ch: d.Dep.Chan, eng: d.Sender.Eng}
+		c.mirror = c.record
+		b = c
 	}
 	return cc.NewMIController(d.Sender.Eng, b, initRate)
 }

@@ -1210,12 +1210,14 @@ func isEngineSchedule(fn *types.Func) bool {
 
 // fastPathRoots are the datapath's entry points: lf_query_model, the CC
 // backend that quantizes around it, the integer inference, the monitor
-// interval that asks it, and the kernel-side sample push.
+// interval that asks it, the collector that mirrors its queries, and the
+// kernel-side sample push.
 var fastPathRoots = []string{
 	"core.Core.QueryModel",
 	"core.FlowBackend.Query",
 	"quant.Program.InferWith",
 	"cc.monitor.endMI",
+	"rig.collector.Query",
 	"netlink.Channel.Push",
 }
 
